@@ -17,6 +17,7 @@ package dpm_test
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -1013,18 +1014,21 @@ func BenchmarkFilterEngineParallel(b *testing.B) {
 			}
 			pipe.Close() // drain inside the timed region
 			b.StopTimer()
-			if st := pipe.Stats(); st.Received != int64(16*b.N) || st.StreamErrors != 0 {
-				b.Fatalf("pipeline processed %d records of %d: %+v", st.Received, 16*b.N, st)
+			received := pipe.Obs().Counter("filter.received").Load()
+			if bad := pipe.Obs().Counter("filter.stream_errors").Load(); received != int64(16*b.N) || bad != 0 {
+				b.Fatalf("pipeline processed %d records of %d, %d stream errors", received, 16*b.N, bad)
 			}
 		})
 	}
 }
 
-// S2 parallel: full-scan query throughput at 1/2/4/8 workers over the
+// S2 parallel: full-scan query throughput over the
 // BenchmarkQuerySegmentPruning store. The match-all full scan is the
-// scan-dominated case parallel segment execution targets; output is
-// byte-identical across worker counts (TestParallelRunEquivalence), so
-// only wall-clock moves.
+// scan-dominated case parallel segment execution targets. The read
+// executor sizes its pool from GOMAXPROCS, so the core sweep is
+// `-cpu 1,2,4` (scripts/bench_filter.sh) and the row name records it;
+// output is byte-identical across worker counts
+// (TestParallelRunEquivalence), so only wall-clock moves.
 func BenchmarkQueryParallel(b *testing.B) {
 	be := store.NewMemBackend()
 	st, err := store.Open(be, store.Config{SegmentCap: 2048})
@@ -1054,22 +1058,24 @@ func BenchmarkQueryParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	q.NoPrune = true
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			q.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := query.Run(rd, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Events) != len(events) {
-					b.Fatalf("scan returned %d events, want %d", len(res.Events), len(events))
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := query.Run(rd, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Events) != len(events) {
+			b.Fatalf("scan returned %d events, want %d", len(res.Events), len(events))
+		}
 	}
+	// The fixture events are most of this benchmark's live heap. Keep
+	// them reachable for the whole run — as they were while workers=N
+	// sub-benchmark closures captured them — or the collector's heap
+	// goal halves, GC cycles double, and ns/op stops being comparable
+	// with the archived rows for a reason that has nothing to do with
+	// the executor.
+	runtime.KeepAlive(events)
 }
 
 // O2: live streaming analysis overhead. The §5 operators are meant to
@@ -1127,8 +1133,9 @@ func BenchmarkFilterIngestLive(b *testing.B) {
 			}
 			pipe.Close() // drain inside the timed region
 			b.StopTimer()
-			if st := pipe.Stats(); st.Received != int64(16*b.N) || st.StreamErrors != 0 {
-				b.Fatalf("pipeline processed %d records of %d: %+v", st.Received, 16*b.N, st)
+			received := pipe.Obs().Counter("filter.received").Load()
+			if bad := pipe.Obs().Counter("filter.stream_errors").Load(); received != int64(16*b.N) || bad != 0 {
+				b.Fatalf("pipeline processed %d records of %d, %d stream errors", received, 16*b.N, bad)
 			}
 		})
 	}

@@ -3,7 +3,7 @@
 // command, for stores copied off the cluster (or written by tests and
 // tools through store.DirBackend).
 //
-//	dpquery -store dir [-no-prune] [-workers n] [-stats] [-report] [-json] [rule...]
+//	dpquery -store dir [-no-prune] [-stats] [-report] [-json] [rule...]
 //	dpquery -store dir -agg [-json] [rule...] 'agg ...'|'top ...'
 //	dpquery -store dir -segments
 //
@@ -79,7 +79,6 @@ func listSegments(rd *store.Reader) {
 func main() {
 	dir := flag.String("store", "", "event store directory (required)")
 	noPrune := flag.Bool("no-prune", false, "scan every segment, ignoring footer indexes")
-	workers := flag.Int("workers", 1, "segment-scan parallelism (1 = sequential; results identical)")
 	stats := flag.Bool("stats", false, "print scan statistics to standard error")
 	report := flag.Bool("report", false, "print the analysis report instead of the records")
 	segments := flag.Bool("segments", false, "list segments (tier, compression, blocks, zone maps) and exit")
@@ -87,7 +86,7 @@ func main() {
 	asJSON := flag.Bool("json", false, "machine-readable JSON output")
 	flag.Parse()
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "usage: dpquery -store dir [-no-prune] [-workers n] [-stats] [-report] [-agg] [-json] [-segments] [rule...]")
+		fmt.Fprintln(os.Stderr, "usage: dpquery -store dir [-no-prune] [-stats] [-report] [-agg] [-json] [-segments] [rule...]")
 		os.Exit(2)
 	}
 
@@ -108,7 +107,7 @@ func main() {
 			log.Fatal(err)
 		}
 		aq.Sel.NoPrune = *noPrune
-		p, st, err := agg.Eval(rd, aq, agg.Options{Workers: *workers})
+		p, st, err := agg.Eval(rd, aq, agg.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -131,7 +130,6 @@ func main() {
 		log.Fatal(err)
 	}
 	q.NoPrune = *noPrune
-	q.Workers = *workers
 	res, err := query.Run(rd, q)
 	if err != nil {
 		log.Fatal(err)

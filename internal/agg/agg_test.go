@@ -3,6 +3,7 @@ package agg
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dpm/internal/meter"
@@ -50,7 +51,7 @@ func buildStore(t testing.TB, n int, cfg store.Config) store.Backend {
 }
 
 // eval compiles and evaluates an aggregate query against a backend.
-func eval(t testing.TB, be store.Backend, text string, workers int) (*Partial, query.Stats) {
+func eval(t testing.TB, be store.Backend, text string) (*Partial, query.Stats) {
 	t.Helper()
 	aq, err := Compile(text)
 	if err != nil {
@@ -60,7 +61,7 @@ func eval(t testing.TB, be store.Backend, text string, workers int) (*Partial, q
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, stats, err := Eval(rd, aq, Options{Workers: workers})
+	p, stats, err := Eval(rd, aq, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func eval(t testing.TB, be store.Backend, text string, workers int) (*Partial, q
 
 func TestEvalCountByMachine(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
-	p, stats := eval(t, be, "agg count by machine", 0)
+	p, stats := eval(t, be, "agg count by machine")
 	if p.Records != 100 || stats.Matched != 100 {
 		t.Fatalf("records=%d matched=%d, want 100", p.Records, stats.Matched)
 	}
@@ -87,7 +88,7 @@ func TestEvalSelectionRulesApply(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
 	// Only machine 3's SEND records: machines cycle 1..4 with machine 3
 	// on even i, which are all EvSend.
-	p, _ := eval(t, be, fmt.Sprintf("machine=3,type=%d\nagg count by machine", int(meter.EvSend)), 0)
+	p, _ := eval(t, be, fmt.Sprintf("machine=3,type=%d\nagg count by machine", int(meter.EvSend)))
 	if len(p.Groups) != 1 {
 		t.Fatalf("groups = %d, want 1", len(p.Groups))
 	}
@@ -100,7 +101,7 @@ func TestEvalSelectionRulesApply(t *testing.T) {
 func TestEvalWindows(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
 	// cpuTime 0..990 in steps of 10; 250ms windows -> starts 0,250,500,750.
-	p, _ := eval(t, be, "agg count window 250ms", 0)
+	p, _ := eval(t, be, "agg count window 250ms")
 	if len(p.Groups) != 4 {
 		t.Fatalf("windows = %d, want 4", len(p.Groups))
 	}
@@ -120,7 +121,7 @@ func TestEvalWindows(t *testing.T) {
 func TestEvalSumMinMax(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
 	// msgLength = 64+i for i=0..99.
-	p, _ := eval(t, be, "agg sum(msgLength)", 0)
+	p, _ := eval(t, be, "agg sum(msgLength)")
 	g := p.Groups[GroupKey{}]
 	if g == nil {
 		t.Fatal("no group")
@@ -136,7 +137,7 @@ func TestEvalSumMinMax(t *testing.T) {
 
 func TestEvalRate(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
-	p, _ := eval(t, be, "agg rate", 0)
+	p, _ := eval(t, be, "agg rate")
 	s := mustSpec(t, "agg rate")
 	r := NewResult(s, p)
 	if len(r.Rows) != 1 {
@@ -151,7 +152,7 @@ func TestEvalRate(t *testing.T) {
 
 func TestEvalPercentileUpperBound(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
-	p, _ := eval(t, be, "agg p95(msgLength)", 0)
+	p, _ := eval(t, be, "agg p95(msgLength)")
 	s := mustSpec(t, "agg p95(msgLength)")
 	r := NewResult(s, p)
 	// The log2 sketch answers with a power-of-two upper bound: the true
@@ -164,7 +165,7 @@ func TestEvalPercentileUpperBound(t *testing.T) {
 
 func TestEvalTopK(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
-	p, _ := eval(t, be, "top 2 machine by sum(msgLength)", 0)
+	p, _ := eval(t, be, "top 2 machine by sum(msgLength)")
 	s := mustSpec(t, "top 2 machine by sum(msgLength)")
 	r := NewResult(s, p)
 	if len(r.Rows) != 2 {
@@ -181,6 +182,18 @@ func TestEvalTopK(t *testing.T) {
 	}
 }
 
+// atWorkers runs fn with GOMAXPROCS set to n — the value the read
+// executor derives its worker count from — and restores it after.
+func atWorkers(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// TestEvalGroupCapDrops saturates the group cap: 100 distinct keys
+// against MaxGroups=10, spread over many segments. Which ten groups
+// survive is decided by record order, so the answer must be the same
+// bytes at every worker count and on every repetition — a cap applied
+// per worker (or per arrival) would let scheduling pick the groups.
 func TestEvalGroupCapDrops(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
 	aq, err := Compile("agg count by cpuTime")
@@ -192,30 +205,45 @@ func TestEvalGroupCapDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := Eval(rd, aq, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Groups) != 10 {
-		t.Fatalf("groups = %d, want 10 (cap)", len(p.Groups))
-	}
-	if p.Dropped != 90 {
-		t.Fatalf("dropped = %d, want 90", p.Dropped)
+	var want []byte
+	for _, workers := range []int{1, 2, 4, 8} {
+		for rep := 0; rep < 5; rep++ {
+			atWorkers(workers, func() {
+				p, _, err := Eval(rd, aq, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(p.Groups) != 10 || p.Dropped != 90 {
+					t.Fatalf("workers=%d rep=%d: groups=%d dropped=%d, want 10 (cap) and 90",
+						workers, rep, len(p.Groups), p.Dropped)
+				}
+				got := p.MarshalBinary()
+				if want == nil {
+					want = got
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d rep=%d: partial differs from the workers=1 answer", workers, rep)
+				}
+			})
+		}
 	}
 }
 
 func TestEvalMissingFieldSkips(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
-	p, _ := eval(t, be, "agg sum(noSuchField)", 0)
+	p, _ := eval(t, be, "agg sum(noSuchField)")
 	if p.Skipped != 100 || len(p.Groups) != 0 {
 		t.Fatalf("skipped=%d groups=%d, want 100/0", p.Skipped, len(p.Groups))
 	}
-	p, _ = eval(t, be, "agg count by noSuchField", 0)
+	p, _ = eval(t, be, "agg count by noSuchField")
 	if p.Skipped != 100 {
 		t.Fatalf("skipped=%d, want 100", p.Skipped)
 	}
 }
 
+// TestEvalParallelMatchesSequential: an uncapped aggregate at four
+// workers equals the one-worker (in effect sequential) answer, scan
+// statistics included.
 func TestEvalParallelMatchesSequential(t *testing.T) {
 	be := buildStore(t, 400, store.Config{SegmentCap: 512})
 	for _, text := range []string{
@@ -223,13 +251,15 @@ func TestEvalParallelMatchesSequential(t *testing.T) {
 		"agg p95(msgLength) by machine",
 		"top 3 pid by sum(msgLength)",
 	} {
-		seq, seqStats := eval(t, be, text, 0)
-		par, parStats := eval(t, be, text, 4)
-		if !bytes.Equal(seq.MarshalBinary(), par.MarshalBinary()) {
-			t.Errorf("%q: parallel result differs from sequential", text)
+		var one, many *Partial
+		var oneStats, manyStats query.Stats
+		atWorkers(1, func() { one, oneStats = eval(t, be, text) })
+		atWorkers(4, func() { many, manyStats = eval(t, be, text) })
+		if !bytes.Equal(one.MarshalBinary(), many.MarshalBinary()) {
+			t.Errorf("%q: result at 4 workers differs from 1 worker", text)
 		}
-		if seqStats.Matched != parStats.Matched || seqStats.Records != parStats.Records {
-			t.Errorf("%q: stats differ: %+v vs %+v", text, seqStats, parStats)
+		if oneStats != manyStats {
+			t.Errorf("%q: stats differ: %+v vs %+v", text, oneStats, manyStats)
 		}
 	}
 }
@@ -264,7 +294,7 @@ func TestEvalObsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Eval(rd, aq, Options{Workers: 4, Obs: reg}); err != nil {
+	if _, _, err := Eval(rd, aq, Options{Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -276,15 +306,6 @@ func TestEvalObsMetrics(t *testing.T) {
 	}
 	if runs != 1 {
 		t.Fatalf("agg.runs = %d, want 1", runs)
-	}
-	var merges int64
-	for _, h := range snap.Hists {
-		if h.Name == "agg.merge_ns" {
-			merges = h.Count
-		}
-	}
-	if merges == 0 {
-		t.Fatalf("agg.merge_ns missing or empty: %+v", snap.Hists)
 	}
 }
 

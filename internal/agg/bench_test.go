@@ -39,7 +39,7 @@ func shippedBytes(tb testing.TB, be store.Backend) int {
 // partial per machine.
 func pushdownBytes(tb testing.TB, be store.Backend) int {
 	tb.Helper()
-	p, _ := eval(tb, be, benchText, 0)
+	p, _ := eval(tb, be, benchText)
 	return len(p.MarshalBinary())
 }
 

@@ -1,11 +1,9 @@
 package agg
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"dpm/internal/obs"
 	"dpm/internal/query"
@@ -53,12 +51,7 @@ func Compile(text string) (*Query, error) {
 
 // Options tunes one Eval.
 type Options struct {
-	// Workers sets segment-fold parallelism; 0 or 1 is sequential.
-	// Results are identical either way: each worker folds into its own
-	// partial and the partials Merge, which is order-independent.
-	Workers int
-	// Obs, when set, receives agg.runs and the agg.merge_ns latency of
-	// the final partial merge.
+	// Obs, when set, receives agg.runs.
 	Obs *obs.Registry
 }
 
@@ -67,133 +60,82 @@ type Options struct {
 // folded into one bounded partial aggregate — the push-down half of a
 // distributed aggregation. The caller ships the partial, not the
 // records.
+//
+// Segments are scanned on the query package's worker pool, but only up
+// to each matched record's group key and value; the fold into the
+// partial runs on this goroutine, segment by segment in admission
+// order. The MaxGroups cap admits groups first come, first served, so
+// which groups survive a saturated cap is decided by that one order
+// and not by how many workers ran or how they were scheduled.
 func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, error) {
 	if opt.Obs != nil {
 		opt.Obs.Counter("agg.runs").Inc()
 	}
-	segs, stats := query.Admitted(rd, aq.Sel)
-	if opt.Workers > 1 && len(segs) > 1 {
-		return evalParallel(segs, aq, opt, stats)
-	}
 	p := NewPartial(aq.Spec)
-	for _, rs := range segs {
-		if err := foldSegment(p, rs, aq, &stats); err != nil {
-			return nil, stats, err
-		}
+	sketch := aq.Spec.Fn.NeedsSketch()
+	maxGroups := aq.Spec.maxGroups()
+	stats, err := query.ScanOrdered(rd, aq.Sel, aq.scanSegment,
+		func(_ *store.ReaderSegment, seg *segment) {
+			p.Records += seg.records
+			p.Skipped += seg.skipped
+			if seg.records > 0 {
+				p.noteTime(seg.minTime)
+				p.noteTime(seg.maxTime)
+			}
+			for _, it := range seg.items {
+				if !p.fold(it.key, it.v, sketch, maxGroups) {
+					p.Dropped++
+				}
+			}
+			segmentPool.Put(seg)
+		})
+	if err != nil {
+		return nil, stats, err
 	}
 	return p, stats, nil
 }
 
-// evalParallel folds admitted segments on a worker pool, one partial
-// per worker, merged at the end — the same shape the controller's
-// cross-machine gather has, exercised inside one machine.
-func evalParallel(segs []*store.ReaderSegment, aq *Query, opt Options, stats query.Stats) (*Partial, query.Stats, error) {
-	workers := opt.Workers
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	parts := make([]*Partial, workers)
-	statsv := make([]query.Stats, workers)
-	errs := make([]error, workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p := NewPartial(aq.Spec)
-			parts[w] = p
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(segs) {
-					return
-				}
-				if err := foldSegment(p, segs[i], aq, &statsv[w]); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	var span obs.Span
-	if opt.Obs != nil {
-		span = obs.StartSpan(opt.Obs.Histogram("agg.merge_ns"))
-	}
-	merged := parts[0]
-	for _, p := range parts[1:] {
-		if err := merged.Merge(p); err != nil {
-			return nil, stats, err
-		}
-	}
-	span.End()
-	for _, s := range statsv {
-		stats.Scanned += s.Scanned
-		stats.Blocks += s.Blocks
-		stats.BlocksPruned += s.BlocksPruned
-		stats.Records += s.Records
-		stats.Matched += s.Matched
-		stats.BadLines += s.BadLines
-	}
-	return merged, stats, nil
+// segment is what one scanned segment contributes to the fold: the
+// order-independent counters already summed, and the (key, value) of
+// every matched record that reaches a group, in record order.
+type segment struct {
+	records, skipped int64
+	minTime, maxTime uint64
+	items            []item
 }
 
-// foldSegment parses one segment and folds its matching records into
-// the partial. A torn unsealed tail is tolerated, as everywhere else;
-// corruption of a sealed segment is fatal.
-func foldSegment(p *Partial, rs *store.ReaderSegment, aq *Query, stats *query.Stats) error {
-	stats.Scanned++
-	sketch := aq.Spec.Fn.NeedsSketch()
-	maxGroups := aq.Spec.maxGroups()
-	admit := aq.Sel.Admits
-	if aq.Sel.NoPrune {
-		admit = nil
-	}
-	d := store.AcquireDecoder()
-	st, err := rs.Scan(d, admit, func(m store.Meta, line []byte) {
-		ev, perr := trace.ParseOne(line)
-		if perr != nil {
-			stats.BadLines++
-			return
-		}
-		ok, _ := aq.Sel.Match(&ev)
+type item struct {
+	key GroupKey
+	v   uint64
+}
+
+// segmentPool recycles item buffers across segments and queries.
+var segmentPool = sync.Pool{New: func() any { return new(segment) }}
+
+// scanSegment reduces one segment's matching records to a segment
+// contribution. It runs on a pool worker and touches no shared state.
+func (aq *Query) scanSegment(rs *store.ReaderSegment) (*segment, query.Stats, error) {
+	seg := segmentPool.Get().(*segment)
+	*seg = segment{minTime: ^uint64(0), items: seg.items[:0]}
+	st, err := aq.Sel.ScanSegment(rs, func(ev *trace.Event, _ map[string]bool) {
+		seg.records++
+		seg.minTime = min(seg.minTime, uint64(ev.CPUTime))
+		seg.maxTime = max(seg.maxTime, uint64(ev.CPUTime))
+		key, ok := aq.Spec.keyOf(ev)
 		if !ok {
-			return
-		}
-		stats.Matched++
-		p.Records++
-		p.noteTime(uint64(ev.CPUTime))
-		key, ok := aq.Spec.keyOf(&ev)
-		if !ok {
-			p.Skipped++
+			seg.skipped++
 			return
 		}
 		v := uint64(1)
 		if aq.Spec.Fn.NeedsField() {
-			fv, ok := fieldOf(&ev, aq.Spec.Field)
-			if !ok {
-				p.Skipped++
+			if v, ok = fieldOf(ev, aq.Spec.Field); !ok {
+				seg.skipped++
 				return
 			}
-			v = fv
 		}
-		if !p.fold(key, v, sketch, maxGroups) {
-			p.Dropped++
-		}
+		seg.items = append(seg.items, item{key, v})
 	})
-	store.ReleaseDecoder(d)
-	stats.Records += st.Records
-	stats.Blocks += st.Blocks
-	stats.BlocksPruned += st.BlocksPruned
-	if err != nil && !errors.Is(err, store.ErrTruncated) {
-		return err
-	}
-	return nil
+	return seg, st, err
 }
 
 // keyOf computes the record's group key, false when a group-by field

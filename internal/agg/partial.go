@@ -74,8 +74,10 @@ func (g *Group) HistValue() obs.HistValue {
 // Partial is one machine's bounded partial aggregate: the compact
 // thing that crosses the wire instead of the matching records. A
 // partial is complete for the records its machine scanned; partials
-// of different machines (or different segments) Merge into the same
-// result in any order.
+// of different machines Merge into the same result in any order. One
+// machine's records are folded into one partial in one order (see
+// Eval): splitting them across several partials and merging would
+// apply the MaxGroups cap once per piece instead of once.
 type Partial struct {
 	// Spec is the canonical specification string; Merge refuses
 	// partials of different specs.
@@ -135,7 +137,10 @@ var ErrSpecMismatch = errors.New("agg: partials have different specs")
 // discipline obs.Snapshot.Merge set, so a scatter-gather can fold
 // per-machine partials in whatever order they arrive. Merge never
 // evicts a group: the MaxGroups cap applies only while a machine folds
-// its own records, so merge order cannot change the result.
+// its own records, so merge order cannot change the result — and, for
+// the same reason, the merged table can exceed MaxGroups, which is why
+// Merge is for combining machines and never for combining pieces of
+// one machine's capped fold.
 func (p *Partial) Merge(other *Partial) error {
 	if other == nil {
 		return nil

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -212,5 +214,18 @@ func TestQueryCommand(t *testing.T) {
 	ctl.Exec("query nosuch dest")
 	if !strings.Contains(strings.TrimPrefix(out.String(), before), "no filter 'nosuch'") {
 		t.Fatalf("unknown filter: %s", strings.TrimPrefix(out.String(), before))
+	}
+
+	// The daemon that ran the queries accounts for them in its machine's
+	// registry: stats for blue carries the query.* rows.
+	before = out.String()
+	ctl.Exec("stats blue")
+	report := strings.TrimPrefix(out.String(), before)
+	m := regexp.MustCompile(`query\.runs\s+(\d+)`).FindStringSubmatch(report)
+	if m == nil {
+		t.Fatalf("stats after queries lacks query.runs:\n%s", report)
+	}
+	if runs, _ := strconv.Atoi(m[1]); runs < 1 {
+		t.Fatalf("query.runs = %d after three queries, want >= 1", runs)
 	}
 }

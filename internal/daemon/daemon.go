@@ -550,7 +550,7 @@ func (d *daemonState) handleQuery(req *QueryReq) *Reply {
 		return &Reply{Type: TQueryRep, Status: err.Error()}
 	}
 	q.NoPrune = req.NoPrune
-	q.Workers = req.Workers
+	q.Obs = d.p.Machine().Obs()
 	rd, err := store.OpenReader(store.NewFsysBackend(d.p.Machine().FS(), req.UID, req.Dir))
 	if err != nil {
 		return &Reply{Type: TQueryRep, Status: err.Error()}
@@ -585,7 +585,7 @@ func (d *daemonState) handleAgg(req *AggReq) *Reply {
 		return &Reply{Type: TAggRep, Status: err.Error()}
 	}
 	reg := d.p.Machine().Obs()
-	p, stats, err := agg.Eval(rd, aq, agg.Options{Workers: req.Workers, Obs: reg})
+	p, stats, err := agg.Eval(rd, aq, agg.Options{Obs: reg})
 	if err != nil {
 		return &Reply{Type: TAggRep, Status: err.Error()}
 	}

@@ -357,24 +357,22 @@ type QueryReq struct {
 	Rules   string // selection rules; empty selects everything
 	UID     int
 	NoPrune bool // diagnostic: scan every segment
-	Workers int  // segment-scan parallelism; 0 or 1 is sequential
 }
 
-// Wire encodes the request. Workers rides as a trailing field: an old
-// daemon ignores it, and a new daemon parsing an old request reads the
-// missing field as zero (sequential), so the knob is compatible in
-// both directions.
+// Wire encodes the request.
 func (r *QueryReq) Wire() *WireMsg {
 	noPrune := "0"
 	if r.NoPrune {
 		noPrune = "1"
 	}
 	return &WireMsg{Type: TQueryReq, Fields: []string{
-		r.Dir, r.Rules, strconv.Itoa(r.UID), noPrune, strconv.Itoa(r.Workers),
+		r.Dir, r.Rules, strconv.Itoa(r.UID), noPrune,
 	}}
 }
 
-// ParseQueryReq decodes a query request body.
+// ParseQueryReq decodes a query request body. Fields beyond the ones
+// named here are ignored, so a request from a peer of another version
+// that sends more still parses.
 func ParseQueryReq(w *WireMsg) (*QueryReq, error) {
 	if w.Type != TQueryReq {
 		return nil, fmt.Errorf("%w: not a query request", ErrWireCorrupt)
@@ -384,7 +382,6 @@ func ParseQueryReq(w *WireMsg) (*QueryReq, error) {
 		Rules:   w.str(1),
 		UID:     w.num(2),
 		NoPrune: w.str(3) == "1",
-		Workers: w.num(4),
 	}, nil
 }
 
@@ -399,21 +396,21 @@ type AggReq struct {
 	Spec    string // aggregate specification line
 	UID     int
 	NoPrune bool // diagnostic: scan every segment
-	Workers int  // segment-fold parallelism; 0 or 1 is sequential
 }
 
-// Wire encodes the request, Workers trailing as in QueryReq.
+// Wire encodes the request.
 func (r *AggReq) Wire() *WireMsg {
 	noPrune := "0"
 	if r.NoPrune {
 		noPrune = "1"
 	}
 	return &WireMsg{Type: TAggReq, Fields: []string{
-		r.Dir, r.Rules, r.Spec, strconv.Itoa(r.UID), noPrune, strconv.Itoa(r.Workers),
+		r.Dir, r.Rules, r.Spec, strconv.Itoa(r.UID), noPrune,
 	}}
 }
 
-// ParseAggReq decodes an aggregate query request body.
+// ParseAggReq decodes an aggregate query request body, ignoring
+// trailing fields as ParseQueryReq does.
 func ParseAggReq(w *WireMsg) (*AggReq, error) {
 	if w.Type != TAggReq {
 		return nil, fmt.Errorf("%w: not an agg request", ErrWireCorrupt)
@@ -424,7 +421,6 @@ func ParseAggReq(w *WireMsg) (*AggReq, error) {
 		Spec:    w.str(2),
 		UID:     w.num(3),
 		NoPrune: w.str(4) == "1",
-		Workers: w.num(5),
 	}, nil
 }
 

@@ -123,7 +123,7 @@ func TestProcReqRoundTrip(t *testing.T) {
 }
 
 func TestQueryReqRoundTrip(t *testing.T) {
-	req := &QueryReq{Dir: "/usr/tmp/f1.store", Rules: "machine=2,cpuTime>=100\n", UID: 7, NoPrune: true, Workers: 8}
+	req := &QueryReq{Dir: "/usr/tmp/f1.store", Rules: "machine=2,cpuTime>=100\n", UID: 7, NoPrune: true}
 	got, err := ParseQueryReq(req.Wire())
 	if err != nil {
 		t.Fatal(err)
@@ -131,16 +131,20 @@ func TestQueryReqRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, req) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, req)
 	}
-	// A request from an old peer lacks the trailing Workers field; it
-	// must parse as sequential, not fail.
-	old := req.Wire()
-	old.Fields = old.Fields[:4]
-	got, err = ParseQueryReq(old)
+	// A peer of another version may send a trailing field this one does
+	// not know (older ones sent a worker count); it must be ignored.
+	extra := req.Wire()
+	extra.Fields = append(extra.Fields, "8")
+	decoded, _, err := DecodeWire(extra.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Workers != 0 || got.Dir != req.Dir || !got.NoPrune {
-		t.Fatalf("legacy parse: %+v", got)
+	got, err = ParseQueryReq(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, req) {
+		t.Fatalf("extra trailing field:\n got %+v\nwant %+v", got, req)
 	}
 }
 
@@ -148,7 +152,7 @@ func TestAggReqRoundTrip(t *testing.T) {
 	req := &AggReq{
 		Dir: "/usr/tmp/f1.store", Rules: "machine=2,cpuTime>=100\n",
 		Spec: "agg sum(msgLength) by machine window 1s",
-		UID:  7, NoPrune: true, Workers: 8,
+		UID:  7, NoPrune: true,
 	}
 	got, err := ParseAggReq(req.Wire())
 	if err != nil {
@@ -157,16 +161,19 @@ func TestAggReqRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, req) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, req)
 	}
-	// A request from an old peer lacks the trailing Workers field; it
-	// must parse as sequential, not fail — the QueryReq discipline.
-	old := req.Wire()
-	old.Fields = old.Fields[:5]
-	got, err = ParseAggReq(old)
+	// An unknown trailing field is ignored — the QueryReq discipline.
+	extra := req.Wire()
+	extra.Fields = append(extra.Fields, "8")
+	decoded, _, err := DecodeWire(extra.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Workers != 0 || got.Spec != req.Spec || !got.NoPrune {
-		t.Fatalf("legacy parse: %+v", got)
+	got, err = ParseAggReq(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, req) {
+		t.Fatalf("extra trailing field:\n got %+v\nwant %+v", got, req)
 	}
 	if _, err := ParseAggReq(&WireMsg{Type: TQueryReq}); err == nil {
 		t.Fatal("wrong type accepted")
@@ -184,7 +191,7 @@ func TestStatsReqRoundTrip(t *testing.T) {
 	}
 	// A request from a newer peer may carry trailing fields this version
 	// does not know; they must be ignored, not rejected — the same
-	// discipline QueryReq applies to its optional Workers field.
+	// discipline QueryReq and AggReq follow.
 	future := req.Wire()
 	future.Fields = append(future.Fields, "some-future-field")
 	got, err = ParseStatsReq(future)

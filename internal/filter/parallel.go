@@ -77,25 +77,6 @@ type Sinks struct {
 	Log   func(lines []byte) error
 }
 
-// PipelineStats is a snapshot of a pipeline's counters, in the style
-// of kernel.FaultStats.
-type PipelineStats struct {
-	Workers        int
-	Sources        int64 // sources ever attached
-	Chunks         int64 // chunks fed
-	Received       int64 // records decoded
-	Kept           int64 // records that survived selection
-	Discarded      int64 // records selection dropped
-	Batches        int64 // non-empty batches flushed to the sinks
-	FeedStalls     int64 // feeds that blocked on a full worker queue
-	LogStalls      int64 // flushes that blocked on a full log queue
-	Drops          int64 // chunks abandoned because the pipeline was shutting down
-	StreamErrors   int64 // sources cut off by a corrupt meter stream
-	SinkErrors     int64 // store or log append failures
-	QueueDepth     int64 // instantaneous chunks+batches queued
-	QueueHighWater int64 // maximum observed single-queue depth
-}
-
 // pipeItem is one unit of worker input: a chunk of meter-stream bytes
 // from one source.
 type pipeItem struct {
@@ -429,32 +410,7 @@ func (pl *Pipeline) Close() {
 	})
 }
 
-// Obs returns the registry the pipeline's counters live in — cfg.Obs,
-// or the private registry created when cfg.Obs was nil.
+// Obs returns the registry the pipeline's filter.* counters and gauges
+// live in — cfg.Obs, or the private registry created when cfg.Obs was
+// nil. It is the only view of them.
 func (pl *Pipeline) Obs() *obs.Registry { return pl.obs }
-
-// Stats returns a snapshot of the pipeline's counters — a thin view
-// over the obs registry, kept for the callers and tests that predate
-// it.
-func (pl *Pipeline) Stats() PipelineStats {
-	st := PipelineStats{
-		Workers:        len(pl.workers),
-		Sources:        pl.sources.Load(),
-		Chunks:         pl.chunks.Load(),
-		Received:       pl.received.Load(),
-		Kept:           pl.kept.Load(),
-		Discarded:      pl.discarded.Load(),
-		Batches:        pl.batches.Load(),
-		FeedStalls:     pl.feedStalls.Load(),
-		LogStalls:      pl.logStalls.Load(),
-		Drops:          pl.drops.Load(),
-		StreamErrors:   pl.streamErrors.Load(),
-		SinkErrors:     pl.sinkErrors.Load(),
-		QueueHighWater: pl.highWater.Load(),
-	}
-	for _, w := range pl.workers {
-		st.QueueDepth += int64(len(w.in))
-	}
-	st.QueueDepth += int64(len(pl.logQ))
-	return st
-}

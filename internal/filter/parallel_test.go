@@ -171,15 +171,15 @@ func TestPipelineEquivalence(t *testing.T) {
 		t.Fatalf("store holds %d records, want %d", count, want)
 	}
 
-	stats := pipe.Stats()
-	if stats.Sources != nsources {
-		t.Fatalf("stats.Sources = %d, want %d", stats.Sources, nsources)
+	counter := func(name string) int64 { return pipe.Obs().Counter("filter." + name).Load() }
+	if got := counter("sources"); got != nsources {
+		t.Fatalf("filter.sources = %d, want %d", got, nsources)
 	}
-	if stats.Received != int64(nsources*nmsgs) || stats.Kept != int64(nsources*nmsgs) {
-		t.Fatalf("stats received=%d kept=%d, want %d each", stats.Received, stats.Kept, nsources*nmsgs)
+	if received, kept := counter("received"), counter("kept"); received != int64(nsources*nmsgs) || kept != received {
+		t.Fatalf("received=%d kept=%d, want %d each", received, kept, nsources*nmsgs)
 	}
-	if stats.StreamErrors != 0 || stats.SinkErrors != 0 || stats.Drops != 0 {
-		t.Fatalf("unexpected error counters: %+v", stats)
+	if se, ke, d := counter("stream_errors"), counter("sink_errors"), counter("drops"); se != 0 || ke != 0 || d != 0 {
+		t.Fatalf("unexpected error counters: stream_errors=%d sink_errors=%d drops=%d", se, ke, d)
 	}
 }
 
@@ -223,14 +223,13 @@ func TestPipelineStreamError(t *testing.T) {
 			t.Fatalf("healthy source lost line %q", ln)
 		}
 	}
-	stats := pipe.Stats()
-	if stats.StreamErrors != 1 {
-		t.Fatalf("StreamErrors = %d, want 1", stats.StreamErrors)
+	if got := pipe.Obs().Counter("filter.stream_errors").Load(); got != 1 {
+		t.Fatalf("filter.stream_errors = %d, want 1", got)
 	}
 	// 30 good + 5 bad-prefix records got through; the post-corruption
 	// replay of the prefix must not have been decoded.
-	if stats.Received != 35 {
-		t.Fatalf("Received = %d, want 35", stats.Received)
+	if got := pipe.Obs().Counter("filter.received").Load(); got != 35 {
+		t.Fatalf("filter.received = %d, want 35", got)
 	}
 }
 
@@ -276,10 +275,13 @@ func TestPipelineBackpressure(t *testing.T) {
 		}
 	}()
 
+	stalls := func() int64 {
+		reg := pipe.Obs()
+		return reg.Counter("filter.feed_stalls").Load() + reg.Counter("filter.log_stalls").Load()
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		s := pipe.Stats()
-		if s.FeedStalls > 0 || s.LogStalls > 0 {
+		if stalls() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -294,11 +296,10 @@ func TestPipelineBackpressure(t *testing.T) {
 	if got, want := strings.Count(string(logBuf), "\n"), nmsgs; got != want {
 		t.Fatalf("log holds %d lines after recovery, want %d", got, want)
 	}
-	s := pipe.Stats()
-	if s.FeedStalls+s.LogStalls == 0 {
+	if stalls() == 0 {
 		t.Fatal("stall counters empty after wedged sink")
 	}
-	if s.QueueHighWater == 0 {
+	if pipe.Obs().Gauge("filter.queue_high_water").Load() == 0 {
 		t.Fatal("queue high-water mark never observed")
 	}
 }
@@ -316,7 +317,7 @@ func TestPipelineCloseRefusesFeeds(t *testing.T) {
 	if src.Feed(sourceStream(0, 1)) {
 		t.Fatal("Feed accepted a chunk after Close")
 	}
-	if pipe.Stats().Drops == 0 {
+	if pipe.Obs().Counter("filter.drops").Load() == 0 {
 		t.Fatal("refused feed not counted as a drop")
 	}
 }

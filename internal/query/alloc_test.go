@@ -7,16 +7,16 @@ import (
 	"dpm/internal/store"
 )
 
-// TestParallelMemoryRatio gates the parallel scan's memory behavior:
-// adding a second worker must not multiply bytes per query. The old
+// TestParallelMemoryRatio gates the executor's memory behavior: adding
+// a second worker must not multiply bytes per query. An earlier
 // collector folded every segment through trace.Merge — a fresh
 // allocation of the whole shard buffer per segment — and each scan
-// grew a throwaway matched slice, which together took workers=2 to
-// 2.4x the bytes of sequential. With pooled scan buffers and a single
-// append+sort fold, the parallel path must stay within 1.3x of the
-// sequential walk (a little slack over the ~1.2x target for heap
-// noise; the bench gate in scripts/bench_filter.sh enforces the same
-// bound on BENCH_filter.json).
+// grew a throwaway matched slice, which together took two workers to
+// 2.4x the bytes of one. With pooled scan buffers and a single
+// append+sort fold, two workers must stay within 1.3x of one (a little
+// slack over the ~1.2x target for heap noise; the bench gate in
+// scripts/bench_filter.sh enforces the same bound on
+// BENCH_filter.json).
 func TestParallelMemoryRatio(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
@@ -36,11 +36,10 @@ func TestParallelMemoryRatio(t *testing.T) {
 			t.Fatal(err)
 		}
 		q.NoPrune = true
-		q.Workers = workers
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Run(rd, q)
+				res, err := run(rd, q, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -51,10 +50,10 @@ func TestParallelMemoryRatio(t *testing.T) {
 		})
 		return r.AllocedBytesPerOp()
 	}
-	seq := measure(1)
-	par := measure(2)
-	if ratio := float64(par) / float64(seq); ratio > 1.3 {
-		t.Fatalf("workers=2 allocates %d bytes/op vs %d sequential (%.2fx), want <= 1.3x",
-			par, seq, ratio)
+	one := measure(1)
+	two := measure(2)
+	if ratio := float64(two) / float64(one); ratio > 1.3 {
+		t.Fatalf("workers=2 allocates %d bytes/op vs %d at workers=1 (%.2fx), want <= 1.3x",
+			two, one, ratio)
 	}
 }

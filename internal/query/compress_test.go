@@ -80,9 +80,8 @@ func TestCompressedRunEquivalence(t *testing.T) {
 						t.Fatalf("rule %d flat: %v", ri, err)
 					}
 					want := formatEvents(res)
-					for _, workers := range []int{1, 2, 8} {
-						q.Workers = workers
-						res, err := Run(rdComp, q)
+					for _, workers := range workerCounts {
+						res, err := run(rdComp, q, workers)
 						if err != nil {
 							t.Fatalf("rule %d compressed workers=%d: %v", ri, workers, err)
 						}

@@ -3,6 +3,7 @@ package query
 import (
 	"container/heap"
 	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,55 +12,147 @@ import (
 	"dpm/internal/trace"
 )
 
-// This file is the query engine's multicore execution layer. Sequential
-// Run walks each shard's admitted segments lazily on one goroutine; the
-// parallel path load-balances segment scans — parse frames, evaluate
-// rules, project discards — across a bounded worker pool, then feeds
-// the same cpuTime-ordered heap merge. The output is byte-identical to
-// sequential Run, order included, because:
-//
-//   - per-shard event order is a fold of trace.Merge over the shard's
-//     segments in rotation order; Merge is concatenation plus a stable
-//     sort by cpuTime, so the fold equals appending each segment's
-//     matches in task order and stable-sorting the shard buffer once
-//     (stable sorting is associative over concatenation) — which is
-//     what the collector does, without Merge's per-fold reallocation;
-//   - cross-shard order comes from the same cursorHeap with the same
-//     shard-id tie-break;
-//   - stats are sums of per-segment counters, which commute.
+// This file is the read executor: the one segment scan and the one
+// worker pool that both record queries (Run) and aggregate push-down
+// (agg.Eval) execute on. Admitted segments are numbered in shard-major
+// rotation order; workers scan them concurrently — decode, parse,
+// evaluate rules — and the caller's fold receives each segment's
+// result strictly in that order, on the calling goroutine. Anything
+// order-sensitive (the per-shard event order of Run, which groups an
+// aggregate's MaxGroups cap admits) therefore sees records in the
+// order a single-threaded walk would, at any worker count, while
+// everything expensive runs on the pool.
 //
 // Results flow through one shared bounded channel: workers block when
-// the merge goroutine falls behind (backpressure bounds memory at
-// roughly queue-depth segments beyond what the in-order fold has
-// already consumed), and the merge loop always drains, so no
-// configuration of slow shards can deadlock the pool.
+// the fold falls behind, and the collector always drains, so no
+// configuration of slow segments can deadlock the pool.
 
-// scanTask is one segment to scan. Tasks are numbered in shard-major
-// rotation order; the fold consumes results strictly in task order so
-// per-shard merges match the sequential cursor exactly.
-type scanTask struct {
-	idx   int
-	shard int
-	rs    *store.ReaderSegment
+// ScanSegment runs the record-selection tier over one segment: stored
+// lines are decoded through a pooled decoder (compressed segments
+// decompress only the blocks the query's envelope admits), parsed, and
+// matched against the full rule semantics. fn sees each matching event
+// with its rule's shared discard set; the event is fn's to keep. A
+// torn unsealed tail is tolerated, as with trace logs; corruption of a
+// sealed segment is an error. The returned Stats is this segment's
+// contribution (Scanned is 1).
+func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(ev *trace.Event, discards map[string]bool)) (Stats, error) {
+	st := Stats{Scanned: 1}
+	admit := q.Admits
+	if q.NoPrune {
+		admit = nil
+	}
+	d := store.AcquireDecoder()
+	ss, err := rs.Scan(d, admit, func(_ store.Meta, line []byte) {
+		ev, perr := trace.ParseOne(line)
+		if perr != nil {
+			st.BadLines++
+			return
+		}
+		ok, discards := q.Match(&ev)
+		if !ok {
+			return
+		}
+		st.Matched++
+		fn(&ev, discards)
+	})
+	store.ReleaseDecoder(d)
+	st.Records, st.Blocks, st.BlocksPruned = ss.Records, ss.Blocks, ss.BlocksPruned
+	if err != nil && !errors.Is(err, store.ErrTruncated) {
+		return st, err
+	}
+	return st, nil
 }
 
-// scanResult is one scanned segment's contribution.
-type scanResult struct {
-	idx     int
-	shard   int
-	matched []trace.Event
-	scanned int // 1 per load attempt (mirrors stats.Scanned)
-	blocks  int
-	pruned  int // blocks skipped on zone-map evidence
-	records int
-	bad     int
-	err     error
+// ScanOrdered scans every segment the query admits on a pool of
+// min(GOMAXPROCS, admitted segments) workers. scan runs on a worker,
+// once per segment (normally a q.ScanSegment call collecting into a
+// T); fold runs on the calling goroutine and receives the results
+// strictly in Admitted order. The first scan error in that order is
+// returned and nothing after it is folded. The returned Stats are the
+// admission counts plus the sum of every folded segment's.
+func ScanOrdered[T any](rd *store.Reader, q *Query,
+	scan func(*store.ReaderSegment) (T, Stats, error),
+	fold func(*store.ReaderSegment, T)) (Stats, error) {
+	return scanOrdered(rd, q, runtime.GOMAXPROCS(0), scan, fold)
 }
 
-// matchedPool recycles per-segment match buffers across scan tasks.
-// Without it every segment grows a fresh matched slice that dies as
-// soon as the collector copies it out — the allocation storm behind
-// the old 2.4x bytes/op blow-up from one worker to two.
+// scanOrdered is ScanOrdered with the worker count explicit, for the
+// tests that pin results identical across worker counts.
+func scanOrdered[T any](rd *store.Reader, q *Query, workers int,
+	scan func(*store.ReaderSegment) (T, Stats, error),
+	fold func(*store.ReaderSegment, T)) (Stats, error) {
+	segs, stats := Admitted(rd, q)
+	if workers > len(segs) {
+		workers = len(segs)
+	}
+	type result struct {
+		idx   int
+		val   T
+		stats Stats
+		err   error
+	}
+	// A shared atomic cursor hands out segments; the channel carries
+	// results back. Two slots per worker let a worker start its next
+	// segment while its last result waits for the collector.
+	var (
+		next    atomic.Int64
+		results = make(chan result, 2*workers)
+		wg      sync.WaitGroup
+	)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				n := int(next.Add(1)) - 1
+				if n >= len(segs) {
+					return
+				}
+				r := result{idx: n}
+				r.val, r.stats, r.err = scan(segs[n])
+				results <- r
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+
+	// In-order fold: park out-of-order arrivals, consume strictly by
+	// segment index. After an error the loop only drains, so the workers
+	// can exit; the cursor jumps to the end so they stop taking segments.
+	pending := make(map[int]result, 2*workers)
+	var firstErr error
+	want := 0
+	for r := range results {
+		if firstErr != nil {
+			continue
+		}
+		pending[r.idx] = r
+		for {
+			nr, ok := pending[want]
+			if !ok {
+				break
+			}
+			if nr.err != nil {
+				firstErr = nr.err
+				next.Store(int64(len(segs)))
+				break
+			}
+			delete(pending, want)
+			stats.add(nr.stats)
+			fold(segs[want], nr.val)
+			want++
+		}
+	}
+	return stats, firstErr
+}
+
+// matchedPool recycles per-segment match buffers across scans. Without
+// it every segment grows a fresh matched slice that dies as soon as
+// the fold copies it out — the allocation storm behind the old 2.4x
+// bytes/op blow-up from one worker to two.
 var matchedPool = sync.Pool{
 	New: func() any { return make([]trace.Event, 0, 512) },
 }
@@ -71,155 +164,47 @@ func putMatched(s []trace.Event) {
 	matchedPool.Put(s[:0])
 }
 
-// scanSegment runs the record-selection tier over one segment: the
-// exact body of shardCursor.loadNext, minus the merge (which must stay
-// in task order and so runs on the collector). res.matched is a pooled
-// scratch buffer; the collector owns returning it.
-func scanSegment(q *Query, rs *store.ReaderSegment) scanResult {
-	res := scanResult{scanned: 1, matched: getMatched()}
-	admit := q.Admits
-	if q.NoPrune {
-		admit = nil
+// run executes a record query on the given number of workers. The
+// result is independent of that number, byte for byte:
+//
+//   - per-shard event order is each segment's matches appended in
+//     rotation order (the fold is in Admitted order, which is
+//     shard-major) and stable-sorted by cpuTime once;
+//   - cross-shard order comes from the cursorHeap's shard-id tie-break;
+//   - stats are sums of per-segment counters, which commute.
+func run(rd *store.Reader, q *Query, workers int) (*Result, error) {
+	bufs := make([][]trace.Event, len(rd.Shards()))
+	stats, err := scanOrdered(rd, q, workers,
+		func(rs *store.ReaderSegment) ([]trace.Event, Stats, error) {
+			matched := getMatched()
+			st, err := q.ScanSegment(rs, func(ev *trace.Event, discards map[string]bool) {
+				matched = append(matched, project(*ev, discards))
+			})
+			return matched, st, err
+		},
+		func(rs *store.ReaderSegment, matched []trace.Event) {
+			bufs[rs.Shard] = append(bufs[rs.Shard], matched...)
+			putMatched(matched)
+		})
+	if err != nil {
+		return nil, err
 	}
-	d := store.AcquireDecoder()
-	st, err := rs.Scan(d, admit, func(m store.Meta, line []byte) {
-		ev, perr := trace.ParseOne(line)
-		if perr != nil {
-			res.bad++
-			return
-		}
-		ok, discards := q.Match(&ev)
-		if !ok {
-			return
-		}
-		res.matched = append(res.matched, project(ev, discards))
-	})
-	store.ReleaseDecoder(d)
-	res.records, res.blocks, res.pruned = st.Records, st.Blocks, st.BlocksPruned
-	if err != nil && !errors.Is(err, store.ErrTruncated) {
-		putMatched(res.matched)
-		return scanResult{err: err}
-	}
-	return res
-}
-
-// runParallel executes the query with a pool of workers scanning
-// segments concurrently. It mirrors Run exactly: same pruning, same
-// per-shard ordering, same heap merge, same stats.
-func runParallel(rd *store.Reader, q *Query, workers int) (*Result, error) {
-	res := &Result{}
-
-	// Admission pass: prune by footer, number the survivors in
-	// shard-major rotation order. Identical decisions to Scan.
-	var tasks []scanTask
-	shards := rd.Shards()
-	for shardID, segs := range shards {
-		for _, rs := range segs {
-			res.Stats.Segments++
-			if rs.Sealed && !q.Admits(rs.Index) {
-				res.Stats.Pruned++
-				continue
-			}
-			tasks = append(tasks, scanTask{idx: len(tasks), shard: shardID, rs: rs})
-		}
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-
-	// Worker pool: a shared atomic cursor hands out tasks, a shared
-	// bounded channel carries results back. The collector below receives
-	// unconditionally while waiting for the next in-order result, so a
-	// full channel only ever means "workers are ahead of the fold" —
-	// they park until the fold catches up.
-	var (
-		next    atomic.Int64
-		results = make(chan scanResult, 2*workers)
-		wg      sync.WaitGroup
-	)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(tasks) {
-					return
-				}
-				r := scanSegment(q, tasks[n].rs)
-				r.idx, r.shard = n, tasks[n].shard
-				results <- r
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// In-order fold: buffer out-of-order arrivals, consume strictly by
-	// task index, appending each segment's matches to its shard buffer.
-	// One stable sort per shard afterwards reproduces the sequential
-	// cursor's trace.Merge fold without its quadratic reallocation.
-	bufs := make([][]trace.Event, len(shards))
-	pending := make(map[int]scanResult, 2*workers)
-	var firstErr error
-	errIdx := len(tasks)
-	want := 0
-	for r := range results {
-		pending[r.idx] = r
-		for {
-			nr, ok := pending[want]
-			if !ok {
-				break
-			}
-			delete(pending, want)
-			want++
-			if nr.err != nil {
-				// Remember the earliest failure in task order (the one
-				// the sequential walk would have hit first) and keep
-				// draining so the workers can exit.
-				if nr.idx < errIdx {
-					firstErr, errIdx = nr.err, nr.idx
-				}
-				continue
-			}
-			res.Stats.Scanned += nr.scanned
-			res.Stats.Blocks += nr.blocks
-			res.Stats.BlocksPruned += nr.pruned
-			res.Stats.Records += nr.records
-			res.Stats.BadLines += nr.bad
-			res.Stats.Matched += len(nr.matched)
-			bufs[nr.shard] = append(bufs[nr.shard], nr.matched...)
-			putMatched(nr.matched)
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	for s := range bufs {
-		buf := bufs[s]
-		sort.SliceStable(buf, func(i, j int) bool { return buf[i].CPUTime < buf[j].CPUTime })
-	}
-
-	// Cross-shard merge: the same cursorHeap as Scan, over cursors whose
-	// segments are already fully loaded.
+	res := &Result{Stats: stats}
 	var h cursorHeap
-	for shardID, buf := range bufs {
+	for shard, buf := range bufs {
 		if len(buf) == 0 {
 			continue
 		}
-		heap.Push(&h, &heapEntry{c: &shardCursor{q: q, buf: buf, stats: &res.Stats}, shard: shardID})
+		sort.SliceStable(buf, func(i, j int) bool { return buf[i].CPUTime < buf[j].CPUTime })
+		h = append(h, &shardBuf{buf: buf, shard: shard})
 	}
-	nextSeq := 0
+	heap.Init(&h)
 	for h.Len() > 0 {
-		e := h[0]
-		ev := e.c.buf[e.c.idx]
-		e.c.idx++
-		ev.Seq = nextSeq
-		nextSeq++
+		c := h[0]
+		ev := c.buf[0]
+		ev.Seq = len(res.Events)
 		res.Events = append(res.Events, ev)
-		if e.c.idx < len(e.c.buf) {
+		if c.buf = c.buf[1:]; len(c.buf) > 0 {
 			heap.Fix(&h, 0)
 		} else {
 			heap.Pop(&h)
@@ -227,3 +212,25 @@ func runParallel(rd *store.Reader, q *Query, workers int) (*Result, error) {
 	}
 	return res, nil
 }
+
+// shardBuf is one shard's sorted matches, consumed from the front.
+type shardBuf struct {
+	buf   []trace.Event
+	shard int
+}
+
+// cursorHeap orders cursors by their head event's timestamp (shard id
+// breaking ties for determinism).
+type cursorHeap []*shardBuf
+
+func (h cursorHeap) Len() int { return len(h) }
+func (h cursorHeap) Less(i, j int) bool {
+	a, b := h[i].buf[0].CPUTime, h[j].buf[0].CPUTime
+	if a != b {
+		return a < b
+	}
+	return h[i].shard < h[j].shard
+}
+func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(*shardBuf)) }
+func (h *cursorHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }

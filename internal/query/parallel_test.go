@@ -1,8 +1,10 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -82,10 +84,48 @@ func format(res *Result) string {
 	return b.String()
 }
 
+// oracle answers a query by brute force, sharing nothing with the
+// executor but the rule evaluator: every segment is loaded whole (no
+// pruning, no pooled decoder, no workers), its lines parsed and
+// matched, and the matches — collected in shard-major rotation order —
+// stable-sorted by cpuTime once and re-sequenced.
+func oracle(t *testing.T, rd *store.Reader, q *Query) []trace.Event {
+	t.Helper()
+	var out []trace.Event
+	for _, shard := range rd.Shards() {
+		for _, rs := range shard {
+			seg, err := rs.Load()
+			if err != nil && !errors.Is(err, store.ErrTruncated) {
+				t.Fatal(err)
+			}
+			for _, rec := range seg.Recs {
+				ev, err := trace.ParseOne([]byte(rec.Line))
+				if err != nil {
+					continue
+				}
+				if ok, discards := q.Match(&ev); ok {
+					out = append(out, project(ev, discards))
+				}
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].CPUTime < out[j].CPUTime })
+	for i := range out {
+		out[i].Seq = i
+	}
+	return out
+}
+
+// workerCounts are the pool sizes the equivalence suites drive through
+// the unexported run entry: inline-equivalent, the 2-core CI shape, and
+// more workers than most layouts have segments.
+var workerCounts = []int{1, 2, 8}
+
 // TestParallelRunEquivalence sweeps randomized rule sets against
-// randomized shard layouts and asserts the parallel path is
-// byte-identical — events, order, sequence numbers, statistics — to
-// sequential Run at every worker count.
+// randomized shard layouts and asserts that the executor's events —
+// order and sequence numbers included — equal the brute-force oracle's,
+// and that the whole result, statistics too, is byte-identical at every
+// worker count.
 func TestParallelRunEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	rules := []string{
@@ -125,20 +165,27 @@ func TestParallelRunEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					q.NoPrune = noPrune
-					seq, err := Run(rd, q)
-					if err != nil {
-						t.Fatalf("rule %d sequential: %v", ri, err)
-					}
-					want := format(seq)
-					for _, workers := range []int{2, 8} {
-						q.Workers = workers
-						par, err := Run(rd, q)
+					wantEvents := formatEvents(&Result{Events: oracle(t, rd, q)})
+					var want string
+					for _, workers := range workerCounts {
+						res, err := run(rd, q, workers)
 						if err != nil {
 							t.Fatalf("rule %d workers=%d: %v", ri, workers, err)
 						}
-						if got := format(par); got != want {
-							t.Fatalf("rule %d noPrune=%v workers=%d diverges from sequential:\n--- sequential\n%s\n--- parallel\n%s",
-								ri, noPrune, workers, want, got)
+						if got := formatEvents(res); got != wantEvents {
+							t.Fatalf("rule %d noPrune=%v workers=%d diverges from the oracle:\n--- oracle\n%s\n--- run\n%s",
+								ri, noPrune, workers, wantEvents, got)
+						}
+						if res.Stats.Matched != len(res.Events) {
+							t.Fatalf("rule %d workers=%d: matched=%d but %d events", ri, workers, res.Stats.Matched, len(res.Events))
+						}
+						got := format(res)
+						if want == "" {
+							want = got
+						}
+						if got != want {
+							t.Fatalf("rule %d noPrune=%v workers=%d differs from workers=%d:\n%s\n---\n%s",
+								ri, noPrune, workers, workerCounts[0], want, got)
 						}
 					}
 				}
@@ -147,8 +194,8 @@ func TestParallelRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelRunDeterminism runs the same parallel query repeatedly
-// and across worker counts: scheduling must never leak into results.
+// TestParallelRunDeterminism runs the same query repeatedly and across
+// worker counts: scheduling must never leak into results.
 func TestParallelRunDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	be := buildRandomStore(t, rng, 400, store.Config{Shards: 4, SegmentCap: 256}, false)
@@ -161,10 +208,9 @@ func TestParallelRunDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want string
-	for _, workers := range []int{1, 2, 8} {
-		q.Workers = workers
+	for _, workers := range workerCounts {
 		for rep := 0; rep < 5; rep++ {
-			res, err := Run(rd, q)
+			res, err := run(rd, q, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,5 +226,101 @@ func TestParallelRunDeterminism(t *testing.T) {
 	}
 	if want == "" || !strings.Contains(want, "matched=") {
 		t.Fatal("determinism run produced no output")
+	}
+}
+
+// corruptBlock flips a byte inside one block of a sealed v2 segment, so
+// the footer still verifies and the damage surfaces only when the block
+// is decoded.
+func corruptBlock(t *testing.T, be store.Backend, rs *store.ReaderSegment, block int) {
+	t.Helper()
+	data, err := be.Read(rs.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headerV2Size = 8 // docs/formats.md: magic + version + flags
+	data[headerV2Size+rs.Blocks()[block].Off+1] ^= 0xff
+	if err := be.Create(rs.Name, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunCorruptSealedSegment pins the failure contract: damage inside
+// a sealed segment fails the whole query (no silently short answer),
+// and with several damaged segments the error reported is the one a
+// single-threaded walk in admission order would hit first, whatever the
+// worker count and however the pool is scheduled.
+func TestRunCorruptSealedSegment(t *testing.T) {
+	be := buildRandomStore(t, rand.New(rand.NewSource(3)), 600, store.Config{
+		Shards: 2, SegmentCap: 4096, Compress: store.CompressBlocks, BlockTarget: 512}, false)
+	rd, err := store.OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Compile("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := Admitted(rd, q)
+	first, last := segs[0], segs[len(segs)-1]
+	if len(segs) < 4 || len(first.Blocks()) < 2 {
+		t.Fatalf("fixture too small: %d segments, %d blocks in the first", len(segs), len(first.Blocks()))
+	}
+	// The later segment breaks in block 0, the earlier one in block 1:
+	// the block number in the error says which segment was reported.
+	corruptBlock(t, be, last, 0)
+	corruptBlock(t, be, first, 1)
+	if rd, err = store.OpenReader(be); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range workerCounts {
+		for rep := 0; rep < 5; rep++ {
+			res, err := run(rd, q, workers)
+			if !errors.Is(err, store.ErrCorrupt) || res != nil {
+				t.Fatalf("workers=%d: res=%v err=%v, want nil result and ErrCorrupt", workers, res, err)
+			}
+			if !strings.Contains(err.Error(), "block 1") {
+				t.Fatalf("workers=%d rep=%d: reported %q, want the earliest segment's error (block 1)", workers, rep, err)
+			}
+		}
+	}
+	if _, err := Run(rd, q); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("Run err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRunTornUnsealedTail: a torn append at the end of an unsealed
+// segment costs the torn record only — the valid prefix is answered
+// and the query succeeds.
+func TestRunTornUnsealedTail(t *testing.T) {
+	be := buildRandomStore(t, rand.New(rand.NewSource(11)), 200, store.Config{Shards: 1, SegmentCap: 1 << 20}, true)
+	names, err := be.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := names[len(names)-1]
+	data, err := be.Read(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := be.Create(tail, data[:len(data)-3]); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := store.OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Compile("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range workerCounts {
+		res, err := run(rd, q, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: torn unsealed tail failed the query: %v", workers, err)
+		}
+		if len(res.Events) != 199 {
+			t.Fatalf("workers=%d: %d events, want 199 (200 less the torn record)", workers, len(res.Events))
+		}
 	}
 }

@@ -19,9 +19,8 @@
 package query
 
 import (
-	"container/heap"
-	"errors"
 	"fmt"
+	"runtime"
 
 	"dpm/internal/filter"
 	"dpm/internal/meter"
@@ -38,11 +37,6 @@ type Query struct {
 	// NoPrune disables footer pruning, scanning every segment — the
 	// diagnostic baseline the benchmarks compare against.
 	NoPrune bool
-	// Workers sets the segment-scan parallelism of Run. Zero or one
-	// selects the sequential path; higher values scan segments on a
-	// worker pool of that size (see parallel.go). Output is identical
-	// either way.
-	Workers int
 	// Obs, when set, receives the query.* counters and the query.run_ns
 	// latency of each Run — on a daemon-executed query the filter
 	// machine's registry.
@@ -281,6 +275,19 @@ type Stats struct {
 	BadLines     int // stored lines the trace parser rejected (skipped)
 }
 
+// add sums another Stats into s; every field is a count, so per-segment
+// contributions commute.
+func (s *Stats) add(o Stats) {
+	s.Segments += o.Segments
+	s.Scanned += o.Scanned
+	s.Pruned += o.Pruned
+	s.Blocks += o.Blocks
+	s.BlocksPruned += o.BlocksPruned
+	s.Records += o.Records
+	s.Matched += o.Matched
+	s.BadLines += o.BadLines
+}
+
 // String renders the stats in the form the controller prints.
 func (s Stats) String() string {
 	return fmt.Sprintf("segments=%d scanned=%d pruned=%d records=%d matched=%d",
@@ -296,10 +303,9 @@ type Result struct {
 // Admitted returns the segments the query must scan — every segment
 // the footer-pruning envelope cannot rule out — and a Stats with the
 // Segments/Pruned counts of that decision. Order is shard order, then
-// rotation order within a shard. This is the entry point aggregation
-// push-down uses: an aggregate fold is order-independent, so it scans
-// admitted segments directly instead of paying the cpuTime heap merge
-// the record-shipping path needs.
+// rotation order within a shard. This is the only admission pass:
+// ScanOrdered, and through it Run and agg.Eval, scan exactly these
+// segments in exactly this order.
 func Admitted(rd *store.Reader, q *Query) ([]*store.ReaderSegment, Stats) {
 	var segs []*store.ReaderSegment
 	var stats Stats
@@ -316,181 +322,15 @@ func Admitted(rd *store.Reader, q *Query) ([]*store.ReaderSegment, Stats) {
 	return segs, stats
 }
 
-// shardCursor streams one shard's matching events in cpuTime order,
-// loading admitted segments lazily: a segment is parsed only when the
-// stream cannot otherwise prove its next event is safe to emit.
-type shardCursor struct {
-	q     *Query
-	segs  []*store.ReaderSegment // admitted, not yet loaded
-	buf   []trace.Event          // matching events, sorted by CPUTime
-	idx   int
-	stats *Stats
-}
-
-// minRemaining is the smallest timestamp any unloaded segment could
-// contain; an unsealed segment's contents are unknown, so it pins the
-// floor to zero.
-func (c *shardCursor) minRemaining() uint64 {
-	min := ^uint64(0)
-	for _, rs := range c.segs {
-		if !rs.Sealed {
-			return 0
-		}
-		if rs.Index.MinTime < min {
-			min = rs.Index.MinTime
-		}
-	}
-	return min
-}
-
-// ready ensures the cursor's head (if any) is safe to emit, loading
-// segments until no unloaded segment could precede it. It returns
-// false when the shard is drained.
-func (c *shardCursor) ready() (bool, error) {
-	for {
-		if c.idx < len(c.buf) &&
-			(len(c.segs) == 0 || uint64(c.buf[c.idx].CPUTime) <= c.minRemaining()) {
-			return true, nil
-		}
-		if len(c.segs) == 0 {
-			return false, nil
-		}
-		if err := c.loadNext(); err != nil {
-			return false, err
-		}
-	}
-}
-
-// loadNext scans the next admitted segment and merges its matching
-// events into the buffer. Compressed segments decompress only the
-// blocks the query's envelope admits, through a pooled decoder. A torn
-// unsealed tail is tolerated, as with trace logs; corruption of a
-// sealed segment is fatal to the query.
-func (c *shardCursor) loadNext() error {
-	rs := c.segs[0]
-	c.segs = c.segs[1:]
-	c.stats.Scanned++
-	admit := c.q.Admits
-	if c.q.NoPrune {
-		admit = nil
-	}
-	var matched []trace.Event
-	d := store.AcquireDecoder()
-	st, err := rs.Scan(d, admit, func(m store.Meta, line []byte) {
-		ev, perr := trace.ParseOne(line)
-		if perr != nil {
-			c.stats.BadLines++
-			return
-		}
-		ok, discards := c.q.Match(&ev)
-		if !ok {
-			return
-		}
-		c.stats.Matched++
-		matched = append(matched, project(ev, discards))
-	})
-	store.ReleaseDecoder(d)
-	c.stats.Records += st.Records
-	c.stats.Blocks += st.Blocks
-	c.stats.BlocksPruned += st.BlocksPruned
-	if err != nil && !errors.Is(err, store.ErrTruncated) {
-		return err
-	}
-	c.buf = trace.Merge(c.buf[c.idx:], matched)
-	c.idx = 0
-	return nil
-}
-
-// cursorHeap orders cursors by their head event's timestamp (shard id
-// breaking ties for determinism).
-type cursorHeap []*heapEntry
-
-type heapEntry struct {
-	c     *shardCursor
-	shard int
-}
-
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	a, b := h[i].c.buf[h[i].c.idx], h[j].c.buf[h[j].c.idx]
-	if a.CPUTime != b.CPUTime {
-		return a.CPUTime < b.CPUTime
-	}
-	return h[i].shard < h[j].shard
-}
-func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(*heapEntry)) }
-func (h *cursorHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
-// Iter streams a query's results in cpuTime order across every shard.
-type Iter struct {
-	h       cursorHeap
-	stats   Stats
-	nextSeq int
-}
-
-// Scan starts a query against a store snapshot: prunes segments by
-// footer, then sets up the per-shard cursors and their merge.
-func Scan(rd *store.Reader, q *Query) (*Iter, error) {
-	it := &Iter{}
-	for shardID, segs := range rd.Shards() {
-		cur := &shardCursor{q: q, stats: &it.stats}
-		for _, rs := range segs {
-			it.stats.Segments++
-			if rs.Sealed && !q.Admits(rs.Index) {
-				it.stats.Pruned++
-				continue
-			}
-			cur.segs = append(cur.segs, rs)
-		}
-		ok, err := cur.ready()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			heap.Push(&it.h, &heapEntry{c: cur, shard: shardID})
-		}
-	}
-	return it, nil
-}
-
-// Next returns the next matching event; ok=false means the stream is
-// drained. Events are re-sequenced in merge order, as trace.Merge
-// does.
-func (it *Iter) Next() (trace.Event, bool, error) {
-	if it.h.Len() == 0 {
-		return trace.Event{}, false, nil
-	}
-	e := it.h[0]
-	ev := e.c.buf[e.c.idx]
-	e.c.idx++
-	ok, err := e.c.ready()
-	if err != nil {
-		return trace.Event{}, false, err
-	}
-	if ok {
-		heap.Fix(&it.h, 0)
-	} else {
-		heap.Pop(&it.h)
-	}
-	ev.Seq = it.nextSeq
-	it.nextSeq++
-	return ev, true, nil
-}
-
-// Stats returns the counters accumulated so far; they are final once
-// Next has reported a drained stream.
-func (it *Iter) Stats() Stats { return it.stats }
-
-// Run drains a query and returns all matching events with the final
-// statistics. With q.Workers > 1 the segment scans run on a worker
-// pool; results are identical to the sequential path, byte for byte.
+// Run executes a query and returns all matching events, in cpuTime
+// order across every shard and re-sequenced in that order as
+// trace.Merge does, with the final statistics.
 func Run(rd *store.Reader, q *Query) (*Result, error) {
 	var span obs.Span
 	if q.Obs != nil {
 		span = obs.StartSpan(q.Obs.Histogram("query.run_ns"))
 	}
-	res, err := runQuery(rd, q)
+	res, err := run(rd, q, runtime.GOMAXPROCS(0))
 	if err != nil || q.Obs == nil {
 		return res, err
 	}
@@ -502,28 +342,5 @@ func Run(rd *store.Reader, q *Query) (*Result, error) {
 	q.Obs.Counter("query.records").Add(int64(res.Stats.Records))
 	q.Obs.Counter("query.matched").Add(int64(res.Stats.Matched))
 	q.Obs.Counter("query.bad_lines").Add(int64(res.Stats.BadLines))
-	return res, nil
-}
-
-func runQuery(rd *store.Reader, q *Query) (*Result, error) {
-	if q.Workers > 1 {
-		return runParallel(rd, q, q.Workers)
-	}
-	it, err := Scan(rd, q)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	for {
-		ev, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		res.Events = append(res.Events, ev)
-	}
-	res.Stats = it.Stats()
 	return res, nil
 }

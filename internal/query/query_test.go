@@ -47,7 +47,7 @@ func buildStore(t *testing.T, n int, cfg store.Config) (store.Backend, []trace.E
 	return be, events
 }
 
-func run(t *testing.T, be store.Backend, rules string, noPrune bool) *Result {
+func mustRun(t *testing.T, be store.Backend, rules string, noPrune bool) *Result {
 	t.Helper()
 	q, err := Compile(rules)
 	if err != nil {
@@ -67,7 +67,7 @@ func run(t *testing.T, be store.Backend, rules string, noPrune bool) *Result {
 
 func TestQueryMatchAll(t *testing.T) {
 	be, events := buildStore(t, 100, store.Config{SegmentCap: 512})
-	res := run(t, be, "", false)
+	res := mustRun(t, be, "", false)
 	if len(res.Events) != len(events) {
 		t.Fatalf("match-all returned %d events, want %d", len(res.Events), len(events))
 	}
@@ -88,14 +88,14 @@ func TestQueryMatchAll(t *testing.T) {
 func TestQueryTimeRangePrunes(t *testing.T) {
 	be, _ := buildStore(t, 400, store.Config{SegmentCap: 512})
 	rules := "cpuTime>=1000,cpuTime<1200"
-	res := run(t, be, rules, false)
+	res := mustRun(t, be, rules, false)
 	if res.Stats.Pruned == 0 {
 		t.Fatalf("selective time range pruned nothing: %+v", res.Stats)
 	}
 	if res.Stats.Scanned+res.Stats.Pruned != res.Stats.Segments {
 		t.Fatalf("scanned+pruned != segments: %+v", res.Stats)
 	}
-	full := run(t, be, rules, true)
+	full := mustRun(t, be, rules, true)
 	if full.Stats.Pruned != 0 || full.Stats.Scanned != full.Stats.Segments {
 		t.Fatalf("NoPrune still pruned: %+v", full.Stats)
 	}
@@ -115,7 +115,7 @@ func TestQueryTimeRangePrunes(t *testing.T) {
 
 func TestQueryMachinePredicate(t *testing.T) {
 	be, events := buildStore(t, 200, store.Config{SegmentCap: 512})
-	res := run(t, be, "machine=2", false)
+	res := mustRun(t, be, "machine=2", false)
 	want := 0
 	for _, e := range events {
 		if e.Machine == 2 {
@@ -139,7 +139,7 @@ func TestQueryMachinePredicate(t *testing.T) {
 
 func TestQueryContradictionPrunesEverything(t *testing.T) {
 	be, _ := buildStore(t, 100, store.Config{SegmentCap: 512})
-	res := run(t, be, "machine=1,machine=2", false)
+	res := mustRun(t, be, "machine=1,machine=2", false)
 	if len(res.Events) != 0 {
 		t.Fatalf("contradictory rule matched %d events", len(res.Events))
 	}
@@ -150,7 +150,7 @@ func TestQueryContradictionPrunesEverything(t *testing.T) {
 
 func TestQueryRulesAreAlternatives(t *testing.T) {
 	be, events := buildStore(t, 100, store.Config{})
-	res := run(t, be, "machine=1\nmachine=3", false)
+	res := mustRun(t, be, "machine=1\nmachine=3", false)
 	want := 0
 	for _, e := range events {
 		if e.Machine == 1 || e.Machine == 3 {
@@ -166,7 +166,7 @@ func TestQueryDiscardProjection(t *testing.T) {
 	be, _ := buildStore(t, 40, store.Config{})
 	// '#' keeps the record but drops the marked body field; header
 	// fields are never dropped.
-	res := run(t, be, "type=1, pid=#*, machine=#*", false)
+	res := mustRun(t, be, "type=1, pid=#*, machine=#*", false)
 	if len(res.Events) == 0 {
 		t.Fatal("discard query matched nothing")
 	}
@@ -190,10 +190,10 @@ func TestQueryFieldComparison(t *testing.T) {
 	be, _ := buildStore(t, 40, store.Config{})
 	// Field-to-field: msgLength >= sock holds for every synthetic event
 	// (64+i vs 3); the reverse never does.
-	if res := run(t, be, "msgLength>=sock", false); len(res.Events) != 40 {
+	if res := mustRun(t, be, "msgLength>=sock", false); len(res.Events) != 40 {
 		t.Fatalf("msgLength>=sock matched %d, want 40", len(res.Events))
 	}
-	if res := run(t, be, "sock>msgLength", false); len(res.Events) != 0 {
+	if res := mustRun(t, be, "sock>msgLength", false); len(res.Events) != 0 {
 		t.Fatalf("sock>msgLength matched %d, want 0", len(res.Events))
 	}
 }
@@ -219,7 +219,7 @@ func TestQueryUnsealedSegmentScanned(t *testing.T) {
 		}
 	}
 	// No Flush: the single segment stays unsealed.
-	res := run(t, be, "cpuTime>=1000000", false)
+	res := mustRun(t, be, "cpuTime>=1000000", false)
 	if res.Stats.Pruned != 0 {
 		t.Fatal("unsealed segment was pruned")
 	}
@@ -250,7 +250,7 @@ func TestQueryBadLinesSkipped(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res := run(t, be, "", false)
+	res := mustRun(t, be, "", false)
 	if len(res.Events) != 1 || res.Stats.BadLines != 1 {
 		t.Fatalf("bad line handling: %d events, stats %+v", len(res.Events), res.Stats)
 	}

@@ -3,6 +3,8 @@ package store
 import (
 	"fmt"
 	"testing"
+
+	"dpm/internal/obs"
 )
 
 func batchRecs(n int) []BatchRec {
@@ -22,7 +24,8 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 	recs := batchRecs(200)
 
 	seqBE := NewMemBackend()
-	seq, err := Open(seqBE, Config{Shards: 2, SegmentCap: 1024})
+	seqReg, batReg := obs.NewRegistry(), obs.NewRegistry()
+	seq, err := Open(seqBE, Config{Shards: 2, SegmentCap: 1024, Obs: seqReg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +39,7 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 	}
 
 	batBE := NewMemBackend()
-	bat, err := Open(batBE, Config{Shards: 2, SegmentCap: 1024})
+	bat, err := Open(batBE, Config{Shards: 2, SegmentCap: 1024, Obs: batReg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +74,9 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 		}
 		seen[key(r)]--
 	}
-	ss, bs := seq.Stats(), bat.Stats()
-	if ss.Appends != bs.Appends {
-		t.Fatalf("appends: sequential %d, batched %d", ss.Appends, bs.Appends)
+	ss, bs := seqReg.Counter("store.appends").Load(), batReg.Counter("store.appends").Load()
+	if ss != bs {
+		t.Fatalf("appends: sequential %d, batched %d", ss, bs)
 	}
 }
 
@@ -81,7 +84,8 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 // checks segments seal and read back clean.
 func TestAppendBatchRotation(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, SegmentCap: 512})
+	reg := obs.NewRegistry()
+	st, err := Open(be, Config{Shards: 1, SegmentCap: 512, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,7 @@ func TestAppendBatchRotation(t *testing.T) {
 	if err := st.AppendBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	if st.Stats().Rotations == 0 {
+	if reg.Counter("store.rotations").Load() == 0 {
 		t.Fatal("no rotations despite tiny segment cap")
 	}
 	got := allRecs(t, be)

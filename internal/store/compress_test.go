@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"dpm/internal/obs"
 )
 
 // compRec makes realistic meter-record traffic: a handful of event
@@ -86,12 +88,13 @@ func TestCompressedRoundTrip(t *testing.T) {
 
 func TestCompressedRotationAndCompaction(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, SegmentCap: 2048, CompactMin: 3, Compress: CompressBlocks})
+	reg := obs.NewRegistry()
+	st, err := Open(be, Config{Shards: 1, SegmentCap: 2048, CompactMin: 3, Compress: CompressBlocks, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fillComp(t, st, 400)
-	if st.Stats().Rotations == 0 {
+	if reg.Counter("store.rotations").Load() == 0 {
 		t.Fatal("no rotations despite tiny segment cap")
 	}
 	if err := st.Flush(); err != nil {
@@ -158,11 +161,11 @@ func TestCompressedUnsealedSalvage(t *testing.T) {
 	if err := be.Create(name, data[:len(data)-10]); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(be, Config{Shards: 1, Compress: CompressBlocks})
-	if err != nil {
+	reg := obs.NewRegistry()
+	if _, err := Open(be, Config{Shards: 1, Compress: CompressBlocks, Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if st2.Stats().Recovered == 0 {
+	if reg.Counter("store.recovered").Load() == 0 {
 		t.Fatal("no recovery recorded")
 	}
 	recs := allRecs(t, be)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"dpm/internal/obs"
 )
 
 // sealAt appends n records at the given cpuTime and seals them into
@@ -24,9 +26,10 @@ func sealAt(t *testing.T, st *Store, when uint32, n int) {
 
 func TestArchiveRollsColdSegments(t *testing.T) {
 	be := NewMemBackend()
+	reg := obs.NewRegistry()
 	st, err := Open(be, Config{
 		Shards: 1, CompactMin: 1 << 20,
-		Compress: CompressBlocks, ArchiveAfter: 5_000,
+		Compress: CompressBlocks, ArchiveAfter: 5_000, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,9 +42,9 @@ func TestArchiveRollsColdSegments(t *testing.T) {
 	if err := st.Maintain(); err != nil {
 		t.Fatal(err)
 	}
-	stats := st.Stats()
-	if stats.Archived != 4 {
-		t.Fatalf("archived %d segments, want 4", stats.Archived)
+	archived := reg.Counter("store.archived_segments")
+	if got := archived.Load(); got != 4 {
+		t.Fatalf("archived %d segments, want 4", got)
 	}
 	var tiers []int
 	for _, info := range st.Segments() {
@@ -62,16 +65,17 @@ func TestArchiveRollsColdSegments(t *testing.T) {
 	if err := st.Maintain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Stats().Archived; got != 4 {
+	if got := archived.Load(); got != 4 {
 		t.Fatalf("second maintain archived more: %d", got)
 	}
 }
 
 func TestRetentionExpires(t *testing.T) {
 	be := NewMemBackend()
+	reg := obs.NewRegistry()
 	st, err := Open(be, Config{
 		Shards: 1, CompactMin: 1 << 20,
-		Compress: CompressBlocks, RetainFor: 8_000,
+		Compress: CompressBlocks, RetainFor: 8_000, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +86,7 @@ func TestRetentionExpires(t *testing.T) {
 	if err := st.Maintain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Stats().Expired; got != 1 {
+	if got := reg.Counter("store.expired_segments").Load(); got != 1 {
 		t.Fatalf("expired %d segments, want 1", got)
 	}
 	recs := allRecs(t, be)
@@ -101,9 +105,10 @@ func TestRetentionExpires(t *testing.T) {
 // archive itself expires once it ages out.
 func TestRetentionLifecycle(t *testing.T) {
 	be := NewMemBackend()
+	reg := obs.NewRegistry()
 	st, err := Open(be, Config{
 		Shards: 1, CompactMin: 1 << 20, Compress: CompressBlocks,
-		ArchiveAfter: 5_000, RetainFor: 50_000,
+		ArchiveAfter: 5_000, RetainFor: 50_000, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +119,7 @@ func TestRetentionLifecycle(t *testing.T) {
 	if err := st.Maintain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Stats().Archived; got != 2 {
+	if got := reg.Counter("store.archived_segments").Load(); got != 2 {
 		t.Fatalf("archived %d, want 2", got)
 	}
 	// Advance "now" far enough that the archive crosses the horizon.
@@ -122,8 +127,7 @@ func TestRetentionLifecycle(t *testing.T) {
 	if err := st.Maintain(); err != nil {
 		t.Fatal(err)
 	}
-	stats := st.Stats()
-	if stats.Expired == 0 {
+	if reg.Counter("store.expired_segments").Load() == 0 {
 		t.Fatal("nothing expired after the clock advanced")
 	}
 	for _, info := range st.Segments() {
@@ -148,6 +152,7 @@ func TestRetentionAcrossReopen(t *testing.T) {
 	sealAt(t, st, 1_000, 5)
 	sealAt(t, st, 20_000, 5)
 	cfg.RetainFor = 8_000
+	cfg.Obs = obs.NewRegistry()
 	st2, err := Open(be, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +160,7 @@ func TestRetentionAcrossReopen(t *testing.T) {
 	if err := st2.Maintain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.Stats().Expired; got != 1 {
+	if got := cfg.Obs.Counter("store.expired_segments").Load(); got != 1 {
 		t.Fatalf("expired %d segments after reopen, want 1", got)
 	}
 }

@@ -130,17 +130,6 @@ func parseSegName(name string) (shard, start, end, tier int, ok bool) {
 	return shard, start, end, tier, true
 }
 
-// Stats counts a store's write-side traffic, in the style of the
-// kernel meter's buffer statistics.
-type Stats struct {
-	Appends     int // records appended
-	Rotations   int // segments sealed because they reached SegmentCap
-	Compactions int // compaction runs performed
-	Recovered   int // segments re-sealed during Open recovery
-	Archived    int // segments rolled into the archival tier
-	Expired     int // segments removed past the retention horizon
-}
-
 // Store is a sharded segment writer. All methods are safe for
 // concurrent use; appends to different shards do not contend.
 type Store struct {
@@ -149,16 +138,13 @@ type Store struct {
 
 	shards []*shard
 
-	statsMu sync.Mutex
-	stats   Stats
-
 	// maxSeen is the newest cpuTime any append has carried — the "now"
 	// that retention and archival ages are measured against.
 	maxSeen atomic.Uint64
 
-	// obs handles, resolved once in Open. The Stats struct above stays
-	// the legacy view; these mirror it into the machine registry plus
-	// the latencies the struct cannot carry.
+	// obs handles, resolved once in Open: the store's write-side
+	// counters and latencies live in the registry (Config.Obs) and
+	// nowhere else.
 	obsAppends     *obs.Counter
 	obsRotations   *obs.Counter
 	obsCompactions *obs.Counter
@@ -259,7 +245,6 @@ func Open(be Backend, cfg Config) (*Store, error) {
 					return nil, err
 				}
 				seg.Index = indexOf(seg.Recs)
-				s.stats.Recovered++
 				s.obsRecovered.Inc()
 			}
 			info.Index = seg.Index
@@ -481,10 +466,6 @@ func (s *Store) Append(m Meta, line string) error {
 	if err := s.flushLocked(sh, &rotations); err != nil {
 		return err
 	}
-	s.statsMu.Lock()
-	s.stats.Appends++
-	s.stats.Rotations += rotations
-	s.statsMu.Unlock()
 	s.obsAppends.Inc()
 	s.obsRotations.Add(int64(rotations))
 	return nil
@@ -560,10 +541,6 @@ func (s *Store) AppendBatch(recs []BatchRec) error {
 			return err
 		}
 	}
-	s.statsMu.Lock()
-	s.stats.Appends += appends
-	s.stats.Rotations += rotations
-	s.statsMu.Unlock()
 	s.obsAppends.Add(int64(appends))
 	s.obsRotations.Add(int64(rotations))
 	span.End()
@@ -643,9 +620,6 @@ func (s *Store) compactLocked(sh *shard) error {
 		}
 	}
 	sh.sealed = append(sh.sealed[:i], merged)
-	s.statsMu.Lock()
-	s.stats.Compactions++
-	s.statsMu.Unlock()
 	s.obsCompactions.Inc()
 	span.End()
 	return nil
@@ -702,9 +676,6 @@ func (s *Store) maintainLocked(sh *shard) error {
 		}
 		sh.sealed = kept
 		if expired > 0 {
-			s.statsMu.Lock()
-			s.stats.Expired += expired
-			s.statsMu.Unlock()
 			s.obsExpiredSegs.Add(int64(expired))
 			s.obsExpiredRecs.Add(int64(expiredRecs))
 		}
@@ -758,9 +729,6 @@ func (s *Store) maintainLocked(sh *shard) error {
 	}
 	sh.sealed[i] = merged
 	sh.sealed = append(sh.sealed[:i+1], sh.sealed[j:]...)
-	s.statsMu.Lock()
-	s.stats.Archived += len(run)
-	s.statsMu.Unlock()
 	s.obsArchived.Add(int64(len(run)))
 	s.obsArchiveRuns.Inc()
 	span.End()
@@ -800,13 +768,6 @@ func (s *Store) Flush() error {
 		}
 	}
 	return nil
-}
-
-// Stats returns a snapshot of the write-side counters.
-func (s *Store) Stats() Stats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.stats
 }
 
 // Segments returns a snapshot of every segment's metadata, sealed and

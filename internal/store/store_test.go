@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"dpm/internal/obs"
 )
 
 func rec(machine uint16, t, typ, pid uint32, line string) (Meta, string) {
@@ -73,12 +75,13 @@ func TestStoreRotation(t *testing.T) {
 	be := NewMemBackend()
 	// A tiny cap so a handful of appends rotates; a huge CompactMin so
 	// compaction stays out of the way.
-	st, err := Open(be, Config{Shards: 1, SegmentCap: 256, CompactMin: 1 << 20})
+	reg := obs.NewRegistry()
+	st, err := Open(be, Config{Shards: 1, SegmentCap: 256, CompactMin: 1 << 20, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fill(t, st, 40)
-	if st.Stats().Rotations == 0 {
+	if reg.Counter("store.rotations").Load() == 0 {
 		t.Fatal("no rotations despite tiny segment cap")
 	}
 	if err := st.Flush(); err != nil {
@@ -108,7 +111,8 @@ func TestStoreRotation(t *testing.T) {
 
 func TestStoreCompaction(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, SegmentCap: 10 << 10, CompactMin: 3})
+	reg := obs.NewRegistry()
+	st, err := Open(be, Config{Shards: 1, SegmentCap: 10 << 10, CompactMin: 3, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestStoreCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.Stats().Compactions == 0 {
+	if reg.Counter("store.compactions").Load() == 0 {
 		t.Fatal("no compactions despite many tiny sealed segments")
 	}
 	rd, err := OpenReader(be)
@@ -163,12 +167,13 @@ func TestStoreRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open(be, Config{Shards: 1})
+	reg := obs.NewRegistry()
+	st2, err := Open(be, Config{Shards: 1, Obs: reg})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
-	if st2.Stats().Recovered != 1 {
-		t.Fatalf("Recovered = %d, want 1", st2.Stats().Recovered)
+	if got := reg.Counter("store.recovered").Load(); got != 1 {
+		t.Fatalf("store.recovered = %d, want 1", got)
 	}
 	recs := allRecs(t, be)
 	if len(recs) != 9 {

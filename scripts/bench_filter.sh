@@ -29,16 +29,18 @@ go test -run '^$' -bench 'BenchmarkStoreIngestBatch$' -benchmem -benchtime=10000
 # below read these lines.
 go test -run '^$' -bench 'BenchmarkStoreIngestCompressed$' -benchmem -benchtime=100000x . >>"$tmp"
 go test -run '^$' -bench 'BenchmarkQueryBlockPruned' -benchmem -benchtime=50x . >>"$tmp"
-# Scaling benchmarks: the parallel ingest pipeline and the concurrent
-# query at 1/2/4/8 workers, so the perf trajectory records how the
+# Scaling benchmarks: the parallel ingest pipeline at 1/2/4/8 workers
+# and the read executor at GOMAXPROCS 1/2/4 (it sizes its pool from
+# GOMAXPROCS, so -cpu is the sweep and the -N row suffix records it; the
+# -cpu 1 row has no suffix), so the perf trajectory records how the
 # system uses cores, not just single-thread ns/op. Fixed iteration
 # counts for the same comparability reason as the ingest pair.
 go test -run '^$' -bench 'BenchmarkFilterEngineParallel' -benchmem -benchtime=100000x . >>"$tmp"
-go test -run '^$' -bench 'BenchmarkQueryParallel' -benchmem -benchtime=20x . >>"$tmp"
+go test -run '^$' -bench 'BenchmarkQueryParallel' -benchmem -benchtime=20x -cpu 1,2,4 . >>"$tmp"
 # Aggregation push-down: the pushdown/ship-records sub-benchmarks each
 # report a bytes_moved metric; their ratio is the wire-traffic
 # reduction claimed in EXPERIMENTS.md.
-go test -run '^$' -bench 'BenchmarkAggPushdown' -benchmem -benchtime=20x ./internal/agg/ >>"$tmp"
+go test -run '^$' -bench 'BenchmarkAggPushdown' -benchmem -benchtime=20x -cpu 1,2,4 ./internal/agg/ >>"$tmp"
 # Live streaming analysis overhead: the full pipeline with and without
 # the live tap attached, same iteration count so the ns/op pair is
 # directly comparable. The overhead gate below reads these lines; the
@@ -61,18 +63,18 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
-# Memory gate for the parallel query path: a second worker must not
-# multiply bytes per query (the pooled-buffer fix; the Go-level gate is
+# Memory gate for the read executor: a second worker must not multiply
+# bytes per query (the pooled-buffer fix; the Go-level gate is
 # internal/query/alloc_test.go). 1.25x leaves slack over the ~1.2x
 # target for heap noise between runs.
 awk '
-$1 == "BenchmarkQueryParallel/workers=1" { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") seq = $i }
-$1 == "BenchmarkQueryParallel/workers=2" { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") par = $i }
+$1 == "BenchmarkQueryParallel"   { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") one = $i }
+$1 == "BenchmarkQueryParallel-2" { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") two = $i }
 END {
-    if (seq + 0 <= 0 || par + 0 <= 0) { print "bench_filter.sh: missing QueryParallel B/op results" > "/dev/stderr"; exit 1 }
-    ratio = par / seq
+    if (one + 0 <= 0 || two + 0 <= 0) { print "bench_filter.sh: missing QueryParallel B/op results" > "/dev/stderr"; exit 1 }
+    ratio = two / one
     if (ratio > 1.25) {
-        printf "bench_filter.sh: QueryParallel workers=2 allocates %d B/op vs %d sequential (%.2fx), gate is 1.25x\n", par, seq, ratio > "/dev/stderr"
+        printf "bench_filter.sh: QueryParallel -cpu 2 allocates %d B/op vs %d at -cpu 1 (%.2fx), gate is 1.25x\n", two, one, ratio > "/dev/stderr"
         exit 1
     }
 }' "$tmp"
