@@ -146,8 +146,12 @@ func main() {
 			log.Fatal(err)
 		}
 	default:
+		var out []byte
 		for i := range res.Events {
-			fmt.Println(res.Events[i].Format())
+			out = append(res.Events[i].AppendFormat(out), '\n')
+		}
+		if _, err := os.Stdout.Write(out); err != nil {
+			log.Fatal(err)
 		}
 	}
 	if *stats {

@@ -321,3 +321,42 @@ func TestCompileRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestScanSegmentZeroAllocs gates the push-down scan: reducing a sealed
+// compressed segment to its (group key, value) items reads both
+// straight from the record view and, with the pooled item buffer warm,
+// allocates nothing — no event is ever built for an aggregated record.
+func TestScanSegmentZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
+	}
+	be := buildStore(t, 2000, store.Config{Shards: 1, SegmentCap: 1 << 20, Compress: store.CompressBlocks})
+	rd, err := store.OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := rd.Shards()[0][0]
+	if !rs.Sealed || rs.FormatVersion() != 2 || len(rd.Shards()[0]) != 1 {
+		t.Fatalf("fixture is not one sealed v2 segment: sealed=%v v%d, %d segments", rs.Sealed, rs.FormatVersion(), len(rd.Shards()[0]))
+	}
+	aq, err := Compile("type=1\nagg sum(msgLength) by machine,pid window 1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items int
+	scan := func() {
+		seg, _, err := aq.scanSegment(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = len(seg.items)
+		segmentPool.Put(seg)
+	}
+	scan() // warm the decoder, view and item buffer
+	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
+		t.Fatalf("scanSegment allocates %.0f times per 2000-record segment, want 0", allocs)
+	}
+	if items != 1000 {
+		t.Fatalf("scan produced %d items, want the 1000 SEND records", items)
+	}
+}

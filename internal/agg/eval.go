@@ -117,58 +117,41 @@ var segmentPool = sync.Pool{New: func() any { return new(segment) }}
 func (aq *Query) scanSegment(rs *store.ReaderSegment) (*segment, query.Stats, error) {
 	seg := segmentPool.Get().(*segment)
 	*seg = segment{minTime: ^uint64(0), items: seg.items[:0]}
-	st, err := aq.Sel.ScanSegment(rs, func(ev *trace.Event, _ map[string]bool) {
+	st, err := aq.Sel.ScanSegment(rs, func(v *trace.View, _ map[string]bool) {
 		seg.records++
-		seg.minTime = min(seg.minTime, uint64(ev.CPUTime))
-		seg.maxTime = max(seg.maxTime, uint64(ev.CPUTime))
-		key, ok := aq.Spec.keyOf(ev)
+		seg.minTime = min(seg.minTime, uint64(v.CPUTime))
+		seg.maxTime = max(seg.maxTime, uint64(v.CPUTime))
+		key, ok := aq.Spec.keyOf(v)
 		if !ok {
 			seg.skipped++
 			return
 		}
-		v := uint64(1)
+		val := uint64(1)
 		if aq.Spec.Fn.NeedsField() {
-			if v, ok = fieldOf(ev, aq.Spec.Field); !ok {
+			if val, ok = v.Field(aq.Spec.Field); !ok {
 				seg.skipped++
 				return
 			}
 		}
-		seg.items = append(seg.items, item{key, v})
+		seg.items = append(seg.items, item{key, val})
 	})
 	return seg, st, err
 }
 
 // keyOf computes the record's group key, false when a group-by field
 // is absent from the record.
-func (s *Spec) keyOf(ev *trace.Event) (GroupKey, bool) {
+func (s *Spec) keyOf(v *trace.View) (GroupKey, bool) {
 	var key GroupKey
 	if s.WindowMS > 0 {
-		t := uint64(ev.CPUTime)
+		t := uint64(v.CPUTime)
 		key.Window = t - t%uint64(s.WindowMS)
 	}
 	for i, f := range s.By {
-		v, ok := fieldOf(ev, f)
+		val, ok := v.Field(f)
 		if !ok {
 			return key, false
 		}
-		key.Vals[i] = v
+		key.Vals[i] = val
 	}
 	return key, true
-}
-
-// fieldOf resolves a record field by name, header fields first —
-// the same resolution order the query engine's rule evaluation uses.
-func fieldOf(e *trace.Event, name string) (uint64, bool) {
-	switch name {
-	case "machine":
-		return uint64(e.Machine), true
-	case "cpuTime":
-		return uint64(e.CPUTime), true
-	case "procTime":
-		return uint64(e.ProcTime), true
-	case "type", "traceType":
-		return uint64(e.Type), true
-	}
-	v, ok := e.Fields[name]
-	return v, ok
 }

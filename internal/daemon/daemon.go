@@ -559,14 +559,11 @@ func (d *daemonState) handleQuery(req *QueryReq) *Reply {
 	if err != nil {
 		return &Reply{Type: TQueryRep, Status: err.Error()}
 	}
-	var b strings.Builder
-	b.WriteString(res.Stats.String())
-	b.WriteByte('\n')
+	b := append([]byte(res.Stats.String()), '\n')
 	for i := range res.Events {
-		b.WriteString(res.Events[i].Format())
-		b.WriteByte('\n')
+		b = append(res.Events[i].AppendFormat(b), '\n')
 	}
-	return &Reply{Type: TQueryRep, Status: "ok", Data: b.String()}
+	return &Reply{Type: TQueryRep, Status: "ok", Data: string(b)}
 }
 
 // handleAgg runs an aggregate query against an event store on this

@@ -155,9 +155,9 @@ func isFieldName(s string) bool {
 }
 
 // FieldSource is the record-shaped value rules evaluate against: the
-// filter's extracted Records implement it directly, and the query
-// engine adapts stored trace events to it, so both stages share one
-// rule evaluator and cannot drift apart.
+// filter's extracted Records implement it directly, and so does the
+// trace.View the query engine parses stored lines into, so both stages
+// share one rule evaluator and cannot drift apart.
 type FieldSource interface {
 	// Field returns the numeric value of a named field, header fields
 	// included; socket-name fields yield their numeric value.

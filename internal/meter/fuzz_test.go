@@ -74,10 +74,11 @@ func FuzzDecodeStream(f *testing.F) {
 
 // FuzzParseName checks the socket-name string parser.
 func FuzzParseName(f *testing.F) {
-	for _, s := range []string{"-", "inet:5:99", "unix:/tmp/x", "pair:pair#3", "inet:", "bogus"} {
+	for _, s := range parseNameSpellings {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		checkParseNameAgrees(t, s)
 		n, err := ParseName(s)
 		if err != nil {
 			return

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // NameSize is the size of a socket name in a meter message: the 16
@@ -53,15 +52,14 @@ func UnixName(path string) Name { return pathName(AFUnix, path) }
 // socketpair endpoint.
 func PairName(id uint32) Name { return pathName(AFPair, fmt.Sprintf("pair#%d", id)) }
 
-func pathName(family uint16, path string) Name {
+func pathName[T string | []byte](family uint16, path T) Name {
 	// sockaddr paths are NUL-terminated: anything from the first NUL
 	// on is unrepresentable and dropped, keeping names canonical.
-	if i := strings.IndexByte(path, 0); i >= 0 {
-		path = path[:i]
-	}
 	var n Name
 	binary.LittleEndian.PutUint16(n[0:2], family)
-	copy(n[2:], path)
+	for i := 0; i < len(path) && i < maxPath && path[i] != 0; i++ {
+		n[2+i] = path[i]
+	}
 	return n
 }
 
@@ -136,21 +134,66 @@ func (n Name) appendPath(dst []byte) []byte {
 // ParseName parses the String form back into a Name; trace logs store
 // names in that form. It returns an error for unrecognized syntax.
 func ParseName(s string) (Name, error) {
-	switch {
-	case s == "-":
-		return Name{}, nil
-	case len(s) > 5 && s[:5] == "inet:":
+	if n, ok := parseCanonical(s); ok {
+		return n, nil
+	}
+	// Any other spelling of an inet name ("inet:+1:2", "inet:1:2junk")
+	// keeps the accept set fmt.Sscanf has always given it.
+	if len(s) > 5 && s[:5] == "inet:" {
 		var host uint32
 		var port uint16
 		if _, err := fmt.Sscanf(s, "inet:%d:%d", &host, &port); err != nil {
 			return Name{}, fmt.Errorf("meter: bad inet name %q: %v", s, err)
 		}
 		return InetName(host, port), nil
-	case len(s) >= 5 && s[:5] == "unix:":
-		return UnixName(s[5:]), nil
-	case len(s) >= 5 && s[:5] == "pair:":
-		return pathName(AFPair, s[5:]), nil
-	default:
-		return Name{}, fmt.Errorf("meter: unrecognized name %q", s)
 	}
+	return Name{}, fmt.Errorf("meter: unrecognized name %q", s)
+}
+
+// ParseNameBytes is ParseName for the spellings AppendText writes —
+// "-", "inet:H:P" in strict decimal, "unix:path", "pair:path" — over
+// bytes and without fmt or allocation. ok is false for anything else,
+// including names ParseName would still accept.
+func ParseNameBytes(b []byte) (Name, bool) { return parseCanonical(b) }
+
+func parseCanonical[T string | []byte](s T) (Name, bool) {
+	if len(s) == 1 && s[0] == '-' {
+		return Name{}, true
+	}
+	if len(s) < 5 || s[4] != ':' {
+		return Name{}, false
+	}
+	switch string(s[:4]) {
+	case "inet":
+		host, i, ok := decimalAt(s, 5, 1<<32-1)
+		if !ok || i == len(s) || s[i] != ':' {
+			return Name{}, false
+		}
+		port, i, ok := decimalAt(s, i+1, 1<<16-1)
+		if !ok || i != len(s) {
+			return Name{}, false
+		}
+		return InetName(uint32(host), uint16(port)), true
+	case "unix":
+		return pathName(AFUnix, s[5:]), true
+	case "pair":
+		return pathName(AFPair, s[5:]), true
+	}
+	return Name{}, false
+}
+
+// decimalAt reads the run of decimal digits at s[i:], returning the
+// value and the index after it. ok is false for an empty run, a leading
+// zero on a longer run, or a value above max.
+func decimalAt[T string | []byte](s T, i int, max uint64) (v uint64, end int, ok bool) {
+	start := i
+	for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
+		if v = v*10 + uint64(s[i]-'0'); v > max {
+			return 0, i, false
+		}
+	}
+	if i == start || (s[start] == '0' && i > start+1) {
+		return 0, i, false
+	}
+	return v, i, true
 }

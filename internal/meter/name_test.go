@@ -1,6 +1,7 @@
 package meter
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -112,5 +113,69 @@ func TestInetNameRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parseNameSscanf is ParseName as it was before the strict-decimal fast
+// path: every inet name through fmt.Sscanf. It stays here as the
+// oracle the fast path is checked against.
+func parseNameSscanf(s string) (Name, error) {
+	switch {
+	case s == "-":
+		return Name{}, nil
+	case len(s) > 5 && s[:5] == "inet:":
+		var host uint32
+		var port uint16
+		if _, err := fmt.Sscanf(s, "inet:%d:%d", &host, &port); err != nil {
+			return Name{}, fmt.Errorf("meter: bad inet name %q: %v", s, err)
+		}
+		return InetName(host, port), nil
+	case len(s) >= 5 && s[:5] == "unix:":
+		return UnixName(s[5:]), nil
+	case len(s) >= 5 && s[:5] == "pair:":
+		return pathName(AFPair, s[5:]), nil
+	default:
+		return Name{}, fmt.Errorf("meter: unrecognized name %q", s)
+	}
+}
+
+// checkParseNameAgrees asserts that ParseName accepts exactly what the
+// Sscanf parser accepts, with the same name and the same error text,
+// and that ParseNameBytes never accepts or decodes anything differently.
+func checkParseNameAgrees(t *testing.T, s string) {
+	t.Helper()
+	want, werr := parseNameSscanf(s)
+	got, gerr := ParseName(s)
+	if (werr == nil) != (gerr == nil) || got != want {
+		t.Fatalf("ParseName(%q) = %v, %v; Sscanf parser gives %v, %v", s, got, gerr, want, werr)
+	}
+	if werr != nil && werr.Error() != gerr.Error() {
+		t.Fatalf("ParseName(%q) error %q, Sscanf parser's %q", s, gerr, werr)
+	}
+	if fast, ok := ParseNameBytes([]byte(s)); ok && (werr != nil || fast != want) {
+		t.Fatalf("ParseNameBytes(%q) = %v, true; Sscanf parser gives %v, %v", s, fast, want, werr)
+	}
+}
+
+// parseNameSpellings are the inputs where a hand-written decimal
+// parser and Sscanf could plausibly part ways.
+var parseNameSpellings = []string{
+	"", "-", "--", "- ", "inet", "inet:", "inet::", "inet:1", "inet:1:", "inet::2", "inet:1:2",
+	"inet:0:0", "inet:00:0", "inet:01:2", "inet:1:02", "inet:+1:2", "inet:-1:2", "inet:1:+2",
+	"inet:1_0:2", "inet:0x10:2", "inet:1:2junk", "inet:1:2:3", "inet:1 :2", "inet: 1:2", "inet:1: 2",
+	"inet:4294967295:65535", "inet:4294967296:1", "inet:1:65536", "inet:99999999999999999999:1",
+	"inet:1:99999999999999999999", "inet:١:2", "INET:1:2", "inet;1:2",
+	"unix", "unix:", "unix:/tmp/x", "unix:/a/very/long/path/name", "unix:a\x00b", "unix:\x00", "unix:a b",
+	"pair:", "pair:pair#3", "pair:0123456789abcdef", "pair", "unspec:00", "af7:00", "bogus",
+}
+
+func TestParseNameMatchesSscanfParser(t *testing.T) {
+	for _, s := range parseNameSpellings {
+		checkParseNameAgrees(t, s)
+	}
+	for _, s := range []string{"-", "inet:99:7", "unix:/tmp/x", "pair:pair#3", "unix:"} {
+		if _, ok := ParseNameBytes([]byte(s)); !ok {
+			t.Errorf("ParseNameBytes(%q) declined a canonical spelling", s)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dpm/internal/store"
+	"dpm/internal/trace"
 )
 
 // TestParallelMemoryRatio gates the executor's memory behavior: adding
@@ -55,5 +56,45 @@ func TestParallelMemoryRatio(t *testing.T) {
 	if ratio := float64(two) / float64(one); ratio > 1.3 {
 		t.Fatalf("workers=2 allocates %d bytes/op vs %d at workers=1 (%.2fx), want <= 1.3x",
 			two, one, ratio)
+	}
+}
+
+// TestScanSegmentZeroAllocs gates the record-selection tier: scanning
+// a sealed compressed segment — decode, parse into the view, evaluate
+// rules — allocates nothing once the pooled decoder and view are warm,
+// however many records it visits. Only a record that ships costs
+// memory, and this rule ships none.
+func TestScanSegmentZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
+	}
+	be := buildRandomStore(t, rand.New(rand.NewSource(13)), 2000,
+		store.Config{Shards: 1, SegmentCap: 1 << 20, Compress: store.CompressBlocks, BlockTarget: 2048}, false)
+	rd, err := store.OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := rd.Shards()[0][0]
+	if !rs.Sealed || rs.FormatVersion() != 2 || len(rd.Shards()[0]) != 1 {
+		t.Fatalf("fixture is not one sealed v2 segment: sealed=%v v%d, %d segments", rs.Sealed, rs.FormatVersion(), len(rd.Shards()[0]))
+	}
+	q, err := Compile("msgLength>=300,sockName=peerName\npid=100,newPid=*,cpuTime>99999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.NoPrune = true
+	var st Stats
+	scan := func() {
+		st, err = q.ScanSegment(rs, func(*trace.View, map[string]bool) { t.Error("no record should match") })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan() // warm the pools
+	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
+		t.Fatalf("ScanSegment allocates %.0f times per %d-record segment, want 0", allocs, st.Records)
+	}
+	if st.Records != 2000 || st.Matched != 0 || st.BadLines != 0 {
+		t.Fatalf("scan stats %+v, want 2000 records, none matched or bad", st)
 	}
 }

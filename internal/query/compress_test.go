@@ -38,6 +38,11 @@ func TestCompressedRunEquivalence(t *testing.T) {
 		"msgLength>=300,cpuTime=#*",
 		"machine=1,machine=2", // self-contradictory: prunes everything
 		"cpuTime>=1000\nmachine=3,cpuTime<3000",
+		"msgLength=#*,pid=#*",
+		"sockName=#*,peerName=#*\nnewPid=#*",
+		"absent=*",
+		"sockName=peerName",
+		"sockName!=peerName,sock=#*",
 	}
 	layouts := []struct {
 		name     string

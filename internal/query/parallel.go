@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,32 +30,35 @@ import (
 
 // ScanSegment runs the record-selection tier over one segment: stored
 // lines are decoded through a pooled decoder (compressed segments
-// decompress only the blocks the query's envelope admits), parsed, and
-// matched against the full rule semantics. fn sees each matching event
-// with its rule's shared discard set; the event is fn's to keep. A
-// torn unsealed tail is tolerated, as with trace logs; corruption of a
+// decompress only the blocks the query's envelope admits), parsed in
+// place into the worker's one trace.View, and matched against the full
+// rule semantics on it. fn sees the view of each matching record with
+// its rule's shared discard set; the view is only valid during the
+// call, and a caller that ships the record takes view.Event(). A torn
+// unsealed tail is tolerated, as with trace logs; corruption of a
 // sealed segment is an error. The returned Stats is this segment's
 // contribution (Scanned is 1).
-func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(ev *trace.Event, discards map[string]bool)) (Stats, error) {
+func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, discards map[string]bool)) (Stats, error) {
 	st := Stats{Scanned: 1}
 	admit := q.Admits
 	if q.NoPrune {
 		admit = nil
 	}
 	d := store.AcquireDecoder()
+	v := viewPool.Get().(*trace.View)
 	ss, err := rs.Scan(d, admit, func(_ store.Meta, line []byte) {
-		ev, perr := trace.ParseOne(line)
-		if perr != nil {
+		if v.Parse(line) != nil {
 			st.BadLines++
 			return
 		}
-		ok, discards := q.Match(&ev)
+		ok, discards := q.match(v)
 		if !ok {
 			return
 		}
 		st.Matched++
-		fn(&ev, discards)
+		fn(v, discards)
 	})
+	viewPool.Put(v)
 	store.ReleaseDecoder(d)
 	st.Records, st.Blocks, st.BlocksPruned = ss.Records, ss.Blocks, ss.BlocksPruned
 	if err != nil && !errors.Is(err, store.ErrTruncated) {
@@ -62,6 +66,12 @@ func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(ev *trace.Event, di
 	}
 	return st, nil
 }
+
+// viewPool holds the record views scans parse into, one per running
+// ScanSegment: a view handed to rule evaluation as a FieldSource
+// escapes, so a fresh one per segment would be a kilobyte allocation
+// per segment.
+var viewPool = sync.Pool{New: func() any { return new(trace.View) }}
 
 // ScanOrdered scans every segment the query admits on a pool of
 // min(GOMAXPROCS, admitted segments) workers. scan runs on a worker,
@@ -160,7 +170,7 @@ var matchedPool = sync.Pool{
 func getMatched() []trace.Event { return matchedPool.Get().([]trace.Event)[:0] }
 
 func putMatched(s []trace.Event) {
-	clear(s[:cap(s)]) // events hold maps; don't pin them from the pool
+	clear(s) // events hold maps; don't pin them from the pool
 	matchedPool.Put(s[:0])
 }
 
@@ -177,8 +187,8 @@ func run(rd *store.Reader, q *Query, workers int) (*Result, error) {
 	stats, err := scanOrdered(rd, q, workers,
 		func(rs *store.ReaderSegment) ([]trace.Event, Stats, error) {
 			matched := getMatched()
-			st, err := q.ScanSegment(rs, func(ev *trace.Event, discards map[string]bool) {
-				matched = append(matched, project(*ev, discards))
+			st, err := q.ScanSegment(rs, func(v *trace.View, discards map[string]bool) {
+				matched = append(matched, project(v.Event(), discards))
 			})
 			return matched, st, err
 		},
@@ -189,7 +199,8 @@ func run(rd *store.Reader, q *Query, workers int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Stats: stats}
+	// Grow keeps an empty result's Events nil, as callers print it.
+	res := &Result{Stats: stats, Events: slices.Grow([]trace.Event(nil), stats.Matched)}
 	var h cursorHeap
 	for shard, buf := range bufs {
 		if len(buf) == 0 {

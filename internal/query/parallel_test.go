@@ -26,12 +26,7 @@ func buildRandomStore(t *testing.T, rng *rand.Rand, n int, cfg store.Config, uns
 		t.Fatal(err)
 	}
 	add := func(i int) {
-		typ := meter.EvSend
-		if i%3 == 1 {
-			typ = meter.EvRecv
-		} else if i%3 == 2 {
-			typ = meter.EvFork
-		}
+		typ := []meter.Type{meter.EvSend, meter.EvRecv, meter.EvFork, meter.EvConnect}[i%4]
 		e := trace.Event{
 			Seq: i, Type: typ, Event: typ.String(),
 			Machine: rng.Intn(6) + 1,
@@ -41,11 +36,20 @@ func buildRandomStore(t *testing.T, rng *rand.Rand, n int, cfg store.Config, uns
 			Fields:  map[string]uint64{"pid": uint64(100 + rng.Intn(5))},
 			Names:   map[string]meter.Name{},
 		}
-		if typ == meter.EvSend || typ == meter.EvRecv {
+		switch typ {
+		case meter.EvSend, meter.EvRecv:
 			e.Fields["sock"] = 3
 			e.Fields["msgLength"] = uint64(64 + rng.Intn(512))
-		} else {
+		case meter.EvFork:
 			e.Fields["newPid"] = e.Fields["pid"] + 1
+		case meter.EvConnect:
+			// Socket names: two Internet names that agree about half the
+			// time, and now and then a name with no numeric value.
+			setName(&e, "sockName", meter.InetName(uint32(rng.Intn(2)), 80))
+			setName(&e, "peerName", meter.InetName(uint32(rng.Intn(2)), 80))
+			if rng.Intn(5) == 0 {
+				setName(&e, "peerName", meter.UnixName("/tmp/s"))
+			}
 		}
 		m := store.Meta{
 			Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
@@ -71,6 +75,17 @@ func buildRandomStore(t *testing.T, rng *rand.Rand, n int, cfg store.Config, uns
 	return be
 }
 
+// setName stores a socket name in an event the way the trace parser
+// does: the name, plus an Internet name's host as the numeric value.
+func setName(e *trace.Event, key string, n meter.Name) {
+	e.Names[key] = n
+	delete(e.Fields, key)
+	if n.Family() == meter.AFInet {
+		host, _ := n.Inet()
+		e.Fields[key] = uint64(host)
+	}
+}
+
 // format renders a result the way the daemon ships it: the stats line
 // then every record, order included — the byte-identical unit of
 // comparison.
@@ -84,11 +99,37 @@ func format(res *Result) string {
 	return b.String()
 }
 
+// eventSource resolves rule fields on a ParseOne event, header fields
+// by name and then the maps: the record model the executor evaluated
+// rules on before it had the in-place view, kept as the oracle's.
+type eventSource trace.Event
+
+func (e *eventSource) Field(name string) (uint64, bool) {
+	switch name {
+	case "machine":
+		return uint64(e.Machine), true
+	case "cpuTime":
+		return uint64(e.CPUTime), true
+	case "procTime":
+		return uint64(e.ProcTime), true
+	case "type", "traceType":
+		return uint64(e.Type), true
+	}
+	v, ok := e.Fields[name]
+	return v, ok
+}
+
+func (e *eventSource) NameField(name string) (meter.Name, bool) {
+	n, ok := e.Names[name]
+	return n, ok
+}
+
 // oracle answers a query by brute force, sharing nothing with the
 // executor but the rule evaluator: every segment is loaded whole (no
-// pruning, no pooled decoder, no workers), its lines parsed and
-// matched, and the matches — collected in shard-major rotation order —
-// stable-sorted by cpuTime once and re-sequenced.
+// pruning, no pooled decoder, no workers, no record view), its lines
+// parsed by trace.ParseOne and matched as events, and the matches —
+// collected in shard-major rotation order — stable-sorted by cpuTime
+// once and re-sequenced.
 func oracle(t *testing.T, rd *store.Reader, q *Query) []trace.Event {
 	t.Helper()
 	var out []trace.Event
@@ -103,7 +144,11 @@ func oracle(t *testing.T, rd *store.Reader, q *Query) []trace.Event {
 				if err != nil {
 					continue
 				}
-				if ok, discards := q.Match(&ev); ok {
+				if keep, rule := q.Rules.SelectSource((*eventSource)(&ev)); keep {
+					var discards map[string]bool
+					if rule >= 0 {
+						discards = q.Rules[rule].DiscardSet()
+					}
 					out = append(out, project(ev, discards))
 				}
 			}
@@ -138,6 +183,13 @@ func TestParallelRunEquivalence(t *testing.T) {
 		"machine=1,machine=2", // self-contradictory: prunes everything
 		"machine=*,pid>=0",
 		"cpuTime>=1000\nmachine=3,cpuTime<3000",
+		"msgLength=#*,pid=#*",                // '#' drops body fields
+		"sockName=#*,peerName=#*\nnewPid=#*", // ... names, and per-rule sets
+		"newPid=*",                           // wildcard on a field most records lack
+		"absent=*",                           // ... and one every record lacks
+		"sockName=peerName",                  // name-to-name, 16 bytes compared
+		"sockName!=peerName,sock=#*",
+		"peerName=*,peerName=1", // a name's numeric value; none for unix:
 	}
 	layouts := []struct {
 		name     string

@@ -30,8 +30,8 @@ import (
 )
 
 // Query is a compiled query: the parsed rules, the pruning envelope of
-// each, and each rule's precomputed discard set (so Match allocates no
-// map per record).
+// each, and each rule's precomputed discard set (so matching allocates
+// no map per record).
 type Query struct {
 	Rules filter.Rules
 	// NoPrune disables footer pruning, scanning every segment — the
@@ -183,44 +183,16 @@ func (q *Query) Admits(x store.Index) bool {
 	return false
 }
 
-// eventSource adapts a parsed trace event to filter.FieldSource, so
-// the query engine runs the filter's own rule evaluator instead of a
-// drifting copy. Header fields resolve by name first, then the body
-// fields, mirroring filter.Record.Field; the "size" header field is
-// not carried in log lines and so cannot be queried.
-type eventSource trace.Event
-
-func (e *eventSource) Field(name string) (uint64, bool) {
-	switch name {
-	case "machine":
-		return uint64(e.Machine), true
-	case "cpuTime":
-		return uint64(e.CPUTime), true
-	case "procTime":
-		return uint64(e.ProcTime), true
-	case "type", "traceType":
-		return uint64(e.Type), true
-	}
-	v, ok := e.Fields[name]
-	return v, ok
-}
-
-func (e *eventSource) NameField(name string) (meter.Name, bool) {
-	n, ok := e.Names[name]
-	return n, ok
-}
-
-// Match evaluates the query against one event. With no rules every
-// event matches; otherwise the first matching rule's discards apply.
-// The returned discard set is precomputed per rule and shared across
-// calls: callers must not mutate it.
-func (q *Query) Match(e *trace.Event) (bool, map[string]bool) {
+// match evaluates the query against one record view. With no rules
+// every record matches; otherwise the first matching rule's discards
+// apply. The returned discard set is precomputed per rule and shared
+// across calls: callers must not mutate it.
+func (q *Query) match(v *trace.View) (bool, map[string]bool) {
 	if len(q.Rules) == 0 {
 		return true, nil
 	}
-	src := (*eventSource)(e)
 	for i, r := range q.Rules {
-		if r.MatchSource(src) {
+		if r.MatchSource(v) {
 			if i < len(q.discards) {
 				return true, q.discards[i]
 			}

@@ -231,6 +231,11 @@ func TestQueryUnsealedSegmentScanned(t *testing.T) {
 	}
 }
 
+// TestQueryBadLinesSkipped: the scan parses stored lines in place when
+// they are in the filter's canonical form and through trace.ParseOne
+// when they are not, and the two must be one parser to the caller. A
+// line only ParseOne can read is matched and shipped like any other; a
+// line neither can read is counted in BadLines and skipped.
 func TestQueryBadLinesSkipped(t *testing.T) {
 	be := store.NewMemBackend()
 	st, err := store.Open(be, store.Config{Shards: 1})
@@ -241,18 +246,37 @@ func TestQueryBadLinesSkipped(t *testing.T) {
 		Type: meter.EvSend, Event: meter.EvSend.String(), Machine: 1, CPUTime: 5,
 		Fields: map[string]uint64{"pid": 7}, Names: map[string]meter.Name{},
 	}
-	if err := st.Append(store.Meta{Machine: 1, Time: 5, Type: 1, PID: 7}, good.Format()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(store.Meta{Machine: 1, Time: 6, Type: 1, PID: 7}, "NOT A TRACE LINE"); err != nil {
-		t.Fatal(err)
+	for i, line := range []string{
+		good.Format(),
+		"NOT A TRACE LINE",
+		"SEND machine=1 cpuTime=7 procTime=0 pid=0x10",                   // hex: pid 16
+		"SEND machine=1 cpuTime=8 procTime=0 pid=7 pid=9",                // repeated key: the last wins
+		"  SEND machine=1\tcpuTime=9 procTime=0 odd=inet:3:2junk pid=2 ", // blanks, Sscanf's trailing junk
+		"SEND machine=1 cpuTime=10 procTime=0 pid=notanumber",
+	} {
+		if err := st.Append(store.Meta{Machine: 1, Time: uint32(5 + i), Type: 1, PID: 7}, line); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res := mustRun(t, be, "", false)
-	if len(res.Events) != 1 || res.Stats.BadLines != 1 {
-		t.Fatalf("bad line handling: %d events, stats %+v", len(res.Events), res.Stats)
+	for _, c := range []struct {
+		rules   string
+		matched int
+	}{
+		{"", 4}, {"pid=7", 1}, {"pid=16", 1}, {"pid=9", 1}, {"odd=3,pid=#*", 1}, {"pid>=2,pid<=16", 4}, {"pid=0", 0},
+	} {
+		// Unpruned: the frame metadata above is not the lines' own.
+		res := mustRun(t, be, c.rules, true)
+		if len(res.Events) != c.matched || res.Stats.Matched != c.matched || res.Stats.BadLines != 2 || res.Stats.Records != 6 {
+			t.Fatalf("rules %q: %d events, stats %+v; want %d matched, 2 bad lines of 6 records",
+				c.rules, len(res.Events), res.Stats, c.matched)
+		}
+	}
+	res := mustRun(t, be, "odd=3,pid=#*", true)
+	if got, want := res.Events[0].Format(), "SEND machine=1 cpuTime=9 procTime=0 odd=inet:3:2"; got != want {
+		t.Fatalf("shipped %q, want %q", got, want)
 	}
 }
 

@@ -130,6 +130,63 @@ func parseSegName(name string) (shard, start, end, tier int, ok bool) {
 	return shard, start, end, tier, true
 }
 
+// segRange is the sequence range and tier a segment file's name claims.
+type segRange struct{ start, end, tier int }
+
+// currentGeneration picks, from every segment file listed for one
+// shard, the ones that are the shard's content now, in rotation order;
+// the rest are returned as superseded. rangeOf gives a listed segment's
+// range.
+//
+// Compaction and archival write the merged segment and only then remove
+// the run it replaces, so a listing taken in between — or a crash that
+// lands there — holds the same records twice. A segment whose range
+// lies inside a wider listed segment's (or equals an archival-tier
+// segment's) is the older generation and is superseded. The merged file
+// wins only if whole reports it completely written: a torn one is
+// superseded itself and the run it failed to replace stands. whole is
+// asked only about segments that have another listed inside them.
+func currentGeneration[S any](listed []S, rangeOf func(S) segRange, whole func(S) bool) (current, superseded []S) {
+	// By start; at one start the widest first, the archive before the
+	// hot segment of the same range. Ranges nest or are disjoint, so
+	// whatever follows a segment either lies inside it or after it.
+	sort.Slice(listed, func(a, b int) bool {
+		x, y := rangeOf(listed[a]), rangeOf(listed[b])
+		if x.start != y.start {
+			return x.start < y.start
+		}
+		if x.end != y.end {
+			return x.end > y.end
+		}
+		return x.tier > y.tier
+	})
+	covered := 0 // sequences up to here belong to a segment already kept
+	for n, seg := range listed {
+		end := rangeOf(seg).end
+		switch {
+		case end <= covered:
+			superseded = append(superseded, seg)
+		case n+1 < len(listed) && rangeOf(listed[n+1]).end <= end && !whole(seg):
+			superseded = append(superseded, seg)
+		default:
+			current = append(current, seg)
+			covered = end
+		}
+	}
+	return current, superseded
+}
+
+// sealedBytes reports whether a segment file ends in a valid footer of
+// either format — the last bytes a writer lays down, so a file that has
+// one was written whole.
+func sealedBytes(data []byte) bool {
+	if _, _, ok := ParseFooter(data); ok {
+		return true
+	}
+	_, ok := parseFooterV2(data)
+	return ok
+}
+
 // Store is a sharded segment writer. All methods are safe for
 // concurrent use; appends to different shards do not contend.
 type Store struct {
@@ -231,8 +288,18 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		if cfg.Compress == CompressBlocks {
 			sh.cw = newCompWriter(cfg.CompressLevel, cfg.BlockTarget)
 		}
-		infos := byShard[i]
-		sort.Slice(infos, func(a, b int) bool { return infos[a].Start < infos[b].Start })
+		// A crash between a merge's Create and its Removes left both
+		// generations: adopt one, and finish the removal the crash cut
+		// short so the other does not linger on disk.
+		infos, superseded := currentGeneration(byShard[i],
+			func(in *SegmentInfo) segRange { return segRange{in.Start, in.End, in.Tier} },
+			func(in *SegmentInfo) bool {
+				data, err := be.Read(in.Name)
+				return err == nil && sealedBytes(data)
+			})
+		for _, in := range superseded {
+			_ = be.Remove(in.Name)
+		}
 		for _, info := range infos {
 			data, err := be.Read(info.Name)
 			if err != nil {
@@ -797,6 +864,7 @@ type ReaderSegment struct {
 	Tier   int
 	Index  Index
 	Sealed bool
+	end    int // last sequence the file's name claims
 	data   []byte
 	// Sealed v1 segments record where their frames end; sealed v2
 	// segments carry the parsed footer (dictionary + block table).
@@ -833,26 +901,48 @@ type Reader struct {
 	shards [][]*ReaderSegment
 }
 
+// openReaderAttempts bounds how often OpenReader re-lists a backend
+// whose segments keep vanishing under it.
+const openReaderAttempts = 3
+
 // OpenReader snapshots the store behind a backend. It reads each
 // segment file once and parses footers only; frame parsing is deferred
 // to ReaderSegment.Load so pruned segments never pay it.
+//
+// The backend may belong to a live store that is compacting, archiving
+// or expiring segments meanwhile. The snapshot holds every record once
+// all the same: a listed file that is gone by the time it is read means
+// the listing is stale, and the snapshot is retaken; a listing that
+// caught a merge between its Create and its Removes is reduced to one
+// generation by currentGeneration.
 func OpenReader(be Backend) (*Reader, error) {
+	for attempt := 1; ; attempt++ {
+		r, stale, err := openReader(be)
+		if !stale || attempt == openReaderAttempts {
+			return r, err
+		}
+	}
+}
+
+// openReader takes one snapshot. stale reports that it failed because
+// a listed segment is no longer listed.
+func openReader(be Backend) (r *Reader, stale bool, err error) {
 	names, err := be.List()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	byShard := make(map[int][]*ReaderSegment)
 	maxShard := -1
 	for _, name := range names {
-		sh, start, _, tier, ok := parseSegName(name)
+		sh, start, end, tier, ok := parseSegName(name)
 		if !ok {
 			continue
 		}
 		data, err := be.Read(name)
 		if err != nil {
-			return nil, err
+			return nil, !stillListed(be, name), err
 		}
-		rs := &ReaderSegment{Name: name, Shard: sh, Start: start, Tier: tier, data: data}
+		rs := &ReaderSegment{Name: name, Shard: sh, Start: start, Tier: tier, end: end, data: data}
 		if x, dataLen, ok := ParseFooter(data); ok {
 			rs.Index = x
 			rs.dataLen = dataLen
@@ -867,13 +957,25 @@ func OpenReader(be Backend) (*Reader, error) {
 		}
 		byShard[sh] = append(byShard[sh], rs)
 	}
-	r := &Reader{}
+	r = &Reader{}
 	for i := 0; i <= maxShard; i++ {
-		segs := byShard[i]
-		sort.Slice(segs, func(a, b int) bool { return segs[a].Start < segs[b].Start })
+		segs, _ := currentGeneration(byShard[i],
+			func(rs *ReaderSegment) segRange { return segRange{rs.Start, rs.end, rs.Tier} },
+			func(rs *ReaderSegment) bool { return rs.Sealed })
 		r.shards = append(r.shards, segs)
 	}
-	return r, nil
+	return r, false, nil
+}
+
+// stillListed reports whether the backend lists name now; true when
+// the backend cannot say.
+func stillListed(be Backend, name string) bool {
+	names, err := be.List()
+	if err != nil {
+		return true
+	}
+	i := sort.SearchStrings(names, name)
+	return i < len(names) && names[i] == name
 }
 
 // Shards returns the reader's segments grouped by shard, in rotation

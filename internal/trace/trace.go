@@ -11,6 +11,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -146,13 +147,17 @@ func parseLine(line string) (Event, error) {
 			}
 			ev.ProcTime = v
 		default:
-			if n, err := meter.ParseName(val); err == nil && looksLikeName(val) {
-				ev.Names[key] = n
-				if n.Family() == meter.AFInet {
-					host, _ := n.Inet()
-					ev.Fields[key] = uint64(host)
+			// looksLikeName first: every numeric field would otherwise
+			// pay for ParseName's formatted rejection.
+			if looksLikeName(val) {
+				if n, err := meter.ParseName(val); err == nil {
+					ev.Names[key] = n
+					if n.Family() == meter.AFInet {
+						host, _ := n.Inet()
+						ev.Fields[key] = uint64(host)
+					}
+					continue
 				}
-				continue
 			}
 			v, err := strconv.ParseUint(val, 0, 64)
 			if err != nil {
@@ -210,34 +215,61 @@ func ParseBinary(data []byte) ([]Event, error) {
 
 // Format renders an event in the standard filter's log line format, so
 // traces can be round-tripped and merged.
-func (e *Event) Format() string {
-	var b strings.Builder
-	b.WriteString(e.Event)
-	fmt.Fprintf(&b, " machine=%d cpuTime=%d procTime=%d", e.Machine, e.CPUTime, e.ProcTime)
-	// Emit fields in the canonical per-type order when known.
-	emitted := make(map[string]bool)
-	for _, key := range canonicalOrder[e.Type] {
-		if n, ok := e.Names[key]; ok {
-			fmt.Fprintf(&b, " %s=%s", key, n.String())
-			emitted[key] = true
-		} else if v, ok := e.Fields[key]; ok {
-			fmt.Fprintf(&b, " %s=%d", key, v)
-			emitted[key] = true
+func (e *Event) Format() string { return string(e.AppendFormat(nil)) }
+
+// AppendFormat appends the Format rendering of the event to dst and
+// returns the extended slice: the header, the type's fields in their
+// canonical order, then any other numeric fields and any other names,
+// each group in key order. A name with a numeric value (an Internet
+// host) sits in both maps and prints once, as a name.
+func (e *Event) AppendFormat(dst []byte) []byte {
+	dst = append(dst, e.Event...)
+	dst = strconv.AppendInt(append(dst, " machine="...), int64(e.Machine), 10)
+	dst = strconv.AppendInt(append(dst, " cpuTime="...), e.CPUTime, 10)
+	dst = strconv.AppendInt(append(dst, " procTime="...), e.ProcTime, 10)
+	fields, names := 0, 0 // map entries the canonical order accounted for
+	emit := func(key string) {
+		n, isName := e.Names[key]
+		v, isField := e.Fields[key]
+		if !isName && !isField {
+			return
+		}
+		dst = append(append(append(dst, ' '), key...), '=')
+		if isName {
+			names++
+			dst = n.AppendText(dst)
+		} else {
+			dst = strconv.AppendUint(dst, v, 10)
+		}
+		if isField {
+			fields++
 		}
 	}
-	for key, v := range e.Fields {
-		if !emitted[key] {
-			if _, isName := e.Names[key]; !isName {
-				fmt.Fprintf(&b, " %s=%d", key, v)
-			}
+	order := canonicalOrder[e.Type]
+	for _, key := range order {
+		emit(key)
+	}
+	if fields == len(e.Fields) && names == len(e.Names) {
+		return dst
+	}
+	var extra []string
+	for key := range e.Fields {
+		if _, isName := e.Names[key]; !isName && !slices.Contains(order, key) {
+			extra = append(extra, key)
 		}
 	}
-	for key, n := range e.Names {
-		if !emitted[key] {
-			fmt.Fprintf(&b, " %s=%s", key, n.String())
+	numeric := len(extra)
+	for key := range e.Names {
+		if !slices.Contains(order, key) {
+			extra = append(extra, key)
 		}
 	}
-	return b.String()
+	sort.Strings(extra[:numeric])
+	sort.Strings(extra[numeric:])
+	for _, key := range extra {
+		emit(key)
+	}
+	return dst
 }
 
 // Merge combines several traces (e.g. the logs of different filters

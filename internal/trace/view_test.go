@@ -1,0 +1,306 @@
+package trace
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dpm/internal/filter"
+	"dpm/internal/meter"
+)
+
+// canonicalCorpus is one stored line of every event type, produced the
+// way the filter produces them: meter message → Extract →
+// Record.AppendFormat.
+func canonicalCorpus(tb testing.TB) []string {
+	tb.Helper()
+	desc, err := filter.ParseDescriptions([]byte(filter.StandardDescriptions))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	in, un, pair := meter.InetName(228320140, 3000), meter.UnixName("/tmp/srv"), meter.PairName(3)
+	bodies := []meter.Body{
+		&meter.Send{PID: 2120, PC: 0x40a0, Sock: 4, MsgLength: 512, DestNameLen: 16, DestName: in},
+		&meter.Send{PID: 1, Sock: 4, MsgLength: 0},
+		&meter.RecvCall{PID: 2120, PC: 0x40b0, Sock: 4},
+		&meter.Recv{PID: 2122, PC: 0x40c0, Sock: 5, MsgLength: 512, SourceNameLen: 16, SourceName: pair},
+		&meter.SocketCrt{PID: 2120, PC: 0x40d0, Sock: 0x101, Domain: uint32(meter.AFInet), SockType: 1},
+		&meter.Dup{PID: 2120, PC: 0x40e0, Sock: 0x101, NewSock: 0x102},
+		&meter.DestSocket{PID: 2120, PC: 0x40f0, Sock: 0x101},
+		&meter.Connect{PID: 2120, PC: 0x4100, Sock: 0x101, PeerNameLen: 16, PeerName: un},
+		&meter.Accept{PID: 2122, PC: 0x4110, Sock: 0x201, NewSock: 0x202, SockNameLen: 16, PeerNameLen: 16, SockName: in, PeerName: in},
+		&meter.Fork{PID: 2120, PC: 0x4120, NewPID: 2121},
+		&meter.TermProc{PID: 2121, PC: 0x4130, Status: ^uint32(0)},
+	}
+	var lines []string
+	for _, b := range bodies {
+		m := meter.Msg{Header: meter.Header{Machine: 5, CPUTime: 9500, ProcTime: 120}, Body: b}
+		rec, err := desc.Extract(m.Encode())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lines = append(lines, string(rec.AppendFormat(nil, 0)), string(rec.AppendFormat(nil, 0b101)))
+	}
+	return lines
+}
+
+// eventField resolves a field on a parsed event the way the query
+// engine did before the view existed: header fields by name, then the
+// maps. It is the oracle View.Field is checked against.
+func eventField(e *Event, name string) (uint64, bool) {
+	switch name {
+	case "machine":
+		return uint64(e.Machine), true
+	case "cpuTime":
+		return uint64(e.CPUTime), true
+	case "procTime":
+		return uint64(e.ProcTime), true
+	case "type", "traceType":
+		return uint64(e.Type), true
+	}
+	v, ok := e.Fields[name]
+	return v, ok
+}
+
+// checkViewAgrees asserts the view's one contract: whatever the line,
+// Parse accepts it exactly when ParseOne does, every field either side
+// could know resolves identically, and Event() is ParseOne's event.
+// It reports whether the line took the in-place path.
+func checkViewAgrees(t *testing.T, line []byte) (canonical bool) {
+	t.Helper()
+	want, werr := ParseOne(line)
+	var v View
+	// A dirty view must not leak its last record into this one.
+	if err := v.Parse([]byte("ACCEPT machine=9 cpuTime=9 procTime=9 pid=9 stale=9 sockName=inet:9:9")); err != nil {
+		t.Fatal(err)
+	}
+	gerr := v.Parse(line)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("line %q: ParseOne err %v, View.Parse err %v", line, werr, gerr)
+	}
+	if werr != nil {
+		if werr.Error() != gerr.Error() {
+			t.Fatalf("line %q: ParseOne err %q, View.Parse err %q", line, werr, gerr)
+		}
+		return false
+	}
+	keys := []string{"machine", "cpuTime", "procTime", "type", "traceType", "size", "absent", "stale", ""}
+	for k := range want.Fields {
+		keys = append(keys, k)
+	}
+	for k := range want.Names {
+		keys = append(keys, k)
+	}
+	for i := 0; i < v.n; i++ {
+		keys = append(keys, string(v.key(i)))
+	}
+	for _, k := range keys {
+		wv, wok := eventField(&want, k)
+		if gv, gok := v.Field(k); gv != wv || gok != wok {
+			t.Fatalf("line %q: Field(%q) = %d, %v; event has %d, %v", line, k, gv, gok, wv, wok)
+		}
+		wn, wok := want.Names[k]
+		if gn, gok := v.NameField(k); gn != wn || gok != wok {
+			t.Fatalf("line %q: NameField(%q) = %v, %v; event has %v, %v", line, k, gn, gok, wn, wok)
+		}
+	}
+	if got := v.Event(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("line %q:\nEvent()  = %+v\nParseOne = %+v", line, got, want)
+	}
+	return v.n >= 0
+}
+
+func TestViewCanonicalLines(t *testing.T) {
+	for _, line := range append(canonicalCorpus(t), strings.Split(strings.TrimSpace(sampleLog), "\n")...) {
+		if !checkViewAgrees(t, []byte(line)) {
+			t.Errorf("canonical line %q was not parsed in place", line)
+		}
+	}
+}
+
+// viewQuirks are lines on which an in-place parser and ParseOne could
+// part ways; canonical says which path must serve them. Some ParseOne
+// rejects — then both must.
+var viewQuirks = []struct {
+	line      string
+	canonical bool
+}{
+	{"SEND", true},
+	{"SEND pid=0", true},
+	{"SEND pid=18446744073709551615", true},
+	{"SEND machine=9223372036854775807 cpuTime=9223372036854775807", true},
+	{"SOCKET machine=1 type=2 traceType=9 pid=3", true}, // header type shadows the body's
+	{"SEND destName=inet:7:9 pid=1", true},              // inet name: host is the value
+	{"SEND destName=- a=unix: b=pair:x c=unix:a=b", true},
+	{"SEND a=1 b=2 c=3 d=4 e=5 f=6 g=7 h=8 i=9 j=10 k=11 l=12 m=13 n=14 o=15 p=16", true},
+	{"SEND a=1 b=2 c=3 d=4 e=5 f=6 g=7 h=8 i=9 j=10 k=11 l=12 m=13 n=14 o=15 p=16 q=17", false},
+	{"SEND pid=18446744073709551616", false},
+	{"SEND pid=99999999999999999999", false},
+	{"SEND machine=9223372036854775808", false},
+	{"SEND cpuTime=-5 procTime=+5 machine=007", false},
+	{"SEND pid=1 pid=2", false},
+	{"SEND x=5 x=inet:1:2", false},
+	{"SEND x=inet:1:2 x=5", false},
+	{"SEND x=inet:1:2 x=-", false},
+	{"SEND machine=1 machine=2", false},
+	{"SEND pid=0x10 pc=010 sock=0b11 n=1_000", false},
+	{"SEND destName=inet:1:2junk", false},
+	{"SEND destName=inet:+1:2 peer=inet:01:2", false},
+	{"SEND destName=inet:4294967296:1", false},
+	{"SEND destName=unspec:00", false},
+	{"SEND destName=unix:a\x00b", false},
+	{"SEND destName=unix:caf\u00e9", false},
+	{" SEND pid=1", false},
+	{"SEND pid=1 ", false},
+	{"SEND  pid=1", false},
+	{"SEND\tpid=1", false},
+	{"SEND\u00a0pid=1", false},
+	{"SEND\u2003pid=1 sock=2", false},
+	{"SEND pid=1\u0085sock=2", false},
+	{"SEND pid=1\r", false},
+	{"SEND pid", false},
+	{"SEND =1", false},
+	{"SEND pid=", false},
+	{"SEND pid==1", false},
+	{"SEND machine=- pid=1", false},
+	{"SEND machine=inet:1:2", false},
+	{"send pid=1", false},
+	{"SENDX pid=1", false},
+	{"", false},
+	{" ", false},
+}
+
+func TestViewQuirks(t *testing.T) {
+	for _, q := range viewQuirks {
+		if got := checkViewAgrees(t, []byte(q.line)); got != q.canonical {
+			t.Errorf("line %q: parsed in place = %v, want %v", q.line, got, q.canonical)
+		}
+	}
+}
+
+// FuzzViewParse holds the view to ParseOne on arbitrary bytes.
+func FuzzViewParse(f *testing.F) {
+	for _, line := range canonicalCorpus(f) {
+		f.Add([]byte(line))
+	}
+	for _, q := range viewQuirks {
+		f.Add([]byte(q.line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		checkViewAgrees(t, line)
+	})
+}
+
+// TestViewParseZeroAllocs: parsing a canonical line and reading its
+// fields allocates nothing — the property the scan paths are built on.
+func TestViewParseZeroAllocs(t *testing.T) {
+	var lines [][]byte
+	for _, l := range canonicalCorpus(t) {
+		lines = append(lines, []byte(l))
+	}
+	var v View
+	var sink uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, line := range lines {
+			if err := v.Parse(line); err != nil {
+				t.Fatal(err)
+			}
+			a, _ := v.Field("msgLength")
+			b, _ := v.Field("destName")
+			n, _ := v.NameField("peerName")
+			sink += a + b + uint64(n[2])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("View.Parse + Field allocates %.0f times per %d lines, want 0", allocs, len(lines))
+	}
+	_ = sink
+}
+
+// formatFprintf is Event.Format as it was before AppendFormat: one
+// fmt.Fprintf per field and an emitted-set per event. It stays as the
+// oracle AppendFormat is checked against. Its order for two or more
+// non-canonical fields of one kind was map order; AppendFormat sorts
+// them, so the comparison uses at most one of each.
+func formatFprintf(e *Event) string {
+	var b strings.Builder
+	b.WriteString(e.Event)
+	fmt.Fprintf(&b, " machine=%d cpuTime=%d procTime=%d", e.Machine, e.CPUTime, e.ProcTime)
+	emitted := make(map[string]bool)
+	for _, key := range canonicalOrder[e.Type] {
+		if n, ok := e.Names[key]; ok {
+			fmt.Fprintf(&b, " %s=%s", key, n.String())
+			emitted[key] = true
+		} else if v, ok := e.Fields[key]; ok {
+			fmt.Fprintf(&b, " %s=%d", key, v)
+			emitted[key] = true
+		}
+	}
+	for key, v := range e.Fields {
+		if !emitted[key] {
+			if _, isName := e.Names[key]; !isName {
+				fmt.Fprintf(&b, " %s=%d", key, v)
+			}
+		}
+	}
+	for key, n := range e.Names {
+		if !emitted[key] {
+			fmt.Fprintf(&b, " %s=%s", key, n.String())
+		}
+	}
+	return b.String()
+}
+
+func TestAppendFormatMatchesFormat(t *testing.T) {
+	lines := canonicalCorpus(t)
+	for _, line := range lines {
+		// Canonical, then with one numeric and one name field the type's
+		// canonical order does not know, then with a negative header.
+		for _, l := range []string{line, line + " zz=7 yy=inet:3:4", strings.Replace(line, "cpuTime=9500", "cpuTime=-12", 1)} {
+			ev, err := ParseOne([]byte(l))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := formatFprintf(&ev)
+			if got := string(ev.AppendFormat([]byte("x"))); got != "x"+want {
+				t.Errorf("AppendFormat = %q\n      Format was %q", got, "x"+want)
+			}
+			if got := ev.Format(); got != want {
+				t.Errorf("Format = %q, was %q", got, want)
+			}
+		}
+	}
+	// Several unknown fields come out sorted within their kind.
+	ev, err := ParseOne([]byte("FORK machine=1 pid=2 b=1 zeta=unix:z a=2 alpha=- newPid=3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ev.Format(), "FORK machine=1 cpuTime=0 procTime=0 pid=2 newPid=3 a=2 b=1 alpha=- zeta=unix:z"; got != want {
+		t.Errorf("Format = %q, want %q", got, want)
+	}
+}
+
+// TestAppendFormatZeroAllocs: rendering a record of the standard shape
+// into a buffer with room costs no allocation — a reply is one buffer,
+// not a string per record.
+func TestAppendFormatZeroAllocs(t *testing.T) {
+	var events []Event
+	for _, line := range canonicalCorpus(t) {
+		ev, err := ParseOne([]byte(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
+	buf := make([]byte, 0, 1<<12)
+	allocs := testing.AllocsPerRun(100, func() {
+		out := buf
+		for i := range events {
+			out = append(events[i].AppendFormat(out), '\n')
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendFormat allocates %.0f times per %d events, want 0", allocs, len(events))
+	}
+}

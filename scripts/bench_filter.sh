@@ -5,8 +5,16 @@
 # (default: BENCH_scale.json). CI runs this and archives both; the
 # allocation
 # regression gates are the testing.AllocsPerRun tests
-# (internal/filter/alloc_test.go, internal/store/batch_test.go), which
-# fail `go test` outright if a hot-path allocation creeps back in.
+# (internal/filter/alloc_test.go, internal/store/batch_test.go,
+# internal/query/alloc_test.go, internal/agg/agg_test.go,
+# internal/trace/view_test.go), which fail `go test` outright if a
+# hot-path allocation creeps back in.
+#
+# The ratio gates below do not stop the run: each failure is reported
+# and remembered, both JSON files are still written, and the script
+# exits non-zero at the end. A gate that a small host cannot meet (the
+# live-analysis 1.05x on two cores) therefore no longer keeps the other
+# rows from being regenerated.
 #
 # The two store ingest benchmarks run with fixed iteration counts that
 # write the same total number of records: the in-memory backend keeps
@@ -19,6 +27,7 @@ scale_out="${2:-BENCH_scale.json}"
 tmp="$(mktemp)"
 scale_tmp="$(mktemp)"
 trap 'rm -f "$tmp" "$scale_tmp"' EXIT
+failed=0
 
 go test -run '^$' -bench 'BenchmarkFilterEngine$|BenchmarkFilterEngineProcess$' -benchmem -benchtime=200000x . >"$tmp"
 go test -run '^$' -bench 'BenchmarkStoreIngest$' -benchmem -benchtime=1600000x . >>"$tmp"
@@ -26,9 +35,11 @@ go test -run '^$' -bench 'BenchmarkStoreIngestBatch$' -benchmem -benchtime=10000
 # Compressed tier: same batch count as BenchmarkStoreIngestBatch so the
 # ns/op pair is directly comparable, plus the block-pruned query against
 # its segment-pruned baseline. The compression ratio and pruning gates
-# below read these lines.
+# below read these lines. The pruned queries take ~60 us each since the
+# scan stopped building an event per record, so they run 2000 times: at
+# the old 50 the pair was 3 ms of work and its ratio was noise.
 go test -run '^$' -bench 'BenchmarkStoreIngestCompressed$' -benchmem -benchtime=100000x . >>"$tmp"
-go test -run '^$' -bench 'BenchmarkQueryBlockPruned' -benchmem -benchtime=50x . >>"$tmp"
+go test -run '^$' -bench 'BenchmarkQueryBlockPruned' -benchmem -benchtime=2000x . >>"$tmp"
 # Scaling benchmarks: the parallel ingest pipeline at 1/2/4/8 workers
 # and the read executor at GOMAXPROCS 1/2/4 (it sizes its pool from
 # GOMAXPROCS, so -cpu is the sweep and the -N row suffix records it; the
@@ -36,11 +47,11 @@ go test -run '^$' -bench 'BenchmarkQueryBlockPruned' -benchmem -benchtime=50x . 
 # system uses cores, not just single-thread ns/op. Fixed iteration
 # counts for the same comparability reason as the ingest pair.
 go test -run '^$' -bench 'BenchmarkFilterEngineParallel' -benchmem -benchtime=100000x . >>"$tmp"
-go test -run '^$' -bench 'BenchmarkQueryParallel' -benchmem -benchtime=20x -cpu 1,2,4 . >>"$tmp"
+go test -run '^$' -bench 'BenchmarkQueryParallel' -benchmem -benchtime=100x -cpu 1,2,4 . >>"$tmp"
 # Aggregation push-down: the pushdown/ship-records sub-benchmarks each
 # report a bytes_moved metric; their ratio is the wire-traffic
 # reduction claimed in EXPERIMENTS.md.
-go test -run '^$' -bench 'BenchmarkAggPushdown' -benchmem -benchtime=20x -cpu 1,2,4 ./internal/agg/ >>"$tmp"
+go test -run '^$' -bench 'BenchmarkAggPushdown' -benchmem -benchtime=100x -cpu 1,2,4 ./internal/agg/ >>"$tmp"
 # Live streaming analysis overhead: the full pipeline with and without
 # the live tap attached, same iteration count so the ns/op pair is
 # directly comparable. The overhead gate below reads these lines; the
@@ -67,7 +78,7 @@ fi
 # bytes per query (the pooled-buffer fix; the Go-level gate is
 # internal/query/alloc_test.go). 1.25x leaves slack over the ~1.2x
 # target for heap noise between runs.
-awk '
+if ! awk '
 $1 == "BenchmarkQueryParallel"   { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") one = $i }
 $1 == "BenchmarkQueryParallel-2" { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") two = $i }
 END {
@@ -77,15 +88,45 @@ END {
         printf "bench_filter.sh: QueryParallel -cpu 2 allocates %d B/op vs %d at -cpu 1 (%.2fx), gate is 1.25x\n", two, one, ratio > "/dev/stderr"
         exit 1
     }
-}' "$tmp"
+}' "$tmp"; then failed=1; fi
+
+# Read-path gates (ROADMAP item 2). The base of each ratio is the row
+# archived in BENCH_filter.json by the last commit whose scans parsed
+# every stored line into a trace.Event (fee9d51, 1-core container):
+#   BenchmarkQueryParallel/workers=1   23476410 ns/op  86178 allocs/op
+#   BenchmarkAggPushdown/pushdown       8975753 ns/op  75245 allocs/op
+# AggPushdown/pushdown ships no record, so it is held to the item's
+# whole target: >= 10x fewer allocs/op and >= 3x lower ns/op.
+# QueryParallel matches and ships all 4000 records, and a shipped
+# record is still a trace.Event - two maps, four allocations - so its
+# allocation gate is 5x (86178 / (4 x 4000) = 5.4x is the floor of that
+# representation), beside the same 3x on ns/op.
+if ! awk '
+function val(unit,   i) { for (i = 3; i < NF; i++) if ($(i+1) == unit) return $i; return 0 }
+$1 == "BenchmarkQueryParallel"        { qns = val("ns/op"); qal = val("allocs/op") }
+$1 == "BenchmarkAggPushdown/pushdown" { ans = val("ns/op"); aal = val("allocs/op") }
+function gate(name, was, now, want, unit) {
+    if (now + 0 <= 0) { printf "bench_filter.sh: missing %s %s result\n", name, unit > "/dev/stderr"; fail = 1; return }
+    if (was / now < want) {
+        printf "bench_filter.sh: %s %s is %.0f vs %.0f archived (%.2fx lower), gate is %dx\n", name, unit, now, was, was / now, want > "/dev/stderr"
+        fail = 1
+    }
+}
+END {
+    gate("QueryParallel", 23476410, qns, 3, "ns/op")
+    gate("QueryParallel", 86178, qal, 5, "allocs/op")
+    gate("AggPushdown/pushdown", 8975753, ans, 3, "ns/op")
+    gate("AggPushdown/pushdown", 75245, aal, 10, "allocs/op")
+    exit fail
+}' "$tmp"; then failed=1; fi
 
 # Compression gates. The stored-segment format must actually earn its
 # complexity: at least 3x smaller on disk than the v1-equivalent bytes,
 # and no more than 1.25x the batched-ingest cost (the structural
 # encoding runs inline on the write path). Block pruning must not cost
 # more than the segment-pruned baseline it refines: 1.10x slack covers
-# scheduler noise on a ~200us benchmark.
-awk '
+# scheduler noise on a ~60us benchmark run 2000 times.
+if ! awk '
 $1 ~ /^BenchmarkStoreIngestBatch(-[0-9]+)?$/ {
     for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") batch = $i
 }
@@ -110,7 +151,7 @@ END {
         printf "bench_filter.sh: block-pruned query %.0f ns/op vs %.0f segment-pruned (%.2fx), gate is 1.10x\n", blkp, segp, blkp / segp > "/dev/stderr"; fail = 1
     }
     exit fail
-}' "$tmp"
+}' "$tmp"; then failed=1; fi
 
 # Live-analysis overhead gate. The collector's design cost on the
 # ingest thread is one buffer swap per 512 records — the operators run
@@ -122,7 +163,7 @@ END {
 # 1.30x there. Both bounds are recorded in docs/observability.md.
 ncpu=$( (nproc || sysctl -n hw.ncpu || echo 1) 2>/dev/null | head -1 )
 if [ "$ncpu" -gt 1 ] 2>/dev/null; then live_gate=1.05; else live_gate=1.30; fi
-awk -v gate="$live_gate" '
+if ! awk -v gate="$live_gate" '
 $1 ~ /^BenchmarkFilterIngestLive\/live=off(-[0-9]+)?$/ { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") off = $i }
 $1 ~ /^BenchmarkFilterIngestLive\/live=on(-[0-9]+)?$/  { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") on  = $i }
 END {
@@ -132,7 +173,7 @@ END {
         printf "bench_filter.sh: live analysis ingest %.0f ns/op vs %.0f without (%.2fx), gate is %.2fx\n", on, off, ratio, gate > "/dev/stderr"
         exit 1
     }
-}' "$tmp"
+}' "$tmp"; then failed=1; fi
 
 awk '
 BEGIN { print "{"; print "  \"generated_by\": \"scripts/bench_filter.sh\","; print "  \"benchmarks\": [" }
@@ -202,3 +243,8 @@ if [ "$scale_entries" -ne "$scale_lines" ]; then
 fi
 
 echo "wrote $scale_out ($scale_entries benchmarks)"
+
+if [ "$failed" -ne 0 ]; then
+    echo "bench_filter.sh: one or more gates failed (see above); results were written" >&2
+    exit 1
+fi
