@@ -12,18 +12,37 @@ import (
 	"dpm/internal/store"
 )
 
-// populateFilterStore writes n synthetic events into a filter's event
-// store on its machine, flushed so segments are sealed and indexed.
-func populateFilterStore(t *testing.T, c *kernel.Cluster, machine, filterName string, n int) {
+// openFilterStore opens a second writer on a running filter's event
+// store, for tests that populate it directly. It first waits for the
+// filter to be listening: the filter opens its store just before it
+// binds its meter port, and a test that is already appending by then
+// has its unsealed segment "recovered" — resealed at whatever length it
+// had — by the filter's own store.Open, losing the records appended
+// after (seen as 26 of 30 events about once in forty runs).
+func openFilterStore(t *testing.T, c *kernel.Cluster, ctl *Controller, filterName string) *store.Store {
 	t.Helper()
-	m, err := c.Machine(machine)
+	f := logState(t, ctl, filterName)
+	m, err := c.Machine(f.Machine)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !m.PortBound(kernel.SockStream, f.Port); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("filter %s on %s never started listening", filterName, f.Machine)
+		}
 	}
 	st, err := store.Open(store.NewFsysBackend(m.FS(), testUID, filter.StorePath(filterName)), store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// populateFilterStore writes n synthetic events into a filter's event
+// store on its machine, flushed so segments are sealed and indexed.
+func populateFilterStore(t *testing.T, c *kernel.Cluster, ctl *Controller, filterName string, n int) {
+	t.Helper()
+	st := openFilterStore(t, c, ctl, filterName)
 	for i := 0; i < n; i++ {
 		typ := meter.EvSend
 		if i%2 == 1 {
@@ -39,7 +58,7 @@ func populateFilterStore(t *testing.T, c *kernel.Cluster, machine, filterName st
 func TestQueryAggCommand(t *testing.T) {
 	c, ctl, out := newSystem(t)
 	ctl.Exec("filter f1 blue")
-	populateFilterStore(t, c, "blue", "f1", 40)
+	populateFilterStore(t, c, ctl, "f1", 40)
 
 	// Plain group-by count, pushed down to blue's daemon.
 	ctl.Exec("query f1 aggout agg count by machine")
@@ -80,8 +99,8 @@ func TestQueryAggAllFanout(t *testing.T) {
 	c, ctl, out := newSystem(t)
 	ctl.Exec("filter f1 blue")
 	ctl.Exec("filter f2 green")
-	populateFilterStore(t, c, "blue", "f1", 40)
-	populateFilterStore(t, c, "green", "f2", 40)
+	populateFilterStore(t, c, ctl, "f1", 40)
+	populateFilterStore(t, c, ctl, "f2", 40)
 
 	ctl.Exec("query all aggall agg count by machine")
 	if !strings.Contains(out.String(), "agg 'agg count by machine': 2/2 filters reporting (f1@blue f2@green)") {
@@ -106,9 +125,9 @@ func TestAggDegradedMerge(t *testing.T) {
 	ctl.Exec("filter f1 red")
 	ctl.Exec("filter f2 green")
 	ctl.Exec("filter f3 blue")
-	populateFilterStore(t, c, "red", "f1", 40)
-	populateFilterStore(t, c, "green", "f2", 40)
-	populateFilterStore(t, c, "blue", "f3", 40)
+	populateFilterStore(t, c, ctl, "f1", 40)
+	populateFilterStore(t, c, ctl, "f2", 40)
+	populateFilterStore(t, c, ctl, "f3", 40)
 	ctl.Exec("status") // warm the sessions so the faults strike live connections
 
 	if err := c.CrashMachine("red"); err != nil {
@@ -138,7 +157,7 @@ func TestAggDegradedMerge(t *testing.T) {
 func TestWatchCommand(t *testing.T) {
 	c, ctl, out := newSystem(t)
 	ctl.Exec("filter f1 blue")
-	populateFilterStore(t, c, "blue", "f1", 8)
+	populateFilterStore(t, c, ctl, "f1", 8)
 
 	ctl.Exec("watch 2 1 query f1 wout agg count by machine")
 	s := out.String()

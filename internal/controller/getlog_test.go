@@ -143,16 +143,9 @@ func storeEvent(t *testing.T, st *store.Store, machine int, cpuTime int64, typ m
 func TestQueryCommand(t *testing.T) {
 	c, ctl, out := newSystem(t)
 	ctl.Exec("filter f1 blue")
-	blue, err := c.Machine("blue")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Populate the filter's store directly — the daemon-side query path
 	// is what's under test, not the filter's meter loop.
-	st, err := store.Open(store.NewFsysBackend(blue.FS(), testUID, filter.StorePath("f1")), store.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openFilterStore(t, c, ctl, "f1")
 	for i := 0; i < 30; i++ {
 		typ := meter.EvSend
 		if i%2 == 1 {

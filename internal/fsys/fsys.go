@@ -71,6 +71,12 @@ type File struct {
 
 // FS is the file system of one simulated machine. The zero value is
 // not usable; call New.
+//
+// A file's bytes are never written in place: Create installs a fresh
+// slice, Append only extends past the current length, Remove drops the
+// entry. Every byte below a length once observed is therefore immutable
+// for as long as anyone holds it, which is what lets View lend a file's
+// contents without copying them. Any new mutator must keep that rule.
 type FS struct {
 	mu    sync.Mutex
 	files map[string]*File
@@ -141,6 +147,20 @@ func (fs *FS) CreateExecutable(path string, uid int, program string) error {
 // Read returns a copy of the file's contents, checking read permission
 // for uid.
 func (fs *FS) Read(path string, uid int) ([]byte, error) {
+	data, err := fs.View(path, uid)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), data...), nil
+}
+
+// View is Read without the copy: it lends the file's contents as they
+// are now, checking read permission for uid. The slice is read-only —
+// the caller must not write through it — and is a point-in-time
+// snapshot: no later Append, Create or Remove of the path changes what
+// it holds (see FS), and its capacity is clipped to its length so an
+// append on it reallocates instead of reaching the file.
+func (fs *FS) View(path string, uid int) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, ok := fs.files[path]
@@ -150,7 +170,7 @@ func (fs *FS) Read(path string, uid int) ([]byte, error) {
 	if !f.Mode.readableBy(uid, f.Owner) {
 		return nil, fmt.Errorf("%w: %s", ErrPerm, path)
 	}
-	return append([]byte(nil), f.Data...), nil
+	return f.Data[:len(f.Data):len(f.Data)], nil
 }
 
 // Append appends data to an existing file, checking write permission.

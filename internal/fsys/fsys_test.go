@@ -3,6 +3,7 @@ package fsys
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -266,5 +267,90 @@ func TestAppendOrderPreserved(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestViewBorrowed pins the lending contract View depends on: a view
+// taken before concurrent Appends, a Create over the same path and a
+// Remove reads byte-identical throughout and afterwards (run under
+// -race: no writer may touch a byte a view covers), and an append on
+// the view reallocates instead of reaching the file.
+func TestViewBorrowed(t *testing.T) {
+	fs := New()
+	chunk := bytes.Repeat([]byte("0123456789abcdef"), 8)
+	// Grown by Append, so the file's slice has spare capacity past its
+	// length — the case where an in-place extension is possible at all.
+	for i := 0; i < 5; i++ {
+		if err := fs.Append("/log", alice, chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, err := fs.View("/log", alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat(chunk, 5)
+	if !bytes.Equal(view, want) || cap(view) != len(view) {
+		t.Fatalf("view len %d cap %d, want the %d bytes written and no spare capacity", len(view), cap(view), len(want))
+	}
+
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			if !bytes.Equal(view, want) {
+				t.Error("view changed under a concurrent writer")
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 200; i++ {
+				if err := fs.Append("/log", alice, []byte("appended beside a view")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	if err := fs.Create("/log", alice, PrivateMode, []byte("replaced")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Append("/log", alice, []byte(" and extended")); err != nil {
+		t.Fatal(err)
+	}
+	if grown := append(view, "past the end"...); &grown[0] == &view[0] {
+		t.Fatal("append on a view extended the file's own array")
+	}
+	if got, _ := fs.Read("/log", alice); string(got) != "replaced and extended" {
+		t.Fatalf("file = %q after an append on a stale view", got)
+	}
+	if err := fs.Remove("/log", alice); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	readers.Wait()
+	if !bytes.Equal(view, want) {
+		t.Fatal("view changed after Create and Remove of its path")
+	}
+	if _, err := fs.View("/log", alice); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("View of a removed file: err = %v, want ErrNotExist", err)
+	}
+	if err := fs.Create("/priv", alice, PrivateMode, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.View("/priv", bob); !errors.Is(err, ErrPerm) {
+		t.Fatalf("View of another user's private file: err = %v, want ErrPerm", err)
 	}
 }

@@ -305,9 +305,12 @@ func (s *scheduler) step(t *Task) {
 		t.state.Store(taskQueued)
 		s.enqueue(t)
 	default: // PollBlocked
-		// Park first, check afterwards: a socket that became ready (or
-		// a wake that arrived) during the step must re-queue, not sleep.
-		prev := t.state.Swap(taskParked)
+		// Register first, publish taskParked last: until then the task
+		// is still running, so a wake through a watch already registered
+		// only marks it running-wake and no other worker can pop it while
+		// this one is still writing its nodes and deadline. Check after
+		// parking: a socket that became ready (or a wake that arrived)
+		// during the step or the registration must re-queue, not sleep.
 		if n := len(t.watch); cap(t.nodes) < n {
 			t.nodes = make([]waiter, n)
 		} else {
@@ -326,7 +329,7 @@ func (s *scheduler) step(t *Task) {
 		if t.hasDeadline {
 			s.addTimer(t, t.deadline, t.gen.Load())
 		}
-		if prev == taskRunningWake || readyNow {
+		if prev := t.state.Swap(taskParked); prev == taskRunningWake || readyNow {
 			t.wake()
 		}
 	}

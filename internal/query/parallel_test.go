@@ -291,6 +291,8 @@ func corruptBlock(t *testing.T, be store.Backend, rs *store.ReaderSegment, block
 		t.Fatal(err)
 	}
 	const headerV2Size = 8 // docs/formats.md: magic + version + flags
+	// Read lends the file's bytes: copy before writing.
+	data = append([]byte(nil), data...)
 	data[headerV2Size+rs.Blocks()[block].Off+1] ^= 0xff
 	if err := be.Create(rs.Name, data); err != nil {
 		t.Fatal(err)

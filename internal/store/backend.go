@@ -17,9 +17,18 @@ import (
 // lives: FsysBackend inside the simulated cluster (filters and
 // daemons), DirBackend on the host file system (offline querying with
 // dpquery), and MemBackend for tests and benchmarks.
+//
+// A backend never writes a file's bytes in place: Create replaces the
+// contents wholesale, Append only extends them, Remove drops them. That
+// is what allows Read to lend instead of copy.
 type Backend interface {
 	Create(name string, data []byte) error
 	Append(name string, data []byte) error
+	// Read returns the file's contents as of the call. The slice is
+	// read-only and may be borrowed from the backend's own storage: the
+	// caller must not write through it, and no later Create, Append or
+	// Remove of the name changes what it holds. Its capacity is clipped
+	// to its length, so appending to it cannot reach the file.
 	Read(name string) ([]byte, error)
 	Remove(name string) error
 	// List returns the sorted segment file names present.
@@ -52,9 +61,9 @@ func (b *FsysBackend) Append(name string, data []byte) error {
 	return b.fs.Append(b.path(name), b.uid, data)
 }
 
-// Read implements Backend.
+// Read implements Backend, borrowing the file's bytes (fsys.FS.View).
 func (b *FsysBackend) Read(name string) ([]byte, error) {
-	return b.fs.Read(b.path(name), b.uid)
+	return b.fs.View(b.path(name), b.uid)
 }
 
 // Remove implements Backend.
@@ -65,11 +74,11 @@ func (b *FsysBackend) Remove(name string) error {
 // List implements Backend.
 func (b *FsysBackend) List() ([]string, error) {
 	prefix := b.dir + "/"
-	var names []string
-	for _, p := range b.fs.List(prefix) {
-		names = append(names, strings.TrimPrefix(p, prefix))
+	names := b.fs.List(prefix) // sorted, and ours to trim in place
+	for i, p := range names {
+		names[i] = strings.TrimPrefix(p, prefix)
 	}
-	return names, nil // fs.List sorts
+	return names, nil
 }
 
 // DirBackend stores segments as files in a host directory — the form a
@@ -183,7 +192,9 @@ func (b *MemBackend) Append(name string, data []byte) error {
 	return nil
 }
 
-// Read implements Backend.
+// Read implements Backend, borrowing the file's bytes: Create stores a
+// fresh slice and Append only extends one, so what a reader was lent
+// stays as it was.
 func (b *MemBackend) Read(name string) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -191,7 +202,7 @@ func (b *MemBackend) Read(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: no segment %q", name)
 	}
-	return append([]byte(nil), data...), nil
+	return data[:len(data):len(data)], nil
 }
 
 // Remove implements Backend.

@@ -126,13 +126,20 @@ type BlockInfo struct {
 	Index Index
 }
 
-// footerV2 is a parsed v2 footer.
+// footerV2 is a sealed v2 segment's footer. parseFooterV2 fills the
+// fixed tail's fields, which are all that admitting or pruning the
+// segment needs; Dict and Blocks are the variable-length body, decoded
+// by decodeBody when the segment is actually scanned.
 type footerV2 struct {
 	Index    Index
 	DataLen  int // header + block bytes; the footer body starts here
 	RawTotal int // v1-equivalent bytes of the whole segment
-	Dict     [][]byte
-	Blocks   []BlockInfo
+
+	bodyLen    int
+	blockCount int
+
+	Dict   [][]byte
+	Blocks []BlockInfo
 }
 
 // compSink accumulates the writer's DEFLATE output pending a backend
@@ -482,43 +489,51 @@ func appendFooterV2(dst []byte, x Index, dataLen, rawTotal uint32, dict [][]byte
 	return append(dst, t[:]...)
 }
 
-// parseFooterV2 examines a segment file for a valid v2 footer.
-// ok=false means "not a sealed v2 segment" — unsealed, v1, or a
-// mangled footer (which degrades to stream salvage, as a mangled v1
-// footer degrades to a frame scan).
-func parseFooterV2(data []byte) (*footerV2, bool) {
+// parseFooterV2 examines a segment file for a valid v2 footer tail:
+// the tail's own CRC, the length equation that places header, blocks,
+// body and tail in the file, and the CRC of the body. It reads nothing
+// before the body and decodes none of it. ok=false means "not a sealed
+// v2 segment" — unsealed, v1, or a mangled footer (which degrades to
+// stream salvage, as a mangled v1 footer degrades to a frame scan).
+func parseFooterV2(data []byte) (f footerV2, ok bool) {
 	if len(data) < headerV2Size+FooterV2Size || string(data[0:4]) != segMagicV2 {
-		return nil, false
+		return footerV2{}, false
 	}
 	le := binary.LittleEndian
 	t := data[len(data)-FooterV2Size:]
 	if string(t[0:4]) != footerMagic || le.Uint32(t[4:8]) != footerVersionV2 {
-		return nil, false
+		return footerV2{}, false
 	}
 	if crc32.ChecksumIEEE(t[:68]) != le.Uint32(t[68:72]) {
-		return nil, false
+		return footerV2{}, false
 	}
-	f := &footerV2{
-		DataLen:  int(le.Uint32(t[48:52])),
-		RawTotal: int(le.Uint32(t[60:64])),
-	}
+	f.DataLen = int(le.Uint32(t[48:52]))
+	f.bodyLen = int(le.Uint32(t[52:56]))
+	f.blockCount = int(le.Uint32(t[56:60]))
+	f.RawTotal = int(le.Uint32(t[60:64]))
 	f.Index.Count = le.Uint32(t[8:12])
 	f.Index.MinTime = le.Uint64(t[12:20])
 	f.Index.MaxTime = le.Uint64(t[20:28])
 	f.Index.Machines = le.Uint64(t[28:36])
 	f.Index.PIDs = le.Uint64(t[36:44])
 	f.Index.Types = le.Uint32(t[44:48])
-	bodyLen := int(le.Uint32(t[52:56]))
-	blockCount := int(le.Uint32(t[56:60]))
-	if f.DataLen < headerV2Size || f.DataLen+bodyLen+FooterV2Size != len(data) {
-		return nil, false
+	if f.DataLen < headerV2Size || f.DataLen+f.bodyLen+FooterV2Size != len(data) {
+		return footerV2{}, false
 	}
-	body := data[f.DataLen : f.DataLen+bodyLen]
-	if crc32.ChecksumIEEE(body) != le.Uint32(t[64:68]) {
-		return nil, false
+	if crc32.ChecksumIEEE(data[f.DataLen:f.DataLen+f.bodyLen]) != le.Uint32(t[64:68]) {
+		return footerV2{}, false
 	}
-	// Decode the body. Any malformation fails the parse (degrading the
-	// file to stream salvage) rather than risking a bad table.
+	return f, true
+}
+
+// decodeBody decodes the footer body of data, the file parseFooterV2
+// took f from, into f.Dict (aliasing data) and f.Blocks. Any
+// malformation fails the decode rather than risking a bad table: the
+// body's CRC lives in the file, so a crafted body passes it, and the
+// caller degrades the segment to stream salvage.
+func (f *footerV2) decodeBody(data []byte) bool {
+	le := binary.LittleEndian
+	body := data[f.DataLen : f.DataLen+f.bodyLen]
 	off := 0
 	next := func() (uint64, bool) {
 		v, n := binary.Uvarint(body[off:])
@@ -530,54 +545,54 @@ func parseFooterV2(data []byte) (*footerV2, bool) {
 	}
 	nd, ok := next()
 	if !ok || nd > maxDictEntries {
-		return nil, false
+		return false
 	}
-	f.Dict = make([][]byte, 0, nd)
+	dict := make([][]byte, 0, nd)
 	for i := 0; i < int(nd); i++ {
 		l, ok := next()
 		if !ok || l > maxDictToken || off+int(l) > len(body) {
-			return nil, false
+			return false
 		}
-		f.Dict = append(f.Dict, body[off:off+int(l)])
+		dict = append(dict, body[off:off+int(l)])
 		off += int(l)
 	}
-	if blockCount < 0 || blockCount > len(body) {
-		return nil, false
+	if f.blockCount < 0 || f.blockCount > len(body) {
+		return false
 	}
 	region := f.DataLen - headerV2Size
-	f.Blocks = make([]BlockInfo, 0, blockCount)
-	for i := 0; i < blockCount; i++ {
+	blocks := make([]BlockInfo, 0, f.blockCount)
+	for i := 0; i < f.blockCount; i++ {
 		var b BlockInfo
 		var v uint64
 		if v, ok = next(); !ok {
-			return nil, false
+			return false
 		}
 		b.Off = int(v)
 		if v, ok = next(); !ok {
-			return nil, false
+			return false
 		}
 		b.CompLen = int(v)
 		if v, ok = next(); !ok {
-			return nil, false
+			return false
 		}
 		b.RawLen = int(v)
 		if off+4 > len(body) {
-			return nil, false
+			return false
 		}
 		b.CRC = le.Uint32(body[off:])
 		off += 4
 		if v, ok = next(); !ok {
-			return nil, false
+			return false
 		}
 		b.Index.Count = uint32(v)
 		if b.Index.MinTime, ok = next(); !ok {
-			return nil, false
+			return false
 		}
 		if b.Index.MaxTime, ok = next(); !ok {
-			return nil, false
+			return false
 		}
 		if off+20 > len(body) {
-			return nil, false
+			return false
 		}
 		b.Index.Machines = le.Uint64(body[off:])
 		b.Index.PIDs = le.Uint64(body[off+8:])
@@ -589,14 +604,15 @@ func parseFooterV2(data []byte) (*footerV2, bool) {
 		// reach the region slicing in Scan.
 		if b.Off < 0 || b.CompLen < 0 || b.Off > region || b.CompLen > region-b.Off ||
 			b.RawLen <= 0 || b.RawLen > maxBlockRaw {
-			return nil, false
+			return false
 		}
-		f.Blocks = append(f.Blocks, b)
+		blocks = append(blocks, b)
 	}
 	if off != len(body) {
-		return nil, false
+		return false
 	}
-	return f, true
+	f.Dict, f.Blocks = dict, blocks
+	return true
 }
 
 // Decoder decompresses and decodes v2 blocks through reused buffers: a
@@ -848,16 +864,16 @@ type ScanStats struct {
 // only valid during the call.
 func (rs *ReaderSegment) Scan(d *Decoder, admit func(Index) bool, fn func(Meta, []byte)) (ScanStats, error) {
 	var st ScanStats
-	if rs.v2 != nil {
-		region := rs.data[headerV2Size:rs.v2.DataLen]
-		for i := range rs.v2.Blocks {
-			b := &rs.v2.Blocks[i]
+	if f := rs.footer(); f != nil {
+		region := rs.data[headerV2Size:f.DataLen]
+		for i := range f.Blocks {
+			b := &f.Blocks[i]
 			st.Blocks++
 			if admit != nil && !admit(b.Index) {
 				st.BlocksPruned++
 				continue
 			}
-			n, err := d.decodeBlock(region[b.Off:b.Off+b.CompLen], b.RawLen, b.CRC, rs.v2.Dict, fn)
+			n, err := d.decodeBlock(region[b.Off:b.Off+b.CompLen], b.RawLen, b.CRC, f.Dict, fn)
 			st.Records += n
 			if err != nil {
 				return st, fmt.Errorf("%w: block %d: %v", ErrCorrupt, i, err)
@@ -865,7 +881,10 @@ func (rs *ReaderSegment) Scan(d *Decoder, admit func(Index) bool, fn func(Meta, 
 		}
 		return st, nil
 	}
-	if !rs.Sealed && len(rs.data) >= headerV2Size && string(rs.data[:4]) == segMagicV2 {
+	// Unsealed v2 — or sealed by its tail over a footer body that does
+	// not decode, which scans as the unsealed file it would have been
+	// taken for had the whole footer been parsed up front.
+	if rs.v2.DataLen != 0 || (!rs.Sealed && len(rs.data) >= headerV2Size && rs.FormatVersion() == 2) {
 		n, streams, err := d.decodeStreams(rs.data[headerV2Size:], fn)
 		st.Records, st.Blocks = n, streams
 		if err != nil {
@@ -894,22 +913,33 @@ func (rs *ReaderSegment) Scan(d *Decoder, admit func(Index) bool, fn func(Meta, 
 	return st, nil
 }
 
+// footer returns a sealed v2 segment's footer with its body decoded, on
+// first use — nil for every other segment, and for one whose body does
+// not decode.
+func (rs *ReaderSegment) footer() *footerV2 {
+	if rs.v2.DataLen == 0 {
+		return nil
+	}
+	rs.v2body.Do(func() { rs.v2ok = rs.v2.decodeBody(rs.data) })
+	if !rs.v2ok {
+		return nil
+	}
+	return &rs.v2
+}
+
 // Blocks returns a sealed v2 segment's block table (nil for v1 or
 // unsealed segments). Callers must not modify the entries.
 func (rs *ReaderSegment) Blocks() []BlockInfo {
-	if rs.v2 == nil {
-		return nil
+	if f := rs.footer(); f != nil {
+		return f.Blocks
 	}
-	return rs.v2.Blocks
+	return nil
 }
 
 // FormatVersion reports the segment's on-disk format: 2 for
 // block-compressed segments (sealed or unsealed), 1 for the flat
 // frame format.
 func (rs *ReaderSegment) FormatVersion() int {
-	if rs.v2 != nil {
-		return 2
-	}
 	if len(rs.data) >= len(segMagicV2) && string(rs.data[:len(segMagicV2)]) == segMagicV2 {
 		return 2
 	}

@@ -140,6 +140,9 @@ func FuzzParseSegment(f *testing.F) {
 		corruptDict[fv2.DataLen+1] ^= 0xff
 		f.Add(corruptDict)
 	}
+	// A tail that verifies — body CRC included — over a footer body that
+	// does not decode: unsealed salvage over intact block streams.
+	f.Add(undecodableBody(f, v2))
 	// CRC flip inside a compressed block of a sealed v2 segment: the
 	// footer still verifies, the damaged block must surface ErrCorrupt
 	// after the blocks before it were emitted.

@@ -266,7 +266,7 @@ func ParseSegment(data []byte) (*Segment, error) {
 	// unsealed one starts with the v2 header and is salvaged stream by
 	// stream — each online flush ends on a flate sync marker, so every
 	// acknowledged batch sits in a decodable prefix.
-	if f, ok := parseFooterV2(data); ok {
+	if f, ok := parseFooterV2(data); ok && f.decodeBody(data) {
 		s := &Segment{Sealed: true, Index: f.Index}
 		d := AcquireDecoder()
 		defer ReleaseDecoder(d)

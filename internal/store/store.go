@@ -3,6 +3,7 @@ package store
 import (
 	"compress/flate"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -109,25 +110,56 @@ func segName(shard, start, end, tier int) string {
 	return fmt.Sprintf("%s%d-%06d-%06d.seg", prefix, shard, start, end)
 }
 
+// maxShardID is the largest shard a segment name may claim: records
+// route to machine%Shards and a machine id is 16 bits, so no store has
+// more shards than that — and a stray file name must not be able to
+// make Open or OpenReader build a shard per integer below it.
+const maxShardID = 0xFFFF
+
+// parseSegName is segName's strict inverse: it accepts exactly the
+// names segName writes for a shard up to maxShardID and a sequence
+// range 1 <= start <= end that fits an int.
 func parseSegName(name string) (shard, start, end, tier int, ok bool) {
-	if !strings.HasSuffix(name, ".seg") {
-		return 0, 0, 0, 0, false
-	}
-	format := "s%d-%d-%d.seg"
+	rest, found := strings.CutSuffix(name, ".seg")
 	switch {
-	case strings.HasPrefix(name, "s"):
-	case strings.HasPrefix(name, "a"):
-		tier, format = 1, "a%d-%d-%d.seg"
+	case !found:
+		return 0, 0, 0, 0, false
+	case strings.HasPrefix(rest, "s"):
+	case strings.HasPrefix(rest, "a"):
+		tier = 1
 	default:
 		return 0, 0, 0, 0, false
 	}
-	if n, err := fmt.Sscanf(name, format, &shard, &start, &end); err != nil || n != 3 {
-		return 0, 0, 0, 0, false
+	shard, rest, ok = cutSegNumber(rest[1:], 1, "-")
+	if ok {
+		start, rest, ok = cutSegNumber(rest, 6, "-")
 	}
-	if shard < 0 || start < 1 || end < start {
+	if ok {
+		end, rest, ok = cutSegNumber(rest, 6, "")
+	}
+	if !ok || rest != "" || shard > maxShardID || start < 1 || end < start {
 		return 0, 0, 0, 0, false
 	}
 	return shard, start, end, tier, true
+}
+
+// cutSegNumber cuts from the front of s a number as fmt's %0<width>d
+// writes a non-negative int — decimal digits only, zero-padded to width
+// and no further — and the separator that must follow it.
+func cutSegNumber(s string, width int, sep string) (n int, rest string, ok bool) {
+	i := 0
+	for ; i < len(s) && s[i]-'0' <= 9; i++ {
+		d := int(s[i] - '0')
+		if n > (math.MaxInt-d)/10 {
+			return 0, "", false
+		}
+		n = n*10 + d
+	}
+	if i < width || (i > width && s[0] == '0') {
+		return 0, "", false
+	}
+	rest, ok = strings.CutPrefix(s[i:], sep)
+	return n, rest, ok
 }
 
 // segRange is the sequence range and tier a segment file's name claims.
@@ -176,9 +208,9 @@ func currentGeneration[S any](listed []S, rangeOf func(S) segRange, whole func(S
 	return current, superseded
 }
 
-// sealedBytes reports whether a segment file ends in a valid footer of
-// either format — the last bytes a writer lays down, so a file that has
-// one was written whole.
+// sealedBytes reports whether a segment file ends in a valid footer
+// tail of either format — the last bytes a writer lays down, so a file
+// that has one was written whole.
 func sealedBytes(data []byte) bool {
 	if _, _, ok := ParseFooter(data); ok {
 		return true
@@ -232,8 +264,9 @@ type shard struct {
 	// active segment's index only once the backend write succeeds.
 	scratch []byte
 	pending []Meta
-	// cw is the shard's v2 encoder (nil with CompressOff): records
-	// stage through it instead of the scratch framing buffer.
+	// cw is the shard's v2 encoder (nil with CompressOff, and until the
+	// shard's first record): records stage through it instead of the
+	// scratch framing buffer.
 	cw *compWriter
 }
 
@@ -285,9 +318,6 @@ func Open(be Backend, cfg Config) (*Store, error) {
 	}
 	for i := 0; i <= maxShard; i++ {
 		sh := &shard{id: i, nextSeq: 1}
-		if cfg.Compress == CompressBlocks {
-			sh.cw = newCompWriter(cfg.CompressLevel, cfg.BlockTarget)
-		}
 		// A crash between a merge's Create and its Removes left both
 		// generations: adopt one, and finish the removal the crash cut
 		// short so the other does not linger on disk.
@@ -366,14 +396,20 @@ func encodeRecs(recs []Rec, cfg Config) ([]byte, error) {
 	return AppendFooter(frames, indexOf(recs), uint32(len(frames))), nil
 }
 
-// openLocked ensures the shard has an active segment. Caller holds
-// sh.mu.
-func (sh *shard) openLocked() {
+// openLocked ensures the shard has an active segment — and, when
+// compressing, its encoder, built at the shard's first record rather
+// than at Open (a flate writer is ~650 KB, and a store opened over
+// another's files has a shard for every number those files name).
+// Caller holds sh.mu.
+func (s *Store) openLocked(sh *shard) {
 	if sh.active == nil {
 		seq := sh.nextSeq
 		sh.nextSeq++
 		sh.active = &SegmentInfo{Name: segName(sh.id, seq, seq, 0), Shard: sh.id, Start: seq, End: seq}
-		if sh.cw != nil {
+		if s.cfg.Compress == CompressBlocks {
+			if sh.cw == nil {
+				sh.cw = newCompWriter(s.cfg.CompressLevel, s.cfg.BlockTarget)
+			}
 			sh.cw.openSegment()
 		}
 	}
@@ -518,7 +554,7 @@ func (s *Store) Append(m Meta, line string) error {
 	sh := s.shards[int(m.Machine)%len(s.shards)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.openLocked()
+	s.openLocked(sh)
 	if sh.cw != nil {
 		sh.cw.lineBuf = append(sh.cw.lineBuf[:0], line...)
 		if err := sh.cw.stage(m, sh.cw.lineBuf); err != nil {
@@ -583,7 +619,7 @@ func (s *Store) AppendBatch(recs []BatchRec) error {
 			if int(recs[i].Meta.Machine)%nshards != id {
 				continue
 			}
-			sh.openLocked()
+			s.openLocked(sh)
 			if sh.cw != nil {
 				if err := sh.cw.stage(recs[i].Meta, recs[i].Line); err != nil {
 					s.abandonLocked(sh)
@@ -855,8 +891,9 @@ func (s *Store) Segments() []SegmentInfo {
 }
 
 // ReaderSegment is one segment as seen by a Reader: its footer index
-// when sealed (usable for pruning without touching the frames), and
-// its raw bytes for when it must actually be scanned.
+// when sealed (usable for pruning without touching anything before the
+// footer), and its raw bytes — borrowed from the backend, never written
+// — for when it must actually be scanned.
 type ReaderSegment struct {
 	Name   string
 	Shard  int
@@ -867,9 +904,13 @@ type ReaderSegment struct {
 	end    int // last sequence the file's name claims
 	data   []byte
 	// Sealed v1 segments record where their frames end; sealed v2
-	// segments carry the parsed footer (dictionary + block table).
+	// segments (v2.DataLen != 0) carry the footer tail's fields, and the
+	// footer body — dictionary and block table — once footer() has
+	// decoded it for the first scan.
 	dataLen int
-	v2      *footerV2
+	v2      footerV2
+	v2body  sync.Once
+	v2ok    bool
 }
 
 // Load parses the segment's records. An unsealed segment with a torn
@@ -881,7 +922,7 @@ func (rs *ReaderSegment) Load() (*Segment, error) {
 // RawBytes returns the segment's v1-equivalent (uncompressed framed)
 // size, the numerator of its compression ratio.
 func (rs *ReaderSegment) RawBytes() int {
-	if rs.v2 != nil {
+	if rs.v2.DataLen != 0 {
 		return rs.v2.RawTotal
 	}
 	if rs.Sealed {
@@ -905,9 +946,12 @@ type Reader struct {
 // whose segments keep vanishing under it.
 const openReaderAttempts = 3
 
-// OpenReader snapshots the store behind a backend. It reads each
-// segment file once and parses footers only; frame parsing is deferred
-// to ReaderSegment.Load so pruned segments never pay it.
+// OpenReader snapshots the store behind a backend. It costs one
+// listing and, per segment, a name parse, a borrowed view of the file
+// (Backend.Read) and the check of its fixed-size footer tail — which
+// carries the Index pruning needs. No frame or block is touched, and a
+// v2 footer's body (dictionary and block table) is checksummed but not
+// decoded, until the Scan, Blocks or Load of a segment a query admits.
 //
 // The backend may belong to a live store that is compacting, archiving
 // or expiring segments meanwhile. The snapshot holds every record once
