@@ -765,14 +765,12 @@ func BenchmarkStoreIngest(b *testing.B) {
 	}
 }
 
-// S1 batched: the same ingest through AppendBatch, 16 records per call
-// — the granularity the filter's per-Recv flush produces. ns/op and
-// allocs/op are per batch, so divide by 16 to compare with
-// BenchmarkStoreIngest.
-func BenchmarkStoreIngestBatch(b *testing.B) {
+// storeBatchRecs is the record set the batched store benchmarks cycle
+// through — 64 synthetic events as the filter would hand them to
+// AppendBatch — and the total length of their lines.
+func storeBatchRecs() (recs []store.BatchRec, lineBytes int64) {
 	events := syntheticTrace(64)
-	var bytes int64
-	recs := make([]store.BatchRec, len(events))
+	recs = make([]store.BatchRec, len(events))
 	for i := range events {
 		e := &events[i]
 		recs[i] = store.BatchRec{
@@ -782,8 +780,17 @@ func BenchmarkStoreIngestBatch(b *testing.B) {
 			},
 			Line: []byte(e.Format()),
 		}
-		bytes += int64(len(recs[i].Line))
+		lineBytes += int64(len(recs[i].Line))
 	}
+	return recs, lineBytes
+}
+
+// S1 batched: the same ingest through AppendBatch, 16 records per call
+// — the granularity the filter's per-Recv flush produces. ns/op and
+// allocs/op are per batch, so divide by 16 to compare with
+// BenchmarkStoreIngest.
+func BenchmarkStoreIngestBatch(b *testing.B) {
+	recs, bytes := storeBatchRecs()
 	st, err := store.Open(store.NewMemBackend(), store.Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -806,20 +813,7 @@ func BenchmarkStoreIngestBatch(b *testing.B) {
 // with BenchmarkStoreIngestBatch; compression-x is the v1-equivalent
 // bytes over bytes actually on disk after sealing.
 func BenchmarkStoreIngestCompressed(b *testing.B) {
-	events := syntheticTrace(64)
-	var bytes int64
-	recs := make([]store.BatchRec, len(events))
-	for i := range events {
-		e := &events[i]
-		recs[i] = store.BatchRec{
-			Meta: store.Meta{
-				Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
-				Type: uint32(e.Type), PID: uint32(e.Fields["pid"]),
-			},
-			Line: []byte(e.Format()),
-		}
-		bytes += int64(len(recs[i].Line))
-	}
+	recs, bytes := storeBatchRecs()
 	st, err := store.Open(store.NewMemBackend(), store.Config{Compress: store.CompressBlocks})
 	if err != nil {
 		b.Fatal(err)
@@ -846,6 +840,55 @@ func BenchmarkStoreIngestCompressed(b *testing.B) {
 	if disk > 0 {
 		b.ReportMetric(float64(raw)/float64(disk), "compression-x")
 		b.ReportMetric(float64(disk), "bytes_on_disk")
+	}
+}
+
+// S1 archiving: the store exactly as the filter opens it
+// (filter.StoreConfig: block-compressed, 30 s archive threshold) under
+// the same batches as BenchmarkStoreIngestCompressed, with cpuTime
+// advancing 1 ms per record so that segments really go cold and the
+// archival tier runs on the appending goroutine, at rotation — which is
+// where it runs in the filter. ns/op is per 16-record batch, comparable
+// directly with BenchmarkStoreIngestCompressed; archive-x is the tier-1
+// raw/disk ratio, archive_bytes its disk bytes, archived_share the part
+// of all records that ended in tier 1.
+func BenchmarkStoreIngestArchiving(b *testing.B) {
+	recs, bytes := storeBatchRecs()
+	st, err := store.Open(store.NewMemBackend(), filter.StoreConfig(nil))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batchSize = 16
+	b.SetBytes(bytes / int64(len(recs)) * batchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i * batchSize % len(recs)
+		batch := recs[off : off+batchSize]
+		for j := range batch {
+			batch[j].Meta.Time = uint32(i*batchSize + j)
+		}
+		if err := st.AppendBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := st.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	var raw, disk, archived, all int
+	for _, info := range st.Segments() {
+		all += int(info.Index.Count)
+		if info.Tier == 1 {
+			raw += info.Bytes
+			disk += info.DiskBytes
+			archived += int(info.Index.Count)
+		}
+	}
+	if disk > 0 {
+		b.ReportMetric(float64(raw)/float64(disk), "archive-x")
+		b.ReportMetric(float64(disk), "archive_bytes")
+		b.ReportMetric(float64(archived)/float64(all), "archived_share")
 	}
 }
 

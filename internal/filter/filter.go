@@ -8,6 +8,7 @@ import (
 	"dpm/internal/fsys"
 	"dpm/internal/kernel"
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 	"dpm/internal/store"
 )
 
@@ -299,6 +300,21 @@ func (e *Engine) ProcessEach(buf []byte, emit func(rec *Record, line []byte)) (r
 	}
 }
 
+// StoreConfig is the configuration every filter opens its event store
+// with, its counters on reg — exported so a benchmark of "the filter's
+// store" measures this and not a literal of its own. Sealed segments are
+// block-compressed, and segments a cpuTime half-minute colder than the
+// newest record roll into the archival tier; records are never expired
+// (RetainFor stays 0 — the flat log and the store must answer
+// identically).
+func StoreConfig(reg *obs.Registry) store.Config {
+	return store.Config{
+		Obs:          reg,
+		Compress:     store.CompressBlocks,
+		ArchiveAfter: 30_000,
+	}
+}
+
 // Main is the standard filter program. Its arguments are
 //
 //	args[0] filter name (determines the log file)
@@ -369,15 +385,7 @@ func Main(p *kernel.Process) int {
 	// hangs its metrics on the machine's registry, so one stats request
 	// to the local daemon sees the whole node.
 	reg := p.Machine().Obs()
-	// Sealed segments are block-compressed, and segments a cpuTime
-	// half-minute colder than the newest record roll into the archival
-	// tier; records are never expired here (RetainFor stays 0 — the
-	// flat log and the store must answer identically).
-	st, err := store.Open(store.NewFsysBackend(p.Machine().FS(), p.UID(), StorePath(name)), store.Config{
-		Obs:          reg,
-		Compress:     store.CompressBlocks,
-		ArchiveAfter: 30_000,
-	})
+	st, err := store.Open(store.NewFsysBackend(p.Machine().FS(), p.UID(), StorePath(name)), StoreConfig(reg))
 	if err != nil {
 		p.Printf("filter: store: %v\n", err)
 		return 1

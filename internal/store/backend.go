@@ -20,7 +20,10 @@ import (
 //
 // A backend never writes a file's bytes in place: Create replaces the
 // contents wholesale, Append only extends them, Remove drops them. That
-// is what allows Read to lend instead of copy.
+// is what allows Read to lend instead of copy. In the other direction
+// nothing is lent: Create and Append must not retain data past the call
+// — the store hands them its reused framing buffers and its pooled
+// encoders' output, and overwrites both as soon as they return.
 type Backend interface {
 	Create(name string, data []byte) error
 	Append(name string, data []byte) error

@@ -205,8 +205,7 @@ type blockMeta struct {
 // DEFLATE entropy coding over that dense payload buys little while a
 // dynamic-Huffman build per sync flush costs ~3x the whole ingest
 // path. Stored flate blocks keep the sync-marker durability contract
-// for free; the archival tier re-encodes cold segments at
-// BestCompression where the cost is paid once, off the hot path.
+// for free; the archival tier re-encodes cold segments at archiveLevel.
 func newCompWriter(level, target int) *compWriter {
 	if target <= 0 {
 		target = DefaultBlockTarget
@@ -215,6 +214,12 @@ func newCompWriter(level, target int) *compWriter {
 	w.fw, _ = flate.NewWriter(&w.sink, level)
 	return w
 }
+
+// archiveEncoders pools the cold tier's encoders. A flate.Writer above
+// level 1 is about a megabyte of hash chains and window that Reset
+// reuses whole, and shards of every store in the process archive at the
+// same level, so a warm encoder serves a run without allocating.
+var archiveEncoders = sync.Pool{New: func() any { return newCompWriter(archiveLevel, 0) }}
 
 // openSegment resets the writer for a fresh segment and stages the
 // file header.
@@ -412,17 +417,37 @@ func (w *compWriter) flushStaged(sync bool) error {
 // block's zone map.
 func (w *compWriter) foldMeta(m Meta) { w.curIdx.Add(m) }
 
-// seal closes the open block and returns the remaining unwritten bytes
-// of the segment — pending block output plus the footer — and the
-// total on-disk size of the sealed file.
+// add is the per-record step of every offline encode — recovery,
+// compaction, archival — where nothing need be decodable before the
+// seal: the record is staged and folded into its block's zone map, and
+// a block's worth of staged payload goes through DEFLATE in one write.
+func (w *compWriter) add(m Meta, line []byte) error {
+	if err := w.stage(m, line); err != nil {
+		return err
+	}
+	w.foldMeta(m)
+	if w.curV1+w.stagedV1 >= w.target {
+		return w.flushStaged(false)
+	}
+	return nil
+}
+
+// seal pushes anything still staged, closes the open block and returns
+// the remaining unwritten bytes of the segment — pending block output
+// plus the footer — and the total on-disk size of the sealed file. The
+// bytes are the writer's own buffer, reused by the next segment: the
+// caller hands them to the backend (which copies) and keeps nothing.
 func (w *compWriter) seal(x Index, rawTotal int) ([]byte, int, error) {
+	if err := w.flushStaged(false); err != nil {
+		return nil, 0, err
+	}
 	if err := w.closeBlock(); err != nil {
 		return nil, 0, err
 	}
 	dataLen := headerV2Size + w.sink.total
 	disk := dataLen + footerV2Len(w.dictEntries, w.blocks)
 	out := appendFooterV2(w.sink.buf, x, uint32(dataLen), uint32(rawTotal), w.dictEntries, w.blocks)
-	w.sink.buf = nil // ownership passes to the caller's backend write
+	w.sink.buf = out[:0]
 	return out, disk, nil
 }
 
@@ -946,9 +971,8 @@ func (rs *ReaderSegment) FormatVersion() int {
 	return 1
 }
 
-// encodeSegmentV2 encodes records as one sealed v2 segment — the
-// shared path for recovery rewrites, compaction, and archival, where
-// the records already live in memory.
+// encodeSegmentV2 encodes records already in memory as one sealed v2
+// segment — the recovery rewrite of a salvaged prefix.
 func encodeSegmentV2(recs []Rec, level, blockTarget int) ([]byte, error) {
 	w := newCompWriter(level, blockTarget)
 	w.openSegment()
@@ -956,13 +980,9 @@ func encodeSegmentV2(recs []Rec, level, blockTarget int) ([]byte, error) {
 	rawTotal := 0
 	for _, r := range recs {
 		w.lineBuf = append(w.lineBuf[:0], r.Line...)
-		if err := w.stage(r.Meta, w.lineBuf); err != nil {
+		if err := w.add(r.Meta, w.lineBuf); err != nil {
 			return nil, err
 		}
-		if err := w.flushStaged(false); err != nil {
-			return nil, err
-		}
-		w.foldMeta(r.Meta)
 		x.Add(r.Meta)
 		rawTotal += FrameSize(len(r.Line))
 	}

@@ -1,0 +1,476 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"dpm/internal/obs"
+)
+
+// The oracle: the cold rewrite as it was before it streamed — every
+// input parsed into []Rec, the records re-encoded with one DEFLATE
+// write per record by a writer built for the occasion. Kept here as the
+// reference the streamed rewrite is compared against.
+
+func oracleReadRun(t *testing.T, be Backend, names []string) (recs []Rec, x Index, rawBytes int) {
+	t.Helper()
+	for _, name := range names {
+		data, err := be.Read(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := ParseSegment(data)
+		if err != nil {
+			t.Fatalf("oracle parse %s: %v", name, err)
+		}
+		for _, r := range seg.Recs {
+			x.Add(r.Meta)
+			rawBytes += FrameSize(len(r.Line))
+		}
+		recs = append(recs, seg.Recs...)
+	}
+	return recs, x, rawBytes
+}
+
+func oracleEncodeV2(t *testing.T, recs []Rec, level, blockTarget int) []byte {
+	t.Helper()
+	w := newCompWriter(level, blockTarget)
+	w.openSegment()
+	var x Index
+	rawTotal := 0
+	for _, r := range recs {
+		if err := w.stage(r.Meta, []byte(r.Line)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.flushStaged(false); err != nil {
+			t.Fatal(err)
+		}
+		w.foldMeta(r.Meta)
+		x.Add(r.Meta)
+		rawTotal += FrameSize(len(r.Line))
+	}
+	out, _, err := w.seal(x, rawTotal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func oracleEncodeV1(recs []Rec) []byte {
+	var frames []byte
+	for _, r := range recs {
+		frames = AppendFrame(frames, r.Meta, r.Line)
+	}
+	return AppendFooter(frames, indexOf(recs), uint32(len(frames)))
+}
+
+// appendSealed appends compRec(from..from+n) and seals them into one
+// segment of the store's current format.
+func appendSealed(t *testing.T, st *Store, from, n int) {
+	t.Helper()
+	for i := from; i < from+n; i++ {
+		m, line := compRec(i)
+		if err := st.Append(m, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// blockShape is what of a v2 block table the records determine: where
+// the blocks break and what their zone maps say. Offsets, compressed
+// lengths and CRCs belong to the DEFLATE bytes.
+type blockShape struct {
+	RawLen int
+	Index  Index
+}
+
+// sealedFooterV2 decodes the whole footer of a sealed v2 segment.
+func sealedFooterV2(t *testing.T, data []byte) footerV2 {
+	t.Helper()
+	f, ok := parseFooterV2(data)
+	if !ok || !f.decodeBody(data) {
+		t.Fatal("not a sealed v2 segment")
+	}
+	return f
+}
+
+func blockShapes(t *testing.T, data []byte) []blockShape {
+	t.Helper()
+	f := sealedFooterV2(t, data)
+	var out []blockShape
+	for _, b := range f.Blocks {
+		out = append(out, blockShape{b.RawLen, b.Index})
+	}
+	return out
+}
+
+// coldNow is a cpuTime far enough ahead of everything compRec makes
+// that one record there turns every earlier segment cold.
+const (
+	coldNow     = 50_000_000
+	coldArchive = 1_000_000
+)
+
+// The streamed rewrite produces what the materializing one did: the
+// same records in the same order under the same index and v1-equivalent
+// size, in blocks that break at the same records — for archival and for
+// compaction, over v1 inputs, v2 inputs and a run of both.
+func TestStreamedRewriteMatchesOracle(t *testing.T) {
+	const blockTarget = 1024 // several blocks per output
+	off := Config{Shards: 1, CompactMin: 1 << 20, BlockTarget: blockTarget}
+	on := off
+	on.Compress = CompressBlocks
+	cases := []struct {
+		name    string
+		formats []Config // one sealed input segment per entry
+		rewrite Config   // the store that rewrites them
+		tier    int
+		v2      bool // format of the output
+	}{
+		{"archive/v1", []Config{off, off, off}, on, 1, true},
+		{"archive/v2", []Config{on, on, on}, on, 1, true},
+		{"archive/mixed", []Config{off, on, off, on}, on, 1, true},
+		{"archive/v1-store", []Config{off, off}, off, 1, true},
+		{"compact/v1", []Config{off, off, off}, off, 0, false},
+		{"compact/v2", []Config{on, on, on}, on, 0, true},
+		{"compact/mixed", []Config{off, on, on}, on, 0, true},
+		{"compact/mixed-to-v1", []Config{on, off, on}, off, 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			be := NewMemBackend()
+			for n, cfg := range tc.formats {
+				st, err := Open(be, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				appendSealed(t, st, n*40, 40)
+			}
+			names := segmentNames(t, be)
+			if len(names) != len(tc.formats) {
+				t.Fatalf("built %v, want %d segments", names, len(tc.formats))
+			}
+			recs, x, raw := oracleReadRun(t, be, names)
+			var want []byte
+			switch {
+			case tc.tier == 1:
+				want = oracleEncodeV2(t, recs, archiveLevel, 4*blockTarget)
+			case tc.v2:
+				want = oracleEncodeV2(t, recs, 0, blockTarget)
+			default:
+				want = oracleEncodeV1(recs)
+			}
+
+			cfg := tc.rewrite
+			cfg.Obs = obs.NewRegistry()
+			if tc.tier == 1 {
+				cfg.ArchiveAfter = coldArchive
+			} else {
+				cfg.CompactMin = len(names)
+				cfg.SegmentCap = 1 << 20 // everything built above is "small"
+			}
+			st, err := Open(be, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.tier == 1 {
+				if err := st.Append(Meta{Time: coldNow}, "now"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := cfg.Obs.Counter("store.maintain_errors").Load(); got != 0 {
+				t.Fatalf("store.maintain_errors = %d", got)
+			}
+
+			merged := segName(0, 1, len(names), tc.tier)
+			got, err := be.Read(merged)
+			if err != nil {
+				t.Fatalf("no merged segment: %v (have %v)", err, segmentNames(t, be))
+			}
+			for _, name := range names {
+				if _, err := be.Read(name); err == nil && name != merged {
+					t.Errorf("input %s survived the rewrite", name)
+				}
+			}
+			seg, err := ParseSegment(got)
+			if err != nil || !seg.Sealed {
+				t.Fatalf("merged segment: sealed=%v err=%v", seg.Sealed, err)
+			}
+			if !reflect.DeepEqual(seg.Recs, recs) {
+				t.Fatalf("merged segment holds %d records, oracle %d, or they differ", len(seg.Recs), len(recs))
+			}
+			if seg.Index != x {
+				t.Fatalf("index %+v, oracle %+v", seg.Index, x)
+			}
+			info := st.Segments()[0]
+			if info.Name != merged || info.Bytes != raw || info.Index != x || info.DiskBytes != len(got) || info.Tier != tc.tier {
+				t.Fatalf("segment info %+v, want %s with %d raw bytes, %d on disk", info, merged, raw, len(got))
+			}
+			if !tc.v2 {
+				if !bytes.Equal(got, want) {
+					t.Fatal("v1 output differs from the oracle's bytes")
+				}
+				return
+			}
+			if f := sealedFooterV2(t, got); f.RawTotal != raw {
+				t.Fatalf("footer raw total %d, oracle %d", f.RawTotal, raw)
+			}
+			wantSeg, err := ParseSegment(want)
+			if err != nil || !reflect.DeepEqual(wantSeg.Recs, seg.Recs) {
+				t.Fatalf("oracle output does not parse to the same records: %v", err)
+			}
+			gotShapes, wantShapes := blockShapes(t, got), blockShapes(t, want)
+			if len(wantShapes) < 2 {
+				t.Fatalf("oracle output has %d blocks; the case exercises no block boundary", len(wantShapes))
+			}
+			if !reflect.DeepEqual(gotShapes, wantShapes) {
+				t.Fatalf("blocks break differently:\n got  %+v\n want %+v", gotShapes, wantShapes)
+			}
+		})
+	}
+}
+
+// flipBackend lends a damaged copy of one file: the byte at offset off
+// of name reads inverted while bad is set. The file itself is intact.
+type flipBackend struct {
+	Backend
+	name string
+	off  int
+	bad  bool
+}
+
+func (b *flipBackend) Read(name string) ([]byte, error) {
+	data, err := b.Backend.Read(name)
+	if err != nil || !b.bad || name != b.name {
+		return data, err
+	}
+	data = append([]byte(nil), data...)
+	data[b.off] ^= 0xFF
+	return data, nil
+}
+
+func backendFiles(t *testing.T, be Backend) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	for _, name := range segmentNames(t, be) {
+		data, err := be.Read(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = string(data)
+	}
+	return files
+}
+
+// A sealed input whose block no longer matches its CRC fails the
+// rewrite before any file is written or removed; the run stands and is
+// archived once the segment reads true again.
+func TestRewriteCorruptInputTouchesNothing(t *testing.T) {
+	mem := NewMemBackend()
+	be := &flipBackend{Backend: mem, name: segName(0, 2, 2, 0), off: headerV2Size + 5}
+	reg := obs.NewRegistry()
+	st, err := Open(be, Config{
+		Shards: 1, CompactMin: 1 << 20, Compress: CompressBlocks,
+		ArchiveAfter: coldArchive, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 3; n++ {
+		appendSealed(t, st, n*40, 40)
+	}
+	if err := st.Append(Meta{Time: coldNow}, "now"); err != nil {
+		t.Fatal(err)
+	}
+	be.bad = true
+	before, segsBefore := backendFiles(t, mem), st.Segments()
+	if err := st.Flush(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Flush over a corrupt cold segment = %v, want ErrCorrupt", err)
+	}
+	if err := st.Maintain(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Maintain over a corrupt cold segment = %v, want ErrCorrupt", err)
+	}
+	if got := reg.Counter("store.maintain_errors").Load(); got != 2 {
+		t.Fatalf("store.maintain_errors = %d, want 2", got)
+	}
+	// Flush sealed the hot segment; nothing else may have changed.
+	hot := segName(0, 4, 4, 0)
+	after := backendFiles(t, mem)
+	delete(before, hot)
+	delete(after, hot)
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("files changed under a failed rewrite: now %v", segmentNames(t, mem))
+	}
+	if segs := st.Segments(); !reflect.DeepEqual(segs[:3], segsBefore[:3]) || len(segs) != 4 {
+		t.Fatalf("segment list changed under a failed rewrite: %+v", segs)
+	}
+	if n := reg.Counter("store.archive_runs").Load(); n != 0 {
+		t.Fatalf("%d archive runs counted", n)
+	}
+
+	be.bad = false
+	if err := st.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("store.archived_segments").Load(); got != 3 {
+		t.Fatalf("archived %d segments once readable, want 3", got)
+	}
+	if got := len(allRecs(t, mem)); got != 121 {
+		t.Fatalf("%d records after the archive, want 121", got)
+	}
+	in, out := reg.Counter("store.archive_in_bytes").Load(), reg.Counter("store.archive_out_bytes").Load()
+	if want := len(before[segName(0, 1, 1, 0)]) + len(before[segName(0, 2, 2, 0)]) + len(before[segName(0, 3, 3, 0)]); in != int64(want) {
+		t.Fatalf("store.archive_in_bytes = %d, want the %d bytes of the three inputs", in, want)
+	}
+	if data, _ := mem.Read(segName(0, 1, 3, 1)); out != int64(len(data)) || out == 0 {
+		t.Fatalf("store.archive_out_bytes = %d, archive file is %d bytes", out, len(data))
+	}
+}
+
+// Housekeeping runs after the records are durable, so its failure is
+// not the append's: with one cold segment of one shard unreadable,
+// every record of every batch is still appended, counted and readable,
+// the other shard archives as usual, and the poisoned shard catches up
+// when a later store opens over files that read true.
+func TestAppendOutlivesFailedMaintenance(t *testing.T) {
+	mem := NewMemBackend()
+	be := &flipBackend{Backend: mem, name: segName(0, 1, 1, 0), off: headerV2Size + 5, bad: true}
+	cfg := Config{Shards: 2, SegmentCap: 2048, Compress: CompressBlocks, ArchiveAfter: 2_000}
+	cfg.Obs = obs.NewRegistry()
+	st, err := Open(be, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches, per = 200, 16
+	want := make(map[string]Meta)
+	for b := 0; b < batches; b++ {
+		recs := make([]BatchRec, per)
+		for i := range recs {
+			m, line := compRec(b*per + i) // machines 0..5: both shards in every batch
+			recs[i] = BatchRec{Meta: m, Line: []byte(line)}
+			want[line] = m
+		}
+		if err := st.AppendBatch(recs); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+	}
+	m, line := compRec(batches * per)
+	if err := st.Append(m, line); err != nil {
+		t.Fatalf("single append: %v", err)
+	}
+	want[line] = m
+
+	reg := cfg.Obs
+	if got := reg.Counter("store.appends").Load(); got != int64(len(want)) {
+		t.Fatalf("store.appends = %d, want %d", got, len(want))
+	}
+	if reg.Counter("store.maintain_errors").Load() == 0 {
+		t.Fatal("store.maintain_errors did not move")
+	}
+	checkRecs(t, allRecs(t, mem), want)
+	tiers := [2][2]int{}
+	for _, info := range st.Segments() {
+		tiers[info.Shard][info.Tier]++
+	}
+	if tiers[0][1] != 0 || tiers[1][1] == 0 {
+		t.Fatalf("segments by [shard][tier] = %v: shard 0 must be stuck, shard 1 archiving", tiers)
+	}
+	if err := st.Maintain(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Maintain = %v, want ErrCorrupt", err)
+	}
+	if err := st.Flush(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Flush = %v, want ErrCorrupt", err)
+	}
+
+	cfg.Obs = obs.NewRegistry()
+	st2, err := Open(mem, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range st.Segments() { // at most one run per pass
+		if err := st2.Maintain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cfg.Obs.Counter("store.maintain_errors").Load() != 0 {
+		t.Fatal("maintenance still failing over intact files")
+	}
+	if info := st2.Segments()[0]; info.Shard != 0 || info.Tier != 1 || info.Start != 1 {
+		t.Fatalf("shard 0 did not archive from its first segment after reopen: %+v", info)
+	}
+	checkRecs(t, allRecs(t, mem), want)
+}
+
+// archiveAllocs builds a store holding eight cold sealed segments of
+// perSegment records and one hot record, and returns the heap
+// allocations of the one Maintain call that archives them, beside the
+// number of tokens the archive's dictionary defines.
+func archiveAllocs(t *testing.T, perSegment int) (allocs uint64, dictTokens int) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	be := NewMemBackend()
+	st, err := Open(be, Config{
+		Shards: 1, CompactMin: 1 << 20, SegmentCap: 1 << 30,
+		Compress: CompressBlocks, ArchiveAfter: coldArchive, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < archiveRunMax; n++ {
+		appendSealed(t, st, n*perSegment, perSegment)
+	}
+	if err := st.Append(Meta{Time: coldNow}, "now"); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = st.Maintain()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("store.archived_segments").Load(); got != archiveRunMax {
+		t.Fatalf("archived %d segments, want %d", got, archiveRunMax)
+	}
+	data, err := be.Read(segName(0, 1, archiveRunMax, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs, len(sealedFooterV2(t, data).Dict)
+}
+
+// With the encoder and decoder pools warm, an archive run allocates per
+// input file, per output file and per token the output's dictionary
+// defines (two each, at most maxDictEntries tokens a file — the encoder's
+// vocabulary, as on the ingest path), never per record: no flate.Writer
+// is built, no line becomes a string. Eight times the records must cost
+// the same few allocations.
+func TestArchiveRewriteNoAllocPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	// A collection would empty the pools, and a warm encoder parked on
+	// another P's private slot is out of reach.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	archiveAllocs(t, 400) // warm the pools and their buffers
+	const perRun = 64     // measured 29: 3 per input, the output's copy, its name and info
+	for _, perSegment := range []int{50, 400} {
+		allocs, tokens := archiveAllocs(t, perSegment)
+		rest := int(allocs) - 2*tokens
+		t.Logf("archive run of %d records: %d allocations, %d dictionary tokens, %d besides", archiveRunMax*perSegment, allocs, tokens, rest)
+		if rest > perRun {
+			t.Errorf("archive run of %d records allocates %d besides its dictionary, want <= %d whatever the count", archiveRunMax*perSegment, rest, perRun)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"compress/flate"
 	"fmt"
 	"math"
 	"sort"
@@ -29,9 +28,11 @@ type Config struct {
 	// CRC-framed format, CompressBlocks the v2 block-compressed format
 	// (see compress.go). Reads understand both regardless.
 	Compress CompressMode
-	// CompressLevel is the flate level for CompressBlocks; 0 selects
-	// flate.BestSpeed (the ingest path cannot afford more, and the
-	// archival tier recompresses at BestCompression anyway).
+	// CompressLevel is the flate level of the online CompressBlocks
+	// writer; the zero value is flate.NoCompression, stored blocks (the
+	// ingest path cannot afford an entropy coder per flush, see
+	// newCompWriter). The archival tier recompresses cold segments at
+	// archiveLevel whatever this is.
 	CompressLevel int
 	// BlockTarget is the v1-equivalent byte size of one compressed
 	// block — the granularity of zone-map pruning. 0 selects
@@ -39,7 +40,7 @@ type Config struct {
 	BlockTarget int
 	// ArchiveAfter, when non-zero, is the cpuTime age (ms behind the
 	// newest record the store has seen) past which cold sealed segments
-	// roll into the archival tier: re-encoded at BestCompression, up to
+	// roll into the archival tier: re-encoded at archiveLevel, up to
 	// archiveRunMax segments merged per archive file. Archival preserves
 	// every record; only its encoding changes.
 	ArchiveAfter uint64
@@ -62,6 +63,13 @@ const (
 	// archiveRunMax caps how many cold segments one archival pass merges
 	// into a single tier-1 file.
 	archiveRunMax = 8
+
+	// archiveLevel is the DEFLATE level of tier-1 files. Archival runs on
+	// the appending worker, so the level is ingest CPU; by the sweep in
+	// docs/store.md (levels 4 to 9 under ingest_flood) 6 costs a third
+	// less CPU per record than 9 for 1.3% more store bytes, 7 and 8 buy
+	// no bytes back, and 4 and 5 give up more bytes than CPU.
+	archiveLevel = 6
 )
 
 func (c Config) withDefaults() Config {
@@ -241,6 +249,9 @@ type Store struct {
 	obsAbandoned   *obs.Counter
 	obsArchived    *obs.Counter
 	obsArchiveRuns *obs.Counter
+	obsArchiveIn   *obs.Counter
+	obsArchiveOut  *obs.Counter
+	obsMaintainErr *obs.Counter
 	obsExpiredSegs *obs.Counter
 	obsExpiredRecs *obs.Counter
 	obsBlocks      *obs.Counter
@@ -294,6 +305,9 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		obsAbandoned:   reg.Counter("store.abandoned"),
 		obsArchived:    reg.Counter("store.archived_segments"),
 		obsArchiveRuns: reg.Counter("store.archive_runs"),
+		obsArchiveIn:   reg.Counter("store.archive_in_bytes"),
+		obsArchiveOut:  reg.Counter("store.archive_out_bytes"),
+		obsMaintainErr: reg.Counter("store.maintain_errors"),
 		obsExpiredSegs: reg.Counter("store.expired_segments"),
 		obsExpiredRecs: reg.Counter("store.expired_records"),
 		obsBlocks:      reg.Counter("store.blocks"),
@@ -375,25 +389,19 @@ func indexOf(recs []Rec) Index {
 // rewriteSealed replaces a segment file with a sealed re-encoding of
 // the given records in the store's configured format, returning the
 // bytes written.
-func (s *Store) rewriteSealed(name string, recs []Rec) ([]byte, error) {
-	data, err := encodeRecs(recs, s.cfg)
+func (s *Store) rewriteSealed(name string, recs []Rec) (data []byte, err error) {
+	if s.cfg.Compress == CompressBlocks {
+		data, err = encodeSegmentV2(recs, s.cfg.CompressLevel, s.cfg.BlockTarget)
+	} else {
+		for _, r := range recs {
+			data = AppendFrame(data, r.Meta, r.Line)
+		}
+		data = AppendFooter(data, indexOf(recs), uint32(len(data)))
+	}
 	if err != nil {
 		return nil, err
 	}
 	return data, s.be.Create(name, data)
-}
-
-// encodeRecs encodes records as one sealed segment in the configured
-// format.
-func encodeRecs(recs []Rec, cfg Config) ([]byte, error) {
-	if cfg.Compress == CompressBlocks {
-		return encodeSegmentV2(recs, cfg.CompressLevel, cfg.BlockTarget)
-	}
-	var frames []byte
-	for _, r := range recs {
-		frames = AppendFrame(frames, r.Meta, r.Line)
-	}
-	return AppendFooter(frames, indexOf(recs), uint32(len(frames))), nil
 }
 
 // openLocked ensures the shard has an active segment — and, when
@@ -462,17 +470,7 @@ func (s *Store) flushScratchLocked(sh *shard, rotations *int) error {
 	}
 	sh.active.Bytes += n
 	s.foldPendingLocked(sh, nil)
-	if sh.active.Bytes >= s.cfg.SegmentCap {
-		if err := s.sealLocked(sh); err != nil {
-			return err
-		}
-		*rotations++
-		if err := s.compactLocked(sh); err != nil {
-			return err
-		}
-		return s.maintainLocked(sh)
-	}
-	return nil
+	return s.rotateLocked(sh, rotations)
 }
 
 // flushCompressedLocked is flushLocked's v2 half: push the staged
@@ -500,16 +498,24 @@ func (s *Store) flushCompressedLocked(sh *shard, rotations *int) error {
 	}
 	sh.active.Bytes += stagedV1
 	s.foldPendingLocked(sh, w)
-	if sh.active.Bytes >= s.cfg.SegmentCap {
-		if err := s.sealLocked(sh); err != nil {
-			return err
-		}
-		*rotations++
-		if err := s.compactLocked(sh); err != nil {
-			return err
-		}
-		return s.maintainLocked(sh)
+	return s.rotateLocked(sh, rotations)
+}
+
+// rotateLocked seals the active segment once it has reached the cap,
+// then compacts and runs retention maintenance. Caller holds sh.mu.
+func (s *Store) rotateLocked(sh *shard, rotations *int) error {
+	if sh.active.Bytes < s.cfg.SegmentCap {
+		return nil
 	}
+	if err := s.sealLocked(sh); err != nil {
+		return err
+	}
+	*rotations++
+	// The records are durable: a rewrite that fails leaves its run in
+	// place and is counted (store.maintain_errors), not reported as a
+	// failed append.
+	_ = s.compactLocked(sh)
+	_ = s.maintainLocked(sh)
 	return nil
 }
 
@@ -701,20 +707,93 @@ func (s *Store) compactLocked(sh *shard) error {
 		return nil
 	}
 	span := obs.StartSpan(s.compactNS)
-	recs, x, rawBytes, err := s.readRun(run)
-	if err != nil {
+	if err := s.rewriteLocked(sh, i, len(sh.sealed), 0); err != nil {
 		return err
 	}
-	out, err := encodeRecs(recs, s.cfg)
-	if err != nil {
-		return err
-	}
+	s.obsCompactions.Inc()
+	span.End()
+	return nil
+}
+
+// rewriteLocked replaces the sealed run sh.sealed[i:j] by one merged
+// segment of the given tier without materializing a record: each input
+// is borrowed from the backend and scanned through a pooled decoder
+// straight into the output encoder — v2 at archiveLevel with 4x blocks
+// from the encoder pool for tier 1, the store's configured format for
+// tier 0. Every input CRC is checked and each input must yield the
+// records its footer counted; on any failure no file has been touched,
+// the run stands, and store.maintain_errors counts it. Caller holds
+// sh.mu.
+func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
+	defer func() {
+		if err != nil {
+			s.obsMaintainErr.Inc()
+		}
+	}()
+	run := sh.sealed[i:j]
 	merged := &SegmentInfo{
-		Name:  segName(sh.id, run[0].Start, run[len(run)-1].End, 0),
+		Name:  segName(sh.id, run[0].Start, run[len(run)-1].End, tier),
 		Shard: sh.id, Start: run[0].Start, End: run[len(run)-1].End,
-		Bytes: rawBytes, DiskBytes: len(out), Index: x, Sealed: true,
+		Tier: tier, Sealed: true,
 	}
-	if err := s.be.Create(merged.Name, out); err != nil {
+	var w *compWriter // nil writes v1 frames
+	switch {
+	case tier > 0:
+		w = archiveEncoders.Get().(*compWriter)
+		defer archiveEncoders.Put(w)
+		w.target = 4 * s.cfg.BlockTarget
+	case s.cfg.Compress == CompressBlocks:
+		w = newCompWriter(s.cfg.CompressLevel, s.cfg.BlockTarget)
+	}
+	if w != nil {
+		w.openSegment()
+	}
+	d := AcquireDecoder()
+	defer ReleaseDecoder(d)
+	var frames []byte
+	var encErr error
+	emit := func(m Meta, line []byte) {
+		merged.Index.Add(m)
+		merged.Bytes += FrameSize(len(line))
+		if w == nil {
+			frames = AppendFrameBytes(frames, m, line)
+		} else if encErr == nil {
+			encErr = w.add(m, line)
+		}
+	}
+	in := 0
+	for _, info := range run {
+		data, err := s.be.Read(info.Name)
+		if err != nil {
+			return err
+		}
+		in += len(data)
+		// The footer must be the one the segment was sealed or adopted
+		// with and a v2 body must decode: a scan degraded to stream
+		// salvage would skip the block CRCs.
+		rs := newReaderSegment(info.Name, info.Shard, info.Start, info.End, info.Tier, data)
+		if rs.Index != info.Index || (rs.v2.DataLen != 0 && rs.footer() == nil) {
+			return fmt.Errorf("%w: %s: footer is not the one it was sealed with", ErrCorrupt, info.Name)
+		}
+		st, err := rs.Scan(d, nil, emit)
+		if err == nil && st.Records != int(info.Index.Count) {
+			err = fmt.Errorf("%w: footer count %d but %d records", ErrCorrupt, info.Index.Count, st.Records)
+		}
+		if err == nil {
+			err = encErr
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", info.Name, err)
+		}
+	}
+	var data []byte
+	if w == nil {
+		data = AppendFooter(frames, merged.Index, uint32(len(frames)))
+	} else if data, _, err = w.seal(merged.Index, merged.Bytes); err != nil {
+		return err
+	}
+	merged.DiskBytes = len(data)
+	if err := s.be.Create(merged.Name, data); err != nil {
 		return err
 	}
 	for _, info := range run {
@@ -722,41 +801,20 @@ func (s *Store) compactLocked(sh *shard) error {
 			_ = s.be.Remove(info.Name)
 		}
 	}
-	sh.sealed = append(sh.sealed[:i], merged)
-	s.obsCompactions.Inc()
-	span.End()
-	return nil
-}
-
-// readRun reads and parses a run of sealed segments, returning their
-// records with the merged index and v1-equivalent size.
-func (s *Store) readRun(run []*SegmentInfo) ([]Rec, Index, int, error) {
-	var recs []Rec
-	var x Index
-	rawBytes := 0
-	for _, info := range run {
-		data, err := s.be.Read(info.Name)
-		if err != nil {
-			return nil, x, 0, err
-		}
-		seg, err := ParseSegment(data)
-		if err != nil {
-			return nil, x, 0, err
-		}
-		for _, r := range seg.Recs {
-			x.Add(r.Meta)
-			rawBytes += FrameSize(len(r.Line))
-		}
-		recs = append(recs, seg.Recs...)
+	sh.sealed[i] = merged
+	sh.sealed = append(sh.sealed[:i+1], sh.sealed[j:]...)
+	if tier > 0 {
+		s.obsArchiveIn.Add(int64(in))
+		s.obsArchiveOut.Add(int64(len(data)))
 	}
-	return recs, x, rawBytes, nil
+	return nil
 }
 
 // maintainLocked runs the shard's retention pass: expire sealed
 // segments beyond the retention horizon, then roll the oldest run of
 // cold hot-tier segments into one archival-tier segment (re-encoded at
-// BestCompression with larger blocks — cold data trades decode cost
-// for space). Ages are cpuTime distances from the newest record the
+// archiveLevel with larger blocks — cold data trades decode cost for
+// space). Ages are cpuTime distances from the newest record the
 // store has seen, so retention advances with the workload's clock, not
 // the host's. Caller holds sh.mu.
 func (s *Store) maintainLocked(sh *shard) error {
@@ -810,29 +868,10 @@ func (s *Store) maintainLocked(sh *shard) error {
 		return nil
 	}
 	span := obs.StartSpan(s.archiveNS)
-	run := sh.sealed[i:j]
-	recs, x, rawBytes, err := s.readRun(run)
-	if err != nil {
+	if err := s.rewriteLocked(sh, i, j, 1); err != nil {
 		return err
 	}
-	out, err := encodeSegmentV2(recs, flate.BestCompression, 4*s.cfg.BlockTarget)
-	if err != nil {
-		return err
-	}
-	merged := &SegmentInfo{
-		Name:  segName(sh.id, run[0].Start, run[len(run)-1].End, 1),
-		Shard: sh.id, Start: run[0].Start, End: run[len(run)-1].End,
-		Bytes: rawBytes, DiskBytes: len(out), Tier: 1, Index: x, Sealed: true,
-	}
-	if err := s.be.Create(merged.Name, out); err != nil {
-		return err
-	}
-	for _, info := range run {
-		_ = s.be.Remove(info.Name)
-	}
-	sh.sealed[i] = merged
-	sh.sealed = append(sh.sealed[:i+1], sh.sealed[j:]...)
-	s.obsArchived.Add(int64(len(run)))
+	s.obsArchived.Add(int64(j - i))
 	s.obsArchiveRuns.Inc()
 	span.End()
 	return nil
@@ -913,6 +952,22 @@ type ReaderSegment struct {
 	v2ok    bool
 }
 
+// newReaderSegment wraps a segment file's borrowed bytes, checking its
+// fixed-size footer tail of either format and nothing before it.
+func newReaderSegment(name string, shard, start, end, tier int, data []byte) *ReaderSegment {
+	rs := &ReaderSegment{Name: name, Shard: shard, Start: start, Tier: tier, end: end, data: data}
+	if x, dataLen, ok := ParseFooter(data); ok {
+		rs.Index = x
+		rs.dataLen = dataLen
+		rs.Sealed = true
+	} else if f, ok := parseFooterV2(data); ok {
+		rs.Index = f.Index
+		rs.v2 = f
+		rs.Sealed = true
+	}
+	return rs
+}
+
 // Load parses the segment's records. An unsealed segment with a torn
 // tail yields its valid prefix and ErrTruncated.
 func (rs *ReaderSegment) Load() (*Segment, error) {
@@ -986,16 +1041,7 @@ func openReader(be Backend) (r *Reader, stale bool, err error) {
 		if err != nil {
 			return nil, !stillListed(be, name), err
 		}
-		rs := &ReaderSegment{Name: name, Shard: sh, Start: start, Tier: tier, end: end, data: data}
-		if x, dataLen, ok := ParseFooter(data); ok {
-			rs.Index = x
-			rs.dataLen = dataLen
-			rs.Sealed = true
-		} else if f, ok := parseFooterV2(data); ok {
-			rs.Index = f.Index
-			rs.v2 = f
-			rs.Sealed = true
-		}
+		rs := newReaderSegment(name, sh, start, end, tier, data)
 		if sh > maxShard {
 			maxShard = sh
 		}
