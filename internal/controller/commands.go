@@ -786,29 +786,20 @@ func (c *Controller) cmdStdin(args []string) {
 // cmdGetLog retrieves a filter's log, incrementally when possible: the
 // controller remembers how many bytes it has already fetched into the
 // destination (and their CRC), asks the daemon for only the bytes past
-// that offset, and appends them. The daemon echoes the total file size
-// and the CRC of the skipped prefix; a mismatch in either (the log
-// shrank, or was rewritten in place at the same length, as the counting
-// filter does every batch) falls back to a full transfer. Daemons
-// predating the offset extension ignore the trailing field and return
-// the whole file with no size echo, which also lands on the full-copy
-// path.
+// that offset, and appends them. A reply carries a bounded chunk, the
+// file's total size and the CRC of the prefix the offset skipped; the
+// controller verifies that prefix against its own, appends, advances,
+// and asks again until it holds the total — so a log of any size, or
+// any amount of new log, arrives as a sequence of exchanges each well
+// inside the wire bound, and a copy cut short resumes where it stopped.
+// A prefix that no longer matches (the log was rewritten in place, as
+// the counting filter does every batch) or an offset the log has shrunk
+// below falls back to a full transfer from the top. Daemons predating
+// the offset extension ignore the trailing field and return the whole
+// file with no size echo, which also lands on the full-copy path.
 func (c *Controller) cmdGetLog(args []string) {
 	if len(args) != 2 {
 		c.printf("usage: getlog filtername destfile\n")
-		return
-	}
-	c.mu.Lock()
-	f, ok := c.filters[args[0]]
-	var off int
-	var prefixCRC uint32
-	if ok {
-		off = f.LogOffset
-		prefixCRC = f.LogCRC
-	}
-	c.mu.Unlock()
-	if !ok {
-		c.printf("no filter '%s'\n", args[0])
 		return
 	}
 	dest := args[1]
@@ -816,70 +807,78 @@ func (c *Controller) cmdGetLog(args []string) {
 		dest = "/usr/" + dest
 	}
 	c.mu.Lock()
-	if f.LogDest != dest {
-		// New destination: the remembered offset describes a different
-		// file, so fetch from the top.
-		off, prefixCRC = 0, 0
+	f, ok := c.filters[args[0]]
+	var off int
+	var prefixCRC uint32
+	if ok && f.LogDest == dest {
+		// Same destination as last time: resume. Any other destination
+		// is a different file, fetched from the top.
+		off, prefixCRC = f.LogOffset, f.LogCRC
 	}
 	c.mu.Unlock()
+	if !ok {
+		c.printf("no filter '%s'\n", args[0])
+		return
+	}
 
-	req := &daemon.ProcReq{Type: daemon.TGetFileReq, UID: c.uid, Path: filter.LogPath(f.Name), Offset: off}
-	rep, err := c.exchange(f.Machine, req.Wire())
-	if err != nil {
-		c.printf("getlog: %v\n", err)
-		return
-	}
-	if !rep.OK() {
-		c.printf("getlog: %s\n", rep.Status)
-		return
-	}
-	total := rep.PID // daemon echoes the full file size here
-	data := []byte(rep.Data)
-	incremental := off > 0 && total == off+len(data) &&
-		rep.Aux == strconv.FormatUint(uint64(prefixCRC), 10)
-	if incremental {
-		if len(data) > 0 {
-			if err := c.machine.FS().Append(dest, c.uid, data); err != nil {
-				c.printf("getlog: %v\n", err)
-				return
-			}
-		}
-	} else {
-		// Full copy: either the first fetch, a prefix mismatch, or a
-		// daemon that did not understand the offset (total == 0). When
-		// the daemon honoured an offset we no longer trust, refetch the
-		// whole file.
-		if off > 0 && total > 0 && len(data) < total {
-			req.Offset = 0
-			rep, err = c.exchange(f.Machine, req.Wire())
-			if err != nil {
-				c.printf("getlog: %v\n", err)
-				return
-			}
-			if !rep.OK() {
-				c.printf("getlog: %s\n", rep.Status)
-				return
-			}
-			total = rep.PID
-			data = []byte(rep.Data)
-		}
-		if err := c.machine.FS().Create(dest, c.uid, fsys.PrivateMode, data); err != nil {
+	req := &daemon.ProcReq{Type: daemon.TGetFileReq, UID: c.uid, Path: filter.LogPath(f.Name)}
+	restarted := false
+	for {
+		req.Offset = off
+		rep, err := c.exchange(f.Machine, req.Wire())
+		if err != nil {
 			c.printf("getlog: %v\n", err)
 			return
 		}
-		off, prefixCRC = 0, 0
+		if !rep.OK() {
+			c.printf("getlog: %s\n", rep.Status)
+			return
+		}
+		total := rep.PID // daemon echoes the full file size here
+		data := []byte(rep.Data)
+		switch {
+		case off > 0 && total >= off+len(data) && rep.Aux == strconv.FormatUint(uint64(prefixCRC), 10):
+			// The splice verifies: what the daemon skipped is what the
+			// destination already holds.
+			if len(data) > 0 {
+				err = c.machine.FS().Append(dest, c.uid, data)
+			}
+		case off > 0 && off <= total:
+			// The daemon honoured an offset whose prefix is no longer
+			// ours: refetch from the top — once; a log rewritten faster
+			// than it can be copied is not worth chasing.
+			if restarted {
+				c.printf("getlog: %s changed while it was being copied; try again\n", req.Path)
+				return
+			}
+			restarted = true
+			off, prefixCRC = 0, 0
+			continue
+		default:
+			// A transfer from the top: the first fetch, a log that
+			// shrank below our offset (the daemon reset it), or a daemon
+			// that did not understand the offset (total == 0).
+			err = c.machine.FS().Create(dest, c.uid, fsys.PrivateMode, data)
+			off, prefixCRC = 0, 0
+		}
+		if err != nil {
+			c.printf("getlog: %v\n", err)
+			return
+		}
+		off += len(data)
+		prefixCRC = crc32.Update(prefixCRC, crc32.IEEETable, data)
+		if total == 0 {
+			// Legacy daemon (no size echo): do not track an offset; the
+			// next getlog is another full transfer.
+			off, prefixCRC = 0, 0
+		}
+		c.mu.Lock()
+		f.LogDest, f.LogOffset, f.LogCRC = dest, off, prefixCRC
+		c.mu.Unlock()
+		if off >= total {
+			return
+		}
 	}
-	c.mu.Lock()
-	f.LogDest = dest
-	if total >= off+len(data) && total > 0 {
-		f.LogOffset = off + len(data)
-		f.LogCRC = crc32.Update(prefixCRC, crc32.IEEETable, data)
-	} else {
-		// Legacy daemon (no size echo): do not track an offset; the next
-		// getlog is another full transfer.
-		f.LogOffset, f.LogCRC = 0, 0
-	}
-	c.mu.Unlock()
 }
 
 // cmdQuery runs selection rules against a filter's event store. The

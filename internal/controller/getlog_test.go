@@ -1,6 +1,9 @@
 package controller
 
 import (
+	"bytes"
+	"hash/crc32"
+	"math/rand"
 	"regexp"
 	"strconv"
 	"strings"
@@ -122,6 +125,79 @@ func TestGetLogIncremental(t *testing.T) {
 	}
 	if f := logState(t, ctl, "f1"); f.LogDest != "/usr/elsewhere" {
 		t.Fatalf("LogDest = %q", f.LogDest)
+	}
+}
+
+// TestGetLogBeyondWireBound: a getlog is a sequence of bounded
+// exchanges, so neither a first fetch nor an increment is limited by
+// what one wire message may carry (16 MiB). A 44 MiB log comes over
+// from offset 0, 23 MiB more come over incrementally, the copy matches
+// the source byte for byte both times, and nothing about it looks like
+// a failing machine. When the whole remainder travelled in one reply,
+// the daemon's reply was over the bound, the controller called it
+// corrupt, retried until exhausted and declared the machine unreachable.
+func TestGetLogBeyondWireBound(t *testing.T) {
+	c, ctl, out := newSystem(t)
+	ctl.Exec("filter f1 blue")
+	blue, err := c.Machine("blue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := filter.LogPath("f1")
+	rng := rand.New(rand.NewSource(16))
+	grow := func(n int) {
+		t.Helper()
+		chunk := make([]byte, 1<<20+4321) // appended in pieces that straddle extents
+		for n > 0 {
+			rng.Read(chunk)
+			k := min(n, len(chunk))
+			if err := blue.FS().Append(log, testUID, chunk[:k]); err != nil {
+				t.Fatal(err)
+			}
+			n -= k
+		}
+	}
+	fetchAndCompare := func(what string) {
+		t.Helper()
+		ctl.Exec("getlog f1 big")
+		src, err := blue.FS().Read(log, testUID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := ctl.machine.FS().Read("/usr/big", testUID)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", what, err, out.String())
+		}
+		if !bytes.Equal(src, dst) {
+			t.Fatalf("%s: destination holds %d bytes, source %d, or they differ\n%s", what, len(dst), len(src), out.String())
+		}
+		if f := logState(t, ctl, "f1"); f.LogOffset != len(src) || f.LogCRC != crc32.ChecksumIEEE(src) {
+			t.Fatalf("%s: resume state offset %d crc %08x, want %d %08x", what, f.LogOffset, f.LogCRC, len(src), crc32.ChecksumIEEE(src))
+		}
+	}
+	grow(44 << 20)
+	fetchAndCompare("first fetch of 44 MiB")
+	// The destination's identity shows the second fetch appended to it
+	// rather than starting over.
+	before, err := ctl.machine.FS().Open("/usr/big", testUID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow(23 << 20)
+	fetchAndCompare("increment of 23 MiB")
+	after, err := ctl.machine.FS().Open("/usr/big", testUID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.ID() != before.ID() {
+		t.Fatal("the incremental fetch replaced the destination instead of appending to it")
+	}
+	if s := out.String(); strings.Contains(s, "getlog:") || strings.Contains(s, "unreachable") {
+		t.Fatalf("getlog complained:\n%s", s)
+	}
+	ctl.Exec("status")
+	if s := out.String(); strings.Contains(s, "lost") || strings.Contains(s, "unreachable") {
+		t.Fatalf("a machine was given up on:\n%s", s)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dpm/internal/agg"
+	"dpm/internal/fsys"
 	"dpm/internal/kernel"
 	"dpm/internal/meter"
 	"dpm/internal/obs"
@@ -82,6 +83,7 @@ func Main(p *kernel.Process) int {
 		children:     make(map[int]*childInfo),
 		byStdio:      make(map[uint16]*childInfo),
 		creates:      make(map[string]*Reply),
+		fileSums:     make(map[string]prefixSum),
 		notifyFDs:    make(map[string]int),
 		notifyFailed: p.Machine().Obs().Counter("daemon.notify_failed"),
 	}
@@ -166,6 +168,9 @@ type daemonState struct {
 	createMu   sync.Mutex
 	creates    map[string]*Reply
 	tokenOrder []string // FIFO for bounding the ledger
+
+	// getfile prefix-CRC checkpoints by path (prefixCRC), guarded by mu.
+	fileSums map[string]prefixSum
 
 	// Persistent notification connections, one per controller
 	// (host, port). The paper's daemon opened a temporary connection
@@ -519,27 +524,91 @@ func (d *daemonState) handleList() *Reply {
 	return &Reply{Type: TListRep, Status: "ok", Data: b.String()}
 }
 
+// getFileChunk is the most file bytes one getfile reply carries: well
+// under maxWireSize, so a file of any size travels as a sequence of
+// replies the requester asks for one offset at a time.
+const getFileChunk = 4 << 20
+
+// handleGetFile ships up to getFileChunk bytes of a file from the
+// requested offset. The reply's PID carries the file's total size — a
+// total beyond offset+len(Data) tells the requester to ask again from
+// there — and Aux the CRC-32 (IEEE) of the prefix the offset skipped,
+// so the requester can verify the splice (and detect an in-place
+// rewrite) before appending. An offset outside the file (it shrank)
+// resets to a transfer from the top. The cost is that of the bytes
+// shipped: one snapshot of the file serves the read and the checksum,
+// the reply's Data is the one copy made of the bytes, and the checksum
+// resumes from the path's checkpoint.
 func (d *daemonState) handleGetFile(req *ProcReq) *Reply {
-	// A borrowed view: the prefix is only checksummed, and the string
-	// conversion below is the one copy of what is shipped.
-	data, err := d.p.Machine().FS().View(req.Path, req.UID)
+	snap, err := d.p.Machine().FS().Open(req.Path, req.UID)
 	if err != nil {
 		return &Reply{Type: TGetFileRep, Status: err.Error()}
 	}
-	// Incremental retrieval: resume from the requested offset when it
-	// still lies within the file; a shrunken file resets to a full
-	// transfer. The reply's PID carries the file's total size and Aux
-	// the CRC of the skipped prefix, so the requester can verify the
-	// splice (and detect an in-place rewrite) before appending.
 	off := req.Offset
-	if off < 0 || off > len(data) {
+	if off < 0 || off > snap.Size() {
 		off = 0
 	}
-	return &Reply{
-		Type: TGetFileRep, PID: len(data), Status: "ok",
-		Data: string(data[off:]),
-		Aux:  strconv.FormatUint(uint64(crc32.ChecksumIEEE(data[:off])), 10),
+	var data strings.Builder
+	data.Grow(min(snap.Size()-off, getFileChunk))
+	for _, ext := range snap.Extents(off, getFileChunk) {
+		data.Write(ext)
 	}
+	return &Reply{
+		Type: TGetFileRep, PID: snap.Size(), Status: "ok",
+		Data: data.String(),
+		Aux:  strconv.FormatUint(uint64(d.prefixCRC(req.Path, snap, off, data.Len())), 10),
+	}
+}
+
+// prefixSum is a getfile checkpoint: crc is the CRC-32 (IEEE) of bytes
+// [0, off) of the file with fsys id file. A file's bytes below a length
+// once observed never change (fsys), so a checkpoint stays true of its
+// file for ever; it says nothing about any other file, including a
+// later one at the same path.
+type prefixSum struct {
+	file uint64
+	off  int
+	crc  uint32
+}
+
+// maxFileSums bounds the checkpoint table. Checkpoints only save work,
+// so a full table is simply emptied.
+const maxFileSums = 64
+
+// prefixCRC returns the CRC of snap's bytes [0, off), where the reply
+// is about to ship the n bytes from off. It extends the path's
+// checkpoint over only the bytes past it — none, when requests arrive
+// in sequence, because the checkpoint is then advanced over the shipped
+// bytes so the next request finds its prefix ready. A checkpoint of a
+// different file (the path was removed or replaced) or one already past
+// off (the requester went backwards, or another requester is further
+// on) is not used: the sum restarts from the top of the file.
+// Concurrent requests for one path each work on a copy and store a
+// checkpoint that is true in itself, so the last store wins and none
+// can mislead.
+func (d *daemonState) prefixCRC(path string, snap fsys.Snapshot, off, n int) uint32 {
+	d.mu.Lock()
+	ck := d.fileSums[path]
+	d.mu.Unlock()
+	if ck.file != snap.ID() || ck.off > off {
+		ck = prefixSum{file: snap.ID()}
+	}
+	sumTo := func(end int) {
+		for _, ext := range snap.Extents(ck.off, end-ck.off) {
+			ck.crc = crc32.Update(ck.crc, crc32.IEEETable, ext)
+		}
+		ck.off = end
+	}
+	sumTo(off)
+	prefix := ck.crc
+	sumTo(off + n)
+	d.mu.Lock()
+	if _, ok := d.fileSums[path]; !ok && len(d.fileSums) >= maxFileSums {
+		clear(d.fileSums)
+	}
+	d.fileSums[path] = ck
+	d.mu.Unlock()
+	return prefix
 }
 
 // handleQuery runs a selection-rule query against an event store on

@@ -74,6 +74,12 @@ func AppendFrame(buf []byte, kind uint32, id uint64, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
+// frameSizeOK reports whether a frame's leading size word can begin a
+// valid frame.
+func frameSizeOK(size uint32) bool {
+	return size >= frameHeader && size <= frameHeader+maxFramePayload
+}
+
 // ParseFrame decodes the first frame in buf, returning the frame and
 // the number of bytes it consumed. It returns ErrWireShort when buf
 // holds only a prefix of a frame (read more and retry) and
@@ -84,7 +90,7 @@ func ParseFrame(buf []byte) (Frame, int, error) {
 		return Frame{}, 0, ErrWireShort
 	}
 	size := binary.LittleEndian.Uint32(buf)
-	if size < frameHeader || size > frameHeader+maxFramePayload {
+	if !frameSizeOK(size) {
 		return Frame{}, 0, ErrWireCorrupt
 	}
 	if len(buf) < int(size) {
@@ -96,6 +102,72 @@ func ParseFrame(buf []byte) (Frame, int, error) {
 		Payload: append([]byte(nil), buf[frameHeader:size]...),
 	}
 	return f, int(size), nil
+}
+
+// frameReader takes session frames off a connection's byte stream with
+// receives sized to what the frame in hand still lacks: its header
+// first, then — the length now known — all of its payload. A frame is
+// one atomic Send, so the payload normally arrives in that one receive
+// and is handed on as received; if it comes in pieces, one buffer of
+// exactly the payload's size collects them. No buffer is grown by
+// reallocation, and no byte is copied again after the receive that
+// delivered it.
+type frameReader struct {
+	pending []byte // bytes read past the handshake: consumed before the connection is
+	hdr     []byte // header bytes of the frame in hand
+	payload []byte // its payload so far, once the header is whole
+}
+
+// next returns the connection's next frame, calling recv (one receive
+// of at most max bytes) as often as that takes. An error from recv — a
+// timeout included — leaves the reader holding what has arrived, so
+// the caller may deal with it and call next again. A size word no frame
+// can have is ErrWireCorrupt as soon as its four bytes are in. The
+// frame's payload is the caller's: the reader keeps no reference.
+func (r *frameReader) next(recv func(max int) ([]byte, error)) (Frame, error) {
+	for len(r.hdr) < frameHeader {
+		data, err := r.read(frameHeader-len(r.hdr), recv)
+		if err != nil {
+			return Frame{}, err
+		}
+		r.hdr = append(r.hdr, data...)
+		if len(r.hdr) >= 4 && !frameSizeOK(binary.LittleEndian.Uint32(r.hdr)) {
+			return Frame{}, ErrWireCorrupt
+		}
+	}
+	want := int(binary.LittleEndian.Uint32(r.hdr)) - frameHeader
+	for len(r.payload) < want {
+		data, err := r.read(want-len(r.payload), recv)
+		if err != nil {
+			return Frame{}, err
+		}
+		switch {
+		case r.payload != nil:
+			r.payload = append(r.payload, data...)
+		case len(data) == want:
+			r.payload = data
+		default:
+			r.payload = append(make([]byte, 0, want), data...)
+		}
+	}
+	f := Frame{
+		Kind:    binary.LittleEndian.Uint32(r.hdr[4:]),
+		ID:      binary.LittleEndian.Uint64(r.hdr[8:]),
+		Payload: r.payload,
+	}
+	r.hdr, r.payload = r.hdr[:0], nil
+	return f, nil
+}
+
+// read is recv, preceded by whatever is pending.
+func (r *frameReader) read(max int, recv func(max int) ([]byte, error)) ([]byte, error) {
+	if len(r.pending) == 0 {
+		return recv(max)
+	}
+	n := min(max, len(r.pending))
+	data := r.pending[:n:n]
+	r.pending = r.pending[n:]
+	return data, nil
 }
 
 // isFrameMagic reports whether buf begins with the session magic.

@@ -5,10 +5,7 @@ package daemon
 // request id, and replies return in completion order. The controller
 // half lives in session.go; the frame format in frame.go.
 
-import (
-	"errors"
-	"sync"
-)
+import "sync"
 
 // serveSession serves one persistent multiplexed session. buf holds
 // bytes already read past the magic preamble. Each request frame is
@@ -21,20 +18,13 @@ func (d *daemonState) serveSession(conn int, buf []byte) {
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	saidHello := false
+	fr := frameReader{pending: buf}
+	recv := func(max int) ([]byte, error) { return d.p.Recv(conn, max) }
 	for {
-		f, n, err := ParseFrame(buf)
-		if errors.Is(err, ErrWireShort) {
-			data, rerr := d.p.Recv(conn, 8192)
-			if rerr != nil {
-				return // EOF or peer gone: the session is over
-			}
-			buf = append(buf, data...)
-			continue
-		}
+		f, err := fr.next(recv)
 		if err != nil {
-			return // corrupt framing: tear the session down
+			return // EOF, peer gone, or corrupt framing: the session is over
 		}
-		buf = buf[n:]
 		switch f.Kind {
 		case FrameHello:
 			if !helloOK(f.Payload) {

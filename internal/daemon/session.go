@@ -504,34 +504,13 @@ func (s *Session) detach(fd int) {
 // calls and runs the heartbeat — after HeartbeatInterval of silence a
 // ping goes out, and a pong missing for HeartbeatTimeout kills the
 // connection from our side (the peer is wedged or the path is gone).
-func (s *Session) readLoop(fd int, buf []byte) error {
+func (s *Session) readLoop(fd int, leftover []byte) error {
+	fr := frameReader{pending: leftover}
 	idle := time.Now()
 	var pingID uint64
 	var pingSent time.Time
 	pingOut := false
 	for {
-		for {
-			f, n, err := ParseFrame(buf)
-			if errors.Is(err, ErrWireShort) {
-				break
-			}
-			if err != nil {
-				return err // corrupt framing: tear the connection down
-			}
-			buf = buf[n:]
-			idle = time.Now()
-			switch f.Kind {
-			case FrameRep:
-				s.deliver(f)
-			case FramePong:
-				if pingOut && f.ID == pingID {
-					pingOut = false
-					s.hbRTT.Since(pingSent)
-				}
-			default:
-				// Unknown frame kinds are skipped, as in the daemon mux.
-			}
-		}
 		now := time.Now()
 		var wait time.Duration
 		if pingOut {
@@ -553,14 +532,28 @@ func (s *Session) readLoop(fd int, buf []byte) error {
 		} else {
 			wait = next.Sub(now)
 		}
-		data, _, err := s.p.RecvTimeout(fd, 8192, wait)
+		f, err := fr.next(func(max int) ([]byte, error) {
+			data, _, err := s.p.RecvTimeout(fd, max, wait)
+			return data, err
+		})
 		if err != nil {
 			if errors.Is(err, kernel.ErrTimedOut) {
-				continue // just the heartbeat timer firing
+				continue // just the heartbeat timer firing; fr keeps a partial frame
 			}
-			return err
+			return err // the connection died, or corrupt framing: tear it down
 		}
-		buf = append(buf, data...)
+		idle = time.Now()
+		switch f.Kind {
+		case FrameRep:
+			s.deliver(f)
+		case FramePong:
+			if pingOut && f.ID == pingID {
+				pingOut = false
+				s.hbRTT.Since(pingSent)
+			}
+		default:
+			// Unknown frame kinds are skipped, as in the daemon mux.
+		}
 	}
 }
 

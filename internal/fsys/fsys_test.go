@@ -3,6 +3,7 @@ package fsys
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -274,13 +275,27 @@ func TestAppendOrderPreserved(t *testing.T) {
 // taken before concurrent Appends, a Create over the same path and a
 // Remove reads byte-identical throughout and afterwards (run under
 // -race: no writer may touch a byte a view covers), and an append on
-// the view reallocates instead of reaching the file.
+// the view reallocates instead of reaching the file. The second case
+// starts just below ExtentSize, so the appends beside the view are the
+// ones that fill the first extent to its end and open the next.
 func TestViewBorrowed(t *testing.T) {
-	fs := New()
 	chunk := bytes.Repeat([]byte("0123456789abcdef"), 8)
+	for _, tc := range []struct {
+		name   string
+		chunks int
+	}{
+		{"small", 5},
+		{"opens-an-extent", ExtentSize/len(chunk) - 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testViewBorrowed(t, chunk, tc.chunks) })
+	}
+}
+
+func testViewBorrowed(t *testing.T, chunk []byte, chunks int) {
+	fs := New()
 	// Grown by Append, so the file's slice has spare capacity past its
 	// length — the case where an in-place extension is possible at all.
-	for i := 0; i < 5; i++ {
+	for i := 0; i < chunks; i++ {
 		if err := fs.Append("/log", alice, chunk); err != nil {
 			t.Fatal(err)
 		}
@@ -289,10 +304,15 @@ func TestViewBorrowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bytes.Repeat(chunk, 5)
+	want := bytes.Repeat(chunk, chunks)
 	if !bytes.Equal(view, want) || cap(view) != len(view) {
 		t.Fatalf("view len %d cap %d, want the %d bytes written and no spare capacity", len(view), cap(view), len(want))
 	}
+	snap, err := fs.Open("/log", alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lent := snap.Extents(0, snap.Size())
 
 	stop := make(chan struct{})
 	var readers, writers sync.WaitGroup
@@ -300,8 +320,8 @@ func TestViewBorrowed(t *testing.T) {
 	go func() {
 		defer readers.Done()
 		for {
-			if !bytes.Equal(view, want) {
-				t.Error("view changed under a concurrent writer")
+			if !bytes.Equal(view, want) || !bytes.Equal(bytes.Join(lent, nil), want) {
+				t.Error("lent bytes changed under a concurrent writer")
 				return
 			}
 			select {
@@ -311,12 +331,13 @@ func TestViewBorrowed(t *testing.T) {
 			}
 		}
 	}()
+	const appended = "appended beside a view"
 	for w := 0; w < 4; w++ {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 200; i++ {
-				if err := fs.Append("/log", alice, []byte("appended beside a view")); err != nil {
+				if err := fs.Append("/log", alice, []byte(appended)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -324,6 +345,13 @@ func TestViewBorrowed(t *testing.T) {
 		}()
 	}
 	writers.Wait()
+	grown := append(append([]byte(nil), want...), strings.Repeat(appended, 4*200)...)
+	if got, _ := fs.Read("/log", alice); !bytes.Equal(got, grown) {
+		t.Fatalf("file is %d bytes after the appends, want the %d written in order", len(got), len(grown))
+	}
+	if pieces := len(mustOpen(t, fs, "/log").Extents(0, len(grown))); (pieces > 1) != (len(grown) > ExtentSize) {
+		t.Fatalf("a %d-byte file is held in %d extents", len(grown), pieces)
+	}
 	if err := fs.Create("/log", alice, PrivateMode, []byte("replaced")); err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +369,8 @@ func TestViewBorrowed(t *testing.T) {
 	}
 	close(stop)
 	readers.Wait()
-	if !bytes.Equal(view, want) {
-		t.Fatal("view changed after Create and Remove of its path")
+	if !bytes.Equal(view, want) || !bytes.Equal(snap.ReadAt(0, snap.Size()), want) {
+		t.Fatal("view or snapshot changed after Create and Remove of its path")
 	}
 	if _, err := fs.View("/log", alice); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("View of a removed file: err = %v, want ErrNotExist", err)
@@ -353,4 +381,13 @@ func TestViewBorrowed(t *testing.T) {
 	if _, err := fs.View("/priv", bob); !errors.Is(err, ErrPerm) {
 		t.Fatalf("View of another user's private file: err = %v, want ErrPerm", err)
 	}
+}
+
+func mustOpen(t *testing.T, fs *FS, path string) Snapshot {
+	t.Helper()
+	s, err := fs.Open(path, Superuser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
