@@ -14,10 +14,12 @@ import (
 // allocation of the whole shard buffer per segment — and each scan
 // grew a throwaway matched slice, which together took two workers to
 // 2.4x the bytes of one. With pooled scan buffers and a single
-// append+sort fold, two workers must stay within 1.3x of one (a little
-// slack over the ~1.2x target for heap noise; the bench gate in
-// scripts/bench_filter.sh enforces the same bound on
-// BENCH_filter.json).
+// append+sort fold the ratio is about 1.2x, but how often a GC empties
+// the pools mid-measurement moves it: twenty recorded runs on the
+// 2-core reference host read 1.09-1.33x (median 1.20x, two at or over
+// the old 1.3x line). The bound is 1.5x: above every recorded run and
+// well under the 2.4x this test exists to catch.
+// scripts/bench_filter.sh holds the same line on BENCH_filter.json.
 func TestParallelMemoryRatio(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
@@ -53,8 +55,10 @@ func TestParallelMemoryRatio(t *testing.T) {
 	}
 	one := measure(1)
 	two := measure(2)
-	if ratio := float64(two) / float64(one); ratio > 1.3 {
-		t.Fatalf("workers=2 allocates %d bytes/op vs %d at workers=1 (%.2fx), want <= 1.3x",
+	ratio := float64(two) / float64(one)
+	t.Logf("workers=2 %d B/op, workers=1 %d B/op: %.3fx", two, one, ratio)
+	if ratio > 1.5 {
+		t.Fatalf("workers=2 allocates %d bytes/op vs %d at workers=1 (%.2fx), want <= 1.5x",
 			two, one, ratio)
 	}
 }

@@ -32,21 +32,33 @@ import (
 // lines are decoded through a pooled decoder (compressed segments
 // decompress only the blocks the query's envelope admits), parsed in
 // place into the worker's one trace.View, and matched against the full
-// rule semantics on it. fn sees the view of each matching record with
-// its rule's shared discard set; the view is only valid during the
-// call, and a caller that ships the record takes view.Event(). A torn
-// unsealed tail is tolerated, as with trace logs; corruption of a
-// sealed segment is an error. The returned Stats is this segment's
-// contribution (Scanned is 1).
+// rule semantics on it. A record whose own Meta — a one-record Index,
+// the evidence segment and block pruning trust — falls outside every
+// rule's envelope cannot match and is skipped before the parse. fn sees
+// the view of each matching record with its rule's shared discard set;
+// the view is only valid during the call, and a caller that ships the
+// record takes view.Event(). A torn unsealed tail is tolerated, as with
+// trace logs; corruption of a sealed segment is an error. The returned
+// Stats is this segment's contribution (Scanned is 1).
 func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, discards map[string]bool)) (Stats, error) {
 	st := Stats{Scanned: 1}
 	admit := q.Admits
 	if q.NoPrune {
 		admit = nil
 	}
+	// One rule with an open envelope admits every record: no check then.
+	envelope := admit != nil && len(q.bounds) > 0 && !slices.Contains(q.bounds, openBounds)
 	d := store.AcquireDecoder()
 	v := viewPool.Get().(*trace.View)
-	ss, err := rs.Scan(d, admit, func(_ store.Meta, line []byte) {
+	ss, err := rs.Scan(d, admit, func(m store.Meta, line []byte) {
+		if envelope {
+			var x store.Index
+			x.Add(m)
+			if !q.Admits(x) {
+				st.Skipped++
+				return
+			}
+		}
 		if v.Parse(line) != nil {
 			st.BadLines++
 			return
@@ -58,6 +70,8 @@ func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, disc
 		st.Matched++
 		fn(v, discards)
 	})
+	// The view aliases a line the backend may have lent: pool it empty.
+	v.Reset()
 	viewPool.Put(v)
 	store.ReleaseDecoder(d)
 	st.Records, st.Blocks, st.BlocksPruned = ss.Records, ss.Blocks, ss.BlocksPruned

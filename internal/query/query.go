@@ -5,17 +5,19 @@
 // live meter stream.
 //
 // A query is a templates file: each line is an alternative rule, each
-// rule a conjunction of conditions. Evaluation proceeds in two tiers:
+// rule a conjunction of conditions. Each rule compiles to a conservative
+// envelope — a cpuTime window plus machine/pid/type bitmap constraints —
+// that any matching record must fall inside, and evaluation narrows by
+// it before it pays for the full rule:
 //
-//   - Segment pruning. Each rule compiles to a conservative envelope —
-//     a cpuTime window plus machine/pid/type bitmap constraints — that
-//     any matching record must fall inside. A sealed segment whose
-//     footer index intersects no rule's envelope cannot contain a
-//     match and is skipped without parsing a single frame.
-//   - Record selection. Scanned segments stream their records through
-//     the full rule semantics, including '#' projection, and the
-//     per-shard streams merge into one timestamp-ordered result, the
-//     same ordering discipline as trace.Merge.
+//   - Segment, block, record. A sealed segment whose footer index meets
+//     no rule's envelope is skipped without a frame parsed; so is a
+//     compressed block by its zone map, undecoded; so is a record by its
+//     own Meta, its line unparsed.
+//   - Record selection. What remains streams through the full rule
+//     semantics, including '#' projection, and the per-shard streams
+//     merge into one timestamp-ordered result, the same ordering
+//     discipline as trace.Merge.
 package query
 
 import (
@@ -75,8 +77,12 @@ type bounds struct {
 	empty bool
 }
 
+// openBounds is the envelope of a rule that constrains none of
+// cpuTime, machine, pid and type: it admits every non-empty index.
+var openBounds = bounds{maxTime: ^uint64(0)}
+
 func boundsOf(r filter.Rule) bounds {
-	b := bounds{maxTime: ^uint64(0)}
+	b := openBounds
 	narrowTime := func(lo, hi uint64) {
 		if lo > b.minTime {
 			b.minTime = lo
@@ -242,9 +248,10 @@ type Stats struct {
 	Pruned       int // segments skipped on footer evidence alone
 	Blocks       int // blocks (or streams/frame runs) visited in scanned segments
 	BlocksPruned int // compressed blocks skipped on zone-map evidence
-	Records      int // records examined in scanned segments
+	Records      int // records the decoder emitted in scanned segments
+	Skipped      int // records rejected on their Meta, before the parse
 	Matched      int // records selected
-	BadLines     int // stored lines the trace parser rejected (skipped)
+	BadLines     int // lines the trace parser rejected, among the records that were parsed
 }
 
 // add sums another Stats into s; every field is a count, so per-segment
@@ -256,6 +263,7 @@ func (s *Stats) add(o Stats) {
 	s.Blocks += o.Blocks
 	s.BlocksPruned += o.BlocksPruned
 	s.Records += o.Records
+	s.Skipped += o.Skipped
 	s.Matched += o.Matched
 	s.BadLines += o.BadLines
 }
@@ -312,6 +320,7 @@ func Run(rd *store.Reader, q *Query) (*Result, error) {
 	q.Obs.Counter("query.scanned").Add(int64(res.Stats.Scanned))
 	q.Obs.Counter("query.pruned").Add(int64(res.Stats.Pruned))
 	q.Obs.Counter("query.records").Add(int64(res.Stats.Records))
+	q.Obs.Counter("query.records_skipped").Add(int64(res.Stats.Skipped))
 	q.Obs.Counter("query.matched").Add(int64(res.Stats.Matched))
 	q.Obs.Counter("query.bad_lines").Add(int64(res.Stats.BadLines))
 	return res, nil

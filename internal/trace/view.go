@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strconv"
 
 	"dpm/internal/meter"
 )
@@ -48,6 +50,11 @@ type View struct {
 	n      int
 	fields [viewSlots + 1]viewField
 	parsed Event
+	// The last name token parsed in place (none longer is remembered) and
+	// its value: destName and sourceName repeat from record to record.
+	memo     [24]byte
+	memoLen  int
+	memoName meter.Name
 }
 
 // Parse fills the view from one record line (no trailing newline). It
@@ -65,70 +72,168 @@ func (v *View) Parse(line []byte) error {
 	return nil
 }
 
-// Header keys seen, for rejecting a canonical line that repeats one.
-const (
-	sawMachine = 1 << iota
-	sawCPUTime
-	sawProcTime
-)
+// Reset drops what the view borrowed or built — the line it aliases and
+// a ParseOne event — so that a view kept in a pool pins neither.
+func (v *View) Reset() { v.line, v.n, v.parsed = nil, 0, Event{} }
+
+// viewKey is a key the filter writes, '=' included, laid out for
+// compare by word: its length, its first eight bytes (zero-padded, with
+// the mask of those that count) and, when longer, its last eight.
+type viewKey struct {
+	n            int
+	lo, mask, hi uint64
+}
+
+func newViewKey(name string) (k viewKey) {
+	var b [16]byte
+	k.n = copy(b[:], name+"=")
+	k.lo, k.mask = binary.LittleEndian.Uint64(b[:]), ^uint64(0)
+	if k.n < 8 {
+		k.mask = 1<<(8*k.n) - 1
+	} else {
+		k.hi = binary.LittleEndian.Uint64(b[k.n-8:])
+	}
+	return k
+}
+
+// headerKeys are the header fields in the order Record.AppendFormat
+// always writes them; key h is noted in bit h of parseCanonical's saw.
+var headerKeys = []viewKey{newViewKey("machine"), newViewKey("cpuTime"), newViewKey("procTime")}
+
+// viewTypes is typeByName and canonicalOrder laid out for the scan, by
+// type number, so that a record costs no hashing: an event type's name,
+// and the keys of a line of that type as the filter writes it — header,
+// then the type's body fields in stored order.
+var viewTypes = func() (t [meter.EvTermProc + 1]struct {
+	name string
+	keys []viewKey
+}) {
+	for name, typ := range typeByName {
+		t[typ].name, t[typ].keys = name, headerKeys[:len(headerKeys):len(headerKeys)]
+		for _, key := range canonicalOrder[typ] {
+			if len(key) < 16 { // a longer one is served as a foreign key
+				t[typ].keys = append(t[typ].keys, newViewKey(key))
+			}
+		}
+	}
+	return t
+}()
+
+// setHeader stores header field h, false when the value is out of range.
+func (v *View) setHeader(h int, val uint64) bool {
+	switch h {
+	case 0:
+		v.Machine = int(val)
+	case 1:
+		v.CPUTime = int64(val)
+	default:
+		v.ProcTime = int64(val)
+	}
+	return val <= math.MaxInt64 && (h != 0 || val <= math.MaxInt)
+}
 
 // parseCanonical decodes a canonical line into the slots. false means
 // "not canonical" — never "bad line": the caller asks ParseOne.
+//
+// A key is first compared with the keys of the event type — header,
+// then body fields in stored order — from a cursor that only moves
+// forward. Such a hit cannot repeat an earlier key: earlier hits lie
+// behind the cursor, and so did an earlier generic key that names one
+// of the type's, or it would have been a hit (the compare reads eight
+// bytes, so a line's last few go the generic way; no hit follows them).
+// Any other key takes the generic step: scanned to its '=', header keys
+// recognised wherever they stand, duplicates refused.
 func (v *View) parseCanonical(line []byte) bool {
-	i := 0
-	for i < len(line) && line[i] != ' ' {
-		i++
+	i := bytes.IndexByte(line, ' ')
+	if i < 0 {
+		i = len(line)
 	}
-	typ, ok := typeByName[string(line[:i])]
-	if !ok || len(line) > math.MaxInt32 {
+	typ := 1
+	for typ < len(viewTypes) && viewTypes[typ].name != string(line[:i]) {
+		typ++
+	}
+	if typ == len(viewTypes) || len(line) > math.MaxInt32 {
 		return false
 	}
-	v.Type, v.Machine, v.CPUTime, v.ProcTime = typ, 0, 0, 0
+	v.Type, v.Machine, v.CPUTime, v.ProcTime = meter.Type(typ), 0, 0, 0
 	v.line, v.n = line, 0
 	saw := 0
+	keys, next := viewTypes[typ].keys, 0
 	for i < len(line) {
 		i++ // the single space before a token
 		f := &v.fields[v.n]
-		start := i
-		for ; i < len(line) && line[i] != '='; i++ {
-			if line[i] <= ' ' || line[i] >= 0x7f {
-				return false
+		h, hit := -1, false
+		if i+8 <= len(line) {
+			w := binary.LittleEndian.Uint64(line[i:])
+			for k := next; k < len(keys); k++ {
+				key := &keys[k]
+				if w&key.mask == key.lo && (key.n <= 8 ||
+					i+key.n <= len(line) && binary.LittleEndian.Uint64(line[i+key.n-8:]) == key.hi) {
+					f.key0, f.key1 = int32(i), int32(i+key.n-1)
+					next, i, hit = k+1, i+key.n, true
+					if k < len(headerKeys) {
+						h = k
+					}
+					break
+				}
 			}
 		}
-		if i == start || i == len(line) {
-			return false
+		if !hit {
+			start := i
+			for ; i < len(line) && line[i] != '='; i++ {
+				if line[i] <= ' ' || line[i] >= 0x7f {
+					return false
+				}
+			}
+			if i == start || i == len(line) {
+				return false
+			}
+			f.key0, f.key1 = int32(start), int32(i)
+			switch string(line[start:i]) {
+			case "machine":
+				h = 0
+			case "cpuTime":
+				h = 1
+			case "procTime":
+				h = 2
+			}
+			i++
 		}
-		key := line[start:i]
-		f.key0, f.key1 = int32(start), int32(i)
-		i++
-		start = i
-		if i < len(line) && line[i]-'0' <= 9 {
+		if start := i; i < len(line) && line[i]-'0' <= 9 {
 			// Strict decimal: digits only, no leading zero (ParseOne reads
-			// "010" as octal), no overflow.
+			// "010" as octal), no overflow — which nineteen digits cannot.
 			var val uint64
-			for ; i < len(line) && line[i] != ' '; i++ {
-				d := uint64(line[i] - '0')
-				if d > 9 {
-					return false
-				}
-				// Nineteen digits cannot overflow; a twentieth may.
-				if n := i - start; n >= 19 && (n > 19 || val > (math.MaxUint64-d)/10) {
-					return false
-				}
-				val = val*10 + d
+			for ; i < len(line) && line[i]-'0' <= 9; i++ {
+				val = val*10 + uint64(line[i]-'0')
 			}
-			if line[start] == '0' && i > start+1 {
+			if i < len(line) && line[i] != ' ' || line[start] == '0' && i > start+1 {
 				return false
+			}
+			if i-start > 19 {
+				var err error
+				if val, err = strconv.ParseUint(string(line[start:i]), 10, 64); err != nil {
+					return false
+				}
 			}
 			f.val, f.isName, f.hasVal = val, false, true
 		} else {
-			for ; i < len(line) && line[i] != ' '; i++ {
-				if line[i] < ' ' || line[i] >= 0x7f {
+			if m := v.memoLen; m > 0 && len(line)-i >= m && (i+m == len(line) || line[i+m] == ' ') &&
+				string(line[i:i+m]) == string(v.memo[:m]) {
+				// The last name token again: already validated and decoded.
+				f.name, i = v.memoName, i+m
+			} else {
+				for ; i < len(line) && line[i] != ' '; i++ {
+					if line[i] < ' ' || line[i] >= 0x7f {
+						return false
+					}
+				}
+				var ok bool
+				if f.name, ok = meter.ParseNameBytes(line[start:i]); !ok {
 					return false
 				}
-			}
-			if f.name, ok = meter.ParseNameBytes(line[start:i]); !ok {
-				return false
+				if v.memoLen = 0; i-start <= len(v.memo) {
+					v.memoLen, v.memoName = copy(v.memo[:], line[start:i]), f.name
+				}
 			}
 			f.val, f.isName, f.hasVal = 0, true, false
 			if f.name.Family() == meter.AFInet {
@@ -136,32 +241,22 @@ func (v *View) parseCanonical(line []byte) bool {
 				f.val, f.hasVal = uint64(host), true
 			}
 		}
-		header, limit := 0, uint64(math.MaxInt64)
-		switch string(key) {
-		case "machine":
-			header, limit = sawMachine, math.MaxInt
-			v.Machine = int(f.val)
-		case "cpuTime":
-			header = sawCPUTime
-			v.CPUTime = int64(f.val)
-		case "procTime":
-			header = sawProcTime
-			v.ProcTime = int64(f.val)
-		}
-		if header != 0 {
-			if f.isName || f.val > limit || saw&header != 0 {
+		if h >= 0 {
+			if f.isName || saw&(1<<h) != 0 || !v.setHeader(h, f.val) {
 				return false
 			}
-			saw |= header
+			saw |= 1 << h
 			continue
+		}
+		if !hit {
+			for j := 0; j < v.n; j++ {
+				if bytes.Equal(v.key(j), v.key(v.n)) {
+					return false
+				}
+			}
 		}
 		if v.n == viewSlots {
 			return false
-		}
-		for j := 0; j < v.n; j++ {
-			if bytes.Equal(v.key(j), key) {
-				return false
-			}
 		}
 		v.n++
 	}

@@ -12,9 +12,10 @@
 #
 # The ratio gates below do not stop the run: each failure is reported
 # and remembered, both JSON files are still written, and the script
-# exits non-zero at the end. A gate that a small host cannot meet (the
-# live-analysis 1.05x on two cores) therefore no longer keeps the other
-# rows from being regenerated.
+# exits non-zero at the end. Every gate is one the 2-core reference
+# host has been seen to pass; a bound it cannot meet, or meets only on
+# its good days, is re-derived from recorded runs or removed with the
+# reason (see FilterIngestLive and the QueryParallel memory ratio).
 #
 # The two store ingest benchmarks run with fixed iteration counts that
 # write the same total number of records: the in-memory backend keeps
@@ -37,14 +38,16 @@ go test -run '^$' -bench 'BenchmarkStoreIngestBatch$' -benchmem -benchtime=10000
 # its segment-pruned baseline. The compression ratio and pruning gates
 # below read these lines. The pruned queries take ~60 us each since the
 # scan stopped building an event per record, so they run 2000 times: at
-# the old 50 the pair was 3 ms of work and its ratio was noise.
+# the old 50 the pair was 3 ms of work and its ratio was noise. Three
+# runs each; the gate compares the best of each side (one run of five
+# read 276 us for a 60 us query while the host stalled).
 go test -run '^$' -bench 'BenchmarkStoreIngestCompressed$' -benchmem -benchtime=100000x . >>"$tmp"
 # The store as the filter opens it (filter.StoreConfig: archival on) and
 # record time advancing, so cold runs are rewritten into tier 1 on the
 # appending goroutine. Same batch count as the pair above; the archiving
 # gate below reads this line.
 go test -run '^$' -bench 'BenchmarkStoreIngestArchiving$' -benchmem -benchtime=100000x . >>"$tmp"
-go test -run '^$' -bench 'BenchmarkQueryBlockPruned' -benchmem -benchtime=2000x . >>"$tmp"
+go test -run '^$' -bench 'BenchmarkQueryBlockPruned' -benchmem -benchtime=2000x -count=3 . >>"$tmp"
 # Scaling benchmarks: the parallel ingest pipeline at 1/2/4/8 workers
 # and the read executor at GOMAXPROCS 1/2/4 (it sizes its pool from
 # GOMAXPROCS, so -cpu is the sweep and the -N row suffix records it; the
@@ -59,10 +62,13 @@ go test -run '^$' -bench 'BenchmarkQueryParallel' -benchmem -benchtime=100x -cpu
 go test -run '^$' -bench 'BenchmarkAggPushdown' -benchmem -benchtime=100x -cpu 1,2,4 ./internal/agg/ >>"$tmp"
 # Live streaming analysis overhead: the full pipeline with and without
 # the live tap attached, same iteration count so the ns/op pair is
-# directly comparable. The overhead gate below reads these lines; the
-# per-record allocation gate is TestTapPathZeroAllocs in
+# directly comparable. Archived, not gated (see below); the per-record
+# allocation gate is TestTapPathZeroAllocs in
 # internal/analysis/live/live_test.go.
 go test -run '^$' -bench 'BenchmarkFilterIngestLive' -benchmem -benchtime=100000x . >>"$tmp"
+# The record tier's parse (ROADMAP item 2): three runs, the gate below
+# takes the best.
+go test -run '^$' -bench 'BenchmarkViewParse$' -benchmem -benchtime=200000x -count=3 -cpu 1 ./internal/trace/ >>"$tmp"
 
 # Fail loudly rather than archive an empty or lying file: every bench
 # must have produced a result line, and none may have collapsed to zero
@@ -80,17 +86,20 @@ if [ -n "$bad" ]; then
 fi
 
 # Memory gate for the read executor: a second worker must not multiply
-# bytes per query (the pooled-buffer fix; the Go-level gate is
-# internal/query/alloc_test.go). 1.25x leaves slack over the ~1.2x
-# target for heap noise between runs.
+# bytes per query (the pooled-buffer fix took it from 2.4x to ~1.2x;
+# the Go-level gate is TestParallelMemoryRatio). The ratio moves with
+# how often a GC empties the pools mid-run: twenty recorded runs of the
+# Go-level measurement on the 2-core host read 1.09-1.33x (median
+# 1.20x, two over the old 1.25x line). 1.5x is above every recorded run
+# and well under what the gate exists to catch.
 if ! awk '
 $1 == "BenchmarkQueryParallel"   { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") one = $i }
 $1 == "BenchmarkQueryParallel-2" { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") two = $i }
 END {
     if (one + 0 <= 0 || two + 0 <= 0) { print "bench_filter.sh: missing QueryParallel B/op results" > "/dev/stderr"; exit 1 }
     ratio = two / one
-    if (ratio > 1.25) {
-        printf "bench_filter.sh: QueryParallel -cpu 2 allocates %d B/op vs %d at -cpu 1 (%.2fx), gate is 1.25x\n", two, one, ratio > "/dev/stderr"
+    if (ratio > 1.5) {
+        printf "bench_filter.sh: QueryParallel -cpu 2 allocates %d B/op vs %d at -cpu 1 (%.2fx), gate is 1.5x\n", two, one, ratio > "/dev/stderr"
         exit 1
     }
 }' "$tmp"; then failed=1; fi
@@ -129,8 +138,13 @@ END {
 # complexity: at least 3x smaller on disk than the v1-equivalent bytes,
 # and no more than 1.25x the batched-ingest cost (the structural
 # encoding runs inline on the write path). Block pruning must not cost
-# more than the segment-pruned baseline it refines: 1.10x slack covers
-# scheduler noise on a ~60us benchmark run 2000 times.
+# grossly more than the segment-pruned baseline it refines. The pair is
+# two 0.12 s measurements (a ~60us query run 2000 times) taken one after
+# the other on a host that changes speed in between: twenty recorded
+# runs, ten at 32bff1d and ten at the commit after, read 0.87-1.45x
+# (medians 1.20x and 1.08x) and failed the old 1.10x line eleven times.
+# 1.5x is above every recorded run. Whether zone maps earn their keep at
+# all is ROADMAP item 1's question, not this gate's.
 if ! awk '
 $1 ~ /^BenchmarkStoreIngestBatch(-[0-9]+)?$/ {
     for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") batch = $i
@@ -141,8 +155,8 @@ $1 ~ /^BenchmarkStoreIngestCompressed(-[0-9]+)?$/ {
         if ($(i+1) == "compression-x") cx   = $i
     }
 }
-$1 ~ /^BenchmarkQueryBlockPruned\/segment-pruned(-[0-9]+)?$/ { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") segp = $i }
-$1 ~ /^BenchmarkQueryBlockPruned\/block-pruned(-[0-9]+)?$/   { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") blkp = $i }
+$1 ~ /^BenchmarkQueryBlockPruned\/segment-pruned(-[0-9]+)?$/ { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op" && (segp == 0 || $i < segp)) segp = $i }
+$1 ~ /^BenchmarkQueryBlockPruned\/block-pruned(-[0-9]+)?$/   { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op" && (blkp == 0 || $i < blkp)) blkp = $i }
 END {
     fail = 0
     if (cx + 0 <= 0) { print "bench_filter.sh: missing compression-x metric" > "/dev/stderr"; fail = 1 }
@@ -152,8 +166,8 @@ END {
         printf "bench_filter.sh: compressed ingest %.0f ns/op vs %.0f batch (%.2fx), gate is 1.25x\n", comp, batch, comp / batch > "/dev/stderr"; fail = 1
     }
     if (segp + 0 <= 0 || blkp + 0 <= 0) { print "bench_filter.sh: missing block-pruned query results" > "/dev/stderr"; fail = 1 }
-    else if (blkp / segp > 1.10) {
-        printf "bench_filter.sh: block-pruned query %.0f ns/op vs %.0f segment-pruned (%.2fx), gate is 1.10x\n", blkp, segp, blkp / segp > "/dev/stderr"; fail = 1
+    else if (blkp / segp > 1.5) {
+        printf "bench_filter.sh: block-pruned query %.0f ns/op vs %.0f segment-pruned (%.2fx), gate is 1.5x\n", blkp, segp, blkp / segp > "/dev/stderr"; fail = 1
     }
     exit fail
 }' "$tmp"; then failed=1; fi
@@ -183,33 +197,46 @@ END {
     exit fail
 }' "$tmp"; then failed=1; fi
 
-# Live-analysis overhead gate. The collector's design cost on the
-# ingest thread is one buffer swap per 512 records — the operators run
-# on a drainer goroutine — so on a multi-core host live=on must stay
-# within 1.05x of live=off. On a single-core host there is no spare
-# core: the drainer's operator work serializes into the same wall
-# clock, and the measured ratio includes the full per-record operator
-# cost (~25 ns against a ~200 ns baseline), so the gate widens to
-# 1.30x there. Both bounds are recorded in docs/observability.md.
-ncpu=$( (nproc || sysctl -n hw.ncpu || echo 1) 2>/dev/null | head -1 )
-if [ "$ncpu" -gt 1 ] 2>/dev/null; then live_gate=1.05; else live_gate=1.30; fi
-if ! awk -v gate="$live_gate" '
-$1 ~ /^BenchmarkFilterIngestLive\/live=off(-[0-9]+)?$/ { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") off = $i }
-$1 ~ /^BenchmarkFilterIngestLive\/live=on(-[0-9]+)?$/  { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") on  = $i }
+# View.Parse gate (ROADMAP item 2, PR 17). The row archived at the last
+# commit whose parseCanonical scanned every key to its '=' and hashed
+# the type name (32bff1d, ten alternating runs on the 2-core host):
+#   BenchmarkViewParse   165 ns/record [164,171]   4.25 x-ParseOne [4.15,4.32]
+# The commit after read 114 ns/record [112,119] and 6.02 x-ParseOne
+# [5.94,6.15] beside it: 1.45x and 1.42x. The host runs at two speeds
+# 1.75x apart, so ns/record is archived but not gated; x-ParseOne — how
+# many times faster than ParseOne the view read the same lines, both at
+# their best chunk in one process — is, at 1.25x the parent's, on the
+# best of the three runs. ParseOne is the oracle; a change that makes
+# it faster or slower re-archives this row.
+if ! awk '
+$1 == "BenchmarkViewParse" { for (i = 3; i < NF; i++) { if ($(i+1) == "x-ParseOne" && $i > best) best = $i; if ($(i+1) == "allocs/op" && $i > allocs) allocs = $i } }
 END {
-    if (off + 0 <= 0 || on + 0 <= 0) { print "bench_filter.sh: missing FilterIngestLive ns/op results" > "/dev/stderr"; exit 1 }
-    ratio = on / off
-    if (ratio > gate) {
-        printf "bench_filter.sh: live analysis ingest %.0f ns/op vs %.0f without (%.2fx), gate is %.2fx\n", on, off, ratio, gate > "/dev/stderr"
+    if (best + 0 <= 0) { print "bench_filter.sh: missing ViewParse x-ParseOne result" > "/dev/stderr"; exit 1 }
+    if (allocs + 0 > 0) { printf "bench_filter.sh: ViewParse allocates %d times per op, want 0\n", allocs > "/dev/stderr"; exit 1 }
+    if (best / 4.25 < 1.25) {
+        printf "bench_filter.sh: ViewParse is %.2f x-ParseOne vs 4.25 archived (%.2fx), gate is 1.25x\n", best, best / 4.25 > "/dev/stderr"
         exit 1
     }
 }' "$tmp"; then failed=1; fi
+
+# No gate on BenchmarkFilterIngestLive. The 1.05x line (live=on within
+# 5% of live=off, the design cost of one buffer swap per 512 records)
+# assumes a core for the collector's drainer beside the pipeline's
+# workers, and has never been seen green: on two cores the two workers
+# hold both, the operators serialize into the wall clock, and every
+# recorded run failed (1.15-1.45x over PRs 11-16). Ten more runs taken
+# to re-derive a bound read 0.87, 1.28, 1.29, 1.39, 1.51, 1.53, 1.56,
+# 1.56, 1.67 and 2.74x: the pair is two 0.3 s measurements and the host
+# changes speed between them, so a bound that is green (3x) would not
+# notice the operators doubling. The rows are still archived; what is
+# held is TestTapPathZeroAllocs (the tap allocates nothing per record)
+# and, in bench/, live.tap_overhead_x, measured inside one process.
 
 awk '
 BEGIN { print "{"; print "  \"generated_by\": \"scripts/bench_filter.sh\","; print "  \"benchmarks\": [" }
 /^Benchmark/ {
     name = $1; iters = $2
-    ns = "null"; mbs = "null"; bop = "null"; aop = "null"; bmv = "null"; cx = "null"; bod = "null"; blkp = "null"; ax = "null"; ab = "null"; ash = "null"
+    ns = "null"; mbs = "null"; bop = "null"; aop = "null"; bmv = "null"; cx = "null"; bod = "null"; blkp = "null"; ax = "null"; ab = "null"; ash = "null"; nsr = "null"; xpo = "null"
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op")         ns   = $i
         if ($(i+1) == "MB/s")          mbs  = $i
@@ -222,9 +249,11 @@ BEGIN { print "{"; print "  \"generated_by\": \"scripts/bench_filter.sh\","; pri
         if ($(i+1) == "archive-x")      ax   = $i
         if ($(i+1) == "archive_bytes")  ab   = $i
         if ($(i+1) == "archived_share") ash  = $i
+        if ($(i+1) == "ns/record")      nsr  = $i
+        if ($(i+1) == "x-ParseOne")     xpo  = $i
     }
     if (n++) printf ",\n"
-    printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"mb_per_s\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"bytes_moved\": %s, \"compression_x\": %s, \"bytes_on_disk\": %s, \"blocks_pruned\": %s, \"archive_x\": %s, \"archive_bytes\": %s, \"archived_share\": %s}", name, iters, ns, mbs, bop, aop, bmv, cx, bod, blkp, ax, ab, ash
+    printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"mb_per_s\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"bytes_moved\": %s, \"compression_x\": %s, \"bytes_on_disk\": %s, \"blocks_pruned\": %s, \"archive_x\": %s, \"archive_bytes\": %s, \"archived_share\": %s, \"ns_per_record\": %s, \"x_parseone\": %s}", name, iters, ns, mbs, bop, aop, bmv, cx, bod, blkp, ax, ab, ash, nsr, xpo
 }
 END { print ""; print "  ]"; print "}" }
 ' "$tmp" >"$out"
