@@ -13,10 +13,14 @@ package dpm_test
 //	A2  BenchmarkFilterEngine    filter selection throughput (§3.4)
 //	S1  BenchmarkStoreIngest     event-store write-path cost
 //	S2  BenchmarkQuerySegmentPruning  footer pruning vs full scan
+//	O3  BenchmarkStatsRoundTrip  what a `stats` costs per machine (ROADMAP 5c)
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -1200,4 +1204,77 @@ func BenchmarkTraceParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkStatsRoundTrip is what one machine's share of a `stats`
+// costs once its filter has seen live.Config's default MaxProcs of
+// processes: the registry captured (the live sections encoded), the
+// snapshot marshalled, parsed back and rendered — 16 384 processes on
+// six machines, all 36 machine pairs in the matrix, ~1.5 MB on the
+// wire. ns/op and B/op are archived; the gate is x-sha256, for the
+// reason BenchmarkViewParse gates x-ParseOne: the host runs at two
+// speeds, so the round trip is held against a yardstick timed in this
+// process in alternating chunks, each side at its best chunk. The
+// yardstick is a SHA-256 over the same wire bytes — work a change to
+// the stats path leaves alone, and the bytes themselves are pinned by
+// internal/analysis/live's TestSectionsByteIdentical.
+func BenchmarkStatsRoundTrip(b *testing.B) {
+	const procs, machines = 16384, 6
+	proto, err := filter.NewEngine([]byte(filter.StandardDescriptions), []byte(""))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	pipe := filter.NewPipeline(proto, filter.PipelineConfig{Workers: 1, QueueDepth: 64, Obs: reg,
+		Taps: live.NewCollector(live.Config{Obs: reg})}, filter.Sinks{Log: func([]byte) error { return nil }}, nil)
+	src := pipe.NewSource()
+	rng := rand.New(rand.NewSource(21))
+	var stream []byte
+	for i, pid := range rng.Perm(procs) {
+		machine := uint16(i % machines)
+		hdr := meter.Header{Machine: machine, CPUTime: uint32(100 + i/4), ProcTime: uint32(i % 97)}
+		stream = (&meter.Msg{Header: hdr, Body: &meter.Send{PID: uint32(1 + pid), Sock: 3, MsgLength: uint32(1 + rng.Intn(4096)),
+			DestNameLen: 16, DestName: meter.InetName(uint32(i/machines%machines), 5000)}}).AppendEncode(stream[:0])
+		hdr.CPUTime += uint32(rng.Intn(400))
+		stream = (&meter.Msg{Header: hdr, Body: &meter.TermProc{PID: uint32(1 + pid)}}).AppendEncode(stream)
+		if !src.Feed(append([]byte(nil), stream...)) {
+			b.Fatal("pipeline refused feed")
+		}
+	}
+	pipe.Close()
+
+	var wire []byte
+	roundTrip := func() {
+		wire = reg.Snapshot().MarshalBinary()
+		s, err := obs.ParseSnapshot(wire)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Render(io.Discard)
+	}
+	roundTrip()
+	if got, _ := reg.Snapshot().Get("live.procs_seen"); got != procs {
+		b.Fatalf("collector holds %d processes, want %d", got, procs)
+	}
+	best := func(iters int, fn func()) time.Duration {
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			fn()
+		}
+		return time.Since(start) / time.Duration(iters)
+	}
+	var sink [sha256.Size]byte
+	yard, trip := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for chunk := 0; chunk < 10; chunk++ {
+		yard = min(yard, best(8, func() { sink = sha256.Sum256(wire) }))
+		trip = min(trip, best(4, roundTrip))
+	}
+	_ = sink
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+	b.ReportMetric(float64(len(wire)), "wire_bytes")
+	b.ReportMetric(float64(yard)/float64(trip), "x-sha256")
 }

@@ -41,7 +41,9 @@
 package live
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"dpm/internal/filter"
@@ -179,8 +181,13 @@ type Collector struct {
 	mu    sync.Mutex
 	clock int64 // watermark: max cpuTime applied
 	// Per-process table, shared by the comm and parallelism operators.
+	// cells lists the same cells for the section encoders, which write
+	// them in (machine, pid) order: cells[:ordered] is in that order and
+	// the cells created since follow as they came (orderCells).
 	procs    map[uint64]*procCell
-	overflow procCell // folds processes beyond MaxProcs
+	cells    []*procCell
+	ordered  int
+	overflow procCell // folds processes beyond MaxProcs; listed in cells once used
 	// Direct-mapped caches over the hot tables. Cells are never
 	// deleted, so a cached pointer can only go stale by eviction, never
 	// dangle. A handful of processes and one machine pair dominate any
@@ -484,14 +491,48 @@ func (c *Collector) cell(machine uint16, pid uint32) *procCell {
 	pc := c.procs[k]
 	if pc == nil {
 		if len(c.procs) >= c.cfg.MaxProcs {
+			// The overflow key is the largest there is, so it encodes
+			// last, and the table is full, so nothing is listed after.
+			if len(c.cells) == len(c.procs) {
+				c.cells = append(c.cells, &c.overflow)
+			}
 			return &c.overflow
 		}
 		pc = &procCell{machine: machine, pid: pid, first: -1}
 		c.procs[k] = pc
+		c.cells = append(c.cells, pc)
 		c.liveProcs++
 	}
 	c.procCache[idx] = pc
 	return pc
+}
+
+// cmpCell orders cells by (machine, pid), the order sections list them.
+func cmpCell(a, b *procCell) int {
+	return cmp.Compare(procKey(a.machine, a.pid), procKey(b.machine, b.pid))
+}
+
+// orderCells puts c.cells in (machine, pid) order and returns them.
+// Cells are never deleted, so only those created since the last call
+// are out of place: they are sorted and merged into the ordered prefix
+// from the back — no work when no process is new. The caller holds c.mu.
+func (c *Collector) orderCells() []*procCell {
+	if c.ordered < len(c.cells) {
+		tail := slices.Clone(c.cells[c.ordered:])
+		slices.SortFunc(tail, cmpCell)
+		i, j := c.ordered-1, len(tail)-1
+		for k := len(c.cells) - 1; j >= 0; k-- {
+			if i >= 0 && cmpCell(c.cells[i], tail[j]) > 0 {
+				c.cells[k] = c.cells[i]
+				i--
+			} else {
+				c.cells[k] = tail[j]
+				j--
+			}
+		}
+		c.ordered = len(c.cells)
+	}
+	return c.cells
 }
 
 func (c *Collector) applyOne(e *tapEntry) {

@@ -1,11 +1,12 @@
 package live
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"dpm/internal/analysis"
 	"dpm/internal/filter"
@@ -121,48 +122,43 @@ type MatchState struct {
 
 // Curve derives the parallelism profile from the merged intervals —
 // the same computation analysis.MeasureParallelism runs over a trace,
-// so on a completed stream the two agree exactly.
+// so on a completed stream the two agree exactly. The sweep visits
+// interval starts and ends in time order, starts before ends at equal
+// times; the two kinds are sorted apart as plain integers and walked
+// with two cursors, which visits them in exactly that order.
 func (p *ParState) Curve() *analysis.Parallelism {
 	out := &analysis.Parallelism{Histogram: make(map[int]int64)}
 	if len(p.Procs) == 0 {
 		return out
 	}
 	out.Processes = len(p.Procs)
-	minT, maxT := p.Procs[0].First, p.Procs[0].Last
-	type edge struct {
-		t     int64
-		delta int
-	}
-	edges := make([]edge, 0, 2*len(p.Procs))
+	times := make([]int64, 2*len(p.Procs))
+	starts, ends := times[:len(p.Procs)], times[len(p.Procs):]
 	for i := range p.Procs {
-		iv := &p.Procs[i]
-		out.TotalCPUMillis += iv.MaxCPU
-		if iv.First < minT {
-			minT = iv.First
-		}
-		if iv.Last > maxT {
-			maxT = iv.Last
-		}
-		edges = append(edges, edge{iv.First, +1}, edge{iv.Last, -1})
+		out.TotalCPUMillis += p.Procs[i].MaxCPU
+		starts[i], ends[i] = p.Procs[i].First, p.Procs[i].Last
 	}
-	out.MakespanMillis = maxT - minT
+	slices.Sort(starts)
+	slices.Sort(ends)
+	out.MakespanMillis = ends[len(ends)-1] - starts[0]
 	if out.MakespanMillis > 0 {
 		out.Speedup = float64(out.TotalCPUMillis) / float64(out.MakespanMillis)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		return edges[i].delta > edges[j].delta // starts before ends
-	})
 	level := 0
 	prev := int64(-1)
-	for _, e := range edges {
-		if prev >= 0 && e.t > prev && level > 0 {
-			out.Histogram[level] += e.t - prev
+	for i, j := 0, 0; j < len(ends); {
+		t, delta := ends[j], -1
+		if i < len(starts) && starts[i] <= t {
+			t, delta = starts[i], +1
+			i++
+		} else {
+			j++
 		}
-		level += e.delta
-		prev = e.t
+		if prev >= 0 && t > prev && level > 0 {
+			out.Histogram[level] += t - prev
+		}
+		level += delta
+		prev = t
 	}
 	return out
 }
@@ -241,6 +237,31 @@ func (r *sreader) count() uint32 {
 	return n
 }
 
+// Row widths of the fixed-width tables, and the least a pair row takes.
+const (
+	procRowSize    = 2 + 4 + 7*8
+	parRowSize     = 2 + 4 + 1 + 3*8
+	minPairRowSize = 2 + 2 + 4*8 + 2
+)
+
+// The live.comm payload, written by appendCommHead, appendProcRow and
+// appendPairRow for captures and merges alike — procs in (machine, pid)
+// order, pairs in (src, dst) order, empty size buckets left out:
+//
+//	i64 events, sends, recvs, bytesSent, bytesRecvd,
+//	u16 n sizes × (u8 bucket, i64 count),
+//	u32 n procs × (u16 machine, u32 pid, i64 sends, recvs, recvCalls,
+//	               sockets, forks, bytesSent, bytesRecvd),
+//	u32 n pairs × (u16 src, u16 dst, i64 sendMsgs, sendBytes,
+//	               recvMsgs, recvBytes, u16 n sizes × (u8, i64)).
+
+func appendI64s(b []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
 func appendSizes(b []byte, sizes *[numSizeBuckets]int64) []byte {
 	le := binary.LittleEndian
 	n := 0
@@ -259,6 +280,17 @@ func appendSizes(b []byte, sizes *[numSizeBuckets]int64) []byte {
 	return b
 }
 
+// sizeArray is a decoded size histogram as the encoder takes it.
+func sizeArray(sizes map[int]int64) *[numSizeBuckets]int64 {
+	var out [numSizeBuckets]int64
+	for k, v := range sizes {
+		if k >= 0 && k < numSizeBuckets {
+			out[k] = v
+		}
+	}
+	return &out
+}
+
 func readSizes(r *sreader) map[int]int64 {
 	n := int(r.u16())
 	var out map[int]int64
@@ -275,77 +307,83 @@ func readSizes(r *sreader) map[int]int64 {
 	return out
 }
 
-// captureComm encodes the live.comm payload:
-//
-//	i64 events, sends, recvs, bytesSent, bytesRecvd,
-//	u16 n sizes × (u8 bucket, i64 count),
-//	u32 n procs × (u16 machine, u32 pid, i64 sends, recvs, recvCalls,
-//	               sockets, forks, bytesSent, bytesRecvd),
-//	u32 n pairs × (u16 src, u16 dst, i64 sendMsgs, sendBytes,
-//	               recvMsgs, recvBytes, u16 n sizes × (u8, i64)).
+func appendCommHead(b []byte, events, sends, recvs, bytesSent, bytesRecvd int64, sizes *[numSizeBuckets]int64) []byte {
+	return appendSizes(appendI64s(b, events, sends, recvs, bytesSent, bytesRecvd), sizes)
+}
+
+func appendProcRow(b []byte, machine uint16, pid uint32, sends, recvs, recvCalls, sockets, forks, bytesSent, bytesRecvd int64) []byte {
+	b = binary.LittleEndian.AppendUint16(b, machine)
+	b = binary.LittleEndian.AppendUint32(b, pid)
+	return appendI64s(b, sends, recvs, recvCalls, sockets, forks, bytesSent, bytesRecvd)
+}
+
+func appendPairRow(b []byte, src, dst uint16, sendMsgs, sendBytes, recvMsgs, recvBytes int64, sizes *[numSizeBuckets]int64) []byte {
+	b = binary.LittleEndian.AppendUint16(b, src)
+	b = binary.LittleEndian.AppendUint16(b, dst)
+	return appendSizes(appendI64s(b, sendMsgs, sendBytes, recvMsgs, recvBytes), sizes)
+}
+
+// captureComm encodes the collector's live.comm payload.
 func (c *Collector) captureComm() []byte {
 	c.sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	le := binary.LittleEndian
-	b := make([]byte, 0, 64+70*len(c.procs)+80*len(c.pairs))
-	b = le.AppendUint64(b, uint64(c.events))
-	b = le.AppendUint64(b, uint64(c.sends))
-	b = le.AppendUint64(b, uint64(c.recvs))
-	b = le.AppendUint64(b, uint64(c.bytesSent))
-	b = le.AppendUint64(b, uint64(c.bytesRecv))
-	b = appendSizes(b, &c.sizes)
-
-	cells := c.sortedCells()
-	b = le.AppendUint32(b, uint32(len(cells)))
+	cells := c.orderCells()
+	b := make([]byte, 0, 64+procRowSize*len(cells)+80*len(c.pairs))
+	b = appendCommHead(b, c.events, c.sends, c.recvs, c.bytesSent, c.bytesRecv, &c.sizes)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cells)))
 	for _, pc := range cells {
-		b = le.AppendUint16(b, pc.machine)
-		b = le.AppendUint32(b, pc.pid)
-		for _, v := range [7]int64{pc.sends, pc.recvs, pc.recvCalls, pc.sockets, pc.forks, pc.bytesSent, pc.bytesRecvd} {
-			b = le.AppendUint64(b, uint64(v))
-		}
+		b = appendProcRow(b, pc.machine, pc.pid, pc.sends, pc.recvs, pc.recvCalls, pc.sockets, pc.forks, pc.bytesSent, pc.bytesRecvd)
 	}
 	keys := make([]uint32, 0, len(c.pairs))
 	for k := range c.pairs {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b = le.AppendUint32(b, uint32(len(keys)))
+	slices.Sort(keys)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
 	for _, k := range keys {
 		p := c.pairs[k]
-		b = le.AppendUint16(b, p.src)
-		b = le.AppendUint16(b, p.dst)
-		b = le.AppendUint64(b, uint64(p.sendMsgs))
-		b = le.AppendUint64(b, uint64(p.sendBytes))
-		b = le.AppendUint64(b, uint64(p.recvMsgs))
-		b = le.AppendUint64(b, uint64(p.recvBytes))
-		b = appendSizes(b, &p.sizes)
+		b = appendPairRow(b, p.src, p.dst, p.sendMsgs, p.sendBytes, p.recvMsgs, p.recvBytes, &p.sizes)
 	}
 	return b
 }
 
-// sortedCells returns the proc cells (plus the overflow fold when it
-// absorbed anything) ordered by (machine, pid) for deterministic
-// encodes.
-func (c *Collector) sortedCells() []*procCell {
-	cells := make([]*procCell, 0, len(c.procs)+1)
-	for _, pc := range c.procs {
-		cells = append(cells, pc)
-	}
-	if ov := &c.overflow; ov.first >= 0 {
-		cells = append(cells, ov)
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].machine != cells[j].machine {
-			return cells[i].machine < cells[j].machine
-		}
-		return cells[i].pid < cells[j].pid
+// encodeCommState encodes a decoded (merged) state, putting its rows
+// in order first.
+func encodeCommState(st *CommState) []byte {
+	b := make([]byte, 0, 64+procRowSize*len(st.Procs)+80*len(st.Pairs))
+	b = appendCommHead(b, st.Events, st.Sends, st.Recvs, st.BytesSent, st.BytesRecvd, sizeArray(st.Sizes))
+	slices.SortFunc(st.Procs, func(x, y ProcCommState) int {
+		return cmp.Compare(procKey(x.Machine, x.PID), procKey(y.Machine, y.PID))
 	})
-	return cells
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Procs)))
+	for i := range st.Procs {
+		p := &st.Procs[i]
+		b = appendProcRow(b, p.Machine, p.PID, p.Sends, p.Recvs, p.RecvCalls, p.Sockets, p.Forks, p.BytesSent, p.BytesRecvd)
+	}
+	slices.SortFunc(st.Pairs, cmpPairKey)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Pairs)))
+	for i := range st.Pairs {
+		p := &st.Pairs[i]
+		b = appendPairRow(b, p.Src, p.Dst, p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes, sizeArray(p.Sizes))
+	}
+	return b
+}
+
+func cmpPairKey(x, y PairState) int {
+	return cmp.Compare(pairKey(x.Src, x.Dst), pairKey(y.Src, y.Dst))
 }
 
 // DecodeComm parses a live.comm payload.
 func DecodeComm(data []byte) (*CommState, error) {
+	st, _, err := decodeComm(data, true)
+	return st, err
+}
+
+// decodeComm parses a live.comm payload and reports how many process
+// rows it carries. With procs false the rows — fixed-width, and most of
+// a large payload — are stepped over, not built (renderComm counts them).
+func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 	r := &sreader{b: data}
 	st := &CommState{
 		Events:     r.i64(),
@@ -355,18 +393,26 @@ func DecodeComm(data []byte) (*CommState, error) {
 		BytesRecvd: r.i64(),
 	}
 	st.Sizes = readSizes(r)
-	np := r.count()
-	for i := uint32(0); i < np && r.err == nil; i++ {
-		p := ProcCommState{Machine: r.u16(), PID: r.u32()}
-		p.Sends, p.Recvs, p.RecvCalls = r.i64(), r.i64(), r.i64()
-		p.Sockets, p.Forks = r.i64(), r.i64()
-		p.BytesSent, p.BytesRecvd = r.i64(), r.i64()
-		if r.err == nil {
-			st.Procs = append(st.Procs, p)
+	np := int(r.count())
+	if !procs && np <= (len(r.b)-r.off)/procRowSize {
+		r.off += np * procRowSize
+	} else {
+		// Sized by what the bytes can hold; a count they cannot back
+		// fails below, at the field that runs out.
+		st.Procs = make([]ProcCommState, 0, min(np, (len(r.b)-r.off)/procRowSize))
+		for i := 0; i < np && r.err == nil; i++ {
+			p := ProcCommState{Machine: r.u16(), PID: r.u32()}
+			p.Sends, p.Recvs, p.RecvCalls = r.i64(), r.i64(), r.i64()
+			p.Sockets, p.Forks = r.i64(), r.i64()
+			p.BytesSent, p.BytesRecvd = r.i64(), r.i64()
+			if r.err == nil {
+				st.Procs = append(st.Procs, p)
+			}
 		}
 	}
-	npairs := r.count()
-	for i := uint32(0); i < npairs && r.err == nil; i++ {
+	npairs := int(r.count())
+	st.Pairs = make([]PairState, 0, min(npairs, (len(r.b)-r.off)/minPairRowSize))
+	for i := 0; i < npairs && r.err == nil; i++ {
 		p := PairState{Src: r.u16(), Dst: r.u16()}
 		p.SendMsgs, p.SendBytes = r.i64(), r.i64()
 		p.RecvMsgs, p.RecvBytes = r.i64(), r.i64()
@@ -376,38 +422,37 @@ func DecodeComm(data []byte) (*CommState, error) {
 		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, 0, r.err
 	}
-	return st, nil
+	return st, np, nil
 }
 
-// capturePar encodes the live.par payload:
+// appendParRow writes one row of the live.par payload:
 //
 //	u32 n procs × (u16 machine, u32 pid, u8 terminated,
-//	               i64 first, last, maxCPU).
+//	               i64 first, last, maxCPU),
+//
+// rows in (machine, pid) order.
+func appendParRow(b []byte, machine uint16, pid uint32, terminated bool, first, last, maxCPU int64) []byte {
+	b = binary.LittleEndian.AppendUint16(b, machine)
+	b = binary.LittleEndian.AppendUint32(b, pid)
+	var term uint8
+	if terminated {
+		term = 1
+	}
+	return appendI64s(append(b, term), first, last, maxCPU)
+}
+
+// capturePar encodes the collector's live.par payload.
 func (c *Collector) capturePar() []byte {
 	c.sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	le := binary.LittleEndian
-	cells := c.sortedCells()
-	b := make([]byte, 0, 8+31*len(cells))
-	b = le.AppendUint32(b, uint32(len(cells)))
+	cells := c.orderCells()
+	b := make([]byte, 0, 4+parRowSize*len(cells))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cells)))
 	for _, pc := range cells {
-		b = le.AppendUint16(b, pc.machine)
-		b = le.AppendUint32(b, pc.pid)
-		var term uint8
-		if pc.terminated {
-			term = 1
-		}
-		b = append(b, term)
-		first := pc.first
-		if first < 0 {
-			first = 0
-		}
-		b = le.AppendUint64(b, uint64(first))
-		b = le.AppendUint64(b, uint64(pc.last))
-		b = le.AppendUint64(b, uint64(pc.maxCPU))
+		b = appendParRow(b, pc.machine, pc.pid, pc.terminated, max(pc.first, 0), pc.last, pc.maxCPU)
 	}
 	return b
 }
@@ -415,9 +460,9 @@ func (c *Collector) capturePar() []byte {
 // DecodePar parses a live.par payload.
 func DecodePar(data []byte) (*ParState, error) {
 	r := &sreader{b: data}
-	st := &ParState{}
-	n := r.count()
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	n := int(r.count())
+	st := &ParState{Procs: make([]ProcInterval, 0, min(n, (len(r.b)-r.off)/parRowSize))}
+	for i := 0; i < n && r.err == nil; i++ {
 		iv := ProcInterval{Machine: r.u16(), PID: r.u32(), Terminated: r.u8() != 0}
 		iv.First, iv.Last, iv.MaxCPU = r.i64(), r.i64(), r.i64()
 		if r.err == nil {
@@ -430,22 +475,20 @@ func DecodePar(data []byte) (*ParState, error) {
 	return st, nil
 }
 
-// captureMatch encodes the live.match payload:
+// appendMatch writes the live.match payload:
 //
 //	i64 conns, streamMatched, dgramMatched, agedOut, pending.
+func appendMatch(conns, stream, dgram, aged, pending int64) []byte {
+	return appendI64s(make([]byte, 0, 40), conns, stream, dgram, aged, pending)
+}
+
+// captureMatch encodes the collector's live.match payload.
 func (c *Collector) captureMatch() []byte {
 	c.sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	le := binary.LittleEndian
 	m := &c.match
-	b := make([]byte, 0, 40)
-	b = le.AppendUint64(b, uint64(m.conns))
-	b = le.AppendUint64(b, uint64(m.tStream+m.dStream))
-	b = le.AppendUint64(b, uint64(m.tDgram+m.dDgram))
-	b = le.AppendUint64(b, uint64(m.tAged+m.dAged))
-	b = le.AppendUint64(b, uint64(m.pending))
-	return b
+	return appendMatch(m.conns, m.tStream+m.dStream, m.tDgram+m.dDgram, m.tAged+m.dAged, int64(m.pending))
 }
 
 // DecodeMatch parses a live.match payload.
@@ -466,6 +509,35 @@ func DecodeMatch(data []byte) (*MatchState, error) {
 
 // ---- merging ----
 
+// foldRows folds b's rows into a's by key — a row whose key a already
+// holds is combined into it, the others are appended — which is how
+// every keyed table of a section merges.
+func foldRows[T any](a, b []T, key func(*T) uint64, combine func(dst, src *T)) []T {
+	byKey := make(map[uint64]*T, len(a)+len(b))
+	for i := range a {
+		byKey[key(&a[i])] = &a[i]
+	}
+	var extra []T
+	for i := range b {
+		if dst, ok := byKey[key(&b[i])]; ok {
+			combine(dst, &b[i])
+		} else {
+			extra = append(extra, b[i])
+		}
+	}
+	return append(a, extra...)
+}
+
+// addSizes adds the src histogram into *dst.
+func addSizes(dst *map[int]int64, src map[int]int64) {
+	if *dst == nil && src != nil {
+		*dst = make(map[int]int64, len(src))
+	}
+	for k, v := range src {
+		(*dst)[k] += v
+	}
+}
+
 func mergeCommPayload(a, b []byte) ([]byte, error) {
 	sa, err := DecodeComm(a)
 	if err != nil {
@@ -480,21 +552,10 @@ func mergeCommPayload(a, b []byte) ([]byte, error) {
 	sa.Recvs += sb.Recvs
 	sa.BytesSent += sb.BytesSent
 	sa.BytesRecvd += sb.BytesRecvd
-	if sa.Sizes == nil && sb.Sizes != nil {
-		sa.Sizes = make(map[int]int64, len(sb.Sizes))
-	}
-	for k, v := range sb.Sizes {
-		sa.Sizes[k] += v
-	}
-	procs := make(map[uint64]*ProcCommState, len(sa.Procs)+len(sb.Procs))
-	for i := range sa.Procs {
-		p := &sa.Procs[i]
-		procs[procKey(p.Machine, p.PID)] = p
-	}
-	var extra []ProcCommState
-	for i := range sb.Procs {
-		p := &sb.Procs[i]
-		if dst, ok := procs[procKey(p.Machine, p.PID)]; ok {
+	addSizes(&sa.Sizes, sb.Sizes)
+	sa.Procs = foldRows(sa.Procs, sb.Procs,
+		func(p *ProcCommState) uint64 { return procKey(p.Machine, p.PID) },
+		func(dst, p *ProcCommState) {
 			dst.Sends += p.Sends
 			dst.Recvs += p.Recvs
 			dst.RecvCalls += p.RecvCalls
@@ -502,94 +563,17 @@ func mergeCommPayload(a, b []byte) ([]byte, error) {
 			dst.Forks += p.Forks
 			dst.BytesSent += p.BytesSent
 			dst.BytesRecvd += p.BytesRecvd
-		} else {
-			extra = append(extra, *p)
-		}
-	}
-	sa.Procs = append(sa.Procs, extra...)
-	pairs := make(map[uint32]*PairState, len(sa.Pairs)+len(sb.Pairs))
-	for i := range sa.Pairs {
-		p := &sa.Pairs[i]
-		pairs[pairKey(p.Src, p.Dst)] = p
-	}
-	var extraPairs []PairState
-	for i := range sb.Pairs {
-		p := &sb.Pairs[i]
-		if dst, ok := pairs[pairKey(p.Src, p.Dst)]; ok {
+		})
+	sa.Pairs = foldRows(sa.Pairs, sb.Pairs,
+		func(p *PairState) uint64 { return uint64(pairKey(p.Src, p.Dst)) },
+		func(dst, p *PairState) {
 			dst.SendMsgs += p.SendMsgs
 			dst.SendBytes += p.SendBytes
 			dst.RecvMsgs += p.RecvMsgs
 			dst.RecvBytes += p.RecvBytes
-			if dst.Sizes == nil && p.Sizes != nil {
-				dst.Sizes = make(map[int]int64, len(p.Sizes))
-			}
-			for k, v := range p.Sizes {
-				dst.Sizes[k] += v
-			}
-		} else {
-			extraPairs = append(extraPairs, *p)
-		}
-	}
-	sa.Pairs = append(sa.Pairs, extraPairs...)
+			addSizes(&dst.Sizes, p.Sizes)
+		})
 	return encodeCommState(sa), nil
-}
-
-func encodeCommState(st *CommState) []byte {
-	le := binary.LittleEndian
-	b := make([]byte, 0, 64+70*len(st.Procs)+80*len(st.Pairs))
-	b = le.AppendUint64(b, uint64(st.Events))
-	b = le.AppendUint64(b, uint64(st.Sends))
-	b = le.AppendUint64(b, uint64(st.Recvs))
-	b = le.AppendUint64(b, uint64(st.BytesSent))
-	b = le.AppendUint64(b, uint64(st.BytesRecvd))
-	b = appendSizeMap(b, st.Sizes)
-	sort.Slice(st.Procs, func(i, j int) bool {
-		if st.Procs[i].Machine != st.Procs[j].Machine {
-			return st.Procs[i].Machine < st.Procs[j].Machine
-		}
-		return st.Procs[i].PID < st.Procs[j].PID
-	})
-	b = le.AppendUint32(b, uint32(len(st.Procs)))
-	for i := range st.Procs {
-		p := &st.Procs[i]
-		b = le.AppendUint16(b, p.Machine)
-		b = le.AppendUint32(b, p.PID)
-		for _, v := range [7]int64{p.Sends, p.Recvs, p.RecvCalls, p.Sockets, p.Forks, p.BytesSent, p.BytesRecvd} {
-			b = le.AppendUint64(b, uint64(v))
-		}
-	}
-	sort.Slice(st.Pairs, func(i, j int) bool {
-		return pairKey(st.Pairs[i].Src, st.Pairs[i].Dst) < pairKey(st.Pairs[j].Src, st.Pairs[j].Dst)
-	})
-	b = le.AppendUint32(b, uint32(len(st.Pairs)))
-	for i := range st.Pairs {
-		p := &st.Pairs[i]
-		b = le.AppendUint16(b, p.Src)
-		b = le.AppendUint16(b, p.Dst)
-		b = le.AppendUint64(b, uint64(p.SendMsgs))
-		b = le.AppendUint64(b, uint64(p.SendBytes))
-		b = le.AppendUint64(b, uint64(p.RecvMsgs))
-		b = le.AppendUint64(b, uint64(p.RecvBytes))
-		b = appendSizeMap(b, p.Sizes)
-	}
-	return b
-}
-
-func appendSizeMap(b []byte, sizes map[int]int64) []byte {
-	le := binary.LittleEndian
-	keys := make([]int, 0, len(sizes))
-	for k, v := range sizes {
-		if v != 0 && k >= 0 && k < numSizeBuckets {
-			keys = append(keys, k)
-		}
-	}
-	sort.Ints(keys)
-	b = le.AppendUint16(b, uint16(len(keys)))
-	for _, k := range keys {
-		b = append(b, uint8(k))
-		b = le.AppendUint64(b, uint64(sizes[k]))
-	}
-	return b
 }
 
 func mergeParPayload(a, b []byte) ([]byte, error) {
@@ -601,51 +585,22 @@ func mergeParPayload(a, b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	procs := make(map[uint64]*ProcInterval, len(sa.Procs)+len(sb.Procs))
-	for i := range sa.Procs {
-		p := &sa.Procs[i]
-		procs[procKey(p.Machine, p.PID)] = p
-	}
-	var extra []ProcInterval
-	for i := range sb.Procs {
-		p := &sb.Procs[i]
-		if dst, ok := procs[procKey(p.Machine, p.PID)]; ok {
-			if p.First < dst.First {
-				dst.First = p.First
-			}
-			if p.Last > dst.Last {
-				dst.Last = p.Last
-			}
-			if p.MaxCPU > dst.MaxCPU {
-				dst.MaxCPU = p.MaxCPU
-			}
+	procs := foldRows(sa.Procs, sb.Procs,
+		func(p *ProcInterval) uint64 { return procKey(p.Machine, p.PID) },
+		func(dst, p *ProcInterval) {
+			dst.First = min(dst.First, p.First)
+			dst.Last = max(dst.Last, p.Last)
+			dst.MaxCPU = max(dst.MaxCPU, p.MaxCPU)
 			dst.Terminated = dst.Terminated || p.Terminated
-		} else {
-			extra = append(extra, *p)
-		}
-	}
-	sa.Procs = append(sa.Procs, extra...)
-	sort.Slice(sa.Procs, func(i, j int) bool {
-		if sa.Procs[i].Machine != sa.Procs[j].Machine {
-			return sa.Procs[i].Machine < sa.Procs[j].Machine
-		}
-		return sa.Procs[i].PID < sa.Procs[j].PID
+		})
+	slices.SortFunc(procs, func(x, y ProcInterval) int {
+		return cmp.Compare(procKey(x.Machine, x.PID), procKey(y.Machine, y.PID))
 	})
-	le := binary.LittleEndian
-	out := make([]byte, 0, 8+31*len(sa.Procs))
-	out = le.AppendUint32(out, uint32(len(sa.Procs)))
-	for i := range sa.Procs {
-		p := &sa.Procs[i]
-		out = le.AppendUint16(out, p.Machine)
-		out = le.AppendUint32(out, p.PID)
-		var term uint8
-		if p.Terminated {
-			term = 1
-		}
-		out = append(out, term)
-		out = le.AppendUint64(out, uint64(p.First))
-		out = le.AppendUint64(out, uint64(p.Last))
-		out = le.AppendUint64(out, uint64(p.MaxCPU))
+	out := make([]byte, 0, 4+parRowSize*len(procs))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(procs)))
+	for i := range procs {
+		p := &procs[i]
+		out = appendParRow(out, p.Machine, p.PID, p.Terminated, p.First, p.Last, p.MaxCPU)
 	}
 	return out, nil
 }
@@ -659,14 +614,8 @@ func mergeMatchPayload(a, b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	le := binary.LittleEndian
-	out := make([]byte, 0, 40)
-	out = le.AppendUint64(out, uint64(sa.Conns+sb.Conns))
-	out = le.AppendUint64(out, uint64(sa.StreamMatched+sb.StreamMatched))
-	out = le.AppendUint64(out, uint64(sa.DgramMatched+sb.DgramMatched))
-	out = le.AppendUint64(out, uint64(sa.AgedOut+sb.AgedOut))
-	out = le.AppendUint64(out, uint64(sa.Pending+sb.Pending))
-	return out, nil
+	return appendMatch(sa.Conns+sb.Conns, sa.StreamMatched+sb.StreamMatched, sa.DgramMatched+sb.DgramMatched,
+		sa.AgedOut+sb.AgedOut, sa.Pending+sb.Pending), nil
 }
 
 // ---- rendering ----
@@ -687,19 +636,19 @@ func renderComm(w io.Writer, s *obs.Section) {
 		fmt.Fprintf(w, "live communication: unsupported payload v%d (%d bytes)\n", s.Version, len(s.Data))
 		return
 	}
-	st, err := DecodeComm(s.Data)
+	st, nprocs, err := decodeComm(s.Data, false)
 	if err != nil {
 		fmt.Fprintf(w, "live communication: %v\n", err)
 		return
 	}
 	fmt.Fprintf(w, "live communication: %d events, %d procs, sends %d (%d B), recvs %d (%d B)\n",
-		st.Events, len(st.Procs), st.Sends, st.BytesSent, st.Recvs, st.BytesRecvd)
+		st.Events, nprocs, st.Sends, st.BytesSent, st.Recvs, st.BytesRecvd)
 	if len(st.Sizes) > 0 {
 		keys := make([]int, 0, len(st.Sizes))
 		for k := range st.Sizes {
 			keys = append(keys, k)
 		}
-		sort.Ints(keys)
+		slices.Sort(keys)
 		fmt.Fprintf(w, "  send sizes:")
 		for _, k := range keys {
 			fmt.Fprintf(w, " <=2^%d:%d", k, st.Sizes[k])
@@ -710,11 +659,11 @@ func renderComm(w io.Writer, s *obs.Section) {
 		return
 	}
 	pairs := st.Pairs
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].SendBytes != pairs[j].SendBytes {
-			return pairs[i].SendBytes > pairs[j].SendBytes
+	slices.SortFunc(pairs, func(x, y PairState) int {
+		if x.SendBytes != y.SendBytes {
+			return cmp.Compare(y.SendBytes, x.SendBytes)
 		}
-		return pairKey(pairs[i].Src, pairs[i].Dst) < pairKey(pairs[j].Src, pairs[j].Dst)
+		return cmpPairKey(x, y)
 	})
 	fmt.Fprintf(w, "  matrix %-12s %22s %22s\n", "(src->dst)", "sent msgs/bytes", "recvd msgs/bytes")
 	shown := pairs
@@ -749,7 +698,7 @@ func renderPar(w io.Writer, s *obs.Section) {
 		for k := range curve.Histogram {
 			ks = append(ks, k)
 		}
-		sort.Ints(ks)
+		slices.Sort(ks)
 		fmt.Fprintf(w, "  concurrency:")
 		for _, k := range ks {
 			fmt.Fprintf(w, " %dx:%dms", k, curve.Histogram[k])

@@ -662,7 +662,9 @@ func (c *Controller) cmdStats(args []string) {
 			missing = append(missing, r.Host)
 			continue
 		}
-		s, perr := obs.ParseSnapshot([]byte(r.Rep.Data))
+		// The conversion is this reader's own copy of the bytes; the
+		// snapshot's sections are parsed in place over it.
+		s, perr := obs.ParseSnapshotOwned([]byte(r.Rep.Data))
 		if perr != nil {
 			missing = append(missing, r.Host)
 			continue

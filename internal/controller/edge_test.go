@@ -302,3 +302,51 @@ func TestMeterFlagsReachKernel(t *testing.T) {
 	ctl.Exec("stopjob j")
 	ctl.Exec("removejob j")
 }
+
+// TestCreateCyclesLeakNothing: a meterdaemon that has created, run and
+// seen off three hundred processes holds the descriptors and the
+// machine the bound datagram ports they had before the first — the
+// per-child gateway socket (section 3.5.2) lives as long as the child,
+// not as long as the daemon.
+func TestCreateCyclesLeakNothing(t *testing.T) {
+	c, ctl, _ := newSystem(t)
+	c.RegisterProgram("quick", func(p *kernel.Process) int { return 0 })
+	red, _ := c.Machine("red")
+	if err := red.FS().CreateExecutable("/bin/quick", testUID, "quick"); err != nil {
+		t.Fatal(err)
+	}
+	var md *kernel.Process
+	for _, p := range red.Procs() {
+		if p.Name() == "meterdaemon" {
+			md = p
+		}
+	}
+	if md == nil {
+		t.Fatal("no meterdaemon on red")
+	}
+	dgramPorts := func() int {
+		n := 0
+		for port := 1; port <= 0xffff; port++ {
+			if red.PortBound(kernel.SockDgram, uint16(port)) {
+				n++
+			}
+		}
+		return n
+	}
+	ctl.Exec("filter f1 blue")
+	cycle := func() {
+		ctl.Exec("newjob j")
+		ctl.Exec("addprocess j red quick")
+		ctl.Exec("startjob j")
+		waitFor(t, "quick to exit", jobDone(ctl, "j"))
+		ctl.Exec("removejob j")
+	}
+	cycle() // the daemon's session and notification connections come up
+	fds, ports := md.NumFDs(), dgramPorts()
+	for i := 0; i < 300; i++ {
+		cycle()
+	}
+	waitFor(t, "descriptors and ports to return to baseline", func() bool {
+		return md.NumFDs() == fds && dgramPorts() == ports
+	})
+}

@@ -330,11 +330,14 @@ func (d *daemonState) handleCreate(req *CreateReq) *Reply {
 	// The per-process I/O gateway socket (section 3.5.2): a datagram
 	// socket connected back to the daemon's gateway, installed as the
 	// child's standard descriptors. Datagram links are reliable
-	// within a single machine.
+	// within a single machine. Spawn takes the child's own references;
+	// the daemon's is closed on every way out, so the socket and its
+	// port live exactly as long as the child.
 	sfd, err := d.p.Socket(meter.AFInet, kernel.SockDgram)
 	if err != nil {
 		return &Reply{Type: TCreateRep, Status: err.Error()}
 	}
+	defer func() { _ = d.p.Close(sfd) }()
 	if err := d.p.BindPort(sfd, 0); err != nil {
 		return &Reply{Type: TCreateRep, Status: err.Error()}
 	}
@@ -668,10 +671,19 @@ func (d *daemonState) handleAgg(req *AggReq) *Reply {
 // daemon's own request counters — shares the registry, so one reply
 // describes the whole node. The daemon never interprets the metrics;
 // merging and rendering are the controller's business.
+// What the snapshot costs — capture plus encoding, and the bytes
+// shipped — goes into the same registry, its handles resolved before the
+// capture so that the report lists them, as of the report before.
 func (d *daemonState) handleStats() *Reply {
-	s := d.p.Machine().Obs().Snapshot()
+	reg := d.p.Machine().Obs()
+	span := obs.StartSpan(reg.Histogram("daemon.stats_snapshot_ns"))
+	replyBytes := reg.Counter("daemon.stats_reply_bytes")
+	s := reg.Snapshot()
 	s.Machine = d.p.Machine().Name()
-	return &Reply{Type: TStatsRep, Status: "ok", Data: string(s.MarshalBinary())}
+	data := s.MarshalBinary()
+	span.End()
+	replyBytes.Add(int64(len(data)))
+	return &Reply{Type: TStatsRep, Status: "ok", Data: string(data)}
 }
 
 // handleGateway dispatches datagrams arriving on the gateway socket:

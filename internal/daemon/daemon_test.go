@@ -465,12 +465,28 @@ func TestStdoutForwardedToController(t *testing.T) {
 	if err := r.red.FS().CreateExecutable("/bin/talker", testUID, "talker"); err != nil {
 		t.Fatal(err)
 	}
+	var md *kernel.Process
+	for _, p := range r.red.Procs() {
+		if p.Name() == "meterdaemon" {
+			md = p
+		}
+	}
+	fds := md.NumFDs()
 	rep, err := Exchange(r.ctl, "red", (&CreateReq{
 		Filename: "/bin/talker", UID: testUID,
 		ControlHost: "yellow", ControlPort: r.notifyPort,
 	}).Wire())
 	if err != nil || !rep.OK() {
 		t.Fatalf("create: %v %+v", err, rep)
+	}
+	// The daemon has closed its own descriptor for the child's gateway
+	// socket by the time it replies; the suspended child's references
+	// keep the socket — and the path below — alive.
+	// (The exchange's own connection closes just after the reply.)
+	for deadline := time.Now().Add(2 * time.Second); md.NumFDs() != fds; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon holds %d descriptors after a create, %d before", md.NumFDs(), fds)
+		}
 	}
 	r.signal("red", rep.PID, testUID, TStartReq)
 	var sawOutput bool

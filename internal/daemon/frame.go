@@ -65,13 +65,26 @@ type Frame struct {
 	Payload []byte
 }
 
+// appendFrameHeader appends the header of a frame with n payload bytes.
+func appendFrameHeader(buf []byte, kind uint32, id uint64, n int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameHeader+n))
+	buf = binary.LittleEndian.AppendUint32(buf, kind)
+	return binary.LittleEndian.AppendUint64(buf, id)
+}
+
 // AppendFrame appends one encoded frame to buf and returns the
 // extended slice.
 func AppendFrame(buf []byte, kind uint32, id uint64, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameHeader+len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, kind)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	return append(buf, payload...)
+	return append(appendFrameHeader(buf, kind, id, len(payload)), payload...)
+}
+
+// wireFrame encodes a frame whose payload is the message, written once,
+// straight behind the frame header — AppendFrame over w.Encode()
+// without the copy in between, which for a stats or getlog reply is
+// megabytes.
+func wireFrame(kind uint32, id uint64, w *WireMsg) []byte {
+	n := w.size()
+	return w.appendTo(appendFrameHeader(make([]byte, 0, frameHeader+n), kind, id, n))
 }
 
 // frameSizeOK reports whether a frame's leading size word can begin a

@@ -30,6 +30,25 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireFrameIsFrameOfEncode: the single-copy encoder writes the
+// bytes AppendFrame writes around Encode, into a buffer of exactly
+// their length.
+func TestWireFrameIsFrameOfEncode(t *testing.T) {
+	for _, w := range []*WireMsg{
+		{Type: TStatsReq},
+		(&CreateReq{Filename: "/bin/x", Params: []string{"a", ""}, UID: 1, Token: "t"}).Wire(),
+		(&Reply{Type: TGetFileRep, PID: 1 << 20, Status: "ok", Data: string(make([]byte, 70000)), Aux: "7"}).Wire(),
+	} {
+		got, want := wireFrame(FrameRep, 1<<40+3, w), AppendFrame(nil, FrameRep, 1<<40+3, w.Encode())
+		if string(got) != string(want) {
+			t.Fatalf("%v: wireFrame differs from AppendFrame(Encode)", w.Type)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("%v: %d-byte frame in a %d-byte buffer", w.Type, len(got), cap(got))
+		}
+	}
+}
+
 func TestParseFrameShortAndCorrupt(t *testing.T) {
 	whole := AppendFrame(nil, FrameRep, 9, []byte("payload"))
 	for cut := 0; cut < len(whole); cut++ {

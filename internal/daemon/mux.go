@@ -56,7 +56,7 @@ func (d *daemonState) serveSession(conn int, buf []byte) {
 				rep := d.handle(w)
 				// One Send per frame: kernel sends are atomic, so
 				// concurrent repliers cannot interleave frame bytes.
-				_, _ = d.p.Send(conn, AppendFrame(nil, FrameRep, id, rep.Wire().Encode()))
+				_, _ = d.p.Send(conn, wireFrame(FrameRep, id, rep.Wire()))
 			})
 		default:
 			// Unknown frame kinds are skipped for forward compatibility,

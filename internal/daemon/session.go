@@ -240,8 +240,6 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 		timeout = DefaultRetryPolicy().ReplyTimeout
 	}
 	start := time.Now()
-	payload := req.Encode()
-
 	s.mu.Lock()
 	switch {
 	case s.closed:
@@ -253,7 +251,7 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 	}
 	s.nextID++
 	id := s.nextID
-	c := &call{frame: AppendFrame(nil, FrameReq, id, payload), done: make(chan callResult, 1)}
+	c := &call{frame: wireFrame(FrameReq, id, req), done: make(chan callResult, 1)}
 	s.inflight[id] = c
 	s.inflightHW.SetMax(int64(len(s.inflight)))
 	fd := -1

@@ -139,13 +139,22 @@ const maxWireSize = 16 << 20
 // Encode serializes the message: total size, type, field count, then
 // length-prefixed fields.
 func (w *WireMsg) Encode() []byte {
+	return w.appendTo(make([]byte, 0, w.size()))
+}
+
+// size is the encoded length of the message.
+func (w *WireMsg) size() int {
 	size := 12
 	for _, f := range w.Fields {
 		size += 4 + len(f)
 	}
-	b := make([]byte, 0, size)
+	return size
+}
+
+// appendTo appends the encoded message to b.
+func (w *WireMsg) appendTo(b []byte) []byte {
 	le := binary.LittleEndian
-	b = le.AppendUint32(b, uint32(size))
+	b = le.AppendUint32(b, uint32(w.size()))
 	b = le.AppendUint32(b, uint32(w.Type))
 	b = le.AppendUint32(b, uint32(len(w.Fields)))
 	for _, f := range w.Fields {

@@ -125,6 +125,45 @@ func TestDoubleBind(t *testing.T) {
 	}
 }
 
+// TestBindEphemeralPortSpaceFull: with every datagram port of a
+// machine bound, a bind that asks for an ephemeral port fails with
+// ErrAddrInUse after one pass over the port space instead of searching
+// forever under the machine lock; stream ports are a separate
+// namespace and still allocate.
+func TestBindEphemeralPortSpaceFull(t *testing.T) {
+	_, red, _ := newTestCluster(t)
+	p := detached(t, red)
+	holder, _ := p.SocketOf(mustSocket(t, p, SockDgram))
+	red.mu.Lock()
+	for port := ephemeralBase; port <= 0xffff; port++ {
+		red.ports[portKey{SockDgram, uint16(port)}] = holder
+	}
+	red.mu.Unlock()
+	fd := mustSocket(t, p, SockDgram)
+	done := make(chan error, 1)
+	go func() { done <- p.BindPort(fd, 0) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrAddrInUse) {
+			t.Fatalf("err = %v, want ErrAddrInUse", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("bind to an ephemeral port never returned")
+	}
+	if err := p.BindPort(mustSocket(t, p, SockStream), 0); err != nil {
+		t.Fatalf("stream bind beside a full datagram space: %v", err)
+	}
+}
+
+func mustSocket(t *testing.T, p *Process, typ int) int {
+	t.Helper()
+	fd, err := p.Socket(meter.AFInet, typ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fd
+}
+
 func TestRecvZeroMax(t *testing.T) {
 	_, red, _ := newTestCluster(t)
 	p := detached(t, red)

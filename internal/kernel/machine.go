@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"dpm/internal/clock"
@@ -398,11 +399,11 @@ func (m *Machine) Footprint() (sockets, bufferedBytes int64) {
 	return m.mem.sockets.Load(), m.mem.buffered.Load()
 }
 
-// allocPort hands out an ephemeral port.
+// allocPort hands out an ephemeral port of the given type, or 0 when
+// one full wrap of the port space finds every port bound. The caller
+// holds m.mu.
 func (m *Machine) allocPort(typ int) uint16 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
+	for tries := 0; tries <= math.MaxUint16-ephemeralBase; tries++ {
 		m.nextPort++
 		if m.nextPort == 0 {
 			m.nextPort = ephemeralBase
@@ -411,6 +412,7 @@ func (m *Machine) allocPort(typ int) uint16 {
 			return m.nextPort
 		}
 	}
+	return 0
 }
 
 const ephemeralBase = 1024
@@ -418,10 +420,13 @@ const ephemeralBase = 1024
 // bindInet binds a socket to an Internet port (0 allocates one). The
 // socket name uses the machine's primary address.
 func (m *Machine) bindInet(s *Socket, port uint16) (meter.Name, error) {
-	if port == 0 {
-		port = m.allocPort(s.typ)
-	}
 	m.mu.Lock()
+	if port == 0 {
+		if port = m.allocPort(s.typ); port == 0 {
+			m.mu.Unlock()
+			return meter.Name{}, fmt.Errorf("%w: no free ephemeral port", ErrAddrInUse)
+		}
+	}
 	key := portKey{s.typ, port}
 	if _, used := m.ports[key]; used {
 		m.mu.Unlock()

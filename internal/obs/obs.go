@@ -24,7 +24,8 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -245,9 +246,9 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 		s.Hists = append(s.Hists, hv)
 	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Hists, func(i, j int) bool { return s.Hists[i].Name < s.Hists[j].Name })
-	sort.Slice(s.Sections, func(i, j int) bool { return s.Sections[i].Name < s.Sections[j].Name })
+	slices.SortFunc(s.Counters, cmpValueName)
+	slices.SortFunc(s.Gauges, cmpValueName)
+	slices.SortFunc(s.Hists, cmpHistName)
+	slices.SortFunc(s.Sections, func(a, b Section) int { return strings.Compare(a.Name, b.Name) })
 	return s
 }

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -108,7 +111,7 @@ func mergeSections(a, b []Section) []Section {
 		// Fold in a deterministic order so a merger that is not
 		// perfectly commutative still cannot make merge results
 		// depend on snapshot arrival order.
-		sort.Slice(payloads, func(i, j int) bool { return string(payloads[i]) < string(payloads[j]) })
+		slices.SortFunc(payloads, bytes.Compare)
 		fn := sectionMerger(k.name)
 		if fn != nil {
 			merged := payloads[0]
@@ -130,14 +133,8 @@ func mergeSections(a, b []Section) []Section {
 			out = append(out, Section{Name: k.name, Version: k.version, Data: p})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		if out[i].Version != out[j].Version {
-			return out[i].Version < out[j].Version
-		}
-		return string(out[i].Data) < string(out[j].Data)
+	slices.SortFunc(out, func(a, b Section) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Version, b.Version), bytes.Compare(a.Data, b.Data))
 	})
 	return out
 }

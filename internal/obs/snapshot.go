@@ -1,13 +1,15 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -125,9 +127,12 @@ func mergeValues(a, b []NamedValue) []NamedValue {
 	for name, v := range byName {
 		out = append(out, NamedValue{Name: name, Value: v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, cmpValueName)
 	return out
 }
+
+func cmpValueName(a, b NamedValue) int { return strings.Compare(a.Name, b.Name) }
+func cmpHistName(a, b HistValue) int   { return strings.Compare(a.Name, b.Name) }
 
 func mergeHists(a, b []HistValue) []HistValue {
 	byName := make(map[string]*HistValue, len(a)+len(b))
@@ -152,7 +157,7 @@ func mergeHists(a, b []HistValue) []HistValue {
 		for bucket, n := range counts {
 			dst.Buckets = append(dst.Buckets, BucketCount{Bucket: bucket, Count: n})
 		}
-		sort.Slice(dst.Buckets, func(i, j int) bool { return dst.Buckets[i].Bucket < dst.Buckets[j].Bucket })
+		slices.SortFunc(dst.Buckets, func(a, b BucketCount) int { return cmp.Compare(a.Bucket, b.Bucket) })
 	}
 	for _, h := range a {
 		fold(h)
@@ -164,7 +169,7 @@ func mergeHists(a, b []HistValue) []HistValue {
 	for _, h := range byName {
 		out = append(out, *h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, cmpHistName)
 	return out
 }
 
@@ -201,7 +206,7 @@ const maxSnapshotEntries = 1 << 20
 // MarshalBinary encodes the snapshot in the versioned binary format.
 func (s *Snapshot) MarshalBinary() []byte {
 	le := binary.LittleEndian
-	b := make([]byte, 0, 256)
+	b := make([]byte, 0, s.binarySize())
 	b = append(b, snapshotMagic[:]...)
 	b = le.AppendUint16(b, SnapshotVersion)
 	b = appendString(b, s.Machine)
@@ -235,6 +240,25 @@ func (s *Snapshot) MarshalBinary() []byte {
 		b = append(b, sec.Data...)
 	}
 	return b
+}
+
+// binarySize is the exact length of the binary form, so that encoding
+// a snapshot whose sections run to megabytes allocates it once.
+func (s *Snapshot) binarySize() int {
+	n := 4 + 2 + 2 + len(s.Machine) + 8 + 4*4
+	for _, v := range s.Counters {
+		n += 2 + len(v.Name) + 8
+	}
+	for _, v := range s.Gauges {
+		n += 2 + len(v.Name) + 8
+	}
+	for _, h := range s.Hists {
+		n += 2 + len(h.Name) + 8 + 8 + 2 + 9*len(h.Buckets)
+	}
+	for _, sec := range s.Sections {
+		n += 2 + len(sec.Name) + 2 + 4 + len(sec.Data)
+	}
+	return n
 }
 
 func appendString(b []byte, s string) []byte {
@@ -302,8 +326,15 @@ func (r *reader) str() string {
 // ParseSnapshot decodes a binary snapshot. Trailing bytes beyond the
 // known sections are ignored, and versions newer than SnapshotVersion
 // are accepted by their version-1 prefix, so old readers keep working
-// against extended writers.
-func ParseSnapshot(data []byte) (*Snapshot, error) {
+// against extended writers. Nothing in the result aliases data.
+func ParseSnapshot(data []byte) (*Snapshot, error) { return parseSnapshot(data, true) }
+
+// ParseSnapshotOwned is ParseSnapshot for a caller that gives data up —
+// one that just made its own copy of the bytes, of a reply's Data string
+// say: section payloads are slices of data, which must not be written to.
+func ParseSnapshotOwned(data []byte) (*Snapshot, error) { return parseSnapshot(data, false) }
+
+func parseSnapshot(data []byte, copyOut bool) (*Snapshot, error) {
 	r := &reader{b: data}
 	magic := r.take(4)
 	if r.err != nil {
@@ -354,8 +385,10 @@ func ParseSnapshot(data []byte) (*Snapshot, error) {
 			sec := Section{Name: r.str(), Version: r.u16()}
 			n := int(r.u32())
 			if body := r.take(n); body != nil {
-				// Copy out: Data must not alias the caller's buffer.
-				sec.Data = append([]byte(nil), body...)
+				sec.Data = body[:n:n]
+				if copyOut {
+					sec.Data = append([]byte(nil), body...)
+				}
 			}
 			if r.err == nil {
 				s.Sections = append(s.Sections, sec)

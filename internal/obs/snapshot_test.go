@@ -153,13 +153,37 @@ func TestBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
 		s := randomSnapshot(rng)
-		got, err := ParseSnapshot(s.MarshalBinary())
+		wire := s.MarshalBinary()
+		if cap(wire) != len(wire) {
+			t.Fatalf("trial %d: %d bytes marshalled into a buffer of %d", trial, len(wire), cap(wire))
+		}
+		got, err := ParseSnapshot(wire)
 		if err != nil {
 			t.Fatalf("trial %d: parse: %v", trial, err)
 		}
 		if !reflect.DeepEqual(comparable(s), comparable(got)) ||
 			got.Machine != s.Machine || got.TakenUnixNano != s.TakenUnixNano {
 			t.Fatalf("trial %d: round trip changed snapshot:\nin  %+v\nout %+v", trial, s, got)
+		}
+		// The owned parse reads the same snapshot, its sections in place:
+		// scribbling on the buffer afterwards reaches them, and only them.
+		owned, err := ParseSnapshotOwned(wire)
+		if err != nil || !reflect.DeepEqual(owned, got) {
+			t.Fatalf("trial %d: owned parse: %v\nowned %+v\ncopied %+v", trial, err, owned, got)
+		}
+		for i := range wire {
+			wire[i] ^= 0xff
+		}
+		if !reflect.DeepEqual(comparable(s), comparable(got)) {
+			t.Fatalf("trial %d: ParseSnapshot's result aliases its input", trial)
+		}
+		for i, sec := range owned.Sections {
+			if len(sec.Data) > 0 && sec.Data[0] == got.Sections[i].Data[0] {
+				t.Fatalf("trial %d: ParseSnapshotOwned copied section %s out", trial, sec.Name)
+			}
+			if cap(sec.Data) != len(sec.Data) {
+				t.Fatalf("trial %d: section %s can be appended into the buffer", trial, sec.Name)
+			}
 		}
 	}
 }

@@ -69,6 +69,9 @@ go test -run '^$' -bench 'BenchmarkFilterIngestLive' -benchmem -benchtime=100000
 # The record tier's parse (ROADMAP item 2): three runs, the gate below
 # takes the best.
 go test -run '^$' -bench 'BenchmarkViewParse$' -benchmem -benchtime=200000x -count=3 -cpu 1 ./internal/trace/ >>"$tmp"
+# What one machine's share of a `stats` costs at 16 384 processes
+# (ROADMAP item 5c): three runs, the gate below takes the best.
+go test -run '^$' -bench 'BenchmarkStatsRoundTrip$' -benchmem -benchtime=20x -count=3 -cpu 1 . >>"$tmp"
 
 # Fail loudly rather than archive an empty or lying file: every bench
 # must have produced a result line, and none may have collapsed to zero
@@ -219,6 +222,33 @@ END {
     }
 }' "$tmp"; then failed=1; fi
 
+# Stats round-trip gate (ROADMAP item 5c, PR 21). The row archived at
+# the last commit whose captures sorted a map walk of the cells with
+# sort.Slice, whose snapshot buffer grew by reallocation and whose
+# renderer decoded every process row (b6a3c85, nine runs on the 2-core
+# host, this benchmark file copied onto it):
+#   BenchmarkStatsRoundTrip   19.1 ms/op [18.4,24.9]   14443820 B/op   0.0638 x-sha256 [0.0611,0.0667]
+# The commit after read 5.2 ms/op [5.1,5.5], 6876300 B/op and 0.214
+# x-sha256 [0.212,0.220] beside it. As for ViewParse, ns/op is archived
+# but not gated; x-sha256 — how many SHA-256 passes over the same wire
+# bytes fit in one round trip, both at their best chunk in one process
+# — is, at 2x the parent's best, on the best of the three runs, beside
+# B/op at half the parent's.
+if ! awk '
+$1 == "BenchmarkStatsRoundTrip" { for (i = 3; i < NF; i++) { if ($(i+1) == "x-sha256" && $i > best) best = $i; if ($(i+1) == "B/op" && (bop == 0 || $i < bop)) bop = $i } }
+END {
+    if (best + 0 <= 0 || bop + 0 <= 0) { print "bench_filter.sh: missing StatsRoundTrip results" > "/dev/stderr"; exit 1 }
+    if (best / 0.0667 < 2) {
+        printf "bench_filter.sh: StatsRoundTrip is %.4f x-sha256 vs 0.0667 archived (%.2fx), gate is 2x\n", best, best / 0.0667 > "/dev/stderr"
+        fail = 1
+    }
+    if (14443820 / bop < 2) {
+        printf "bench_filter.sh: StatsRoundTrip allocates %d B/op vs 14443820 archived (%.2fx lower), gate is 2x\n", bop, 14443820 / bop > "/dev/stderr"
+        fail = 1
+    }
+    exit fail
+}' "$tmp"; then failed=1; fi
+
 # No gate on BenchmarkFilterIngestLive. The 1.05x line (live=on within
 # 5% of live=off, the design cost of one buffer swap per 512 records)
 # assumes a core for the collector's drainer beside the pipeline's
@@ -236,7 +266,7 @@ awk '
 BEGIN { print "{"; print "  \"generated_by\": \"scripts/bench_filter.sh\","; print "  \"benchmarks\": [" }
 /^Benchmark/ {
     name = $1; iters = $2
-    ns = "null"; mbs = "null"; bop = "null"; aop = "null"; bmv = "null"; cx = "null"; bod = "null"; blkp = "null"; ax = "null"; ab = "null"; ash = "null"; nsr = "null"; xpo = "null"
+    ns = "null"; mbs = "null"; bop = "null"; aop = "null"; bmv = "null"; cx = "null"; bod = "null"; blkp = "null"; ax = "null"; ab = "null"; ash = "null"; nsr = "null"; xpo = "null"; xsha = "null"; wb = "null"
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op")         ns   = $i
         if ($(i+1) == "MB/s")          mbs  = $i
@@ -251,9 +281,11 @@ BEGIN { print "{"; print "  \"generated_by\": \"scripts/bench_filter.sh\","; pri
         if ($(i+1) == "archived_share") ash  = $i
         if ($(i+1) == "ns/record")      nsr  = $i
         if ($(i+1) == "x-ParseOne")     xpo  = $i
+        if ($(i+1) == "x-sha256")       xsha = $i
+        if ($(i+1) == "wire_bytes")     wb   = $i
     }
     if (n++) printf ",\n"
-    printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"mb_per_s\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"bytes_moved\": %s, \"compression_x\": %s, \"bytes_on_disk\": %s, \"blocks_pruned\": %s, \"archive_x\": %s, \"archive_bytes\": %s, \"archived_share\": %s, \"ns_per_record\": %s, \"x_parseone\": %s}", name, iters, ns, mbs, bop, aop, bmv, cx, bod, blkp, ax, ab, ash, nsr, xpo
+    printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"mb_per_s\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"bytes_moved\": %s, \"compression_x\": %s, \"bytes_on_disk\": %s, \"blocks_pruned\": %s, \"archive_x\": %s, \"archive_bytes\": %s, \"archived_share\": %s, \"ns_per_record\": %s, \"x_parseone\": %s, \"x_sha256\": %s, \"wire_bytes\": %s}", name, iters, ns, mbs, bop, aop, bmv, cx, bod, blkp, ax, ab, ash, nsr, xpo, xsha, wb
 }
 END { print ""; print "  ]"; print "}" }
 ' "$tmp" >"$out"
