@@ -14,14 +14,17 @@ package dpm_test
 //	S1  BenchmarkStoreIngest     event-store write-path cost
 //	S2  BenchmarkQuerySegmentPruning  footer pruning vs full scan
 //	O3  BenchmarkStatsRoundTrip  what a `stats` costs per machine (ROADMAP 5c)
+//	R4  BenchmarkScanTyped/Text  a scanned record, stored typed and stored as text (ROADMAP 4a)
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -857,20 +860,35 @@ func BenchmarkStoreIngestCompressed(b *testing.B) {
 // raw/disk ratio, archive_bytes its disk bytes, archived_share the part
 // of all records that ended in tier 1.
 func BenchmarkStoreIngestArchiving(b *testing.B) {
-	recs, bytes := storeBatchRecs()
+	recs, lineBytes := storeBatchRecs()
 	st, err := store.Open(store.NewMemBackend(), filter.StoreConfig(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
 	const batchSize = 16
-	b.SetBytes(bytes / int64(len(recs)) * batchSize)
+	b.SetBytes(lineBytes / int64(len(recs)) * batchSize)
 	b.ReportAllocs()
+	// A record's line says the cpuTime its Meta says, as every line the
+	// filter hands the store does — that is what lets the store keep it
+	// typed — so the line is respelled with the clock: everything before
+	// the number, the number, everything after.
+	type spelling struct{ head, tail []byte }
+	spell := make([]spelling, len(recs))
+	for i, r := range recs {
+		at := bytes.Index(r.Line, []byte(" cpuTime=")) + len(" cpuTime=")
+		end := at + bytes.IndexByte(r.Line[at:], ' ')
+		spell[i] = spelling{r.Line[:at:at], r.Line[end:]}
+	}
+	var lines [batchSize][]byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := i * batchSize % len(recs)
 		batch := recs[off : off+batchSize]
 		for j := range batch {
 			batch[j].Meta.Time = uint32(i*batchSize + j)
+			sp := spell[off+j]
+			lines[j] = append(strconv.AppendUint(append(lines[j][:0], sp.head...), uint64(batch[j].Meta.Time), 10), sp.tail...)
+			batch[j].Line = lines[j]
 		}
 		if err := st.AppendBatch(batch); err != nil {
 			b.Fatal(err)
@@ -1204,6 +1222,119 @@ func BenchmarkTraceParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// scanFixture is the store BenchmarkScanTyped and BenchmarkScanText
+// scan: 16 384 SEND records of the shape bench/'s query_mix preloads —
+// eight senders on four machines, each walking msgLength through
+// 16..2015 in a stride of its own — as the filter writes them, so they
+// are stored typed; or, with foreign set, the same lines with one key
+// the SEND description does not have, so they are stored as text. The
+// rule reads msgLength and selects nothing: no zone map can prune it,
+// every record is decoded, admitted and matched, none is shipped.
+func scanFixture(b *testing.B, foreign bool) (segs []*store.ReaderSegment, q *query.Query, records int) {
+	b.Helper()
+	const n = 16384
+	be := store.NewMemBackend()
+	cfg := filter.StoreConfig(nil)
+	cfg.Shards, cfg.ArchiveAfter = 1, 0
+	st, err := store.Open(be, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	var at, step [8]int
+	for i := range at {
+		at[i], step[i] = rng.Intn(2000), 2*rng.Intn(400)+201
+	}
+	var batch []store.BatchRec
+	var line []byte
+	for i := 0; i < n; i++ {
+		s := rng.Intn(8)
+		at[s] = (at[s] + step[s]) % 2000
+		m := store.Meta{Machine: uint16(1 + s/2), Time: uint32(1000 + i/4), Type: uint32(meter.EvSend), PID: uint32(2 + s)}
+		line = fmt.Appendf(line[:0], "SEND machine=%d cpuTime=%d procTime=%d pid=%d pc=%d sock=3 msgLength=%d destNameLen=16 destName=inet:%d:6100",
+			m.Machine, m.Time, i/64*10, m.PID, 16384+rng.Intn(4)*12, 16+at[s], 167772161+rng.Intn(2))
+		if foreign {
+			line = append(line, " hop=1"...)
+		}
+		if batch = append(batch, store.BatchRec{Meta: m, Line: append([]byte(nil), line...)}); len(batch) == 64 {
+			if err := st.AppendBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	if err := st.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	rd, err := store.OpenReader(be)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if q, err = query.Compile("msgLength>=99999"); err != nil {
+		b.Fatal(err)
+	}
+	return rd.Shards()[0], q, n
+}
+
+// scanAll runs the query's segment scan over every segment and returns
+// the summed statistics.
+func scanAll(b *testing.B, segs []*store.ReaderSegment, q *query.Query) (sum query.Stats) {
+	for _, rs := range segs {
+		st, err := q.ScanSegment(rs, func(*trace.View, map[string]bool) { b.Fatal("a record matched") })
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum.Records, sum.Parsed = sum.Records+st.Records, sum.Parsed+st.Parsed
+	}
+	return sum
+}
+
+// BenchmarkScanTyped is what the one read executor pays per scanned
+// record when the store holds it typed: ns/record, and x-text — how
+// many times faster than the same scan over the same records stored as
+// text, both timed in this process in alternating passes, each side at
+// its best pass (the host runs at two speeds, see BenchmarkViewParse).
+// scripts/bench_filter.sh gates x-text.
+func BenchmarkScanTyped(b *testing.B) {
+	typed, q, n := scanFixture(b, false)
+	text, _, _ := scanFixture(b, true)
+	if st := scanAll(b, typed, q); st.Records != n || st.Parsed != 0 {
+		b.Fatalf("typed fixture: %d records scanned, %d parsed; want %d, 0", st.Records, st.Parsed, n)
+	}
+	if st := scanAll(b, text, q); st.Records != n || st.Parsed != n {
+		b.Fatalf("text fixture: %d records scanned, %d parsed; want %d, %d", st.Records, st.Parsed, n, n)
+	}
+	pass := func(segs []*store.ReaderSegment) time.Duration {
+		start := time.Now()
+		scanAll(b, segs, q)
+		return time.Since(start)
+	}
+	slow, fast := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 20; i++ {
+		slow, fast = min(slow, pass(text)), min(fast, pass(typed))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanAll(b, typed, q)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
+	b.ReportMetric(float64(slow)/float64(fast), "x-text")
+}
+
+// BenchmarkScanText is BenchmarkScanTyped's other side on its own: the
+// scan of a store whose lines all fell back to the text shape — what a
+// custom description file costs on the read side.
+func BenchmarkScanText(b *testing.B) {
+	text, q, n := scanFixture(b, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanAll(b, text, q)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
 }
 
 // BenchmarkStatsRoundTrip is what one machine's share of a `stats`

@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -41,13 +42,20 @@ import (
 	"dpm/internal/cli"
 	"dpm/internal/query"
 	"dpm/internal/store"
+	"dpm/internal/trace"
 )
 
 // listSegments prints the physical layout of the store: one line per
-// segment (tier, format, record count, on-disk compression ratio) and,
-// for block-compressed segments, one line per block with its zone map —
-// the ranges the pruning decisions in query/agg are made from.
-func listSegments(rd *store.Reader) {
+// segment (tier, format — v3 where each record is typed or text —,
+// record count, the share of its records stored typed, which a scan
+// does not parse, on-disk compression ratio) and, for block-compressed
+// segments, one line per block with its zone map — the ranges the
+// pruning decisions in query/agg are made from. The typed share costs a
+// decode of the segment; one that does not decode to its end is listed
+// with what did.
+func listSegments(w io.Writer, rd *store.Reader) {
+	d := store.AcquireDecoder()
+	defer store.ReleaseDecoder(d)
 	for sh, segs := range rd.Shards() {
 		for _, rs := range segs {
 			state := "unsealed"
@@ -60,15 +68,16 @@ func listSegments(rd *store.Reader) {
 			if disk > 0 {
 				ratio = float64(raw) / float64(disk)
 			}
-			fmt.Printf("shard %d  %s  %s tier=%d %s  records=%d  raw=%d disk=%d ratio=%.2fx",
-				sh, rs.Name, state, rs.Tier, format, rs.Index.Count, raw, disk, ratio)
+			st, _ := rs.ScanViews(d, nil, func(store.Meta, *trace.View, []byte) {})
+			fmt.Fprintf(w, "shard %d  %s  %s tier=%d %s  records=%d typed=%d%%  raw=%d disk=%d ratio=%.2fx",
+				sh, rs.Name, state, rs.Tier, format, st.Records, 100*st.Typed/max(st.Records, 1), raw, disk, ratio)
 			blocks := rs.Blocks()
 			if len(blocks) > 0 {
-				fmt.Printf("  blocks=%d", len(blocks))
+				fmt.Fprintf(w, "  blocks=%d", len(blocks))
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 			for i, b := range blocks {
-				fmt.Printf("  block %d  records=%d raw=%d comp=%d  cpuTime=[%d..%d]  machines=%016x types=%08x\n",
+				fmt.Fprintf(w, "  block %d  records=%d raw=%d comp=%d  cpuTime=[%d..%d]  machines=%016x types=%08x\n",
 					i, b.Index.Count, b.RawLen, b.CompLen, b.Index.MinTime, b.Index.MaxTime,
 					b.Index.Machines, b.Index.Types)
 			}
@@ -97,7 +106,7 @@ func main() {
 	text := strings.Join(flag.Args(), "\n")
 
 	if *segments {
-		listSegments(rd)
+		listSegments(os.Stdout, rd)
 		return
 	}
 

@@ -8,6 +8,7 @@ import (
 
 	"dpm/internal/fsys"
 	"dpm/internal/meter"
+	"dpm/internal/netsim"
 )
 
 func TestListenOnConnectedSocket(t *testing.T) {
@@ -304,5 +305,94 @@ func TestExecUnreadableFile(t *testing.T) {
 	p := detached(t, red) // runs as testUID
 	if err := p.Exec("/bin/secret"); err == nil {
 		t.Fatal("exec of unreadable file succeeded")
+	}
+}
+
+// TestDatagramSourceNameArrivesWhole: the sender's socket name crosses
+// the network as its sixteen bytes, so recvfrom on another machine
+// reports exactly the name the sender is bound to — Internet, UNIX,
+// socketpair or none — whether the fabric passed the datagram straight
+// through or held it back and released it behind a later one.
+func TestDatagramSourceNameArrivesWhole(t *testing.T) {
+	c := NewCluster(Config{})
+	net := c.AddNetwork("ether0", netsim.WithReorder(0.5), netsim.WithSeed(7))
+	red, err := c.AddMachine("red", nil, "ether0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	green, err := c.AddMachine("green", nil, "ether0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	red.AddAccount(testUID, "user")
+	green.AddAccount(testUID, "user")
+	t.Cleanup(c.Shutdown)
+
+	recvr := detached(t, green)
+	rfd, _ := recvr.Socket(meter.AFInet, SockDgram)
+	if err := recvr.BindPort(rfd, 5000); err != nil {
+		t.Fatal(err)
+	}
+	dest := recvr.sockMustName(t, rfd)
+
+	sender := detached(t, red)
+	inet, _ := sender.Socket(meter.AFInet, SockDgram)
+	if err := sender.BindPort(inet, 4242); err != nil {
+		t.Fatal(err)
+	}
+	unix, _ := sender.Socket(meter.AFUnix, SockDgram)
+	if err := sender.Bind(unix, meter.UnixName("/tmp/sender")); err != nil {
+		t.Fatal(err)
+	}
+	// No syscall binds a datagram socket to a socketpair name or to one
+	// with bytes past the path; the kernel carries whatever is bound.
+	pair, _ := sender.Socket(meter.AFUnix, SockDgram)
+	odd, _ := sender.Socket(meter.AFUnix, SockDgram)
+	oddName := meter.InetName(9, 9)
+	copy(oddName[8:], "trailing")
+	for fd, name := range map[int]meter.Name{pair: meter.PairName(41), odd: oddName} {
+		s, err := sender.SocketOf(fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		s.boundName = name
+		s.mu.Unlock()
+	}
+	unbound, _ := sender.Socket(meter.AFUnix, SockDgram)
+
+	fds := []int{inet, unix, pair, odd, unbound}
+	want := map[byte]meter.Name{}
+	for i, fd := range fds {
+		want[byte(i)] = sender.sockMustName(t, fd)
+	}
+	if want[0].Family() != meter.AFInet || want[1] != meter.UnixName("/tmp/sender") || want[2] != meter.PairName(41) || !want[4].IsZero() {
+		t.Fatalf("sender names %v", want)
+	}
+	const rounds = 40
+	for r := 0; r < rounds; r++ {
+		for i, fd := range fds {
+			if _, err := sender.SendTo(fd, []byte{byte(i), byte(r)}, dest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	net.Flush()
+	got, swapped := 0, false
+	last := -1
+	for ; got < rounds*len(fds); got++ {
+		data, src, err := recvr.TryRecvFrom(rfd, 16)
+		if err != nil {
+			t.Fatalf("after %d datagrams: %v", got, err)
+		}
+		if src != want[data[0]] {
+			t.Fatalf("datagram %d of sender %d: source %x, sender is bound to %x", data[1], data[0], src, want[data[0]])
+		}
+		seq := int(data[1])*len(fds) + int(data[0])
+		swapped = swapped || seq < last
+		last = seq
+	}
+	if !swapped {
+		t.Fatal("the fabric reordered nothing: the hold-back path was not exercised")
 	}
 }

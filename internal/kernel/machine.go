@@ -548,9 +548,5 @@ func (m *Machine) DeliverDatagram(dg netsim.Datagram) {
 	if s == nil {
 		return
 	}
-	src, err := meter.ParseName(dg.SrcName)
-	if err != nil {
-		src = meter.Name{}
-	}
-	s.deliverDgram(dg.Data, src, dg.SentAt)
+	s.deliverDgram(dg.Data, dg.SrcName, dg.SentAt)
 }

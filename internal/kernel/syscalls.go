@@ -443,7 +443,7 @@ func (p *Process) sendDgram(s *Socket, data []byte, dest meter.Name) error {
 		return n.Send(netsim.Datagram{
 			Src:     netsim.Addr{Net: netName, Host: srcHost, Port: s.port},
 			Dst:     netsim.Addr{Net: netName, Host: dstHost, Port: port},
-			SrcName: s.BoundName().String(),
+			SrcName: s.BoundName(),
 			SentAt:  p.machine.clock.Now(),
 			Data:    data,
 		})

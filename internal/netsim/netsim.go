@@ -54,14 +54,15 @@ func (a Addr) String() string {
 }
 
 // Datagram is one unreliable message in flight. SrcName carries the
-// sender's full socket name (section 3.1: recvfrom reports the source),
-// which the fabric treats as opaque. SentAt is the sending machine's
+// sender's full socket name (section 3.1: recvfrom reports the source)
+// as its sixteen sockaddr bytes, which the fabric treats as opaque and
+// delivers as they were sent. SentAt is the sending machine's
 // clock reading at transmission; the receiving kernel uses it for
 // clock gossip.
 type Datagram struct {
 	Src     Addr
 	Dst     Addr
-	SrcName string
+	SrcName [16]byte
 	SentAt  time.Duration
 	Data    []byte
 }
@@ -304,16 +305,16 @@ func (n *Network) Send(dg Datagram) error {
 		return nil // lost in transit
 	}
 	// Reordering: hold this datagram back and release it after the
-	// next one passes through.
-	var toDeliver []delivery
+	// next one passes through. At most two leave here, this one and the
+	// one held: an array, so that a send allocates no slice.
+	toDeliver, count := [2]delivery{{ep, dg}}, 1
 	if n.held != nil {
 		heldEp := n.eps[n.held.Dst.Host]
 		if _, cut := n.cuts[link(n.held.Src.Host, n.held.Dst.Host)]; cut {
 			heldEp = nil // the link was cut while the datagram was held
 		}
-		toDeliver = append(toDeliver, delivery{ep, dg})
 		if heldEp != nil {
-			toDeliver = append(toDeliver, delivery{heldEp, *n.held})
+			toDeliver[1], count = delivery{heldEp, *n.held}, 2
 		}
 		n.held = nil
 	} else if n.reorder > 0 && n.rng.Float64() < n.reorder {
@@ -321,8 +322,6 @@ func (n *Network) Send(dg Datagram) error {
 		n.held = &held
 		n.mu.Unlock()
 		return nil
-	} else {
-		toDeliver = append(toDeliver, delivery{ep, dg})
 	}
 	delay := n.latency
 	if n.jitter > 0 {
@@ -330,7 +329,7 @@ func (n *Network) Send(dg Datagram) error {
 	}
 	n.mu.Unlock()
 
-	for _, d := range toDeliver {
+	for _, d := range toDeliver[:count] {
 		n.deliver(d, delay)
 	}
 	return nil

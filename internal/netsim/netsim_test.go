@@ -288,14 +288,14 @@ func TestSrcNamePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dg(2, "x")
-	d.SrcName = "red:1234"
+	d.SrcName = [16]byte{2, 0, 0x04, 0xd2, 0, 0, 0, 7, 0xff} // opaque to the fabric: any sixteen bytes
 	if err := n.Send(d); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dgs[0].SrcName != "red:1234" {
-		t.Fatalf("SrcName = %q", s.dgs[0].SrcName)
+	if s.dgs[0].SrcName != d.SrcName {
+		t.Fatalf("SrcName = %x, sent %x", s.dgs[0].SrcName, d.SrcName)
 	}
 }
 

@@ -79,8 +79,8 @@ func TestScanSegmentZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := rd.Shards()[0][0]
-	if !rs.Sealed || rs.FormatVersion() != 2 || len(rd.Shards()[0]) != 1 {
-		t.Fatalf("fixture is not one sealed v2 segment: sealed=%v v%d, %d segments", rs.Sealed, rs.FormatVersion(), len(rd.Shards()[0]))
+	if !rs.Sealed || rs.FormatVersion() != 3 || len(rd.Shards()[0]) != 1 {
+		t.Fatalf("fixture is not one sealed v3 segment: sealed=%v v%d, %d segments", rs.Sealed, rs.FormatVersion(), len(rd.Shards()[0]))
 	}
 	q, err := Compile("msgLength>=300,sockName=peerName\npid=100,newPid=*,cpuTime>99999")
 	if err != nil {

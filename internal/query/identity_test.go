@@ -250,19 +250,28 @@ func answers(t *testing.T, rd *store.Reader, rules string) string {
 	return w.String()
 }
 
+// committedDigests reads testdata/identity.digests: layout and rule set
+// to digest.
+func committedDigests(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(identityFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		if key, sum, ok := strings.Cut(sc.Text(), "\t"); ok {
+			want[key] = sum
+		}
+	}
+	return want
+}
+
 func TestAnswersByteIdentical(t *testing.T) {
 	want := map[string]string{}
 	if !*updateIdentity {
-		f, err := os.Open(identityFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		for sc := bufio.NewScanner(f); sc.Scan(); {
-			if key, sum, ok := strings.Cut(sc.Text(), "\t"); ok {
-				want[key] = sum
-			}
-		}
+		want = committedDigests(t)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var out strings.Builder
@@ -314,5 +323,102 @@ func TestAnswersByteIdentical(t *testing.T) {
 	}
 	if checked != len(want) {
 		t.Errorf("%d digests committed, %d checked", len(want), checked)
+	}
+}
+
+// v2Fixtures holds the backends identityStore built for the three
+// CompressBlocks layouts at the last commit whose writer produced v2
+// payloads (front-coded text only; see its MANIFEST). No writer makes
+// such files any more, so these are what keeps the v2 reader honest.
+const v2Fixtures = "../store/testdata/v2"
+
+// loadV2Fixture copies one layout's segment files, checked against the
+// manifest, into a memory backend.
+func loadV2Fixture(t *testing.T, layout string) store.Backend {
+	t.Helper()
+	man, err := os.ReadFile(v2Fixtures + "/MANIFEST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := store.NewMemBackend()
+	for _, entry := range strings.Split(string(man), "\n") {
+		name, found := strings.CutPrefix(entry, layout+"/")
+		if !found {
+			continue
+		}
+		name, sum, _ := strings.Cut(name, "\t")
+		data, err := os.ReadFile(v2Fixtures + "/" + layout + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%d\t%x", len(data), sha256.Sum256(data)); got != sum {
+			t.Fatalf("%s/%s is %s, the manifest says %s", layout, name, got, sum)
+		}
+		if err := be.Create(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return be
+}
+
+// TestV2FixturesAnswerIdentically: the checked-in v2 stores give the
+// committed digests of their layouts — the very lines
+// TestAnswersByteIdentical holds this build's v3 stores of the same
+// records to. So the v2 reader still reads every v2 file as it did, and
+// a v2 store and a v3 store of the same records answer alike.
+func TestV2FixturesAnswerIdentically(t *testing.T) {
+	want := committedDigests(t)
+	for li, lay := range identityLayouts {
+		if lay.cfg.Compress != store.CompressBlocks {
+			continue
+		}
+		rd, err := store.OpenReader(loadV2Fixture(t, lay.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := store.OpenReader(identityStore(t, int64(1000+li), lay.cfg, lay.tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.NumSegments() == 0 || rd.NumSegments() != fresh.NumSegments() {
+			t.Fatalf("%s: fixture has %d segments, this build writes %d", lay.name, rd.NumSegments(), fresh.NumSegments())
+		}
+		for sh, segs := range rd.Shards() {
+			for i, rs := range segs {
+				now := fresh.Shards()[sh][i]
+				if rs.FormatVersion() != 2 || now.FormatVersion() != 3 {
+					t.Fatalf("%s: fixture %s is v%d, this build's %s v%d; want 2 and 3", lay.name, rs.Name, rs.FormatVersion(), now.Name, now.FormatVersion())
+				}
+				if rs.Name != now.Name || rs.Sealed != now.Sealed || rs.Index != now.Index && rs.Sealed {
+					t.Fatalf("%s: fixture %s (sealed=%v, %+v) against %s (sealed=%v, %+v)", lay.name, rs.Name, rs.Sealed, rs.Index, now.Name, now.Sealed, now.Index)
+				}
+			}
+		}
+		for ri, rules := range identityRules {
+			key := fmt.Sprintf("%s rules=%d", lay.name, ri)
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(answers(t, rd, rules)))); got != want[key] {
+				t.Errorf("%s (%q): the v2 fixture's digest is %s, committed %s", key, rules, got, want[key])
+			}
+		}
+		// Every v2 record is parsed; a v3 store parses only what fell back
+		// to text, which is the one line in twelve the filter did not write.
+		q, err := query.Compile("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := query.Run(rd, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := query.Run(fresh, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old.Stats.Parsed != old.Stats.Records || res.Stats.Records != old.Stats.Records {
+			t.Fatalf("%s: v2 scan %+v, v3 scan %+v", lay.name, old.Stats, res.Stats)
+		}
+		if res.Stats.Parsed == 0 || res.Stats.Parsed*6 > res.Stats.Records {
+			t.Errorf("%s: the v3 store parsed %d of %d records, want about one in twelve", lay.name, res.Stats.Parsed, res.Stats.Records)
+		}
 	}
 }

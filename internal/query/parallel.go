@@ -50,7 +50,7 @@ func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, disc
 	envelope := admit != nil && len(q.bounds) > 0 && !slices.Contains(q.bounds, openBounds)
 	d := store.AcquireDecoder()
 	v := viewPool.Get().(*trace.View)
-	ss, err := rs.Scan(d, admit, func(m store.Meta, line []byte) {
+	ss, err := rs.ScanViews(d, admit, func(m store.Meta, rec *trace.View, line []byte) {
 		if envelope {
 			var x store.Index
 			x.Add(m)
@@ -59,16 +59,20 @@ func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, disc
 				return
 			}
 		}
-		if v.Parse(line) != nil {
-			st.BadLines++
-			return
+		if rec == nil { // not stored typed: parse its line
+			st.Parsed++
+			if v.Parse(line) != nil {
+				st.BadLines++
+				return
+			}
+			rec = v
 		}
-		ok, discards := q.match(v)
+		ok, discards := q.match(rec)
 		if !ok {
 			return
 		}
 		st.Matched++
-		fn(v, discards)
+		fn(rec, discards)
 	})
 	// The view aliases a line the backend may have lent: pool it empty.
 	v.Reset()

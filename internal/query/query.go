@@ -250,6 +250,7 @@ type Stats struct {
 	BlocksPruned int // compressed blocks skipped on zone-map evidence
 	Records      int // records the decoder emitted in scanned segments
 	Skipped      int // records rejected on their Meta, before the parse
+	Parsed       int // records whose line was parsed: the ones not stored typed
 	Matched      int // records selected
 	BadLines     int // lines the trace parser rejected, among the records that were parsed
 }
@@ -264,6 +265,7 @@ func (s *Stats) add(o Stats) {
 	s.BlocksPruned += o.BlocksPruned
 	s.Records += o.Records
 	s.Skipped += o.Skipped
+	s.Parsed += o.Parsed
 	s.Matched += o.Matched
 	s.BadLines += o.BadLines
 }
@@ -321,6 +323,7 @@ func Run(rd *store.Reader, q *Query) (*Result, error) {
 	q.Obs.Counter("query.pruned").Add(int64(res.Stats.Pruned))
 	q.Obs.Counter("query.records").Add(int64(res.Stats.Records))
 	q.Obs.Counter("query.records_skipped").Add(int64(res.Stats.Skipped))
+	q.Obs.Counter("query.records_parsed").Add(int64(res.Stats.Parsed))
 	q.Obs.Counter("query.matched").Add(int64(res.Stats.Matched))
 	q.Obs.Counter("query.bad_lines").Add(int64(res.Stats.BadLines))
 	return res, nil

@@ -1,16 +1,23 @@
-// Compressed (version 2) segments. Meter records are highly
-// repetitive — a handful of event names, monotone cpuTime clocks,
-// near-identical lines per event type — so sealed segments compress
-// far better than the v1 CRC-framed text if the encoder exploits that
-// structure before the byte-level compressor sees it:
+// Compressed segments. Meter records are highly repetitive — a handful
+// of event names, monotone cpuTime clocks, near-identical lines per
+// event type — so sealed segments compress far better than the v1
+// CRC-framed text if the encoder exploits that structure before the
+// byte-level compressor sees it:
 //
 //   - Records are grouped into *blocks* of ~BlockTarget (v1-equivalent)
 //     bytes. Each block is one independent DEFLATE stream, so a reader
 //     can decompress exactly the blocks a query admits.
-//   - Within a block, each record is delta/varint encoded: machine,
-//     zigzag(cpuTime delta), type, pid, then the line front-coded
-//     against the previous line of the same type slot (shared prefix
-//     and suffix lengths plus a middle section).
+//   - Within a block, each record is its Meta — machine,
+//     zigzag(cpuTime delta), type, pid as varints — and then one of two
+//     shapes. A standard line (trace.View.ParseStandard) whose header
+//     is that Meta is stored *typed*: its fields as deltas against the
+//     last typed record of its event type (internal/trace/typed.go), so
+//     that a scan fills a view from them without building or parsing
+//     text. Any other line is stored as *text*, front-coded against the
+//     previous text line of the same type slot (shared prefix and suffix
+//     lengths plus a middle section). Either way the record decodes to
+//     exactly the bytes it was given: the typed shape is taken only
+//     when regenerating the line from the view reproduces it.
 //   - Middle sections encode through a per-segment shared-name
 //     dictionary: tokens (words, key= prefixes) that recur across
 //     records become one- or two-byte references. Definitions are
@@ -31,7 +38,8 @@
 //
 // File layout:
 //
-//	[8B header: "DPMZ" + reserved u32]
+//	[8B header: "DPMZ" + payload version u32: 1; 0 in the files written
+//	 before the typed shape, whose records are all text, with no shape byte]
 //	[block 0: one DEFLATE stream][block 1] ... [block n-1]
 //	[footer body: dictionary entries + block table, varint encoded]
 //	[72B footer tail: "DPMS" v2, segment index, lengths, CRCs]
@@ -49,7 +57,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sync"
+
+	"dpm/internal/meter"
+	"dpm/internal/trace"
 )
 
 // CompressMode selects the on-disk encoding a store writes.
@@ -58,7 +70,7 @@ type CompressMode int
 const (
 	// CompressOff writes v1 CRC-framed segments (the default).
 	CompressOff CompressMode = iota
-	// CompressBlocks writes v2 block-compressed segments.
+	// CompressBlocks writes block-compressed segments (payload v3).
 	CompressBlocks
 )
 
@@ -66,6 +78,11 @@ const (
 	segMagicV2      = "DPMZ"
 	headerV2Size    = 8
 	footerVersionV2 = 2
+
+	// payloadV3 is the header's payload version the writer stamps: each
+	// record of a block says whether it is typed or text. Version 0, the
+	// files written before it, holds front-coded text only.
+	payloadV3 = 1
 
 	// FooterV2Size is the fixed tail of a sealed v2 segment; the
 	// variable-length footer body (dictionary + block table) precedes it.
@@ -143,31 +160,78 @@ type footerV2 struct {
 }
 
 // compSink accumulates the writer's DEFLATE output pending a backend
-// append, keeping a running CRC of the current block's bytes.
+// append, with the CRC of the current block's bytes: summed when asked
+// for, over everything written since — a flate.Writer hands its output
+// over in pieces of a few bytes, and a checksum of those costs several
+// times one of the whole.
 type compSink struct {
 	buf   []byte
 	crc   uint32
+	crcAt int // buf[crcAt:] is not in crc yet
 	total int // block-region bytes emitted so far (header excluded)
 }
 
 func (cs *compSink) Write(p []byte) (int, error) {
 	cs.buf = append(cs.buf, p...)
-	cs.crc = crc32.Update(cs.crc, crc32.IEEETable, p)
 	cs.total += len(p)
 	return len(p), nil
 }
 
-// compWriter is the per-shard v2 segment encoder. All state is guarded
-// by the owning shard's mutex. Records are staged (delta/front-coded)
-// into enc as they arrive and pushed through the DEFLATE stream at
-// flush time, so compression cost is paid incrementally on the ingest
-// path instead of as a seal-time rewrite.
+// sum brings the block CRC up to date and returns it.
+func (cs *compSink) sum() uint32 {
+	cs.crc = crc32.Update(cs.crc, crc32.IEEETable, cs.buf[cs.crcAt:])
+	cs.crcAt = len(cs.buf)
+	return cs.crc
+}
+
+// drained empties the buffer once its bytes, summed, are with the
+// backend or given up.
+func (cs *compSink) drained() { cs.buf, cs.crcAt = cs.buf[:0], 0 }
+
+// deflater is the part of a flate.Writer the encoder drives.
+type deflater interface {
+	io.Writer
+	Flush() error
+	Close() error
+	Reset(io.Writer)
+}
+
+// storedWriter is a flate.Writer at NoCompression, by hand: each Write
+// becomes stored blocks, Flush the empty stored block that is DEFLATE's
+// sync marker, Close the empty final one. The online writer flushes
+// every few records, and flate's window copy and bit writer cost more
+// than those records' bytes.
+type storedWriter struct{ sink *compSink }
+
+func (sw storedWriter) block(final byte, p []byte) {
+	n := uint16(len(p))
+	sw.sink.buf = append(append(sw.sink.buf, final, byte(n), byte(n>>8), ^byte(n), ^byte(n>>8)), p...)
+	sw.sink.total += 5 + len(p)
+}
+
+func (sw storedWriter) Write(p []byte) (int, error) {
+	for rest := p; len(rest) > 0; {
+		n := min(len(rest), math.MaxUint16)
+		sw.block(0, rest[:n])
+		rest = rest[n:]
+	}
+	return len(p), nil
+}
+
+func (sw storedWriter) Flush() error    { sw.block(0, nil); return nil }
+func (sw storedWriter) Close() error    { sw.block(1, nil); return nil }
+func (sw storedWriter) Reset(io.Writer) {}
+
+// compWriter is the per-shard compressed-segment encoder. All state is
+// guarded by the owning shard's mutex. Records are staged (typed, or
+// front-coded text) into enc as they arrive and pushed through the
+// DEFLATE stream at flush time, so compression cost is paid
+// incrementally on the ingest path instead of as a seal-time rewrite.
 type compWriter struct {
-	level  int
 	target int
 
 	sink compSink
-	fw   *flate.Writer
+	fw   deflater
 
 	// Staged-but-unflushed state: the encoded payload, its
 	// v1-equivalent size, and the record count (metadata is in the
@@ -190,6 +254,13 @@ type compWriter struct {
 	prev     [nameSlots][]byte
 	prevTime uint32
 
+	// The typed shape: the view every staged line is parsed into, the
+	// state typed records are deltas against (reset with prev), and how
+	// many records of the segment took each shape.
+	view          trace.View
+	typed         trace.TypedState
+	nTyped, nText int
+
 	lineBuf []byte // string→[]byte staging for the single-record path
 }
 
@@ -199,19 +270,22 @@ type blockMeta struct {
 	idx                  Index
 }
 
-// newCompWriter builds a v2 encoder. Level 0 (the online default) is
-// flate.NoCompression: the structural encoding — front-coding, shared
-// dictionary, delta/varint — has already squeezed the records ~7x, and
-// DEFLATE entropy coding over that dense payload buys little while a
-// dynamic-Huffman build per sync flush costs ~3x the whole ingest
-// path. Stored flate blocks keep the sync-marker durability contract
-// for free; the archival tier re-encodes cold segments at archiveLevel.
+// newCompWriter builds an encoder. Level 0 (the online default) is
+// flate.NoCompression: the structural encoding — typed fields as
+// deltas, or front-coding and the shared dictionary — has already
+// squeezed the records ~12x, and DEFLATE entropy coding over that dense
+// payload buys little while a dynamic-Huffman build per sync flush
+// costs ~3x the whole ingest path. Stored blocks (storedWriter) keep
+// the sync-marker durability contract for free; the archival tier
+// re-encodes cold segments at archiveLevel.
 func newCompWriter(level, target int) *compWriter {
 	if target <= 0 {
 		target = DefaultBlockTarget
 	}
-	w := &compWriter{level: level, target: target}
-	w.fw, _ = flate.NewWriter(&w.sink, level)
+	w := &compWriter{target: target}
+	if w.fw = deflater(storedWriter{&w.sink}); level != flate.NoCompression {
+		w.fw, _ = flate.NewWriter(&w.sink, level)
+	}
 	return w
 }
 
@@ -225,8 +299,9 @@ var archiveEncoders = sync.Pool{New: func() any { return newCompWriter(archiveLe
 // file header.
 func (w *compWriter) openSegment() {
 	w.sink.buf = append(w.sink.buf[:0], segMagicV2...)
-	w.sink.buf = append(w.sink.buf, 0, 0, 0, 0)
-	w.sink.crc, w.sink.total = 0, 0
+	w.sink.buf = binary.LittleEndian.AppendUint32(w.sink.buf, payloadV3)
+	w.sink.crc, w.sink.crcAt, w.sink.total = 0, len(w.sink.buf), 0
+	w.nTyped, w.nText = 0, 0
 	w.fw.Reset(&w.sink)
 	w.enc = w.enc[:0]
 	w.stagedV1, w.stagedN = 0, 0
@@ -246,6 +321,7 @@ func (w *compWriter) resetBlockCoding() {
 		w.prev[i] = w.prev[i][:0]
 	}
 	w.prevTime = 0
+	w.typed = trace.TypedState{}
 }
 
 // closeBlock finishes the current DEFLATE stream and records the
@@ -259,7 +335,7 @@ func (w *compWriter) closeBlock() error {
 	}
 	w.blocks = append(w.blocks, blockMeta{
 		off: w.curOff, compLen: w.sink.total - w.curOff,
-		rawLen: w.curRaw, crc: w.sink.crc, idx: w.curIdx,
+		rawLen: w.curRaw, crc: w.sink.sum(), idx: w.curIdx,
 	})
 	w.curOff = w.sink.total
 	w.curRaw, w.curV1 = 0, 0
@@ -270,9 +346,12 @@ func (w *compWriter) closeBlock() error {
 	return nil
 }
 
-// stage delta/front-codes one record into the staging buffer. The
-// block boundary is checked only when nothing is staged, so encoder
-// and decoder agree on where front-coding state resets.
+// stage encodes one record into the staging buffer: its Meta, then the
+// typed form of a standard line whose header is that Meta, or else the
+// line as text, front-coded. Either way the record decodes to exactly
+// the bytes given. The block boundary is checked only when nothing is
+// staged, so encoder and decoder agree on where the coding state
+// resets.
 func (w *compWriter) stage(m Meta, line []byte) error {
 	if w.stagedN == 0 && w.curV1 >= w.target {
 		if err := w.closeBlock(); err != nil {
@@ -285,8 +364,22 @@ func (w *compWriter) stage(m Meta, line []byte) error {
 	w.prevTime = m.Time
 	e = binary.AppendUvarint(e, uint64(m.Type))
 	e = binary.AppendUvarint(e, uint64(m.PID))
+	if v := &w.view; v.ParseStandard(line) && v.Machine == int(m.Machine) && v.CPUTime == int64(m.Time) && uint32(v.Type) == m.Type {
+		e = v.AppendTyped(e, &w.typed)
+		w.nTyped++
+	} else {
+		e = w.appendText(append(e, 0), int(m.Type)%nameSlots, line)
+		w.nText++
+	}
+	w.enc = e
+	w.stagedV1 += FrameSize(len(line))
+	w.stagedN++
+	return nil
+}
 
-	slot := int(m.Type) % nameSlots
+// appendText appends the text shape of a line: front-coded against the
+// last text line of its type slot, the middle through the dictionary.
+func (w *compWriter) appendText(e []byte, slot int, line []byte) []byte {
 	prev := w.prev[slot]
 	p := commonPrefix(prev, line)
 	s := commonSuffix(prev[p:], line[p:])
@@ -302,12 +395,8 @@ func (w *compWriter) stage(m Meta, line []byte) error {
 		e = binary.AppendUvarint(e, uint64(len(mid)))
 		e = append(e, mid...)
 	}
-	e = append(e, opEnd)
-	w.enc = e
 	w.prev[slot] = append(w.prev[slot][:0], line...)
-	w.stagedV1 += FrameSize(len(line))
-	w.stagedN++
-	return nil
+	return append(e, opEnd)
 }
 
 func commonPrefix(a, b []byte) int {
@@ -406,6 +495,7 @@ func (w *compWriter) flushStaged(sync bool) error {
 			return err
 		}
 	}
+	w.sink.sum()
 	w.curRaw += len(w.enc)
 	w.curV1 += w.stagedV1
 	w.enc = w.enc[:0]
@@ -447,7 +537,9 @@ func (w *compWriter) seal(x Index, rawTotal int) ([]byte, int, error) {
 	dataLen := headerV2Size + w.sink.total
 	disk := dataLen + footerV2Len(w.dictEntries, w.blocks)
 	out := appendFooterV2(w.sink.buf, x, uint32(dataLen), uint32(rawTotal), w.dictEntries, w.blocks)
-	w.sink.buf = out[:0]
+	w.sink.buf = out
+	w.sink.drained()
+	w.view.Reset() // it aliases the last line staged
 	return out, disk, nil
 }
 
@@ -640,7 +732,7 @@ func (f *footerV2) decodeBody(data []byte) bool {
 	return true
 }
 
-// Decoder decompresses and decodes v2 blocks through reused buffers: a
+// Decoder decompresses and decodes blocks through reused buffers: a
 // warmed decoder allocates nothing per block. Decoders are not safe
 // for concurrent use; Acquire one per goroutine.
 type Decoder struct {
@@ -654,6 +746,31 @@ type Decoder struct {
 	dict     [][]byte
 	dictBuf  [][]byte // decoder-owned grow-mode backing array; see decodeStreams
 	growDict bool
+
+	// payload is the payload version of the file being decoded. From
+	// payloadV3 on a record may be typed: it is decoded into view, against
+	// typed, and nTyped counts them.
+	payload int
+	view    trace.View
+	typed   trace.TypedState
+	nTyped  int
+}
+
+// scanFn receives one decoded record: a record stored typed as the
+// decoder's view, filled (line is nil); any other as its stored line
+// (the view is nil). Both are only valid during the call.
+type scanFn = func(m Meta, v *trace.View, line []byte)
+
+// lines adapts a callback that wants every record as text: the line of
+// a typed record is regenerated from its view.
+func (d *Decoder) lines(fn func(Meta, []byte)) scanFn {
+	return func(m Meta, v *trace.View, line []byte) {
+		if v != nil {
+			d.line = v.AppendLine(d.line[:0])
+			line = d.line
+		}
+		fn(m, line)
+	}
 }
 
 var decoderPool = sync.Pool{New: func() any { return newDecoder() }}
@@ -677,12 +794,13 @@ func (d *Decoder) resetBlockCoding() {
 	for i := range d.prev {
 		d.prev[i] = d.prev[i][:0]
 	}
+	d.typed = trace.TypedState{}
 }
 
 // decodeBlock decompresses one sealed block (checking its CRC and
-// declared raw length) and emits its records. The line passed to fn is
+// declared raw length) and emits its records. What fn is passed is
 // reused; callers must copy what they keep.
-func (d *Decoder) decodeBlock(comp []byte, rawLen int, crc uint32, dict [][]byte, fn func(Meta, []byte)) (int, error) {
+func (d *Decoder) decodeBlock(comp []byte, rawLen int, crc uint32, dict [][]byte, fn scanFn) (int, error) {
 	if crc32.ChecksumIEEE(comp) != crc {
 		return 0, fmt.Errorf("block checksum mismatch")
 	}
@@ -718,7 +836,7 @@ func (d *Decoder) decodeBlock(comp []byte, rawLen int, crc uint32, dict [][]byte
 // decodable record. A torn tail — a stream or record cut mid-write —
 // returns the count emitted so far with a non-nil error describing the
 // tear; the records already emitted are the recoverable prefix.
-func (d *Decoder) decodeStreams(data []byte, fn func(Meta, []byte)) (int, int, error) {
+func (d *Decoder) decodeStreams(data []byte, fn scanFn) (int, int, error) {
 	d.br.Reset(data)
 	// Grow into the decoder-OWNED backing array, never into whatever
 	// d.dict last aliased: after a sealed-block decode it points at a
@@ -786,13 +904,16 @@ func (d *Decoder) readStream() ([]byte, error) {
 // decodeRecords decodes the records of one block payload, emitting
 // each through fn. It returns the number emitted and the bytes
 // consumed; a malformed record stops the decode at its start.
-func (d *Decoder) decodeRecords(raw []byte, fn func(Meta, []byte)) (int, int, error) {
+func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, int, error) {
+	if d.payload > payloadV3 {
+		return 0, 0, fmt.Errorf("unknown payload version %d", d.payload)
+	}
 	var prevTime uint32
 	off, emitted := 0, 0
 	var ok bool
 	for off < len(raw) {
 		start := off
-		var machine, dtv, typ, pid, p, s uint64
+		var machine, dtv, typ, pid uint64
 		if machine, off, ok = uvarintAt(raw, off); !ok || machine > 0xFFFF {
 			return emitted, start, fmt.Errorf("bad machine at payload offset %d", start)
 		}
@@ -809,67 +930,99 @@ func (d *Decoder) decodeRecords(raw []byte, fn func(Meta, []byte)) (int, int, er
 		if pid, off, ok = uvarintAt(raw, off); !ok || pid > 0xFFFFFFFF {
 			return emitted, start, fmt.Errorf("bad pid at payload offset %d", start)
 		}
-		if p, off, ok = uvarintAt(raw, off); !ok {
-			return emitted, start, fmt.Errorf("bad prefix length at payload offset %d", start)
-		}
-		if s, off, ok = uvarintAt(raw, off); !ok {
-			return emitted, start, fmt.Errorf("bad suffix length at payload offset %d", start)
-		}
-		slot := int(typ) % nameSlots
-		prev := d.prev[slot]
-		// p and s are bounded individually before summing so p+s cannot
-		// wrap uint64 and slip past the range checks.
-		if p > MaxFrameSize || s > MaxFrameSize || p+s > uint64(len(prev)) || p+s > MaxFrameSize {
-			return emitted, start, fmt.Errorf("front-coding overrun at payload offset %d", start)
-		}
-		line := d.line[:0]
-		line = append(line, prev[:p]...)
-		for {
-			var op uint64
-			if op, off, ok = uvarintAt(raw, off); !ok {
-				return emitted, start, fmt.Errorf("bad opcode at payload offset %d", start)
-			}
-			if op == opEnd {
-				break
-			}
-			switch {
-			case op == opLit || op == opDef:
-				var l uint64
-				if l, off, ok = uvarintAt(raw, off); !ok || off+int(l) > len(raw) || l > MaxFrameSize {
-					return emitted, start, fmt.Errorf("bad literal at payload offset %d", start)
-				}
-				b := raw[off : off+int(l)]
-				off += int(l)
-				line = append(line, b...)
-				if op == opDef {
-					if d.growDict {
-						if len(d.dict) >= maxDictEntries || l < minDictToken || l > maxDictToken {
-							return emitted, start, fmt.Errorf("bad dictionary definition at payload offset %d", start)
-						}
-						d.dict = append(d.dict, append([]byte(nil), b...))
-					}
-					// With a preloaded (footer) dictionary the entry is
-					// already present; the definition just emits.
-				}
-			default:
-				id := int(op) - opRefBase
-				if id >= len(d.dict) {
-					return emitted, start, fmt.Errorf("dictionary reference %d out of range at payload offset %d", id, start)
-				}
-				line = append(line, d.dict[id]...)
-			}
-			if len(line) > MaxFrameSize {
-				return emitted, start, fmt.Errorf("line overruns frame limit at payload offset %d", start)
-			}
-		}
-		line = append(line, prev[uint64(len(prev))-s:]...)
 		m := Meta{Machine: uint16(machine), Time: uint32(t), Type: uint32(typ), PID: uint32(pid)}
 		prevTime = m.Time
-		fn(m, line)
+		if d.payload == payloadV3 {
+			// The shape byte: 0 is text, anything else starts a typed record.
+			if off == len(raw) {
+				return emitted, start, fmt.Errorf("no record shape at payload offset %d", start)
+			}
+			if raw[off] != 0 {
+				n, ok := d.view.DecodeTyped(raw[off:], &d.typed, meter.Type(typ), int(machine), t)
+				if !ok {
+					return emitted, start, fmt.Errorf("bad typed record at payload offset %d", start)
+				}
+				off += n
+				fn(m, &d.view, nil)
+				emitted++
+				d.nTyped++
+				continue
+			}
+			off++
+		}
+		slot := int(typ) % nameSlots
+		n, err := d.decodeText(raw[off:], slot)
+		if err != nil {
+			return emitted, start, fmt.Errorf("%v at payload offset %d", err, start)
+		}
+		off += n
+		fn(m, nil, d.prev[slot])
 		emitted++
-		d.prev[slot], d.line = line, prev
 	}
 	return emitted, len(raw), nil
+}
+
+// decodeText decodes the text shape at the head of raw — a line
+// front-coded against the last of its slot — into d.prev[slot], and
+// returns the bytes it took.
+func (d *Decoder) decodeText(raw []byte, slot int) (int, error) {
+	var p, s uint64
+	off, ok := 0, false
+	if p, off, ok = uvarintAt(raw, off); !ok {
+		return 0, fmt.Errorf("bad prefix length")
+	}
+	if s, off, ok = uvarintAt(raw, off); !ok {
+		return 0, fmt.Errorf("bad suffix length")
+	}
+	prev := d.prev[slot]
+	// p and s are bounded individually before summing so p+s cannot
+	// wrap uint64 and slip past the range checks.
+	if p > MaxFrameSize || s > MaxFrameSize || p+s > uint64(len(prev)) || p+s > MaxFrameSize {
+		return 0, fmt.Errorf("front-coding overrun")
+	}
+	line := d.line[:0]
+	line = append(line, prev[:p]...)
+	for {
+		var op uint64
+		if op, off, ok = uvarintAt(raw, off); !ok {
+			return 0, fmt.Errorf("bad opcode")
+		}
+		if op == opEnd {
+			break
+		}
+		switch {
+		case op == opLit || op == opDef:
+			var l uint64
+			if l, off, ok = uvarintAt(raw, off); !ok || off+int(l) > len(raw) || l > MaxFrameSize {
+				return 0, fmt.Errorf("bad literal")
+			}
+			b := raw[off : off+int(l)]
+			off += int(l)
+			line = append(line, b...)
+			if op == opDef {
+				if d.growDict {
+					if len(d.dict) >= maxDictEntries || l < minDictToken || l > maxDictToken {
+						return 0, fmt.Errorf("bad dictionary definition")
+					}
+					d.dict = append(d.dict, append([]byte(nil), b...))
+				}
+				// With a preloaded (footer) dictionary the entry is
+				// already present; the definition just emits.
+			}
+		default:
+			id := int(op) - opRefBase
+			if id >= len(d.dict) {
+				return 0, fmt.Errorf("dictionary reference %d out of range", id)
+			}
+			line = append(line, d.dict[id]...)
+		}
+		if len(line) > MaxFrameSize {
+			return 0, fmt.Errorf("line overruns frame limit")
+		}
+	}
+	line = append(line, prev[uint64(len(prev))-s:]...)
+	d.prev[slot], d.line = line, prev
+	return off, nil
 }
 
 // ScanStats reports what one segment scan did.
@@ -877,18 +1030,27 @@ type ScanStats struct {
 	Blocks       int // blocks (or streams, or one pseudo-block for v1) visited
 	BlocksPruned int // blocks skipped on zone-map evidence
 	Records      int // records emitted
+	Typed        int // of those, the ones stored in the typed shape
 }
 
-// Scan streams a segment's records through fn without materializing
-// them: v2 sealed segments decompress only the blocks admit accepts
-// (nil admit scans everything), v1 segments walk their frames with
-// lines aliasing the mapped file, and unsealed segments of either
-// version salvage their valid prefix before reporting ErrTruncated.
-// Corruption of a sealed segment returns ErrCorrupt after emitting the
-// blocks (or frames) preceding the damage. The line passed to fn is
-// only valid during the call.
+// Scan streams a segment's records through fn as text, without
+// materializing them: the line of a record stored typed is regenerated
+// from its view, any other is the stored bytes. Everything else is
+// ScanViews'. The line passed to fn is only valid during the call.
 func (rs *ReaderSegment) Scan(d *Decoder, admit func(Index) bool, fn func(Meta, []byte)) (ScanStats, error) {
+	return rs.ScanViews(d, admit, d.lines(fn))
+}
+
+// ScanViews streams a segment's records through fn: sealed compressed
+// segments decompress only the blocks admit accepts (nil admit scans
+// everything), v1 segments walk their frames with lines aliasing the
+// mapped file, and unsealed segments of either version salvage their
+// valid prefix before reporting ErrTruncated. Corruption of a sealed
+// segment returns ErrCorrupt after emitting the blocks (or frames)
+// preceding the damage.
+func (rs *ReaderSegment) ScanViews(d *Decoder, admit func(Index) bool, fn scanFn) (ScanStats, error) {
 	var st ScanStats
+	d.payload, d.nTyped = payloadVersion(rs.data), 0
 	if f := rs.footer(); f != nil {
 		region := rs.data[headerV2Size:f.DataLen]
 		for i := range f.Blocks {
@@ -899,19 +1061,19 @@ func (rs *ReaderSegment) Scan(d *Decoder, admit func(Index) bool, fn func(Meta, 
 				continue
 			}
 			n, err := d.decodeBlock(region[b.Off:b.Off+b.CompLen], b.RawLen, b.CRC, f.Dict, fn)
-			st.Records += n
+			st.Records, st.Typed = st.Records+n, d.nTyped
 			if err != nil {
 				return st, fmt.Errorf("%w: block %d: %v", ErrCorrupt, i, err)
 			}
 		}
 		return st, nil
 	}
-	// Unsealed v2 — or sealed by its tail over a footer body that does
-	// not decode, which scans as the unsealed file it would have been
-	// taken for had the whole footer been parsed up front.
-	if rs.v2.DataLen != 0 || (!rs.Sealed && len(rs.data) >= headerV2Size && rs.FormatVersion() == 2) {
+	// Unsealed and compressed — or sealed by its tail over a footer body
+	// that does not decode, which scans as the unsealed file it would have
+	// been taken for had the whole footer been parsed up front.
+	if rs.v2.DataLen != 0 || (!rs.Sealed && d.payload >= 0) {
 		n, streams, err := d.decodeStreams(rs.data[headerV2Size:], fn)
-		st.Records, st.Blocks = n, streams
+		st.Records, st.Blocks, st.Typed = n, streams, d.nTyped
 		if err != nil {
 			return st, fmt.Errorf("%w: %v", ErrTruncated, err)
 		}
@@ -931,7 +1093,7 @@ func (rs *ReaderSegment) Scan(d *Decoder, admit func(Index) bool, fn func(Meta, 
 			}
 			return st, fmt.Errorf("%w: %d bytes lost: %v", ErrTruncated, end-off, err)
 		}
-		fn(m, line)
+		fn(m, nil, line)
 		st.Records++
 		off = next
 	}
@@ -961,19 +1123,32 @@ func (rs *ReaderSegment) Blocks() []BlockInfo {
 	return nil
 }
 
-// FormatVersion reports the segment's on-disk format: 2 for
-// block-compressed segments (sealed or unsealed), 1 for the flat
-// frame format.
+// FormatVersion reports the segment's on-disk format, sealed or not: 3
+// for a block-compressed segment whose records are typed or text one by
+// one, 2 for one of front-coded text only, 1 for the flat frame format.
 func (rs *ReaderSegment) FormatVersion() int {
-	if len(rs.data) >= len(segMagicV2) && string(rs.data[:len(segMagicV2)]) == segMagicV2 {
+	switch p := payloadVersion(rs.data); {
+	case p < 0:
+		return 1
+	case p == 0:
 		return 2
 	}
-	return 1
+	return 3
 }
 
-// encodeSegmentV2 encodes records already in memory as one sealed v2
-// segment — the recovery rewrite of a salvaged prefix.
-func encodeSegmentV2(recs []Rec, level, blockTarget int) ([]byte, error) {
+// payloadVersion returns the payload version in a block-compressed
+// file's header — 0 in the files written before payloadV3 — and -1 for
+// a file that does not start with that header.
+func payloadVersion(data []byte) int {
+	if len(data) < headerV2Size || string(data[:len(segMagicV2)]) != segMagicV2 {
+		return -1
+	}
+	return int(binary.LittleEndian.Uint32(data[len(segMagicV2):]))
+}
+
+// encodeSealed encodes records already in memory as one sealed
+// compressed segment — the recovery rewrite of a salvaged prefix.
+func encodeSealed(recs []Rec, level, blockTarget int) ([]byte, error) {
 	w := newCompWriter(level, blockTarget)
 	w.openSegment()
 	var x Index

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"testing"
 
 	"dpm/internal/obs"
@@ -395,4 +398,47 @@ func TestMixedFormatStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRecs(t, allRecs(t, be), want)
+}
+
+// TestStoredWriterIsDeflate: what the level-0 writer emits by hand is a
+// DEFLATE stream — compress/flate reads every block's bytes back,
+// whatever the sizes written, a block over 64 KiB included — and, write
+// for write and flush for flush, the very bytes flate.NoCompression
+// emits, so that a file cut after any flush holds a decodable prefix.
+func TestStoredWriterIsDeflate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var sink compSink
+	var ref bytes.Buffer
+	sw := storedWriter{&sink}
+	fw, _ := flate.NewWriter(&ref, flate.NoCompression)
+	var want []byte
+	for i := 0; i < 40; i++ {
+		p := make([]byte, rng.Intn(300))
+		if i == 17 {
+			p = make([]byte, 70000)
+		}
+		rng.Read(p)
+		want = append(want, p...)
+		sw.Write(p)
+		fw.Write(p)
+		// flate holds a write back until it is flushed: flush both after
+		// every write, or the block boundaries differ.
+		sw.Flush()
+		fw.Flush()
+		if !bytes.Equal(sink.buf, ref.Bytes()) {
+			t.Fatalf("after write %d of %d bytes: by hand %d bytes, flate %d", i, len(p), len(sink.buf), ref.Len())
+		}
+		got, err := io.ReadAll(flate.NewReader(bytes.NewReader(sink.buf)))
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !bytes.Equal(got, want) {
+			t.Fatalf("after flush %d the prefix decodes to %d of %d bytes: %v", i, len(got), len(want), err)
+		}
+	}
+	sw.Close()
+	fw.Close()
+	if !bytes.Equal(sink.buf, ref.Bytes()) || sink.total != len(sink.buf) {
+		t.Fatalf("closed: by hand %d bytes (total %d), flate %d", len(sink.buf), sink.total, ref.Len())
+	}
+	if got, err := io.ReadAll(flate.NewReader(bytes.NewReader(sink.buf))); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("closed stream decodes to %d of %d bytes: %v", len(got), len(want), err)
+	}
 }

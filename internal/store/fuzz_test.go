@@ -6,6 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
+	"os"
+	"slices"
 	"testing"
 )
 
@@ -21,15 +24,30 @@ func fuzzSeedSegment() []byte {
 	return AppendFooter(frames, x, uint32(len(frames)))
 }
 
-// fuzzSeedV2 builds a small sealed block-compressed (v2) segment with
-// several blocks and a shared dictionary worth corrupting.
+// fuzzSeedV3 builds a small sealed segment of several blocks whose
+// records are typed, but for the few that are not standard.
+func fuzzSeedV3() []byte {
+	var recs []Rec
+	for _, r := range shapeRecs(rand.New(rand.NewSource(3)), 60) {
+		recs = append(recs, r.Rec)
+	}
+	out, err := encodeSealed(recs, 0, 512)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// fuzzSeedV2 builds a small sealed block-compressed segment with
+// several blocks and a shared dictionary worth corrupting: every line's
+// header differs from its Meta, so all of them take the text shape.
 func fuzzSeedV2() []byte {
 	var recs []Rec
 	for i := 0; i < 40; i++ {
 		m := Meta{Machine: uint16(i % 3), Time: uint32(i * 100), Type: uint32(i%4 + 1), PID: uint32(50 + i%5)}
 		recs = append(recs, Rec{Meta: m, Line: "SEND machine=1 cpuTime=1 procTime=0 pid=1 msgLength=240"})
 	}
-	out, err := encodeSegmentV2(recs, 0, 256)
+	out, err := encodeSealed(recs, 0, 256)
 	if err != nil {
 		panic(err)
 	}
@@ -149,6 +167,24 @@ func FuzzParseSegment(f *testing.F) {
 	blockFlip := append([]byte(nil), v2...)
 	blockFlip[headerV2Size+5] ^= 0xff
 	f.Add(blockFlip)
+	// Typed records (v3): sealed, unsealed, cut inside a typed record, and
+	// with a byte of the first block's payload changed under its CRC.
+	v3 := fuzzSeedV3()
+	f.Add(v3)
+	if fv3, ok := parseFooterV2(v3); ok {
+		f.Add(v3[:fv3.DataLen])
+		f.Add(v3[:headerV2Size+40])
+		typedFlip := append([]byte(nil), v3[:fv3.DataLen]...)
+		typedFlip[headerV2Size+12] ^= 0x04
+		f.Add(typedFlip)
+	}
+	// A file no writer makes any more: payload version 0, sealed and torn.
+	if old, err := os.ReadFile("testdata/v2/v2/s0-000001-000001.seg"); err == nil {
+		f.Add(old)
+		f.Add(old[:len(old)/2])
+	} else {
+		f.Fatal(err)
+	}
 	// Front-coding lengths whose uint64 sum wraps past the bounds check.
 	f.Add(fuzzSeedOverflow())
 	// Block-table extents whose int sum wraps past the region check.
@@ -178,6 +214,16 @@ func FuzzParseSegment(f *testing.F) {
 		}
 		if !again.Sealed {
 			t.Fatal("re-encoded salvage not sealed")
+		}
+		// And the rewrite a compressing store makes of it: whatever the
+		// lines are, typed or text, they come back byte for byte.
+		comp, err := encodeSealed(seg.Recs, 0, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err = ParseSegment(comp)
+		if err != nil || !again.Sealed || !slices.Equal(again.Recs, seg.Recs) {
+			t.Fatalf("compressed rewrite of %d salvaged records reads back %d (sealed=%v): %v", len(seg.Recs), len(again.Recs), again.Sealed, err)
 		}
 	})
 }

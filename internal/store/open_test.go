@@ -165,8 +165,8 @@ func TestOpenReaderNoAllocBodies(t *testing.T) {
 	}
 	for _, segs := range rd.Shards() {
 		for _, rs := range segs {
-			if !rs.Sealed || rs.FormatVersion() != 2 || rs.Index.Count != 200 {
-				t.Fatalf("%s: sealed=%v v%d count=%d, want a sealed v2 segment of 200", rs.Name, rs.Sealed, rs.FormatVersion(), rs.Index.Count)
+			if !rs.Sealed || rs.FormatVersion() != 3 || rs.Index.Count != 200 {
+				t.Fatalf("%s: sealed=%v v%d count=%d, want a sealed v3 segment of 200", rs.Name, rs.Sealed, rs.FormatVersion(), rs.Index.Count)
 			}
 			if rs.BodyDecoded() {
 				t.Fatalf("%s: OpenReader decoded the footer body", rs.Name)

@@ -270,11 +270,12 @@ func ParseSegment(data []byte) (*Segment, error) {
 		s := &Segment{Sealed: true, Index: f.Index}
 		d := AcquireDecoder()
 		defer ReleaseDecoder(d)
+		d.payload = payloadVersion(data)
 		region := data[headerV2Size:f.DataLen]
 		for i, b := range f.Blocks {
-			_, err := d.decodeBlock(region[b.Off:b.Off+b.CompLen], b.RawLen, b.CRC, f.Dict, func(m Meta, line []byte) {
+			_, err := d.decodeBlock(region[b.Off:b.Off+b.CompLen], b.RawLen, b.CRC, f.Dict, d.lines(func(m Meta, line []byte) {
 				s.Recs = append(s.Recs, Rec{Meta: m, Line: string(line)})
-			})
+			}))
 			if err != nil {
 				return s, fmt.Errorf("%w: block %d: %v", ErrCorrupt, i, err)
 			}
@@ -284,14 +285,15 @@ func ParseSegment(data []byte) (*Segment, error) {
 		}
 		return s, nil
 	}
-	if len(data) >= headerV2Size && string(data[:len(segMagicV2)]) == segMagicV2 {
+	if p := payloadVersion(data); p >= 0 {
 		s := &Segment{}
 		d := AcquireDecoder()
 		defer ReleaseDecoder(d)
-		_, _, err := d.decodeStreams(data[headerV2Size:], func(m Meta, line []byte) {
+		d.payload = p
+		_, _, err := d.decodeStreams(data[headerV2Size:], d.lines(func(m Meta, line []byte) {
 			s.Recs = append(s.Recs, Rec{Meta: m, Line: string(line)})
 			s.Index.Add(m)
-		})
+		}))
 		if err != nil {
 			return s, fmt.Errorf("%w: %v", ErrTruncated, err)
 		}

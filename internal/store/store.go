@@ -25,8 +25,10 @@ type Config struct {
 	// half of SegmentCap) that triggers compaction into one.
 	CompactMin int
 	// Compress selects the segment encoding: CompressOff writes the v1
-	// CRC-framed format, CompressBlocks the v2 block-compressed format
-	// (see compress.go). Reads understand both regardless.
+	// CRC-framed format, CompressBlocks the block-compressed format whose
+	// records are typed where their line is standard (v3, see
+	// compress.go). Reads understand both, and the v2 files written
+	// before it, regardless.
 	Compress CompressMode
 	// CompressLevel is the flate level of the online CompressBlocks
 	// writer; the zero value is flate.NoCompression, stored blocks (the
@@ -257,6 +259,8 @@ type Store struct {
 	obsBlocks      *obs.Counter
 	obsRawBytes    *obs.Counter
 	obsCompBytes   *obs.Counter
+	obsTyped       *obs.Counter
+	obsText        *obs.Counter
 	appendNS       *obs.Histogram
 	rotateNS       *obs.Histogram
 	compactNS      *obs.Histogram
@@ -313,6 +317,8 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		obsBlocks:      reg.Counter("store.blocks"),
 		obsRawBytes:    reg.Counter("store.raw_bytes"),
 		obsCompBytes:   reg.Counter("store.compressed_bytes"),
+		obsTyped:       reg.Counter("store.records_typed"),
+		obsText:        reg.Counter("store.records_text"),
 		appendNS:       reg.Histogram("store.append_ns"),
 		rotateNS:       reg.Histogram("store.rotate_ns"),
 		compactNS:      reg.Histogram("store.compact_ns"),
@@ -391,7 +397,7 @@ func indexOf(recs []Rec) Index {
 // bytes written.
 func (s *Store) rewriteSealed(name string, recs []Rec) (data []byte, err error) {
 	if s.cfg.Compress == CompressBlocks {
-		data, err = encodeSegmentV2(recs, s.cfg.CompressLevel, s.cfg.BlockTarget)
+		data, err = encodeSealed(recs, s.cfg.CompressLevel, s.cfg.BlockTarget)
 	} else {
 		for _, r := range recs {
 			data = AppendFrame(data, r.Meta, r.Line)
@@ -491,12 +497,15 @@ func (s *Store) flushCompressedLocked(sh *shard, rotations *int) error {
 		return err
 	}
 	err := s.be.Append(sh.active.Name, w.sink.buf)
-	w.sink.buf = w.sink.buf[:0]
+	w.sink.drained()
 	if err != nil {
 		s.abandonLocked(sh)
 		return err
 	}
 	sh.active.Bytes += stagedV1
+	s.obsTyped.Add(int64(w.nTyped))
+	s.obsText.Add(int64(w.nText))
+	w.nTyped, w.nText = 0, 0
 	s.foldPendingLocked(sh, w)
 	return s.rotateLocked(sh, rotations)
 }
@@ -544,7 +553,7 @@ func (s *Store) foldPendingLocked(sh *shard, w *compWriter) {
 func (s *Store) abandonLocked(sh *shard) {
 	sh.pending = sh.pending[:0]
 	if sh.cw != nil {
-		sh.cw.sink.buf = sh.cw.sink.buf[:0]
+		sh.cw.sink.drained()
 	}
 	sh.active = nil
 	s.obsAbandoned.Inc()

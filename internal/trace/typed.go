@@ -1,0 +1,264 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/bits"
+	"strings"
+
+	"dpm/internal/meter"
+)
+
+// The typed form of a record: what the store's compressed blocks hold
+// for a standard line instead of its text (docs/formats.md, "v3 block
+// payload"). A line is standard when the view parses it in place, every
+// body key is one of its event type's in stored order (a subset is what
+// a '#' discard leaves) carrying that key's kind of value — a socket
+// name under a key ending in "Name", a number elsewhere — and
+// AppendLine gives the line back byte for byte. Its typed form, after
+// the record's Meta, which carries machine, cpuTime and type:
+//
+//	flags    1 byte  typedShape | typedPresence | typedProcTime
+//	present  1 byte  bit k: field k of the stored order is on the line;
+//	                 only with typedPresence, else as the last record of
+//	                 the type in the block
+//	changed  1 byte  bit k: field k differs from that record's
+//	procTime uvarint zigzag delta, only with typedProcTime
+//	fields   per changed bit, in order: a number as the zigzag uvarint
+//	         of its (wrapping) delta, a name as its 16 bytes
+//
+// Every delta is against the TypedState, which starts a block at zero.
+
+const (
+	typedShape    = 1 << iota // always set: the text shape's first byte is 0
+	typedPresence             // the present byte follows
+	typedProcTime             // a procTime delta follows
+)
+
+// typedFields is the width of the present and changed bytes; no stored
+// order is longer (ACCEPT's has eight keys).
+const typedFields = 8
+
+// typedSlot is the last typed record of one event type.
+type typedSlot struct {
+	present  uint8
+	procTime int64
+	val      [typedFields]uint64
+	name     [typedFields]meter.Name
+}
+
+// TypedState is what typed records are deltas against: the last record
+// of each event type. The zero value starts a block; writer and reader
+// each keep one and reset it where the block ends.
+type TypedState [len(viewTypes)]typedSlot
+
+// typedLayouts gives, per event type, the line a decoded view's keys
+// point into (the stored order, blank-separated), where each key lies
+// in it, and which keys carry socket names.
+var typedLayouts = func() (t [len(viewTypes)]struct {
+	line       []byte
+	key0, key1 [typedFields]int32
+	names      uint8
+	head       string              // how a line of the type starts, up to the machine number
+	sep        [typedFields]string // " key=" of each key, as AppendLine writes it
+}) {
+	for typ := range t {
+		order := viewTypes[typ].order
+		t[typ].line = []byte(strings.Join(order, " "))
+		t[typ].head = viewTypes[typ].name + " machine="
+		at := 0
+		for k, key := range order {
+			t[typ].key0[k], t[typ].key1[k], t[typ].sep[k] = int32(at), int32(at+len(key)), " "+key+"="
+			at += len(key) + 1
+			if strings.HasSuffix(key, "Name") {
+				t[typ].names |= 1 << k
+			}
+		}
+	}
+	return t
+}()
+
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// ParseStandard fills the view from line and reports whether the line
+// is standard, the condition for AppendTyped. It never falls back to
+// ParseOne: a line it refuses may still be one Parse reads.
+func (v *View) ParseStandard(line []byte) bool {
+	if !v.parseCanonical(line) {
+		return false
+	}
+	names := typedLayouts[v.Type].names
+	for i := 0; i < v.n; i++ {
+		if f := &v.fields[i]; f.ord < 0 || f.isName != (names>>f.ord&1 != 0) {
+			return false
+		}
+	}
+	// The check that makes the typed form exact by construction: header
+	// keys out of place, a name spelled another way or cut to fit its
+	// sixteen bytes, all end here.
+	var buf [256]byte
+	return bytes.Equal(v.AppendLine(buf[:0]), line)
+}
+
+// AppendLine appends the record as a log line: event name, header, then
+// the body fields in the view's order, numbers in decimal and names as
+// Name.AppendText writes them — for a standard line, the line itself.
+func (v *View) AppendLine(dst []byte) []byte {
+	if v.n < 0 {
+		return v.parsed.AppendFormat(dst)
+	}
+	lay := &typedLayouts[v.Type]
+	dst = appendDecimal(append(dst, lay.head...), uint64(v.Machine))
+	dst = appendDecimal(append(dst, " cpuTime="...), uint64(v.CPUTime))
+	dst = appendDecimal(append(dst, " procTime="...), uint64(v.ProcTime))
+	for i := 0; i < v.n; i++ {
+		f := &v.fields[i]
+		if f.ord >= 0 {
+			dst = append(dst, lay.sep[f.ord]...)
+		} else {
+			dst = append(append(append(dst, ' '), v.key(i)...), '=')
+		}
+		if f.isName {
+			dst = f.name.AppendText(dst)
+		} else {
+			dst = appendDecimal(dst, f.val)
+		}
+	}
+	return dst
+}
+
+// appendDecimal is strconv.AppendUint in base ten, without its setup: a
+// regenerated line is a dozen numbers, most of them short.
+func appendDecimal(dst []byte, u uint64) []byte {
+	var a [20]byte
+	i := len(a)
+	for ; u >= 10; u /= 10 {
+		i--
+		a[i] = byte('0' + u%10)
+	}
+	i--
+	a[i] = byte('0' + u)
+	return append(dst, a[i:]...)
+}
+
+// AppendTyped appends the typed form of the view's record, which
+// ParseStandard accepted, and moves st on to it.
+func (v *View) AppendTyped(dst []byte, st *TypedState) []byte {
+	s := &st[v.Type]
+	var present uint8
+	for i := 0; i < v.n; i++ {
+		present |= 1 << v.fields[i].ord
+	}
+	flags := len(dst)
+	dst = append(dst, typedShape)
+	if present != s.present {
+		dst[flags] |= typedPresence
+		dst = append(dst, present)
+		s.present = present
+	}
+	changed := len(dst)
+	dst = append(dst, 0)
+	if v.ProcTime != s.procTime {
+		dst[flags] |= typedProcTime
+		dst = binary.AppendUvarint(dst, zigzag(v.ProcTime-s.procTime))
+		s.procTime = v.ProcTime
+	}
+	for i := 0; i < v.n; i++ {
+		f := &v.fields[i]
+		k := f.ord
+		switch {
+		case f.isName && f.name != s.name[k]:
+			dst = append(dst, f.name[:]...)
+			s.name[k] = f.name
+		case !f.isName && f.val != s.val[k]:
+			dst = binary.AppendUvarint(dst, zigzag(int64(f.val-s.val[k])))
+			s.val[k] = f.val
+		default:
+			continue
+		}
+		dst[changed] |= 1 << k
+	}
+	return dst
+}
+
+// DecodeTyped fills the view from the typed record at the head of raw,
+// whose Meta gave typ, machine and cpuTime, and moves st on to it. It
+// returns the bytes the record took; false says raw does not start with
+// a whole, valid typed record. No text is built and nothing is parsed:
+// the view's keys lie in a line that belongs to the type.
+func (v *View) DecodeTyped(raw []byte, st *TypedState, typ meter.Type, machine int, cpuTime int64) (int, bool) {
+	if typ < 1 || int(typ) >= len(viewTypes) || len(raw) < 2 || raw[0]&typedShape == 0 || raw[0] >= typedProcTime<<1 {
+		return 0, false
+	}
+	s, lay := &st[typ], &typedLayouts[typ]
+	off := 1
+	if raw[0]&typedPresence != 0 {
+		s.present, off = raw[1], 2
+	}
+	if off == len(raw) || int(s.present)>>len(viewTypes[typ].order) != 0 || raw[off]&^s.present != 0 {
+		return 0, false
+	}
+	changed := raw[off]
+	off++
+	if raw[0]&typedProcTime != 0 {
+		d, n := binary.Uvarint(raw[off:])
+		s.procTime += unzigzag(d)
+		if n <= 0 || s.procTime < 0 {
+			return 0, false
+		}
+		off += n
+	}
+	v.Type, v.Machine, v.CPUTime, v.ProcTime = typ, machine, cpuTime, s.procTime
+	v.line, v.n = lay.line, 0
+	for p := s.present; p != 0; p &= p - 1 {
+		k := bits.TrailingZeros8(p)
+		f := &v.fields[v.n]
+		v.n++
+		f.key0, f.key1, f.ord = lay.key0[k], lay.key1[k], int8(k)
+		if lay.names>>k&1 == 0 {
+			if changed>>k&1 != 0 {
+				d, n := binary.Uvarint(raw[off:])
+				if n <= 0 {
+					return 0, false
+				}
+				s.val[k] += uint64(unzigzag(d))
+				off += n
+			}
+			f.val, f.isName, f.hasVal = s.val[k], false, true
+			continue
+		}
+		if changed>>k&1 != 0 {
+			if len(raw)-off < meter.NameSize {
+				return 0, false
+			}
+			off += copy(s.name[k][:], raw[off:])
+			if !standardName(s.name[k]) {
+				return 0, false
+			}
+		}
+		f.name, f.val, f.isName, f.hasVal = s.name[k], 0, true, false
+		if f.name.Family() == meter.AFInet {
+			host, _ := f.name.Inet()
+			f.val, f.hasVal = uint64(host), true
+		}
+	}
+	return off, true
+}
+
+// standardName reports whether a standard line can spell the name, so
+// that what AppendText writes for it parses back to all sixteen bytes:
+// unset, Internet with nothing past the host, or a UNIX-domain or
+// socketpair path of printable bytes, NUL-padded.
+func standardName(n meter.Name) bool {
+	switch n.Family() {
+	case meter.AFUnspec:
+		return n.IsZero()
+	case meter.AFInet:
+		return [8]byte(n[8:]) == [8]byte{}
+	case meter.AFUnix, meter.AFPair:
+		path := bytes.TrimRight(n[2:], "\x00")
+		return !bytes.ContainsFunc(path, func(r rune) bool { return r <= ' ' || r >= 0x7f })
+	}
+	return false
+}

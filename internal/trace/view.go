@@ -21,6 +21,7 @@ type viewField struct {
 	val        uint64     // the number, or an Internet name's host
 	name       meter.Name // set when isName
 	key0, key1 int32
+	ord        int8 // the key's place in the type's stored order, -1 for any other key
 	isName     bool
 	hasVal     bool // false for a name with no numeric value ("-", unix:, pair:)
 }
@@ -50,11 +51,14 @@ type View struct {
 	n      int
 	fields [viewSlots + 1]viewField
 	parsed Event
-	// The last name token parsed in place (none longer is remembered) and
-	// its value: destName and sourceName repeat from record to record.
-	memo     [24]byte
-	memoLen  int
-	memoName meter.Name
+	// Per event type, the last name token parsed in place (none longer is
+	// remembered) and its value: destName and sourceName repeat from
+	// record to record, and a trace alternates SENDs and RECEIVEs.
+	memo [len(viewTypes)]struct {
+		text [24]byte
+		n    int
+		name meter.Name
+	}
 }
 
 // Parse fills the view from one record line (no trailing newline). It
@@ -105,15 +109,15 @@ var headerKeys = []viewKey{newViewKey("machine"), newViewKey("cpuTime"), newView
 // and the keys of a line of that type as the filter writes it — header,
 // then the type's body fields in stored order.
 var viewTypes = func() (t [meter.EvTermProc + 1]struct {
-	name string
-	keys []viewKey
+	name  string
+	keys  []viewKey
+	order []string // canonicalOrder: the body keys, keys[len(headerKeys):] by name
 }) {
 	for name, typ := range typeByName {
 		t[typ].name, t[typ].keys = name, headerKeys[:len(headerKeys):len(headerKeys)]
-		for _, key := range canonicalOrder[typ] {
-			if len(key) < 16 { // a longer one is served as a foreign key
-				t[typ].keys = append(t[typ].keys, newViewKey(key))
-			}
+		t[typ].order = canonicalOrder[typ]
+		for _, key := range t[typ].order {
+			t[typ].keys = append(t[typ].keys, newViewKey(key)) // none is longer than newViewKey's 15 bytes
 		}
 	}
 	return t
@@ -169,7 +173,7 @@ func (v *View) parseCanonical(line []byte) bool {
 				key := &keys[k]
 				if w&key.mask == key.lo && (key.n <= 8 ||
 					i+key.n <= len(line) && binary.LittleEndian.Uint64(line[i+key.n-8:]) == key.hi) {
-					f.key0, f.key1 = int32(i), int32(i+key.n-1)
+					f.key0, f.key1, f.ord = int32(i), int32(i+key.n-1), int8(k-len(headerKeys))
 					next, i, hit = k+1, i+key.n, true
 					if k < len(headerKeys) {
 						h = k
@@ -188,7 +192,15 @@ func (v *View) parseCanonical(line []byte) bool {
 			if i == start || i == len(line) {
 				return false
 			}
-			f.key0, f.key1 = int32(start), int32(i)
+			f.key0, f.key1, f.ord = int32(start), int32(i), -1
+			// One of the type's keys in the line's last bytes is in the
+			// stored order all the same.
+			for k := max(next, len(headerKeys)); k < len(keys); k++ {
+				if viewTypes[typ].order[k-len(headerKeys)] == string(line[start:i]) {
+					f.ord, next = int8(k-len(headerKeys)), k+1
+					break
+				}
+			}
 			switch string(line[start:i]) {
 			case "machine":
 				h = 0
@@ -217,10 +229,11 @@ func (v *View) parseCanonical(line []byte) bool {
 			}
 			f.val, f.isName, f.hasVal = val, false, true
 		} else {
-			if m := v.memoLen; m > 0 && len(line)-i >= m && (i+m == len(line) || line[i+m] == ' ') &&
-				string(line[i:i+m]) == string(v.memo[:m]) {
+			memo := &v.memo[typ]
+			if m := memo.n; m > 0 && len(line)-i >= m && (i+m == len(line) || line[i+m] == ' ') &&
+				string(line[i:i+m]) == string(memo.text[:m]) {
 				// The last name token again: already validated and decoded.
-				f.name, i = v.memoName, i+m
+				f.name, i = memo.name, i+m
 			} else {
 				for ; i < len(line) && line[i] != ' '; i++ {
 					if line[i] < ' ' || line[i] >= 0x7f {
@@ -231,8 +244,8 @@ func (v *View) parseCanonical(line []byte) bool {
 				if f.name, ok = meter.ParseNameBytes(line[start:i]); !ok {
 					return false
 				}
-				if v.memoLen = 0; i-start <= len(v.memo) {
-					v.memoLen, v.memoName = copy(v.memo[:], line[start:i]), f.name
+				if memo.n = 0; i-start <= len(memo.text) {
+					memo.n, memo.name = copy(memo.text[:], line[start:i]), f.name
 				}
 			}
 			f.val, f.isName, f.hasVal = 0, true, false
