@@ -239,6 +239,7 @@ type compWriter struct {
 	enc      []byte
 	stagedV1 int
 	stagedN  int
+	segV1    int // v1-equivalent bytes staged since openSegment
 
 	// Current block accumulation (flushed records only).
 	curIdx Index
@@ -304,7 +305,7 @@ func (w *compWriter) openSegment() {
 	w.nTyped, w.nText = 0, 0
 	w.fw.Reset(&w.sink)
 	w.enc = w.enc[:0]
-	w.stagedV1, w.stagedN = 0, 0
+	w.stagedV1, w.stagedN, w.segV1 = 0, 0, 0
 	w.curIdx, w.curOff, w.curRaw, w.curV1 = Index{}, 0, 0, 0
 	w.blocks = w.blocks[:0]
 	if w.dictIDs == nil {
@@ -349,10 +350,21 @@ func (w *compWriter) closeBlock() error {
 // stage encodes one record into the staging buffer: its Meta, then the
 // typed form of a standard line whose header is that Meta, or else the
 // line as text, front-coded. Either way the record decodes to exactly
-// the bytes given. The block boundary is checked only when nothing is
-// staged, so encoder and decoder agree on where the coding state
-// resets.
+// the bytes given.
 func (w *compWriter) stage(m Meta, line []byte) error {
+	v := &w.view
+	if !v.ParseStandard(line) || v.Machine != int(m.Machine) || v.CPUTime != int64(m.Time) || uint32(v.Type) != m.Type {
+		v = nil
+	}
+	return w.stageAs(m, v, line, len(line))
+}
+
+// stageAs stages a record whose shape is settled: typed from v — stage's
+// view, or one a decoder filled from a typed record, by construction a
+// standard line of n bytes headed by m, with nothing to prove again —
+// or, with no view, the line as text. The block boundary is checked only
+// when nothing is staged, so both ends agree where coding state resets.
+func (w *compWriter) stageAs(m Meta, v *trace.View, line []byte, n int) error {
 	if w.stagedN == 0 && w.curV1 >= w.target {
 		if err := w.closeBlock(); err != nil {
 			return err
@@ -364,7 +376,7 @@ func (w *compWriter) stage(m Meta, line []byte) error {
 	w.prevTime = m.Time
 	e = binary.AppendUvarint(e, uint64(m.Type))
 	e = binary.AppendUvarint(e, uint64(m.PID))
-	if v := &w.view; v.ParseStandard(line) && v.Machine == int(m.Machine) && v.CPUTime == int64(m.Time) && uint32(v.Type) == m.Type {
+	if v != nil {
 		e = v.AppendTyped(e, &w.typed)
 		w.nTyped++
 	} else {
@@ -372,7 +384,8 @@ func (w *compWriter) stage(m Meta, line []byte) error {
 		w.nText++
 	}
 	w.enc = e
-	w.stagedV1 += FrameSize(len(line))
+	w.stagedV1 += FrameSize(n)
+	w.segV1 += FrameSize(n)
 	w.stagedN++
 	return nil
 }
@@ -509,10 +522,17 @@ func (w *compWriter) foldMeta(m Meta) { w.curIdx.Add(m) }
 
 // add is the per-record step of every offline encode — recovery,
 // compaction, archival — where nothing need be decodable before the
-// seal: the record is staged and folded into its block's zone map, and
-// a block's worth of staged payload goes through DEFLATE in one write.
-func (w *compWriter) add(m Meta, line []byte) error {
-	if err := w.stage(m, line); err != nil {
+// seal: the record, as a scan hands it over, is staged — one that was
+// stored typed as its view, with no line built or parsed — and folded
+// into its block's zone map, and a block's worth of staged payload goes
+// through DEFLATE in one write.
+func (w *compWriter) add(m Meta, v *trace.View, line []byte) (err error) {
+	if v != nil {
+		err = w.stageAs(m, v, nil, v.LineLen())
+	} else {
+		err = w.stage(m, line)
+	}
+	if err != nil {
 		return err
 	}
 	w.foldMeta(m)
@@ -1010,8 +1030,8 @@ func (d *Decoder) decodeText(raw []byte, slot int) (int, error) {
 				// already present; the definition just emits.
 			}
 		default:
-			id := int(op) - opRefBase
-			if id >= len(d.dict) {
+			id := op - opRefBase // unsigned: an opcode past int's range must not wrap below zero
+			if id >= uint64(len(d.dict)) {
 				return 0, fmt.Errorf("dictionary reference %d out of range", id)
 			}
 			line = append(line, d.dict[id]...)
@@ -1152,15 +1172,13 @@ func encodeSealed(recs []Rec, level, blockTarget int) ([]byte, error) {
 	w := newCompWriter(level, blockTarget)
 	w.openSegment()
 	var x Index
-	rawTotal := 0
 	for _, r := range recs {
 		w.lineBuf = append(w.lineBuf[:0], r.Line...)
-		if err := w.add(r.Meta, w.lineBuf); err != nil {
+		if err := w.add(r.Meta, nil, w.lineBuf); err != nil {
 			return nil, err
 		}
 		x.Add(r.Meta)
-		rawTotal += FrameSize(len(r.Line))
 	}
-	out, _, err := w.seal(x, rawTotal)
+	out, _, err := w.seal(x, w.segV1)
 	return out, err
 }

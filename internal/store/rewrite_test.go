@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -237,6 +238,249 @@ func TestStreamedRewriteMatchesOracle(t *testing.T) {
 				t.Fatalf("blocks break differently:\n got  %+v\n want %+v", gotShapes, wantShapes)
 			}
 		})
+	}
+}
+
+// TestRewriteTranscodesTyped: a rewrite moves the records its inputs
+// hold typed as views and the rest as lines, and the file it writes is,
+// byte for byte, the one the all-text rewrite wrote from the same
+// records — every kind of line a store is handed, typed and text records
+// meeting at the boundaries of the input segments and of the output
+// blocks, archived and compacted, with and without v1 inputs whose
+// standard lines turn typed on the way.
+func TestRewriteTranscodesTyped(t *testing.T) {
+	const blockTarget = 512
+	on := Config{Shards: 1, CompactMin: 1 << 20, SegmentCap: 1 << 30, BlockTarget: blockTarget, Compress: CompressBlocks}
+	off := on
+	off.Compress = CompressOff
+	all := shapeRecs(rand.New(rand.NewSource(2)), 1600)
+	kinds := map[string]bool{}
+	wantTyped := 0
+	for _, r := range all {
+		kinds[r.kind] = true
+		if r.typed {
+			wantTyped++
+		}
+	}
+	if len(kinds) != 12 {
+		t.Fatalf("%d kinds of line generated, want 12", len(kinds))
+	}
+	// boundaries counts, at the given record indexes, where a typed record
+	// is followed by a text one and where a text one by a typed.
+	boundaries := func(at []int) (typedText, textTyped int) {
+		for _, i := range at {
+			switch {
+			case all[i-1].typed && !all[i].typed:
+				typedText++
+			case !all[i-1].typed && all[i].typed:
+				textTyped++
+			}
+		}
+		return
+	}
+	for _, tc := range []struct {
+		name    string
+		formats []Config // one sealed input segment per entry
+		tier    int
+	}{
+		{"archive/v3", []Config{on, on, on, on, on, on, on, on}, 1},
+		{"archive/v3+v1", []Config{on, off, on, on, off, on, on, on}, 1},
+		{"compact/v3", []Config{on, on, on, on, on, on, on, on}, 0},
+		{"compact/v3+v1", []Config{off, on, on, off, on, on, on, on}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			be := NewMemBackend()
+			per := len(all) / len(tc.formats)
+			var segStarts []int
+			v3only := true
+			for n, cfg := range tc.formats {
+				st, err := Open(be, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Small batches: the online writer opens a block only between them.
+				var batch []BatchRec
+				for i, r := range all[n*per : (n+1)*per] {
+					if batch = append(batch, BatchRec{r.Meta, []byte(r.Line)}); len(batch) >= 1+i%5 {
+						if err := st.AppendBatch(batch); err != nil {
+							t.Fatal(err)
+						}
+						batch = batch[:0]
+					}
+				}
+				if err := st.AppendBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if n > 0 {
+					segStarts = append(segStarts, n*per)
+				}
+				v3only = v3only && cfg.Compress == CompressBlocks
+			}
+			if a, b := boundaries(segStarts); a == 0 || b == 0 {
+				t.Fatalf("input segments meet typed-to-text %d times and text-to-typed %d; want both", a, b)
+			}
+			recs, in := scanAll(t, be)
+			if len(recs) != len(all) || in.Blocks < 4*len(tc.formats) {
+				t.Fatalf("inputs hold %d of %d records in %d blocks", len(recs), len(all), in.Blocks)
+			}
+			for i, r := range all {
+				if recs[i] != r.Rec {
+					t.Fatalf("input record %d (%s) is %+v, stored %+v", i, r.kind, recs[i], r.Rec)
+				}
+			}
+			if v3only && in.Typed != wantTyped {
+				t.Fatalf("v3 inputs hold %d typed records, %d are standard", in.Typed, wantTyped)
+			}
+
+			level, target := 0, blockTarget
+			cfg := on
+			cfg.Obs = obs.NewRegistry()
+			if tc.tier == 1 {
+				level, target = archiveLevel, 4*blockTarget
+				cfg.ArchiveAfter = coldArchive
+			} else {
+				cfg.CompactMin = len(tc.formats)
+			}
+			// What the rewrite wrote when every record crossed it as a line.
+			want, err := encodeSealed(recs, level, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.tier == 1 && !bytes.Equal(want, oracleEncodeV2(t, recs, level, target)) {
+				t.Fatal("the all-text encoder and the oracle disagree on the archive's bytes")
+			}
+			st, err := Open(be, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.tier == 1 {
+				if err := st.Append(Meta{Time: coldNow}, "now"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			merged := segName(0, 1, len(tc.formats), tc.tier)
+			got, err := be.Read(merged)
+			if err != nil {
+				t.Fatalf("no merged segment: %v (have %v)", err, segmentNames(t, be))
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("the rewrite wrote %d bytes that are not the %d the all-text rewrite writes", len(got), len(want))
+			}
+
+			rs := newReaderSegment(merged, 0, 1, len(tc.formats), tc.tier, got)
+			d := AcquireDecoder()
+			defer ReleaseDecoder(d)
+			i := 0
+			out, err := rs.Scan(d, nil, func(m Meta, line []byte) {
+				if (Rec{m, string(line)}) != recs[i] {
+					t.Fatalf("record %d (%s) came out as %+v %q, went in as %+v", i, all[i].kind, m, line, recs[i])
+				}
+				i++
+			})
+			if err != nil || out.Records != len(recs) || out.Typed != wantTyped {
+				t.Fatalf("output scan: %v, %+v; want %d records, %d typed", err, out, len(recs), wantTyped)
+			}
+			var blockStarts []int
+			at := 0
+			for _, b := range rs.Blocks()[:out.Blocks-1] {
+				at += int(b.Index.Count)
+				blockStarts = append(blockStarts, at)
+			}
+			if a, b := boundaries(blockStarts); len(blockStarts) < 16 || a == 0 || b == 0 {
+				t.Fatalf("%d output block boundaries, typed-to-text at %d and text-to-typed at %d; want both", len(blockStarts), a, b)
+			}
+			reg := cfg.Obs
+			typed, text := reg.Counter("store.rewrite_records_typed").Load(), reg.Counter("store.rewrite_records_text").Load()
+			if typed != int64(out.Typed) || text != int64(out.Records-out.Typed) {
+				t.Fatalf("store.rewrite_records_typed/_text = %d/%d, the reader counts %d/%d", typed, text, out.Typed, out.Records-out.Typed)
+			}
+			if n := reg.Counter("store.maintain_errors").Load(); n != 0 {
+				t.Fatalf("store.maintain_errors = %d", n)
+			}
+		})
+	}
+}
+
+// stuckBackend refuses the next refuse calls of Remove.
+type stuckBackend struct {
+	Backend
+	refuse int
+}
+
+func (b *stuckBackend) Remove(name string) error {
+	if b.refuse > 0 {
+		b.refuse--
+		return errors.New("remove refused")
+	}
+	return b.Backend.Remove(name)
+}
+
+// An input the backend will not remove once the merged file is written
+// is counted, not swallowed: the rewrite stands, the run is replaced,
+// the superseded file left behind hides behind the archive that covers
+// it, and the archive is not archived again.
+func TestRewriteCountsFailedRemove(t *testing.T) {
+	be := &stuckBackend{Backend: NewMemBackend()}
+	reg := obs.NewRegistry()
+	st, err := Open(be, Config{
+		Shards: 1, CompactMin: 1 << 20, Compress: CompressBlocks,
+		ArchiveAfter: coldArchive, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]Meta)
+	for n := 0; n < 3; n++ {
+		appendSealed(t, st, n*40, 40)
+	}
+	for i := 0; i < 120; i++ {
+		m, line := compRec(i)
+		want[line] = m
+	}
+	if err := st.Append(Meta{Time: coldNow}, "now"); err != nil {
+		t.Fatal(err)
+	}
+	want["now"] = Meta{Time: coldNow}
+	be.refuse = 1
+	if err := st.Flush(); err != nil {
+		t.Fatalf("Flush with one input stuck = %v, want the rewrite to stand", err)
+	}
+	if got := reg.Counter("store.maintain_errors").Load(); got != 1 {
+		t.Fatalf("store.maintain_errors = %d, want 1", got)
+	}
+	if got := reg.Counter("store.archive_runs").Load(); got != 1 {
+		t.Fatalf("store.archive_runs = %d, want 1", got)
+	}
+	archive, stuck := segName(0, 1, 3, 1), segName(0, 1, 1, 0)
+	if names := segmentNames(t, be); !reflect.DeepEqual(names, []string{archive, stuck, segName(0, 4, 4, 0)}) {
+		t.Fatalf("files %v, want the archive, the input that stuck and the hot segment", names)
+	}
+	if segs := st.Segments(); len(segs) != 2 || segs[0].Name != archive || segs[0].Index.Count != 120 {
+		t.Fatalf("segment list %+v, want the archive and the hot segment", segs)
+	}
+	checkRecs(t, allRecs(t, be), want) // every record, and no line twice
+
+	before := backendFiles(t, be)
+	if err := st.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("store.archive_runs").Load(); got != 1 {
+		t.Fatalf("store.archive_runs = %d after another pass: the archive was archived again", got)
+	}
+	if got := reg.Counter("store.maintain_errors").Load(); got != 1 {
+		t.Fatalf("store.maintain_errors = %d after a pass with nothing to do", got)
+	}
+	if after := backendFiles(t, be); !reflect.DeepEqual(after, before) {
+		t.Fatalf("files changed on a pass with nothing to do: %v", segmentNames(t, be))
 	}
 }
 

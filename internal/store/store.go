@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"dpm/internal/obs"
+	"dpm/internal/trace"
 )
 
 // Config tunes a store. The zero value selects the defaults.
@@ -42,9 +43,9 @@ type Config struct {
 	BlockTarget int
 	// ArchiveAfter, when non-zero, is the cpuTime age (ms behind the
 	// newest record the store has seen) past which cold sealed segments
-	// roll into the archival tier: re-encoded at archiveLevel, up to
-	// archiveRunMax segments merged per archive file. Archival preserves
-	// every record; only its encoding changes.
+	// roll into the archival tier: up to archiveRunMax segments merged
+	// per archive file, its blocks four times BlockTarget and DEFLATEd at
+	// archiveLevel. Archival preserves every record and its shape.
 	ArchiveAfter uint64
 	// RetainFor, when non-zero, is the retention horizon (cpuTime ms):
 	// a sealed segment whose MaxTime has fallen more than RetainFor
@@ -261,6 +262,8 @@ type Store struct {
 	obsCompBytes   *obs.Counter
 	obsTyped       *obs.Counter
 	obsText        *obs.Counter
+	obsRewTyped    *obs.Counter
+	obsRewText     *obs.Counter
 	appendNS       *obs.Histogram
 	rotateNS       *obs.Histogram
 	compactNS      *obs.Histogram
@@ -319,6 +322,8 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		obsCompBytes:   reg.Counter("store.compressed_bytes"),
 		obsTyped:       reg.Counter("store.records_typed"),
 		obsText:        reg.Counter("store.records_text"),
+		obsRewTyped:    reg.Counter("store.rewrite_records_typed"),
+		obsRewText:     reg.Counter("store.rewrite_records_text"),
 		appendNS:       reg.Histogram("store.append_ns"),
 		rotateNS:       reg.Histogram("store.rotate_ns"),
 		compactNS:      reg.Histogram("store.compact_ns"),
@@ -727,12 +732,14 @@ func (s *Store) compactLocked(sh *shard) error {
 // rewriteLocked replaces the sealed run sh.sealed[i:j] by one merged
 // segment of the given tier without materializing a record: each input
 // is borrowed from the backend and scanned through a pooled decoder
-// straight into the output encoder — v2 at archiveLevel with 4x blocks
-// from the encoder pool for tier 1, the store's configured format for
-// tier 0. Every input CRC is checked and each input must yield the
-// records its footer counted; on any failure no file has been touched,
-// the run stands, and store.maintain_errors counts it. Caller holds
-// sh.mu.
+// straight into the output encoder — v3 at archiveLevel with 4x blocks
+// from the encoder pool for tier 1; for tier 0 v3 at CompressLevel, or
+// v1 frames under CompressOff. Into v3 a record stored typed goes as the
+// view it decodes to, no line built or parsed; a text, v2 or v1 record
+// as its line (compWriter.add). Every input CRC is checked and each
+// input must yield the records its footer counted; on any failure no
+// file has been touched, the run stands, and store.maintain_errors
+// counts it. Caller holds sh.mu.
 func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	defer func() {
 		if err != nil {
@@ -761,14 +768,17 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	defer ReleaseDecoder(d)
 	var frames []byte
 	var encErr error
-	emit := func(m Meta, line []byte) {
+	emit := func(m Meta, v *trace.View, line []byte) {
 		merged.Index.Add(m)
-		merged.Bytes += FrameSize(len(line))
 		if w == nil {
 			frames = AppendFrameBytes(frames, m, line)
 		} else if encErr == nil {
-			encErr = w.add(m, line)
+			encErr = w.add(m, v, line)
 		}
+	}
+	scan := emit
+	if w == nil { // v1 frames take every record as its line
+		scan = d.lines(func(m Meta, line []byte) { emit(m, nil, line) })
 	}
 	in := 0
 	for _, info := range run {
@@ -784,7 +794,7 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 		if rs.Index != info.Index || (rs.v2.DataLen != 0 && rs.footer() == nil) {
 			return fmt.Errorf("%w: %s: footer is not the one it was sealed with", ErrCorrupt, info.Name)
 		}
-		st, err := rs.Scan(d, nil, emit)
+		st, err := rs.ScanViews(d, nil, scan)
 		if err == nil && st.Records != int(info.Index.Count) {
 			err = fmt.Errorf("%w: footer count %d but %d records", ErrCorrupt, info.Index.Count, st.Records)
 		}
@@ -798,16 +808,18 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	var data []byte
 	if w == nil {
 		data = AppendFooter(frames, merged.Index, uint32(len(frames)))
-	} else if data, _, err = w.seal(merged.Index, merged.Bytes); err != nil {
+	} else if data, _, err = w.seal(merged.Index, w.segV1); err != nil {
 		return err
 	}
-	merged.DiskBytes = len(data)
+	merged.Bytes, merged.DiskBytes = len(frames), len(data)
 	if err := s.be.Create(merged.Name, data); err != nil {
 		return err
 	}
 	for _, info := range run {
-		if info.Name != merged.Name {
-			_ = s.be.Remove(info.Name)
+		// An input that will not go hides behind the merged file at every
+		// open (currentGeneration): counted, and the rewrite stands.
+		if info.Name != merged.Name && s.be.Remove(info.Name) != nil {
+			s.obsMaintainErr.Inc()
 		}
 	}
 	sh.sealed[i] = merged
@@ -815,6 +827,11 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	if tier > 0 {
 		s.obsArchiveIn.Add(int64(in))
 		s.obsArchiveOut.Add(int64(len(data)))
+	}
+	if w != nil { // what the writer counted
+		merged.Bytes = w.segV1
+		s.obsRewTyped.Add(int64(w.nTyped))
+		s.obsRewText.Add(int64(w.nText))
 	}
 	return nil
 }

@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -346,8 +348,10 @@ func TestTornTypedTailSalvage(t *testing.T) {
 
 // FuzzTypedPayload feeds arbitrary bytes to the record decoder as a v3
 // block payload. It must not panic; no record it emits is larger than a
-// frame may be; and every view it fills regenerates a line the trace
-// parser reads back as the same record.
+// frame may be; every view it fills regenerates a line the trace parser
+// reads back as the same record; and the records it emits, transcoded
+// as the cold rewrite moves them — a typed one as its view, any other
+// as its line — decode again to the same Metas and lines.
 func FuzzTypedPayload(f *testing.F) {
 	w := newCompWriter(0, 1<<20)
 	w.openSegment()
@@ -360,15 +364,35 @@ func FuzzTypedPayload(f *testing.F) {
 		}
 	}
 	f.Add([]byte{1, 2, 1, 1, 1, 0})
+	// A text record whose opcode is past int's range: a dictionary
+	// reference the decoder once took for a negative index.
+	f.Add([]byte{1, 2, 1, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{1, 2, 1, 1, 3, 0x20, 0x20, 2, 0, 0, 80, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	// payloadDecoder borrows a decoder set to read a bare v3 block payload
+	// that defines its dictionary as it goes.
+	payloadDecoder := func() *Decoder {
 		d := AcquireDecoder()
-		defer ReleaseDecoder(d)
 		d.payload, d.growDict, d.dict = payloadV3, true, d.dictBuf[:0]
 		d.resetBlockCoding()
+		return d
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		d := payloadDecoder()
+		defer ReleaseDecoder(d)
 		emitted := 0
+		var first []Rec
+		w := newCompWriter(0, math.MaxInt)
+		w.openSegment()
 		n, consumed, err := d.decodeRecords(raw, func(m Meta, v *trace.View, line []byte) {
 			emitted++
+			if v != nil {
+				first = append(first, Rec{m, string(v.AppendLine(nil))})
+			} else {
+				first = append(first, Rec{m, string(line)})
+			}
+			if err := w.add(m, v, line); err != nil {
+				t.Fatal(err)
+			}
 			if v == nil {
 				if len(line) > MaxFrameSize {
 					t.Fatalf("text record of %d bytes", len(line))
@@ -390,6 +414,17 @@ func FuzzTypedPayload(f *testing.F) {
 		})
 		if n != emitted || consumed > len(raw) || (err == nil && consumed != len(raw)) {
 			t.Fatalf("decodeRecords = %d, %d, %v over %d bytes with %d emitted", n, consumed, err, len(raw), emitted)
+		}
+		d2 := payloadDecoder()
+		defer ReleaseDecoder(d2)
+		var again []Rec
+		if n, consumed, err := d2.decodeRecords(w.enc, d2.lines(func(m Meta, line []byte) {
+			again = append(again, Rec{m, string(line)})
+		})); err != nil || n != emitted || consumed != len(w.enc) {
+			t.Fatalf("transcoded payload: decodeRecords = %d, %d, %v over %d bytes, want the %d records", n, consumed, err, len(w.enc), emitted)
+		}
+		if !slices.Equal(again, first) {
+			t.Fatalf("transcoded payload decodes to\n%+v\nthe payload itself to\n%+v", again, first)
 		}
 	})
 }

@@ -262,3 +262,38 @@ func standardName(n meter.Name) bool {
 	}
 	return false
 }
+
+// LineLen returns len(v.AppendLine(nil)) without building the line: the
+// size a rewrite that moves a record as its view still accounts it at.
+func (v *View) LineLen() int {
+	var buf [64]byte // the longest name AppendText writes takes 35 bytes
+	if v.n < 0 {
+		return len(v.parsed.AppendFormat(buf[:0]))
+	}
+	lay := &typedLayouts[v.Type]
+	n := len(lay.head) + len(" cpuTime=") + len(" procTime=") +
+		decimalLen(uint64(v.Machine)) + decimalLen(uint64(v.CPUTime)) + decimalLen(uint64(v.ProcTime))
+	for i := 0; i < v.n; i++ {
+		f := &v.fields[i]
+		if f.ord >= 0 {
+			n += len(lay.sep[f.ord])
+		} else {
+			n += int(f.key1-f.key0) + 2
+		}
+		if f.isName {
+			n += len(f.name.AppendText(buf[:0]))
+		} else {
+			n += decimalLen(f.val)
+		}
+	}
+	return n
+}
+
+// decimalLen is len(appendDecimal(nil, u)).
+func decimalLen(u uint64) int {
+	n := 1
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}

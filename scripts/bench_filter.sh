@@ -40,13 +40,14 @@ go test -run '^$' -bench 'BenchmarkStoreIngestBatch$' -benchmem -benchtime=10000
 # scan stopped building an event per record, so they run 2000 times: at
 # the old 50 the pair was 3 ms of work and its ratio was noise. Three
 # runs each; the gate compares the best of each side (one run of five
-# read 276 us for a 60 us query while the host stalled).
-go test -run '^$' -bench 'BenchmarkStoreIngestCompressed$' -benchmem -benchtime=100000x . >>"$tmp"
+# read 276 us for a 60 us query while the host stalled). The compressed
+# ingest runs three times as well, for the archiving gate.
+go test -run '^$' -bench 'BenchmarkStoreIngestCompressed$' -benchmem -benchtime=100000x -count=3 . >>"$tmp"
 # The store as the filter opens it (filter.StoreConfig: archival on) and
 # record time advancing, so cold runs are rewritten into tier 1 on the
 # appending goroutine. Same batch count as the pair above; the archiving
-# gate below reads this line.
-go test -run '^$' -bench 'BenchmarkStoreIngestArchiving$' -benchmem -benchtime=100000x . >>"$tmp"
+# gate below compares the best of three of each.
+go test -run '^$' -bench 'BenchmarkStoreIngestArchiving$' -benchmem -benchtime=100000x -count=3 . >>"$tmp"
 go test -run '^$' -bench 'BenchmarkQueryBlockPruned' -benchmem -benchtime=2000x -count=3 . >>"$tmp"
 # Scaling benchmarks: the parallel ingest pipeline at 1/2/4/8 workers
 # and the read executor at GOMAXPROCS 1/2/4 (it sizes its pool from
@@ -179,25 +180,31 @@ END {
 }' "$tmp"; then failed=1; fi
 
 # Archiving gate: the cold rewrite runs on the ingest worker, so what it
-# adds to an append is ingest cost. The rewrite decodes every record and
-# stages it again (the structural encoding is most of what an append
-# costs) before DEFLATE sees it, so archiving ingest cannot approach
-# compressed ingest; it measured 1.9x to 2.6x over seven runs at archive
-# level 6 against 4.43x before the rewrite streamed (level 9, a
-# flate.Writer per run), and is held to 3x. Tier-1 bytes are held to 1.02x the 1315912 the same
+# adds to an append is ingest cost. Since the rewrite moves a typed
+# record as the view it decodes to (typed form to typed form; no line is
+# built, parsed or proved in between), what it adds is decoding a block,
+# one AppendTyped per record and DEFLATE at archive level 6 - and on this
+# benchmark's records, all of them typed, DEFLATE is most of it (the
+# profile split is in docs/perf.md, "Cold rewrite"). Archiving ingest
+# therefore cannot approach compressed ingest while archiveLevel is 6:
+# it read 1.78-1.80x on the best of three a side over the four runs made
+# for this gate, against 2.6-2.75x while the rewrite went through text
+# and 4.43x before it streamed (level 9, a flate.Writer per run), and is
+# held to 2.2x. Tier-1 bytes are held to 1.02x the 1315912 the same
 # 1.6 M records took at level 9, the level the sweep in docs/store.md
 # traded away. Since v3 blocks the benchmark's lines carry the cpuTime
 # their Meta carries (they did not, and were then all refused the typed
-# shape: 3.36x, 1327490 bytes); typed, it reads 2.6-2.75x and 517245.
+# shape: 3.36x, 1327490 bytes); typed, tier 1 is 517245 bytes, whichever
+# way the records cross the rewrite.
 if ! awk '
 function val(unit,   i) { for (i = 3; i < NF; i++) if ($(i+1) == unit) return $i; return 0 }
-$1 ~ /^BenchmarkStoreIngestCompressed(-[0-9]+)?$/ { comp = val("ns/op") }
-$1 ~ /^BenchmarkStoreIngestArchiving(-[0-9]+)?$/  { arch = val("ns/op"); ab = val("archive_bytes") }
+$1 ~ /^BenchmarkStoreIngestCompressed(-[0-9]+)?$/ { if (comp == 0 || val("ns/op") < comp) comp = val("ns/op") }
+$1 ~ /^BenchmarkStoreIngestArchiving(-[0-9]+)?$/  { if (arch == 0 || val("ns/op") < arch) arch = val("ns/op"); ab = val("archive_bytes") }
 END {
     fail = 0
     if (comp + 0 <= 0 || arch + 0 <= 0 || ab + 0 <= 0) { print "bench_filter.sh: missing archiving ingest results" > "/dev/stderr"; exit 1 }
-    if (arch / comp > 3) {
-        printf "bench_filter.sh: archiving ingest %.0f ns/op vs %.0f compressed (%.2fx), gate is 3x\n", arch, comp, arch / comp > "/dev/stderr"; fail = 1
+    if (arch / comp > 2.2) {
+        printf "bench_filter.sh: archiving ingest %.0f ns/op vs %.0f compressed (%.2fx), gate is 2.2x\n", arch, comp, arch / comp > "/dev/stderr"; fail = 1
     }
     if (ab / 1315912 > 1.02) {
         printf "bench_filter.sh: tier-1 bytes %.0f vs 1315912 at level 9 (%.3fx), gate is 1.02x\n", ab, ab / 1315912 > "/dev/stderr"; fail = 1
