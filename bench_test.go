@@ -742,8 +742,9 @@ func BenchmarkAnalyses(b *testing.B) {
 }
 
 // S1: event-store ingest throughput — the cost a filter pays to write
-// a record through the store (framing, CRC, index update, rotation)
-// rather than appending a line to the flat log.
+// a record through the store (parse, typed encoding, a flush per
+// record, index update, rotation) rather than appending a line to the
+// flat log.
 func BenchmarkStoreIngest(b *testing.B) {
 	events := syntheticTrace(64)
 	lines := make([]string, len(events))
@@ -793,35 +794,14 @@ func storeBatchRecs() (recs []store.BatchRec, lineBytes int64) {
 }
 
 // S1 batched: the same ingest through AppendBatch, 16 records per call
-// — the granularity the filter's per-Recv flush produces. ns/op and
-// allocs/op are per batch, so divide by 16 to compare with
-// BenchmarkStoreIngest.
-func BenchmarkStoreIngestBatch(b *testing.B) {
-	recs, bytes := storeBatchRecs()
-	st, err := store.Open(store.NewMemBackend(), store.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batchSize = 16
-	b.SetBytes(bytes / int64(len(recs)) * batchSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := i * batchSize % len(recs)
-		if err := st.AppendBatch(recs[off : off+batchSize]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// S1 compressed: the batched ingest through the v2 block-compressed
-// writer — delta/varint metadata, front-coded lines, streaming DEFLATE
-// at flush time. ns/op is per 16-record batch, comparable directly
-// with BenchmarkStoreIngestBatch; compression-x is the v1-equivalent
-// bytes over bytes actually on disk after sealing.
+// — the granularity the filter's per-Recv flush produces — with
+// delta/varint metadata, typed records and a stored-block flush per
+// batch. ns/op and allocs/op are per batch, so divide by 16 to compare
+// with BenchmarkStoreIngest; compression-x is the v1-equivalent bytes
+// over bytes actually on disk after sealing.
 func BenchmarkStoreIngestCompressed(b *testing.B) {
 	recs, bytes := storeBatchRecs()
-	st, err := store.Open(store.NewMemBackend(), store.Config{Compress: store.CompressBlocks})
+	st, err := store.Open(store.NewMemBackend(), store.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -851,7 +831,7 @@ func BenchmarkStoreIngestCompressed(b *testing.B) {
 }
 
 // S1 archiving: the store exactly as the filter opens it
-// (filter.StoreConfig: block-compressed, 30 s archive threshold) under
+// (filter.StoreConfig: 30 s archive threshold) under
 // the same batches as BenchmarkStoreIngestCompressed, with cpuTime
 // advancing 1 ms per record so that segments really go cold and the
 // archival tier runs on the appending goroutine, at rotation — which is
@@ -917,8 +897,8 @@ func BenchmarkStoreIngestArchiving(b *testing.B) {
 // S2: segment pruning. A selective query (tight time range plus a
 // machine predicate) over a multi-segment store should scan only the
 // segments whose footer indexes intersect the predicate envelope;
-// compare against the same query with pruning disabled, which parses
-// every frame in the store. The pruned/full-scan ratio is the store's
+// compare against the same query with pruning disabled, which decodes
+// every record in the store. The pruned/full-scan ratio is the store's
 // answer to shipping the whole log on every question.
 func BenchmarkQuerySegmentPruning(b *testing.B) {
 	// Small segments so the fixed event count spreads over many of them.
@@ -975,10 +955,9 @@ func BenchmarkQuerySegmentPruning(b *testing.B) {
 
 // S2 block: zone-map pruning inside compressed segments. The same
 // selective query as BenchmarkQuerySegmentPruning runs against the
-// same 4000 events stored two ways: many small uncompressed segments
+// same 4000 events stored two ways: many small one-block segments
 // (pruned per segment by footer index — the old granularity) and a few
-// large compressed segments with small blocks (pruned per block by
-// zone map). Block pruning must match segment pruning's cost while
+// large segments with small blocks (pruned per block by zone map). Block pruning must match segment pruning's cost while
 // reading several-x fewer bytes from disk.
 func BenchmarkQueryBlockPruned(b *testing.B) {
 	events := syntheticTrace(4000)
@@ -1014,7 +993,7 @@ func BenchmarkQueryBlockPruned(b *testing.B) {
 	}{
 		{"segment-pruned", build(store.Config{SegmentCap: 2048})},
 		{"block-pruned", build(store.Config{
-			SegmentCap: 16384, BlockTarget: 2048, Compress: store.CompressBlocks,
+			SegmentCap: 16384, BlockTarget: 2048,
 		})},
 	} {
 		b.Run(mode.name, func(b *testing.B) {

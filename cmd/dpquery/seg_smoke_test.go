@@ -14,7 +14,7 @@ import (
 func TestSegmentsSmoke(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(store.NewDirBackend(dir), store.Config{
-		Shards: 2, SegmentCap: 2048, Compress: store.CompressBlocks, BlockTarget: 512,
+		Shards: 2, SegmentCap: 2048, BlockTarget: 512,
 	})
 	if err != nil {
 		t.Fatal(err)

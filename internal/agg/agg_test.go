@@ -330,7 +330,7 @@ func TestScanSegmentZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
 	}
-	be := buildStore(t, 2000, store.Config{Shards: 1, SegmentCap: 1 << 20, Compress: store.CompressBlocks})
+	be := buildStore(t, 2000, store.Config{Shards: 1, SegmentCap: 1 << 20})
 	rd, err := store.OpenReader(be)
 	if err != nil {
 		t.Fatal(err)

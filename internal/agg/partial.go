@@ -290,103 +290,50 @@ func (p *Partial) MarshalBinary() []byte {
 	return b
 }
 
-// reader is a bounds-checked cursor over partial bytes, the same shape
-// the obs snapshot decoder uses.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.err = fmt.Errorf("%w: truncated at byte %d", ErrPartialCorrupt, r.off)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
 // ParsePartial decodes a binary partial. Trailing bytes beyond the
 // known sections are ignored, and newer versions are accepted by
 // their version-1 prefix.
 func ParsePartial(data []byte) (*Partial, error) {
-	r := &reader{b: data}
-	magic := r.take(4)
-	if r.err != nil {
-		return nil, r.err
+	r := obs.NewCursor(data, ErrPartialCorrupt)
+	magic := r.Take(4)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if [4]byte(magic) != partialMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrPartialCorrupt)
 	}
-	if v := r.u16(); v < 1 {
+	if v := r.U16(); v < 1 {
 		return nil, fmt.Errorf("%w: version %d", ErrPartialCorrupt, v)
 	}
 	p := &Partial{Groups: make(map[GroupKey]*Group)}
-	p.Spec = string(r.take(int(r.u16())))
-	p.MinTime = r.u64()
-	p.MaxTime = r.u64()
-	p.Records = int64(r.u64())
-	p.Skipped = int64(r.u64())
-	p.Dropped = int64(r.u64())
-	ng := r.u32()
+	p.Spec = r.Str()
+	p.MinTime = r.U64()
+	p.MaxTime = r.U64()
+	p.Records = int64(r.U64())
+	p.Skipped = int64(r.U64())
+	p.Dropped = int64(r.U64())
+	ng := r.U32()
 	if ng > maxPartialGroups {
 		return nil, fmt.Errorf("%w: %d groups", ErrPartialCorrupt, ng)
 	}
-	for i := uint32(0); i < ng && r.err == nil; i++ {
+	for i := uint32(0); i < ng && r.Err() == nil; i++ {
 		g := &Group{}
-		g.Key.Window = r.u64()
-		nvals := int(r.u8())
+		g.Key.Window = r.U64()
+		nvals := int(r.U8())
 		if nvals > MaxBy {
 			return nil, fmt.Errorf("%w: group %d has %d key values", ErrPartialCorrupt, i, nvals)
 		}
 		for j := 0; j < nvals; j++ {
-			g.Key.Vals[j] = r.u64()
+			g.Key.Vals[j] = r.U64()
 		}
-		g.Count = int64(r.u64())
-		g.Sum = int64(r.u64())
-		g.Min = int64(r.u64())
-		g.Max = int64(r.u64())
-		pairs := int(r.u16())
-		for j := 0; j < pairs && r.err == nil; j++ {
-			bucket := int(r.u8())
-			n := int64(r.u64())
+		g.Count = int64(r.U64())
+		g.Sum = int64(r.U64())
+		g.Min = int64(r.U64())
+		g.Max = int64(r.U64())
+		pairs := int(r.U16())
+		for j := 0; j < pairs && r.Err() == nil; j++ {
+			bucket := int(r.U8())
+			n := int64(r.U64())
 			if bucket >= obs.NumBuckets {
 				return nil, fmt.Errorf("%w: bucket %d", ErrPartialCorrupt, bucket)
 			}
@@ -395,12 +342,12 @@ func ParsePartial(data []byte) (*Partial, error) {
 			}
 			g.hist[bucket] = n
 		}
-		if r.err == nil {
+		if r.Err() == nil {
 			p.Groups[g.Key] = g
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return p, nil
 }

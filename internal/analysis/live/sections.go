@@ -177,61 +177,11 @@ func (p *ParState) Running() int {
 
 // ---- encoding ----
 
-type sreader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *sreader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.err = fmt.Errorf("%w: truncated at byte %d", ErrBadSection, r.off)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *sreader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *sreader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *sreader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *sreader) i64() int64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func (r *sreader) count() uint32 {
-	n := r.u32()
-	if r.err == nil && n > maxSectionEntries {
-		r.err = fmt.Errorf("%w: count %d", ErrBadSection, n)
+// count reads a table's row count.
+func count(r *obs.Cursor) uint32 {
+	n := r.U32()
+	if n > maxSectionEntries {
+		r.Fail("count %d", n)
 		return 0
 	}
 	return n
@@ -291,13 +241,13 @@ func sizeArray(sizes map[int]int64) *[numSizeBuckets]int64 {
 	return &out
 }
 
-func readSizes(r *sreader) map[int]int64 {
-	n := int(r.u16())
+func readSizes(r *obs.Cursor) map[int]int64 {
+	n := int(r.U16())
 	var out map[int]int64
-	for i := 0; i < n && r.err == nil; i++ {
-		bucket := int(r.u8())
-		v := r.i64()
-		if r.err == nil {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		bucket := int(r.U8())
+		v := r.I64()
+		if r.Err() == nil {
 			if out == nil {
 				out = make(map[int]int64, n)
 			}
@@ -384,45 +334,45 @@ func DecodeComm(data []byte) (*CommState, error) {
 // rows it carries. With procs false the rows — fixed-width, and most of
 // a large payload — are stepped over, not built (renderComm counts them).
 func decodeComm(data []byte, procs bool) (*CommState, int, error) {
-	r := &sreader{b: data}
+	r := obs.NewCursor(data, ErrBadSection)
 	st := &CommState{
-		Events:     r.i64(),
-		Sends:      r.i64(),
-		Recvs:      r.i64(),
-		BytesSent:  r.i64(),
-		BytesRecvd: r.i64(),
+		Events:     r.I64(),
+		Sends:      r.I64(),
+		Recvs:      r.I64(),
+		BytesSent:  r.I64(),
+		BytesRecvd: r.I64(),
 	}
-	st.Sizes = readSizes(r)
-	np := int(r.count())
-	if !procs && np <= (len(r.b)-r.off)/procRowSize {
-		r.off += np * procRowSize
+	st.Sizes = readSizes(&r)
+	np := int(count(&r))
+	if !procs && np <= r.Remaining()/procRowSize {
+		r.Take(np * procRowSize)
 	} else {
 		// Sized by what the bytes can hold; a count they cannot back
 		// fails below, at the field that runs out.
-		st.Procs = make([]ProcCommState, 0, min(np, (len(r.b)-r.off)/procRowSize))
-		for i := 0; i < np && r.err == nil; i++ {
-			p := ProcCommState{Machine: r.u16(), PID: r.u32()}
-			p.Sends, p.Recvs, p.RecvCalls = r.i64(), r.i64(), r.i64()
-			p.Sockets, p.Forks = r.i64(), r.i64()
-			p.BytesSent, p.BytesRecvd = r.i64(), r.i64()
-			if r.err == nil {
+		st.Procs = make([]ProcCommState, 0, min(np, r.Remaining()/procRowSize))
+		for i := 0; i < np && r.Err() == nil; i++ {
+			p := ProcCommState{Machine: r.U16(), PID: r.U32()}
+			p.Sends, p.Recvs, p.RecvCalls = r.I64(), r.I64(), r.I64()
+			p.Sockets, p.Forks = r.I64(), r.I64()
+			p.BytesSent, p.BytesRecvd = r.I64(), r.I64()
+			if r.Err() == nil {
 				st.Procs = append(st.Procs, p)
 			}
 		}
 	}
-	npairs := int(r.count())
-	st.Pairs = make([]PairState, 0, min(npairs, (len(r.b)-r.off)/minPairRowSize))
-	for i := 0; i < npairs && r.err == nil; i++ {
-		p := PairState{Src: r.u16(), Dst: r.u16()}
-		p.SendMsgs, p.SendBytes = r.i64(), r.i64()
-		p.RecvMsgs, p.RecvBytes = r.i64(), r.i64()
-		p.Sizes = readSizes(r)
-		if r.err == nil {
+	npairs := int(count(&r))
+	st.Pairs = make([]PairState, 0, min(npairs, r.Remaining()/minPairRowSize))
+	for i := 0; i < npairs && r.Err() == nil; i++ {
+		p := PairState{Src: r.U16(), Dst: r.U16()}
+		p.SendMsgs, p.SendBytes = r.I64(), r.I64()
+		p.RecvMsgs, p.RecvBytes = r.I64(), r.I64()
+		p.Sizes = readSizes(&r)
+		if r.Err() == nil {
 			st.Pairs = append(st.Pairs, p)
 		}
 	}
-	if r.err != nil {
-		return nil, 0, r.err
+	if r.Err() != nil {
+		return nil, 0, r.Err()
 	}
 	return st, np, nil
 }
@@ -459,18 +409,18 @@ func (c *Collector) capturePar() []byte {
 
 // DecodePar parses a live.par payload.
 func DecodePar(data []byte) (*ParState, error) {
-	r := &sreader{b: data}
-	n := int(r.count())
-	st := &ParState{Procs: make([]ProcInterval, 0, min(n, (len(r.b)-r.off)/parRowSize))}
-	for i := 0; i < n && r.err == nil; i++ {
-		iv := ProcInterval{Machine: r.u16(), PID: r.u32(), Terminated: r.u8() != 0}
-		iv.First, iv.Last, iv.MaxCPU = r.i64(), r.i64(), r.i64()
-		if r.err == nil {
+	r := obs.NewCursor(data, ErrBadSection)
+	n := int(count(&r))
+	st := &ParState{Procs: make([]ProcInterval, 0, min(n, r.Remaining()/parRowSize))}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		iv := ProcInterval{Machine: r.U16(), PID: r.U32(), Terminated: r.U8() != 0}
+		iv.First, iv.Last, iv.MaxCPU = r.I64(), r.I64(), r.I64()
+		if r.Err() == nil {
 			st.Procs = append(st.Procs, iv)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return st, nil
 }
@@ -493,16 +443,16 @@ func (c *Collector) captureMatch() []byte {
 
 // DecodeMatch parses a live.match payload.
 func DecodeMatch(data []byte) (*MatchState, error) {
-	r := &sreader{b: data}
+	r := obs.NewCursor(data, ErrBadSection)
 	st := &MatchState{
-		Conns:         r.i64(),
-		StreamMatched: r.i64(),
-		DgramMatched:  r.i64(),
-		AgedOut:       r.i64(),
-		Pending:       r.i64(),
+		Conns:         r.I64(),
+		StreamMatched: r.I64(),
+		DgramMatched:  r.I64(),
+		AgedOut:       r.I64(),
+		Pending:       r.I64(),
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return st, nil
 }

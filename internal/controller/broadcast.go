@@ -10,31 +10,33 @@ package controller
 // hung.
 
 import (
+	"errors"
 	"sync"
 
 	"dpm/internal/daemon"
 )
 
+// errClosed fails an exchange attempted after the controller's exit.
+var errClosed = errors.New("controller: shut down")
+
 // session returns the controller's persistent session to host's
-// daemon, dialing one on first use. It returns nil — sending the
-// caller down the one-shot exchange path — when the host is unknown
-// (that path fails fast with the right error) or the controller has
-// shut down.
-func (c *Controller) session(host string) *daemon.Session {
+// daemon, dialing one on first use. An unknown host and a controller
+// that has shut down are errors, not sessions.
+func (c *Controller) session(host string) (*daemon.Session, error) {
 	if _, err := c.cluster.Machine(host); err != nil {
-		return nil
+		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil
+		return nil, errClosed
 	}
 	if s, ok := c.sessions[host]; ok {
-		return s
+		return s, nil
 	}
 	s := daemon.DialSession(c.cmd, host, c.sessionCfg)
 	c.sessions[host] = s
-	return s
+	return s, nil
 }
 
 // SetSessionConfig tunes sessions dialed from now on; tests and soaks

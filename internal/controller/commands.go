@@ -796,9 +796,7 @@ func (c *Controller) cmdStdin(args []string) {
 // inside the wire bound, and a copy cut short resumes where it stopped.
 // A prefix that no longer matches (the log was rewritten in place, as
 // the counting filter does every batch) or an offset the log has shrunk
-// below falls back to a full transfer from the top. Daemons predating
-// the offset extension ignore the trailing field and return the whole
-// file with no size echo, which also lands on the full-copy path.
+// below falls back to a full transfer from the top.
 func (c *Controller) cmdGetLog(args []string) {
 	if len(args) != 2 {
 		c.printf("usage: getlog filtername destfile\n")
@@ -857,9 +855,8 @@ func (c *Controller) cmdGetLog(args []string) {
 			off, prefixCRC = 0, 0
 			continue
 		default:
-			// A transfer from the top: the first fetch, a log that
-			// shrank below our offset (the daemon reset it), or a daemon
-			// that did not understand the offset (total == 0).
+			// A transfer from the top: the first fetch, or a log that
+			// shrank below our offset (the daemon reset it).
 			err = c.machine.FS().Create(dest, c.uid, fsys.PrivateMode, data)
 			off, prefixCRC = 0, 0
 		}
@@ -869,11 +866,6 @@ func (c *Controller) cmdGetLog(args []string) {
 		}
 		off += len(data)
 		prefixCRC = crc32.Update(prefixCRC, crc32.IEEETable, data)
-		if total == 0 {
-			// Legacy daemon (no size echo): do not track an offset; the
-			// next getlog is another full transfer.
-			off, prefixCRC = 0, 0
-		}
 		c.mu.Lock()
 		f.LogDest, f.LogOffset, f.LogCRC = dest, off, prefixCRC
 		c.mu.Unlock()

@@ -374,26 +374,19 @@ func (c *Controller) printf(format string, args ...any) {
 }
 
 // exchange performs one controller↔daemon RPC, hardened with the
-// controller's retry policy. Requests normally ride the persistent
-// session to the host's daemon; a peer that turns out to speak only
-// one-shot exchanges gets the legacy path instead. A machine whose
-// exchange exhausts every retry is marked unreachable and its
-// processes become lost; a later successful exchange marks it
-// reachable again.
+// controller's retry policy, over the persistent session to the host's
+// daemon. A machine whose exchange exhausts every retry is marked
+// unreachable and its processes become lost; a later successful
+// exchange marks it reachable again.
 func (c *Controller) exchange(host string, req *daemon.WireMsg) (*daemon.Reply, error) {
 	c.mu.Lock()
 	rp := c.retry
 	c.mu.Unlock()
-	var rep *daemon.Reply
-	var err error
-	if s := c.session(host); s != nil {
-		rep, err = daemon.SessionExchange(s, req, rp)
-		if errors.Is(err, daemon.ErrSessionLegacy) {
-			rep, err = daemon.ExchangeRetry(c.cmd, host, req, rp)
-		}
-	} else {
-		rep, err = daemon.ExchangeRetry(c.cmd, host, req, rp)
+	s, err := c.session(host)
+	if err != nil {
+		return nil, err // says nothing about reachability
 	}
+	rep, err := daemon.SessionExchange(s, req, rp)
 	c.noteExchange(host, err)
 	return rep, err
 }

@@ -11,14 +11,11 @@ package daemon
 //	payload  bytes       request/reply: one encoded WireMsg; hello: version
 //
 // A session opens with a 4-byte magic, "DPMX", before the first frame.
-// Read as a legacy message size the magic is 0x584D5044 — far above
-// maxWireSize — so a legacy daemon rejects it as corrupt and closes,
-// which is exactly the signal the dialer needs to fall back to one-shot
-// exchanges. Conversely no legacy message can begin with the magic
-// bytes, so a daemon can sniff the first four bytes of a connection and
-// serve either protocol. This is the same trailing-compatibility
-// discipline as QueryReq's optional field 5: new capability is
-// detectable by the old parser as a clean, non-destructive failure.
+// Read as a one-shot message size the magic is 0x584D5044 — far above
+// maxWireSize — so no one-shot message (section 3.5.1, Exchange) can
+// begin with the magic bytes, and a daemon sniffs the first four bytes
+// of a connection and serves either protocol. A dialer whose hello is
+// not answered with one has not reached a daemon: the dial failed.
 //
 // Unknown frame kinds are skipped by both sides (forward
 // compatibility); a hello payload may grow trailing data that old

@@ -100,13 +100,10 @@ var (
 	ErrSessionDown = errors.New("daemon: session down")
 	// ErrSessionClosed fails calls on a session after Close.
 	ErrSessionClosed = errors.New("daemon: session closed")
-	// ErrSessionLegacy marks a peer that only speaks one-shot
-	// exchanges; the caller should fall back to ExchangeRetry.
-	ErrSessionLegacy = errors.New("daemon: peer speaks one-shot exchanges only")
 
-	// errLegacyPeer is the dial-time signal: the peer closed the
-	// handshake without answering our hello.
-	errLegacyPeer = errors.New("daemon: peer closed the session handshake")
+	// errHandshake fails a dial whose peer closed on our hello or
+	// answered it with something else: a failed dial like any other.
+	errHandshake = errors.New("daemon: peer did not answer the session hello")
 	// errHeartbeatMissed tears a connection down from the inside.
 	errHeartbeatMissed = errors.New("daemon: heartbeat missed")
 )
@@ -143,7 +140,6 @@ type Session struct {
 	inflight map[uint64]*call
 	fd       int // current connection, -1 when none
 	closed   bool
-	legacy   bool
 	everUp   bool
 
 	stopCh chan struct{} // closed by Close
@@ -199,15 +195,6 @@ func (s *Session) History() []SessionState {
 	return out
 }
 
-// Legacy reports whether the peer turned out to speak only one-shot
-// exchanges; calls on a legacy session fail with ErrSessionLegacy and
-// the caller should use ExchangeRetry instead.
-func (s *Session) Legacy() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.legacy
-}
-
 // Close shuts the session down: the connection is closed, the
 // supervisor exits, and pending calls fail with ErrSessionClosed.
 func (s *Session) Close() {
@@ -241,13 +228,9 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 	}
 	start := time.Now()
 	s.mu.Lock()
-	switch {
-	case s.closed:
+	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrSessionClosed
-	case s.legacy:
-		s.mu.Unlock()
-		return nil, ErrSessionLegacy
 	}
 	s.nextID++
 	id := s.nextID
@@ -327,10 +310,9 @@ func SessionExchange(s *Session, req *WireMsg, rp RetryPolicy) (*Reply, error) {
 // --- supervisor ---
 
 // run is the supervisor: dial, pump, reconnect, forever. It exits on
-// Close, process death, or a peer proven legacy.
+// Close or process death.
 func (s *Session) run() {
 	fails := 0
-	legacyStrikes := 0
 	for {
 		select {
 		case <-s.stopCh:
@@ -351,16 +333,6 @@ func (s *Session) run() {
 			if errors.Is(err, kernel.ErrKilled) {
 				return
 			}
-			if errors.Is(err, errLegacyPeer) {
-				// One EOF could be a daemon dying mid-handshake; two in a
-				// row is a peer that reads our magic as garbage.
-				if legacyStrikes++; legacyStrikes >= 2 {
-					s.markLegacy()
-					return
-				}
-			} else {
-				legacyStrikes = 0
-			}
 			fails++
 			if fails >= s.cfg.DownAfter {
 				s.transitionDown()
@@ -377,7 +349,7 @@ func (s *Session) run() {
 			}
 			continue
 		}
-		legacyStrikes, fails = 0, 0
+		fails = 0
 		if !s.attach(fd) {
 			return // closed while dialing
 		}
@@ -392,7 +364,7 @@ func (s *Session) run() {
 
 // dialSession connects, sends the magic preamble plus hello, and waits
 // for the daemon's hello back. It returns the connection and any bytes
-// read past the handshake. errLegacyPeer means the peer either closed
+// read past the handshake. errHandshake means the peer either closed
 // on our magic or answered with something other than a session hello.
 func (s *Session) dialSession() (int, []byte, error) {
 	hostID, _, err := s.p.Machine().Cluster().ResolveFrom(s.p.Machine(), s.host)
@@ -419,7 +391,7 @@ func (s *Session) dialSession() (int, []byte, error) {
 	for {
 		if !sawMagic && len(buf) >= 4 {
 			if !isFrameMagic(buf) {
-				return fail(errLegacyPeer)
+				return fail(errHandshake)
 			}
 			buf = buf[4:]
 			sawMagic = true
@@ -428,12 +400,12 @@ func (s *Session) dialSession() (int, []byte, error) {
 			f, n, perr := ParseFrame(buf)
 			if perr == nil {
 				if f.Kind != FrameHello || !helloOK(f.Payload) {
-					return fail(errLegacyPeer)
+					return fail(errHandshake)
 				}
 				return fd, buf[n:], nil
 			}
 			if !errors.Is(perr, ErrWireShort) {
-				return fail(errLegacyPeer)
+				return fail(errHandshake)
 			}
 		}
 		remaining := time.Until(deadline)
@@ -443,9 +415,8 @@ func (s *Session) dialSession() (int, []byte, error) {
 		data, _, rerr := s.p.RecvTimeout(fd, 8192, remaining)
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
-				// A legacy daemon reads our magic as an over-size legacy
-				// message, calls it corrupt, and closes.
-				return fail(errLegacyPeer)
+				// Whatever listens there is not a daemon.
+				return fail(errHandshake)
 			}
 			return fail(rerr)
 		}
@@ -609,16 +580,6 @@ func (s *Session) transitionDown() {
 // wants it.
 func (s *Session) openCircuit() {
 	s.failPending(fmt.Errorf("session to %s: %w", s.host, ErrSessionDown))
-}
-
-// markLegacy retires the session permanently: the peer does not speak
-// the session protocol.
-func (s *Session) markLegacy() {
-	s.mu.Lock()
-	s.legacy = true
-	s.setStateLocked(StateDown)
-	s.mu.Unlock()
-	s.failPending(ErrSessionLegacy)
 }
 
 func (s *Session) setState(st SessionState) {

@@ -257,13 +257,11 @@ func TestSessionHeartbeatSuspect(t *testing.T) {
 	}
 }
 
-// spawnLegacyDaemon runs a fake daemon that predates sessions: it
-// reads one legacy message per connection and closes on anything it
-// cannot decode — which is exactly what the session magic looks like
-// to it.
-func spawnLegacyDaemon(t *testing.T, m *kernel.Machine, port uint16) {
+// spawnGarbageDaemon listens on port and answers every connection with
+// bytes that are no session hello, then closes.
+func spawnGarbageDaemon(t *testing.T, m *kernel.Machine, port uint16) {
 	t.Helper()
-	_, err := m.Spawn(kernel.SpawnSpec{UID: 0, Name: "legacyd", Program: func(p *kernel.Process) int {
+	_, err := m.Spawn(kernel.SpawnSpec{UID: 0, Name: "garbaged", Program: func(p *kernel.Process) int {
 		lfd, err := p.Socket(meter.AFInet, kernel.SockStream)
 		if err != nil {
 			return 1
@@ -279,54 +277,44 @@ func spawnLegacyDaemon(t *testing.T, m *kernel.Machine, port uint16) {
 			if err != nil {
 				return 0
 			}
-			p.Go(func() {
-				defer func() { _ = p.Close(conn) }()
-				var buf []byte
-				for {
-					w, _, derr := DecodeWire(buf)
-					if derr == nil {
-						_ = w
-						rep := &Reply{Status: "ok"}
-						_, _ = p.Send(conn, rep.Wire().Encode())
-						return
-					}
-					if !errors.Is(derr, ErrWireShort) {
-						return // the magic preamble lands here
-					}
-					data, rerr := p.Recv(conn, 8192)
-					if rerr != nil {
-						return
-					}
-					buf = append(buf, data...)
-				}
-			})
+			_, _ = p.Send(conn, []byte("220 not a daemon\r\n"))
+			_ = p.Close(conn)
 		}
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, time.Second, "legacy daemon listening", func() bool {
+	waitFor(t, time.Second, "garbage daemon listening", func() bool {
 		return m.PortBound(kernel.SockStream, port)
 	})
 }
 
-// TestSessionLegacyFallback: against a peer that only speaks one-shot
-// exchanges the session marks itself legacy (after two handshake
-// rejections, so one mid-handshake crash does not condemn a peer) and
-// calls fail with ErrSessionLegacy so the caller can fall back.
-func TestSessionLegacyFallback(t *testing.T) {
+// TestSessionGarbagePeerGoesDown: a peer that answers the hello with
+// garbage is a failed dial like any other — the session walks to down,
+// and an exchange over it degrades to ErrExhausted inside its deadline
+// instead of hanging.
+func TestSessionGarbagePeerGoesDown(t *testing.T) {
 	r := newRig(t)
-	const legacyPort = 9991
-	spawnLegacyDaemon(t, r.red, legacyPort)
+	const garbagePort = 9991
+	spawnGarbageDaemon(t, r.red, garbagePort)
 
 	cfg := fastSession()
-	cfg.Port = legacyPort
+	cfg.Port = garbagePort
 	s := DialSession(r.ctl, "red", cfg)
 	defer s.Close()
 
-	waitFor(t, 2*time.Second, "legacy detection", s.Legacy)
-	if _, err := s.Call(&WireMsg{Type: TListReq}, time.Second); !errors.Is(err, ErrSessionLegacy) {
-		t.Fatalf("call on legacy session: %v, want ErrSessionLegacy", err)
+	waitFor(t, 2*time.Second, "session down", func() bool { return s.State() == StateDown })
+	if hist := s.History(); hasStateSubsequence(hist, StateUp) {
+		t.Fatalf("history %v: the session came up against a peer that never said hello", hist)
+	}
+	rp := RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, ReplyTimeout: 200 * time.Millisecond}
+	start := time.Now()
+	_, err := SessionExchange(s, &WireMsg{Type: TListReq}, rp)
+	if !errors.Is(err, ErrExhausted) || !errors.Is(err, ErrSessionDown) {
+		t.Fatalf("exchange over a garbage peer: %v, want ErrExhausted wrapping ErrSessionDown", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("exchange took %v to give up; its three attempts are bounded by 200 ms each", took)
 	}
 }
 

@@ -302,17 +302,12 @@ func (e *Engine) ProcessEach(buf []byte, emit func(rec *Record, line []byte)) (r
 
 // StoreConfig is the configuration every filter opens its event store
 // with, its counters on reg — exported so a benchmark of "the filter's
-// store" measures this and not a literal of its own. Sealed segments are
-// block-compressed, and segments a cpuTime half-minute colder than the
-// newest record roll into the archival tier; records are never expired
-// (RetainFor stays 0 — the flat log and the store must answer
-// identically).
+// store" measures this and not a literal of its own. Segments a cpuTime
+// half-minute colder than the newest record roll into the archival
+// tier; records are never expired (RetainFor stays 0 — the flat log and
+// the store must answer identically).
 func StoreConfig(reg *obs.Registry) store.Config {
-	return store.Config{
-		Obs:          reg,
-		Compress:     store.CompressBlocks,
-		ArchiveAfter: 30_000,
-	}
+	return store.Config{Obs: reg, ArchiveAfter: 30_000}
 }
 
 // Main is the standard filter program. Its arguments are

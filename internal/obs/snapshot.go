@@ -266,63 +266,6 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// reader is a bounds-checked cursor over snapshot bytes.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.b) {
-		r.err = fmt.Errorf("%w: truncated at byte %d", ErrSnapshotCorrupt, r.off)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) i64() int64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func (r *reader) str() string {
-	n := int(r.u16())
-	return string(r.take(n))
-}
-
 // ParseSnapshot decodes a binary snapshot. Trailing bytes beyond the
 // known sections are ignored, and versions newer than SnapshotVersion
 // are accepted by their version-1 prefix, so old readers keep working
@@ -335,68 +278,68 @@ func ParseSnapshot(data []byte) (*Snapshot, error) { return parseSnapshot(data, 
 func ParseSnapshotOwned(data []byte) (*Snapshot, error) { return parseSnapshot(data, false) }
 
 func parseSnapshot(data []byte, copyOut bool) (*Snapshot, error) {
-	r := &reader{b: data}
-	magic := r.take(4)
-	if r.err != nil {
-		return nil, r.err
+	r := NewCursor(data, ErrSnapshotCorrupt)
+	magic := r.Take(4)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if [4]byte(magic) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
 	}
-	version := r.u16()
+	version := r.U16()
 	if version < 1 {
 		return nil, fmt.Errorf("%w: version %d", ErrSnapshotCorrupt, version)
 	}
 	s := &Snapshot{}
-	s.Machine = r.str()
-	s.TakenUnixNano = r.i64()
-	nc := r.u32()
+	s.Machine = r.Str()
+	s.TakenUnixNano = r.I64()
+	nc := r.U32()
 	if nc > maxSnapshotEntries {
 		return nil, fmt.Errorf("%w: %d counters", ErrSnapshotCorrupt, nc)
 	}
-	for i := uint32(0); i < nc && r.err == nil; i++ {
-		s.Counters = append(s.Counters, NamedValue{Name: r.str(), Value: r.i64()})
+	for i := uint32(0); i < nc && r.Err() == nil; i++ {
+		s.Counters = append(s.Counters, NamedValue{Name: r.Str(), Value: r.I64()})
 	}
-	ng := r.u32()
+	ng := r.U32()
 	if ng > maxSnapshotEntries {
 		return nil, fmt.Errorf("%w: %d gauges", ErrSnapshotCorrupt, ng)
 	}
-	for i := uint32(0); i < ng && r.err == nil; i++ {
-		s.Gauges = append(s.Gauges, NamedValue{Name: r.str(), Value: r.i64()})
+	for i := uint32(0); i < ng && r.Err() == nil; i++ {
+		s.Gauges = append(s.Gauges, NamedValue{Name: r.Str(), Value: r.I64()})
 	}
-	nh := r.u32()
+	nh := r.U32()
 	if nh > maxSnapshotEntries {
 		return nil, fmt.Errorf("%w: %d histograms", ErrSnapshotCorrupt, nh)
 	}
-	for i := uint32(0); i < nh && r.err == nil; i++ {
-		h := HistValue{Name: r.str(), Count: r.i64(), Sum: r.i64()}
-		np := int(r.u16())
-		for j := 0; j < np && r.err == nil; j++ {
-			h.Buckets = append(h.Buckets, BucketCount{Bucket: r.u8(), Count: r.i64()})
+	for i := uint32(0); i < nh && r.Err() == nil; i++ {
+		h := HistValue{Name: r.Str(), Count: r.I64(), Sum: r.I64()}
+		np := int(r.U16())
+		for j := 0; j < np && r.Err() == nil; j++ {
+			h.Buckets = append(h.Buckets, BucketCount{Bucket: r.U8(), Count: r.I64()})
 		}
 		s.Hists = append(s.Hists, h)
 	}
 	if version >= 2 {
-		ns := r.u32()
-		if r.err == nil && ns > maxSnapshotEntries {
+		ns := r.U32()
+		if r.Err() == nil && ns > maxSnapshotEntries {
 			return nil, fmt.Errorf("%w: %d sections", ErrSnapshotCorrupt, ns)
 		}
-		for i := uint32(0); i < ns && r.err == nil; i++ {
-			sec := Section{Name: r.str(), Version: r.u16()}
-			n := int(r.u32())
-			if body := r.take(n); body != nil {
+		for i := uint32(0); i < ns && r.Err() == nil; i++ {
+			sec := Section{Name: r.Str(), Version: r.U16()}
+			n := int(r.U32())
+			if body := r.Take(n); body != nil {
 				sec.Data = body[:n:n]
 				if copyOut {
 					sec.Data = append([]byte(nil), body...)
 				}
 			}
-			if r.err == nil {
+			if r.Err() == nil {
 				s.Sections = append(s.Sections, sec)
 			}
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return s, nil
 }

@@ -73,7 +73,7 @@ func TestScanSegmentZeroAllocs(t *testing.T) {
 		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
 	}
 	be := buildRandomStore(t, rand.New(rand.NewSource(13)), 2000,
-		store.Config{Shards: 1, SegmentCap: 1 << 20, Compress: store.CompressBlocks, BlockTarget: 2048}, false)
+		store.Config{Shards: 1, SegmentCap: 1 << 20, BlockTarget: 2048}, false)
 	rd, err := store.OpenReader(be)
 	if err != nil {
 		t.Fatal(err)

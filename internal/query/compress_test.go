@@ -10,8 +10,8 @@ import (
 )
 
 // formatEvents renders just the event stream — seq, order, record
-// bytes. Stats legitimately differ across storage formats (block
-// counts exist only for v2), so byte-identity is asserted on the
+// bytes. Stats legitimately differ across storage layouts (block
+// counts follow the block size), so byte-identity is asserted on the
 // events alone.
 func formatEvents(res *Result) string {
 	var b strings.Builder
@@ -21,13 +21,14 @@ func formatEvents(res *Result) string {
 	return b.String()
 }
 
-// TestCompressedRunEquivalence stores one randomized record stream
-// three ways — uncompressed, block-compressed, and block-compressed
-// with tiny blocks (many zone maps per segment) — and asserts every
-// rule set returns byte-identical events from all three, at workers
-// 1/2/8. Segment capacity is accounted in v1-equivalent bytes in both
-// formats, so the rotation layout (and thus result order) is the same;
-// only the bytes on disk differ.
+// TestCompressedRunEquivalence stores one randomized record stream two
+// ways — a block per segment (the footer index is the only zone map),
+// and tiny blocks (many zone maps per segment) — and asserts every rule
+// set returns byte-identical events from both, at workers 1/2/8.
+// Segment capacity is accounted in v1-equivalent bytes whatever the
+// block size, so the rotation layout (and thus result order) is the
+// same; only the blocks differ. (That v1 files answer as they did:
+// TestAnswersByteIdentical, over the checked-in v1 stores.)
 func TestCompressedRunEquivalence(t *testing.T) {
 	rules := []string{
 		"",
@@ -64,7 +65,7 @@ func TestCompressedRunEquivalence(t *testing.T) {
 				store.Config{Shards: lay.shards, SegmentCap: lay.cap}, lay.unsealed)
 			comp := buildRandomStore(t, rand.New(rand.NewSource(99)), lay.n,
 				store.Config{Shards: lay.shards, SegmentCap: lay.cap,
-					Compress: store.CompressBlocks, BlockTarget: lay.block}, lay.unsealed)
+					BlockTarget: lay.block}, lay.unsealed)
 			rdFlat, err := store.OpenReader(flat)
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +108,7 @@ func TestCompressedRunEquivalence(t *testing.T) {
 // the pruned decode path).
 func TestBlockPruningPrunes(t *testing.T) {
 	be := buildRandomStore(t, rand.New(rand.NewSource(5)), 500,
-		store.Config{Shards: 2, SegmentCap: 1 << 20, Compress: store.CompressBlocks, BlockTarget: 512}, false)
+		store.Config{Shards: 2, SegmentCap: 1 << 20, BlockTarget: 512}, false)
 	rd, err := store.OpenReader(be)
 	if err != nil {
 		t.Fatal(err)

@@ -8,12 +8,14 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"dpm/internal/agg"
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 	"dpm/internal/query"
 	"dpm/internal/store"
 	"dpm/internal/trace"
@@ -64,16 +66,22 @@ var identitySpecs = []string{
 	"top 3 machine by sum(msgLength)",
 }
 
+// identityLayouts are the stores the digests are taken over. The v1
+// layouts are the checked-in files identityStore wrote, with these
+// configurations, while a store still had a v1 writer (query.V1Fixtures); the
+// others are built by this build's store, which writes v3 where the
+// layout's name — its key in the digest file — says v2.
 var identityLayouts = []struct {
 	name string
 	cfg  store.Config
 	tail bool
+	v1   bool
 }{
-	{"v1", store.Config{Shards: 3, SegmentCap: 1024}, false},
-	{"v1+tail", store.Config{Shards: 3, SegmentCap: 1024}, true},
-	{"v2", store.Config{Shards: 3, SegmentCap: 2048, Compress: store.CompressBlocks, BlockTarget: 512}, false},
-	{"v2+tail", store.Config{Shards: 3, SegmentCap: 2048, Compress: store.CompressBlocks, BlockTarget: 512}, true},
-	{"v2+archives", store.Config{Shards: 2, SegmentCap: 2048, Compress: store.CompressBlocks, BlockTarget: 512, ArchiveAfter: 1500}, true},
+	{"v1", store.Config{Shards: 3, SegmentCap: 1024}, false, true},
+	{"v1+tail", store.Config{Shards: 3, SegmentCap: 1024}, true, true},
+	{"v2", store.Config{Shards: 3, SegmentCap: 2048, BlockTarget: 512}, false, false},
+	{"v2+tail", store.Config{Shards: 3, SegmentCap: 2048, BlockTarget: 512}, true, false},
+	{"v2+archives", store.Config{Shards: 2, SegmentCap: 2048, BlockTarget: 512, ArchiveAfter: 1500}, true, false},
 }
 
 // identityStore fills a store with a seeded population whose clock
@@ -277,9 +285,22 @@ func TestAnswersByteIdentical(t *testing.T) {
 	var out strings.Builder
 	checked := 0
 	for li, lay := range identityLayouts {
-		rd, err := store.OpenReader(identityStore(t, int64(1000+li), lay.cfg, lay.tail))
+		var be store.Backend
+		if lay.v1 {
+			be = query.LoadFixture(t, query.V1Fixtures, lay.name)
+		} else {
+			be = identityStore(t, int64(1000+li), lay.cfg, lay.tail)
+		}
+		rd, err := store.OpenReader(be)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, shard := range rd.Shards() {
+			for _, rs := range shard {
+				if want := map[bool]int{true: 1, false: 3}[lay.v1]; rs.FormatVersion() != want {
+					t.Fatalf("layout %s: %s is v%d, want v%d", lay.name, rs.Name, rs.FormatVersion(), want)
+				}
+			}
 		}
 		if lay.name == "v2+archives" {
 			archived := 0
@@ -326,41 +347,6 @@ func TestAnswersByteIdentical(t *testing.T) {
 	}
 }
 
-// v2Fixtures holds the backends identityStore built for the three
-// CompressBlocks layouts at the last commit whose writer produced v2
-// payloads (front-coded text only; see its MANIFEST). No writer makes
-// such files any more, so these are what keeps the v2 reader honest.
-const v2Fixtures = "../store/testdata/v2"
-
-// loadV2Fixture copies one layout's segment files, checked against the
-// manifest, into a memory backend.
-func loadV2Fixture(t *testing.T, layout string) store.Backend {
-	t.Helper()
-	man, err := os.ReadFile(v2Fixtures + "/MANIFEST")
-	if err != nil {
-		t.Fatal(err)
-	}
-	be := store.NewMemBackend()
-	for _, entry := range strings.Split(string(man), "\n") {
-		name, found := strings.CutPrefix(entry, layout+"/")
-		if !found {
-			continue
-		}
-		name, sum, _ := strings.Cut(name, "\t")
-		data, err := os.ReadFile(v2Fixtures + "/" + layout + "/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%d\t%x", len(data), sha256.Sum256(data)); got != sum {
-			t.Fatalf("%s/%s is %s, the manifest says %s", layout, name, got, sum)
-		}
-		if err := be.Create(name, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return be
-}
-
 // TestV2FixturesAnswerIdentically: the checked-in v2 stores give the
 // committed digests of their layouts — the very lines
 // TestAnswersByteIdentical holds this build's v3 stores of the same
@@ -369,10 +355,10 @@ func loadV2Fixture(t *testing.T, layout string) store.Backend {
 func TestV2FixturesAnswerIdentically(t *testing.T) {
 	want := committedDigests(t)
 	for li, lay := range identityLayouts {
-		if lay.cfg.Compress != store.CompressBlocks {
+		if lay.v1 {
 			continue
 		}
-		rd, err := store.OpenReader(loadV2Fixture(t, lay.name))
+		rd, err := store.OpenReader(query.LoadFixture(t, query.V2Fixtures, lay.name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,6 +405,109 @@ func TestV2FixturesAnswerIdentically(t *testing.T) {
 		}
 		if res.Stats.Parsed == 0 || res.Stats.Parsed*6 > res.Stats.Records {
 			t.Errorf("%s: the v3 store parsed %d of %d records, want about one in twelve", lay.name, res.Stats.Parsed, res.Stats.Records)
+		}
+	}
+}
+
+// shardRecs reads every record of a snapshot of be, in order, per shard,
+// and the format versions of the segments that hold them.
+func shardRecs(t *testing.T, be store.Backend) (recs [][]store.Rec, versions map[int]int) {
+	t.Helper()
+	rd, err := store.OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := store.AcquireDecoder()
+	defer store.ReleaseDecoder(d)
+	versions = map[int]int{}
+	for _, segs := range rd.Shards() {
+		var out []store.Rec
+		for _, rs := range segs {
+			versions[rs.FormatVersion()]++
+			_, err := rs.ScanViews(d, nil, func(m store.Meta, v *trace.View, line []byte) {
+				if v != nil {
+					line = v.AppendLine(nil)
+				}
+				out = append(out, store.Rec{Meta: m, Line: string(line)})
+			})
+			if err != nil {
+				t.Fatalf("scan %s: %v", rs.Name, err)
+			}
+		}
+		recs = append(recs, out)
+	}
+	return recs, versions
+}
+
+// TestV1FixturesRewriteToV3: a store opened over what a v1 writer left
+// behind — sealed segments and a never-sealed tail per shard — salvages
+// the tails, takes appends, compacts and archives, and ends holding v3
+// segments only: every fixture record in its shard's order, then the
+// appended ones, byte for byte.
+func TestV1FixturesRewriteToV3(t *testing.T) {
+	be := query.LoadFixture(t, query.V1Fixtures, "v1+tail")
+	want, versions := shardRecs(t, be)
+	if len(want) != 3 || len(versions) != 1 || versions[1] == 0 {
+		t.Fatalf("fixture: %d shards, segments by version %v; want 3 shards of v1", len(want), versions)
+	}
+	reg := obs.NewRegistry()
+	st, err := store.Open(be, store.Config{Shards: 3, SegmentCap: 1024, BlockTarget: 512, ArchiveAfter: 1500, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("store.recovered").Load(); got != 3 {
+		t.Fatalf("store.recovered = %d, want the 3 unsealed tails", got)
+	}
+	// Long after the fixture's last record (cpuTime ~6000), so all of it
+	// is cold: batches that rotate, then lone records sealed one by one
+	// for compaction to merge.
+	add := func(i int) store.BatchRec {
+		e := trace.Event{
+			Type: meter.EvSend, Event: meter.EvSend.String(), Machine: i%6 + 1, CPUTime: int64(20_000 + i*10),
+			Fields: map[string]uint64{"pid": 100, "pc": 0x4000, "sock": 3, "msgLength": uint64(64 + i), "destNameLen": 16, "destName": 1},
+			Names:  map[string]meter.Name{"destName": meter.InetName(1, 80)},
+		}
+		line := e.Format()
+		if i%7 == 0 {
+			line += " extra=7" // not the filter's: stays text
+		}
+		m := store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: uint32(e.Type), PID: 100}
+		want[e.Machine%3] = append(want[e.Machine%3], store.Rec{Meta: m, Line: line})
+		return store.BatchRec{Meta: m, Line: []byte(line)}
+	}
+	n := 0
+	for ; n < 240; n += 12 {
+		var batch []store.BatchRec
+		for i := n; i < n+12; i++ {
+			batch = append(batch, add(i))
+		}
+		if err := st.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ; n < 240+6*3; n += 3 {
+		if err := st.AppendBatch([]store.BatchRec{add(n), add(n + 1), add(n + 2)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []string{"store.compactions", "store.archive_runs"} {
+		if reg.Counter(c).Load() == 0 {
+			t.Errorf("%s = 0: the fixture was not put through it", c)
+		}
+	}
+	if errs := reg.Counter("store.maintain_errors").Load(); errs != 0 {
+		t.Fatalf("store.maintain_errors = %d", errs)
+	}
+	got, versions := shardRecs(t, be)
+	if len(versions) != 1 || versions[3] == 0 {
+		t.Fatalf("segments by format version %v, want v3 only", versions)
+	}
+	for sh := range want {
+		if !slices.Equal(got[sh], want[sh]) {
+			t.Fatalf("shard %d holds %d records, want %d, or they differ", sh, len(got[sh]), len(want[sh]))
 		}
 	}
 }

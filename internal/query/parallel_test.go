@@ -306,7 +306,7 @@ func corruptBlock(t *testing.T, be store.Backend, rs *store.ReaderSegment, block
 // worker count and however the pool is scheduled.
 func TestRunCorruptSealedSegment(t *testing.T) {
 	be := buildRandomStore(t, rand.New(rand.NewSource(3)), 600, store.Config{
-		Shards: 2, SegmentCap: 4096, Compress: store.CompressBlocks, BlockTarget: 512}, false)
+		Shards: 2, SegmentCap: 4096, BlockTarget: 512}, false)
 	rd, err := store.OpenReader(be)
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +357,8 @@ func TestRunTornUnsealedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := be.Create(tail, data[:len(data)-3]); err != nil {
+	// The last append's sync marker (5 bytes) and the end of its record.
+	if err := be.Create(tail, data[:len(data)-8]); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := store.OpenReader(be)

@@ -124,16 +124,3 @@ func TestAppendBatchReusesCallerBuffer(t *testing.T) {
 		t.Fatalf("read back %+v, want the original line", got)
 	}
 }
-
-// TestAppendFrameZeroAlloc guards the in-place framing: with dst at
-// capacity a frame append must not allocate.
-func TestAppendFrameZeroAlloc(t *testing.T) {
-	m := Meta{Machine: 3, Time: 77, Type: 1, PID: 42}
-	line := []byte("SEND machine=3 cpuTime=77 procTime=0 pid=42")
-	dst := make([]byte, 0, 4096)
-	if n := testing.AllocsPerRun(200, func() {
-		dst = AppendFrameBytes(dst[:0], m, line)
-	}); n != 0 {
-		t.Fatalf("AppendFrameBytes allocates %v per frame, want 0", n)
-	}
-}

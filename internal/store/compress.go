@@ -1,8 +1,9 @@
-// Compressed segments. Meter records are highly repetitive — a handful
-// of event names, monotone cpuTime clocks, near-identical lines per
-// event type — so sealed segments compress far better than the v1
-// CRC-framed text if the encoder exploits that structure before the
-// byte-level compressor sees it:
+// Compressed segments: the format every segment is written in. Meter
+// records are highly repetitive — a handful of event names, monotone
+// cpuTime clocks, near-identical lines per event type — so segments
+// compress far better than the v1 CRC-framed text (segment.go, still
+// read) if the encoder exploits that structure before the byte-level
+// compressor sees it:
 //
 //   - Records are grouped into *blocks* of ~BlockTarget (v1-equivalent)
 //     bytes. Each block is one independent DEFLATE stream, so a reader
@@ -29,7 +30,7 @@
 //     (the same Index as the v1 footer, per block) — so internal/query
 //     prunes at block granularity, not just whole segments.
 //
-// Durability matches the v1 path: every flush ends with a DEFLATE sync
+// Durability is per flush: every flush ends with a DEFLATE sync
 // marker, so everything a backend Append carried is decodable even if
 // the writer dies before sealing; the block boundaries of a torn
 // segment are recovered by walking the concatenated streams (a
@@ -64,15 +65,12 @@ import (
 	"dpm/internal/trace"
 )
 
-// CompressMode selects the on-disk encoding a store writes.
+// CompressMode is the type of Config.Compress, which nothing reads.
 type CompressMode int
 
-const (
-	// CompressOff writes v1 CRC-framed segments (the default).
-	CompressOff CompressMode = iota
-	// CompressBlocks writes block-compressed segments (payload v3).
-	CompressBlocks
-)
+// CompressBlocks named the block-compressed writer when a store had a
+// second one; it is kept, with Config.Compress, for bench/layers.go.
+const CompressBlocks CompressMode = 1
 
 const (
 	segMagicV2      = "DPMZ"
@@ -271,30 +269,34 @@ type blockMeta struct {
 	idx                  Index
 }
 
-// newCompWriter builds an encoder. Level 0 (the online default) is
-// flate.NoCompression: the structural encoding — typed fields as
-// deltas, or front-coding and the shared dictionary — has already
+// newCompWriter builds the hot tier's encoder, which writes stored
+// blocks (flate.NoCompression): the structural encoding — typed fields
+// as deltas, or front-coding and the shared dictionary — has already
 // squeezed the records ~12x, and DEFLATE entropy coding over that dense
 // payload buys little while a dynamic-Huffman build per sync flush
 // costs ~3x the whole ingest path. Stored blocks (storedWriter) keep
 // the sync-marker durability contract for free; the archival tier
 // re-encodes cold segments at archiveLevel.
-func newCompWriter(level, target int) *compWriter {
+func newCompWriter(target int) *compWriter {
 	if target <= 0 {
 		target = DefaultBlockTarget
 	}
 	w := &compWriter{target: target}
-	if w.fw = deflater(storedWriter{&w.sink}); level != flate.NoCompression {
-		w.fw, _ = flate.NewWriter(&w.sink, level)
-	}
+	w.fw = storedWriter{&w.sink}
 	return w
 }
 
-// archiveEncoders pools the cold tier's encoders. A flate.Writer above
-// level 1 is about a megabyte of hash chains and window that Reset
-// reuses whole, and shards of every store in the process archive at the
-// same level, so a warm encoder serves a run without allocating.
-var archiveEncoders = sync.Pool{New: func() any { return newCompWriter(archiveLevel, 0) }}
+// archiveEncoders pools the cold tier's encoders, which DEFLATE at
+// archiveLevel; the run being archived sets the block target. A
+// flate.Writer above level 1 is about a megabyte of hash chains and
+// window that Reset reuses whole, and shards of every store in the
+// process archive at the same level, so a warm encoder serves a run
+// without allocating.
+var archiveEncoders = sync.Pool{New: func() any {
+	w := newCompWriter(0)
+	w.fw, _ = flate.NewWriter(&w.sink, archiveLevel) // the level is a valid constant
+	return w
+}}
 
 // openSegment resets the writer for a fresh segment and stages the
 // file header.
@@ -1167,9 +1169,8 @@ func payloadVersion(data []byte) int {
 }
 
 // encodeSealed encodes records already in memory as one sealed
-// compressed segment — the recovery rewrite of a salvaged prefix.
-func encodeSealed(recs []Rec, level, blockTarget int) ([]byte, error) {
-	w := newCompWriter(level, blockTarget)
+// segment — the recovery rewrite of a salvaged prefix.
+func (w *compWriter) encodeSealed(recs []Rec) ([]byte, error) {
 	w.openSegment()
 	var x Index
 	for _, r := range recs {

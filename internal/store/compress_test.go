@@ -28,6 +28,15 @@ func compRec(i int) (Meta, string) {
 	return m, line
 }
 
+// compRecs is compRec(from) .. compRec(from+n-1).
+func compRecs(from, n int) []Rec {
+	recs := make([]Rec, n)
+	for i := range recs {
+		recs[i].Meta, recs[i].Line = compRec(from + i)
+	}
+	return recs
+}
+
 func fillComp(t *testing.T, st *Store, n int) map[string]Meta {
 	t.Helper()
 	want := make(map[string]Meta, n)
@@ -59,7 +68,7 @@ func checkRecs(t *testing.T, recs []Rec, want map[string]Meta) {
 
 func TestCompressedRoundTrip(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 2, Compress: CompressBlocks})
+	st, err := Open(be, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +101,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 func TestCompressedRotationAndCompaction(t *testing.T) {
 	be := NewMemBackend()
 	reg := obs.NewRegistry()
-	st, err := Open(be, Config{Shards: 1, SegmentCap: 2048, CompactMin: 3, Compress: CompressBlocks, Obs: reg})
+	st, err := Open(be, Config{Shards: 1, SegmentCap: 2048, CompactMin: 3, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +120,7 @@ func TestCompressedRotationAndCompaction(t *testing.T) {
 // a decodable prefix; a torn tail costs only unacknowledged bytes.
 func TestCompressedUnsealedSalvage(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, Compress: CompressBlocks})
+	st, err := Open(be, Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestCompressedUnsealedSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	if _, err := Open(be, Config{Shards: 1, Compress: CompressBlocks, Obs: reg}); err != nil {
+	if _, err := Open(be, Config{Shards: 1, Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter("store.recovered").Load() == 0 {
@@ -182,7 +191,7 @@ func TestCompressedUnsealedSalvage(t *testing.T) {
 // DEFLATE would happily decompress.
 func TestCompressedCorruptBlock(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, BlockTarget: 1024, Compress: CompressBlocks})
+	st, err := Open(be, Config{Shards: 1, BlockTarget: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +230,7 @@ func TestCompressedCorruptBlock(t *testing.T) {
 
 func TestBlockZoneMapPruning(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, BlockTarget: 1024, Compress: CompressBlocks})
+	st, err := Open(be, Config{Shards: 1, BlockTarget: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,20 +288,27 @@ func TestBlockZoneMapPruning(t *testing.T) {
 }
 
 // Scan must emit exactly what Load parses, in order, for every segment
-// shape: v1/v2, sealed/unsealed.
+// shape: v1 (built by the test encoder) and what the store writes,
+// sealed and unsealed.
 func TestScanMatchesLoad(t *testing.T) {
-	for _, mode := range []CompressMode{CompressOff, CompressBlocks} {
+	for _, v1 := range []bool{true, false} {
 		for _, seal := range []bool{false, true} {
-			name := fmt.Sprintf("mode=%d/sealed=%v", mode, seal)
+			name := fmt.Sprintf("v1=%v/sealed=%v", v1, seal)
 			be := NewMemBackend()
-			st, err := Open(be, Config{Shards: 1, Compress: mode, BlockTarget: 1024})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fillComp(t, st, 120)
-			if seal {
-				if err := st.Flush(); err != nil {
+			if v1 {
+				if err := be.Create(segName(0, 1, 1, 0), encodeV1(compRecs(0, 120), seal)); err != nil {
 					t.Fatal(err)
+				}
+			} else {
+				st, err := Open(be, Config{Shards: 1, BlockTarget: 1024})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fillComp(t, st, 120)
+				if seal {
+					if err := st.Flush(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			rd, err := OpenReader(be)
@@ -313,7 +329,10 @@ func TestScanMatchesLoad(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: scan: %v", name, err)
 			}
-			if len(got) != len(seg.Recs) {
+			if wantV := map[bool]int{true: 1, false: 3}[v1]; rs.FormatVersion() != wantV {
+				t.Fatalf("%s: segment is v%d, want v%d", name, rs.FormatVersion(), wantV)
+			}
+			if len(got) != 120 || len(got) != len(seg.Recs) {
 				t.Fatalf("%s: scan emitted %d records, load parsed %d", name, len(got), len(seg.Recs))
 			}
 			for i := range got {
@@ -333,7 +352,7 @@ func TestBlockDecodeZeroAllocs(t *testing.T) {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, BlockTarget: 2048, Compress: CompressBlocks})
+	st, err := Open(be, Config{Shards: 1, BlockTarget: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,25 +384,16 @@ func TestBlockDecodeZeroAllocs(t *testing.T) {
 }
 
 // Mixed stores read both formats side by side: v1 segments written
-// before compression was enabled stay readable after the switch.
+// while a store still wrote them stay readable beside what it writes now.
 func TestMixedFormatStore(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := make(map[string]Meta)
-	for i := 0; i < 50; i++ {
-		m, line := compRec(i)
-		if err := st.Append(m, line); err != nil {
-			t.Fatal(err)
-		}
-		want[line] = m
+	old := compRecs(0, 50)
+	for _, r := range old {
+		want[r.Line] = r.Meta
 	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(be, Config{Shards: 1, Compress: CompressBlocks})
+	createV1(t, be, 1, old)
+	st2, err := Open(be, Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,6 +408,13 @@ func TestMixedFormatStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRecs(t, allRecs(t, be), want)
+	rd, err := OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs := rd.Shards()[0]; len(segs) != 2 || segs[0].FormatVersion() != 1 || segs[1].FormatVersion() != 3 {
+		t.Fatalf("%d segments, want a v1 and a v3", len(segs))
+	}
 }
 
 // TestStoredWriterIsDeflate: what the level-0 writer emits by hand is a

@@ -12,16 +12,14 @@ import (
 	"testing"
 )
 
-// fuzzSeedSegment builds a small sealed segment for the fuzz corpus.
+// fuzzSeedSegment builds a small sealed v1 segment for the fuzz corpus.
 func fuzzSeedSegment() []byte {
-	var frames []byte
-	var x Index
+	var recs []Rec
 	for i := 0; i < 3; i++ {
 		m := Meta{Machine: uint16(i), Time: uint32(i * 100), Type: uint32(i + 1), PID: uint32(50 + i)}
-		frames = AppendFrame(frames, m, "SEND machine=1 cpuTime=1 procTime=0 pid=1")
-		x.Add(m)
+		recs = append(recs, Rec{m, "SEND machine=1 cpuTime=1 procTime=0 pid=1"})
 	}
-	return AppendFooter(frames, x, uint32(len(frames)))
+	return encodeV1(recs, true)
 }
 
 // fuzzSeedV3 builds a small sealed segment of several blocks whose
@@ -31,7 +29,7 @@ func fuzzSeedV3() []byte {
 	for _, r := range shapeRecs(rand.New(rand.NewSource(3)), 60) {
 		recs = append(recs, r.Rec)
 	}
-	out, err := encodeSealed(recs, 0, 512)
+	out, err := newCompWriter(512).encodeSealed(recs)
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +45,7 @@ func fuzzSeedV2() []byte {
 		m := Meta{Machine: uint16(i % 3), Time: uint32(i * 100), Type: uint32(i%4 + 1), PID: uint32(50 + i%5)}
 		recs = append(recs, Rec{Meta: m, Line: "SEND machine=1 cpuTime=1 procTime=0 pid=1 msgLength=240"})
 	}
-	out, err := encodeSealed(recs, 0, 256)
+	out, err := newCompWriter(256).encodeSealed(recs)
 	if err != nil {
 		panic(err)
 	}
@@ -189,6 +187,15 @@ func FuzzParseSegment(f *testing.F) {
 	f.Add(fuzzSeedOverflow())
 	// Block-table extents whose int sum wraps past the region check.
 	f.Add(fuzzSeedBlockExtentOverflow())
+	// Files no writer makes any more either: v1 as the last v1 writer left
+	// it, sealed and never sealed.
+	for _, name := range []string{"v1/s0-000001-000001.seg", "v1+tail/s0-000015-000015.seg"} {
+		old, err := os.ReadFile("testdata/v1/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seg, err := ParseSegment(data)
 		if seg == nil {
@@ -197,15 +204,9 @@ func FuzzParseSegment(f *testing.F) {
 		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 			t.Fatalf("unexpected error class: %v", err)
 		}
-		// The salvaged prefix must survive the recovery rewrite: sealed
-		// re-encoding parses back to the same record count, cleanly.
-		var frames []byte
-		var x Index
-		for _, r := range seg.Recs {
-			frames = AppendFrame(frames, r.Meta, r.Line)
-			x.Add(r.Meta)
-		}
-		again, err := ParseSegment(AppendFooter(frames, x, uint32(len(frames))))
+		// The salvaged prefix, framed and sealed as v1, parses back to the
+		// same record count, cleanly.
+		again, err := ParseSegment(encodeV1(seg.Recs, true))
 		if err != nil {
 			t.Fatalf("re-parse of salvage failed: %v", err)
 		}
@@ -215,9 +216,9 @@ func FuzzParseSegment(f *testing.F) {
 		if !again.Sealed {
 			t.Fatal("re-encoded salvage not sealed")
 		}
-		// And the rewrite a compressing store makes of it: whatever the
-		// lines are, typed or text, they come back byte for byte.
-		comp, err := encodeSealed(seg.Recs, 0, 512)
+		// And it survives the recovery rewrite a store makes of it: whatever
+		// the lines are, typed or text, they come back byte for byte.
+		comp, err := newCompWriter(512).encodeSealed(seg.Recs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,7 @@ func sealedV2Store(t *testing.T, segments, perSegment int) *MemBackend {
 	t.Helper()
 	const shards = 4
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: shards, SegmentCap: 1 << 30, CompactMin: 1 << 30, Compress: CompressBlocks, BlockTarget: 1024})
+	st, err := Open(be, Config{Shards: shards, SegmentCap: 1 << 30, CompactMin: 1 << 30, BlockTarget: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func FuzzParseSegName(f *testing.F) {
 // still opened without building an encoder per idle shard.
 func TestStrayShardNameIgnored(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 2, Compress: CompressBlocks})
+	st, err := Open(be, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestStrayShardNameIgnored(t *testing.T) {
 	if len(rd.Shards()) != 2 || len(allRecs(t, be)) != 20 {
 		t.Fatalf("reader over stray names: %d shards, %d records; want 2 and 20", len(rd.Shards()), len(allRecs(t, be)))
 	}
-	st, err = Open(be, Config{Shards: 2, Compress: CompressBlocks})
+	st, err = Open(be, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestStrayShardNameIgnored(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	st, err = Open(be, Config{Shards: 2, Compress: CompressBlocks})
+	st, err = Open(be, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func timeOrderedStore(t *testing.T, n, perSegment int) *store.MemBackend {
 	t.Helper()
 	be := store.NewMemBackend()
 	st, err := store.Open(be, store.Config{Shards: 2, SegmentCap: 1 << 30, CompactMin: 1 << 30,
-		Compress: store.CompressBlocks, BlockTarget: 512})
+		BlockTarget: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestArchiveRollsColdSegments(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := Open(be, Config{
 		Shards: 1, CompactMin: 1 << 20,
-		Compress: CompressBlocks, ArchiveAfter: 5_000, Obs: reg,
+		ArchiveAfter: 5_000, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestRetentionExpires(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := Open(be, Config{
 		Shards: 1, CompactMin: 1 << 20,
-		Compress: CompressBlocks, RetainFor: 8_000, Obs: reg,
+		RetainFor: 8_000, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestRetentionLifecycle(t *testing.T) {
 	be := NewMemBackend()
 	reg := obs.NewRegistry()
 	st, err := Open(be, Config{
-		Shards: 1, CompactMin: 1 << 20, Compress: CompressBlocks,
+		Shards: 1, CompactMin: 1 << 20,
 		ArchiveAfter: 5_000, RetainFor: 50_000, Obs: reg,
 	})
 	if err != nil {
@@ -144,7 +144,7 @@ func TestRetentionLifecycle(t *testing.T) {
 // record on disk, re-seeded from footers at Open.
 func TestRetentionAcrossReopen(t *testing.T) {
 	be := NewMemBackend()
-	cfg := Config{Shards: 1, CompactMin: 1 << 20, Compress: CompressBlocks}
+	cfg := Config{Shards: 1, CompactMin: 1 << 20}
 	st, err := Open(be, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -37,9 +37,19 @@ func oracleReadRun(t *testing.T, be Backend, names []string) (recs []Rec, x Inde
 	return recs, x, rawBytes
 }
 
-func oracleEncodeV2(t *testing.T, recs []Rec, level, blockTarget int) []byte {
+// tierWriter is the encoder a rewrite into the tier uses.
+func tierWriter(tier, blockTarget int) *compWriter {
+	if tier == 0 {
+		return newCompWriter(blockTarget)
+	}
+	w := archiveEncoders.New().(*compWriter)
+	w.target = 4 * blockTarget
+	return w
+}
+
+func oracleEncode(t *testing.T, recs []Rec, tier, blockTarget int) []byte {
 	t.Helper()
-	w := newCompWriter(level, blockTarget)
+	w := tierWriter(tier, blockTarget)
 	w.openSegment()
 	var x Index
 	rawTotal := 0
@@ -61,16 +71,8 @@ func oracleEncodeV2(t *testing.T, recs []Rec, level, blockTarget int) []byte {
 	return out
 }
 
-func oracleEncodeV1(recs []Rec) []byte {
-	var frames []byte
-	for _, r := range recs {
-		frames = AppendFrame(frames, r.Meta, r.Line)
-	}
-	return AppendFooter(frames, indexOf(recs), uint32(len(frames)))
-}
-
 // appendSealed appends compRec(from..from+n) and seals them into one
-// segment of the store's current format.
+// segment.
 func appendSealed(t *testing.T, st *Store, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
@@ -80,6 +82,15 @@ func appendSealed(t *testing.T, st *Store, from, n int) {
 		}
 	}
 	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// createV1 writes the records as shard 0's sealed v1 segment number seq
+// — what a store that wrote v1 left behind.
+func createV1(t *testing.T, be Backend, seq int, recs []Rec) {
+	t.Helper()
+	if err := be.Create(segName(0, seq, seq, 0), encodeV1(recs, true)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,54 +133,45 @@ const (
 // The streamed rewrite produces what the materializing one did: the
 // same records in the same order under the same index and v1-equivalent
 // size, in blocks that break at the same records — for archival and for
-// compaction, over v1 inputs, v2 inputs and a run of both.
+// compaction, over v1 inputs, the store's own and a run of both.
 func TestStreamedRewriteMatchesOracle(t *testing.T) {
 	const blockTarget = 1024 // several blocks per output
-	off := Config{Shards: 1, CompactMin: 1 << 20, BlockTarget: blockTarget}
-	on := off
-	on.Compress = CompressBlocks
+	base := Config{Shards: 1, CompactMin: 1 << 20, BlockTarget: blockTarget}
+	const v1, v3 = true, false
 	cases := []struct {
-		name    string
-		formats []Config // one sealed input segment per entry
-		rewrite Config   // the store that rewrites them
-		tier    int
-		v2      bool // format of the output
+		name string // "v2" in one is the block container, whatever its payload
+		v1   []bool // one sealed input segment per entry
+		tier int
 	}{
-		{"archive/v1", []Config{off, off, off}, on, 1, true},
-		{"archive/v2", []Config{on, on, on}, on, 1, true},
-		{"archive/mixed", []Config{off, on, off, on}, on, 1, true},
-		{"archive/v1-store", []Config{off, off}, off, 1, true},
-		{"compact/v1", []Config{off, off, off}, off, 0, false},
-		{"compact/v2", []Config{on, on, on}, on, 0, true},
-		{"compact/mixed", []Config{off, on, on}, on, 0, true},
-		{"compact/mixed-to-v1", []Config{on, off, on}, off, 0, false},
+		{"archive/v1", []bool{v1, v1, v1}, 1},
+		{"archive/v2", []bool{v3, v3, v3}, 1},
+		{"archive/mixed", []bool{v1, v3, v1, v3}, 1},
+		{"compact/v1", []bool{v1, v1, v1}, 0},
+		{"compact/v2", []bool{v3, v3, v3}, 0},
+		{"compact/mixed", []bool{v1, v3, v3}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			be := NewMemBackend()
-			for n, cfg := range tc.formats {
-				st, err := Open(be, cfg)
+			for n, v1 := range tc.v1 {
+				if v1 {
+					createV1(t, be, n+1, compRecs(n*40, 40))
+					continue
+				}
+				st, err := Open(be, base)
 				if err != nil {
 					t.Fatal(err)
 				}
 				appendSealed(t, st, n*40, 40)
 			}
 			names := segmentNames(t, be)
-			if len(names) != len(tc.formats) {
-				t.Fatalf("built %v, want %d segments", names, len(tc.formats))
+			if len(names) != len(tc.v1) {
+				t.Fatalf("built %v, want %d segments", names, len(tc.v1))
 			}
 			recs, x, raw := oracleReadRun(t, be, names)
-			var want []byte
-			switch {
-			case tc.tier == 1:
-				want = oracleEncodeV2(t, recs, archiveLevel, 4*blockTarget)
-			case tc.v2:
-				want = oracleEncodeV2(t, recs, 0, blockTarget)
-			default:
-				want = oracleEncodeV1(recs)
-			}
+			want := oracleEncode(t, recs, tc.tier, blockTarget)
 
-			cfg := tc.rewrite
+			cfg := base
 			cfg.Obs = obs.NewRegistry()
 			if tc.tier == 1 {
 				cfg.ArchiveAfter = coldArchive
@@ -217,12 +219,6 @@ func TestStreamedRewriteMatchesOracle(t *testing.T) {
 			if info.Name != merged || info.Bytes != raw || info.Index != x || info.DiskBytes != len(got) || info.Tier != tc.tier {
 				t.Fatalf("segment info %+v, want %s with %d raw bytes, %d on disk", info, merged, raw, len(got))
 			}
-			if !tc.v2 {
-				if !bytes.Equal(got, want) {
-					t.Fatal("v1 output differs from the oracle's bytes")
-				}
-				return
-			}
 			if f := sealedFooterV2(t, got); f.RawTotal != raw {
 				t.Fatalf("footer raw total %d, oracle %d", f.RawTotal, raw)
 			}
@@ -250,9 +246,8 @@ func TestStreamedRewriteMatchesOracle(t *testing.T) {
 // standard lines turn typed on the way.
 func TestRewriteTranscodesTyped(t *testing.T) {
 	const blockTarget = 512
-	on := Config{Shards: 1, CompactMin: 1 << 20, SegmentCap: 1 << 30, BlockTarget: blockTarget, Compress: CompressBlocks}
-	off := on
-	off.Compress = CompressOff
+	base := Config{Shards: 1, CompactMin: 1 << 20, SegmentCap: 1 << 30, BlockTarget: blockTarget}
+	const v1, v3 = true, false
 	all := shapeRecs(rand.New(rand.NewSource(2)), 1600)
 	kinds := map[string]bool{}
 	wantTyped := 0
@@ -279,22 +274,34 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 		return
 	}
 	for _, tc := range []struct {
-		name    string
-		formats []Config // one sealed input segment per entry
-		tier    int
+		name string
+		v1   []bool // one sealed input segment per entry
+		tier int
 	}{
-		{"archive/v3", []Config{on, on, on, on, on, on, on, on}, 1},
-		{"archive/v3+v1", []Config{on, off, on, on, off, on, on, on}, 1},
-		{"compact/v3", []Config{on, on, on, on, on, on, on, on}, 0},
-		{"compact/v3+v1", []Config{off, on, on, off, on, on, on, on}, 0},
+		{"archive/v3", []bool{v3, v3, v3, v3, v3, v3, v3, v3}, 1},
+		{"archive/v3+v1", []bool{v3, v1, v3, v3, v1, v3, v3, v3}, 1},
+		{"compact/v3", []bool{v3, v3, v3, v3, v3, v3, v3, v3}, 0},
+		{"compact/v3+v1", []bool{v1, v3, v3, v1, v3, v3, v3, v3}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			be := NewMemBackend()
-			per := len(all) / len(tc.formats)
+			per := len(all) / len(tc.v1)
 			var segStarts []int
 			v3only := true
-			for n, cfg := range tc.formats {
-				st, err := Open(be, cfg)
+			for n, v1 := range tc.v1 {
+				if n > 0 {
+					segStarts = append(segStarts, n*per)
+				}
+				if v1 {
+					var in []Rec
+					for _, r := range all[n*per : (n+1)*per] {
+						in = append(in, r.Rec)
+					}
+					createV1(t, be, n+1, in)
+					v3only = false
+					continue
+				}
+				st, err := Open(be, base)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -314,16 +321,12 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 				if err := st.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				if n > 0 {
-					segStarts = append(segStarts, n*per)
-				}
-				v3only = v3only && cfg.Compress == CompressBlocks
 			}
 			if a, b := boundaries(segStarts); a == 0 || b == 0 {
 				t.Fatalf("input segments meet typed-to-text %d times and text-to-typed %d; want both", a, b)
 			}
 			recs, in := scanAll(t, be)
-			if len(recs) != len(all) || in.Blocks < 4*len(tc.formats) {
+			if len(recs) != len(all) || in.Blocks < 4*len(tc.v1) {
 				t.Fatalf("inputs hold %d of %d records in %d blocks", len(recs), len(all), in.Blocks)
 			}
 			for i, r := range all {
@@ -335,21 +338,19 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 				t.Fatalf("v3 inputs hold %d typed records, %d are standard", in.Typed, wantTyped)
 			}
 
-			level, target := 0, blockTarget
-			cfg := on
+			cfg := base
 			cfg.Obs = obs.NewRegistry()
 			if tc.tier == 1 {
-				level, target = archiveLevel, 4*blockTarget
 				cfg.ArchiveAfter = coldArchive
 			} else {
-				cfg.CompactMin = len(tc.formats)
+				cfg.CompactMin = len(tc.v1)
 			}
 			// What the rewrite wrote when every record crossed it as a line.
-			want, err := encodeSealed(recs, level, target)
+			want, err := tierWriter(tc.tier, blockTarget).encodeSealed(recs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.tier == 1 && !bytes.Equal(want, oracleEncodeV2(t, recs, level, target)) {
+			if tc.tier == 1 && !bytes.Equal(want, oracleEncode(t, recs, tc.tier, blockTarget)) {
 				t.Fatal("the all-text encoder and the oracle disagree on the archive's bytes")
 			}
 			st, err := Open(be, cfg)
@@ -364,7 +365,7 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 			if err := st.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			merged := segName(0, 1, len(tc.formats), tc.tier)
+			merged := segName(0, 1, len(tc.v1), tc.tier)
 			got, err := be.Read(merged)
 			if err != nil {
 				t.Fatalf("no merged segment: %v (have %v)", err, segmentNames(t, be))
@@ -373,7 +374,7 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 				t.Fatalf("the rewrite wrote %d bytes that are not the %d the all-text rewrite writes", len(got), len(want))
 			}
 
-			rs := newReaderSegment(merged, 0, 1, len(tc.formats), tc.tier, got)
+			rs := newReaderSegment(merged, 0, 1, len(tc.v1), tc.tier, got)
 			d := AcquireDecoder()
 			defer ReleaseDecoder(d)
 			i := 0
@@ -429,7 +430,7 @@ func TestRewriteCountsFailedRemove(t *testing.T) {
 	be := &stuckBackend{Backend: NewMemBackend()}
 	reg := obs.NewRegistry()
 	st, err := Open(be, Config{
-		Shards: 1, CompactMin: 1 << 20, Compress: CompressBlocks,
+		Shards: 1, CompactMin: 1 << 20,
 		ArchiveAfter: coldArchive, Obs: reg,
 	})
 	if err != nil {
@@ -524,7 +525,7 @@ func TestRewriteCorruptInputTouchesNothing(t *testing.T) {
 	be := &flipBackend{Backend: mem, name: segName(0, 2, 2, 0), off: headerV2Size + 5}
 	reg := obs.NewRegistry()
 	st, err := Open(be, Config{
-		Shards: 1, CompactMin: 1 << 20, Compress: CompressBlocks,
+		Shards: 1, CompactMin: 1 << 20,
 		ArchiveAfter: coldArchive, Obs: reg,
 	})
 	if err != nil {
@@ -589,7 +590,7 @@ func TestRewriteCorruptInputTouchesNothing(t *testing.T) {
 func TestAppendOutlivesFailedMaintenance(t *testing.T) {
 	mem := NewMemBackend()
 	be := &flipBackend{Backend: mem, name: segName(0, 1, 1, 0), off: headerV2Size + 5, bad: true}
-	cfg := Config{Shards: 2, SegmentCap: 2048, Compress: CompressBlocks, ArchiveAfter: 2_000}
+	cfg := Config{Shards: 2, SegmentCap: 2048, ArchiveAfter: 2_000}
 	cfg.Obs = obs.NewRegistry()
 	st, err := Open(be, cfg)
 	if err != nil {
@@ -665,7 +666,7 @@ func archiveAllocs(t *testing.T, perSegment int) (allocs uint64, dictTokens int)
 	be := NewMemBackend()
 	st, err := Open(be, Config{
 		Shards: 1, CompactMin: 1 << 20, SegmentCap: 1 << 30,
-		Compress: CompressBlocks, ArchiveAfter: coldArchive, Obs: reg,
+		ArchiveAfter: coldArchive, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,13 +8,17 @@
 // shipping raw logs (ACME), and shard monitoring state so per-node cost
 // stays flat (DCM). This package brings both ideas to the monitor:
 //
-//   - Records are framed with a length and a CRC (the same defensive
-//     framing discipline as the meter wire stream of Appendix A) and
-//     appended to fixed-size *segments*.
+//   - Records are appended to fixed-size *segments*, written in one
+//     format: checksummed blocks of typed records (compress.go). This
+//     file holds what every format shares — Meta, Index, the errors —
+//     and the reader of the first one, v1: each record framed with a
+//     length and a CRC (the same defensive framing discipline as the
+//     meter wire stream of Appendix A). No store writes v1 any more;
+//     the frame's size is still the unit segments are measured in.
 //   - A sealed segment ends in a footer carrying an index — record
 //     count, min/max timestamp, and bitmap summaries of the machines,
 //     pids, and event types present — so a query can prune the whole
-//     segment without parsing a single frame.
+//     segment without decoding a single record.
 //   - Segments are distributed over *shards* by originating machine, so
 //     concurrent writers do not contend and queries merge per-shard
 //     streams by timestamp.
@@ -123,37 +127,6 @@ func (x *Index) Add(m Meta) {
 	x.Types |= TypeBit(uint64(m.Type))
 }
 
-// AppendFrame appends one record frame to dst and returns the extended
-// slice. The frame is built in place — with dst at capacity the call
-// allocates nothing, which is what lets the batched ingest path frame
-// a whole flush without per-record garbage.
-func AppendFrame(dst []byte, m Meta, line string) []byte {
-	return appendFrame(dst, m, line)
-}
-
-// AppendFrameBytes is AppendFrame for a byte-slice line, avoiding a
-// string conversion on the filter's pooled line buffers.
-func AppendFrameBytes(dst []byte, m Meta, line []byte) []byte {
-	return appendFrame(dst, m, line)
-}
-
-func appendFrame[T string | []byte](dst []byte, m Meta, line T) []byte {
-	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, uint32(metaSize+len(line)))
-	crcAt := len(dst)
-	dst = le.AppendUint32(dst, 0) // CRC back-patched below
-	start := len(dst)
-	var mb [metaSize]byte
-	le.PutUint16(mb[0:2], m.Machine)
-	le.PutUint32(mb[2:6], m.Time)
-	le.PutUint32(mb[6:10], m.Type)
-	le.PutUint32(mb[10:14], m.PID)
-	dst = append(dst, mb[:]...)
-	dst = append(dst, line...)
-	le.PutUint32(dst[crcAt:], crc32.ChecksumIEEE(dst[start:]))
-	return dst
-}
-
 // FrameSize returns the encoded size of a frame carrying a line of the
 // given length.
 func FrameSize(lineLen int) int { return frameHeadSize + metaSize + lineLen }
@@ -193,24 +166,6 @@ func parseFrameBytes(data []byte, off int) (Meta, []byte, int, error) {
 	m.Type = le.Uint32(payload[6:10])
 	m.PID = le.Uint32(payload[10:14])
 	return m, payload[metaSize:], off + frameHeadSize + n, nil
-}
-
-// AppendFooter appends a sealed segment's footer for the given index
-// and frame-data length.
-func AppendFooter(dst []byte, x Index, dataLen uint32) []byte {
-	le := binary.LittleEndian
-	b := make([]byte, FooterSize)
-	copy(b[0:4], footerMagic)
-	le.PutUint32(b[4:8], footerVersion)
-	le.PutUint32(b[8:12], x.Count)
-	le.PutUint64(b[12:20], x.MinTime)
-	le.PutUint64(b[20:28], x.MaxTime)
-	le.PutUint64(b[28:36], x.Machines)
-	le.PutUint64(b[36:44], x.PIDs)
-	le.PutUint32(b[44:48], x.Types)
-	le.PutUint32(b[48:52], dataLen)
-	le.PutUint32(b[52:56], crc32.ChecksumIEEE(b[:52]))
-	return append(dst, b...)
 }
 
 // ParseFooter examines the tail of a segment file for a valid footer.

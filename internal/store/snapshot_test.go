@@ -39,10 +39,9 @@ func (b *hookBackend) Remove(name string) error {
 
 // tinySegments writes n one-record sealed segments to shard 0 of a
 // fresh store behind be, none of them merged, and returns the lines.
-func tinySegments(t *testing.T, be Backend, cfg Config, n int) []string {
+func tinySegments(t *testing.T, be Backend, n int) []string {
 	t.Helper()
-	cfg.Shards, cfg.CompactMin = 1, 1<<20
-	st, err := Open(be, cfg)
+	st, err := Open(be, Config{Shards: 1, CompactMin: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +85,13 @@ func segmentNames(t *testing.T, be Backend) []string {
 // merge.
 var merges = []struct {
 	name string
-	cfg  Config
 	open func(be Backend) (*Store, error)
 }{
-	{"compaction", Config{}, func(be Backend) (*Store, error) {
+	{"compaction", func(be Backend) (*Store, error) {
 		return Open(be, Config{Shards: 1, CompactMin: 3})
 	}},
-	{"archival", Config{Compress: CompressBlocks}, func(be Backend) (*Store, error) {
-		st, err := Open(be, Config{Shards: 1, CompactMin: 1 << 20, Compress: CompressBlocks, ArchiveAfter: 5_000})
+	{"archival", func(be Backend) (*Store, error) {
+		st, err := Open(be, Config{Shards: 1, CompactMin: 1 << 20, ArchiveAfter: 5_000})
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +108,7 @@ func TestOpenReaderMergeBetweenListAndRead(t *testing.T) {
 	for _, m := range merges {
 		t.Run(m.name, func(t *testing.T) {
 			mem := NewMemBackend()
-			want := tinySegments(t, mem, m.cfg, 6)
+			want := tinySegments(t, mem, 6)
 			st, err := m.open(mem)
 			if err != nil {
 				t.Fatal(err)
@@ -147,7 +145,7 @@ func TestSnapshotBothGenerationsListed(t *testing.T) {
 	for _, m := range merges {
 		t.Run(m.name, func(t *testing.T) {
 			mem := NewMemBackend()
-			want := tinySegments(t, mem, m.cfg, 6)
+			want := tinySegments(t, mem, 6)
 			be := &hookBackend{Backend: mem, failRemove: true}
 			st, err := m.open(be)
 			if err != nil {
@@ -168,7 +166,7 @@ func TestSnapshotBothGenerationsListed(t *testing.T) {
 				t.Fatalf("reader over both generations:\n got %q\nwant %q", got, want)
 			}
 			// The crashed writer comes back.
-			if _, err := Open(mem, Config{Shards: 1, CompactMin: 1 << 20, Compress: m.cfg.Compress}); err != nil {
+			if _, err := Open(mem, Config{Shards: 1, CompactMin: 1 << 20}); err != nil {
 				t.Fatal(err)
 			}
 			if after := segmentNames(t, mem); len(after) >= len(both)-1 {
@@ -186,7 +184,7 @@ func TestSnapshotBothGenerationsListed(t *testing.T) {
 // still there. The run is the truth; the torn file must not shadow it.
 func TestSnapshotTornMergeOutput(t *testing.T) {
 	mem := NewMemBackend()
-	want := tinySegments(t, mem, Config{}, 6)
+	want := tinySegments(t, mem, 6)
 	sort.Strings(want)
 	be := &hookBackend{Backend: mem, failRemove: true}
 	st, err := Open(be, Config{Shards: 1, CompactMin: 3})
@@ -235,7 +233,7 @@ func (b *ghostBackend) List() ([]string, error) {
 
 func TestOpenReaderRetriesAreBounded(t *testing.T) {
 	mem := NewMemBackend()
-	tinySegments(t, mem, Config{}, 2)
+	tinySegments(t, mem, 2)
 	be := &ghostBackend{Backend: mem}
 	if _, err := OpenReader(be); err == nil {
 		t.Fatal("OpenReader succeeded over a segment that never exists")

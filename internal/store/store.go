@@ -12,7 +12,14 @@ import (
 	"dpm/internal/trace"
 )
 
-// Config tunes a store. The zero value selects the defaults.
+// Config tunes a store. The zero value selects the defaults: four
+// shards, 32 KiB segments of 64 KiB blocks, compaction of four small
+// segments, no archival and no retention. Whatever it says, a store
+// writes one format — block-compressed segments of typed records (v3,
+// see compress.go), stored blocks online and DEFLATE at archiveLevel in
+// the archival tier — and reads that, the v2 files written before the
+// typed shape and v1 CRC-framed files alike; a v1 or v2 segment a store
+// recovers, compacts or archives comes out v3.
 type Config struct {
 	// Shards is the number of concurrent shard writers; records route
 	// to shard machine%Shards, so one machine's records stay ordered
@@ -25,18 +32,11 @@ type Config struct {
 	// CompactMin is the number of adjacent small sealed segments (under
 	// half of SegmentCap) that triggers compaction into one.
 	CompactMin int
-	// Compress selects the segment encoding: CompressOff writes the v1
-	// CRC-framed format, CompressBlocks the block-compressed format whose
-	// records are typed where their line is standard (v3, see
-	// compress.go). Reads understand both, and the v2 files written
-	// before it, regardless.
+	// Compress is read by nothing: it selected between the v1 writer and
+	// this one while there were two. It, CompressMode and CompressBlocks
+	// remain only because bench/layers.go names them, and go when that
+	// file builds its store from filter.StoreConfig.
 	Compress CompressMode
-	// CompressLevel is the flate level of the online CompressBlocks
-	// writer; the zero value is flate.NoCompression, stored blocks (the
-	// ingest path cannot afford an entropy coder per flush, see
-	// newCompWriter). The archival tier recompresses cold segments at
-	// archiveLevel whatever this is.
-	CompressLevel int
 	// BlockTarget is the v1-equivalent byte size of one compressed
 	// block — the granularity of zone-map pruning. 0 selects
 	// DefaultBlockTarget.
@@ -100,9 +100,8 @@ type SegmentInfo struct {
 	// archival widens the range.
 	Start, End int
 	// Bytes is the v1-equivalent frame-data size — what the records
-	// would occupy CRC-framed, whatever the on-disk encoding — so
-	// rotation and compaction thresholds mean the same thing in both
-	// formats.
+	// would occupy CRC-framed, whatever the on-disk encoding — the unit
+	// of the rotation and compaction thresholds.
 	Bytes int
 	// DiskBytes is the sealed file's on-disk size (0 while active);
 	// Bytes/DiskBytes is the segment's compression ratio.
@@ -276,16 +275,13 @@ type shard struct {
 	nextSeq int
 	active  *SegmentInfo // nil when no segment is being filled
 	sealed  []*SegmentInfo
-	// scratch is the shard's reused framing buffer; append paths build
-	// frames here under mu so the steady state allocates nothing.
-	// pending holds the metadata of the scratch frames, folded into the
-	// active segment's index only once the backend write succeeds.
-	scratch []byte
+	// cw is the shard's encoder (nil until the shard's first record):
+	// append paths stage records in it under mu, so the steady state
+	// allocates nothing. pending holds the metadata of the staged records,
+	// folded into the active segment's index only once the backend write
+	// succeeds.
+	cw      *compWriter
 	pending []Meta
-	// cw is the shard's v2 encoder (nil with CompressOff, and until the
-	// shard's first record): records stage through it instead of the
-	// scratch framing buffer.
-	cw *compWriter
 }
 
 // Open opens (or creates) the store behind a backend. Existing sealed
@@ -397,40 +393,29 @@ func indexOf(recs []Rec) Index {
 	return x
 }
 
-// rewriteSealed replaces a segment file with a sealed re-encoding of
-// the given records in the store's configured format, returning the
-// bytes written.
-func (s *Store) rewriteSealed(name string, recs []Rec) (data []byte, err error) {
-	if s.cfg.Compress == CompressBlocks {
-		data, err = encodeSealed(recs, s.cfg.CompressLevel, s.cfg.BlockTarget)
-	} else {
-		for _, r := range recs {
-			data = AppendFrame(data, r.Meta, r.Line)
-		}
-		data = AppendFooter(data, indexOf(recs), uint32(len(data)))
-	}
+// rewriteSealed replaces a segment file with a sealed encoding of the
+// given records, returning the bytes written.
+func (s *Store) rewriteSealed(name string, recs []Rec) ([]byte, error) {
+	data, err := newCompWriter(s.cfg.BlockTarget).encodeSealed(recs)
 	if err != nil {
 		return nil, err
 	}
 	return data, s.be.Create(name, data)
 }
 
-// openLocked ensures the shard has an active segment — and, when
-// compressing, its encoder, built at the shard's first record rather
-// than at Open (a flate writer is ~650 KB, and a store opened over
-// another's files has a shard for every number those files name).
+// openLocked ensures the shard has an active segment and its encoder,
+// built at the shard's first record rather than at Open (a store opened
+// over another's files has a shard for every number those files name).
 // Caller holds sh.mu.
 func (s *Store) openLocked(sh *shard) {
 	if sh.active == nil {
 		seq := sh.nextSeq
 		sh.nextSeq++
 		sh.active = &SegmentInfo{Name: segName(sh.id, seq, seq, 0), Shard: sh.id, Start: seq, End: seq}
-		if s.cfg.Compress == CompressBlocks {
-			if sh.cw == nil {
-				sh.cw = newCompWriter(s.cfg.CompressLevel, s.cfg.BlockTarget)
-			}
-			sh.cw.openSegment()
+		if sh.cw == nil {
+			sh.cw = newCompWriter(s.cfg.BlockTarget)
 		}
+		sh.cw.openSegment()
 	}
 }
 
@@ -445,53 +430,16 @@ func (s *Store) noteTime(t uint64) {
 	}
 }
 
-// stagedLocked is the v1-equivalent size of the shard's staged-but-
-// unflushed records. Caller holds sh.mu.
-func (s *Store) stagedLocked(sh *shard) int {
-	if sh.cw != nil {
-		return sh.cw.stagedV1
-	}
-	return len(sh.scratch)
-}
-
 // flushLocked writes the shard's staged records to the active segment,
 // folds the pending metadata into its index, and — when the segment
 // has reached the cap — seals, compacts, and runs retention
-// maintenance. Caller holds sh.mu.
+// maintenance: the staged payload goes through the shard's DEFLATE
+// stream (ending on a sync marker, so what lands in the file is a
+// decodable prefix) and the compressed bytes are appended. A backend
+// error abandons the whole active segment — the encoder's dictionary
+// and delta state can no longer be reconciled with the file, whose
+// durable prefix the next Open salvages. Caller holds sh.mu.
 func (s *Store) flushLocked(sh *shard, rotations *int) error {
-	if sh.cw != nil {
-		return s.flushCompressedLocked(sh, rotations)
-	}
-	return s.flushScratchLocked(sh, rotations)
-}
-
-// flushScratchLocked is flushLocked's v1 half. On a backend error the
-// scratch frames are dropped unindexed, so the in-memory index never
-// gets ahead of the file. Caller holds sh.mu.
-func (s *Store) flushScratchLocked(sh *shard, rotations *int) error {
-	if len(sh.scratch) == 0 {
-		return nil
-	}
-	err := s.be.Append(sh.active.Name, sh.scratch)
-	n := len(sh.scratch)
-	sh.scratch = sh.scratch[:0]
-	if err != nil {
-		sh.pending = sh.pending[:0]
-		return err
-	}
-	sh.active.Bytes += n
-	s.foldPendingLocked(sh, nil)
-	return s.rotateLocked(sh, rotations)
-}
-
-// flushCompressedLocked is flushLocked's v2 half: push the staged
-// payload through the shard's DEFLATE stream (ending on a sync marker,
-// so what lands in the file is a decodable prefix) and append the
-// compressed bytes. A backend error abandons the whole active segment
-// — the encoder's dictionary and front-coding state can no longer be
-// reconciled with the file, whose durable prefix the next Open
-// salvages. Caller holds sh.mu.
-func (s *Store) flushCompressedLocked(sh *shard, rotations *int) error {
 	w := sh.cw
 	if w.stagedN == 0 {
 		return nil
@@ -511,7 +459,14 @@ func (s *Store) flushCompressedLocked(sh *shard, rotations *int) error {
 	s.obsTyped.Add(int64(w.nTyped))
 	s.obsText.Add(int64(w.nText))
 	w.nTyped, w.nText = 0, 0
-	s.foldPendingLocked(sh, w)
+	var tmax uint64
+	for _, m := range sh.pending {
+		sh.active.Index.Add(m)
+		w.foldMeta(m)
+		tmax = max(tmax, uint64(m.Time))
+	}
+	sh.pending = sh.pending[:0]
+	s.noteTime(tmax)
 	return s.rotateLocked(sh, rotations)
 }
 
@@ -533,33 +488,13 @@ func (s *Store) rotateLocked(sh *shard, rotations *int) error {
 	return nil
 }
 
-// foldPendingLocked folds the pending metadata into the active
-// segment's index (and the current block's zone map, when compressing)
-// after a successful backend write. Caller holds sh.mu.
-func (s *Store) foldPendingLocked(sh *shard, w *compWriter) {
-	var tmax uint64
-	for _, m := range sh.pending {
-		sh.active.Index.Add(m)
-		if w != nil {
-			w.foldMeta(m)
-		}
-		if uint64(m.Time) > tmax {
-			tmax = uint64(m.Time)
-		}
-	}
-	sh.pending = sh.pending[:0]
-	s.noteTime(tmax)
-}
-
-// abandonLocked drops the active segment after a failed compressed
-// write: its in-memory encoder state is unrecoverable, so the segment
-// is orphaned unindexed and its durable prefix left for the next
-// Open's salvage. Caller holds sh.mu.
+// abandonLocked drops the active segment after a failed write: its
+// in-memory encoder state is unrecoverable, so the segment is orphaned
+// unindexed and its durable prefix left for the next Open's salvage.
+// Caller holds sh.mu.
 func (s *Store) abandonLocked(sh *shard) {
 	sh.pending = sh.pending[:0]
-	if sh.cw != nil {
-		sh.cw.sink.drained()
-	}
+	sh.cw.sink.drained()
 	sh.active = nil
 	s.obsAbandoned.Inc()
 }
@@ -575,14 +510,10 @@ func (s *Store) Append(m Meta, line string) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s.openLocked(sh)
-	if sh.cw != nil {
-		sh.cw.lineBuf = append(sh.cw.lineBuf[:0], line...)
-		if err := sh.cw.stage(m, sh.cw.lineBuf); err != nil {
-			s.abandonLocked(sh)
-			return err
-		}
-	} else {
-		sh.scratch = AppendFrame(sh.scratch[:0], m, line)
+	sh.cw.lineBuf = append(sh.cw.lineBuf[:0], line...)
+	if err := sh.cw.stage(m, sh.cw.lineBuf); err != nil {
+		s.abandonLocked(sh)
+		return err
 	}
 	sh.pending = append(sh.pending[:0], m)
 	var rotations int
@@ -603,10 +534,10 @@ type BatchRec struct {
 }
 
 // AppendBatch appends a batch of records, visiting each shard once:
-// all of a shard's records are framed into its reused scratch buffer
-// and written under one lock acquisition, with a backend write per
-// segment-cap boundary instead of per record. The filter's dual-sink
-// flush calls this once per Recv. Equivalent to appending the records
+// all of a shard's records are staged in its encoder and written under
+// one lock acquisition, with a backend write per segment-cap boundary
+// instead of per record. The filter's dual-sink flush calls this once
+// per Recv. Equivalent to appending the records
 // one at a time except that rotation is checked at batch granularity
 // within a shard, so a segment may overshoot SegmentCap by at most one
 // batch.
@@ -634,24 +565,20 @@ func (s *Store) AppendBatch(recs []BatchRec) error {
 			continue
 		}
 		sh.mu.Lock()
-		sh.scratch, sh.pending = sh.scratch[:0], sh.pending[:0]
+		sh.pending = sh.pending[:0]
 		for i := range recs {
 			if int(recs[i].Meta.Machine)%nshards != id {
 				continue
 			}
 			s.openLocked(sh)
-			if sh.cw != nil {
-				if err := sh.cw.stage(recs[i].Meta, recs[i].Line); err != nil {
-					s.abandonLocked(sh)
-					sh.mu.Unlock()
-					return err
-				}
-			} else {
-				sh.scratch = AppendFrameBytes(sh.scratch, recs[i].Meta, recs[i].Line)
+			if err := sh.cw.stage(recs[i].Meta, recs[i].Line); err != nil {
+				s.abandonLocked(sh)
+				sh.mu.Unlock()
+				return err
 			}
 			sh.pending = append(sh.pending, recs[i].Meta)
 			appends++
-			if sh.active.Bytes+s.stagedLocked(sh) >= s.cfg.SegmentCap {
+			if sh.active.Bytes+sh.cw.stagedV1 >= s.cfg.SegmentCap {
 				if err := s.flushLocked(sh, &rotations); err != nil {
 					sh.mu.Unlock()
 					return err
@@ -678,27 +605,18 @@ func (s *Store) sealLocked(sh *shard) error {
 		return nil
 	}
 	span := obs.StartSpan(s.rotateNS)
-	if sh.cw != nil {
-		tail, disk, err := sh.cw.seal(a.Index, a.Bytes)
-		if err != nil {
-			s.abandonLocked(sh)
-			return err
-		}
-		if err := s.be.Append(a.Name, tail); err != nil {
-			s.abandonLocked(sh)
-			return err
-		}
-		a.DiskBytes = disk
-		s.obsBlocks.Add(int64(len(sh.cw.blocks)))
-		s.obsRawBytes.Add(int64(a.Bytes))
-		s.obsCompBytes.Add(int64(disk))
-	} else {
-		footer := AppendFooter(nil, a.Index, uint32(a.Bytes))
-		if err := s.be.Append(a.Name, footer); err != nil {
-			return err
-		}
-		a.DiskBytes = a.Bytes + FooterSize
+	tail, disk, err := sh.cw.seal(a.Index, a.Bytes)
+	if err == nil {
+		err = s.be.Append(a.Name, tail)
 	}
+	if err != nil {
+		s.abandonLocked(sh)
+		return err
+	}
+	a.DiskBytes = disk
+	s.obsBlocks.Add(int64(len(sh.cw.blocks)))
+	s.obsRawBytes.Add(int64(a.Bytes))
+	s.obsCompBytes.Add(int64(disk))
 	a.Sealed = true
 	sh.sealed = append(sh.sealed, a)
 	sh.active = nil
@@ -732,14 +650,13 @@ func (s *Store) compactLocked(sh *shard) error {
 // rewriteLocked replaces the sealed run sh.sealed[i:j] by one merged
 // segment of the given tier without materializing a record: each input
 // is borrowed from the backend and scanned through a pooled decoder
-// straight into the output encoder — v3 at archiveLevel with 4x blocks
-// from the encoder pool for tier 1; for tier 0 v3 at CompressLevel, or
-// v1 frames under CompressOff. Into v3 a record stored typed goes as the
-// view it decodes to, no line built or parsed; a text, v2 or v1 record
-// as its line (compWriter.add). Every input CRC is checked and each
-// input must yield the records its footer counted; on any failure no
-// file has been touched, the run stands, and store.maintain_errors
-// counts it. Caller holds sh.mu.
+// straight into the output encoder — at archiveLevel with 4x blocks from
+// the encoder pool for tier 1, stored blocks for tier 0. A record stored
+// typed goes as the view it decodes to, no line built or parsed; a text,
+// v2 or v1 record as its line (compWriter.add). Every input CRC is
+// checked and each input must yield the records its footer counted; on
+// any failure no file has been touched, the run stands, and
+// store.maintain_errors counts it. Caller holds sh.mu.
 func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	defer func() {
 		if err != nil {
@@ -752,33 +669,23 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 		Shard: sh.id, Start: run[0].Start, End: run[len(run)-1].End,
 		Tier: tier, Sealed: true,
 	}
-	var w *compWriter // nil writes v1 frames
-	switch {
-	case tier > 0:
+	var w *compWriter
+	if tier > 0 {
 		w = archiveEncoders.Get().(*compWriter)
 		defer archiveEncoders.Put(w)
 		w.target = 4 * s.cfg.BlockTarget
-	case s.cfg.Compress == CompressBlocks:
-		w = newCompWriter(s.cfg.CompressLevel, s.cfg.BlockTarget)
+	} else {
+		w = newCompWriter(s.cfg.BlockTarget)
 	}
-	if w != nil {
-		w.openSegment()
-	}
+	w.openSegment()
 	d := AcquireDecoder()
 	defer ReleaseDecoder(d)
-	var frames []byte
 	var encErr error
-	emit := func(m Meta, v *trace.View, line []byte) {
+	scan := func(m Meta, v *trace.View, line []byte) {
 		merged.Index.Add(m)
-		if w == nil {
-			frames = AppendFrameBytes(frames, m, line)
-		} else if encErr == nil {
+		if encErr == nil {
 			encErr = w.add(m, v, line)
 		}
-	}
-	scan := emit
-	if w == nil { // v1 frames take every record as its line
-		scan = d.lines(func(m Meta, line []byte) { emit(m, nil, line) })
 	}
 	in := 0
 	for _, info := range run {
@@ -805,13 +712,11 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 			return fmt.Errorf("%s: %w", info.Name, err)
 		}
 	}
-	var data []byte
-	if w == nil {
-		data = AppendFooter(frames, merged.Index, uint32(len(frames)))
-	} else if data, _, err = w.seal(merged.Index, w.segV1); err != nil {
+	data, _, err := w.seal(merged.Index, w.segV1)
+	if err != nil {
 		return err
 	}
-	merged.Bytes, merged.DiskBytes = len(frames), len(data)
+	merged.Bytes, merged.DiskBytes = w.segV1, len(data)
 	if err := s.be.Create(merged.Name, data); err != nil {
 		return err
 	}
@@ -828,11 +733,8 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 		s.obsArchiveIn.Add(int64(in))
 		s.obsArchiveOut.Add(int64(len(data)))
 	}
-	if w != nil { // what the writer counted
-		merged.Bytes = w.segV1
-		s.obsRewTyped.Add(int64(w.nTyped))
-		s.obsRewText.Add(int64(w.nText))
-	}
+	s.obsRewTyped.Add(int64(w.nTyped))
+	s.obsRewText.Add(int64(w.nText))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,21 +150,17 @@ func TestStoreCompaction(t *testing.T) {
 	}
 }
 
+// A v1 writer "crashed" without Flush: its active segment has no
+// footer and its last frame is torn. (What a crash leaves of a segment
+// this store writes: TestCompressedUnsealedSalvage, TestTornTypedTailSalvage.)
 func TestStoreRecovery(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+	var recs []Rec
+	for i := 0; i < 10; i++ {
+		recs = append(recs, Rec{Meta{Machine: 0, Time: uint32(i * 10), Type: 1, PID: 100}, fmt.Sprintf("line %d of a v1 writer", i)})
 	}
-	fill(t, st, 10)
-	// The writer "crashes" without Flush: the active segment has no
-	// footer. Corrupt its tail as a torn append would.
-	names, _ := be.List()
-	if len(names) != 1 {
-		t.Fatalf("expected 1 unsealed segment, got %v", names)
-	}
-	data, _ := be.Read(names[0])
-	if err := be.Create(names[0], data[:len(data)-3]); err != nil {
+	data := encodeV1(recs, false)
+	if err := be.Create(segName(0, 1, 1, 0), data[:len(data)-3]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -175,16 +172,16 @@ func TestStoreRecovery(t *testing.T) {
 	if got := reg.Counter("store.recovered").Load(); got != 1 {
 		t.Fatalf("store.recovered = %d, want 1", got)
 	}
-	recs := allRecs(t, be)
-	if len(recs) != 9 {
-		t.Fatalf("got %d records after recovery, want 9 (torn final append dropped)", len(recs))
+	if got := allRecs(t, be); !slices.Equal(got, recs[:9]) {
+		t.Fatalf("got %d records after recovery, want the first 9 (torn final append dropped)", len(got))
 	}
-	// The salvage must be sealed and indexed so later queries can prune.
+	// The salvage must be sealed and indexed so later queries can prune,
+	// and is in the format the store writes.
 	rd, _ := OpenReader(be)
 	for _, segs := range rd.Shards() {
 		for _, rs := range segs {
-			if !rs.Sealed {
-				t.Fatalf("recovered segment %s not sealed", rs.Name)
+			if !rs.Sealed || rs.FormatVersion() != 3 {
+				t.Fatalf("recovered segment %s: sealed=%v, v%d", rs.Name, rs.Sealed, rs.FormatVersion())
 			}
 		}
 	}
@@ -202,14 +199,11 @@ func TestStoreRecovery(t *testing.T) {
 }
 
 func TestParseSegmentSealedCorruption(t *testing.T) {
-	var frames []byte
-	var x Index
+	var recs []Rec
 	for i := 0; i < 5; i++ {
-		m := Meta{Machine: 1, Time: uint32(i), Type: 1, PID: 7}
-		frames = AppendFrame(frames, m, fmt.Sprintf("line %d", i))
-		x.Add(m)
+		recs = append(recs, Rec{Meta{Machine: 1, Time: uint32(i), Type: 1, PID: 7}, fmt.Sprintf("line %d", i)})
 	}
-	sealed := AppendFooter(frames, x, uint32(len(frames)))
+	sealed := encodeV1(recs, true)
 
 	seg, err := ParseSegment(sealed)
 	if err != nil || !seg.Sealed || len(seg.Recs) != 5 {
@@ -231,10 +225,11 @@ func TestParseSegmentSealedCorruption(t *testing.T) {
 }
 
 func TestParseSegmentUnsealedTruncation(t *testing.T) {
-	var frames []byte
+	var recs []Rec
 	for i := 0; i < 5; i++ {
-		frames = AppendFrame(frames, Meta{Machine: 1, Time: uint32(i)}, fmt.Sprintf("line %d", i))
+		recs = append(recs, Rec{Meta{Machine: 1, Time: uint32(i)}, fmt.Sprintf("line %d", i)})
 	}
+	frames := encodeV1(recs, false)
 	// Clean unsealed scan: an active segment.
 	seg, err := ParseSegment(frames)
 	if err != nil || seg.Sealed || len(seg.Recs) != 5 {

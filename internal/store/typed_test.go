@@ -144,7 +144,7 @@ func TestShapesReturnEveryLine(t *testing.T) {
 		recs := shapeRecs(rng, 1500)
 		reg := obs.NewRegistry()
 		be := NewMemBackend()
-		st, err := Open(be, Config{Shards: 1, SegmentCap: 8 << 10, BlockTarget: 1 << 10, Compress: CompressBlocks, ArchiveAfter: 4000, Obs: reg})
+		st, err := Open(be, Config{Shards: 1, SegmentCap: 8 << 10, BlockTarget: 1 << 10, ArchiveAfter: 4000, Obs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestTypedBlocksDecodeAlone(t *testing.T) {
 		}
 		recs = append(recs, Rec{m, line})
 	}
-	data, err := encodeSealed(recs, 0, 2048)
+	data, err := newCompWriter(2048).encodeSealed(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestTypedBlocksDecodeAlone(t *testing.T) {
 // prefix only grows with the cut.
 func TestTornTypedTailSalvage(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, Compress: CompressBlocks, BlockTarget: 512})
+	st, err := Open(be, Config{Shards: 1, BlockTarget: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestTornTypedTailSalvage(t *testing.T) {
 	if err := be.Create(names[0], whole[:len(whole)*2/3]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(be, Config{Shards: 1, Compress: CompressBlocks}); err != nil {
+	if _, err := Open(be, Config{Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
 	got, sum := scanAll(t, be)
@@ -353,7 +353,7 @@ func TestTornTypedTailSalvage(t *testing.T) {
 // as the cold rewrite moves them — a typed one as its view, any other
 // as its line — decode again to the same Metas and lines.
 func FuzzTypedPayload(f *testing.F) {
-	w := newCompWriter(0, 1<<20)
+	w := newCompWriter(1 << 20)
 	w.openSegment()
 	for _, r := range shapeRecs(rand.New(rand.NewSource(5)), 80) {
 		if err := w.stage(r.Meta, []byte(r.Line)); err != nil {
@@ -381,7 +381,7 @@ func FuzzTypedPayload(f *testing.F) {
 		defer ReleaseDecoder(d)
 		emitted := 0
 		var first []Rec
-		w := newCompWriter(0, math.MaxInt)
+		w := newCompWriter(math.MaxInt)
 		w.openSegment()
 		n, consumed, err := d.decodeRecords(raw, func(m Meta, v *trace.View, line []byte) {
 			emitted++
@@ -438,7 +438,7 @@ func TestTypedShapeZeroAllocs(t *testing.T) {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	recs := shapeRecs(rand.New(rand.NewSource(2)), 400)
-	w := newCompWriter(0, 1<<20)
+	w := newCompWriter(1 << 20)
 	typed := recs[:0:0]
 	for _, r := range recs {
 		if r.typed {
@@ -463,7 +463,7 @@ func TestTypedShapeZeroAllocs(t *testing.T) {
 	for _, r := range recs {
 		all = append(all, r.Rec)
 	}
-	data, err := encodeSealed(all, 0, 4096)
+	data, err := newCompWriter(4096).encodeSealed(all)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,61 @@
+package store
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+)
+
+// The v1 encoder. No store writes CRC-framed segments any more; the
+// reader still reads them, and these build the v1 inputs its tests
+// need. The stores under testdata/v1 were written by the product code
+// these functions used to be.
+
+// AppendFrame appends one record frame to dst and returns the extended
+// slice.
+func AppendFrame(dst []byte, m Meta, line string) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, uint32(metaSize+len(line)))
+	crcAt := len(dst)
+	dst = le.AppendUint32(dst, 0) // CRC back-patched below
+	start := len(dst)
+	var mb [metaSize]byte
+	le.PutUint16(mb[0:2], m.Machine)
+	le.PutUint32(mb[2:6], m.Time)
+	le.PutUint32(mb[6:10], m.Type)
+	le.PutUint32(mb[10:14], m.PID)
+	dst = append(dst, mb[:]...)
+	dst = append(dst, line...)
+	le.PutUint32(dst[crcAt:], crc32.ChecksumIEEE(dst[start:]))
+	return dst
+}
+
+// AppendFooter appends a sealed segment's footer for the given index
+// and frame-data length.
+func AppendFooter(dst []byte, x Index, dataLen uint32) []byte {
+	le := binary.LittleEndian
+	b := make([]byte, FooterSize)
+	copy(b[0:4], footerMagic)
+	le.PutUint32(b[4:8], footerVersion)
+	le.PutUint32(b[8:12], x.Count)
+	le.PutUint64(b[12:20], x.MinTime)
+	le.PutUint64(b[20:28], x.MaxTime)
+	le.PutUint64(b[28:36], x.Machines)
+	le.PutUint64(b[36:44], x.PIDs)
+	le.PutUint32(b[44:48], x.Types)
+	le.PutUint32(b[48:52], dataLen)
+	le.PutUint32(b[52:56], crc32.ChecksumIEEE(b[:52]))
+	return append(dst, b...)
+}
+
+// encodeV1 is one v1 segment file of the records: frames, and the footer
+// when sealed.
+func encodeV1(recs []Rec, sealed bool) []byte {
+	var data []byte
+	for _, r := range recs {
+		data = AppendFrame(data, r.Meta, r.Line)
+	}
+	if sealed {
+		data = AppendFooter(data, indexOf(recs), uint32(len(data)))
+	}
+	return data
+}

@@ -5,7 +5,7 @@
 # (default: BENCH_scale.json). CI runs this and archives both; the
 # allocation
 # regression gates are the testing.AllocsPerRun tests
-# (internal/filter/alloc_test.go, internal/store/batch_test.go,
+# (internal/filter/alloc_test.go, internal/store/typed_test.go,
 # internal/query/alloc_test.go, internal/agg/agg_test.go,
 # internal/trace/view_test.go), which fail `go test` outright if a
 # hot-path allocation creeps back in.
@@ -17,7 +17,7 @@
 # its good days, is re-derived from recorded runs or removed with the
 # reason (see FilterIngestLive and the QueryParallel memory ratio).
 #
-# The two store ingest benchmarks run with fixed iteration counts that
+# The store ingest benchmarks run with fixed iteration counts that
 # write the same total number of records: the in-memory backend keeps
 # everything it ingests, so per-record cost grows with the live heap
 # and unequal record counts would not be comparable.
@@ -32,20 +32,19 @@ failed=0
 
 go test -run '^$' -bench 'BenchmarkFilterEngine$|BenchmarkFilterEngineProcess$' -benchmem -benchtime=200000x . >"$tmp"
 go test -run '^$' -bench 'BenchmarkStoreIngest$' -benchmem -benchtime=1600000x . >>"$tmp"
-go test -run '^$' -bench 'BenchmarkStoreIngestBatch$' -benchmem -benchtime=100000x . >>"$tmp"
-# Compressed tier: same batch count as BenchmarkStoreIngestBatch so the
-# ns/op pair is directly comparable, plus the block-pruned query against
-# its segment-pruned baseline. The compression ratio and pruning gates
+# Batched ingest (16 records a batch, the same 1.6 M records as the
+# per-record run above), plus the block-pruned query against its
+# segment-pruned baseline. The compression ratio and pruning gates
 # below read these lines. The pruned queries take ~60 us each since the
 # scan stopped building an event per record, so they run 2000 times: at
 # the old 50 the pair was 3 ms of work and its ratio was noise. Three
 # runs each; the gate compares the best of each side (one run of five
-# read 276 us for a 60 us query while the host stalled). The compressed
+# read 276 us for a 60 us query while the host stalled). The batched
 # ingest runs three times as well, for the archiving gate.
 go test -run '^$' -bench 'BenchmarkStoreIngestCompressed$' -benchmem -benchtime=100000x -count=3 . >>"$tmp"
 # The store as the filter opens it (filter.StoreConfig: archival on) and
 # record time advancing, so cold runs are rewritten into tier 1 on the
-# appending goroutine. Same batch count as the pair above; the archiving
+# appending goroutine. Same batch count as the run above; the archiving
 # gate below compares the best of three of each.
 go test -run '^$' -bench 'BenchmarkStoreIngestArchiving$' -benchmem -benchtime=100000x -count=3 . >>"$tmp"
 go test -run '^$' -bench 'BenchmarkQueryBlockPruned' -benchmem -benchtime=2000x -count=3 . >>"$tmp"
@@ -142,9 +141,11 @@ END {
 }' "$tmp"; then failed=1; fi
 
 # Compression gates. The stored-segment format must actually earn its
-# complexity: at least 3x smaller on disk than the v1-equivalent bytes,
-# and no more than 1.25x the batched-ingest cost (the structural
-# encoding runs inline on the write path). Block pruning must not cost
+# complexity: at least 3x smaller on disk than the v1-equivalent bytes.
+# (It was also held to 1.25x the ns/op of the same batches through the
+# v1 writer, BenchmarkStoreIngestBatch; that writer is gone and with it
+# the baseline. Last archived reading 5365 vs 4406 ns/op, 1.22x; it had
+# read 1.31x once in six runs.) Block pruning must not cost
 # grossly more than the segment-pruned baseline it refines. The pair is
 # two 0.12 s measurements (a ~60us query run 2000 times) taken one after
 # the other on a host that changes speed in between: twenty recorded
@@ -153,14 +154,8 @@ END {
 # 1.5x is above every recorded run. Whether zone maps earn their keep at
 # all is ROADMAP item 1's question, not this gate's.
 if ! awk '
-$1 ~ /^BenchmarkStoreIngestBatch(-[0-9]+)?$/ {
-    for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") batch = $i
-}
 $1 ~ /^BenchmarkStoreIngestCompressed(-[0-9]+)?$/ {
-    for (i = 3; i < NF; i++) {
-        if ($(i+1) == "ns/op")         comp = $i
-        if ($(i+1) == "compression-x") cx   = $i
-    }
+    for (i = 3; i < NF; i++) if ($(i+1) == "compression-x") cx = $i
 }
 $1 ~ /^BenchmarkQueryBlockPruned\/segment-pruned(-[0-9]+)?$/ { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op" && (segp == 0 || $i < segp)) segp = $i }
 $1 ~ /^BenchmarkQueryBlockPruned\/block-pruned(-[0-9]+)?$/   { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op" && (blkp == 0 || $i < blkp)) blkp = $i }
@@ -168,10 +163,6 @@ END {
     fail = 0
     if (cx + 0 <= 0) { print "bench_filter.sh: missing compression-x metric" > "/dev/stderr"; fail = 1 }
     else if (cx + 0 < 3) { printf "bench_filter.sh: compression ratio %.2fx below the 3x gate\n", cx > "/dev/stderr"; fail = 1 }
-    if (batch + 0 <= 0 || comp + 0 <= 0) { print "bench_filter.sh: missing ingest ns/op results" > "/dev/stderr"; fail = 1 }
-    else if (comp / batch > 1.25) {
-        printf "bench_filter.sh: compressed ingest %.0f ns/op vs %.0f batch (%.2fx), gate is 1.25x\n", comp, batch, comp / batch > "/dev/stderr"; fail = 1
-    }
     if (segp + 0 <= 0 || blkp + 0 <= 0) { print "bench_filter.sh: missing block-pruned query results" > "/dev/stderr"; fail = 1 }
     else if (blkp / segp > 1.5) {
         printf "bench_filter.sh: block-pruned query %.0f ns/op vs %.0f segment-pruned (%.2fx), gate is 1.5x\n", blkp, segp, blkp / segp > "/dev/stderr"; fail = 1
