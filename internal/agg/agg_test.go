@@ -322,10 +322,11 @@ func TestCompileRejects(t *testing.T) {
 	}
 }
 
-// TestScanSegmentZeroAllocs gates the push-down scan: reducing a sealed
-// compressed segment to its (group key, value) items reads both
-// straight from the record view and, with the pooled item buffer warm,
-// allocates nothing — no event is ever built for an aggregated record.
+// TestScanSegmentZeroAllocs gates the push-down scan: folding a sealed
+// compressed segment's records into its group table reads keys and
+// values straight from the record view and, with the pooled table warm
+// (its map cleared, not reallocated), allocates nothing — no event is
+// ever built for an aggregated record.
 func TestScanSegmentZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
@@ -343,20 +344,23 @@ func TestScanSegmentZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var items int
+	var folded int64
 	scan := func() {
 		seg, _, err := aq.scanSegment(rs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		items = len(seg.items)
+		folded = 0
+		for i := range seg.groups {
+			folded += seg.groups[i].Count
+		}
 		segmentPool.Put(seg)
 	}
-	scan() // warm the decoder, view and item buffer
+	scan() // warm the decoder, view and group table
 	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
 		t.Fatalf("scanSegment allocates %.0f times per 2000-record segment, want 0", allocs)
 	}
-	if items != 1000 {
-		t.Fatalf("scan produced %d items, want the 1000 SEND records", items)
+	if folded != 1000 {
+		t.Fatalf("scan folded %d records into groups, want the 1000 SEND records", folded)
 	}
 }

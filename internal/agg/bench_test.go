@@ -83,6 +83,7 @@ func BenchmarkAggPushdown(b *testing.B) {
 			bytes = len(p.MarshalBinary())
 		}
 		b.ReportMetric(float64(bytes), "bytes_moved")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*5000), "ns/record")
 	})
 
 	b.Run("ship-records", func(b *testing.B) {

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -15,8 +16,10 @@ import (
 // the records (compiled to the usual pruning envelopes) and the
 // aggregate specification shaping the answer.
 type Query struct {
-	Sel  *query.Query
-	Spec *Spec
+	Sel   *query.Query
+	Spec  *Spec
+	by    []trace.FieldRef // Spec.By, resolved once for every event type
+	field trace.FieldRef   // Spec.Field, likewise
 }
 
 // Compile parses a full aggregate query text: selection-rule lines in
@@ -46,12 +49,16 @@ func Compile(text string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{Sel: sel, Spec: spec}, nil
+	aq := &Query{Sel: sel, Spec: spec, field: trace.NewFieldRef(spec.Field)}
+	for _, f := range spec.By {
+		aq.by = append(aq.by, trace.NewFieldRef(f))
+	}
+	return aq, nil
 }
 
 // Options tunes one Eval.
 type Options struct {
-	// Obs, when set, receives agg.runs.
+	// Obs, when set, receives agg.runs, agg.records and agg.fold_groups.
 	Obs *obs.Registry
 }
 
@@ -61,32 +68,31 @@ type Options struct {
 // distributed aggregation. The caller ships the partial, not the
 // records.
 //
-// Segments are scanned on the query package's worker pool, but only up
-// to each matched record's group key and value; the fold into the
-// partial runs on this goroutine, segment by segment in admission
-// order. The MaxGroups cap admits groups first come, first served, so
-// which groups survive a saturated cap is decided by that one order
-// and not by how many workers ran or how they were scheduled.
+// Each segment is folded into its own group table on the query
+// package's worker pool; this goroutine absorbs the tables in admission
+// order, a table's groups in the order their keys first appeared. The
+// MaxGroups cap admits keys first come, first served and never evicts,
+// so a key's fate is settled by its first record. Absorbing in that
+// order meets the first records as a record-by-record fold would, so
+// the partial is that fold's at any worker count.
 func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, error) {
+	records, foldGroups := new(obs.Counter), new(obs.Counter)
 	if opt.Obs != nil {
 		opt.Obs.Counter("agg.runs").Inc()
+		records, foldGroups = opt.Obs.Counter("agg.records"), opt.Obs.Counter("agg.fold_groups")
 	}
 	p := NewPartial(aq.Spec)
-	sketch := aq.Spec.Fn.NeedsSketch()
 	maxGroups := aq.Spec.maxGroups()
 	stats, err := query.ScanOrdered(rd, aq.Sel, aq.scanSegment,
 		func(_ *store.ReaderSegment, seg *segment) {
 			p.Records += seg.records
 			p.Skipped += seg.skipped
-			if seg.records > 0 {
-				p.noteTime(seg.minTime)
-				p.noteTime(seg.maxTime)
+			p.widen(seg.minTime, seg.maxTime)
+			for i := range seg.groups {
+				p.absorb(&seg.groups[i], maxGroups)
 			}
-			for _, it := range seg.items {
-				if !p.fold(it.key, it.v, sketch, maxGroups) {
-					p.Dropped++
-				}
-			}
+			records.Add(seg.records)
+			foldGroups.Add(int64(len(seg.groups)))
 			segmentPool.Put(seg)
 		})
 	if err != nil {
@@ -95,63 +101,82 @@ func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, erro
 	return p, stats, nil
 }
 
-// segment is what one scanned segment contributes to the fold: the
-// order-independent counters already summed, and the (key, value) of
-// every matched record that reaches a group, in record order.
+// segment is one scanned segment's contribution: the counters summed,
+// and a group per key, in the order the keys first appeared.
 type segment struct {
 	records, skipped int64
 	minTime, maxTime uint64
-	items            []item
+	groups           []Group
+	index            map[GroupKey]int // key → its place in groups
+	last             int              // the place of the last record's group
+	window           uint64           // the start of the last record's window
 }
 
-type item struct {
-	key GroupKey
-	v   uint64
+// segmentPool recycles group tables across segments and queries.
+var segmentPool = sync.Pool{New: func() any { return &segment{index: make(map[GroupKey]int)} }}
+
+// group returns the segment's group for key, opening one for a new key;
+// a run of records of one key, as a shard mostly is, skips the map.
+func (seg *segment) group(key GroupKey, sketch bool) *Group {
+	if len(seg.groups) > 0 && seg.groups[seg.last].Key == key {
+		return &seg.groups[seg.last]
+	}
+	i, ok := seg.index[key]
+	if !ok {
+		i = len(seg.groups)
+		seg.groups = slices.Grow(seg.groups, 1)[:i+1]
+		g := &seg.groups[i]
+		hist := g.hist[:0] // the sketch an earlier segment left in the place
+		if *g = (Group{Key: key}); sketch {
+			g.hist = append(hist, make([]int64, obs.NumBuckets)...)
+		}
+		seg.index[key] = i
+	}
+	seg.last = i
+	return &seg.groups[i]
 }
 
-// segmentPool recycles item buffers across segments and queries.
-var segmentPool = sync.Pool{New: func() any { return new(segment) }}
-
-// scanSegment reduces one segment's matching records to a segment
-// contribution. It runs on a pool worker and touches no shared state.
+// scanSegment folds one segment's matching records into its group
+// table. It runs on a pool worker and touches no shared state.
 func (aq *Query) scanSegment(rs *store.ReaderSegment) (*segment, query.Stats, error) {
 	seg := segmentPool.Get().(*segment)
-	*seg = segment{minTime: ^uint64(0), items: seg.items[:0]}
+	clear(seg.index)
+	*seg = segment{minTime: ^uint64(0), groups: seg.groups[:0], index: seg.index}
+	sketch, needsField := aq.Spec.Fn.NeedsSketch(), aq.Spec.Fn.NeedsField()
 	st, err := aq.Sel.ScanSegment(rs, func(v *trace.View, _ map[string]bool) {
 		seg.records++
 		seg.minTime = min(seg.minTime, uint64(v.CPUTime))
 		seg.maxTime = max(seg.maxTime, uint64(v.CPUTime))
-		key, ok := aq.Spec.keyOf(v)
+		var key GroupKey
+		ok, val := aq.keyOf(v, &key, &seg.window), uint64(1)
+		if ok && needsField {
+			val, ok = v.FieldOf(&aq.field)
+		}
 		if !ok {
 			seg.skipped++
 			return
 		}
-		val := uint64(1)
-		if aq.Spec.Fn.NeedsField() {
-			if val, ok = v.Field(aq.Spec.Field); !ok {
-				seg.skipped++
-				return
-			}
-		}
-		seg.items = append(seg.items, item{key, val})
+		seg.group(key, sketch).observe(val, sketch)
 	})
 	return seg, st, err
 }
 
-// keyOf computes the record's group key, false when a group-by field
-// is absent from the record.
-func (s *Spec) keyOf(v *trace.View) (GroupKey, bool) {
-	var key GroupKey
-	if s.WindowMS > 0 {
-		t := uint64(v.CPUTime)
-		key.Window = t - t%uint64(s.WindowMS)
+// keyOf fills in the record's group key, false when a group-by field
+// is absent from the record. *window is the start of the last record's
+// window: a run of records in one window costs no division.
+func (aq *Query) keyOf(v *trace.View, key *GroupKey, window *uint64) bool {
+	if w := uint64(aq.Spec.WindowMS); w > 0 {
+		if t := uint64(v.CPUTime); t-*window >= w {
+			*window = t - t%w
+		}
+		key.Window = *window
 	}
-	for i, f := range s.By {
-		val, ok := v.Field(f)
+	for i := range aq.by {
+		val, ok := v.FieldOf(&aq.by[i])
 		if !ok {
-			return key, false
+			return false
 		}
 		key.Vals[i] = val
 	}
-	return key, true
+	return true
 }

@@ -1,11 +1,13 @@
 package agg
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"dpm/internal/obs"
 )
@@ -35,7 +37,8 @@ type Group struct {
 	hist []int64
 }
 
-// observe folds one value into the accumulator.
+// observe folds one value into the accumulator; with sketch, the
+// sketch must be allocated.
 func (g *Group) observe(v uint64, sketch bool) {
 	sv := int64(v)
 	if g.Count == 0 || sv < g.Min {
@@ -47,9 +50,6 @@ func (g *Group) observe(v uint64, sketch bool) {
 	g.Count++
 	g.Sum += sv
 	if sketch {
-		if g.hist == nil {
-			g.hist = make([]int64, obs.NumBuckets)
-		}
 		b := bits.Len64(v)
 		if b >= obs.NumBuckets {
 			b = obs.NumBuckets - 1
@@ -75,9 +75,8 @@ func (g *Group) HistValue() obs.HistValue {
 // thing that crosses the wire instead of the matching records. A
 // partial is complete for the records its machine scanned; partials
 // of different machines Merge into the same result in any order. One
-// machine's records are folded into one partial in one order (see
-// Eval): splitting them across several partials and merging would
-// apply the MaxGroups cap once per piece instead of once.
+// machine's records reach one partial under one MaxGroups cap, a
+// segment's group table at a time (Eval says why that is exact).
 type Partial struct {
 	// Spec is the canonical specification string; Merge refuses
 	// partials of different specs.
@@ -102,45 +101,55 @@ func NewPartial(s *Spec) *Partial {
 	return &Partial{Spec: s.String(), MinTime: ^uint64(0), Groups: make(map[GroupKey]*Group)}
 }
 
-// fold attributes one record to its group. Returns false when the
-// group table is full and the key is new (the caller counts Dropped).
-func (p *Partial) fold(key GroupKey, v uint64, sketch bool, maxGroups int) bool {
-	g, ok := p.Groups[key]
+// absorb merges a group into p: into p's group of its key, else as a
+// new group while p has fewer than maxGroups, else into Dropped.
+func (p *Partial) absorb(sg *Group, maxGroups int) {
+	g, ok := p.Groups[sg.Key]
 	if !ok {
 		if len(p.Groups) >= maxGroups {
-			return false
+			p.Dropped += sg.Count
+			return
 		}
-		g = &Group{Key: key}
-		p.Groups[key] = g
+		g = &Group{Key: sg.Key, Min: sg.Min, Max: sg.Max}
+		p.Groups[sg.Key] = g
 	}
-	g.observe(v, sketch)
-	return true
+	g.add(sg)
 }
 
-// noteTime widens the observed time range.
-func (p *Partial) noteTime(t uint64) {
-	if t < p.MinTime {
-		p.MinTime = t
+// add merges another accumulator of the same key into g: counts and
+// sums add, min/max narrow, sketch buckets add.
+func (g *Group) add(og *Group) {
+	if og.Count > 0 && (g.Count == 0 || og.Min < g.Min) {
+		g.Min = og.Min
 	}
-	if t > p.MaxTime {
-		p.MaxTime = t
+	if og.Count > 0 && (g.Count == 0 || og.Max > g.Max) {
+		g.Max = og.Max
+	}
+	g.Count += og.Count
+	g.Sum += og.Sum
+	if og.hist != nil && g.hist == nil {
+		g.hist = make([]int64, obs.NumBuckets)
+	}
+	for b, n := range og.hist {
+		g.hist[b] += n
 	}
 }
+
+// widen takes [lo, hi] into the observed time range; an empty range
+// (hi < lo) adds nothing.
+func (p *Partial) widen(lo, hi uint64) { p.MinTime, p.MaxTime = min(p.MinTime, lo), max(p.MaxTime, hi) }
 
 // ErrSpecMismatch reports an attempt to merge partials of different
 // aggregate specifications.
 var ErrSpecMismatch = errors.New("agg: partials have different specs")
 
-// Merge folds other into p: groups merge key-wise (counts and sums
-// add, min/max narrow, sketch buckets add), the time range widens,
-// and the record counters add — associative and commutative, the
-// discipline obs.Snapshot.Merge set, so a scatter-gather can fold
-// per-machine partials in whatever order they arrive. Merge never
-// evicts a group: the MaxGroups cap applies only while a machine folds
-// its own records, so merge order cannot change the result — and, for
-// the same reason, the merged table can exceed MaxGroups, which is why
-// Merge is for combining machines and never for combining pieces of
-// one machine's capped fold.
+// Merge folds other into p: groups merge key-wise (Group.add), the time
+// range widens, and the record counters add — associative and
+// commutative, the discipline obs.Snapshot.Merge set, so a
+// scatter-gather can fold per-machine partials in whatever order they
+// arrive. Merge applies no MaxGroups cap and never evicts, so merge
+// order cannot change the result and the merged table can exceed the
+// cap: it combines machines, never pieces of one machine's fold.
 func (p *Partial) Merge(other *Partial) error {
 	if other == nil {
 		return nil
@@ -148,38 +157,12 @@ func (p *Partial) Merge(other *Partial) error {
 	if p.Spec != other.Spec {
 		return fmt.Errorf("%w: %q vs %q", ErrSpecMismatch, p.Spec, other.Spec)
 	}
-	if other.MinTime < p.MinTime {
-		p.MinTime = other.MinTime
-	}
-	if other.MaxTime > p.MaxTime {
-		p.MaxTime = other.MaxTime
-	}
+	p.widen(other.MinTime, other.MaxTime)
 	p.Records += other.Records
 	p.Skipped += other.Skipped
 	p.Dropped += other.Dropped
-	for key, og := range other.Groups {
-		g, ok := p.Groups[key]
-		if !ok {
-			g = &Group{Key: key, Min: og.Min, Max: og.Max}
-			p.Groups[key] = g
-		} else {
-			if og.Count > 0 && (g.Count == 0 || og.Min < g.Min) {
-				g.Min = og.Min
-			}
-			if og.Count > 0 && (g.Count == 0 || og.Max > g.Max) {
-				g.Max = og.Max
-			}
-		}
-		g.Count += og.Count
-		g.Sum += og.Sum
-		if og.hist != nil {
-			if g.hist == nil {
-				g.hist = make([]int64, obs.NumBuckets)
-			}
-			for b, n := range og.hist {
-				g.hist[b] += n
-			}
-		}
+	for _, og := range other.Groups {
+		p.absorb(og, math.MaxInt)
 	}
 	return nil
 }
@@ -213,26 +196,16 @@ var ErrPartialCorrupt = errors.New("agg: corrupt partial")
 // machine count.
 const maxPartialGroups = 1 << 20
 
-// keyLess orders group keys: window first, then the key values.
-func keyLess(a, b GroupKey) bool {
-	if a.Window != b.Window {
-		return a.Window < b.Window
-	}
-	for i := 0; i < MaxBy; i++ {
-		if a.Vals[i] != b.Vals[i] {
-			return a.Vals[i] < b.Vals[i]
-		}
-	}
-	return false
-}
-
-// sortedGroups returns the groups in canonical key order.
+// sortedGroups returns the groups in canonical key order: window
+// first, then the key values.
 func (p *Partial) sortedGroups() []*Group {
 	out := make([]*Group, 0, len(p.Groups))
 	for _, g := range p.Groups {
 		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key, out[j].Key) })
+	slices.SortFunc(out, func(a, b *Group) int {
+		return cmp.Or(cmp.Compare(a.Key.Window, b.Key.Window), slices.Compare(a.Key.Vals[:], b.Key.Vals[:]))
+	})
 	return out
 }
 

@@ -26,15 +26,16 @@ func randPartial(s *Spec, rng *rand.Rand, n int) *Partial {
 		if s.WindowMS > 0 {
 			t := uint64(rng.Intn(10_000))
 			key.Window = t - t%uint64(s.WindowMS)
-			p.noteTime(t)
+			p.widen(t, t)
 		} else {
-			p.noteTime(uint64(rng.Intn(10_000)))
+			t := uint64(rng.Intn(10_000))
+			p.widen(t, t)
 		}
 		for j := range s.By {
 			key.Vals[j] = uint64(rng.Intn(8))
 		}
 		p.Records++
-		if !p.fold(key, uint64(rng.Intn(1<<20)), sketch, s.maxGroups()) {
+		if !p.recordFold(key, uint64(rng.Intn(1<<20)), sketch, s.maxGroups()) {
 			p.Dropped++
 		}
 	}
@@ -135,11 +136,11 @@ func TestMergeNeverEvicts(t *testing.T) {
 	a := NewPartial(s)
 	b := NewPartial(s)
 	for i := 0; i < 4; i++ {
-		a.fold(GroupKey{Vals: [MaxBy]uint64{uint64(i)}}, 1, false, s.maxGroups())
-		b.fold(GroupKey{Vals: [MaxBy]uint64{uint64(10 + i)}}, 1, false, s.maxGroups())
+		a.recordFold(GroupKey{Vals: [MaxBy]uint64{uint64(i)}}, 1, false, s.maxGroups())
+		b.recordFold(GroupKey{Vals: [MaxBy]uint64{uint64(10 + i)}}, 1, false, s.maxGroups())
 	}
 	// Each side is at its own cap; the merge must keep all 8 groups.
-	if !a.fold(GroupKey{Vals: [MaxBy]uint64{99}}, 1, false, s.maxGroups()) {
+	if !a.recordFold(GroupKey{Vals: [MaxBy]uint64{99}}, 1, false, s.maxGroups()) {
 		a.Dropped++
 	} else {
 		t.Fatal("fold past cap succeeded")

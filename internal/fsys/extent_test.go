@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -212,6 +213,14 @@ func allocatedBy(f func()) uint64 {
 // extent it may have to open, and on average no more than twice what
 // it writes — so it cannot be moving the file, which is what growing
 // one slice did (up to 64 MiB allocated and copied by one append).
+//
+// TotalAlloc counts the whole process, so what else allocates inside a
+// window lands in it too: the extent list's own growth, and the
+// runtime's bookkeeping, which a collection starting mid-window and a
+// loaded machine both add to. So no collection runs while the appends
+// are measured, and the bound beside the extent is the chunk itself,
+// 64 KiB: a few KiB of anything else cannot trip it, and a file moved
+// by its append, 64 MiB, fails it sixtyfold.
 func TestAppendLargeFileNoAllocBeyondExtent(t *testing.T) {
 	fs := New()
 	chunk := bytes.Repeat([]byte{0xa5}, 64<<10)
@@ -220,20 +229,23 @@ func TestAppendLargeFileNoAllocBeyondExtent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const appends = 64
+	bound := ExtentSize + uint64(len(chunk))
 	var total, worst uint64
-	for i := 0; i < appends; i++ {
+	done := 0
+	for ; done < appends && worst <= bound; done++ { // with no collector, one moved file is enough
 		n := allocatedBy(func() { _ = fs.Append("/log", alice, chunk) }) // cannot fail: alice's own file
 		total, worst = total+n, max(worst, n)
 	}
-	const slack = 4 << 10 // the extent list's own growth, the runtime's bookkeeping
-	if worst > ExtentSize+slack {
+	if worst > bound {
 		t.Errorf("one 64 KiB append to a 64 MiB file allocated %d bytes, want at most one extent (%d)", worst, ExtentSize)
 	}
-	if avg := total / appends; avg > 2*uint64(len(chunk)) {
+	if avg := total / uint64(done); avg > 2*uint64(len(chunk)) {
 		t.Errorf("64 KiB appends to a 64 MiB file allocate %d bytes each on average, want at most %d", avg, 2*len(chunk))
 	}
-	if s := mustOpen(t, fs, "/log"); s.Size() != 64<<20+appends*len(chunk) {
+	if s := mustOpen(t, fs, "/log"); s.Size() != 64<<20+done*len(chunk) {
 		t.Fatalf("file is %d bytes", s.Size())
 	}
 }

@@ -362,7 +362,7 @@ func (w *compWriter) stage(m Meta, line []byte) error {
 }
 
 // stageAs stages a record whose shape is settled: typed from v — stage's
-// view, or one a decoder filled from a typed record, by construction a
+// view, or one a decoder read from a typed record, by construction a
 // standard line of n bytes headed by m, with nothing to prove again —
 // or, with no view, the line as text. The block boundary is checked only
 // when nothing is staged, so both ends agree where coding state resets.
@@ -779,8 +779,8 @@ type Decoder struct {
 }
 
 // scanFn receives one decoded record: a record stored typed as the
-// decoder's view, filled (line is nil); any other as its stored line
-// (the view is nil). Both are only valid during the call.
+// decoder's view (line is nil); any other as its stored line (the view
+// is nil). Both are only valid during the call.
 type scanFn = func(m Meta, v *trace.View, line []byte)
 
 // lines adapts a callback that wants every record as text: the line of

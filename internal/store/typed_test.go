@@ -346,6 +346,47 @@ func TestTornTypedTailSalvage(t *testing.T) {
 	}
 }
 
+// checkLazyView holds a view a decoder read typed, before anything has
+// filled it, to a copy forced to fill (by LineLen): Field, FieldOf and
+// NameField answer the same for every key of every type, the header
+// names, traceType, a foreign key and ""; Event, AppendLine, LineLen and
+// AppendTyped, each the first thing asked of a fresh copy, give the
+// same bytes.
+func checkLazyView(t *testing.T, lazy *trace.View) {
+	t.Helper()
+	filled := *lazy
+	filled.LineLen()
+	keys := []string{"machine", "cpuTime", "procTime", "type", "traceType", "noSuchKey", ""}
+	for _, order := range storedOrder {
+		keys = append(keys, order...)
+	}
+	for _, k := range keys {
+		ref := trace.NewFieldRef(k)
+		lv, lok := lazy.Field(k)
+		rv, rok := lazy.FieldOf(&ref)
+		fv, fok := filled.Field(k)
+		ln, lnok := lazy.NameField(k)
+		fn, fnok := filled.NameField(k)
+		if lv != fv || lok != fok || rv != fv || rok != fok || ln != fn || lnok != fnok {
+			t.Fatalf("%q: key %q lazy %d, %v / %d, %v / %v, %v; filled %d, %v / %v, %v",
+				filled.AppendLine(nil), k, lv, lok, rv, rok, ln, lnok, fv, fok, fn, fnok)
+		}
+	}
+	var enc1, enc2 trace.TypedState
+	for what, same := range map[string]func(c *trace.View) bool{
+		"Event":      func(c *trace.View) bool { return fmt.Sprint(c.Event()) == fmt.Sprint(filled.Event()) },
+		"AppendLine": func(c *trace.View) bool { return string(c.AppendLine(nil)) == string(filled.AppendLine(nil)) },
+		"LineLen":    func(c *trace.View) bool { return c.LineLen() == filled.LineLen() },
+		"AppendTyped": func(c *trace.View) bool {
+			return string(c.AppendTyped(nil, &enc1)) == string(filled.AppendTyped(nil, &enc2))
+		},
+	} {
+		if c := *lazy; !same(&c) {
+			t.Fatalf("%q: %s differs between the lazy view and the filled one", filled.AppendLine(nil), what)
+		}
+	}
+}
+
 // FuzzTypedPayload feeds arbitrary bytes to the record decoder as a v3
 // block payload. It must not panic; no record it emits is larger than a
 // frame may be; every view it fills regenerates a line the trace parser
@@ -386,6 +427,7 @@ func FuzzTypedPayload(f *testing.F) {
 		n, consumed, err := d.decodeRecords(raw, func(m Meta, v *trace.View, line []byte) {
 			emitted++
 			if v != nil {
+				checkLazyView(t, v)
 				first = append(first, Rec{m, string(v.AppendLine(nil))})
 			} else {
 				first = append(first, Rec{m, string(line)})

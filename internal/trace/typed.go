@@ -105,7 +105,7 @@ func (v *View) ParseStandard(line []byte) bool {
 // the body fields in the view's order, numbers in decimal and names as
 // Name.AppendText writes them — for a standard line, the line itself.
 func (v *View) AppendLine(dst []byte) []byte {
-	if v.n < 0 {
+	if v.fill(); v.n < 0 {
 		return v.parsed.AppendFormat(dst)
 	}
 	lay := &typedLayouts[v.Type]
@@ -143,8 +143,9 @@ func appendDecimal(dst []byte, u uint64) []byte {
 }
 
 // AppendTyped appends the typed form of the view's record, which
-// ParseStandard accepted, and moves st on to it.
+// ParseStandard accepted or DecodeTyped read, and moves st on to it.
 func (v *View) AppendTyped(dst []byte, st *TypedState) []byte {
+	v.fill()
 	s := &st[v.Type]
 	var present uint8
 	for i := 0; i < v.n; i++ {
@@ -182,11 +183,11 @@ func (v *View) AppendTyped(dst []byte, st *TypedState) []byte {
 	return dst
 }
 
-// DecodeTyped fills the view from the typed record at the head of raw,
-// whose Meta gave typ, machine and cpuTime, and moves st on to it. It
-// returns the bytes the record took; false says raw does not start with
-// a whole, valid typed record. No text is built and nothing is parsed:
-// the view's keys lie in a line that belongs to the type.
+// DecodeTyped reads the typed record at the head of raw, whose Meta gave
+// typ, machine and cpuTime, into st and points the view at it there:
+// valid until the next DecodeTyped on st. It returns the bytes the
+// record took; false says raw does not start with a whole, valid typed
+// record. No text is built, nothing parsed and no slot filled.
 func (v *View) DecodeTyped(raw []byte, st *TypedState, typ meter.Type, machine int, cpuTime int64) (int, bool) {
 	if typ < 1 || int(typ) >= len(viewTypes) || len(raw) < 2 || raw[0]&typedShape == 0 || raw[0] >= typedProcTime<<1 {
 		return 0, false
@@ -209,41 +210,61 @@ func (v *View) DecodeTyped(raw []byte, st *TypedState, typ meter.Type, machine i
 		}
 		off += n
 	}
+	for p := changed; p != 0; p &= p - 1 {
+		k := bits.TrailingZeros8(p)
+		if lay.names>>k&1 == 0 {
+			d, n := binary.Uvarint(raw[off:])
+			if n <= 0 {
+				return 0, false
+			}
+			s.val[k] += uint64(unzigzag(d))
+			off += n
+			continue
+		}
+		if len(raw)-off < meter.NameSize {
+			return 0, false
+		}
+		off += copy(s.name[k][:], raw[off:])
+		if !standardName(s.name[k]) {
+			return 0, false
+		}
+	}
 	v.Type, v.Machine, v.CPUTime, v.ProcTime = typ, machine, cpuTime, s.procTime
-	v.line, v.n = lay.line, 0
+	v.line, v.n, v.slot = lay.line, 0, s
+	return off, true
+}
+
+// field answers field k of typ's stored order, -1 for none, as Field
+// does: a number, an Internet name's host, no value for another name.
+func (s *typedSlot) field(typ meter.Type, k int) (uint64, bool) {
+	switch {
+	case k < 0 || s.present>>k&1 == 0:
+		return 0, false
+	case typedLayouts[typ].names>>k&1 == 0:
+		return s.val[k], true
+	case s.name[k].Family() == meter.AFInet:
+		host, _ := s.name[k].Inet()
+		return uint64(host), true
+	}
+	return 0, false
+}
+
+// fill puts the record DecodeTyped read into the view's slots, as the
+// parse of its line would have, once: what a line, its length, its
+// typed form and its Event are built from.
+func (v *View) fill() {
+	s, lay := v.slot, &typedLayouts[v.Type]
+	if s == nil {
+		return
+	}
+	v.slot, v.n = nil, 0
 	for p := s.present; p != 0; p &= p - 1 {
 		k := bits.TrailingZeros8(p)
 		f := &v.fields[v.n]
 		v.n++
-		f.key0, f.key1, f.ord = lay.key0[k], lay.key1[k], int8(k)
-		if lay.names>>k&1 == 0 {
-			if changed>>k&1 != 0 {
-				d, n := binary.Uvarint(raw[off:])
-				if n <= 0 {
-					return 0, false
-				}
-				s.val[k] += uint64(unzigzag(d))
-				off += n
-			}
-			f.val, f.isName, f.hasVal = s.val[k], false, true
-			continue
-		}
-		if changed>>k&1 != 0 {
-			if len(raw)-off < meter.NameSize {
-				return 0, false
-			}
-			off += copy(s.name[k][:], raw[off:])
-			if !standardName(s.name[k]) {
-				return 0, false
-			}
-		}
-		f.name, f.val, f.isName, f.hasVal = s.name[k], 0, true, false
-		if f.name.Family() == meter.AFInet {
-			host, _ := f.name.Inet()
-			f.val, f.hasVal = uint64(host), true
-		}
+		f.key0, f.key1, f.ord, f.isName, f.name = lay.key0[k], lay.key1[k], int8(k), lay.names>>k&1 != 0, s.name[k]
+		f.val, f.hasVal = s.field(v.Type, k)
 	}
-	return off, true
 }
 
 // standardName reports whether a standard line can spell the name, so
@@ -267,7 +288,7 @@ func standardName(n meter.Name) bool {
 // size a rewrite that moves a record as its view still accounts it at.
 func (v *View) LineLen() int {
 	var buf [64]byte // the longest name AppendText writes takes 35 bytes
-	if v.n < 0 {
+	if v.fill(); v.n < 0 {
 		return len(v.parsed.AppendFormat(buf[:0]))
 	}
 	lay := &typedLayouts[v.Type]

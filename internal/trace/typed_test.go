@@ -32,6 +32,7 @@ func checkTypedRoundTrip(t *testing.T, enc, dec *TypedState, line []byte) int {
 	if !ok || n != len(raw) {
 		t.Fatalf("line %q: DecodeTyped took %d of %d bytes, ok=%v", line, n, len(raw), ok)
 	}
+	checkLazyView(t, &r)
 	if got := r.AppendLine(nil); !bytes.Equal(got, line) {
 		t.Fatalf("line %q regenerated as %q", line, got)
 	}
@@ -59,6 +60,52 @@ func checkTypedRoundTrip(t *testing.T, enc, dec *TypedState, line []byte) int {
 		}
 	}
 	return len(raw)
+}
+
+// checkLazyView holds a view DecodeTyped read, and nothing has filled
+// yet, to a copy of it forced to fill: Field, FieldOf and NameField give
+// the same answer for every key of every type, the header names,
+// traceType, a foreign key and "", without filling the view; Event,
+// AppendLine, LineLen and AppendTyped, each the first thing asked of a
+// fresh copy, give the same bytes.
+func checkLazyView(t *testing.T, lazy *View) {
+	t.Helper()
+	if lazy.slot == nil {
+		t.Fatal("DecodeTyped left the view filled")
+	}
+	filled := *lazy
+	filled.fill()
+	keys := []string{"machine", "cpuTime", "procTime", "type", "traceType", "noSuchKey", ""}
+	for _, vt := range viewTypes {
+		keys = append(keys, vt.order...)
+	}
+	for _, k := range keys {
+		ref := NewFieldRef(k)
+		lv, lok := lazy.Field(k)
+		rv, rok := lazy.FieldOf(&ref)
+		fv, fok := filled.Field(k)
+		if lv != fv || lok != fok || rv != fv || rok != fok {
+			t.Fatalf("%q: Field(%q) = %d, %v and FieldOf %d, %v lazy; %d, %v filled", filled.AppendLine(nil), k, lv, lok, rv, rok, fv, fok)
+		}
+		ln, lnok := lazy.NameField(k)
+		if fn, fnok := filled.NameField(k); ln != fn || lnok != fnok {
+			t.Fatalf("%q: NameField(%q) = %v, %v lazy, %v, %v filled", filled.AppendLine(nil), k, ln, lnok, fn, fnok)
+		}
+	}
+	if lazy.slot == nil {
+		t.Fatal("asking a field filled the view")
+	}
+	var enc1, enc2 TypedState
+	for what, same := range map[string]func(c *View) bool{
+		"Event":       func(c *View) bool { return reflect.DeepEqual(c.Event(), filled.Event()) },
+		"AppendLine":  func(c *View) bool { return bytes.Equal(c.AppendLine(nil), filled.AppendLine(nil)) },
+		"LineLen":     func(c *View) bool { return c.LineLen() == filled.LineLen() },
+		"AppendTyped": func(c *View) bool { return bytes.Equal(c.AppendTyped(nil, &enc1), filled.AppendTyped(nil, &enc2)) },
+	} {
+		if c := *lazy; !same(&c) {
+			t.Fatalf("%q: %s differs between the lazy view and the filled one", filled.AppendLine(nil), what)
+		}
+	}
 }
 
 func standardCorpus(tb testing.TB) []string {
@@ -139,7 +186,9 @@ func TestParseStandardRefuses(t *testing.T) {
 	}
 }
 
-// TestDecodeTypedRefuses: bytes a writer cannot have produced.
+// TestDecodeTypedRefuses: bytes a writer cannot have produced, a name
+// no standard line spells among them, are refused by DecodeTyped itself
+// and not when a lazy view is filled.
 func TestDecodeTypedRefuses(t *testing.T) {
 	name := func(n meter.Name) string { return string(n[:]) }
 	for _, c := range []struct {
@@ -173,6 +222,8 @@ func TestDecodeTypedRefuses(t *testing.T) {
 		var st TypedState
 		if n, ok := v.DecodeTyped([]byte(c.raw), &st, c.typ, 1, 2); ok {
 			t.Errorf("%s: decoded %d bytes as %q", c.what, n, v.AppendLine(nil))
+		} else if v.slot != nil {
+			t.Errorf("%s: refused, but left to a later fill", c.what)
 		}
 	}
 }

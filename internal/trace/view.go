@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"strconv"
 
 	"dpm/internal/meter"
@@ -36,8 +37,10 @@ type viewField struct {
 // strict decimals, Name.AppendText names, distinct keys, at most
 // viewSlots body fields) are decoded into the slots without copying,
 // mapping or fmt; any other line goes through ParseOne and the view
-// serves the resulting event. A View is valid until the next Parse and
-// aliases the line it was given.
+// serves the resulting event. A parsed View is valid until the next
+// Parse and aliases the line it was given. A View DecodeTyped read
+// answers from the TypedState it was decoded against and is valid only
+// until the next DecodeTyped on that state.
 type View struct {
 	Type     meter.Type
 	Machine  int
@@ -50,6 +53,9 @@ type View struct {
 	// where the next field is decoded before it is known to fit.
 	n      int
 	fields [viewSlots + 1]viewField
+	// slot, when set, is the typed record DecodeTyped read: fields are
+	// answered from it, and the slots filled from it only when needed.
+	slot   *typedSlot
 	parsed Event
 	// Per event type, the last name token parsed in place (none longer is
 	// remembered) and its value: destName and sourceName repeat from
@@ -78,7 +84,7 @@ func (v *View) Parse(line []byte) error {
 
 // Reset drops what the view borrowed or built — the line it aliases and
 // a ParseOne event — so that a view kept in a pool pins neither.
-func (v *View) Reset() { v.line, v.n, v.parsed = nil, 0, Event{} }
+func (v *View) Reset() { v.line, v.n, v.slot, v.parsed = nil, 0, nil, Event{} }
 
 // viewKey is a key the filter writes, '=' included, laid out for
 // compare by word: its length, its first eight bytes (zero-padded, with
@@ -148,6 +154,7 @@ func (v *View) setHeader(h int, val uint64) bool {
 // Any other key takes the generic step: scanned to its '=', header keys
 // recognised wherever they stand, duplicates refused.
 func (v *View) parseCanonical(line []byte) bool {
+	v.slot = nil
 	i := bytes.IndexByte(line, ' ')
 	if i < 0 {
 		i = len(line)
@@ -294,6 +301,9 @@ func (v *View) Field(name string) (uint64, bool) {
 	case "type", "traceType":
 		return uint64(v.Type), true
 	}
+	if v.slot != nil {
+		return v.slot.field(v.Type, slices.Index(viewTypes[v.Type].order, name))
+	}
 	if v.n < 0 {
 		val, ok := v.parsed.Fields[name]
 		return val, ok
@@ -306,8 +316,46 @@ func (v *View) Field(name string) (uint64, bool) {
 	return 0, false
 }
 
+// FieldRef is a field name resolved once, for a caller that asks every
+// record for it: FieldOf answers as Field does, but by the field's place
+// in the header or, on a record DecodeTyped read, in its type's order.
+type FieldRef struct {
+	name string
+	ord  [len(viewTypes)]int8 // its place in each type's stored order, -1 for none; -2-h for header field h
+}
+
+// NewFieldRef resolves a field name.
+func NewFieldRef(name string) FieldRef {
+	r := FieldRef{name: name}
+	// A view whose header fields hold 0…3 answers a header name with its number.
+	h, head := (&View{CPUTime: 1, ProcTime: 2, Type: 3}).Field(name)
+	for typ := range r.ord {
+		if r.ord[typ] = int8(slices.Index(viewTypes[typ].order, name)); head {
+			r.ord[typ] = int8(-2 - int(h))
+		}
+	}
+	return r
+}
+
+// FieldOf returns Field of the name r resolved.
+func (v *View) FieldOf(r *FieldRef) (uint64, bool) {
+	switch k := r.ord[v.Type]; {
+	case k < -1:
+		return [...]uint64{uint64(v.Machine), uint64(v.CPUTime), uint64(v.ProcTime), uint64(v.Type)}[-2-k], true
+	case v.slot != nil:
+		return v.slot.field(v.Type, int(k))
+	}
+	return v.Field(r.name)
+}
+
 // NameField returns the decoded socket name of a name field.
 func (v *View) NameField(name string) (meter.Name, bool) {
+	if s := v.slot; s != nil {
+		if k := slices.Index(viewTypes[v.Type].order, name); k >= 0 && s.present&typedLayouts[v.Type].names>>k&1 != 0 {
+			return s.name[k], true
+		}
+		return meter.Name{}, false
+	}
 	if v.n < 0 {
 		n, ok := v.parsed.Names[name]
 		return n, ok
@@ -324,7 +372,7 @@ func (v *View) NameField(name string) (meter.Name, bool) {
 // same line. The event shares nothing with the view or the line; it is
 // the caller's to keep.
 func (v *View) Event() Event {
-	if v.n < 0 {
+	if v.fill(); v.n < 0 {
 		return v.parsed
 	}
 	ev := Event{
@@ -333,10 +381,14 @@ func (v *View) Event() Event {
 		Fields: make(map[string]uint64, v.n),
 		Names:  make(map[string]meter.Name),
 	}
-	order := canonicalOrder[v.Type]
 	for i := 0; i < v.n; i++ {
 		f := &v.fields[i]
-		key := fieldName(order, v.key(i))
+		var key string // a key of the stored order is not allocated again
+		if f.ord >= 0 {
+			key = viewTypes[v.Type].order[f.ord]
+		} else {
+			key = string(v.key(i))
+		}
 		if f.isName {
 			ev.Names[key] = f.name
 		}
@@ -345,15 +397,4 @@ func (v *View) Event() Event {
 		}
 	}
 	return ev
-}
-
-// fieldName returns the key as a string, without allocating when it is
-// one of the event type's standard field names.
-func fieldName(order []string, key []byte) string {
-	for _, k := range order {
-		if k == string(key) {
-			return k
-		}
-	}
-	return string(key)
 }
