@@ -510,38 +510,6 @@ func BenchmarkFilterEngine(b *testing.B) {
 	}
 }
 
-// A2 baseline: the same selection through the per-record callback path
-// (ProcessEach), which Process wraps. The callback path reuses the
-// pooled record and a shared line buffer, so it runs allocation-free —
-// only Process's materialized []string costs heap.
-func BenchmarkFilterEngineProcess(b *testing.B) {
-	eng, err := filter.NewEngine([]byte(filter.StandardDescriptions), []byte("machine=1, cpuTime<10000\n"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var stream []byte
-	for i := 0; i < 16; i++ {
-		msg := &meter.Msg{
-			Header: meter.Header{Machine: uint16(i % 3), CPUTime: uint32(i * 100)},
-			Body:   &meter.Send{PID: uint32(i), Sock: 4, MsgLength: uint32(i * 64)},
-		}
-		stream = msg.AppendEncode(stream)
-	}
-	b.SetBytes(int64(len(stream)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var lineBytes int
-	for i := 0; i < b.N; i++ {
-		rest, err := eng.ProcessEach(stream, func(_ *filter.Record, line []byte) {
-			lineBytes += len(line)
-		})
-		if err != nil || len(rest) != 0 {
-			b.Fatal(err)
-		}
-	}
-	_ = lineBytes
-}
-
 // C4: cost of deducing the global event ordering from a trace.
 func BenchmarkOrdering(b *testing.B) {
 	for _, n := range []int{100, 400, 1600} {
@@ -828,6 +796,82 @@ func BenchmarkStoreIngestCompressed(b *testing.B) {
 		b.ReportMetric(float64(raw)/float64(disk), "compression-x")
 		b.ReportMetric(float64(disk), "bytes_on_disk")
 	}
+}
+
+// storeSlotRecs is storeBatchRecs' 64 records as the filter hands them to
+// the store: the same events as meter messages through
+// Engine.ProcessBatch, the fields the events do not carry discarded, so
+// that every line and Meta is storeBatchRecs' — and every record typed.
+func storeSlotRecs(b *testing.B) []store.BatchRec {
+	eng, err := filter.NewEngine([]byte(filter.StandardDescriptions),
+		[]byte("type=1, pc=#*, destNameLen=#*\ntype=3, pc=#*, sourceNameLen=#*\n"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var stream []byte
+	for _, e := range syntheticTrace(64) {
+		var body meter.Body = &meter.Send{PID: uint32(e.PID()), Sock: e.Sock(), MsgLength: uint32(e.MsgLength()), DestName: e.Name("destName")}
+		if e.Type == meter.EvRecv {
+			body = &meter.Recv{PID: uint32(e.PID()), Sock: e.Sock(), MsgLength: uint32(e.MsgLength()), SourceName: e.Name("sourceName")}
+		}
+		stream = (&meter.Msg{Header: meter.Header{Machine: uint16(e.Machine), CPUTime: uint32(e.CPUTime)}, Body: body}).AppendEncode(stream)
+	}
+	batch := new(filter.Batch)
+	if _, err := eng.ProcessBatch(stream, batch); err != nil {
+		b.Fatal(err)
+	}
+	want, _ := storeBatchRecs()
+	recs := batch.StoreRecs()
+	for i, r := range recs {
+		if r.Meta != want[i].Meta || !bytes.Equal(r.Line, want[i].Line) || r.Slots == nil {
+			b.Fatalf("record %d: %+v %q typed %v, want %+v %q typed", i, r.Meta, r.Line, r.Slots != nil, want[i].Meta, want[i].Line)
+		}
+	}
+	return recs
+}
+
+// BenchmarkStoreIngestSlots is BenchmarkStoreIngestCompressed's batches
+// as the filter hands them over: typed (BatchRec.Slots), so that the
+// store encodes each record without parsing its line. ns/op is per
+// 16-record batch; ns/record is that over 16; x-text is how many times
+// faster than the same batches with the slots stripped — every line
+// parsed and regenerated by the store, as before the hand-off — both
+// sides at their best of ten alternating passes in this process (the
+// host runs at two speeds, see BenchmarkViewParse).
+// scripts/bench_filter.sh gates x-text.
+func BenchmarkStoreIngestSlots(b *testing.B) {
+	const batchSize = 16
+	recs := storeSlotRecs(b)
+	text := make([]store.BatchRec, len(recs))
+	for i, r := range recs {
+		text[i] = store.BatchRec{Meta: r.Meta, Line: r.Line}
+	}
+	ingest := func(recs []store.BatchRec, batches int) {
+		st, err := store.Open(store.NewMemBackend(), store.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < batches; i++ {
+			off := i * batchSize % len(recs)
+			if err := st.AppendBatch(recs[off : off+batchSize]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass := func(recs []store.BatchRec) time.Duration {
+		start := time.Now()
+		ingest(recs, 4000)
+		return time.Since(start)
+	}
+	slow, fast := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 10; i++ {
+		slow, fast = min(slow, pass(text)), min(fast, pass(recs))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	ingest(recs, b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/record")
+	b.ReportMetric(float64(slow)/float64(fast), "x-text")
 }
 
 // S1 archiving: the store exactly as the filter opens it

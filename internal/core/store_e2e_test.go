@@ -115,4 +115,19 @@ func TestStoreDiscardEndToEnd(t *testing.T) {
 			t.Fatalf("pid came back through query: %v", e.Fields)
 		}
 	}
+
+	// The filter's counters balance once the job's records are through:
+	// every kept record appended (no sink failed here), every appended
+	// one stored in one shape — typed, as the filter handed it over.
+	reg := yellow.Obs()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		kept, appends := reg.Counter("filter.kept").Load(), reg.Counter("store.appends").Load()
+		typed, text := reg.Counter("store.records_typed").Load(), reg.Counter("store.records_text").Load()
+		if kept > 0 && kept == appends && typed == appends && text == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("filter.kept %d, store.appends %d, store.records_typed %d, store.records_text %d", kept, appends, typed, text)
+		}
+	}
 }

@@ -61,6 +61,10 @@ func TestExtractSelectFormatZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestProcessBatchZeroAllocs gates the path every pipeline worker runs —
+// extract, select, format, type, and the batch's store records — at zero
+// heap allocations once the batch's and the engine's buffers are warm,
+// with every record of the flush handed over typed.
 func TestProcessBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; allocation gate runs in the non-race pass")
@@ -71,14 +75,7 @@ func TestProcessBatchZeroAllocs(t *testing.T) {
 	}
 	stream := allocStream(16)
 	var batch Batch
-	// Warm the batch and pool so every buffer reaches steady-state
-	// capacity.
-	if _, err := eng.ProcessBatch(stream, &batch); err != nil {
-		t.Fatal(err)
-	}
-	batch.StoreRecs()
-
-	if n := testing.AllocsPerRun(100, func() {
+	flush := func() {
 		batch.Reset()
 		rest, err := eng.ProcessBatch(stream, &batch)
 		if err != nil {
@@ -87,15 +84,27 @@ func TestProcessBatchZeroAllocs(t *testing.T) {
 		if len(rest) != 0 {
 			t.Fatal("stream not fully consumed")
 		}
-		batch.StoreRecs()
-	}); n != 0 {
+		for i, r := range batch.StoreRecs() {
+			if r.Slots == nil || len(r.Line) == 0 {
+				t.Fatalf("record %d: line %q, typed %v; want a line, typed", i, r.Line, r.Slots != nil)
+			}
+		}
+	}
+	// Warm the batch, the engine and the pool so every buffer reaches
+	// steady-state capacity.
+	flush()
+	if batch.Len() != 16 {
+		t.Fatalf("kept %d records, want 16", batch.Len())
+	}
+	if n := testing.AllocsPerRun(100, flush); n != 0 {
 		t.Fatalf("ProcessBatch allocates %v per 16-record flush, want 0", n)
 	}
 }
 
-// TestProcessEachZeroAllocs gates the per-record callback path — the
-// one Process and the parallel pipeline's workers run — at zero heap
-// allocations per record once the shared line buffer is warm.
+// TestProcessEachZeroAllocs gates the per-record flush — a worker whose
+// connection delivers one frame per read hands ProcessBatch each record
+// as a chunk of its own — at zero heap allocations per record, with
+// each record handed over typed.
 func TestProcessEachZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; allocation gate runs in the non-race pass")
@@ -104,32 +113,41 @@ func TestProcessEachZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := allocStream(16)
-	emitted := 0
-	emit := func(_ *Record, line []byte) {
-		if len(line) == 0 {
-			t.Fatal("empty line emitted")
+	var frames [][]byte
+	for stream := allocStream(16); len(stream) > 0; {
+		size, err := frameSize(stream)
+		if err != nil || size == 0 {
+			t.Fatalf("frame %d: size %d, err %v", len(frames), size, err)
 		}
-		emitted++
+		frames = append(frames, stream[:size])
+		stream = stream[size:]
 	}
-	// Warm the pooled record and the engine's line buffer.
-	if _, err := eng.ProcessEach(stream, emit); err != nil {
-		t.Fatal(err)
+	var batch Batch
+	emitted := 0
+	each := func() {
+		for _, f := range frames {
+			batch.Reset()
+			rest, err := eng.ProcessBatch(f, &batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rest) != 0 {
+				t.Fatal("frame not fully consumed")
+			}
+			recs := batch.StoreRecs()
+			if len(recs) != 1 || recs[0].Slots == nil || len(recs[0].Line) == 0 {
+				t.Fatalf("kept %d records for one frame; want one line, typed", len(recs))
+			}
+			emitted++
+		}
 	}
+	// Warm the batch and the engine.
+	each()
 	if emitted != 16 {
 		t.Fatalf("emitted %d records, want 16", emitted)
 	}
-
-	if n := testing.AllocsPerRun(100, func() {
-		rest, err := eng.ProcessEach(stream, emit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rest) != 0 {
-			t.Fatal("stream not fully consumed")
-		}
-	}); n != 0 {
-		t.Fatalf("ProcessEach allocates %v per 16-record stream, want 0", n)
+	if n := testing.AllocsPerRun(100, each); n != 0 {
+		t.Fatalf("per-record ProcessBatch allocates %v per 16-record stream, want 0", n)
 	}
 }
 

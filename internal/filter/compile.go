@@ -2,8 +2,10 @@ package filter
 
 import (
 	"fmt"
+	"slices"
 
 	"dpm/internal/meter"
+	"dpm/internal/trace"
 )
 
 // This file compiles Descriptions + Rules into an index-based program,
@@ -105,6 +107,67 @@ type progRule struct {
 	// discards carries the interpreter-form discard set for the rare
 	// wide event type (>64 body fields) the mask cannot represent.
 	discards map[string]bool
+	// typed is how a record the rule keeps goes to the store typed.
+	typed typedPlan
+}
+
+// typedPlan is ParseStandard's judgement of the lines one rule keeps, made
+// at compile time for what only the description decides: the record goes
+// to the store typed (trace.Slots) when trace knows its type by the
+// event's name and every kept field is a key of the type's stored order,
+// at increasing places, a 16-byte field exactly when its key ends in
+// "Name", and not hex. fill decides the rest: the names.
+type typedPlan struct {
+	ok     bool
+	fields []slotField
+}
+
+// slotField puts Fields[idx] into slot k, as a socket name or a number.
+type slotField struct {
+	idx, k int
+	name   bool
+}
+
+// planTyped plans a record of ev without the fields discarded drops.
+func planTyped(ev *EventDesc, discarded func(i int) bool) typedPlan {
+	keys, names := trace.SlotKeys(ev.Type, ev.Name)
+	if keys == nil {
+		return typedPlan{}
+	}
+	tp := typedPlan{ok: true}
+	next := 0 // the first key a field may still take
+	for i := range ev.Fields {
+		if discarded(i) {
+			continue
+		}
+		fd := &ev.Fields[i]
+		k := slices.Index(keys[next:], fd.Name)
+		isName := fd.Length == meter.NameSize
+		if k < 0 || isName != (names>>(next+k)&1 != 0) || !isName && fd.Base == 16 {
+			return typedPlan{}
+		}
+		next += k + 1
+		tp.fields = append(tp.fields, slotField{i, next - 1, isName})
+	}
+	return tp
+}
+
+// fill puts rec's fields into s and reports whether rec goes to the store
+// typed: whether the plan says so and every name is one a standard line
+// spells.
+func (tp *typedPlan) fill(s *trace.Slots, rec *Record) bool {
+	if !tp.ok {
+		return false
+	}
+	s.Reset(int64(rec.ProcTime))
+	for _, f := range tp.fields {
+		if rf := &rec.Fields[f.idx]; !f.name {
+			s.SetVal(f.k, rf.Value)
+		} else if !s.SetName(f.k, rf.Addr) {
+			return false
+		}
+	}
+	return true
 }
 
 // eventPlan is the compiled program for one event type.
@@ -123,6 +186,9 @@ type eventPlan struct {
 	// as pidIdx.
 	tapInfo TapInfo
 	rules   []progRule
+	// keepAll is what a record is kept under when there are no rules:
+	// nothing discarded.
+	keepAll progRule
 }
 
 // Program is a rule set compiled against a description set: one
@@ -183,6 +249,7 @@ func compilePlan(ev *EventDesc, rs Rules) *eventPlan {
 	for _, r := range rs {
 		pl.rules = append(pl.rules, compileRule(ev, r, pl.wide))
 	}
+	pl.keepAll.typed = planTyped(ev, func(int) bool { return false })
 	return pl
 }
 
@@ -250,9 +317,12 @@ func compileRule(ev *EventDesc, r Rule, wide bool) progRule {
 			// The rule can never match this event type; no point
 			// compiling the rest.
 			pr.conds = nil
-			break
+			return pr
 		}
 	}
+	pr.typed = planTyped(ev, func(i int) bool {
+		return i < 64 && pr.mask>>i&1 != 0 || pr.discards[ev.Fields[i].Name]
+	})
 	return pr
 }
 
@@ -313,10 +383,11 @@ func (p *Program) plan(t meter.Type) *eventPlan {
 	return p.planMap[t]
 }
 
-// ExtractInto extracts one encoded meter message into a caller-owned
-// record and returns the event's compiled plan. It is
-// Descriptions.ExtractInto fused with the plan lookup, so the hot path
-// touches the type table once per record.
+// ExtractInto interprets one encoded meter message using the
+// descriptions, into a caller-owned record whose field slice it reuses,
+// and returns the event's compiled plan. The meter package's own decoder
+// is not consulted: the filter trusts the description file, exactly as
+// the paper's filter does.
 func (p *Program) ExtractInto(rec *Record, raw []byte) (*eventPlan, error) {
 	if len(raw) < meter.HeaderSize {
 		return nil, fmt.Errorf("filter: message shorter than header (%d bytes)", len(raw))

@@ -14,7 +14,8 @@ import (
 // interpreter is the semantic reference, the program is the hot path.
 // These tests sweep the Figure 3.3–3.4 operator matrix over a message
 // corpus covering every standard event type and compare the two
-// pipelines record by record.
+// pipelines record by record — and hold what the program hands the
+// store typed to the parse of its line (slotsMatchParse).
 
 // corpusMessages builds encoded meter messages spanning every standard
 // event type, with header and body values chosen to straddle the rule
@@ -121,13 +122,18 @@ func TestCompiledProgramEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs := corpusMessages()
+	msgs, typing := corpusMessages(), typingStream()
+	var typed, untyped int
 	for _, text := range equivalenceRuleSets {
 		rs, err := ParseRules([]byte(text))
 		if err != nil {
 			t.Fatalf("rules %q: %v", text, err)
 		}
 		prog := CompileProgram(d, rs)
+		// What the program hands the store typed is what the store made
+		// of the line (slots_test.go), over the corpus and the odd names.
+		ty, tx := slotsMatchParse(t, &Engine{desc: d, rules: rs, prog: prog}, typing, nil)
+		typed, untyped = typed+ty, untyped+tx
 		want := interpretStream(t, d, rs, msgs)
 
 		// Compiled path, record by record.
@@ -161,6 +167,11 @@ func TestCompiledProgramEquivalence(t *testing.T) {
 				t.Fatalf("rules %q record %d:\ncompiled    %q\ninterpreter %q", text, i, got[i], want[i])
 			}
 		}
+	}
+	// The odd names no line spells go as text; everything else the
+	// standard descriptions write goes typed.
+	if typed == 0 || untyped == 0 {
+		t.Fatalf("%d records typed, %d text: the corpus is meant to have both", typed, untyped)
 	}
 }
 
@@ -239,7 +250,7 @@ func TestCompiledProgramEquivalenceRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs := corpusMessages()
+	msgs, typing := corpusMessages(), typingStream()
 	rng := rand.New(rand.NewSource(7))
 	fields := []string{"machine", "cpuTime", "procTime", "type", "pid", "pc", "sock",
 		"newSock", "msgLength", "destName", "sockName", "peerName", "nosuch"}
@@ -274,6 +285,7 @@ func TestCompiledProgramEquivalenceRandom(t *testing.T) {
 			t.Fatalf("trial %d: %q: %v", trial, text, err)
 		}
 		prog := CompileProgram(d, rs)
+		slotsMatchParse(t, &Engine{desc: d, rules: rs, prog: prog}, typing, nil)
 		for i, raw := range msgs {
 			pl, err := prog.ExtractInto(rec, raw)
 			if err != nil {

@@ -7,6 +7,17 @@ import (
 	"dpm/internal/meter"
 )
 
+// Extract interprets one encoded meter message into a fresh record, as
+// the engine does (Program.ExtractInto): the tests' reference pipeline
+// is Extract, Rules.Select and Record.Format.
+func (d *Descriptions) Extract(raw []byte) (*Record, error) {
+	rec := &Record{}
+	if _, err := CompileProgram(d, nil).ExtractInto(rec, raw); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
 func stdDesc(t *testing.T) *Descriptions {
 	t.Helper()
 	d, err := ParseDescriptions([]byte(StandardDescriptions))

@@ -3,13 +3,13 @@ package filter
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"dpm/internal/fsys"
 	"dpm/internal/kernel"
 	"dpm/internal/meter"
 	"dpm/internal/obs"
 	"dpm/internal/store"
+	"dpm/internal/trace"
 )
 
 // LogPath returns the log file a filter of the given name writes, in
@@ -43,16 +43,21 @@ const (
 //
 // At construction the descriptions and rules are compiled into an
 // index-based program (compile.go); the steady-state batch path
-// extracts, selects, and formats records with zero heap allocations
-// per record.
+// extracts, selects, formats and types records with zero heap
+// allocations per record.
 type Engine struct {
 	desc  *Descriptions
 	rules Rules
 	prog  *Program
 
-	// lineBuf is the reused formatting buffer of the compatibility
-	// (per-line string) path.
-	lineBuf []byte
+	// rec is the record every message is extracted into, and slots the
+	// typed form of the records ProcessBatch is filling a batch with,
+	// slots[i] for the batch's record i. Both are the engine's — one per
+	// pipeline worker — and not a pool's or the batch's: batches are
+	// pooled, a pool empties at every GC, and each new batch would grow
+	// its slots again.
+	rec   Record
+	slots []trace.Slots
 
 	// tap, when non-nil, observes every kept record (tap.go). Not
 	// carried by Clone — pipeline workers each get their own.
@@ -80,39 +85,29 @@ func NewEngine(descData, tmplData []byte) (*Engine, error) {
 
 // Clone returns an engine sharing this engine's descriptions, rules,
 // and compiled program — all immutable after construction — but with
-// independent statistics and formatting buffers. The parallel ingest
+// independent statistics and buffers. The parallel ingest
 // pipeline gives each worker a clone so selection runs without any
 // cross-worker state.
 func (e *Engine) Clone() *Engine {
 	return &Engine{desc: e.desc, rules: e.rules, prog: e.prog}
 }
 
-// recordPool recycles extraction records across engines; one filter
-// holds a record only for the duration of a Process* call, so a
-// machine full of filters shares a handful of records instead of
-// allocating one per message.
-var recordPool = sync.Pool{New: func() any { return new(Record) }}
-
-// GetRecord takes a reusable record from the pool; custom filters
-// driving Descriptions.ExtractInto themselves should pair it with
-// PutRecord.
-func GetRecord() *Record { return recordPool.Get().(*Record) }
-
-// PutRecord returns a record to the pool. The caller must not retain
-// the record or its fields afterwards.
-func PutRecord(r *Record) { recordPool.Put(r) }
-
 // Batch accumulates one flush's worth of surviving records: the
 // concatenated '\n'-terminated log lines (the flat-log image, written
-// with a single file append) and the per-record store metadata. A
-// Batch is reused across flushes via Reset, so the steady state
-// allocates nothing.
+// with a single file append), the per-record store metadata and, for
+// every record whose line is standard, its typed form. A Batch is
+// reused across flushes via Reset, so the steady state allocates
+// nothing. One engine fills a batch between Resets, and the typed forms
+// are that engine's (Engine.slots): StoreRecs hands them to the store
+// until the engine's next ProcessBatch into another batch.
 type Batch struct {
 	// Lines is the flat-log image: each record's formatted line
 	// followed by '\n'.
 	Lines []byte
 	metas []store.Meta
-	ends  []int // end offset of each record's line in Lines, excluding '\n'
+	ends  []int  // end offset of each record's line in Lines, excluding '\n'
+	typed []bool // whether slots[i] is record i's typed form
+	slots []trace.Slots
 	recs  []store.BatchRec
 }
 
@@ -121,6 +116,7 @@ func (b *Batch) Reset() {
 	b.Lines = b.Lines[:0]
 	b.metas = b.metas[:0]
 	b.ends = b.ends[:0]
+	b.typed = b.typed[:0]
 }
 
 // Len returns the number of records in the batch.
@@ -136,14 +132,19 @@ func (b *Batch) Line(i int) []byte {
 	return b.Lines[start:b.ends[i]]
 }
 
-// StoreRecs materializes the batch as store append records. The
-// returned slice and its lines alias the batch; hand it straight to
-// Store.AppendBatch before the next Reset.
+// StoreRecs materializes the batch as store append records, typed where
+// the line is standard. The returned slice, its lines and its slots
+// alias the batch and its engine; hand it straight to Store.AppendBatch
+// before the next Reset.
 func (b *Batch) StoreRecs() []store.BatchRec {
 	b.recs = b.recs[:0]
 	start := 0
 	for i, end := range b.ends {
-		b.recs = append(b.recs, store.BatchRec{Meta: b.metas[i], Line: b.Lines[start:end]})
+		r := store.BatchRec{Meta: b.metas[i], Line: b.Lines[start:end]}
+		if b.typed[i] {
+			r.Slots = &b.slots[i]
+		}
+		b.recs = append(b.recs, r)
 		start = end + 1
 	}
 	return b.recs
@@ -160,13 +161,12 @@ func frameSize(buf []byte) (int, error) {
 }
 
 // ProcessBatch consumes raw meter-stream bytes and appends every
-// surviving record's formatted line and store metadata to the batch,
-// returning the unconsumed tail. This is the filter's hot path: with
-// the batch's buffers at capacity it performs zero heap allocations
-// per record.
+// surviving record's formatted line, store metadata and, where the line
+// is standard, typed form to the batch, returning the unconsumed tail.
+// This is the filter's hot path: with the batch's and the engine's
+// buffers at capacity it performs zero heap allocations per record.
 func (e *Engine) ProcessBatch(buf []byte, b *Batch) (rest []byte, err error) {
-	rec := GetRecord()
-	defer PutRecord(rec)
+	rec := &e.rec
 	for {
 		size, err := frameSize(buf)
 		if err != nil || size == 0 {
@@ -178,33 +178,7 @@ func (e *Engine) ProcessBatch(buf []byte, b *Batch) (rest []byte, err error) {
 		}
 		buf = buf[size:]
 		e.Received++
-		if pl.wide {
-			// Wide event type (>64 body fields): discard sets exceed the
-			// mask; selection still runs compiled, formatting takes the
-			// map-based path.
-			keep, rule := pl.selectRec(rec)
-			if !keep {
-				e.Discarded++
-				continue
-			}
-			e.Kept++
-			if e.tap != nil {
-				e.tap.TapRecord(&pl.tapInfo, rec)
-			}
-			var discards map[string]bool
-			if rule >= 0 {
-				discards = pl.rules[rule].discards
-			}
-			b.Lines = append(b.Lines, rec.Format(discards)...)
-			b.ends = append(b.ends, len(b.Lines))
-			b.Lines = append(b.Lines, '\n')
-			b.metas = append(b.metas, store.Meta{
-				Machine: rec.Machine, Time: rec.CPUTime,
-				Type: uint32(rec.Type), PID: pl.pid(rec),
-			})
-			continue
-		}
-		keep, mask := e.selectCompiled(pl, rec)
+		keep, rule := pl.selectRec(rec)
 		if !keep {
 			e.Discarded++
 			continue
@@ -213,91 +187,35 @@ func (e *Engine) ProcessBatch(buf []byte, b *Batch) (rest []byte, err error) {
 		if e.tap != nil {
 			e.tap.TapRecord(&pl.tapInfo, rec)
 		}
-		b.Lines = rec.AppendFormat(b.Lines, mask)
+		pr := &pl.keepAll
+		if rule >= 0 {
+			pr = &pl.rules[rule]
+		}
+		if pl.wide {
+			// More than 64 body fields: the discard set is past the mask,
+			// and formatting takes the interpreter's map-based path.
+			b.Lines = append(b.Lines, rec.Format(pr.discards)...)
+		} else {
+			b.Lines = rec.AppendFormat(b.Lines, pr.mask)
+		}
 		b.ends = append(b.ends, len(b.Lines))
 		b.Lines = append(b.Lines, '\n')
 		b.metas = append(b.metas, store.Meta{
 			Machine: rec.Machine, Time: rec.CPUTime,
 			Type: uint32(rec.Type), PID: pl.pid(rec),
 		})
+		b.typed = append(b.typed, pr.typed.fill(e.slot(b), rec))
 	}
 }
 
-// selectCompiled runs the compiled selection for one record and
-// returns the matched rule's discard mask. The rare wide event type
-// (>64 body fields) formats through the interpreter's map path
-// instead; the mask is then unused because AppendFormat ignores bits
-// beyond 64 — callers detect wide plans via pl.wide.
-func (e *Engine) selectCompiled(pl *eventPlan, rec *Record) (keep bool, mask uint64) {
-	keep, rule := pl.selectRec(rec)
-	if !keep || rule < 0 {
-		return keep, 0
+// slot returns the engine's typed record for the batch's next record.
+func (e *Engine) slot(b *Batch) *trace.Slots {
+	i := len(b.typed)
+	for len(e.slots) <= i {
+		e.slots = append(e.slots, trace.Slots{})
 	}
-	return true, pl.rules[rule].mask
-}
-
-// Process consumes raw meter-stream bytes carried over from previous
-// calls plus the new data, and returns the formatted log lines of the
-// records that survive selection, together with the unconsumed tail.
-// The only allocations are the returned strings themselves; the
-// extraction and formatting underneath run through the pooled
-// zero-allocation machinery.
-func (e *Engine) Process(buf []byte) (lines []string, rest []byte, err error) {
-	rest, err = e.ProcessEach(buf, func(_ *Record, line []byte) {
-		lines = append(lines, string(line))
-	})
-	return lines, rest, err
-}
-
-// ProcessEach is Process with a per-record callback: each surviving
-// record and its formatted log line are handed to emit as they are
-// extracted, so a caller can fan one record out to several sinks
-// without a second framing pass. The record is pooled and the line
-// aliases a reused buffer: emit must not retain either past the
-// callback (copy the line if it must outlive the call). With buffers
-// warm, ProcessEach performs zero heap allocations per record; callers
-// that want the whole flush as one image should use ProcessBatch.
-func (e *Engine) ProcessEach(buf []byte, emit func(rec *Record, line []byte)) (rest []byte, err error) {
-	rec := GetRecord()
-	defer PutRecord(rec)
-	for {
-		size, err := frameSize(buf)
-		if err != nil || size == 0 {
-			return buf, err
-		}
-		pl, err := e.prog.ExtractInto(rec, buf[:size])
-		if err != nil {
-			return buf, err
-		}
-		buf = buf[size:]
-		e.Received++
-		if pl.wide {
-			// Wide event type: discard sets exceed the mask; selection
-			// still runs compiled, formatting takes the map-based path.
-			keep, rule := pl.selectRec(rec)
-			if !keep {
-				e.Discarded++
-				continue
-			}
-			var discards map[string]bool
-			if rule >= 0 {
-				discards = pl.rules[rule].discards
-			}
-			e.lineBuf = append(e.lineBuf[:0], rec.Format(discards)...)
-		} else {
-			keep, mask := e.selectCompiled(pl, rec)
-			if !keep {
-				e.Discarded++
-				continue
-			}
-			e.lineBuf = rec.AppendFormat(e.lineBuf[:0], mask)
-		}
-		e.Kept++
-		if e.tap != nil {
-			e.tap.TapRecord(&pl.tapInfo, rec)
-		}
-		emit(rec, e.lineBuf)
-	}
+	b.slots = e.slots
+	return &e.slots[i]
 }
 
 // StoreConfig is the configuration every filter opens its event store

@@ -10,6 +10,17 @@ import (
 	"dpm/internal/meter"
 )
 
+// processLines runs the engine over buf into a fresh batch and returns
+// the kept records' lines and the unconsumed tail.
+func processLines(eng *Engine, buf []byte) (lines []string, rest []byte, err error) {
+	var b Batch
+	rest, err = eng.ProcessBatch(buf, &b)
+	for i := 0; i < b.Len(); i++ {
+		lines = append(lines, string(b.Line(i)))
+	}
+	return lines, rest, err
+}
+
 func TestEngineFramingAcrossSplits(t *testing.T) {
 	eng, err := NewEngine([]byte(StandardDescriptions), nil)
 	if err != nil {
@@ -26,7 +37,7 @@ func TestEngineFramingAcrossSplits(t *testing.T) {
 	var buf []byte
 	for _, b := range stream {
 		buf = append(buf, b)
-		got, rest, err := eng.Process(buf)
+		got, rest, err := processLines(eng, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +61,7 @@ func TestEngineCorruptStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	junk := make([]byte, 64) // size field 0 < HeaderSize
-	if _, _, err := eng.Process(junk); err == nil {
+	if _, _, err := processLines(eng, junk); err == nil {
 		t.Fatal("corrupt stream accepted")
 	}
 }
@@ -65,7 +76,7 @@ func TestEngineSelectionCounts(t *testing.T) {
 		msg := meter.Msg{Header: meter.Header{Machine: m}, Body: &meter.Fork{}}
 		stream = msg.AppendEncode(stream)
 	}
-	lines, rest, err := eng.Process(stream)
+	lines, rest, err := processLines(eng, stream)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("err=%v rest=%d", err, len(rest))
 	}

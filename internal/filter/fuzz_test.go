@@ -41,6 +41,11 @@ func FuzzParseRules(f *testing.F) {
 // without panicking.
 func FuzzParseDescriptions(f *testing.F) {
 	f.Add(StandardDescriptions, []byte{})
+	// A field before the body, or of negative length: once a panic.
+	fork := make([]byte, 40)
+	fork[0], fork[20] = 40, 9
+	f.Add("HEADER size\nFORK 9, pid,-4,4,10\n", fork)
+	f.Add("HEADER size\nFORK 9, pid,8,-4,10\n", fork)
 	f.Fuzz(func(t *testing.T, text string, raw []byte) {
 		d, err := ParseDescriptions([]byte(text))
 		if err != nil {
@@ -59,7 +64,7 @@ func FuzzEngineProcess(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines, rest, err := eng.Process(stream)
+		lines, rest, err := processLines(eng, stream)
 		if err != nil {
 			return
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 	"dpm/internal/store"
 )
 
@@ -34,7 +35,7 @@ func expectLines(t *testing.T, rules string, stream []byte) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, rest, err := eng.Process(stream)
+	lines, rest, err := processLines(eng, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +63,21 @@ func feedChunks(s *Source, stream []byte, chunk int) bool {
 	return true
 }
 
+// checkConservation holds the counters a pipeline and its store keep on
+// reg — the pipeline closed, the store flushed — to the laws of the
+// filter-to-store hand-off: every record the filter kept was appended or
+// lost to a sink error (lost of them), and every appended record was
+// stored in exactly one shape.
+func checkConservation(t *testing.T, reg *obs.Registry, lost int64) {
+	t.Helper()
+	kept, appends := reg.Counter("filter.kept").Load(), reg.Counter("store.appends").Load()
+	typed, text := reg.Counter("store.records_typed").Load(), reg.Counter("store.records_text").Load()
+	if kept != appends+lost || typed+text != appends {
+		t.Fatalf("filter.kept %d, store.appends %d, %d lost to sink errors; store.records_typed %d + records_text %d",
+			kept, appends, lost, typed, text)
+	}
+}
+
 // TestPipelineEquivalence drives several sources through a multi-worker
 // pipeline with deliberately misaligned chunking and asserts both sinks
 // hold exactly the sequential result: the flat log's per-source line
@@ -77,13 +93,13 @@ func TestPipelineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := store.NewMemBackend()
-	st, err := store.Open(be, store.Config{SegmentCap: 1024})
+	be, reg := store.NewMemBackend(), obs.NewRegistry()
+	st, err := store.Open(be, store.Config{SegmentCap: 1024, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var logBuf []byte
-	pipe := NewPipeline(proto, PipelineConfig{Workers: 4, QueueDepth: 4}, Sinks{
+	pipe := NewPipeline(proto, PipelineConfig{Workers: 4, QueueDepth: 4, Obs: reg}, Sinks{
 		Store: st,
 		Log:   func(b []byte) error { logBuf = append(logBuf, b...); return nil },
 	}, nil)
@@ -181,6 +197,7 @@ func TestPipelineEquivalence(t *testing.T) {
 	if se, ke, d := counter("stream_errors"), counter("sink_errors"), counter("drops"); se != 0 || ke != 0 || d != 0 {
 		t.Fatalf("unexpected error counters: stream_errors=%d sink_errors=%d drops=%d", se, ke, d)
 	}
+	checkConservation(t, reg, 0)
 }
 
 // TestPipelineStreamError cuts one source off mid-stream with corrupt

@@ -207,16 +207,6 @@ func (r Rule) MatchSource(src FieldSource) bool {
 	return true
 }
 
-// HasDiscards reports whether any condition carries the '#' prefix.
-func (r Rule) HasDiscards() bool {
-	for _, c := range r {
-		if c.Discard {
-			return true
-		}
-	}
-	return false
-}
-
 // DiscardSet returns the set of fields the rule's '#' markers drop,
 // or nil when it has none. The map is freshly built on each call;
 // callers on a hot path should build it once per rule (the compiled

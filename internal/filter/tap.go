@@ -15,7 +15,7 @@ import (
 // plan's TapInfo, so a tap reads fields by precomputed index — no
 // string comparison, no map lookup, no allocation on the engine side.
 // Second, the record and its fields are only valid for the duration of
-// the call (they alias the pooled extraction record), so a tap must
+// the call (they alias the engine's extraction record), so a tap must
 // copy what it keeps.
 //
 // Taps are per-engine and engines are per-worker in the parallel
@@ -108,8 +108,8 @@ type TapCloser interface {
 func (e *Engine) SetTap(t RecordTap) { e.tap = t }
 
 // TapFlush signals a batch boundary to the attached tap, if any.
-// Sequential callers driving ProcessBatch/ProcessEach directly should
-// call it at their own flush points.
+// Sequential callers driving ProcessBatch directly should call it at
+// their own flush points.
 func (e *Engine) TapFlush() {
 	if e.tap != nil {
 		e.tap.TapFlush()

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dpm/internal/obs"
+	"dpm/internal/trace"
 )
 
 func batchRecs(n int) []BatchRec {
@@ -77,6 +80,72 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 	ss, bs := seqReg.Counter("store.appends").Load(), batReg.Counter("store.appends").Load()
 	if ss != bs {
 		t.Fatalf("appends: sequential %d, batched %d", ss, bs)
+	}
+}
+
+// refusingBackend refuses every Append to a file whose name starts with
+// prefix once allow of them have gone through.
+type refusingBackend struct {
+	Backend
+	prefix string
+	allow  int
+}
+
+func (b *refusingBackend) Append(name string, data []byte) error {
+	if strings.HasPrefix(name, b.prefix) {
+		if b.allow == 0 {
+			return errors.New("refused")
+		}
+		b.allow--
+	}
+	return b.Backend.Append(name, data)
+}
+
+// TestAppendsCountWhatFlushesMadeDurable: a batch whose second shard
+// fails part-way — after flushes at segment-cap boundaries and a rotation
+// went through — has made the first shard's records and the second's
+// flushed ones durable, and store.appends counts exactly those: what a
+// reader finds once the store is reopened.
+func TestAppendsCountWhatFlushesMadeDurable(t *testing.T) {
+	for _, allow := range []int{0, 1, 3, 6} {
+		be := &refusingBackend{Backend: NewMemBackend(), prefix: "s1-", allow: 1 << 30}
+		reg := obs.NewRegistry()
+		st, err := Open(be, Config{Shards: 2, SegmentCap: 1024, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AppendBatch(batchRecs(40)); err != nil {
+			t.Fatal(err)
+		}
+		be.allow = allow
+		if err := st.AppendBatch(batchRecs(200)); err == nil {
+			t.Fatalf("allow %d: the batch went through a backend refusing shard 1", allow)
+		}
+		if _, err := Open(be, Config{Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := OpenReader(be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := AcquireDecoder()
+		durable := 0
+		for _, segs := range rd.Shards() {
+			for _, rs := range segs {
+				got, err := rs.ScanViews(d, nil, func(Meta, *trace.View, []byte) {})
+				if err != nil {
+					t.Fatalf("allow %d: %s: %v", allow, rs.Name, err)
+				}
+				durable += got.Records
+			}
+		}
+		ReleaseDecoder(d)
+		if appends := reg.Counter("store.appends").Load(); appends != int64(durable) {
+			t.Fatalf("allow %d: store.appends %d, the reopened store holds %d", allow, appends, durable)
+		}
+		if rotations := reg.Counter("store.rotations").Load(); allow > 3 && rotations == 0 {
+			t.Fatalf("allow %d: no rotation counted", allow)
+		}
 	}
 }
 

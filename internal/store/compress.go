@@ -18,7 +18,8 @@
 //     previous text line of the same type slot (shared prefix and suffix
 //     lengths plus a middle section). Either way the record decodes to
 //     exactly the bytes it was given: the typed shape is taken only
-//     when regenerating the line from the view reproduces it.
+//     when regenerating the line from the view reproduces it, or when
+//     the caller handed the record typed (BatchRec.Slots).
 //   - Middle sections encode through a per-segment shared-name
 //     dictionary: tokens (words, key= prefixes) that recur across
 //     records become one- or two-byte references. Definitions are
@@ -253,9 +254,10 @@ type compWriter struct {
 	prev     [nameSlots][]byte
 	prevTime uint32
 
-	// The typed shape: the view every staged line is parsed into, the
-	// state typed records are deltas against (reset with prev), and how
-	// many records of the segment took each shape.
+	// The typed shape: the view every staged line is parsed into, or
+	// pointed at a caller's slots, the state typed records are deltas
+	// against (reset with prev), and how many records of the segment took
+	// each shape.
 	view          trace.View
 	typed         trace.TypedState
 	nTyped, nText int
@@ -350,21 +352,24 @@ func (w *compWriter) closeBlock() error {
 }
 
 // stage encodes one record into the staging buffer: its Meta, then the
-// typed form of a standard line whose header is that Meta, or else the
-// line as text, front-coded. Either way the record decodes to exactly
-// the bytes given.
-func (w *compWriter) stage(m Meta, line []byte) error {
+// typed form of s (BatchRec.Slots), or else of a standard line whose
+// header is that Meta, or else the line as text, front-coded. Either way
+// the record decodes to exactly the bytes given: stage proves a line it
+// types itself by regenerating it, and s is what the line parses to.
+func (w *compWriter) stage(m Meta, line []byte, s *trace.Slots) error {
 	v := &w.view
-	if !v.ParseStandard(line) || v.Machine != int(m.Machine) || v.CPUTime != int64(m.Time) || uint32(v.Type) != m.Type {
+	if s != nil {
+		v.PointAt(s, meter.Type(m.Type), int(m.Machine), int64(m.Time))
+	} else if !v.ParseStandard(line) || v.Machine != int(m.Machine) || v.CPUTime != int64(m.Time) || uint32(v.Type) != m.Type {
 		v = nil
 	}
 	return w.stageAs(m, v, line, len(line))
 }
 
 // stageAs stages a record whose shape is settled: typed from v — stage's
-// view, or one a decoder read from a typed record, by construction a
-// standard line of n bytes headed by m, with nothing to prove again —
-// or, with no view, the line as text. The block boundary is checked only
+// view, or one a decoder read from a typed record, a standard line of n
+// bytes headed by m with nothing to prove again — or, with no view, the
+// line as text. The block boundary is checked only
 // when nothing is staged, so both ends agree where coding state resets.
 func (w *compWriter) stageAs(m Meta, v *trace.View, line []byte, n int) error {
 	if w.stagedN == 0 && w.curV1 >= w.target {
@@ -532,7 +537,7 @@ func (w *compWriter) add(m Meta, v *trace.View, line []byte) (err error) {
 	if v != nil {
 		err = w.stageAs(m, v, nil, v.LineLen())
 	} else {
-		err = w.stage(m, line)
+		err = w.stage(m, line, nil)
 	}
 	if err != nil {
 		return err
@@ -1053,14 +1058,6 @@ type ScanStats struct {
 	BlocksPruned int // blocks skipped on zone-map evidence
 	Records      int // records emitted
 	Typed        int // of those, the ones stored in the typed shape
-}
-
-// Scan streams a segment's records through fn as text, without
-// materializing them: the line of a record stored typed is regenerated
-// from its view, any other is the stored bytes. Everything else is
-// ScanViews'. The line passed to fn is only valid during the call.
-func (rs *ReaderSegment) Scan(d *Decoder, admit func(Index) bool, fn func(Meta, []byte)) (ScanStats, error) {
-	return rs.ScanViews(d, admit, d.lines(fn))
 }
 
 // ScanViews streams a segment's records through fn: sealed compressed

@@ -54,7 +54,7 @@ func oracleEncode(t *testing.T, recs []Rec, tier, blockTarget int) []byte {
 	var x Index
 	rawTotal := 0
 	for _, r := range recs {
-		if err := w.stage(r.Meta, []byte(r.Line)); err != nil {
+		if err := w.stage(r.Meta, []byte(r.Line), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.flushStaged(false); err != nil {
@@ -308,7 +308,7 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 				// Small batches: the online writer opens a block only between them.
 				var batch []BatchRec
 				for i, r := range all[n*per : (n+1)*per] {
-					if batch = append(batch, BatchRec{r.Meta, []byte(r.Line)}); len(batch) >= 1+i%5 {
+					if batch = append(batch, BatchRec{Meta: r.Meta, Line: []byte(r.Line)}); len(batch) >= 1+i%5 {
 						if err := st.AppendBatch(batch); err != nil {
 							t.Fatal(err)
 						}

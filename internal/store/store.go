@@ -435,11 +435,13 @@ func (s *Store) noteTime(t uint64) {
 // has reached the cap — seals, compacts, and runs retention
 // maintenance: the staged payload goes through the shard's DEFLATE
 // stream (ending on a sync marker, so what lands in the file is a
-// decodable prefix) and the compressed bytes are appended. A backend
+// decodable prefix) and the compressed bytes are appended. The records
+// are counted (store.appends) here, once the backend holds them, so a
+// batch that fails part-way still counts what it made durable. A backend
 // error abandons the whole active segment — the encoder's dictionary
 // and delta state can no longer be reconciled with the file, whose
 // durable prefix the next Open salvages. Caller holds sh.mu.
-func (s *Store) flushLocked(sh *shard, rotations *int) error {
+func (s *Store) flushLocked(sh *shard) error {
 	w := sh.cw
 	if w.stagedN == 0 {
 		return nil
@@ -456,6 +458,7 @@ func (s *Store) flushLocked(sh *shard, rotations *int) error {
 		return err
 	}
 	sh.active.Bytes += stagedV1
+	s.obsAppends.Add(int64(len(sh.pending)))
 	s.obsTyped.Add(int64(w.nTyped))
 	s.obsText.Add(int64(w.nText))
 	w.nTyped, w.nText = 0, 0
@@ -467,19 +470,19 @@ func (s *Store) flushLocked(sh *shard, rotations *int) error {
 	}
 	sh.pending = sh.pending[:0]
 	s.noteTime(tmax)
-	return s.rotateLocked(sh, rotations)
+	return s.rotateLocked(sh)
 }
 
 // rotateLocked seals the active segment once it has reached the cap,
 // then compacts and runs retention maintenance. Caller holds sh.mu.
-func (s *Store) rotateLocked(sh *shard, rotations *int) error {
+func (s *Store) rotateLocked(sh *shard) error {
 	if sh.active.Bytes < s.cfg.SegmentCap {
 		return nil
 	}
 	if err := s.sealLocked(sh); err != nil {
 		return err
 	}
-	*rotations++
+	s.obsRotations.Inc()
 	// The records are durable: a rewrite that fails leaves its run in
 	// place and is counted (store.maintain_errors), not reported as a
 	// failed append.
@@ -511,26 +514,26 @@ func (s *Store) Append(m Meta, line string) error {
 	defer sh.mu.Unlock()
 	s.openLocked(sh)
 	sh.cw.lineBuf = append(sh.cw.lineBuf[:0], line...)
-	if err := sh.cw.stage(m, sh.cw.lineBuf); err != nil {
+	if err := sh.cw.stage(m, sh.cw.lineBuf, nil); err != nil {
 		s.abandonLocked(sh)
 		return err
 	}
 	sh.pending = append(sh.pending[:0], m)
-	var rotations int
-	if err := s.flushLocked(sh, &rotations); err != nil {
-		return err
-	}
-	s.obsAppends.Inc()
-	s.obsRotations.Add(int64(rotations))
-	return nil
+	return s.flushLocked(sh)
 }
 
-// BatchRec is one record of an AppendBatch call. Line aliases
-// caller-owned memory and is fully consumed before AppendBatch
-// returns, so callers can reuse the backing buffer.
+// BatchRec is one record of an AppendBatch call. Line and Slots alias
+// caller-owned memory, are only read, and are fully consumed before
+// AppendBatch returns, so callers can reuse the backing buffers. Slots,
+// when set, is the record typed, and is encoded without parsing Line: it
+// must be what Line parses to (ParseStandard accepts Line, with Meta as
+// its header and the slots as its fields). Nothing checks that per
+// record; internal/filter's tests prove it of what the filter hands over.
+// With Slots nil the store parses Line to choose the shape, as Append does.
 type BatchRec struct {
-	Meta Meta
-	Line []byte
+	Meta  Meta
+	Line  []byte
+	Slots *trace.Slots
 }
 
 // AppendBatch appends a batch of records, visiting each shard once:
@@ -540,7 +543,8 @@ type BatchRec struct {
 // per Recv. Equivalent to appending the records
 // one at a time except that rotation is checked at batch granularity
 // within a shard, so a segment may overshoot SegmentCap by at most one
-// batch.
+// batch. On an error the records flushed before it stay appended and
+// counted; the failing shard's staged ones are dropped.
 func (s *Store) AppendBatch(recs []BatchRec) error {
 	if len(recs) == 0 {
 		return nil
@@ -559,7 +563,6 @@ func (s *Store) AppendBatch(recs []BatchRec) error {
 	} else {
 		present = ^uint64(0)
 	}
-	appends, rotations := 0, 0
 	for id, sh := range s.shards {
 		if nshards <= 64 && present&(1<<id) == 0 {
 			continue
@@ -571,28 +574,25 @@ func (s *Store) AppendBatch(recs []BatchRec) error {
 				continue
 			}
 			s.openLocked(sh)
-			if err := sh.cw.stage(recs[i].Meta, recs[i].Line); err != nil {
+			if err := sh.cw.stage(recs[i].Meta, recs[i].Line, recs[i].Slots); err != nil {
 				s.abandonLocked(sh)
 				sh.mu.Unlock()
 				return err
 			}
 			sh.pending = append(sh.pending, recs[i].Meta)
-			appends++
 			if sh.active.Bytes+sh.cw.stagedV1 >= s.cfg.SegmentCap {
-				if err := s.flushLocked(sh, &rotations); err != nil {
+				if err := s.flushLocked(sh); err != nil {
 					sh.mu.Unlock()
 					return err
 				}
 			}
 		}
-		err := s.flushLocked(sh, &rotations)
+		err := s.flushLocked(sh)
 		sh.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
-	s.obsAppends.Add(int64(appends))
-	s.obsRotations.Add(int64(rotations))
 	span.End()
 	return nil
 }
@@ -934,7 +934,7 @@ const openReaderAttempts = 3
 // (Backend.Read) and the check of its fixed-size footer tail — which
 // carries the Index pruning needs. No frame or block is touched, and a
 // v2 footer's body (dictionary and block table) is checksummed but not
-// decoded, until the Scan, Blocks or Load of a segment a query admits.
+// decoded, until the ScanViews, Blocks or Load of a segment a query admits.
 //
 // The backend may belong to a live store that is compacting, archiving
 // or expiring segments meanwhile. The snapshot holds every record once

@@ -167,7 +167,7 @@ func TestShapesReturnEveryLine(t *testing.T) {
 				if err := st.Append(m, r.Line); err != nil {
 					t.Fatal(err)
 				}
-			} else if batch = append(batch, BatchRec{m, []byte(r.Line)}); len(batch) >= 1+i%7 {
+			} else if batch = append(batch, BatchRec{Meta: m, Line: []byte(r.Line)}); len(batch) >= 1+i%7 {
 				if err := st.AppendBatch(batch); err != nil {
 					t.Fatal(err)
 				}
@@ -293,7 +293,7 @@ func TestTornTypedTailSalvage(t *testing.T) {
 	for _, r := range shapeRecs(rand.New(rand.NewSource(9)), 60) {
 		want = append(want, r.Rec)
 		// A sync marker after one record, then after three, and so on.
-		if batch = append(batch, BatchRec{r.Meta, []byte(r.Line)}); len(batch) == 1+len(want)/2%2*2 {
+		if batch = append(batch, BatchRec{Meta: r.Meta, Line: []byte(r.Line)}); len(batch) == 1+len(want)/2%2*2 {
 			if err := st.AppendBatch(batch); err != nil {
 				t.Fatal(err)
 			}
@@ -397,7 +397,7 @@ func FuzzTypedPayload(f *testing.F) {
 	w := newCompWriter(1 << 20)
 	w.openSegment()
 	for _, r := range shapeRecs(rand.New(rand.NewSource(5)), 80) {
-		if err := w.stage(r.Meta, []byte(r.Line)); err != nil {
+		if err := w.stage(r.Meta, []byte(r.Line), nil); err != nil {
 			f.Fatal(err)
 		}
 		if w.stagedN%20 == 0 {
@@ -491,7 +491,7 @@ func TestTypedShapeZeroAllocs(t *testing.T) {
 		w.openSegment()
 		for _, r := range typed {
 			w.lineBuf = append(w.lineBuf[:0], r.Line...)
-			if err := w.stage(r.Meta, w.lineBuf); err != nil {
+			if err := w.stage(r.Meta, w.lineBuf, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,7 +8,8 @@ import (
 // The v1 encoder. No store writes CRC-framed segments any more; the
 // reader still reads them, and these build the v1 inputs its tests
 // need. The stores under testdata/v1 were written by the product code
-// these functions used to be.
+// these functions used to be. Scan, the text view of a segment, is here
+// for the same reason: the product reads segments as views.
 
 // AppendFrame appends one record frame to dst and returns the extended
 // slice.
@@ -45,6 +46,14 @@ func AppendFooter(dst []byte, x Index, dataLen uint32) []byte {
 	le.PutUint32(b[48:52], dataLen)
 	le.PutUint32(b[52:56], crc32.ChecksumIEEE(b[:52]))
 	return append(dst, b...)
+}
+
+// Scan streams a segment's records through fn as text: the line of a
+// record stored typed is regenerated from its view, any other is the
+// stored bytes. Everything else is ScanViews'. The line passed to fn is
+// only valid during the call. Only tests want a segment as text.
+func (rs *ReaderSegment) Scan(d *Decoder, admit func(Index) bool, fn func(Meta, []byte)) (ScanStats, error) {
+	return rs.ScanViews(d, admit, d.lines(fn))
 }
 
 // encodeV1 is one v1 segment file of the records: frames, and the footer

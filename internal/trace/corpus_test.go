@@ -11,8 +11,8 @@ import (
 
 // TestCanonicalLinesAreTheFilters: the corpus the view tests parse is,
 // line for line, what the filter writes for one message of every event
-// type — meter message → Extract → Record.AppendFormat, whole and with
-// fields 0 and 2 discarded.
+// type — meter message → Program.ExtractInto → Record.AppendFormat,
+// whole and with fields 0 and 2 discarded.
 func TestCanonicalLinesAreTheFilters(t *testing.T) {
 	desc, err := filter.ParseDescriptions([]byte(filter.StandardDescriptions))
 	if err != nil {
@@ -33,10 +33,11 @@ func TestCanonicalLinesAreTheFilters(t *testing.T) {
 		&meter.TermProc{PID: 2121, PC: 0x4130, Status: ^uint32(0)},
 	}
 	var lines []string
+	prog := filter.CompileProgram(desc, nil)
 	for _, b := range bodies {
 		m := meter.Msg{Header: meter.Header{Machine: 5, CPUTime: 9500, ProcTime: 120}, Body: b}
-		rec, err := desc.Extract(m.Encode())
-		if err != nil {
+		rec := new(filter.Record)
+		if _, err := prog.ExtractInto(rec, m.Encode()); err != nil {
 			t.Fatal(err)
 		}
 		lines = append(lines, string(rec.AppendFormat(nil, 0)), string(rec.AppendFormat(nil, 0b101)))

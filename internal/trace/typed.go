@@ -39,18 +39,57 @@ const (
 // order is longer (ACCEPT's has eight keys).
 const typedFields = 8
 
-// typedSlot is the last typed record of one event type.
-type typedSlot struct {
+// Slots is one record in typed form: its procTime and, for each key of
+// its event type's stored order (SlotKeys) it carries, a number or, under
+// a key ending in "Name", a socket name. A producer that holds a record's
+// fields — the filter — fills one with Reset, SetVal and SetName, and a
+// View pointed at it (PointAt) reads and encodes the record with no line.
+type Slots struct {
 	present  uint8
 	procTime int64
 	val      [typedFields]uint64
 	name     [typedFields]meter.Name
 }
 
+// Reset empties s for a record of the given procTime.
+func (s *Slots) Reset(procTime int64) { s.present, s.procTime = 0, procTime }
+
+// SetVal sets key k of the stored order to a number.
+func (s *Slots) SetVal(k int, val uint64) { s.present, s.val[k] = s.present|1<<k, val }
+
+// SetName sets key k of the stored order to a socket name as a standard
+// line spells it and parses it back: an Internet name without the bytes
+// past its host, a path cut at its first NUL. false says no standard line
+// spells it — an unset name that is not all zero, a family AppendText
+// writes in hex, a path byte that is blank or not printable ASCII.
+func (s *Slots) SetName(k int, n meter.Name) bool {
+	switch n.Family() {
+	case meter.AFInet:
+		n = meter.InetName(n.Inet())
+	case meter.AFUnix, meter.AFPair:
+		if i := bytes.IndexByte(n[2:], 0); i >= 0 {
+			clear(n[2+i:])
+		}
+	}
+	s.present, s.name[k] = s.present|1<<k, n
+	return standardName(n)
+}
+
+// SlotKeys returns the stored order of event type typ, whose places are
+// Slots' keys, and the bit mask of those holding socket names — when trace
+// knows typ by the name event. Otherwise keys is nil: no line of that name
+// and type is standard.
+func SlotKeys(typ meter.Type, event string) (keys []string, names uint8) {
+	if typ < 1 || int(typ) >= len(viewTypes) || viewTypes[typ].name != event {
+		return nil, 0
+	}
+	return viewTypes[typ].order, typedLayouts[typ].names
+}
+
 // TypedState is what typed records are deltas against: the last record
 // of each event type. The zero value starts a block; writer and reader
 // each keep one and reset it where the block ends.
-type TypedState [len(viewTypes)]typedSlot
+type TypedState [len(viewTypes)]Slots
 
 // typedLayouts gives, per event type, the line a decoded view's keys
 // point into (the stored order, blank-separated), where each key lies
@@ -142,39 +181,44 @@ func appendDecimal(dst []byte, u uint64) []byte {
 	return append(dst, a[i:]...)
 }
 
-// AppendTyped appends the typed form of the view's record, which
-// ParseStandard accepted or DecodeTyped read, and moves st on to it.
+// AppendTyped appends the typed form of the view's record — a line
+// ParseStandard accepted, or the Slots DecodeTyped or PointAt pointed the
+// view at, read where they are — and moves st on to it.
 func (v *View) AppendTyped(dst []byte, st *TypedState) []byte {
-	v.fill()
-	s := &st[v.Type]
-	var present uint8
-	for i := 0; i < v.n; i++ {
-		present |= 1 << v.fields[i].ord
+	s := v.slot
+	if s == nil {
+		parsed := Slots{procTime: v.ProcTime}
+		for i := 0; i < v.n; i++ {
+			f := &v.fields[i]
+			parsed.present |= 1 << f.ord
+			parsed.val[f.ord], parsed.name[f.ord] = f.val, f.name
+		}
+		s = &parsed
 	}
+	last, names := &st[v.Type], typedLayouts[v.Type].names
 	flags := len(dst)
 	dst = append(dst, typedShape)
-	if present != s.present {
+	if s.present != last.present {
 		dst[flags] |= typedPresence
-		dst = append(dst, present)
-		s.present = present
+		dst = append(dst, s.present)
+		last.present = s.present
 	}
 	changed := len(dst)
 	dst = append(dst, 0)
-	if v.ProcTime != s.procTime {
+	if s.procTime != last.procTime {
 		dst[flags] |= typedProcTime
-		dst = binary.AppendUvarint(dst, zigzag(v.ProcTime-s.procTime))
-		s.procTime = v.ProcTime
+		dst = binary.AppendUvarint(dst, zigzag(s.procTime-last.procTime))
+		last.procTime = s.procTime
 	}
-	for i := 0; i < v.n; i++ {
-		f := &v.fields[i]
-		k := f.ord
-		switch {
-		case f.isName && f.name != s.name[k]:
-			dst = append(dst, f.name[:]...)
-			s.name[k] = f.name
-		case !f.isName && f.val != s.val[k]:
-			dst = binary.AppendUvarint(dst, zigzag(int64(f.val-s.val[k])))
-			s.val[k] = f.val
+	for p := s.present; p != 0; p &= p - 1 {
+		k := bits.TrailingZeros8(p)
+		switch isName := names>>k&1 != 0; {
+		case isName && s.name[k] != last.name[k]:
+			dst = append(dst, s.name[k][:]...)
+			last.name[k] = s.name[k]
+		case !isName && s.val[k] != last.val[k]:
+			dst = binary.AppendUvarint(dst, zigzag(int64(s.val[k]-last.val[k])))
+			last.val[k] = s.val[k]
 		default:
 			continue
 		}
@@ -229,14 +273,22 @@ func (v *View) DecodeTyped(raw []byte, st *TypedState, typ meter.Type, machine i
 			return 0, false
 		}
 	}
-	v.Type, v.Machine, v.CPUTime, v.ProcTime = typ, machine, cpuTime, s.procTime
-	v.line, v.n, v.slot = lay.line, 0, s
+	v.PointAt(s, typ, machine, cpuTime)
 	return off, true
+}
+
+// PointAt points the view at s, a record of event type typ whose Meta
+// gave machine and cpuTime, as DecodeTyped points it at its state: the
+// view reads s, never writes it, and is valid while s is unchanged. s
+// holds only keys of typ's stored order, and names SetName accepted.
+func (v *View) PointAt(s *Slots, typ meter.Type, machine int, cpuTime int64) {
+	v.Type, v.Machine, v.CPUTime, v.ProcTime = typ, machine, cpuTime, s.procTime
+	v.line, v.n, v.slot = typedLayouts[typ].line, 0, s
 }
 
 // field answers field k of typ's stored order, -1 for none, as Field
 // does: a number, an Internet name's host, no value for another name.
-func (s *typedSlot) field(typ meter.Type, k int) (uint64, bool) {
+func (s *Slots) field(typ meter.Type, k int) (uint64, bool) {
 	switch {
 	case k < 0 || s.present>>k&1 == 0:
 		return 0, false

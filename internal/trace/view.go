@@ -40,7 +40,8 @@ type viewField struct {
 // serves the resulting event. A parsed View is valid until the next
 // Parse and aliases the line it was given. A View DecodeTyped read
 // answers from the TypedState it was decoded against and is valid only
-// until the next DecodeTyped on that state.
+// until the next DecodeTyped on that state; one PointAt pointed at a
+// Slots, while that is unchanged.
 type View struct {
 	Type     meter.Type
 	Machine  int
@@ -53,9 +54,10 @@ type View struct {
 	// where the next field is decoded before it is known to fit.
 	n      int
 	fields [viewSlots + 1]viewField
-	// slot, when set, is the typed record DecodeTyped read: fields are
-	// answered from it, and the slots filled from it only when needed.
-	slot   *typedSlot
+	// slot, when set, is the typed record DecodeTyped read or PointAt
+	// gave: fields are answered from it, and the slots filled from it only
+	// when needed.
+	slot   *Slots
 	parsed Event
 	// Per event type, the last name token parsed in place (none longer is
 	// remembered) and its value: destName and sourceName repeat from
