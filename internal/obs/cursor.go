@@ -7,8 +7,8 @@ import (
 
 // Cursor is a bounds-checked read position over bytes that came from
 // outside the process: the one decoder under the snapshot, its section
-// payloads (internal/analysis/live) and the aggregation partials
-// (internal/agg). The first read the bytes cannot back fails the cursor
+// payloads (internal/analysis/live), the aggregation partials
+// (internal/agg) and the store's frames and footers. The first read the bytes cannot back fails the cursor
 // with an error wrapping the sentinel it was built with; every read
 // after that returns zero and moves nothing, so a decoder reads a whole
 // structure and checks Err once. A length is compared with what is
@@ -88,6 +88,21 @@ func (c *Cursor) U64() uint64 {
 
 // I64 reads a little-endian int64.
 func (c *Cursor) I64() int64 { return int64(c.U64()) }
+
+// Uvarint reads an unsigned varint as binary.Uvarint does: one cut short
+// by the end of the bytes, or longer than ten bytes, fails the cursor.
+func (c *Cursor) Uvarint() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		c.Fail("bad varint at byte %d", c.off)
+		return 0
+	}
+	c.off += n
+	return v
+}
 
 // Str reads a string behind its uint16 length.
 func (c *Cursor) Str() string { return string(c.Take(int(c.U16()))) }

@@ -10,7 +10,8 @@ import (
 
 // FuzzCursor drives a cursor over data with a script of reads — each
 // script byte picks a read, Take's length from the bytes after it,
-// lengths that are negative or near the top of int among them — beside
+// lengths that are negative or near the top of int among them, a varint
+// checked against binary.Uvarint — beside
 // a plain offset kept by the test. No read panics or goes past the
 // end; a read the bytes back returns exactly them and advances by their
 // length; the first one they do not back fails the cursor with the
@@ -21,12 +22,14 @@ func FuzzCursor(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // Take(MaxInt64) at offset 1
 	f.Add([]byte{1, 2, 3}, []byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})                      // Take(-1)
 	f.Add([]byte{}, []byte{6, 6})
+	f.Add([]byte{0x80, 0x80, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 1}, []byte{8, 8}) // a varint, then one of 11 bytes
+	f.Add([]byte{0x80}, []byte{8, 1})                                                                         // a varint cut short
 	sentinel := errors.New("corrupt")
 	f.Fuzz(func(t *testing.T, data, script []byte) {
 		c := NewCursor(data, sentinel)
 		off, failed := 0, false
 		for len(script) > 0 {
-			op := script[0] % 8
+			op := script[0] % 9
 			script = script[1:]
 			n, fixed := 0, map[byte]int{1: 1, 2: 2, 3: 4, 4: 8, 5: 8}[op]
 			var got []byte
@@ -71,6 +74,22 @@ func FuzzCursor(f *testing.F) {
 				}
 				failed = true
 				continue
+			case 8: // Uvarint: whatever binary.Uvarint makes of what is left
+				v := c.Uvarint()
+				if !failed {
+					if want, k := binary.Uvarint(data[off:]); k > 0 {
+						if v != want || c.Err() != nil {
+							t.Fatalf("Uvarint at %d = %d (err %v), want %d", off, v, c.Err(), want)
+						}
+						off += k
+						continue
+					}
+				}
+				if v != 0 || !errors.Is(c.Err(), sentinel) {
+					t.Fatalf("Uvarint at %d = %d, err %v; want zero and the sentinel", off, v, c.Err())
+				}
+				failed = true
+				continue
 			case 7:
 				c.Fail("scripted %d", off)
 				if c.Err() == nil || !errors.Is(c.Err(), sentinel) {
@@ -98,7 +117,8 @@ func FuzzCursor(f *testing.F) {
 }
 
 // TestCursorLengthCannotWrap: the lengths an offset-plus-length check
-// lets through by wrapping are refused, wherever the cursor stands.
+// lets through by wrapping are refused, wherever the cursor stands —
+// a varint length of 2^63 or more, which int() turns negative, included.
 func TestCursorLengthCannotWrap(t *testing.T) {
 	sentinel := errors.New("corrupt")
 	for _, n := range []int{-1, math.MinInt, math.MaxInt, math.MaxInt - 1} {
@@ -106,6 +126,17 @@ func TestCursorLengthCannotWrap(t *testing.T) {
 		c.Take(2)
 		if got := c.Take(n); got != nil || !errors.Is(c.Err(), sentinel) || c.Remaining() != 6 {
 			t.Fatalf("Take(%d) = %v, err %v, %d remain; want nil, the sentinel and 6", n, got, c.Err(), c.Remaining())
+		}
+	}
+	for _, n := range []uint64{1 << 63, 1<<63 + 1, math.MaxUint64} {
+		b := binary.AppendUvarint([]byte{0, 0}, n)
+		c := NewCursor(append(b, make([]byte, 6)...), sentinel)
+		c.Take(2)
+		if l := c.Uvarint(); l != n || c.Err() != nil {
+			t.Fatalf("Uvarint = %d (err %v), want %d", l, c.Err(), n)
+		}
+		if got := c.Take(int(n)); got != nil || !errors.Is(c.Err(), sentinel) || c.Remaining() != 6 {
+			t.Fatalf("Take of varint length %d = %v, err %v, %d remain; want nil, the sentinel and 6", n, got, c.Err(), c.Remaining())
 		}
 	}
 }

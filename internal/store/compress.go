@@ -63,6 +63,7 @@ import (
 	"sync"
 
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 	"dpm/internal/trace"
 )
 
@@ -613,24 +614,13 @@ func appendFooterV2(dst []byte, x Index, dataLen, rawTotal uint32, dict [][]byte
 		dst = le.AppendUint64(dst, b.idx.PIDs)
 		dst = le.AppendUint32(dst, b.idx.Types)
 	}
-	bodyCRC := crc32.ChecksumIEEE(dst[bodyStart:])
-	bodyLen := len(dst) - bodyStart
-	var t [FooterV2Size]byte
-	copy(t[0:4], footerMagic)
-	le.PutUint32(t[4:8], footerVersionV2)
-	le.PutUint32(t[8:12], x.Count)
-	le.PutUint64(t[12:20], x.MinTime)
-	le.PutUint64(t[20:28], x.MaxTime)
-	le.PutUint64(t[28:36], x.Machines)
-	le.PutUint64(t[36:44], x.PIDs)
-	le.PutUint32(t[44:48], x.Types)
-	le.PutUint32(t[48:52], dataLen)
-	le.PutUint32(t[52:56], uint32(bodyLen))
-	le.PutUint32(t[56:60], uint32(len(blocks)))
-	le.PutUint32(t[60:64], rawTotal)
-	le.PutUint32(t[64:68], bodyCRC)
-	le.PutUint32(t[68:72], crc32.ChecksumIEEE(t[:68]))
-	return append(dst, t[:]...)
+	tail, bodyCRC := len(dst), crc32.ChecksumIEEE(dst[bodyStart:])
+	dst = le.AppendUint32(append(dst, footerMagic...), footerVersionV2)
+	dst = appendIndex(dst, x)
+	for _, v := range [...]uint32{dataLen, uint32(tail - bodyStart), uint32(len(blocks)), rawTotal, bodyCRC} {
+		dst = le.AppendUint32(dst, v)
+	}
+	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[tail:]))
 }
 
 // parseFooterV2 examines a segment file for a valid v2 footer tail:
@@ -643,28 +633,17 @@ func parseFooterV2(data []byte) (f footerV2, ok bool) {
 	if len(data) < headerV2Size+FooterV2Size || string(data[0:4]) != segMagicV2 {
 		return footerV2{}, false
 	}
-	le := binary.LittleEndian
 	t := data[len(data)-FooterV2Size:]
-	if string(t[0:4]) != footerMagic || le.Uint32(t[4:8]) != footerVersionV2 {
+	c := obs.NewCursor(t, ErrCorrupt)
+	if string(c.Take(4)) != footerMagic || c.U32() != footerVersionV2 {
 		return footerV2{}, false
 	}
-	if crc32.ChecksumIEEE(t[:68]) != le.Uint32(t[68:72]) {
-		return footerV2{}, false
-	}
-	f.DataLen = int(le.Uint32(t[48:52]))
-	f.bodyLen = int(le.Uint32(t[52:56]))
-	f.blockCount = int(le.Uint32(t[56:60]))
-	f.RawTotal = int(le.Uint32(t[60:64]))
-	f.Index.Count = le.Uint32(t[8:12])
-	f.Index.MinTime = le.Uint64(t[12:20])
-	f.Index.MaxTime = le.Uint64(t[20:28])
-	f.Index.Machines = le.Uint64(t[28:36])
-	f.Index.PIDs = le.Uint64(t[36:44])
-	f.Index.Types = le.Uint32(t[44:48])
-	if f.DataLen < headerV2Size || f.DataLen+f.bodyLen+FooterV2Size != len(data) {
-		return footerV2{}, false
-	}
-	if crc32.ChecksumIEEE(data[f.DataLen:f.DataLen+f.bodyLen]) != le.Uint32(t[64:68]) {
+	f.Index = readIndex(&c)
+	f.DataLen, f.bodyLen, f.blockCount, f.RawTotal = int(c.U32()), int(c.U32()), int(c.U32()), int(c.U32())
+	bodyCRC, tailCRC := c.U32(), c.U32()
+	if tailCRC != crc32.ChecksumIEEE(t[:FooterV2Size-4]) ||
+		f.DataLen < headerV2Size || f.DataLen+f.bodyLen+FooterV2Size != len(data) ||
+		crc32.ChecksumIEEE(data[f.DataLen:f.DataLen+f.bodyLen]) != bodyCRC {
 		return footerV2{}, false
 	}
 	return f, true
@@ -676,83 +655,41 @@ func parseFooterV2(data []byte) (f footerV2, ok bool) {
 // body's CRC lives in the file, so a crafted body passes it, and the
 // caller degrades the segment to stream salvage.
 func (f *footerV2) decodeBody(data []byte) bool {
-	le := binary.LittleEndian
-	body := data[f.DataLen : f.DataLen+f.bodyLen]
-	off := 0
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(body[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
-	nd, ok := next()
-	if !ok || nd > maxDictEntries {
+	c := obs.NewCursor(data[f.DataLen:f.DataLen+f.bodyLen], ErrCorrupt)
+	nd := c.Uvarint()
+	if nd > maxDictEntries {
 		return false
 	}
 	dict := make([][]byte, 0, nd)
-	for i := 0; i < int(nd); i++ {
-		l, ok := next()
-		if !ok || l > maxDictToken || off+int(l) > len(body) {
+	for range nd {
+		l := c.Uvarint()
+		if l > maxDictToken {
 			return false
 		}
-		dict = append(dict, body[off:off+int(l)])
-		off += int(l)
+		dict = append(dict, c.Take(int(l)))
 	}
-	if f.blockCount < 0 || f.blockCount > len(body) {
+	// A table entry takes at least 30 bytes, so a count beyond the bytes
+	// left fails here, before it sizes an allocation.
+	if f.blockCount < 0 || f.blockCount > c.Remaining() {
 		return false
 	}
 	region := f.DataLen - headerV2Size
-	blocks := make([]BlockInfo, 0, f.blockCount)
-	for i := 0; i < f.blockCount; i++ {
-		var b BlockInfo
-		var v uint64
-		if v, ok = next(); !ok {
-			return false
-		}
-		b.Off = int(v)
-		if v, ok = next(); !ok {
-			return false
-		}
-		b.CompLen = int(v)
-		if v, ok = next(); !ok {
-			return false
-		}
-		b.RawLen = int(v)
-		if off+4 > len(body) {
-			return false
-		}
-		b.CRC = le.Uint32(body[off:])
-		off += 4
-		if v, ok = next(); !ok {
-			return false
-		}
-		b.Index.Count = uint32(v)
-		if b.Index.MinTime, ok = next(); !ok {
-			return false
-		}
-		if b.Index.MaxTime, ok = next(); !ok {
-			return false
-		}
-		if off+20 > len(body) {
-			return false
-		}
-		b.Index.Machines = le.Uint64(body[off:])
-		b.Index.PIDs = le.Uint64(body[off+8:])
-		b.Index.Types = le.Uint32(body[off+16:])
-		off += 20
+	blocks := make([]BlockInfo, f.blockCount)
+	for i := range blocks {
+		b := &blocks[i]
+		b.Off, b.CompLen, b.RawLen, b.CRC = int(c.Uvarint()), int(c.Uvarint()), int(c.Uvarint()), c.U32()
+		b.Index = Index{Count: uint32(c.Uvarint()), MinTime: c.Uvarint(), MaxTime: c.Uvarint(), Machines: c.U64(), PIDs: c.U64(), Types: c.U32()}
 		// Off is bounded before the subtraction so the block-extent test
 		// is overflow-free — a crafted table passes the footer CRCs (they
 		// live in the file), so a wrapped Off+CompLen sum would otherwise
-		// reach the region slicing in Scan.
+		// reach the region slicing in ScanViews. A varint of 2^63 or more
+		// is a negative int here.
 		if b.Off < 0 || b.CompLen < 0 || b.Off > region || b.CompLen > region-b.Off ||
 			b.RawLen <= 0 || b.RawLen > maxBlockRaw {
 			return false
 		}
-		blocks = append(blocks, b)
 	}
-	if off != len(body) {
+	if c.Err() != nil || c.Remaining() != 0 {
 		return false
 	}
 	f.Dict, f.Blocks = dict, blocks
@@ -1066,7 +1003,9 @@ type ScanStats struct {
 // mapped file, and unsealed segments of either version salvage their
 // valid prefix before reporting ErrTruncated. Corruption of a sealed
 // segment returns ErrCorrupt after emitting the blocks (or frames)
-// preceding the damage.
+// preceding the damage. It is the store's one decoder of segment bytes
+// into records: queries, Load, Open's check and recovery, compaction and
+// archival all read through it.
 func (rs *ReaderSegment) ScanViews(d *Decoder, admit func(Index) bool, fn scanFn) (ScanStats, error) {
 	var st ScanStats
 	d.payload, d.nTyped = payloadVersion(rs.data), 0
@@ -1090,7 +1029,7 @@ func (rs *ReaderSegment) ScanViews(d *Decoder, admit func(Index) bool, fn scanFn
 	// Unsealed and compressed — or sealed by its tail over a footer body
 	// that does not decode, which scans as the unsealed file it would have
 	// been taken for had the whole footer been parsed up front.
-	if rs.v2.DataLen != 0 || (!rs.Sealed && d.payload >= 0) {
+	if d.payload >= 0 {
 		n, streams, err := d.decodeStreams(rs.data[headerV2Size:], fn)
 		st.Records, st.Blocks, st.Typed = n, streams, d.nTyped
 		if err != nil {
@@ -1163,20 +1102,4 @@ func payloadVersion(data []byte) int {
 		return -1
 	}
 	return int(binary.LittleEndian.Uint32(data[len(segMagicV2):]))
-}
-
-// encodeSealed encodes records already in memory as one sealed
-// segment — the recovery rewrite of a salvaged prefix.
-func (w *compWriter) encodeSealed(recs []Rec) ([]byte, error) {
-	w.openSegment()
-	var x Index
-	for _, r := range recs {
-		w.lineBuf = append(w.lineBuf[:0], r.Line...)
-		if err := w.add(r.Meta, nil, w.lineBuf); err != nil {
-			return nil, err
-		}
-		x.Add(r.Meta)
-	}
-	out, _, err := w.seal(x, w.segV1)
-	return out, err
 }

@@ -8,8 +8,11 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"slices"
 	"testing"
+
+	"dpm/internal/obs"
 )
 
 // fuzzSeedSegment builds a small sealed v1 segment for the fuzz corpus.
@@ -118,10 +121,13 @@ func TestBlockTableExtentOverflow(t *testing.T) {
 	}
 }
 
-// FuzzParseSegment checks the segment parser on arbitrary bytes: it
-// must never panic, and whatever valid record prefix it salvages must
-// re-encode to a segment that parses back to the same records — the
-// invariant Open's crash recovery relies on.
+// FuzzParseSegment holds the recovery a store runs to its promise on
+// arbitrary bytes. Placed in a store as its one segment file, the bytes
+// never panic Open. A file Load finds sealed and whole is adopted as it
+// is, and anything else is recovered: store.recovered is 1 for it and 0
+// otherwise. And a full OpenReader scan of the store returns, byte for
+// byte, the (Meta, line) prefix Load salvaged from the file — typed or
+// text, whatever its format.
 func FuzzParseSegment(f *testing.F) {
 	sealed := fuzzSeedSegment()
 	f.Add([]byte{})
@@ -197,34 +203,75 @@ func FuzzParseSegment(f *testing.F) {
 		f.Add(old)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seg, err := ParseSegment(data)
-		if seg == nil {
-			t.Fatal("ParseSegment returned nil segment")
+		want, loadErr := ParseSegment(data)
+		if loadErr != nil && !errors.Is(loadErr, ErrCorrupt) && !errors.Is(loadErr, ErrTruncated) {
+			t.Fatalf("unexpected error class: %v", loadErr)
 		}
-		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
-			t.Fatalf("unexpected error class: %v", err)
-		}
-		// The salvaged prefix, framed and sealed as v1, parses back to the
-		// same record count, cleanly.
-		again, err := ParseSegment(encodeV1(seg.Recs, true))
-		if err != nil {
-			t.Fatalf("re-parse of salvage failed: %v", err)
-		}
-		if len(again.Recs) != len(seg.Recs) {
-			t.Fatalf("salvage round trip changed count %d -> %d", len(seg.Recs), len(again.Recs))
-		}
-		if !again.Sealed {
-			t.Fatal("re-encoded salvage not sealed")
-		}
-		// And it survives the recovery rewrite a store makes of it: whatever
-		// the lines are, typed or text, they come back byte for byte.
-		comp, err := newCompWriter(512).encodeSealed(seg.Recs)
-		if err != nil {
+		whole := loadErr == nil && want.Sealed
+		be := NewMemBackend()
+		if err := be.Create(segName(0, 1, 1, 0), data); err != nil {
 			t.Fatal(err)
 		}
-		again, err = ParseSegment(comp)
-		if err != nil || !again.Sealed || !slices.Equal(again.Recs, seg.Recs) {
-			t.Fatalf("compressed rewrite of %d salvaged records reads back %d (sealed=%v): %v", len(seg.Recs), len(again.Recs), again.Sealed, err)
+		reg := obs.NewRegistry()
+		st, err := Open(be, Config{Shards: 1, BlockTarget: 512, Obs: reg})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if got := reg.Counter("store.recovered").Load(); got != map[bool]int64{true: 0, false: 1}[whole] {
+			t.Fatalf("store.recovered = %d over a file Load finds sealed=%v, err %v", got, want.Sealed, loadErr)
+		}
+		if segs := st.Segments(); len(segs) != 1 || !segs[0].Sealed || int(segs[0].Index.Count) != len(want.Recs) {
+			t.Fatalf("segments %+v after Open, want one sealed of %d records", segs, len(want.Recs))
+		}
+		if got := allRecs(t, be); !slices.Equal(got, want.Recs) {
+			t.Fatalf("the store reads back %d records, the file held a prefix of %d, or they differ", len(got), len(want.Recs))
+		}
+	})
+}
+
+// FuzzFooterBody drives the footer-body decoder directly: arbitrary body
+// bytes behind a data region of arbitrary size, under an arbitrary block
+// count. It must not panic, and a table it accepts holds no more than
+// maxDictEntries tokens of at most maxDictToken bytes and exactly the
+// blocks counted, each inside the region with a raw length a decoder
+// may allocate — and, encoded again (appendFooterV2), decodes to itself.
+func FuzzFooterBody(f *testing.F) {
+	for _, seg := range [][]byte{fuzzSeedV2(), fuzzSeedV3(), fuzzSeedBlockExtentOverflow()} {
+		fv, ok := parseFooterV2(seg)
+		if !ok {
+			f.Fatal("seed has no footer tail")
+		}
+		f.Add(seg[fv.DataLen:fv.DataLen+fv.bodyLen], uint32(fv.blockCount), uint32(fv.DataLen-headerV2Size))
+	}
+	// Dictionary lengths of 2^63: a token count, then a token's length.
+	f.Add(binary.AppendUvarint(nil, 1<<63), uint32(0), uint32(16))
+	f.Add(binary.AppendUvarint([]byte{1}, 1<<63), uint32(0), uint32(16))
+	f.Fuzz(func(t *testing.T, body []byte, blockCount, region uint32) {
+		region %= 1 << 16
+		data := append(binary.LittleEndian.AppendUint32([]byte(segMagicV2), payloadV3), make([]byte, region)...)
+		fv := footerV2{DataLen: len(data), bodyLen: len(body), blockCount: int(blockCount)}
+		if !fv.decodeBody(append(data, body...)) {
+			return
+		}
+		if len(fv.Dict) > maxDictEntries || len(fv.Blocks) != int(blockCount) {
+			t.Fatalf("%d tokens, %d blocks of %d counted", len(fv.Dict), len(fv.Blocks), blockCount)
+		}
+		for _, tok := range fv.Dict {
+			if len(tok) > maxDictToken {
+				t.Fatalf("token of %d bytes", len(tok))
+			}
+		}
+		var table []blockMeta
+		for _, b := range fv.Blocks {
+			if b.Off < 0 || b.CompLen < 0 || b.Off+b.CompLen > int(region) || b.RawLen <= 0 || b.RawLen > maxBlockRaw {
+				t.Fatalf("block %+v accepted over a region of %d bytes", b, region)
+			}
+			table = append(table, blockMeta{b.Off, b.CompLen, b.RawLen, b.CRC, b.Index})
+		}
+		enc := appendFooterV2(data, Index{}, uint32(len(data)), 0, fv.Dict, table)
+		again, ok := parseFooterV2(enc)
+		if !ok || !again.decodeBody(enc) || !reflect.DeepEqual(again.Dict, fv.Dict) || !reflect.DeepEqual(again.Blocks, fv.Blocks) {
+			t.Fatalf("the table, encoded again, decodes to %+v %+v (ok=%v), not %+v %+v", again.Dict, again.Blocks, ok, fv.Dict, fv.Blocks)
 		}
 	})
 }

@@ -410,9 +410,10 @@ func TestUndecodableBodyDegradesAtScan(t *testing.T) {
 		t.Fatalf("scan over an undecodable body: %d records %+v, want %d records %+v", len(lines), st, len(wantLines), wantStats)
 	}
 
-	// ParseSegment, and through it Open's recovery, treat it the same.
+	// Load, the same scan collected, and so Open's recovery, treat it the
+	// same.
 	seg, err := ParseSegment(bad)
 	if seg.Sealed || len(seg.Recs) != 40 || !errors.Is(err, ErrTruncated) {
-		t.Fatalf("ParseSegment: sealed=%v %d records err=%v, want an unsealed salvage of 40", seg.Sealed, len(seg.Recs), err)
+		t.Fatalf("Load: sealed=%v %d records err=%v, want an unsealed salvage of 40", seg.Sealed, len(seg.Recs), err)
 	}
 }

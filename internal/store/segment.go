@@ -11,10 +11,12 @@
 //   - Records are appended to fixed-size *segments*, written in one
 //     format: checksummed blocks of typed records (compress.go). This
 //     file holds what every format shares — Meta, Index, the errors —
-//     and the reader of the first one, v1: each record framed with a
-//     length and a CRC (the same defensive framing discipline as the
-//     meter wire stream of Appendix A). No store writes v1 any more;
-//     the frame's size is still the unit segments are measured in.
+//     and the frame and footer parsers of the first one, v1: each record
+//     framed with a length and a CRC (the same defensive framing
+//     discipline as the meter wire stream of Appendix A). No store writes
+//     v1 any more; the frame's size is still the unit segments are
+//     measured in. Whatever the format, one function turns a file's bytes
+//     into records: ReaderSegment.ScanViews.
 //   - A sealed segment ends in a footer carrying an index — record
 //     count, min/max timestamp, and bitmap summaries of the machines,
 //     pids, and event types present — so a query can prune the whole
@@ -32,6 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"dpm/internal/obs"
 )
 
 // Meta is the fixed per-record metadata carried in every frame — the
@@ -131,155 +135,69 @@ func (x *Index) Add(m Meta) {
 // given length.
 func FrameSize(lineLen int) int { return frameHeadSize + metaSize + lineLen }
 
-// parseFrame decodes the frame at off, returning the record and the
-// offset of the next frame.
-func parseFrame(data []byte, off int) (Rec, int, error) {
-	m, line, next, err := parseFrameBytes(data, off)
-	if err != nil {
-		return Rec{}, off, err
-	}
-	return Rec{Meta: m, Line: string(line)}, next, nil
-}
-
-// parseFrameBytes is parseFrame without the line copy: the returned
-// line aliases data, for scan paths that consume it before moving on.
+// parseFrameBytes decodes the v1 frame at off, returning its record —
+// the line aliasing data — and the offset of the next frame.
 func parseFrameBytes(data []byte, off int) (Meta, []byte, int, error) {
-	le := binary.LittleEndian
-	if off+frameHeadSize > len(data) {
+	c := obs.NewCursor(data[off:], ErrCorrupt)
+	n, crc := c.U32(), c.U32()
+	switch {
+	case c.Err() != nil:
 		return Meta{}, nil, off, fmt.Errorf("frame header overruns data at offset %d", off)
-	}
-	n := int(le.Uint32(data[off : off+4]))
-	if n < metaSize || n > MaxFrameSize {
+	case n < metaSize || n > MaxFrameSize:
 		return Meta{}, nil, off, fmt.Errorf("bad frame length %d at offset %d", n, off)
 	}
-	if off+frameHeadSize+n > len(data) {
+	payload := c.Take(int(n))
+	if payload == nil {
 		return Meta{}, nil, off, fmt.Errorf("frame body overruns data at offset %d", off)
 	}
-	crc := le.Uint32(data[off+4 : off+8])
-	payload := data[off+frameHeadSize : off+frameHeadSize+n]
 	if crc32.ChecksumIEEE(payload) != crc {
 		return Meta{}, nil, off, fmt.Errorf("frame checksum mismatch at offset %d", off)
 	}
-	var m Meta
-	m.Machine = le.Uint16(payload[0:2])
-	m.Time = le.Uint32(payload[2:6])
-	m.Type = le.Uint32(payload[6:10])
-	m.PID = le.Uint32(payload[10:14])
-	return m, payload[metaSize:], off + frameHeadSize + n, nil
+	p := obs.NewCursor(payload, ErrCorrupt)
+	m := Meta{Machine: p.U16(), Time: p.U32(), Type: p.U32(), PID: p.U32()}
+	return m, p.Take(p.Remaining()), off + frameHeadSize + int(n), nil
 }
 
-// ParseFooter examines the tail of a segment file for a valid footer.
-// ok=false means the segment is unsealed (or its footer is mangled,
-// which is treated the same way: the frames are scanned instead).
+// readIndex reads the Index a footer tail of either format carries:
+// count, min and max time, and the machine, pid and type bitmaps.
+func readIndex(c *obs.Cursor) Index {
+	return Index{Count: c.U32(), MinTime: c.U64(), MaxTime: c.U64(), Machines: c.U64(), PIDs: c.U64(), Types: c.U32()}
+}
+
+// appendIndex is readIndex's inverse.
+func appendIndex(dst []byte, x Index) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, x.Count)
+	dst = le.AppendUint64(dst, x.MinTime)
+	dst = le.AppendUint64(dst, x.MaxTime)
+	dst = le.AppendUint64(dst, x.Machines)
+	dst = le.AppendUint64(dst, x.PIDs)
+	return le.AppendUint32(dst, x.Types)
+}
+
+// ParseFooter examines the tail of a v1 segment file for a valid
+// footer. ok=false means the segment is unsealed (or its footer is
+// mangled, which is treated the same way: the frames are scanned
+// instead).
 func ParseFooter(data []byte) (x Index, dataLen int, ok bool) {
 	if len(data) < FooterSize {
 		return Index{}, 0, false
 	}
-	le := binary.LittleEndian
 	b := data[len(data)-FooterSize:]
-	if string(b[0:4]) != footerMagic {
+	c := obs.NewCursor(b, ErrCorrupt)
+	if string(c.Take(4)) != footerMagic || c.U32() != footerVersion {
 		return Index{}, 0, false
 	}
-	if crc32.ChecksumIEEE(b[:52]) != le.Uint32(b[52:56]) {
+	x, dataLen = readIndex(&c), int(c.U32())
+	if crc32.ChecksumIEEE(b[:FooterSize-4]) != c.U32() || dataLen != len(data)-FooterSize {
 		return Index{}, 0, false
 	}
-	if le.Uint32(b[4:8]) != footerVersion {
-		return Index{}, 0, false
-	}
-	dataLen = int(le.Uint32(b[48:52]))
-	if dataLen != len(data)-FooterSize {
-		return Index{}, 0, false
-	}
-	x.Count = le.Uint32(b[8:12])
-	x.MinTime = le.Uint64(b[12:20])
-	x.MaxTime = le.Uint64(b[20:28])
-	x.Machines = le.Uint64(b[28:36])
-	x.PIDs = le.Uint64(b[36:44])
-	x.Types = le.Uint32(b[44:48])
 	return x, dataLen, true
 }
 
-// Segment is one parsed segment file.
+// Segment is one segment's records, as ReaderSegment.Load decodes them.
 type Segment struct {
 	Recs   []Rec
 	Index  Index
 	Sealed bool
-}
-
-// ParseSegment parses a whole segment file.
-//
-// A file with a valid footer is sealed: every frame must verify and
-// the frame count must match the footer, otherwise the valid prefix is
-// returned with ErrCorrupt. A file without a valid footer is scanned
-// frame by frame; if the scan fails before the end of the file the
-// valid prefix is returned with ErrTruncated — the shape a writer
-// leaves when it dies mid-append, and also what a sealed segment with
-// a mangled footer degrades to (its frames still verify; only the
-// index is lost).
-func ParseSegment(data []byte) (*Segment, error) {
-	// Compressed (v2) segments: a sealed one has a footer-v2 tail; an
-	// unsealed one starts with the v2 header and is salvaged stream by
-	// stream — each online flush ends on a flate sync marker, so every
-	// acknowledged batch sits in a decodable prefix.
-	if f, ok := parseFooterV2(data); ok && f.decodeBody(data) {
-		s := &Segment{Sealed: true, Index: f.Index}
-		d := AcquireDecoder()
-		defer ReleaseDecoder(d)
-		d.payload = payloadVersion(data)
-		region := data[headerV2Size:f.DataLen]
-		for i, b := range f.Blocks {
-			_, err := d.decodeBlock(region[b.Off:b.Off+b.CompLen], b.RawLen, b.CRC, f.Dict, d.lines(func(m Meta, line []byte) {
-				s.Recs = append(s.Recs, Rec{Meta: m, Line: string(line)})
-			}))
-			if err != nil {
-				return s, fmt.Errorf("%w: block %d: %v", ErrCorrupt, i, err)
-			}
-		}
-		if uint32(len(s.Recs)) != f.Index.Count {
-			return s, fmt.Errorf("%w: footer count %d but %d records", ErrCorrupt, f.Index.Count, len(s.Recs))
-		}
-		return s, nil
-	}
-	if p := payloadVersion(data); p >= 0 {
-		s := &Segment{}
-		d := AcquireDecoder()
-		defer ReleaseDecoder(d)
-		d.payload = p
-		_, _, err := d.decodeStreams(data[headerV2Size:], d.lines(func(m Meta, line []byte) {
-			s.Recs = append(s.Recs, Rec{Meta: m, Line: string(line)})
-			s.Index.Add(m)
-		}))
-		if err != nil {
-			return s, fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
-		return s, nil
-	}
-	if x, dataLen, ok := ParseFooter(data); ok {
-		s := &Segment{Sealed: true, Index: x}
-		off := 0
-		for off < dataLen {
-			rec, next, err := parseFrame(data[:dataLen], off)
-			if err != nil {
-				return s, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			s.Recs = append(s.Recs, rec)
-			off = next
-		}
-		if uint32(len(s.Recs)) != x.Count {
-			return s, fmt.Errorf("%w: footer count %d but %d frames", ErrCorrupt, x.Count, len(s.Recs))
-		}
-		return s, nil
-	}
-	s := &Segment{}
-	off := 0
-	for off < len(data) {
-		rec, next, err := parseFrame(data, off)
-		if err != nil {
-			return s, fmt.Errorf("%w: %d bytes lost: %v", ErrTruncated, len(data)-off, err)
-		}
-		s.Recs = append(s.Recs, rec)
-		s.Index.Add(rec.Meta)
-		off = next
-	}
-	return s, nil
 }

@@ -218,17 +218,6 @@ func currentGeneration[S any](listed []S, rangeOf func(S) segRange, whole func(S
 	return current, superseded
 }
 
-// sealedBytes reports whether a segment file ends in a valid footer
-// tail of either format — the last bytes a writer lays down, so a file
-// that has one was written whole.
-func sealedBytes(data []byte) bool {
-	if _, _, ok := ParseFooter(data); ok {
-		return true
-	}
-	_, ok := parseFooterV2(data)
-	return ok
-}
-
 // Store is a sharded segment writer. All methods are safe for
 // concurrent use; appends to different shards do not contend.
 type Store struct {
@@ -284,11 +273,13 @@ type shard struct {
 	pending []Meta
 }
 
-// Open opens (or creates) the store behind a backend. Existing sealed
-// segments are adopted as they are; an unsealed or damaged segment —
-// what a crashed writer leaves behind — is recovered by rewriting its
-// valid record prefix as a sealed segment, so every record that
-// survived the crash is indexed and queryable.
+// Open opens (or creates) the store behind a backend. Each segment file
+// is checked by a scan that keeps nothing — its footer, every frame or
+// block CRC, the record count — and a sealed one that passes is adopted
+// as it is. An unsealed or damaged segment — what a crashed writer leaves
+// behind — is recovered by rewriting its valid record prefix as a sealed
+// segment, so every record that survived the crash is indexed and
+// queryable.
 func Open(be Backend, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	names, err := be.List()
@@ -337,43 +328,43 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		}
 		byShard[sh] = append(byShard[sh], &SegmentInfo{Name: name, Shard: sh, Start: start, End: end, Tier: tier})
 	}
+	d := AcquireDecoder()
+	defer ReleaseDecoder(d)
 	for i := 0; i <= maxShard; i++ {
 		sh := &shard{id: i, nextSeq: 1}
 		// A crash between a merge's Create and its Removes left both
 		// generations: adopt one, and finish the removal the crash cut
-		// short so the other does not linger on disk.
+		// short so the other does not linger on disk — or count it
+		// (store.maintain_errors), as a rewrite counts an input that will
+		// not go; it hides behind its successor at every open.
 		infos, superseded := currentGeneration(byShard[i],
 			func(in *SegmentInfo) segRange { return segRange{in.Start, in.End, in.Tier} },
 			func(in *SegmentInfo) bool {
 				data, err := be.Read(in.Name)
-				return err == nil && sealedBytes(data)
+				return err == nil && newReaderSegment(in.Name, in.Shard, in.Start, in.End, in.Tier, data).Sealed
 			})
 		for _, in := range superseded {
-			_ = be.Remove(in.Name)
+			if be.Remove(in.Name) != nil {
+				s.obsMaintainErr.Inc()
+			}
 		}
 		for _, info := range infos {
 			data, err := be.Read(info.Name)
 			if err != nil {
 				return nil, err
 			}
-			seg, perr := ParseSegment(data)
-			if perr != nil || !seg.Sealed {
-				data, err = s.rewriteSealed(info.Name, seg.Recs)
-				if err != nil {
+			if rs := newReaderSegment(info.Name, info.Shard, info.Start, info.End, info.Tier, data); rs.verify(d) {
+				info.Index, info.Bytes, info.DiskBytes, info.Sealed = rs.Index, rs.RawBytes(), len(data), true
+			} else {
+				// Rewritten under its own name, whatever its tier, by a hot-tier encoder.
+				torn := *info
+				if _, err := s.rewrite(newCompWriter(cfg.BlockTarget), []*SegmentInfo{&torn}, info, true); err != nil {
 					return nil, err
 				}
-				seg.Index = indexOf(seg.Recs)
 				s.obsRecovered.Inc()
 			}
-			info.Index = seg.Index
-			info.Sealed = true
-			info.Bytes = 0
-			info.DiskBytes = len(data)
-			for _, r := range seg.Recs {
-				info.Bytes += FrameSize(len(r.Line))
-			}
-			if seg.Index.Count > 0 && seg.Index.MaxTime > s.maxSeen.Load() {
-				s.maxSeen.Store(seg.Index.MaxTime)
+			if info.Index.Count > 0 && info.Index.MaxTime > s.maxSeen.Load() {
+				s.maxSeen.Store(info.Index.MaxTime)
 			}
 			sh.sealed = append(sh.sealed, info)
 			if info.End >= sh.nextSeq {
@@ -383,24 +374,6 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		s.shards = append(s.shards, sh)
 	}
 	return s, nil
-}
-
-func indexOf(recs []Rec) Index {
-	var x Index
-	for _, r := range recs {
-		x.Add(r.Meta)
-	}
-	return x
-}
-
-// rewriteSealed replaces a segment file with a sealed encoding of the
-// given records, returning the bytes written.
-func (s *Store) rewriteSealed(name string, recs []Rec) ([]byte, error) {
-	data, err := newCompWriter(s.cfg.BlockTarget).encodeSealed(recs)
-	if err != nil {
-		return nil, err
-	}
-	return data, s.be.Create(name, data)
 }
 
 // openLocked ensures the shard has an active segment and its encoder,
@@ -648,14 +621,9 @@ func (s *Store) compactLocked(sh *shard) error {
 }
 
 // rewriteLocked replaces the sealed run sh.sealed[i:j] by one merged
-// segment of the given tier without materializing a record: each input
-// is borrowed from the backend and scanned through a pooled decoder
-// straight into the output encoder — at archiveLevel with 4x blocks from
-// the encoder pool for tier 1, stored blocks for tier 0. A record stored
-// typed goes as the view it decodes to, no line built or parsed; a text,
-// v2 or v1 record as its line (compWriter.add). Every input CRC is
-// checked and each input must yield the records its footer counted; on
-// any failure no file has been touched, the run stands, and
+// segment of the given tier (rewrite): at archiveLevel with 4x blocks
+// from the encoder pool for tier 1, stored blocks for tier 0. On any
+// failure no file has been touched, the run stands, and
 // store.maintain_errors counts it. Caller holds sh.mu.
 func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	defer func() {
@@ -666,8 +634,7 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	run := sh.sealed[i:j]
 	merged := &SegmentInfo{
 		Name:  segName(sh.id, run[0].Start, run[len(run)-1].End, tier),
-		Shard: sh.id, Start: run[0].Start, End: run[len(run)-1].End,
-		Tier: tier, Sealed: true,
+		Shard: sh.id, Start: run[0].Start, End: run[len(run)-1].End, Tier: tier,
 	}
 	var w *compWriter
 	if tier > 0 {
@@ -677,47 +644,8 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	} else {
 		w = newCompWriter(s.cfg.BlockTarget)
 	}
-	w.openSegment()
-	d := AcquireDecoder()
-	defer ReleaseDecoder(d)
-	var encErr error
-	scan := func(m Meta, v *trace.View, line []byte) {
-		merged.Index.Add(m)
-		if encErr == nil {
-			encErr = w.add(m, v, line)
-		}
-	}
-	in := 0
-	for _, info := range run {
-		data, err := s.be.Read(info.Name)
-		if err != nil {
-			return err
-		}
-		in += len(data)
-		// The footer must be the one the segment was sealed or adopted
-		// with and a v2 body must decode: a scan degraded to stream
-		// salvage would skip the block CRCs.
-		rs := newReaderSegment(info.Name, info.Shard, info.Start, info.End, info.Tier, data)
-		if rs.Index != info.Index || (rs.v2.DataLen != 0 && rs.footer() == nil) {
-			return fmt.Errorf("%w: %s: footer is not the one it was sealed with", ErrCorrupt, info.Name)
-		}
-		st, err := rs.ScanViews(d, nil, scan)
-		if err == nil && st.Records != int(info.Index.Count) {
-			err = fmt.Errorf("%w: footer count %d but %d records", ErrCorrupt, info.Index.Count, st.Records)
-		}
-		if err == nil {
-			err = encErr
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", info.Name, err)
-		}
-	}
-	data, _, err := w.seal(merged.Index, w.segV1)
+	in, err := s.rewrite(w, run, merged, false)
 	if err != nil {
-		return err
-	}
-	merged.Bytes, merged.DiskBytes = w.segV1, len(data)
-	if err := s.be.Create(merged.Name, data); err != nil {
 		return err
 	}
 	for _, info := range run {
@@ -731,11 +659,64 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	sh.sealed = append(sh.sealed[:i+1], sh.sealed[j:]...)
 	if tier > 0 {
 		s.obsArchiveIn.Add(int64(in))
-		s.obsArchiveOut.Add(int64(len(data)))
+		s.obsArchiveOut.Add(int64(merged.DiskBytes))
 	}
 	s.obsRewTyped.Add(int64(w.nTyped))
 	s.obsRewText.Add(int64(w.nText))
 	return nil
+}
+
+// rewrite writes the records of the segment files ins, in order, as the
+// one sealed segment out names, through w, and fills in out's index and
+// sizes; it returns the bytes it read. No record is materialized: each
+// input is borrowed from the backend and scanned through a pooled
+// decoder straight into the encoder, a record stored typed as the view
+// it decodes to, no line built or parsed, a text, v2 or v1 record as its
+// line (compWriter.add). Without salvage every input must be whole — the
+// footer it was sealed or adopted with, a v2 body that decodes (a scan
+// degraded to stream salvage would skip the block CRCs), every CRC, the
+// records its footer counts — or nothing is written. With salvage, Open's
+// recovery, an input gives the records before its first failure.
+func (s *Store) rewrite(w *compWriter, ins []*SegmentInfo, out *SegmentInfo, salvage bool) (in int, err error) {
+	w.openSegment()
+	d := AcquireDecoder()
+	defer ReleaseDecoder(d)
+	var encErr error
+	scan := func(m Meta, v *trace.View, line []byte) {
+		out.Index.Add(m)
+		if encErr == nil {
+			encErr = w.add(m, v, line)
+		}
+	}
+	for _, info := range ins {
+		data, err := s.be.Read(info.Name)
+		if err != nil {
+			return in, err
+		}
+		in += len(data)
+		rs := newReaderSegment(info.Name, info.Shard, info.Start, info.End, info.Tier, data)
+		if !salvage && (rs.Index != info.Index || !rs.sealedWhole()) {
+			return in, fmt.Errorf("%w: %s: footer is not the one it was sealed with", ErrCorrupt, info.Name)
+		}
+		st, err := rs.ScanViews(d, nil, scan)
+		if salvage {
+			err = nil
+		} else if err == nil && st.Records != int(info.Index.Count) {
+			err = fmt.Errorf("%w: footer count %d but %d records", ErrCorrupt, info.Index.Count, st.Records)
+		}
+		if err == nil {
+			err = encErr
+		}
+		if err != nil {
+			return in, fmt.Errorf("%s: %w", info.Name, err)
+		}
+	}
+	data, _, err := w.seal(out.Index, w.segV1)
+	if err != nil {
+		return in, err
+	}
+	out.Bytes, out.DiskBytes, out.Sealed = w.segV1, len(data), true
+	return in, s.be.Create(out.Name, data)
 }
 
 // maintainLocked runs the shard's retention pass: expire sealed
@@ -880,26 +861,59 @@ type ReaderSegment struct {
 	v2ok    bool
 }
 
-// newReaderSegment wraps a segment file's borrowed bytes, checking its
-// fixed-size footer tail of either format and nothing before it.
+// newReaderSegment wraps a segment file's borrowed bytes, checking the
+// fixed-size footer tail of the format its header names and nothing
+// before it.
 func newReaderSegment(name string, shard, start, end, tier int, data []byte) *ReaderSegment {
 	rs := &ReaderSegment{Name: name, Shard: shard, Start: start, Tier: tier, end: end, data: data}
-	if x, dataLen, ok := ParseFooter(data); ok {
-		rs.Index = x
-		rs.dataLen = dataLen
-		rs.Sealed = true
+	if payloadVersion(data) < 0 {
+		rs.Index, rs.dataLen, rs.Sealed = ParseFooter(data)
 	} else if f, ok := parseFooterV2(data); ok {
-		rs.Index = f.Index
-		rs.v2 = f
-		rs.Sealed = true
+		rs.Index, rs.v2, rs.Sealed = f.Index, f, true
 	}
 	return rs
 }
 
-// Load parses the segment's records. An unsealed segment with a torn
-// tail yields its valid prefix and ErrTruncated.
+// sealedWhole reports whether the seal holds all the way down: a v1
+// footer, or a v2 tail over a body that decodes. A tail over a body that
+// does not seals the segment for pruning, and it scans as unsealed.
+func (rs *ReaderSegment) sealedWhole() bool {
+	return rs.Sealed && (rs.v2.DataLen == 0 || rs.footer() != nil)
+}
+
+// verify reports whether a scan of the whole segment, which keeps
+// nothing, finds what its footer says: sealed all the way down, every
+// frame or block intact, and as many records as the footer counts.
+func (rs *ReaderSegment) verify(d *Decoder) bool {
+	if !rs.sealedWhole() {
+		return false
+	}
+	st, err := rs.ScanViews(d, nil, func(Meta, *trace.View, []byte) {})
+	return err == nil && st.Records == int(rs.Index.Count)
+}
+
+// Load decodes the segment's records as text: ScanViews, collected. A
+// sealed segment keeps its footer's index and must hold the records the
+// footer counts, or its records come back with ErrCorrupt; an unsealed
+// one is indexed from its records, and a torn tail yields its valid
+// prefix and ErrTruncated.
 func (rs *ReaderSegment) Load() (*Segment, error) {
-	return ParseSegment(rs.data)
+	s := &Segment{Sealed: rs.sealedWhole()}
+	if s.Sealed {
+		s.Index = rs.Index
+	}
+	d := AcquireDecoder()
+	defer ReleaseDecoder(d)
+	st, err := rs.ScanViews(d, nil, d.lines(func(m Meta, line []byte) {
+		s.Recs = append(s.Recs, Rec{Meta: m, Line: string(line)})
+		if !s.Sealed {
+			s.Index.Add(m)
+		}
+	}))
+	if err == nil && s.Sealed && st.Records != int(rs.Index.Count) {
+		err = fmt.Errorf("%w: footer count %d but %d records", ErrCorrupt, rs.Index.Count, st.Records)
+	}
+	return s, err
 }
 
 // RawBytes returns the segment's v1-equivalent (uncompressed framed)

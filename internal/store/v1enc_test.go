@@ -9,7 +9,9 @@ import (
 // reader still reads them, and these build the v1 inputs its tests
 // need. The stores under testdata/v1 were written by the product code
 // these functions used to be. Scan, the text view of a segment, is here
-// for the same reason: the product reads segments as views.
+// for the same reason: the product reads segments as views; so are
+// ParseSegment and encodeSealed, the whole-file decode and encode of
+// records in memory, which the product does only as scans.
 
 // AppendFrame appends one record frame to dst and returns the extended
 // slice.
@@ -67,4 +69,33 @@ func encodeV1(recs []Rec, sealed bool) []byte {
 		data = AppendFooter(data, indexOf(recs), uint32(len(data)))
 	}
 	return data
+}
+
+func indexOf(recs []Rec) Index {
+	var x Index
+	for _, r := range recs {
+		x.Add(r.Meta)
+	}
+	return x
+}
+
+// ParseSegment decodes a whole segment file: Load of the file, unnamed.
+func ParseSegment(data []byte) (*Segment, error) {
+	return newReaderSegment("", 0, 0, 0, 0, data).Load()
+}
+
+// encodeSealed encodes records in memory as one sealed segment, every
+// record handed over as its line — what the recovery rewrite wrote
+// before it became a scan.
+func (w *compWriter) encodeSealed(recs []Rec) ([]byte, error) {
+	w.openSegment()
+	var x Index
+	for _, r := range recs {
+		if err := w.add(r.Meta, nil, []byte(r.Line)); err != nil {
+			return nil, err
+		}
+		x.Add(r.Meta)
+	}
+	out, _, err := w.seal(x, w.segV1)
+	return out, err
 }
