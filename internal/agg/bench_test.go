@@ -3,6 +3,7 @@ package agg
 import (
 	"testing"
 
+	"dpm/internal/obs"
 	"dpm/internal/query"
 	"dpm/internal/store"
 )
@@ -77,6 +78,34 @@ func BenchmarkAggPushdown(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p, _, err := Eval(rd, aq, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytes = len(p.MarshalBinary())
+		}
+		b.ReportMetric(float64(bytes), "bytes_moved")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*5000), "ns/record")
+	})
+
+	// The same Eval repeated through a daemon's memo, every table in it:
+	// what a standing aggregate over unchanged sealed segments costs.
+	b.Run("warm-memo", func(b *testing.B) {
+		aq, err := Compile(benchText)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rd, err := store.OpenReader(be)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt := Options{Memo: NewMemo(MemoCost, obs.NewRegistry()), Store: "bench"}
+		if _, _, err := Eval(rd, aq, opt); err != nil {
+			b.Fatal(err)
+		}
+		var bytes int
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p, _, err := Eval(rd, aq, opt)
 			if err != nil {
 				b.Fatal(err)
 			}

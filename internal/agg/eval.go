@@ -60,6 +60,11 @@ func Compile(text string) (*Query, error) {
 type Options struct {
 	// Obs, when set, receives agg.runs, agg.records and agg.fold_groups.
 	Obs *obs.Registry
+	// Memo, when set, serves sealed segments' tables across Evals; Store
+	// names the store the reader reads, the part of their key it cannot
+	// tell.
+	Memo  *Memo
+	Store string
 }
 
 // Eval runs an aggregate query against a store snapshot: admitted
@@ -74,7 +79,8 @@ type Options struct {
 // MaxGroups cap admits keys first come, first served and never evicts,
 // so a key's fate is settled by its first record. Absorbing in that
 // order meets the first records as a record-by-record fold would, so
-// the partial is that fold's at any worker count.
+// the partial is that fold's at any worker count. A table a Memo serves
+// is the one the scan would fold, absorbed in the same place.
 func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, error) {
 	records, foldGroups := new(obs.Counter), new(obs.Counter)
 	if opt.Obs != nil {
@@ -83,7 +89,11 @@ func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, erro
 	}
 	p := NewPartial(aq.Spec)
 	maxGroups := aq.Spec.maxGroups()
-	stats, err := query.ScanOrdered(rd, aq.Sel, aq.scanSegment,
+	scan := aq.scanSegment
+	if opt.Memo != nil {
+		scan = opt.Memo.scanner(aq, opt.Store)
+	}
+	stats, err := query.ScanOrdered(rd, aq.Sel, scan,
 		func(_ *store.ReaderSegment, seg *segment) {
 			p.Records += seg.records
 			p.Skipped += seg.skipped
@@ -93,7 +103,9 @@ func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, erro
 			}
 			records.Add(seg.records)
 			foldGroups.Add(int64(len(seg.groups)))
-			segmentPool.Put(seg)
+			if seg.index != nil { // not a Memo's
+				segmentPool.Put(seg)
+			}
 		})
 	if err != nil {
 		return nil, stats, err

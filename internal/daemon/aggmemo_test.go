@@ -1,0 +1,85 @@
+package daemon
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"dpm/internal/agg"
+	"dpm/internal/kernel"
+	"dpm/internal/meter"
+	"dpm/internal/store"
+	"dpm/internal/trace"
+)
+
+// TestHandleAggMemoConcurrent: concurrent aggregate requests on one
+// daemon share its memo — under a bound so small that it is emptied
+// again and again while they run — and every reply is byte for byte the
+// reply of a daemon without a memo.
+func TestHandleAggMemoConcurrent(t *testing.T) {
+	c := kernel.NewCluster(kernel.Config{})
+	c.AddNetwork("ether0")
+	m, err := c.AddMachine("red", nil, "ether0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	m.AddAccount(testUID, "user")
+	p, err := m.SpawnDetached(testUID, "aggmemo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dir = "/usr/tmp/aggmemo"
+	st, err := store.Open(store.NewFsysBackend(m.FS(), testUID, dir), store.Config{Shards: 2, SegmentCap: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1500; i++ { // the last records stay in unsealed tails
+		e := trace.Event{
+			Type: meter.EvSend, Event: meter.EvSend.String(), Machine: i%4 + 1, CPUTime: int64(10 * i),
+			Fields: map[string]uint64{"pid": uint64(100 + i%3), "sock": 3, "msgLength": uint64(i * 37 % 1000)},
+			Names:  map[string]meter.Name{},
+		}
+		if err := st.Append(store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: 1, PID: uint32(e.Fields["pid"])}, e.Format()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs := []*AggReq{
+		{Dir: dir, UID: testUID, Spec: "agg count by machine window 100ms"},
+		{Dir: dir, UID: testUID, Rules: "type=1", Spec: "top 3 pid by sum(msgLength)"},
+		{Dir: dir, UID: testUID, Rules: "machine=2", Spec: "agg p95(msgLength) by pid"},
+		{Dir: dir, UID: testUID, Spec: "agg max(msgLength) by machine", NoPrune: true},
+	}
+	plain := &daemonState{p: p}
+	want := make([]*Reply, len(reqs))
+	for i, req := range reqs {
+		if want[i] = plain.handleAgg(req); want[i].Status != "ok" {
+			t.Fatalf("%+v: %s", req, want[i].Status)
+		}
+	}
+	d := &daemonState{p: p, aggMemo: agg.NewMemo(200, m.Obs())}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				k := (g + i) % len(reqs)
+				if got := d.handleAgg(reqs[k]); *got != *want[k] {
+					errs <- fmt.Errorf("request %d, round %d: reply %q %q, want %q %q", k, i, got.Status, got.Aux, want[k].Status, want[k].Aux)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	reg := m.Obs()
+	if hits, clears := reg.Counter("agg.memo_hits").Load(), reg.Counter("agg.memo_clears").Load(); hits == 0 || clears == 0 {
+		t.Fatalf("%d memo hits and %d clears: the bound did not make the memo start over", hits, clears)
+	}
+}

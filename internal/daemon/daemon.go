@@ -84,6 +84,7 @@ func Main(p *kernel.Process) int {
 		byStdio:      make(map[uint16]*childInfo),
 		creates:      make(map[string]*Reply),
 		fileSums:     make(map[string]prefixSum),
+		aggMemo:      agg.NewMemo(agg.MemoCost, p.Machine().Obs()),
 		notifyFDs:    make(map[string]int),
 		notifyFailed: p.Machine().Obs().Counter("daemon.notify_failed"),
 	}
@@ -171,6 +172,9 @@ type daemonState struct {
 
 	// getfile prefix-CRC checkpoints by path (prefixCRC), guarded by mu.
 	fileSums map[string]prefixSum
+
+	// Sealed segments' aggregate group tables, across handleAgg calls.
+	aggMemo *agg.Memo
 
 	// Persistent notification connections, one per controller
 	// (host, port). The paper's daemon opened a temporary connection
@@ -644,7 +648,8 @@ func (d *daemonState) handleQuery(req *QueryReq) *Reply {
 // machine and ships back the bounded partial aggregate instead of the
 // matching records — the push-down that turns a cluster-wide group-by
 // into kilobytes per machine. Reply Data is the binary partial, Aux
-// the scan-statistics line.
+// the scan-statistics line. The daemon's memo spares a repeated
+// aggregate the sealed segments it has already folded.
 func (d *daemonState) handleAgg(req *AggReq) *Reply {
 	aq, err := agg.Compile(req.Rules + "\n" + req.Spec)
 	if err != nil {
@@ -656,7 +661,7 @@ func (d *daemonState) handleAgg(req *AggReq) *Reply {
 		return &Reply{Type: TAggRep, Status: err.Error()}
 	}
 	reg := d.p.Machine().Obs()
-	p, stats, err := agg.Eval(rd, aq, agg.Options{Obs: reg})
+	p, stats, err := agg.Eval(rd, aq, agg.Options{Obs: reg, Memo: d.aggMemo, Store: strconv.Itoa(req.UID) + ":" + req.Dir})
 	if err != nil {
 		return &Reply{Type: TAggRep, Status: err.Error()}
 	}

@@ -32,9 +32,9 @@ import (
 // lines are decoded through a pooled decoder (compressed segments
 // decompress only the blocks the query's envelope admits), parsed in
 // place into the worker's one trace.View, and matched against the full
-// rule semantics on it. A record whose own Meta — a one-record Index,
-// the evidence segment and block pruning trust — falls outside every
-// rule's envelope cannot match and is skipped before the parse. fn sees
+// rule semantics on it. A record whose own Meta — compared with each
+// rule's envelope as segment and block pruning compare an Index — falls
+// outside every one cannot match and is skipped before the parse. fn sees
 // the view of each matching record with its rule's shared discard set;
 // the view is only valid during the call, and a caller that ships the
 // record takes view.Event(). A torn unsealed tail is tolerated, as with
@@ -51,13 +51,9 @@ func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, disc
 	d := store.AcquireDecoder()
 	v := viewPool.Get().(*trace.View)
 	ss, err := rs.ScanViews(d, admit, func(m store.Meta, rec *trace.View, line []byte) {
-		if envelope {
-			var x store.Index
-			x.Add(m)
-			if !q.Admits(x) {
-				st.Skipped++
-				return
-			}
+		if envelope && !q.admitsMeta(m) {
+			st.Skipped++
+			return
 		}
 		if rec == nil { // not stored typed: parse its line
 			st.Parsed++

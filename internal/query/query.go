@@ -174,6 +174,15 @@ func (b bounds) admits(x store.Index) bool {
 	return true
 }
 
+// admitsMeta is admits of the one-record Index of m, without the Index.
+func (b bounds) admitsMeta(m store.Meta) bool {
+	t := uint64(m.Time)
+	return !b.empty && t >= b.minTime && t <= b.maxTime &&
+		(b.machines == 0 || b.machines&store.MachineBit(uint64(m.Machine)) != 0) &&
+		(b.pids == 0 || b.pids&store.PIDBit(uint64(m.PID)) != 0) &&
+		(b.types == 0 || b.types&store.TypeBit(uint64(m.Type)) != 0)
+}
+
 // Admits reports whether a segment with the given footer index could
 // contain a matching record: true when any rule's envelope intersects
 // the index (or when pruning is off or there are no rules).
@@ -183,6 +192,17 @@ func (q *Query) Admits(x store.Index) bool {
 	}
 	for _, b := range q.bounds {
 		if b.admits(x) {
+			return true
+		}
+	}
+	return false
+}
+
+// admitsMeta reports whether a record with this Meta lies inside some
+// rule's envelope: what Admits says of the record's one-record Index.
+func (q *Query) admitsMeta(m store.Meta) bool {
+	for _, b := range q.bounds {
+		if b.admitsMeta(m) {
 			return true
 		}
 	}
@@ -289,7 +309,7 @@ type Result struct {
 // ScanOrdered, and through it Run and agg.Eval, scan exactly these
 // segments in exactly this order.
 func Admitted(rd *store.Reader, q *Query) ([]*store.ReaderSegment, Stats) {
-	var segs []*store.ReaderSegment
+	segs := make([]*store.ReaderSegment, 0, rd.NumSegments())
 	var stats Stats
 	for _, shard := range rd.Shards() {
 		for _, rs := range shard {

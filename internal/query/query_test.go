@@ -2,7 +2,9 @@ package query
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dpm/internal/meter"
@@ -376,6 +378,61 @@ func TestScanSkipsOnMeta(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAdmitsMetaIsOneRecordIndex: the per-record check ScanSegment
+// makes is what Admits says of the record's one-record Index, over random
+// Metas and random rule sets — time bounds of every operator, bitmap
+// fields that collide (machine 1 and 65 share a bit), contradictions,
+// and conditions the envelope cannot use.
+func TestAdmitsMetaIsOneRecordIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	conds := []func() string{
+		func() string {
+			return fmt.Sprintf("cpuTime%s%d", []string{"=", ">=", ">", "<=", "<", "!="}[rng.Intn(6)], rng.Intn(40))
+		},
+		func() string { return fmt.Sprintf("machine=%d", rng.Intn(4)+64*rng.Intn(2)) },
+		func() string { return fmt.Sprintf("pid=%d", rng.Intn(4)) },
+		func() string {
+			return fmt.Sprintf("%s=%d", []string{"type", "traceType"}[rng.Intn(2)], rng.Intn(4)+32*rng.Intn(2))
+		},
+		func() string { return fmt.Sprintf("msgLength>=%d", rng.Intn(9)) },
+		func() string { return "pid=*" },
+		func() string { return "sock=peerName" },
+		func() string { return "cpuTime>18446744073709551615" },
+		func() string { return "cpuTime<0" },
+	}
+	checked, admitted := 0, 0
+	for i := 0; i < 2000; i++ {
+		var rules []string
+		for r := rng.Intn(3) + 1; r > 0; r-- {
+			var rule []string
+			for c := rng.Intn(4) + 1; c > 0; c-- {
+				rule = append(rule, conds[rng.Intn(len(conds))]())
+			}
+			rules = append(rules, strings.Join(rule, ","))
+		}
+		q, err := Compile(strings.Join(rules, "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 50; j++ {
+			m := store.Meta{Machine: uint16(rng.Intn(4) + 64*rng.Intn(2)), Time: uint32(rng.Intn(40)),
+				Type: uint32(rng.Intn(4) + 32*rng.Intn(2)), PID: uint32(rng.Intn(4) + 64*rng.Intn(2))}
+			var x store.Index
+			x.Add(m)
+			if got, want := q.admitsMeta(m), q.Admits(x); got != want {
+				t.Fatalf("rules %q, meta %+v: admitsMeta %v, Admits of its index %v", rules, m, got, want)
+			}
+			if q.Admits(x) {
+				admitted++
+			}
+			checked++
+		}
+	}
+	if admitted == 0 || admitted == checked {
+		t.Fatalf("%d of %d metas admitted: the cases do not tell the checks apart", admitted, checked)
 	}
 }
 

@@ -562,34 +562,12 @@ func (w *compWriter) seal(x Index, rawTotal int) ([]byte, int, error) {
 	if err := w.closeBlock(); err != nil {
 		return nil, 0, err
 	}
-	dataLen := headerV2Size + w.sink.total
-	disk := dataLen + footerV2Len(w.dictEntries, w.blocks)
+	dataLen, pending := headerV2Size+w.sink.total, len(w.sink.buf)
 	out := appendFooterV2(w.sink.buf, x, uint32(dataLen), uint32(rawTotal), w.dictEntries, w.blocks)
 	w.sink.buf = out
 	w.sink.drained()
 	w.view.Reset() // it aliases the last line staged
-	return out, disk, nil
-}
-
-func footerV2Len(dict [][]byte, blocks []blockMeta) int {
-	n := uvarintLen(uint64(len(dict)))
-	for _, e := range dict {
-		n += uvarintLen(uint64(len(e))) + len(e)
-	}
-	for _, b := range blocks {
-		n += uvarintLen(uint64(b.off)) + uvarintLen(uint64(b.compLen)) + uvarintLen(uint64(b.rawLen)) + 4
-		n += uvarintLen(uint64(b.idx.Count)) + uvarintLen(b.idx.MinTime) + uvarintLen(b.idx.MaxTime) + 8 + 8 + 4
-	}
-	return n + FooterV2Size
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return out, dataLen + len(out) - pending, nil
 }
 
 // appendFooterV2 appends the footer body (dictionary + block table)

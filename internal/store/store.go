@@ -881,6 +881,19 @@ func (rs *ReaderSegment) sealedWhole() bool {
 	return rs.Sealed && (rs.v2.DataLen == 0 || rs.footer() != nil)
 }
 
+// Tail returns the FooterV2Size-byte footer tail of a block-format
+// segment sealed all the way down. Its body CRC covers the dictionary
+// and every block's CRC, so within one store a name and a tail stand for
+// the segment's records. It is nil for every other segment: a v1 footer
+// vouches for no frame, and an unsealed file or a body that does not
+// decode has no tail that covers what a scan reads.
+func (rs *ReaderSegment) Tail() []byte {
+	if rs.footer() == nil {
+		return nil
+	}
+	return rs.data[len(rs.data)-FooterV2Size:]
+}
+
 // verify reports whether a scan of the whole segment, which keeps
 // nothing, finds what its footer says: sealed all the way down, every
 // frame or block intact, and as many records as the footer counts.

@@ -6,7 +6,7 @@
 # allocation
 # regression gates are the testing.AllocsPerRun tests
 # (internal/filter/alloc_test.go, internal/store/typed_test.go,
-# internal/query/alloc_test.go, internal/agg/agg_test.go,
+# internal/query/alloc_test.go, internal/agg/agg_test.go and memo_test.go,
 # internal/trace/view_test.go), which fail `go test` outright if a
 # hot-path allocation creeps back in.
 #
@@ -63,6 +63,9 @@ go test -run '^$' -bench 'BenchmarkQueryParallel' -benchmem -benchtime=100x -cpu
 # report a bytes_moved metric; their ratio is the wire-traffic
 # reduction claimed in EXPERIMENTS.md.
 go test -run '^$' -bench 'BenchmarkAggPushdown' -benchmem -benchtime=100x -cpu 1,2,4 ./internal/agg/ >>"$tmp"
+# The same aggregate repeated through a warm memo against the cold
+# push-down, three runs a side at one core for the memo gate below.
+go test -run '^$' -bench 'BenchmarkAggPushdown/(pushdown|warm-memo)$' -benchmem -benchtime=500x -count=3 -cpu 1 ./internal/agg/ >>"$tmp"
 # Live streaming analysis overhead: the full pipeline with and without
 # the live tap attached, same iteration count so the ns/op pair is
 # directly comparable. Archived, not gated (see below); the per-record
@@ -141,6 +144,25 @@ END {
     gate("AggPushdown/pushdown", 8975753, ans, 3, "ns/op")
     gate("AggPushdown/pushdown", 75245, aal, 10, "allocs/op")
     exit fail
+}' "$tmp"; then failed=1; fi
+
+# Memo gate. A standing aggregate over sealed segments it has already
+# folded takes their group tables from the daemon's memo (agg.Memo)
+# instead of scanning them, so what is left is the ordered absorb of the
+# tables and the partial's encoding: the warm Eval is held to a quarter of
+# the cold one, best of three a side at 500 iterations. That read 0.16x
+# on the 2-core host when the gate was written (single runs at 100
+# iterations read 0.16-0.24x).
+if ! awk '
+function val(unit,   i) { for (i = 3; i < NF; i++) if ($(i+1) == unit) return $i; return 0 }
+$1 == "BenchmarkAggPushdown/pushdown"  { if (cold == 0 || val("ns/op") < cold) cold = val("ns/op") }
+$1 == "BenchmarkAggPushdown/warm-memo" { if (warm == 0 || val("ns/op") < warm) warm = val("ns/op") }
+END {
+    if (cold + 0 <= 0 || warm + 0 <= 0) { print "bench_filter.sh: missing AggPushdown warm-memo results" > "/dev/stderr"; exit 1 }
+    if (warm / cold > 0.25) {
+        printf "bench_filter.sh: a warm-memo aggregate takes %.0f ns/op vs %.0f cold (%.2fx), gate is 0.25x\n", warm, cold, warm / cold > "/dev/stderr"
+        exit 1
+    }
 }' "$tmp"; then failed=1; fi
 
 # Compression gates. The stored-segment format must actually earn its
