@@ -986,7 +986,7 @@ func BenchmarkQuerySegmentPruning(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Events) == 0 {
+				if res.Stats.Matched == 0 {
 					b.Fatal("selective query matched nothing")
 				}
 				st = res.Stats
@@ -1052,7 +1052,7 @@ func BenchmarkQueryBlockPruned(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Events) == 0 {
+				if res.Stats.Matched == 0 {
 					b.Fatal("selective query matched nothing")
 				}
 				st = res.Stats
@@ -1153,8 +1153,8 @@ func BenchmarkQueryParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Events) != len(events) {
-			b.Fatalf("scan returned %d events, want %d", len(res.Events), len(events))
+		if res.Stats.Matched != len(events) {
+			b.Fatalf("scan returned %d records, want %d", res.Stats.Matched, len(events))
 		}
 	}
 	// The fixture events are most of this benchmark's live heap. Keep

@@ -139,31 +139,38 @@ func main() {
 		log.Fatal(err)
 	}
 	q.NoPrune = *noPrune
-	res, err := query.Run(rd, q)
+	st, err := writeRecords(os.Stdout, rd, q, *report, *asJSON)
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch {
-	case *report:
-		text, err := analysis.Report(res.Events, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(text)
-	case *asJSON:
-		if err := cli.WriteJSON(os.Stdout, res.Events); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		var out []byte
-		for i := range res.Events {
-			out = append(res.Events[i].AppendFormat(out), '\n')
-		}
-		if _, err := os.Stdout.Write(out); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if *stats {
-		fmt.Fprintln(os.Stderr, res.Stats.String())
+		fmt.Fprintln(os.Stderr, st.String())
 	}
+}
+
+// writeRecords runs a record query and writes its answer to w: the
+// matching records' lines, or with report the analysis report over
+// them, or with asJSON the records as a JSON array of trace events —
+// both over the lines parsed back into events.
+func writeRecords(w io.Writer, rd *store.Reader, q *query.Query, report, asJSON bool) (query.Stats, error) {
+	res, err := query.Run(rd, q)
+	if err != nil {
+		return query.Stats{}, err
+	}
+	if !report && !asJSON {
+		_, err = w.Write(res.Lines)
+		return res.Stats, err
+	}
+	events, err := trace.ParseLog(res.Lines)
+	if err != nil {
+		return res.Stats, err
+	}
+	if asJSON && !report {
+		return res.Stats, cli.WriteJSON(w, events)
+	}
+	text, err := analysis.Report(events, nil)
+	if err == nil {
+		_, err = io.WriteString(w, text)
+	}
+	return res.Stats, err
 }

@@ -29,11 +29,7 @@ func shippedBytes(tb testing.TB, be store.Backend) int {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	n := 0
-	for i := range res.Events {
-		n += len(res.Events[i].Format())
-	}
-	return n
+	return len(res.Lines) - res.Stats.Matched // each line less its newline
 }
 
 // pushdownBytes measures the wire cost with push-down: one encoded
@@ -131,10 +127,7 @@ func BenchmarkAggPushdown(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			bytes = 0
-			for j := range res.Events {
-				bytes += len(res.Events[j].Format())
-			}
+			bytes = len(res.Lines) - res.Stats.Matched
 		}
 		b.ReportMetric(float64(bytes), "bytes_moved")
 	})

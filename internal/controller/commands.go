@@ -638,7 +638,9 @@ func (c *Controller) cmdStatus() {
 // a machine name narrows the set to that machine, and a job name
 // narrows it to the machines the job's processes and filter run on. A
 // machine that does not answer within the retry policy degrades the
-// report — it is listed as missing — rather than hanging the command.
+// report — it is listed as missing — rather than hanging the command. A
+// law of obs's conservation table the merged counters break ends the
+// report with a warning row.
 func (c *Controller) cmdStats(args []string) {
 	if len(args) > 1 {
 		c.printf("usage: stats [machine|jobname]\n")
@@ -686,6 +688,9 @@ func (c *Controller) cmdStats(args []string) {
 	}
 	var buf strings.Builder
 	merged.Render(&buf)
+	for _, r := range merged.Residuals() {
+		fmt.Fprintf(&buf, "WARNING: conservation: %s is off by %d\n", r.Name, r.Value)
+	}
 	c.printf("%s", buf.String())
 }
 

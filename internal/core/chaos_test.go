@@ -253,7 +253,7 @@ func TestChaosSoak(t *testing.T) {
 		rd, rerr := store.OpenReader(be)
 		if rerr == nil {
 			if res, qerr := query.Run(rd, matchAll); qerr == nil {
-				stored = len(res.Events)
+				stored = res.Stats.Matched
 			}
 		}
 		if stored >= len(logged) && stored > 0 {

@@ -13,6 +13,7 @@ import (
 	"dpm/internal/daemon"
 	"dpm/internal/kernel"
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 	"dpm/internal/trace"
 )
 
@@ -121,6 +122,7 @@ func newTestSystem(t *testing.T) (*System, *controller.Controller, *testOut) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Shutdown)
+	checkConserved(t, s)
 	registerPingPong(t, s)
 	out := &testOut{}
 	ctl, err := s.NewController("yellow", out)
@@ -128,6 +130,26 @@ func newTestSystem(t *testing.T) (*System, *controller.Controller, *testOut) {
 		t.Fatal(err)
 	}
 	return s, ctl, out
+}
+
+// checkConserved has the test end by checking that the counters of
+// every machine of s, merged, keep obs's conservation table. A snapshot
+// can catch a flush or a query between a law's sides, so a residual
+// must last two seconds to fail the test.
+func checkConserved(t *testing.T, s *System) {
+	t.Cleanup(func() {
+		var r []obs.NamedValue
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			merged := &obs.Snapshot{}
+			for _, m := range s.Cluster.Machines() {
+				merged.Merge(m.Obs().Snapshot())
+			}
+			if r = merged.Residuals(); len(r) == 0 {
+				return
+			}
+		}
+		t.Errorf("conservation laws broken at the end of the test: %v", r)
+	})
 }
 
 func waitFor(t *testing.T, what string, pred func() bool) {
@@ -405,6 +427,7 @@ func TestMultiNetworkMeteringEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Shutdown)
+	checkConserved(t, s)
 	registerPingPong(t, s)
 	// The gateway has two host ids.
 	gw, _ := s.Machine("gw")

@@ -21,6 +21,7 @@ func TestO1SampleStatsReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
+	checkConserved(t, s)
 	s.Cluster.RegisterProgram("chatter", func(p *kernel.Process) int {
 		f1, f2, err := p.SocketPair()
 		if err != nil {

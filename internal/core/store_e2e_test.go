@@ -25,6 +25,7 @@ func TestStoreDiscardEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Shutdown()
+	checkConserved(t, sys)
 	registerPingPong(t, sys)
 	var out bytes.Buffer
 	ctl, err := sys.NewController("yellow", &out)
@@ -68,8 +69,10 @@ func TestStoreDiscardEndToEnd(t *testing.T) {
 	for {
 		rd, err := store.OpenReader(be)
 		if err == nil {
-			if res, qerr := query.Run(rd, matchAll); qerr == nil && len(res.Events) >= 2 {
-				stored = res.Events
+			if res, qerr := query.Run(rd, matchAll); qerr == nil && res.Stats.Matched >= 2 {
+				if stored, err = trace.ParseLog(res.Lines); err != nil {
+					t.Fatal(err)
+				}
 				break
 			}
 		}
@@ -129,5 +132,13 @@ func TestStoreDiscardEndToEnd(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("filter.kept %d, store.appends %d, store.records_typed %d, store.records_text %d", kept, appends, typed, text)
 		}
+	}
+	// The daemon's query scanned typed records, and stats finds every
+	// conservation law kept.
+	before = out.String()
+	ctl.Exec("stats")
+	report := strings.TrimPrefix(out.String(), before)
+	if !strings.Contains(report, "query.records_typed") || strings.Contains(report, "WARNING: conservation") {
+		t.Fatalf("stats report:\n%s", report)
 	}
 }

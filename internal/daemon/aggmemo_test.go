@@ -12,11 +12,11 @@ import (
 	"dpm/internal/trace"
 )
 
-// TestHandleAggMemoConcurrent: concurrent aggregate requests on one
-// daemon share its memo — under a bound so small that it is emptied
-// again and again while they run — and every reply is byte for byte the
-// reply of a daemon without a memo.
-func TestHandleAggMemoConcurrent(t *testing.T) {
+// storeMachine starts a machine whose store at dir holds records 0 to
+// n-1 of a SEND stream, the last ones in unsealed tails, and returns a
+// process on it and add, which appends more of the stream.
+func storeMachine(t *testing.T, dir string, n int) (p *kernel.Process, m *kernel.Machine, add func(from, to int)) {
+	t.Helper()
 	c := kernel.NewCluster(kernel.Config{})
 	c.AddNetwork("ether0")
 	m, err := c.AddMachine("red", nil, "ether0")
@@ -25,25 +25,37 @@ func TestHandleAggMemoConcurrent(t *testing.T) {
 	}
 	t.Cleanup(c.Shutdown)
 	m.AddAccount(testUID, "user")
-	p, err := m.SpawnDetached(testUID, "aggmemo")
+	p, err = m.SpawnDetached(testUID, "aggmemo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const dir = "/usr/tmp/aggmemo"
 	st, err := store.Open(store.NewFsysBackend(m.FS(), testUID, dir), store.Config{Shards: 2, SegmentCap: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1500; i++ { // the last records stay in unsealed tails
-		e := trace.Event{
-			Type: meter.EvSend, Event: meter.EvSend.String(), Machine: i%4 + 1, CPUTime: int64(10 * i),
-			Fields: map[string]uint64{"pid": uint64(100 + i%3), "sock": 3, "msgLength": uint64(i * 37 % 1000)},
-			Names:  map[string]meter.Name{},
-		}
-		if err := st.Append(store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: 1, PID: uint32(e.Fields["pid"])}, e.Format()); err != nil {
-			t.Fatal(err)
+	add = func(from, to int) {
+		for i := from; i < to; i++ {
+			e := trace.Event{
+				Type: meter.EvSend, Event: meter.EvSend.String(), Machine: i%4 + 1, CPUTime: int64(10 * i),
+				Fields: map[string]uint64{"pid": uint64(100 + i%3), "sock": 3, "msgLength": uint64(i * 37 % 1000)},
+				Names:  map[string]meter.Name{},
+			}
+			if err := st.Append(store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: 1, PID: uint32(e.Fields["pid"])}, e.Format()); err != nil {
+				t.Error(err)
+			}
 		}
 	}
+	add(0, n)
+	return p, m, add
+}
+
+// TestHandleAggMemoConcurrent: concurrent aggregate requests on one
+// daemon share its memo — under a bound so small that it is emptied
+// again and again while they run — and every reply is byte for byte the
+// reply of a daemon without a memo.
+func TestHandleAggMemoConcurrent(t *testing.T) {
+	const dir = "/usr/tmp/aggmemo"
+	p, m, _ := storeMachine(t, dir, 1500)
 	reqs := []*AggReq{
 		{Dir: dir, UID: testUID, Spec: "agg count by machine window 100ms"},
 		{Dir: dir, UID: testUID, Rules: "type=1", Spec: "top 3 pid by sum(msgLength)"},
@@ -81,5 +93,69 @@ func TestHandleAggMemoConcurrent(t *testing.T) {
 	reg := m.Obs()
 	if hits, clears := reg.Counter("agg.memo_hits").Load(), reg.Counter("agg.memo_clears").Load(); hits == 0 || clears == 0 {
 		t.Fatalf("%d memo hits and %d clears: the bound did not make the memo start over", hits, clears)
+	}
+}
+
+// TestReaderSharedAcrossRequests: concurrent queries and aggregates on
+// one daemon share its cached reader of the store, and each reply is
+// byte for byte that of a daemon that opens the store afresh — before
+// the store changes, and after appends have grown its unsealed tails
+// and rotated new segments past what the cached reader saw.
+func TestReaderSharedAcrossRequests(t *testing.T) {
+	const dir = "/usr/tmp/shared"
+	p, _, add := storeMachine(t, dir, 1500)
+	queries := []*QueryReq{
+		{Dir: dir, UID: testUID, Rules: "machine=2,msgLength>=500"},
+		{Dir: dir, UID: testUID, Rules: "cpuTime>=14000", NoPrune: true},
+	}
+	aggs := []*AggReq{
+		{Dir: dir, UID: testUID, Spec: "agg count by machine"},
+		{Dir: dir, UID: testUID, Rules: "type=1", Spec: "top 2 pid by sum(msgLength)"},
+	}
+	d := &daemonState{p: p}
+	for round := 0; round < 2; round++ {
+		fresh := func() *daemonState { return &daemonState{p: p} }
+		var want []*Reply
+		for _, req := range queries {
+			want = append(want, fresh().handleQuery(req))
+		}
+		for _, req := range aggs {
+			want = append(want, fresh().handleAgg(req))
+		}
+		for i, rep := range want {
+			if rep.Status != "ok" {
+				t.Fatalf("request %d: %s", i, rep.Status)
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					k := (g + i) % len(want)
+					var got *Reply
+					if k < len(queries) {
+						got = d.handleQuery(queries[k])
+					} else {
+						got = d.handleAgg(aggs[k-len(queries)])
+					}
+					if *got != *want[k] {
+						errs <- fmt.Errorf("round %d, request %d: reply %q %q, want %q %q", round, k, got.Status, got.Aux, want[k].Status, want[k].Aux)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if len(d.readers) != 1 {
+			t.Fatalf("%d cached readers for one store", len(d.readers))
+		}
+		add(1500, 3000)
 	}
 }

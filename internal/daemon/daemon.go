@@ -173,6 +173,10 @@ type daemonState struct {
 	// getfile prefix-CRC checkpoints by path (prefixCRC), guarded by mu.
 	fileSums map[string]prefixSum
 
+	// Each store's last snapshot by UID and directory, guarded by mu:
+	// the next query of the store reopens it (store.Reopen).
+	readers map[string]*store.Reader
+
 	// Sealed segments' aggregate group tables, across handleAgg calls.
 	aggMemo *agg.Memo
 
@@ -618,6 +622,32 @@ func (d *daemonState) prefixCRC(path string, snap fsys.Snapshot, off, n int) uin
 	return prefix
 }
 
+// maxReaders bounds the reader table. A reader only saves work, so a
+// full table is simply emptied.
+const maxReaders = 64
+
+// reader snapshots a store on this machine, reopening the last snapshot
+// of it, so that the segments unchanged since are taken as they were.
+// The table pins what its readers were lent until the next snapshot of
+// the same store replaces them.
+func (d *daemonState) reader(uid int, dir string) (*store.Reader, error) {
+	id := strconv.Itoa(uid) + ":" + dir
+	d.mu.Lock()
+	prev := d.readers[id]
+	d.mu.Unlock()
+	rd, err := store.Reopen(prev, store.NewFsysBackend(d.p.Machine().FS(), uid, dir))
+	if err != nil {
+		return nil, err
+	}
+	d.mu.Lock()
+	if _, ok := d.readers[id]; !ok && len(d.readers) >= maxReaders || d.readers == nil {
+		d.readers = make(map[string]*store.Reader)
+	}
+	d.readers[id] = rd
+	d.mu.Unlock()
+	return rd, nil
+}
+
 // handleQuery runs a selection-rule query against an event store on
 // this machine — the query layer's whole point is that this executes
 // where the data lives, so only matching records travel back. The
@@ -629,7 +659,7 @@ func (d *daemonState) handleQuery(req *QueryReq) *Reply {
 	}
 	q.NoPrune = req.NoPrune
 	q.Obs = d.p.Machine().Obs()
-	rd, err := store.OpenReader(store.NewFsysBackend(d.p.Machine().FS(), req.UID, req.Dir))
+	rd, err := d.reader(req.UID, req.Dir)
 	if err != nil {
 		return &Reply{Type: TQueryRep, Status: err.Error()}
 	}
@@ -637,11 +667,7 @@ func (d *daemonState) handleQuery(req *QueryReq) *Reply {
 	if err != nil {
 		return &Reply{Type: TQueryRep, Status: err.Error()}
 	}
-	b := append([]byte(res.Stats.String()), '\n')
-	for i := range res.Events {
-		b = append(res.Events[i].AppendFormat(b), '\n')
-	}
-	return &Reply{Type: TQueryRep, Status: "ok", Data: string(b)}
+	return &Reply{Type: TQueryRep, Status: "ok", Data: res.Stats.String() + "\n" + string(res.Lines)}
 }
 
 // handleAgg runs an aggregate query against an event store on this
@@ -656,7 +682,7 @@ func (d *daemonState) handleAgg(req *AggReq) *Reply {
 		return &Reply{Type: TAggRep, Status: err.Error()}
 	}
 	aq.Sel.NoPrune = req.NoPrune
-	rd, err := store.OpenReader(store.NewFsysBackend(d.p.Machine().FS(), req.UID, req.Dir))
+	rd, err := d.reader(req.UID, req.Dir)
 	if err != nil {
 		return &Reply{Type: TAggRep, Status: err.Error()}
 	}

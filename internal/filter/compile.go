@@ -9,7 +9,7 @@ import (
 )
 
 // This file compiles Descriptions + Rules into an index-based program,
-// the filter's steady-state hot path. The interpreter in rules.go
+// the filter's steady-state hot path. The interpreter in interp_test.go
 // resolves every field by string name per record and allocates a
 // discard map per match; the compiled form resolves each condition's
 // field references to integer slots once, at filter start, and
@@ -332,11 +332,11 @@ func (pr *progRule) match(r *Record) bool {
 		c := &pr.conds[i]
 		switch c.kind {
 		case condNum:
-			if !c.op.eval(r.slotVal(c.slot), c.value) {
+			if !c.op.Eval(r.slotVal(c.slot), c.value) {
 				return false
 			}
 		case condNumRef:
-			if !c.op.eval(r.slotVal(c.slot), r.slotVal(c.refSlot)) {
+			if !c.op.Eval(r.slotVal(c.slot), r.slotVal(c.refSlot)) {
 				return false
 			}
 		case condNameEQ:

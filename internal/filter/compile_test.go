@@ -10,7 +10,7 @@ import (
 )
 
 // The compiled program (compile.go) must select, discard, and format
-// byte-identically to the interpreter (rules.go + Record.Format) — the
+// byte-identically to the interpreter (interp_test.go + Record.Format) — the
 // interpreter is the semantic reference, the program is the hot path.
 // These tests sweep the Figure 3.3–3.4 operator matrix over a message
 // corpus covering every standard event type and compare the two

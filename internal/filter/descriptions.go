@@ -149,39 +149,6 @@ type Record struct {
 	Fields   []RecordField
 }
 
-// Field returns the numeric value of a named field (header fields
-// included), for rule evaluation.
-func (r *Record) Field(name string) (uint64, bool) {
-	switch name {
-	case "size":
-		return uint64(r.Size), true
-	case "machine":
-		return uint64(r.Machine), true
-	case "cpuTime":
-		return uint64(r.CPUTime), true
-	case "procTime":
-		return uint64(r.ProcTime), true
-	case "type", "traceType":
-		return uint64(r.Type), true
-	}
-	for i := range r.Fields {
-		if r.Fields[i].Name == name {
-			return r.Fields[i].Value, true
-		}
-	}
-	return 0, false
-}
-
-// NameField returns the decoded socket name of a name field.
-func (r *Record) NameField(name string) (meter.Name, bool) {
-	for i := range r.Fields {
-		if r.Fields[i].Name == name && r.Fields[i].IsName {
-			return r.Fields[i].Addr, true
-		}
-	}
-	return meter.Name{}, false
-}
-
 // extractBody fills rec.Fields from the message body per the event
 // description. rec's header fields and truncated field slice are
 // already in place.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"dpm/internal/meter"
 )
 
 // Op is a comparison operator in a selection rule. "The conditions
@@ -28,12 +26,10 @@ var opNames = map[Op]string{OpEQ: "=", OpNE: "!=", OpGE: ">=", OpLE: "<=", OpGT:
 
 func (o Op) String() string { return opNames[o] }
 
-// Eval applies the comparison to two values. It is exported so other
-// rule evaluators (the query engine runs these rules against stored
-// trace events) share the exact operator semantics.
-func (o Op) Eval(a, b uint64) bool { return o.eval(a, b) }
-
-func (o Op) eval(a, b uint64) bool {
+// Eval applies the comparison to two values. It is exported so that the
+// query engine, which runs these rules against stored records, shares
+// the exact operator semantics.
+func (o Op) Eval(a, b uint64) bool {
 	switch o {
 	case OpEQ:
 		return a == b
@@ -154,59 +150,6 @@ func isFieldName(s string) bool {
 	return true
 }
 
-// FieldSource is the record-shaped value rules evaluate against: the
-// filter's extracted Records implement it directly, and so does the
-// trace.View the query engine parses stored lines into, so both stages
-// share one rule evaluator and cannot drift apart.
-type FieldSource interface {
-	// Field returns the numeric value of a named field, header fields
-	// included; socket-name fields yield their numeric value.
-	Field(name string) (uint64, bool)
-	// NameField returns the decoded socket name of a name field.
-	NameField(name string) (meter.Name, bool)
-}
-
-// MatchSource evaluates the rule's conditions against any field
-// source. It performs no discard bookkeeping and allocates nothing;
-// callers that need the discard set apply DiscardSet on a match.
-func (r Rule) MatchSource(src FieldSource) bool {
-	for _, c := range r {
-		if c.Wildcard {
-			// '*' matches any value, but the field must exist.
-			if _, ok := src.Field(c.Field); !ok {
-				return false
-			}
-			continue
-		}
-		if c.FieldRef != "" {
-			// Field-to-field comparison; socket-name fields compare
-			// their full 16-byte names (e.g. sockName=peerName).
-			if an, aok := src.NameField(c.Field); aok {
-				bn, bok := src.NameField(c.FieldRef)
-				if !bok {
-					return false
-				}
-				eq := an == bn
-				if (c.Op == OpEQ && !eq) || (c.Op == OpNE && eq) {
-					return false
-				}
-				continue
-			}
-			a, aok := src.Field(c.Field)
-			b, bok := src.Field(c.FieldRef)
-			if !aok || !bok || !c.Op.eval(a, b) {
-				return false
-			}
-			continue
-		}
-		v, ok := src.Field(c.Field)
-		if !ok || !c.Op.eval(v, c.Value) {
-			return false
-		}
-	}
-	return true
-}
-
 // DiscardSet returns the set of fields the rule's '#' markers drop,
 // or nil when it has none. The map is freshly built on each call;
 // callers on a hot path should build it once per rule (the compiled
@@ -222,31 +165,4 @@ func (r Rule) DiscardSet() map[string]bool {
 		}
 	}
 	return discards
-}
-
-// SelectSource returns the index of the first rule matching the
-// source, or -1. An empty rule set selects everything, reported as
-// rule -1 with keep true.
-func (rs Rules) SelectSource(src FieldSource) (keep bool, rule int) {
-	if len(rs) == 0 {
-		return true, -1
-	}
-	for i, r := range rs {
-		if r.MatchSource(src) {
-			return true, i
-		}
-	}
-	return false, -1
-}
-
-// Select decides whether a record is kept. With no rules at all,
-// every record is kept unedited. Otherwise the record is kept if any
-// rule matches, with that rule's discards applied. A matching rule
-// without '#' conditions reports a nil discard set, allocating no map.
-func (rs Rules) Select(rec *Record) (keep bool, discards map[string]bool) {
-	keep, rule := rs.SelectSource(rec)
-	if !keep || rule < 0 {
-		return keep, nil
-	}
-	return true, rs[rule].DiscardSet()
 }

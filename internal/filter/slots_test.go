@@ -55,7 +55,7 @@ func slotsMatchParse(t testing.TB, eng *Engine, stream []byte, ambiguous func(i 
 		if !bytes.Equal(got, want) {
 			t.Fatalf("record %d %q: typed form %x from the slots, %x from the parse", i, r.Line, got, want)
 		}
-		if got := slotted.AppendLine(nil); !bytes.Equal(got, r.Line) {
+		if got := slotted.AppendLine(nil, nil); !bytes.Equal(got, r.Line) {
 			t.Fatalf("record %d: the slots spell %q, the line is %q", i, got, r.Line)
 		}
 	}

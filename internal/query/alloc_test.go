@@ -46,8 +46,8 @@ func TestParallelMemoryRatio(t *testing.T) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Events) != 4000 {
-					b.Fatalf("scan returned %d events, want 4000", len(res.Events))
+				if res.Stats.Matched != 4000 {
+					b.Fatalf("scan returned %d records, want 4000", res.Stats.Matched)
 				}
 			}
 		})
@@ -100,5 +100,45 @@ func TestScanSegmentZeroAllocs(t *testing.T) {
 	}
 	if st.Records != 2000 || st.Matched != 0 || st.BadLines != 0 {
 		t.Fatalf("scan stats %+v, want 2000 records, none matched or bad", st)
+	}
+}
+
+// TestRunShipsNoAllocPerRecord: what a warm Run allocates does not grow
+// with the records it ships — each line is written into pooled buffers
+// and the result is one allocation — so a query that ships a thousand
+// records allocates within a small constant of one that ships ten over
+// the same segments.
+func TestRunShipsNoAllocPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
+	}
+	be, _ := buildStore(t, 1000, store.Config{SegmentCap: 4096})
+	rd, err := store.OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(rules string, ships int) float64 {
+		q, err := Compile(rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.NoPrune = true // both scan every segment
+		var res *Result
+		run := func() {
+			if res, err = Run(rd, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pools
+		n := testing.AllocsPerRun(20, run)
+		if res.Stats.Matched != ships || res.Stats.Typed != 1000 {
+			t.Fatalf("%q: %+v, want %d matched of 1000 typed", rules, res.Stats, ships)
+		}
+		return n
+	}
+	few, many := allocs("cpuTime<100", 10), allocs("cpuTime<10000", 1000)
+	t.Logf("allocations per Run: %.0f shipping 10 records, %.0f shipping 1000", few, many)
+	if many > few+4 {
+		t.Fatalf("shipping 1000 records allocates %.0f times, 10 records %.0f: it grows with what ships", many, few)
 	}
 }

@@ -1,25 +1,16 @@
 package query
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"dpm/internal/store"
 )
 
-// formatEvents renders just the event stream — seq, order, record
-// bytes. Stats legitimately differ across storage layouts (block
-// counts follow the block size), so byte-identity is asserted on the
-// events alone.
-func formatEvents(res *Result) string {
-	var b strings.Builder
-	for i := range res.Events {
-		fmt.Fprintf(&b, "seq=%d %s\n", res.Events[i].Seq, res.Events[i].Format())
-	}
-	return b.String()
-}
+// formatEvents renders just the records — order and bytes. Stats
+// legitimately differ across storage layouts (block counts follow the
+// block size), so byte-identity is asserted on the records alone.
+func formatEvents(res *Result) string { return string(res.Lines) }
 
 // TestCompressedRunEquivalence stores one randomized record stream two
 // ways — a block per segment (the footer index is the only zone map),
@@ -124,7 +115,7 @@ func TestBlockPruningPrunes(t *testing.T) {
 	if res.Stats.BlocksPruned == 0 {
 		t.Fatalf("selective query pruned no blocks: %+v", res.Stats)
 	}
-	if len(res.Events) == 0 {
+	if len(res.Lines) == 0 {
 		t.Fatal("selective query matched nothing")
 	}
 }

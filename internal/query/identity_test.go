@@ -238,8 +238,12 @@ func answers(t *testing.T, rd *store.Reader, rules string) string {
 			t.Fatal(err)
 		}
 		digestStats(&w, res.Stats, noPrune)
-		for i := range res.Events {
-			digestEvent(&w, &res.Events[i])
+		events, err := trace.ParseLog(res.Lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range events {
+			digestEvent(&w, &events[i])
 		}
 		for _, spec := range identitySpecs {
 			aq, err := agg.Compile(rules + "\n" + spec)
@@ -426,7 +430,7 @@ func shardRecs(t *testing.T, be store.Backend) (recs [][]store.Rec, versions map
 			versions[rs.FormatVersion()]++
 			_, err := rs.ScanViews(d, nil, func(m store.Meta, v *trace.View, line []byte) {
 				if v != nil {
-					line = v.AppendLine(nil)
+					line = v.AppendLine(nil, nil)
 				}
 				out = append(out, store.Rec{Meta: m, Line: string(line)})
 			})

@@ -1,11 +1,10 @@
 package query
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,16 +16,18 @@ import (
 // worker pool that both record queries (Run) and aggregate push-down
 // (agg.Eval) execute on. Admitted segments are numbered in shard-major
 // rotation order; workers scan them concurrently — decode, parse,
-// evaluate rules — and the caller's fold receives each segment's
-// result strictly in that order, on the calling goroutine. Anything
-// order-sensitive (the per-shard event order of Run, which groups an
+// evaluate rules, write lines — and the caller's fold receives each
+// segment's result strictly in that order, on the calling goroutine. Anything
+// order-sensitive (the per-shard record order of Run, which groups an
 // aggregate's MaxGroups cap admits) therefore sees records in the
 // order a single-threaded walk would, at any worker count, while
 // everything expensive runs on the pool.
 //
-// Results flow through one shared bounded channel: workers block when
-// the fold falls behind, and the collector always drains, so no
-// configuration of slow segments can deadlock the pool.
+// Results flow through one shared bounded channel, and a worker takes a
+// segment only while few enough results wait for the fold: workers block
+// when the fold falls behind, and the collector always drains, so no
+// configuration of slow segments can deadlock the pool or grow what
+// waits.
 
 // ScanSegment runs the record-selection tier over one segment: stored
 // lines are decoded through a pooled decoder (compressed segments
@@ -37,9 +38,9 @@ import (
 // outside every one cannot match and is skipped before the parse. fn sees
 // the view of each matching record with its rule's shared discard set;
 // the view is only valid during the call, and a caller that ships the
-// record takes view.Event(). A torn unsealed tail is tolerated, as with
-// trace logs; corruption of a sealed segment is an error. The returned
-// Stats is this segment's contribution (Scanned is 1).
+// record writes view.AppendLine. A torn unsealed tail is tolerated, as
+// with trace logs; corruption of a sealed segment is an error. The
+// returned Stats is this segment's contribution (Scanned is 1).
 func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, discards map[string]bool)) (Stats, error) {
 	st := Stats{Scanned: 1}
 	admit := q.Admits
@@ -62,6 +63,8 @@ func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, disc
 				return
 			}
 			rec = v
+		} else {
+			st.Typed++
 		}
 		ok, discards := q.match(rec)
 		if !ok {
@@ -82,9 +85,8 @@ func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, disc
 }
 
 // viewPool holds the record views scans parse into, one per running
-// ScanSegment: a view handed to rule evaluation as a FieldSource
-// escapes, so a fresh one per segment would be a kilobyte allocation
-// per segment.
+// ScanSegment: a view handed to the caller's fn escapes, so a fresh one
+// per segment would be a kilobyte allocation per segment.
 var viewPool = sync.Pool{New: func() any { return new(trace.View) }}
 
 // ScanOrdered scans every segment the query admits on a pool of
@@ -116,11 +118,16 @@ func scanOrdered[T any](rd *store.Reader, q *Query, workers int,
 		err   error
 	}
 	// A shared atomic cursor hands out segments; the channel carries
-	// results back. Two slots per worker let a worker start its next
-	// segment while its last result waits for the collector.
+	// results back. A worker takes a segment only with one of window
+	// slots, given back as the fold passes it: however long one segment
+	// takes, no more than window results wait behind it, each holding its
+	// segment's output. Segments are taken in order, so the one the fold
+	// waits for always holds a slot, and sends never block.
+	window := 4 * workers
 	var (
 		next    atomic.Int64
-		results = make(chan result, 2*workers)
+		slots   = make(chan struct{}, window)
+		results = make(chan result, window)
 		wg      sync.WaitGroup
 	)
 	for i := 0; i < workers; i++ {
@@ -128,8 +135,10 @@ func scanOrdered[T any](rd *store.Reader, q *Query, workers int,
 		go func() {
 			defer wg.Done()
 			for {
+				slots <- struct{}{}
 				n := int(next.Add(1)) - 1
 				if n >= len(segs) {
+					<-slots
 					return
 				}
 				r := result{idx: n}
@@ -144,118 +153,109 @@ func scanOrdered[T any](rd *store.Reader, q *Query, workers int,
 	}()
 
 	// In-order fold: park out-of-order arrivals, consume strictly by
-	// segment index. After an error the loop only drains, so the workers
-	// can exit; the cursor jumps to the end so they stop taking segments.
-	pending := make(map[int]result, 2*workers)
+	// segment index. After an error the loop only drains, giving slots
+	// back, so the workers can exit; the cursor jumps to the end so they
+	// stop taking segments. At most window results wait, so the parked
+	// ones are a slice searched whole.
+	parked := make([]result, 0, window)
 	var firstErr error
 	want := 0
 	for r := range results {
 		if firstErr != nil {
+			<-slots
 			continue
 		}
-		pending[r.idx] = r
-		for {
-			nr, ok := pending[want]
-			if !ok {
-				break
+		parked = append(parked, r)
+		for i := 0; i < len(parked); {
+			if parked[i].idx != want {
+				i++
+				continue
 			}
+			nr := parked[i]
 			if nr.err != nil {
 				firstErr = nr.err
 				next.Store(int64(len(segs)))
+				for range parked {
+					<-slots
+				}
 				break
 			}
-			delete(pending, want)
+			parked[i] = parked[len(parked)-1]
+			parked = parked[:len(parked)-1]
 			stats.add(nr.stats)
 			fold(segs[want], nr.val)
-			want++
+			<-slots
+			want, i = want+1, 0
 		}
 	}
 	return stats, firstErr
 }
 
-// matchedPool recycles per-segment match buffers across scans. Without
-// it every segment grows a fresh matched slice that dies as soon as
-// the fold copies it out — the allocation storm behind the old 2.4x
-// bytes/op blow-up from one worker to two.
-var matchedPool = sync.Pool{
-	New: func() any { return make([]trace.Event, 0, 512) },
+// lines is what a record query ships, the line of each record it
+// selected, each ending in a newline, and where each lies in data with
+// its cpuTime; one segment's in scan order, or every segment's in
+// Admitted order.
+type lines struct {
+	data []byte
+	recs []lineRec
 }
 
-func getMatched() []trace.Event { return matchedPool.Get().([]trace.Event)[:0] }
+type lineRec struct {
+	t        int64
+	off, end int
+}
 
-func putMatched(s []trace.Event) {
-	clear(s) // events hold maps; don't pin them from the pool
-	matchedPool.Put(s[:0])
+// segLines and runLines recycle segments' lines and runs' folded ones
+// — apart, as a run's hold every segment's — so that a warm query
+// allocates for its result and not per record or segment.
+var segLines, runLines = sync.Pool{New: newLines}, sync.Pool{New: newLines}
+
+func newLines() any { return new(lines) }
+
+func getLines(p *sync.Pool) *lines {
+	l := p.Get().(*lines)
+	l.data, l.recs = l.data[:0], l.recs[:0]
+	return l
 }
 
 // run executes a record query on the given number of workers. The
-// result is independent of that number, byte for byte:
-//
-//   - per-shard event order is each segment's matches appended in
-//     rotation order (the fold is in Admitted order, which is
-//     shard-major) and stable-sorted by cpuTime once;
-//   - cross-shard order comes from the cursorHeap's shard-id tie-break;
-//   - stats are sums of per-segment counters, which commute.
+// result is independent of that number, byte for byte: segments fold in
+// Admitted order, which is shard-major and rotation order within a
+// shard, so a line's offset in the folded buffer orders it by shard and
+// then as its shard scanned it; the lines are shipped sorted by cpuTime,
+// then offset — each shard's matches stably sorted by cpuTime and the
+// shards merged with ties going to the lower shard id. Stats are sums of
+// per-segment counters, which commute.
 func run(rd *store.Reader, q *Query, workers int) (*Result, error) {
-	bufs := make([][]trace.Event, len(rd.Shards()))
+	all := getLines(&runLines)
+	defer runLines.Put(all)
 	stats, err := scanOrdered(rd, q, workers,
-		func(rs *store.ReaderSegment) ([]trace.Event, Stats, error) {
-			matched := getMatched()
+		func(rs *store.ReaderSegment) (*lines, Stats, error) {
+			seg := getLines(&segLines)
 			st, err := q.ScanSegment(rs, func(v *trace.View, discards map[string]bool) {
-				matched = append(matched, project(v.Event(), discards))
+				off := len(seg.data)
+				seg.data = append(v.AppendLine(seg.data, discards), '\n')
+				seg.recs = append(seg.recs, lineRec{v.CPUTime, off, len(seg.data)})
 			})
-			return matched, st, err
+			return seg, st, err
 		},
-		func(rs *store.ReaderSegment, matched []trace.Event) {
-			bufs[rs.Shard] = append(bufs[rs.Shard], matched...)
-			putMatched(matched)
+		func(_ *store.ReaderSegment, seg *lines) {
+			base := len(all.data)
+			all.data = append(all.data, seg.data...)
+			for _, r := range seg.recs {
+				all.recs = append(all.recs, lineRec{r.t, base + r.off, base + r.end})
+			}
+			segLines.Put(seg)
 		})
 	if err != nil {
 		return nil, err
 	}
-	// Grow keeps an empty result's Events nil, as callers print it.
-	res := &Result{Stats: stats, Events: slices.Grow([]trace.Event(nil), stats.Matched)}
-	var h cursorHeap
-	for shard, buf := range bufs {
-		if len(buf) == 0 {
-			continue
-		}
-		sort.SliceStable(buf, func(i, j int) bool { return buf[i].CPUTime < buf[j].CPUTime })
-		h = append(h, &shardBuf{buf: buf, shard: shard})
-	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		c := h[0]
-		ev := c.buf[0]
-		ev.Seq = len(res.Events)
-		res.Events = append(res.Events, ev)
-		if c.buf = c.buf[1:]; len(c.buf) > 0 {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
+	slices.SortFunc(all.recs, func(a, b lineRec) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.off, b.off))
+	})
+	res := &Result{Stats: stats, Lines: make([]byte, 0, len(all.data))}
+	for _, r := range all.recs {
+		res.Lines = append(res.Lines, all.data[r.off:r.end]...)
 	}
 	return res, nil
 }
-
-// shardBuf is one shard's sorted matches, consumed from the front.
-type shardBuf struct {
-	buf   []trace.Event
-	shard int
-}
-
-// cursorHeap orders cursors by their head event's timestamp (shard id
-// breaking ties for determinism).
-type cursorHeap []*shardBuf
-
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	a, b := h[i].buf[0].CPUTime, h[j].buf[0].CPUTime
-	if a != b {
-		return a < b
-	}
-	return h[i].shard < h[j].shard
-}
-func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(*shardBuf)) }
-func (h *cursorHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }

@@ -93,44 +93,17 @@ func format(res *Result) string {
 	var b strings.Builder
 	b.WriteString(res.Stats.String())
 	fmt.Fprintf(&b, " badLines=%d\n", res.Stats.BadLines)
-	for i := range res.Events {
-		fmt.Fprintf(&b, "seq=%d %s\n", res.Events[i].Seq, res.Events[i].Format())
-	}
+	b.Write(res.Lines)
 	return b.String()
 }
 
-// eventSource resolves rule fields on a ParseOne event, header fields
-// by name and then the maps: the record model the executor evaluated
-// rules on before it had the in-place view, kept as the oracle's.
-type eventSource trace.Event
-
-func (e *eventSource) Field(name string) (uint64, bool) {
-	switch name {
-	case "machine":
-		return uint64(e.Machine), true
-	case "cpuTime":
-		return uint64(e.CPUTime), true
-	case "procTime":
-		return uint64(e.ProcTime), true
-	case "type", "traceType":
-		return uint64(e.Type), true
-	}
-	v, ok := e.Fields[name]
-	return v, ok
-}
-
-func (e *eventSource) NameField(name string) (meter.Name, bool) {
-	n, ok := e.Names[name]
-	return n, ok
-}
-
 // oracle answers a query by brute force, sharing nothing with the
-// executor but the rule evaluator: every segment is loaded whole (no
-// pruning, no pooled decoder, no workers, no record view), its lines
-// parsed by trace.ParseOne and matched as events, and the matches —
-// collected in shard-major rotation order — stable-sorted by cpuTime
-// once and re-sequenced.
-func oracle(t *testing.T, rd *store.Reader, q *Query) []trace.Event {
+// executor: every segment is loaded whole (no pruning, no pooled
+// decoder, no workers, no record view), its lines parsed by
+// trace.ParseOne and matched as events by the reference interpreter, and
+// the matches — collected in shard-major rotation order, projected —
+// stable-sorted by cpuTime once and formatted.
+func oracle(t *testing.T, rd *store.Reader, q *Query) string {
 	t.Helper()
 	var out []trace.Event
 	for _, shard := range rd.Shards() {
@@ -144,21 +117,22 @@ func oracle(t *testing.T, rd *store.Reader, q *Query) []trace.Event {
 				if err != nil {
 					continue
 				}
-				if keep, rule := q.Rules.SelectSource((*eventSource)(&ev)); keep {
+				if keep, rule := selectSource(q.Rules, (*eventSource)(&ev)); keep {
 					var discards map[string]bool
 					if rule >= 0 {
 						discards = q.Rules[rule].DiscardSet()
 					}
-					out = append(out, project(ev, discards))
+					out = append(out, Project(ev, discards))
 				}
 			}
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].CPUTime < out[j].CPUTime })
+	var b []byte
 	for i := range out {
-		out[i].Seq = i
+		b = append(out[i].AppendFormat(b), '\n')
 	}
-	return out
+	return string(b)
 }
 
 // workerCounts are the pool sizes the equivalence suites drive through
@@ -217,19 +191,19 @@ func TestParallelRunEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					q.NoPrune = noPrune
-					wantEvents := formatEvents(&Result{Events: oracle(t, rd, q)})
+					wantEvents := oracle(t, rd, q)
 					var want string
 					for _, workers := range workerCounts {
 						res, err := run(rd, q, workers)
 						if err != nil {
 							t.Fatalf("rule %d workers=%d: %v", ri, workers, err)
 						}
-						if got := formatEvents(res); got != wantEvents {
+						if got := string(res.Lines); got != wantEvents {
 							t.Fatalf("rule %d noPrune=%v workers=%d diverges from the oracle:\n--- oracle\n%s\n--- run\n%s",
 								ri, noPrune, workers, wantEvents, got)
 						}
-						if res.Stats.Matched != len(res.Events) {
-							t.Fatalf("rule %d workers=%d: matched=%d but %d events", ri, workers, res.Stats.Matched, len(res.Events))
+						if n := len(eventsOf(t, res)); res.Stats.Matched != n {
+							t.Fatalf("rule %d workers=%d: matched=%d but %d lines", ri, workers, res.Stats.Matched, n)
 						}
 						got := format(res)
 						if want == "" {
@@ -374,8 +348,8 @@ func TestRunTornUnsealedTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: torn unsealed tail failed the query: %v", workers, err)
 		}
-		if len(res.Events) != 199 {
-			t.Fatalf("workers=%d: %d events, want 199 (200 less the torn record)", workers, len(res.Events))
+		if n := len(eventsOf(t, res)); n != 199 {
+			t.Fatalf("workers=%d: %d events, want 199 (200 less the torn record)", workers, n)
 		}
 	}
 }

@@ -14,9 +14,10 @@
 //     no rule's envelope is skipped without a frame parsed; so is a
 //     compressed block by its zone map, undecoded; so is a record by its
 //     own Meta, its line unparsed.
-//   - Record selection. What remains streams through the full rule
-//     semantics, including '#' projection, and the per-shard streams
-//     merge into one timestamp-ordered result, the same ordering
+//   - Record selection. What remains is matched by the rules compiled to
+//     trace.FieldRefs, and each selected record's line is written from
+//     its view with the rule's '#' discards left out; the per-shard
+//     streams merge into one timestamp-ordered result, the same ordering
 //     discipline as trace.Merge.
 package query
 
@@ -25,15 +26,15 @@ import (
 	"runtime"
 
 	"dpm/internal/filter"
-	"dpm/internal/meter"
 	"dpm/internal/obs"
 	"dpm/internal/store"
 	"dpm/internal/trace"
 )
 
 // Query is a compiled query: the parsed rules, the pruning envelope of
-// each, and each rule's precomputed discard set (so matching allocates
-// no map per record).
+// each, each rule's conditions with their fields resolved, and each
+// rule's precomputed discard set (so matching allocates no map per
+// record).
 type Query struct {
 	Rules filter.Rules
 	// NoPrune disables footer pruning, scanning every segment — the
@@ -45,7 +46,15 @@ type Query struct {
 	Obs *obs.Registry
 
 	bounds   []bounds
+	conds    [][]cond
 	discards []map[string]bool
+}
+
+// cond is a condition with its field, and the field it compares with,
+// resolved once.
+type cond struct {
+	filter.Condition
+	field, ref trace.FieldRef
 }
 
 // Compile parses selection rules (one per line, Figure 3.3 syntax) and
@@ -60,6 +69,11 @@ func Compile(text string) (*Query, error) {
 	for _, r := range rules {
 		q.bounds = append(q.bounds, boundsOf(r))
 		q.discards = append(q.discards, r.DiscardSet())
+		conds := make([]cond, len(r))
+		for i, c := range r {
+			conds[i] = cond{c, trace.NewFieldRef(c.Field), trace.NewFieldRef(c.FieldRef)}
+		}
+		q.conds = append(q.conds, conds)
 	}
 	return q, nil
 }
@@ -214,51 +228,49 @@ func (q *Query) admitsMeta(m store.Meta) bool {
 // apply. The returned discard set is precomputed per rule and shared
 // across calls: callers must not mutate it.
 func (q *Query) match(v *trace.View) (bool, map[string]bool) {
-	if len(q.Rules) == 0 {
+	if len(q.conds) == 0 {
 		return true, nil
 	}
-	for i, r := range q.Rules {
-		if r.MatchSource(v) {
-			if i < len(q.discards) {
-				return true, q.discards[i]
-			}
-			// Query built without Compile: fall back to a fresh set.
-			return true, r.DiscardSet()
+	for i, conds := range q.conds {
+		if holds(conds, v) {
+			return true, q.discards[i]
 		}
 	}
 	return false, nil
 }
 
-// project applies a matched rule's '#' discards to the event. Header
-// fields are never dropped, mirroring the filter's record formatting,
-// which always prints them.
-func project(e trace.Event, discards map[string]bool) trace.Event {
-	drop := false
-	for k := range discards {
-		if _, ok := e.Fields[k]; ok {
-			drop = true
-		}
-		if _, ok := e.Names[k]; ok {
-			drop = true
+// holds reports whether every condition of a rule holds of the record.
+func holds(conds []cond, v *trace.View) bool {
+	for i := range conds {
+		c := &conds[i]
+		switch {
+		case c.Wildcard:
+			// '*' matches any value, but the field must exist.
+			if _, ok := v.FieldOf(&c.field); !ok {
+				return false
+			}
+		case c.FieldRef != "":
+			// Socket names compare all sixteen bytes (sockName=peerName),
+			// and only = and != constrain them.
+			if a, ok := v.NameOf(&c.field); ok {
+				b, ok := v.NameOf(&c.ref)
+				if !ok || c.Op == filter.OpEQ && a != b || c.Op == filter.OpNE && a == b {
+					return false
+				}
+				continue
+			}
+			a, aok := v.FieldOf(&c.field)
+			b, bok := v.FieldOf(&c.ref)
+			if !aok || !bok || !c.Op.Eval(a, b) {
+				return false
+			}
+		default:
+			if a, ok := v.FieldOf(&c.field); !ok || !c.Op.Eval(a, c.Value) {
+				return false
+			}
 		}
 	}
-	if !drop {
-		return e
-	}
-	fields := make(map[string]uint64, len(e.Fields))
-	for k, v := range e.Fields {
-		if !discards[k] {
-			fields[k] = v
-		}
-	}
-	names := make(map[string]meter.Name, len(e.Names))
-	for k, v := range e.Names {
-		if !discards[k] {
-			names[k] = v
-		}
-	}
-	e.Fields, e.Names = fields, names
-	return e
+	return true
 }
 
 // Stats describes how a query executed.
@@ -271,6 +283,7 @@ type Stats struct {
 	Records      int // records the decoder emitted in scanned segments
 	Skipped      int // records rejected on their Meta, before the parse
 	Parsed       int // records whose line was parsed: the ones not stored typed
+	Typed        int // records matched as stored typed, with no parse
 	Matched      int // records selected
 	BadLines     int // lines the trace parser rejected, among the records that were parsed
 }
@@ -286,6 +299,7 @@ func (s *Stats) add(o Stats) {
 	s.Records += o.Records
 	s.Skipped += o.Skipped
 	s.Parsed += o.Parsed
+	s.Typed += o.Typed
 	s.Matched += o.Matched
 	s.BadLines += o.BadLines
 }
@@ -296,10 +310,11 @@ func (s Stats) String() string {
 		s.Segments, s.Scanned, s.Pruned, s.Records, s.Matched)
 }
 
-// Result is a fully-drained query.
+// Result is a fully-drained query: the line of every selected record,
+// each ending in a newline, in the order Run gives, and the statistics.
 type Result struct {
-	Events []trace.Event
-	Stats  Stats
+	Lines []byte
+	Stats Stats
 }
 
 // Admitted returns the segments the query must scan — every segment
@@ -324,9 +339,10 @@ func Admitted(rd *store.Reader, q *Query) ([]*store.ReaderSegment, Stats) {
 	return segs, stats
 }
 
-// Run executes a query and returns all matching events, in cpuTime
-// order across every shard and re-sequenced in that order as
-// trace.Merge does, with the final statistics.
+// Run executes a query and returns the lines of all matching records,
+// in cpuTime order across every shard as trace.Merge orders events, with
+// the final statistics. Each line is what Event.AppendFormat writes for
+// the record's Event with the matching rule's '#' fields taken out.
 func Run(rd *store.Reader, q *Query) (*Result, error) {
 	var span obs.Span
 	if q.Obs != nil {
@@ -344,6 +360,7 @@ func Run(rd *store.Reader, q *Query) (*Result, error) {
 	q.Obs.Counter("query.records").Add(int64(res.Stats.Records))
 	q.Obs.Counter("query.records_skipped").Add(int64(res.Stats.Skipped))
 	q.Obs.Counter("query.records_parsed").Add(int64(res.Stats.Parsed))
+	q.Obs.Counter("query.records_typed").Add(int64(res.Stats.Typed))
 	q.Obs.Counter("query.matched").Add(int64(res.Stats.Matched))
 	q.Obs.Counter("query.bad_lines").Add(int64(res.Stats.BadLines))
 	return res, nil

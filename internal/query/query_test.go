@@ -71,16 +71,14 @@ func mustRun(t *testing.T, be store.Backend, rules string, noPrune bool) *Result
 func TestQueryMatchAll(t *testing.T) {
 	be, events := buildStore(t, 100, store.Config{SegmentCap: 512})
 	res := mustRun(t, be, "", false)
-	if len(res.Events) != len(events) {
-		t.Fatalf("match-all returned %d events, want %d", len(res.Events), len(events))
+	got := eventsOf(t, res)
+	if len(got) != len(events) {
+		t.Fatalf("match-all returned %d events, want %d", len(got), len(events))
 	}
-	// The merged stream must be cpuTime-ordered and re-sequenced.
-	for i, e := range res.Events {
-		if e.Seq != i {
-			t.Fatalf("event %d has Seq %d", i, e.Seq)
-		}
-		if i > 0 && e.CPUTime < res.Events[i-1].CPUTime {
-			t.Fatalf("events out of order at %d: %d < %d", i, e.CPUTime, res.Events[i-1].CPUTime)
+	// The merged stream must be cpuTime-ordered.
+	for i, e := range got {
+		if i > 0 && e.CPUTime < got[i-1].CPUTime {
+			t.Fatalf("events out of order at %d: %d < %d", i, e.CPUTime, got[i-1].CPUTime)
 		}
 	}
 	if res.Stats.Pruned != 0 {
@@ -103,13 +101,13 @@ func TestQueryTimeRangePrunes(t *testing.T) {
 		t.Fatalf("NoPrune still pruned: %+v", full.Stats)
 	}
 	// Pruning must not change the answer.
-	if len(res.Events) != len(full.Events) {
-		t.Fatalf("pruned answer %d events, full scan %d", len(res.Events), len(full.Events))
+	if len(eventsOf(t, res)) != len(eventsOf(t, full)) {
+		t.Fatalf("pruned answer %d events, full scan %d", len(eventsOf(t, res)), len(eventsOf(t, full)))
 	}
-	if len(res.Events) == 0 {
+	if len(eventsOf(t, res)) == 0 {
 		t.Fatal("selective query matched nothing")
 	}
-	for _, e := range res.Events {
+	for _, e := range eventsOf(t, res) {
 		if e.CPUTime < 1000 || e.CPUTime >= 1200 {
 			t.Fatalf("event outside time range: %d", e.CPUTime)
 		}
@@ -125,10 +123,10 @@ func TestQueryMachinePredicate(t *testing.T) {
 			want++
 		}
 	}
-	if len(res.Events) != want {
-		t.Fatalf("machine=2 matched %d, want %d", len(res.Events), want)
+	if len(eventsOf(t, res)) != want {
+		t.Fatalf("machine=2 matched %d, want %d", len(eventsOf(t, res)), want)
 	}
-	for _, e := range res.Events {
+	for _, e := range eventsOf(t, res) {
 		if e.Machine != 2 {
 			t.Fatalf("machine=%d leaked through", e.Machine)
 		}
@@ -143,8 +141,8 @@ func TestQueryMachinePredicate(t *testing.T) {
 func TestQueryContradictionPrunesEverything(t *testing.T) {
 	be, _ := buildStore(t, 100, store.Config{SegmentCap: 512})
 	res := mustRun(t, be, "machine=1,machine=2", false)
-	if len(res.Events) != 0 {
-		t.Fatalf("contradictory rule matched %d events", len(res.Events))
+	if len(eventsOf(t, res)) != 0 {
+		t.Fatalf("contradictory rule matched %d events", len(eventsOf(t, res)))
 	}
 	if res.Stats.Scanned != 0 {
 		t.Fatalf("contradictory rule scanned %d segments", res.Stats.Scanned)
@@ -160,8 +158,8 @@ func TestQueryRulesAreAlternatives(t *testing.T) {
 			want++
 		}
 	}
-	if len(res.Events) != want {
-		t.Fatalf("OR rules matched %d, want %d", len(res.Events), want)
+	if len(eventsOf(t, res)) != want {
+		t.Fatalf("OR rules matched %d, want %d", len(eventsOf(t, res)), want)
 	}
 }
 
@@ -170,10 +168,10 @@ func TestQueryDiscardProjection(t *testing.T) {
 	// '#' keeps the record but drops the marked body field; header
 	// fields are never dropped.
 	res := mustRun(t, be, "type=1, pid=#*, machine=#*", false)
-	if len(res.Events) == 0 {
+	if len(eventsOf(t, res)) == 0 {
 		t.Fatal("discard query matched nothing")
 	}
-	for _, e := range res.Events {
+	for _, e := range eventsOf(t, res) {
 		if _, ok := e.Fields["pid"]; ok {
 			t.Fatalf("pid survived '#' projection: %v", e.Fields)
 		}
@@ -193,11 +191,11 @@ func TestQueryFieldComparison(t *testing.T) {
 	be, _ := buildStore(t, 40, store.Config{})
 	// Field-to-field: msgLength >= sock holds for every synthetic event
 	// (64+i vs 3); the reverse never does.
-	if res := mustRun(t, be, "msgLength>=sock", false); len(res.Events) != 40 {
-		t.Fatalf("msgLength>=sock matched %d, want 40", len(res.Events))
+	if res := mustRun(t, be, "msgLength>=sock", false); len(eventsOf(t, res)) != 40 {
+		t.Fatalf("msgLength>=sock matched %d, want 40", len(eventsOf(t, res)))
 	}
-	if res := mustRun(t, be, "sock>msgLength", false); len(res.Events) != 0 {
-		t.Fatalf("sock>msgLength matched %d, want 0", len(res.Events))
+	if res := mustRun(t, be, "sock>msgLength", false); len(eventsOf(t, res)) != 0 {
+		t.Fatalf("sock>msgLength matched %d, want 0", len(eventsOf(t, res)))
 	}
 }
 
@@ -229,7 +227,7 @@ func TestQueryUnsealedSegmentScanned(t *testing.T) {
 	if res.Stats.Scanned != 1 || res.Stats.Records != 10 {
 		t.Fatalf("unsealed segment not scanned: %+v", res.Stats)
 	}
-	if len(res.Events) != 0 {
+	if len(eventsOf(t, res)) != 0 {
 		t.Fatal("time filter failed on unsealed segment")
 	}
 }
@@ -272,13 +270,13 @@ func TestQueryBadLinesSkipped(t *testing.T) {
 	} {
 		// Unpruned: the frame metadata above is not the lines' own.
 		res := mustRun(t, be, c.rules, true)
-		if len(res.Events) != c.matched || res.Stats.Matched != c.matched || res.Stats.BadLines != 2 || res.Stats.Records != 6 {
+		if len(eventsOf(t, res)) != c.matched || res.Stats.Matched != c.matched || res.Stats.BadLines != 2 || res.Stats.Records != 6 {
 			t.Fatalf("rules %q: %d events, stats %+v; want %d matched, 2 bad lines of 6 records",
-				c.rules, len(res.Events), res.Stats, c.matched)
+				c.rules, len(eventsOf(t, res)), res.Stats, c.matched)
 		}
 	}
 	res := mustRun(t, be, "odd=3,pid=#*", true)
-	if got, want := res.Events[0].Format(), "SEND machine=1 cpuTime=9 procTime=0 odd=inet:3:2"; got != want {
+	if got, want := eventsOf(t, res)[0].Format(), "SEND machine=1 cpuTime=9 procTime=0 odd=inet:3:2"; got != want {
 		t.Fatalf("shipped %q, want %q", got, want)
 	}
 }

@@ -708,7 +708,7 @@ type scanFn = func(m Meta, v *trace.View, line []byte)
 func (d *Decoder) lines(fn func(Meta, []byte)) scanFn {
 	return func(m Meta, v *trace.View, line []byte) {
 		if v != nil {
-			d.line = v.AppendLine(d.line[:0])
+			d.line = v.AppendLine(d.line[:0], nil)
 			line = d.line
 		}
 		fn(m, line)

@@ -950,6 +950,7 @@ func (rs *ReaderSegment) DiskBytes() int { return len(rs.data) }
 // without parsing any frames.
 type Reader struct {
 	shards [][]*ReaderSegment
+	listed []*ReaderSegment // every segment listed, in name order, for Reopen
 }
 
 // openReaderAttempts bounds how often OpenReader re-lists a backend
@@ -969,22 +970,38 @@ const openReaderAttempts = 3
 // the listing is stale, and the snapshot is retaken; a listing that
 // caught a merge between its Create and its Removes is reduced to one
 // generation by currentGeneration.
-func OpenReader(be Backend) (*Reader, error) {
+func OpenReader(be Backend) (*Reader, error) { return Reopen(nil, be) }
+
+// Reopen snapshots the store behind be as OpenReader does, taking from
+// prev, an earlier snapshot of the same backend, each segment whose file
+// is unchanged: listed under the same name and lent from the same array
+// at the same length. A backend never rewrites a file's bytes in place
+// and prev keeps alive every array it was lent, so that file holds
+// exactly what prev's segment read, and its footer is not checked again.
+// A read that copies — DirBackend, a file of several fsys extents —
+// lends a fresh array each time and never matches.
+func Reopen(prev *Reader, be Backend) (*Reader, error) {
+	var old []*ReaderSegment
+	if prev != nil {
+		old = prev.listed
+	}
 	for attempt := 1; ; attempt++ {
-		r, stale, err := openReader(be)
+		r, stale, err := openReader(old, be)
 		if !stale || attempt == openReaderAttempts {
 			return r, err
 		}
 	}
 }
 
-// openReader takes one snapshot. stale reports that it failed because
+// openReader takes one snapshot, reusing the segments of old, a listing
+// in name order, that are unchanged. stale reports that it failed because
 // a listed segment is no longer listed.
-func openReader(be Backend) (r *Reader, stale bool, err error) {
+func openReader(old []*ReaderSegment, be Backend) (r *Reader, stale bool, err error) {
 	names, err := be.List()
 	if err != nil {
 		return nil, false, err
 	}
+	r = &Reader{listed: make([]*ReaderSegment, 0, len(names))}
 	byShard := make(map[int][]*ReaderSegment)
 	maxShard := -1
 	for _, name := range names {
@@ -996,13 +1013,21 @@ func openReader(be Backend) (r *Reader, stale bool, err error) {
 		if err != nil {
 			return nil, !stillListed(be, name), err
 		}
-		rs := newReaderSegment(name, sh, start, end, tier, data)
+		for len(old) > 0 && old[0].Name < name {
+			old = old[1:]
+		}
+		var rs *ReaderSegment
+		if len(old) > 0 && old[0].Name == name && len(data) > 0 && len(old[0].data) == len(data) && &old[0].data[0] == &data[0] {
+			rs = old[0]
+		} else {
+			rs = newReaderSegment(name, sh, start, end, tier, data)
+		}
+		r.listed = append(r.listed, rs)
 		if sh > maxShard {
 			maxShard = sh
 		}
 		byShard[sh] = append(byShard[sh], rs)
 	}
-	r = &Reader{}
 	for i := 0; i <= maxShard; i++ {
 		segs, _ := currentGeneration(byShard[i],
 			func(rs *ReaderSegment) segRange { return segRange{rs.Start, rs.end, rs.Tier} },

@@ -365,24 +365,24 @@ func checkLazyView(t *testing.T, lazy *trace.View) {
 		lv, lok := lazy.Field(k)
 		rv, rok := lazy.FieldOf(&ref)
 		fv, fok := filled.Field(k)
-		ln, lnok := lazy.NameField(k)
-		fn, fnok := filled.NameField(k)
+		ln, lnok := lazy.NameOf(&ref)
+		fn, fnok := filled.NameOf(&ref)
 		if lv != fv || lok != fok || rv != fv || rok != fok || ln != fn || lnok != fnok {
 			t.Fatalf("%q: key %q lazy %d, %v / %d, %v / %v, %v; filled %d, %v / %v, %v",
-				filled.AppendLine(nil), k, lv, lok, rv, rok, ln, lnok, fv, fok, fn, fnok)
+				filled.AppendLine(nil, nil), k, lv, lok, rv, rok, ln, lnok, fv, fok, fn, fnok)
 		}
 	}
 	var enc1, enc2 trace.TypedState
 	for what, same := range map[string]func(c *trace.View) bool{
 		"Event":      func(c *trace.View) bool { return fmt.Sprint(c.Event()) == fmt.Sprint(filled.Event()) },
-		"AppendLine": func(c *trace.View) bool { return string(c.AppendLine(nil)) == string(filled.AppendLine(nil)) },
+		"AppendLine": func(c *trace.View) bool { return string(c.AppendLine(nil, nil)) == string(filled.AppendLine(nil, nil)) },
 		"LineLen":    func(c *trace.View) bool { return c.LineLen() == filled.LineLen() },
 		"AppendTyped": func(c *trace.View) bool {
 			return string(c.AppendTyped(nil, &enc1)) == string(filled.AppendTyped(nil, &enc2))
 		},
 	} {
 		if c := *lazy; !same(&c) {
-			t.Fatalf("%q: %s differs between the lazy view and the filled one", filled.AppendLine(nil), what)
+			t.Fatalf("%q: %s differs between the lazy view and the filled one", filled.AppendLine(nil, nil), what)
 		}
 	}
 }
@@ -428,7 +428,7 @@ func FuzzTypedPayload(f *testing.F) {
 			emitted++
 			if v != nil {
 				checkLazyView(t, v)
-				first = append(first, Rec{m, string(v.AppendLine(nil))})
+				first = append(first, Rec{m, string(v.AppendLine(nil, nil))})
 			} else {
 				first = append(first, Rec{m, string(line)})
 			}
@@ -442,9 +442,9 @@ func FuzzTypedPayload(f *testing.F) {
 				return
 			}
 			if line != nil || v.Machine != int(m.Machine) || v.CPUTime != int64(m.Time) || uint32(v.Type) != m.Type {
-				t.Fatalf("typed record %+v with view %q and line %q", m, v.AppendLine(nil), line)
+				t.Fatalf("typed record %+v with view %q and line %q", m, v.AppendLine(nil, nil), line)
 			}
-			out := v.AppendLine(nil)
+			out := v.AppendLine(nil, nil)
 			ev, err := trace.ParseOne(out)
 			if err != nil || len(out) > MaxFrameSize {
 				t.Fatalf("typed record regenerates %q (%d bytes): %v", out, len(out), err)

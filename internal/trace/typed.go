@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"dpm/internal/meter"
@@ -137,31 +138,31 @@ func (v *View) ParseStandard(line []byte) bool {
 	// keys out of place, a name spelled another way or cut to fit its
 	// sixteen bytes, all end here.
 	var buf [256]byte
-	return bytes.Equal(v.AppendLine(buf[:0]), line)
+	return bytes.Equal(v.AppendLine(buf[:0], nil), line)
 }
 
-// AppendLine appends the record as a log line: event name, header, then
-// the body fields in the view's order, numbers in decimal and names as
-// Name.AppendText writes them — for a standard line, the line itself.
-func (v *View) AppendLine(dst []byte) []byte {
-	if v.fill(); v.n < 0 {
-		return v.parsed.AppendFormat(dst)
+// AppendLine appends the record as a log line: what Event.AppendFormat
+// writes for the view's Event with the keys in drop taken out of it. A
+// record whose keys are all of its type's stored order — every typed one
+// and standard line — is written from the view, for a standard line and
+// nothing dropped the line itself; any other goes through its Event.
+func (v *View) AppendLine(dst []byte, drop map[string]bool) []byte {
+	if v.fill(); v.n < 0 || slices.ContainsFunc(v.fields[:v.n], func(f viewField) bool { return f.ord < 0 }) {
+		ev := v.Event()
+		return ev.appendFormat(dst, drop)
 	}
-	lay := &typedLayouts[v.Type]
+	lay, order := &typedLayouts[v.Type], viewTypes[v.Type].order
 	dst = appendDecimal(append(dst, lay.head...), uint64(v.Machine))
 	dst = appendDecimal(append(dst, " cpuTime="...), uint64(v.CPUTime))
 	dst = appendDecimal(append(dst, " procTime="...), uint64(v.ProcTime))
 	for i := 0; i < v.n; i++ {
-		f := &v.fields[i]
-		if f.ord >= 0 {
+		if f := &v.fields[i]; !drop[order[f.ord]] {
 			dst = append(dst, lay.sep[f.ord]...)
-		} else {
-			dst = append(append(append(dst, ' '), v.key(i)...), '=')
-		}
-		if f.isName {
-			dst = f.name.AppendText(dst)
-		} else {
-			dst = appendDecimal(dst, f.val)
+			if f.isName {
+				dst = f.name.AppendText(dst)
+			} else {
+				dst = appendDecimal(dst, f.val)
+			}
 		}
 	}
 	return dst
@@ -336,7 +337,7 @@ func standardName(n meter.Name) bool {
 	return false
 }
 
-// LineLen returns len(v.AppendLine(nil)) without building the line: the
+// LineLen returns len(v.AppendLine(nil, nil)) without building the line: the
 // size a rewrite that moves a record as its view still accounts it at.
 func (v *View) LineLen() int {
 	var buf [64]byte // the longest name AppendText writes takes 35 bytes

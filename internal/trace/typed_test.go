@@ -33,7 +33,7 @@ func checkTypedRoundTrip(t *testing.T, enc, dec *TypedState, line []byte) int {
 		t.Fatalf("line %q: DecodeTyped took %d of %d bytes, ok=%v", line, n, len(raw), ok)
 	}
 	checkLazyView(t, &r)
-	if got := r.AppendLine(nil); !bytes.Equal(got, line) {
+	if got := r.AppendLine(nil, nil); !bytes.Equal(got, line) {
 		t.Fatalf("line %q regenerated as %q", line, got)
 	}
 	if got, want := r.Event(), w.Event(); !reflect.DeepEqual(got, want) {
@@ -85,11 +85,11 @@ func checkLazyView(t *testing.T, lazy *View) {
 		rv, rok := lazy.FieldOf(&ref)
 		fv, fok := filled.Field(k)
 		if lv != fv || lok != fok || rv != fv || rok != fok {
-			t.Fatalf("%q: Field(%q) = %d, %v and FieldOf %d, %v lazy; %d, %v filled", filled.AppendLine(nil), k, lv, lok, rv, rok, fv, fok)
+			t.Fatalf("%q: Field(%q) = %d, %v and FieldOf %d, %v lazy; %d, %v filled", filled.AppendLine(nil, nil), k, lv, lok, rv, rok, fv, fok)
 		}
 		ln, lnok := lazy.NameField(k)
 		if fn, fnok := filled.NameField(k); ln != fn || lnok != fnok {
-			t.Fatalf("%q: NameField(%q) = %v, %v lazy, %v, %v filled", filled.AppendLine(nil), k, ln, lnok, fn, fnok)
+			t.Fatalf("%q: NameField(%q) = %v, %v lazy, %v, %v filled", filled.AppendLine(nil, nil), k, ln, lnok, fn, fnok)
 		}
 	}
 	if lazy.slot == nil {
@@ -98,12 +98,12 @@ func checkLazyView(t *testing.T, lazy *View) {
 	var enc1, enc2 TypedState
 	for what, same := range map[string]func(c *View) bool{
 		"Event":       func(c *View) bool { return reflect.DeepEqual(c.Event(), filled.Event()) },
-		"AppendLine":  func(c *View) bool { return bytes.Equal(c.AppendLine(nil), filled.AppendLine(nil)) },
+		"AppendLine":  func(c *View) bool { return bytes.Equal(c.AppendLine(nil, nil), filled.AppendLine(nil, nil)) },
 		"LineLen":     func(c *View) bool { return c.LineLen() == filled.LineLen() },
 		"AppendTyped": func(c *View) bool { return bytes.Equal(c.AppendTyped(nil, &enc1), filled.AppendTyped(nil, &enc2)) },
 	} {
 		if c := *lazy; !same(&c) {
-			t.Fatalf("%q: %s differs between the lazy view and the filled one", filled.AppendLine(nil), what)
+			t.Fatalf("%q: %s differs between the lazy view and the filled one", filled.AppendLine(nil, nil), what)
 		}
 	}
 }
@@ -221,7 +221,7 @@ func TestDecodeTypedRefuses(t *testing.T) {
 		var v View
 		var st TypedState
 		if n, ok := v.DecodeTyped([]byte(c.raw), &st, c.typ, 1, 2); ok {
-			t.Errorf("%s: decoded %d bytes as %q", c.what, n, v.AppendLine(nil))
+			t.Errorf("%s: decoded %d bytes as %q", c.what, n, v.AppendLine(nil, nil))
 		} else if v.slot != nil {
 			t.Errorf("%s: refused, but left to a later fill", c.what)
 		}
@@ -247,7 +247,7 @@ func TestTypedZeroAllocs(t *testing.T) {
 			if _, ok := r.DecodeTyped(buf, &dec, w.Type, w.Machine, w.CPUTime); !ok {
 				t.Fatalf("line %q does not decode", line)
 			}
-			out = r.AppendLine(out[:0])
+			out = r.AppendLine(out[:0], nil)
 		}
 	})
 	if allocs != 0 {
@@ -284,7 +284,7 @@ func TestLineLenIsLenAppendLine(t *testing.T) {
 		if v.n < 0 {
 			fallbacks++
 		}
-		if got, want := v.LineLen(), len(v.AppendLine(nil)); got != want {
+		if got, want := v.LineLen(), len(v.AppendLine(nil, nil)); got != want {
 			t.Errorf("line %q: LineLen %d, AppendLine writes %d bytes", line, got, want)
 		}
 		if !v.ParseStandard([]byte(line)) {
@@ -365,7 +365,7 @@ func FuzzViewAppendLine(f *testing.F) {
 		if err != nil {
 			t.Fatalf("line %q read in place, ParseOne: %v", line, err)
 		}
-		out := v.AppendLine(nil)
+		out := v.AppendLine(nil, nil)
 		if n := v.LineLen(); n != len(out) {
 			t.Fatalf("line %q: LineLen %d, AppendLine writes the %d bytes of %q", line, n, len(out), out)
 		}

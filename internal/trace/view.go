@@ -29,8 +29,7 @@ type viewField struct {
 
 // View is one stored record line parsed in place: the scan paths fill
 // one View per worker from every decoded line, evaluate rules and read
-// group keys on it (it is a filter.FieldSource), and build an Event
-// only for the records that ship.
+// group keys on it, and write the line of each record that ships.
 //
 // Parse has one semantics, ParseOne's. Lines in the canonical form the
 // filter writes (Record.AppendFormat: printable ASCII, single spaces,
@@ -288,39 +287,14 @@ func (v *View) parseCanonical(line []byte) bool {
 // key returns the name of the field in slot i.
 func (v *View) key(i int) []byte { return v.line[v.fields[i].key0:v.fields[i].key1] }
 
-// Field returns the numeric value of a named field, header fields
-// first (so a body field called "type" is shadowed by the event type);
-// an Internet socket name yields its host number, any other name no
-// value. The "size" header field is not carried in log lines.
+// Field returns FieldOf the name, resolved for this one call.
 func (v *View) Field(name string) (uint64, bool) {
-	switch name {
-	case "machine":
-		return uint64(v.Machine), true
-	case "cpuTime":
-		return uint64(v.CPUTime), true
-	case "procTime":
-		return uint64(v.ProcTime), true
-	case "type", "traceType":
-		return uint64(v.Type), true
-	}
-	if v.slot != nil {
-		return v.slot.field(v.Type, slices.Index(viewTypes[v.Type].order, name))
-	}
-	if v.n < 0 {
-		val, ok := v.parsed.Fields[name]
-		return val, ok
-	}
-	for i := 0; i < v.n; i++ {
-		if string(v.key(i)) == name {
-			return v.fields[i].val, v.fields[i].hasVal
-		}
-	}
-	return 0, false
+	r := NewFieldRef(name)
+	return v.FieldOf(&r)
 }
 
 // FieldRef is a field name resolved once, for a caller that asks every
-// record for it: FieldOf answers as Field does, but by the field's place
-// in the header or, on a record DecodeTyped read, in its type's order.
+// record for it: its place in the header or in each type's stored order.
 type FieldRef struct {
 	name string
 	ord  [len(viewTypes)]int8 // its place in each type's stored order, -1 for none; -2-h for header field h
@@ -329,41 +303,54 @@ type FieldRef struct {
 // NewFieldRef resolves a field name.
 func NewFieldRef(name string) FieldRef {
 	r := FieldRef{name: name}
-	// A view whose header fields hold 0…3 answers a header name with its number.
-	h, head := (&View{CPUTime: 1, ProcTime: 2, Type: 3}).Field(name)
+	h := slices.Index([]string{"machine", "cpuTime", "procTime", "type", "traceType"}, name)
 	for typ := range r.ord {
-		if r.ord[typ] = int8(slices.Index(viewTypes[typ].order, name)); head {
-			r.ord[typ] = int8(-2 - int(h))
+		if r.ord[typ] = int8(slices.Index(viewTypes[typ].order, name)); h >= 0 {
+			r.ord[typ] = int8(-2 - min(h, 3)) // traceType is type
 		}
 	}
 	return r
 }
 
-// FieldOf returns Field of the name r resolved.
+// FieldOf returns the numeric value of the field r resolved, header
+// fields first (so a body field called "type" is shadowed by the event
+// type); an Internet socket name yields its host number, any other name
+// no value. The "size" header field is not carried in log lines.
 func (v *View) FieldOf(r *FieldRef) (uint64, bool) {
 	switch k := r.ord[v.Type]; {
 	case k < -1:
 		return [...]uint64{uint64(v.Machine), uint64(v.CPUTime), uint64(v.ProcTime), uint64(v.Type)}[-2-k], true
 	case v.slot != nil:
 		return v.slot.field(v.Type, int(k))
+	case v.n < 0:
+		val, ok := v.parsed.Fields[r.name]
+		return val, ok
 	}
-	return v.Field(r.name)
+	for i := 0; i < v.n; i++ {
+		if string(v.key(i)) == r.name {
+			return v.fields[i].val, v.fields[i].hasVal
+		}
+	}
+	return 0, false
 }
 
-// NameField returns the decoded socket name of a name field.
-func (v *View) NameField(name string) (meter.Name, bool) {
+// NameOf returns the decoded socket name of the name field r resolved.
+// Header fields shadow no name: a body field called "type" that holds
+// one answers.
+func (v *View) NameOf(r *FieldRef) (meter.Name, bool) {
 	if s := v.slot; s != nil {
-		if k := slices.Index(viewTypes[v.Type].order, name); k >= 0 && s.present&typedLayouts[v.Type].names>>k&1 != 0 {
+		// A header name is no name key of any stored order.
+		if k := r.ord[v.Type]; k >= 0 && s.present&typedLayouts[v.Type].names>>k&1 != 0 {
 			return s.name[k], true
 		}
 		return meter.Name{}, false
 	}
 	if v.n < 0 {
-		n, ok := v.parsed.Names[name]
+		n, ok := v.parsed.Names[r.name]
 		return n, ok
 	}
 	for i := 0; i < v.n; i++ {
-		if v.fields[i].isName && string(v.key(i)) == name {
+		if v.fields[i].isName && string(v.key(i)) == r.name {
 			return v.fields[i].name, true
 		}
 	}
