@@ -875,21 +875,93 @@ func BenchmarkStoreIngestSlots(b *testing.B) {
 }
 
 // S1 archiving: the store exactly as the filter opens it
-// (filter.StoreConfig: 30 s archive threshold) under
-// the same batches as BenchmarkStoreIngestCompressed, with cpuTime
-// advancing 1 ms per record so that segments really go cold and the
-// archival tier runs on the appending goroutine, at rotation — which is
-// where it runs in the filter. ns/op is per 16-record batch, comparable
-// directly with BenchmarkStoreIngestCompressed; archive-x is the tier-1
-// raw/disk ratio, archive_bytes its disk bytes, archived_share the part
-// of all records that ended in tier 1.
+// (filter.StoreConfig: 30 s archive threshold), with cpuTime advancing
+// so that segments really go cold and the archival tier runs on the
+// appending goroutine, at rotation — which is where it runs in the
+// filter. ns/op is per 16-record batch and ns/record that over 16;
+// archive-x is the tier-1 raw/disk ratio, archive_bytes its disk bytes,
+// archived_share the part of all records that ended in tier 1. Two
+// record sets: "repeating" is BenchmarkStoreIngestCompressed's batches,
+// 1 ms apart, comparable directly with it, and they repeat so well
+// (archive-x ≈ 340) that every DEFLATE level reads alike; "varied" are
+// records that vary as ingest_flood's do (floodRecs), on which the level
+// shows.
 func BenchmarkStoreIngestArchiving(b *testing.B) {
-	recs, lineBytes := storeBatchRecs()
+	recs, _ := storeBatchRecs()
+	steps := make([]uint32, len(recs))
+	for i := range steps {
+		steps[i] = 1
+	}
+	b.Run("repeating", func(b *testing.B) { benchArchiving(b, recs, steps) })
+	recs, steps = floodRecs(b, 4096)
+	b.Run("varied", func(b *testing.B) { benchArchiving(b, recs, steps) })
+}
+
+// floodRecs is n records as ingest_flood's filter hands them to the
+// store, as lines, and the cpuTime step after each: sends from two
+// machines in runs of a few dozen, as meter buffers arrive, from
+// processes replaced every 2 048 records (a new job), their pc advancing
+// 4 a send and their procTime 0-3 ms, with seeded payload lengths of
+// 32-95 bytes and steps of 0-2 ms.
+func floodRecs(b *testing.B, n int) ([]store.BatchRec, []uint32) {
+	rng := rand.New(rand.NewSource(1))
+	eng, err := filter.NewEngine([]byte(filter.StandardDescriptions), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var stream []byte
+	var pid, pc, proc [2]uint32
+	var now uint32
+	steps := make([]uint32, n)
+	m := 0
+	for i := range steps {
+		if i%2048 == 0 {
+			for k := range pid {
+				pid[k], pc[k] = uint32(100+rng.Intn(30000)), uint32(rng.Intn(1<<16))*4
+			}
+		}
+		if rng.Intn(32) == 0 {
+			m ^= 1
+		}
+		pc[m] += 4
+		proc[m] += uint32(rng.Intn(4))
+		msg := meter.Msg{
+			Header: meter.Header{Machine: uint16(m + 1), CPUTime: now, ProcTime: proc[m]},
+			Body: &meter.Send{PID: pid[m], PC: pc[m], Sock: 3, MsgLength: uint32(32 + rng.Intn(64)),
+				DestNameLen: 16, DestName: meter.InetName(3, 7700)},
+		}
+		stream = msg.AppendEncode(stream)
+		steps[i] = uint32(rng.Intn(3))
+		now += steps[i]
+	}
+	batch := new(filter.Batch)
+	if _, err := eng.ProcessBatch(stream, batch); err != nil {
+		b.Fatal(err)
+	}
+	recs := batch.StoreRecs()
+	if len(recs) != n {
+		b.Fatalf("%d records kept of %d", len(recs), n)
+	}
+	for i, r := range recs {
+		recs[i] = store.BatchRec{Meta: r.Meta, Line: append([]byte(nil), r.Line...)}
+	}
+	return recs, steps
+}
+
+// benchArchiving appends recs, cycled in 16-record batches, to a store
+// opened as the filter opens it, the clock moving steps[i] after recs[i].
+// It respells a copy of recs and leaves recs as they were.
+func benchArchiving(b *testing.B, recs []store.BatchRec, steps []uint32) {
+	recs = append([]store.BatchRec(nil), recs...)
 	st, err := store.Open(store.NewMemBackend(), filter.StoreConfig(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
 	const batchSize = 16
+	var lineBytes int64
+	for _, r := range recs {
+		lineBytes += int64(len(r.Line))
+	}
 	b.SetBytes(lineBytes / int64(len(recs)) * batchSize)
 	b.ReportAllocs()
 	// A record's line says the cpuTime its Meta says, as every line the
@@ -904,12 +976,14 @@ func BenchmarkStoreIngestArchiving(b *testing.B) {
 		spell[i] = spelling{r.Line[:at:at], r.Line[end:]}
 	}
 	var lines [batchSize][]byte
+	var now uint32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := i * batchSize % len(recs)
 		batch := recs[off : off+batchSize]
 		for j := range batch {
-			batch[j].Meta.Time = uint32(i*batchSize + j)
+			batch[j].Meta.Time = now
+			now += steps[off+j]
 			sp := spell[off+j]
 			lines[j] = append(strconv.AppendUint(append(lines[j][:0], sp.head...), uint64(batch[j].Meta.Time), 10), sp.tail...)
 			batch[j].Line = lines[j]
@@ -919,6 +993,7 @@ func BenchmarkStoreIngestArchiving(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/record")
 	if err := st.Flush(); err != nil {
 		b.Fatal(err)
 	}

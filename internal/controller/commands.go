@@ -877,8 +877,12 @@ func (c *Controller) cmdGetLog(args []string) {
 		if off >= total {
 			return
 		}
+		testHookGetLogChunk(off)
 	}
 }
+
+// testHookGetLogChunk runs between two chunks of a getlog; tests fault there.
+var testHookGetLogChunk = func(offset int) {}
 
 // cmdQuery runs selection rules against a filter's event store. The
 // rules travel to the daemon on the filter's machine and execute there

@@ -564,6 +564,7 @@ func (d *daemonState) handleGetFile(req *ProcReq) *Reply {
 	for _, ext := range snap.Extents(off, getFileChunk) {
 		data.Write(ext)
 	}
+	d.p.Machine().Obs().Counter("daemon.getfile_bytes").Add(int64(data.Len()))
 	return &Reply{
 		Type: TGetFileRep, PID: snap.Size(), Status: "ok",
 		Data: data.String(),

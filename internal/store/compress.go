@@ -292,9 +292,9 @@ func newCompWriter(target int) *compWriter {
 // archiveEncoders pools the cold tier's encoders, which DEFLATE at
 // archiveLevel; the run being archived sets the block target. A
 // flate.Writer above level 1 is about a megabyte of hash chains and
-// window that Reset reuses whole, and shards of every store in the
-// process archive at the same level, so a warm encoder serves a run
-// without allocating.
+// window that Reset reuses whole, once per block (flushStaged), and
+// shards of every store in the process archive at the same level, so a
+// warm encoder serves a run without allocating.
 var archiveEncoders = sync.Pool{New: func() any {
 	w := newCompWriter(0)
 	w.fw, _ = flate.NewWriter(&w.sink, archiveLevel) // the level is a valid constant
@@ -308,7 +308,6 @@ func (w *compWriter) openSegment() {
 	w.sink.buf = binary.LittleEndian.AppendUint32(w.sink.buf, payloadV3)
 	w.sink.crc, w.sink.crcAt, w.sink.total = 0, len(w.sink.buf), 0
 	w.nTyped, w.nText = 0, 0
-	w.fw.Reset(&w.sink)
 	w.enc = w.enc[:0]
 	w.stagedV1, w.stagedN, w.segV1 = 0, 0, 0
 	w.curIdx, w.curOff, w.curRaw, w.curV1 = Index{}, 0, 0, 0
@@ -347,7 +346,6 @@ func (w *compWriter) closeBlock() error {
 	w.curRaw, w.curV1 = 0, 0
 	w.curIdx = Index{}
 	w.sink.crc = 0
-	w.fw.Reset(&w.sink)
 	w.resetBlockCoding()
 	return nil
 }
@@ -501,12 +499,16 @@ func (w *compWriter) encodeTokens(e []byte, mid []byte) []byte {
 	return e
 }
 
-// flushStaged pushes the staged payload through the DEFLATE stream;
-// with sync it ends on a sync marker so the bytes now in the sink form
-// a decodable prefix. The caller owns writing sink.buf to the backend
-// and folding the pending metadata into the block/segment indexes.
+// flushStaged pushes the staged payload through the DEFLATE stream,
+// which a block's first bytes start (its one Reset); with sync it ends
+// on a sync marker so the bytes now in the sink form a decodable prefix.
+// The caller owns writing sink.buf to the backend and folding the
+// pending metadata into the block/segment indexes.
 func (w *compWriter) flushStaged(sync bool) error {
 	if len(w.enc) > 0 {
+		if w.curRaw == 0 {
+			w.fw.Reset(&w.sink)
+		}
 		if _, err := w.fw.Write(w.enc); err != nil {
 			return err
 		}

@@ -44,8 +44,8 @@ type Config struct {
 	// ArchiveAfter, when non-zero, is the cpuTime age (ms behind the
 	// newest record the store has seen) past which cold sealed segments
 	// roll into the archival tier: up to archiveRunMax segments merged
-	// per archive file, its blocks four times BlockTarget and DEFLATEd at
-	// archiveLevel. Archival preserves every record and its shape.
+	// per archive file, 4x BlockTarget blocks DEFLATEd at archiveLevel by
+	// the appending goroutine. Archival preserves every record and shape.
 	ArchiveAfter uint64
 	// RetainFor, when non-zero, is the retention horizon (cpuTime ms):
 	// a sealed segment whose MaxTime has fallen more than RetainFor
@@ -68,11 +68,11 @@ const (
 	archiveRunMax = 8
 
 	// archiveLevel is the DEFLATE level of tier-1 files. Archival runs on
-	// the appending worker, so the level is ingest CPU; by the sweep in
-	// docs/store.md (levels 4 to 9 under ingest_flood) 6 costs a third
-	// less CPU per record than 9 for 1.3% more store bytes, 7 and 8 buy
-	// no bytes back, and 4 and 5 give up more bytes than CPU.
-	archiveLevel = 6
+	// the appending worker, so the level is ingest CPU; by the paired
+	// sweep in docs/store.md levels 2 to 5 cost ingest_flood ~10% less CPU
+	// per record than 6, and of them 4 archives cheapest and stores least
+	// there: tier 1 up to 12% more than at 6, the store at most 1.6%.
+	archiveLevel = 4
 )
 
 func (c Config) withDefaults() Config {
