@@ -256,13 +256,13 @@ func TestMemoNeverStale(t *testing.T) {
 			if err := st.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			names, err := be.List()
+			listed, err := be.List()
 			if err != nil {
 				t.Fatal(err)
 			}
 			set := map[string]bool{}
-			for _, n := range names {
-				set[n] = true
+			for _, e := range listed {
+				set[e.Name] = true
 			}
 			return be, set
 		}
@@ -283,11 +283,11 @@ func TestMemoNeverStale(t *testing.T) {
 
 	t.Run("scan error", func(t *testing.T) {
 		be := buildStore(t, 400, store.Config{Shards: 1, SegmentCap: 1024})
-		names, err := be.List()
+		listed, err := be.List()
 		if err != nil {
 			t.Fatal(err)
 		}
-		victim := names[len(names)/2]
+		victim := listed[len(listed)/2].Name
 		data, err := be.Read(victim)
 		if err != nil {
 			t.Fatal(err)

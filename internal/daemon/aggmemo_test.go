@@ -2,12 +2,15 @@ package daemon
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"dpm/internal/agg"
+	"dpm/internal/fsys"
 	"dpm/internal/kernel"
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 	"dpm/internal/store"
 	"dpm/internal/trace"
 )
@@ -157,5 +160,68 @@ func TestReaderSharedAcrossRequests(t *testing.T) {
 			t.Fatalf("%d cached readers for one store", len(d.readers))
 		}
 		add(1500, 3000)
+	}
+}
+
+// TestReaderPermission: a reopen that skips reading an unchanged segment
+// skips no permission check. Another uid's query of a private store
+// fails with EACCES before and after the owner's reader is cached, the
+// owner's answer is that of a daemon opening the store afresh, and a
+// file in the directory that is no segment and that the owner may not
+// read fails no query.
+func TestReaderPermission(t *testing.T) {
+	const dir, other = "/usr/tmp/private", testUID + 1
+	p, m, add := storeMachine(t, dir, 600)
+	if err := m.FS().Create(dir+"/lock", fsys.Superuser, fsys.PrivateMode, []byte("held")); err != nil {
+		t.Fatal(err)
+	}
+	d := &daemonState{p: p}
+	denied := func(when string) {
+		t.Helper()
+		for _, rep := range []*Reply{
+			d.handleQuery(&QueryReq{Dir: dir, UID: other}),
+			d.handleAgg(&AggReq{Dir: dir, UID: other, Spec: "agg count by machine"}),
+		} {
+			if !strings.Contains(rep.Status, "EACCES") {
+				t.Fatalf("%s: uid %d's request of uid %d's private store: %q, want EACCES", when, other, testUID, rep.Status)
+			}
+		}
+	}
+	owner := func(when string) {
+		t.Helper()
+		req := &QueryReq{Dir: dir, UID: testUID, Rules: "machine=2"}
+		got, want := d.handleQuery(req), (&daemonState{p: p}).handleQuery(req)
+		if got.Status != "ok" || got.Status != want.Status || got.Data != want.Data {
+			t.Fatalf("%s: the owner's query says %q, %d bytes; a fresh daemon %q, %d bytes", when, got.Status, len(got.Data), want.Status, len(want.Data))
+		}
+	}
+	denied("before the owner's reader is cached")
+	owner("first")
+	denied("after the owner's reader is cached")
+	owner("again")
+	add(600, 700)
+	denied("after appends")
+	owner("after appends")
+}
+
+// TestReopenTimingNoAlloc: every query's reopen lands in the machine's
+// daemon.reopen_ns histogram, and timing it allocates nothing.
+func TestReopenTimingNoAlloc(t *testing.T) {
+	const dir = "/usr/tmp/timed"
+	p, m, _ := storeMachine(t, dir, 200)
+	d := &daemonState{p: p}
+	h := m.Obs().Histogram("daemon.reopen_ns")
+	for i := 1; i <= 3; i++ {
+		if rep := d.handleQuery(&QueryReq{Dir: dir, UID: testUID}); rep.Status != "ok" {
+			t.Fatal(rep.Status)
+		}
+		if h.Count() != int64(i) {
+			t.Fatalf("after %d queries daemon.reopen_ns holds %d", i, h.Count())
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		obs.StartSpan(d.p.Machine().Obs().Histogram("daemon.reopen_ns")).End()
+	}); n != 0 {
+		t.Fatalf("timing a reopen allocates %v per query, want 0", n)
 	}
 }

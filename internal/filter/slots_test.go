@@ -334,8 +334,15 @@ func TestStoreBytesWithAndWithoutSlots(t *testing.T) {
 	if typedCounts["store.records_typed"] == 0 || typedCounts["store.records_text"] == 0 || typedCounts["store.archive_runs"] == 0 {
 		t.Fatalf("counters %v: the stream is meant to store both shapes and archive", typedCounts)
 	}
-	names, _ := typedBE.List()
-	textNames, _ := textBE.List()
+	var names, textNames []string
+	typedList, _ := typedBE.List()
+	textList, _ := textBE.List()
+	for _, e := range typedList {
+		names = append(names, e.Name)
+	}
+	for _, e := range textList {
+		textNames = append(textNames, e.Name)
+	}
 	if fmt.Sprint(names) != fmt.Sprint(textNames) {
 		t.Fatalf("segments with slots %v, without %v", names, textNames)
 	}

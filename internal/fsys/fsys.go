@@ -14,7 +14,8 @@
 // FS models exactly that much of a file system: a flat path→file map
 // with an owner uid, simple read/write permission bits, executable
 // entries that name a registered program, and a Copy helper standing in
-// for rcp.
+// for rcp. Beside the map it keeps the paths in name order, so that a
+// directory listing is a binary search and a copy of one run of them.
 //
 // # Extents and the immutability rule
 //
@@ -50,7 +51,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -133,7 +134,14 @@ type contents struct {
 type FS struct {
 	mu     sync.Mutex
 	files  map[string]*file
+	index  []indexed // every path of files, in name order
 	nextID uint64
+}
+
+// indexed is one entry of the name-ordered index: a path beside its file.
+type indexed struct {
+	path string
+	f    *file
 }
 
 // New returns an empty file system.
@@ -177,7 +185,29 @@ func (fs *FS) install(path string, uid int, f *file) error {
 	fs.nextID++
 	f.id, f.owner = fs.nextID, uid
 	fs.files[path] = f
+	if i, found := fs.find(path); found {
+		fs.index[i].f = f
+	} else {
+		fs.index = slices.Insert(fs.index, i, indexed{path, f})
+	}
 	return nil
+}
+
+// find returns where path is, or would be inserted, in the index.
+// Called with fs.mu held.
+func (fs *FS) find(path string) (int, bool) {
+	return slices.BinarySearchFunc(fs.index, path, func(e indexed, p string) int { return strings.Compare(e.path, p) })
+}
+
+// run returns the index entries whose paths begin with prefix: one
+// contiguous run in name order. Called with fs.mu held.
+func (fs *FS) run(prefix string) []indexed {
+	i, _ := fs.find(prefix)
+	j := i
+	for j < len(fs.index) && strings.HasPrefix(fs.index[j].path, prefix) {
+		j++
+	}
+	return fs.index[i:j]
 }
 
 // Create creates or replaces a file owned by uid. Replacing an
@@ -398,6 +428,8 @@ func (fs *FS) Remove(path string, uid int) error {
 		return fmt.Errorf("%w: %s", ErrPerm, path)
 	}
 	delete(fs.files, path)
+	i, _ := fs.find(path)
+	fs.index = slices.Delete(fs.index, i, i+1)
 	return nil
 }
 
@@ -450,13 +482,40 @@ func (fs *FS) Stat(path string) (File, error) {
 func (fs *FS) List(prefix string) []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var out []string
-	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
+	run := fs.run(prefix)
+	out := make([]string, len(run))
+	for i, e := range run {
+		out[i] = e.path
+	}
+	return out
+}
+
+// Entry is one file of a listing by Entries.
+type Entry struct {
+	Name string // the path with the listed prefix cut off
+	// ID is the file's Snapshot.ID, or 0 when the lister may not read
+	// the file: an id vouches for bytes, and only for a reader of them.
+	ID   uint64
+	Size int
+}
+
+// Entries lists the files whose paths begin with prefix, in name order,
+// as of one moment: the lock is held for a binary search and a pass over
+// the matching run, whatever else the file system holds. By the
+// immutability rule, two listings that give one name the same non-zero
+// ID and the same Size name the same bytes. A file uid may not read is
+// listed with ID 0; reading it fails with ErrPerm as ever.
+func (fs *FS) Entries(prefix string, uid int) []Entry {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	run := fs.run(prefix)
+	out := make([]Entry, len(run))
+	for i, e := range run {
+		out[i] = Entry{Name: e.path[len(prefix):], Size: e.f.size}
+		if e.f.mode.readableBy(uid, e.f.owner) {
+			out[i].ID = e.f.id
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

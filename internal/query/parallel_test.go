@@ -322,11 +322,11 @@ func TestRunCorruptSealedSegment(t *testing.T) {
 // and the query succeeds.
 func TestRunTornUnsealedTail(t *testing.T) {
 	be := buildRandomStore(t, rand.New(rand.NewSource(11)), 200, store.Config{Shards: 1, SegmentCap: 1 << 20}, true)
-	names, err := be.List()
+	listed, err := be.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := names[len(names)-1]
+	tail := listed[len(listed)-1].Name
 	data, err := be.Read(tail)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -34,25 +34,33 @@ type Backend interface {
 	// to its length, so appending to it cannot reach the file.
 	Read(name string) ([]byte, error)
 	Remove(name string) error
-	// List returns the sorted segment file names present.
-	List() ([]string, error)
+	// List returns the files present, in name order, each with an
+	// identity: two listings that give one name the same non-zero ID and
+	// the same Size name the same bytes, which a reader then need not
+	// read again. ID 0 vouches for nothing, and such a file is read.
+	List() ([]Entry, error)
 }
+
+// Entry is one file of a backend's listing: its name, the number the
+// backend gave the file when it was created — never another file's —
+// and its size.
+type Entry = fsys.Entry
 
 // FsysBackend stores segments under a directory prefix of a simulated
 // machine's file system, owned by uid — the store-side analogue of the
 // filter's /usr/tmp log file.
 type FsysBackend struct {
-	fs  *fsys.FS
-	uid int
-	dir string // e.g. /usr/tmp/f1.store
+	fs     *fsys.FS
+	uid    int
+	prefix string // the directory and a slash, e.g. /usr/tmp/f1.store/
 }
 
 // NewFsysBackend returns a backend rooted at dir on fs, acting as uid.
 func NewFsysBackend(fs *fsys.FS, uid int, dir string) *FsysBackend {
-	return &FsysBackend{fs: fs, uid: uid, dir: strings.TrimSuffix(dir, "/")}
+	return &FsysBackend{fs: fs, uid: uid, prefix: strings.TrimSuffix(dir, "/") + "/"}
 }
 
-func (b *FsysBackend) path(name string) string { return b.dir + "/" + name }
+func (b *FsysBackend) path(name string) string { return b.prefix + name }
 
 // Create implements Backend.
 func (b *FsysBackend) Create(name string, data []byte) error {
@@ -74,14 +82,10 @@ func (b *FsysBackend) Remove(name string) error {
 	return b.fs.Remove(b.path(name), b.uid)
 }
 
-// List implements Backend.
-func (b *FsysBackend) List() ([]string, error) {
-	prefix := b.dir + "/"
-	names := b.fs.List(prefix) // sorted, and ours to trim in place
-	for i, p := range names {
-		names[i] = strings.TrimPrefix(p, prefix)
-	}
-	return names, nil
+// List implements Backend: the fsys listing of the directory, whose
+// file ids the backend's uid may read.
+func (b *FsysBackend) List() ([]Entry, error) {
+	return b.fs.Entries(b.prefix, b.uid), nil
 }
 
 // DirBackend stores segments as files in a host directory — the form a
@@ -151,39 +155,48 @@ func (b *DirBackend) Remove(name string) error {
 	return os.Remove(p)
 }
 
-// List implements Backend.
-func (b *DirBackend) List() ([]string, error) {
-	entries, err := os.ReadDir(b.root)
+// List implements Backend. A host file carries no id this backend
+// vouches for, so every entry has ID 0 and every segment is read again.
+func (b *DirBackend) List() ([]Entry, error) {
+	dirents, err := os.ReadDir(b.root) // sorted by name
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
+	var out []Entry
+	for _, e := range dirents {
 		if !e.IsDir() {
-			names = append(names, e.Name())
+			out = append(out, Entry{Name: e.Name()})
 		}
 	}
-	sort.Strings(names)
-	return names, nil
+	return out, nil
 }
 
-// MemBackend is an in-memory backend for tests and benchmarks.
+// MemBackend is an in-memory backend for tests and benchmarks. It
+// numbers files as fsys does: each Create, and each Append that creates,
+// gives the file the next id.
 type MemBackend struct {
-	mu    sync.Mutex
-	files map[string][]byte
+	mu     sync.Mutex
+	files  map[string]memFile
+	nextID uint64
+}
+
+type memFile struct {
+	data []byte
+	id   uint64
 }
 
 // NewMemBackend returns an empty in-memory backend.
-func NewMemBackend() *MemBackend { return &MemBackend{files: make(map[string][]byte)} }
+func NewMemBackend() *MemBackend { return &MemBackend{files: make(map[string]memFile)} }
 
 // Create implements Backend.
 func (b *MemBackend) Create(name string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.files[name] = append([]byte(nil), data...)
+	b.nextID++
+	b.files[name] = memFile{append([]byte(nil), data...), b.nextID}
 	return nil
 }
 
@@ -191,7 +204,13 @@ func (b *MemBackend) Create(name string, data []byte) error {
 func (b *MemBackend) Append(name string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.files[name] = append(b.files[name], data...)
+	f, ok := b.files[name]
+	if !ok {
+		b.nextID++
+		f.id = b.nextID
+	}
+	f.data = append(f.data, data...)
+	b.files[name] = f
 	return nil
 }
 
@@ -201,11 +220,11 @@ func (b *MemBackend) Append(name string, data []byte) error {
 func (b *MemBackend) Read(name string) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	data, ok := b.files[name]
+	f, ok := b.files[name]
 	if !ok {
 		return nil, fmt.Errorf("store: no segment %q", name)
 	}
-	return data[:len(data):len(data)], nil
+	return f.data[:len(f.data):len(f.data)], nil
 }
 
 // Remove implements Backend.
@@ -220,13 +239,13 @@ func (b *MemBackend) Remove(name string) error {
 }
 
 // List implements Backend.
-func (b *MemBackend) List() ([]string, error) {
+func (b *MemBackend) List() ([]Entry, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.files))
-	for n := range b.files {
-		names = append(names, n)
+	out := make([]Entry, 0, len(b.files))
+	for name, f := range b.files {
+		out = append(out, Entry{Name: name, ID: f.id, Size: len(f.data)})
 	}
-	sort.Strings(names)
-	return names, nil
+	slices.SortFunc(out, func(x, y Entry) int { return strings.Compare(x.Name, y.Name) })
+	return out, nil
 }

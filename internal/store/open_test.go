@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dpm/internal/fsys"
 )
 
 // TestMemBackendReadBorrowed is fsys.TestViewBorrowed for MemBackend:
@@ -415,5 +417,90 @@ func TestUndecodableBodyDegradesAtScan(t *testing.T) {
 	seg, err := ParseSegment(bad)
 	if seg.Sealed || len(seg.Recs) != 40 || !errors.Is(err, ErrTruncated) {
 		t.Fatalf("Load: sealed=%v %d records err=%v, want an unsealed salvage of 40", seg.Sealed, len(seg.Recs), err)
+	}
+}
+
+// readCounter is a Backend that counts its Reads.
+type readCounter struct {
+	Backend
+	reads int
+}
+
+func (b *readCounter) Read(name string) ([]byte, error) {
+	b.reads++
+	return b.Backend.Read(name)
+}
+
+// TestReopenNoAllocPerSegment gates what a query pays to reopen a store
+// it has opened before, with one record appended in between: the one
+// segment that changed is read, no other is, and the allocations are
+// a fixed count and a few bytes per listed segment — the listing's
+// entries and the reader's two arrays of them.
+//
+// Measured with this body on an x86-64 Linux host (Go 1.24): 8 allocs
+// and 3 912 B over 66 segments, 8 allocs and 28 616 B (55 B a segment)
+// over 514. Before segments were matched by file id, when every listed
+// segment was read, the same body measured 109 allocs and 10 434 B over
+// 66 segments and 568 allocs and 66 741 B (129 B a segment) over 514.
+func TestReopenNoAllocPerSegment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation sizes")
+	}
+	const bytesPerSegment = 129 / 2 // half of what reading every segment cost
+	type cost struct{ allocs, bytes, listed int }
+	measure := func(segments int) cost {
+		const runs = 20
+		be := &readCounter{Backend: NewFsysBackend(fsys.New(), fsys.Superuser, "/usr/tmp/f.store")}
+		st, err := Open(be, Config{Shards: 2, CompactMin: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		add := func(machine uint16, i int) {
+			line := fmt.Sprintf("SEND machine=%d cpuTime=%d procTime=0 pid=100 sock=3 msgLength=%d", machine, i, 64+i%512)
+			if err := st.Append(Meta{Machine: machine, Time: uint32(i), Type: 1, PID: 100}, line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < segments; i++ {
+			add(uint16(i%2), i)
+			if i%2 == 1 {
+				if err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rd, err := Reopen(nil, be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c cost
+		var before, after runtime.MemStats
+		for i := 0; i < runs; i++ {
+			add(uint16(i%2), segments+i) // a new or grown unsealed segment
+			be.reads = 0
+			runtime.ReadMemStats(&before)
+			rd, err = Reopen(rd, be)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if be.reads != 1 {
+				t.Fatalf("%d segments: Reopen read %d files after one append, want the one it changed", segments, be.reads)
+			}
+			c.allocs += int(after.Mallocs - before.Mallocs)
+			c.bytes += int(after.TotalAlloc - before.TotalAlloc)
+		}
+		c.allocs, c.bytes, c.listed = c.allocs/runs, c.bytes/runs, rd.NumSegments()
+		t.Logf("Reopen over %d segments: %d allocs, %d B (%d B per segment)", c.listed, c.allocs, c.bytes, c.bytes/c.listed)
+		return c
+	}
+	small, big := measure(64), measure(512)
+	// The same count at both sizes, but for an odd runtime-internal
+	// allocation landing in one measurement.
+	if big.allocs > small.allocs+2 {
+		t.Errorf("Reopen allocates %d times over %d segments and %d over %d: the count grows with the store", big.allocs, big.listed, small.allocs, small.listed)
+	}
+	if perSeg := big.bytes / big.listed; perSeg > bytesPerSegment {
+		t.Errorf("Reopen allocates %d B per listed segment; budget %d", perSeg, bytesPerSegment)
 	}
 }

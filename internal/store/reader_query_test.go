@@ -125,12 +125,13 @@ func TestPrunedSegmentNeverDecodesBody(t *testing.T) {
 // open). Never a panic, never ErrCorrupt.
 func TestUndecodableBodyAnswers(t *testing.T) {
 	crafted, mangled := timeOrderedStore(t, 600, 100), store.NewMemBackend()
-	names, err := crafted.List()
+	listed, err := crafted.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := names[len(names)/2]
-	for _, name := range names {
+	victim := listed[len(listed)/2].Name
+	for _, e := range listed {
+		name := e.Name
 		data, err := crafted.Read(name)
 		if err != nil {
 			t.Fatal(err)

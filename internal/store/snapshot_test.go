@@ -20,14 +20,14 @@ type hookBackend struct {
 	lists      int
 }
 
-func (b *hookBackend) List() ([]string, error) {
-	names, err := b.Backend.List()
+func (b *hookBackend) List() ([]Entry, error) {
+	listed, err := b.Backend.List()
 	b.lists++
 	if f := b.afterList; f != nil {
 		b.afterList = nil
 		f()
 	}
-	return names, err
+	return listed, err
 }
 
 func (b *hookBackend) Remove(name string) error {
@@ -73,9 +73,13 @@ func snapshotLines(t *testing.T, be Backend) []string {
 
 func segmentNames(t *testing.T, be Backend) []string {
 	t.Helper()
-	names, err := be.List()
+	listed, err := be.List()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range listed {
+		names = append(names, e.Name)
 	}
 	return names
 }
@@ -223,12 +227,12 @@ type ghostBackend struct {
 	lists int
 }
 
-func (b *ghostBackend) List() ([]string, error) {
-	names, err := b.Backend.List()
+func (b *ghostBackend) List() ([]Entry, error) {
+	listed, err := b.Backend.List()
 	if b.lists++; b.lists%2 == 1 {
-		names = append(names, "s0-000099-000099.seg")
+		listed = append(listed, Entry{Name: "s0-000099-000099.seg"})
 	}
-	return names, err
+	return listed, err
 }
 
 func TestOpenReaderRetriesAreBounded(t *testing.T) {
@@ -258,7 +262,7 @@ type unreadableBackend struct {
 	lists int
 }
 
-func (b *unreadableBackend) List() ([]string, error) { b.lists++; return b.Backend.List() }
+func (b *unreadableBackend) List() ([]Entry, error) { b.lists++; return b.Backend.List() }
 
 func (b *unreadableBackend) Read(name string) ([]byte, error) {
 	if name == b.name {

@@ -1,9 +1,10 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -188,21 +189,17 @@ type segRange struct{ start, end, tier int }
 // wins only if whole reports it completely written: a torn one is
 // superseded itself and the run it failed to replace stands. whole is
 // asked only about segments that have another listed inside them.
+// current is built in listed's array, which the call overwrites.
 func currentGeneration[S any](listed []S, rangeOf func(S) segRange, whole func(S) bool) (current, superseded []S) {
 	// By start; at one start the widest first, the archive before the
 	// hot segment of the same range. Ranges nest or are disjoint, so
 	// whatever follows a segment either lies inside it or after it.
-	sort.Slice(listed, func(a, b int) bool {
-		x, y := rangeOf(listed[a]), rangeOf(listed[b])
-		if x.start != y.start {
-			return x.start < y.start
-		}
-		if x.end != y.end {
-			return x.end > y.end
-		}
-		return x.tier > y.tier
+	slices.SortFunc(listed, func(a, b S) int {
+		x, y := rangeOf(a), rangeOf(b)
+		return cmp.Or(cmp.Compare(x.start, y.start), cmp.Compare(y.end, x.end), cmp.Compare(y.tier, x.tier))
 	})
 	covered := 0 // sequences up to here belong to a segment already kept
+	current = listed[:0]
 	for n, seg := range listed {
 		end := rangeOf(seg).end
 		switch {
@@ -282,7 +279,7 @@ type shard struct {
 // queryable.
 func Open(be Backend, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	names, err := be.List()
+	listed, err := be.List()
 	if err != nil {
 		return nil, err
 	}
@@ -318,15 +315,15 @@ func Open(be Backend, cfg Config) (*Store, error) {
 	}
 	byShard := make(map[int][]*SegmentInfo)
 	maxShard := cfg.Shards - 1
-	for _, name := range names {
-		sh, start, end, tier, ok := parseSegName(name)
+	for _, e := range listed {
+		sh, start, end, tier, ok := parseSegName(e.Name)
 		if !ok {
 			continue
 		}
 		if sh > maxShard {
 			maxShard = sh
 		}
-		byShard[sh] = append(byShard[sh], &SegmentInfo{Name: name, Shard: sh, Start: start, End: end, Tier: tier})
+		byShard[sh] = append(byShard[sh], &SegmentInfo{Name: e.Name, Shard: sh, Start: start, End: end, Tier: tier})
 	}
 	d := AcquireDecoder()
 	defer ReleaseDecoder(d)
@@ -849,7 +846,8 @@ type ReaderSegment struct {
 	Tier   int
 	Index  Index
 	Sealed bool
-	end    int // last sequence the file's name claims
+	end    int    // last sequence the file's name claims
+	id     uint64 // the file's Entry.ID when it was listed and read
 	data   []byte
 	// Sealed v1 segments record where their frames end; sealed v2
 	// segments (v2.DataLen != 0) carry the footer tail's fields, and the
@@ -974,12 +972,11 @@ func OpenReader(be Backend) (*Reader, error) { return Reopen(nil, be) }
 
 // Reopen snapshots the store behind be as OpenReader does, taking from
 // prev, an earlier snapshot of the same backend, each segment whose file
-// is unchanged: listed under the same name and lent from the same array
-// at the same length. A backend never rewrites a file's bytes in place
-// and prev keeps alive every array it was lent, so that file holds
-// exactly what prev's segment read, and its footer is not checked again.
-// A read that copies — DirBackend, a file of several fsys extents —
-// lends a fresh array each time and never matches.
+// is unchanged: listed under the same name with the same non-zero ID and
+// the same Size as when prev's segment read it. Such a file holds
+// exactly what that segment holds (Backend.List), so it is neither read
+// nor its footer checked again. A backend that lists ID 0 — DirBackend —
+// never matches, and its segments are read every time.
 func Reopen(prev *Reader, be Backend) (*Reader, error) {
 	var old []*ReaderSegment
 	if prev != nil {
@@ -997,42 +994,51 @@ func Reopen(prev *Reader, be Backend) (*Reader, error) {
 // in name order, that are unchanged. stale reports that it failed because
 // a listed segment is no longer listed.
 func openReader(old []*ReaderSegment, be Backend) (r *Reader, stale bool, err error) {
-	names, err := be.List()
+	listed, err := be.List()
 	if err != nil {
 		return nil, false, err
 	}
-	r = &Reader{listed: make([]*ReaderSegment, 0, len(names))}
-	byShard := make(map[int][]*ReaderSegment)
-	maxShard := -1
-	for _, name := range names {
-		sh, start, end, tier, ok := parseSegName(name)
-		if !ok {
-			continue
-		}
-		data, err := be.Read(name)
-		if err != nil {
-			return nil, !stillListed(be, name), err
-		}
-		for len(old) > 0 && old[0].Name < name {
+	r = &Reader{listed: make([]*ReaderSegment, 0, len(listed))}
+	for _, e := range listed {
+		for len(old) > 0 && old[0].Name < e.Name {
 			old = old[1:]
 		}
 		var rs *ReaderSegment
-		if len(old) > 0 && old[0].Name == name && len(data) > 0 && len(old[0].data) == len(data) && &old[0].data[0] == &data[0] {
+		if len(old) > 0 && old[0].Name == e.Name && e.ID != 0 && old[0].id == e.ID && len(old[0].data) == e.Size {
 			rs = old[0]
 		} else {
-			rs = newReaderSegment(name, sh, start, end, tier, data)
+			sh, start, end, tier, ok := parseSegName(e.Name)
+			if !ok {
+				continue
+			}
+			data, err := be.Read(e.Name)
+			if err != nil {
+				return nil, !stillListed(be, e.Name), err
+			}
+			// A file that grew or was replaced since the listing is read as
+			// it is now under the listed id: the pair then matches no later
+			// listing, or matches the bytes read (ids are never reused).
+			rs = newReaderSegment(e.Name, sh, start, end, tier, data)
+			rs.id = e.ID
 		}
 		r.listed = append(r.listed, rs)
-		if sh > maxShard {
-			maxShard = sh
-		}
-		byShard[sh] = append(byShard[sh], rs)
 	}
-	for i := 0; i <= maxShard; i++ {
-		segs, _ := currentGeneration(byShard[i],
+	// One array, by shard, whose runs become the shards' current segments.
+	segs := slices.Clone(r.listed)
+	slices.SortFunc(segs, func(a, b *ReaderSegment) int { return cmp.Compare(a.Shard, b.Shard) })
+	for len(segs) > 0 {
+		n := 1
+		for n < len(segs) && segs[n].Shard == segs[0].Shard {
+			n++
+		}
+		for len(r.shards) < segs[0].Shard {
+			r.shards = append(r.shards, nil)
+		}
+		current, _ := currentGeneration(segs[:n:n],
 			func(rs *ReaderSegment) segRange { return segRange{rs.Start, rs.end, rs.Tier} },
 			func(rs *ReaderSegment) bool { return rs.Sealed })
-		r.shards = append(r.shards, segs)
+		r.shards = append(r.shards, current)
+		segs = segs[n:]
 	}
 	return r, false, nil
 }
@@ -1040,12 +1046,12 @@ func openReader(old []*ReaderSegment, be Backend) (r *Reader, stale bool, err er
 // stillListed reports whether the backend lists name now; true when
 // the backend cannot say.
 func stillListed(be Backend, name string) bool {
-	names, err := be.List()
+	listed, err := be.List()
 	if err != nil {
 		return true
 	}
-	i := sort.SearchStrings(names, name)
-	return i < len(names) && names[i] == name
+	_, found := slices.BinarySearchFunc(listed, name, func(e Entry, name string) int { return strings.Compare(e.Name, name) })
+	return found
 }
 
 // Shards returns the reader's segments grouped by shard, in rotation

@@ -303,11 +303,11 @@ func TestTornTypedTailSalvage(t *testing.T) {
 	if err := st.AppendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	names, _ := be.List()
-	if len(names) != 1 {
-		t.Fatalf("segments %v, want one unsealed", names)
+	listed, _ := be.List()
+	if len(listed) != 1 {
+		t.Fatalf("segments %v, want one unsealed", listed)
 	}
-	whole, _ := be.Read(names[0])
+	whole, _ := be.Read(listed[0].Name)
 	last := 0
 	for cut := 0; cut <= len(whole); cut++ {
 		seg, err := ParseSegment(whole[:cut:cut])
@@ -329,7 +329,7 @@ func TestTornTypedTailSalvage(t *testing.T) {
 	}
 	// And what Open makes of a torn file is a sealed v3 segment of the
 	// salvaged prefix.
-	if err := be.Create(names[0], whole[:len(whole)*2/3]); err != nil {
+	if err := be.Create(listed[0].Name, whole[:len(whole)*2/3]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(be, Config{Shards: 1}); err != nil {
