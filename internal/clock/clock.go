@@ -19,7 +19,7 @@
 package clock
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -37,10 +37,10 @@ const Quantum = 10 * time.Millisecond
 // deduce global orderings from message causality rather than from
 // timestamps (paper section 4.1).
 type MachineClock struct {
-	mu sync.Mutex
 	// now is the current virtual reading, including offset and all
-	// drift-scaled advances so far.
-	now time.Duration
+	// drift-scaled advances so far. It is an atomic because every system
+	// call on the machine reads or advances it.
+	now atomic.Int64
 	// driftPPM expresses the clock's rate error in parts per million:
 	// an advance of d adds d*(1e6+driftPPM)/1e6.
 	driftPPM int64
@@ -52,7 +52,7 @@ type Option func(*MachineClock)
 // WithOffset starts the clock at the given reading instead of zero,
 // modelling imperfect initial synchronization between machines.
 func WithOffset(d time.Duration) Option {
-	return func(c *MachineClock) { c.now = d }
+	return func(c *MachineClock) { c.now.Store(int64(d)) }
 }
 
 // WithDriftPPM sets the clock's rate error in parts per million. A
@@ -81,10 +81,7 @@ func (c *MachineClock) Advance(d time.Duration) time.Duration {
 		return c.Now()
 	}
 	scaled := d + time.Duration(int64(d)*c.driftPPM/1_000_000)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now += scaled
-	return c.now
+	return time.Duration(c.now.Add(int64(scaled)))
 }
 
 // AdvanceTo raises the clock to at least the given reading; it never
@@ -94,19 +91,16 @@ func (c *MachineClock) Advance(d time.Duration) time.Duration {
 // message traffic gives real clusters (and that tools like TEMPO
 // formalized).
 func (c *MachineClock) AdvanceTo(t time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
+	for {
+		now := c.now.Load()
+		if int64(t) <= now || c.now.CompareAndSwap(now, int64(t)) {
+			return
+		}
 	}
 }
 
 // Now returns the clock's current virtual reading.
-func (c *MachineClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *MachineClock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // NowMillis returns the current reading in integer milliseconds, the
 // unit used in meter message headers (the cpuTime header field).
@@ -120,27 +114,19 @@ func (c *MachineClock) NowMillis() int64 {
 // it rounded down to the 10 ms quantum, matching what the 4.2BSD kernel
 // exposed (and therefore what meter messages carry in procTime).
 type CPUCounter struct {
-	mu  sync.Mutex
-	raw time.Duration
+	raw atomic.Int64
 }
 
 // Charge adds d to the process's accumulated CPU time. Non-positive
 // charges are ignored.
 func (c *CPUCounter) Charge(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.raw.Add(int64(d))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.raw += d
 }
 
 // Raw returns the exact accumulated CPU time.
-func (c *CPUCounter) Raw() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.raw
-}
+func (c *CPUCounter) Raw() time.Duration { return time.Duration(c.raw.Load()) }
 
 // Quantized returns the accumulated CPU time rounded down to the 10 ms
 // accounting quantum.

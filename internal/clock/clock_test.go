@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -222,5 +223,71 @@ func TestConcurrentAdvanceSafe(t *testing.T) {
 	}
 	if got := c.Now(); got != 4000*time.Microsecond {
 		t.Fatalf("Now() = %v, want 4ms", got)
+	}
+}
+
+// TestClockConcurrent races Advance and AdvanceTo against readers. No
+// reader may see the clock go back. The final reading is the offset
+// plus the drift-scaled sum of every advance when that is above every
+// AdvanceTo target; when the largest target is higher, the reading is
+// at least that target and at most the target plus the advances.
+func TestClockConcurrent(t *testing.T) {
+	const (
+		offset   = 7 * time.Millisecond
+		ppm      = 250_000 // 25 % fast: an advance of 4 µs adds 5 µs
+		step     = 4 * time.Microsecond
+		writers  = 4
+		advances = 2000
+		advanced = writers * advances * (step + step*ppm/1_000_000)
+	)
+	for _, top := range []time.Duration{time.Millisecond, time.Second} {
+		c := New(WithOffset(offset), WithDriftPPM(ppm))
+		stop := make(chan struct{})
+		var readers, writersWG sync.WaitGroup
+		read := func() {
+			defer readers.Done()
+			for prev := c.Now(); ; {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cur := c.Now()
+				if cur < prev {
+					t.Errorf("reading went back: %v after %v", cur, prev)
+					return
+				}
+				prev = cur
+			}
+		}
+		readers.Add(2)
+		go read()
+		go read()
+		for w := 1; w <= writers; w++ {
+			writersWG.Add(2)
+			go func() {
+				defer writersWG.Done()
+				for i := 0; i < advances; i++ {
+					c.Advance(step)
+				}
+			}()
+			go func() {
+				defer writersWG.Done()
+				for i := 1; i <= advances; i++ {
+					c.AdvanceTo(top * time.Duration(i*w) / (advances * writers))
+				}
+			}()
+		}
+		writersWG.Wait()
+		close(stop)
+		readers.Wait()
+		got := c.Now()
+		if want := offset + advanced; want >= top {
+			if got != want {
+				t.Fatalf("top %v: Now() = %v, want %v", top, got, want)
+			}
+		} else if got < top || got > top+advanced {
+			t.Fatalf("top %v: Now() = %v, want in [%v, %v]", top, got, top, top+advanced)
+		}
 	}
 }

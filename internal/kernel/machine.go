@@ -309,6 +309,7 @@ func (m *Machine) newProcess(spec SpawnSpec) *Process {
 		exitCh:  make(chan struct{}),
 	}
 	p.sigCond = sync.NewCond(&p.sigMu)
+	p.meter.Store(unmetered)
 	switch {
 	case spec.Stdio != nil:
 		// The daemon's I/O gateway socket becomes descriptors 0–2; a

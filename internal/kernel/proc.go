@@ -3,6 +3,7 @@ package kernel
 import (
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpm/internal/clock"
@@ -64,21 +65,23 @@ type Process struct {
 	mu  sync.Mutex
 	fds []*fdEntry
 
-	// The three fields the paper adds to the process table entry
-	// (section 3.2): the meter socket (not present in fds), the meter
-	// flag mask, and the buffer of unsent meter messages.
-	meterSock  *Socket
-	meterFlags meter.Flag
-	meterBuf   *meter.Buffer
+	// meter is the three fields the paper adds to the process table
+	// entry (section 3.2), published as one immutable snapshot (never
+	// nil): every metered event reads it with one load, and Setmeter,
+	// Fork, disableMetering and finish replace it under mu.
+	meter atomic.Pointer[meterState]
 
 	cpu clock.CPUCounter
-	pc  uint32
+	pc  atomic.Uint32
 
-	sigMu    sync.Mutex
-	sigCond  *sync.Cond
-	started  bool
-	stopped  bool
-	killed   bool
+	sigMu   sync.Mutex
+	sigCond *sync.Cond
+	started bool
+	stopped bool
+	killed  bool
+	// halted mirrors stopped || killed for checkpoint's lock-free fast
+	// path; signal keeps it under sigMu.
+	halted   atomic.Bool
 	startCh  chan struct{} // closed when the process may begin execution
 	killCh   chan struct{} // closed when the process is killed
 	detached bool          // no goroutine: driven by an external caller
@@ -207,16 +210,16 @@ func (p *Process) finish(status int, reason string) {
 	p.exitOnce.Do(func() {
 		p.emit(&meter.TermProc{PID: uint32(p.pid), PC: p.nextPC(), Status: uint32(status)})
 		p.mu.Lock()
-		if p.meterBuf != nil {
-			p.meterBuf.Flush()
+		ms := p.meter.Load()
+		if ms.sock != nil {
+			p.meter.Store(&meterState{flags: ms.flags})
 		}
-		msock := p.meterSock
-		p.meterSock = nil
 		fds := p.fds
 		p.fds = nil
 		p.mu.Unlock()
-		if msock != nil {
-			msock.unref()
+		if ms.sock != nil {
+			ms.buf.Flush()
+			ms.sock.unref()
 		}
 		for _, e := range fds {
 			if e != nil && e.sock != nil {
@@ -263,6 +266,7 @@ func (p *Process) signal(sig Signal) {
 		}
 		p.sigCond.Broadcast()
 	}
+	p.halted.Store(p.stopped || p.killed)
 	hook := p.schedHook
 	p.sigMu.Unlock()
 	if hook != nil {
@@ -277,6 +281,9 @@ func (p *Process) signal(sig Signal) {
 // wait here — a stop would wedge a pooled scheduler worker, so the
 // scheduler parks the task between steps instead (sched.go).
 func (p *Process) checkpoint() error {
+	if !p.halted.Load() {
+		return nil
+	}
 	p.sigMu.Lock()
 	for p.stopped && !p.killed && p.task == nil {
 		p.sigCond.Wait()
@@ -330,38 +337,42 @@ func (p *Process) Go(fn func()) {
 // in meter messages. A real kernel records the user PC of the system
 // call; a deterministic per-process counter serves the same purpose —
 // distinguishing call sites — in the simulation.
-func (p *Process) nextPC() uint32 {
-	p.mu.Lock()
-	p.pc += 4
-	pc := p.pc
-	p.mu.Unlock()
-	return pc
+func (p *Process) nextPC() uint32 { return p.pc.Add(4) }
+
+// meterState is one published value of the process's metering fields:
+// the meter socket (not present in fds), the meter flag mask, and the
+// buffer of unsent meter messages, which is set exactly when sock is. A
+// snapshot is never modified.
+type meterState struct {
+	sock  *Socket
+	flags meter.Flag
+	buf   *meter.Buffer
 }
 
-// meterState snapshots the metering fields.
-func (p *Process) meterState() (*Socket, meter.Flag, *meter.Buffer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.meterSock, p.meterFlags, p.meterBuf
+// unmetered is the snapshot of a process metering was never set for.
+var unmetered = &meterState{}
+
+// selects reports whether the snapshot meters events of type t.
+func (ms *meterState) selects(t meter.Type) bool {
+	return ms.sock != nil && ms.flags.Selects(t)
 }
+
+// metered reports whether an event of type t would be metered now. The
+// per-message IPC calls test it before building their meter body, so an
+// unmetered send or receive allocates nothing for metering.
+func (p *Process) metered(t meter.Type) bool { return p.meter.Load().selects(t) }
 
 // MeterFlags returns the process's current meter flag mask.
-func (p *Process) MeterFlags() meter.Flag {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.meterFlags
-}
+func (p *Process) MeterFlags() meter.Flag { return p.meter.Load().flags }
 
 // MeterSocketID returns the id of the meter socket, or 0 if the
 // process is not connected to a filter. Tests use it to check
 // transparency: the id never appears in the descriptor table.
 func (p *Process) MeterSocketID() uint32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.meterSock == nil {
-		return 0
+	if ms := p.meter.Load(); ms.sock != nil {
+		return ms.sock.id
 	}
-	return p.meterSock.id
+	return 0
 }
 
 // emit generates one meter message if the event is flagged for this
@@ -369,16 +380,16 @@ func (p *Process) MeterSocketID() uint32 {
 // initiate a meter event, the kernel checks whether the call is
 // currently metered").
 func (p *Process) emit(body meter.Body) {
-	sock, flags, buf := p.meterState()
-	if sock == nil || buf == nil || !flags.Selects(body.EventType()) {
+	ms := p.meter.Load()
+	if !ms.selects(body.EventType()) {
 		return
 	}
-	if sock.Dead() {
+	if ms.sock.Dead() {
 		// The filter died. Metering must degrade rather than wedge the
 		// monitored computation (or accumulate messages nothing will
 		// read): switch it off for this process and account for what
 		// was lost.
-		p.disableMetering(sock, buf)
+		p.disableMetering(ms)
 		return
 	}
 	msg := &meter.Msg{
@@ -389,25 +400,33 @@ func (p *Process) emit(body meter.Body) {
 		},
 		Body: body,
 	}
-	buf.Add(msg, flags.Immediate())
+	ms.buf.Add(msg, ms.flags.Immediate())
+	// A Setmeter, exit or disable that replaced the buffer after the
+	// load above flushes it once, possibly before this Add: flush again
+	// so the message is sent (or counted as dropped), not stranded.
+	if cur := p.meter.Load(); cur.buf != ms.buf {
+		ms.buf.Flush()
+	}
 }
 
 // disableMetering turns metering off for the process after its filter
 // died: the meter socket and buffer are released, the flag mask is
-// cleared, and the messages that will never arrive — the buffered ones
-// plus the event that found the corpse — are counted as drops.
-func (p *Process) disableMetering(sock *Socket, buf *meter.Buffer) {
+// cleared, and the messages that will never arrive — the buffered ones,
+// which the flush into the dead socket counts, plus the event that
+// found the corpse — are counted as drops.
+func (p *Process) disableMetering(ms *meterState) {
 	p.mu.Lock()
-	if p.meterSock != sock {
+	cur := p.meter.Load()
+	if cur.sock != ms.sock {
 		p.mu.Unlock() // raced with a Setmeter that replaced the socket
 		return
 	}
-	p.meterSock, p.meterBuf = nil, nil
-	p.meterFlags = 0
+	p.meter.Store(unmetered)
 	p.mu.Unlock()
-	sock.unref()
+	cur.buf.Flush()
+	cur.sock.unref()
 	p.machine.faults.meterDisabled.Inc()
-	p.machine.faults.meterDrops.Add(int64(buf.Pending()) + 1)
+	p.machine.faults.meterDrops.Inc()
 }
 
 // fd returns the entry at descriptor fd.

@@ -101,29 +101,27 @@ func (p *Process) Setmeter(proc int, flags int, sockFD int) error {
 	}
 
 	target.mu.Lock()
+	cur := target.meter.Load()
+	next := *cur
 	if flags != NoChange {
-		target.meterFlags = meter.Flag(uint32(flags))
+		next.flags = meter.Flag(uint32(flags))
 	}
-	var oldSock *Socket
-	var oldBuf *meter.Buffer
-	switch {
-	case sockFD == NoChange:
-	case sockFD == SockNone:
-		oldSock, oldBuf = target.meterSock, target.meterBuf
-		target.meterSock, target.meterBuf = nil, nil
+	var replaced *meterState // the connection SockNone or a new socket ends
+	switch sockFD {
+	case NoChange:
+	case SockNone:
+		replaced, next.sock, next.buf = cur, nil, nil
 	default:
-		oldSock, oldBuf = target.meterSock, target.meterBuf
 		newSock.ref() // duplicated for the metered process, hidden from its table
-		target.meterSock = newSock
-		target.meterBuf = p.machine.newMeterBuffer(newSock)
+		replaced = cur
+		next.sock, next.buf = newSock, p.machine.newMeterBuffer(newSock)
 	}
+	target.meter.Store(&next)
 	target.mu.Unlock()
 
-	if oldBuf != nil {
-		oldBuf.Flush()
-	}
-	if oldSock != nil {
-		oldSock.unref()
+	if replaced != nil && replaced.sock != nil {
+		replaced.buf.Flush()
+		replaced.sock.unref()
 	}
 	return nil
 }

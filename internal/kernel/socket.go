@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpm/internal/meter"
@@ -35,6 +36,9 @@ type Socket struct {
 	waiters waitList // blocked readers/acceptors, woken on state change
 	refs    int      // descriptor references across all processes
 	closed  bool
+	// dead mirrors Dead's condition so the metering path can test it
+	// without the lock; closing and a peer's departure set it.
+	dead atomic.Bool
 
 	// buffered is the byte count this socket has charged against its
 	// machine's memory accounting (queued stream bytes plus queued
@@ -53,11 +57,14 @@ type Socket struct {
 	backlog      int
 	pendingConns []*Socket
 
-	// Stream connection state.
+	// Stream connection state. The unread bytes are recvBuf[recvOff:];
+	// both reset to empty when a read drains them, so the array is
+	// reused rather than regrown.
 	connected  bool
 	peer       *Socket
 	peerName   meter.Name
 	recvBuf    []byte
+	recvOff    int
 	peerClosed bool
 
 	// Datagram state.
@@ -118,11 +125,7 @@ func (s *Socket) Connected() bool {
 // closed, or it was connected and its peer has gone. A socket that was
 // simply never connected is not dead. The metering machinery uses this
 // to tell a dead filter from a merely unused meter socket.
-func (s *Socket) Dead() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed || (s.connected && s.peerClosed)
-}
+func (s *Socket) Dead() bool { return s.dead.Load() }
 
 // ref adds a descriptor reference.
 func (s *Socket) ref() {
@@ -142,6 +145,7 @@ func (s *Socket) unref() {
 		return
 	}
 	s.closed = true
+	s.dead.Store(true)
 	pending := s.pendingConns
 	s.pendingConns = nil
 	peer := s.peer
@@ -171,6 +175,7 @@ func (s *Socket) unref() {
 func (s *Socket) notifyPeerClosed() {
 	s.mu.Lock()
 	s.peerClosed = true
+	s.dead.Store(s.closed || s.connected)
 	s.broadcastLocked()
 	s.mu.Unlock()
 }
@@ -246,6 +251,14 @@ func (s *Socket) deliverStream(data []byte, sentAt time.Duration) {
 	s.machine.clock.AdvanceTo(sentAt)
 	s.mu.Lock()
 	if !s.closed {
+		// Out of room with at least as many bytes consumed as unread:
+		// move the unread tail to the front instead of growing. The
+		// copy is paid for by the consumed bytes, so a slow reader
+		// never makes delivery quadratic.
+		if unread := len(s.recvBuf) - s.recvOff; len(s.recvBuf)+len(data) > cap(s.recvBuf) && s.recvOff >= unread {
+			s.recvBuf = s.recvBuf[:copy(s.recvBuf, s.recvBuf[s.recvOff:])]
+			s.recvOff = 0
+		}
 		s.recvBuf = append(s.recvBuf, data...)
 		s.chargeLocked(len(data))
 		s.broadcastLocked()

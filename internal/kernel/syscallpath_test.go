@@ -1,0 +1,330 @@
+package kernel
+
+import (
+	"bytes"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"dpm/internal/meter"
+)
+
+// TestSyscallNoAlloc gates what a system call allocates once its
+// buffers are warm: an unmetered stream send nothing, an unmetered
+// stream receive only the slice it returns, and a metered buffered send
+// at most its meter body.
+func TestSyscallNoAlloc(t *testing.T) {
+	const runs = 200
+	_, red, green := newTestCluster(t)
+	payload := make([]byte, 64)
+
+	p := detached(t, red)
+	f1, f2, err := p.SocketPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func() {
+		if _, err := p.Send(f1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func() {
+		if _, err := p.Recv(f2, len(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Grow the receiving socket's buffer past what the runs below queue,
+	// then drain it: the array stays and the reads reset it to empty.
+	for i := 0; i < 2*runs; i++ {
+		send()
+	}
+	for i := 0; i < 2*runs; i++ {
+		recv()
+	}
+	if got := testing.AllocsPerRun(runs, send); got != 0 {
+		t.Errorf("unmetered stream Send: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(runs, recv); got != 1 {
+		t.Errorf("unmetered stream Recv: %v allocs, want 1 (the returned slice)", got)
+	}
+
+	m := detached(t, red)
+	tap := newMeterTap(t, green, m, meter.MSend, testUID)
+	g1, _, err := m.SocketPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msend := func() {
+		if _, err := m.Send(g1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the meter buffer's batch storage and the filter connection's
+	// receive buffer, then drain the connection.
+	for i := 0; i < 2*runs; i++ {
+		msend()
+	}
+	tap.collect(2 * runs)
+	if got := testing.AllocsPerRun(runs, msend); got > 1 {
+		t.Errorf("metered buffered Send: %v allocs, want at most 1 (the body)", got)
+	}
+}
+
+// TestStreamReadOffset interleaves deliveries with reads that take
+// less than is queued, so the receive buffer is compacted rather than
+// drained. The bytes come out in order, and the array stays within a
+// small multiple of what is ever unread at once.
+func TestStreamReadOffset(t *testing.T) {
+	_, red, _ := newTestCluster(t)
+	p := detached(t, red)
+	f1, f2, err := p.SocketPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := p.sockFD(f2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent, got []byte
+	maxUnread := 0
+	for i := 0; i < 2000; i++ {
+		chunk := make([]byte, 1+i%97)
+		for j := range chunk {
+			chunk[j] = byte(len(sent) + j)
+		}
+		if _, err := p.Send(f1, chunk); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, chunk...)
+		maxUnread = max(maxUnread, len(sent)-len(got))
+		data, err := p.Recv(f2, 1+i%89)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, data...)
+	}
+	for len(got) < len(sent) {
+		data, err := p.Recv(f2, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, data...)
+	}
+	if !bytes.Equal(got, sent) {
+		t.Fatal("stream bytes reordered or lost across compactions")
+	}
+	rs.mu.Lock()
+	c := cap(rs.recvBuf)
+	rs.mu.Unlock()
+	if c > 4*maxUnread {
+		t.Fatalf("receive array cap %d for at most %d unread bytes", c, maxUnread)
+	}
+}
+
+// TestMeterStateRace changes a process's metering while it runs: a
+// controller toggles the flags and the meter socket with Setmeter, and
+// SIGSTOP/SIGCONT arrive, while the process sends and receives. Every
+// record the filter gets must be of a type some published flag set
+// selected, every event the meter took must be a record received or a
+// counted drop, and the metered records' PCs must be the ones an
+// all-metered run of the same calls gives.
+func TestMeterStateRace(t *testing.T) {
+	// work is the process's system calls: a socketpair, then rounds of
+	// a send and a receive (send, receivecall and receive events) until
+	// more returns false. It returns the rounds made; the caller ends
+	// the process.
+	work := func(p *Process, more func(round int) bool) int {
+		f1, f2, err := p.SocketPair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := 0
+		for ; more(round); round++ {
+			if _, err := p.Send(f1, []byte("ping")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Recv(f2, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return round
+	}
+
+	_, red, green := newTestCluster(t)
+	p := detached(t, red)
+	filter := detached(t, green)
+	lfd, lname := listenStream(t, filter, 0)
+	ctl, err := red.SpawnDetached(0, "controller")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var socks [2]int
+	var conns [2]int
+	for i := range socks {
+		if socks[i], err = ctl.Socket(meter.AFInet, SockStream); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.Connect(socks[i], lname); err != nil {
+			t.Fatal(err)
+		}
+		if conns[i], _, err = filter.Accept(lfd); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The filter: one reader per meter connection, each to EOF.
+	var mu sync.Mutex
+	var got []meter.Msg
+	var readers sync.WaitGroup
+	for _, fd := range conns {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var buf []byte
+			for {
+				data, err := filter.Recv(fd, 4096)
+				if err != nil {
+					return
+				}
+				buf = append(buf, data...)
+				msgs, rest, err := meter.DecodeStream(buf)
+				if err != nil {
+					t.Errorf("meter stream corrupt: %v", err)
+					return
+				}
+				buf = rest
+				mu.Lock()
+				got = append(got, msgs...)
+				mu.Unlock()
+			}
+		}()
+	}
+
+	// The published flag sets never select receive, termproc or the
+	// connection events.
+	steps := []struct {
+		flags, sock int
+	}{
+		{int(meter.MSend), socks[0]},
+		{int(meter.MSend | meter.MReceiveCall), NoChange},
+		{int(meter.MReceiveCall | meter.MImmediate), socks[1]},
+		{FlagsNone, NoChange},
+		{NoChange, SockNone},
+		{int(meter.MSend | meter.MImmediate), socks[1]},
+		{int(meter.MSend), socks[0]},
+	}
+	const published = meter.MSend | meter.MReceiveCall
+	done := make(chan struct{})
+	var setmeters, stops atomic.Int64
+	var racers sync.WaitGroup
+	racers.Add(2)
+	go func() {
+		defer racers.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			s := steps[i%len(steps)]
+			if err := ctl.Setmeter(p.PID(), s.flags, s.sock); err != nil {
+				t.Error(err)
+				return
+			}
+			setmeters.Add(1)
+		}
+	}()
+	go func() {
+		defer racers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := red.Signal(p.PID(), SIGSTOP); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := red.Signal(p.PID(), SIGCONT); err != nil {
+				t.Error(err)
+				return
+			}
+			stops.Add(1)
+		}
+	}()
+	// Keep sending until a Setmeter has landed between two rounds many
+	// times over: the scheduler may otherwise run all the rounds in one
+	// burst beside a parked controller.
+	lastSet, interleaved := int64(-1), 0
+	rounds := work(p, func(round int) bool {
+		if n := setmeters.Load(); n != lastSet {
+			lastSet, interleaved = n, interleaved+1
+		}
+		return round < 500 || interleaved < 20*len(steps) || stops.Load() < 100
+	})
+	close(done)
+	racers.Wait()
+	p.Exit(0)
+	// The process has exited and dropped its meter socket; closing the
+	// controller's descriptors ends both connections.
+	for _, fd := range socks {
+		if err := ctl.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readers.Wait()
+
+	// The reference: the same calls with every event metered.
+	want := map[uint32]meter.Type{}
+	{
+		_, red, green := newTestCluster(t)
+		p := detached(t, red)
+		tap := newMeterTap(t, green, p, meter.MAll, testUID)
+		work(p, func(round int) bool { return round < rounds })
+		p.Exit(0)
+		for _, msg := range tap.collect(4 + 3*rounds + 1) {
+			pc, typ := msgPC(t, msg)
+			want[pc] = typ
+		}
+	}
+
+	events := red.Obs().Counter("meter.events").Load()
+	drops := red.cluster.FaultStats().MeterDrops
+	if events != int64(len(got))+drops {
+		t.Errorf("meter events %d != %d records received + %d drops", events, len(got), drops)
+	}
+	if len(got) == 0 {
+		t.Fatal("no records metered")
+	}
+	pcs := make([]uint32, 0, len(got))
+	for _, msg := range got {
+		pc, typ := msgPC(t, msg)
+		if !published.Selects(typ) {
+			t.Errorf("record of type %v at pc %d: no published flag set selects it", typ, pc)
+		}
+		if ref, ok := want[pc]; !ok || ref != typ {
+			t.Errorf("record %v at pc %d; the all-metered run has %v there", typ, pc, ref)
+		}
+		pcs = append(pcs, pc)
+	}
+	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	for i := 1; i < len(pcs); i++ {
+		if pcs[i] == pcs[i-1] {
+			t.Errorf("pc %d metered twice", pcs[i])
+		}
+	}
+}
+
+// msgPC returns a message's pc and type.
+func msgPC(t *testing.T, msg meter.Msg) (uint32, meter.Type) {
+	t.Helper()
+	for _, f := range msg.Body.Fields() {
+		if f.Name == "pc" {
+			return uint32(f.Value), msg.Header.TraceType
+		}
+	}
+	t.Fatalf("%v record has no pc field", msg.Header.TraceType)
+	return 0, 0
+}

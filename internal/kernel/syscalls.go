@@ -231,6 +231,7 @@ func (p *Process) Connect(fd int, name meter.Name) error {
 
 	s.mu.Lock()
 	s.connected = true
+	s.dead.Store(s.closed || s.peerClosed) // the listener may have dropped srv already
 	s.peer = srv
 	s.peerName = lName
 	s.broadcastLocked()
@@ -387,10 +388,12 @@ func (p *Process) sendSock(s *Socket, data []byte, to meter.Name, explicitDest b
 			return 0, err
 		}
 	}
-	p.emit(&meter.Send{
-		PID: uint32(p.pid), PC: p.nextPC(), Sock: s.id,
-		MsgLength: uint32(len(data)), DestNameLen: nameLen(dest), DestName: dest,
-	})
+	if pc := p.nextPC(); p.metered(meter.EvSend) {
+		p.emit(&meter.Send{
+			PID: uint32(p.pid), PC: pc, Sock: s.id,
+			MsgLength: uint32(len(data)), DestNameLen: nameLen(dest), DestName: dest,
+		})
+	}
 	return len(data), nil
 }
 
@@ -514,7 +517,9 @@ func (p *Process) recvFrom(fd, max int, timeout <-chan time.Time, nonblock bool)
 	if max <= 0 {
 		return nil, meter.Name{}, fmt.Errorf("%w: recv of %d bytes", ErrInval, max)
 	}
-	p.emit(&meter.RecvCall{PID: uint32(p.pid), PC: p.nextPC(), Sock: s.id})
+	if pc := p.nextPC(); p.metered(meter.EvRecvCall) {
+		p.emit(&meter.RecvCall{PID: uint32(p.pid), PC: pc, Sock: s.id})
+	}
 	for {
 		if err := p.checkpoint(); err != nil {
 			return nil, meter.Name{}, err
@@ -545,12 +550,11 @@ func (p *Process) recvFrom(fd, max int, timeout <-chan time.Time, nonblock bool)
 				return nil, meter.Name{}, ErrNotConn
 			}
 			if len(s.recvBuf) > 0 {
-				n := len(s.recvBuf)
-				if n > max {
-					n = max
+				n := min(len(s.recvBuf)-s.recvOff, max)
+				data := append([]byte(nil), s.recvBuf[s.recvOff:s.recvOff+n]...)
+				if s.recvOff += n; s.recvOff == len(s.recvBuf) {
+					s.recvBuf, s.recvOff = s.recvBuf[:0], 0
 				}
-				data := append([]byte(nil), s.recvBuf[:n]...)
-				s.recvBuf = s.recvBuf[n:]
 				s.releaseLocked(n)
 				s.mu.Unlock()
 				// Like the send side, a read on a connection carries no
@@ -580,10 +584,12 @@ func (p *Process) recvFrom(fd, max int, timeout <-chan time.Time, nonblock bool)
 }
 
 func (p *Process) emitRecv(s *Socket, n int, src meter.Name) {
-	p.emit(&meter.Recv{
-		PID: uint32(p.pid), PC: p.nextPC(), Sock: s.id,
-		MsgLength: uint32(n), SourceNameLen: nameLen(src), SourceName: src,
-	})
+	if pc := p.nextPC(); p.metered(meter.EvRecv) {
+		p.emit(&meter.Recv{
+			PID: uint32(p.pid), PC: pc, Sock: s.id,
+			MsgLength: uint32(n), SourceNameLen: nameLen(src), SourceName: src,
+		})
+	}
 }
 
 // Read is the read() system call: on a socket it is a receive (the
@@ -778,11 +784,9 @@ func (p *Process) Fork(child Program) (int, error) {
 		}
 		c.fds[i] = &cp
 	}
-	if p.meterSock != nil {
-		p.meterSock.ref()
-		c.meterSock = p.meterSock
-		c.meterFlags = p.meterFlags
-		c.meterBuf = m.newMeterBuffer(p.meterSock)
+	if ms := p.meter.Load(); ms.sock != nil {
+		ms.sock.ref()
+		c.meter.Store(&meterState{sock: ms.sock, flags: ms.flags, buf: m.newMeterBuffer(ms.sock)})
 	}
 	p.mu.Unlock()
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // HeaderSize is the encoded size of the standard meter message header.
@@ -114,9 +115,8 @@ func (m *Msg) AppendEncode(dst []byte) []byte {
 	m.Header.Size = uint32(size)
 	m.Header.TraceType = m.Body.EventType()
 	off := len(dst)
-	for i := 0; i < size; i++ {
-		dst = append(dst, 0)
-	}
+	dst = slices.Grow(dst, size)[:off+size]
+	clear(dst[off:]) // padding bytes are never written
 	m.Header.encode(dst[off:])
 	m.Body.encodeBody(dst[off+HeaderSize:])
 	return dst
