@@ -233,11 +233,8 @@ func (c *Cluster) ResolveFrom(from *Machine, host string) (uint32, *Machine, err
 		return 0, nil, err
 	}
 	if from != nil {
-		from.mu.Lock()
-		fromNets := append([]string(nil), from.netOrder...)
-		from.mu.Unlock()
-		for _, nn := range fromNets {
-			if h, ok := target.hostIDOn(nn); ok {
+		for _, nn := range from.netOrder {
+			if h, ok := target.HostIDOn(nn); ok {
 				return h, target, nil
 			}
 		}

@@ -59,7 +59,7 @@ func (c *Cluster) CrashMachine(name string) error {
 	if m.Down() {
 		return fmt.Errorf("%w: %s already crashed", ErrMachineDown, name)
 	}
-	m.setDown(true)
+	m.down.Store(true)
 	m.faults.crashes.Inc()
 
 	// Kill everything. Detached processes (driven by an external
@@ -73,13 +73,7 @@ func (c *Cluster) CrashMachine(name string) error {
 	}
 
 	// Pull the interfaces.
-	m.mu.Lock()
-	attached := make(map[string]uint32, len(m.hostIDs))
 	for nn, h := range m.hostIDs {
-		attached[nn] = h
-	}
-	m.mu.Unlock()
-	for nn, h := range attached {
 		if n, err := c.Network(nn); err == nil {
 			n.Detach(h)
 		}
@@ -102,13 +96,7 @@ func (c *Cluster) RestartMachine(name string) (*Machine, error) {
 	if !m.Down() {
 		return nil, fmt.Errorf("kernel: machine %q is not down", name)
 	}
-	m.mu.Lock()
-	attached := make(map[string]uint32, len(m.hostIDs))
 	for nn, h := range m.hostIDs {
-		attached[nn] = h
-	}
-	m.mu.Unlock()
-	for nn, h := range attached {
 		n, err := c.Network(nn)
 		if err != nil {
 			return nil, err
@@ -117,7 +105,7 @@ func (c *Cluster) RestartMachine(name string) (*Machine, error) {
 			return nil, err
 		}
 	}
-	m.setDown(false)
+	m.down.Store(false)
 	m.faults.restarts.Inc()
 	return m, nil
 }
@@ -151,15 +139,12 @@ func (c *Cluster) streamCutHook(hostA, hostB uint32) {
 // machinesReachable reports whether any shared network can currently
 // carry traffic between two machines.
 func (c *Cluster) machinesReachable(ma, mb *Machine) bool {
-	ma.mu.Lock()
-	nets := append([]string(nil), ma.netOrder...)
-	ma.mu.Unlock()
-	for _, nn := range nets {
-		hb, ok := mb.hostIDOn(nn)
+	for _, nn := range ma.netOrder {
+		hb, ok := mb.HostIDOn(nn)
 		if !ok {
 			continue
 		}
-		ha, _ := ma.hostIDOn(nn)
+		ha := ma.hostIDs[nn]
 		n, err := c.Network(nn)
 		if err == nil && n.Reachable(ha, hb) {
 			return true
@@ -185,7 +170,7 @@ func (c *Cluster) checkStreamPath(from, target *Machine, host uint32) error {
 	if n == nil {
 		return nil
 	}
-	srcHost, ok := from.hostIDOn(n.Name())
+	srcHost, ok := from.HostIDOn(n.Name())
 	if !ok {
 		// No address on the destination network: the connection is
 		// routed through a gateway whose links the simulation does not

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"dpm/internal/clock"
 	"dpm/internal/fsys"
@@ -42,13 +43,21 @@ type Machine struct {
 
 	faultMu sync.Mutex // serializes crash/restart transitions
 
+	down atomic.Bool // crashed: refuses spawns, connections, datagrams
+
+	// dgramPorts mirrors ports' datagram entries, keyed by port, so a
+	// delivery finds its socket without m.mu. Both change under m.mu.
+	dgramPorts sync.Map
+
+	// The machine's addresses, fixed once AddMachine returns and read
+	// without a lock; the first network in netOrder is the primary one.
+	hostIDs  map[string]uint32
+	netOrder []string
+
 	mu         sync.Mutex
-	down       bool // crashed: refuses spawns, connections, datagrams
 	procs      map[int]*Process
 	nextPID    int
 	accounts   map[int]string // uid -> user name
-	hostIDs    map[string]uint32
-	netOrder   []string // attachment order; the first is the primary address
 	ports      map[portKey]*Socket
 	unixSocks  map[string]*Socket
 	nextSockID uint32
@@ -133,17 +142,7 @@ func (m *Machine) Cluster() *Cluster { return m.cluster }
 
 // Down reports whether the machine has crashed (CrashMachine) and not
 // yet been restarted.
-func (m *Machine) Down() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.down
-}
-
-func (m *Machine) setDown(down bool) {
-	m.mu.Lock()
-	m.down = down
-	m.mu.Unlock()
-}
+func (m *Machine) Down() bool { return m.down.Load() }
 
 // AddAccount gives uid an account on this machine. Per the paper's
 // protection policy, "To create a process on a machine, a user must
@@ -169,25 +168,18 @@ func (m *Machine) HasAccount(uid int) bool {
 // PrimaryHostID returns the machine's address on its first-attached
 // network; socket names constructed on this machine use it.
 func (m *Machine) PrimaryHostID() uint32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(m.netOrder) == 0 {
 		return 0
 	}
 	return m.hostIDs[m.netOrder[0]]
 }
 
-// hostIDOn returns the machine's address on the given network.
-func (m *Machine) hostIDOn(network string) (uint32, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// HostIDOn returns the machine's address on the given network, and
+// whether it is attached to that network at all.
+func (m *Machine) HostIDOn(network string) (uint32, bool) {
 	h, ok := m.hostIDs[network]
 	return h, ok
 }
-
-// HostIDOn returns the machine's address on the given network, and
-// whether it is attached to that network at all.
-func (m *Machine) HostIDOn(network string) (uint32, bool) { return m.hostIDOn(network) }
 
 // SpawnSpec describes a process to create.
 type SpawnSpec struct {
@@ -418,56 +410,56 @@ func (m *Machine) allocPort(typ int) uint16 {
 
 const ephemeralBase = 1024
 
-// bindInet binds a socket to an Internet port (0 allocates one). The
-// socket name uses the machine's primary address.
-func (m *Machine) bindInet(s *Socket, port uint16) (meter.Name, error) {
+// errBound is what an explicit bind of a named socket returns.
+var errBound = fmt.Errorf("%w: socket already bound", ErrInval)
+
+// bind names a socket: a UNIX-domain one by path, an Internet one by
+// port (0 allocates one) on the primary address. s.mu is held from the
+// check to the bind, so only one of two processes sharing an unbound
+// socket binds it; an implicit bind (connect, send) returns its name.
+func (m *Machine) bind(s *Socket, port uint16, path string, implicit bool) (meter.Name, error) {
+	host := m.PrimaryHostID()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.boundName.IsZero() {
+		if implicit {
+			return s.boundName, nil
+		}
+		return meter.Name{}, errBound
+	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s.domain == meter.AFUnix {
+		if _, used := m.unixSocks[path]; used {
+			return meter.Name{}, fmt.Errorf("%w: %s", ErrAddrInUse, path)
+		}
+		m.unixSocks[path] = s
+		s.boundName, s.path = meter.UnixName(path), path
+		s.bound.Store(true)
+		return s.boundName, nil
+	}
 	if port == 0 {
 		if port = m.allocPort(s.typ); port == 0 {
-			m.mu.Unlock()
 			return meter.Name{}, fmt.Errorf("%w: no free ephemeral port", ErrAddrInUse)
 		}
 	}
 	key := portKey{s.typ, port}
 	if _, used := m.ports[key]; used {
-		m.mu.Unlock()
 		return meter.Name{}, fmt.Errorf("%w: port %d", ErrAddrInUse, port)
 	}
 	m.ports[key] = s
-	m.mu.Unlock()
-
-	name := meter.InetName(m.PrimaryHostID(), port)
-	s.mu.Lock()
-	s.bound = true
-	s.boundName = name
-	s.port = port
-	s.mu.Unlock()
-	return name, nil
-}
-
-// bindUnix binds a socket to a UNIX-domain path.
-func (m *Machine) bindUnix(s *Socket, path string) (meter.Name, error) {
-	m.mu.Lock()
-	if _, used := m.unixSocks[path]; used {
-		m.mu.Unlock()
-		return meter.Name{}, fmt.Errorf("%w: %s", ErrAddrInUse, path)
+	if s.typ == SockDgram {
+		m.dgramPorts.Store(port, s)
 	}
-	m.unixSocks[path] = s
-	m.mu.Unlock()
-
-	name := meter.UnixName(path)
-	s.mu.Lock()
-	s.bound = true
-	s.boundName = name
-	s.path = path
-	s.mu.Unlock()
-	return name, nil
+	s.boundName, s.port = meter.InetName(host, port), port
+	s.bound.Store(true)
+	return s.boundName, nil
 }
 
 // unbindSocket removes a destroyed socket from the binding tables.
 func (m *Machine) unbindSocket(s *Socket) {
 	s.mu.Lock()
-	bound, typ, port, path := s.bound, s.typ, s.port, s.path
+	bound, typ, port, path := s.bound.Load(), s.typ, s.port, s.path
 	s.mu.Unlock()
 	if !bound {
 		return
@@ -475,6 +467,7 @@ func (m *Machine) unbindSocket(s *Socket) {
 	m.mu.Lock()
 	if port != 0 && m.ports[portKey{typ, port}] == s {
 		delete(m.ports, portKey{typ, port})
+		m.dgramPorts.CompareAndDelete(port, s)
 	}
 	if path != "" && m.unixSocks[path] == s {
 		delete(m.unixSocks, path)
@@ -515,6 +508,11 @@ func (m *Machine) PortBound(typ int, port uint16) bool {
 
 // lookupPort finds the socket bound to (typ, port).
 func (m *Machine) lookupPort(typ int, port uint16) *Socket {
+	if typ == SockDgram {
+		s, _ := m.dgramPorts.Load(port)
+		sock, _ := s.(*Socket)
+		return sock
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.ports[portKey{typ, port}]
@@ -545,9 +543,43 @@ func (m *Machine) DeliverDatagram(dg netsim.Datagram) {
 	if m.Down() {
 		return // a crashed machine receives nothing
 	}
-	s := m.lookupPort(SockDgram, dg.Dst.Port)
-	if s == nil {
-		return
+	if s := m.lookupPort(SockDgram, dg.Dst.Port); s != nil {
+		s.deliverDgram(dg.Data, dg.SrcName, dg.SentAt)
 	}
-	s.deliverDgram(dg.Data, dg.SrcName, dg.SentAt)
+}
+
+// dgramRoute is where a socket's datagrams to one host go: the target
+// machine and, if not local, the network they share and their addresses
+// on it (ports unset). Host ids are never reused and attachments never
+// change, so a socket keeps its route until it sends to another host.
+type dgramRoute struct {
+	host     uint32
+	target   *Machine
+	net      *netsim.Network // nil when target is the sending machine
+	src, dst netsim.Addr
+}
+
+// routeTo resolves the route from m to host. The network is the first
+// of the target's attachments that m shares.
+func (m *Machine) routeTo(host uint32) (*dgramRoute, error) {
+	target := m.cluster.machineByHost(host)
+	if target == nil {
+		return nil, fmt.Errorf("%w: host %d", ErrHostUnreach, host)
+	}
+	r := &dgramRoute{host: host, target: target}
+	if target == m {
+		return r, nil
+	}
+	for _, nn := range target.netOrder {
+		if h, ok := m.hostIDs[nn]; ok {
+			r.src, r.dst = netsim.Addr{Net: nn, Host: h}, netsim.Addr{Net: nn, Host: target.hostIDs[nn]}
+			break
+		}
+	}
+	if r.src.Net == "" {
+		return nil, fmt.Errorf("%w: no shared network with %s", ErrHostUnreach, target.name)
+	}
+	var err error
+	r.net, err = m.cluster.Network(r.src.Net)
+	return r, err
 }

@@ -46,8 +46,9 @@ type Socket struct {
 	// dies.
 	buffered int
 
-	// Naming.
-	bound     bool
+	// Naming. bound is set once the name fields are written, and they
+	// never change after, so a bound socket's name is read without mu.
+	bound     atomic.Bool
 	boundName meter.Name
 	port      uint16 // inet binding
 	path      string // unix binding
@@ -67,10 +68,32 @@ type Socket struct {
 	recvOff    int
 	peerClosed bool
 
-	// Datagram state.
+	// Datagram state. The unread datagrams are dgrams[dgramOff:], kept
+	// like recvBuf, with popped slots cleared; route is the last sent-to.
 	dgrams      []dgram
+	dgramOff    int
 	defaultDest meter.Name // set by connect() on a datagram socket
+	route       atomic.Pointer[dgramRoute]
 }
+
+// compact moves the unread q[off:] to the front, clearing the slots it
+// moved from, when n more would outgrow q and at least as many items are
+// consumed as unread: a slow reader never makes delivery quadratic.
+func compact[T any](q []T, off, n int) ([]T, int) {
+	if unread := len(q) - off; len(q)+n > cap(q) && off >= unread {
+		k := copy(q, q[off:])
+		clear(q[off:])
+		return q[:k], 0
+	}
+	return q, off
+}
+
+// recvBufs holds closed stream sockets' receive arrays of at least
+// pooledRecvBuf bytes, so a new meter connection need not grow one from
+// empty; a socket that never needs more than that never takes one.
+var recvBufs sync.Pool
+
+const pooledRecvBuf = 64 << 10
 
 // broadcastLocked wakes every waiter on the socket. Callers hold s.mu.
 func (s *Socket) broadcastLocked() {
@@ -102,6 +125,9 @@ func (s *Socket) Domain() uint16 { return s.domain }
 
 // BoundName returns the name bound to the socket, zero if unbound.
 func (s *Socket) BoundName() meter.Name {
+	if s.bound.Load() {
+		return s.boundName
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.boundName
@@ -152,6 +178,11 @@ func (s *Socket) unref() {
 	if s.buffered > 0 {
 		s.releaseLocked(s.buffered)
 	}
+	if cap(s.recvBuf) >= pooledRecvBuf {
+		b := s.recvBuf[:0]
+		recvBufs.Put(&b)
+	}
+	s.recvBuf, s.recvOff = nil, 0
 	s.broadcastLocked()
 	s.mu.Unlock()
 	s.machine.mem.sockets.Add(-1)
@@ -251,13 +282,13 @@ func (s *Socket) deliverStream(data []byte, sentAt time.Duration) {
 	s.machine.clock.AdvanceTo(sentAt)
 	s.mu.Lock()
 	if !s.closed {
-		// Out of room with at least as many bytes consumed as unread:
-		// move the unread tail to the front instead of growing. The
-		// copy is paid for by the consumed bytes, so a slow reader
-		// never makes delivery quadratic.
-		if unread := len(s.recvBuf) - s.recvOff; len(s.recvBuf)+len(data) > cap(s.recvBuf) && s.recvOff >= unread {
-			s.recvBuf = s.recvBuf[:copy(s.recvBuf, s.recvBuf[s.recvOff:])]
-			s.recvOff = 0
+		s.recvBuf, s.recvOff = compact(s.recvBuf, s.recvOff, len(data))
+		if unread := s.recvBuf[s.recvOff:]; len(s.recvBuf)+len(data) > cap(s.recvBuf) && len(unread)+len(data) > pooledRecvBuf {
+			// Growing past pooledRecvBuf: start from a closed socket's array.
+			if b, _ := recvBufs.Get().(*[]byte); b != nil && cap(*b) >= len(unread)+len(data) {
+				unread = append((*b)[:0], unread...)
+			}
+			s.recvBuf, s.recvOff = unread, 0
 		}
 		s.recvBuf = append(s.recvBuf, data...)
 		s.chargeLocked(len(data))
@@ -279,11 +310,12 @@ func (s *Socket) deliverDgram(data []byte, src meter.Name, sentAt time.Duration)
 		s.mu.Unlock()
 		return
 	}
-	if budget > 0 && len(s.dgrams) >= budget {
+	if budget > 0 && len(s.dgrams)-s.dgramOff >= budget {
 		s.mu.Unlock()
 		s.machine.mem.shedDgrams.Inc()
 		return
 	}
+	s.dgrams, s.dgramOff = compact(s.dgrams, s.dgramOff, 1)
 	s.dgrams = append(s.dgrams, dgram{data: append([]byte(nil), data...), src: src})
 	s.chargeLocked(len(data))
 	s.broadcastLocked()

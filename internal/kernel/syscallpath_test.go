@@ -12,8 +12,9 @@ import (
 
 // TestSyscallNoAlloc gates what a system call allocates once its
 // buffers are warm: an unmetered stream send nothing, an unmetered
-// stream receive only the slice it returns, and a metered buffered send
-// at most its meter body.
+// stream receive only the slice it returns, an unmetered datagram to
+// another machine only the receiver's copy and its receive nothing, and
+// a metered buffered send at most its meter body.
 func TestSyscallNoAlloc(t *testing.T) {
 	const runs = 200
 	_, red, green := newTestCluster(t)
@@ -47,6 +48,39 @@ func TestSyscallNoAlloc(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(runs, recv); got != 1 {
 		t.Errorf("unmetered stream Recv: %v allocs, want 1 (the returned slice)", got)
+	}
+
+	// A datagram to another machine: the route is resolved and the
+	// receiver's queue grown by the warm-up, so a send allocates only
+	// the receiver's queued copy, and the receive returns that copy.
+	rp := detached(t, green)
+	rfd := mustSocket(t, rp, SockDgram)
+	if err := rp.BindPort(rfd, 7300); err != nil {
+		t.Fatal(err)
+	}
+	to := meter.InetName(green.PrimaryHostID(), 7300)
+	sfd := mustSocket(t, p, SockDgram)
+	sendTo := func() {
+		if _, err := p.SendTo(sfd, payload, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recvFrom := func() {
+		if _, _, err := rp.RecvFrom(rfd, len(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*runs; i++ {
+		sendTo()
+	}
+	for i := 0; i < 2*runs; i++ {
+		recvFrom()
+	}
+	if got := testing.AllocsPerRun(runs, sendTo); got != 1 {
+		t.Errorf("unmetered cross-machine SendTo: %v allocs, want 1 (the queued copy)", got)
+	}
+	if got := testing.AllocsPerRun(runs, recvFrom); got != 0 {
+		t.Errorf("unmetered RecvFrom of a datagram: %v allocs, want 0", got)
 	}
 
 	m := detached(t, red)

@@ -73,7 +73,7 @@ func (p *Process) Bind(fd int, name meter.Name) error {
 		return err
 	}
 	if s.BoundName() != (meter.Name{}) {
-		return fmt.Errorf("%w: socket already bound", ErrInval)
+		return errBound
 	}
 	switch name.Family() {
 	case meter.AFInet:
@@ -81,12 +81,12 @@ func (p *Process) Bind(fd int, name meter.Name) error {
 			return ErrAfNoSupport
 		}
 		_, port := name.Inet()
-		_, err = p.machine.bindInet(s, port)
+		_, err = p.machine.bind(s, port, "", false)
 	case meter.AFUnix:
 		if s.domain != meter.AFUnix {
 			return ErrAfNoSupport
 		}
-		_, err = p.machine.bindUnix(s, name.Path())
+		_, err = p.machine.bind(s, 0, name.Path(), false)
 	default:
 		return ErrAfNoSupport
 	}
@@ -117,7 +117,7 @@ func (p *Process) Listen(fd, backlog int) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.bound {
+	if !s.bound.Load() {
 		return fmt.Errorf("%w: listen on unbound socket", ErrInval)
 	}
 	if s.connected {
@@ -197,7 +197,7 @@ func (p *Process) Connect(fd int, name meter.Name) error {
 	// 4.2BSD implicitly binds an unbound Internet socket on connect so
 	// the peer has a name for it.
 	if s.domain == meter.AFInet && s.BoundName().IsZero() {
-		if _, err := p.machine.bindInet(s, 0); err != nil {
+		if _, err := p.machine.bind(s, 0, "", true); err != nil {
 			return err
 		}
 	}
@@ -402,57 +402,39 @@ func (p *Process) sendSock(s *Socket, data []byte, to meter.Name, explicitDest b
 // network fabric otherwise (where it may be lost or reordered).
 func (p *Process) sendDgram(s *Socket, data []byte, dest meter.Name) error {
 	// Implicit bind so the receiver sees a source name.
-	if s.domain == meter.AFInet && s.BoundName().IsZero() {
-		if _, err := p.machine.bindInet(s, 0); err != nil {
+	src := s.BoundName()
+	if s.domain == meter.AFInet && src.IsZero() {
+		var err error
+		if src, err = p.machine.bind(s, 0, "", true); err != nil {
 			return err
 		}
 	}
 	switch dest.Family() {
 	case meter.AFInet:
 		host, port := dest.Inet()
-		target := p.machine.cluster.machineByHost(host)
-		if target == nil {
-			return fmt.Errorf("%w: host %d", ErrHostUnreach, host)
+		r := s.route.Load()
+		if r == nil || r.host != host {
+			var err error
+			if r, err = p.machine.routeTo(host); err != nil {
+				return err
+			}
+			s.route.Store(r)
 		}
-		if target == p.machine {
-			if rs := target.lookupPort(SockDgram, port); rs != nil {
-				rs.deliverDgram(data, s.BoundName(), p.machine.clock.Now())
+		if r.net == nil {
+			if rs := r.target.lookupPort(SockDgram, port); rs != nil {
+				rs.deliverDgram(data, src, p.machine.clock.Now())
 			}
 			return nil
-		}
-		netName, srcHost := "", uint32(0)
-		target.mu.Lock()
-		for _, nn := range target.netOrder {
-			if h, ok := p.machine.hostIDs[nn]; ok {
-				netName, srcHost = nn, h
-				break
-			}
-		}
-		var dstHost uint32
-		if netName != "" {
-			dstHost = target.hostIDs[netName]
-		}
-		target.mu.Unlock()
-		if netName == "" {
-			return fmt.Errorf("%w: no shared network with %s", ErrHostUnreach, target.name)
-		}
-		n, err := p.machine.cluster.Network(netName)
-		if err != nil {
-			return err
 		}
 		if len(data) > netsim.MaxDatagram {
 			return ErrMsgSize
 		}
-		return n.Send(netsim.Datagram{
-			Src:     netsim.Addr{Net: netName, Host: srcHost, Port: s.port},
-			Dst:     netsim.Addr{Net: netName, Host: dstHost, Port: port},
-			SrcName: s.BoundName(),
-			SentAt:  p.machine.clock.Now(),
-			Data:    data,
-		})
+		dg := netsim.Datagram{Src: r.src, Dst: r.dst, SrcName: src, SentAt: p.machine.clock.Now(), Data: data}
+		dg.Src.Port, dg.Dst.Port = s.port, port
+		return r.net.Send(dg)
 	case meter.AFUnix:
 		if rs := p.machine.lookupUnix(dest.Path()); rs != nil && rs.typ == SockDgram {
-			rs.deliverDgram(data, s.BoundName(), p.machine.clock.Now())
+			rs.deliverDgram(data, src, p.machine.clock.Now())
 		}
 		return nil
 	default:
@@ -531,8 +513,11 @@ func (p *Process) recvFrom(fd, max int, timeout <-chan time.Time, nonblock bool)
 		}
 		if s.typ == SockDgram {
 			if len(s.dgrams) > 0 {
-				dg := s.dgrams[0]
-				s.dgrams = s.dgrams[1:]
+				dg := s.dgrams[s.dgramOff]
+				s.dgrams[s.dgramOff] = dgram{}
+				if s.dgramOff++; s.dgramOff == len(s.dgrams) {
+					s.dgrams, s.dgramOff = s.dgrams[:0], 0
+				}
 				s.releaseLocked(len(dg.data))
 				s.mu.Unlock()
 				data := dg.data
@@ -694,7 +679,8 @@ func (p *Process) SocketPair() (int, int, error) {
 	bName := meter.PairName(m.nextPairID)
 	m.mu.Unlock()
 	a.boundName, b.boundName = aName, bName
-	a.bound, b.bound = true, true
+	a.bound.Store(true)
+	b.bound.Store(true)
 	a.peer, b.peer = b, a
 	a.peerName, b.peerName = bName, aName
 	a.connected, b.connected = true, true

@@ -79,7 +79,11 @@ type Endpoint interface {
 type Network struct {
 	name string
 
-	mu      sync.Mutex
+	// mu is read-locked by a Send that draws nothing from rng (no loss,
+	// reorder or jitter, so held stays nil), so sends on a reliable
+	// network run side by side; anything that changes the fields below
+	// or draws from rng takes it exclusively.
+	mu      sync.RWMutex
 	eps     map[uint32]Endpoint
 	rng     *rand.Rand
 	loss    float64
@@ -260,8 +264,8 @@ func (n *Network) Heal() {
 // attached hosts. The kernel consults it before establishing a stream
 // connection across the fabric.
 func (n *Network) Reachable(hostA, hostB uint32) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	if n.closed || n.down {
 		return false
 	}
@@ -282,57 +286,71 @@ func (n *Network) Send(dg Datagram) error {
 	if len(dg.Data) > MaxDatagram {
 		return ErrTooBig
 	}
-	n.mu.Lock()
-	if n.closed {
+	// The options are fixed at New, so whether this send draws from the
+	// rng is known before locking. Either way every check below is made
+	// under one hold of the lock: a send racing a fault sees it or not.
+	draws := n.loss > 0 || n.reorder > 0 || n.jitter > 0
+	if draws {
+		n.mu.Lock()
+	} else {
+		n.mu.RLock()
+	}
+	var toDeliver [2]delivery
+	count, delay, err := n.route(&dg, &toDeliver)
+	if draws {
 		n.mu.Unlock()
-		return ErrClosed
+	} else {
+		n.mu.RUnlock()
+	}
+	for _, d := range toDeliver[:count] {
+		n.deliver(d, delay)
+	}
+	return err
+}
+
+// route decides one send: the sender's error, and the datagrams (at
+// most two, written to out) that leave now and after what delay. The
+// caller holds mu, exclusively if the network draws from rng.
+func (n *Network) route(dg *Datagram, out *[2]delivery) (count int, delay time.Duration, err error) {
+	if n.closed {
+		return 0, 0, ErrClosed
 	}
 	if n.down {
-		n.mu.Unlock()
-		return ErrNetDown
+		return 0, 0, ErrNetDown
 	}
 	ep, ok := n.eps[dg.Dst.Host]
 	if !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrNoHost, dg.Dst)
+		return 0, 0, fmt.Errorf("%w: %v", ErrNoHost, dg.Dst)
 	}
 	if _, cut := n.cuts[link(dg.Src.Host, dg.Dst.Host)]; cut {
-		n.mu.Unlock()
-		return nil // lost at the cut
+		return 0, 0, nil // lost at the cut
 	}
 	if n.loss > 0 && n.rng.Float64() < n.loss {
-		n.mu.Unlock()
-		return nil // lost in transit
+		return 0, 0, nil // lost in transit
 	}
 	// Reordering: hold this datagram back and release it after the
 	// next one passes through. At most two leave here, this one and the
 	// one held: an array, so that a send allocates no slice.
-	toDeliver, count := [2]delivery{{ep, dg}}, 1
+	out[0], count = delivery{ep, *dg}, 1
 	if n.held != nil {
 		heldEp := n.eps[n.held.Dst.Host]
 		if _, cut := n.cuts[link(n.held.Src.Host, n.held.Dst.Host)]; cut {
 			heldEp = nil // the link was cut while the datagram was held
 		}
 		if heldEp != nil {
-			toDeliver[1], count = delivery{heldEp, *n.held}, 2
+			out[1], count = delivery{heldEp, *n.held}, 2
 		}
 		n.held = nil
 	} else if n.reorder > 0 && n.rng.Float64() < n.reorder {
-		held := dg
+		held := *dg
 		n.held = &held
-		n.mu.Unlock()
-		return nil
+		return 0, 0, nil
 	}
-	delay := n.latency
+	delay = n.latency
 	if n.jitter > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(n.jitter)))
 	}
-	n.mu.Unlock()
-
-	for _, d := range toDeliver[:count] {
-		n.deliver(d, delay)
-	}
-	return nil
+	return count, delay, nil
 }
 
 type delivery struct {
