@@ -195,6 +195,9 @@ type Collector struct {
 	procCache [16]*procCell
 	lastPairK uint32
 	lastPair  *pairCell
+	// scratch is the buffer the last section capture encoded into,
+	// reused by the next (keep).
+	scratch []byte
 	// Global communication totals and matrix.
 	events    int64
 	sends     int64

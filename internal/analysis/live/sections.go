@@ -14,9 +14,9 @@ import (
 )
 
 // Snapshot section names and the shared payload version. Payloads are
-// little-endian, bounds-checked on decode, and merge by key-wise
-// summation (comm), interval union (par), and counter addition
-// (match) — all associative and commutative, the contract
+// little-endian fields and varints, bounds-checked on decode, and merge
+// by key-wise summation (comm), interval union (par), and counter
+// addition (match) — all associative and commutative, the contract
 // obs.SectionMerger requires. A decoder rejects corrupt bytes with
 // ErrBadSection; the obs merge then degrades to carrying both inputs
 // instead of dropping state.
@@ -28,7 +28,7 @@ const (
 	// section arriving with a different version is left unmerged and
 	// unrendered (carried opaquely), so mixed-version clusters degrade
 	// instead of misparsing.
-	SectionVersion = 1
+	SectionVersion = 2
 )
 
 // ErrBadSection reports an undecodable live-analysis payload.
@@ -38,9 +38,9 @@ var ErrBadSection = errors.New("live: corrupt section")
 const maxSectionEntries = 1 << 20
 
 func init() {
-	obs.RegisterSectionMerger(SectionComm, mergeCommPayload)
-	obs.RegisterSectionMerger(SectionPar, mergeParPayload)
-	obs.RegisterSectionMerger(SectionMatch, mergeMatchPayload)
+	obs.RegisterSectionMerger(SectionComm, SectionVersion, mergeCommPayload)
+	obs.RegisterSectionMerger(SectionPar, SectionVersion, mergeParPayload)
+	obs.RegisterSectionMerger(SectionMatch, SectionVersion, mergeMatchPayload)
 	obs.RegisterSectionRenderer(SectionComm, renderComm)
 	obs.RegisterSectionRenderer(SectionPar, renderPar)
 	obs.RegisterSectionRenderer(SectionMatch, renderMatch)
@@ -122,22 +122,31 @@ type MatchState struct {
 
 // Curve derives the parallelism profile from the merged intervals —
 // the same computation analysis.MeasureParallelism runs over a trace,
-// so on a completed stream the two agree exactly. The sweep visits
-// interval starts and ends in time order, starts before ends at equal
-// times; the two kinds are sorted apart as plain integers and walked
-// with two cursors, which visits them in exactly that order.
+// so on a completed stream the two agree exactly.
 func (p *ParState) Curve() *analysis.Parallelism {
-	out := &analysis.Parallelism{Histogram: make(map[int]int64)}
-	if len(p.Procs) == 0 {
-		return out
-	}
-	out.Processes = len(p.Procs)
 	times := make([]int64, 2*len(p.Procs))
 	starts, ends := times[:len(p.Procs)], times[len(p.Procs):]
+	var cpu int64
 	for i := range p.Procs {
-		out.TotalCPUMillis += p.Procs[i].MaxCPU
+		cpu += p.Procs[i].MaxCPU
 		starts[i], ends[i] = p.Procs[i].First, p.Procs[i].Last
 	}
+	return sweep(starts, ends, cpu)
+}
+
+// sweep is Curve over interval starts and ends given apart, which it
+// sorts in place — renderPar reads a payload's rows straight into the
+// two arrays. The sweep visits starts and ends in time order, starts
+// before ends at equal times; the two kinds are sorted apart as plain
+// integers and walked with two cursors, which visits them in exactly
+// that order.
+func sweep(starts, ends []int64, totalCPU int64) *analysis.Parallelism {
+	out := &analysis.Parallelism{Histogram: make(map[int]int64)}
+	if len(starts) == 0 {
+		return out
+	}
+	out.Processes = len(starts)
+	out.TotalCPUMillis = totalCPU
 	slices.Sort(starts)
 	slices.Sort(ends)
 	out.MakespanMillis = ends[len(ends)-1] - starts[0]
@@ -187,23 +196,116 @@ func count(r *obs.Cursor) uint32 {
 	return n
 }
 
-// Row widths of the fixed-width tables, and the least a pair row takes.
+// The least a row of each table takes: a process row is all varints of
+// at least a byte each, a pair row has an empty size histogram.
 const (
-	procRowSize    = 2 + 4 + 7*8
-	parRowSize     = 2 + 4 + 1 + 3*8
+	minCommRowSize = 8
+	minParRowSize  = 4
 	minPairRowSize = 2 + 2 + 4*8 + 2
 )
 
-// The live.comm payload, written by appendCommHead, appendProcRow and
-// appendPairRow for captures and merges alike — procs in (machine, pid)
-// order, pairs in (src, dst) order, empty size buckets left out:
+// The live.comm payload, version 2 — procs in (machine, pid) order,
+// pairs in (src, dst) order, empty size buckets left out:
 //
 //	i64 events, sends, recvs, bytesSent, bytesRecvd,
 //	u16 n sizes × (u8 bucket, i64 count),
-//	u32 n procs × (u16 machine, u32 pid, i64 sends, recvs, recvCalls,
-//	               sockets, forks, bytesSent, bytesRecvd),
+//	u32 n procs, u32 bytes of the process rows that follow,
+//	n procs × (uvarint key − previous row's key,
+//	           zigzag varint sends, recvs, recvCalls, sockets, forks,
+//	                         bytesSent, bytesRecvd),
 //	u32 n pairs × (u16 src, u16 dst, i64 sendMsgs, sendBytes,
 //	               recvMsgs, recvBytes, u16 n sizes × (u8, i64)).
+//
+// A process's key is procKey(machine, pid), and the first row's
+// distance is from key 0. Version-1 payloads, whose rows were
+// fixed-width, are refused, not read.
+//
+// The live.par payload, version 2, rows in (machine, pid) order:
+//
+//	u32 n procs × (uvarint (key − previous row's key)<<1 | terminated,
+//	               zigzag varint first − previous row's first,
+//	               zigzag varint last − first, zigzag varint maxCPU),
+//
+// the first row's distances taken from key 0 and time 0.
+//
+// Each table has one row writer (appendCommRow, appendParRow) and one
+// row reader (readCommRow, readParRow) that captures, the encoders of
+// merged state, the mergers and the renderers all go through.
+// Differences wrap as int64s, so any decoded state re-encodes to itself.
+
+// maxProcKey is the largest key procKey makes: a decoded row whose
+// distance passes it is corrupt.
+const maxProcKey = 1<<48 - 1
+
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+func appendVarints(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// readKey reads a row's key as its distance d from the previous row's.
+func readKey(r *obs.Cursor, prev, d uint64) (uint16, uint32) {
+	if d > maxProcKey-prev {
+		r.Fail("key distance %d after key %d", d, prev)
+		return 0, 0
+	}
+	k := prev + d
+	return uint16(k >> 32), uint32(k)
+}
+
+// appendCommRow appends p's live.comm row after the row prev.
+func appendCommRow(b []byte, prev, p *ProcCommState) []byte {
+	return appendVarints(b, procKey(p.Machine, p.PID)-procKey(prev.Machine, prev.PID),
+		zigzag(p.Sends), zigzag(p.Recvs), zigzag(p.RecvCalls), zigzag(p.Sockets),
+		zigzag(p.Forks), zigzag(p.BytesSent), zigzag(p.BytesRecvd))
+}
+
+// readCommRow reads the row appendCommRow wrote after prev.
+func readCommRow(r *obs.Cursor, prev *ProcCommState) ProcCommState {
+	var p ProcCommState
+	p.Machine, p.PID = readKey(r, procKey(prev.Machine, prev.PID), r.Uvarint())
+	p.Sends, p.Recvs, p.RecvCalls = unzigzag(r.Uvarint()), unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
+	p.Sockets, p.Forks = unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
+	p.BytesSent, p.BytesRecvd = unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
+	return p
+}
+
+// appendParRow appends p's live.par row after the row prev.
+func appendParRow(b []byte, prev, p *ProcInterval) []byte {
+	d := procKey(p.Machine, p.PID) - procKey(prev.Machine, prev.PID)
+	if p.Terminated {
+		d = d<<1 | 1
+	} else {
+		d <<= 1
+	}
+	return appendVarints(b, d, zigzag(p.First-prev.First), zigzag(p.Last-p.First), zigzag(p.MaxCPU))
+}
+
+// readParRow reads the row appendParRow wrote after prev.
+func readParRow(r *obs.Cursor, prev *ProcInterval) ProcInterval {
+	d := r.Uvarint()
+	iv := ProcInterval{Terminated: d&1 != 0}
+	iv.Machine, iv.PID = readKey(r, procKey(prev.Machine, prev.PID), d>>1)
+	iv.First = prev.First + unzigzag(r.Uvarint())
+	iv.Last = iv.First + unzigzag(r.Uvarint())
+	iv.MaxCPU = unzigzag(r.Uvarint())
+	return iv
+}
+
+// comm and interval are a cell's rows as the two tables write them.
+func (pc *procCell) comm() ProcCommState {
+	return ProcCommState{Machine: pc.machine, PID: pc.pid, Sends: pc.sends, Recvs: pc.recvs, RecvCalls: pc.recvCalls,
+		Sockets: pc.sockets, Forks: pc.forks, BytesSent: pc.bytesSent, BytesRecvd: pc.bytesRecvd}
+}
+
+func (pc *procCell) interval() ProcInterval {
+	return ProcInterval{Machine: pc.machine, PID: pc.pid, Terminated: pc.terminated,
+		First: max(pc.first, 0), Last: pc.last, MaxCPU: pc.maxCPU}
+}
 
 func appendI64s(b []byte, vs ...int64) []byte {
 	for _, v := range vs {
@@ -241,18 +343,28 @@ func sizeArray(sizes map[int]int64) *[numSizeBuckets]int64 {
 	return &out
 }
 
+// readSizes reads what appendSizes wrote, and only that: buckets in
+// ascending order, none empty, none past the last — so a histogram that
+// decodes encodes back to itself.
 func readSizes(r *obs.Cursor) map[int]int64 {
 	n := int(r.U16())
 	var out map[int]int64
+	prev := -1
 	for i := 0; i < n && r.Err() == nil; i++ {
 		bucket := int(r.U8())
 		v := r.I64()
-		if r.Err() == nil {
-			if out == nil {
-				out = make(map[int]int64, n)
-			}
-			out[bucket] += v
+		if r.Err() != nil {
+			break
 		}
+		if bucket <= prev || bucket >= numSizeBuckets || v == 0 {
+			r.Fail("size bucket %d of %d after %d", bucket, v, prev)
+			break
+		}
+		if out == nil {
+			out = make(map[int]int64, min(n, numSizeBuckets))
+		}
+		out[bucket] = v
+		prev = bucket
 	}
 	return out
 }
@@ -261,10 +373,15 @@ func appendCommHead(b []byte, events, sends, recvs, bytesSent, bytesRecvd int64,
 	return appendSizes(appendI64s(b, events, sends, recvs, bytesSent, bytesRecvd), sizes)
 }
 
-func appendProcRow(b []byte, machine uint16, pid uint32, sends, recvs, recvCalls, sockets, forks, bytesSent, bytesRecvd int64) []byte {
-	b = binary.LittleEndian.AppendUint16(b, machine)
-	b = binary.LittleEndian.AppendUint32(b, pid)
-	return appendI64s(b, sends, recvs, recvCalls, sockets, forks, bytesSent, bytesRecvd)
+// appendProcTable appends live.comm's process table of n rows, which
+// rows appends, behind the count and the byte length.
+func appendProcTable(b []byte, n int, rows func([]byte) []byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(n))
+	at := len(b)
+	b = rows(le.AppendUint32(b, 0))
+	le.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
 }
 
 func appendPairRow(b []byte, src, dst uint16, sendMsgs, sendBytes, recvMsgs, recvBytes int64, sizes *[numSizeBuckets]int64) []byte {
@@ -273,18 +390,31 @@ func appendPairRow(b []byte, src, dst uint16, sendMsgs, sendBytes, recvMsgs, rec
 	return appendSizes(appendI64s(b, sendMsgs, sendBytes, recvMsgs, recvBytes), sizes)
 }
 
+// keep makes b the scratch buffer the next capture encodes into and
+// returns a copy of it at its encoded length. A capture is encoded in
+// one pass over cells that lie all over the heap, and copied in one
+// move. The caller holds c.mu.
+func (c *Collector) keep(b []byte) []byte {
+	c.scratch = b
+	return append(make([]byte, 0, len(b)), b...)
+}
+
 // captureComm encodes the collector's live.comm payload.
 func (c *Collector) captureComm() []byte {
 	c.sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cells := c.orderCells()
-	b := make([]byte, 0, 64+procRowSize*len(cells)+80*len(c.pairs))
-	b = appendCommHead(b, c.events, c.sends, c.recvs, c.bytesSent, c.bytesRecv, &c.sizes)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(cells)))
-	for _, pc := range cells {
-		b = appendProcRow(b, pc.machine, pc.pid, pc.sends, pc.recvs, pc.recvCalls, pc.sockets, pc.forks, pc.bytesSent, pc.bytesRecvd)
-	}
+	b := appendCommHead(c.scratch[:0], c.events, c.sends, c.recvs, c.bytesSent, c.bytesRecv, &c.sizes)
+	b = appendProcTable(b, len(cells), func(b []byte) []byte {
+		var prev ProcCommState
+		for _, pc := range cells {
+			p := pc.comm()
+			b = appendCommRow(b, &prev, &p)
+			prev = p
+		}
+		return b
+	})
 	keys := make([]uint32, 0, len(c.pairs))
 	for k := range c.pairs {
 		keys = append(keys, k)
@@ -295,23 +425,26 @@ func (c *Collector) captureComm() []byte {
 		p := c.pairs[k]
 		b = appendPairRow(b, p.src, p.dst, p.sendMsgs, p.sendBytes, p.recvMsgs, p.recvBytes, &p.sizes)
 	}
-	return b
+	return c.keep(b)
 }
 
 // encodeCommState encodes a decoded (merged) state, putting its rows
 // in order first.
 func encodeCommState(st *CommState) []byte {
-	b := make([]byte, 0, 64+procRowSize*len(st.Procs)+80*len(st.Pairs))
+	b := make([]byte, 0, 64+minCommRowSize*len(st.Procs)+80*len(st.Pairs))
 	b = appendCommHead(b, st.Events, st.Sends, st.Recvs, st.BytesSent, st.BytesRecvd, sizeArray(st.Sizes))
-	slices.SortFunc(st.Procs, func(x, y ProcCommState) int {
+	slices.SortStableFunc(st.Procs, func(x, y ProcCommState) int {
 		return cmp.Compare(procKey(x.Machine, x.PID), procKey(y.Machine, y.PID))
 	})
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Procs)))
-	for i := range st.Procs {
-		p := &st.Procs[i]
-		b = appendProcRow(b, p.Machine, p.PID, p.Sends, p.Recvs, p.RecvCalls, p.Sockets, p.Forks, p.BytesSent, p.BytesRecvd)
-	}
-	slices.SortFunc(st.Pairs, cmpPairKey)
+	b = appendProcTable(b, len(st.Procs), func(b []byte) []byte {
+		var prev ProcCommState
+		for i := range st.Procs {
+			b = appendCommRow(b, &prev, &st.Procs[i])
+			prev = st.Procs[i]
+		}
+		return b
+	})
+	slices.SortStableFunc(st.Pairs, cmpPairKey)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Pairs)))
 	for i := range st.Pairs {
 		p := &st.Pairs[i]
@@ -331,8 +464,9 @@ func DecodeComm(data []byte) (*CommState, error) {
 }
 
 // decodeComm parses a live.comm payload and reports how many process
-// rows it carries. With procs false the rows — fixed-width, and most of
-// a large payload — are stepped over, not built (renderComm counts them).
+// rows it carries. With procs false the rows — most of a large payload —
+// are stepped over by their byte length, not read (renderComm counts
+// them).
 func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 	r := obs.NewCursor(data, ErrBadSection)
 	st := &CommState{
@@ -344,20 +478,23 @@ func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 	}
 	st.Sizes = readSizes(&r)
 	np := int(count(&r))
-	if !procs && np <= r.Remaining()/procRowSize {
-		r.Take(np * procRowSize)
-	} else {
-		// Sized by what the bytes can hold; a count they cannot back
-		// fails below, at the field that runs out.
-		st.Procs = make([]ProcCommState, 0, min(np, r.Remaining()/procRowSize))
-		for i := 0; i < np && r.Err() == nil; i++ {
-			p := ProcCommState{Machine: r.U16(), PID: r.U32()}
-			p.Sends, p.Recvs, p.RecvCalls = r.I64(), r.I64(), r.I64()
-			p.Sockets, p.Forks = r.I64(), r.I64()
-			p.BytesSent, p.BytesRecvd = r.I64(), r.I64()
-			if r.Err() == nil {
-				st.Procs = append(st.Procs, p)
-			}
+	rows := r.Take(int(r.U32()))
+	if np > len(rows)/minCommRowSize {
+		r.Fail("%d process rows in %d bytes", np, len(rows))
+	}
+	if procs && r.Err() == nil {
+		pr := obs.NewCursor(rows, ErrBadSection)
+		st.Procs = make([]ProcCommState, 0, np)
+		var prev ProcCommState
+		for i := 0; i < np && pr.Err() == nil; i++ {
+			prev = readCommRow(&pr, &prev)
+			st.Procs = append(st.Procs, prev)
+		}
+		if pr.Err() == nil && pr.Remaining() != 0 {
+			pr.Fail("%d bytes after the process rows", pr.Remaining())
+		}
+		if pr.Err() != nil {
+			return nil, 0, pr.Err()
 		}
 	}
 	npairs := int(count(&r))
@@ -377,50 +514,47 @@ func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 	return st, np, nil
 }
 
-// appendParRow writes one row of the live.par payload:
-//
-//	u32 n procs × (u16 machine, u32 pid, u8 terminated,
-//	               i64 first, last, maxCPU),
-//
-// rows in (machine, pid) order.
-func appendParRow(b []byte, machine uint16, pid uint32, terminated bool, first, last, maxCPU int64) []byte {
-	b = binary.LittleEndian.AppendUint16(b, machine)
-	b = binary.LittleEndian.AppendUint32(b, pid)
-	var term uint8
-	if terminated {
-		term = 1
-	}
-	return appendI64s(append(b, term), first, last, maxCPU)
-}
-
 // capturePar encodes the collector's live.par payload.
 func (c *Collector) capturePar() []byte {
 	c.sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cells := c.orderCells()
-	b := make([]byte, 0, 4+parRowSize*len(cells))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(cells)))
+	b := binary.LittleEndian.AppendUint32(c.scratch[:0], uint32(len(cells)))
+	var prev ProcInterval
 	for _, pc := range cells {
-		b = appendParRow(b, pc.machine, pc.pid, pc.terminated, max(pc.first, 0), pc.last, pc.maxCPU)
+		iv := pc.interval()
+		b = appendParRow(b, &prev, &iv)
+		prev = iv
 	}
-	return b
+	return c.keep(b)
+}
+
+// readPar reads a live.par payload: size is told how many rows the
+// payload's bytes can hold, then row is handed each row in turn. It is
+// the one reader DecodePar and renderPar share, so the two refuse the
+// same payloads.
+func readPar(data []byte, size func(n int), row func(iv ProcInterval)) error {
+	r := obs.NewCursor(data, ErrBadSection)
+	n := int(count(&r))
+	size(min(n, r.Remaining()/minParRowSize))
+	var prev ProcInterval
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if iv := readParRow(&r, &prev); r.Err() == nil {
+			row(iv)
+			prev = iv
+		}
+	}
+	return r.Err()
 }
 
 // DecodePar parses a live.par payload.
 func DecodePar(data []byte) (*ParState, error) {
-	r := obs.NewCursor(data, ErrBadSection)
-	n := int(count(&r))
-	st := &ParState{Procs: make([]ProcInterval, 0, min(n, r.Remaining()/parRowSize))}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		iv := ProcInterval{Machine: r.U16(), PID: r.U32(), Terminated: r.U8() != 0}
-		iv.First, iv.Last, iv.MaxCPU = r.I64(), r.I64(), r.I64()
-		if r.Err() == nil {
-			st.Procs = append(st.Procs, iv)
-		}
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
+	st := &ParState{}
+	err := readPar(data, func(n int) { st.Procs = make([]ProcInterval, 0, n) },
+		func(iv ProcInterval) { st.Procs = append(st.Procs, iv) })
+	if err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -543,16 +677,22 @@ func mergeParPayload(a, b []byte) ([]byte, error) {
 			dst.MaxCPU = max(dst.MaxCPU, p.MaxCPU)
 			dst.Terminated = dst.Terminated || p.Terminated
 		})
-	slices.SortFunc(procs, func(x, y ProcInterval) int {
+	return encodeParState(procs), nil
+}
+
+// encodeParState encodes decoded (merged) intervals, putting them in
+// order first.
+func encodeParState(procs []ProcInterval) []byte {
+	slices.SortStableFunc(procs, func(x, y ProcInterval) int {
 		return cmp.Compare(procKey(x.Machine, x.PID), procKey(y.Machine, y.PID))
 	})
-	out := make([]byte, 0, 4+parRowSize*len(procs))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(procs)))
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+2*minParRowSize*len(procs)), uint32(len(procs)))
+	var prev ProcInterval
 	for i := range procs {
-		p := &procs[i]
-		out = appendParRow(out, p.Machine, p.PID, p.Terminated, p.First, p.Last, p.MaxCPU)
+		b = appendParRow(b, &prev, &procs[i])
+		prev = procs[i]
 	}
-	return out, nil
+	return b
 }
 
 func mergeMatchPayload(a, b []byte) ([]byte, error) {
@@ -630,19 +770,33 @@ func renderComm(w io.Writer, s *obs.Section) {
 	}
 }
 
+// renderPar reads the rows straight into the sweep's start and end
+// arrays; no interval table is built.
 func renderPar(w io.Writer, s *obs.Section) {
 	if s.Version != SectionVersion {
 		fmt.Fprintf(w, "live parallelism: unsupported payload v%d (%d bytes)\n", s.Version, len(s.Data))
 		return
 	}
-	st, err := DecodePar(s.Data)
+	var starts, ends []int64
+	var cpu int64
+	running := 0
+	err := readPar(s.Data, func(n int) {
+		times := make([]int64, 2*n)
+		starts, ends = times[:0:n], times[n:n]
+	}, func(iv ProcInterval) {
+		starts, ends = append(starts, iv.First), append(ends, iv.Last)
+		cpu += iv.MaxCPU
+		if !iv.Terminated {
+			running++
+		}
+	})
 	if err != nil {
 		fmt.Fprintf(w, "live parallelism: %v\n", err)
 		return
 	}
-	curve := st.Curve()
+	curve := sweep(starts, ends, cpu)
 	fmt.Fprintf(w, "live parallelism: %d procs (%d running), cpu %d ms over %d ms, speedup %.2f\n",
-		curve.Processes, st.Running(), curve.TotalCPUMillis, curve.MakespanMillis, curve.Speedup)
+		curve.Processes, running, curve.TotalCPUMillis, curve.MakespanMillis, curve.Speedup)
 	if len(curve.Histogram) > 0 {
 		ks := make([]int, 0, len(curve.Histogram))
 		for k := range curve.Histogram {

@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -195,11 +196,31 @@ func TestUnknownVersionCarried(t *testing.T) {
 	}
 	var out strings.Builder
 	sa.Render(&out)
-	if !strings.Contains(out.String(), "unsupported payload v2") {
+	if !strings.Contains(out.String(), fmt.Sprintf("unsupported payload v%d", SectionVersion+1)) {
 		t.Fatalf("render: %q", out.String())
 	}
 	if !strings.Contains(out.String(), "live matching:") {
 		t.Fatalf("current version must still render: %q", out.String())
+	}
+}
+
+// TestVersionOneRefused: a version-1 payload — fixed-width process rows —
+// is neither merged nor decoded. Two of them stay two sections, and each
+// renders as unsupported, even when its bytes would parse as version 2.
+func TestVersionOneRefused(t *testing.T) {
+	c := sampleCollector(4)
+	for name, data := range map[string][]byte{SectionComm: c.captureComm(), SectionPar: c.capturePar()} {
+		sa := &obs.Snapshot{Sections: []obs.Section{{Name: name, Version: 1, Data: data}}}
+		sb := &obs.Snapshot{Sections: []obs.Section{{Name: name, Version: 1, Data: data}}}
+		sa.Merge(sb)
+		if len(sa.Sections) != 2 {
+			t.Fatalf("%s: version-1 payloads merged: %+v", name, sa.Sections)
+		}
+		var out strings.Builder
+		sa.Render(&out)
+		if got := strings.Count(out.String(), "unsupported payload v1"); got != 2 {
+			t.Fatalf("%s: render %q", name, out.String())
+		}
 	}
 }
 

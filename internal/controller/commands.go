@@ -169,6 +169,7 @@ func (c *Controller) cmdNewJob(args []string) {
 	c.nextJobNo++
 	c.jobs[name] = &Job{Name: name, Filter: f}
 	c.jobOrder = append(c.jobOrder, name)
+	c.jobsView.Store(nil)
 }
 
 func (c *Controller) cmdAddProcess(args []string) {
@@ -223,6 +224,7 @@ func (c *Controller) cmdAddProcess(args []string) {
 		Name: args[2], PID: rep.PID, Machine: machineName,
 		State: StateNew, Flags: meter.Flag(flags),
 	})
+	c.jobsView.Store(nil)
 	c.mu.Unlock()
 	c.printf("process '%s' ... created: identifier = %d\n", args[2], rep.PID)
 }
@@ -269,6 +271,7 @@ func (c *Controller) cmdAcquire(args []string) {
 		Name: strconv.Itoa(pid), PID: pid, Machine: machineName,
 		State: StateAcquired, Flags: meter.Flag(flags),
 	})
+	c.jobsView.Store(nil)
 	c.mu.Unlock()
 	c.printf("process %d ... acquired\n", pid)
 }
@@ -306,6 +309,7 @@ func (c *Controller) cmdSetFlags(args []string) {
 	}
 	c.mu.Lock()
 	job.Flags = flags
+	c.jobsView.Store(nil)
 	procs := append([]*JobProc(nil), job.Procs...)
 	c.mu.Unlock()
 	c.printf("new job flags = %s\n", strings.Join(flags.FlagNames(), " "))
@@ -327,6 +331,7 @@ func (c *Controller) cmdSetFlags(args []string) {
 			default:
 				c.mu.Lock()
 				p.Flags = flags
+				c.jobsView.Store(nil)
 				c.mu.Unlock()
 				lines[i] = fmt.Sprintf("Process '%s' : Flags set\n", p.Name)
 			}
@@ -385,6 +390,7 @@ func (c *Controller) signalJob(jobName string, to State, reqType daemon.MsgType,
 				// overwrite killed.
 				if p.State == from {
 					p.State = to
+					c.jobsView.Store(nil)
 				}
 				c.mu.Unlock()
 				lines[i] = fmt.Sprintf("'%s' %s.\n", p.Name, verb)
@@ -431,6 +437,7 @@ func (c *Controller) removeProc(p *JobProc) bool {
 		}
 		c.mu.Lock()
 		p.State = StateKilled
+		c.jobsView.Store(nil)
 		c.mu.Unlock()
 		return true
 	case StateAcquired:
@@ -494,6 +501,7 @@ func (c *Controller) cmdRemoveJob(args []string) {
 			break
 		}
 	}
+	c.jobsView.Store(nil)
 	c.mu.Unlock()
 }
 
@@ -541,6 +549,7 @@ func (c *Controller) cmdRemoveProcess(args []string) {
 			break
 		}
 	}
+	c.jobsView.Store(nil)
 	c.mu.Unlock()
 	c.printf("'%s' removed\n", target.Name)
 }
@@ -873,6 +882,7 @@ func (c *Controller) cmdGetLog(args []string) {
 		prefixCRC = crc32.Update(prefixCRC, crc32.IEEETable, data)
 		c.mu.Lock()
 		f.LogDest, f.LogOffset, f.LogCRC = dest, off, prefixCRC
+		c.jobsView.Store(nil)
 		c.mu.Unlock()
 		if off >= total {
 			return

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dpm/internal/daemon"
 	"dpm/internal/kernel"
@@ -86,6 +87,12 @@ type Controller struct {
 	nextJobNo     int
 	nextPort      uint16
 	nextToken     int
+
+	// jobsView is the copy of the job table Jobs last built, shared
+	// read-only by its callers until the table changes: every change to
+	// a job, one of its processes, or its filter's getlog state stores
+	// nil, under mu, so Jobs reads a current one without the lock.
+	jobsView atomic.Pointer[[]*Job]
 
 	// retry governs daemon exchanges; unreachable records machines whose
 	// exchanges have exhausted their retries. A machine leaves the set
@@ -211,6 +218,7 @@ func (c *Controller) applyStateChange(sc *daemon.StateChange) {
 		j := c.jobs[jn]
 		if p := j.proc(sc.Machine, sc.PID); p != nil {
 			p.State = StateKilled
+			c.jobsView.Store(nil)
 			fmt.Fprintf(c.sink, "DONE: process %s in job '%s' terminated: reason: %s\n", p.Name, j.Name, sc.Reason)
 			return
 		}
@@ -416,6 +424,7 @@ func (c *Controller) noteExchange(host string, err error) {
 		for _, p := range j.Procs {
 			if p.Machine == host && p.State != StateKilled && p.State != StateLost {
 				p.State = StateLost
+				c.jobsView.Store(nil)
 				fmt.Fprintf(c.sink, "LOST: process %s in job '%s' on %s\n", p.Name, j.Name, host)
 			}
 		}
@@ -464,20 +473,30 @@ func (c *Controller) Closed() bool {
 func (c *Controller) NotifyPort() uint16 { return c.notifyPort }
 
 // Jobs returns a snapshot of the job table, for tests and embedding
-// programs.
+// programs: copies of every job, process and filter record, taken under
+// the lock. Pollers call it in a loop, so one snapshot serves every
+// call until the table next changes; it is shared, and read-only.
 func (c *Controller) Jobs() []*Job {
+	if v := c.jobsView.Load(); v != nil {
+		return *v
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if v := c.jobsView.Load(); v != nil {
+		return *v
+	}
 	out := make([]*Job, 0, len(c.jobOrder))
 	for _, n := range c.jobOrder {
 		j := c.jobs[n]
-		cp := &Job{Name: j.Name, Filter: j.Filter, Flags: j.Flags}
+		f := *j.Filter
+		cp := &Job{Name: j.Name, Filter: &f, Flags: j.Flags}
 		for _, p := range j.Procs {
 			pc := *p
 			cp.Procs = append(cp.Procs, &pc)
 		}
 		out = append(out, cp)
 	}
+	c.jobsView.Store(&out)
 	return out
 }
 

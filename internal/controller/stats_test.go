@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"dpm/internal/analysis/live"
+	"dpm/internal/daemon"
 	"dpm/internal/filter"
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 )
 
 // TestStatsCommand: the stats command polls every machine's
@@ -89,20 +91,22 @@ func TestStatsUnderPartition(t *testing.T) {
 // TestStatsRoundTripNoAllocBeyondCopies gates what one `stats` of a
 // machine whose filter has seen live.Config's default MaxProcs of
 // processes allocates, end to end, in units of the snapshot's wire size
-// (~1.5 MB). The copies that remain, one wire size each: the daemon
-// encodes the two big sections, marshals the snapshot and makes it the
-// reply's Data string; the reply is framed once into the sender's
-// socket buffer; the session receives the frame and decodes Data out of
-// it (those three are TestSessionCallNoAllocBeyondReply's, in
-// internal/daemon); the controller turns Data into bytes it owns and
-// parses the sections in place. Rendering adds the decoded parallelism
-// intervals and their sweep, about 0.6. That is 8.6, gated at 10 — of
-// which the transport's 4 are not this path's to remove while
-// Reply.Data is a string, and the rest is the "at most 6 for capture,
-// marshal, parse and render" of docs/perf.md. Before the stats path was
-// made linear the same command allocated over 16: buffers grown by
-// reallocation, the message encoded and then framed, the sections
-// copied out of a copy, every process row decoded to be counted.
+// (~0.22 MB; ~1.5 MB in version 1 of the live sections). The copies
+// that remain, one wire size each: the daemon copies the two big
+// sections out of the collector's encoding buffer and marshals the
+// snapshot straight into the reply's Data string; the reply is framed
+// once into the sender's socket buffer; the session receives the frame
+// and decodes Data out of it (those three are
+// TestSessionCallNoAllocBeyondReply's, in internal/daemon); the
+// controller turns Data into bytes it owns and parses the sections in
+// place. Rendering reads the parallelism rows into the sweep's start
+// and end arrays, 16 bytes a process, about 1.2 more. That is about
+// 7.4, gated at 10 — of which the transport's 4 are not this path's to
+// remove while Reply.Data is a string. With version 1's rows the same
+// command allocated 7.65 of its 1.5 MB wire sizes, and before the stats
+// path was made linear over 16: buffers grown by reallocation, the
+// message encoded and then framed, the sections copied out of a copy,
+// every process row decoded to be counted.
 func TestStatsRoundTripNoAllocBeyondCopies(t *testing.T) {
 	c, ctl, _ := newSystem(t)
 	red, _ := c.Machine("red")
@@ -130,8 +134,26 @@ func TestStatsRoundTripNoAllocBeyondCopies(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	wire := float64(replyBytes.Load()-sent) / calls
-	if wire < procs*(62+31) {
-		t.Fatalf("a stats reply carries %.0f bytes, too few for %d processes", wire, procs)
+	// The gate is only as good as the reply is large: it must carry a
+	// row for every process in both big sections.
+	res := ctl.broadcast([]string{"red"}, func(string) *daemon.WireMsg { return (&daemon.StatsReq{UID: ctl.uid}).Wire() })
+	if len(res) != 1 || res[0].Err != nil || !res[0].Rep.OK() {
+		t.Fatalf("stats request: %+v", res)
+	}
+	snap, err := obs.ParseSnapshot([]byte(res[0].Rep.Data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := live.DecodeComm(snap.Section(live.SectionComm).Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := live.DecodePar(snap.Section(live.SectionPar).Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(comm.Procs) != procs || len(par.Procs) != procs {
+		t.Fatalf("a stats reply carries %d and %d process rows, want %d each", len(comm.Procs), len(par.Procs), procs)
 	}
 	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
 	t.Logf("%.2f wire sizes (of %.0f bytes) allocated per stats", perCall/wire, wire)

@@ -716,10 +716,10 @@ func (d *daemonState) handleStats() *Reply {
 	replyBytes := reg.Counter("daemon.stats_reply_bytes")
 	s := reg.Snapshot()
 	s.Machine = d.p.Machine().Name()
-	data := s.MarshalBinary()
+	data := s.MarshalString()
 	span.End()
 	replyBytes.Add(int64(len(data)))
-	return &Reply{Type: TStatsRep, Status: "ok", Data: string(data)}
+	return &Reply{Type: TStatsRep, Status: "ok", Data: data}
 }
 
 // handleGateway dispatches datagrams arriving on the gateway socket:

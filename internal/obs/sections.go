@@ -38,19 +38,26 @@ type SectionMerger func(a, b []byte) ([]byte, error)
 // (used by Snapshot.Render, which serves controller stats and dpmon).
 type SectionRenderer func(w io.Writer, s *Section)
 
+// sectionKey names a section's format: its name and payload version.
+type sectionKey struct {
+	name    string
+	version uint16
+}
+
 var (
 	sectionMu        sync.RWMutex
-	sectionMergers   = map[string]SectionMerger{}
+	sectionMergers   = map[sectionKey]SectionMerger{}
 	sectionRenderers = map[string]SectionRenderer{}
 )
 
-// RegisterSectionMerger installs the merger for a section name,
-// replacing any previous one. Typically called from the owning
-// package's init so every binary that links it can merge its sections.
-func RegisterSectionMerger(name string, fn SectionMerger) {
+// RegisterSectionMerger installs the merger for one version of a
+// section, replacing any previous one; payloads of other versions are
+// never handed to it. Typically called from the owning package's init
+// so every binary that links it can merge its sections.
+func RegisterSectionMerger(name string, version uint16, fn SectionMerger) {
 	sectionMu.Lock()
 	defer sectionMu.Unlock()
-	sectionMergers[name] = fn
+	sectionMergers[sectionKey{name, version}] = fn
 }
 
 // RegisterSectionRenderer installs the renderer for a section name,
@@ -61,10 +68,10 @@ func RegisterSectionRenderer(name string, fn SectionRenderer) {
 	sectionRenderers[name] = fn
 }
 
-func sectionMerger(name string) SectionMerger {
+func sectionMerger(k sectionKey) SectionMerger {
 	sectionMu.RLock()
 	defer sectionMu.RUnlock()
-	return sectionMergers[name]
+	return sectionMergers[k]
 }
 
 func sectionRenderer(name string) SectionRenderer {
@@ -85,24 +92,20 @@ func (s *Snapshot) Section(name string) *Section {
 }
 
 // mergeSections folds two section lists. Sections group by (name,
-// version); groups with a registered merger fold pairwise, and groups
-// without one — or whose merger fails — keep every entry verbatim
-// (multiset union), which is still associative and commutative, so a
-// controller older than a section's producer degrades to relaying
-// instead of breaking the whole merge. The result is sorted by name,
-// version, then payload for deterministic output.
+// version); groups with a merger registered for that version fold
+// pairwise, and groups without one — or whose merger fails — keep
+// every entry verbatim (multiset union), which is still associative
+// and commutative, so a controller older than a section's producer
+// degrades to relaying instead of breaking the whole merge. The result
+// is sorted by name, version, then payload for deterministic output.
 func mergeSections(a, b []Section) []Section {
 	if len(a) == 0 && len(b) == 0 {
 		return nil
 	}
-	type key struct {
-		name    string
-		version uint16
-	}
-	groups := make(map[key][][]byte, len(a)+len(b))
+	groups := make(map[sectionKey][][]byte, len(a)+len(b))
 	for _, list := range [2][]Section{a, b} {
 		for _, s := range list {
-			k := key{s.Name, s.Version}
+			k := sectionKey{s.Name, s.Version}
 			groups[k] = append(groups[k], s.Data)
 		}
 	}
@@ -112,7 +115,7 @@ func mergeSections(a, b []Section) []Section {
 		// perfectly commutative still cannot make merge results
 		// depend on snapshot arrival order.
 		slices.SortFunc(payloads, bytes.Compare)
-		fn := sectionMerger(k.name)
+		fn := sectionMerger(k)
 		if fn != nil {
 			merged := payloads[0]
 			ok := true

@@ -65,7 +65,7 @@ func TestSectionMergeUnregistered(t *testing.T) {
 // TestSectionMergeRegistered registers a summing merger and checks
 // same-version payloads fold while other versions stay separate.
 func TestSectionMergeRegistered(t *testing.T) {
-	RegisterSectionMerger("test.sum", func(x, y []byte) ([]byte, error) {
+	RegisterSectionMerger("test.sum", 1, func(x, y []byte) ([]byte, error) {
 		if len(x) != 1 || len(y) != 1 {
 			return nil, errors.New("bad payload")
 		}

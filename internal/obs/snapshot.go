@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"encoding/json"
@@ -205,8 +206,31 @@ const maxSnapshotEntries = 1 << 20
 
 // MarshalBinary encodes the snapshot in the versioned binary format.
 func (s *Snapshot) MarshalBinary() []byte {
+	b := bytes.NewBuffer(make([]byte, 0, s.binarySize()))
+	s.writeBinary(b)
+	return b.Bytes()
+}
+
+// MarshalString is MarshalBinary as a string — the form a daemon reply
+// carries — written once into the string's own bytes rather than
+// encoded and then copied.
+func (s *Snapshot) MarshalString() string {
+	var b strings.Builder
+	b.Grow(s.binarySize())
+	s.writeBinary(&b)
+	return b.String()
+}
+
+// writeBinary is the one encoder under MarshalBinary and MarshalString.
+// Everything but the section payloads is gathered in a buffer that goes
+// to w before each payload, so w sees two writes a section.
+func (s *Snapshot) writeBinary(w io.Writer) {
 	le := binary.LittleEndian
-	b := make([]byte, 0, s.binarySize())
+	payloads := 0
+	for _, sec := range s.Sections {
+		payloads += len(sec.Data)
+	}
+	b := make([]byte, 0, s.binarySize()-payloads)
 	b = append(b, snapshotMagic[:]...)
 	b = le.AppendUint16(b, SnapshotVersion)
 	b = appendString(b, s.Machine)
@@ -237,9 +261,11 @@ func (s *Snapshot) MarshalBinary() []byte {
 		b = appendString(b, sec.Name)
 		b = le.AppendUint16(b, sec.Version)
 		b = le.AppendUint32(b, uint32(len(sec.Data)))
-		b = append(b, sec.Data...)
+		w.Write(b)
+		w.Write(sec.Data)
+		b = b[:0]
 	}
-	return b
+	w.Write(b)
 }
 
 // binarySize is the exact length of the binary form, so that encoding
