@@ -180,32 +180,17 @@ func (c *Controller) notifyLoop(nfd int) {
 // connection until the peer closes it.
 func (c *Controller) drainNotify(conn int) {
 	defer func() { _ = c.notify.Close(conn) }()
-	var buf []byte
-	for {
-		msg, n, err := daemon.DecodeWire(buf)
-		if err != nil {
-			if !errors.Is(err, daemon.ErrWireShort) {
-				return
-			}
-			data, rerr := c.notify.Recv(conn, 8192)
-			if rerr != nil {
-				return
-			}
-			buf = append(buf, data...)
-			continue
-		}
-		buf = buf[n:]
+	daemon.ReadNotices(c.notify, conn, func(msg *daemon.WireMsg) {
 		switch msg.Type {
 		case daemon.TStateChange:
-			sc := daemon.ParseStateChange(msg)
-			c.applyStateChange(sc)
+			c.applyStateChange(daemon.ParseStateChange(msg))
 		case daemon.TIOData:
 			iod := daemon.ParseIOData(msg)
 			c.mu.Lock()
 			fmt.Fprintf(c.sink, "%s", iod.Data)
 			c.mu.Unlock()
 		}
-	}
+	})
 }
 
 // applyStateChange moves a terminated process to the killed state and

@@ -71,12 +71,11 @@ type childInfo struct {
 const exitNotePrefix = "X "
 
 // Main is the meterdaemon program. It accepts controller connections
-// and serves each on an auxiliary goroutine: legacy one-shot exchanges
-// (one request per temporary connection, section 3.5.1) and persistent
-// multiplexed sessions (frame.go) are distinguished by sniffing the
-// first four bytes. It also forwards child standard output to the
-// controllers and reports child terminations by connecting to the
-// responsible controller's notification socket.
+// and serves each on an auxiliary goroutine, whether it carries one
+// exchange (section 3.5.1) or a whole session (mux.go). It also
+// forwards child standard output to the controllers and reports child
+// terminations by connecting to the responsible controller's
+// notification socket.
 func Main(p *kernel.Process) int {
 	d := &daemonState{
 		p:            p,
@@ -216,33 +215,6 @@ func (d *daemonState) lookupCreate(token string) (*Reply, bool) {
 	return rep, ok
 }
 
-// serveConn serves one accepted connection. The first four bytes pick
-// the protocol: the session magic starts a persistent multiplexed
-// session; anything else is a legacy one-shot exchange — read one
-// request, execute it, reply, close (section 3.5.1). Old controllers
-// therefore keep working against new daemons unchanged.
-func (d *daemonState) serveConn(conn int) {
-	defer func() { _ = d.p.Close(conn) }()
-	var buf []byte
-	for len(buf) < 4 {
-		data, err := d.p.Recv(conn, 8192)
-		if err != nil {
-			return
-		}
-		buf = append(buf, data...)
-	}
-	if isFrameMagic(buf) {
-		d.serveSession(conn, buf[4:])
-		return
-	}
-	req, err := readWireBuf(d.p, conn, buf)
-	if err != nil {
-		return
-	}
-	rep := d.handle(req)
-	_, _ = d.p.Send(conn, rep.Wire().Encode())
-}
-
 func (d *daemonState) handle(w *WireMsg) *Reply {
 	d.p.Machine().Obs().Counter(reqCounterName(w.Type)).Inc()
 	switch w.Type {
@@ -295,27 +267,31 @@ func (d *daemonState) handle(w *WireMsg) *Reply {
 // connectMeterSocket creates a stream socket connected to a filter,
 // retrying briefly while the (asynchronously created) filter comes up.
 func (d *daemonState) connectMeterSocket(host string, port uint16) (int, error) {
-	hostID, _, err := d.p.Machine().Cluster().ResolveFrom(d.p.Machine(), host)
-	if err != nil {
-		return -1, err
-	}
-	name := meter.InetName(hostID, port)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		fd, err := d.p.Socket(meter.AFInet, kernel.SockStream)
-		if err != nil {
-			return -1, err
-		}
-		err = d.p.Connect(fd, name)
-		if err == nil {
-			return fd, nil
-		}
-		_ = d.p.Close(fd)
-		if !errors.Is(err, kernel.ErrConnRefused) || time.Now().After(deadline) {
-			return -1, err
+		fd, err := dial(d.p, host, port)
+		if err == nil || !errors.Is(err, kernel.ErrConnRefused) || time.Now().After(deadline) {
+			return fd, err
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// dial connects a new stream socket of p's to port on host.
+func dial(p *kernel.Process, host string, port uint16) (int, error) {
+	hostID, _, err := p.Machine().Cluster().ResolveFrom(p.Machine(), host)
+	if err != nil {
+		return -1, err
+	}
+	fd, err := p.Socket(meter.AFInet, kernel.SockStream)
+	if err != nil {
+		return -1, err
+	}
+	if err := p.Connect(fd, meter.InetName(hostID, port)); err != nil {
+		_ = p.Close(fd)
+		return -1, err
+	}
+	return fd, nil
 }
 
 func (d *daemonState) handleCreate(req *CreateReq) *Reply {
@@ -770,7 +746,7 @@ func (d *daemonState) handleGateway(data []byte, src meter.Name) {
 // dropped the notification silently.)
 func (d *daemonState) notifyController(info *childInfo, msg *WireMsg) error {
 	key := fmt.Sprintf("%s:%d", info.controlHost, info.controlPort)
-	payload := msg.Encode()
+	payload := wireFrame(FrameReq, 0, msg)
 
 	d.mu.Lock()
 	fd, cached := d.notifyFDs[key]
@@ -783,38 +759,19 @@ func (d *daemonState) notifyController(info *childInfo, msg *WireMsg) error {
 		d.dropNotifyFD(key, fd)
 	}
 
-	fd, err := d.dialNotify(info)
+	fd, err := dial(d.p, info.controlHost, info.controlPort)
+	if err == nil {
+		d.mu.Lock()
+		d.notifyFDs[key] = fd
+		d.mu.Unlock()
+		if _, err = d.p.Send(fd, payload); err != nil {
+			d.dropNotifyFD(key, fd)
+		}
+	}
 	if err != nil {
 		d.notifyFailed.Inc()
-		return err
 	}
-	d.mu.Lock()
-	d.notifyFDs[key] = fd
-	d.mu.Unlock()
-	if _, err := d.p.Send(fd, payload); err != nil {
-		d.dropNotifyFD(key, fd)
-		d.notifyFailed.Inc()
-		return err
-	}
-	return nil
-}
-
-// dialNotify opens a stream connection to a controller's notification
-// socket.
-func (d *daemonState) dialNotify(info *childInfo) (int, error) {
-	hostID, _, err := d.p.Machine().Cluster().ResolveFrom(d.p.Machine(), info.controlHost)
-	if err != nil {
-		return -1, err
-	}
-	fd, err := d.p.Socket(meter.AFInet, kernel.SockStream)
-	if err != nil {
-		return -1, err
-	}
-	if err := d.p.Connect(fd, meter.InetName(hostID, info.controlPort)); err != nil {
-		_ = d.p.Close(fd)
-		return -1, err
-	}
-	return fd, nil
+	return err
 }
 
 // dropNotifyFD closes a dead notification connection and forgets it if
@@ -828,27 +785,25 @@ func (d *daemonState) dropNotifyFD(key string, fd int) {
 	_ = d.p.Close(fd)
 }
 
-// readWire accumulates stream bytes on a connection until one complete
-// wire message is decoded.
-func readWire(p *kernel.Process, fd int) (*WireMsg, error) {
-	return readWireBuf(p, fd, nil)
-}
-
-// readWireBuf is readWire starting from already-buffered bytes.
-func readWireBuf(p *kernel.Process, fd int, buf []byte) (*WireMsg, error) {
+// ReadNotices applies each notification a daemon sends on conn — a
+// state change or forwarded output, one request frame each — until the
+// connection ends or carries a corrupt frame.
+func ReadNotices(p *kernel.Process, conn int, apply func(*WireMsg)) {
+	var fr frameReader
+	recv := func(max int) ([]byte, error) { return p.Recv(conn, max) }
 	for {
-		msg, _, err := DecodeWire(buf)
-		if err == nil {
-			return msg, nil
+		f, err := fr.next(recv)
+		if err != nil {
+			return
 		}
-		if !errors.Is(err, ErrWireShort) {
-			return nil, err
+		if f.Kind != FrameReq {
+			continue // unknown kinds are skipped, as on every stream
 		}
-		data, rerr := p.Recv(fd, 8192)
-		if rerr != nil {
-			return nil, rerr
+		w, err := DecodeWire(f.Payload)
+		if err != nil {
+			return
 		}
-		buf = append(buf, data...)
+		apply(w)
 	}
 }
 
@@ -859,63 +814,94 @@ func readWireBuf(p *kernel.Process, fd int, buf []byte) (*WireMsg, error) {
 // 3.5.1). It makes a single attempt with no deadline; ExchangeRetry
 // adds both.
 func Exchange(p *kernel.Process, host string, req *WireMsg) (*Reply, error) {
-	return exchangeOnce(p, host, req, 0)
+	return exchange(p, host, req, 0)
 }
 
-// exchangeOnce is one connect/send/read/close round trip. A positive
-// timeout bounds the wait for the reply; zero waits forever. A
-// successful round trip lands its latency in the calling machine's
-// daemon.rtt.<type> histogram.
-func exchangeOnce(p *kernel.Process, host string, req *WireMsg, timeout time.Duration) (*Reply, error) {
+// exchange is one framed call on a connection of its own: the magic,
+// the hello and the request go out in one send, and the daemon's hello
+// and reply come back through one frameReader. A positive timeout
+// bounds the whole wait; zero waits forever. A successful round trip
+// lands its latency in the calling machine's daemon.rtt.<type>
+// histogram.
+func exchange(p *kernel.Process, host string, req *WireMsg, timeout time.Duration) (*Reply, error) {
 	start := time.Now()
-	hostID, _, err := p.Machine().Cluster().ResolveFrom(p.Machine(), host)
-	if err != nil {
-		return nil, err
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = start.Add(timeout)
 	}
-	fd, err := p.Socket(meter.AFInet, kernel.SockStream)
+	fd, fr, err := dialFramed(p, host, Port, req, deadline)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = p.Close(fd) }()
-	if err := p.Connect(fd, meter.InetName(hostID, Port)); err != nil {
-		return nil, fmt.Errorf("daemon on %s: %w", host, err)
+	recv := receiver(p, fd, deadline)
+	for {
+		f, err := fr.next(recv)
+		if err != nil {
+			return nil, err
+		}
+		if f.Kind != FrameRep {
+			continue
+		}
+		w, err := DecodeWire(f.Payload)
+		if err != nil {
+			return nil, err
+		}
+		p.Machine().Obs().Histogram(rttHistName(req.Type)).Since(start)
+		return ParseReply(w), nil
 	}
-	if _, err := p.Send(fd, req.Encode()); err != nil {
-		return nil, err
-	}
-	var w *WireMsg
-	if timeout > 0 {
-		w, err = readWireTimeout(p, fd, timeout)
-	} else {
-		w, err = readWire(p, fd)
-	}
-	if err != nil {
-		return nil, err
-	}
-	p.Machine().Obs().Histogram(rttHistName(req.Type)).Since(start)
-	return ParseReply(w), nil
 }
 
-// readWireTimeout is readWire under an overall deadline.
-func readWireTimeout(p *kernel.Process, fd int, timeout time.Duration) (*WireMsg, error) {
-	deadline := time.Now().Add(timeout)
-	var buf []byte
-	for {
-		msg, _, err := DecodeWire(buf)
-		if err == nil {
-			return msg, nil
-		}
-		if !errors.Is(err, ErrWireShort) {
-			return nil, err
+// dialFramed connects to the daemon on host's port and sends the magic
+// and hello, with req behind them as request 1 when it is not nil, in
+// one send. It reads the daemon's magic and hello back and returns the
+// connection and the reader that took them, holding whatever came
+// after. A non-zero deadline bounds the wait. A peer that closes
+// instead, or answers with anything but a hello, fails with
+// errHandshake.
+func dialFramed(p *kernel.Process, host string, port uint16, req *WireMsg, deadline time.Time) (int, *frameReader, error) {
+	fd, err := dial(p, host, port)
+	if err != nil {
+		return -1, nil, fmt.Errorf("daemon on %s: %w", host, err)
+	}
+	fail := func(err error) (int, *frameReader, error) {
+		_ = p.Close(fd)
+		return -1, nil, err
+	}
+	out := appendHello(nil)
+	if req != nil {
+		out = req.appendTo(appendFrameHeader(out, FrameReq, 1, req.size()))
+	}
+	if _, err := p.Send(fd, out); err != nil {
+		return fail(err)
+	}
+	fr := new(frameReader)
+	recv := receiver(p, fd, deadline)
+	if err := fr.open(recv); err != nil {
+		return fail(fmt.Errorf("%w: %w", errHandshake, err))
+	}
+	f, err := fr.next(recv)
+	if err != nil {
+		return fail(fmt.Errorf("%w: %w", errHandshake, err))
+	}
+	if f.Kind != FrameHello || !helloOK(f.Payload) {
+		return fail(errHandshake)
+	}
+	return fd, fr, nil
+}
+
+// receiver is a frameReader's receive on fd: p.Recv, or p.RecvTimeout
+// with what is left until a non-zero deadline.
+func receiver(p *kernel.Process, fd int, deadline time.Time) func(max int) ([]byte, error) {
+	return func(max int) ([]byte, error) {
+		if deadline.IsZero() {
+			return p.Recv(fd, max)
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			return nil, kernel.ErrTimedOut
 		}
-		data, _, rerr := p.RecvTimeout(fd, 8192, remaining)
-		if rerr != nil {
-			return nil, rerr
-		}
-		buf = append(buf, data...)
+		data, _, err := p.RecvTimeout(fd, max, remaining)
+		return data, err
 	}
 }

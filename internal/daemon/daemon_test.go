@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -95,23 +94,7 @@ func newRig(t *testing.T) *testRig {
 			}
 			notify.Go(func() {
 				defer func() { _ = notify.Close(conn) }()
-				var buf []byte
-				for {
-					msg, n, err := DecodeWire(buf)
-					if err == nil {
-						buf = buf[n:]
-						ch <- msg
-						continue
-					}
-					if !errors.Is(err, ErrWireShort) {
-						return
-					}
-					data, rerr := notify.Recv(conn, 8192)
-					if rerr != nil {
-						return
-					}
-					buf = append(buf, data...)
-				}
+				ReadNotices(notify, conn, func(msg *WireMsg) { ch <- msg })
 			})
 		}
 	}()

@@ -1,27 +1,34 @@
 package daemon
 
-// The session framing layer. A persistent control-plane session
-// carries the legacy wire messages of Figure 3.6 inside length-prefixed
-// frames tagged with a request id, so many requests can be in flight on
-// one connection and replies can return in completion order:
+// The framing layer. Every connection to a daemon carries the Figure
+// 3.6 messages of wire.go inside length-prefixed frames tagged with a
+// request id, so one connection can carry many requests and replies
+// can return in completion order:
 //
 //	size     uint32 LE   total frame length, including this word
 //	kind     uint32 LE   frame kind (hello, request, reply, ping, pong)
 //	request  uint64 LE   request id, matching replies to requests
 //	payload  bytes       request/reply: one encoded WireMsg; hello: version
 //
-// A session opens with a 4-byte magic, "DPMX", before the first frame.
-// Read as a one-shot message size the magic is 0x584D5044 — far above
-// maxWireSize — so no one-shot message (section 3.5.1, Exchange) can
-// begin with the magic bytes, and a daemon sniffs the first four bytes
-// of a connection and serves either protocol. A dialer whose hello is
-// not answered with one has not reached a daemon: the dial failed.
+// A connection to a daemon opens with a 4-byte magic, "DPMX", and a
+// hello frame in each direction. The daemon closes a connection that
+// begins with anything else without a reply, and a dialer whose hello
+// is not answered with one has not reached a daemon. Exchange makes one
+// request on such a connection and closes it (section 3.5.1); a Session
+// keeps one open for many. The notification stream a daemon opens to a
+// controller's socket carries each message as one request frame with id
+// 0 and nothing before it: the socket is the controller's, and no reply
+// comes back. frameReader is the one loop that takes frames off any of
+// these streams.
 //
-// Unknown frame kinds are skipped by both sides (forward
+// Unknown frame kinds are skipped by every reader (forward
 // compatibility); a hello payload may grow trailing data that old
 // peers ignore.
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Frame kinds.
 const (
@@ -46,6 +53,10 @@ const frameMagic = "DPMX"
 // frameHeader is the fixed frame prefix: size, kind, request id.
 const frameHeader = 16
 
+// openRecv is the receive that takes the magic: large enough for the
+// hello behind it and, on an Exchange, the request or the reply too.
+const openRecv = 8192
+
 // maxFramePayload bounds one frame's payload; a frame carries at most
 // one wire message.
 const maxFramePayload = maxWireSize
@@ -55,7 +66,7 @@ const maxFramePayload = maxWireSize
 // ignoring trailing payload.
 const sessionVersion = "1"
 
-// Frame is one parsed session frame.
+// Frame is one frame taken off a connection.
 type Frame struct {
 	Kind    uint32
 	ID      uint64
@@ -90,32 +101,9 @@ func frameSizeOK(size uint32) bool {
 	return size >= frameHeader && size <= frameHeader+maxFramePayload
 }
 
-// ParseFrame decodes the first frame in buf, returning the frame and
-// the number of bytes it consumed. It returns ErrWireShort when buf
-// holds only a prefix of a frame (read more and retry) and
-// ErrWireCorrupt when buf cannot begin a valid frame (tear down the
-// connection). The payload is copied, so the caller may reuse buf.
-func ParseFrame(buf []byte) (Frame, int, error) {
-	if len(buf) < 4 {
-		return Frame{}, 0, ErrWireShort
-	}
-	size := binary.LittleEndian.Uint32(buf)
-	if !frameSizeOK(size) {
-		return Frame{}, 0, ErrWireCorrupt
-	}
-	if len(buf) < int(size) {
-		return Frame{}, 0, ErrWireShort
-	}
-	f := Frame{
-		Kind:    binary.LittleEndian.Uint32(buf[4:]),
-		ID:      binary.LittleEndian.Uint64(buf[8:]),
-		Payload: append([]byte(nil), buf[frameHeader:size]...),
-	}
-	return f, int(size), nil
-}
-
-// frameReader takes session frames off a connection's byte stream with
-// receives sized to what the frame in hand still lacks: its header
+// frameReader takes frames off a connection's byte stream — the
+// daemon's side of a connection, a Session's, an Exchange's and the
+// notification stream's alike — with receives sized to what the frame in hand still lacks: its header
 // first, then — the length now known — all of its payload. A frame is
 // one atomic Send, so the payload normally arrives in that one receive
 // and is handed on as received; if it comes in pieces, one buffer of
@@ -123,7 +111,7 @@ func ParseFrame(buf []byte) (Frame, int, error) {
 // reallocation, and no byte is copied again after the receive that
 // delivered it.
 type frameReader struct {
-	pending []byte // bytes read past the handshake: consumed before the connection is
+	pending []byte // bytes that arrived with the magic: consumed before the connection is
 	hdr     []byte // header bytes of the frame in hand
 	payload []byte // its payload so far, once the header is whole
 }
@@ -169,6 +157,25 @@ func (r *frameReader) next(recv func(max int) ([]byte, error)) (Frame, error) {
 	return f, nil
 }
 
+// open consumes the magic that begins a daemon connection in either
+// direction, with one receive unless the magic comes in pieces. Bytes
+// that arrived with it are kept for next.
+func (r *frameReader) open(recv func(max int) ([]byte, error)) error {
+	var buf []byte
+	for len(buf) < len(frameMagic) {
+		data, err := recv(openRecv)
+		if err != nil {
+			return err
+		}
+		buf = append(buf, data...)
+	}
+	if string(buf[:len(frameMagic)]) != frameMagic {
+		return fmt.Errorf("%w: no session magic", ErrWireCorrupt)
+	}
+	r.pending = buf[len(frameMagic):]
+	return nil
+}
+
 // read is recv, preceded by whatever is pending.
 func (r *frameReader) read(max int, recv func(max int) ([]byte, error)) ([]byte, error) {
 	if len(r.pending) == 0 {
@@ -180,14 +187,8 @@ func (r *frameReader) read(max int, recv func(max int) ([]byte, error)) ([]byte,
 	return data, nil
 }
 
-// isFrameMagic reports whether buf begins with the session magic.
-// Callers must have at least 4 bytes buffered.
-func isFrameMagic(buf []byte) bool {
-	return len(buf) >= 4 && string(buf[:4]) == frameMagic
-}
-
 // appendHello appends the magic preamble and a hello frame — the
-// opening bytes of a session in either direction.
+// opening bytes of a daemon connection in either direction.
 func appendHello(buf []byte) []byte {
 	buf = append(buf, frameMagic...)
 	return AppendFrame(buf, FrameHello, 0, []byte(sessionVersion))

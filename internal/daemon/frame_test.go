@@ -1,32 +1,80 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
+
+	"dpm/internal/kernel"
 )
+
+// byteStream is a connection's byte stream as a peer's sends deliver
+// it: a receive returns at most max bytes, copied, and never crosses a
+// cut; past the last byte it fails with io.EOF. A receive that starts
+// at a stall offset fails once with kernel.ErrTimedOut first.
+type byteStream struct {
+	data   []byte
+	cuts   []int // ascending offsets
+	stalls []int
+	off    int
+	calls  []int // the offset at each receive
+}
+
+func (s *byteStream) recv(max int) ([]byte, error) {
+	s.calls = append(s.calls, s.off)
+	if len(s.stalls) > 0 && s.stalls[0] == s.off {
+		s.stalls = s.stalls[1:]
+		return nil, kernel.ErrTimedOut
+	}
+	if s.off == len(s.data) {
+		return nil, io.EOF
+	}
+	end := min(len(s.data), s.off+max)
+	for _, c := range s.cuts {
+		if c > s.off {
+			end = min(end, c)
+			break
+		}
+	}
+	out := append([]byte(nil), s.data[s.off:end]...)
+	s.off = end
+	return out, nil
+}
+
+// readFrames takes frames off s until the reader fails, returning the
+// frames and the failure.
+func readFrames(s *byteStream) ([]Frame, error) {
+	var fr frameReader
+	var frames []Frame
+	for {
+		f, err := fr.next(s.recv)
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, f)
+	}
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	payload := (&CreateReq{Filename: "/bin/x", Params: []string{"a"}, UID: 1}).Wire().Encode()
 	buf := AppendFrame(nil, FrameReq, 42, payload)
 	buf = AppendFrame(buf, FramePing, 7, nil)
 
-	f, n, err := ParseFrame(buf)
-	if err != nil {
-		t.Fatal(err)
+	s := &byteStream{data: buf}
+	frames, err := readFrames(s)
+	if !errors.Is(err, io.EOF) || len(frames) != 2 {
+		t.Fatalf("%d frames, then %v", len(frames), err)
 	}
-	if f.Kind != FrameReq || f.ID != 42 || string(f.Payload) != string(payload) {
+	if f := frames[0]; f.Kind != FrameReq || f.ID != 42 || string(f.Payload) != string(payload) {
 		t.Fatalf("frame = %+v", f)
 	}
-	f2, n2, err := ParseFrame(buf[n:])
-	if err != nil {
-		t.Fatal(err)
+	if f := frames[1]; f.Kind != FramePing || f.ID != 7 || len(f.Payload) != 0 {
+		t.Fatalf("second frame = %+v", f)
 	}
-	if f2.Kind != FramePing || f2.ID != 7 || len(f2.Payload) != 0 {
-		t.Fatalf("second frame = %+v", f2)
-	}
-	if n+n2 != len(buf) {
-		t.Fatalf("consumed %d+%d of %d", n, n2, len(buf))
+	if s.off != len(buf) {
+		t.Fatalf("consumed %d of %d", s.off, len(buf))
 	}
 }
 
@@ -49,44 +97,65 @@ func TestWireFrameIsFrameOfEncode(t *testing.T) {
 	}
 }
 
+// TestParseFrameShortAndCorrupt: a frame cut short is not corrupt — the
+// reader hands on the receive's failure and finishes the frame when the
+// bytes come — while a size word no frame has is refused as soon as it
+// is in, since waiting for more bytes would wait forever.
 func TestParseFrameShortAndCorrupt(t *testing.T) {
 	whole := AppendFrame(nil, FrameRep, 9, []byte("payload"))
 	for cut := 0; cut < len(whole); cut++ {
-		if _, _, err := ParseFrame(whole[:cut]); !errors.Is(err, ErrWireShort) {
-			t.Fatalf("truncated at %d: %v, want ErrWireShort", cut, err)
+		if frames, err := readFrames(&byteStream{data: whole[:cut]}); len(frames) != 0 || !errors.Is(err, io.EOF) {
+			t.Fatalf("truncated at %d: %d frames, %v, want io.EOF", cut, len(frames), err)
+		}
+		// The same cut as a stall: the reader keeps what it has and the
+		// next call completes the frame.
+		s := &byteStream{data: whole, cuts: []int{cut}, stalls: []int{cut}}
+		var fr frameReader
+		if _, err := fr.next(s.recv); !errors.Is(err, kernel.ErrTimedOut) {
+			t.Fatalf("stalled at %d: %v, want the stall", cut, err)
+		}
+		f, err := fr.next(s.recv)
+		if err != nil || f.ID != 9 || string(f.Payload) != "payload" {
+			t.Fatalf("resumed after %d: %+v, %v", cut, f, err)
 		}
 	}
 
-	// A size below the header or above the payload bound is corrupt,
-	// not short: waiting for more bytes would wait forever.
 	small := binary.LittleEndian.AppendUint32(nil, frameHeader-1)
 	small = append(small, make([]byte, 12)...)
-	if _, _, err := ParseFrame(small); !errors.Is(err, ErrWireCorrupt) {
+	if _, err := readFrames(&byteStream{data: small}); !errors.Is(err, ErrWireCorrupt) {
 		t.Fatalf("undersize frame: %v, want ErrWireCorrupt", err)
 	}
 	huge := binary.LittleEndian.AppendUint32(nil, frameHeader+maxFramePayload+1)
-	if _, _, err := ParseFrame(huge); !errors.Is(err, ErrWireCorrupt) {
+	if _, err := readFrames(&byteStream{data: huge}); !errors.Is(err, ErrWireCorrupt) {
 		t.Fatalf("oversize frame: %v, want ErrWireCorrupt", err)
 	}
 
-	// The magic preamble itself is corrupt as a legacy message *and* as
-	// a frame — it is consumed before framing starts.
-	if _, _, err := ParseFrame([]byte(frameMagic + "....????????....")); !errors.Is(err, ErrWireCorrupt) {
+	// The magic is corrupt as a frame and as a message: it is consumed
+	// before framing starts, and only there.
+	if _, err := readFrames(&byteStream{data: []byte(frameMagic + "....????????....")}); !errors.Is(err, ErrWireCorrupt) {
 		t.Fatalf("magic as frame: %v, want ErrWireCorrupt", err)
 	}
-	if _, _, err := DecodeWire([]byte(frameMagic + "....????????....")); !errors.Is(err, ErrWireCorrupt) {
-		t.Fatalf("magic as legacy message: %v, want ErrWireCorrupt", err)
+	if _, err := DecodeWire([]byte(frameMagic + "....????????....")); !errors.Is(err, ErrWireCorrupt) {
+		t.Fatalf("magic as message: %v, want ErrWireCorrupt", err)
+	}
+	// And a connection that does not begin with it is refused.
+	var fr frameReader
+	if err := fr.open((&byteStream{data: (&WireMsg{Type: TListReq}).Encode()}).recv); !errors.Is(err, ErrWireCorrupt) {
+		t.Fatalf("unframed message opened: %v, want ErrWireCorrupt", err)
 	}
 }
 
 func TestHello(t *testing.T) {
 	buf := appendHello(nil)
-	if !isFrameMagic(buf) {
-		t.Fatal("hello does not start with the magic")
+	// The magic may come in pieces; the frame behind it is read whole.
+	s := &byteStream{data: buf, cuts: []int{1, 3}}
+	var fr frameReader
+	if err := fr.open(s.recv); err != nil {
+		t.Fatalf("hello magic: %v", err)
 	}
-	f, n, err := ParseFrame(buf[4:])
-	if err != nil || n != len(buf)-4 {
-		t.Fatalf("hello frame: %v, consumed %d of %d", err, n, len(buf)-4)
+	f, err := fr.next(s.recv)
+	if err != nil || s.off != len(buf) {
+		t.Fatalf("hello frame: %v, consumed %d of %d", err, s.off, len(buf))
 	}
 	if f.Kind != FrameHello || !helloOK(f.Payload) {
 		t.Fatalf("hello frame = %+v", f)
@@ -100,57 +169,65 @@ func TestHello(t *testing.T) {
 	}
 }
 
-// FuzzParseFrame checks the session frame parser on arbitrary bytes,
-// mirroring FuzzDecodeWire: no panics, exact consumption, re-encode
-// match, and short-vs-corrupt discipline (a short result must become a
-// parse once enough bytes arrive; corrupt must not depend on length).
+// FuzzParseFrame checks frameReader.next on arbitrary bytes delivered
+// in arbitrary pieces: each byte of cuts is the length, less one, of
+// the next piece. The frames that come out, and whether the stream
+// ends corrupt, do not depend on the pieces; a size word no frame has
+// is refused without asking for a byte past it; every frame re-encodes
+// to the bytes it came from; nothing panics.
 func FuzzParseFrame(f *testing.F) {
+	create := (&CreateReq{Filename: "/bin/x", UID: 1}).Wire().Encode()
 	// Well-formed request and reply frames.
-	f.Add(AppendFrame(nil, FrameReq, 1, (&CreateReq{Filename: "/bin/x", UID: 1}).Wire().Encode()))
-	f.Add(AppendFrame(nil, FrameRep, 1, (&Reply{Type: TCreateRep, PID: 7}).Wire().Encode()))
+	f.Add(AppendFrame(nil, FrameReq, 1, create), []byte{3})
+	f.Add(AppendFrame(nil, FrameRep, 1, (&Reply{Type: TCreateRep, PID: 7}).Wire().Encode()), []byte{15, 0, 200})
 	// Truncated frame: header promises more bytes than follow.
-	f.Add(AppendFrame(nil, FrameRep, 2, []byte("payload"))[:10])
+	f.Add(AppendFrame(nil, FrameRep, 2, []byte("payload"))[:10], []byte{1})
 	// Length overflow: size field far beyond the payload bound.
-	f.Add(binary.LittleEndian.AppendUint32(nil, ^uint32(0)))
+	f.Add(binary.LittleEndian.AppendUint32(nil, ^uint32(0)), []byte{0, 0, 0})
 	// Unknown frame kind and unknown msgType in the payload — both must
-	// parse (forward compatibility; the dispatch layer skips them).
-	f.Add(AppendFrame(nil, 99, 3, []byte("future")))
-	f.Add(AppendFrame(nil, FrameReq, 4, (&WireMsg{Type: MsgType(250), Fields: []string{"x"}}).Encode()))
+	// come out (forward compatibility; the dispatch layer skips them).
+	f.Add(AppendFrame(nil, 99, 3, []byte("future")), []byte{})
+	f.Add(AppendFrame(nil, FrameReq, 4, (&WireMsg{Type: MsgType(250), Fields: []string{"x"}}).Encode()), []byte{17})
 	// Duplicate and unknown request ids back to back (dispatch-layer
-	// concerns; the parser must hand both over unchanged).
+	// concerns; the reader must hand both over unchanged), then a bad
+	// size word behind them.
 	dup := AppendFrame(nil, FramePong, 5, nil)
-	f.Add(append(append([]byte(nil), dup...), dup...))
-	f.Add(AppendFrame(nil, FrameRep, ^uint64(0), nil))
-	f.Add([]byte(frameMagic))
-	f.Add([]byte{})
+	f.Add(append(append(append([]byte(nil), dup...), dup...), 1, 0, 0, 0), []byte{19, 2})
+	f.Add(AppendFrame(nil, FrameRep, ^uint64(0), nil), []byte{7, 7})
+	f.Add([]byte(frameMagic), []byte{})
+	f.Add([]byte{}, []byte{})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := ParseFrame(data)
-		if err != nil {
-			if !errors.Is(err, ErrWireShort) && !errors.Is(err, ErrWireCorrupt) {
-				t.Fatalf("unexpected error class: %v", err)
+	f.Fuzz(func(t *testing.T, data, pieces []byte) {
+		want, wantErr := readFrames(&byteStream{data: data})
+		s := &byteStream{data: data}
+		for off, i := 0, 0; i < len(pieces); i++ {
+			off += int(pieces[i]) + 1
+			s.cuts = append(s.cuts, off)
+		}
+		got, err := readFrames(s)
+		if len(got) != len(want) || errors.Is(err, ErrWireCorrupt) != errors.Is(wantErr, ErrWireCorrupt) {
+			t.Fatalf("split %v: %d frames then %v, whole: %d frames then %v", s.cuts, len(got), err, len(want), wantErr)
+		}
+		var re []byte
+		for i, fr := range got {
+			if fr.Kind != want[i].Kind || fr.ID != want[i].ID || !bytes.Equal(fr.Payload, want[i].Payload) {
+				t.Fatalf("split %v: frame %d differs", s.cuts, i)
 			}
-			return
+			re = AppendFrame(re, fr.Kind, fr.ID, fr.Payload)
 		}
-		if n < frameHeader || n > len(data) {
-			t.Fatalf("consumed %d of %d", n, len(data))
+		if !bytes.HasPrefix(data, re) {
+			t.Fatal("frames do not re-encode to the bytes they came from")
 		}
-		re := AppendFrame(nil, fr.Kind, fr.ID, fr.Payload)
-		if len(re) != n {
-			t.Fatalf("re-encode %d != consumed %d", len(re), n)
-		}
-		for i := range re {
-			if re[i] != data[i] {
-				t.Fatalf("byte %d changed", i)
+		switch {
+		case errors.Is(err, ErrWireCorrupt):
+			if last := s.calls[len(s.calls)-1]; last >= len(re)+4 || s.off < len(re)+4 {
+				t.Fatalf("bad size word at %d refused after a receive at %d, %d bytes in", len(re), last, s.off)
 			}
-		}
-		// The payload is a copy: scribbling on the input must not
-		// change the parsed frame.
-		if len(fr.Payload) > 0 {
-			old := fr.Payload[0]
-			data[frameHeader] ^= 0xFF
-			if fr.Payload[0] != old {
-				t.Fatal("payload aliases the input buffer")
+		case !errors.Is(err, io.EOF) || s.off != len(data):
+			t.Fatalf("stream ended with %v after %d of %d bytes", err, s.off, len(data))
+		case len(data) >= len(re)+4:
+			if size := binary.LittleEndian.Uint32(data[len(re):]); size < frameHeader || size > frameHeader+maxFramePayload {
+				t.Fatalf("bad size word %d at %d not refused", size, len(re))
 			}
 		}
 	})

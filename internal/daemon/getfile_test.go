@@ -215,19 +215,13 @@ func spawnCannedDaemon(t *testing.T, m *kernel.Machine, port uint16, rep *Reply)
 				return 0
 			}
 			buf := make([]byte, 0, 4096)
-			for len(buf) < 4 {
-				data, err := p.Recv(conn, 4-len(buf))
-				if err != nil {
-					return 0
-				}
-				buf = append(buf, data...)
-			}
-			if !isFrameMagic(buf) {
+			recv := func(max int) ([]byte, error) { return p.Recv(conn, max) }
+			var fr frameReader
+			if fr.open(recv) != nil {
 				return 1
 			}
-			fr := frameReader{}
 			for {
-				f, err := fr.next(func(max int) ([]byte, error) { return p.Recv(conn, max) })
+				f, err := fr.next(recv)
 				if err != nil {
 					break
 				}

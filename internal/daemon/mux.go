@@ -1,29 +1,33 @@
 package daemon
 
-// The daemon half of the persistent control-plane session: one
-// connection carries many concurrent requests, each tagged with a
-// request id, and replies return in completion order. The controller
-// half lives in session.go; the frame format in frame.go.
+// The daemon half of the framed protocol: one connection carries one
+// exchange or a whole session of concurrent requests, each tagged with
+// a request id, and replies return in completion order. The controller
+// half lives in session.go (and Exchange in daemon.go); the frame
+// format in frame.go.
 
 import "sync"
 
-// serveSession serves one persistent multiplexed session. buf holds
-// bytes already read past the magic preamble. Each request frame is
-// executed on its own goroutine so a slow request (a query scanning a
-// large store, say) never blocks the others — the pipelining that a
-// one-shot exchange per connection cannot offer. The connection is
-// closed by the caller only after every outstanding handler finished,
-// so a late reply can never land on a recycled descriptor.
-func (d *daemonState) serveSession(conn int, buf []byte) {
+// serveConn serves one accepted connection. A connection that does not
+// open with the session magic is closed without a reply. Each request
+// frame is executed on its own goroutine so a slow request (a query
+// scanning a large store, say) never blocks the others. The connection
+// is closed only after every outstanding handler finished, so a late
+// reply can never land on a recycled descriptor.
+func (d *daemonState) serveConn(conn int) {
+	defer func() { _ = d.p.Close(conn) }()
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
-	saidHello := false
-	fr := frameReader{pending: buf}
 	recv := func(max int) ([]byte, error) { return d.p.Recv(conn, max) }
+	var fr frameReader
+	if fr.open(recv) != nil {
+		return
+	}
+	saidHello := false
 	for {
 		f, err := fr.next(recv)
 		if err != nil {
-			return // EOF, peer gone, or corrupt framing: the session is over
+			return // EOF, peer gone, or corrupt framing: the connection is over
 		}
 		switch f.Kind {
 		case FrameHello:
@@ -32,9 +36,10 @@ func (d *daemonState) serveSession(conn int, buf []byte) {
 			}
 			if !saidHello {
 				saidHello = true
-				if _, err := d.p.Send(conn, appendHello(nil)); err != nil {
-					return
-				}
+				// A failed send ends nothing: requests that arrived
+				// before the peer went still run, as a lost reply's
+				// request does (CreateReq.Token is for that case).
+				_, _ = d.p.Send(conn, appendHello(nil))
 			}
 		case FramePing:
 			// Heartbeat: echo the id back. Answered inline — a session
@@ -45,9 +50,9 @@ func (d *daemonState) serveSession(conn int, buf []byte) {
 				return
 			}
 		case FrameReq:
-			w, _, err := DecodeWire(f.Payload)
+			w, err := DecodeWire(f.Payload)
 			if err != nil {
-				return // corrupt payload: tear the session down
+				return // corrupt payload: tear the connection down
 			}
 			id := f.ID
 			handlers.Add(1)

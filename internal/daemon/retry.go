@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dpm/internal/kernel"
+	"dpm/internal/obs"
 )
 
 // RetryPolicy bounds a hardened controller↔daemon exchange. The
@@ -99,19 +100,27 @@ func transientExchangeErr(err error) bool {
 // non-create requests naturally are, and creates carry an idempotency
 // token (CreateReq.Token) for exactly this reason.
 func ExchangeRetry(p *kernel.Process, host string, req *WireMsg, rp RetryPolicy) (*Reply, error) {
+	return rp.retry(p.Machine().Obs(), host, req, func(timeout time.Duration) (*Reply, error) {
+		return exchange(p, host, req, timeout)
+	})
+}
+
+// retry makes attempt, each under the policy's reply deadline, until it
+// succeeds, fails for good, or the policy runs out; reg counts the
+// retries and an exhaustion.
+func (rp RetryPolicy) retry(reg *obs.Registry, host string, req *WireMsg, attempt func(timeout time.Duration) (*Reply, error)) (*Reply, error) {
 	rp = rp.withDefaults()
-	reg := p.Machine().Obs()
 	delay := rp.BaseDelay
 	var lastErr error
-	for attempt := 0; attempt < rp.MaxAttempts; attempt++ {
-		if attempt > 0 {
+	for i := 0; i < rp.MaxAttempts; i++ {
+		if i > 0 {
 			reg.Counter("daemon.retries").Inc()
 			time.Sleep(delay + rp.jitter(delay))
 			if delay *= 2; delay > rp.MaxDelay {
 				delay = rp.MaxDelay
 			}
 		}
-		rep, err := exchangeOnce(p, host, req, rp.ReplyTimeout)
+		rep, err := attempt(rp.ReplyTimeout)
 		if err == nil {
 			return rep, nil
 		}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -154,6 +155,27 @@ func TestRetryJitterSeedable(t *testing.T) {
 	}
 }
 
+// rawConn connects the rig's controller process to red's daemon and
+// sends out, returning the connection.
+func (r *testRig) rawConn(out []byte) int {
+	r.t.Helper()
+	hostID, _, err := r.c.ResolveFrom(r.yellow, "red")
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	fd, err := r.ctl.Socket(meter.AFInet, kernel.SockStream)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := r.ctl.Connect(fd, meter.InetName(hostID, Port)); err != nil {
+		r.t.Fatal(err)
+	}
+	if _, err := r.ctl.Send(fd, out); err != nil {
+		r.t.Fatal(err)
+	}
+	return fd
+}
+
 // TestCreateTokenPreventsDoubleCreate is the lost-reply scenario: the
 // first create request reaches the daemon but the connection dies (as
 // in a partition mid-exchange) before the reply comes back, so the
@@ -165,25 +187,14 @@ func TestCreateTokenPreventsDoubleCreate(t *testing.T) {
 
 	req := &CreateReq{Filename: "/bin/ping", UID: testUID, Token: "job1-red-0"}
 
-	// First attempt: deliver the request, then tear the connection down
-	// without reading the reply — the reply is lost in the "partition".
-	hostID, _, err := r.c.ResolveFrom(r.yellow, "red")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd, err := r.ctl.Socket(meter.AFInet, kernel.SockStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ctl.Connect(fd, meter.InetName(hostID, Port)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ctl.Send(fd, req.Wire().Encode()); err != nil {
-		t.Fatal(err)
-	}
+	// First attempt: deliver the request as Exchange does — magic,
+	// hello, one request frame — then tear the connection down without
+	// reading the reply: the reply is lost in the "partition".
+	fd := r.rawConn(AppendFrame(appendHello(nil), FrameReq, 1, req.Wire().Encode()))
 	if err := r.ctl.Close(fd); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, 2*time.Second, "the create whose reply was lost", func() bool { return pingCount(r.red) == 1 })
 
 	// Retry with the same token: the daemon must recognize it.
 	rep, err := ExchangeRetry(r.ctl, "red", req.Wire(), RetryPolicy{})
@@ -223,6 +234,36 @@ func TestCreateTokenPreventsDoubleCreate(t *testing.T) {
 	}
 	if got := pingCount(r.red); got != 2 {
 		t.Fatalf("%d ping processes after distinct-token create, want 2", got)
+	}
+}
+
+// TestUnframedCreateRefused: a Figure 3.6 create sent bare, without the
+// magic and the frames around it, is not a connection the daemon
+// serves. It gets no reply and creates no process, and it leaves no
+// trace in the token ledger: the same create framed runs once.
+func TestUnframedCreateRefused(t *testing.T) {
+	r := newRig(t)
+	r.pingOn(r.red)
+	req := &CreateReq{Filename: "/bin/ping", UID: testUID, Token: "bare-red-0"}
+
+	fd := r.rawConn(req.Wire().Encode())
+	data, _, err := r.ctl.RecvTimeout(fd, 8192, 2*time.Second)
+	if len(data) != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("unframed create answered %q, %v; want the connection closed unanswered", data, err)
+	}
+	if err := r.ctl.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	if got := pingCount(r.red); got != 0 {
+		t.Fatalf("%d ping processes after an unframed create, want 0", got)
+	}
+
+	rep, err := Exchange(r.ctl, "red", req.Wire())
+	if err != nil || !rep.OK() {
+		t.Fatalf("framed create: %v %+v", err, rep)
+	}
+	if got := pingCount(r.red); got != 1 {
+		t.Fatalf("%d ping processes after the framed create, want 1", got)
 	}
 }
 

@@ -14,12 +14,10 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"dpm/internal/kernel"
-	"dpm/internal/meter"
 	"dpm/internal/obs"
 )
 
@@ -282,29 +280,9 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 // under the policy's reply deadline and transient failures — a
 // session down, a timed-out reply — back off and retry.
 func SessionExchange(s *Session, req *WireMsg, rp RetryPolicy) (*Reply, error) {
-	rp = rp.withDefaults()
-	delay := rp.BaseDelay
-	var lastErr error
-	for attempt := 0; attempt < rp.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			s.reg.Counter("daemon.retries").Inc()
-			time.Sleep(delay + rp.jitter(delay))
-			if delay *= 2; delay > rp.MaxDelay {
-				delay = rp.MaxDelay
-			}
-		}
-		rep, err := s.Call(req, rp.ReplyTimeout)
-		if err == nil {
-			return rep, nil
-		}
-		lastErr = err
-		if !transientExchangeErr(err) {
-			return nil, err
-		}
-	}
-	s.reg.Counter("daemon.exhausted").Inc()
-	return nil, fmt.Errorf("%w: %v to %s failed after %d attempts: %w",
-		ErrExhausted, req.Type, s.host, rp.MaxAttempts, lastErr)
+	return rp.retry(s.reg, s.host, req, func(timeout time.Duration) (*Reply, error) {
+		return s.Call(req, timeout)
+	})
 }
 
 // --- supervisor ---
@@ -328,7 +306,7 @@ func (s *Session) run() {
 		}
 		s.mu.Unlock()
 
-		fd, leftover, err := s.dialSession()
+		fd, fr, err := dialFramed(s.p, s.host, s.cfg.Port, nil, time.Now().Add(s.cfg.HelloTimeout))
 		if err != nil {
 			if errors.Is(err, kernel.ErrKilled) {
 				return
@@ -353,74 +331,12 @@ func (s *Session) run() {
 		if !s.attach(fd) {
 			return // closed while dialing
 		}
-		err = s.readLoop(fd, leftover)
+		err = s.readLoop(fd, fr)
 		s.detach(fd)
 		if errors.Is(err, kernel.ErrKilled) || s.isClosed() {
 			return
 		}
 		s.setState(StateSuspect)
-	}
-}
-
-// dialSession connects, sends the magic preamble plus hello, and waits
-// for the daemon's hello back. It returns the connection and any bytes
-// read past the handshake. errHandshake means the peer either closed
-// on our magic or answered with something other than a session hello.
-func (s *Session) dialSession() (int, []byte, error) {
-	hostID, _, err := s.p.Machine().Cluster().ResolveFrom(s.p.Machine(), s.host)
-	if err != nil {
-		return -1, nil, err
-	}
-	fd, err := s.p.Socket(meter.AFInet, kernel.SockStream)
-	if err != nil {
-		return -1, nil, err
-	}
-	fail := func(err error) (int, []byte, error) {
-		_ = s.p.Close(fd)
-		return -1, nil, err
-	}
-	if err := s.p.Connect(fd, meter.InetName(hostID, s.cfg.Port)); err != nil {
-		return fail(fmt.Errorf("session to %s: %w", s.host, err))
-	}
-	if _, err := s.p.Send(fd, appendHello(nil)); err != nil {
-		return fail(err)
-	}
-	deadline := time.Now().Add(s.cfg.HelloTimeout)
-	var buf []byte
-	sawMagic := false
-	for {
-		if !sawMagic && len(buf) >= 4 {
-			if !isFrameMagic(buf) {
-				return fail(errHandshake)
-			}
-			buf = buf[4:]
-			sawMagic = true
-		}
-		if sawMagic {
-			f, n, perr := ParseFrame(buf)
-			if perr == nil {
-				if f.Kind != FrameHello || !helloOK(f.Payload) {
-					return fail(errHandshake)
-				}
-				return fd, buf[n:], nil
-			}
-			if !errors.Is(perr, ErrWireShort) {
-				return fail(errHandshake)
-			}
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return fail(kernel.ErrTimedOut)
-		}
-		data, _, rerr := s.p.RecvTimeout(fd, 8192, remaining)
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				// Whatever listens there is not a daemon.
-				return fail(errHandshake)
-			}
-			return fail(rerr)
-		}
-		buf = append(buf, data...)
 	}
 }
 
@@ -473,8 +389,7 @@ func (s *Session) detach(fd int) {
 // calls and runs the heartbeat — after HeartbeatInterval of silence a
 // ping goes out, and a pong missing for HeartbeatTimeout kills the
 // connection from our side (the peer is wedged or the path is gone).
-func (s *Session) readLoop(fd int, leftover []byte) error {
-	fr := frameReader{pending: leftover}
+func (s *Session) readLoop(fd int, fr *frameReader) error {
 	idle := time.Now()
 	var pingID uint64
 	var pingSent time.Time
@@ -501,10 +416,7 @@ func (s *Session) readLoop(fd int, leftover []byte) error {
 		} else {
 			wait = next.Sub(now)
 		}
-		f, err := fr.next(func(max int) ([]byte, error) {
-			data, _, err := s.p.RecvTimeout(fd, max, wait)
-			return data, err
-		})
+		f, err := fr.next(receiver(s.p, fd, now.Add(wait)))
 		if err != nil {
 			if errors.Is(err, kernel.ErrTimedOut) {
 				continue // just the heartbeat timer firing; fr keeps a partial frame
@@ -537,7 +449,7 @@ func (s *Session) deliver(f Frame) {
 	if c == nil {
 		return
 	}
-	w, _, err := DecodeWire(f.Payload)
+	w, err := DecodeWire(f.Payload)
 	if err != nil {
 		c.done <- callResult{err: err}
 		return

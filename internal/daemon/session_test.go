@@ -200,19 +200,13 @@ func spawnMuteDaemon(t *testing.T, m *kernel.Machine, port uint16) {
 				return 0
 			}
 			p.Go(func() {
-				var buf []byte
-				for {
-					if len(buf) >= 4 && isFrameMagic(buf) {
-						if _, n, err := ParseFrame(buf[4:]); err == nil {
-							buf = buf[4+n:]
-							break
-						}
-					}
-					data, rerr := p.Recv(conn, 8192)
-					if rerr != nil {
-						return
-					}
-					buf = append(buf, data...)
+				recv := func(max int) ([]byte, error) { return p.Recv(conn, max) }
+				var fr frameReader
+				if fr.open(recv) != nil {
+					return
+				}
+				if f, err := fr.next(recv); err != nil || f.Kind != FrameHello {
+					return
 				}
 				if _, err := p.Send(conn, appendHello(nil)); err != nil {
 					return

@@ -8,12 +8,11 @@
 // killing processes, acquiring already-running processes for metering,
 // and reporting state changes back to the controller. Exchanges are
 // structured as remote procedure calls over a temporary stream
-// connection per request (section 3.5.1). As an extension, the same
-// messages can ride a persistent multiplexed session — one supervised
-// connection per machine with heartbeats and reconnect — framed as in
-// frame.go and supervised as in session.go; the daemon sniffs the
-// first bytes of each accepted connection and serves either protocol
-// (docs/controlplane.md).
+// connection per request (section 3.5.1), whose messages are the
+// WireMsg of this file. Every connection frames them (frame.go): an
+// Exchange is one framed request on its own connection, and a Session
+// carries many over one supervised connection per machine, with
+// heartbeats and reconnect (session.go, docs/controlplane.md).
 package daemon
 
 import (
@@ -21,6 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+
+	"dpm/internal/obs"
 )
 
 // MsgType identifies a controller/daemon message. The numbering is
@@ -126,18 +127,15 @@ type WireMsg struct {
 	Fields []string
 }
 
-// Errors from wire decoding.
-var (
-	ErrWireShort   = errors.New("daemon: incomplete wire message")
-	ErrWireCorrupt = errors.New("daemon: corrupt wire message")
-)
+// ErrWireCorrupt is a message or frame no writer produces.
+var ErrWireCorrupt = errors.New("daemon: corrupt wire message")
 
 // maxWireSize bounds one message (a getlog reply carries a whole trace
 // file).
 const maxWireSize = 16 << 20
 
 // Encode serializes the message: total size, type, field count, then
-// length-prefixed fields.
+// length-prefixed fields. A frame carries it as its payload.
 func (w *WireMsg) Encode() []byte {
 	return w.appendTo(make([]byte, 0, w.size()))
 }
@@ -164,42 +162,32 @@ func (w *WireMsg) appendTo(b []byte) []byte {
 	return b
 }
 
-// DecodeWire parses one message from the front of buf, returning the
-// bytes consumed. ErrWireShort means more bytes are needed.
-func DecodeWire(buf []byte) (*WireMsg, int, error) {
-	le := binary.LittleEndian
-	if len(buf) < 12 {
-		return nil, 0, ErrWireShort
+// DecodeWire decodes one whole message: payload must be exactly its
+// bytes, as a frame delivers them.
+func DecodeWire(payload []byte) (*WireMsg, error) {
+	c := obs.NewCursor(payload, ErrWireCorrupt)
+	size := c.U32()
+	w := &WireMsg{Type: MsgType(c.U32())}
+	count := c.U32()
+	switch {
+	case c.Err() != nil:
+	case int64(size) != int64(len(payload)):
+		c.Fail("size %d of a %d-byte payload", size, len(payload))
+	case count > 1<<16 || int64(count) > int64(c.Remaining()/4):
+		c.Fail("field count %d", count)
+	case count > 0:
+		w.Fields = make([]string, count)
 	}
-	size := int(le.Uint32(buf[0:4]))
-	if size < 12 || size > maxWireSize {
-		return nil, 0, fmt.Errorf("%w: size %d", ErrWireCorrupt, size)
+	for i := range w.Fields {
+		w.Fields[i] = string(c.Take(int(c.U32())))
 	}
-	if len(buf) < size {
-		return nil, 0, ErrWireShort
+	if c.Err() == nil && c.Remaining() > 0 {
+		c.Fail("%d trailing bytes", c.Remaining())
 	}
-	w := &WireMsg{Type: MsgType(le.Uint32(buf[4:8]))}
-	count := int(le.Uint32(buf[8:12]))
-	if count < 0 || count > 1<<16 {
-		return nil, 0, fmt.Errorf("%w: field count %d", ErrWireCorrupt, count)
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
-	off := 12
-	for i := 0; i < count; i++ {
-		if off+4 > size {
-			return nil, 0, fmt.Errorf("%w: truncated field %d", ErrWireCorrupt, i)
-		}
-		flen := int(le.Uint32(buf[off : off+4]))
-		off += 4
-		if flen < 0 || off+flen > size {
-			return nil, 0, fmt.Errorf("%w: field %d overruns message", ErrWireCorrupt, i)
-		}
-		w.Fields = append(w.Fields, string(buf[off:off+flen]))
-		off += flen
-	}
-	if off != size {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrWireCorrupt, size-off)
-	}
-	return w, size, nil
+	return w, nil
 }
 
 // field accessors with bounds checking.

@@ -19,26 +19,27 @@ func TestFigure36TypeCodes(t *testing.T) {
 
 func TestWireRoundTrip(t *testing.T) {
 	w := &WireMsg{Type: TCreateReq, Fields: []string{"a", "", "third field with spaces"}}
-	enc := w.Encode()
-	got, n, err := DecodeWire(enc)
+	got, err := DecodeWire(w.Encode())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n != len(enc) {
-		t.Fatalf("consumed %d of %d", n, len(enc))
 	}
 	if !reflect.DeepEqual(got, w) {
 		t.Fatalf("round trip: %+v != %+v", got, w)
 	}
 }
 
+// TestWireShort: the decoder takes one whole payload, so every prefix
+// of a message is corrupt — and so is a message with bytes behind it.
 func TestWireShort(t *testing.T) {
 	w := &WireMsg{Type: TStartReq, Fields: []string{"123"}}
 	enc := w.Encode()
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeWire(enc[:cut]); !errors.Is(err, ErrWireShort) {
-			t.Fatalf("cut %d: err = %v, want ErrWireShort", cut, err)
+		if _, err := DecodeWire(enc[:cut]); !errors.Is(err, ErrWireCorrupt) {
+			t.Fatalf("cut %d: err = %v, want ErrWireCorrupt", cut, err)
 		}
+	}
+	if _, err := DecodeWire(append(enc, 0)); !errors.Is(err, ErrWireCorrupt) {
+		t.Fatalf("trailing byte: err = %v, want ErrWireCorrupt", err)
 	}
 }
 
@@ -47,16 +48,22 @@ func TestWireCorrupt(t *testing.T) {
 	enc := w.Encode()
 	enc[0] = 5 // size below minimum
 	enc[1], enc[2], enc[3] = 0, 0, 0
-	if _, _, err := DecodeWire(enc); !errors.Is(err, ErrWireCorrupt) {
+	if _, err := DecodeWire(enc); !errors.Is(err, ErrWireCorrupt) {
 		t.Fatalf("err = %v, want ErrWireCorrupt", err)
+	}
+	// A size that counts a byte behind the last field.
+	enc = append(w.Encode(), 0)
+	enc[0]++
+	if _, err := DecodeWire(enc); !errors.Is(err, ErrWireCorrupt) {
+		t.Fatalf("byte behind the fields: err = %v, want ErrWireCorrupt", err)
 	}
 }
 
 func TestWireRoundTripProperty(t *testing.T) {
 	f := func(typ uint8, fields []string) bool {
 		w := &WireMsg{Type: MsgType(typ), Fields: fields}
-		got, n, err := DecodeWire(w.Encode())
-		if err != nil || n != len(w.Encode()) {
+		got, err := DecodeWire(w.Encode())
+		if err != nil {
 			return false
 		}
 		if len(fields) == 0 {
@@ -135,7 +142,7 @@ func TestQueryReqRoundTrip(t *testing.T) {
 	// not know (older ones sent a worker count); it must be ignored.
 	extra := req.Wire()
 	extra.Fields = append(extra.Fields, "8")
-	decoded, _, err := DecodeWire(extra.Encode())
+	decoded, err := DecodeWire(extra.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +171,7 @@ func TestAggReqRoundTrip(t *testing.T) {
 	// An unknown trailing field is ignored — the QueryReq discipline.
 	extra := req.Wire()
 	extra.Fields = append(extra.Fields, "8")
-	decoded, _, err := DecodeWire(extra.Encode())
+	decoded, err := DecodeWire(extra.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
