@@ -101,9 +101,8 @@ func frameSizeOK(size uint32) bool {
 	return size >= frameHeader && size <= frameHeader+maxFramePayload
 }
 
-// frameReader takes frames off a connection's byte stream — the
-// daemon's side of a connection, a Session's, an Exchange's and the
-// notification stream's alike — with receives sized to what the frame in hand still lacks: its header
+// frameReader takes frames off a connection's byte stream with
+// receives sized to what the frame in hand still lacks: its header
 // first, then — the length now known — all of its payload. A frame is
 // one atomic Send, so the payload normally arrives in that one receive
 // and is handed on as received; if it comes in pieces, one buffer of
