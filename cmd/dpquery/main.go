@@ -46,9 +46,9 @@ import (
 )
 
 // listSegments prints the physical layout of the store: one line per
-// segment (tier, format — v3 where each record is typed or text —,
-// record count, the share of its records stored typed, which a scan
-// does not parse, on-disk compression ratio) and, for block-compressed
+// segment (tier, format — v3, the one a store reads, where each record
+// is typed or text —, record count, the share of its records stored
+// typed, which a scan does not parse, on-disk compression ratio) and, for block-compressed
 // segments, one line per block with its zone map — the ranges the
 // pruning decisions in query/agg are made from. The typed share costs a
 // decode of the segment; one that does not decode to its end is listed
@@ -62,15 +62,14 @@ func listSegments(w io.Writer, rd *store.Reader) {
 			if rs.Sealed {
 				state = "sealed"
 			}
-			format := fmt.Sprintf("v%d", rs.FormatVersion())
 			raw, disk := rs.RawBytes(), rs.DiskBytes()
 			ratio := 1.0
 			if disk > 0 {
 				ratio = float64(raw) / float64(disk)
 			}
 			st, _ := rs.ScanViews(d, nil, func(store.Meta, *trace.View, []byte) {})
-			fmt.Fprintf(w, "shard %d  %s  %s tier=%d %s  records=%d typed=%d%%  raw=%d disk=%d ratio=%.2fx",
-				sh, rs.Name, state, rs.Tier, format, st.Records, 100*st.Typed/max(st.Records, 1), raw, disk, ratio)
+			fmt.Fprintf(w, "shard %d  %s  %s tier=%d v3  records=%d typed=%d%%  raw=%d disk=%d ratio=%.2fx",
+				sh, rs.Name, state, rs.Tier, st.Records, 100*st.Typed/max(st.Records, 1), raw, disk, ratio)
 			blocks := rs.Blocks()
 			if len(blocks) > 0 {
 				fmt.Fprintf(w, "  blocks=%d", len(blocks))

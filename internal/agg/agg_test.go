@@ -337,8 +337,8 @@ func TestScanSegmentZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := rd.Shards()[0][0]
-	if !rs.Sealed || rs.FormatVersion() != 3 || len(rd.Shards()[0]) != 1 {
-		t.Fatalf("fixture is not one sealed v3 segment: sealed=%v v%d, %d segments", rs.Sealed, rs.FormatVersion(), len(rd.Shards()[0]))
+	if !rs.Sealed || len(rd.Shards()[0]) != 1 {
+		t.Fatalf("fixture is not one sealed segment: sealed=%v, %d segments", rs.Sealed, len(rd.Shards()[0]))
 	}
 	aq, err := Compile("type=1\nagg sum(msgLength) by machine,pid window 1s")
 	if err != nil {

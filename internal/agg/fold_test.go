@@ -193,13 +193,13 @@ func loadFixture(t *testing.T, dir string) store.Backend {
 // the same scan statistics — for every operator with and without a
 // window, caps that fill in the middle of a segment, and any worker
 // count, over randomized stores with unsealed tails and the checked-in
-// v1 and v2 stores.
+// stores.
 func TestSegmentFoldMatchesRecordFold(t *testing.T) {
 	stores := map[string]store.Backend{}
 	for seed := int64(1); seed <= 3; seed++ {
 		stores[fmt.Sprintf("random-%d", seed)] = foldStore(t, seed, 1200)
 	}
-	for _, layout := range []string{"v1/v1", "v1/v1+tail", "v2/v2", "v2/v2+tail", "v2/v2+archives"} {
+	for _, layout := range []string{"v3/cap1k", "v3/cap1k+tail", "v3/cap2k", "v3/cap2k+tail", "v3/cap2k+archives"} {
 		stores[layout] = loadFixture(t, "../store/testdata/"+layout)
 	}
 	var specs []string

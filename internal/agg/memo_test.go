@@ -59,7 +59,7 @@ func openReader(t testing.TB, be store.Backend) *store.Reader {
 // Eval without one — the partial's bytes and counters and the scan
 // statistics — for every operator with and without a window, group caps
 // that fill, pruning on and off and 1, 2 or 8 workers, over random stores
-// with unsealed tails and the checked-in v1 and v2 stores. The warm Eval
+// with unsealed tails and the checked-in stores. The warm Eval
 // reads through a reader opened after the cold one, as the daemon's next
 // request does.
 func TestMemoMatchesScan(t *testing.T) {
@@ -67,7 +67,7 @@ func TestMemoMatchesScan(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		stores[fmt.Sprintf("random-%d", seed)] = foldStore(t, seed, 1200)
 	}
-	for _, layout := range []string{"v1/v1", "v1/v1+tail", "v2/v2", "v2/v2+tail", "v2/v2+archives"} {
+	for _, layout := range []string{"v3/cap1k", "v3/cap1k+tail", "v3/cap2k", "v3/cap2k+tail", "v3/cap2k+archives"} {
 		stores[layout] = loadFixture(t, "../store/testdata/"+layout)
 	}
 	reg := obs.NewRegistry()

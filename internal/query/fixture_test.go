@@ -10,16 +10,12 @@ import (
 	"dpm/internal/store"
 )
 
-// V2Fixtures holds the backends identityStore (identity_test.go) built
-// for the three v2 layouts at the last commit whose writer produced v2
-// payloads (front-coded text only), V1Fixtures those of the two v1
-// layouts at the last commit with a v1 writer (see each MANIFEST). No
-// writer makes such files any more, so these are what keeps the v2 and
-// v1 readers honest. Exported for the external tests of this directory.
-const (
-	V2Fixtures = "../store/testdata/v2"
-	V1Fixtures = "../store/testdata/v1"
-)
+// Fixtures holds the backends identityStore (identity_test.go) built for
+// the five identity layouts, each in the directory its dir names (see
+// the MANIFEST): files an earlier writer wrote, which the reader must go
+// on reading as it did whatever the writer does now. Exported for the
+// external tests of this directory.
+const Fixtures = "../store/testdata/v3"
 
 // LoadFixture copies one layout's segment files, checked against the
 // manifest, into a memory backend.

@@ -66,22 +66,21 @@ var identitySpecs = []string{
 	"top 3 machine by sum(msgLength)",
 }
 
-// identityLayouts are the stores the digests are taken over. The v1
-// layouts are the checked-in files identityStore wrote, with these
-// configurations, while a store still had a v1 writer (query.V1Fixtures); the
-// others are built by this build's store, which writes v3 where the
-// layout's name — its key in the digest file — says v2.
+// identityLayouts are the stores the digests are taken over, built by
+// this build's store. A layout's name is its key in the digest file, and
+// says v1 or v2 where the stores were first written in those formats;
+// dir is the directory of query.Fixtures that holds the checked-in v3
+// files of the layout.
 var identityLayouts = []struct {
-	name string
-	cfg  store.Config
-	tail bool
-	v1   bool
+	name, dir string
+	cfg       store.Config
+	tail      bool
 }{
-	{"v1", store.Config{Shards: 3, SegmentCap: 1024}, false, true},
-	{"v1+tail", store.Config{Shards: 3, SegmentCap: 1024}, true, true},
-	{"v2", store.Config{Shards: 3, SegmentCap: 2048, BlockTarget: 512}, false, false},
-	{"v2+tail", store.Config{Shards: 3, SegmentCap: 2048, BlockTarget: 512}, true, false},
-	{"v2+archives", store.Config{Shards: 2, SegmentCap: 2048, BlockTarget: 512, ArchiveAfter: 1500}, true, false},
+	{"v1", "cap1k", store.Config{Shards: 3, SegmentCap: 1024}, false},
+	{"v1+tail", "cap1k+tail", store.Config{Shards: 3, SegmentCap: 1024}, true},
+	{"v2", "cap2k", store.Config{Shards: 3, SegmentCap: 2048, BlockTarget: 512}, false},
+	{"v2+tail", "cap2k+tail", store.Config{Shards: 3, SegmentCap: 2048, BlockTarget: 512}, true},
+	{"v2+archives", "cap2k+archives", store.Config{Shards: 2, SegmentCap: 2048, BlockTarget: 512, ArchiveAfter: 1500}, true},
 }
 
 // identityStore fills a store with a seeded population whose clock
@@ -289,22 +288,9 @@ func TestAnswersByteIdentical(t *testing.T) {
 	var out strings.Builder
 	checked := 0
 	for li, lay := range identityLayouts {
-		var be store.Backend
-		if lay.v1 {
-			be = query.LoadFixture(t, query.V1Fixtures, lay.name)
-		} else {
-			be = identityStore(t, int64(1000+li), lay.cfg, lay.tail)
-		}
-		rd, err := store.OpenReader(be)
+		rd, err := store.OpenReader(identityStore(t, int64(1000+li), lay.cfg, lay.tail))
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, shard := range rd.Shards() {
-			for _, rs := range shard {
-				if want := map[bool]int{true: 1, false: 3}[lay.v1]; rs.FormatVersion() != want {
-					t.Fatalf("layout %s: %s is v%d, want v%d", lay.name, rs.Name, rs.FormatVersion(), want)
-				}
-			}
 		}
 		if lay.name == "v2+archives" {
 			archived := 0
@@ -351,71 +337,9 @@ func TestAnswersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestV2FixturesAnswerIdentically: the checked-in v2 stores give the
-// committed digests of their layouts — the very lines
-// TestAnswersByteIdentical holds this build's v3 stores of the same
-// records to. So the v2 reader still reads every v2 file as it did, and
-// a v2 store and a v3 store of the same records answer alike.
-func TestV2FixturesAnswerIdentically(t *testing.T) {
-	want := committedDigests(t)
-	for li, lay := range identityLayouts {
-		if lay.v1 {
-			continue
-		}
-		rd, err := store.OpenReader(query.LoadFixture(t, query.V2Fixtures, lay.name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := store.OpenReader(identityStore(t, int64(1000+li), lay.cfg, lay.tail))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rd.NumSegments() == 0 || rd.NumSegments() != fresh.NumSegments() {
-			t.Fatalf("%s: fixture has %d segments, this build writes %d", lay.name, rd.NumSegments(), fresh.NumSegments())
-		}
-		for sh, segs := range rd.Shards() {
-			for i, rs := range segs {
-				now := fresh.Shards()[sh][i]
-				if rs.FormatVersion() != 2 || now.FormatVersion() != 3 {
-					t.Fatalf("%s: fixture %s is v%d, this build's %s v%d; want 2 and 3", lay.name, rs.Name, rs.FormatVersion(), now.Name, now.FormatVersion())
-				}
-				if rs.Name != now.Name || rs.Sealed != now.Sealed || rs.Index != now.Index && rs.Sealed {
-					t.Fatalf("%s: fixture %s (sealed=%v, %+v) against %s (sealed=%v, %+v)", lay.name, rs.Name, rs.Sealed, rs.Index, now.Name, now.Sealed, now.Index)
-				}
-			}
-		}
-		for ri, rules := range identityRules {
-			key := fmt.Sprintf("%s rules=%d", lay.name, ri)
-			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(answers(t, rd, rules)))); got != want[key] {
-				t.Errorf("%s (%q): the v2 fixture's digest is %s, committed %s", key, rules, got, want[key])
-			}
-		}
-		// Every v2 record is parsed; a v3 store parses only what fell back
-		// to text, which is the one line in twelve the filter did not write.
-		q, err := query.Compile("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		old, err := query.Run(rd, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := query.Run(fresh, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if old.Stats.Parsed != old.Stats.Records || res.Stats.Records != old.Stats.Records {
-			t.Fatalf("%s: v2 scan %+v, v3 scan %+v", lay.name, old.Stats, res.Stats)
-		}
-		if res.Stats.Parsed == 0 || res.Stats.Parsed*6 > res.Stats.Records {
-			t.Errorf("%s: the v3 store parsed %d of %d records, want about one in twelve", lay.name, res.Stats.Parsed, res.Stats.Records)
-		}
-	}
-}
-
 // shardRecs reads every record of a snapshot of be, in order, per shard,
-// and the format versions of the segments that hold them.
-func shardRecs(t *testing.T, be store.Backend) (recs [][]store.Rec, versions map[int]int) {
+// and counts the segments that hold them that are not sealed.
+func shardRecs(t *testing.T, be store.Backend) (recs [][]store.Rec, unsealed int) {
 	t.Helper()
 	rd, err := store.OpenReader(be)
 	if err != nil {
@@ -423,11 +347,12 @@ func shardRecs(t *testing.T, be store.Backend) (recs [][]store.Rec, versions map
 	}
 	d := store.AcquireDecoder()
 	defer store.ReleaseDecoder(d)
-	versions = map[int]int{}
 	for _, segs := range rd.Shards() {
 		var out []store.Rec
 		for _, rs := range segs {
-			versions[rs.FormatVersion()]++
+			if !rs.Sealed {
+				unsealed++
+			}
 			_, err := rs.ScanViews(d, nil, func(m store.Meta, v *trace.View, line []byte) {
 				if v != nil {
 					line = v.AppendLine(nil, nil)
@@ -440,19 +365,19 @@ func shardRecs(t *testing.T, be store.Backend) (recs [][]store.Rec, versions map
 		}
 		recs = append(recs, out)
 	}
-	return recs, versions
+	return recs, unsealed
 }
 
-// TestV1FixturesRewriteToV3: a store opened over what a v1 writer left
-// behind — sealed segments and a never-sealed tail per shard — salvages
-// the tails, takes appends, compacts and archives, and ends holding v3
-// segments only: every fixture record in its shard's order, then the
-// appended ones, byte for byte.
-func TestV1FixturesRewriteToV3(t *testing.T) {
-	be := query.LoadFixture(t, query.V1Fixtures, "v1+tail")
-	want, versions := shardRecs(t, be)
-	if len(want) != 3 || len(versions) != 1 || versions[1] == 0 {
-		t.Fatalf("fixture: %d shards, segments by version %v; want 3 shards of v1", len(want), versions)
+// TestFixturesRecoverAndRewrite: a store opened over what an earlier
+// writer left behind — sealed segments and a never-sealed tail per shard
+// — salvages the tails, takes appends, compacts and archives, and ends
+// holding sealed segments only: every fixture record in its shard's
+// order, then the appended ones, byte for byte.
+func TestFixturesRecoverAndRewrite(t *testing.T) {
+	be := query.LoadFixture(t, query.Fixtures, "cap1k+tail")
+	want, unsealed := shardRecs(t, be)
+	if len(want) != 3 || unsealed != 3 {
+		t.Fatalf("fixture: %d shards, %d segments unsealed; want 3 shards with an unsealed tail each", len(want), unsealed)
 	}
 	reg := obs.NewRegistry()
 	st, err := store.Open(be, store.Config{Shards: 3, SegmentCap: 1024, BlockTarget: 512, ArchiveAfter: 1500, Obs: reg})
@@ -505,9 +430,9 @@ func TestV1FixturesRewriteToV3(t *testing.T) {
 	if errs := reg.Counter("store.maintain_errors").Load(); errs != 0 {
 		t.Fatalf("store.maintain_errors = %d", errs)
 	}
-	got, versions := shardRecs(t, be)
-	if len(versions) != 1 || versions[3] == 0 {
-		t.Fatalf("segments by format version %v, want v3 only", versions)
+	got, unsealed := shardRecs(t, be)
+	if unsealed != 0 {
+		t.Fatalf("%d segments unsealed, want none", unsealed)
 	}
 	for sh := range want {
 		if !slices.Equal(got[sh], want[sh]) {

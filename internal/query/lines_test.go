@@ -15,11 +15,12 @@ import (
 // shipped when it built an Event per record: each matching record's line
 // is Event.AppendFormat of the record's Event with the rule's '#' fields
 // projected out, and the result is those lines stably sorted by cpuTime
-// in Admitted order. It runs over every identity layout — v1 and v2
-// fixtures, v3 stores in which one record in twelve is text the filter
-// would not write (hex and octal numbers, header keys out of place,
-// unknown and repeated keys) — every identity rule set, '#' discards
-// included, pruned and not, at GOMAXPROCS 1, 2 and 8.
+// in Admitted order. It runs over every identity layout — the
+// checked-in fixture and this build's store, in which one record in
+// twelve is text the filter would not write (hex and octal numbers,
+// header keys out of place, unknown and repeated keys) — every identity
+// rule set, '#' discards included, pruned and not, at GOMAXPROCS 1, 2
+// and 8.
 func TestLinesMatchEvents(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type layout struct {
@@ -28,12 +29,8 @@ func TestLinesMatchEvents(t *testing.T) {
 	}
 	var layouts []layout
 	for li, lay := range identityLayouts {
-		if lay.v1 {
-			layouts = append(layouts, layout{lay.name, query.LoadFixture(t, query.V1Fixtures, lay.name)})
-			continue
-		}
 		layouts = append(layouts,
-			layout{lay.name + " fixture", query.LoadFixture(t, query.V2Fixtures, lay.name)},
+			layout{lay.name + " fixture", query.LoadFixture(t, query.Fixtures, lay.dir)},
 			layout{lay.name, identityStore(t, int64(1000+li), lay.cfg, lay.tail)})
 	}
 	text := 0 // records read that were stored as text

@@ -358,11 +358,11 @@ func TestScanSkipsOnMeta(t *testing.T) {
 			}
 		})
 	}
-	// v1 segments come from the checked-in stores: a few lines in a
-	// hundred are unreadable there, under the Meta of the record replaced.
-	for name, layout := range map[string]string{"v1": "v1", "v1-unsealed": "v1+tail"} {
+	// And over the checked-in stores: a few lines in a hundred are
+	// unreadable there, under the Meta of the record replaced.
+	for name, layout := range map[string]string{"v1": "cap1k", "v1-unsealed": "cap1k+tail"} {
 		t.Run(name, func(t *testing.T) {
-			be := LoadFixture(t, V1Fixtures, layout)
+			be := LoadFixture(t, Fixtures, layout)
 			for _, rules := range []string{"machine=2", "machine=1,msgLength>=100\npid=101,machine=3"} {
 				got, want := mustRun(t, be, rules, false), mustRun(t, be, rules, true)
 				if got.Stats.Skipped == 0 || got.Stats.BadLines >= want.Stats.BadLines {

@@ -1,9 +1,8 @@
-// Compressed segments: the format every segment is written in. Meter
-// records are highly repetitive — a handful of event names, monotone
-// cpuTime clocks, near-identical lines per event type — so segments
-// compress far better than the v1 CRC-framed text (segment.go, still
-// read) if the encoder exploits that structure before the byte-level
-// compressor sees it:
+// Compressed segments: the one format every segment is written and read
+// in. Meter records are highly repetitive — a handful of event names,
+// monotone cpuTime clocks, near-identical lines per event type — so
+// segments compress far better than CRC-framed text if the encoder
+// exploits that structure before the byte-level compressor sees it:
 //
 //   - Records are grouped into *blocks* of ~BlockTarget (v1-equivalent)
 //     bytes. Each block is one independent DEFLATE stream, so a reader
@@ -28,8 +27,9 @@
 //     decode any block without replaying the ones before it).
 //   - The sealed footer carries a per-block table — offset, compressed
 //     and raw lengths, a CRC over the compressed bytes, and a zone map
-//     (the same Index as the v1 footer, per block) — so internal/query
-//     prunes at block granularity, not just whole segments.
+//     (the same Index the tail carries for the segment, per block) — so
+//     internal/query prunes at block granularity, not just whole
+//     segments.
 //
 // Durability is per flush: every flush ends with a DEFLATE sync
 // marker, so everything a backend Append carried is decodable even if
@@ -40,16 +40,15 @@
 //
 // File layout:
 //
-//	[8B header: "DPMZ" + payload version u32: 1; 0 in the files written
-//	 before the typed shape, whose records are all text, with no shape byte]
+//	[8B header: "DPMZ" + payload version u32 1 (segHeader)]
 //	[block 0: one DEFLATE stream][block 1] ... [block n-1]
 //	[footer body: dictionary entries + block table, varint encoded]
-//	[72B footer tail: "DPMS" v2, segment index, lengths, CRCs]
+//	[72B footer tail: "DPMS" + version u32 2, segment index, lengths, CRCs]
 //
-// The tail shares its first 48 bytes with the v1 footer but is 72
-// bytes with version 2, so v1 readers reject it cleanly (magic lands
-// in the wrong place for a 56-byte parse) and v2 readers find the body
-// by the dataLen/bodyLen fields.
+// A file whose first 8 bytes are any other is not read, salvaged or
+// rewritten: Open, OpenReader and ScanViews refuse it with ErrFormat
+// (formatErr). A shorter file that begins the header is a write torn
+// inside it, an unsealed segment of no records.
 package store
 
 import (
@@ -75,16 +74,17 @@ type CompressMode int
 const CompressBlocks CompressMode = 1
 
 const (
-	segMagicV2      = "DPMZ"
-	headerV2Size    = 8
+	// segHeader opens every segment file: the magic and, little-endian,
+	// the payload version 1 — each record of a block says whether it is
+	// typed or text. The V2 of the names below is the container's, which
+	// came with the second format.
+	segHeader    = "DPMZ\x01\x00\x00\x00"
+	headerV2Size = len(segHeader)
+
+	footerMagic     = "DPMS"
 	footerVersionV2 = 2
 
-	// payloadV3 is the header's payload version the writer stamps: each
-	// record of a block says whether it is typed or text. Version 0, the
-	// files written before it, holds front-coded text only.
-	payloadV3 = 1
-
-	// FooterV2Size is the fixed tail of a sealed v2 segment; the
+	// FooterV2Size is the fixed tail of a sealed segment; the
 	// variable-length footer body (dictionary + block table) precedes it.
 	FooterV2Size = 72
 
@@ -131,19 +131,19 @@ func uvarintAt(raw []byte, off int) (uint64, int, bool) {
 	return v, off + n, true
 }
 
-// BlockInfo describes one block of a sealed v2 segment.
+// BlockInfo describes one block of a sealed segment.
 type BlockInfo struct {
 	// Off is the block's byte offset from the end of the file header;
 	// CompLen its compressed length; RawLen its decoded payload length.
 	Off, CompLen, RawLen int
 	// CRC is the IEEE CRC over the compressed bytes.
 	CRC uint32
-	// Index is the block's zone map: the same conservative summary a v1
-	// footer carries for a whole segment, scoped to this block.
+	// Index is the block's zone map: the same conservative summary the
+	// footer tail carries for the whole segment, scoped to this block.
 	Index Index
 }
 
-// footerV2 is a sealed v2 segment's footer. parseFooterV2 fills the
+// footerV2 is a sealed segment's footer. parseFooterV2 fills the
 // fixed tail's fields, which are all that admitting or pruning the
 // segment needs; Dict and Blocks are the variable-length body, decoded
 // by decodeBody when the segment is actually scanned.
@@ -304,8 +304,7 @@ var archiveEncoders = sync.Pool{New: func() any {
 // openSegment resets the writer for a fresh segment and stages the
 // file header.
 func (w *compWriter) openSegment() {
-	w.sink.buf = append(w.sink.buf[:0], segMagicV2...)
-	w.sink.buf = binary.LittleEndian.AppendUint32(w.sink.buf, payloadV3)
+	w.sink.buf = append(w.sink.buf[:0], segHeader...)
 	w.sink.crc, w.sink.crcAt, w.sink.total = 0, len(w.sink.buf), 0
 	w.nTyped, w.nText = 0, 0
 	w.enc = w.enc[:0]
@@ -603,14 +602,14 @@ func appendFooterV2(dst []byte, x Index, dataLen, rawTotal uint32, dict [][]byte
 	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[tail:]))
 }
 
-// parseFooterV2 examines a segment file for a valid v2 footer tail:
-// the tail's own CRC, the length equation that places header, blocks,
-// body and tail in the file, and the CRC of the body. It reads nothing
+// parseFooterV2 examines a segment file for a valid footer tail: the
+// tail's own CRC, the length equation that places header, blocks, body
+// and tail in the file, and the CRC of the body. It reads nothing
 // before the body and decodes none of it. ok=false means "not a sealed
-// v2 segment" — unsealed, v1, or a mangled footer (which degrades to
-// stream salvage, as a mangled v1 footer degrades to a frame scan).
+// segment" — unsealed, or a mangled footer, which degrades to stream
+// salvage.
 func parseFooterV2(data []byte) (f footerV2, ok bool) {
-	if len(data) < headerV2Size+FooterV2Size || string(data[0:4]) != segMagicV2 {
+	if len(data) < headerV2Size+FooterV2Size || string(data[:headerV2Size]) != segHeader {
 		return footerV2{}, false
 	}
 	t := data[len(data)-FooterV2Size:]
@@ -691,13 +690,11 @@ type Decoder struct {
 	dictBuf  [][]byte // decoder-owned grow-mode backing array; see decodeStreams
 	growDict bool
 
-	// payload is the payload version of the file being decoded. From
-	// payloadV3 on a record may be typed: it is decoded into view, against
-	// typed, and nTyped counts them.
-	payload int
-	view    trace.View
-	typed   trace.TypedState
-	nTyped  int
+	// A typed record is decoded into view, against typed, and nTyped
+	// counts them.
+	view   trace.View
+	typed  trace.TypedState
+	nTyped int
 }
 
 // scanFn receives one decoded record: a record stored typed as the
@@ -775,7 +772,7 @@ func (d *Decoder) decodeBlock(comp []byte, rawLen int, crc uint32, dict [][]byte
 }
 
 // decodeStreams walks the concatenated DEFLATE streams of an unsealed
-// v2 segment (everything after the file header), growing the
+// segment (everything after the file header), growing the
 // dictionary from in-stream definitions, and emits every cleanly
 // decodable record. A torn tail — a stream or record cut mid-write —
 // returns the count emitted so far with a non-nil error describing the
@@ -849,9 +846,6 @@ func (d *Decoder) readStream() ([]byte, error) {
 // each through fn. It returns the number emitted and the bytes
 // consumed; a malformed record stops the decode at its start.
 func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, int, error) {
-	if d.payload > payloadV3 {
-		return 0, 0, fmt.Errorf("unknown payload version %d", d.payload)
-	}
 	var prevTime uint32
 	off, emitted := 0, 0
 	var ok bool
@@ -876,24 +870,22 @@ func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, int, error) {
 		}
 		m := Meta{Machine: uint16(machine), Time: uint32(t), Type: uint32(typ), PID: uint32(pid)}
 		prevTime = m.Time
-		if d.payload == payloadV3 {
-			// The shape byte: 0 is text, anything else starts a typed record.
-			if off == len(raw) {
-				return emitted, start, fmt.Errorf("no record shape at payload offset %d", start)
-			}
-			if raw[off] != 0 {
-				n, ok := d.view.DecodeTyped(raw[off:], &d.typed, meter.Type(typ), int(machine), t)
-				if !ok {
-					return emitted, start, fmt.Errorf("bad typed record at payload offset %d", start)
-				}
-				off += n
-				fn(m, &d.view, nil)
-				emitted++
-				d.nTyped++
-				continue
-			}
-			off++
+		// The shape byte: 0 is text, anything else starts a typed record.
+		if off == len(raw) {
+			return emitted, start, fmt.Errorf("no record shape at payload offset %d", start)
 		}
+		if raw[off] != 0 {
+			n, ok := d.view.DecodeTyped(raw[off:], &d.typed, meter.Type(typ), int(machine), t)
+			if !ok {
+				return emitted, start, fmt.Errorf("bad typed record at payload offset %d", start)
+			}
+			off += n
+			fn(m, &d.view, nil)
+			emitted++
+			d.nTyped++
+			continue
+		}
+		off++
 		slot := int(typ) % nameSlots
 		n, err := d.decodeText(raw[off:], slot)
 		if err != nil {
@@ -971,24 +963,26 @@ func (d *Decoder) decodeText(raw []byte, slot int) (int, error) {
 
 // ScanStats reports what one segment scan did.
 type ScanStats struct {
-	Blocks       int // blocks (or streams, or one pseudo-block for v1) visited
+	Blocks       int // blocks (or, unsealed, streams) visited
 	BlocksPruned int // blocks skipped on zone-map evidence
 	Records      int // records emitted
 	Typed        int // of those, the ones stored in the typed shape
 }
 
-// ScanViews streams a segment's records through fn: sealed compressed
-// segments decompress only the blocks admit accepts (nil admit scans
-// everything), v1 segments walk their frames with lines aliasing the
-// mapped file, and unsealed segments of either version salvage their
-// valid prefix before reporting ErrTruncated. Corruption of a sealed
-// segment returns ErrCorrupt after emitting the blocks (or frames)
-// preceding the damage. It is the store's one decoder of segment bytes
-// into records: queries, Load, Open's check and recovery, compaction and
-// archival all read through it.
+// ScanViews streams a segment's records through fn: a sealed segment
+// decompresses only the blocks admit accepts (nil admit scans
+// everything), and an unsealed one salvages its valid prefix before
+// reporting ErrTruncated. Corruption of a sealed segment returns
+// ErrCorrupt after emitting the blocks preceding the damage, and a file
+// of another format ErrFormat before emitting anything. It is the
+// store's one decoder of segment bytes into records: queries, Load,
+// Open's check and recovery, compaction and archival all read through it.
 func (rs *ReaderSegment) ScanViews(d *Decoder, admit func(Index) bool, fn scanFn) (ScanStats, error) {
 	var st ScanStats
-	d.payload, d.nTyped = payloadVersion(rs.data), 0
+	d.nTyped = 0
+	if err := formatErr(rs.Name, rs.data); err != nil {
+		return st, err
+	}
 	if f := rs.footer(); f != nil {
 		region := rs.data[headerV2Size:f.DataLen]
 		for i := range f.Blocks {
@@ -1006,40 +1000,22 @@ func (rs *ReaderSegment) ScanViews(d *Decoder, admit func(Index) bool, fn scanFn
 		}
 		return st, nil
 	}
-	// Unsealed and compressed — or sealed by its tail over a footer body
-	// that does not decode, which scans as the unsealed file it would have
-	// been taken for had the whole footer been parsed up front.
-	if d.payload >= 0 {
-		n, streams, err := d.decodeStreams(rs.data[headerV2Size:], fn)
-		st.Records, st.Blocks, st.Typed = n, streams, d.nTyped
-		if err != nil {
-			return st, fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
-		return st, nil
+	// Unsealed — or sealed by its tail over a footer body that does not
+	// decode, which scans as the unsealed file it would have been taken
+	// for had the whole footer been parsed up front.
+	if len(rs.data) < headerV2Size {
+		return st, fmt.Errorf("%w: torn after %d header bytes", ErrTruncated, len(rs.data))
 	}
-	end := len(rs.data)
-	if rs.Sealed {
-		end = rs.dataLen
-	}
-	st.Blocks++
-	off := 0
-	for off < end {
-		m, line, next, err := parseFrameBytes(rs.data[:end], off)
-		if err != nil {
-			if rs.Sealed {
-				return st, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			return st, fmt.Errorf("%w: %d bytes lost: %v", ErrTruncated, end-off, err)
-		}
-		fn(m, nil, line)
-		st.Records++
-		off = next
+	n, streams, err := d.decodeStreams(rs.data[headerV2Size:], fn)
+	st.Records, st.Blocks, st.Typed = n, streams, d.nTyped
+	if err != nil {
+		return st, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	return st, nil
 }
 
-// footer returns a sealed v2 segment's footer with its body decoded, on
-// first use — nil for every other segment, and for one whose body does
+// footer returns a sealed segment's footer with its body decoded, on
+// first use — nil for an unsealed segment, and for one whose body does
 // not decode.
 func (rs *ReaderSegment) footer() *footerV2 {
 	if rs.v2.DataLen == 0 {
@@ -1052,8 +1028,8 @@ func (rs *ReaderSegment) footer() *footerV2 {
 	return &rs.v2
 }
 
-// Blocks returns a sealed v2 segment's block table (nil for v1 or
-// unsealed segments). Callers must not modify the entries.
+// Blocks returns a sealed segment's block table (nil for an unsealed
+// one). Callers must not modify the entries.
 func (rs *ReaderSegment) Blocks() []BlockInfo {
 	if f := rs.footer(); f != nil {
 		return f.Blocks
@@ -1061,25 +1037,12 @@ func (rs *ReaderSegment) Blocks() []BlockInfo {
 	return nil
 }
 
-// FormatVersion reports the segment's on-disk format, sealed or not: 3
-// for a block-compressed segment whose records are typed or text one by
-// one, 2 for one of front-coded text only, 1 for the flat frame format.
-func (rs *ReaderSegment) FormatVersion() int {
-	switch p := payloadVersion(rs.data); {
-	case p < 0:
-		return 1
-	case p == 0:
-		return 2
+// formatErr returns nil for a segment file that begins with segHeader,
+// or is shorter than it and begins it — a write torn inside the header —
+// and for any other an error wrapping ErrFormat that names the file.
+func formatErr(name string, data []byte) error {
+	if n := min(len(data), headerV2Size); string(data[:n]) != segHeader[:n] {
+		return fmt.Errorf("%w: %s begins %q", ErrFormat, name, data[:n])
 	}
-	return 3
-}
-
-// payloadVersion returns the payload version in a block-compressed
-// file's header — 0 in the files written before payloadV3 — and -1 for
-// a file that does not start with that header.
-func payloadVersion(data []byte) int {
-	if len(data) < headerV2Size || string(data[:len(segMagicV2)]) != segMagicV2 {
-		return -1
-	}
-	return int(binary.LittleEndian.Uint32(data[len(segMagicV2):]))
+	return nil
 }

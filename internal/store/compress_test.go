@@ -289,17 +289,22 @@ func TestBlockZoneMapPruning(t *testing.T) {
 }
 
 // Load and Scan both return exactly the records written, in order, for
-// every segment shape: v1 (built by the test encoder) and what the store
-// writes, sealed and unsealed. (Load is a Scan collected, so holding one
-// to the other would prove nothing.)
+// every segment shape: what the offline encoder writes (encodeSealed, and
+// its file unsealed) and what the store writes, sealed and unsealed.
+// (Load is a Scan collected, so holding one to the other would prove
+// nothing.)
 func TestScanMatchesLoad(t *testing.T) {
 	want := compRecs(0, 120)
-	for _, v1 := range []bool{true, false} {
+	for _, offline := range []bool{true, false} {
 		for _, seal := range []bool{false, true} {
-			name := fmt.Sprintf("v1=%v/sealed=%v", v1, seal)
+			name := fmt.Sprintf("offline=%v/sealed=%v", offline, seal)
 			be := NewMemBackend()
-			if v1 {
-				if err := be.Create(segName(0, 1, 1, 0), encodeV1(want, seal)); err != nil {
+			if offline {
+				data := encodeUnsealed(want, 1024, false)
+				if seal {
+					data, _ = newCompWriter(1024).encodeSealed(want)
+				}
+				if err := be.Create(segName(0, 1, 1, 0), data); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -331,9 +336,6 @@ func TestScanMatchesLoad(t *testing.T) {
 			ReleaseDecoder(d)
 			if err != nil {
 				t.Fatalf("%s: scan: %v", name, err)
-			}
-			if wantV := map[bool]int{true: 1, false: 3}[v1]; rs.FormatVersion() != wantV {
-				t.Fatalf("%s: segment is v%d, want v%d", name, rs.FormatVersion(), wantV)
 			}
 			if !slices.Equal(got, want) || !slices.Equal(seg.Recs, want) {
 				t.Fatalf("%s: scan returned %d records and load %d of the %d written, or they differ", name, len(got), len(seg.Recs), len(want))
@@ -378,40 +380,6 @@ func TestBlockDecodeZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed block-decode scan allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// Mixed stores read both formats side by side: v1 segments written
-// while a store still wrote them stay readable beside what it writes now.
-func TestMixedFormatStore(t *testing.T) {
-	be := NewMemBackend()
-	want := make(map[string]Meta)
-	old := compRecs(0, 50)
-	for _, r := range old {
-		want[r.Line] = r.Meta
-	}
-	createV1(t, be, 1, old)
-	st2, err := Open(be, Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 50; i < 100; i++ {
-		m, line := compRec(i)
-		if err := st2.Append(m, line); err != nil {
-			t.Fatal(err)
-		}
-		want[line] = m
-	}
-	if err := st2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	checkRecs(t, allRecs(t, be), want)
-	rd, err := OpenReader(be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segs := rd.Shards()[0]; len(segs) != 2 || segs[0].FormatVersion() != 1 || segs[1].FormatVersion() != 3 {
-		t.Fatalf("%d segments, want a v1 and a v3", len(segs))
 	}
 }
 

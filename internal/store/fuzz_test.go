@@ -7,22 +7,32 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"dpm/internal/obs"
 )
 
-// fuzzSeedSegment builds a small sealed v1 segment for the fuzz corpus.
-func fuzzSeedSegment() []byte {
+// fuzzSeedRecs are the records of the smallest seeds: three text
+// records, each a block of its own.
+func fuzzSeedRecs() []Rec {
 	var recs []Rec
 	for i := 0; i < 3; i++ {
 		m := Meta{Machine: uint16(i), Time: uint32(i * 100), Type: uint32(i + 1), PID: uint32(50 + i)}
 		recs = append(recs, Rec{m, "SEND machine=1 cpuTime=1 procTime=0 pid=1"})
 	}
-	return encodeV1(recs, true)
+	return recs
+}
+
+// fuzzSeedSegment builds a small sealed segment for the fuzz corpus.
+func fuzzSeedSegment() []byte {
+	out, err := newCompWriter(1).encodeSealed(fuzzSeedRecs())
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // fuzzSeedV3 builds a small sealed segment of several blocks whose
@@ -55,7 +65,7 @@ func fuzzSeedV2() []byte {
 	return out
 }
 
-// fuzzSeedOverflow builds an unsealed v2 segment whose single record
+// fuzzSeedOverflow builds an unsealed segment whose single text record
 // declares front-coding lengths p=MaxUint64, s=1: the uint64 sum wraps
 // to zero, which an unchecked p+s bounds test would admit before
 // prev[:p] panicked. The parser must reject it as a torn record.
@@ -65,12 +75,12 @@ func fuzzSeedOverflow() []byte {
 	payload = binary.AppendUvarint(payload, zigzag(100))    // time delta
 	payload = binary.AppendUvarint(payload, 1)              // type
 	payload = binary.AppendUvarint(payload, 1)              // pid
+	payload = append(payload, 0)                            // shape: text
 	payload = binary.AppendUvarint(payload, math.MaxUint64) // prefix length
 	payload = binary.AppendUvarint(payload, 1)              // suffix length
 	payload = append(payload, opEnd)
 	var buf bytes.Buffer
-	buf.WriteString(segMagicV2)
-	buf.Write([]byte{0, 0, 0, 0})
+	buf.WriteString(segHeader)
 	fw, _ := flate.NewWriter(&buf, flate.NoCompression)
 	fw.Write(payload)
 	fw.Close()
@@ -80,26 +90,26 @@ func fuzzSeedOverflow() []byte {
 // TestFrontCodingLengthOverflow pins the crafted-overflow segment:
 // ParseSegment must degrade to ErrTruncated with nothing salvaged, not
 // panic — Store.Open parses every unsealed segment, so a panic here
-// crash-loops reopen on one corrupt file.
+// crash-loops reopen on one corrupt file. The error is the front-coding
+// check's: the file is one the reader reads, not one it refuses.
 func TestFrontCodingLengthOverflow(t *testing.T) {
 	seg, err := ParseSegment(fuzzSeedOverflow())
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("err = %v, want ErrTruncated", err)
+	if !errors.Is(err, ErrTruncated) || errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "front-coding overrun") {
+		t.Fatalf("err = %v, want ErrTruncated from the front-coding check", err)
 	}
 	if len(seg.Recs) != 0 {
 		t.Fatalf("salvaged %d records from a malformed segment", len(seg.Recs))
 	}
 }
 
-// fuzzSeedBlockExtentOverflow builds a sealed v2 segment whose block
+// fuzzSeedBlockExtentOverflow builds a sealed segment whose block
 // table declares Off and CompLen near 2^62: the int sum wraps
 // negative, which an unchecked Off+CompLen extent test would admit
 // before the region slicing panicked. The footer CRCs verify — they
 // are computed over the crafted table — so only the extent check
 // stands between the table and the slice.
 func fuzzSeedBlockExtentOverflow() []byte {
-	data := []byte(segMagicV2)
-	data = append(data, 0, 0, 0, 0)
+	data := []byte(segHeader)
 	data = append(data, "not a real block"...)
 	blocks := []blockMeta{{off: 1 << 62, compLen: 1 << 62, rawLen: 64, idx: Index{Count: 1}}}
 	return appendFooterV2(data, Index{Count: 1}, uint32(len(data)), 64, nil, blocks)
@@ -107,52 +117,59 @@ func fuzzSeedBlockExtentOverflow() []byte {
 
 // TestBlockTableExtentOverflow pins the crafted block table: the
 // footer must be rejected (degrading the file to unsealed salvage),
-// never accepted as sealed and sliced.
+// never accepted as sealed and sliced. Its tail verifies, so the extent
+// check is what rejects it.
 func TestBlockTableExtentOverflow(t *testing.T) {
-	seg, err := ParseSegment(fuzzSeedBlockExtentOverflow())
+	data := fuzzSeedBlockExtentOverflow()
+	if _, ok := parseFooterV2(data); !ok {
+		t.Fatal("the crafted footer tail does not verify")
+	}
+	seg, err := ParseSegment(data)
 	if seg.Sealed {
 		t.Fatal("crafted footer with wrapping block extent accepted as sealed")
 	}
 	if len(seg.Recs) != 0 {
 		t.Fatalf("salvaged %d records from a malformed segment", len(seg.Recs))
 	}
-	if err != nil && !errors.Is(err, ErrTruncated) {
+	if err != nil && !errors.Is(err, ErrTruncated) || errors.Is(err, ErrFormat) {
 		t.Fatalf("err = %v, want nil or ErrTruncated", err)
 	}
 }
 
 // FuzzParseSegment holds the recovery a store runs to its promise on
 // arbitrary bytes. Placed in a store as its one segment file, the bytes
-// never panic Open. A file Load finds sealed and whole is adopted as it
-// is, and anything else is recovered: store.recovered is 1 for it and 0
+// never panic Open. A file Load refuses as of another format (ErrFormat)
+// fails Open and OpenReader with ErrFormat and is left as it was. Of the
+// rest, a file Load finds sealed and whole is adopted as it is, and
+// anything else is recovered: store.recovered is 1 for it and 0
 // otherwise. And a full OpenReader scan of the store returns, byte for
 // byte, the (Meta, line) prefix Load salvaged from the file — typed or
-// text, whatever its format.
+// text.
 func FuzzParseSegment(f *testing.F) {
 	sealed := fuzzSeedSegment()
 	f.Add([]byte{})
 	f.Add(sealed)
-	// Corrupt footer: the CRC no longer matches, demoting the segment to
-	// an unsealed scan.
+	// Corrupt footer: the tail CRC no longer matches, demoting the segment
+	// to an unsealed scan.
 	corruptFooter := append([]byte(nil), sealed...)
-	corruptFooter[len(corruptFooter)-FooterSize+9] ^= 0xff
+	corruptFooter[len(corruptFooter)-FooterV2Size+9] ^= 0xff
 	f.Add(corruptFooter)
 	// Truncated final segment: a writer died mid-append.
-	f.Add(sealed[:len(sealed)-FooterSize-5])
-	// Payload CRC mismatch inside a sealed segment.
+	f.Add(encodeUnsealed(fuzzSeedRecs(), 1, true))
+	// Payload checksum mismatch inside a sealed segment.
 	flipped := append([]byte(nil), sealed...)
-	flipped[frameHeadSize+metaSize+2] ^= 0xff
+	flipped[headerV2Size+8] ^= 0xff
 	f.Add(flipped)
 	// Garbage.
 	f.Add([]byte("not a segment at all, just text pretending"))
-	// Block-compressed (v2) seeds.
+	// Text-only seeds.
 	v2 := fuzzSeedV2()
 	f.Add(v2)
 	// Truncated inside the first block's DEFLATE stream — the footer is
 	// gone, so the parser must fall back to the unsealed stream walk and
 	// salvage the decodable prefix.
 	f.Add(v2[:headerV2Size+3])
-	// Unsealed v2: header plus data region only, no footer at all.
+	// Unsealed: header plus data region only, no footer at all.
 	if fv2, ok := parseFooterV2(v2); ok {
 		f.Add(v2[:fv2.DataLen])
 		// Corrupt dictionary: flip a byte in the footer body (dictionary +
@@ -165,14 +182,14 @@ func FuzzParseSegment(f *testing.F) {
 	// A tail that verifies — body CRC included — over a footer body that
 	// does not decode: unsealed salvage over intact block streams.
 	f.Add(undecodableBody(f, v2))
-	// CRC flip inside a compressed block of a sealed v2 segment: the
-	// footer still verifies, the damaged block must surface ErrCorrupt
-	// after the blocks before it were emitted.
+	// CRC flip inside a compressed block of a sealed segment: the footer
+	// still verifies, the damaged block must surface ErrCorrupt after the
+	// blocks before it were emitted.
 	blockFlip := append([]byte(nil), v2...)
 	blockFlip[headerV2Size+5] ^= 0xff
 	f.Add(blockFlip)
-	// Typed records (v3): sealed, unsealed, cut inside a typed record, and
-	// with a byte of the first block's payload changed under its CRC.
+	// Typed records: sealed, unsealed, cut inside a typed record, and with
+	// a byte of the first block's payload changed under its CRC.
 	v3 := fuzzSeedV3()
 	f.Add(v3)
 	if fv3, ok := parseFooterV2(v3); ok {
@@ -182,41 +199,48 @@ func FuzzParseSegment(f *testing.F) {
 		typedFlip[headerV2Size+12] ^= 0x04
 		f.Add(typedFlip)
 	}
-	// A file no writer makes any more: payload version 0, sealed and torn.
-	if old, err := os.ReadFile("testdata/v2/v2/s0-000001-000001.seg"); err == nil {
-		f.Add(old)
-		f.Add(old[:len(old)/2])
-	} else {
-		f.Fatal(err)
-	}
+	// Files of formats no store reads any more: payload version 0, sealed
+	// and torn.
+	f.Add(withPayloadVersion(v2, 0))
+	f.Add(withPayloadVersion(v2, 0)[:len(v2)/2])
 	// Front-coding lengths whose uint64 sum wraps past the bounds check.
 	f.Add(fuzzSeedOverflow())
 	// Block-table extents whose int sum wraps past the region check.
 	f.Add(fuzzSeedBlockExtentOverflow())
-	// Files no writer makes any more either: v1 as the last v1 writer left
-	// it, sealed and never sealed.
-	for _, name := range []string{"v1/s0-000001-000001.seg", "v1+tail/s0-000015-000015.seg"} {
-		old, err := os.ReadFile("testdata/v1/" + name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(old)
-	}
+	// And v1, sealed and never sealed; a payload version from the future;
+	// a write torn inside the header.
+	f.Add(v1File(fuzzSeedRecs(), true))
+	f.Add(v1File(fuzzSeedRecs(), false))
+	f.Add(withPayloadVersion(sealed, 7))
+	f.Add([]byte(segHeader[:5]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, loadErr := ParseSegment(data)
-		if loadErr != nil && !errors.Is(loadErr, ErrCorrupt) && !errors.Is(loadErr, ErrTruncated) {
-			t.Fatalf("unexpected error class: %v", loadErr)
-		}
-		whole := loadErr == nil && want.Sealed
 		be := NewMemBackend()
-		if err := be.Create(segName(0, 1, 1, 0), data); err != nil {
+		name := segName(0, 1, 1, 0)
+		if err := be.Create(name, data); err != nil {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
 		st, err := Open(be, Config{Shards: 1, BlockTarget: 512, Obs: reg})
+		if errors.Is(loadErr, ErrFormat) {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("Open over a file Load refuses (%v): %v", loadErr, err)
+			}
+			if _, err := OpenReader(be); !errors.Is(err, ErrFormat) {
+				t.Fatalf("OpenReader over a file Load refuses (%v): %v", loadErr, err)
+			}
+			if got, err := be.Read(name); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("Open changed a file it refused: %d bytes of %d, %v", len(got), len(data), err)
+			}
+			return
+		}
+		if loadErr != nil && !errors.Is(loadErr, ErrCorrupt) && !errors.Is(loadErr, ErrTruncated) {
+			t.Fatalf("unexpected error class: %v", loadErr)
+		}
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
+		whole := loadErr == nil && want.Sealed
 		if got := reg.Counter("store.recovered").Load(); got != map[bool]int64{true: 0, false: 1}[whole] {
 			t.Fatalf("store.recovered = %d over a file Load finds sealed=%v, err %v", got, want.Sealed, loadErr)
 		}
@@ -248,7 +272,7 @@ func FuzzFooterBody(f *testing.F) {
 	f.Add(binary.AppendUvarint([]byte{1}, 1<<63), uint32(0), uint32(16))
 	f.Fuzz(func(t *testing.T, body []byte, blockCount, region uint32) {
 		region %= 1 << 16
-		data := append(binary.LittleEndian.AppendUint32([]byte(segMagicV2), payloadV3), make([]byte, region)...)
+		data := append([]byte(segHeader), make([]byte, region)...)
 		fv := footerV2{DataLen: len(data), bodyLen: len(body), blockCount: int(blockCount)}
 		if !fv.decodeBody(append(data, body...)) {
 			return

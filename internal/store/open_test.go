@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"dpm/internal/fsys"
+	"dpm/internal/obs"
 )
 
 // TestMemBackendReadBorrowed is fsys.TestViewBorrowed for MemBackend:
@@ -167,8 +169,8 @@ func TestOpenReaderNoAllocBodies(t *testing.T) {
 	}
 	for _, segs := range rd.Shards() {
 		for _, rs := range segs {
-			if !rs.Sealed || rs.FormatVersion() != 3 || rs.Index.Count != 200 {
-				t.Fatalf("%s: sealed=%v v%d count=%d, want a sealed v3 segment of 200", rs.Name, rs.Sealed, rs.FormatVersion(), rs.Index.Count)
+			if !rs.Sealed || rs.Index.Count != 200 {
+				t.Fatalf("%s: sealed=%v count=%d, want a sealed segment of 200", rs.Name, rs.Sealed, rs.Index.Count)
 			}
 			if rs.BodyDecoded() {
 				t.Fatalf("%s: OpenReader decoded the footer body", rs.Name)
@@ -502,5 +504,83 @@ func TestReopenNoAllocPerSegment(t *testing.T) {
 	}
 	if perSeg := big.bytes / big.listed; perSeg > bytesPerSegment {
 		t.Errorf("Reopen allocates %d B per listed segment; budget %d", perSeg, bytesPerSegment)
+	}
+}
+
+// TestOpenRefusesOtherFormats: a segment file whose 8-byte header is not
+// this format's — a payload version from the future, a v2 header
+// (payload 0), a v1 file sealed and not — fails Open, OpenReader, Reopen
+// and Load with ErrFormat naming the file, and no file of the store
+// changes. Open used to salvage such a file: it rewrote it, under its
+// own name, as an empty sealed segment, and the torn segment beside it
+// would have been recovered too.
+func TestOpenRefusesOtherFormats(t *testing.T) {
+	recs := []Rec{{Meta{Machine: 1, Time: 5, Type: 1, PID: 7}, "SEND machine=1 cpuTime=5 procTime=0 pid=7"}}
+	sealed, err := newCompWriter(0).encodeSealed(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"payload 7", withPayloadVersion(sealed, 7)},
+		{"payload 0", withPayloadVersion(sealed, 0)},
+		{"v1", v1File(recs, true)},
+		{"v1 unsealed", v1File(recs, false)},
+	} {
+		be := NewMemBackend()
+		bad, torn := segName(0, 1, 1, 0), segName(1, 1, 1, 0)
+		if err := be.Create(torn, encodeUnsealed(compRecs(0, 20), 1, true)); err != nil {
+			t.Fatal(err)
+		}
+		prev, err := OpenReader(be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := be.Create(bad, c.data); err != nil {
+			t.Fatal(err)
+		}
+		before := backendFiles(t, be)
+		refused := func(op string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), bad) {
+				t.Errorf("%s: %s: err = %v, want ErrFormat naming %s", c.name, op, err, bad)
+			}
+		}
+		_, err = Open(be, Config{Shards: 2})
+		refused("Open", err)
+		_, err = OpenReader(be)
+		refused("OpenReader", err)
+		_, err = Reopen(prev, be)
+		refused("Reopen", err)
+		_, err = newReaderSegment(bad, 0, 1, 1, 0, c.data).Load()
+		refused("Load", err)
+		if after := backendFiles(t, be); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the store's files changed under a refused Open", c.name)
+		}
+	}
+}
+
+// TestOpenSalvagesTornHeader: a file shorter than the header that
+// begins it is a write torn inside the header, not another format: Open
+// salvages it, as any torn segment, to an empty sealed one.
+func TestOpenSalvagesTornHeader(t *testing.T) {
+	for _, data := range [][]byte{nil, []byte(segHeader[:5])} {
+		be := NewMemBackend()
+		if err := be.Create(segName(0, 1, 1, 0), data); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		st, err := Open(be, Config{Shards: 1, Obs: reg})
+		if err != nil {
+			t.Fatalf("%q: %v", data, err)
+		}
+		if segs := st.Segments(); reg.Counter("store.recovered").Load() != 1 || len(segs) != 1 || !segs[0].Sealed || segs[0].Index.Count != 0 {
+			t.Fatalf("%q: segments %+v, store.recovered %d; want one empty sealed segment, recovered", data, segs, reg.Counter("store.recovered").Load())
+		}
+		if recs := allRecs(t, be); len(recs) != 0 {
+			t.Fatalf("%q: %d records read back", data, len(recs))
+		}
 	}
 }

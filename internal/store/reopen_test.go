@@ -19,8 +19,8 @@ func snapshotAnswer(t *testing.T, rd *store.Reader) string {
 	var b strings.Builder
 	for _, segs := range rd.Shards() {
 		for _, rs := range segs {
-			fmt.Fprintf(&b, "%s shard=%d start=%d tier=%d sealed=%v v%d %+v disk=%d raw=%d tail=%x\n",
-				rs.Name, rs.Shard, rs.Start, rs.Tier, rs.Sealed, rs.FormatVersion(), rs.Index,
+			fmt.Fprintf(&b, "%s shard=%d start=%d tier=%d sealed=%v %+v disk=%d raw=%d tail=%x\n",
+				rs.Name, rs.Shard, rs.Start, rs.Tier, rs.Sealed, rs.Index,
 				rs.DiskBytes(), rs.RawBytes(), rs.Tail())
 		}
 	}

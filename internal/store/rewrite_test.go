@@ -86,11 +86,16 @@ func appendSealed(t *testing.T, st *Store, from, n int) {
 	}
 }
 
-// createV1 writes the records as shard 0's sealed v1 segment number seq
-// — what a store that wrote v1 left behind.
-func createV1(t *testing.T, be Backend, seq int, recs []Rec) {
+// createEncoded writes the records as shard 0's sealed segment number
+// seq, encoded offline (encodeSealed) into one block, where the store
+// breaks blocks between the batches it is handed.
+func createEncoded(t *testing.T, be Backend, seq int, recs []Rec) {
 	t.Helper()
-	if err := be.Create(segName(0, seq, seq, 0), encodeV1(recs, true)); err != nil {
+	data, err := newCompWriter(1 << 30).encodeSealed(recs)
+	if err == nil {
+		err = be.Create(segName(0, seq, seq, 0), data)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -133,14 +138,18 @@ const (
 // The streamed rewrite produces what the materializing one did: the
 // same records in the same order under the same index and v1-equivalent
 // size, in blocks that break at the same records — for archival and for
-// compaction, over v1 inputs, the store's own and a run of both.
+// compaction, over inputs encoded offline, the store's own and a run of
+// both.
 func TestStreamedRewriteMatchesOracle(t *testing.T) {
 	const blockTarget = 1024 // several blocks per output
 	base := Config{Shards: 1, CompactMin: 1 << 20, BlockTarget: blockTarget}
+	// "v1" in a case's name stands for inputs encoded offline
+	// (createEncoded), where files of the v1 format once stood; "v2" for
+	// the store's own.
 	const v1, v3 = true, false
 	cases := []struct {
-		name string // "v2" in one is the block container, whatever its payload
-		v1   []bool // one sealed input segment per entry
+		name string
+		v1   []bool // one sealed input segment per entry: encoded offline?
 		tier int
 	}{
 		{"archive/v1", []bool{v1, v1, v1}, 1},
@@ -155,7 +164,7 @@ func TestStreamedRewriteMatchesOracle(t *testing.T) {
 			be := NewMemBackend()
 			for n, v1 := range tc.v1 {
 				if v1 {
-					createV1(t, be, n+1, compRecs(n*40, 40))
+					createEncoded(t, be, n+1, compRecs(n*40, 40))
 					continue
 				}
 				st, err := Open(be, base)
@@ -242,8 +251,9 @@ func TestStreamedRewriteMatchesOracle(t *testing.T) {
 // byte for byte, the one the all-text rewrite wrote from the same
 // records — every kind of line a store is handed, typed and text records
 // meeting at the boundaries of the input segments and of the output
-// blocks, archived and compacted, with and without v1 inputs whose
-// standard lines turn typed on the way.
+// blocks, archived and compacted, with and without inputs encoded
+// offline, each in one block ("v1" in a case's name, where files of the
+// v1 format once stood).
 func TestRewriteTranscodesTyped(t *testing.T) {
 	const blockTarget = 512
 	base := Config{Shards: 1, CompactMin: 1 << 20, SegmentCap: 1 << 30, BlockTarget: blockTarget}
@@ -275,7 +285,7 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		v1   []bool // one sealed input segment per entry
+		v1   []bool // one sealed input segment per entry: encoded offline?
 		tier int
 	}{
 		{"archive/v3", []bool{v3, v3, v3, v3, v3, v3, v3, v3}, 1},
@@ -287,7 +297,6 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 			be := NewMemBackend()
 			per := len(all) / len(tc.v1)
 			var segStarts []int
-			v3only := true
 			for n, v1 := range tc.v1 {
 				if n > 0 {
 					segStarts = append(segStarts, n*per)
@@ -297,8 +306,7 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 					for _, r := range all[n*per : (n+1)*per] {
 						in = append(in, r.Rec)
 					}
-					createV1(t, be, n+1, in)
-					v3only = false
+					createEncoded(t, be, n+1, in)
 					continue
 				}
 				st, err := Open(be, base)
@@ -334,8 +342,8 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 					t.Fatalf("input record %d (%s) is %+v, stored %+v", i, r.kind, recs[i], r.Rec)
 				}
 			}
-			if v3only && in.Typed != wantTyped {
-				t.Fatalf("v3 inputs hold %d typed records, %d are standard", in.Typed, wantTyped)
+			if in.Typed != wantTyped {
+				t.Fatalf("the inputs hold %d typed records, %d are standard", in.Typed, wantTyped)
 			}
 
 			cfg := base

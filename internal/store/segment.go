@@ -8,15 +8,13 @@
 // shipping raw logs (ACME), and shard monitoring state so per-node cost
 // stays flat (DCM). This package brings both ideas to the monitor:
 //
-//   - Records are appended to fixed-size *segments*, written in one
-//     format: checksummed blocks of typed records (compress.go). This
-//     file holds what every format shares — Meta, Index, the errors —
-//     and the frame and footer parsers of the first one, v1: each record
-//     framed with a length and a CRC (the same defensive framing
-//     discipline as the meter wire stream of Appendix A). No store writes
-//     v1 any more; the frame's size is still the unit segments are
-//     measured in. Whatever the format, one function turns a file's bytes
-//     into records: ReaderSegment.ScanViews.
+//   - Records are appended to fixed-size *segments*, written and read in
+//     one format: checksummed blocks of typed records (compress.go). A
+//     file that does not start with that format's header is refused
+//     (ErrFormat), never rewritten. This file holds what the format's
+//     reader and writer share — Meta, Index, the errors — and FrameSize,
+//     the unit segments are measured in. One function turns a file's
+//     bytes into records: ReaderSegment.ScanViews.
 //   - A sealed segment ends in a footer carrying an index — record
 //     count, min/max timestamp, and bitmap summaries of the machines,
 //     pids, and event types present — so a query can prune the whole
@@ -32,13 +30,11 @@ package store
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 
 	"dpm/internal/obs"
 )
 
-// Meta is the fixed per-record metadata carried in every frame — the
+// Meta is the fixed per-record metadata stored with every record — the
 // fields the footer index summarizes, lifted out of the record line so
 // the store never has to parse its own payloads.
 type Meta struct {
@@ -48,45 +44,40 @@ type Meta struct {
 	PID     uint32 // process id (0 when unknown or discarded)
 }
 
-// Rec is one stored record: its frame metadata and the log line the
-// filter formatted for it.
+// Rec is one stored record: its metadata and the log line the filter
+// formatted for it.
 type Rec struct {
 	Meta Meta
 	Line string
 }
 
-// Frame layout: [length u32][crc32 u32][meta 14 bytes][line bytes],
-// little-endian, where length covers meta+line and the IEEE CRC is
-// computed over the same span.
+// The size a record is measured in is its v1 frame's — [length u32]
+// [crc32 u32][meta 14 bytes][line bytes], the CRC-framed format segments
+// were first written in — whatever the bytes it takes on disk:
+// SegmentCap, BlockTarget and a footer's raw total count these
+// "v1-equivalent bytes".
 const (
 	frameHeadSize = 8
 	metaSize      = 14
 
-	// MaxFrameSize bounds one frame; anything larger in a length field
-	// is corruption, not data (a filter log line is a few hundred
+	// MaxFrameSize bounds one record's line; anything longer in a length
+	// field is corruption, not data (a filter log line is a few hundred
 	// bytes).
 	MaxFrameSize = 1 << 20
-)
-
-// FooterSize is the fixed size of a sealed segment's trailing footer:
-// magic, version, count, minTime, maxTime, machine bitmap, pid bitmap,
-// type bitmap, data length, footer CRC.
-const FooterSize = 56
-
-const (
-	footerMagic   = "DPMS"
-	footerVersion = 1
 )
 
 // Errors reported by segment parsing. They mirror the trace package's
 // split between tolerable tears and fatal corruption: ErrTruncated
 // accompanies the valid record prefix of an unsealed segment whose
 // tail does not parse (a writer died mid-append); ErrCorrupt marks a
-// sealed segment whose frames contradict its footer — the data was
-// damaged after the seal, which no crash explains.
+// sealed segment whose blocks contradict its footer — the data was
+// damaged after the seal, which no crash explains. ErrFormat marks a
+// file that is not a segment of this format at all (formatErr): no
+// reader decodes it and no recovery rewrites it.
 var (
 	ErrCorrupt   = errors.New("store: corrupt segment")
 	ErrTruncated = errors.New("store: truncated segment tail")
+	ErrFormat    = errors.New("store: not a segment of this format")
 )
 
 // Index is the per-segment summary a footer carries. The bitmaps are
@@ -131,35 +122,12 @@ func (x *Index) Add(m Meta) {
 	x.Types |= TypeBit(uint64(m.Type))
 }
 
-// FrameSize returns the encoded size of a frame carrying a line of the
-// given length.
+// FrameSize returns the v1-equivalent size of a record carrying a line
+// of the given length.
 func FrameSize(lineLen int) int { return frameHeadSize + metaSize + lineLen }
 
-// parseFrameBytes decodes the v1 frame at off, returning its record —
-// the line aliasing data — and the offset of the next frame.
-func parseFrameBytes(data []byte, off int) (Meta, []byte, int, error) {
-	c := obs.NewCursor(data[off:], ErrCorrupt)
-	n, crc := c.U32(), c.U32()
-	switch {
-	case c.Err() != nil:
-		return Meta{}, nil, off, fmt.Errorf("frame header overruns data at offset %d", off)
-	case n < metaSize || n > MaxFrameSize:
-		return Meta{}, nil, off, fmt.Errorf("bad frame length %d at offset %d", n, off)
-	}
-	payload := c.Take(int(n))
-	if payload == nil {
-		return Meta{}, nil, off, fmt.Errorf("frame body overruns data at offset %d", off)
-	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		return Meta{}, nil, off, fmt.Errorf("frame checksum mismatch at offset %d", off)
-	}
-	p := obs.NewCursor(payload, ErrCorrupt)
-	m := Meta{Machine: p.U16(), Time: p.U32(), Type: p.U32(), PID: p.U32()}
-	return m, p.Take(p.Remaining()), off + frameHeadSize + int(n), nil
-}
-
-// readIndex reads the Index a footer tail of either format carries:
-// count, min and max time, and the machine, pid and type bitmaps.
+// readIndex reads the Index a footer tail carries: count, min and max
+// time, and the machine, pid and type bitmaps.
 func readIndex(c *obs.Cursor) Index {
 	return Index{Count: c.U32(), MinTime: c.U64(), MaxTime: c.U64(), Machines: c.U64(), PIDs: c.U64(), Types: c.U32()}
 }
@@ -173,26 +141,6 @@ func appendIndex(dst []byte, x Index) []byte {
 	dst = le.AppendUint64(dst, x.Machines)
 	dst = le.AppendUint64(dst, x.PIDs)
 	return le.AppendUint32(dst, x.Types)
-}
-
-// ParseFooter examines the tail of a v1 segment file for a valid
-// footer. ok=false means the segment is unsealed (or its footer is
-// mangled, which is treated the same way: the frames are scanned
-// instead).
-func ParseFooter(data []byte) (x Index, dataLen int, ok bool) {
-	if len(data) < FooterSize {
-		return Index{}, 0, false
-	}
-	b := data[len(data)-FooterSize:]
-	c := obs.NewCursor(b, ErrCorrupt)
-	if string(c.Take(4)) != footerMagic || c.U32() != footerVersion {
-		return Index{}, 0, false
-	}
-	x, dataLen = readIndex(&c), int(c.U32())
-	if crc32.ChecksumIEEE(b[:FooterSize-4]) != c.U32() || dataLen != len(data)-FooterSize {
-		return Index{}, 0, false
-	}
-	return x, dataLen, true
 }
 
 // Segment is one segment's records, as ReaderSegment.Load decodes them.

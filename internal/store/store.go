@@ -16,11 +16,10 @@ import (
 // Config tunes a store. The zero value selects the defaults: four
 // shards, 32 KiB segments of 64 KiB blocks, compaction of four small
 // segments, no archival and no retention. Whatever it says, a store
-// writes one format — block-compressed segments of typed records (v3,
-// see compress.go), stored blocks online and DEFLATE at archiveLevel in
-// the archival tier — and reads that, the v2 files written before the
-// typed shape and v1 CRC-framed files alike; a v1 or v2 segment a store
-// recovers, compacts or archives comes out v3.
+// writes and reads one format — block-compressed segments of typed
+// records (v3, see compress.go), stored blocks online and DEFLATE at
+// archiveLevel in the archival tier — and refuses a file of any other
+// (ErrFormat).
 type Config struct {
 	// Shards is the number of concurrent shard writers; records route
 	// to shard machine%Shards, so one machine's records stay ordered
@@ -271,12 +270,13 @@ type shard struct {
 }
 
 // Open opens (or creates) the store behind a backend. Each segment file
-// is checked by a scan that keeps nothing — its footer, every frame or
-// block CRC, the record count — and a sealed one that passes is adopted
-// as it is. An unsealed or damaged segment — what a crashed writer leaves
-// behind — is recovered by rewriting its valid record prefix as a sealed
-// segment, so every record that survived the crash is indexed and
-// queryable.
+// is checked by a scan that keeps nothing — its footer, every block CRC,
+// the record count — and a sealed one that passes is adopted as it is.
+// An unsealed or damaged segment — what a crashed writer leaves behind —
+// is recovered by rewriting its valid record prefix as a sealed segment,
+// so every record that survived the crash is indexed and queryable. A
+// segment file of another format is not this store's to rewrite: Open
+// returns its ErrFormat before it has written or removed anything.
 func Open(be Backend, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	listed, err := be.List()
@@ -319,6 +319,11 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		sh, start, end, tier, ok := parseSegName(e.Name)
 		if !ok {
 			continue
+		}
+		if data, err := be.Read(e.Name); err == nil {
+			if err := formatErr(e.Name, data); err != nil {
+				return nil, err
+			}
 		}
 		if sh > maxShard {
 			maxShard = sh
@@ -668,9 +673,9 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 // sizes; it returns the bytes it read. No record is materialized: each
 // input is borrowed from the backend and scanned through a pooled
 // decoder straight into the encoder, a record stored typed as the view
-// it decodes to, no line built or parsed, a text, v2 or v1 record as its
-// line (compWriter.add). Without salvage every input must be whole — the
-// footer it was sealed or adopted with, a v2 body that decodes (a scan
+// it decodes to, no line built or parsed, a text record as its line
+// (compWriter.add). Without salvage every input must be whole — the
+// footer it was sealed or adopted with, a body that decodes (a scan
 // degraded to stream salvage would skip the block CRCs), every CRC, the
 // records its footer counts — or nothing is written. With salvage, Open's
 // recovery, an input gives the records before its first failure.
@@ -849,42 +854,34 @@ type ReaderSegment struct {
 	end    int    // last sequence the file's name claims
 	id     uint64 // the file's Entry.ID when it was listed and read
 	data   []byte
-	// Sealed v1 segments record where their frames end; sealed v2
-	// segments (v2.DataLen != 0) carry the footer tail's fields, and the
-	// footer body — dictionary and block table — once footer() has
-	// decoded it for the first scan.
-	dataLen int
-	v2      footerV2
-	v2body  sync.Once
-	v2ok    bool
+	// A sealed segment (v2.DataLen != 0) carries the footer tail's
+	// fields, and the footer body — dictionary and block table — once
+	// footer() has decoded it for the first scan.
+	v2     footerV2
+	v2body sync.Once
+	v2ok   bool
 }
 
-// newReaderSegment wraps a segment file's borrowed bytes, checking the
-// fixed-size footer tail of the format its header names and nothing
-// before it.
+// newReaderSegment wraps a segment file's borrowed bytes, checking its
+// fixed-size footer tail and nothing before it.
 func newReaderSegment(name string, shard, start, end, tier int, data []byte) *ReaderSegment {
 	rs := &ReaderSegment{Name: name, Shard: shard, Start: start, Tier: tier, end: end, data: data}
-	if payloadVersion(data) < 0 {
-		rs.Index, rs.dataLen, rs.Sealed = ParseFooter(data)
-	} else if f, ok := parseFooterV2(data); ok {
+	if f, ok := parseFooterV2(data); ok {
 		rs.Index, rs.v2, rs.Sealed = f.Index, f, true
 	}
 	return rs
 }
 
-// sealedWhole reports whether the seal holds all the way down: a v1
-// footer, or a v2 tail over a body that decodes. A tail over a body that
-// does not seals the segment for pruning, and it scans as unsealed.
-func (rs *ReaderSegment) sealedWhole() bool {
-	return rs.Sealed && (rs.v2.DataLen == 0 || rs.footer() != nil)
-}
+// sealedWhole reports whether the seal holds all the way down: a tail
+// over a body that decodes. A tail over a body that does not seals the
+// segment for pruning, and it scans as unsealed.
+func (rs *ReaderSegment) sealedWhole() bool { return rs.footer() != nil }
 
-// Tail returns the FooterV2Size-byte footer tail of a block-format
-// segment sealed all the way down. Its body CRC covers the dictionary
-// and every block's CRC, so within one store a name and a tail stand for
-// the segment's records. It is nil for every other segment: a v1 footer
-// vouches for no frame, and an unsealed file or a body that does not
-// decode has no tail that covers what a scan reads.
+// Tail returns the FooterV2Size-byte footer tail of a segment sealed all
+// the way down. Its body CRC covers the dictionary and every block's
+// CRC, so within one store a name and a tail stand for the segment's
+// records. It is nil for every other segment: an unsealed file or a body
+// that does not decode has no tail that covers what a scan reads.
 func (rs *ReaderSegment) Tail() []byte {
 	if rs.footer() == nil {
 		return nil
@@ -894,7 +891,7 @@ func (rs *ReaderSegment) Tail() []byte {
 
 // verify reports whether a scan of the whole segment, which keeps
 // nothing, finds what its footer says: sealed all the way down, every
-// frame or block intact, and as many records as the footer counts.
+// block intact, and as many records as the footer counts.
 func (rs *ReaderSegment) verify(d *Decoder) bool {
 	if !rs.sealedWhole() {
 		return false
@@ -927,14 +924,12 @@ func (rs *ReaderSegment) Load() (*Segment, error) {
 	return s, err
 }
 
-// RawBytes returns the segment's v1-equivalent (uncompressed framed)
-// size, the numerator of its compression ratio.
+// RawBytes returns a sealed segment's v1-equivalent (uncompressed
+// framed) size, the numerator of its compression ratio, and an unsealed
+// one's size on disk.
 func (rs *ReaderSegment) RawBytes() int {
-	if rs.v2.DataLen != 0 {
-		return rs.v2.RawTotal
-	}
 	if rs.Sealed {
-		return rs.dataLen
+		return rs.v2.RawTotal
 	}
 	return len(rs.data)
 }
@@ -945,7 +940,7 @@ func (rs *ReaderSegment) DiskBytes() int { return len(rs.data) }
 // Reader is a point-in-time read-only view of a store: the segment
 // files present at OpenReader, grouped by shard in rotation order.
 // Sealed segments expose their footer index so callers can prune them
-// without parsing any frames.
+// without decoding any block.
 type Reader struct {
 	shards [][]*ReaderSegment
 	listed []*ReaderSegment // every segment listed, in name order, for Reopen
@@ -957,9 +952,10 @@ const openReaderAttempts = 3
 
 // OpenReader snapshots the store behind a backend. It costs one
 // listing and, per segment, a name parse, a borrowed view of the file
-// (Backend.Read) and the check of its fixed-size footer tail — which
-// carries the Index pruning needs. No frame or block is touched, and a
-// v2 footer's body (dictionary and block table) is checksummed but not
+// (Backend.Read), the check of its header (a file of another format
+// fails the snapshot with ErrFormat) and of its fixed-size footer tail —
+// which carries the Index pruning needs. No block is touched, and the
+// footer's body (dictionary and block table) is checksummed but not
 // decoded, until the ScanViews, Blocks or Load of a segment a query admits.
 //
 // The backend may belong to a live store that is compacting, archiving
@@ -1014,6 +1010,9 @@ func openReader(old []*ReaderSegment, be Backend) (r *Reader, stale bool, err er
 			data, err := be.Read(e.Name)
 			if err != nil {
 				return nil, !stillListed(be, e.Name), err
+			}
+			if err := formatErr(e.Name, data); err != nil {
+				return nil, false, err
 			}
 			// A file that grew or was replaced since the listing is read as
 			// it is now under the listed id: the pair then matches no later

@@ -150,17 +150,17 @@ func TestStoreCompaction(t *testing.T) {
 	}
 }
 
-// A v1 writer "crashed" without Flush: its active segment has no
-// footer and its last frame is torn. (What a crash leaves of a segment
-// this store writes: TestCompressedUnsealedSalvage, TestTornTypedTailSalvage.)
+// A writer "crashed" without Flush: its active segment has no footer
+// and its last record, alone in the last block, is torn. (What a crash
+// leaves of a segment the online writer writes:
+// TestCompressedUnsealedSalvage, TestTornTypedTailSalvage.)
 func TestStoreRecovery(t *testing.T) {
 	be := NewMemBackend()
 	var recs []Rec
 	for i := 0; i < 10; i++ {
-		recs = append(recs, Rec{Meta{Machine: 0, Time: uint32(i * 10), Type: 1, PID: 100}, fmt.Sprintf("line %d of a v1 writer", i)})
+		recs = append(recs, Rec{Meta{Machine: 0, Time: uint32(i * 10), Type: 1, PID: 100}, fmt.Sprintf("line %d of a crashed writer", i)})
 	}
-	data := encodeV1(recs, false)
-	if err := be.Create(segName(0, 1, 1, 0), data[:len(data)-3]); err != nil {
+	if err := be.Create(segName(0, 1, 1, 0), encodeUnsealed(recs, 1, true)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -175,13 +175,12 @@ func TestStoreRecovery(t *testing.T) {
 	if got := allRecs(t, be); !slices.Equal(got, recs[:9]) {
 		t.Fatalf("got %d records after recovery, want the first 9 (torn final append dropped)", len(got))
 	}
-	// The salvage must be sealed and indexed so later queries can prune,
-	// and is in the format the store writes.
+	// The salvage must be sealed and indexed so later queries can prune.
 	rd, _ := OpenReader(be)
 	for _, segs := range rd.Shards() {
 		for _, rs := range segs {
-			if !rs.Sealed || rs.FormatVersion() != 3 {
-				t.Fatalf("recovered segment %s: sealed=%v, v%d", rs.Name, rs.Sealed, rs.FormatVersion())
+			if !rs.Sealed {
+				t.Fatalf("recovered segment %s is not sealed", rs.Name)
 			}
 		}
 	}
@@ -203,18 +202,23 @@ func TestParseSegmentSealedCorruption(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		recs = append(recs, Rec{Meta{Machine: 1, Time: uint32(i), Type: 1, PID: 7}, fmt.Sprintf("line %d", i)})
 	}
-	sealed := encodeV1(recs, true)
+	// One record a block.
+	sealed, err := newCompWriter(1).encodeSealed(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	seg, err := ParseSegment(sealed)
 	if err != nil || !seg.Sealed || len(seg.Recs) != 5 {
 		t.Fatalf("clean sealed parse: %v sealed=%v recs=%d", err, seg.Sealed, len(seg.Recs))
 	}
 
-	// Flip a payload byte inside a sealed segment: the frame CRC fails
-	// and the damage is corruption (it cannot be a torn append — the
-	// footer was written after the frames).
+	// Flip a payload byte inside a sealed segment's second block: the
+	// block CRC fails and the damage is corruption (it cannot be a torn
+	// append — the footer was written after the blocks).
 	bad := append([]byte(nil), sealed...)
-	bad[FrameSize(6)+frameHeadSize+2] ^= 0xff
+	second := newReaderSegment("", 0, 0, 0, 0, sealed).Blocks()[1]
+	bad[headerV2Size+second.Off+second.CompLen/2] ^= 0xff
 	seg, err = ParseSegment(bad)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("sealed corruption: got %v, want ErrCorrupt", err)
@@ -229,9 +233,8 @@ func TestParseSegmentUnsealedTruncation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		recs = append(recs, Rec{Meta{Machine: 1, Time: uint32(i)}, fmt.Sprintf("line %d", i)})
 	}
-	frames := encodeV1(recs, false)
 	// Clean unsealed scan: an active segment.
-	seg, err := ParseSegment(frames)
+	seg, err := ParseSegment(encodeUnsealed(recs, 1, false))
 	if err != nil || seg.Sealed || len(seg.Recs) != 5 {
 		t.Fatalf("clean unsealed parse: %v sealed=%v recs=%d", err, seg.Sealed, len(seg.Recs))
 	}
@@ -239,7 +242,7 @@ func TestParseSegmentUnsealedTruncation(t *testing.T) {
 		t.Fatalf("unsealed scan index count = %d, want 5", seg.Index.Count)
 	}
 	// A torn tail: the valid prefix survives with ErrTruncated.
-	seg, err = ParseSegment(frames[:len(frames)-4])
+	seg, err = ParseSegment(encodeUnsealed(recs, 1, true))
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("torn tail: got %v, want ErrTruncated", err)
 	}

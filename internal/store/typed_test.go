@@ -249,8 +249,8 @@ func TestTypedBlocksDecodeAlone(t *testing.T) {
 	}
 	rs := newReaderSegment("s0-000001-000001.seg", 0, 1, 1, 0, data)
 	blocks := rs.Blocks()
-	if rs.FormatVersion() != 3 || len(blocks) < 10 {
-		t.Fatalf("v%d with %d blocks", rs.FormatVersion(), len(blocks))
+	if len(blocks) < 10 {
+		t.Fatalf("%d blocks", len(blocks))
 	}
 	d := AcquireDecoder()
 	defer ReleaseDecoder(d)
@@ -409,11 +409,11 @@ func FuzzTypedPayload(f *testing.F) {
 	// reference the decoder once took for a negative index.
 	f.Add([]byte{1, 2, 1, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{1, 2, 1, 1, 3, 0x20, 0x20, 2, 0, 0, 80, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0})
-	// payloadDecoder borrows a decoder set to read a bare v3 block payload
+	// payloadDecoder borrows a decoder set to read a bare block payload
 	// that defines its dictionary as it goes.
 	payloadDecoder := func() *Decoder {
 		d := AcquireDecoder()
-		d.payload, d.growDict, d.dict = payloadV3, true, d.dictBuf[:0]
+		d.growDict, d.dict = true, d.dictBuf[:0]
 		d.resetBlockCoding()
 		return d
 	}
