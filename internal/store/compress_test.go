@@ -300,11 +300,14 @@ func TestScanMatchesLoad(t *testing.T) {
 			name := fmt.Sprintf("offline=%v/sealed=%v", offline, seal)
 			be := NewMemBackend()
 			if offline {
-				data := encodeUnsealed(want, 1024, false)
-				if seal {
-					data, _ = newCompWriter(1024).encodeSealed(want)
+				data, err := newCompWriter(1024).encodeSealed(want)
+				if !seal {
+					data = encodeUnsealed(want, 1024, false)
 				}
-				if err := be.Create(segName(0, 1, 1, 0), data); err != nil {
+				if err == nil {
+					err = be.Create(segName(0, 1, 1, 0), data)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			} else {
