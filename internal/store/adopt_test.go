@@ -77,7 +77,10 @@ func tornAndFlipped(t *testing.T) *MemBackend {
 // and v2 formats as well, and for torn+flipped as it reported it while
 // Open still decoded every file into records (ParseSegment) and
 // recovered through an encoder of its own. What adopting, recovering and
-// sizing a segment must not change.
+// sizing a segment must not change — except the Bytes of a segment Open
+// salvaged (the never-sealed tail of each +tail and +archives shard, and
+// both torn+flipped segments), which since a rewrite stopped sizing its
+// records are the size on disk of the file it was salvaged from.
 var openedSegments = map[string][]SegmentInfo{
 	"cap1k": {
 		{"s0-000001-000001.seg", 0, 1, 1, 1088, 783, 0, Index{9, 50, 350, 0x48, 0x1f000000000, 0x48a}, true},
@@ -140,7 +143,7 @@ var openedSegments = map[string][]SegmentInfo{
 		{"s0-000012-000012.seg", 0, 12, 12, 1062, 705, 0, Index{9, 4800, 5200, 0x48, 0x1b000000000, 0x48a}, true},
 		{"s0-000013-000013.seg", 0, 13, 13, 480, 298, 0, Index{4, 5250, 5350, 0x40, 0x15000000000, 0x482}, true},
 		{"s0-000014-000014.seg", 0, 14, 14, 1139, 446, 0, Index{10, 5400, 5900, 0x48, 0x1f000000000, 0x68a}, true},
-		{"s0-000015-000015.seg", 0, 15, 15, 218, 206, 0, Index{3, 5850, 5950, 0x8, 0x9000000000, 0x600}, true},
+		{"s0-000015-000015.seg", 0, 15, 15, 101, 206, 0, Index{3, 5850, 5950, 0x8, 0x9000000000, 0x600}, true},
 		{"s1-000001-000001.seg", 1, 1, 1, 1050, 393, 0, Index{10, 50, 450, 0x12, 0x1f000000000, 0x68a}, true},
 		{"s1-000002-000002.seg", 1, 2, 2, 1144, 588, 0, Index{10, 450, 800, 0x12, 0x1e000000000, 0x68a}, true},
 		{"s1-000003-000003.seg", 1, 3, 3, 1136, 628, 0, Index{10, 800, 1150, 0x12, 0x17000000000, 0x68a}, true},
@@ -156,7 +159,7 @@ var openedSegments = map[string][]SegmentInfo{
 		{"s1-000013-000013.seg", 1, 13, 13, 1146, 759, 0, Index{10, 4800, 5300, 0x12, 0x1f000000000, 0x68a}, true},
 		{"s1-000014-000014.seg", 1, 14, 14, 215, 200, 0, Index{2, 5300, 5350, 0x10, 0x10000000000, 0x280}, true},
 		{"s1-000015-000015.seg", 1, 15, 15, 1042, 411, 0, Index{9, 5450, 5700, 0x12, 0x1f000000000, 0x48a}, true},
-		{"s1-000016-000016.seg", 1, 16, 16, 393, 219, 0, Index{3, 5800, 5900, 0x12, 0x1c000000000, 0x8a}, true},
+		{"s1-000016-000016.seg", 1, 16, 16, 134, 219, 0, Index{3, 5800, 5900, 0x12, 0x1c000000000, 0x8a}, true},
 		{"s2-000001-000001.seg", 2, 1, 1, 1050, 350, 0, Index{9, 0, 350, 0x24, 0x17000000000, 0x40a}, true},
 		{"s2-000002-000002.seg", 2, 2, 2, 1097, 754, 0, Index{10, 300, 1050, 0x24, 0xf000000000, 0x68a}, true},
 		{"s2-000003-000003.seg", 2, 3, 3, 1098, 675, 0, Index{10, 1100, 1450, 0x24, 0x1f000000000, 0x68a}, true},
@@ -170,7 +173,7 @@ var openedSegments = map[string][]SegmentInfo{
 		{"s2-000011-000011.seg", 2, 11, 11, 1141, 640, 0, Index{11, 4650, 5200, 0x24, 0x1f000000000, 0x68a}, true},
 		{"s2-000012-000012.seg", 2, 12, 12, 575, 456, 0, Index{5, 5200, 5300, 0x24, 0x17000000000, 0x48a}, true},
 		{"s2-000013-000013.seg", 2, 13, 13, 1145, 620, 0, Index{10, 5400, 5800, 0x24, 0x1f000000000, 0x60a}, true},
-		{"s2-000014-000014.seg", 2, 14, 14, 534, 212, 0, Index{5, 5850, 5950, 0x24, 0x1c000000000, 0x60a}, true},
+		{"s2-000014-000014.seg", 2, 14, 14, 147, 212, 0, Index{5, 5850, 5950, 0x24, 0x1c000000000, 0x60a}, true},
 	},
 	"cap2k": {
 		{"s0-000001-000001.seg", 0, 1, 1, 2177, 1269, 0, Index{19, 0, 1150, 0x48, 0x1f000000000, 0x68a}, true},
@@ -204,7 +207,7 @@ var openedSegments = map[string][]SegmentInfo{
 		{"s0-000004-000004.seg", 0, 4, 4, 2087, 1237, 0, Index{18, 2700, 3700, 0x48, 0x1b000000000, 0x68a}, true},
 		{"s0-000005-000005.seg", 0, 5, 5, 2126, 1410, 0, Index{20, 3650, 4200, 0x48, 0x1f000000000, 0x68a}, true},
 		{"s0-000006-000006.seg", 0, 6, 6, 1777, 1111, 0, Index{17, 4350, 5350, 0x48, 0x1f000000000, 0x68a}, true},
-		{"s0-000007-000007.seg", 0, 7, 7, 1219, 699, 0, Index{11, 5400, 5950, 0x48, 0x1f000000000, 0x68a}, true},
+		{"s0-000007-000007.seg", 0, 7, 7, 557, 699, 0, Index{11, 5400, 5950, 0x48, 0x1f000000000, 0x68a}, true},
 		{"s1-000001-000001.seg", 1, 1, 1, 2065, 1117, 0, Index{19, 50, 800, 0x12, 0x1f000000000, 0x60a}, true},
 		{"s1-000002-000002.seg", 1, 2, 2, 2147, 1228, 0, Index{18, 850, 1750, 0x12, 0x1f000000000, 0x28a}, true},
 		{"s1-000003-000003.seg", 1, 3, 3, 2177, 1243, 0, Index{20, 1700, 2650, 0x12, 0x1f000000000, 0x688}, true},
@@ -212,7 +215,7 @@ var openedSegments = map[string][]SegmentInfo{
 		{"s1-000005-000005.seg", 1, 5, 5, 2067, 1180, 0, Index{18, 3350, 4100, 0x12, 0x1f000000000, 0x68a}, true},
 		{"s1-000006-000006.seg", 1, 6, 6, 2086, 1078, 0, Index{19, 4250, 4900, 0x12, 0x1f000000000, 0x68a}, true},
 		{"s1-000007-000007.seg", 1, 7, 7, 1237, 947, 0, Index{11, 4800, 5350, 0x12, 0x1b000000000, 0x68a}, true},
-		{"s1-000008-000008.seg", 1, 8, 8, 1929, 751, 0, Index{16, 5400, 5950, 0x12, 0x1f000000000, 0x68a}, true},
+		{"s1-000008-000008.seg", 1, 8, 8, 724, 751, 0, Index{16, 5400, 5950, 0x12, 0x1f000000000, 0x68a}, true},
 		{"s2-000001-000001.seg", 2, 1, 1, 2087, 918, 0, Index{18, 0, 850, 0x24, 0x1f000000000, 0x68a}, true},
 		{"s2-000002-000002.seg", 2, 2, 2, 2076, 1203, 0, Index{19, 850, 1500, 0x24, 0xf000000000, 0x68a}, true},
 		{"s2-000003-000003.seg", 2, 3, 3, 2096, 1501, 0, Index{19, 1500, 2300, 0x24, 0x1f000000000, 0x68a}, true},
@@ -220,7 +223,7 @@ var openedSegments = map[string][]SegmentInfo{
 		{"s2-000005-000005.seg", 2, 5, 5, 2186, 1361, 0, Index{18, 3350, 4250, 0x24, 0x1f000000000, 0x68a}, true},
 		{"s2-000006-000006.seg", 2, 6, 6, 2061, 1037, 0, Index{18, 4250, 5000, 0x24, 0x1f000000000, 0x68a}, true},
 		{"s2-000007-000007.seg", 2, 7, 7, 1357, 1002, 0, Index{11, 4950, 5300, 0x24, 0x1f000000000, 0x28a}, true},
-		{"s2-000008-000008.seg", 2, 8, 8, 1409, 372, 0, Index{13, 5400, 5950, 0x24, 0xf000000000, 0x60a}, true},
+		{"s2-000008-000008.seg", 2, 8, 8, 401, 372, 0, Index{13, 5400, 5950, 0x24, 0xf000000000, 0x60a}, true},
 	},
 	"cap2k+archives": {
 		{"a0-000001-000002.seg", 0, 1, 2, 4212, 946, 1, Index{37, 0, 1000, 0x54, 0x1f000000000, 0x68a}, true},
@@ -231,7 +234,7 @@ var openedSegments = map[string][]SegmentInfo{
 		{"s0-000010-000010.seg", 0, 10, 10, 2123, 1051, 0, Index{19, 4800, 5350, 0x54, 0x1f000000000, 0x68a}, true},
 		{"s0-000011-000011.seg", 0, 11, 11, 91, 143, 0, Index{1, 5300, 5300, 0x4, 0x8000000000, 0x400}, true},
 		{"s0-000012-000012.seg", 0, 12, 12, 2061, 1133, 0, Index{18, 5450, 5800, 0x54, 0x1f000000000, 0x68a}, true},
-		{"s0-000013-000013.seg", 0, 13, 13, 179, 151, 0, Index{2, 5900, 5900, 0x50, 0xc000000000, 0x600}, true},
+		{"s0-000013-000013.seg", 0, 13, 13, 56, 151, 0, Index{2, 5900, 5900, 0x50, 0xc000000000, 0x600}, true},
 		{"a1-000001-000002.seg", 1, 1, 2, 4180, 1213, 1, Index{39, 0, 1450, 0x2a, 0x1f000000000, 0x68a}, true},
 		{"a1-000003-000004.seg", 1, 3, 4, 4243, 1020, 1, Index{36, 1350, 2350, 0x2a, 0x1f000000000, 0x68a}, true},
 		{"a1-000005-000006.seg", 1, 5, 6, 4146, 1164, 1, Index{37, 2350, 3700, 0x2a, 0x1f000000000, 0x68a}, true},
@@ -240,11 +243,11 @@ var openedSegments = map[string][]SegmentInfo{
 		{"s1-000009-000009.seg", 1, 9, 9, 2131, 1149, 0, Index{20, 4650, 5350, 0x2a, 0x1f000000000, 0x68a}, true},
 		{"s1-000010-000010.seg", 1, 10, 10, 89, 144, 0, Index{1, 5250, 5250, 0x20, 0x10000000000, 0x200}, true},
 		{"s1-000011-000011.seg", 1, 11, 11, 2168, 1320, 0, Index{18, 5400, 5950, 0x2a, 0x1f000000000, 0x68a}, true},
-		{"s1-000012-000012.seg", 1, 12, 12, 218, 182, 0, Index{2, 5850, 5900, 0x22, 0x9000000000, 0x480}, true},
+		{"s1-000012-000012.seg", 1, 12, 12, 87, 182, 0, Index{2, 5850, 5900, 0x22, 0x9000000000, 0x480}, true},
 	},
 	"torn+flipped": {
-		{"s0-000001-000001.seg", 0, 1, 1, 1101, 962, 0, Index{12, 1000, 1077, 0x3f, 0x1f000000000, 0x1e}, true},
-		{"s0-000002-000002.seg", 0, 2, 2, 5410, 2842, 0, Index{59, 2400, 2806, 0x3f, 0x1f000000000, 0x1e}, true},
+		{"s0-000001-000001.seg", 0, 1, 1, 11294, 962, 0, Index{12, 1000, 1077, 0x3f, 0x1f000000000, 0x1e}, true},
+		{"s0-000002-000002.seg", 0, 2, 2, 2946, 2842, 0, Index{59, 2400, 2806, 0x3f, 0x1f000000000, 0x1e}, true},
 	},
 }
 

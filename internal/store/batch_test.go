@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,5 +192,65 @@ func TestAppendBatchReusesCallerBuffer(t *testing.T) {
 	got := allRecs(t, be)
 	if len(got) != 1 || got[0].Line != "first line contents" {
 		t.Fatalf("read back %+v, want the original line", got)
+	}
+}
+
+// TestAppendBatchOvershootsByOneRecord: one batch several caps long
+// rotates where appending its records one at a time does — the same
+// segments, each sealed by the record that brought it to SegmentCap and
+// so past the cap by less than its largest record — not once per batch.
+func TestAppendBatchOvershootsByOneRecord(t *testing.T) {
+	const segCap = 1024
+	var recs []BatchRec
+	for i := 0; i < 240; i++ {
+		m, line := compRec(i)
+		line += strings.Repeat(" pad", i%23) // records of many sizes
+		recs = append(recs, BatchRec{Meta: m, Line: []byte(line)})
+	}
+	cfg := Config{Shards: 2, SegmentCap: segCap, CompactMin: 1 << 20}
+	seqBE, batBE := NewMemBackend(), NewMemBackend()
+	seq, err := Open(seqBE, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := seq.Append(r.Meta, string(r.Line)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bat, err := Open(batBE, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bat.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if s, b := segmentNames(t, seqBE), segmentNames(t, batBE); !slices.Equal(s, b) {
+		t.Fatalf("one batch wrote segments %v; one record at a time, %v", b, s)
+	}
+	sealed := 0
+	for _, info := range bat.Segments() {
+		if !info.Sealed {
+			continue
+		}
+		sealed++
+		data, err := batBE.Read(info.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := ParseSegment(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest := 0
+		for _, r := range seg.Recs {
+			largest = max(largest, FrameSize(len(r.Line)))
+		}
+		if info.Bytes < segCap || info.Bytes >= segCap+largest {
+			t.Errorf("%s holds %d bytes; want at least the cap %d and less than it plus its largest record, %d", info.Name, info.Bytes, segCap, largest)
+		}
+	}
+	if sealed < 8 {
+		t.Fatalf("%d segments sealed; the batch is not several caps long", sealed)
 	}
 }

@@ -239,7 +239,6 @@ type compWriter struct {
 	enc      []byte
 	stagedV1 int
 	stagedN  int
-	segV1    int // v1-equivalent bytes staged since openSegment
 
 	// Current block accumulation (flushed records only).
 	curIdx Index
@@ -308,7 +307,7 @@ func (w *compWriter) openSegment() {
 	w.sink.crc, w.sink.crcAt, w.sink.total = 0, len(w.sink.buf), 0
 	w.nTyped, w.nText = 0, 0
 	w.enc = w.enc[:0]
-	w.stagedV1, w.stagedN, w.segV1 = 0, 0, 0
+	w.stagedV1, w.stagedN = 0, 0
 	w.curIdx, w.curOff, w.curRaw, w.curV1 = Index{}, 0, 0, 0
 	w.blocks = w.blocks[:0]
 	if w.dictIDs == nil {
@@ -349,27 +348,37 @@ func (w *compWriter) closeBlock() error {
 	return nil
 }
 
-// stage encodes one record into the staging buffer: its Meta, then the
-// typed form of s (BatchRec.Slots), or else of a standard line whose
-// header is that Meta, or else the line as text, front-coded. Either way
-// the record decodes to exactly the bytes given: stage proves a line it
-// types itself by regenerating it, and s is what the line parses to.
+// stage encodes one record into the staging buffer, as shape picks it,
+// and accounts it at its line's v1-equivalent size.
 func (w *compWriter) stage(m Meta, line []byte, s *trace.Slots) error {
+	if err := w.stageAs(m, w.shape(m, line, s), line); err != nil {
+		return err
+	}
+	w.stagedV1 += FrameSize(len(line))
+	return nil
+}
+
+// shape settles how a record is staged: typed from s (BatchRec.Slots),
+// or else from a standard line whose header is m, or else — nil — the
+// line as text, front-coded. Either way the record decodes to exactly
+// the bytes given: a line shape types itself is proved by regenerating
+// it, and s is what the line parses to.
+func (w *compWriter) shape(m Meta, line []byte, s *trace.Slots) *trace.View {
 	v := &w.view
 	if s != nil {
 		v.PointAt(s, meter.Type(m.Type), int(m.Machine), int64(m.Time))
 	} else if !v.ParseStandard(line) || v.Machine != int(m.Machine) || v.CPUTime != int64(m.Time) || uint32(v.Type) != m.Type {
-		v = nil
+		return nil
 	}
-	return w.stageAs(m, v, line, len(line))
+	return v
 }
 
-// stageAs stages a record whose shape is settled: typed from v — stage's
-// view, or one a decoder read from a typed record, a standard line of n
-// bytes headed by m with nothing to prove again — or, with no view, the
-// line as text. The block boundary is checked only
+// stageAs stages a record whose shape is settled: its Meta, then typed
+// from v — shape's view, or one a decoder read from a typed record, with
+// nothing to prove again — or, with no view, the line as text. It
+// accounts no size; its callers do. The block boundary is checked only
 // when nothing is staged, so both ends agree where coding state resets.
-func (w *compWriter) stageAs(m Meta, v *trace.View, line []byte, n int) error {
+func (w *compWriter) stageAs(m Meta, v *trace.View, line []byte) error {
 	if w.stagedN == 0 && w.curV1 >= w.target {
 		if err := w.closeBlock(); err != nil {
 			return err
@@ -389,8 +398,6 @@ func (w *compWriter) stageAs(m Meta, v *trace.View, line []byte, n int) error {
 		w.nText++
 	}
 	w.enc = e
-	w.stagedV1 += FrameSize(n)
-	w.segV1 += FrameSize(n)
 	w.stagedN++
 	return nil
 }
@@ -532,19 +539,27 @@ func (w *compWriter) foldMeta(m Meta) { w.curIdx.Add(m) }
 // add is the per-record step of every offline encode — recovery,
 // compaction, archival — where nothing need be decodable before the
 // seal: the record, as a scan hands it over, is staged — one that was
-// stored typed as its view, with no line built or parsed — and folded
-// into its block's zone map, and a block's worth of staged payload goes
-// through DEFLATE in one write.
-func (w *compWriter) add(m Meta, v *trace.View, line []byte) (err error) {
-	if v != nil {
-		err = w.stageAs(m, v, nil, v.LineLen())
-	} else {
-		err = w.stage(m, line, nil)
+// stored typed as its view, unfilled, with no line built, parsed or
+// measured — and folded into its block's zone map. It accounts no size:
+// endInput accounts the whole input at once.
+func (w *compWriter) add(m Meta, v *trace.View, line []byte) error {
+	if v == nil {
+		v = w.shape(m, line, nil)
 	}
-	if err != nil {
+	if err := w.stageAs(m, v, line); err != nil {
 		return err
 	}
 	w.foldMeta(m)
+	return nil
+}
+
+// endInput accounts the records added since the last call — one input of
+// a rewrite, scanned whole — at n v1-equivalent bytes, the size the
+// input was recorded at, and sends a block's worth of staged payload
+// through DEFLATE in one write. The block then closes as the next input's
+// first record is staged (stageAs): blocks break only between inputs.
+func (w *compWriter) endInput(n int) error {
+	w.stagedV1 += n
 	if w.curV1+w.stagedV1 >= w.target {
 		return w.flushStaged(false)
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"dpm/internal/obs"
@@ -14,10 +15,15 @@ import (
 
 // The oracle: the cold rewrite as it was before it streamed — every
 // input parsed into []Rec, the records re-encoded with one DEFLATE
-// write per record by a writer built for the occasion. Kept here as the
-// reference the streamed rewrite is compared against.
+// write per record by a writer built for the occasion, and a block
+// broken between two inputs once the records since its start reach the
+// target in v1-equivalent bytes. Kept here as the reference the streamed
+// rewrite is compared against.
 
-func oracleReadRun(t *testing.T, be Backend, names []string) (recs []Rec, x Index, rawBytes int) {
+// oracleReadRun parses the named segments, each into its run of records,
+// and returns the runs, all their records, their index and their
+// v1-equivalent size.
+func oracleReadRun(t *testing.T, be Backend, names []string) (runs [][]Rec, recs []Rec, x Index, rawBytes int) {
 	t.Helper()
 	for _, name := range names {
 		data, err := be.Read(name)
@@ -32,9 +38,10 @@ func oracleReadRun(t *testing.T, be Backend, names []string) (recs []Rec, x Inde
 			x.Add(r.Meta)
 			rawBytes += FrameSize(len(r.Line))
 		}
+		runs = append(runs, seg.Recs)
 		recs = append(recs, seg.Recs...)
 	}
-	return recs, x, rawBytes
+	return runs, recs, x, rawBytes
 }
 
 // tierWriter is the encoder a rewrite into the tier uses.
@@ -47,22 +54,30 @@ func tierWriter(tier, blockTarget int) *compWriter {
 	return w
 }
 
-func oracleEncode(t *testing.T, recs []Rec, tier, blockTarget int) []byte {
+func oracleEncode(t *testing.T, runs [][]Rec, tier, blockTarget int) []byte {
 	t.Helper()
 	w := tierWriter(tier, blockTarget)
 	w.openSegment()
 	var x Index
-	rawTotal := 0
-	for _, r := range recs {
-		if err := w.stage(r.Meta, []byte(r.Line), nil); err != nil {
-			t.Fatal(err)
+	rawTotal, block := 0, 0
+	for _, run := range runs {
+		if block >= w.target {
+			if err := w.closeBlock(); err != nil {
+				t.Fatal(err)
+			}
+			block = 0
 		}
-		if err := w.flushStaged(false); err != nil {
-			t.Fatal(err)
+		for _, r := range run {
+			if err := w.add(r.Meta, nil, []byte(r.Line)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.flushStaged(false); err != nil {
+				t.Fatal(err)
+			}
+			x.Add(r.Meta)
+			rawTotal += FrameSize(len(r.Line))
+			block += FrameSize(len(r.Line))
 		}
-		w.foldMeta(r.Meta)
-		x.Add(r.Meta)
-		rawTotal += FrameSize(len(r.Line))
 	}
 	out, _, err := w.seal(x, rawTotal)
 	if err != nil {
@@ -177,8 +192,8 @@ func TestStreamedRewriteMatchesOracle(t *testing.T) {
 			if len(names) != len(tc.v1) {
 				t.Fatalf("built %v, want %d segments", names, len(tc.v1))
 			}
-			recs, x, raw := oracleReadRun(t, be, names)
-			want := oracleEncode(t, recs, tc.tier, blockTarget)
+			runs, recs, x, raw := oracleReadRun(t, be, names)
+			want := oracleEncode(t, runs, tc.tier, blockTarget)
 
 			cfg := base
 			cfg.Obs = obs.NewRegistry()
@@ -354,11 +369,15 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 				cfg.CompactMin = len(tc.v1)
 			}
 			// What the rewrite wrote when every record crossed it as a line.
-			want, err := tierWriter(tc.tier, blockTarget).encodeSealed(recs)
+			var runs [][]Rec
+			for n := range tc.v1 {
+				runs = append(runs, recs[n*per:(n+1)*per])
+			}
+			want, err := tierWriter(tc.tier, blockTarget).encodeRuns(runs...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.tier == 1 && !bytes.Equal(want, oracleEncode(t, recs, tc.tier, blockTarget)) {
+			if tc.tier == 1 && !bytes.Equal(want, oracleEncode(t, runs, tc.tier, blockTarget)) {
 				t.Fatal("the all-text encoder and the oracle disagree on the archive's bytes")
 			}
 			st, err := Open(be, cfg)
@@ -401,8 +420,8 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 				at += int(b.Index.Count)
 				blockStarts = append(blockStarts, at)
 			}
-			if a, b := boundaries(blockStarts); len(blockStarts) < 16 || a == 0 || b == 0 {
-				t.Fatalf("%d output block boundaries, typed-to-text at %d and text-to-typed at %d; want both", len(blockStarts), a, b)
+			if a, b := boundaries(blockStarts); !slices.Equal(blockStarts, segStarts) || a == 0 || b == 0 {
+				t.Fatalf("output blocks start at records %v, the inputs at %v; typed-to-text at %d and text-to-typed at %d; want both", blockStarts, segStarts, a, b)
 			}
 			reg := cfg.Obs
 			typed, text := reg.Counter("store.rewrite_records_typed").Load(), reg.Counter("store.rewrite_records_text").Load()
@@ -413,6 +432,111 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 				t.Fatalf("store.maintain_errors = %d", n)
 			}
 		})
+	}
+}
+
+// TestRewriteSizesByInputs: a rewrite sizes its output by its inputs,
+// not record by record. After a compaction and an archive run, typed and
+// text records alike, the merged segment's Bytes, its footer's raw
+// total, the sum of its inputs' Bytes and the v1-equivalent size of its
+// records (FrameSize) are one number, and store.raw_bytes — counted as
+// each input was sealed, never again by a rewrite — advanced by exactly
+// it. A segment Open salvages is sized at the file it was salvaged from:
+// its size on disk.
+func TestRewriteSizesByInputs(t *testing.T) {
+	const inputs = 5
+	all := shapeRecs(rand.New(rand.NewSource(5)), inputs*60)
+	for _, tier := range []int{0, 1} {
+		reg := obs.NewRegistry()
+		be := NewMemBackend()
+		cfg := Config{Shards: 1, CompactMin: 1 << 20, BlockTarget: 1024, Obs: reg}
+		st, err := Open(be, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < inputs; n++ {
+			for _, r := range all[n*60 : (n+1)*60] {
+				if err := st.Append(r.Meta, r.Line); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sumIn := 0
+		for _, info := range st.Segments() {
+			sumIn += info.Bytes
+		}
+		_, _, _, oracle := oracleReadRun(t, be, segmentNames(t, be))
+		if tier == 1 {
+			cfg.ArchiveAfter = coldArchive
+		} else {
+			cfg.CompactMin = inputs
+		}
+		if st, err = Open(be, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if tier == 1 {
+			if err := st.Append(Meta{Time: coldNow}, "now"); err != nil {
+				t.Fatal(err)
+			}
+			err = st.Maintain()
+		} else {
+			err = st.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged := st.Segments()[0]
+		data, err := be.Read(merged.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := sealedFooterV2(t, data).RawTotal
+		if merged.Tier != tier || merged.End != inputs {
+			t.Fatalf("tier %d: first segment %+v is not the merged run", tier, merged)
+		}
+		if merged.Bytes != sumIn || raw != sumIn || oracle != sumIn {
+			t.Fatalf("tier %d: Bytes %d, footer raw total %d, oracle %d; the inputs' Bytes sum to %d", tier, merged.Bytes, raw, oracle, sumIn)
+		}
+		if got := reg.Counter("store.raw_bytes").Load(); got != int64(sumIn) {
+			t.Fatalf("tier %d: store.raw_bytes = %d, want the inputs' %d", tier, got, sumIn)
+		}
+	}
+
+	be := NewMemBackend()
+	st, err := Open(be, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range all[:60] {
+		if err := st.Append(r.Meta, r.Line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	name := segName(0, 1, 1, 0)
+	data, err := be.Read(name)
+	torn := len(data) - 10 // cut inside its last flush
+	if err == nil {
+		err = be.Create(name, data[:torn])
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if st, err = Open(be, Config{Shards: 1, Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("store.recovered").Load(); got != 1 {
+		t.Fatalf("store.recovered = %d, want the torn segment", got)
+	}
+	salvaged := st.Segments()[0]
+	if data, err = be.Read(name); err != nil {
+		t.Fatal(err)
+	}
+	if raw := sealedFooterV2(t, data).RawTotal; salvaged.Bytes != torn || raw != torn {
+		t.Fatalf("salvaged segment: Bytes %d, footer raw total %d; want the torn file's %d bytes on disk", salvaged.Bytes, raw, torn)
 	}
 }
 

@@ -32,17 +32,40 @@ func ParseSegment(data []byte) (*Segment, error) {
 
 // encodeSealed encodes records in memory as one sealed segment, every
 // record handed over as its line — what the recovery rewrite wrote
-// before it became a scan.
+// before it became a scan — and each sized as an input of its own
+// (encodeRuns), so that a block breaks after the record that brings it
+// to the target.
 func (w *compWriter) encodeSealed(recs []Rec) ([]byte, error) {
+	runs := make([][]Rec, len(recs))
+	for i := range recs {
+		runs[i] = recs[i : i+1]
+	}
+	return w.encodeRuns(runs...)
+}
+
+// encodeRuns encodes runs of records in memory as one sealed segment, as
+// a rewrite of one input per run writes it: every record handed over as
+// its line, each run sized whole by its records' FrameSize, so blocks
+// break only between runs.
+func (w *compWriter) encodeRuns(runs ...[]Rec) ([]byte, error) {
 	w.openSegment()
 	var x Index
-	for _, r := range recs {
-		if err := w.add(r.Meta, nil, []byte(r.Line)); err != nil {
+	raw := 0
+	for _, run := range runs {
+		n := 0
+		for _, r := range run {
+			if err := w.add(r.Meta, nil, []byte(r.Line)); err != nil {
+				return nil, err
+			}
+			x.Add(r.Meta)
+			n += FrameSize(len(r.Line))
+		}
+		if err := w.endInput(n); err != nil {
 			return nil, err
 		}
-		x.Add(r.Meta)
+		raw += n
 	}
-	out, _, err := w.seal(x, w.segV1)
+	out, _, err := w.seal(x, raw)
 	return out, err
 }
 

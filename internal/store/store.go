@@ -515,11 +515,12 @@ type BatchRec struct {
 // all of a shard's records are staged in its encoder and written under
 // one lock acquisition, with a backend write per segment-cap boundary
 // instead of per record. The filter's dual-sink flush calls this once
-// per Recv. Equivalent to appending the records
-// one at a time except that rotation is checked at batch granularity
-// within a shard, so a segment may overshoot SegmentCap by at most one
-// batch. On an error the records flushed before it stay appended and
-// counted; the failing shard's staged ones are dropped.
+// per Recv. Equivalent to appending the records one at a time, except
+// that a shard's records between two rotations reach the backend in one
+// write: a segment still rotates after the record that brings it to
+// SegmentCap, so it overshoots the cap by less than that record's
+// FrameSize. On an error the records flushed before it stay appended
+// and counted; the failing shard's staged ones are dropped.
 func (s *Store) AppendBatch(recs []BatchRec) error {
 	if len(recs) == 0 {
 		return nil
@@ -673,12 +674,17 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 // sizes; it returns the bytes it read. No record is materialized: each
 // input is borrowed from the backend and scanned through a pooled
 // decoder straight into the encoder, a record stored typed as the view
-// it decodes to, no line built or parsed, a text record as its line
-// (compWriter.add). Without salvage every input must be whole — the
-// footer it was sealed or adopted with, a body that decodes (a scan
-// degraded to stream salvage would skip the block CRCs), every CRC, the
-// records its footer counts — or nothing is written. With salvage, Open's
-// recovery, an input gives the records before its first failure.
+// it decodes to, no line built, parsed or measured, a text record as its
+// line (compWriter.add). Nothing is sized per record: each input counts
+// whole, at the v1-equivalent bytes it was recorded at (its Bytes, its
+// footer's raw total), so out's Bytes are its inputs' sum and a block
+// closes only between inputs (compWriter.endInput). Without salvage every
+// input must be whole — the footer it was sealed or adopted with, a body
+// that decodes (a scan degraded to stream salvage would skip the block
+// CRCs), every CRC, the records its footer counts — or nothing is
+// written. With salvage, Open's recovery, an input gives the records
+// before its first failure and counts at its size on disk, which is what
+// RawBytes reports for an unsealed segment.
 func (s *Store) rewrite(w *compWriter, ins []*SegmentInfo, out *SegmentInfo, salvage bool) (in int, err error) {
 	w.openSegment()
 	d := AcquireDecoder()
@@ -690,6 +696,7 @@ func (s *Store) rewrite(w *compWriter, ins []*SegmentInfo, out *SegmentInfo, sal
 			encErr = w.add(m, v, line)
 		}
 	}
+	raw := 0
 	for _, info := range ins {
 		data, err := s.be.Read(info.Name)
 		if err != nil {
@@ -701,23 +708,28 @@ func (s *Store) rewrite(w *compWriter, ins []*SegmentInfo, out *SegmentInfo, sal
 			return in, fmt.Errorf("%w: %s: footer is not the one it was sealed with", ErrCorrupt, info.Name)
 		}
 		st, err := rs.ScanViews(d, nil, scan)
+		size := info.Bytes
 		if salvage {
-			err = nil
+			err, size = nil, len(data)
 		} else if err == nil && st.Records != int(info.Index.Count) {
 			err = fmt.Errorf("%w: footer count %d but %d records", ErrCorrupt, info.Index.Count, st.Records)
 		}
 		if err == nil {
 			err = encErr
 		}
+		if err == nil {
+			err = w.endInput(size)
+		}
 		if err != nil {
 			return in, fmt.Errorf("%s: %w", info.Name, err)
 		}
+		raw += size
 	}
-	data, _, err := w.seal(out.Index, w.segV1)
+	data, _, err := w.seal(out.Index, raw)
 	if err != nil {
 		return in, err
 	}
-	out.Bytes, out.DiskBytes, out.Sealed = w.segV1, len(data), true
+	out.Bytes, out.DiskBytes, out.Sealed = raw, len(data), true
 	return in, s.be.Create(out.Name, data)
 }
 

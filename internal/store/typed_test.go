@@ -347,15 +347,15 @@ func TestTornTypedTailSalvage(t *testing.T) {
 }
 
 // checkLazyView holds a view a decoder read typed, before anything has
-// filled it, to a copy forced to fill (by LineLen): Field, FieldOf and
+// filled it, to a copy forced to fill (by AppendLine): Field, FieldOf and
 // NameField answer the same for every key of every type, the header
-// names, traceType, a foreign key and ""; Event, AppendLine, LineLen and
+// names, traceType, a foreign key and ""; Event, AppendLine and
 // AppendTyped, each the first thing asked of a fresh copy, give the
 // same bytes.
 func checkLazyView(t *testing.T, lazy *trace.View) {
 	t.Helper()
 	filled := *lazy
-	filled.LineLen()
+	filled.AppendLine(nil, nil)
 	keys := []string{"machine", "cpuTime", "procTime", "type", "traceType", "noSuchKey", ""}
 	for _, order := range storedOrder {
 		keys = append(keys, order...)
@@ -376,7 +376,6 @@ func checkLazyView(t *testing.T, lazy *trace.View) {
 	for what, same := range map[string]func(c *trace.View) bool{
 		"Event":      func(c *trace.View) bool { return fmt.Sprint(c.Event()) == fmt.Sprint(filled.Event()) },
 		"AppendLine": func(c *trace.View) bool { return string(c.AppendLine(nil, nil)) == string(filled.AppendLine(nil, nil)) },
-		"LineLen":    func(c *trace.View) bool { return c.LineLen() == filled.LineLen() },
 		"AppendTyped": func(c *trace.View) bool {
 			return string(c.AppendTyped(nil, &enc1)) == string(filled.AppendTyped(nil, &enc2))
 		},

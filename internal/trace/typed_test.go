@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,7 +65,7 @@ func checkTypedRoundTrip(t *testing.T, enc, dec *TypedState, line []byte) int {
 // yet, to a copy of it forced to fill: Field, FieldOf and NameField give
 // the same answer for every key of every type, the header names,
 // traceType, a foreign key and "", without filling the view; Event,
-// AppendLine, LineLen and AppendTyped, each the first thing asked of a
+// AppendLine and AppendTyped, each the first thing asked of a
 // fresh copy, give the same bytes.
 func checkLazyView(t *testing.T, lazy *View) {
 	t.Helper()
@@ -99,7 +98,6 @@ func checkLazyView(t *testing.T, lazy *View) {
 	for what, same := range map[string]func(c *View) bool{
 		"Event":       func(c *View) bool { return reflect.DeepEqual(c.Event(), filled.Event()) },
 		"AppendLine":  func(c *View) bool { return bytes.Equal(c.AppendLine(nil, nil), filled.AppendLine(nil, nil)) },
-		"LineLen":     func(c *View) bool { return c.LineLen() == filled.LineLen() },
 		"AppendTyped": func(c *View) bool { return bytes.Equal(c.AppendTyped(nil, &enc1), filled.AppendTyped(nil, &enc2)) },
 	} {
 		if c := *lazy; !same(&c) {
@@ -255,89 +253,6 @@ func TestTypedZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLineLenIsLenAppendLine: the length the cold rewrite accounts a
-// record at is the length of the line it would have regenerated —
-// whole and discarded lines, the longest numbers, every family of name,
-// keys of no stored order, a view served by ParseOne, and a view that
-// was decoded rather than parsed.
-func TestLineLenIsLenAppendLine(t *testing.T) {
-	lines := append(standardCorpus(t),
-		"SEND machine=0 cpuTime=0 procTime=0",
-		"SEND machine=65535 cpuTime=4294967295 procTime=9223372036854775807 pid=18446744073709551615 pc=10000000000000000000 sock=9999999999999999999",
-		"SEND machine=9 cpuTime=10 procTime=99 pid=100 pc=999 sock=1000 msgLength=9999 destNameLen=10000 destName=inet:4294967295:65535",
-		"CONNECT machine=1 cpuTime=2 procTime=3 sockName=unix: peerName=unix:fourteen.bytes",
-		"ACCEPT machine=1 cpuTime=2 procTime=3 sockName=pair:pair#4294967295 peerName=-",
-		"SEND machine=1 cpuTime=2 procTime=3 pid=4 where=unix:/x extra=18446744073709551615", // read in place, not standard
-		"SEND pid=0x10 machine=1 cpuTime=2 procTime=3 destName=inet:1:2",                     // ParseOne serves it
-		"SEND machine=007 cpuTime=2 procTime=3",
-	)
-	for _, q := range viewQuirks {
-		lines = append(lines, q.line)
-	}
-	var enc, dec TypedState
-	fallbacks := 0
-	for _, line := range lines {
-		var v, r View
-		if v.Parse([]byte(line)) != nil {
-			continue
-		}
-		if v.n < 0 {
-			fallbacks++
-		}
-		if got, want := v.LineLen(), len(v.AppendLine(nil, nil)); got != want {
-			t.Errorf("line %q: LineLen %d, AppendLine writes %d bytes", line, got, want)
-		}
-		if !v.ParseStandard([]byte(line)) {
-			continue
-		}
-		raw := v.AppendTyped(nil, &enc)
-		if _, ok := r.DecodeTyped(raw, &dec, v.Type, v.Machine, v.CPUTime); !ok {
-			t.Fatalf("line %q does not decode", line)
-		}
-		if got := r.LineLen(); got != len(line) {
-			t.Errorf("line %q decoded: LineLen %d, the line has %d bytes", line, got, len(line))
-		}
-	}
-	if fallbacks < 3 {
-		t.Errorf("%d views served by ParseOne; the fallback is not exercised", fallbacks)
-	}
-	// Every digit count, on both sides of each power of ten and of two.
-	for k, p := 0, uint64(1); k < 64; k++ {
-		for _, u := range []uint64{p - 1, p, p + 1, 1<<k - 1, 1 << k, ^uint64(0) >> k} {
-			if got, want := decimalLen(u), len(appendDecimal(nil, u)); got != want {
-				t.Errorf("decimalLen(%d) = %d, it has %d digits", u, got, want)
-			}
-		}
-		if p <= math.MaxUint64/10 {
-			p *= 10
-		}
-	}
-}
-
-// TestLineLenZeroAllocs: the length of a line nobody builds is counted,
-// not built.
-func TestLineLenZeroAllocs(t *testing.T) {
-	var views []View
-	want := 0
-	for _, l := range standardCorpus(t) {
-		var v View
-		if !v.ParseStandard([]byte(l)) {
-			t.Fatalf("line %q is not standard", l)
-		}
-		views, want = append(views, v), want+len(l)
-	}
-	got := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		got = 0
-		for i := range views {
-			got += views[i].LineLen()
-		}
-	})
-	if allocs != 0 || got != want {
-		t.Fatalf("LineLen over %d views: %.0f allocations and %d bytes, want 0 and %d", len(views), allocs, got, want)
-	}
-}
-
 // FuzzViewAppendLine holds AppendLine to the parser on arbitrary bytes.
 // Whatever the view reads in place it writes back as a line that reads
 // the same; where Event.AppendFormat — the other formatter, which knows
@@ -366,9 +281,6 @@ func FuzzViewAppendLine(f *testing.F) {
 			t.Fatalf("line %q read in place, ParseOne: %v", line, err)
 		}
 		out := v.AppendLine(nil, nil)
-		if n := v.LineLen(); n != len(out) {
-			t.Fatalf("line %q: LineLen %d, AppendLine writes the %d bytes of %q", line, n, len(out), out)
-		}
 		if got, err := ParseOne(out); err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("line %q written back as %q, which reads %+v (%v), not %+v", line, out, got, err, want)
 		}
