@@ -443,40 +443,35 @@ func TestFixturesRecoverAndRewrite(t *testing.T) {
 
 // TestFixturesRebuildByteIdentical pins the hot writer's bytes: each
 // layout of the checked-in v3 stores, rebuilt by identityStore with its
-// seed and configuration, is the MANIFEST's files, name for name and
-// byte for byte. That holds for cap2k+archives too, whose archives are
-// rewrites: a rewrite breaks its blocks between inputs, and an input
-// the writer rotated at SegmentCap ends at the record where a block of
-// the archive's target (4 x 512 = SegmentCap) broke when each record
-// was sized.
+// seed and configuration, is the layout's files (LoadFixture holds them
+// to the MANIFEST), name for name and byte for byte. cap2k+archives
+// holds too: its archives merge inputs rotated at SegmentCap, which is
+// the archive's block target, so a block ends where an input does.
 func TestFixturesRebuildByteIdentical(t *testing.T) {
-	man, err := os.ReadFile(query.Fixtures + "/MANIFEST")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for li, lay := range identityLayouts {
-		want := map[string]string{}
-		for _, entry := range strings.Split(string(man), "\n") {
-			if name, found := strings.CutPrefix(entry, lay.dir+"/"); found {
-				name, sum, _ := strings.Cut(name, "\t")
-				want[name] = sum
-			}
-		}
-		be := identityStore(t, int64(1000+li), lay.cfg, lay.tail)
+	files := func(be store.Backend) map[string]string {
 		listed, err := be.List()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(listed) != len(want) {
-			t.Errorf("%s: rebuilt %d files, the manifest lists %d", lay.dir, len(listed), len(want))
-		}
+		out := map[string]string{}
 		for _, e := range listed {
 			data, err := be.Read(e.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fmt.Sprintf("%d\t%x", len(data), sha256.Sum256(data)); got != want[e.Name] {
-				t.Errorf("%s/%s rebuilt is %s, the manifest says %q", lay.dir, e.Name, got, want[e.Name])
+			out[e.Name] = fmt.Sprintf("%d bytes, sha256 %x", len(data), sha256.Sum256(data))
+		}
+		return out
+	}
+	for li, lay := range identityLayouts {
+		want := files(query.LoadFixture(t, query.Fixtures, lay.dir))
+		got := files(identityStore(t, int64(1000+li), lay.cfg, lay.tail))
+		if len(got) != len(want) {
+			t.Errorf("%s: rebuilt %d files, the fixture has %d", lay.dir, len(got), len(want))
+		}
+		for name, sum := range got {
+			if sum != want[name] {
+				t.Errorf("%s/%s rebuilt is %s, the fixture's %q", lay.dir, name, sum, want[name])
 			}
 		}
 	}
