@@ -22,6 +22,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"reflect"
 
 	"dpm/internal/analysis"
 	"dpm/internal/analysis/live"
@@ -30,22 +31,15 @@ import (
 	"dpm/internal/trace"
 )
 
-// jsonProc is one process row of the -json report.
-type jsonProc struct {
-	Machine int `json:"machine"`
-	PID     int `json:"pid"`
-	analysis.ProcComm
-}
-
 // jsonReport is the -json output shape.
 type jsonReport struct {
-	Events      int                   `json:"events"`
-	Sends       int                   `json:"sends"`
-	Recvs       int                   `json:"recvs"`
+	Events      int64                 `json:"events"`
+	Sends       int64                 `json:"sends"`
+	Recvs       int64                 `json:"recvs"`
 	BytesSent   int64                 `json:"bytes_sent"`
 	BytesRecvd  int64                 `json:"bytes_recvd"`
-	SizeHist    map[int]int           `json:"size_hist,omitempty"`
-	Procs       []jsonProc            `json:"procs"`
+	SizeHist    map[int]int64         `json:"size_hist,omitempty"`
+	Procs       []analysis.ProcComm   `json:"procs"`
 	Parallelism *analysis.Parallelism `json:"parallelism"`
 	Consistency []string              `json:"consistency,omitempty"`
 }
@@ -133,6 +127,8 @@ func exitOnFindings(findings []string) {
 	}
 }
 
+// buildJSON lists the processes that communicated, as the text report
+// does.
 func buildJSON(events []trace.Event, findings []string) *jsonReport {
 	st := analysis.Comm(events)
 	out := &jsonReport{
@@ -141,27 +137,23 @@ func buildJSON(events []trace.Event, findings []string) *jsonReport {
 		Recvs:       st.Recvs,
 		BytesSent:   st.BytesSent,
 		BytesRecvd:  st.BytesRecvd,
-		SizeHist:    st.SizeHist,
 		Parallelism: analysis.MeasureParallelism(events),
 		Consistency: findings,
 	}
-	for k, pc := range st.PerProcess {
-		out.Procs = append(out.Procs, jsonProc{Machine: k.Machine, PID: k.PID, ProcComm: *pc})
-	}
-	sortProcs(out.Procs)
-	return out
-}
-
-func sortProcs(procs []jsonProc) {
-	for i := 1; i < len(procs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &procs[j-1], &procs[j]
-			if a.Machine < b.Machine || (a.Machine == b.Machine && a.PID <= b.PID) {
-				break
+	for b, n := range st.SizeHist {
+		if n != 0 {
+			if out.SizeHist == nil {
+				out.SizeHist = make(map[int]int64)
 			}
-			*a, *b = *b, *a
+			out.SizeHist[b] = n
 		}
 	}
+	for _, p := range st.Procs {
+		if p.Active() {
+			out.Procs = append(out.Procs, p)
+		}
+	}
+	return out
 }
 
 // loadSnapshot reads an obs snapshot in either export format: the JSON
@@ -179,88 +171,71 @@ func loadSnapshot(path string) (*obs.Snapshot, error) {
 
 // liveConsistency compares a snapshot's live-analysis sections against
 // the offline analysis of the trace. The trace must be the same
-// filter's log the snapshot's collector observed; on a completed
-// stream every figure the two compute in common must agree.
+// filter's log the snapshot's collector observed. Both sides are
+// analysis.Fold, one over the tap and one over the log, so on a
+// completed stream they must agree exactly: a finding means a record
+// reached one and not the other.
 func liveConsistency(snap *obs.Snapshot, events []trace.Event) []string {
 	var finds []string
 	badf := func(format string, args ...any) { finds = append(finds, fmt.Sprintf(format, args...)) }
-
-	off := analysis.Comm(events)
-	if sec := snap.Section(live.SectionComm); sec == nil {
-		badf("snapshot has no %s section", live.SectionComm)
-	} else if sec.Version != live.SectionVersion {
-		badf("%s is v%d, this tool reads v%d", live.SectionComm, sec.Version, live.SectionVersion)
-	} else if lc, err := live.DecodeComm(sec.Data); err != nil {
-		badf("%s: %v", live.SectionComm, err)
-	} else {
-		if lc.Events != int64(off.Events) {
-			badf("events: live %d, offline %d", lc.Events, off.Events)
+	section := func(name string) []byte {
+		sec := snap.Section(name)
+		switch {
+		case sec == nil:
+			badf("snapshot has no %s section", name)
+		case sec.Version != live.SectionVersion:
+			badf("%s is v%d, this tool reads v%d", name, sec.Version, live.SectionVersion)
+		default:
+			return sec.Data
 		}
-		if lc.Sends != int64(off.Sends) || lc.BytesSent != off.BytesSent {
-			badf("sends: live %d/%dB, offline %d/%dB", lc.Sends, lc.BytesSent, off.Sends, off.BytesSent)
-		}
-		if lc.Recvs != int64(off.Recvs) || lc.BytesRecvd != off.BytesRecvd {
-			badf("recvs: live %d/%dB, offline %d/%dB", lc.Recvs, lc.BytesRecvd, off.Recvs, off.BytesRecvd)
-		}
-		for b, n := range off.SizeHist {
-			if lc.Sizes[b] != int64(n) {
-				badf("size bucket %d: live %d, offline %d", b, lc.Sizes[b], n)
-			}
-		}
-		for b, n := range lc.Sizes {
-			if int64(off.SizeHist[b]) != n {
-				badf("size bucket %d: live %d, offline %d", b, n, off.SizeHist[b])
-			}
-		}
-		if len(lc.Procs) != len(off.PerProcess) {
-			badf("procs: live %d, offline %d", len(lc.Procs), len(off.PerProcess))
-		}
-		for i := range lc.Procs {
-			p := &lc.Procs[i]
-			o := off.PerProcess[analysis.ProcKey{Machine: int(p.Machine), PID: int(p.PID)}]
-			if o == nil {
-				badf("proc m%d/p%d: live only", p.Machine, p.PID)
-				continue
-			}
-			if p.Sends != int64(o.Sends) || p.Recvs != int64(o.Recvs) || p.RecvCalls != int64(o.RecvCalls) ||
-				p.Sockets != int64(o.Sockets) || p.Forks != int64(o.Forks) ||
-				p.BytesSent != o.BytesSent || p.BytesRecvd != o.BytesRecvd {
-				badf("proc m%d/p%d: live %+v, offline %+v", p.Machine, p.PID, *p, *o)
-			}
-		}
+		return nil
 	}
 
-	offPar := analysis.MeasureParallelism(events)
-	if sec := snap.Section(live.SectionPar); sec == nil {
-		badf("snapshot has no %s section", live.SectionPar)
-	} else if sec.Version != live.SectionVersion {
-		badf("%s is v%d, this tool reads v%d", live.SectionPar, sec.Version, live.SectionVersion)
-	} else if lp, err := live.DecodePar(sec.Data); err != nil {
-		badf("%s: %v", live.SectionPar, err)
-	} else {
-		curve := lp.Curve()
-		if curve.Processes != offPar.Processes {
-			badf("parallelism processes: live %d, offline %d", curve.Processes, offPar.Processes)
+	if data := section(live.SectionComm); data != nil {
+		if lc, err := live.DecodeComm(data); err != nil {
+			badf("%s: %v", live.SectionComm, err)
+		} else {
+			compareComm(badf, &lc.CommStats, analysis.Comm(events))
 		}
-		if curve.TotalCPUMillis != offPar.TotalCPUMillis {
-			badf("total cpu: live %dms, offline %dms", curve.TotalCPUMillis, offPar.TotalCPUMillis)
-		}
-		if curve.MakespanMillis != offPar.MakespanMillis {
-			badf("makespan: live %dms, offline %dms", curve.MakespanMillis, offPar.MakespanMillis)
-		}
-		for k, v := range offPar.Histogram {
-			if curve.Histogram[k] != v {
-				badf("concurrency %dx: live %dms, offline %dms", k, curve.Histogram[k], v)
-			}
-		}
-		for k, v := range curve.Histogram {
-			if offPar.Histogram[k] != v {
-				badf("concurrency %dx: live %dms, offline %dms", k, v, offPar.Histogram[k])
-			}
+	}
+	if data := section(live.SectionPar); data != nil {
+		if lp, err := live.DecodePar(data); err != nil {
+			badf("%s: %v", live.SectionPar, err)
+		} else if curve, off := lp.Curve(), analysis.MeasureParallelism(events); !reflect.DeepEqual(curve, off) {
+			badf("parallelism: live %+v, offline %+v", *curve, *off)
 		}
 	}
 	// live.match is intentionally not compared figure-for-figure: the
 	// online matcher's bounded reordering window makes its tallies
 	// differ from offline MatchMessages on incomplete or lossy traces.
 	return finds
+}
+
+// compareComm reports where the live statistics l and the offline o
+// differ: the totals, then the process tables, which both hold in
+// (machine, pid) order.
+func compareComm(badf func(string, ...any), l, o *analysis.CommStats) {
+	if l.Events != o.Events {
+		badf("events: live %d, offline %d", l.Events, o.Events)
+	}
+	if l.Totals != o.Totals {
+		badf("totals: live %+v, offline %+v", l.Totals, o.Totals)
+	}
+	key := func(p *analysis.ProcComm) uint64 { return uint64(p.Machine)<<32 | uint64(p.PID) }
+	lp, op := l.Procs, o.Procs
+	for len(lp) > 0 || len(op) > 0 {
+		switch {
+		case len(op) == 0 || len(lp) > 0 && key(&lp[0]) < key(&op[0]):
+			badf("proc %s: live only", lp[0].Key())
+			lp = lp[1:]
+		case len(lp) == 0 || key(&op[0]) < key(&lp[0]):
+			badf("proc %s: offline only", op[0].Key())
+			op = op[1:]
+		default:
+			if lp[0] != op[0] {
+				badf("proc %s: live %+v, offline %+v", lp[0].Key(), lp[0], op[0])
+			}
+			lp, op = lp[1:], op[1:]
+		}
+	}
 }

@@ -26,6 +26,12 @@ func buildTrace(t *testing.T) (*obs.Snapshot, []trace.Event) {
 		}
 		stream = m.AppendEncode(stream)
 	}
+	return tapStream(t, stream)
+}
+
+// tapStream runs a meter stream through a tapped pipeline.
+func tapStream(t *testing.T, stream []byte) (*obs.Snapshot, []trace.Event) {
+	t.Helper()
 	proto, err := filter.NewEngine([]byte(filter.StandardDescriptions), []byte(""))
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +57,23 @@ func TestLiveConsistencyAgrees(t *testing.T) {
 	snap, events := buildTrace(t)
 	if finds := liveConsistency(snap, events); len(finds) != 0 {
 		t.Fatalf("consistency findings on matching inputs: %v", finds)
+	}
+}
+
+// TestLiveConsistencyIdleProcess: a process whose only record is its
+// TERMPROC has a row on both sides, so the check finds nothing.
+func TestLiveConsistencyIdleProcess(t *testing.T) {
+	stream := (&meter.Msg{
+		Header: meter.Header{Machine: 0, CPUTime: 10},
+		Body:   &meter.Send{PID: 100, Sock: 3, MsgLength: 8},
+	}).AppendEncode(nil)
+	stream = (&meter.Msg{
+		Header: meter.Header{Machine: 0, CPUTime: 12, ProcTime: 10},
+		Body:   &meter.TermProc{PID: 101},
+	}).AppendEncode(stream)
+	snap, events := tapStream(t, stream)
+	if finds := liveConsistency(snap, events); len(finds) != 0 {
+		t.Fatalf("findings on a send and an idle process's TERMPROC: %v", finds)
 	}
 }
 

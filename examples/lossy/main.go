@@ -110,7 +110,7 @@ func run(count int, loss float64) error {
 
 	events, err := sys.WaitTrace("blue", "f1", 10*time.Second, func(evs []trace.Event) bool {
 		st := analysis.Comm(evs)
-		return st.Sends >= count
+		return st.Sends >= int64(count)
 	})
 	if err != nil {
 		return err

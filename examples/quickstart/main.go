@@ -72,8 +72,10 @@ func run() error {
 	fmt.Printf("communication statistics:\n")
 	fmt.Printf("  sends: %d (%d bytes)   receives: %d (%d bytes)\n",
 		st.Sends, st.BytesSent, st.Recvs, st.BytesRecvd)
-	for k, pc := range st.PerProcess {
-		fmt.Printf("  %s: %d sends / %d recvs\n", k, pc.Sends, pc.Recvs)
+	for _, pc := range st.Procs {
+		if pc.Active() {
+			fmt.Printf("  %s: %d sends / %d recvs\n", pc.Key(), pc.Sends, pc.Recvs)
+		}
 	}
 
 	fmt.Printf("\nstructure:\n%s", analysis.Structure(events, sys.MatchOptions()).Render())

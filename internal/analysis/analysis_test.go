@@ -80,11 +80,10 @@ func TestCommStats(t *testing.T) {
 	if st.BytesSent != 5 || st.BytesRecvd != 5 {
 		t.Fatalf("bytes = %d/%d", st.BytesSent, st.BytesRecvd)
 	}
-	client := st.PerProcess[ProcKey{1, 10}]
-	server := st.PerProcess[ProcKey{2, 20}]
-	if client == nil || server == nil {
-		t.Fatal("missing per-process stats")
+	if len(st.Procs) != 2 || st.Procs[0].Key() != (ProcKey{1, 10}) || st.Procs[1].Key() != (ProcKey{2, 20}) {
+		t.Fatalf("per-process stats = %+v", st.Procs)
 	}
+	client, server := st.Procs[0], st.Procs[1]
 	if client.Sends != 1 || client.BytesSent != 5 || server.Recvs != 1 {
 		t.Fatalf("client=%+v server=%+v", client, server)
 	}
@@ -97,7 +96,7 @@ func TestSizeHistogram(t *testing.T) {
 	}
 	st := Comm(b.events)
 	// buckets: size 0->0, 1->0, 2->1, 3->2, 4->2, 1000->10
-	want := map[int]int{0: 2, 1: 1, 2: 2, 10: 1}
+	want := map[int]int64{0: 2, 1: 1, 2: 2, 10: 1}
 	for k, v := range want {
 		if st.SizeHist[k] != v {
 			t.Fatalf("SizeHist = %v, want %v", st.SizeHist, want)

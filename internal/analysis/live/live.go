@@ -1,23 +1,26 @@
 // Package live computes the paper's §5 analyses incrementally, on the
-// meter stream, as it flows through the filter pipeline — the
-// streaming counterpart of internal/analysis, which runs the same
-// analyses offline over completed trace files. A Collector attaches to
-// a filter through the record-tap seam (filter.TapSource) and
-// maintains three operators:
+// meter stream, as it flows through the filter pipeline. A Collector
+// attaches to a filter through the record-tap seam (filter.TapSource)
+// and maintains three operators:
 //
-//   - a live communication matrix: per-process send/receive counts and
-//     per-(src,dst)-machine message/byte counts with power-of-two
-//     size-bucket histograms, matching analysis.Comm's bucketing;
-//   - a live parallelism curve: per-process [first,last] cpuTime
-//     intervals and final procTime readings, from which the
-//     time-in-k-processes histogram and speedup derive exactly as in
-//     analysis.MeasureParallelism, plus a concurrent-process gauge;
+//   - a live communication matrix: the per-process rows and trace
+//     totals of internal/analysis's fold, plus per-(src,dst)-machine
+//     message/byte counts with power-of-two size-bucket histograms;
+//   - a live parallelism curve: the same fold's per-process
+//     [first,last] cpuTime intervals and final procTime readings, from
+//     which analysis.Sweep derives the time-in-k-processes histogram
+//     and speedup, plus a concurrent-process gauge;
 //   - online send/receive matching: connect/accept pairing, per-stream
 //     byte-offset matching and per-machine-pair datagram FIFOs, all
 //     under a bounded reordering window (match.go) — entries that
 //     outlive the window age out into an unmatched counter instead of
 //     accumulating, which is what lets the operator run forever where
 //     offline MatchMessages assumes a complete sorted trace.
+//
+// The process table and the totals are analysis.Fold's: offline
+// analysis.Comm and analysis.MeasureParallelism are the same fold run
+// over a finished trace, so the two can only differ in what reached
+// them.
 //
 // Operator state is small, per-node, and exported as versioned
 // sections of obs snapshots (sections.go), so the existing stats
@@ -42,10 +45,10 @@ package live
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 	"sync"
 
+	"dpm/internal/analysis"
 	"dpm/internal/filter"
 	"dpm/internal/meter"
 	"dpm/internal/obs"
@@ -95,46 +98,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// sizeBucket mirrors analysis.sizeBucket: bucket 0 holds sizes <= 1,
-// bucket k holds 2^(k-1) < size <= 2^k. bits.Len64(n-1) computes the
-// same doubling count without the loop.
-func sizeBucket(n int64) int {
-	if n <= 1 {
-		return 0
-	}
-	b := bits.Len64(uint64(n - 1))
-	if b >= numSizeBuckets {
-		return numSizeBuckets - 1
-	}
-	return b
-}
-
-// numSizeBuckets covers 64-bit message lengths, same shape as
-// obs.NumBuckets.
-const numSizeBuckets = 64
-
 // procKey packs (machine, pid) into one map key.
 func procKey(machine uint16, pid uint32) uint64 {
 	return uint64(machine)<<32 | uint64(pid)
-}
-
-// procCell is one process's accumulated state: the ProcComm counts of
-// the communication operator and the lifetime interval of the
-// parallelism operator.
-type procCell struct {
-	machine    uint16
-	terminated bool
-	pid        uint32
-	sends      int64
-	recvs      int64
-	recvCalls  int64
-	sockets    int64
-	forks      int64
-	bytesSent  int64
-	bytesRecvd int64
-	first      int64 // earliest cpuTime observed
-	last       int64 // latest cpuTime observed
-	maxCPU     int64 // final procTime reading
 }
 
 // unknownMachine is the matrix row/column for traffic whose peer could
@@ -154,7 +120,7 @@ type pairCell struct {
 	sendBytes int64
 	recvMsgs  int64
 	recvBytes int64
-	sizes     [numSizeBuckets]int64 // sent-size histogram
+	sizes     [analysis.NumSizeBuckets]int64 // sent-size histogram
 }
 
 // tapEntry is the compact op-log record a worker tap buffers: just the
@@ -184,28 +150,23 @@ type Collector struct {
 	// cells lists the same cells for the section encoders, which write
 	// them in (machine, pid) order: cells[:ordered] is in that order and
 	// the cells created since follow as they came (orderCells).
-	procs    map[uint64]*procCell
-	cells    []*procCell
+	procs    map[uint64]*analysis.Proc
+	cells    []*analysis.Proc
 	ordered  int
-	overflow procCell // folds processes beyond MaxProcs; listed in cells once used
+	overflow analysis.Proc // folds processes beyond MaxProcs; listed in cells once used
 	// Direct-mapped caches over the hot tables. Cells are never
 	// deleted, so a cached pointer can only go stale by eviction, never
 	// dangle. A handful of processes and one machine pair dominate any
 	// chunk, which is what makes these small caches pay.
-	procCache [16]*procCell
+	procCache [16]*analysis.Proc
 	lastPairK uint32
 	lastPair  *pairCell
 	// scratch is the buffer the last section capture encoded into,
 	// reused by the next (keep).
 	scratch []byte
 	// Global communication totals and matrix.
-	events    int64
-	sends     int64
-	recvs     int64
-	bytesSent int64
-	bytesRecv int64
-	sizes     [numSizeBuckets]int64
-	pairs     map[uint32]*pairCell
+	totals analysis.Totals
+	pairs  map[uint32]*pairCell
 	// liveProcs tracks started-minus-terminated processes.
 	liveProcs int64
 	match     matcher
@@ -245,11 +206,11 @@ type Collector struct {
 func NewCollector(cfg Config) *Collector {
 	cfg = cfg.withDefaults()
 	c := &Collector{
-		cfg:   cfg,
-		procs: make(map[uint64]*procCell),
-		pairs: make(map[uint32]*pairCell),
+		cfg:      cfg,
+		procs:    make(map[uint64]*analysis.Proc),
+		pairs:    make(map[uint32]*pairCell),
+		overflow: analysis.NewProc(unknownMachine, ^uint32(0)),
 	}
-	c.overflow = procCell{machine: unknownMachine, pid: ^uint32(0), first: -1}
 	c.match.init(cfg)
 	c.pendingQ = make([][]tapEntry, 0, poolChunks+poolSlack)
 	c.freeQ = make([][]tapEntry, 0, poolChunks+poolSlack)
@@ -485,9 +446,9 @@ func (c *Collector) publishStats() {
 }
 
 // cell returns the process's cell, folding overflow past MaxProcs.
-func (c *Collector) cell(machine uint16, pid uint32) *procCell {
+func (c *Collector) cell(machine uint16, pid uint32) *analysis.Proc {
 	idx := (pid + uint32(machine)*31) & uint32(len(c.procCache)-1)
-	if pc := c.procCache[idx]; pc != nil && pc.pid == pid && pc.machine == machine {
+	if pc := c.procCache[idx]; pc != nil && pc.PID == pid && pc.Machine == machine {
 		return pc
 	}
 	k := procKey(machine, pid)
@@ -501,7 +462,8 @@ func (c *Collector) cell(machine uint16, pid uint32) *procCell {
 			}
 			return &c.overflow
 		}
-		pc = &procCell{machine: machine, pid: pid, first: -1}
+		np := analysis.NewProc(machine, pid)
+		pc = &np
 		c.procs[k] = pc
 		c.cells = append(c.cells, pc)
 		c.liveProcs++
@@ -511,15 +473,15 @@ func (c *Collector) cell(machine uint16, pid uint32) *procCell {
 }
 
 // cmpCell orders cells by (machine, pid), the order sections list them.
-func cmpCell(a, b *procCell) int {
-	return cmp.Compare(procKey(a.machine, a.pid), procKey(b.machine, b.pid))
+func cmpCell(a, b *analysis.Proc) int {
+	return cmp.Compare(procKey(a.Machine, a.PID), procKey(b.Machine, b.PID))
 }
 
 // orderCells puts c.cells in (machine, pid) order and returns them.
 // Cells are never deleted, so only those created since the last call
 // are out of place: they are sorted and merged into the ordered prefix
 // from the back — no work when no process is new. The caller holds c.mu.
-func (c *Collector) orderCells() []*procCell {
+func (c *Collector) orderCells() []*analysis.Proc {
 	if c.ordered < len(c.cells) {
 		tail := slices.Clone(c.cells[c.ordered:])
 		slices.SortFunc(tail, cmpCell)
@@ -538,57 +500,26 @@ func (c *Collector) orderCells() []*procCell {
 	return c.cells
 }
 
+// applyOne folds one entry into the process table and the totals
+// through analysis.Fold, then into the matrix and the matcher.
 func (c *Collector) applyOne(e *tapEntry) {
-	c.events++
 	if e.cpu > c.clock {
 		c.clock = e.cpu
 	}
-	pc := c.cell(e.machine, e.pid)
-	if pc.first < 0 || e.cpu < pc.first {
-		pc.first = e.cpu
+	ty, n := meter.Type(e.kind), int64(e.aux)
+	if c.totals.Fold(c.cell(e.machine, e.pid), ty, e.cpu, e.proc, n) && c.liveProcs > 0 {
+		c.liveProcs--
 	}
-	if e.cpu > pc.last {
-		pc.last = e.cpu
-	}
-	if e.proc > pc.maxCPU {
-		pc.maxCPU = e.proc
-	}
-	switch meter.Type(e.kind) {
+	switch ty {
 	case meter.EvSend:
-		n := int64(e.aux)
-		c.sends++
-		c.bytesSent += n
-		c.sizes[sizeBucket(n)]++
-		pc.sends++
-		pc.bytesSent += n
-		dst := c.match.send(e)
-		p := c.pair(e.machine, dst)
+		p := c.pair(e.machine, c.match.send(e))
 		p.sendMsgs++
 		p.sendBytes += n
-		p.sizes[sizeBucket(n)]++
+		p.sizes[analysis.SizeBucket(n)]++
 	case meter.EvRecv:
-		n := int64(e.aux)
-		c.recvs++
-		c.bytesRecv += n
-		pc.recvs++
-		pc.bytesRecvd += n
-		src := c.match.recv(e)
-		p := c.pair(src, e.machine)
+		p := c.pair(c.match.recv(e), e.machine)
 		p.recvMsgs++
 		p.recvBytes += n
-	case meter.EvRecvCall:
-		pc.recvCalls++
-	case meter.EvSocket:
-		pc.sockets++
-	case meter.EvFork:
-		pc.forks++
-	case meter.EvTermProc:
-		if !pc.terminated {
-			pc.terminated = true
-			if c.liveProcs > 0 {
-				c.liveProcs--
-			}
-		}
 	case meter.EvConnect:
 		c.match.connect(e)
 	case meter.EvAccept:

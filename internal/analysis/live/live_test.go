@@ -2,6 +2,7 @@ package live
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -118,42 +119,15 @@ func decodeSections(t *testing.T, snap *obs.Snapshot) (*CommState, *ParState, *M
 }
 
 // assertCommMatchesOffline checks the live comm state against the
-// offline analysis of the same events: global totals, the per-process
-// table, and the send-size histogram must agree exactly.
+// offline analysis of the same events: the totals with their size
+// histogram and the process table must be equal, row for row.
 func assertCommMatchesOffline(t *testing.T, comm *CommState, off *analysis.CommStats) {
 	t.Helper()
-	if comm.Events != int64(off.Events) || comm.Sends != int64(off.Sends) || comm.Recvs != int64(off.Recvs) {
-		t.Fatalf("global counts: live %d/%d/%d, offline %d/%d/%d",
-			comm.Events, comm.Sends, comm.Recvs, off.Events, off.Sends, off.Recvs)
+	if comm.Totals != off.Totals {
+		t.Fatalf("totals: live %+v, offline %+v", comm.Totals, off.Totals)
 	}
-	if comm.BytesSent != off.BytesSent || comm.BytesRecvd != off.BytesRecvd {
-		t.Fatalf("bytes: live %d/%d, offline %d/%d", comm.BytesSent, comm.BytesRecvd, off.BytesSent, off.BytesRecvd)
-	}
-	wantSizes := make(map[int]int64, len(off.SizeHist))
-	for k, v := range off.SizeHist {
-		wantSizes[k] = int64(v)
-	}
-	got := comm.Sizes
-	if got == nil {
-		got = map[int]int64{}
-	}
-	if !reflect.DeepEqual(got, wantSizes) {
-		t.Fatalf("size hist: live %v, offline %v", got, wantSizes)
-	}
-	if len(comm.Procs) != len(off.PerProcess) {
-		t.Fatalf("live has %d procs, offline %d", len(comm.Procs), len(off.PerProcess))
-	}
-	for i := range comm.Procs {
-		p := &comm.Procs[i]
-		o := off.PerProcess[analysis.ProcKey{Machine: int(p.Machine), PID: int(p.PID)}]
-		if o == nil {
-			t.Fatalf("live proc m%d/p%d not in offline analysis", p.Machine, p.PID)
-		}
-		if p.Sends != int64(o.Sends) || p.Recvs != int64(o.Recvs) || p.RecvCalls != int64(o.RecvCalls) ||
-			p.Sockets != int64(o.Sockets) || p.Forks != int64(o.Forks) ||
-			p.BytesSent != o.BytesSent || p.BytesRecvd != o.BytesRecvd {
-			t.Fatalf("proc m%d/p%d: live %+v, offline %+v", p.Machine, p.PID, *p, *o)
-		}
+	if !slices.Equal(comm.Procs, off.Procs) {
+		t.Fatalf("process table: live %+v, offline %+v", comm.Procs, off.Procs)
 	}
 }
 

@@ -55,20 +55,6 @@ func Factory() filter.TapFactory {
 	}
 }
 
-// ProcCommState is one process's row of the decoded communication
-// state.
-type ProcCommState struct {
-	Machine    uint16
-	PID        uint32
-	Sends      int64
-	Recvs      int64
-	RecvCalls  int64
-	Sockets    int64
-	Forks      int64
-	BytesSent  int64
-	BytesRecvd int64
-}
-
 // PairState is one (src,dst) cell of the decoded matrix. Dst or Src
 // equal to UnknownMachine mark unresolved peers.
 type PairState struct {
@@ -77,22 +63,17 @@ type PairState struct {
 	SendBytes int64
 	RecvMsgs  int64
 	RecvBytes int64
-	Sizes     map[int]int64
+	Sizes     [analysis.NumSizeBuckets]int64
 }
 
 // UnknownMachine is the matrix id for an unresolvable peer.
 const UnknownMachine = unknownMachine
 
-// CommState is the decoded live.comm section.
+// CommState is the decoded live.comm section: the fold's statistics,
+// as analysis.Comm computes them over a trace, and the matrix.
 type CommState struct {
-	Events     int64
-	Sends      int64
-	Recvs      int64
-	BytesSent  int64
-	BytesRecvd int64
-	Sizes      map[int]int64
-	Procs      []ProcCommState
-	Pairs      []PairState
+	analysis.CommStats
+	Pairs []PairState
 }
 
 // ProcInterval is one process's lifetime in the decoded live.par
@@ -120,9 +101,9 @@ type MatchState struct {
 	Pending       int64
 }
 
-// Curve derives the parallelism profile from the merged intervals —
-// the same computation analysis.MeasureParallelism runs over a trace,
-// so on a completed stream the two agree exactly.
+// Curve derives the parallelism profile from the merged intervals
+// through analysis.Sweep, as analysis.MeasureParallelism does over a
+// trace.
 func (p *ParState) Curve() *analysis.Parallelism {
 	times := make([]int64, 2*len(p.Procs))
 	starts, ends := times[:len(p.Procs)], times[len(p.Procs):]
@@ -131,45 +112,7 @@ func (p *ParState) Curve() *analysis.Parallelism {
 		cpu += p.Procs[i].MaxCPU
 		starts[i], ends[i] = p.Procs[i].First, p.Procs[i].Last
 	}
-	return sweep(starts, ends, cpu)
-}
-
-// sweep is Curve over interval starts and ends given apart, which it
-// sorts in place — renderPar reads a payload's rows straight into the
-// two arrays. The sweep visits starts and ends in time order, starts
-// before ends at equal times; the two kinds are sorted apart as plain
-// integers and walked with two cursors, which visits them in exactly
-// that order.
-func sweep(starts, ends []int64, totalCPU int64) *analysis.Parallelism {
-	out := &analysis.Parallelism{Histogram: make(map[int]int64)}
-	if len(starts) == 0 {
-		return out
-	}
-	out.Processes = len(starts)
-	out.TotalCPUMillis = totalCPU
-	slices.Sort(starts)
-	slices.Sort(ends)
-	out.MakespanMillis = ends[len(ends)-1] - starts[0]
-	if out.MakespanMillis > 0 {
-		out.Speedup = float64(out.TotalCPUMillis) / float64(out.MakespanMillis)
-	}
-	level := 0
-	prev := int64(-1)
-	for i, j := 0, 0; j < len(ends); {
-		t, delta := ends[j], -1
-		if i < len(starts) && starts[i] <= t {
-			t, delta = starts[i], +1
-			i++
-		} else {
-			j++
-		}
-		if prev >= 0 && t > prev && level > 0 {
-			out.Histogram[level] += t - prev
-		}
-		level += delta
-		prev = t
-	}
-	return out
+	return analysis.Sweep(starts, ends, cpu)
 }
 
 // Running counts the intervals not yet terminated — the merged form of
@@ -258,15 +201,15 @@ func readKey(r *obs.Cursor, prev, d uint64) (uint16, uint32) {
 }
 
 // appendCommRow appends p's live.comm row after the row prev.
-func appendCommRow(b []byte, prev, p *ProcCommState) []byte {
+func appendCommRow(b []byte, prev, p *analysis.ProcComm) []byte {
 	return appendVarints(b, procKey(p.Machine, p.PID)-procKey(prev.Machine, prev.PID),
 		zigzag(p.Sends), zigzag(p.Recvs), zigzag(p.RecvCalls), zigzag(p.Sockets),
 		zigzag(p.Forks), zigzag(p.BytesSent), zigzag(p.BytesRecvd))
 }
 
 // readCommRow reads the row appendCommRow wrote after prev.
-func readCommRow(r *obs.Cursor, prev *ProcCommState) ProcCommState {
-	var p ProcCommState
+func readCommRow(r *obs.Cursor, prev *analysis.ProcComm) analysis.ProcComm {
+	var p analysis.ProcComm
 	p.Machine, p.PID = readKey(r, procKey(prev.Machine, prev.PID), r.Uvarint())
 	p.Sends, p.Recvs, p.RecvCalls = unzigzag(r.Uvarint()), unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
 	p.Sockets, p.Forks = unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
@@ -296,15 +239,10 @@ func readParRow(r *obs.Cursor, prev *ProcInterval) ProcInterval {
 	return iv
 }
 
-// comm and interval are a cell's rows as the two tables write them.
-func (pc *procCell) comm() ProcCommState {
-	return ProcCommState{Machine: pc.machine, PID: pc.pid, Sends: pc.sends, Recvs: pc.recvs, RecvCalls: pc.recvCalls,
-		Sockets: pc.sockets, Forks: pc.forks, BytesSent: pc.bytesSent, BytesRecvd: pc.bytesRecvd}
-}
-
-func (pc *procCell) interval() ProcInterval {
-	return ProcInterval{Machine: pc.machine, PID: pc.pid, Terminated: pc.terminated,
-		First: max(pc.first, 0), Last: pc.last, MaxCPU: pc.maxCPU}
+// interval is a cell's live.par row.
+func interval(pc *analysis.Proc) ProcInterval {
+	return ProcInterval{Machine: pc.Machine, PID: pc.PID, Terminated: pc.Terminated,
+		First: pc.First, Last: pc.Last, MaxCPU: pc.MaxCPU}
 }
 
 func appendI64s(b []byte, vs ...int64) []byte {
@@ -314,7 +252,7 @@ func appendI64s(b []byte, vs ...int64) []byte {
 	return b
 }
 
-func appendSizes(b []byte, sizes *[numSizeBuckets]int64) []byte {
+func appendSizes(b []byte, sizes *[analysis.NumSizeBuckets]int64) []byte {
 	le := binary.LittleEndian
 	n := 0
 	for _, v := range sizes {
@@ -332,23 +270,11 @@ func appendSizes(b []byte, sizes *[numSizeBuckets]int64) []byte {
 	return b
 }
 
-// sizeArray is a decoded size histogram as the encoder takes it.
-func sizeArray(sizes map[int]int64) *[numSizeBuckets]int64 {
-	var out [numSizeBuckets]int64
-	for k, v := range sizes {
-		if k >= 0 && k < numSizeBuckets {
-			out[k] = v
-		}
-	}
-	return &out
-}
-
-// readSizes reads what appendSizes wrote, and only that: buckets in
-// ascending order, none empty, none past the last — so a histogram that
-// decodes encodes back to itself.
-func readSizes(r *obs.Cursor) map[int]int64 {
+// readSizes reads what appendSizes wrote into sizes, and only that:
+// buckets in ascending order, none empty, none past the last — so a
+// histogram that decodes encodes back to itself.
+func readSizes(r *obs.Cursor, sizes *[analysis.NumSizeBuckets]int64) {
 	n := int(r.U16())
-	var out map[int]int64
 	prev := -1
 	for i := 0; i < n && r.Err() == nil; i++ {
 		bucket := int(r.U8())
@@ -356,21 +282,17 @@ func readSizes(r *obs.Cursor) map[int]int64 {
 		if r.Err() != nil {
 			break
 		}
-		if bucket <= prev || bucket >= numSizeBuckets || v == 0 {
+		if bucket <= prev || bucket >= len(sizes) || v == 0 {
 			r.Fail("size bucket %d of %d after %d", bucket, v, prev)
 			break
 		}
-		if out == nil {
-			out = make(map[int]int64, min(n, numSizeBuckets))
-		}
-		out[bucket] = v
+		sizes[bucket] = v
 		prev = bucket
 	}
-	return out
 }
 
-func appendCommHead(b []byte, events, sends, recvs, bytesSent, bytesRecvd int64, sizes *[numSizeBuckets]int64) []byte {
-	return appendSizes(appendI64s(b, events, sends, recvs, bytesSent, bytesRecvd), sizes)
+func appendCommHead(b []byte, t *analysis.Totals) []byte {
+	return appendSizes(appendI64s(b, t.Events, t.Sends, t.Recvs, t.BytesSent, t.BytesRecvd), &t.SizeHist)
 }
 
 // appendProcTable appends live.comm's process table of n rows, which
@@ -384,7 +306,7 @@ func appendProcTable(b []byte, n int, rows func([]byte) []byte) []byte {
 	return b
 }
 
-func appendPairRow(b []byte, src, dst uint16, sendMsgs, sendBytes, recvMsgs, recvBytes int64, sizes *[numSizeBuckets]int64) []byte {
+func appendPairRow(b []byte, src, dst uint16, sendMsgs, sendBytes, recvMsgs, recvBytes int64, sizes *[analysis.NumSizeBuckets]int64) []byte {
 	b = binary.LittleEndian.AppendUint16(b, src)
 	b = binary.LittleEndian.AppendUint16(b, dst)
 	return appendSizes(appendI64s(b, sendMsgs, sendBytes, recvMsgs, recvBytes), sizes)
@@ -405,13 +327,12 @@ func (c *Collector) captureComm() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cells := c.orderCells()
-	b := appendCommHead(c.scratch[:0], c.events, c.sends, c.recvs, c.bytesSent, c.bytesRecv, &c.sizes)
+	b := appendCommHead(c.scratch[:0], &c.totals)
 	b = appendProcTable(b, len(cells), func(b []byte) []byte {
-		var prev ProcCommState
+		var prev analysis.ProcComm
 		for _, pc := range cells {
-			p := pc.comm()
-			b = appendCommRow(b, &prev, &p)
-			prev = p
+			b = appendCommRow(b, &prev, &pc.ProcComm)
+			prev = pc.ProcComm
 		}
 		return b
 	})
@@ -432,12 +353,12 @@ func (c *Collector) captureComm() []byte {
 // in order first.
 func encodeCommState(st *CommState) []byte {
 	b := make([]byte, 0, 64+minCommRowSize*len(st.Procs)+80*len(st.Pairs))
-	b = appendCommHead(b, st.Events, st.Sends, st.Recvs, st.BytesSent, st.BytesRecvd, sizeArray(st.Sizes))
-	slices.SortStableFunc(st.Procs, func(x, y ProcCommState) int {
+	b = appendCommHead(b, &st.Totals)
+	slices.SortStableFunc(st.Procs, func(x, y analysis.ProcComm) int {
 		return cmp.Compare(procKey(x.Machine, x.PID), procKey(y.Machine, y.PID))
 	})
 	b = appendProcTable(b, len(st.Procs), func(b []byte) []byte {
-		var prev ProcCommState
+		var prev analysis.ProcComm
 		for i := range st.Procs {
 			b = appendCommRow(b, &prev, &st.Procs[i])
 			prev = st.Procs[i]
@@ -448,7 +369,7 @@ func encodeCommState(st *CommState) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Pairs)))
 	for i := range st.Pairs {
 		p := &st.Pairs[i]
-		b = appendPairRow(b, p.Src, p.Dst, p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes, sizeArray(p.Sizes))
+		b = appendPairRow(b, p.Src, p.Dst, p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes, &p.Sizes)
 	}
 	return b
 }
@@ -469,14 +390,10 @@ func DecodeComm(data []byte) (*CommState, error) {
 // them).
 func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 	r := obs.NewCursor(data, ErrBadSection)
-	st := &CommState{
-		Events:     r.I64(),
-		Sends:      r.I64(),
-		Recvs:      r.I64(),
-		BytesSent:  r.I64(),
-		BytesRecvd: r.I64(),
-	}
-	st.Sizes = readSizes(&r)
+	st := &CommState{}
+	t := &st.Totals
+	t.Events, t.Sends, t.Recvs, t.BytesSent, t.BytesRecvd = r.I64(), r.I64(), r.I64(), r.I64(), r.I64()
+	readSizes(&r, &t.SizeHist)
 	np := int(count(&r))
 	rows := r.Take(int(r.U32()))
 	if np > len(rows)/minCommRowSize {
@@ -484,8 +401,8 @@ func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 	}
 	if procs && r.Err() == nil {
 		pr := obs.NewCursor(rows, ErrBadSection)
-		st.Procs = make([]ProcCommState, 0, np)
-		var prev ProcCommState
+		st.Procs = make([]analysis.ProcComm, 0, np)
+		var prev analysis.ProcComm
 		for i := 0; i < np && pr.Err() == nil; i++ {
 			prev = readCommRow(&pr, &prev)
 			st.Procs = append(st.Procs, prev)
@@ -503,7 +420,7 @@ func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 		p := PairState{Src: r.U16(), Dst: r.U16()}
 		p.SendMsgs, p.SendBytes = r.I64(), r.I64()
 		p.RecvMsgs, p.RecvBytes = r.I64(), r.I64()
-		p.Sizes = readSizes(&r)
+		readSizes(&r, &p.Sizes)
 		if r.Err() == nil {
 			st.Pairs = append(st.Pairs, p)
 		}
@@ -523,7 +440,7 @@ func (c *Collector) capturePar() []byte {
 	b := binary.LittleEndian.AppendUint32(c.scratch[:0], uint32(len(cells)))
 	var prev ProcInterval
 	for _, pc := range cells {
-		iv := pc.interval()
+		iv := interval(pc)
 		b = appendParRow(b, &prev, &iv)
 		prev = iv
 	}
@@ -612,13 +529,10 @@ func foldRows[T any](a, b []T, key func(*T) uint64, combine func(dst, src *T)) [
 	return append(a, extra...)
 }
 
-// addSizes adds the src histogram into *dst.
-func addSizes(dst *map[int]int64, src map[int]int64) {
-	if *dst == nil && src != nil {
-		*dst = make(map[int]int64, len(src))
-	}
-	for k, v := range src {
-		(*dst)[k] += v
+// addSizes adds the src histogram into dst.
+func addSizes(dst, src *[analysis.NumSizeBuckets]int64) {
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 
@@ -636,10 +550,10 @@ func mergeCommPayload(a, b []byte) ([]byte, error) {
 	sa.Recvs += sb.Recvs
 	sa.BytesSent += sb.BytesSent
 	sa.BytesRecvd += sb.BytesRecvd
-	addSizes(&sa.Sizes, sb.Sizes)
+	addSizes(&sa.SizeHist, &sb.SizeHist)
 	sa.Procs = foldRows(sa.Procs, sb.Procs,
-		func(p *ProcCommState) uint64 { return procKey(p.Machine, p.PID) },
-		func(dst, p *ProcCommState) {
+		func(p *analysis.ProcComm) uint64 { return procKey(p.Machine, p.PID) },
+		func(dst, p *analysis.ProcComm) {
 			dst.Sends += p.Sends
 			dst.Recvs += p.Recvs
 			dst.RecvCalls += p.RecvCalls
@@ -655,7 +569,7 @@ func mergeCommPayload(a, b []byte) ([]byte, error) {
 			dst.SendBytes += p.SendBytes
 			dst.RecvMsgs += p.RecvMsgs
 			dst.RecvBytes += p.RecvBytes
-			addSizes(&dst.Sizes, p.Sizes)
+			addSizes(&dst.Sizes, &p.Sizes)
 		})
 	return encodeCommState(sa), nil
 }
@@ -733,15 +647,12 @@ func renderComm(w io.Writer, s *obs.Section) {
 	}
 	fmt.Fprintf(w, "live communication: %d events, %d procs, sends %d (%d B), recvs %d (%d B)\n",
 		st.Events, nprocs, st.Sends, st.BytesSent, st.Recvs, st.BytesRecvd)
-	if len(st.Sizes) > 0 {
-		keys := make([]int, 0, len(st.Sizes))
-		for k := range st.Sizes {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
+	if st.SizeHist != ([analysis.NumSizeBuckets]int64{}) {
 		fmt.Fprintf(w, "  send sizes:")
-		for _, k := range keys {
-			fmt.Fprintf(w, " <=2^%d:%d", k, st.Sizes[k])
+		for k, n := range st.SizeHist {
+			if n != 0 {
+				fmt.Fprintf(w, " <=2^%d:%d", k, n)
+			}
 		}
 		fmt.Fprintf(w, "\n")
 	}
@@ -770,7 +681,7 @@ func renderComm(w io.Writer, s *obs.Section) {
 	}
 }
 
-// renderPar reads the rows straight into the sweep's start and end
+// renderPar reads the rows straight into analysis.Sweep's start and end
 // arrays; no interval table is built.
 func renderPar(w io.Writer, s *obs.Section) {
 	if s.Version != SectionVersion {
@@ -794,7 +705,7 @@ func renderPar(w io.Writer, s *obs.Section) {
 		fmt.Fprintf(w, "live parallelism: %v\n", err)
 		return
 	}
-	curve := sweep(starts, ends, cpu)
+	curve := analysis.Sweep(starts, ends, cpu)
 	fmt.Fprintf(w, "live parallelism: %d procs (%d running), cpu %d ms over %d ms, speedup %.2f\n",
 		curve.Processes, running, curve.TotalCPUMillis, curve.MakespanMillis, curve.Speedup)
 	if len(curve.Histogram) > 0 {

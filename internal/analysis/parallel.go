@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 
 	"dpm/internal/trace"
 )
@@ -31,72 +31,51 @@ type Parallelism struct {
 
 // MeasureParallelism computes the parallelism profile of a trace.
 func MeasureParallelism(events []trace.Event) *Parallelism {
-	p := &Parallelism{Histogram: make(map[int]int64)}
-	if len(events) == 0 {
-		return p
+	_, procs := fold(events)
+	times := make([]int64, 2*len(procs))
+	starts, ends := times[:len(procs)], times[len(procs):]
+	var cpu int64
+	for i, p := range procs {
+		starts[i], ends[i] = p.First, p.Last
+		cpu += p.MaxCPU
 	}
-	type interval struct {
-		first, last int64
-		maxCPU      int64
-	}
-	procs := make(map[ProcKey]*interval)
-	minT, maxT := events[0].CPUTime, events[0].CPUTime
-	for i := range events {
-		e := &events[i]
-		k := keyOf(e)
-		iv := procs[k]
-		if iv == nil {
-			iv = &interval{first: e.CPUTime, last: e.CPUTime}
-			procs[k] = iv
-		}
-		if e.CPUTime < iv.first {
-			iv.first = e.CPUTime
-		}
-		if e.CPUTime > iv.last {
-			iv.last = e.CPUTime
-		}
-		if e.ProcTime > iv.maxCPU {
-			iv.maxCPU = e.ProcTime
-		}
-		if e.CPUTime < minT {
-			minT = e.CPUTime
-		}
-		if e.CPUTime > maxT {
-			maxT = e.CPUTime
-		}
-	}
-	p.Processes = len(procs)
-	for _, iv := range procs {
-		p.TotalCPUMillis += iv.maxCPU
-	}
-	p.MakespanMillis = maxT - minT
-	if p.MakespanMillis > 0 {
-		p.Speedup = float64(p.TotalCPUMillis) / float64(p.MakespanMillis)
-	}
+	return Sweep(starts, ends, cpu)
+}
 
-	// Sweep line over process lifetimes for the concurrency histogram.
-	type edge struct {
-		t     int64
-		delta int
+// Sweep derives the parallelism profile from process lifetimes given
+// as their starts and their ends, which it sorts in place, and the
+// processes' summed CPU time. It visits starts and ends in time order,
+// starts before ends at equal times: the two kinds are sorted apart as
+// plain integers and walked with two cursors, which visits them in
+// exactly that order.
+func Sweep(starts, ends []int64, totalCPU int64) *Parallelism {
+	out := &Parallelism{Histogram: make(map[int]int64)}
+	if len(starts) == 0 {
+		return out
 	}
-	var edges []edge
-	for _, iv := range procs {
-		edges = append(edges, edge{iv.first, +1}, edge{iv.last, -1})
+	out.Processes = len(starts)
+	out.TotalCPUMillis = totalCPU
+	slices.Sort(starts)
+	slices.Sort(ends)
+	out.MakespanMillis = ends[len(ends)-1] - starts[0]
+	if out.MakespanMillis > 0 {
+		out.Speedup = float64(out.TotalCPUMillis) / float64(out.MakespanMillis)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		return edges[i].delta > edges[j].delta // starts before ends at the same instant
-	})
 	level := 0
 	prev := int64(-1)
-	for _, e := range edges {
-		if prev >= 0 && e.t > prev && level > 0 {
-			p.Histogram[level] += e.t - prev
+	for i, j := 0, 0; j < len(ends); {
+		t, delta := ends[j], -1
+		if i < len(starts) && starts[i] <= t {
+			t, delta = starts[i], +1
+			i++
+		} else {
+			j++
 		}
-		level += e.delta
-		prev = e.t
+		if prev >= 0 && t > prev && level > 0 {
+			out.Histogram[level] += t - prev
+		}
+		level += delta
+		prev = t
 	}
-	return p
+	return out
 }

@@ -19,20 +19,18 @@ func Report(events []trace.Event, opts *MatchOptions) (string, error) {
 	fmt.Fprintf(&b, "communication statistics\n")
 	fmt.Fprintf(&b, "  sends:    %6d  (%d bytes)\n", st.Sends, st.BytesSent)
 	fmt.Fprintf(&b, "  receives: %6d  (%d bytes)\n", st.Recvs, st.BytesRecvd)
-	for _, k := range sortedProcKeys(st.PerProcess) {
-		pc := st.PerProcess[k]
-		fmt.Fprintf(&b, "  %-10s %4d sends %4d recvs %4d recv-calls %3d sockets %2d forks\n",
-			k.String()+":", pc.Sends, pc.Recvs, pc.RecvCalls, pc.Sockets, pc.Forks)
-	}
-	if len(st.SizeHist) > 0 {
-		fmt.Fprintf(&b, "  message sizes (power-of-two buckets):")
-		var buckets []int
-		for bk := range st.SizeHist {
-			buckets = append(buckets, bk)
+	for i := range st.Procs {
+		if pc := &st.Procs[i]; pc.Active() {
+			fmt.Fprintf(&b, "  %-10s %4d sends %4d recvs %4d recv-calls %3d sockets %2d forks\n",
+				pc.Key().String()+":", pc.Sends, pc.Recvs, pc.RecvCalls, pc.Sockets, pc.Forks)
 		}
-		sort.Ints(buckets)
-		for _, bk := range buckets {
-			fmt.Fprintf(&b, " <=%d:%d", 1<<bk, st.SizeHist[bk])
+	}
+	if st.Sends > 0 {
+		fmt.Fprintf(&b, "  message sizes (power-of-two buckets):")
+		for bk, n := range st.SizeHist {
+			if n != 0 {
+				fmt.Fprintf(&b, " <=%d:%d", uint64(1)<<bk, n)
+			}
 		}
 		b.WriteByte('\n')
 	}

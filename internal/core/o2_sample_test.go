@@ -125,7 +125,7 @@ func TestO2SampleLiveReport(t *testing.T) {
 	// for number, with the offline analysis of the fetched trace.
 	comm := analysis.Comm(events)
 	wantComm := fmt.Sprintf("live communication: %d events, %d procs, sends %d (%d B), recvs %d (%d B)",
-		comm.Events, len(comm.PerProcess), comm.Sends, comm.BytesSent, comm.Recvs, comm.BytesRecvd)
+		comm.Events, len(comm.Procs), comm.Sends, comm.BytesSent, comm.Recvs, comm.BytesRecvd)
 	if !strings.Contains(report, wantComm) {
 		t.Fatalf("report missing %q:\n%s", wantComm, report)
 	}

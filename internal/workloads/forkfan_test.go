@@ -83,9 +83,9 @@ func TestForkFanMetered(t *testing.T) {
 	// The parent's comm stats show the fan-in; fork count recorded.
 	st := analysis.Comm(events)
 	var parentStats *analysis.ProcComm
-	for k, pc := range st.PerProcess {
-		if uint64(k.PID) == parent && pc.Forks > 0 {
-			parentStats = pc
+	for i, pc := range st.Procs {
+		if uint64(pc.PID) == parent && pc.Forks > 0 {
+			parentStats = &st.Procs[i]
 		}
 	}
 	if parentStats == nil || parentStats.Forks != 3 {
