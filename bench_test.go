@@ -1441,11 +1441,12 @@ func BenchmarkScanText(b *testing.B) {
 const statsYardstickBytes = 1529285
 
 // BenchmarkStatsRoundTrip is what one machine's share of a `stats`
-// costs once its filter has seen live.Config's default MaxProcs of
+// costs once its filter holds live.Config's default MaxProcs of open
 // processes: the registry captured (the live sections encoded), the
 // snapshot marshalled, parsed back and rendered — 16 384 processes on
 // six machines, all 36 machine pairs in the matrix, ~0.23 MB on the
-// wire. ns/op and B/op are archived; the gate is x-sha256, for the
+// wire. Their records span 1.5 s of cpuTime, inside one reordering
+// window, so none of them retires. ns/op and B/op are archived; the gate is x-sha256, for the
 // reason BenchmarkViewParse gates x-ParseOne: the host runs at two
 // speeds, so the round trip is held against a yardstick timed in this
 // process in alternating chunks, each side at its best chunk. The
@@ -1468,7 +1469,7 @@ func BenchmarkStatsRoundTrip(b *testing.B) {
 	var stream []byte
 	for i, pid := range rng.Perm(procs) {
 		machine := uint16(i % machines)
-		hdr := meter.Header{Machine: machine, CPUTime: uint32(100 + i/4), ProcTime: uint32(i % 97)}
+		hdr := meter.Header{Machine: machine, CPUTime: uint32(100 + i/16), ProcTime: uint32(i % 97)}
 		stream = (&meter.Msg{Header: hdr, Body: &meter.Send{PID: uint32(1 + pid), Sock: 3, MsgLength: uint32(1 + rng.Intn(4096)),
 			DestNameLen: 16, DestName: meter.InetName(uint32(i/machines%machines), 5000)}}).AppendEncode(stream[:0])
 		hdr.CPUTime += uint32(rng.Intn(400))

@@ -14,6 +14,8 @@
 // live.comm/live.par sections, and reports any disagreement with the
 // offline analysis of the trace — on a completed trace the two must
 // agree exactly, except for the online matcher's documented windowing.
+// A process the collector has retired is compared within its machine's
+// summary.
 package main
 
 import (
@@ -174,7 +176,8 @@ func loadSnapshot(path string) (*obs.Snapshot, error) {
 // filter's log the snapshot's collector observed. Both sides are
 // analysis.Fold, one over the tap and one over the log, so on a
 // completed stream they must agree exactly: a finding means a record
-// reached one and not the other.
+// reached one and not the other, or reached the collector more than a
+// reordering window late.
 func liveConsistency(snap *obs.Snapshot, events []trace.Event) []string {
 	var finds []string
 	badf := func(format string, args ...any) { finds = append(finds, fmt.Sprintf(format, args...)) }
@@ -195,7 +198,7 @@ func liveConsistency(snap *obs.Snapshot, events []trace.Event) []string {
 		if lc, err := live.DecodeComm(data); err != nil {
 			badf("%s: %v", live.SectionComm, err)
 		} else {
-			compareComm(badf, &lc.CommStats, analysis.Comm(events))
+			compareComm(badf, lc, analysis.Comm(events))
 		}
 	}
 	if data := section(live.SectionPar); data != nil {
@@ -212,9 +215,11 @@ func liveConsistency(snap *obs.Snapshot, events []trace.Event) []string {
 }
 
 // compareComm reports where the live statistics l and the offline o
-// differ: the totals, then the process tables, which both hold in
-// (machine, pid) order.
-func compareComm(badf func(string, ...any), l, o *analysis.CommStats) {
+// differ: the totals; each process the collector still holds against
+// the trace's row for it, both tables being in (machine, pid) order;
+// and each machine's processes, open and retired, against the trace's
+// rows of that machine, summed and counted.
+func compareComm(badf func(string, ...any), l *live.CommState, o *analysis.CommStats) {
 	if l.Events != o.Events {
 		badf("events: live %d, offline %d", l.Events, o.Events)
 	}
@@ -222,20 +227,32 @@ func compareComm(badf func(string, ...any), l, o *analysis.CommStats) {
 		badf("totals: live %+v, offline %+v", l.Totals, o.Totals)
 	}
 	key := func(p *analysis.ProcComm) uint64 { return uint64(p.Machine)<<32 | uint64(p.PID) }
-	lp, op := l.Procs, o.Procs
-	for len(lp) > 0 || len(op) > 0 {
-		switch {
-		case len(op) == 0 || len(lp) > 0 && key(&lp[0]) < key(&op[0]):
-			badf("proc %s: live only", lp[0].Key())
-			lp = lp[1:]
-		case len(lp) == 0 || key(&op[0]) < key(&lp[0]):
-			badf("proc %s: offline only", op[0].Key())
+	op := o.Procs
+	for _, p := range l.Procs {
+		for len(op) > 0 && key(&op[0]) < key(&p) {
 			op = op[1:]
+		}
+		switch {
+		case len(op) == 0 || key(&op[0]) != key(&p):
+			badf("proc %s: live only", p.Key())
+		case op[0] != p:
+			badf("proc %s: live %+v, offline %+v", p.Key(), p, op[0])
+		}
+	}
+	lm, om := l.ByMachine(), (&live.CommState{CommStats: *o}).ByMachine()
+	for len(lm) > 0 || len(om) > 0 {
+		switch {
+		case len(om) == 0 || len(lm) > 0 && lm[0].Machine < om[0].Machine:
+			badf("machine m%d: live only", lm[0].Machine)
+			lm = lm[1:]
+		case len(lm) == 0 || om[0].Machine < lm[0].Machine:
+			badf("machine m%d: offline only", om[0].Machine)
+			om = om[1:]
 		default:
-			if lp[0] != op[0] {
-				badf("proc %s: live %+v, offline %+v", lp[0].Key(), lp[0], op[0])
+			if lm[0] != om[0] {
+				badf("machine m%d: live %+v, offline %+v", lm[0].Machine, lm[0], om[0])
 			}
-			lp, op = lp[1:], op[1:]
+			lm, om = lm[1:], om[1:]
 		}
 	}
 }

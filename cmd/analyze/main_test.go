@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -129,5 +131,52 @@ func TestBuildJSON(t *testing.T) {
 	}
 	if back.Parallelism == nil || back.Parallelism.Processes != 3 {
 		t.Fatalf("parallelism lost in JSON: %+v", back.Parallelism)
+	}
+}
+
+// TestLiveConsistencyRetired: a collector's snapshot and its filter's
+// log of 20 000 terminated processes spanning ten reordering windows —
+// more processes than the collector holds rows for, most of them
+// retired into machine summaries — agree: analyze -snapshot reports
+// nothing.
+func TestLiveConsistencyRetired(t *testing.T) {
+	const procs = 20000
+	var stream []byte
+	for i := 0; i < procs; i++ {
+		hdr := meter.Header{Machine: uint16(i % 4), CPUTime: uint32(100 + i), ProcTime: uint32(i % 70)}
+		stream = (&meter.Msg{Header: hdr, Body: &meter.Send{PID: uint32(1000 + i), Sock: 3, MsgLength: uint32(i % 900),
+			DestNameLen: 16, DestName: meter.InetName(uint32(i%3), 99)}}).AppendEncode(stream)
+		hdr.CPUTime += 20
+		stream = (&meter.Msg{Header: hdr, Body: &meter.TermProc{PID: uint32(1000 + i)}}).AppendEncode(stream)
+	}
+	proto, err := filter.NewEngine([]byte(filter.StandardDescriptions), []byte(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	var logBuf []byte
+	pipe := filter.NewPipeline(proto, filter.PipelineConfig{Workers: 2, Taps: live.NewCollector(live.Config{Obs: reg})},
+		filter.Sinks{Log: func(b []byte) error { logBuf = append(logBuf, b...); return nil }}, nil)
+	if !pipe.NewSource().Feed(stream) {
+		t.Fatal("feed refused")
+	}
+	pipe.Close()
+	events, err := trace.ParseLog(logBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "snap.bin")
+	if err := os.WriteFile(path, reg.Snapshot().MarshalBinary(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lc, err := live.DecodeComm(snap.Section(live.SectionComm).Data); err != nil || len(lc.Procs) > procs/5 {
+		t.Fatalf("the snapshot holds %d process rows of %d (%v): the run did not retire its processes", len(lc.Procs), procs, err)
+	}
+	if finds := liveConsistency(snap, events); len(finds) != 0 {
+		t.Fatalf("%d findings, first %q", len(finds), finds[0])
 	}
 }

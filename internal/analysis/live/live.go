@@ -22,6 +22,17 @@
 // over a finished trace, so the two can only differ in what reached
 // them.
 //
+// The table holds open processes only. The collector sweeps the
+// concurrency curve forward to a horizon at most WindowMillis behind
+// the watermark (the largest cpuTime applied) and never past the last
+// record of a process still running; a terminated process whose last
+// record lies behind the horizon retires into its machine's summary —
+// its summed communication row, its count, its procTime and its span —
+// so the state, and a section, grow with the processes open and the
+// machines, not with the processes seen. A record that lands behind
+// the horizon is clamped to it and counted (live.par.late); with none,
+// the curve is analysis.MeasureParallelism's exactly.
+//
 // Operator state is small, per-node, and exported as versioned
 // sections of obs snapshots (sections.go), so the existing stats
 // plumbing — daemon TStatsReq, controller merge, dpmon -watch, dpstat
@@ -45,6 +56,7 @@ package live
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 
@@ -60,15 +72,17 @@ type Config struct {
 	// and snapshot sections — the filter machine's registry in a real
 	// deployment.
 	Obs *obs.Registry
-	// WindowMillis is the reordering window of the online matcher, in
-	// record cpuTime: an unmatched send, receive, or handshake older
-	// than this ages out. Default 2000.
+	// WindowMillis is the reordering window, in record cpuTime: an
+	// unmatched send, receive, or handshake older than this ages out of
+	// the online matcher, and a terminated process whose last record is
+	// this far behind the watermark retires from the process table.
+	// Default 2000.
 	WindowMillis int64
 	// MaxPending bounds each matcher queue (pending handshakes, stream
 	// spans per direction, datagram flow FIFOs, orphans): when full,
 	// the oldest entry is evicted as aged. Default 1024.
 	MaxPending int
-	// MaxProcs bounds the per-process tables; processes beyond it fold
+	// MaxProcs bounds the open processes; processes beyond it fold
 	// into an overflow bucket so a runaway workload cannot grow the
 	// analysis state without bound. Default 16384.
 	MaxProcs int
@@ -146,18 +160,25 @@ type Collector struct {
 
 	mu    sync.Mutex
 	clock int64 // watermark: max cpuTime applied
-	// Per-process table, shared by the comm and parallelism operators.
+	// Open-process table, shared by the comm and parallelism operators.
 	// cells lists the same cells for the section encoders, which write
-	// them in (machine, pid) order: cells[:ordered] is in that order and
-	// the cells created since follow as they came (orderCells).
+	// them in (machine, pid) order (orderCells).
 	procs    map[uint64]*analysis.Proc
 	cells    []*analysis.Proc
-	ordered  int
-	overflow analysis.Proc // folds processes beyond MaxProcs; listed in cells once used
-	// Direct-mapped caches over the hot tables. Cells are never
-	// deleted, so a cached pointer can only go stale by eviction, never
-	// dangle. A handful of processes and one machine pair dominate any
-	// chunk, which is what makes these small caches pay.
+	overflow *analysis.Proc // folds processes beyond MaxProcs; listed in cells while set
+	// The sweep (settle): hist holds the milliseconds before horizon
+	// at each concurrency level, over every process; retired sums, in
+	// machine order, the processes that left the table behind it.
+	// settleAt is the watermark at which the next settle is tried.
+	horizon  int64
+	settleAt int64
+	hist     map[int]int64
+	retired  []machineSum
+	nRetired int64
+	// Direct-mapped caches over the hot tables. A settle clears the
+	// process cache, so a cached pointer can only go stale by eviction,
+	// never dangle. A handful of processes and one machine pair
+	// dominate any chunk, which is what makes these small caches pay.
 	procCache [16]*analysis.Proc
 	lastPairK uint32
 	lastPair  *pairCell
@@ -167,7 +188,8 @@ type Collector struct {
 	// Global communication totals and matrix.
 	totals analysis.Totals
 	pairs  map[uint32]*pairCell
-	// liveProcs tracks started-minus-terminated processes.
+	// liveProcs counts the rows not terminated, the overflow row
+	// included: what ParState.Running counts.
 	liveProcs int64
 	match     matcher
 
@@ -187,6 +209,7 @@ type Collector struct {
 	// Stat accumulators, folded under mu and published by publishStats.
 	statRecords int64
 	statFlushes int64
+	statLate    int64 // records clamped to the horizon
 
 	// Obs handles, resolved once; nil-safe via a discard registry.
 	tapRecords  *obs.Counter
@@ -197,6 +220,16 @@ type Collector struct {
 	dgramMatch  *obs.Counter
 	agedOut     *obs.Counter
 	pendingG    *obs.Gauge
+	// reg is where live.par.late is registered, on the first late
+	// record: a run with none reports what it did before the counter.
+	reg *obs.Registry
+}
+
+// machineSum is what a machine's retired processes leave behind, as
+// the two sections' machine rows.
+type machineSum struct {
+	comm MachineComm
+	par  MachinePar
 }
 
 // NewCollector builds a collector and, when cfg.Obs is set, registers
@@ -209,7 +242,9 @@ func NewCollector(cfg Config) *Collector {
 		cfg:      cfg,
 		procs:    make(map[uint64]*analysis.Proc),
 		pairs:    make(map[uint32]*pairCell),
-		overflow: analysis.NewProc(unknownMachine, ^uint32(0)),
+		horizon:  math.MinInt64,
+		settleAt: cfg.WindowMillis,
+		hist:     make(map[int]int64),
 	}
 	c.match.init(cfg)
 	c.pendingQ = make([][]tapEntry, 0, poolChunks+poolSlack)
@@ -232,6 +267,7 @@ func NewCollector(cfg Config) *Collector {
 	c.dgramMatch = reg.Counter("live.match.dgram_matched")
 	c.agedOut = reg.Counter("live.match.aged_out")
 	c.pendingG = reg.Gauge("live.match.pending")
+	c.reg = reg
 	if cfg.Obs != nil {
 		cfg.Obs.RegisterSection(SectionComm, SectionVersion, c.captureComm)
 		cfg.Obs.RegisterSection(SectionPar, SectionVersion, c.capturePar)
@@ -415,6 +451,10 @@ func (c *Collector) apply(entries []tapEntry) {
 	for i := range entries {
 		c.applyOne(&entries[i])
 	}
+	if c.clock >= c.settleAt {
+		c.settle()
+		c.settleAt = c.clock + c.cfg.WindowMillis/8
+	}
 	c.match.sweep(c.clock)
 	c.statRecords += int64(len(entries))
 	c.statFlushes++
@@ -427,9 +467,9 @@ func (c *Collector) apply(entries []tapEntry) {
 // sections first, so they always see published values.
 func (c *Collector) publishStats() {
 	c.mu.Lock()
-	recs, flushes := c.statRecords, c.statFlushes
-	c.statRecords, c.statFlushes = 0, 0
-	nProcs := int64(len(c.procs))
+	recs, flushes, late := c.statRecords, c.statFlushes, c.statLate
+	c.statRecords, c.statFlushes, c.statLate = 0, 0, 0
+	nProcs := int64(len(c.procs)) + c.nRetired
 	live := c.liveProcs
 	pending := c.match.pending
 	stream, dgram, aged := c.match.takeCounts()
@@ -437,6 +477,9 @@ func (c *Collector) publishStats() {
 
 	c.tapRecords.Add(recs)
 	c.tapFlushes.Add(flushes)
+	if late > 0 {
+		c.reg.Counter("live.par.late").Add(late)
+	}
 	c.procsSeen.Set(nProcs)
 	c.procsLive.Set(live)
 	c.pendingG.Set(int64(pending))
@@ -455,12 +498,13 @@ func (c *Collector) cell(machine uint16, pid uint32) *analysis.Proc {
 	pc := c.procs[k]
 	if pc == nil {
 		if len(c.procs) >= c.cfg.MaxProcs {
-			// The overflow key is the largest there is, so it encodes
-			// last, and the table is full, so nothing is listed after.
-			if len(c.cells) == len(c.procs) {
-				c.cells = append(c.cells, &c.overflow)
+			if c.overflow == nil {
+				np := analysis.NewProc(unknownMachine, ^uint32(0))
+				c.overflow = &np
+				c.cells = append(c.cells, c.overflow)
+				c.liveProcs++
 			}
-			return &c.overflow
+			return c.overflow
 		}
 		np := analysis.NewProc(machine, pid)
 		pc = &np
@@ -478,36 +522,106 @@ func cmpCell(a, b *analysis.Proc) int {
 }
 
 // orderCells puts c.cells in (machine, pid) order and returns them.
-// Cells are never deleted, so only those created since the last call
-// are out of place: they are sorted and merged into the ordered prefix
-// from the back — no work when no process is new. The caller holds c.mu.
+// The caller holds c.mu.
 func (c *Collector) orderCells() []*analysis.Proc {
-	if c.ordered < len(c.cells) {
-		tail := slices.Clone(c.cells[c.ordered:])
-		slices.SortFunc(tail, cmpCell)
-		i, j := c.ordered-1, len(tail)-1
-		for k := len(c.cells) - 1; j >= 0; k-- {
-			if i >= 0 && cmpCell(c.cells[i], tail[j]) > 0 {
-				c.cells[k] = c.cells[i]
-				i--
-			} else {
-				c.cells[k] = tail[j]
-				j--
-			}
-		}
-		c.ordered = len(c.cells)
+	if !slices.IsSortedFunc(c.cells, cmpCell) {
+		slices.SortFunc(c.cells, cmpCell)
 	}
 	return c.cells
 }
 
+// settle sweeps the concurrency curve forward to a new horizon —
+// WindowMillis behind the watermark, and never past the last record of
+// a process still running, whose interval may yet grow — and retires
+// every terminated process whose last record lies before it. Each
+// open interval is clipped to the stretch between the two horizons,
+// so the swept histogram is the one analysis.Sweep draws over every
+// interval at once. The caller holds c.mu.
+func (c *Collector) settle() {
+	h := c.clock - c.cfg.WindowMillis
+	for _, pc := range c.cells {
+		if !pc.Terminated {
+			h = min(h, pc.Last)
+		}
+	}
+	if h <= c.horizon {
+		return
+	}
+	var starts, ends []int64
+	keep := c.cells[:0]
+	for _, pc := range c.cells {
+		if s, e := max(pc.First, c.horizon), min(pc.Last, h); s < e {
+			starts, ends = append(starts, s), append(ends, e)
+		}
+		if pc.Terminated && pc.Last < h {
+			c.retire(pc)
+		} else {
+			keep = append(keep, pc)
+		}
+	}
+	clear(c.cells[len(keep):])
+	c.cells = keep
+	for k, ms := range analysis.Sweep(starts, ends, 0).Histogram {
+		c.hist[k] += ms
+	}
+	c.horizon = h
+	clear(c.procCache[:])
+}
+
+// retire folds a terminated process into its machine's summary and
+// takes it out of the table.
+func (c *Collector) retire(pc *analysis.Proc) {
+	i, ok := slices.BinarySearchFunc(c.retired, pc.Machine, func(s machineSum, m uint16) int {
+		return cmp.Compare(s.comm.Machine, m)
+	})
+	if !ok {
+		c.retired = slices.Insert(c.retired, i, machineSum{comm: MachineComm{ProcComm: analysis.ProcComm{Machine: pc.Machine}},
+			par: MachinePar{Machine: pc.Machine, First: math.MaxInt64, Last: math.MinInt64}})
+	}
+	s := &c.retired[i]
+	addComm(&s.comm.ProcComm, &pc.ProcComm)
+	s.comm.Procs++
+	addMachinePar(&s.par, &MachinePar{Procs: 1, CPU: pc.MaxCPU, First: pc.First, Last: pc.Last})
+	c.nRetired++
+	if pc == c.overflow {
+		c.overflow = nil
+	} else {
+		delete(c.procs, procKey(pc.Machine, pc.PID))
+	}
+}
+
+// addComm adds src's counts into dst.
+func addComm(dst, src *analysis.ProcComm) {
+	dst.Sends += src.Sends
+	dst.Recvs += src.Recvs
+	dst.RecvCalls += src.RecvCalls
+	dst.Sockets += src.Sockets
+	dst.Forks += src.Forks
+	dst.BytesSent += src.BytesSent
+	dst.BytesRecvd += src.BytesRecvd
+}
+
+// addMachinePar adds src's processes into dst.
+func addMachinePar(dst, src *MachinePar) {
+	dst.Procs += src.Procs
+	dst.CPU += src.CPU
+	dst.First, dst.Last = min(dst.First, src.First), max(dst.Last, src.Last)
+}
+
 // applyOne folds one entry into the process table and the totals
-// through analysis.Fold, then into the matrix and the matcher.
+// through analysis.Fold, then into the matrix and the matcher. A record
+// behind the horizon folds at the horizon.
 func (c *Collector) applyOne(e *tapEntry) {
 	if e.cpu > c.clock {
 		c.clock = e.cpu
 	}
+	cpu := e.cpu
+	if cpu < c.horizon {
+		cpu = c.horizon
+		c.statLate++
+	}
 	ty, n := meter.Type(e.kind), int64(e.aux)
-	if c.totals.Fold(c.cell(e.machine, e.pid), ty, e.cpu, e.proc, n) && c.liveProcs > 0 {
+	if c.totals.Fold(c.cell(e.machine, e.pid), ty, cpu, e.proc, n) {
 		c.liveProcs--
 	}
 	switch ty {

@@ -17,7 +17,9 @@ import (
 // control_churn-shaped load: jobs of six short processes, one on each of
 // six machines, each creating a socketpair, sending and receiving twenty
 // five-byte messages over it, and terminating. Pids rise by one a job on
-// every machine, as process creation hands them out.
+// every machine, as process creation hands them out. cpuTime rises a
+// millisecond every second job, so that 16 384 processes fit in one
+// reordering window and none of them retires: the table stays full.
 func churnCollector(procs int) *Collector {
 	const machines, rounds = 6, 20
 	c := NewCollector(Config{})
@@ -25,8 +27,8 @@ func churnCollector(procs int) *Collector {
 	clock := int64(1000)
 	for i := 0; i < procs; i++ {
 		m, pid := uint16(i%machines), uint32(40+i/machines)
-		if m == 0 {
-			clock += 3
+		if m == 0 && i/machines%2 == 0 {
+			clock++
 		}
 		cpu, proc := clock+int64(m)%2, int64(0)
 		add := func(kind meter.Type, sock, aux uint32) {
@@ -89,9 +91,20 @@ func TestSectionBytesPerProcess(t *testing.T) {
 	}
 }
 
+// countProcs counts the processes a grouped table sums.
+func countProcs(ms []MachineComm) int64 {
+	var n int64
+	for i := range ms {
+		n += ms[i].Procs
+	}
+	return n
+}
+
 // liveSeeds are real captures: the sample collectors, a churn-shaped
-// one, and the identity stream's full and overflowing collectors part
-// way through.
+// one, the identity stream's full and overflowing collectors part way
+// through, then version 3's own shapes — a collector that has retired
+// processes into machine rows and swept part of its curve, and the
+// merge of two, swept to the end of time.
 func liveSeeds() (comm, par [][]byte) {
 	add := func(c *Collector) {
 		comm = append(comm, c.captureComm())
@@ -110,6 +123,17 @@ func liveSeeds() (comm, par [][]byte) {
 			return c
 		}())
 	}
+	retired := func(from, to int) *Collector {
+		c := NewCollector(Config{WindowMillis: 40})
+		c.apply(stream[from:to])
+		return c
+	}
+	a, b := retired(0, 1500), retired(1500, 3000)
+	mc, _ := mergeCommPayload(a.captureComm(), b.captureComm())
+	mp, _ := mergeParPayload(a.capturePar(), b.capturePar())
+	add(a)
+	add(b)
+	comm, par = append(comm, mc), append(par, mp)
 	return comm, par
 }
 
@@ -139,8 +163,9 @@ func checkLiveSections(t *testing.T, comm, par [][]byte, data []byte) {
 
 	text := render(renderComm)
 	if st, err := DecodeComm(data); err == nil {
-		if cap(st.Procs) > len(data)/minCommRowSize || cap(st.Pairs) > len(data)/minPairRowSize {
-			t.Fatalf("tables of %d and %d rows from %d bytes", cap(st.Procs), cap(st.Pairs), len(data))
+		if cap(st.Procs) > len(data)/minCommRowSize || cap(st.Machines) > len(data)/minMachCommSize ||
+			cap(st.Pairs) > len(data)/minPairRowSize {
+			t.Fatalf("tables of %d, %d and %d rows from %d bytes", cap(st.Procs), cap(st.Machines), cap(st.Pairs), len(data))
 		}
 		if !strings.HasPrefix(text, "live communication: ") || !strings.Contains(text, " procs, ") {
 			t.Fatalf("renderComm of a payload that decodes: %q", text)
@@ -175,8 +200,8 @@ func checkLiveSections(t *testing.T, comm, par [][]byte, data []byte) {
 		}
 		return
 	}
-	if cap(st.Procs) > len(data)/minParRowSize {
-		t.Fatalf("a table of %d rows from %d bytes", cap(st.Procs), len(data))
+	if cap(st.Procs) > len(data)/minParRowSize || cap(st.Machines) > len(data)/minMachParSize {
+		t.Fatalf("tables of %d and %d rows from %d bytes", cap(st.Procs), cap(st.Machines), len(data))
 	}
 	if !strings.HasPrefix(text, "live parallelism: ") {
 		t.Fatalf("renderPar of a payload that decodes: %q", text)
@@ -187,7 +212,7 @@ func checkLiveSections(t *testing.T, comm, par [][]byte, data []byte) {
 		t.Fatalf("renderPar %q, DecodePar and Curve %q", text, want)
 	}
 	checkCurve(t, st.Procs)
-	again := encodeParState(slices.Clone(st.Procs))
+	again := encodeParState(&ParState{Machines: slices.Clone(st.Machines), Swept: st.Swept, Procs: slices.Clone(st.Procs)})
 	st2, err := DecodePar(again)
 	if err != nil {
 		t.Fatalf("re-encoded live.par does not decode: %v", err)
@@ -240,7 +265,7 @@ func TestCapturesOwnTheirBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Procs) != 350 {
-		t.Fatalf("%d process rows, want 350", len(st.Procs))
+	if n := countProcs(st.ByMachine()); n != 350 {
+		t.Fatalf("%d processes, want 350", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"dpm/internal/analysis"
@@ -15,11 +16,12 @@ import (
 
 // Snapshot section names and the shared payload version. Payloads are
 // little-endian fields and varints, bounds-checked on decode, and merge
-// by key-wise summation (comm), interval union (par), and counter
-// addition (match) — all associative and commutative, the contract
-// obs.SectionMerger requires. A decoder rejects corrupt bytes with
-// ErrBadSection; the obs merge then degrades to carrying both inputs
-// instead of dropping state.
+// by key-wise summation (comm), interval union plus histogram and
+// summary addition (par), and counter addition (match) — all
+// associative and commutative, the contract obs.SectionMerger
+// requires. A decoder rejects corrupt bytes with ErrBadSection; the obs
+// merge then degrades to carrying both inputs instead of dropping
+// state.
 const (
 	SectionComm  = "live.comm"
 	SectionPar   = "live.par"
@@ -28,7 +30,7 @@ const (
 	// section arriving with a different version is left unmerged and
 	// unrendered (carried opaquely), so mixed-version clusters degrade
 	// instead of misparsing.
-	SectionVersion = 2
+	SectionVersion = 3
 )
 
 // ErrBadSection reports an undecodable live-analysis payload.
@@ -70,10 +72,38 @@ type PairState struct {
 const UnknownMachine = unknownMachine
 
 // CommState is the decoded live.comm section: the fold's statistics,
-// as analysis.Comm computes them over a trace, and the matrix.
+// as analysis.Comm computes them over a trace, and the matrix. Procs
+// holds the open processes only; Machines sums the retired ones.
 type CommState struct {
 	analysis.CommStats
-	Pairs []PairState
+	Machines []MachineComm
+	Pairs    []PairState
+}
+
+// MachineComm is one machine's summed communication row (PID zero)
+// and the number of processes summed into it: in a section, the
+// processes the collector has retired.
+type MachineComm struct {
+	analysis.ProcComm
+	Procs int64
+}
+
+// ByMachine groups the statistics by machine, in machine order: each
+// machine's retired summary plus its open rows. Over a trace's
+// analysis.Comm it is the trace's per-machine table — the grouping in
+// which a collector's statistics, once processes retire, equal it.
+func (st *CommState) ByMachine() []MachineComm {
+	out := slices.Clone(st.Machines)
+	for i := range st.Procs {
+		p := &st.Procs[i]
+		j, ok := slices.BinarySearchFunc(out, p.Machine, func(m MachineComm, id uint16) int { return cmp.Compare(m.Machine, id) })
+		if !ok {
+			out = slices.Insert(out, j, MachineComm{ProcComm: analysis.ProcComm{Machine: p.Machine}})
+		}
+		addComm(&out[j].ProcComm, p)
+		out[j].Procs++
+	}
+	return out
 }
 
 // ProcInterval is one process's lifetime in the decoded live.par
@@ -87,9 +117,32 @@ type ProcInterval struct {
 	MaxCPU     int64
 }
 
-// ParState is the decoded live.par section.
+// ParState is the decoded live.par section: the open processes'
+// intervals, the retired processes' per-machine summaries, and the
+// part of the concurrency curve already swept.
 type ParState struct {
-	Procs []ProcInterval
+	Machines []MachinePar
+	Swept    *Swept
+	Procs    []ProcInterval
+}
+
+// MachinePar sums one machine's retired processes: how many, their
+// final procTime readings, and the span of their records.
+type MachinePar struct {
+	Machine     uint16
+	Procs       int64
+	CPU         int64
+	First, Last int64
+}
+
+// Swept is the part of the concurrency curve a collector has swept:
+// Hist[k] is the milliseconds before Horizon during which exactly k
+// processes were live. The open intervals count from Horizon on. A
+// merged section is swept to math.MaxInt64: its Hist is the sum of
+// each collector's whole curve.
+type Swept struct {
+	Horizon int64
+	Hist    map[int]int64
 }
 
 // MatchState is the decoded live.match section.
@@ -101,9 +154,9 @@ type MatchState struct {
 	Pending       int64
 }
 
-// Curve derives the parallelism profile from the merged intervals
-// through analysis.Sweep, as analysis.MeasureParallelism does over a
-// trace.
+// Curve derives the parallelism profile from the intervals, the
+// summaries and the swept histogram through analysis.Sweep, as
+// analysis.MeasureParallelism does over a trace.
 func (p *ParState) Curve() *analysis.Parallelism {
 	times := make([]int64, 2*len(p.Procs))
 	starts, ends := times[:len(p.Procs)], times[len(p.Procs):]
@@ -112,7 +165,39 @@ func (p *ParState) Curve() *analysis.Parallelism {
 		cpu += p.Procs[i].MaxCPU
 		starts[i], ends[i] = p.Procs[i].First, p.Procs[i].Last
 	}
-	return analysis.Sweep(starts, ends, cpu)
+	return p.curve(starts, ends, cpu)
+}
+
+// curve is Curve over the open intervals given as their starts and
+// ends, which it clips to the horizon and sorts in place, and their
+// summed procTime.
+func (p *ParState) curve(starts, ends []int64, cpu int64) *analysis.Parallelism {
+	sw := Swept{Horizon: math.MinInt64}
+	if p.Swept != nil {
+		sw = *p.Swept
+	}
+	n, first, last := int64(len(starts)), int64(math.MaxInt64), int64(math.MinInt64)
+	for i := range starts {
+		first, last = min(first, starts[i]), max(last, ends[i])
+		starts[i], ends[i] = max(starts[i], sw.Horizon), max(ends[i], sw.Horizon)
+	}
+	for _, m := range p.Machines {
+		n += m.Procs
+		cpu += m.CPU
+		first, last = min(first, m.First), max(last, m.Last)
+	}
+	out := analysis.Sweep(starts, ends, cpu)
+	for k, ms := range sw.Hist {
+		out.Histogram[k] += ms
+	}
+	out.Processes, out.TotalCPUMillis = int(n), cpu
+	if n > 0 {
+		out.MakespanMillis, out.Speedup = last-first, 0
+		if out.MakespanMillis > 0 {
+			out.Speedup = float64(cpu) / float64(out.MakespanMillis)
+		}
+	}
+	return out
 }
 
 // Running counts the intervals not yet terminated — the merged form of
@@ -140,41 +225,52 @@ func count(r *obs.Cursor) uint32 {
 }
 
 // The least a row of each table takes: a process row is all varints of
-// at least a byte each, a pair row has an empty size histogram.
+// at least a byte each, a machine row a u16 and varints, a pair row has
+// an empty size histogram.
 const (
-	minCommRowSize = 8
-	minParRowSize  = 4
-	minPairRowSize = 2 + 2 + 4*8 + 2
+	minCommRowSize  = 8
+	minParRowSize   = 4
+	minMachCommSize = 2 + 8
+	minMachParSize  = 2 + 4
+	minPairRowSize  = 2 + 2 + 4*8 + 2
 )
 
-// The live.comm payload, version 2 — procs in (machine, pid) order,
-// pairs in (src, dst) order, empty size buckets left out:
+// The live.comm payload, version 3 — open procs in (machine, pid)
+// order, machines ascending, pairs in (src, dst) order, empty size
+// buckets left out:
 //
 //	i64 events, sends, recvs, bytesSent, bytesRecvd,
 //	u16 n sizes × (u8 bucket, i64 count),
 //	u32 n procs, u32 bytes of the process rows that follow,
-//	n procs × (uvarint key − previous row's key,
-//	           zigzag varint sends, recvs, recvCalls, sockets, forks,
-//	                         bytesSent, bytesRecvd),
+//	n procs × (uvarint key − previous row's key, counts),
+//	u32 n machines × (u16 machine, zigzag varint procs, counts),
 //	u32 n pairs × (u16 src, u16 dst, i64 sendMsgs, sendBytes,
-//	               recvMsgs, recvBytes, u16 n sizes × (u8, i64)).
+//	               recvMsgs, recvBytes, u16 n sizes × (u8, i64)),
 //
-// A process's key is procKey(machine, pid), and the first row's
-// distance is from key 0. Version-1 payloads, whose rows were
-// fixed-width, are refused, not read.
+// where counts are zigzag varints sends, recvs, recvCalls, sockets,
+// forks, bytesSent, bytesRecvd. A process's key is procKey(machine,
+// pid), and the first row's distance is from key 0. A machine row sums
+// the processes the collector has retired on that machine.
 //
-// The live.par payload, version 2, rows in (machine, pid) order:
+// The live.par payload, version 3, open rows in (machine, pid) order:
 //
+//	u8 0 (nothing swept), or u8 1, zigzag varint horizon,
+//	    u32 n levels × (uvarint level, uvarint ms), levels ascending
+//	    from 1,
+//	u32 n machines × (u16 machine, zigzag varint procs, cpu, first,
+//	                  last − first),
 //	u32 n procs × (uvarint (key − previous row's key)<<1 | terminated,
 //	               zigzag varint first − previous row's first,
 //	               zigzag varint last − first, zigzag varint maxCPU),
 //
-// the first row's distances taken from key 0 and time 0.
+// the first row's distances taken from key 0 and time 0. The levels are
+// Swept's histogram; a machine row is a MachinePar.
 //
-// Each table has one row writer (appendCommRow, appendParRow) and one
-// row reader (readCommRow, readParRow) that captures, the encoders of
-// merged state, the mergers and the renderers all go through.
-// Differences wrap as int64s, so any decoded state re-encodes to itself.
+// Each table has one row writer (appendCommRow, appendMachineComm,
+// appendMachinePar, appendParRow) and one row reader that captures,
+// the encoders of merged state, the mergers and the renderers all go
+// through. Differences wrap as int64s, so any decoded state re-encodes
+// to itself. Version-1 and version-2 payloads are refused, not read.
 
 // maxProcKey is the largest key procKey makes: a decoded row whose
 // distance passes it is corrupt.
@@ -200,21 +296,126 @@ func readKey(r *obs.Cursor, prev, d uint64) (uint16, uint32) {
 	return uint16(k >> 32), uint32(k)
 }
 
+// appendCounts appends a communication row's counts.
+func appendCounts(b []byte, p *analysis.ProcComm) []byte {
+	return appendVarints(b, zigzag(p.Sends), zigzag(p.Recvs), zigzag(p.RecvCalls), zigzag(p.Sockets),
+		zigzag(p.Forks), zigzag(p.BytesSent), zigzag(p.BytesRecvd))
+}
+
+// readCounts reads what appendCounts wrote into p.
+func readCounts(r *obs.Cursor, p *analysis.ProcComm) {
+	p.Sends, p.Recvs, p.RecvCalls = unzigzag(r.Uvarint()), unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
+	p.Sockets, p.Forks = unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
+	p.BytesSent, p.BytesRecvd = unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
+}
+
 // appendCommRow appends p's live.comm row after the row prev.
 func appendCommRow(b []byte, prev, p *analysis.ProcComm) []byte {
-	return appendVarints(b, procKey(p.Machine, p.PID)-procKey(prev.Machine, prev.PID),
-		zigzag(p.Sends), zigzag(p.Recvs), zigzag(p.RecvCalls), zigzag(p.Sockets),
-		zigzag(p.Forks), zigzag(p.BytesSent), zigzag(p.BytesRecvd))
+	return appendCounts(binary.AppendUvarint(b, procKey(p.Machine, p.PID)-procKey(prev.Machine, prev.PID)), p)
 }
 
 // readCommRow reads the row appendCommRow wrote after prev.
 func readCommRow(r *obs.Cursor, prev *analysis.ProcComm) analysis.ProcComm {
 	var p analysis.ProcComm
 	p.Machine, p.PID = readKey(r, procKey(prev.Machine, prev.PID), r.Uvarint())
-	p.Sends, p.Recvs, p.RecvCalls = unzigzag(r.Uvarint()), unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
-	p.Sockets, p.Forks = unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
-	p.BytesSent, p.BytesRecvd = unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
+	readCounts(r, &p)
 	return p
+}
+
+// appendMachineComm appends m's live.comm machine row.
+func appendMachineComm(b []byte, m *MachineComm) []byte {
+	return appendCounts(binary.AppendUvarint(binary.LittleEndian.AppendUint16(b, m.Machine), zigzag(m.Procs)), &m.ProcComm)
+}
+
+// readMachineComm reads the row appendMachineComm wrote.
+func readMachineComm(r *obs.Cursor) MachineComm {
+	m := MachineComm{ProcComm: analysis.ProcComm{Machine: r.U16()}, Procs: unzigzag(r.Uvarint())}
+	readCounts(r, &m.ProcComm)
+	return m
+}
+
+// appendMachinePar appends m's live.par machine row.
+func appendMachinePar(b []byte, m *MachinePar) []byte {
+	return appendVarints(binary.LittleEndian.AppendUint16(b, m.Machine),
+		zigzag(m.Procs), zigzag(m.CPU), zigzag(m.First), zigzag(m.Last-m.First))
+}
+
+// readMachinePar reads the row appendMachinePar wrote.
+func readMachinePar(r *obs.Cursor) MachinePar {
+	m := MachinePar{Machine: r.U16(), Procs: unzigzag(r.Uvarint()), CPU: unzigzag(r.Uvarint()), First: unzigzag(r.Uvarint())}
+	m.Last = m.First + unzigzag(r.Uvarint())
+	return m
+}
+
+// appendTable appends a u32 row count and the n rows row writes.
+func appendTable(b []byte, n int, row func(b []byte, i int) []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	for i := 0; i < n; i++ {
+		b = row(b, i)
+	}
+	return b
+}
+
+// readMachines reads a table of machine rows, each at least size bytes,
+// in strictly ascending machine order.
+func readMachines[T any](r *obs.Cursor, size int, row func(*obs.Cursor) T, machine func(*T) uint16) []T {
+	n := int(count(r))
+	if n > r.Remaining()/size {
+		r.Fail("%d machine rows in %d bytes", n, r.Remaining())
+		return nil
+	}
+	out := make([]T, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		m := row(r)
+		if i > 0 && machine(&m) <= machine(&out[i-1]) {
+			r.Fail("machine %d after %d", machine(&m), machine(&out[i-1]))
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// appendSwept appends the swept part of the curve, levels ascending.
+func appendSwept(b []byte, sw *Swept) []byte {
+	if sw == nil {
+		return append(b, 0)
+	}
+	levels := make([]int, 0, len(sw.Hist))
+	for k := range sw.Hist {
+		levels = append(levels, k)
+	}
+	slices.Sort(levels)
+	b = binary.AppendUvarint(append(b, 1), zigzag(sw.Horizon))
+	return appendTable(b, len(levels), func(b []byte, i int) []byte {
+		return appendVarints(b, uint64(levels[i]), uint64(sw.Hist[levels[i]]))
+	})
+}
+
+// readSwept reads what appendSwept wrote.
+func readSwept(r *obs.Cursor) *Swept {
+	switch flag := r.U8(); {
+	case flag == 0 || r.Err() != nil:
+		return nil
+	case flag != 1:
+		r.Fail("swept flag %d", flag)
+		return nil
+	}
+	sw := &Swept{Horizon: unzigzag(r.Uvarint())}
+	n := int(count(r))
+	if n > r.Remaining()/2 {
+		r.Fail("%d levels in %d bytes", n, r.Remaining())
+		return nil
+	}
+	sw.Hist = make(map[int]int64, n)
+	prev := uint64(0)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k, ms := r.Uvarint(), r.Uvarint()
+		if k <= prev || k > maxSectionEntries {
+			r.Fail("level %d after %d", k, prev)
+		}
+		sw.Hist[int(k)], prev = int64(ms), k
+	}
+	return sw
 }
 
 // appendParRow appends p's live.par row after the row prev.
@@ -336,23 +537,23 @@ func (c *Collector) captureComm() []byte {
 		}
 		return b
 	})
+	b = appendTable(b, len(c.retired), func(b []byte, i int) []byte { return appendMachineComm(b, &c.retired[i].comm) })
 	keys := make([]uint32, 0, len(c.pairs))
 	for k := range c.pairs {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
-	for _, k := range keys {
-		p := c.pairs[k]
-		b = appendPairRow(b, p.src, p.dst, p.sendMsgs, p.sendBytes, p.recvMsgs, p.recvBytes, &p.sizes)
-	}
+	b = appendTable(b, len(keys), func(b []byte, i int) []byte {
+		p := c.pairs[keys[i]]
+		return appendPairRow(b, p.src, p.dst, p.sendMsgs, p.sendBytes, p.recvMsgs, p.recvBytes, &p.sizes)
+	})
 	return c.keep(b)
 }
 
 // encodeCommState encodes a decoded (merged) state, putting its rows
 // in order first.
 func encodeCommState(st *CommState) []byte {
-	b := make([]byte, 0, 64+minCommRowSize*len(st.Procs)+80*len(st.Pairs))
+	b := make([]byte, 0, 64+minCommRowSize*len(st.Procs)+32*len(st.Machines)+80*len(st.Pairs))
 	b = appendCommHead(b, &st.Totals)
 	slices.SortStableFunc(st.Procs, func(x, y analysis.ProcComm) int {
 		return cmp.Compare(procKey(x.Machine, x.PID), procKey(y.Machine, y.PID))
@@ -365,13 +566,13 @@ func encodeCommState(st *CommState) []byte {
 		}
 		return b
 	})
+	slices.SortStableFunc(st.Machines, func(x, y MachineComm) int { return cmp.Compare(x.Machine, y.Machine) })
+	b = appendTable(b, len(st.Machines), func(b []byte, i int) []byte { return appendMachineComm(b, &st.Machines[i]) })
 	slices.SortStableFunc(st.Pairs, cmpPairKey)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Pairs)))
-	for i := range st.Pairs {
+	return appendTable(b, len(st.Pairs), func(b []byte, i int) []byte {
 		p := &st.Pairs[i]
-		b = appendPairRow(b, p.Src, p.Dst, p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes, &p.Sizes)
-	}
-	return b
+		return appendPairRow(b, p.Src, p.Dst, p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes, &p.Sizes)
+	})
 }
 
 func cmpPairKey(x, y PairState) int {
@@ -384,10 +585,10 @@ func DecodeComm(data []byte) (*CommState, error) {
 	return st, err
 }
 
-// decodeComm parses a live.comm payload and reports how many process
-// rows it carries. With procs false the rows — most of a large payload —
-// are stepped over by their byte length, not read (renderComm counts
-// them).
+// decodeComm parses a live.comm payload and reports how many processes
+// it counts: its open rows and the processes its machine rows sum. With
+// procs false the open rows — most of a large payload — are stepped
+// over by their byte length, not read (renderComm counts them).
 func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 	r := obs.NewCursor(data, ErrBadSection)
 	st := &CommState{}
@@ -414,6 +615,10 @@ func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 			return nil, 0, pr.Err()
 		}
 	}
+	st.Machines = readMachines(&r, minMachCommSize, readMachineComm, func(m *MachineComm) uint16 { return m.Machine })
+	for i := range st.Machines {
+		np += int(st.Machines[i].Procs)
+	}
 	npairs := int(count(&r))
 	st.Pairs = make([]PairState, 0, min(npairs, r.Remaining()/minPairRowSize))
 	for i := 0; i < npairs && r.Err() == nil; i++ {
@@ -437,7 +642,13 @@ func (c *Collector) capturePar() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cells := c.orderCells()
-	b := binary.LittleEndian.AppendUint32(c.scratch[:0], uint32(len(cells)))
+	var sw *Swept
+	if c.horizon != math.MinInt64 {
+		sw = &Swept{Horizon: c.horizon, Hist: c.hist}
+	}
+	b := appendSwept(c.scratch[:0], sw)
+	b = appendTable(b, len(c.retired), func(b []byte, i int) []byte { return appendMachinePar(b, &c.retired[i].par) })
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cells)))
 	var prev ProcInterval
 	for _, pc := range cells {
 		iv := interval(pc)
@@ -447,12 +658,14 @@ func (c *Collector) capturePar() []byte {
 	return c.keep(b)
 }
 
-// readPar reads a live.par payload: size is told how many rows the
-// payload's bytes can hold, then row is handed each row in turn. It is
-// the one reader DecodePar and renderPar share, so the two refuse the
-// same payloads.
-func readPar(data []byte, size func(n int), row func(iv ProcInterval)) error {
+// readPar reads a live.par payload: the swept curve and the machine
+// rows into st, then size is told how many process rows the payload's
+// bytes can hold, and row is handed each in turn. It is the one reader
+// DecodePar and renderPar share, so the two refuse the same payloads.
+func readPar(data []byte, st *ParState, size func(n int), row func(iv ProcInterval)) error {
 	r := obs.NewCursor(data, ErrBadSection)
+	st.Swept = readSwept(&r)
+	st.Machines = readMachines(&r, minMachParSize, readMachinePar, func(m *MachinePar) uint16 { return m.Machine })
 	n := int(count(&r))
 	size(min(n, r.Remaining()/minParRowSize))
 	var prev ProcInterval
@@ -468,7 +681,7 @@ func readPar(data []byte, size func(n int), row func(iv ProcInterval)) error {
 // DecodePar parses a live.par payload.
 func DecodePar(data []byte) (*ParState, error) {
 	st := &ParState{}
-	err := readPar(data, func(n int) { st.Procs = make([]ProcInterval, 0, n) },
+	err := readPar(data, st, func(n int) { st.Procs = make([]ProcInterval, 0, n) },
 		func(iv ProcInterval) { st.Procs = append(st.Procs, iv) })
 	if err != nil {
 		return nil, err
@@ -552,15 +765,12 @@ func mergeCommPayload(a, b []byte) ([]byte, error) {
 	sa.BytesRecvd += sb.BytesRecvd
 	addSizes(&sa.SizeHist, &sb.SizeHist)
 	sa.Procs = foldRows(sa.Procs, sb.Procs,
-		func(p *analysis.ProcComm) uint64 { return procKey(p.Machine, p.PID) },
-		func(dst, p *analysis.ProcComm) {
-			dst.Sends += p.Sends
-			dst.Recvs += p.Recvs
-			dst.RecvCalls += p.RecvCalls
-			dst.Sockets += p.Sockets
-			dst.Forks += p.Forks
-			dst.BytesSent += p.BytesSent
-			dst.BytesRecvd += p.BytesRecvd
+		func(p *analysis.ProcComm) uint64 { return procKey(p.Machine, p.PID) }, addComm)
+	sa.Machines = foldRows(sa.Machines, sb.Machines,
+		func(m *MachineComm) uint64 { return uint64(m.Machine) },
+		func(dst, m *MachineComm) {
+			addComm(&dst.ProcComm, &m.ProcComm)
+			dst.Procs += m.Procs
 		})
 	sa.Pairs = foldRows(sa.Pairs, sb.Pairs,
 		func(p *PairState) uint64 { return uint64(pairKey(p.Src, p.Dst)) },
@@ -574,6 +784,9 @@ func mergeCommPayload(a, b []byte) ([]byte, error) {
 	return encodeCommState(sa), nil
 }
 
+// mergeParPayload unions the open rows by key and adds the machine
+// rows and the two curves: the merged section is swept to the end of
+// time, and its histogram is each collector's own curve, summed.
 func mergeParPayload(a, b []byte) ([]byte, error) {
 	sa, err := DecodePar(a)
 	if err != nil {
@@ -583,7 +796,13 @@ func mergeParPayload(a, b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	procs := foldRows(sa.Procs, sb.Procs,
+	hist := sa.Curve().Histogram
+	for k, ms := range sb.Curve().Histogram {
+		hist[k] += ms
+	}
+	sa.Swept = &Swept{Horizon: math.MaxInt64, Hist: hist}
+	sa.Machines = foldRows(sa.Machines, sb.Machines, func(m *MachinePar) uint64 { return uint64(m.Machine) }, addMachinePar)
+	sa.Procs = foldRows(sa.Procs, sb.Procs,
 		func(p *ProcInterval) uint64 { return procKey(p.Machine, p.PID) },
 		func(dst, p *ProcInterval) {
 			dst.First = min(dst.First, p.First)
@@ -591,20 +810,23 @@ func mergeParPayload(a, b []byte) ([]byte, error) {
 			dst.MaxCPU = max(dst.MaxCPU, p.MaxCPU)
 			dst.Terminated = dst.Terminated || p.Terminated
 		})
-	return encodeParState(procs), nil
+	return encodeParState(sa), nil
 }
 
-// encodeParState encodes decoded (merged) intervals, putting them in
+// encodeParState encodes a decoded (merged) state, putting its rows in
 // order first.
-func encodeParState(procs []ProcInterval) []byte {
-	slices.SortStableFunc(procs, func(x, y ProcInterval) int {
+func encodeParState(st *ParState) []byte {
+	slices.SortStableFunc(st.Machines, func(x, y MachinePar) int { return cmp.Compare(x.Machine, y.Machine) })
+	slices.SortStableFunc(st.Procs, func(x, y ProcInterval) int {
 		return cmp.Compare(procKey(x.Machine, x.PID), procKey(y.Machine, y.PID))
 	})
-	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+2*minParRowSize*len(procs)), uint32(len(procs)))
+	b := appendSwept(make([]byte, 0, 64+32*len(st.Machines)+2*minParRowSize*len(st.Procs)), st.Swept)
+	b = appendTable(b, len(st.Machines), func(b []byte, i int) []byte { return appendMachinePar(b, &st.Machines[i]) })
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Procs)))
 	var prev ProcInterval
-	for i := range procs {
-		b = appendParRow(b, &prev, &procs[i])
-		prev = procs[i]
+	for i := range st.Procs {
+		b = appendParRow(b, &prev, &st.Procs[i])
+		prev = st.Procs[i]
 	}
 	return b
 }
@@ -682,16 +904,19 @@ func renderComm(w io.Writer, s *obs.Section) {
 }
 
 // renderPar reads the rows straight into analysis.Sweep's start and end
-// arrays; no interval table is built.
+// arrays; no interval table is built. Past one collector, each level's
+// time is the collectors' own times at that level, summed (see
+// mergeParPayload).
 func renderPar(w io.Writer, s *obs.Section) {
 	if s.Version != SectionVersion {
 		fmt.Fprintf(w, "live parallelism: unsupported payload v%d (%d bytes)\n", s.Version, len(s.Data))
 		return
 	}
+	var st ParState
 	var starts, ends []int64
 	var cpu int64
 	running := 0
-	err := readPar(s.Data, func(n int) {
+	err := readPar(s.Data, &st, func(n int) {
 		times := make([]int64, 2*n)
 		starts, ends = times[:0:n], times[n:n]
 	}, func(iv ProcInterval) {
@@ -705,7 +930,7 @@ func renderPar(w io.Writer, s *obs.Section) {
 		fmt.Fprintf(w, "live parallelism: %v\n", err)
 		return
 	}
-	curve := analysis.Sweep(starts, ends, cpu)
+	curve := st.curve(starts, ends, cpu)
 	fmt.Fprintf(w, "live parallelism: %d procs (%d running), cpu %d ms over %d ms, speedup %.2f\n",
 		curve.Processes, running, curve.TotalCPUMillis, curve.MakespanMillis, curve.Speedup)
 	if len(curve.Histogram) > 0 {

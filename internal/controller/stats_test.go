@@ -89,7 +89,7 @@ func TestStatsUnderPartition(t *testing.T) {
 }
 
 // TestStatsRoundTripNoAllocBeyondCopies gates what one `stats` of a
-// machine whose filter has seen live.Config's default MaxProcs of
+// machine whose filter holds live.Config's default MaxProcs of open
 // processes allocates, end to end, in units of the snapshot's wire size
 // (~0.22 MB; ~1.5 MB in version 1 of the live sections). The copies
 // that remain, one wire size each: the daemon copies the two big
@@ -116,8 +116,10 @@ func TestStatsRoundTripNoAllocBeyondCopies(t *testing.T) {
 	tap := coll.NewTap()
 	info := &filter.TapInfo{Type: meter.EvTermProc, PIDIdx: 0, SockIdx: -1, LenIdx: -1, AuxIdx: -1, Name1Idx: -1, Name2Idx: -1}
 	rec := &filter.Record{Fields: make([]filter.RecordField, 1)}
+	// Every record lies within one reordering window, so no process
+	// retires and the reply carries all of them.
 	for i := 0; i < procs; i++ {
-		rec.Machine, rec.CPUTime, rec.ProcTime = uint16(i%6), uint32(100+(i*7919)%5000), uint32(i%90)
+		rec.Machine, rec.CPUTime, rec.ProcTime = uint16(i%6), uint32(100+(i*7919)%1500), uint32(i%90)
 		rec.Fields[0].Value = uint64(1 + (i*7919)%procs)
 		tap.TapRecord(info, rec)
 	}
@@ -159,5 +161,72 @@ func TestStatsRoundTripNoAllocBeyondCopies(t *testing.T) {
 	t.Logf("%.2f wire sizes (of %.0f bytes) allocated per stats", perCall/wire, wire)
 	if perCall > 10*wire {
 		t.Errorf("one stats allocates %.2f times its %.0f-byte snapshot, want at most 10", perCall/wire, wire)
+	}
+}
+
+// TestStatsNoAllocGrowthWithAge gates what a `stats` costs as a filter
+// ages: a collector fed 60 000 short terminated processes replies with,
+// and allocates for, what it did after 1 000. Process i runs on machine
+// i%6, makes one receive call and terminates 30 ms later, and cpuTime
+// advances 5 ms a process, so both runs pass the reordering window, and
+// both stop 25 processes after a settle: the same number of processes
+// is open, and the rest are summed per machine.
+func TestStatsNoAllocGrowthWithAge(t *testing.T) {
+	c, ctl, out := newSystem(t)
+	red, _ := c.Machine("red")
+	coll := live.NewCollector(live.Config{Obs: red.Obs()})
+	defer coll.Close()
+	tap := coll.NewTap()
+	rec := &filter.Record{Fields: make([]filter.RecordField, 1)}
+	var fed int
+	feed := func(to int) {
+		for ; fed < to; fed++ {
+			rec.Machine, rec.ProcTime, rec.Fields[0].Value = uint16(fed%6), uint32(fed%90), uint64(100+fed)
+			for _, ev := range []struct {
+				ty meter.Type
+				at int
+			}{{meter.EvRecvCall, 100}, {meter.EvTermProc, 130}} {
+				rec.CPUTime = uint32(ev.at + 5*fed)
+				tap.TapRecord(&filter.TapInfo{Type: ev.ty, PIDIdx: 0, SockIdx: -1, LenIdx: -1, AuxIdx: -1, Name1Idx: -1, Name2Idx: -1}, rec)
+			}
+			tap.TapFlush()
+		}
+	}
+	replyBytes := red.Obs().Counter("daemon.stats_reply_bytes")
+	cost := func() (wire, alloc float64, text string) {
+		const calls = 8
+		ctl.Exec("stats red")
+		out.mu.Lock()
+		out.buf.Reset()
+		out.buf.Grow(1 << 20)
+		out.mu.Unlock()
+		var before, after runtime.MemStats
+		sent := replyBytes.Load()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			ctl.Exec("stats red")
+		}
+		runtime.ReadMemStats(&after)
+		return float64(replyBytes.Load()-sent) / calls, float64(after.TotalAlloc-before.TotalAlloc) / calls, out.String()
+	}
+	feed(1000)
+	youngWire, youngAlloc, _ := cost()
+	feed(60000)
+	oldWire, oldAlloc, text := cost()
+	t.Logf("after 1 000 processes: %.0f bytes sent and %.0f allocated per stats; after 60 000: %.0f and %.0f",
+		youngWire, youngAlloc, oldWire, oldAlloc)
+	if oldWire > 1.1*youngWire {
+		t.Errorf("a stats reply grew from %.0f to %.0f bytes, want at most 10%% more", youngWire, oldWire)
+	}
+	if oldAlloc > 1.1*youngAlloc {
+		t.Errorf("a stats allocates %.0f bytes after 60 000 processes, %.0f after 1 000; want at most 10%% more", oldAlloc, youngAlloc)
+	}
+	for _, want := range []string{"live communication: 120000 events, 60000 procs,", "live parallelism: 60000 procs (0 running)"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("stats lacks %q:\n%s", want, text)
+		}
+	}
+	if seen, _ := red.Obs().Snapshot().Get("live.procs_seen"); seen != 60000 {
+		t.Errorf("live.procs_seen %d, want 60000", seen)
 	}
 }

@@ -219,18 +219,28 @@ func (r *Registry) RegisterSection(name string, version uint16, capture func() [
 // Snapshot captures every metric's current value, with names sorted,
 // as the wire- and file-portable form of the registry.
 func (r *Registry) Snapshot() *Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := &Snapshot{TakenUnixNano: time.Now().UnixNano()}
-	// Sections capture first: a section source may flush buffered state
-	// into its registry metrics as part of capturing (the live
-	// collector publishes its gauges then), and the counter and gauge
+	// Sections capture first, and outside the lock: a section source
+	// may flush buffered state into its registry metrics as part of
+	// capturing (the live collector publishes its gauges then, and
+	// registers a counter on first use), and the counter and gauge
 	// passes below should see the result, not last flush's values.
+	r.mu.Lock()
+	capture := make([]func() []byte, 0, len(r.sections))
 	for name, src := range r.sections {
-		if data := src.capture(); data != nil {
-			s.Sections = append(s.Sections, Section{Name: name, Version: src.version, Data: data})
+		s.Sections = append(s.Sections, Section{Name: name, Version: src.version})
+		capture = append(capture, src.capture)
+	}
+	r.mu.Unlock()
+	kept := s.Sections[:0]
+	for i, sec := range s.Sections {
+		if sec.Data = capture[i](); sec.Data != nil {
+			kept = append(kept, sec)
 		}
 	}
+	s.Sections = kept
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, NamedValue{Name: name, Value: c.Load()})
 	}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -120,6 +122,38 @@ func TestRegistrySectionCapture(t *testing.T) {
 	s = r.Snapshot()
 	if len(s.Sections) != 1 || s.Sections[0].Version != 2 || !bytes.Equal(s.Sections[0].Data, []byte{99}) {
 		t.Fatalf("replaced section: %+v", s.Sections)
+	}
+}
+
+// TestSectionCaptureRegistersMetric: a section source may register a
+// metric of its own registry while it captures — the live collector's
+// live.par.late appears at the first late record — and the snapshot
+// taking that capture already counts it. Snapshots taken from several
+// goroutines at once each see the section and the counter.
+func TestSectionCaptureRegistersMetric(t *testing.T) {
+	r := NewRegistry()
+	var calls atomic.Int64
+	r.RegisterSection("test.late", 1, func() []byte {
+		r.Counter("test.late.records").Add(1)
+		return []byte{byte(calls.Add(1))}
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s := r.Snapshot()
+				if v, ok := s.Get("test.late.records"); !ok || v < 1 || len(s.Sections) != 1 {
+					t.Errorf("snapshot: counter %d (%v), %d sections", v, ok, len(s.Sections))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if v, _ := r.Snapshot().Get("test.late.records"); v != 201 {
+		t.Fatalf("counter %d after 201 captures", v)
 	}
 }
 
