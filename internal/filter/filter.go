@@ -350,19 +350,10 @@ func Main(p *kernel.Process) int {
 		src := pipe.NewSource()
 		p.Go(func() {
 			defer func() { _ = p.Close(fd) }()
-			for {
-				// A large Recv drains whole meter-buffer flushes in
-				// one call, handing the engine maximal contiguous
-				// frame runs.
-				data, err := p.Recv(fd, 65536)
-				if err != nil {
-					// EOF or error: the metered process (and every
-					// holder of its meter socket) is gone.
-					return
-				}
-				if !src.Feed(data) {
-					return
-				}
+			// Until EOF or an error, when the metered process (and
+			// every holder of its meter socket) is gone.
+			recv := func(b []byte) (int, error) { return p.RecvInto(fd, b) }
+			for src.FeedFrom(recv) {
 			}
 		})
 	}

@@ -78,11 +78,18 @@ type Sinks struct {
 }
 
 // pipeItem is one unit of worker input: a chunk of meter-stream bytes
-// from one source.
+// from one source. pooled marks a chunk from the pipeline's free list,
+// which goes back to it once processed.
 type pipeItem struct {
-	src  *Source
-	data []byte
+	src    *Source
+	data   []byte
+	pooled bool
 }
+
+// chunkSize is the size of FeedFrom's read buffers: a large read drains
+// whole meter-buffer flushes in one call, giving the engine maximal
+// contiguous frame runs.
+const chunkSize = 64 << 10
 
 // pipeWorker is one processing goroutine's state. Its per-worker
 // counters (filter.worker<i>.*) expose skew between workers — a hot
@@ -107,6 +114,9 @@ type Pipeline struct {
 	workers []*pipeWorker
 	logQ    chan *Batch
 	quit    chan struct{}
+	// free is the list of FeedFrom's read buffers. It holds at most
+	// QueueDepth × Workers of them, as many as the worker queues do.
+	free chan []byte
 
 	wg    sync.WaitGroup // workers
 	logWg sync.WaitGroup // log writer
@@ -157,6 +167,7 @@ func NewPipeline(proto *Engine, cfg PipelineConfig, sinks Sinks, spawn func(func
 		sinks: sinks,
 		logQ:  make(chan *Batch, cfg.QueueDepth),
 		quit:  make(chan struct{}),
+		free:  make(chan []byte, cfg.QueueDepth*cfg.Workers),
 
 		obs:          reg,
 		sources:      reg.Counter("filter.sources"),
@@ -226,11 +237,45 @@ func (pl *Pipeline) NewSource() *Source {
 // worker, blocking when the worker's queue is full — backpressure
 // that ultimately parks the meter connection's bytes in the kernel
 // socket buffer. The pipeline owns data from this point until the
-// chunk is processed; callers must not modify it afterwards (the
-// kernel's Recv hands out a fresh slice per call, so the filter's
-// drainers satisfy this for free). Feed returns false when the
-// pipeline is shutting down and the chunk was not accepted.
+// chunk is processed; callers must not modify it afterwards. Feed
+// returns false when the pipeline is shutting down and the chunk was
+// not accepted.
 func (s *Source) Feed(data []byte) bool {
+	return s.feed(pipeItem{src: s, data: data})
+}
+
+// FeedFrom reads the source's next chunk with read, into a 64 KiB
+// buffer from the pipeline's free list, and feeds what it read; the buffer returns to the list once processed. read has the
+// shape of read(2) (kernel.Process.RecvInto). FeedFrom returns false,
+// with the buffer back on the list, once read fails (EOF included) or
+// the pipeline refuses the chunk.
+func (s *Source) FeedFrom(read func([]byte) (int, error)) bool {
+	pl := s.pl
+	var c []byte
+	select {
+	case c = <-pl.free:
+	default:
+		c = make([]byte, chunkSize)
+	}
+	n, err := read(c)
+	if err == nil && n > 0 && s.feed(pipeItem{src: s, data: c[:n], pooled: true}) {
+		return true
+	}
+	// Not fed: a failed read (EOF included), an empty one or a refusal.
+	pl.putChunk(c)
+	return err == nil && n == 0
+}
+
+// putChunk returns a read buffer to the free list, or to the garbage
+// collector when the list is full.
+func (pl *Pipeline) putChunk(c []byte) {
+	select {
+	case pl.free <- c[:cap(c)]:
+	default:
+	}
+}
+
+func (s *Source) feed(it pipeItem) bool {
 	pl := s.pl
 	select {
 	case <-pl.quit:
@@ -238,7 +283,6 @@ func (s *Source) Feed(data []byte) bool {
 		return false
 	default:
 	}
-	it := pipeItem{src: s, data: data}
 	select {
 	case s.w.in <- it:
 	default:
@@ -285,8 +329,12 @@ func (pl *Pipeline) runWorker(w *pipeWorker) {
 }
 
 // process runs one chunk end-to-end: carry splice, decode, select,
-// format, store append, log enqueue.
+// format, store append, log enqueue. Nothing keeps the chunk: the carry
+// and the batch copy what they need of it.
 func (pl *Pipeline) process(w *pipeWorker, it pipeItem) {
+	if it.pooled {
+		defer pl.putChunk(it.data)
+	}
 	s := it.src
 	if s.dead {
 		return

@@ -53,8 +53,8 @@ func feedChunks(s *Source, stream []byte, chunk int) bool {
 		if end > len(stream) {
 			end = len(stream)
 		}
-		// Feed owns its chunk from the call on; hand it a copy the way
-		// the kernel's Recv hands the drainer a fresh slice.
+		// Feed owns its chunk from the call on; hand it a copy, as a
+		// drainer reading with the kernel's Recv would.
 		c := append([]byte(nil), stream[off:end]...)
 		if !s.Feed(c) {
 			return false

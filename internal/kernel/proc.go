@@ -378,10 +378,11 @@ func (p *Process) MeterSocketID() uint32 {
 // emit generates one meter message if the event is flagged for this
 // process (section 3.2: "On every call to a routine that might
 // initiate a meter event, the kernel checks whether the call is
-// currently metered").
+// currently metered"). The body does not escape: emit and the buffer
+// read its type and encoding without calling through the interface.
 func (p *Process) emit(body meter.Body) {
 	ms := p.meter.Load()
-	if !ms.selects(body.EventType()) {
+	if !ms.selects(meter.TypeOf(body)) {
 		return
 	}
 	if ms.sock.Dead() {
@@ -392,7 +393,7 @@ func (p *Process) emit(body meter.Body) {
 		p.disableMetering(ms)
 		return
 	}
-	msg := &meter.Msg{
+	msg := meter.Msg{
 		Header: meter.Header{
 			Machine:  p.machine.id,
 			CPUTime:  uint32(p.machine.clock.NowMillis()),
@@ -400,7 +401,7 @@ func (p *Process) emit(body meter.Body) {
 		},
 		Body: body,
 	}
-	ms.buf.Add(msg, ms.flags.Immediate())
+	ms.buf.Add(&msg, ms.flags.Immediate())
 	// A Setmeter, exit or disable that replaced the buffer after the
 	// load above flushes it once, possibly before this Add: flush again
 	// so the message is sent (or counted as dropped), not stranded.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,6 +68,7 @@ type Socket struct {
 	recvBuf    []byte
 	recvOff    int
 	peerClosed bool
+	meterConn  bool // the kernel's meter messages arrive here
 
 	// Datagram state. The unread datagrams are dgrams[dgramOff:], kept
 	// like recvBuf, with popped slots cleared; route is the last sent-to.
@@ -88,12 +90,52 @@ func compact[T any](q []T, off, n int) ([]T, int) {
 	return q, off
 }
 
-// recvBufs holds closed stream sockets' receive arrays of at least
-// pooledRecvBuf bytes, so a new meter connection need not grow one from
-// empty; a socket that never needs more than that never takes one.
-var recvBufs sync.Pool
+// recvFree holds closed stream sockets' receive arrays, so that a new
+// connection need not grow one from empty: a meter connection takes one
+// at its first growth, any other socket only to grow past
+// pooledRecvBuf. It keeps the arrays of meter connections and those of
+// at least pooledRecvBuf bytes, up to recvFreeCount arrays of at most
+// recvFreeMax bytes each (32 MiB in all), and unlike a sync.Pool it
+// keeps them across garbage collections. A meter connection whose
+// filter lags grows its array past a megabyte.
+var recvFree struct {
+	mu   sync.Mutex
+	bufs [][]byte
+}
 
-const pooledRecvBuf = 64 << 10
+const (
+	pooledRecvBuf = 64 << 10
+	recvFreeCount = 8
+	recvFreeMax   = 4 << 20
+)
+
+// takeRecvBuf removes and returns the largest free array if it holds n
+// bytes, or nil.
+func takeRecvBuf(n int) []byte {
+	recvFree.mu.Lock()
+	defer recvFree.mu.Unlock()
+	i := -1
+	for j, b := range recvFree.bufs {
+		if cap(b) >= n && (i < 0 || cap(b) > cap(recvFree.bufs[i])) {
+			i = j
+		}
+	}
+	if i < 0 {
+		return nil
+	}
+	b := recvFree.bufs[i]
+	recvFree.bufs = slices.Delete(recvFree.bufs, i, i+1)
+	return b
+}
+
+// freeRecvBuf offers a closed socket's receive array to recvFree.
+func freeRecvBuf(b []byte) {
+	recvFree.mu.Lock()
+	if cap(b) <= recvFreeMax && len(recvFree.bufs) < recvFreeCount {
+		recvFree.bufs = append(recvFree.bufs, b[:0])
+	}
+	recvFree.mu.Unlock()
+}
 
 // broadcastLocked wakes every waiter on the socket. Callers hold s.mu.
 func (s *Socket) broadcastLocked() {
@@ -178,9 +220,8 @@ func (s *Socket) unref() {
 	if s.buffered > 0 {
 		s.releaseLocked(s.buffered)
 	}
-	if cap(s.recvBuf) >= pooledRecvBuf {
-		b := s.recvBuf[:0]
-		recvBufs.Put(&b)
+	if s.meterConn || cap(s.recvBuf) >= pooledRecvBuf {
+		freeRecvBuf(s.recvBuf)
 	}
 	s.recvBuf, s.recvOff = nil, 0
 	s.broadcastLocked()
@@ -273,20 +314,26 @@ func (s *Socket) unpark(w *waiter) {
 	putWaiter(w)
 }
 
-// deliverStream appends stream bytes arriving from the peer.
+// deliverStream appends stream bytes arriving from the peer; meterConn
+// marks bytes the kernel sends on a meter connection (kernelSend).
 // sentAt is the sender's machine-clock reading; the receiving
 // machine's clock is raised to it, so time observably passes on a
 // machine whose processes are blocked waiting (clock gossip — the
 // loose synchronization message traffic provides on a real network).
-func (s *Socket) deliverStream(data []byte, sentAt time.Duration) {
+func (s *Socket) deliverStream(data []byte, sentAt time.Duration, meterConn bool) {
 	s.machine.clock.AdvanceTo(sentAt)
 	s.mu.Lock()
 	if !s.closed {
+		s.meterConn = s.meterConn || meterConn
 		s.recvBuf, s.recvOff = compact(s.recvBuf, s.recvOff, len(data))
-		if unread := s.recvBuf[s.recvOff:]; len(s.recvBuf)+len(data) > cap(s.recvBuf) && len(unread)+len(data) > pooledRecvBuf {
-			// Growing past pooledRecvBuf: start from a closed socket's array.
-			if b, _ := recvBufs.Get().(*[]byte); b != nil && cap(*b) >= len(unread)+len(data) {
-				unread = append((*b)[:0], unread...)
+		if unread := s.recvBuf[s.recvOff:]; len(s.recvBuf)+len(data) > cap(s.recvBuf) {
+			// Growing: a meter connection's first array, and any past
+			// pooledRecvBuf, starts from a closed socket's array.
+			need := len(unread) + len(data)
+			if need > pooledRecvBuf || s.meterConn && cap(s.recvBuf) == 0 {
+				if b := takeRecvBuf(need); b != nil {
+					unread = append(b, unread...)
+				}
 			}
 			s.recvBuf, s.recvOff = unread, 0
 		}
@@ -336,6 +383,6 @@ func (s *Socket) kernelSend(data []byte) bool {
 	if !ok || peer == nil {
 		return false
 	}
-	peer.deliverStream(data, s.machine.clock.Now())
+	peer.deliverStream(data, s.machine.clock.Now(), true)
 	return true
 }

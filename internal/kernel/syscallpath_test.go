@@ -2,19 +2,22 @@ package kernel
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"dpm/internal/meter"
 )
 
 // TestSyscallNoAlloc gates what a system call allocates once its
 // buffers are warm: an unmetered stream send nothing, an unmetered
-// stream receive only the slice it returns, an unmetered datagram to
+// stream receive only the slice it returns and a receive into the
+// caller's buffers (RecvInto, Readv) nothing, an unmetered datagram to
 // another machine only the receiver's copy and its receive nothing, and
-// a metered buffered send at most its meter body.
+// a metered buffered send nothing.
 func TestSyscallNoAlloc(t *testing.T) {
 	const runs = 200
 	_, red, green := newTestCluster(t)
@@ -48,6 +51,25 @@ func TestSyscallNoAlloc(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(runs, recv); got != 1 {
 		t.Errorf("unmetered stream Recv: %v allocs, want 1 (the returned slice)", got)
+	}
+	buf := make([]byte, len(payload))
+	recvInto := func() {
+		send()
+		if n, err := p.RecvInto(f2, buf); err != nil || n != len(payload) {
+			t.Fatalf("RecvInto: %d bytes, %v", n, err)
+		}
+	}
+	readv := func() {
+		send()
+		if n, err := p.Readv(f2, [][]byte{buf[:10], buf[10:]}); err != nil || n != len(payload) {
+			t.Fatalf("Readv: %d bytes, %v", n, err)
+		}
+	}
+	if got := testing.AllocsPerRun(runs, recvInto); got != 0 {
+		t.Errorf("unmetered stream send and RecvInto: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(runs, readv); got != 0 {
+		t.Errorf("unmetered stream send and Readv: %v allocs, want 0", got)
 	}
 
 	// A datagram to another machine: the route is resolved and the
@@ -100,9 +122,101 @@ func TestSyscallNoAlloc(t *testing.T) {
 		msend()
 	}
 	tap.collect(2 * runs)
-	if got := testing.AllocsPerRun(runs, msend); got > 1 {
-		t.Errorf("metered buffered Send: %v allocs, want at most 1 (the body)", got)
+	if got := testing.AllocsPerRun(runs, msend); got != 0 {
+		t.Errorf("metered buffered Send: %v allocs, want 0", got)
 	}
+}
+
+// TestMeterBodiesNoAlloc emits each of the ten meter bodies through a
+// metered process, built where the kernel builds them, and gates the
+// event at 0 allocations: no body escapes to the heap on its way into
+// the meter buffer, and each one reaches the filter.
+func TestMeterBodiesNoAlloc(t *testing.T) {
+	const runs = 200
+	_, red, green := newTestCluster(t)
+	m := detached(t, red)
+	tap := newMeterTap(t, green, m, meter.MAll, testUID)
+	pid, name := uint32(m.pid), meter.InetName(1, 7)
+	emits := []struct {
+		typ  meter.Type
+		emit func()
+	}{
+		{meter.EvSend, func() { m.emit(&meter.Send{PID: pid, PC: m.nextPC(), MsgLength: 64, DestNameLen: 16, DestName: name}) }},
+		{meter.EvRecvCall, func() { m.emit(&meter.RecvCall{PID: pid, PC: m.nextPC(), Sock: 3}) }},
+		{meter.EvRecv, func() { m.emit(&meter.Recv{PID: pid, PC: m.nextPC(), MsgLength: 64, SourceName: name}) }},
+		{meter.EvSocket, func() { m.emit(&meter.SocketCrt{PID: pid, PC: m.nextPC(), Domain: uint32(meter.AFInet)}) }},
+		{meter.EvDup, func() { m.emit(&meter.Dup{PID: pid, PC: m.nextPC(), Sock: 3, NewSock: 4}) }},
+		{meter.EvDestSocket, func() { m.emit(&meter.DestSocket{PID: pid, PC: m.nextPC(), Sock: 3}) }},
+		{meter.EvConnect, func() { m.emit(&meter.Connect{PID: pid, PC: m.nextPC(), SockName: name, PeerName: name}) }},
+		{meter.EvAccept, func() { m.emit(&meter.Accept{PID: pid, PC: m.nextPC(), SockName: name, PeerName: name}) }},
+		{meter.EvFork, func() { m.emit(&meter.Fork{PID: pid, PC: m.nextPC(), NewPID: pid + 1}) }},
+		{meter.EvTermProc, func() { m.emit(&meter.TermProc{PID: pid, PC: m.nextPC()}) }},
+	}
+	for _, e := range emits {
+		// Warm the batch storage and the filter side's receive array
+		// past what the measured runs queue, then drain.
+		for i := 0; i < 2*runs; i++ {
+			e.emit()
+		}
+		tap.collect(2 * runs)
+		if got := testing.AllocsPerRun(runs, e.emit); got != 0 {
+			t.Errorf("metered %v event: %v allocs, want 0", e.typ, got)
+		}
+		// AllocsPerRun makes one more call than it counts.
+		m.meter.Load().buf.Flush()
+		for _, msg := range tap.collect(runs + 1) {
+			if msg.Header.TraceType != e.typ {
+				t.Fatalf("emitted %v, filter got %v", e.typ, msg.Header.TraceType)
+			}
+		}
+	}
+}
+
+// TestMeterConnReusesRecvArray closes a meter connection and collects
+// garbage twice, which empties a sync.Pool: a new meter connection
+// still starts from the closed one's receive array.
+func TestMeterConnReusesRecvArray(t *testing.T) {
+	recvFree.mu.Lock()
+	recvFree.bufs = nil
+	recvFree.mu.Unlock()
+	_, red, green := newTestCluster(t)
+	array := func(tap *meterTap) *byte {
+		s, err := tap.filter.sockFD(tap.connFD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return unsafe.SliceData(s.recvBuf[:1])
+	}
+	send := func(p *Process) {
+		f1, _, err := p.SocketPair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Send(f1, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first := detached(t, red)
+	tap := newMeterTap(t, green, first, meter.MSend|meter.MImmediate, testUID)
+	send(first)
+	old := array(tap)
+	tap.collect(1)
+	if err := tap.filter.Close(tap.connFD); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+
+	second := detached(t, red)
+	tap = newMeterTap(t, green, second, meter.MSend|meter.MImmediate, testUID)
+	send(second)
+	if array(tap) != old {
+		t.Fatal("the new meter connection grew a receive array instead of reusing the closed one's")
+	}
+	tap.collect(1)
 }
 
 // TestStreamReadOffset interleaves deliveries with reads that take

@@ -372,7 +372,7 @@ func (p *Process) sendSock(s *Socket, data []byte, to meter.Name, explicitDest b
 		if peerClosed {
 			return 0, ErrPipe
 		}
-		peer.deliverStream(data, p.machine.clock.Now())
+		peer.deliverStream(data, p.machine.clock.Now(), false)
 		// dest stays zero: writes across a connection carry no name.
 	case SockDgram:
 		dest = to
@@ -447,22 +447,33 @@ func (p *Process) sendDgram(s *Socket, data []byte, dest meter.Name) error {
 // regard for whether or not the bytes originated from the same
 // message", section 3.1). A stream whose peer has gone returns io.EOF
 // once drained. Recv generates the receivecall event when the call is
-// made and the receive event when data is returned.
+// made and the receive event when data is returned. The data is a new
+// slice the caller owns; RecvInto reads into the caller's buffer.
 func (p *Process) Recv(fd, max int) ([]byte, error) {
 	data, _, err := p.RecvFrom(fd, max)
 	return data, err
 }
 
+// RecvInto is Recv into buf, in the shape of read(2): it returns the
+// number of bytes placed at the front of buf, at most len(buf). A
+// datagram longer than buf is truncated, as Recv truncates it to max.
+func (p *Process) RecvInto(fd int, buf []byte) (int, error) {
+	_, n, _, err := p.recvFrom(fd, recvDst{bufs: [][]byte{buf}, max: len(buf)}, nil, false)
+	return n, err
+}
+
 // RecvFrom is Recv plus the source's name, meaningful for datagrams.
 func (p *Process) RecvFrom(fd, max int) ([]byte, meter.Name, error) {
-	return p.recvFrom(fd, max, nil, false)
+	data, _, src, err := p.recvFrom(fd, recvDst{max: max}, nil, false)
+	return data, src, err
 }
 
 // TryRecvFrom is RecvFrom that never blocks: with nothing to read it
 // fails with ErrWouldBlock. Event-driven tasks (Machine.SpawnTask) use
 // it to drain a socket and then park instead of holding a worker.
 func (p *Process) TryRecvFrom(fd, max int) ([]byte, meter.Name, error) {
-	return p.recvFrom(fd, max, nil, true)
+	data, _, src, err := p.recvFrom(fd, recvDst{max: max}, nil, true)
+	return data, src, err
 }
 
 // RecvTimeout is RecvFrom with a deadline: if nothing arrives within d
@@ -472,44 +483,77 @@ func (p *Process) TryRecvFrom(fd, max int) ([]byte, meter.Name, error) {
 func (p *Process) RecvTimeout(fd, max int, d time.Duration) ([]byte, meter.Name, error) {
 	t := time.NewTimer(d)
 	defer t.Stop()
-	return p.recvFrom(fd, max, t.C, false)
+	data, _, src, err := p.recvFrom(fd, recvDst{max: max}, t.C, false)
+	return data, src, err
 }
 
-func (p *Process) recvFrom(fd, max int, timeout <-chan time.Time, nonblock bool) ([]byte, meter.Name, error) {
+// recvDst is where a receive puts at most max bytes: the caller's
+// buffers in order (RecvInto, Readv) or, with none, a slice of its own
+// (Recv and its variants).
+type recvDst struct {
+	bufs [][]byte
+	max  int
+}
+
+// fill delivers b, already cut to d.max, and returns the slice the
+// caller gets (nil when it gave buffers) and the byte count. owned
+// marks b as the receiver's already (a queued datagram), so a Recv
+// returns it without a copy.
+func (d recvDst) fill(b []byte, owned bool) ([]byte, int) {
+	if d.bufs == nil {
+		if !owned {
+			b = append([]byte(nil), b...)
+		}
+		return b, len(b)
+	}
+	n := 0
+	for _, buf := range d.bufs {
+		if n == len(b) {
+			break
+		}
+		n += copy(buf, b[n:])
+	}
+	return nil, n
+}
+
+// recvFrom is the one receive loop behind every receive call.
+func (p *Process) recvFrom(fd int, dst recvDst, timeout <-chan time.Time, nonblock bool) ([]byte, int, meter.Name, error) {
 	if err := p.enter(); err != nil {
-		return nil, meter.Name{}, err
+		return nil, 0, meter.Name{}, err
 	}
 	e, err := p.fd(fd)
 	if err != nil {
-		return nil, meter.Name{}, err
+		return nil, 0, meter.Name{}, err
 	}
+	max := dst.max
 	if e.sock == nil {
 		// Plain file/stream descriptor: not IPC, not metered.
 		if e.r == nil {
-			return nil, meter.Name{}, ErrBadFD
+			return nil, 0, meter.Name{}, ErrBadFD
 		}
 		buf := make([]byte, max)
 		n, rerr := e.r.Read(buf)
 		if n > 0 {
-			return buf[:n], meter.Name{}, nil
+			data, n := dst.fill(buf[:n], true)
+			return data, n, meter.Name{}, nil
 		}
-		return nil, meter.Name{}, rerr
+		return nil, 0, meter.Name{}, rerr
 	}
 	s := e.sock
 	if max <= 0 {
-		return nil, meter.Name{}, fmt.Errorf("%w: recv of %d bytes", ErrInval, max)
+		return nil, 0, meter.Name{}, fmt.Errorf("%w: recv of %d bytes", ErrInval, max)
 	}
 	if pc := p.nextPC(); p.metered(meter.EvRecvCall) {
 		p.emit(&meter.RecvCall{PID: uint32(p.pid), PC: pc, Sock: s.id})
 	}
 	for {
 		if err := p.checkpoint(); err != nil {
-			return nil, meter.Name{}, err
+			return nil, 0, meter.Name{}, err
 		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			return nil, meter.Name{}, ErrBadFD
+			return nil, 0, meter.Name{}, ErrBadFD
 		}
 		if s.typ == SockDgram {
 			if len(s.dgrams) > 0 {
@@ -520,23 +564,19 @@ func (p *Process) recvFrom(fd, max int, timeout <-chan time.Time, nonblock bool)
 				}
 				s.releaseLocked(len(dg.data))
 				s.mu.Unlock()
-				data := dg.data
-				if len(data) > max {
-					// A datagram is read as a complete message; excess
-					// bytes are discarded, as recv does.
-					data = data[:max]
-				}
-				p.emitRecv(s, len(data), dg.src)
-				return data, dg.src, nil
+				// A datagram is read as a complete message; excess
+				// bytes are discarded, as recv does.
+				data, n := dst.fill(dg.data[:min(len(dg.data), max)], true)
+				p.emitRecv(s, n, dg.src)
+				return data, n, dg.src, nil
 			}
 		} else {
 			if !s.connected {
 				s.mu.Unlock()
-				return nil, meter.Name{}, ErrNotConn
+				return nil, 0, meter.Name{}, ErrNotConn
 			}
 			if len(s.recvBuf) > 0 {
-				n := min(len(s.recvBuf)-s.recvOff, max)
-				data := append([]byte(nil), s.recvBuf[s.recvOff:s.recvOff+n]...)
+				data, n := dst.fill(s.recvBuf[s.recvOff:min(len(s.recvBuf), s.recvOff+max)], false)
 				if s.recvOff += n; s.recvOff == len(s.recvBuf) {
 					s.recvBuf, s.recvOff = s.recvBuf[:0], 0
 				}
@@ -546,16 +586,16 @@ func (p *Process) recvFrom(fd, max int, timeout <-chan time.Time, nonblock bool)
 				// source name; the analysis recovers it from the
 				// connection-establishment events.
 				p.emitRecv(s, n, meter.Name{})
-				return data, meter.Name{}, nil
+				return data, n, meter.Name{}, nil
 			}
 			if s.peerClosed {
 				s.mu.Unlock()
-				return nil, meter.Name{}, io.EOF
+				return nil, 0, meter.Name{}, io.EOF
 			}
 		}
 		if nonblock {
 			s.mu.Unlock()
-			return nil, meter.Name{}, ErrWouldBlock
+			return nil, 0, meter.Name{}, ErrWouldBlock
 		}
 		w := getWaiter()
 		s.waiters.push(w)
@@ -563,7 +603,7 @@ func (p *Process) recvFrom(fd, max int, timeout <-chan time.Time, nonblock bool)
 		err := p.await(w.ch, timeout)
 		s.unpark(w)
 		if err != nil {
-			return nil, meter.Name{}, err
+			return nil, 0, meter.Name{}, err
 		}
 	}
 }
@@ -598,18 +638,8 @@ func (p *Process) Readv(fd int, bufs [][]byte) (int, error) {
 	if max == 0 {
 		return 0, fmt.Errorf("%w: readv with no buffer space", ErrInval)
 	}
-	data, err := p.Recv(fd, max)
-	if err != nil {
-		return 0, err
-	}
-	off := 0
-	for _, b := range bufs {
-		off += copy(b, data[off:])
-		if off == len(data) {
-			break
-		}
-	}
-	return len(data), nil
+	_, n, _, err := p.recvFrom(fd, recvDst{bufs: bufs, max: max}, nil, false)
+	return n, err
 }
 
 // RecvMsg is the recvmsg() variant: identical to RecvFrom (one
@@ -776,9 +806,11 @@ func (p *Process) Fork(child Program) (int, error) {
 	}
 	p.mu.Unlock()
 
+	// The fork record goes first: a child that ran first could
+	// otherwise meter its own events ahead of the fork that created it.
+	p.emit(&meter.Fork{PID: uint32(p.pid), PC: p.nextPC(), NewPID: uint32(c.pid)})
 	m.wg.Add(1)
 	go c.run(child)
-	p.emit(&meter.Fork{PID: uint32(p.pid), PC: p.nextPC(), NewPID: uint32(c.pid)})
 	return c.pid, nil
 }
 

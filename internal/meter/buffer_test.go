@@ -131,7 +131,7 @@ func TestStatsBytes(t *testing.T) {
 	b := NewBuffer(1, send)
 	m := msgOf(&Fork{})
 	b.Add(m, false)
-	if st := b.Stats(); st.Bytes != int64(m.EncodedSize()) {
-		t.Fatalf("Bytes = %d, want %d", st.Bytes, m.EncodedSize())
+	if st, want := b.Stats(), len(m.Encode()); st.Bytes != int64(want) {
+		t.Fatalf("Bytes = %d, want %d", st.Bytes, want)
 	}
 }

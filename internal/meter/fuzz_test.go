@@ -64,7 +64,7 @@ func FuzzDecodeStream(f *testing.F) {
 		// input exactly.
 		used := 0
 		for _, m := range msgs {
-			used += m.EncodedSize()
+			used += len(m.Encode())
 		}
 		if used+len(rest) != len(data) {
 			t.Fatalf("consumed %d + rest %d != %d", used, len(rest), len(data))

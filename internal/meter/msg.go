@@ -73,14 +73,11 @@ type Field struct {
 	Addr   Name
 }
 
-// Body is the event-specific part of a meter message.
+// Body is the event-specific part of a meter message. The ten body
+// types below are its implementations; encoding any other type panics.
 type Body interface {
 	// EventType returns the traceType this body encodes as.
 	EventType() Type
-	// bodyLen returns the encoded body size in bytes.
-	bodyLen() int
-	// encodeBody writes the body into b, which has length bodyLen().
-	encodeBody(b []byte)
 	// Fields enumerates the body's fields in declaration order.
 	Fields() []Field
 }
@@ -92,35 +89,92 @@ type Msg struct {
 	Body   Body
 }
 
-// EncodedSize returns the total encoded size of the message.
-func (m *Msg) EncodedSize() int { return HeaderSize + m.Body.bodyLen() }
-
-// Encode serializes the message, fixing up the header's Size and
-// TraceType from the body.
-func (m *Msg) Encode() []byte {
-	size := m.EncodedSize()
-	m.Header.Size = uint32(size)
-	m.Header.TraceType = m.Body.EventType()
-	b := make([]byte, size)
-	m.Header.encode(b)
-	m.Body.encodeBody(b[HeaderSize:])
-	return b
-}
+// Encode serializes the message into a new slice, fixing up the
+// header's Size and TraceType from the body.
+func (m *Msg) Encode() []byte { return m.AppendEncode(nil) }
 
 // AppendEncode appends the encoded message to dst and returns the
-// extended slice, avoiding an allocation in the kernel's buffering
-// path.
+// extended slice, fixing up the header's Size and TraceType from the
+// body. With room in dst it allocates nothing, and the message and its
+// body do not escape: the kernel builds both on its stack for every
+// metered event.
 func (m *Msg) AppendEncode(dst []byte) []byte {
-	size := m.EncodedSize()
-	m.Header.Size = uint32(size)
-	m.Header.TraceType = m.Body.EventType()
 	off := len(dst)
-	dst = slices.Grow(dst, size)[:off+size]
-	clear(dst[off:]) // padding bytes are never written
+	dst = slices.Grow(dst, HeaderSize+maxBodySize)[:off+HeaderSize]
+	clear(dst[off:]) // the header's padding is never written
+	dst, m.Header.TraceType = appendBody(dst, m.Body)
+	m.Header.Size = uint32(len(dst) - off)
 	m.Header.encode(dst[off:])
-	m.Body.encodeBody(dst[off+HeaderSize:])
 	return dst
 }
+
+// maxBodySize is the largest encoded body, accept's.
+const maxBodySize = 24 + 2*NameSize
+
+// TypeOf returns body.EventType() without calling through the
+// interface, so that a body passed to it does not escape.
+func TypeOf(body Body) Type {
+	switch body.(type) {
+	case *Send:
+		return EvSend
+	case *RecvCall:
+		return EvRecvCall
+	case *Recv:
+		return EvRecv
+	case *SocketCrt:
+		return EvSocket
+	case *Dup:
+		return EvDup
+	case *DestSocket:
+		return EvDestSocket
+	case *Connect:
+		return EvConnect
+	case *Accept:
+		return EvAccept
+	case *Fork:
+		return EvFork
+	case *TermProc:
+		return EvTermProc
+	}
+	return 0
+}
+
+// appendBody appends body's encoding to b and returns it with the
+// body's traceType. It is the one encoder: a switch over the concrete
+// types, so no interface method is called on the body.
+func appendBody(b []byte, body Body) ([]byte, Type) {
+	e := enc(b)
+	switch v := body.(type) {
+	case *Send:
+		return e.u32(v.PID).u32(v.PC).u32(v.Sock).u32(v.MsgLength).u32(v.DestNameLen).name(v.DestName), EvSend
+	case *RecvCall:
+		return e.u32(v.PID).u32(v.PC).u32(v.Sock), EvRecvCall
+	case *Recv:
+		return e.u32(v.PID).u32(v.PC).u32(v.Sock).u32(v.MsgLength).u32(v.SourceNameLen).name(v.SourceName), EvRecv
+	case *SocketCrt:
+		return e.u32(v.PID).u32(v.PC).u32(v.Sock).u32(v.Domain).u32(v.SockType).u32(v.Protocol), EvSocket
+	case *Dup:
+		return e.u32(v.PID).u32(v.PC).u32(v.Sock).u32(v.NewSock), EvDup
+	case *DestSocket:
+		return e.u32(v.PID).u32(v.PC).u32(v.Sock), EvDestSocket
+	case *Connect:
+		return e.u32(v.PID).u32(v.PC).u32(v.Sock).u32(v.SockNameLen).u32(v.PeerNameLen).name(v.SockName).name(v.PeerName), EvConnect
+	case *Accept:
+		e = e.u32(v.PID).u32(v.PC).u32(v.Sock).u32(v.NewSock).u32(v.SockNameLen).u32(v.PeerNameLen)
+		return e.name(v.SockName).name(v.PeerName), EvAccept
+	case *Fork:
+		return e.u32(v.PID).u32(v.PC).u32(v.NewPID), EvFork
+	case *TermProc:
+		return e.u32(v.PID).u32(v.PC).u32(v.Status), EvTermProc
+	}
+	panic("meter: encoding a body of a type outside this package")
+}
+
+// enc appends the fields of a body in the VAX's little-endian order.
+type enc []byte
+
+func (e enc) u32(v uint32) enc { return binary.LittleEndian.AppendUint32(e, v) }
+func (e enc) name(n Name) enc  { return append(e, n[:]...) }
 
 // Decode parses one message from the front of b and returns it along
 // with the number of bytes consumed. If b holds only part of a
@@ -183,8 +237,7 @@ func DecodeStream(b []byte) ([]Msg, []byte, error) {
 
 // --- Bodies (Appendix A struct definitions) ---
 
-func put32(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:off+4], v) }
-func get32(b []byte, off int) uint32    { return binary.LittleEndian.Uint32(b[off : off+4]) }
+func get32(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off : off+4]) }
 
 // Send records a send/sendto/sendmsg/write/writev event (struct
 // MeterSendMsg; its field layout is the one documented to the filter by
@@ -201,15 +254,6 @@ type Send struct {
 }
 
 func (*Send) EventType() Type { return EvSend }
-func (*Send) bodyLen() int    { return 20 + NameSize }
-func (s *Send) encodeBody(b []byte) {
-	put32(b, 0, s.PID)
-	put32(b, 4, s.PC)
-	put32(b, 8, s.Sock)
-	put32(b, 12, s.MsgLength)
-	put32(b, 16, s.DestNameLen)
-	copy(b[20:], s.DestName[:])
-}
 func (s *Send) Fields() []Field {
 	return []Field{
 		{Name: "pid", Value: s.PID},
@@ -232,12 +276,6 @@ type RecvCall struct {
 }
 
 func (*RecvCall) EventType() Type { return EvRecvCall }
-func (*RecvCall) bodyLen() int    { return 12 }
-func (r *RecvCall) encodeBody(b []byte) {
-	put32(b, 0, r.PID)
-	put32(b, 4, r.PC)
-	put32(b, 8, r.Sock)
-}
 func (r *RecvCall) Fields() []Field {
 	return []Field{
 		{Name: "pid", Value: r.PID},
@@ -257,15 +295,6 @@ type Recv struct {
 }
 
 func (*Recv) EventType() Type { return EvRecv }
-func (*Recv) bodyLen() int    { return 20 + NameSize }
-func (r *Recv) encodeBody(b []byte) {
-	put32(b, 0, r.PID)
-	put32(b, 4, r.PC)
-	put32(b, 8, r.Sock)
-	put32(b, 12, r.MsgLength)
-	put32(b, 16, r.SourceNameLen)
-	copy(b[20:], r.SourceName[:])
-}
 func (r *Recv) Fields() []Field {
 	return []Field{
 		{Name: "pid", Value: r.PID},
@@ -288,15 +317,6 @@ type SocketCrt struct {
 }
 
 func (*SocketCrt) EventType() Type { return EvSocket }
-func (*SocketCrt) bodyLen() int    { return 24 }
-func (s *SocketCrt) encodeBody(b []byte) {
-	put32(b, 0, s.PID)
-	put32(b, 4, s.PC)
-	put32(b, 8, s.Sock)
-	put32(b, 12, s.Domain)
-	put32(b, 16, s.SockType)
-	put32(b, 20, s.Protocol)
-}
 func (s *SocketCrt) Fields() []Field {
 	return []Field{
 		{Name: "pid", Value: s.PID},
@@ -318,13 +338,6 @@ type Dup struct {
 }
 
 func (*Dup) EventType() Type { return EvDup }
-func (*Dup) bodyLen() int    { return 16 }
-func (d *Dup) encodeBody(b []byte) {
-	put32(b, 0, d.PID)
-	put32(b, 4, d.PC)
-	put32(b, 8, d.Sock)
-	put32(b, 12, d.NewSock)
-}
 func (d *Dup) Fields() []Field {
 	return []Field{
 		{Name: "pid", Value: d.PID},
@@ -345,12 +358,6 @@ type DestSocket struct {
 }
 
 func (*DestSocket) EventType() Type { return EvDestSocket }
-func (*DestSocket) bodyLen() int    { return 12 }
-func (d *DestSocket) encodeBody(b []byte) {
-	put32(b, 0, d.PID)
-	put32(b, 4, d.PC)
-	put32(b, 8, d.Sock)
-}
 func (d *DestSocket) Fields() []Field {
 	return []Field{
 		{Name: "pid", Value: d.PID},
@@ -373,16 +380,6 @@ type Connect struct {
 }
 
 func (*Connect) EventType() Type { return EvConnect }
-func (*Connect) bodyLen() int    { return 20 + 2*NameSize }
-func (c *Connect) encodeBody(b []byte) {
-	put32(b, 0, c.PID)
-	put32(b, 4, c.PC)
-	put32(b, 8, c.Sock)
-	put32(b, 12, c.SockNameLen)
-	put32(b, 16, c.PeerNameLen)
-	copy(b[20:], c.SockName[:])
-	copy(b[36:], c.PeerName[:])
-}
 func (c *Connect) Fields() []Field {
 	return []Field{
 		{Name: "pid", Value: c.PID},
@@ -410,17 +407,6 @@ type Accept struct {
 }
 
 func (*Accept) EventType() Type { return EvAccept }
-func (*Accept) bodyLen() int    { return 24 + 2*NameSize }
-func (a *Accept) encodeBody(b []byte) {
-	put32(b, 0, a.PID)
-	put32(b, 4, a.PC)
-	put32(b, 8, a.Sock)
-	put32(b, 12, a.NewSock)
-	put32(b, 16, a.SockNameLen)
-	put32(b, 20, a.PeerNameLen)
-	copy(b[24:], a.SockName[:])
-	copy(b[40:], a.PeerName[:])
-}
 func (a *Accept) Fields() []Field {
 	return []Field{
 		{Name: "pid", Value: a.PID},
@@ -444,12 +430,6 @@ type Fork struct {
 }
 
 func (*Fork) EventType() Type { return EvFork }
-func (*Fork) bodyLen() int    { return 12 }
-func (f *Fork) encodeBody(b []byte) {
-	put32(b, 0, f.PID)
-	put32(b, 4, f.PC)
-	put32(b, 8, f.NewPID)
-}
 func (f *Fork) Fields() []Field {
 	return []Field{
 		{Name: "pid", Value: f.PID},
@@ -468,12 +448,6 @@ type TermProc struct {
 }
 
 func (*TermProc) EventType() Type { return EvTermProc }
-func (*TermProc) bodyLen() int    { return 12 }
-func (t *TermProc) encodeBody(b []byte) {
-	put32(b, 0, t.PID)
-	put32(b, 4, t.PC)
-	put32(b, 8, t.Status)
-}
 func (t *TermProc) Fields() []Field {
 	return []Field{
 		{Name: "pid", Value: t.PID},
@@ -484,23 +458,24 @@ func (t *TermProc) Fields() []Field {
 
 func decodeBody(t Type, b []byte) (Body, error) {
 	var body Body
+	size := 12 // pid, pc and one more word
 	switch t {
 	case EvSend:
-		body = &Send{}
+		body, size = &Send{}, 20+NameSize
 	case EvRecvCall:
 		body = &RecvCall{}
 	case EvRecv:
-		body = &Recv{}
+		body, size = &Recv{}, 20+NameSize
 	case EvSocket:
-		body = &SocketCrt{}
+		body, size = &SocketCrt{}, 24
 	case EvDup:
-		body = &Dup{}
+		body, size = &Dup{}, 16
 	case EvDestSocket:
 		body = &DestSocket{}
 	case EvConnect:
-		body = &Connect{}
+		body, size = &Connect{}, 20+2*NameSize
 	case EvAccept:
-		body = &Accept{}
+		body, size = &Accept{}, maxBodySize
 	case EvFork:
 		body = &Fork{}
 	case EvTermProc:
@@ -508,8 +483,8 @@ func decodeBody(t Type, b []byte) (Body, error) {
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadType, uint32(t))
 	}
-	if len(b) != body.bodyLen() {
-		return nil, fmt.Errorf("%w: %v body is %d bytes, want %d", ErrBadSize, t, len(b), body.bodyLen())
+	if len(b) != size {
+		return nil, fmt.Errorf("%w: %v body is %d bytes, want %d", ErrBadSize, t, len(b), size)
 	}
 	decodeInto(body, b)
 	return body, nil

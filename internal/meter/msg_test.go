@@ -163,7 +163,7 @@ func TestBodySizes(t *testing.T) {
 		EvTermProc:   12,
 	}
 	for _, b := range allBodies() {
-		if got := b.bodyLen(); got != want[b.EventType()] {
+		if got := len((&Msg{Body: b}).Encode()) - HeaderSize; got != want[b.EventType()] {
 			t.Errorf("%v body size = %d, want %d", b.EventType(), got, want[b.EventType()])
 		}
 	}
