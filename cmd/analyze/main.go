@@ -10,12 +10,11 @@
 // communication statistics and parallelism profile as JSON instead of
 // the text report. -snapshot cross-checks the live streaming operators
 // against the offline analysis: it loads an obs snapshot (the filter's
-// shutdown export, or anything dpstat reads), decodes its
-// live.comm/live.par sections, and reports any disagreement with the
-// offline analysis of the trace — on a completed trace the two must
-// agree exactly, except for the online matcher's documented windowing.
-// A process the collector has retired is compared within its machine's
-// summary.
+// shutdown export, or anything dpstat reads), decodes its live.comm,
+// live.par and live.match sections, and reports any disagreement with
+// the offline analysis of the trace — on a completed trace the two must
+// agree exactly. A process the collector has retired is compared within
+// its machine's summary; live.match is compared when nothing aged out.
 package main
 
 import (
@@ -174,10 +173,13 @@ func loadSnapshot(path string) (*obs.Snapshot, error) {
 // liveConsistency compares a snapshot's live-analysis sections against
 // the offline analysis of the trace. The trace must be the same
 // filter's log the snapshot's collector observed. Both sides are
-// analysis.Fold, one over the tap and one over the log, so on a
-// completed stream they must agree exactly: a finding means a record
-// reached one and not the other, or reached the collector more than a
-// reordering window late.
+// analysis.Fold and analysis.Matcher, one over the tap and one over the
+// log, so on a completed stream they must agree exactly: a finding
+// means a record reached one and not the other, or reached the
+// collector more than a reordering window late. Matching is compared
+// when nothing aged out of the collector's matcher, against the offline
+// run before its end-of-trace Flush, which is what the collector's run
+// is while the stream may still grow.
 func liveConsistency(snap *obs.Snapshot, events []trace.Event) []string {
 	var finds []string
 	badf := func(format string, args ...any) { finds = append(finds, fmt.Sprintf(format, args...)) }
@@ -208,9 +210,17 @@ func liveConsistency(snap *obs.Snapshot, events []trace.Event) []string {
 			badf("parallelism: live %+v, offline %+v", *curve, *off)
 		}
 	}
-	// live.match is intentionally not compared figure-for-figure: the
-	// online matcher's bounded reordering window makes its tallies
-	// differ from offline MatchMessages on incomplete or lossy traces.
+	if data := section(live.SectionMatch); data != nil {
+		if lm, err := live.DecodeMatch(data); err != nil {
+			badf("%s: %v", live.SectionMatch, err)
+		} else if lm.AgedOut == 0 {
+			off := analysis.CountMatches(events, nil)
+			if lm.Conns != off.Conns || lm.StreamMatched != off.Stream || lm.DgramMatched != off.Dgram || lm.Pending != off.Pending {
+				badf("matching: live %d conns, stream %d, dgram %d, pending %d; offline %d, %d, %d, %d",
+					lm.Conns, lm.StreamMatched, lm.DgramMatched, lm.Pending, off.Conns, off.Stream, off.Dgram, off.Pending)
+			}
+		}
+	}
 	return finds
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -92,19 +93,66 @@ func TestLiveConsistencyDetectsDrift(t *testing.T) {
 		t.Fatalf("findings lack the event-count disagreement: %v", finds)
 	}
 
-	// A snapshot with no live sections reports both as missing.
+	// A snapshot with no live sections reports all three as missing.
 	finds = liveConsistency(&obs.Snapshot{}, events)
-	if len(finds) != 2 {
+	if len(finds) != 3 {
 		t.Fatalf("sectionless snapshot: %v", finds)
 	}
 	// A corrupt payload is a finding, not a crash.
 	bad := &obs.Snapshot{Sections: []obs.Section{
 		{Name: live.SectionComm, Version: live.SectionVersion, Data: []byte{0xff}},
 		{Name: live.SectionPar, Version: live.SectionVersion + 7, Data: []byte{0}},
+		{Name: live.SectionMatch, Version: live.SectionVersion, Data: []byte{1}},
 	}}
 	finds = liveConsistency(bad, events)
-	if len(finds) != 2 || !strings.Contains(strings.Join(finds, "\n"), "corrupt") {
+	if len(finds) != 3 || !strings.Contains(strings.Join(finds, "\n"), "corrupt") {
 		t.Fatalf("corrupt snapshot: %v", finds)
+	}
+}
+
+// TestLiveConsistencyMatch checks live.match against the offline
+// matcher: a stream with a connection, stream traffic in both
+// directions, a zero-length send and datagrams agrees figure for
+// figure, and a live.match that counts one stream match more is
+// reported.
+func TestLiveConsistencyMatch(t *testing.T) {
+	cli, srv := meter.InetName(0, 1024), meter.InetName(1, 7000)
+	var stream []byte
+	add := func(machine uint16, cpu uint32, body meter.Body) {
+		stream = (&meter.Msg{Header: meter.Header{Machine: machine, CPUTime: cpu}, Body: body}).AppendEncode(stream)
+	}
+	add(0, 10, &meter.Send{PID: 1, Sock: 3, MsgLength: 40}) // before the handshake: waits as an orphan
+	add(1, 11, &meter.Accept{PID: 2, Sock: 4, NewSock: 5, SockNameLen: 16, PeerNameLen: 16, SockName: srv, PeerName: cli})
+	add(0, 12, &meter.Connect{PID: 1, Sock: 3, SockNameLen: 16, PeerNameLen: 16, SockName: cli, PeerName: srv})
+	add(1, 13, &meter.Recv{PID: 2, Sock: 5, MsgLength: 25})
+	add(1, 14, &meter.Recv{PID: 2, Sock: 5, MsgLength: 15})
+	add(0, 15, &meter.Send{PID: 1, Sock: 3})
+	add(1, 16, &meter.Send{PID: 2, Sock: 5, MsgLength: 9})
+	add(0, 17, &meter.Recv{PID: 1, Sock: 3, MsgLength: 9})
+	for i := uint32(0); i < 4; i++ {
+		add(0, 20+i, &meter.Send{PID: 1, Sock: 6, MsgLength: 30, DestNameLen: 16, DestName: meter.InetName(1, 99)})
+	}
+	for i := uint32(0); i < 3; i++ {
+		add(1, 30+i, &meter.Recv{PID: 2, Sock: 7, MsgLength: 30, SourceNameLen: 16, SourceName: meter.InetName(0, 1025)})
+	}
+	snap, events := tapStream(t, stream)
+	lm, err := live.DecodeMatch(snap.Section(live.SectionMatch).Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (live.MatchState{Conns: 1, StreamMatched: 3, DgramMatched: 3, Pending: 1}); *lm != want {
+		t.Fatalf("live.match %+v, want %+v", *lm, want)
+	}
+	if finds := liveConsistency(snap, events); len(finds) != 0 {
+		t.Fatalf("findings on matching inputs: %v", finds)
+	}
+	for i := range snap.Sections {
+		if sec := &snap.Sections[i]; sec.Name == live.SectionMatch {
+			binary.LittleEndian.PutUint64(sec.Data[8:], uint64(lm.StreamMatched+1))
+		}
+	}
+	if finds := liveConsistency(snap, events); len(finds) != 1 || !strings.Contains(finds[0], "matching: live 1 conns, stream 4") {
+		t.Fatalf("findings on a live.match with one stream match too many: %v", finds)
 	}
 }
 

@@ -192,74 +192,9 @@ type Connection struct {
 	ClientName meter.Name // name bound to the connecting socket (may be zero)
 	ConnectSeq int
 	AcceptSeq  int
-}
-
-// Connections reconstructs connections by matching connect events to
-// accept events: an accept's sockName is the listener's bound name, so
-// it pairs with connects whose peerName equals it; the accept's
-// peerName (the connector's name) disambiguates among clients when
-// present, with FIFO order as the tiebreak.
-// Because meter messages are buffered in the kernel, the connect and
-// accept records of one connection can arrive at the filter in either
-// order; matching therefore collects all of both first.
-func Connections(events []trace.Event) []Connection {
-	var connects, accepts []int
-	for i := range events {
-		switch events[i].Type {
-		case meter.EvConnect:
-			connects = append(connects, i)
-		case meter.EvAccept:
-			accepts = append(accepts, i)
-		}
-	}
-	used := make(map[int]bool)
-	var conns []Connection
-	for _, ai := range accepts {
-		e := &events[ai]
-		listenerName := e.Name("sockName")
-		acceptPeer := e.Name("peerName")
-		best := -1
-		for _, ci := range connects {
-			if used[ci] {
-				continue
-			}
-			c := &events[ci]
-			if c.Name("peerName") != listenerName {
-				continue
-			}
-			// Prefer an exact client-name match.
-			if !acceptPeer.IsZero() && c.Name("sockName") == acceptPeer {
-				best = ci
-				break
-			}
-			if best == -1 {
-				best = ci
-			}
-		}
-		if best == -1 {
-			continue
-		}
-		used[best] = true
-		c := &events[best]
-		conns = append(conns, Connection{
-			Client:     keyOf(c),
-			ClientSock: c.Sock(),
-			Server:     keyOf(e),
-			ServerSock: uint32(e.Fields["newSock"]),
-			ListenSock: e.Sock(),
-			ServerName: listenerName,
-			ClientName: c.Name("sockName"),
-			ConnectSeq: c.Seq,
-			AcceptSeq:  e.Seq,
-		})
-	}
-	return conns
-}
-
-// endpoint identifies one socket of one process.
-type endpoint struct {
-	proc ProcKey
-	sock uint32
+	// Sent and Recvd are the bytes sent and received on each
+	// direction: 0 carries client→server, 1 server→client.
+	Sent, Recvd [2]int64
 }
 
 // RecoverRecipients maps send and receive events whose name field is
@@ -270,11 +205,10 @@ type endpoint struct {
 // programs" (section 4.1). The result maps event Seq to the peer
 // process.
 func RecoverRecipients(events []trace.Event) map[int]ProcKey {
-	conns := Connections(events)
 	peerOf := make(map[endpoint]ProcKey)
-	for _, c := range conns {
-		peerOf[endpoint{c.Client, c.ClientSock}] = c.Server
-		peerOf[endpoint{c.Server, c.ServerSock}] = c.Client
+	for _, c := range Connections(events) {
+		peerOf[endpoint{uint16(c.Client.Machine), uint32(c.Client.PID), c.ClientSock}] = c.Server
+		peerOf[endpoint{uint16(c.Server.Machine), uint32(c.Server.PID), c.ServerSock}] = c.Client
 	}
 	out := make(map[int]ProcKey)
 	for i := range events {
@@ -291,7 +225,7 @@ func RecoverRecipients(events []trace.Event) map[int]ProcKey {
 		if !e.Name(nameField).IsZero() {
 			continue
 		}
-		if peer, ok := peerOf[endpoint{keyOf(e), e.Sock()}]; ok {
+		if peer, ok := peerOf[endpoint{uint16(e.Machine), uint32(e.PID()), e.Sock()}]; ok {
 			out[e.Seq] = peer
 		}
 	}

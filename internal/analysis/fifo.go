@@ -1,4 +1,4 @@
-package live
+package analysis
 
 // fifo is a head-indexed queue over a slice: pops advance an index
 // instead of reslicing, and the buffer compacts once the dead prefix
@@ -45,6 +45,9 @@ func (f *fifo[T]) firstMatch(limit int, fn func(*T) bool) int {
 	return -1
 }
 
+// at returns the i'th entry (relative to the head).
+func (f *fifo[T]) at(i int) *T { return &f.buf[f.head+i] }
+
 // remove deletes the i'th entry (relative to the head), preserving
 // order.
 func (f *fifo[T]) remove(i int) {
@@ -74,9 +77,3 @@ func (f *fifo[T]) extract(fn func(*T) bool) {
 		f.head = 0
 	}
 }
-
-type (
-	fifoS = fifo[span]
-	fifoO = fifo[orphan]
-	fifoM = fifo[flowMsg]
-)

@@ -61,8 +61,8 @@ func identityStream(seed int64) []tapEntry {
 	emit := func(kind meter.Type, p *proc, sock, aux uint32) *tapEntry {
 		clock += int64(rng.Intn(4))
 		cpu := clock + int64(rng.Intn(11)) - 5
-		out = append(out, tapEntry{kind: uint8(kind), machine: p.machine, pid: p.pid, sock: sock, aux: aux,
-			cpu: cpu, proc: int64(rng.Intn(500))})
+		out = append(out, tapEntry{Kind: uint8(kind), Machine: p.machine, PID: p.pid, Sock: sock, Aux: aux,
+			CPU: cpu, Proc: int64(rng.Intn(500))})
 		return &out[len(out)-1]
 	}
 	for created < identityProcs || len(live) > 120 {
@@ -90,10 +90,10 @@ func identityStream(seed int64) []tapEntry {
 		switch rng.Intn(10) {
 		case 0, 1, 2:
 			e := emit(meter.EvSend, p, 3, uint32(1+rng.Intn(1<<uint(rng.Intn(14)))))
-			e.name1 = meter.InetName(uint32(peer.machine), uint16(2000+rng.Intn(4)))
+			e.Name1 = meter.InetName(uint32(peer.machine), uint16(2000+rng.Intn(4)))
 		case 3, 4:
 			e := emit(meter.EvRecv, p, 3, uint32(1+rng.Intn(4096)))
-			e.name1 = meter.InetName(uint32(peer.machine), uint16(2000+rng.Intn(4)))
+			e.Name1 = meter.InetName(uint32(peer.machine), uint16(2000+rng.Intn(4)))
 		case 5:
 			emit(meter.EvRecvCall, p, 3, 0)
 		case 6:
@@ -107,9 +107,9 @@ func identityStream(seed int64) []tapEntry {
 			cn := meter.InetName(uint32(p.machine), uint16(p.pid))
 			sn := meter.InetName(uint32(peer.machine), uint16(peer.pid))
 			e := emit(meter.EvConnect, p, 5, 0)
-			e.name1, e.name2 = cn, sn
+			e.Name1, e.Name2 = cn, sn
 			e = emit(meter.EvAccept, peer, 6, 7)
-			e.name1, e.name2 = sn, cn
+			e.Name1, e.Name2 = sn, cn
 			n := uint32(1 + rng.Intn(900))
 			emit(meter.EvSend, p, 5, n)
 			emit(meter.EvRecv, peer, 7, n)

@@ -10,17 +10,16 @@
 //     [first,last] cpuTime intervals and final procTime readings, from
 //     which analysis.Sweep derives the time-in-k-processes histogram
 //     and speedup, plus a concurrent-process gauge;
-//   - online send/receive matching: connect/accept pairing, per-stream
-//     byte-offset matching and per-machine-pair datagram FIFOs, all
-//     under a bounded reordering window (match.go) — entries that
-//     outlive the window age out into an unmatched counter instead of
-//     accumulating, which is what lets the operator run forever where
-//     offline MatchMessages assumes a complete sorted trace.
+//   - online send/receive matching: analysis.Matcher under a bounded
+//     reordering window — entries that outlive the window age out into
+//     an unmatched counter instead of accumulating, so the operator can
+//     run forever.
 //
-// The process table and the totals are analysis.Fold's: offline
-// analysis.Comm and analysis.MeasureParallelism are the same fold run
-// over a finished trace, so the two can only differ in what reached
-// them.
+// The process table and the totals are analysis.Fold's and the matcher
+// is analysis.Matcher: offline analysis.Comm, MeasureParallelism and
+// MatchMessages run the same fold and matcher over a finished trace,
+// so the two can only differ in what reached them, or in what aged
+// out.
 //
 // The table holds open processes only. The collector sweeps the
 // concurrency curve forward to a horizon at most WindowMillis behind
@@ -50,7 +49,7 @@
 // the flush applies inline instead, trading latency for bounded
 // memory; nothing is ever dropped. Snapshot captures drain the queue
 // first, so an exported section always reflects every flushed record.
-// Host addresses map to machine ids by identity, the same default as
+// Host addresses map to machine ids by identity, the default of
 // analysis.MatchOptions.
 package live
 
@@ -84,7 +83,8 @@ type Config struct {
 	MaxPending int
 	// MaxProcs bounds the open processes; processes beyond it fold
 	// into an overflow bucket so a runaway workload cannot grow the
-	// analysis state without bound. Default 16384.
+	// analysis state without bound. It caps the matcher's connections
+	// and datagram flows too. Default 16384.
 	MaxProcs int
 	// MaxPairs bounds the communication matrix; pairs beyond it fold
 	// into the (unknown,unknown) cell. Default 4096.
@@ -117,10 +117,6 @@ func procKey(machine uint16, pid uint32) uint64 {
 	return uint64(machine)<<32 | uint64(pid)
 }
 
-// unknownMachine is the matrix row/column for traffic whose peer could
-// not be resolved (no name, no established connection).
-const unknownMachine = ^uint16(0)
-
 // pairKey packs (src, dst) machine ids.
 func pairKey(src, dst uint16) uint32 { return uint32(src)<<16 | uint32(dst) }
 
@@ -140,17 +136,7 @@ type pairCell struct {
 // tapEntry is the compact op-log record a worker tap buffers: just the
 // fields the operators read, copied out of the pooled extraction
 // record.
-type tapEntry struct {
-	kind    uint8 // meter.Type, 0 for types beyond the standard range
-	machine uint16
-	pid     uint32
-	sock    uint32
-	aux     uint32 // msgLength, newSock, newPid, or status — per kind
-	cpu     int64
-	proc    int64
-	name1   meter.Name // destName / sourceName / sockName
-	name2   meter.Name // peerName
-}
+type tapEntry = analysis.Record
 
 // Collector is the per-filter live-analysis state: operators, their
 // obs handles, and the sections they export. One Collector serves all
@@ -191,7 +177,9 @@ type Collector struct {
 	// liveProcs counts the rows not terminated, the overflow row
 	// included: what ParState.Running counts.
 	liveProcs int64
-	match     matcher
+	match     *analysis.Matcher
+	// pubMatch is what publishStats last added to the match counters.
+	pubMatch analysis.MatchCounts
 
 	// Async drain: flushed tap buffers queue on pendingQ and the
 	// drainer goroutine applies them, returning them to freeQ. Both
@@ -206,10 +194,12 @@ type Collector struct {
 	stop      chan struct{}
 	closeOnce sync.Once
 	drainMu   sync.Mutex
-	// Stat accumulators, folded under mu and published by publishStats.
+	// Stat accumulators, folded under mu and published by publishStats,
+	// which pubMu serializes.
 	statRecords int64
 	statFlushes int64
 	statLate    int64 // records clamped to the horizon
+	pubMu       sync.Mutex
 
 	// Obs handles, resolved once; nil-safe via a discard registry.
 	tapRecords  *obs.Counter
@@ -246,7 +236,7 @@ func NewCollector(cfg Config) *Collector {
 		settleAt: cfg.WindowMillis,
 		hist:     make(map[int]int64),
 	}
-	c.match.init(cfg)
+	c.match = analysis.NewMatcher(analysis.MatchLimits{Window: cfg.WindowMillis, MaxPending: cfg.MaxPending, MaxConns: cfg.MaxProcs}, nil)
 	c.pendingQ = make([][]tapEntry, 0, poolChunks+poolSlack)
 	c.freeQ = make([][]tapEntry, 0, poolChunks+poolSlack)
 	for i := 0; i < poolChunks; i++ {
@@ -298,27 +288,27 @@ func (t *Tap) TapRecord(info *filter.TapInfo, rec *filter.Record) {
 	}
 	t.buf = t.buf[:len(t.buf)+1]
 	e := &t.buf[len(t.buf)-1]
-	*e = tapEntry{machine: rec.Machine, cpu: int64(rec.CPUTime), proc: int64(rec.ProcTime)}
+	*e = tapEntry{Machine: rec.Machine, CPU: int64(rec.CPUTime), Proc: int64(rec.ProcTime)}
 	if ty := info.Type; ty < 256 {
-		e.kind = uint8(ty)
+		e.Kind = uint8(ty)
 	}
 	f := rec.Fields
 	if i := info.PIDIdx; i >= 0 {
-		e.pid = uint32(f[i].Value)
+		e.PID = uint32(f[i].Value)
 	}
 	if i := info.SockIdx; i >= 0 {
-		e.sock = uint32(f[i].Value)
+		e.Sock = uint32(f[i].Value)
 	}
 	if i := info.LenIdx; i >= 0 {
-		e.aux = uint32(f[i].Value)
+		e.Aux = uint32(f[i].Value)
 	} else if i := info.AuxIdx; i >= 0 {
-		e.aux = uint32(f[i].Value)
+		e.Aux = uint32(f[i].Value)
 	}
 	if i := info.Name1Idx; i >= 0 {
-		e.name1 = f[i].Addr
+		e.Name1 = f[i].Addr
 	}
 	if i := info.Name2Idx; i >= 0 {
-		e.name2 = f[i].Addr
+		e.Name2 = f[i].Addr
 	}
 }
 
@@ -455,7 +445,7 @@ func (c *Collector) apply(entries []tapEntry) {
 		c.settle()
 		c.settleAt = c.clock + c.cfg.WindowMillis/8
 	}
-	c.match.sweep(c.clock)
+	c.match.Sweep(c.clock)
 	c.statRecords += int64(len(entries))
 	c.statFlushes++
 	c.mu.Unlock()
@@ -464,15 +454,20 @@ func (c *Collector) apply(entries []tapEntry) {
 // publishStats copies the operators' aggregates into their obs
 // handles. Called after a drain pass and at every section capture —
 // metric readers all go through Registry.Snapshot, which captures
-// sections first, so they always see published values.
+// sections first, so they always see published values. Publishers run
+// one at a time: otherwise the drainer could set a gauge from an older
+// reading after a capture set it from a newer one, or still hold a
+// counter delta the capture's snapshot goes on to read without.
 func (c *Collector) publishStats() {
+	c.pubMu.Lock()
+	defer c.pubMu.Unlock()
 	c.mu.Lock()
 	recs, flushes, late := c.statRecords, c.statFlushes, c.statLate
 	c.statRecords, c.statFlushes, c.statLate = 0, 0, 0
 	nProcs := int64(len(c.procs)) + c.nRetired
 	live := c.liveProcs
-	pending := c.match.pending
-	stream, dgram, aged := c.match.takeCounts()
+	mc, pub := c.match.MatchCounts, c.pubMatch
+	c.pubMatch = mc
 	c.mu.Unlock()
 
 	c.tapRecords.Add(recs)
@@ -482,10 +477,10 @@ func (c *Collector) publishStats() {
 	}
 	c.procsSeen.Set(nProcs)
 	c.procsLive.Set(live)
-	c.pendingG.Set(int64(pending))
-	c.streamMatch.Add(stream)
-	c.dgramMatch.Add(dgram)
-	c.agedOut.Add(aged)
+	c.pendingG.Set(mc.Pending)
+	c.streamMatch.Add(mc.Stream - pub.Stream)
+	c.dgramMatch.Add(mc.Dgram - pub.Dgram)
+	c.agedOut.Add(mc.Aged - pub.Aged)
 }
 
 // cell returns the process's cell, folding overflow past MaxProcs.
@@ -499,7 +494,7 @@ func (c *Collector) cell(machine uint16, pid uint32) *analysis.Proc {
 	if pc == nil {
 		if len(c.procs) >= c.cfg.MaxProcs {
 			if c.overflow == nil {
-				np := analysis.NewProc(unknownMachine, ^uint32(0))
+				np := analysis.NewProc(UnknownMachine, ^uint32(0))
 				c.overflow = &np
 				c.cells = append(c.cells, c.overflow)
 				c.liveProcs++
@@ -612,32 +607,30 @@ func addMachinePar(dst, src *MachinePar) {
 // through analysis.Fold, then into the matrix and the matcher. A record
 // behind the horizon folds at the horizon.
 func (c *Collector) applyOne(e *tapEntry) {
-	if e.cpu > c.clock {
-		c.clock = e.cpu
+	if e.CPU > c.clock {
+		c.clock = e.CPU
 	}
-	cpu := e.cpu
+	cpu := e.CPU
 	if cpu < c.horizon {
 		cpu = c.horizon
 		c.statLate++
 	}
-	ty, n := meter.Type(e.kind), int64(e.aux)
-	if c.totals.Fold(c.cell(e.machine, e.pid), ty, cpu, e.proc, n) {
+	ty, n := meter.Type(e.Kind), int64(e.Aux)
+	if c.totals.Fold(c.cell(e.Machine, e.PID), ty, cpu, e.Proc, n) {
 		c.liveProcs--
 	}
 	switch ty {
 	case meter.EvSend:
-		p := c.pair(e.machine, c.match.send(e))
+		p := c.pair(e.Machine, c.match.Apply(e, 0))
 		p.sendMsgs++
 		p.sendBytes += n
 		p.sizes[analysis.SizeBucket(n)]++
 	case meter.EvRecv:
-		p := c.pair(c.match.recv(e), e.machine)
+		p := c.pair(c.match.Apply(e, 0), e.Machine)
 		p.recvMsgs++
 		p.recvBytes += n
-	case meter.EvConnect:
-		c.match.connect(e)
-	case meter.EvAccept:
-		c.match.accept(e)
+	case meter.EvConnect, meter.EvAccept:
+		c.match.Apply(e, 0)
 	}
 }
 
@@ -651,7 +644,7 @@ func (c *Collector) pair(src, dst uint16) *pairCell {
 		if len(c.pairs) >= c.cfg.MaxPairs {
 			// Matrix full: fold into the unknown cell rather than
 			// growing without bound.
-			src, dst = unknownMachine, unknownMachine
+			src, dst = UnknownMachine, UnknownMachine
 			k = pairKey(src, dst)
 			if p = c.pairs[k]; p != nil {
 				return p
@@ -662,21 +655,4 @@ func (c *Collector) pair(src, dst uint16) *pairCell {
 	}
 	c.lastPairK, c.lastPair = k, p
 	return p
-}
-
-// hostMachine resolves a socket name to a machine id: AFInet hosts map
-// by identity (the single-network default, as in analysis), AFUnix and
-// AFPair names are machine-local so they resolve to the observer.
-func hostMachine(n *meter.Name, local uint16) uint16 {
-	switch n.Family() {
-	case meter.AFInet:
-		host, _ := n.Inet()
-		if host > uint32(unknownMachine-1) {
-			return unknownMachine
-		}
-		return uint16(host)
-	case meter.AFUnix, meter.AFPair:
-		return local
-	}
-	return unknownMachine
 }

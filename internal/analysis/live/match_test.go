@@ -11,7 +11,7 @@ import (
 // behavior is exercised without a pipeline.
 
 func entry(kind meter.Type, machine uint16, pid, sock, aux uint32, cpu int64) tapEntry {
-	return tapEntry{kind: uint8(kind), machine: machine, pid: pid, sock: sock, aux: aux, cpu: cpu}
+	return tapEntry{Kind: uint8(kind), Machine: machine, PID: pid, Sock: sock, Aux: aux, CPU: cpu}
 }
 
 func (c *Collector) matchState(t *testing.T) *MatchState {
@@ -35,9 +35,9 @@ func TestMatchOrphanReplay(t *testing.T) {
 	send2 := entry(meter.EvSend, 0, 1, 3, 50, 20)
 	recv1 := entry(meter.EvRecv, 1, 2, 6, 100, 30)
 	conn := entry(meter.EvConnect, 0, 1, 3, 0, 40)
-	conn.name1, conn.name2 = cn, sn
+	conn.Name1, conn.Name2 = cn, sn
 	acc := entry(meter.EvAccept, 1, 2, 0, 6, 50) // aux carries newSock
-	acc.name1, acc.name2 = sn, cn
+	acc.Name1, acc.Name2 = sn, cn
 	c.apply([]tapEntry{send1, send2, recv1})
 	if st := c.matchState(t); st.Conns != 0 || st.StreamMatched != 0 || st.Pending != 3 {
 		t.Fatalf("before handshake: %+v", *st)
@@ -62,12 +62,55 @@ func TestMatchAcceptBeforeConnect(t *testing.T) {
 	cn := meter.InetName(0, 10)
 	sn := meter.InetName(1, 20)
 	acc := entry(meter.EvAccept, 1, 2, 0, 6, 10)
-	acc.name1, acc.name2 = sn, cn
+	acc.Name1, acc.Name2 = sn, cn
 	conn := entry(meter.EvConnect, 0, 1, 3, 0, 20)
-	conn.name1, conn.name2 = cn, sn
+	conn.Name1, conn.Name2 = cn, sn
 	c.apply([]tapEntry{acc, conn})
 	if st := c.matchState(t); st.Conns != 1 || st.Pending != 0 {
 		t.Fatalf("accept-first handshake: %+v", *st)
+	}
+}
+
+// TestMatchCrossedHandshakes has two clients dial one listener, the
+// accepts arriving before the connects they name: each connect must
+// pair with the accept that names it, not with the first one waiting,
+// or the client's bytes land on the other connection.
+func TestMatchCrossedHandshakes(t *testing.T) {
+	c := NewCollector(Config{})
+	srv, x, y := meter.InetName(1, 7000), meter.InetName(0, 1001), meter.InetName(0, 1002)
+	a1 := entry(meter.EvAccept, 1, 9, 4, 5, 10)
+	a1.Name1, a1.Name2 = srv, y
+	c1 := entry(meter.EvConnect, 0, 1, 3, 0, 11)
+	c1.Name1, c1.Name2 = x, srv
+	a2 := entry(meter.EvAccept, 1, 9, 4, 6, 12)
+	a2.Name1, a2.Name2 = srv, x
+	c2 := entry(meter.EvConnect, 0, 2, 3, 0, 13)
+	c2.Name1, c2.Name2 = y, srv
+	send := entry(meter.EvSend, 0, 1, 3, 100, 14)
+	recv := entry(meter.EvRecv, 1, 9, 6, 100, 15)
+	c.apply([]tapEntry{a1, c1, a2, c2, send, recv})
+	if st := c.matchState(t); st.Conns != 2 || st.StreamMatched != 1 || st.Pending != 0 {
+		t.Fatalf("crossed handshakes: %+v", *st)
+	}
+}
+
+// TestMatchZeroLengthSend: a zero-length send carries no byte, so it
+// matches nothing and waits for nothing; the send after it matches
+// the receive.
+func TestMatchZeroLengthSend(t *testing.T) {
+	c := NewCollector(Config{})
+	cn, sn := meter.InetName(0, 10), meter.InetName(1, 20)
+	conn := entry(meter.EvConnect, 0, 1, 3, 0, 10)
+	conn.Name1, conn.Name2 = cn, sn
+	acc := entry(meter.EvAccept, 1, 2, 0, 6, 11)
+	acc.Name1, acc.Name2 = sn, cn
+	c.apply([]tapEntry{conn, acc, entry(meter.EvSend, 0, 1, 3, 0, 12), entry(meter.EvSend, 0, 1, 9, 0, 13)})
+	if st := c.matchState(t); st.StreamMatched != 0 || st.Pending != 0 {
+		t.Fatalf("zero-length sends: %+v", *st)
+	}
+	c.apply([]tapEntry{entry(meter.EvSend, 0, 1, 3, 8, 14), entry(meter.EvRecv, 1, 2, 6, 8, 15)})
+	if st := c.matchState(t); st.StreamMatched != 1 || st.Pending != 0 {
+		t.Fatalf("after the zero-length send: %+v", *st)
 	}
 }
 
@@ -78,11 +121,11 @@ func TestMatchDgramTruncation(t *testing.T) {
 	dst := meter.InetName(1, 99)
 	src := meter.InetName(0, 99)
 	send := entry(meter.EvSend, 0, 1, 3, 200, 10)
-	send.name1 = dst
+	send.Name1 = dst
 	big := entry(meter.EvRecv, 1, 2, 6, 300, 20) // longer than any send
-	big.name1 = src
+	big.Name1 = src
 	small := entry(meter.EvRecv, 1, 2, 6, 150, 30) // truncated receipt
-	small.name1 = src
+	small.Name1 = src
 	c.apply([]tapEntry{send, big})
 	if st := c.matchState(t); st.DgramMatched != 0 || st.Pending != 2 {
 		t.Fatalf("oversized recv must not match: %+v", *st)
@@ -99,9 +142,9 @@ func TestMatchDgramTruncation(t *testing.T) {
 func TestMatchWindowAging(t *testing.T) {
 	c := NewCollector(Config{WindowMillis: 100})
 	send := entry(meter.EvSend, 0, 1, 3, 64, 10)
-	send.name1 = meter.InetName(1, 99)
+	send.Name1 = meter.InetName(1, 99)
 	conn := entry(meter.EvConnect, 0, 1, 4, 0, 12)
-	conn.name1, conn.name2 = meter.InetName(0, 1), meter.InetName(1, 2)
+	conn.Name1, conn.Name2 = meter.InetName(0, 1), meter.InetName(1, 2)
 	orph := entry(meter.EvSend, 0, 2, 5, 32, 14) // unnamed, unconnected
 	c.apply([]tapEntry{send, conn, orph})
 	if st := c.matchState(t); st.Pending != 3 || st.AgedOut != 0 {
@@ -122,9 +165,9 @@ func TestMatchStreamSpanAging(t *testing.T) {
 	cn := meter.InetName(0, 10)
 	sn := meter.InetName(1, 20)
 	conn := entry(meter.EvConnect, 0, 1, 3, 0, 10)
-	conn.name1, conn.name2 = cn, sn
+	conn.Name1, conn.Name2 = cn, sn
 	acc := entry(meter.EvAccept, 1, 2, 0, 6, 11)
-	acc.name1, acc.name2 = sn, cn
+	acc.Name1, acc.Name2 = sn, cn
 	lost := entry(meter.EvSend, 0, 1, 3, 100, 12) // never received
 	c.apply([]tapEntry{conn, acc, lost})
 	late := entry(meter.EvRecvCall, 0, 3, 9, 0, 500)
@@ -150,7 +193,7 @@ func TestMatchMaxPendingEviction(t *testing.T) {
 	var batch []tapEntry
 	for i := 0; i < 10; i++ {
 		e := entry(meter.EvSend, 0, 1, 3, 64, int64(10+i))
-		e.name1 = dst
+		e.Name1 = dst
 		batch = append(batch, e)
 	}
 	c.apply(batch)
@@ -196,7 +239,7 @@ func TestPairOverflowFold(t *testing.T) {
 	var batch []tapEntry
 	for i := 0; i < 8; i++ {
 		e := entry(meter.EvSend, uint16(i), 1, 3, 10, int64(10+i))
-		e.name1 = meter.InetName(uint32(100+i), 9)
+		e.Name1 = meter.InetName(uint32(100+i), 9)
 		batch = append(batch, e)
 	}
 	c.apply(batch)

@@ -108,16 +108,29 @@ func intervalsOf(events []trace.Event) []ProcInterval {
 // TestRandomEquivalence replays seeded random streams through the
 // tapped pipeline at 1, 2 and 8 workers: the decoded live.comm and
 // live.par tables equal analysis.Comm and analysis.MeasureParallelism
-// over the pipeline's own log, row for row.
+// over the pipeline's own log, row for row. At one worker the tap sees
+// the log's order, and over 200 seeds live.match equals the offline
+// matcher's figures: nothing ages out of a stream this short.
 func TestRandomEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
+	var matched int64
+	for seed := int64(1); seed <= 200; seed++ {
 		msgs := randomMsgs(seed)
 		for _, workers := range []int{1, 2, 8} {
+			if workers > 1 && seed > 6 {
+				break
+			}
 			snap, events := runLive(t, workers, [][]byte{encodeMsgs(msgs)})
 			if len(events) != len(msgs) {
 				t.Fatalf("seed %d: the log holds %d of %d records", seed, len(events), len(msgs))
 			}
-			comm, par, _ := decodeSections(t, snap)
+			comm, par, match := decodeSections(t, snap)
+			if workers == 1 {
+				off := analysis.CountMatches(events, nil)
+				if *match != (MatchState{Conns: off.Conns, StreamMatched: off.Stream, DgramMatched: off.Dgram, Pending: off.Pending}) {
+					t.Fatalf("seed %d: live.match %+v, offline %+v", seed, *match, off)
+				}
+				matched += off.Stream + off.Dgram
+			}
 			off := analysis.Comm(events)
 			assertCommMatchesOffline(t, comm, off)
 			if want := intervalsOf(events); !slices.Equal(par.Procs, want) {
@@ -139,5 +152,8 @@ func TestRandomEquivalence(t *testing.T) {
 				t.Fatalf("seed %d: no process without communication in the stream", seed)
 			}
 		}
+	}
+	if matched == 0 {
+		t.Fatal("no seed matched a message: the live.match comparison was vacuous")
 	}
 }

@@ -33,9 +33,9 @@ func churnCollector(procs int) *Collector {
 		cpu, proc := clock+int64(m)%2, int64(0)
 		add := func(kind meter.Type, sock, aux uint32) {
 			e := entry(kind, m, pid, sock, aux, cpu)
-			e.proc = proc
+			e.Proc = proc
 			if kind == meter.EvSend || kind == meter.EvRecv {
-				e.name1 = meter.PairName(uint32(pid))
+				e.Name1 = meter.PairName(uint32(pid))
 			}
 			batch = append(batch, e)
 			proc++

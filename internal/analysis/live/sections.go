@@ -68,8 +68,9 @@ type PairState struct {
 	Sizes     [analysis.NumSizeBuckets]int64
 }
 
-// UnknownMachine is the matrix id for an unresolvable peer.
-const UnknownMachine = unknownMachine
+// UnknownMachine is the matrix row and column for traffic whose peer
+// could not be resolved (no name, no established connection).
+const UnknownMachine = analysis.UnknownMachine
 
 // CommState is the decoded live.comm section: the fold's statistics,
 // as analysis.Comm computes them over a trace, and the matrix. Procs
@@ -276,9 +277,6 @@ const (
 // distance passes it is corrupt.
 const maxProcKey = 1<<48 - 1
 
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
 func appendVarints(b []byte, vs ...uint64) []byte {
 	for _, v := range vs {
 		b = binary.AppendUvarint(b, v)
@@ -298,15 +296,15 @@ func readKey(r *obs.Cursor, prev, d uint64) (uint16, uint32) {
 
 // appendCounts appends a communication row's counts.
 func appendCounts(b []byte, p *analysis.ProcComm) []byte {
-	return appendVarints(b, zigzag(p.Sends), zigzag(p.Recvs), zigzag(p.RecvCalls), zigzag(p.Sockets),
-		zigzag(p.Forks), zigzag(p.BytesSent), zigzag(p.BytesRecvd))
+	return appendVarints(b, obs.Zigzag(p.Sends), obs.Zigzag(p.Recvs), obs.Zigzag(p.RecvCalls), obs.Zigzag(p.Sockets),
+		obs.Zigzag(p.Forks), obs.Zigzag(p.BytesSent), obs.Zigzag(p.BytesRecvd))
 }
 
 // readCounts reads what appendCounts wrote into p.
 func readCounts(r *obs.Cursor, p *analysis.ProcComm) {
-	p.Sends, p.Recvs, p.RecvCalls = unzigzag(r.Uvarint()), unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
-	p.Sockets, p.Forks = unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
-	p.BytesSent, p.BytesRecvd = unzigzag(r.Uvarint()), unzigzag(r.Uvarint())
+	p.Sends, p.Recvs, p.RecvCalls = obs.Unzigzag(r.Uvarint()), obs.Unzigzag(r.Uvarint()), obs.Unzigzag(r.Uvarint())
+	p.Sockets, p.Forks = obs.Unzigzag(r.Uvarint()), obs.Unzigzag(r.Uvarint())
+	p.BytesSent, p.BytesRecvd = obs.Unzigzag(r.Uvarint()), obs.Unzigzag(r.Uvarint())
 }
 
 // appendCommRow appends p's live.comm row after the row prev.
@@ -324,12 +322,12 @@ func readCommRow(r *obs.Cursor, prev *analysis.ProcComm) analysis.ProcComm {
 
 // appendMachineComm appends m's live.comm machine row.
 func appendMachineComm(b []byte, m *MachineComm) []byte {
-	return appendCounts(binary.AppendUvarint(binary.LittleEndian.AppendUint16(b, m.Machine), zigzag(m.Procs)), &m.ProcComm)
+	return appendCounts(binary.AppendUvarint(binary.LittleEndian.AppendUint16(b, m.Machine), obs.Zigzag(m.Procs)), &m.ProcComm)
 }
 
 // readMachineComm reads the row appendMachineComm wrote.
 func readMachineComm(r *obs.Cursor) MachineComm {
-	m := MachineComm{ProcComm: analysis.ProcComm{Machine: r.U16()}, Procs: unzigzag(r.Uvarint())}
+	m := MachineComm{ProcComm: analysis.ProcComm{Machine: r.U16()}, Procs: obs.Unzigzag(r.Uvarint())}
 	readCounts(r, &m.ProcComm)
 	return m
 }
@@ -337,13 +335,13 @@ func readMachineComm(r *obs.Cursor) MachineComm {
 // appendMachinePar appends m's live.par machine row.
 func appendMachinePar(b []byte, m *MachinePar) []byte {
 	return appendVarints(binary.LittleEndian.AppendUint16(b, m.Machine),
-		zigzag(m.Procs), zigzag(m.CPU), zigzag(m.First), zigzag(m.Last-m.First))
+		obs.Zigzag(m.Procs), obs.Zigzag(m.CPU), obs.Zigzag(m.First), obs.Zigzag(m.Last-m.First))
 }
 
 // readMachinePar reads the row appendMachinePar wrote.
 func readMachinePar(r *obs.Cursor) MachinePar {
-	m := MachinePar{Machine: r.U16(), Procs: unzigzag(r.Uvarint()), CPU: unzigzag(r.Uvarint()), First: unzigzag(r.Uvarint())}
-	m.Last = m.First + unzigzag(r.Uvarint())
+	m := MachinePar{Machine: r.U16(), Procs: obs.Unzigzag(r.Uvarint()), CPU: obs.Unzigzag(r.Uvarint()), First: obs.Unzigzag(r.Uvarint())}
+	m.Last = m.First + obs.Unzigzag(r.Uvarint())
 	return m
 }
 
@@ -385,7 +383,7 @@ func appendSwept(b []byte, sw *Swept) []byte {
 		levels = append(levels, k)
 	}
 	slices.Sort(levels)
-	b = binary.AppendUvarint(append(b, 1), zigzag(sw.Horizon))
+	b = binary.AppendUvarint(append(b, 1), obs.Zigzag(sw.Horizon))
 	return appendTable(b, len(levels), func(b []byte, i int) []byte {
 		return appendVarints(b, uint64(levels[i]), uint64(sw.Hist[levels[i]]))
 	})
@@ -400,7 +398,7 @@ func readSwept(r *obs.Cursor) *Swept {
 		r.Fail("swept flag %d", flag)
 		return nil
 	}
-	sw := &Swept{Horizon: unzigzag(r.Uvarint())}
+	sw := &Swept{Horizon: obs.Unzigzag(r.Uvarint())}
 	n := int(count(r))
 	if n > r.Remaining()/2 {
 		r.Fail("%d levels in %d bytes", n, r.Remaining())
@@ -426,7 +424,7 @@ func appendParRow(b []byte, prev, p *ProcInterval) []byte {
 	} else {
 		d <<= 1
 	}
-	return appendVarints(b, d, zigzag(p.First-prev.First), zigzag(p.Last-p.First), zigzag(p.MaxCPU))
+	return appendVarints(b, d, obs.Zigzag(p.First-prev.First), obs.Zigzag(p.Last-p.First), obs.Zigzag(p.MaxCPU))
 }
 
 // readParRow reads the row appendParRow wrote after prev.
@@ -434,9 +432,9 @@ func readParRow(r *obs.Cursor, prev *ProcInterval) ProcInterval {
 	d := r.Uvarint()
 	iv := ProcInterval{Terminated: d&1 != 0}
 	iv.Machine, iv.PID = readKey(r, procKey(prev.Machine, prev.PID), d>>1)
-	iv.First = prev.First + unzigzag(r.Uvarint())
-	iv.Last = iv.First + unzigzag(r.Uvarint())
-	iv.MaxCPU = unzigzag(r.Uvarint())
+	iv.First = prev.First + obs.Unzigzag(r.Uvarint())
+	iv.Last = iv.First + obs.Unzigzag(r.Uvarint())
+	iv.MaxCPU = obs.Unzigzag(r.Uvarint())
 	return iv
 }
 
@@ -701,8 +699,8 @@ func (c *Collector) captureMatch() []byte {
 	c.sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := &c.match
-	return appendMatch(m.conns, m.tStream+m.dStream, m.tDgram+m.dDgram, m.tAged+m.dAged, int64(m.pending))
+	m := &c.match.MatchCounts
+	return appendMatch(m.Conns, m.Stream, m.Dgram, m.Aged, m.Pending)
 }
 
 // DecodeMatch parses a live.match payload.
@@ -851,7 +849,7 @@ func mergeMatchPayload(a, b []byte) ([]byte, error) {
 const renderMaxPairs = 16
 
 func machLabel(m uint16) string {
-	if m == unknownMachine {
+	if m == UnknownMachine {
 		return "?"
 	}
 	return fmt.Sprintf("m%d", m)

@@ -19,13 +19,13 @@ func sampleCollector(seed uint16) *Collector {
 	cn := meter.InetName(uint32(seed), 10)
 	sn := meter.InetName(uint32(seed+1), 20)
 	conn := entry(meter.EvConnect, seed, 1, 3, 0, 10)
-	conn.name1, conn.name2 = cn, sn
+	conn.Name1, conn.Name2 = cn, sn
 	acc := entry(meter.EvAccept, seed+1, 2, 0, 6, 20)
-	acc.name1, acc.name2 = sn, cn
+	acc.Name1, acc.Name2 = sn, cn
 	send := entry(meter.EvSend, seed, 1, 3, 100, 30)
 	recv := entry(meter.EvRecv, seed+1, 2, 6, 100, 40)
 	dg := entry(meter.EvSend, seed, 1, 9, 64, 50)
-	dg.name1 = meter.InetName(uint32(seed+2), 30)
+	dg.Name1 = meter.InetName(uint32(seed+2), 30)
 	term := entry(meter.EvTermProc, seed, 1, 0, 0, 60)
 	c.apply([]tapEntry{conn, acc, send, recv, dg, term})
 	return c
@@ -230,7 +230,7 @@ func TestRenderSections(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewCollector(Config{Obs: reg})
 	send := entry(meter.EvSend, 0, 1, 3, 100, 10)
-	send.name1 = meter.InetName(1, 99)
+	send.Name1 = meter.InetName(1, 99)
 	c.apply([]tapEntry{send})
 	var out strings.Builder
 	reg.Snapshot().Render(&out)

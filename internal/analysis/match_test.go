@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
 	"dpm/internal/meter"
@@ -165,5 +166,41 @@ func TestMatchTruncatedDatagram(t *testing.T) {
 	b2.recv(2, 20, 1, 9, 10, sendName)
 	if matches := MatchMessages(b2.events, nil); len(matches) != 0 {
 		t.Fatalf("grown recv matched: %+v", matches)
+	}
+}
+
+func TestMatchFallbackHandshake(t *testing.T) {
+	// An accept naming a socket no connect reports still pairs with the
+	// connect that dialed its listener once the trace ends.
+	b := &tb{}
+	srv := meter.InetName(2, 7000)
+	b.connect(1, 10, 0, 3, meter.InetName(1, 1001), srv)
+	b.accept(2, 20, 1, 4, 5, srv, meter.InetName(1, 4444))
+	s := b.send(1, 10, 2, 3, 7, meter.Name{})
+	r := b.recv(2, 20, 3, 5, 7, meter.Name{})
+	if c := CountMatches(b.events, nil); c.Conns != 0 || c.Pending != 4 {
+		t.Fatalf("before the end of the trace: %+v", c)
+	}
+	if matches := MatchMessages(b.events, nil); len(matches) != 1 || matches[0] != (Match{SendSeq: s, RecvSeq: r, Bytes: 7}) {
+		t.Fatalf("matches = %+v", matches)
+	}
+}
+
+func TestMatchDatagramFlowAffinity(t *testing.T) {
+	// Two flows between one machine pair: once a receiving socket's
+	// flow pairs with a sending socket's, a later receive of it skips
+	// the other flow's older send.
+	b := &tb{}
+	toA, toB := meter.InetName(2, 5000), meter.InetName(2, 5001)
+	fromA, fromB := meter.InetName(1, 1000), meter.InetName(1, 1001)
+	sa1 := b.send(1, 10, 0, 3, 8, toA)
+	ra1 := b.recv(2, 20, 1, 9, 8, fromA)
+	sb1 := b.send(1, 11, 2, 4, 8, toB)
+	sa2 := b.send(1, 10, 3, 3, 8, toA)
+	ra2 := b.recv(2, 20, 4, 9, 8, fromA)
+	rb1 := b.recv(2, 21, 5, 7, 8, fromB)
+	want := []Match{{sa1, ra1, 8}, {sa2, ra2, 8}, {sb1, rb1, 8}}
+	if matches := MatchMessages(b.events, nil); !slices.Equal(matches, want) {
+		t.Fatalf("matches = %+v, want %+v", matches, want)
 	}
 }

@@ -70,49 +70,18 @@ func Validate(events []trace.Event, opts *MatchOptions) []Diagnostic {
 
 	// Stream conservation: on each connection direction, the receiver
 	// cannot consume more bytes than the sender wrote.
-	conns := Connections(events)
-	type dirKey struct {
-		conn int
-		side int
-	}
-	sent := make(map[dirKey]int64)
-	recvd := make(map[dirKey]int64)
-	endSide := make(map[endpoint][2]int)
-	for i, c := range conns {
-		endSide[endpoint{c.Client, c.ClientSock}] = [2]int{i, 0}
-		endSide[endpoint{c.Server, c.ServerSock}] = [2]int{i, 1}
-	}
-	for i := range events {
-		e := &events[i]
-		ep := endpoint{keyOf(e), e.Sock()}
-		cs, ok := endSide[ep]
-		if !ok {
-			continue
-		}
-		switch e.Type {
-		case meter.EvSend:
-			if e.Name("destName").IsZero() {
-				sent[dirKey{cs[0], cs[1]}] += int64(e.MsgLength())
+	matchedAccepts := make(map[int]bool)
+	for _, c := range Connections(events) {
+		matchedAccepts[c.AcceptSeq] = true
+		for dir := range c.Sent {
+			if c.Recvd[dir] > c.Sent[dir] {
+				add(Error, c.AcceptSeq, "connection %s=>%s: %d bytes received but only %d sent (direction %d)",
+					c.Client, c.Server, c.Recvd[dir], c.Sent[dir], dir)
 			}
-		case meter.EvRecv:
-			if e.Name("sourceName").IsZero() {
-				recvd[dirKey{cs[0], 1 - cs[1]}] += int64(e.MsgLength())
-			}
-		}
-	}
-	for dk, r := range recvd {
-		if s := sent[dk]; r > s {
-			c := conns[dk.conn]
-			add(Error, c.AcceptSeq, "connection %s=>%s: %d bytes received but only %d sent (direction %d)",
-				c.Client, c.Server, r, s, dk.side)
 		}
 	}
 
 	// Accepts that matched no connect suggest lost connect records.
-	matchedAccepts := make(map[int]bool)
-	for _, c := range conns {
-		matchedAccepts[c.AcceptSeq] = true
-	}
 	for i := range events {
 		e := &events[i]
 		if e.Type == meter.EvAccept && !matchedAccepts[e.Seq] {

@@ -106,3 +106,8 @@ func (c *Cursor) Uvarint() uint64 {
 
 // Str reads a string behind its uint16 length.
 func (c *Cursor) Str() string { return string(c.Take(int(c.U16()))) }
+
+// Zigzag maps a signed value to an unsigned one that is small when the
+// magnitude is, for varint coding; Unzigzag inverts it.
+func Zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func Unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -117,9 +117,6 @@ const (
 	opRefBase = 3
 )
 
-func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
 // uvarintAt decodes one uvarint at off, returning the value and the
 // new offset. A plain function (not a closure over off) so the hot
 // decode loop allocates nothing.
@@ -386,7 +383,7 @@ func (w *compWriter) stageAs(m Meta, v *trace.View, line []byte) error {
 	}
 	e := w.enc
 	e = binary.AppendUvarint(e, uint64(m.Machine))
-	e = binary.AppendUvarint(e, zigzag(int64(m.Time)-int64(w.prevTime)))
+	e = binary.AppendUvarint(e, obs.Zigzag(int64(m.Time)-int64(w.prevTime)))
 	w.prevTime = m.Time
 	e = binary.AppendUvarint(e, uint64(m.Type))
 	e = binary.AppendUvarint(e, uint64(m.PID))
@@ -873,7 +870,7 @@ func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, int, error) {
 		if dtv, off, ok = uvarintAt(raw, off); !ok {
 			return emitted, start, fmt.Errorf("bad time delta at payload offset %d", start)
 		}
-		t := int64(prevTime) + unzigzag(dtv)
+		t := int64(prevTime) + obs.Unzigzag(dtv)
 		if t < 0 || t > 0xFFFFFFFF {
 			return emitted, start, fmt.Errorf("time out of range at payload offset %d", start)
 		}

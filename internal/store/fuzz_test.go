@@ -71,13 +71,13 @@ func fuzzSeedV2() []byte {
 // prev[:p] panicked. The parser must reject it as a torn record.
 func fuzzSeedOverflow() []byte {
 	var payload []byte
-	payload = binary.AppendUvarint(payload, 1)              // machine
-	payload = binary.AppendUvarint(payload, zigzag(100))    // time delta
-	payload = binary.AppendUvarint(payload, 1)              // type
-	payload = binary.AppendUvarint(payload, 1)              // pid
-	payload = append(payload, 0)                            // shape: text
-	payload = binary.AppendUvarint(payload, math.MaxUint64) // prefix length
-	payload = binary.AppendUvarint(payload, 1)              // suffix length
+	payload = binary.AppendUvarint(payload, 1)               // machine
+	payload = binary.AppendUvarint(payload, obs.Zigzag(100)) // time delta
+	payload = binary.AppendUvarint(payload, 1)               // type
+	payload = binary.AppendUvarint(payload, 1)               // pid
+	payload = append(payload, 0)                             // shape: text
+	payload = binary.AppendUvarint(payload, math.MaxUint64)  // prefix length
+	payload = binary.AppendUvarint(payload, 1)               // suffix length
 	payload = append(payload, opEnd)
 	var buf bytes.Buffer
 	buf.WriteString(segHeader)

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 )
 
 // The typed form of a record: what the store's compressed blocks hold
@@ -118,9 +119,6 @@ var typedLayouts = func() (t [len(viewTypes)]struct {
 	return t
 }()
 
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
 // ParseStandard fills the view from line and reports whether the line
 // is standard, the condition for AppendTyped. It never falls back to
 // ParseOne: a line it refuses may still be one Parse reads.
@@ -208,7 +206,7 @@ func (v *View) AppendTyped(dst []byte, st *TypedState) []byte {
 	dst = append(dst, 0)
 	if s.procTime != last.procTime {
 		dst[flags] |= typedProcTime
-		dst = binary.AppendUvarint(dst, zigzag(s.procTime-last.procTime))
+		dst = binary.AppendUvarint(dst, obs.Zigzag(s.procTime-last.procTime))
 		last.procTime = s.procTime
 	}
 	for p := s.present; p != 0; p &= p - 1 {
@@ -218,7 +216,7 @@ func (v *View) AppendTyped(dst []byte, st *TypedState) []byte {
 			dst = append(dst, s.name[k][:]...)
 			last.name[k] = s.name[k]
 		case !isName && s.val[k] != last.val[k]:
-			dst = binary.AppendUvarint(dst, zigzag(int64(s.val[k]-last.val[k])))
+			dst = binary.AppendUvarint(dst, obs.Zigzag(int64(s.val[k]-last.val[k])))
 			last.val[k] = s.val[k]
 		default:
 			continue
@@ -249,7 +247,7 @@ func (v *View) DecodeTyped(raw []byte, st *TypedState, typ meter.Type, machine i
 	off++
 	if raw[0]&typedProcTime != 0 {
 		d, n := binary.Uvarint(raw[off:])
-		s.procTime += unzigzag(d)
+		s.procTime += obs.Unzigzag(d)
 		if n <= 0 || s.procTime < 0 {
 			return 0, false
 		}
@@ -262,7 +260,7 @@ func (v *View) DecodeTyped(raw []byte, st *TypedState, typ meter.Type, machine i
 			if n <= 0 {
 				return 0, false
 			}
-			s.val[k] += uint64(unzigzag(d))
+			s.val[k] += uint64(obs.Unzigzag(d))
 			off += n
 			continue
 		}
