@@ -161,6 +161,7 @@ type Collector struct {
 	hist     map[int]int64
 	retired  []machineSum
 	nRetired int64
+	gone     []uint64 // keys of the processes this settle retired, for the matcher
 	// Direct-mapped caches over the hot tables. A settle clears the
 	// process cache, so a cached pointer can only go stale by eviction,
 	// never dangle. A handful of processes and one machine pair
@@ -556,6 +557,14 @@ func (c *Collector) settle() {
 	}
 	clear(c.cells[len(keep):])
 	c.cells = keep
+	if len(c.gone) > 0 {
+		slices.Sort(c.gone)
+		c.match.Retire(func(machine uint16, pid uint32) bool {
+			_, ok := slices.BinarySearch(c.gone, procKey(machine, pid))
+			return ok
+		})
+		c.gone = c.gone[:0]
+	}
 	for k, ms := range analysis.Sweep(starts, ends, 0).Histogram {
 		c.hist[k] += ms
 	}
@@ -582,6 +591,7 @@ func (c *Collector) retire(pc *analysis.Proc) {
 		c.overflow = nil
 	} else {
 		delete(c.procs, procKey(pc.Machine, pc.PID))
+		c.gone = append(c.gone, procKey(pc.Machine, pc.PID))
 	}
 }
 

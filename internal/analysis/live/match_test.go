@@ -262,3 +262,39 @@ func TestPairOverflowFold(t *testing.T) {
 		t.Fatalf("fold cell %+v, total %d", fold, msgs)
 	}
 }
+
+// TestMatchRetiresConnections runs more short connections than MaxProcs
+// through one collector, each a handshake, a 10-byte send and its
+// receive, and both processes' TERMPROC. The matcher forgets a
+// connection once its processes retire, so every handshake finds room
+// and nothing ages out; a matcher that held every connection it ever
+// saw dropped each handshake past MaxProcs as aged.
+func TestMatchRetiresConnections(t *testing.T) {
+	const conns = 20000
+	c := NewCollector(Config{})
+	defer c.Close()
+	sn := meter.InetName(1, 20)
+	batch := make([]tapEntry, 0, 6*64)
+	for i := 0; i < conns; i++ {
+		cpu := int64(5 * i)
+		client, server := uint32(1000+2*i), uint32(1001+2*i)
+		cn := meter.InetName(0, uint16(1024+i%50000))
+		con := entry(meter.EvConnect, 0, client, 3, 0, cpu)
+		con.Name1, con.Name2 = cn, sn
+		acc := entry(meter.EvAccept, 1, server, 4, 6, cpu+1)
+		acc.Name1, acc.Name2 = sn, cn
+		batch = append(batch, con, acc,
+			entry(meter.EvSend, 0, client, 3, 10, cpu+2),
+			entry(meter.EvRecv, 1, server, 6, 10, cpu+3),
+			entry(meter.EvTermProc, 0, client, 0, 0, cpu+4),
+			entry(meter.EvTermProc, 1, server, 0, 0, cpu+4))
+		if len(batch) == cap(batch) || i == conns-1 {
+			c.apply(batch)
+			batch = batch[:0]
+		}
+	}
+	st := c.matchState(t)
+	if st.Conns != conns || st.StreamMatched != conns || st.AgedOut != 0 || st.Pending != 0 {
+		t.Fatalf("%d short connections: %+v, want all established and matched, none aged", conns, *st)
+	}
+}

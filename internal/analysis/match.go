@@ -238,9 +238,9 @@ type Matcher struct {
 
 	// Hot-path caches: the last machine pair's datagram FIFOs and each
 	// side's last flow group. Traffic is bursty, so these remove map
-	// lookups from most named sends and receives. The cached pointers
-	// stay valid forever — FIFOs drain in place and groups are never
-	// deleted.
+	// lookups from most named sends and receives. FIFOs drain in place
+	// and stay valid forever; Retire, which deletes groups, clears the
+	// group cache.
 	lastFlowOK   bool
 	lastFlowKey  uint32
 	lastFlowSend *fifo[flowMsg]
@@ -645,6 +645,28 @@ func (m *Matcher) Sweep(now int64) {
 			}
 		}
 	}
+}
+
+// Retire forgets the ended processes gone reports: their endpoints and
+// flow groups leave the tables, and the spans queued on their
+// connections age out, as no counterpart of theirs can come.
+func (m *Matcher) Retire(gone func(machine uint16, pid uint32) bool) {
+	for ep, h := range m.endpoints {
+		if gone(ep.machine, ep.pid) {
+			delete(m.endpoints, ep)
+			for dir := range h.c.dirs {
+				for h.c.dirs[dir].pend.len() > 0 {
+					m.ageSpan(&h.c.dirs[dir])
+				}
+			}
+		}
+	}
+	for k := range m.groups {
+		if gone(k.ep.machine, k.ep.pid) {
+			delete(m.groups, k)
+		}
+	}
+	m.lastGroup = [2]*dgroup{}
 }
 
 // Flush ends a finished trace: no exact counterpart can arrive any

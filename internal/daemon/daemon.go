@@ -746,13 +746,11 @@ func (d *daemonState) handleGateway(data []byte, src meter.Name) {
 // dropped the notification silently.)
 func (d *daemonState) notifyController(info *childInfo, msg *WireMsg) error {
 	key := fmt.Sprintf("%s:%d", info.controlHost, info.controlPort)
-	payload := wireFrame(FrameReq, 0, msg)
-
 	d.mu.Lock()
 	fd, cached := d.notifyFDs[key]
 	d.mu.Unlock()
 	if cached {
-		if _, err := d.p.Send(fd, payload); err == nil {
+		if err := sendFrame(d.p, fd, FrameReq, 0, msg); err == nil {
 			return nil
 		}
 		// Stale connection: drop it and fall through to a fresh dial.
@@ -764,7 +762,7 @@ func (d *daemonState) notifyController(info *childInfo, msg *WireMsg) error {
 		d.mu.Lock()
 		d.notifyFDs[key] = fd
 		d.mu.Unlock()
-		if _, err = d.p.Send(fd, payload); err != nil {
+		if err = sendFrame(d.p, fd, FrameReq, 0, msg); err != nil {
 			d.dropNotifyFD(key, fd)
 		}
 	}
@@ -790,9 +788,9 @@ func (d *daemonState) dropNotifyFD(key string, fd int) {
 // connection ends or carries a corrupt frame.
 func ReadNotices(p *kernel.Process, conn int, apply func(*WireMsg)) {
 	var fr frameReader
-	recv := func(max int) ([]byte, error) { return p.Recv(conn, max) }
+	rc := receiver{p: p, fd: conn}
 	for {
-		f, err := fr.next(recv)
+		f, err := fr.next(rc.recv)
 		if err != nil {
 			return
 		}
@@ -829,14 +827,13 @@ func exchange(p *kernel.Process, host string, req *WireMsg, timeout time.Duratio
 	if timeout > 0 {
 		deadline = start.Add(timeout)
 	}
-	fd, fr, err := dialFramed(p, host, Port, req, deadline)
+	rc, fr, err := dialFramed(p, host, Port, req, deadline)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = p.Close(fd) }()
-	recv := receiver(p, fd, deadline)
+	defer func() { _ = p.Close(rc.fd) }()
 	for {
-		f, err := fr.next(recv)
+		f, err := fr.next(rc.recv)
 		if err != nil {
 			return nil, err
 		}
@@ -855,18 +852,18 @@ func exchange(p *kernel.Process, host string, req *WireMsg, timeout time.Duratio
 // dialFramed connects to the daemon on host's port and sends the magic
 // and hello, with req behind them as request 1 when it is not nil, in
 // one send. It reads the daemon's magic and hello back and returns the
-// connection and the reader that took them, holding whatever came
-// after. A non-zero deadline bounds the wait. A peer that closes
+// connection's receiver and the reader that took them, holding whatever
+// came after. A non-zero deadline bounds the wait. A peer that closes
 // instead, or answers with anything but a hello, fails with
 // errHandshake.
-func dialFramed(p *kernel.Process, host string, port uint16, req *WireMsg, deadline time.Time) (int, *frameReader, error) {
+func dialFramed(p *kernel.Process, host string, port uint16, req *WireMsg, deadline time.Time) (*receiver, *frameReader, error) {
 	fd, err := dial(p, host, port)
 	if err != nil {
-		return -1, nil, fmt.Errorf("daemon on %s: %w", host, err)
+		return nil, nil, fmt.Errorf("daemon on %s: %w", host, err)
 	}
-	fail := func(err error) (int, *frameReader, error) {
+	fail := func(err error) (*receiver, *frameReader, error) {
 		_ = p.Close(fd)
-		return -1, nil, err
+		return nil, nil, err
 	}
 	out := appendHello(nil)
 	if req != nil {
@@ -875,33 +872,77 @@ func dialFramed(p *kernel.Process, host string, port uint16, req *WireMsg, deadl
 	if _, err := p.Send(fd, out); err != nil {
 		return fail(err)
 	}
+	rc := &receiver{p: p, fd: fd, deadline: deadline}
 	fr := new(frameReader)
-	recv := receiver(p, fd, deadline)
-	if err := fr.open(recv); err != nil {
+	if err := fr.open(rc.recv); err != nil {
 		return fail(fmt.Errorf("%w: %w", errHandshake, err))
 	}
-	f, err := fr.next(recv)
+	f, err := fr.next(rc.recv)
 	if err != nil {
 		return fail(fmt.Errorf("%w: %w", errHandshake, err))
 	}
 	if f.Kind != FrameHello || !helloOK(f.Payload) {
 		return fail(errHandshake)
 	}
-	return fd, fr, nil
+	return rc, fr, nil
 }
 
-// receiver is a frameReader's receive on fd: p.Recv, or p.RecvTimeout
-// with what is left until a non-zero deadline.
-func receiver(p *kernel.Process, fd int, deadline time.Time) func(max int) ([]byte, error) {
-	return func(max int) ([]byte, error) {
-		if deadline.IsZero() {
-			return p.Recv(fd, max)
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, kernel.ErrTimedOut
-		}
-		data, _, err := p.RecvTimeout(fd, max, remaining)
-		return data, err
+// receiver is a connection's read(2) for its frameReader: RecvInto on
+// fd, bounded by deadline when that is set, under one timer for the
+// connection that each receive leaves stopped and drained for the next.
+type receiver struct {
+	p        *kernel.Process
+	fd       int
+	deadline time.Time
+	timer    *time.Timer
+}
+
+func (rc *receiver) recv(buf []byte) (int, error) {
+	if rc.deadline.IsZero() {
+		return rc.p.RecvInto(rc.fd, buf, nil)
 	}
+	remaining := time.Until(rc.deadline)
+	if remaining <= 0 {
+		return 0, kernel.ErrTimedOut
+	}
+	rc.timer = resetTimer(rc.timer, remaining)
+	n, err := rc.p.RecvInto(rc.fd, buf, rc.timer.C)
+	if !errors.Is(err, kernel.ErrTimedOut) { // a timeout took the timer's value
+		stopTimer(rc.timer)
+	}
+	return n, err
+}
+
+// resetTimer starts t, stopped and drained, to fire after d; a nil t is
+// made. stopTimer stops t, whose value nobody has taken, and empties its
+// channel: timer channels are buffered under go 1.22, and a Reset timer
+// must not deliver an expiry from before.
+func resetTimer(t *time.Timer, d time.Duration) *time.Timer {
+	if t == nil {
+		return time.NewTimer(d)
+	}
+	t.Reset(d)
+	return t
+}
+
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		<-t.C
+	}
+}
+
+// frameBufs holds the buffers of frames sent from them: a Send copies
+// the frame into the peer's stream, so its buffer is free once Send
+// returns. One past 64 KiB goes to the collector instead.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// sendFrame sends w as one frame on fd from a pooled buffer.
+func sendFrame(p *kernel.Process, fd int, kind uint32, id uint64, w *WireMsg) error {
+	bp := frameBufs.Get().(*[]byte)
+	*bp = w.appendTo(appendFrameHeader((*bp)[:0], kind, id, w.size()))
+	_, err := p.Send(fd, *bp)
+	if cap(*bp) <= 64<<10 {
+		frameBufs.Put(bp)
+	}
+	return err
 }

@@ -53,10 +53,6 @@ const frameMagic = "DPMX"
 // frameHeader is the fixed frame prefix: size, kind, request id.
 const frameHeader = 16
 
-// openRecv is the receive that takes the magic: large enough for the
-// hello behind it and, on an Exchange, the request or the reply too.
-const openRecv = 8192
-
 // maxFramePayload bounds one frame's payload; a frame carries at most
 // one wire message.
 const maxFramePayload = maxWireSize
@@ -101,89 +97,77 @@ func frameSizeOK(size uint32) bool {
 	return size >= frameHeader && size <= frameHeader+maxFramePayload
 }
 
-// frameReader takes frames off a connection's byte stream with
-// receives sized to what the frame in hand still lacks: its header
-// first, then — the length now known — all of its payload. A frame is
-// one atomic Send, so the payload normally arrives in that one receive
-// and is handed on as received; if it comes in pieces, one buffer of
-// exactly the payload's size collects them. No buffer is grown by
-// reallocation, and no byte is copied again after the receive that
-// delivered it.
+// frameBuf is the size of a connection's receive buffer: one receive
+// into it usually brings a whole control frame, often several.
+const frameBuf = 1024
+
+// frameReader takes frames off a connection's byte stream. It receives
+// into one small buffer and hands a frame that fits on as a slice of
+// it, valid until the next call of next: every caller decodes a frame
+// before it reads another. A larger frame is received into a buffer of
+// its own size, which the caller may keep.
 type frameReader struct {
-	pending []byte // bytes that arrived with the magic: consumed before the connection is
-	hdr     []byte // header bytes of the frame in hand
-	payload []byte // its payload so far, once the header is whole
+	buf []byte // buf[off:] is not yet handed on
+	off int
 }
 
-// next returns the connection's next frame, calling recv (one receive
-// of at most max bytes) as often as that takes. An error from recv — a
-// timeout included — leaves the reader holding what has arrived, so
+// next returns the connection's next frame, calling recv (read(2) into
+// the slice it is given) as often as that takes. An error from recv —
+// a timeout included — leaves the reader holding what has arrived, so
 // the caller may deal with it and call next again. A size word no frame
-// can have is ErrWireCorrupt as soon as its four bytes are in. The
-// frame's payload is the caller's: the reader keeps no reference.
-func (r *frameReader) next(recv func(max int) ([]byte, error)) (Frame, error) {
-	for len(r.hdr) < frameHeader {
-		data, err := r.read(frameHeader-len(r.hdr), recv)
-		if err != nil {
-			return Frame{}, err
-		}
-		r.hdr = append(r.hdr, data...)
-		if len(r.hdr) >= 4 && !frameSizeOK(binary.LittleEndian.Uint32(r.hdr)) {
+// can have is ErrWireCorrupt as soon as its four bytes are in.
+func (r *frameReader) next(recv func([]byte) (int, error)) (Frame, error) {
+	for {
+		in := r.buf[r.off:]
+		if len(in) >= 4 && !frameSizeOK(binary.LittleEndian.Uint32(in)) {
 			return Frame{}, ErrWireCorrupt
 		}
-	}
-	want := int(binary.LittleEndian.Uint32(r.hdr)) - frameHeader
-	for len(r.payload) < want {
-		data, err := r.read(want-len(r.payload), recv)
-		if err != nil {
+		if len(in) >= frameHeader {
+			size := int(binary.LittleEndian.Uint32(in))
+			if size <= len(in) {
+				f := Frame{Kind: binary.LittleEndian.Uint32(in[4:]), ID: binary.LittleEndian.Uint64(in[8:]),
+					Payload: in[frameHeader:size:size]}
+				r.off += size
+				if cap(r.buf) > frameBuf { // a large frame's own buffer goes with it
+					r.buf, r.off = nil, 0
+				}
+				return f, nil
+			}
+			if size > cap(r.buf) {
+				r.buf, r.off = append(make([]byte, 0, size), in...), 0
+			}
+		}
+		if err := r.fill(recv); err != nil {
 			return Frame{}, err
 		}
-		switch {
-		case r.payload != nil:
-			r.payload = append(r.payload, data...)
-		case len(data) == want:
-			r.payload = data
-		default:
-			r.payload = append(make([]byte, 0, want), data...)
-		}
 	}
-	f := Frame{
-		Kind:    binary.LittleEndian.Uint32(r.hdr[4:]),
-		ID:      binary.LittleEndian.Uint64(r.hdr[8:]),
-		Payload: r.payload,
+}
+
+// fill moves the bytes not yet handed on to the front of the buffer and
+// receives once into the space behind them.
+func (r *frameReader) fill(recv func([]byte) (int, error)) error {
+	if r.buf == nil {
+		r.buf = make([]byte, 0, frameBuf)
 	}
-	r.hdr, r.payload = r.hdr[:0], nil
-	return f, nil
+	k := copy(r.buf[:cap(r.buf)], r.buf[r.off:])
+	n, err := recv(r.buf[k:cap(r.buf)])
+	r.buf, r.off = r.buf[:k+n], 0
+	return err
 }
 
 // open consumes the magic that begins a daemon connection in either
-// direction, with one receive unless the magic comes in pieces. Bytes
-// that arrived with it are kept for next.
-func (r *frameReader) open(recv func(max int) ([]byte, error)) error {
-	var buf []byte
-	for len(buf) < len(frameMagic) {
-		data, err := recv(openRecv)
-		if err != nil {
+// direction. Bytes that arrived with it are kept for next.
+func (r *frameReader) open(recv func([]byte) (int, error)) error {
+	for len(r.buf)-r.off < len(frameMagic) {
+		if err := r.fill(recv); err != nil {
 			return err
 		}
-		buf = append(buf, data...)
 	}
-	if string(buf[:len(frameMagic)]) != frameMagic {
+	if string(r.buf[r.off:r.off+len(frameMagic)]) != frameMagic {
 		return fmt.Errorf("%w: no session magic", ErrWireCorrupt)
 	}
-	r.pending = buf[len(frameMagic):]
+	r.off += len(frameMagic)
 	return nil
-}
-
-// read is recv, preceded by whatever is pending.
-func (r *frameReader) read(max int, recv func(max int) ([]byte, error)) ([]byte, error) {
-	if len(r.pending) == 0 {
-		return recv(max)
-	}
-	n := min(max, len(r.pending))
-	data := r.pending[:n:n]
-	r.pending = r.pending[n:]
-	return data, nil
 }
 
 // appendHello appends the magic preamble and a hello frame — the

@@ -11,9 +11,10 @@ import (
 )
 
 // byteStream is a connection's byte stream as a peer's sends deliver
-// it: a receive returns at most max bytes, copied, and never crosses a
-// cut; past the last byte it fails with io.EOF. A receive that starts
-// at a stall offset fails once with kernel.ErrTimedOut first.
+// it: a receive fills at most the buffer it is given, in the shape of
+// read(2), and never crosses a cut; past the last byte it fails with
+// io.EOF. A receive that starts at a stall offset fails once with
+// kernel.ErrTimedOut first.
 type byteStream struct {
 	data   []byte
 	cuts   []int // ascending offsets
@@ -22,29 +23,30 @@ type byteStream struct {
 	calls  []int // the offset at each receive
 }
 
-func (s *byteStream) recv(max int) ([]byte, error) {
+func (s *byteStream) recv(buf []byte) (int, error) {
 	s.calls = append(s.calls, s.off)
 	if len(s.stalls) > 0 && s.stalls[0] == s.off {
 		s.stalls = s.stalls[1:]
-		return nil, kernel.ErrTimedOut
+		return 0, kernel.ErrTimedOut
 	}
 	if s.off == len(s.data) {
-		return nil, io.EOF
+		return 0, io.EOF
 	}
-	end := min(len(s.data), s.off+max)
+	end := min(len(s.data), s.off+len(buf))
 	for _, c := range s.cuts {
 		if c > s.off {
 			end = min(end, c)
 			break
 		}
 	}
-	out := append([]byte(nil), s.data[s.off:end]...)
+	n := copy(buf, s.data[s.off:end])
 	s.off = end
-	return out, nil
+	return n, nil
 }
 
 // readFrames takes frames off s until the reader fails, returning the
-// frames and the failure.
+// frames, each payload copied out of the reader before the next frame
+// is read, and the failure.
 func readFrames(s *byteStream) ([]Frame, error) {
 	var fr frameReader
 	var frames []Frame
@@ -53,6 +55,7 @@ func readFrames(s *byteStream) ([]Frame, error) {
 		if err != nil {
 			return frames, err
 		}
+		f.Payload = bytes.Clone(f.Payload)
 		frames = append(frames, f)
 	}
 }
@@ -231,4 +234,32 @@ func FuzzParseFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLargeFrameKept: a frame larger than the reader's buffer comes out
+// whole however its bytes are cut and stalled, and its payload is the
+// caller's — the frames read after it leave it as it was.
+func TestLargeFrameKept(t *testing.T) {
+	large := bytes.Repeat([]byte("0123456789"), 3*frameBuf/10)
+	data := AppendFrame(nil, FrameRep, 1, large)
+	data = AppendFrame(data, FramePong, 2, nil)
+	data = AppendFrame(data, FrameRep, 3, []byte("small"))
+	for _, cut := range []int{1, 15, 16, 17, frameBuf - 1, frameBuf, frameBuf + 20, len(large), len(large) + 16, len(large) + 17} {
+		s := &byteStream{data: data, cuts: []int{cut, cut + 5}, stalls: []int{cut}}
+		var fr frameReader
+		var got []Frame
+		for len(got) < 3 {
+			f, err := fr.next(s.recv)
+			if errors.Is(err, kernel.ErrTimedOut) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("cut at %d: %v after %d frames", cut, err, len(got))
+			}
+			got = append(got, f)
+		}
+		if !bytes.Equal(got[0].Payload, large) || got[1].ID != 2 || string(got[2].Payload) != "small" {
+			t.Fatalf("cut at %d: frames %d, %d, %q", cut, len(got[0].Payload), got[1].ID, got[2].Payload)
+		}
+	}
 }

@@ -18,14 +18,14 @@ func (d *daemonState) serveConn(conn int) {
 	defer func() { _ = d.p.Close(conn) }()
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
-	recv := func(max int) ([]byte, error) { return d.p.Recv(conn, max) }
+	rc := receiver{p: d.p, fd: conn}
 	var fr frameReader
-	if fr.open(recv) != nil {
+	if fr.open(rc.recv) != nil {
 		return
 	}
 	saidHello := false
 	for {
-		f, err := fr.next(recv)
+		f, err := fr.next(rc.recv)
 		if err != nil {
 			return // EOF, peer gone, or corrupt framing: the connection is over
 		}
@@ -61,7 +61,7 @@ func (d *daemonState) serveConn(conn int) {
 				rep := d.handle(w)
 				// One Send per frame: kernel sends are atomic, so
 				// concurrent repliers cannot interleave frame bytes.
-				_, _ = d.p.Send(conn, wireFrame(FrameRep, id, rep.Wire()))
+				_ = sendFrame(d.p, conn, FrameRep, id, rep.Wire())
 			})
 		default:
 			// Unknown frame kinds are skipped for forward compatibility,

@@ -247,9 +247,10 @@ func TestUnframedCreateRefused(t *testing.T) {
 	req := &CreateReq{Filename: "/bin/ping", UID: testUID, Token: "bare-red-0"}
 
 	fd := r.rawConn(req.Wire().Encode())
-	data, _, err := r.ctl.RecvTimeout(fd, 8192, 2*time.Second)
-	if len(data) != 0 || !errors.Is(err, io.EOF) {
-		t.Fatalf("unframed create answered %q, %v; want the connection closed unanswered", data, err)
+	buf := make([]byte, 8192)
+	n, err := r.ctl.RecvInto(fd, buf, time.After(2*time.Second))
+	if n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("unframed create answered %q, %v; want the connection closed unanswered", buf[:n], err)
 	}
 	if err := r.ctl.Close(fd); err != nil {
 		t.Fatal(err)

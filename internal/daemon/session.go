@@ -254,10 +254,12 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 		s.poke()
 	}
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	timer, _ := callTimers.Get().(*time.Timer)
+	timer = resetTimer(timer, timeout)
+	defer callTimers.Put(timer) // stopped and drained, or fired and taken
 	select {
 	case res := <-c.done:
+		stopTimer(timer)
 		if res.err == nil {
 			s.reg.Histogram(rttHistName(req.Type)).Since(start)
 		}
@@ -271,10 +273,14 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 		}
 		return nil, fmt.Errorf("session to %s: %w", s.host, kernel.ErrTimedOut)
 	case <-s.p.KillChan():
+		stopTimer(timer)
 		s.forget(id)
 		return nil, kernel.ErrKilled
 	}
 }
+
+// callTimers holds Call's reply timers between calls.
+var callTimers sync.Pool
 
 // SessionExchange is ExchangeRetry over a session: each attempt runs
 // under the policy's reply deadline and transient failures — a
@@ -306,7 +312,7 @@ func (s *Session) run() {
 		}
 		s.mu.Unlock()
 
-		fd, fr, err := dialFramed(s.p, s.host, s.cfg.Port, nil, time.Now().Add(s.cfg.HelloTimeout))
+		rc, fr, err := dialFramed(s.p, s.host, s.cfg.Port, nil, time.Now().Add(s.cfg.HelloTimeout))
 		if err != nil {
 			if errors.Is(err, kernel.ErrKilled) {
 				return
@@ -328,11 +334,11 @@ func (s *Session) run() {
 			continue
 		}
 		fails = 0
-		if !s.attach(fd) {
+		if !s.attach(rc.fd) {
 			return // closed while dialing
 		}
-		err = s.readLoop(fd, fr)
-		s.detach(fd)
+		err = s.readLoop(rc, fr)
+		s.detach(rc.fd)
 		if errors.Is(err, kernel.ErrKilled) || s.isClosed() {
 			return
 		}
@@ -389,7 +395,7 @@ func (s *Session) detach(fd int) {
 // calls and runs the heartbeat — after HeartbeatInterval of silence a
 // ping goes out, and a pong missing for HeartbeatTimeout kills the
 // connection from our side (the peer is wedged or the path is gone).
-func (s *Session) readLoop(fd int, fr *frameReader) error {
+func (s *Session) readLoop(rc *receiver, fr *frameReader) error {
 	idle := time.Now()
 	var pingID uint64
 	var pingSent time.Time
@@ -409,14 +415,15 @@ func (s *Session) readLoop(fd int, fr *frameReader) error {
 			pingID = s.nextID
 			s.mu.Unlock()
 			pingSent, pingOut = now, true
-			if _, err := s.p.Send(fd, AppendFrame(nil, FramePing, pingID, nil)); err != nil {
+			if _, err := s.p.Send(rc.fd, AppendFrame(nil, FramePing, pingID, nil)); err != nil {
 				return err
 			}
 			wait = s.cfg.HeartbeatTimeout
 		} else {
 			wait = next.Sub(now)
 		}
-		f, err := fr.next(receiver(s.p, fd, now.Add(wait)))
+		rc.deadline = now.Add(wait)
+		f, err := fr.next(rc.recv)
 		if err != nil {
 			if errors.Is(err, kernel.ErrTimedOut) {
 				continue // just the heartbeat timer firing; fr keeps a partial frame

@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,12 +201,12 @@ func spawnMuteDaemon(t *testing.T, m *kernel.Machine, port uint16) {
 				return 0
 			}
 			p.Go(func() {
-				recv := func(max int) ([]byte, error) { return p.Recv(conn, max) }
+				rc := receiver{p: p, fd: conn}
 				var fr frameReader
-				if fr.open(recv) != nil {
+				if fr.open(rc.recv) != nil {
 					return
 				}
-				if f, err := fr.next(recv); err != nil || f.Kind != FrameHello {
+				if f, err := fr.next(rc.recv); err != nil || f.Kind != FrameHello {
 					return
 				}
 				if _, err := p.Send(conn, appendHello(nil)); err != nil {
@@ -405,4 +406,69 @@ func TestSessionDownFailsFast(t *testing.T) {
 	waitFor(t, 3*time.Second, "session recovers after heal", func() bool {
 		return s.State() == StateUp
 	})
+}
+
+// TestReusedTimerNoStaleTimeout: a connection's receive timer and a
+// session's reply timers are reused, so one that fired — its expiry
+// taken by a timeout, or left in its channel when data won the race —
+// must never end a later receive or call early.
+func TestReusedTimerNoStaleTimeout(t *testing.T) {
+	r := newRig(t)
+	a, b, err := r.ctl.SocketPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := receiver{p: r.ctl, fd: b}
+	buf := make([]byte, 8)
+	for i := 0; i < 200; i++ {
+		// A deadline that passes at once: the receive either times out
+		// or, data being there already, returns it while the timer fires.
+		if i%2 == 0 {
+			if _, err := r.ctl.Send(a, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rc.deadline = time.Now().Add(time.Microsecond)
+		if _, err := rc.recv(buf); err != nil && !errors.Is(err, kernel.ErrTimedOut) {
+			t.Fatal(err)
+		}
+		// Then a receive with time to spare, on a socket the data
+		// reaches only after the wait began.
+		rc.deadline = time.Now().Add(5 * time.Second)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			time.Sleep(50 * time.Microsecond)
+			_, _ = r.ctl.Send(a, []byte("y"))
+		}()
+		for got := ""; !strings.HasSuffix(got, "y"); { // an "x" the first receive left comes first
+			n, err := rc.recv(buf)
+			if err != nil {
+				t.Fatalf("round %d: receive after a fired timer: %v", i, err)
+			}
+			got += string(buf[:n])
+		}
+		<-done
+	}
+
+	const port = Port + 3
+	spawnCannedDaemon(t, r.red, port, &Reply{Type: TStartRep, PID: 7, Status: "ok"})
+	cfg := fastSession()
+	cfg.Port = port
+	s := DialSession(r.ctl, "red", cfg)
+	defer s.Close()
+	req := (&ProcReq{Type: TStartReq, UID: testUID, PID: 7}).Wire()
+	if _, err := s.Call(req, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		// A deadline about a round trip away leaves its timer fired, with
+		// or without a reply; the next call must still wait for its own.
+		if _, err := s.Call(req, time.Duration(1+i%40)*time.Microsecond); err != nil && !errors.Is(err, kernel.ErrTimedOut) {
+			t.Fatal(err)
+		}
+		if rep, err := s.Call(req, 5*time.Second); err != nil || !rep.OK() {
+			t.Fatalf("round %d: call after a fired timer: %+v, %v", i, rep, err)
+		}
+	}
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"dpm/internal/obs"
 )
@@ -163,7 +164,8 @@ func (w *WireMsg) appendTo(b []byte) []byte {
 }
 
 // DecodeWire decodes one whole message: payload must be exactly its
-// bytes, as a frame delivers them.
+// bytes, as a frame delivers them. The message keeps none of payload:
+// its fields are substrings of one copy of their bytes.
 func DecodeWire(payload []byte) (*WireMsg, error) {
 	c := obs.NewCursor(payload, ErrWireCorrupt)
 	size := c.U32()
@@ -178,14 +180,23 @@ func DecodeWire(payload []byte) (*WireMsg, error) {
 	case count > 0:
 		w.Fields = make([]string, count)
 	}
-	for i := range w.Fields {
-		w.Fields[i] = string(c.Take(int(c.U32())))
+	fields, n := c, 0 // n: the bytes of every field
+	for range w.Fields {
+		n += len(c.Take(int(c.U32())))
 	}
 	if c.Err() == nil && c.Remaining() > 0 {
 		c.Fail("%d trailing bytes", c.Remaining())
 	}
 	if err := c.Err(); err != nil {
 		return nil, err
+	}
+	// Grown once, the builder's strings all share its one array.
+	var b strings.Builder
+	b.Grow(n)
+	for i := range w.Fields {
+		at := b.Len()
+		b.Write(fields.Take(int(fields.U32())))
+		w.Fields[i] = b.String()[at:]
 	}
 	return w, nil
 }

@@ -244,9 +244,10 @@ func TestRecvTimeout(t *testing.T) {
 	if err := receiver.BindPort(fd, 700); err != nil {
 		t.Fatal(err)
 	}
+	buf := make([]byte, 4096)
 	start := time.Now()
-	if _, _, err := receiver.RecvTimeout(fd, 4096, 20*time.Millisecond); !errors.Is(err, ErrTimedOut) {
-		t.Fatalf("RecvTimeout on silent socket: %v, want ErrTimedOut", err)
+	if _, err := receiver.RecvInto(fd, buf, time.After(20*time.Millisecond)); !errors.Is(err, ErrTimedOut) {
+		t.Fatalf("RecvInto with a timeout on silent socket: %v, want ErrTimedOut", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v", elapsed)
@@ -261,12 +262,12 @@ func TestRecvTimeout(t *testing.T) {
 	if _, err := sender.SendTo(sfd, []byte("ping"), meter.InetName(green.PrimaryHostID(), 700)); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := receiver.RecvTimeout(fd, 4096, time.Second)
+	n, err := receiver.RecvInto(fd, buf, time.After(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != "ping" {
-		t.Fatalf("RecvTimeout data = %q", data)
+	if string(buf[:n]) != "ping" {
+		t.Fatalf("RecvInto with a timeout: data = %q", buf[:n])
 	}
 }
 

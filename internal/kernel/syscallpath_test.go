@@ -2,11 +2,13 @@ package kernel
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"dpm/internal/meter"
@@ -15,7 +17,8 @@ import (
 // TestSyscallNoAlloc gates what a system call allocates once its
 // buffers are warm: an unmetered stream send nothing, an unmetered
 // stream receive only the slice it returns and a receive into the
-// caller's buffers (RecvInto, Readv) nothing, an unmetered datagram to
+// caller's buffers (RecvInto, Readv) nothing — RecvInto under a timer
+// too, whether data or the timer ends it — an unmetered datagram to
 // another machine only the receiver's copy and its receive nothing, and
 // a metered buffered send nothing.
 func TestSyscallNoAlloc(t *testing.T) {
@@ -55,7 +58,7 @@ func TestSyscallNoAlloc(t *testing.T) {
 	buf := make([]byte, len(payload))
 	recvInto := func() {
 		send()
-		if n, err := p.RecvInto(f2, buf); err != nil || n != len(payload) {
+		if n, err := p.RecvInto(f2, buf, nil); err != nil || n != len(payload) {
 			t.Fatalf("RecvInto: %d bytes, %v", n, err)
 		}
 	}
@@ -67,6 +70,31 @@ func TestSyscallNoAlloc(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(runs, recvInto); got != 0 {
 		t.Errorf("unmetered stream send and RecvInto: %v allocs, want 0", got)
+	}
+	// Under the caller's timer, reset for each receive: one that data
+	// ends and one that the timer ends.
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	recvIntoTimed := func() {
+		send()
+		if n, err := p.RecvInto(f2, buf, timer.C); err != nil || n != len(payload) {
+			t.Fatalf("RecvInto with a timeout: %d bytes, %v", n, err)
+		}
+	}
+	recvIntoTimeout := func() {
+		timer.Reset(time.Microsecond)
+		if _, err := p.RecvInto(f2, buf, timer.C); !errors.Is(err, ErrTimedOut) {
+			t.Fatalf("RecvInto on a silent socket: %v, want ErrTimedOut", err)
+		}
+	}
+	if got := testing.AllocsPerRun(runs, recvIntoTimed); got != 0 {
+		t.Errorf("unmetered stream send and RecvInto with a timeout: %v allocs, want 0", got)
+	}
+	if !timer.Stop() {
+		t.Fatal("the timer fired within the hour")
+	}
+	if got := testing.AllocsPerRun(runs, recvIntoTimeout); got != 0 {
+		t.Errorf("RecvInto that times out: %v allocs, want 0", got)
 	}
 	if got := testing.AllocsPerRun(runs, readv); got != 0 {
 		t.Errorf("unmetered stream send and Readv: %v allocs, want 0", got)

@@ -457,8 +457,11 @@ func (p *Process) Recv(fd, max int) ([]byte, error) {
 // RecvInto is Recv into buf, in the shape of read(2): it returns the
 // number of bytes placed at the front of buf, at most len(buf). A
 // datagram longer than buf is truncated, as Recv truncates it to max.
-func (p *Process) RecvInto(fd int, buf []byte) (int, error) {
-	_, n, _, err := p.recvFrom(fd, recvDst{bufs: [][]byte{buf}, max: len(buf)}, nil, false)
+// A wait ends with ErrTimedOut when timeout delivers, having taken its
+// value; nil blocks. The timeout stands in for 4.2BSD's SO_RCVTIMEO: a
+// reply lost to a crash or partition cannot block its reader forever.
+func (p *Process) RecvInto(fd int, buf []byte, timeout <-chan time.Time) (int, error) {
+	_, n, _, err := p.recvFrom(fd, recvDst{bufs: [][]byte{buf}, max: len(buf)}, timeout, false)
 	return n, err
 }
 
@@ -473,17 +476,6 @@ func (p *Process) RecvFrom(fd, max int) ([]byte, meter.Name, error) {
 // it to drain a socket and then park instead of holding a worker.
 func (p *Process) TryRecvFrom(fd, max int) ([]byte, meter.Name, error) {
 	data, _, src, err := p.recvFrom(fd, recvDst{max: max}, nil, true)
-	return data, src, err
-}
-
-// RecvTimeout is RecvFrom with a deadline: if nothing arrives within d
-// the call fails with ErrTimedOut. It stands in for 4.2BSD's
-// SO_RCVTIMEO; the meterdaemon's hardened exchanges use it so a reply
-// lost to a crash or partition cannot block a request forever.
-func (p *Process) RecvTimeout(fd, max int, d time.Duration) ([]byte, meter.Name, error) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	data, _, src, err := p.recvFrom(fd, recvDst{max: max}, t.C, false)
 	return data, src, err
 }
 

@@ -218,7 +218,7 @@ func FrontendMain(p *kernel.Process) int {
 		return 1
 	}
 	short := 0
-	req := make([]byte, 8)
+	req, rep := make([]byte, 8), make([]byte, 4096)
 	for r := 0; r < rounds; r++ {
 		binary.BigEndian.PutUint64(req, uint64(r))
 		for _, d := range dests {
@@ -229,7 +229,10 @@ func FrontendMain(p *kernel.Process) int {
 		// Fan-in: gather one reply per backend; datagrams are lossy, so
 		// a timeout ends the round rather than the program.
 		for got := 0; got < len(dests); got++ {
-			if _, _, err := p.RecvTimeout(fd, 4096, 2*time.Second); err != nil {
+			t := time.NewTimer(2 * time.Second)
+			_, err := p.RecvInto(fd, rep, t.C)
+			t.Stop()
+			if err != nil {
 				short++
 				break
 			}
