@@ -54,8 +54,9 @@ func main() {
 		return
 	}
 	merged := snaps[0]
-	for _, s := range snaps[1:] {
-		merged.Merge(s)
+	if len(snaps) > 1 {
+		merged = new(obs.Snapshot)
+		merged.MergeOf(snaps)
 	}
 	if *asJSON {
 		if err := cli.WriteJSON(os.Stdout, merged); err != nil {

@@ -162,6 +162,10 @@ type Collector struct {
 	retired  []machineSum
 	nRetired int64
 	gone     []uint64 // keys of the processes this settle retired, for the matcher
+	// overGone holds the processes that ended folded into the overflow
+	// cell, which never retires one by one, with the time of their end:
+	// the settle that passes it hands them to the matcher as gone.
+	overGone []goneProc
 	// Direct-mapped caches over the hot tables. A settle clears the
 	// process cache, so a cached pointer can only go stale by eviction,
 	// never dangle. A handful of processes and one machine pair
@@ -535,6 +539,16 @@ func (c *Collector) orderCells() []*analysis.Proc {
 // interval at once. The caller holds c.mu.
 func (c *Collector) settle() {
 	h := c.clock - c.cfg.WindowMillis
+	// A process that ended in the overflow cell, which never retires one
+	// by one, is gone once the window has passed its end, however far
+	// behind a running process holds the horizon.
+	c.overGone = slices.DeleteFunc(c.overGone, func(g goneProc) bool {
+		if g.end < h {
+			c.gone = append(c.gone, g.key)
+		}
+		return g.end < h
+	})
+	defer c.forgetGone()
 	for _, pc := range c.cells {
 		if !pc.Terminated {
 			h = min(h, pc.Last)
@@ -557,6 +571,16 @@ func (c *Collector) settle() {
 	}
 	clear(c.cells[len(keep):])
 	c.cells = keep
+	for k, ms := range analysis.Sweep(starts, ends, 0).Histogram {
+		c.hist[k] += ms
+	}
+	c.horizon = h
+	clear(c.procCache[:])
+}
+
+// forgetGone has the matcher forget the processes in c.gone. The
+// caller holds c.mu.
+func (c *Collector) forgetGone() {
 	if len(c.gone) > 0 {
 		slices.Sort(c.gone)
 		c.match.Retire(func(machine uint16, pid uint32) bool {
@@ -565,11 +589,12 @@ func (c *Collector) settle() {
 		})
 		c.gone = c.gone[:0]
 	}
-	for k, ms := range analysis.Sweep(starts, ends, 0).Histogram {
-		c.hist[k] += ms
-	}
-	c.horizon = h
-	clear(c.procCache[:])
+}
+
+// goneProc is a process that ended in the overflow cell, and when.
+type goneProc struct {
+	key uint64
+	end int64
 }
 
 // retire folds a terminated process into its machine's summary and
@@ -626,8 +651,12 @@ func (c *Collector) applyOne(e *tapEntry) {
 		c.statLate++
 	}
 	ty, n := meter.Type(e.Kind), int64(e.Aux)
-	if c.totals.Fold(c.cell(e.Machine, e.PID), ty, cpu, e.Proc, n) {
+	pc := c.cell(e.Machine, e.PID)
+	if c.totals.Fold(pc, ty, cpu, e.Proc, n) {
 		c.liveProcs--
+	}
+	if pc == c.overflow && ty == meter.EvTermProc {
+		c.overGone = append(c.overGone, goneProc{procKey(e.Machine, e.PID), cpu})
 	}
 	switch ty {
 	case meter.EvSend:

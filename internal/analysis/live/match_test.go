@@ -298,3 +298,34 @@ func TestMatchRetiresConnections(t *testing.T) {
 		t.Fatalf("%d short connections: %+v, want all established and matched, none aged", conns, *st)
 	}
 }
+
+// TestOverflowRetiresConnections feeds the identity stream to a
+// collector of MaxProcs 700, which folds most of its processes into
+// the overflow cell. A process that ends there is forgotten by the
+// matcher once the window has passed its end, as a process of its own
+// is when it retires, so connections keep being established at every
+// capture to the end. When only processes with cells of their own were
+// forgotten, the connection table filled with ended overflow processes
+// and Conns stood at 1 090 from capture 416 to 544.
+func TestOverflowRetiresConnections(t *testing.T) {
+	stream := identityStream(20261002)
+	batches := (len(stream) + identityBatch - 1) / identityBatch
+	every := batches / identityCaptures
+	c := NewCollector(Config{MaxProcs: 700, MaxPairs: 20})
+	defer c.Close()
+	prev := int64(-1)
+	for b := 0; b < batches; b++ {
+		c.apply(stream[b*identityBatch : min((b+1)*identityBatch, len(stream))])
+		if (b+1)%every != 0 && b != batches-1 {
+			continue
+		}
+		st, err := DecodeMatch(c.captureMatch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b+1 >= 416 && st.Conns <= prev {
+			t.Fatalf("capture %d: %d connections, as many as at the capture before", b+1, st.Conns)
+		}
+		prev = st.Conns
+	}
+}

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"strconv"
@@ -666,41 +667,42 @@ func (c *Controller) cmdStats(args []string) {
 	res := c.broadcast(targets, func(string) *daemon.WireMsg {
 		return (&daemon.StatsReq{UID: c.uid}).Wire()
 	})
-	var merged *obs.Snapshot
+	var snaps []*obs.Snapshot
 	var reporting, missing []string
 	for _, r := range res {
 		if r.Err != nil || !r.Rep.OK() {
 			missing = append(missing, r.Host)
 			continue
 		}
-		// The conversion is this reader's own copy of the bytes; the
-		// snapshot's sections are parsed in place over it.
-		s, perr := obs.ParseSnapshotOwned([]byte(r.Rep.Data))
+		s, perr := obs.ParseSnapshotString(r.Rep.Data)
 		if perr != nil {
 			missing = append(missing, r.Host)
 			continue
 		}
 		reporting = append(reporting, r.Host)
-		if merged == nil {
-			merged = s
-		} else {
-			merged.Merge(s)
-		}
+		snaps = append(snaps, s)
 	}
-	c.printf("stats: %d/%d machines reporting (%s)\n",
+	var buf bytes.Buffer
+	last := int(c.statsLen.Load())
+	buf.Grow(last + last/8)
+	fmt.Fprintf(&buf, "stats: %d/%d machines reporting (%s)\n",
 		len(reporting), len(targets), strings.Join(reporting, " "))
 	if len(missing) > 0 {
-		c.printf("stats: degraded, missing %s\n", strings.Join(missing, " "))
+		fmt.Fprintf(&buf, "stats: degraded, missing %s\n", strings.Join(missing, " "))
 	}
-	if merged == nil {
-		return
+	if len(snaps) > 0 {
+		merged := snaps[0]
+		if len(snaps) > 1 {
+			merged = new(obs.Snapshot)
+			merged.MergeOf(snaps)
+		}
+		merged.Render(&buf)
+		for _, r := range merged.Residuals() {
+			fmt.Fprintf(&buf, "WARNING: conservation: %s is off by %d\n", r.Name, r.Value)
+		}
 	}
-	var buf strings.Builder
-	merged.Render(&buf)
-	for _, r := range merged.Residuals() {
-		fmt.Fprintf(&buf, "WARNING: conservation: %s is off by %d\n", r.Name, r.Value)
-	}
-	c.printf("%s", buf.String())
+	c.statsLen.Store(int64(buf.Len()))
+	c.write(buf.Bytes())
 }
 
 // statsTargets resolves the stats command's optional argument to the

@@ -107,6 +107,11 @@ type Controller struct {
 
 	dieArmed bool
 	closed   bool
+
+	// statsLen is the length of the last stats report. The next one's
+	// buffer is sized an eighth over it, since the same report of a
+	// moment later differs by a few digits.
+	statsLen atomic.Int64
 }
 
 // New creates a controller for the given user on the given machine.
@@ -364,6 +369,13 @@ func (c *Controller) printf(format string, args ...any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fmt.Fprintf(c.sink, format, args...)
+}
+
+// write writes b to the current output destination.
+func (c *Controller) write(b []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, _ = c.sink.Write(b)
 }
 
 // exchange performs one controller↔daemon RPC, hardened with the

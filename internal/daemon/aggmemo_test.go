@@ -66,11 +66,13 @@ func TestHandleAggMemoConcurrent(t *testing.T) {
 		{Dir: dir, UID: testUID, Spec: "agg max(msgLength) by machine", NoPrune: true},
 	}
 	plain := &daemonState{p: p}
-	want := make([]*Reply, len(reqs))
+	want := make([]string, len(reqs))
 	for i, req := range reqs {
-		if want[i] = plain.handleAgg(req); want[i].Status != "ok" {
-			t.Fatalf("%+v: %s", req, want[i].Status)
+		rep := plain.handleAgg(req)
+		if rep.Status != "ok" {
+			t.Fatalf("%+v: %s", req, rep.Status)
 		}
+		want[i] = wireOf(rep)
 	}
 	d := &daemonState{p: p, aggMemo: agg.NewMemo(200, m.Obs())}
 	var wg sync.WaitGroup
@@ -81,8 +83,8 @@ func TestHandleAggMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
 				k := (g + i) % len(reqs)
-				if got := d.handleAgg(reqs[k]); *got != *want[k] {
-					errs <- fmt.Errorf("request %d, round %d: reply %q %q, want %q %q", k, i, got.Status, got.Aux, want[k].Status, want[k].Aux)
+				if got := d.handleAgg(reqs[k]); wireOf(got) != want[k] {
+					errs <- fmt.Errorf("request %d, round %d: reply %q %q differs", k, i, got.Status, got.Aux)
 					return
 				}
 			}
@@ -118,17 +120,12 @@ func TestReaderSharedAcrossRequests(t *testing.T) {
 	d := &daemonState{p: p}
 	for round := 0; round < 2; round++ {
 		fresh := func() *daemonState { return &daemonState{p: p} }
-		var want []*Reply
-		for _, req := range queries {
-			want = append(want, fresh().handleQuery(req))
-		}
-		for _, req := range aggs {
-			want = append(want, fresh().handleAgg(req))
-		}
-		for i, rep := range want {
+		var want []string
+		for i, rep := range []*Reply{fresh().handleQuery(queries[0]), fresh().handleQuery(queries[1]), fresh().handleAgg(aggs[0]), fresh().handleAgg(aggs[1])} {
 			if rep.Status != "ok" {
 				t.Fatalf("request %d: %s", i, rep.Status)
 			}
+			want = append(want, wireOf(rep))
 		}
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
@@ -144,8 +141,8 @@ func TestReaderSharedAcrossRequests(t *testing.T) {
 					} else {
 						got = d.handleAgg(aggs[k-len(queries)])
 					}
-					if *got != *want[k] {
-						errs <- fmt.Errorf("round %d, request %d: reply %q %q, want %q %q", round, k, got.Status, got.Aux, want[k].Status, want[k].Aux)
+					if wireOf(got) != want[k] {
+						errs <- fmt.Errorf("round %d, request %d: reply %q %q differs", round, k, got.Status, got.Aux)
 						return
 					}
 				}
@@ -191,8 +188,8 @@ func TestReaderPermission(t *testing.T) {
 		t.Helper()
 		req := &QueryReq{Dir: dir, UID: testUID, Rules: "machine=2"}
 		got, want := d.handleQuery(req), (&daemonState{p: p}).handleQuery(req)
-		if got.Status != "ok" || got.Status != want.Status || got.Data != want.Data {
-			t.Fatalf("%s: the owner's query says %q, %d bytes; a fresh daemon %q, %d bytes", when, got.Status, len(got.Data), want.Status, len(want.Data))
+		if gw, ww := wireOf(got), wireOf(want); got.Status != "ok" || gw != ww {
+			t.Fatalf("%s: the owner's query says %q, %d bytes; a fresh daemon %q, %d bytes", when, got.Status, len(gw), want.Status, len(ww))
 		}
 	}
 	denied("before the owner's reader is cached")
@@ -225,3 +222,9 @@ func TestReopenTimingNoAlloc(t *testing.T) {
 		t.Fatalf("timing a reopen allocates %v per query, want 0", n)
 	}
 }
+
+// wireOf is the frame a daemon sends for rep, where alone the Data of a
+// reply written straight into its frame is: two replies carry the same
+// when their frames are equal. It writes rep's Data, which only one
+// call may do.
+func wireOf(rep *Reply) string { return string(appendReply(nil, 0, rep.Wire(), rep.appendData)) }

@@ -632,7 +632,8 @@ func (d *daemonState) reader(uid int, dir string) (*store.Reader, error) {
 // handleQuery runs a selection-rule query against an event store on
 // this machine — the query layer's whole point is that this executes
 // where the data lives, so only matching records travel back. The
-// reply Data is one statistics line followed by the matching records.
+// reply Data is one statistics line followed by the matching records,
+// written from the query's buffers straight into the reply frame.
 func (d *daemonState) handleQuery(req *QueryReq) *Reply {
 	q, err := query.Compile(req.Rules)
 	if err != nil {
@@ -644,11 +645,14 @@ func (d *daemonState) handleQuery(req *QueryReq) *Reply {
 	if err != nil {
 		return &Reply{Type: TQueryRep, Status: err.Error()}
 	}
-	res, err := query.Run(rd, q)
+	a, err := query.Exec(rd, q)
 	if err != nil {
 		return &Reply{Type: TQueryRep, Status: err.Error()}
 	}
-	return &Reply{Type: TQueryRep, Status: "ok", Data: res.Stats.String() + "\n" + string(res.Lines)}
+	head := a.Stats.String()
+	return &Reply{Type: TQueryRep, Status: "ok", dataSize: len(head) + 1 + a.Len(), appendData: func(b []byte) []byte {
+		return a.AppendLines(append(append(b, head...), '\n'))
+	}}
 }
 
 // handleAgg runs an aggregate query against an event store on this
@@ -678,24 +682,28 @@ func (d *daemonState) handleAgg(req *AggReq) *Reply {
 }
 
 // handleStats snapshots this machine's metrics registry and ships it
-// in the versioned binary snapshot format. Everything running on the
-// machine — kernel meter buffers, filters, stores, queries, and this
-// daemon's own request counters — shares the registry, so one reply
-// describes the whole node. The daemon never interprets the metrics;
-// merging and rendering are the controller's business.
-// What the snapshot costs — capture plus encoding, and the bytes
-// shipped — goes into the same registry, its handles resolved before the
-// capture so that the report lists them, as of the report before.
+// in the versioned binary snapshot format, encoded straight into the
+// reply frame. Everything running on the machine — kernel meter
+// buffers, filters, stores, queries, and this daemon's own request
+// counters — shares the registry, so one reply describes the whole
+// node. The daemon never interprets the metrics; merging and rendering
+// are the controller's business. What the snapshot costs — capture
+// plus encoding, and the bytes shipped — goes into the same registry,
+// its handles resolved before the capture so that the report lists
+// them, as of the report before.
 func (d *daemonState) handleStats() *Reply {
 	reg := d.p.Machine().Obs()
 	span := obs.StartSpan(reg.Histogram("daemon.stats_snapshot_ns"))
 	replyBytes := reg.Counter("daemon.stats_reply_bytes")
 	s := reg.Snapshot()
 	s.Machine = d.p.Machine().Name()
-	data := s.MarshalString()
-	span.End()
-	replyBytes.Add(int64(len(data)))
-	return &Reply{Type: TStatsRep, Status: "ok", Data: data}
+	n := s.BinarySize()
+	return &Reply{Type: TStatsRep, Status: "ok", dataSize: n, appendData: func(b []byte) []byte {
+		b = s.AppendBinary(b)
+		span.End()
+		replyBytes.Add(int64(n))
+		return b
+	}}
 }
 
 // handleGateway dispatches datagrams arriving on the gateway socket:
@@ -788,6 +796,7 @@ func (d *daemonState) dropNotifyFD(key string, fd int) {
 // connection ends or carries a corrupt frame.
 func ReadNotices(p *kernel.Process, conn int, apply func(*WireMsg)) {
 	var fr frameReader
+	defer fr.release()
 	rc := receiver{p: p, fd: conn}
 	for {
 		f, err := fr.next(rc.recv)
@@ -832,6 +841,7 @@ func exchange(p *kernel.Process, host string, req *WireMsg, timeout time.Duratio
 		return nil, err
 	}
 	defer func() { _ = p.Close(rc.fd) }()
+	defer fr.release()
 	for {
 		f, err := fr.next(rc.recv)
 		if err != nil {
@@ -931,18 +941,22 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// frameBufs holds the buffers of frames sent from them: a Send copies
-// the frame into the peer's stream, so its buffer is free once Send
-// returns. One past 64 KiB goes to the collector instead.
-var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// sendFrame sends w as one frame on fd from a pooled buffer.
+// sendFrame sends w as one frame on fd.
 func sendFrame(p *kernel.Process, fd int, kind uint32, id uint64, w *WireMsg) error {
-	bp := frameBufs.Get().(*[]byte)
-	*bp = w.appendTo(appendFrameHeader((*bp)[:0], kind, id, w.size()))
-	_, err := p.Send(fd, *bp)
-	if cap(*bp) <= 64<<10 {
-		frameBufs.Put(bp)
-	}
+	n := w.size()
+	return sendFree(p, fd, w.appendTo(appendFrameHeader(takeFrameBuf(frameHeader+n), kind, id, n)))
+}
+
+// sendReply sends rep as the frame of reply id on fd.
+func sendReply(p *kernel.Process, fd int, id uint64, rep *Reply) error {
+	w := rep.Wire()
+	return sendFree(p, fd, appendReply(takeFrameBuf(frameHeader+w.size()+rep.dataSize), id, w, rep.appendData))
+}
+
+// sendFree sends the frame in b, which takeFrameBuf gave, and gives b
+// back: a Send copies the frame into the peer's stream.
+func sendFree(p *kernel.Process, fd int, b []byte) error {
+	_, err := p.Send(fd, b)
+	freeFrameBuf(b)
 	return err
 }

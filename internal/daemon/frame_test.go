@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 
+	"dpm/internal/fsys"
 	"dpm/internal/kernel"
 )
 
@@ -83,7 +88,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // TestWireFrameIsFrameOfEncode: the single-copy encoder writes the
 // bytes AppendFrame writes around Encode, into a buffer of exactly
-// their length.
+// their length; and a reply frame is that frame of the reply's Wire,
+// whether its Data is a string or written in place by appendData.
 func TestWireFrameIsFrameOfEncode(t *testing.T) {
 	for _, w := range []*WireMsg{
 		{Type: TStatsReq},
@@ -96,6 +102,18 @@ func TestWireFrameIsFrameOfEncode(t *testing.T) {
 		}
 		if cap(got) != len(got) {
 			t.Fatalf("%v: %d-byte frame in a %d-byte buffer", w.Type, len(got), cap(got))
+		}
+	}
+	for _, data := range []string{"", "segments=1 scanned=1 pruned=0 records=0 matched=0\n", string(bytes.Repeat([]byte("line\n"), 30000))} {
+		plain := &Reply{Type: TQueryRep, PID: -12, Status: "ok", Data: data, Aux: "aux"}
+		inPlace := &Reply{Type: TQueryRep, PID: -12, Status: "ok", Aux: "aux", dataSize: len(data) / 2,
+			appendData: func(b []byte) []byte { return append(b, data...) }}
+		want := wireFrame(FrameRep, 9, plain.Wire())
+		if got := appendReply([]byte("x"), 9, plain.Wire(), nil); string(got) != "x"+string(want) {
+			t.Fatalf("%d bytes of Data: the reply frame differs from wireFrame", len(data))
+		}
+		if got := appendReply([]byte("x"), 9, inPlace.Wire(), inPlace.appendData); string(got) != "x"+string(want) {
+			t.Fatalf("%d bytes of Data written in place: the reply frame differs from wireFrame", len(data))
 		}
 	}
 }
@@ -237,17 +255,20 @@ func FuzzParseFrame(f *testing.F) {
 }
 
 // TestLargeFrameKept: a frame larger than the reader's buffer comes out
-// whole however its bytes are cut and stalled, and its payload is the
-// caller's — the frames read after it leave it as it was.
+// whole however its bytes are cut and stalled, received alone into an
+// array of the free list; the next call of next gives the array back
+// and returns the reader to its own buffer for the frames behind it.
 func TestLargeFrameKept(t *testing.T) {
 	large := bytes.Repeat([]byte("0123456789"), 3*frameBuf/10)
 	data := AppendFrame(nil, FrameRep, 1, large)
 	data = AppendFrame(data, FramePong, 2, nil)
 	data = AppendFrame(data, FrameRep, 3, []byte("small"))
 	for _, cut := range []int{1, 15, 16, 17, frameBuf - 1, frameBuf, frameBuf + 20, len(large), len(large) + 16, len(large) + 17} {
+		resetFrameFree()
 		s := &byteStream{data: data, cuts: []int{cut, cut + 5}, stalls: []int{cut}}
 		var fr frameReader
 		var got []Frame
+		var lent *byte
 		for len(got) < 3 {
 			f, err := fr.next(s.recv)
 			if errors.Is(err, kernel.ErrTimedOut) {
@@ -256,10 +277,105 @@ func TestLargeFrameKept(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cut at %d: %v after %d frames", cut, err, len(got))
 			}
+			switch len(got) {
+			case 0:
+				if fr.large == nil || len(fr.buf) != frameHeader+len(large) || cap(fr.buf) != len(fr.buf) {
+					t.Fatalf("cut at %d: a %d-byte frame read into a %d-byte buffer of a %d-byte array", cut, len(large), len(fr.buf), cap(fr.large))
+				}
+				if !bytes.Equal(f.Payload, large) {
+					t.Fatalf("cut at %d: the large frame carries %d bytes, not what was sent", cut, len(f.Payload))
+				}
+				lent = unsafe.SliceData(fr.large)
+			case 1:
+				if fr.large != nil || cap(fr.buf) != frameBuf {
+					t.Fatalf("cut at %d: the reader kept the large frame's array", cut)
+				}
+				if !slices.ContainsFunc(frameFree.bufs, func(b []byte) bool { return unsafe.SliceData(b) == lent }) {
+					t.Fatalf("cut at %d: the large frame's array did not go back to the free list", cut)
+				}
+			}
 			got = append(got, f)
 		}
-		if !bytes.Equal(got[0].Payload, large) || got[1].ID != 2 || string(got[2].Payload) != "small" {
-			t.Fatalf("cut at %d: frames %d, %d, %q", cut, len(got[0].Payload), got[1].ID, got[2].Payload)
+		if got[1].ID != 2 || string(got[2].Payload) != "small" {
+			t.Fatalf("cut at %d: frames %d, %q", cut, got[1].ID, got[2].Payload)
 		}
+	}
+}
+
+// resetFrameFree empties the frame free list.
+func resetFrameFree() {
+	frameFree.mu.Lock()
+	frameFree.bufs, frameFree.bytes = nil, 0
+	frameFree.mu.Unlock()
+}
+
+// TestFrameFreeBounded: the free list keeps at most frameFreeCount
+// arrays and frameFreeBytes in all — while many sessions take large
+// replies from one daemon at once, 24 getfile replies of 768 KiB with
+// 18 MiB in flight, every one arriving whole, and while more arrays are
+// offered than it has room for, which go to the collector. A frame
+// takes the smallest array that holds it, or a new one an eighth larger.
+func TestFrameFreeBounded(t *testing.T) {
+	resetFrameFree()
+	check := func() error {
+		frameFree.mu.Lock()
+		defer frameFree.mu.Unlock()
+		sum := 0
+		for _, b := range frameFree.bufs {
+			sum += cap(b)
+		}
+		if len(frameFree.bufs) > frameFreeCount || sum > frameFreeBytes || sum != frameFree.bytes {
+			return fmt.Errorf("free list holds %d arrays, %d bytes (counted %d)", len(frameFree.bufs), sum, frameFree.bytes)
+		}
+		return nil
+	}
+
+	r := newRig(t)
+	const path, size, sessions, rounds = "/usr/tmp/large.log", 768 << 10, 24, 3
+	content := randomBytes(5, size)
+	if err := r.red.FS().Create(path, testUID, fsys.PrivateMode, content); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := DialSession(r.ctl, "red", fastSession())
+			defer s.Close()
+			for j := 0; j < rounds; j++ {
+				if err := checkGetFile(s, path, 0, content); err != nil {
+					errs <- err
+					return
+				}
+				if err := check(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	for n := 256 << 10; n < 4<<20; n += 64 << 10 {
+		freeFrameBuf(make([]byte, 0, n))
+		if err := check(); err != nil {
+			t.Fatalf("after an array of %d bytes: %v", n, err)
+		}
+	}
+	resetFrameFree()
+	for _, n := range []int{8 << 10, 2 << 10, 4 << 10} {
+		freeFrameBuf(make([]byte, 0, n))
+	}
+	if b := takeFrameBuf(3 << 10); cap(b) != 4<<10 {
+		t.Fatalf("a 3 KiB frame took an array of %d bytes, not the 4 KiB one", cap(b))
+	}
+	if b := takeFrameBuf(16 << 10); cap(b) != 18<<10 || len(frameFree.bufs) != 2 {
+		t.Fatalf("a 16 KiB frame that no free array holds took one of %d bytes, not a new one of 18 KiB, leaving %d", cap(b), len(frameFree.bufs))
 	}
 }

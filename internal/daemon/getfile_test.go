@@ -248,12 +248,13 @@ func spawnCannedDaemon(t *testing.T, m *kernel.Machine, port uint16, rep *Reply)
 // TestSessionCallNoAllocBeyondReply gates the receiving side of a large
 // reply — the shape of a getlog chunk or a cluster-wide stats section.
 // The sender allocates nothing per call: its Send copies the frame into
-// a socket array the receiving side's receives recycle. What a call
-// allocates is the session's: the exact-size payload buffer the frame
-// is received into and the reply's Data string decoded from it — two
-// payloads' worth, gated at 2.25 per call. Receiving 8 KiB at a time
-// into a buffer grown by reallocation, then copying the frame out of
-// it, made that about 8.
+// a socket array the receiving side's receives recycle. The session
+// receives the frame into an array of the frame free list, which it
+// gives back once the frame is decoded, so what a call allocates is the
+// reply's Data string decoded from it: one payload, gated at 1.25 per
+// call. An exact-size payload buffer per frame made it two; receiving
+// 8 KiB at a time into a buffer grown by reallocation, then copying
+// the frame out of it, about 8.
 func TestSessionCallNoAllocBeyondReply(t *testing.T) {
 	const payload = getFileChunk
 	r := newRig(t)
@@ -283,21 +284,22 @@ func TestSessionCallNoAllocBeyondReply(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls / payload
 	t.Logf("%.2f payloads allocated per call", perCall)
-	if perCall > 2.25 {
-		t.Errorf("a call with a %d-byte reply allocates %.2f times its size, want at most 2.25", payload, perCall)
+	if perCall > 1.25 {
+		t.Errorf("a call with a %d-byte reply allocates %.2f times its size, want at most 1.25", payload, perCall)
 	}
 }
 
 // TestSessionRoundTripNoAllocBeyondReply gates a steady-state small
 // call — the shape of a start, a setflags or a kill — against the
-// canned daemon. What a call keeps is its request frame, its in-flight
-// record and the reply: the message, its field list, the one string
-// every field is a substring of, and the Reply. It makes no timer (the
-// reply timer is reused), and neither end allocates a receive: each
+// canned daemon. What a call keeps is its request frame and the reply:
+// the message, its field list, the one string every field is a
+// substring of, and the Reply. Its in-flight record, reply channel and
+// reply timer are reused, and neither end allocates a receive: each
 // reads frames into its connection's one buffer, under a timer it
-// resets per receive. That is 8 allocations and about 400 bytes a call,
-// gated at 8 and 512; a timer per receive and per call, a slice per
-// header and per payload, and a string per field made it 21 and 1250.
+// resets per receive. That is 5 allocations and about 250 bytes a call,
+// gated at 5 and 320; a fresh in-flight record and channel per call
+// made it 8 and 400, and a timer per receive and per call, a slice per
+// header and per payload, and a string per field 21 and 1250.
 func TestSessionRoundTripNoAllocBeyondReply(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; reused reply timers not measurable")
@@ -327,7 +329,7 @@ func TestSessionRoundTripNoAllocBeyondReply(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 	t.Logf("%.2f allocations, %.0f bytes per call", allocs, bytes)
-	if allocs > 8 || bytes > 512 {
-		t.Errorf("a small call allocates %.2f times, %.0f bytes; want at most 8 and 512", allocs, bytes)
+	if allocs > 5 || bytes > 320 {
+		t.Errorf("a small call allocates %.2f times, %.0f bytes; want at most 5 and 320", allocs, bytes)
 	}
 }

@@ -20,6 +20,7 @@ func (d *daemonState) serveConn(conn int) {
 	defer handlers.Wait()
 	rc := receiver{p: d.p, fd: conn}
 	var fr frameReader
+	defer fr.release()
 	if fr.open(rc.recv) != nil {
 		return
 	}
@@ -61,7 +62,7 @@ func (d *daemonState) serveConn(conn int) {
 				rep := d.handle(w)
 				// One Send per frame: kernel sends are atomic, so
 				// concurrent repliers cannot interleave frame bytes.
-				_ = sendFrame(d.p, conn, FrameRep, id, rep.Wire())
+				_ = sendReply(d.p, conn, id, rep)
 			})
 		default:
 			// Unknown frame kinds are skipped for forward compatibility,

@@ -112,11 +112,18 @@ type callResult struct {
 }
 
 // call is one in-flight request: its encoded frame (kept for re-issue
-// on reconnect) and the channel its reply lands on.
+// on reconnect), the channel its reply lands on and the timer that
+// bounds the wait for it. Calls are reused (calls): one goes back only
+// once its reply or failure has been taken off done, since a call
+// abandoned at its deadline or at a kill may still be sent one.
 type call struct {
 	frame []byte
 	done  chan callResult // buffered 1; sender removes the call from inflight first
+	timer *time.Timer     // stopped and drained, or fired and taken, between waits
 }
+
+// calls holds Session.Call's calls between uses.
+var calls = sync.Pool{New: func() any { return &call{done: make(chan callResult, 1)} }}
 
 // Session is a supervised persistent connection to one machine's
 // daemon. Safe for concurrent use; Call pipelines freely.
@@ -232,7 +239,8 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 	}
 	s.nextID++
 	id := s.nextID
-	c := &call{frame: wireFrame(FrameReq, id, req), done: make(chan callResult, 1)}
+	c := calls.Get().(*call)
+	c.frame = wireFrame(FrameReq, id, req)
 	s.inflight[id] = c
 	s.inflightHW.SetMax(int64(len(s.inflight)))
 	fd := -1
@@ -254,17 +262,17 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 		s.poke()
 	}
 
-	timer, _ := callTimers.Get().(*time.Timer)
-	timer = resetTimer(timer, timeout)
-	defer callTimers.Put(timer) // stopped and drained, or fired and taken
+	c.timer = resetTimer(c.timer, timeout)
 	select {
 	case res := <-c.done:
-		stopTimer(timer)
+		stopTimer(c.timer)
 		if res.err == nil {
 			s.reg.Histogram(rttHistName(req.Type)).Since(start)
 		}
+		c.frame = nil
+		calls.Put(c)
 		return res.rep, res.err
-	case <-timer.C:
+	case <-c.timer.C:
 		s.forget(id)
 		select { // the reply may have raced the deadline
 		case res := <-c.done:
@@ -273,14 +281,11 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 		}
 		return nil, fmt.Errorf("session to %s: %w", s.host, kernel.ErrTimedOut)
 	case <-s.p.KillChan():
-		stopTimer(timer)
+		stopTimer(c.timer)
 		s.forget(id)
 		return nil, kernel.ErrKilled
 	}
 }
-
-// callTimers holds Call's reply timers between calls.
-var callTimers sync.Pool
 
 // SessionExchange is ExchangeRetry over a session: each attempt runs
 // under the policy's reply deadline and transient failures — a
@@ -338,6 +343,7 @@ func (s *Session) run() {
 			return // closed while dialing
 		}
 		err = s.readLoop(rc, fr)
+		fr.release()
 		s.detach(rc.fd)
 		if errors.Is(err, kernel.ErrKilled) || s.isClosed() {
 			return

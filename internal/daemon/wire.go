@@ -294,6 +294,13 @@ type Reply struct {
 	// for the CRC of the file prefix the requested offset skipped, so
 	// the requester can detect an in-place rewrite.
 	Aux string
+
+	// appendData, when set, writes Data in Data's place straight into
+	// the reply's frame (appendReply), about dataSize bytes of it: a
+	// query's lines and a stats snapshot are not built as a string
+	// first.
+	appendData func([]byte) []byte
+	dataSize   int
 }
 
 // OK reports whether the reply indicates success.

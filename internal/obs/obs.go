@@ -137,13 +137,21 @@ func (s Span) End() {
 // and return stable pointers: two callers asking for the same name
 // share the metric, which is what lets several filters on one machine
 // aggregate into one per-machine vocabulary. Lookups take a mutex —
-// resolve handles at construction time, not on hot paths.
+// resolve handles at construction time, not on hot paths. Each kind is
+// kept in name order as its metrics are created, the order a snapshot
+// lists them in, so that a snapshot sorts nothing.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	sections map[string]sectionSource
+	counters []named[Counter]
+	gauges   []named[Gauge]
+	hists    []named[Histogram]
+	sections []named[sectionSource]
+}
+
+// named is one entry of a registry's name-ordered list of a kind.
+type named[T any] struct {
+	name string
+	m    *T
 }
 
 type sectionSource struct {
@@ -151,15 +159,18 @@ type sectionSource struct {
 	capture func() []byte
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		sections: make(map[string]sectionSource),
+// lookup returns the entry of list named name, creating it in its place
+// on first use. The caller holds the registry's lock.
+func lookup[T any](list *[]named[T], name string) *T {
+	i, ok := slices.BinarySearchFunc(*list, name, func(e named[T], name string) int { return strings.Compare(e.name, name) })
+	if !ok {
+		*list = slices.Insert(*list, i, named[T]{name, new(T)})
 	}
+	return (*list)[i].m
 }
+
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry { return new(Registry) }
 
 // defaultRegistry is the process-wide registry, for instrumentation
 // with no better home. Simulated-cluster code should prefer the
@@ -173,36 +184,21 @@ func Default() *Registry { return defaultRegistry }
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = new(Counter)
-		r.counters[name] = c
-	}
-	return c
+	return lookup(&r.counters, name)
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = new(Gauge)
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(&r.gauges, name)
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = new(Histogram)
-		r.hists[name] = h
-	}
-	return h
+	return lookup(&r.hists, name)
 }
 
 // RegisterSection installs a section provider: capture is called at
@@ -213,7 +209,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 func (r *Registry) RegisterSection(name string, version uint16, capture func() []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sections[name] = sectionSource{version: version, capture: capture}
+	*lookup(&r.sections, name) = sectionSource{version: version, capture: capture}
 }
 
 // Snapshot captures every metric's current value, with names sorted,
@@ -227,9 +223,9 @@ func (r *Registry) Snapshot() *Snapshot {
 	// passes below should see the result, not last flush's values.
 	r.mu.Lock()
 	capture := make([]func() []byte, 0, len(r.sections))
-	for name, src := range r.sections {
-		s.Sections = append(s.Sections, Section{Name: name, Version: src.version})
-		capture = append(capture, src.capture)
+	for _, e := range r.sections {
+		s.Sections = append(s.Sections, Section{Name: e.name, Version: e.m.version})
+		capture = append(capture, e.m.capture)
 	}
 	r.mu.Unlock()
 	kept := s.Sections[:0]
@@ -241,24 +237,39 @@ func (r *Registry) Snapshot() *Snapshot {
 	s.Sections = kept
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.Counters = append(s.Counters, NamedValue{Name: name, Value: c.Load()})
+	s.Counters = listOf[NamedValue](len(r.counters))
+	for _, e := range r.counters {
+		s.Counters = append(s.Counters, NamedValue{Name: e.name, Value: e.m.Load()})
 	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, NamedValue{Name: name, Value: g.Load()})
+	s.Gauges = listOf[NamedValue](len(r.gauges))
+	for _, e := range r.gauges {
+		s.Gauges = append(s.Gauges, NamedValue{Name: e.name, Value: e.m.Load()})
 	}
-	for name, h := range r.hists {
-		hv := HistValue{Name: name, Count: h.count.Load(), Sum: h.sum.Load()}
-		for i := range h.buckets {
-			if n := h.buckets[i].Load(); n != 0 {
+	s.Hists = listOf[HistValue](len(r.hists))
+	for _, e := range r.hists {
+		var counts [NumBuckets]int64
+		filled := 0
+		for i := range counts {
+			if counts[i] = e.m.buckets[i].Load(); counts[i] != 0 {
+				filled++
+			}
+		}
+		hv := HistValue{Name: e.name, Count: e.m.count.Load(), Sum: e.m.sum.Load(), Buckets: listOf[BucketCount](filled)}
+		for i, n := range counts {
+			if n != 0 {
 				hv.Buckets = append(hv.Buckets, BucketCount{Bucket: uint8(i), Count: n})
 			}
 		}
 		s.Hists = append(s.Hists, hv)
 	}
-	slices.SortFunc(s.Counters, cmpValueName)
-	slices.SortFunc(s.Gauges, cmpValueName)
-	slices.SortFunc(s.Hists, cmpHistName)
-	slices.SortFunc(s.Sections, func(a, b Section) int { return strings.Compare(a.Name, b.Name) })
 	return s
+}
+
+// listOf returns an empty list with room for n entries, or nil for none:
+// what appending n entries to nil leaves, without the regrowth.
+func listOf[T any](n int) []T {
+	if n <= 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }

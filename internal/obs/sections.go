@@ -91,55 +91,78 @@ func (s *Snapshot) Section(name string) *Section {
 	return nil
 }
 
-// mergeSections folds two section lists. Sections group by (name,
-// version); groups with a merger registered for that version fold
-// pairwise, and groups without one — or whose merger fails — keep
-// every entry verbatim (multiset union), which is still associative
-// and commutative, so a controller older than a section's producer
-// degrades to relaying instead of breaking the whole merge. The result
-// is sorted by name, version, then payload for deterministic output.
-func mergeSections(a, b []Section) []Section {
-	if len(a) == 0 && len(b) == 0 {
+// mergeSections returns the sections of snaps merged as Merge folds
+// them one snapshot at a time. Payloads group by (name, version): a
+// group holds the first snapshot's as they are, and at each later
+// snapshot that brings it payloads — or at the second, for a group the
+// first brought several — they are sorted and folded, left to right,
+// by the merger registered for that version. A group
+// with no merger, or whose merger fails, keeps every payload verbatim
+// (multiset union), which is still associative and commutative, so a
+// controller older than a section's producer degrades to relaying
+// instead of breaking the whole merge. The sort makes the fold
+// deterministic even for a merger that is not perfectly commutative.
+// The result is sorted by name, version, then payload; nil when no
+// snapshot has a section.
+func mergeSections(snaps []*Snapshot) []Section {
+	type group struct {
+		key      sectionKey
+		payloads [][]byte
+		dirty    bool // payloads joined since the last fold
+	}
+	var groups []group
+	index := map[sectionKey]int{}
+	for i, o := range snaps {
+		for _, sec := range o.Sections {
+			k := sectionKey{sec.Name, sec.Version}
+			g, ok := index[k]
+			if !ok {
+				g = len(groups)
+				index[k] = g
+				groups = append(groups, group{key: k})
+			}
+			groups[g].payloads = append(groups[g].payloads, sec.Data)
+			groups[g].dirty = true
+		}
+		for j := range groups {
+			if g := &groups[j]; i > 0 && g.dirty {
+				g.payloads, g.dirty = foldSection(g.key, g.payloads), false
+			}
+		}
+	}
+	if len(groups) == 0 {
 		return nil
 	}
-	groups := make(map[sectionKey][][]byte, len(a)+len(b))
-	for _, list := range [2][]Section{a, b} {
-		for _, s := range list {
-			k := sectionKey{s.Name, s.Version}
-			groups[k] = append(groups[k], s.Data)
-		}
-	}
-	out := make([]Section, 0, len(groups))
-	for k, payloads := range groups {
-		// Fold in a deterministic order so a merger that is not
-		// perfectly commutative still cannot make merge results
-		// depend on snapshot arrival order.
-		slices.SortFunc(payloads, bytes.Compare)
-		fn := sectionMerger(k)
-		if fn != nil {
-			merged := payloads[0]
-			ok := true
-			for _, p := range payloads[1:] {
-				m, err := fn(merged, p)
-				if err != nil {
-					ok = false
-					break
-				}
-				merged = m
-			}
-			if ok {
-				out = append(out, Section{Name: k.name, Version: k.version, Data: merged})
-				continue
-			}
-		}
-		for _, p := range payloads {
-			out = append(out, Section{Name: k.name, Version: k.version, Data: p})
+	var out []Section
+	for _, g := range groups {
+		for _, p := range g.payloads {
+			out = append(out, Section{Name: g.key.name, Version: g.key.version, Data: p})
 		}
 	}
 	slices.SortFunc(out, func(a, b Section) int {
 		return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Version, b.Version), bytes.Compare(a.Data, b.Data))
 	})
 	return out
+}
+
+// foldSection sorts one group's payloads and folds them through the
+// merger registered for k into one, or returns them all, sorted, when
+// there is no merger or it fails.
+func foldSection(k sectionKey, payloads [][]byte) [][]byte {
+	slices.SortFunc(payloads, bytes.Compare)
+	fn := sectionMerger(k)
+	if fn == nil || len(payloads) < 2 {
+		return payloads
+	}
+	merged := payloads[0]
+	for _, p := range payloads[1:] {
+		m, err := fn(merged, p)
+		if err != nil {
+			return payloads
+		}
+		merged = m
+	}
+	return append(payloads[:0], merged)
 }
 
 // renderSections writes each section through its registered renderer,

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -12,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Snapshot is a point-in-time capture of one registry — the portable
@@ -104,74 +103,133 @@ func (s *Snapshot) Merge(other *Snapshot) {
 	if other == nil {
 		return
 	}
-	if other.TakenUnixNano > s.TakenUnixNano {
-		s.TakenUnixNano = other.TakenUnixNano
-	}
-	if s.Machine != other.Machine {
-		s.Machine = ""
-	}
-	s.Counters = mergeValues(s.Counters, other.Counters)
-	s.Gauges = mergeValues(s.Gauges, other.Gauges)
-	s.Hists = mergeHists(s.Hists, other.Hists)
-	s.Sections = mergeSections(s.Sections, other.Sections)
+	a := *s
+	*s = Snapshot{}
+	s.MergeOf([]*Snapshot{&a, other})
 }
 
-func mergeValues(a, b []NamedValue) []NamedValue {
-	byName := make(map[string]int64, len(a)+len(b))
-	for _, v := range a {
-		byName[v.Name] += v.Value
+// MergeOf makes s the merge of snaps — what folding each into the
+// first with Merge makes it — in one pass over their name-sorted
+// counter, gauge and histogram lists, with no map per pair. s is none
+// of snaps. A registry writes every list sorted
+// by name; a snapshot read from elsewhere whose lists are not is merged
+// from a sorted copy. The machine label is the first snapshot's if all
+// share it, else empty; the time is the latest. A section folds in the
+// order Merge folds it: the first snapshot's payloads as they are, then
+// with each later snapshot's, sorted, through the merger registered
+// for its name and version (mergeSections).
+func (s *Snapshot) MergeOf(snaps []*Snapshot) {
+	snaps = inNameOrder(snaps)
+	s.Machine, s.TakenUnixNano = "", 0
+	if len(snaps) > 0 {
+		s.Machine, s.TakenUnixNano = snaps[0].Machine, snaps[0].TakenUnixNano
 	}
-	for _, v := range b {
-		byName[v.Name] += v.Value
+	for _, o := range snaps {
+		s.TakenUnixNano = max(s.TakenUnixNano, o.TakenUnixNano)
+		if o.Machine != s.Machine {
+			s.Machine = ""
+		}
 	}
-	out := make([]NamedValue, 0, len(byName))
-	for name, v := range byName {
-		out = append(out, NamedValue{Name: name, Value: v})
+	at := make([]int, len(snaps))
+	valueName := func(v *NamedValue) string { return v.Name }
+	addValue := func(acc, v *NamedValue, first bool) {
+		if first {
+			*acc = *v
+		} else {
+			acc.Value += v.Value
+		}
 	}
-	slices.SortFunc(out, cmpValueName)
+	s.Counters = mergeByName(snaps, at, func(o *Snapshot) []NamedValue { return o.Counters }, valueName, addValue)
+	s.Gauges = mergeByName(snaps, at, func(o *Snapshot) []NamedValue { return o.Gauges }, valueName, addValue)
+	s.Hists = mergeByName(snaps, at, func(o *Snapshot) []HistValue { return o.Hists },
+		func(h *HistValue) string { return h.Name },
+		func(acc, h *HistValue, first bool) {
+			if first {
+				*acc = HistValue{Name: h.Name}
+			}
+			acc.Count += h.Count
+			acc.Sum += h.Sum
+			acc.Buckets = append(acc.Buckets, h.Buckets...)
+		})
+	// Each histogram holds every bucket of its name; add them up.
+	var counts [256]int64
+	var seen [256]bool
+	for i := range s.Hists {
+		h := &s.Hists[i]
+		for _, bc := range h.Buckets {
+			counts[bc.Bucket] += bc.Count
+			seen[bc.Bucket] = true
+		}
+		h.Buckets = h.Buckets[:0]
+		for b := range seen {
+			if seen[b] {
+				h.Buckets = append(h.Buckets, BucketCount{Bucket: uint8(b), Count: counts[b]})
+				counts[b], seen[b] = 0, false
+			}
+		}
+	}
+	s.Sections = mergeSections(snaps)
+}
+
+// inNameOrder returns snaps, or, when a snapshot's counter, gauge or
+// histogram list is out of name order — in a JSON file written by
+// hand, say — a copy of it that holds in that snapshot's place a copy
+// with those lists sorted. No snapshot of snaps is changed.
+func inNameOrder(snaps []*Snapshot) []*Snapshot {
+	out, copied := snaps, false
+	for i, o := range snaps {
+		if slices.IsSortedFunc(o.Counters, cmpValueName) && slices.IsSortedFunc(o.Gauges, cmpValueName) &&
+			slices.IsSortedFunc(o.Hists, cmpHistName) {
+			continue
+		}
+		if !copied {
+			out, copied = slices.Clone(snaps), true
+		}
+		c := *o
+		c.Counters, c.Gauges, c.Hists = slices.Clone(o.Counters), slices.Clone(o.Gauges), slices.Clone(o.Hists)
+		slices.SortStableFunc(c.Counters, cmpValueName)
+		slices.SortStableFunc(c.Gauges, cmpValueName)
+		slices.SortStableFunc(c.Hists, cmpHistName)
+		out[i] = &c
+	}
 	return out
 }
 
 func cmpValueName(a, b NamedValue) int { return strings.Compare(a.Name, b.Name) }
 func cmpHistName(a, b HistValue) int   { return strings.Compare(a.Name, b.Name) }
 
-func mergeHists(a, b []HistValue) []HistValue {
-	byName := make(map[string]*HistValue, len(a)+len(b))
-	fold := func(h HistValue) {
-		dst, ok := byName[h.Name]
+// mergeByName merges the lists list takes from snaps: one entry for
+// each name, in name order, which fold opens with the first entry of
+// that name (first set) and then folds every other into, in snapshot
+// order. at holds one cursor per snapshot. The result is never nil.
+func mergeByName[T any](snaps []*Snapshot, at []int, list func(*Snapshot) []T,
+	name func(*T) string, fold func(acc, v *T, first bool)) []T {
+	clear(at)
+	longest := 0
+	for _, o := range snaps {
+		longest = max(longest, len(list(o)))
+	}
+	out := make([]T, 0, longest)
+	for {
+		least, ok := "", false
+		for i, o := range snaps {
+			if l := list(o); at[i] < len(l) && (!ok || name(&l[at[i]]) < least) {
+				least, ok = name(&l[at[i]]), true
+			}
+		}
 		if !ok {
-			cp := HistValue{Name: h.Name, Count: h.Count, Sum: h.Sum}
-			cp.Buckets = append(cp.Buckets, h.Buckets...)
-			byName[h.Name] = &cp
-			return
+			return out
 		}
-		dst.Count += h.Count
-		dst.Sum += h.Sum
-		counts := make(map[uint8]int64, len(dst.Buckets)+len(h.Buckets))
-		for _, bc := range dst.Buckets {
-			counts[bc.Bucket] += bc.Count
+		var zero T
+		out = append(out, zero)
+		acc, first := &out[len(out)-1], true
+		for i, o := range snaps {
+			for l := list(o); at[i] < len(l) && name(&l[at[i]]) == least; at[i]++ {
+				fold(acc, &l[at[i]], first)
+				first = false
+			}
 		}
-		for _, bc := range h.Buckets {
-			counts[bc.Bucket] += bc.Count
-		}
-		dst.Buckets = dst.Buckets[:0]
-		for bucket, n := range counts {
-			dst.Buckets = append(dst.Buckets, BucketCount{Bucket: bucket, Count: n})
-		}
-		slices.SortFunc(dst.Buckets, func(a, b BucketCount) int { return cmp.Compare(a.Bucket, b.Bucket) })
 	}
-	for _, h := range a {
-		fold(h)
-	}
-	for _, h := range b {
-		fold(h)
-	}
-	out := make([]HistValue, 0, len(byName))
-	for _, h := range byName {
-		out = append(out, *h)
-	}
-	slices.SortFunc(out, cmpHistName)
-	return out
 }
 
 // Binary snapshot format, version 2. Little-endian throughout:
@@ -206,44 +264,22 @@ const maxSnapshotEntries = 1 << 20
 
 // MarshalBinary encodes the snapshot in the versioned binary format.
 func (s *Snapshot) MarshalBinary() []byte {
-	b := bytes.NewBuffer(make([]byte, 0, s.binarySize()))
-	s.writeBinary(b)
-	return b.Bytes()
+	return s.AppendBinary(make([]byte, 0, s.BinarySize()))
 }
 
-// MarshalString is MarshalBinary as a string — the form a daemon reply
-// carries — written once into the string's own bytes rather than
-// encoded and then copied.
-func (s *Snapshot) MarshalString() string {
-	var b strings.Builder
-	b.Grow(s.binarySize())
-	s.writeBinary(&b)
-	return b.String()
-}
-
-// writeBinary is the one encoder under MarshalBinary and MarshalString.
-// Everything but the section payloads is gathered in a buffer that goes
-// to w before each payload, so w sees two writes a section.
-func (s *Snapshot) writeBinary(w io.Writer) {
+// AppendBinary appends the snapshot's binary form to b — BinarySize
+// bytes of it, what a daemon writes straight into a stats reply's frame.
+func (s *Snapshot) AppendBinary(b []byte) []byte {
 	le := binary.LittleEndian
-	payloads := 0
-	for _, sec := range s.Sections {
-		payloads += len(sec.Data)
-	}
-	b := make([]byte, 0, s.binarySize()-payloads)
 	b = append(b, snapshotMagic[:]...)
 	b = le.AppendUint16(b, SnapshotVersion)
 	b = appendString(b, s.Machine)
 	b = le.AppendUint64(b, uint64(s.TakenUnixNano))
-	b = le.AppendUint32(b, uint32(len(s.Counters)))
-	for _, v := range s.Counters {
-		b = appendString(b, v.Name)
-		b = le.AppendUint64(b, uint64(v.Value))
-	}
-	b = le.AppendUint32(b, uint32(len(s.Gauges)))
-	for _, v := range s.Gauges {
-		b = appendString(b, v.Name)
-		b = le.AppendUint64(b, uint64(v.Value))
+	for _, list := range [2][]NamedValue{s.Counters, s.Gauges} {
+		b = le.AppendUint32(b, uint32(len(list)))
+		for _, v := range list {
+			b = le.AppendUint64(appendString(b, v.Name), uint64(v.Value))
+		}
 	}
 	b = le.AppendUint32(b, uint32(len(s.Hists)))
 	for _, h := range s.Hists {
@@ -252,25 +288,20 @@ func (s *Snapshot) writeBinary(w io.Writer) {
 		b = le.AppendUint64(b, uint64(h.Sum))
 		b = le.AppendUint16(b, uint16(len(h.Buckets)))
 		for _, bc := range h.Buckets {
-			b = append(b, bc.Bucket)
-			b = le.AppendUint64(b, uint64(bc.Count))
+			b = le.AppendUint64(append(b, bc.Bucket), uint64(bc.Count))
 		}
 	}
 	b = le.AppendUint32(b, uint32(len(s.Sections)))
 	for _, sec := range s.Sections {
-		b = appendString(b, sec.Name)
-		b = le.AppendUint16(b, sec.Version)
-		b = le.AppendUint32(b, uint32(len(sec.Data)))
-		w.Write(b)
-		w.Write(sec.Data)
-		b = b[:0]
+		b = le.AppendUint16(appendString(b, sec.Name), sec.Version)
+		b = append(le.AppendUint32(b, uint32(len(sec.Data))), sec.Data...)
 	}
-	w.Write(b)
+	return b
 }
 
-// binarySize is the exact length of the binary form, so that encoding
+// BinarySize is the exact length of the binary form, so that encoding
 // a snapshot whose sections run to megabytes allocates it once.
-func (s *Snapshot) binarySize() int {
+func (s *Snapshot) BinarySize() int {
 	n := 4 + 2 + 2 + len(s.Machine) + 8 + 4*4
 	for _, v := range s.Counters {
 		n += 2 + len(v.Name) + 8
@@ -296,14 +327,19 @@ func appendString(b []byte, s string) []byte {
 // known sections are ignored, and versions newer than SnapshotVersion
 // are accepted by their version-1 prefix, so old readers keep working
 // against extended writers. Nothing in the result aliases data.
-func ParseSnapshot(data []byte) (*Snapshot, error) { return parseSnapshot(data, true) }
+func ParseSnapshot(data []byte) (*Snapshot, error) { return parseSnapshot(data, "") }
 
-// ParseSnapshotOwned is ParseSnapshot for a caller that gives data up —
-// one that just made its own copy of the bytes, of a reply's Data string
-// say: section payloads are slices of data, which must not be written to.
-func ParseSnapshotOwned(data []byte) (*Snapshot, error) { return parseSnapshot(data, false) }
+// ParseSnapshotString is ParseSnapshot over bytes held in a string — a
+// reply's Data — read in place: names are substrings of data, and
+// section payloads are slices of its bytes, which must not be written
+// to. Nothing is copied.
+func ParseSnapshotString(data string) (*Snapshot, error) {
+	return parseSnapshot(unsafe.Slice(unsafe.StringData(data), len(data)), data)
+}
 
-func parseSnapshot(data []byte, copyOut bool) (*Snapshot, error) {
+// parseSnapshot decodes data. When src is not empty, data is its bytes
+// and the snapshot is read in place.
+func parseSnapshot(data []byte, src string) (*Snapshot, error) {
 	r := NewCursor(data, ErrSnapshotCorrupt)
 	magic := r.Take(4)
 	if r.Err() != nil {
@@ -316,30 +352,44 @@ func parseSnapshot(data []byte, copyOut bool) (*Snapshot, error) {
 	if version < 1 {
 		return nil, fmt.Errorf("%w: version %d", ErrSnapshotCorrupt, version)
 	}
+	str := func() string {
+		n := int(r.U16())
+		at := r.off
+		if b := r.Take(n); b == nil || src == "" {
+			return string(b)
+		}
+		return src[at : at+n]
+	}
 	s := &Snapshot{}
-	s.Machine = r.Str()
+	s.Machine = str()
 	s.TakenUnixNano = r.I64()
 	nc := r.U32()
 	if nc > maxSnapshotEntries {
 		return nil, fmt.Errorf("%w: %d counters", ErrSnapshotCorrupt, nc)
 	}
+	// Each list is sized from its count, clipped to the entries the
+	// bytes left can hold.
+	s.Counters = listOf[NamedValue](min(int(nc), r.Remaining()/10))
 	for i := uint32(0); i < nc && r.Err() == nil; i++ {
-		s.Counters = append(s.Counters, NamedValue{Name: r.Str(), Value: r.I64()})
+		s.Counters = append(s.Counters, NamedValue{Name: str(), Value: r.I64()})
 	}
 	ng := r.U32()
 	if ng > maxSnapshotEntries {
 		return nil, fmt.Errorf("%w: %d gauges", ErrSnapshotCorrupt, ng)
 	}
+	s.Gauges = listOf[NamedValue](min(int(ng), r.Remaining()/10))
 	for i := uint32(0); i < ng && r.Err() == nil; i++ {
-		s.Gauges = append(s.Gauges, NamedValue{Name: r.Str(), Value: r.I64()})
+		s.Gauges = append(s.Gauges, NamedValue{Name: str(), Value: r.I64()})
 	}
 	nh := r.U32()
 	if nh > maxSnapshotEntries {
 		return nil, fmt.Errorf("%w: %d histograms", ErrSnapshotCorrupt, nh)
 	}
+	s.Hists = listOf[HistValue](min(int(nh), r.Remaining()/20))
 	for i := uint32(0); i < nh && r.Err() == nil; i++ {
-		h := HistValue{Name: r.Str(), Count: r.I64(), Sum: r.I64()}
+		h := HistValue{Name: str(), Count: r.I64(), Sum: r.I64()}
 		np := int(r.U16())
+		h.Buckets = listOf[BucketCount](min(np, r.Remaining()/9))
 		for j := 0; j < np && r.Err() == nil; j++ {
 			h.Buckets = append(h.Buckets, BucketCount{Bucket: r.U8(), Count: r.I64()})
 		}
@@ -351,11 +401,11 @@ func parseSnapshot(data []byte, copyOut bool) (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: %d sections", ErrSnapshotCorrupt, ns)
 		}
 		for i := uint32(0); i < ns && r.Err() == nil; i++ {
-			sec := Section{Name: r.Str(), Version: r.U16()}
+			sec := Section{Name: str(), Version: r.U16()}
 			n := int(r.U32())
 			if body := r.Take(n); body != nil {
 				sec.Data = body[:n:n]
-				if copyOut {
+				if src == "" {
 					sec.Data = append([]byte(nil), body...)
 				}
 			}

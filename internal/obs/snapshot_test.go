@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // randomSnapshot builds a snapshot from a shared small name pool so
@@ -165,25 +166,35 @@ func TestBinaryRoundTrip(t *testing.T) {
 			got.Machine != s.Machine || got.TakenUnixNano != s.TakenUnixNano {
 			t.Fatalf("trial %d: round trip changed snapshot:\nin  %+v\nout %+v", trial, s, got)
 		}
-		// The owned parse reads the same snapshot, its sections in place:
-		// scribbling on the buffer afterwards reaches them, and only them.
-		owned, err := ParseSnapshotOwned(wire)
-		if err != nil || !reflect.DeepEqual(owned, got) {
-			t.Fatalf("trial %d: owned parse: %v\nowned %+v\ncopied %+v", trial, err, owned, got)
+		// The string parse reads the same snapshot in place: every name
+		// and section payload lies in the string's own bytes.
+		str := string(wire)
+		inPlace, err := ParseSnapshotString(str)
+		if err != nil || !reflect.DeepEqual(inPlace, got) {
+			t.Fatalf("trial %d: string parse: %v\nin place %+v\ncopied %+v", trial, err, inPlace, got)
+		}
+		within := func(p *byte) bool {
+			at := uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(unsafe.StringData(str)))
+			return at < uintptr(len(str))
+		}
+		for _, v := range inPlace.Counters {
+			if !within(unsafe.StringData(v.Name)) {
+				t.Fatalf("trial %d: counter %s copied out of the string", trial, v.Name)
+			}
+		}
+		for _, sec := range inPlace.Sections {
+			if len(sec.Data) > 0 && !within(&sec.Data[0]) {
+				t.Fatalf("trial %d: ParseSnapshotString copied section %s out", trial, sec.Name)
+			}
+			if cap(sec.Data) != len(sec.Data) {
+				t.Fatalf("trial %d: section %s can be appended into the string", trial, sec.Name)
+			}
 		}
 		for i := range wire {
 			wire[i] ^= 0xff
 		}
 		if !reflect.DeepEqual(comparable(s), comparable(got)) {
 			t.Fatalf("trial %d: ParseSnapshot's result aliases its input", trial)
-		}
-		for i, sec := range owned.Sections {
-			if len(sec.Data) > 0 && sec.Data[0] == got.Sections[i].Data[0] {
-				t.Fatalf("trial %d: ParseSnapshotOwned copied section %s out", trial, sec.Name)
-			}
-			if cap(sec.Data) != len(sec.Data) {
-				t.Fatalf("trial %d: section %s can be appended into the buffer", trial, sec.Name)
-			}
 		}
 	}
 }

@@ -45,3 +45,13 @@ func LoadFixture(t *testing.T, dir, layout string) store.Backend {
 	}
 	return be
 }
+
+// run is Run on the given number of workers, without the metrics: the
+// tests that pin results identical across worker counts call it.
+func run(rd *store.Reader, q *Query, workers int) (*Result, error) {
+	a, err := exec(rd, q, workers)
+	if err != nil {
+		return nil, err
+	}
+	return a.result(), nil
+}

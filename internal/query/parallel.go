@@ -218,7 +218,35 @@ func getLines(p *sync.Pool) *lines {
 	return l
 }
 
-// run executes a record query on the given number of workers. The
+// Answer is a record query's result as its scan left it: the
+// statistics, and the line of every selected record in the run's pooled
+// buffers. AppendLines writes the lines, in the order Run gives, and
+// gives the buffers back: an Answer is read once.
+type Answer struct {
+	Stats Stats
+	all   *lines
+}
+
+// Len is the length of the lines AppendLines writes.
+func (a *Answer) Len() int { return len(a.all.data) }
+
+// AppendLines appends the selected lines to b and gives the answer's
+// buffers back.
+func (a *Answer) AppendLines(b []byte) []byte {
+	for _, r := range a.all.recs {
+		b = append(b, a.all.data[r.off:r.end]...)
+	}
+	runLines.Put(a.all)
+	a.all = nil
+	return b
+}
+
+// result is the answer as a Result whose lines fill their own buffer.
+func (a *Answer) result() *Result {
+	return &Result{Stats: a.Stats, Lines: a.AppendLines(make([]byte, 0, a.Len()))}
+}
+
+// exec executes a record query on the given number of workers. The
 // result is independent of that number, byte for byte: segments fold in
 // Admitted order, which is shard-major and rotation order within a
 // shard, so a line's offset in the folded buffer orders it by shard and
@@ -226,9 +254,8 @@ func getLines(p *sync.Pool) *lines {
 // then offset — each shard's matches stably sorted by cpuTime and the
 // shards merged with ties going to the lower shard id. Stats are sums of
 // per-segment counters, which commute.
-func run(rd *store.Reader, q *Query, workers int) (*Result, error) {
+func exec(rd *store.Reader, q *Query, workers int) (*Answer, error) {
 	all := getLines(&runLines)
-	defer runLines.Put(all)
 	stats, err := scanOrdered(rd, q, workers,
 		func(rs *store.ReaderSegment) (*lines, Stats, error) {
 			seg := getLines(&segLines)
@@ -248,14 +275,11 @@ func run(rd *store.Reader, q *Query, workers int) (*Result, error) {
 			segLines.Put(seg)
 		})
 	if err != nil {
+		runLines.Put(all)
 		return nil, err
 	}
 	slices.SortFunc(all.recs, func(a, b lineRec) int {
 		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.off, b.off))
 	})
-	res := &Result{Stats: stats, Lines: make([]byte, 0, len(all.data))}
-	for _, r := range all.recs {
-		res.Lines = append(res.Lines, all.data[r.off:r.end]...)
-	}
-	return res, nil
+	return &Answer{Stats: stats, all: all}, nil
 }

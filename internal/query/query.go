@@ -344,24 +344,35 @@ func Admitted(rd *store.Reader, q *Query) ([]*store.ReaderSegment, Stats) {
 // the final statistics. Each line is what Event.AppendFormat writes for
 // the record's Event with the matching rule's '#' fields taken out.
 func Run(rd *store.Reader, q *Query) (*Result, error) {
+	a, err := Exec(rd, q)
+	if err != nil {
+		return nil, err
+	}
+	return a.result(), nil
+}
+
+// Exec executes a query as Run does and returns its answer in the
+// run's pooled buffers, for a caller that writes the lines where it
+// wants them — the daemon, straight into its reply frame.
+func Exec(rd *store.Reader, q *Query) (*Answer, error) {
 	var span obs.Span
 	if q.Obs != nil {
 		span = obs.StartSpan(q.Obs.Histogram("query.run_ns"))
 	}
-	res, err := run(rd, q, runtime.GOMAXPROCS(0))
+	a, err := exec(rd, q, runtime.GOMAXPROCS(0))
 	if err != nil || q.Obs == nil {
-		return res, err
+		return a, err
 	}
 	span.End()
 	q.Obs.Counter("query.runs").Inc()
-	q.Obs.Counter("query.segments").Add(int64(res.Stats.Segments))
-	q.Obs.Counter("query.scanned").Add(int64(res.Stats.Scanned))
-	q.Obs.Counter("query.pruned").Add(int64(res.Stats.Pruned))
-	q.Obs.Counter("query.records").Add(int64(res.Stats.Records))
-	q.Obs.Counter("query.records_skipped").Add(int64(res.Stats.Skipped))
-	q.Obs.Counter("query.records_parsed").Add(int64(res.Stats.Parsed))
-	q.Obs.Counter("query.records_typed").Add(int64(res.Stats.Typed))
-	q.Obs.Counter("query.matched").Add(int64(res.Stats.Matched))
-	q.Obs.Counter("query.bad_lines").Add(int64(res.Stats.BadLines))
-	return res, nil
+	q.Obs.Counter("query.segments").Add(int64(a.Stats.Segments))
+	q.Obs.Counter("query.scanned").Add(int64(a.Stats.Scanned))
+	q.Obs.Counter("query.pruned").Add(int64(a.Stats.Pruned))
+	q.Obs.Counter("query.records").Add(int64(a.Stats.Records))
+	q.Obs.Counter("query.records_skipped").Add(int64(a.Stats.Skipped))
+	q.Obs.Counter("query.records_parsed").Add(int64(a.Stats.Parsed))
+	q.Obs.Counter("query.records_typed").Add(int64(a.Stats.Typed))
+	q.Obs.Counter("query.matched").Add(int64(a.Stats.Matched))
+	q.Obs.Counter("query.bad_lines").Add(int64(a.Stats.BadLines))
+	return a, nil
 }
