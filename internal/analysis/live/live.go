@@ -89,9 +89,10 @@ type Config struct {
 	// MaxPairs bounds the communication matrix; pairs beyond it fold
 	// into the (unknown,unknown) cell. Default 4096.
 	MaxPairs int
-	// BufEntries is each worker tap's entry buffer. Default 512.
-	BufEntries int
 }
+
+// tapEntries is each worker tap's entry buffer.
+const tapEntries = 512
 
 func (c Config) withDefaults() Config {
 	if c.WindowMillis <= 0 {
@@ -105,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPairs <= 0 {
 		c.MaxPairs = 4096
-	}
-	if c.BufEntries <= 0 {
-		c.BufEntries = 512
 	}
 	return c
 }
@@ -245,7 +243,7 @@ func NewCollector(cfg Config) *Collector {
 	c.pendingQ = make([][]tapEntry, 0, poolChunks+poolSlack)
 	c.freeQ = make([][]tapEntry, 0, poolChunks+poolSlack)
 	for i := 0; i < poolChunks; i++ {
-		c.freeQ = append(c.freeQ, make([]tapEntry, 0, cfg.BufEntries))
+		c.freeQ = append(c.freeQ, make([]tapEntry, 0, tapEntries))
 	}
 	c.signal = make(chan struct{}, 1)
 	c.stop = make(chan struct{})
@@ -273,7 +271,7 @@ func NewCollector(cfg Config) *Collector {
 
 // NewTap hands out one worker's tap. Implements filter.TapSource.
 func (c *Collector) NewTap() filter.RecordTap {
-	return &Tap{c: c, buf: make([]tapEntry, 0, c.cfg.BufEntries)}
+	return &Tap{c: c, buf: make([]tapEntry, 0, tapEntries)}
 }
 
 // Tap is one pipeline worker's record observer: a fixed-capacity entry

@@ -302,9 +302,9 @@ func appendCounts(b []byte, p *analysis.ProcComm) []byte {
 
 // readCounts reads what appendCounts wrote into p.
 func readCounts(r *obs.Cursor, p *analysis.ProcComm) {
-	p.Sends, p.Recvs, p.RecvCalls = obs.Unzigzag(r.Uvarint()), obs.Unzigzag(r.Uvarint()), obs.Unzigzag(r.Uvarint())
-	p.Sockets, p.Forks = obs.Unzigzag(r.Uvarint()), obs.Unzigzag(r.Uvarint())
-	p.BytesSent, p.BytesRecvd = obs.Unzigzag(r.Uvarint()), obs.Unzigzag(r.Uvarint())
+	p.Sends, p.Recvs, p.RecvCalls = r.Zigzag(), r.Zigzag(), r.Zigzag()
+	p.Sockets, p.Forks = r.Zigzag(), r.Zigzag()
+	p.BytesSent, p.BytesRecvd = r.Zigzag(), r.Zigzag()
 }
 
 // appendCommRow appends p's live.comm row after the row prev.
@@ -327,7 +327,7 @@ func appendMachineComm(b []byte, m *MachineComm) []byte {
 
 // readMachineComm reads the row appendMachineComm wrote.
 func readMachineComm(r *obs.Cursor) MachineComm {
-	m := MachineComm{ProcComm: analysis.ProcComm{Machine: r.U16()}, Procs: obs.Unzigzag(r.Uvarint())}
+	m := MachineComm{ProcComm: analysis.ProcComm{Machine: r.U16()}, Procs: r.Zigzag()}
 	readCounts(r, &m.ProcComm)
 	return m
 }
@@ -340,8 +340,8 @@ func appendMachinePar(b []byte, m *MachinePar) []byte {
 
 // readMachinePar reads the row appendMachinePar wrote.
 func readMachinePar(r *obs.Cursor) MachinePar {
-	m := MachinePar{Machine: r.U16(), Procs: obs.Unzigzag(r.Uvarint()), CPU: obs.Unzigzag(r.Uvarint()), First: obs.Unzigzag(r.Uvarint())}
-	m.Last = m.First + obs.Unzigzag(r.Uvarint())
+	m := MachinePar{Machine: r.U16(), Procs: r.Zigzag(), CPU: r.Zigzag(), First: r.Zigzag()}
+	m.Last = m.First + r.Zigzag()
 	return m
 }
 
@@ -398,7 +398,7 @@ func readSwept(r *obs.Cursor) *Swept {
 		r.Fail("swept flag %d", flag)
 		return nil
 	}
-	sw := &Swept{Horizon: obs.Unzigzag(r.Uvarint())}
+	sw := &Swept{Horizon: r.Zigzag()}
 	n := int(count(r))
 	if n > r.Remaining()/2 {
 		r.Fail("%d levels in %d bytes", n, r.Remaining())
@@ -432,9 +432,9 @@ func readParRow(r *obs.Cursor, prev *ProcInterval) ProcInterval {
 	d := r.Uvarint()
 	iv := ProcInterval{Terminated: d&1 != 0}
 	iv.Machine, iv.PID = readKey(r, procKey(prev.Machine, prev.PID), d>>1)
-	iv.First = prev.First + obs.Unzigzag(r.Uvarint())
-	iv.Last = iv.First + obs.Unzigzag(r.Uvarint())
-	iv.MaxCPU = obs.Unzigzag(r.Uvarint())
+	iv.First = prev.First + r.Zigzag()
+	iv.Last = iv.First + r.Zigzag()
+	iv.MaxCPU = r.Zigzag()
 	return iv
 }
 

@@ -3,7 +3,7 @@ package controller
 // Scatter-gather fan-out over persistent daemon sessions. The
 // controller keeps one supervised session per machine (daemon
 // package, session.go) and broadcasts multi-machine commands —
-// status, stats, startjob, setflags — concurrently instead of
+// status, stats, setflags, startjob, stopjob — concurrently instead of
 // machine by machine: results gather into per-host slots, a machine
 // that cannot answer contributes an error slot within the retry
 // policy's deadline, and the merged report is degraded rather than
@@ -67,12 +67,14 @@ type hostResult struct {
 }
 
 // target is one fan-out destination: the host whose daemon receives
-// the request, and a label the report names the slot by. The label and
-// host differ when several filters (distinct targets) live on one
-// machine — an aggregate query fans out per filter, not per host.
+// the request, a label the report names the slot by, and the request.
+// The label and host differ when several filters (distinct targets)
+// live on one machine — an aggregate query fans out per filter, not per
+// host — or when several processes of a job do.
 type target struct {
 	Label string
 	Host  string
+	Req   *daemon.WireMsg
 }
 
 // broadcast fans one request per host out concurrently and gathers
@@ -83,23 +85,23 @@ type target struct {
 func (c *Controller) broadcast(hosts []string, mk func(host string) *daemon.WireMsg) []hostResult {
 	ts := make([]target, len(hosts))
 	for i, h := range hosts {
-		ts[i] = target{Label: h, Host: h}
+		ts[i] = target{Label: h, Host: h, Req: mk(h)}
 	}
-	return c.broadcastTargets(ts, func(t target) *daemon.WireMsg { return mk(t.Host) })
+	return c.broadcastTargets(ts)
 }
 
-// broadcastTargets is the general scatter-gather: one request per
-// target, slots in target order, labels naming the slots. The degraded
-// discipline is broadcast's: every slot resolves within the retry
-// policy's deadline, error slots included.
-func (c *Controller) broadcastTargets(targets []target, mk func(t target) *daemon.WireMsg) []hostResult {
+// broadcastTargets is the general scatter-gather: each target's request
+// to its host, slots in target order, labels naming the slots. The
+// degraded discipline is broadcast's: every slot resolves within the
+// retry policy's deadline, error slots included.
+func (c *Controller) broadcastTargets(targets []target) []hostResult {
 	out := make([]hostResult, len(targets))
 	var wg sync.WaitGroup
 	for i, t := range targets {
 		wg.Add(1)
 		go func(i int, t target) {
 			defer wg.Done()
-			rep, err := c.exchange(t.Host, mk(t))
+			rep, err := c.exchange(t.Host, t.Req)
 			out[i] = hostResult{Host: t.Label, Rep: rep, Err: err}
 		}(i, t)
 	}

@@ -36,6 +36,11 @@ func TestBroadcastDegradedSlots(t *testing.T) {
 	ctl.SetRetryPolicy(shortRetry)
 	ctl.SetSessionConfig(fastSessionCfg)
 
+	// A job with a process on red, for the startjob below.
+	ctl.Exec("filter f1 blue")
+	ctl.Exec("newjob foo")
+	ctl.Exec("addprocess foo red B")
+
 	// Warm the sessions so the faults strike established connections:
 	// the session layer still believes both machines are up when the
 	// broadcast below goes out.
@@ -76,8 +81,17 @@ func TestBroadcastDegradedSlots(t *testing.T) {
 	if res[2].Err != nil || res[2].Rep == nil || !res[2].Rep.OK() {
 		t.Errorf("healthy blue slot = {rep %v err %v}, want ok reply", res[2].Rep, res[2].Err)
 	}
-	if n := ctl.machine.Obs().Counter("broadcast.degraded").Load(); n == 0 {
+	degraded := ctl.machine.Obs().Counter("broadcast.degraded")
+	n := degraded.Load()
+	if n == 0 {
 		t.Error("broadcast.degraded counter not bumped")
+	}
+
+	// startjob fans out through the same gather: the process on the
+	// crashed machine is a failed slot.
+	ctl.Exec("startjob foo")
+	if degraded.Load() == n {
+		t.Error("startjob with a process on a crashed machine did not bump broadcast.degraded")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dpm/internal/agg"
@@ -316,31 +315,24 @@ func (c *Controller) cmdSetFlags(args []string) {
 	c.printf("new job flags = %s\n", strings.Join(flags.FlagNames(), " "))
 	// Scatter the per-process flag updates, gather the per-process
 	// report in table order.
-	lines := make([]string, len(procs))
-	var wg sync.WaitGroup
+	targets := make([]target, len(procs))
 	for i, p := range procs {
-		wg.Add(1)
-		go func(i int, p *JobProc) {
-			defer wg.Done()
-			req := &daemon.ProcReq{Type: daemon.TSetFlagsReq, PID: p.PID, UID: c.uid, Flags: uint32(flags)}
-			rep, err := c.exchange(p.Machine, req.Wire())
-			switch {
-			case err != nil:
-				lines[i] = fmt.Sprintf("Process '%s' : %v\n", p.Name, err)
-			case !rep.OK():
-				lines[i] = fmt.Sprintf("Process '%s' : %s\n", p.Name, rep.Status)
-			default:
-				c.mu.Lock()
-				p.Flags = flags
-				c.jobsView.Store(nil)
-				c.mu.Unlock()
-				lines[i] = fmt.Sprintf("Process '%s' : Flags set\n", p.Name)
-			}
-		}(i, p)
+		req := &daemon.ProcReq{Type: daemon.TSetFlagsReq, PID: p.PID, UID: c.uid, Flags: uint32(flags)}
+		targets[i] = target{Label: p.Name, Host: p.Machine, Req: req.Wire()}
 	}
-	wg.Wait()
-	for _, l := range lines {
-		c.printf("%s", l)
+	for i, r := range c.broadcastTargets(targets) {
+		switch p := procs[i]; {
+		case r.Err != nil:
+			c.printf("Process '%s' : %v\n", p.Name, r.Err)
+		case !r.Rep.OK():
+			c.printf("Process '%s' : %s\n", p.Name, r.Rep.Status)
+		default:
+			c.mu.Lock()
+			p.Flags = flags
+			c.jobsView.Store(nil)
+			c.mu.Unlock()
+			c.printf("Process '%s' : Flags set\n", p.Name)
+		}
 	}
 }
 
@@ -363,44 +355,43 @@ func (c *Controller) signalJob(jobName string, to State, reqType daemon.MsgType,
 	// dead machine's retries no longer serialize the rest of the job.
 	// Gather: the per-process report still prints in table order (the
 	// Appendix B transcript shape), whatever order the replies land.
-	lines := make([]string, len(procs))
-	var wg sync.WaitGroup
+	from := make([]State, len(procs))
+	var targets []target
 	for i, p := range procs {
 		c.mu.Lock()
-		from := p.State
+		from[i] = p.State
 		c.mu.Unlock()
-		if !CanTransition(from, to) {
+		if CanTransition(from[i], to) {
+			req := &daemon.ProcReq{Type: reqType, PID: p.PID, UID: c.uid}
+			targets = append(targets, target{Label: p.Name, Host: p.Machine, Req: req.Wire()})
+		}
+	}
+	res := c.broadcastTargets(targets)
+	for i, p := range procs {
+		if !CanTransition(from[i], to) {
 			// "Processes that are running, killed, or acquired cannot
 			// be started"; stopjob ignores killed and acquired.
-			lines[i] = fmt.Sprintf("'%s' not %s (%s).\n", p.Name, verb, from)
+			c.printf("'%s' not %s (%s).\n", p.Name, verb, from[i])
 			continue
 		}
-		wg.Add(1)
-		go func(i int, p *JobProc, from State) {
-			defer wg.Done()
-			req := &daemon.ProcReq{Type: reqType, PID: p.PID, UID: c.uid}
-			rep, err := c.exchange(p.Machine, req.Wire())
-			switch {
-			case err != nil:
-				lines[i] = fmt.Sprintf("'%s' not %s: %v\n", p.Name, verb, err)
-			case !rep.OK():
-				lines[i] = fmt.Sprintf("'%s' not %s: %s\n", p.Name, verb, rep.Status)
-			default:
-				c.mu.Lock()
-				// The process may have terminated in the meantime; never
-				// overwrite killed.
-				if p.State == from {
-					p.State = to
-					c.jobsView.Store(nil)
-				}
-				c.mu.Unlock()
-				lines[i] = fmt.Sprintf("'%s' %s.\n", p.Name, verb)
+		r := res[0]
+		res = res[1:]
+		switch {
+		case r.Err != nil:
+			c.printf("'%s' not %s: %v\n", p.Name, verb, r.Err)
+		case !r.Rep.OK():
+			c.printf("'%s' not %s: %s\n", p.Name, verb, r.Rep.Status)
+		default:
+			c.mu.Lock()
+			// The process may have terminated in the meantime; never
+			// overwrite killed.
+			if p.State == from[i] {
+				p.State = to
+				c.jobsView.Store(nil)
 			}
-		}(i, p, from)
-	}
-	wg.Wait()
-	for _, l := range lines {
-		c.printf("%s", l)
+			c.mu.Unlock()
+			c.printf("'%s' %s.\n", p.Name, verb)
+		}
 	}
 }
 
@@ -991,20 +982,10 @@ func (c *Controller) cmdQueryAgg(args []string, specAt int) {
 	}
 	targets := make([]target, len(filters))
 	for i, f := range filters {
-		targets[i] = target{Label: f.Name + "@" + f.Machine, Host: f.Machine}
+		req := &daemon.AggReq{Dir: filter.StorePath(f.Name), Rules: rules, Spec: spec.String(), UID: c.uid}
+		targets[i] = target{Label: f.Name + "@" + f.Machine, Host: f.Machine, Req: req.Wire()}
 	}
-	byLabel := make(map[string]*FilterInfo, len(filters))
-	for i, f := range filters {
-		byLabel[targets[i].Label] = f
-	}
-	res := c.broadcastTargets(targets, func(t target) *daemon.WireMsg {
-		return (&daemon.AggReq{
-			Dir:   filter.StorePath(byLabel[t.Label].Name),
-			Rules: rules,
-			Spec:  spec.String(),
-			UID:   c.uid,
-		}).Wire()
-	})
+	res := c.broadcastTargets(targets)
 	merged := agg.NewPartial(spec)
 	var reporting, missing []string
 	for _, r := range res {

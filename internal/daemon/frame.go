@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+
+	"dpm/internal/obs"
 )
 
 // Frame kinds.
@@ -210,22 +212,20 @@ type frameReader struct {
 func (r *frameReader) next(recv func([]byte) (int, error)) (Frame, error) {
 	r.release()
 	for {
-		in := r.buf[r.off:]
-		if len(in) >= 4 && !frameSizeOK(binary.LittleEndian.Uint32(in)) {
-			return Frame{}, ErrWireCorrupt
-		}
-		if len(in) >= frameHeader {
-			size := int(binary.LittleEndian.Uint32(in))
-			if size <= len(in) {
-				f := Frame{Kind: binary.LittleEndian.Uint32(in[4:]), ID: binary.LittleEndian.Uint64(in[8:]),
-					Payload: in[frameHeader:size:size]}
-				r.off += size
+		if c := obs.NewCursor(r.buf[r.off:], ErrWireCorrupt); c.Remaining() >= 4 {
+			size := c.U32()
+			if !frameSizeOK(size) {
+				return Frame{}, ErrWireCorrupt
+			}
+			if int(size) <= c.Remaining()+4 {
+				f := Frame{Kind: c.U32(), ID: c.U64(), Payload: c.Take(int(size) - frameHeader)}
+				r.off += int(size)
 				return f, nil
 			}
-			if size > cap(r.buf) {
+			if int(size) > cap(r.buf) {
 				// Received alone: the array ends where the frame does.
-				r.own, r.large = r.buf, takeFrameBuf(size)
-				r.buf, r.off = append(r.large[:0:size], in...), 0
+				r.own, r.large = r.buf, takeFrameBuf(int(size))
+				r.buf, r.off = append(r.large[:0:size], r.buf[r.off:]...), 0
 			}
 		}
 		if err := r.fill(recv); err != nil {

@@ -385,18 +385,16 @@ func (p *Program) plan(t meter.Type) *eventPlan {
 
 // ExtractInto interprets one encoded meter message using the
 // descriptions, into a caller-owned record whose field slice it reuses,
-// and returns the event's compiled plan. The meter package's own decoder
-// is not consulted: the filter trusts the description file, exactly as
-// the paper's filter does.
+// and returns the event's compiled plan. The header is Appendix A's
+// fixed one, read by meter.DecodeHeader; the body is read through the
+// descriptions alone, not the meter package's body decoder: the filter
+// trusts the description file, exactly as the paper's filter does.
 func (p *Program) ExtractInto(rec *Record, raw []byte) (*eventPlan, error) {
 	if len(raw) < meter.HeaderSize {
 		return nil, fmt.Errorf("filter: message shorter than header (%d bytes)", len(raw))
 	}
-	rec.Size = uint32(raw[0]) | uint32(raw[1])<<8 | uint32(raw[2])<<16 | uint32(raw[3])<<24
-	rec.Machine = uint16(raw[4]) | uint16(raw[5])<<8
-	rec.CPUTime = uint32(raw[8]) | uint32(raw[9])<<8 | uint32(raw[10])<<16 | uint32(raw[11])<<24
-	rec.ProcTime = uint32(raw[16]) | uint32(raw[17])<<8 | uint32(raw[18])<<16 | uint32(raw[19])<<24
-	rec.Type = meter.Type(uint32(raw[20]) | uint32(raw[21])<<8 | uint32(raw[22])<<16 | uint32(raw[23])<<24)
+	h := meter.DecodeHeader(raw)
+	rec.Size, rec.Machine, rec.CPUTime, rec.ProcTime, rec.Type = h.Size, h.Machine, h.CPUTime, h.ProcTime, h.TraceType
 	rec.Fields = rec.Fields[:0]
 	pl := p.plan(rec.Type)
 	if pl == nil {

@@ -13,13 +13,6 @@ import (
 
 // Config carries cluster-wide simulation parameters.
 type Config struct {
-	// SyscallCost is the machine-clock and CPU time charged per system
-	// call. The default (200µs) makes a few thousand syscalls add up
-	// to the tenths-of-seconds the paper's cpuTime examples show.
-	SyscallCost time.Duration
-	// MeterBufferCount overrides the kernel's meter message buffering
-	// threshold; zero uses meter.DefaultBufferCount.
-	MeterBufferCount int
 	// ComputeWallScale, when positive, makes Compute(d) also sleep
 	// d*scale of real time. By default compute is purely virtual
 	// (instantaneous in wall time), which is fast but means processes
@@ -27,9 +20,6 @@ type Config struct {
 	// whose *timing* is under study (pipelines, starvation) set a
 	// small scale (e.g. 0.01) so execution paces out.
 	ComputeWallScale float64
-	// SchedWorkers is the size of the cluster's task-scheduler worker
-	// pool (Machine.SpawnTask); zero uses min(8, max(2, GOMAXPROCS)).
-	SchedWorkers int
 	// DgramQueueCap bounds each socket's queue of undelivered
 	// datagrams: deliveries beyond it are shed (counted in
 	// mem.shed_dgrams) so one unread socket cannot grow a machine's
@@ -44,8 +34,10 @@ type Config struct {
 // datagrams keep a full queue in the hundreds of kilobytes.
 const DefaultDgramQueueCap = 4096
 
-// DefaultSyscallCost is used when Config.SyscallCost is zero.
-const DefaultSyscallCost = 200 * time.Microsecond
+// syscallCost is the machine-clock and CPU time charged per system
+// call: a few thousand syscalls add up to the tenths-of-seconds the
+// paper's cpuTime examples show.
+const syscallCost = 200 * time.Microsecond
 
 // Cluster is the whole simulated installation: machines, the networks
 // joining them, and the registry of programs that executable files
@@ -70,9 +62,6 @@ type Cluster struct {
 
 // NewCluster returns an empty cluster.
 func NewCluster(cfg Config) *Cluster {
-	if cfg.SyscallCost == 0 {
-		cfg.SyscallCost = DefaultSyscallCost
-	}
 	return &Cluster{
 		cfg:      cfg,
 		machines: make(map[string]*Machine),
@@ -257,17 +246,6 @@ func (c *Cluster) Rcp(srcMachine, srcPath, dstMachine, dstPath string, uid int) 
 	return fsys.Copy(src.fs, srcPath, dst.fs, dstPath, uid)
 }
 
-// SyscallCost returns the configured per-syscall charge.
-func (c *Cluster) SyscallCost() time.Duration { return c.cfg.SyscallCost }
-
-// meterBufferCount returns the kernel meter buffering threshold.
-func (c *Cluster) meterBufferCount() int {
-	if c.cfg.MeterBufferCount > 0 {
-		return c.cfg.MeterBufferCount
-	}
-	return 0 // caller substitutes meter.DefaultBufferCount
-}
-
 // dgramQueueCap returns the per-socket datagram queue budget; <= 0
 // means unbounded.
 func (c *Cluster) dgramQueueCap() int {
@@ -283,7 +261,7 @@ func (c *Cluster) sched() *scheduler {
 	c.schedMu.Lock()
 	defer c.schedMu.Unlock()
 	if c.scheduler == nil {
-		c.scheduler = newScheduler(c.cfg.SchedWorkers)
+		c.scheduler = newScheduler()
 	}
 	return c.scheduler
 }

@@ -179,23 +179,10 @@ type scheduler struct {
 	wg sync.WaitGroup
 }
 
-// defaultSchedWorkers sizes the pool when Config.SchedWorkers is zero.
-func defaultSchedWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
-// newScheduler starts the worker pool and the timer goroutine.
-func newScheduler(workers int) *scheduler {
-	if workers <= 0 {
-		workers = defaultSchedWorkers()
-	}
+// newScheduler starts the timer goroutine and a pool of
+// min(8, max(2, GOMAXPROCS)) workers.
+func newScheduler() *scheduler {
+	workers := min(8, max(2, runtime.GOMAXPROCS(0)))
 	s := &scheduler{
 		timerCh: make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),

@@ -29,11 +29,7 @@ const (
 // socket cannot deliver (the filter died between buffering and flush)
 // is counted message-by-message in the cluster's fault stats.
 func (m *Machine) newMeterBuffer(sock *Socket) *meter.Buffer {
-	count := m.cluster.meterBufferCount()
-	if count == 0 {
-		count = meter.DefaultBufferCount
-	}
-	b := meter.NewBuffer(count, func(batch []byte) {
+	b := meter.NewBuffer(meter.DefaultBufferCount, func(batch []byte) {
 		if sock.kernelSend(batch) {
 			return
 		}

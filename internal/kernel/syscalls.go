@@ -24,7 +24,7 @@ func (p *Process) enter() error {
 	if err := p.checkpoint(); err != nil {
 		return err
 	}
-	p.charge(p.machine.cluster.SyscallCost())
+	p.charge(syscallCost)
 	return nil
 }
 

@@ -50,7 +50,9 @@ func (h Header) encode(b []byte) {
 	le.PutUint32(b[20:24], uint32(h.TraceType))
 }
 
-func decodeHeader(b []byte) Header {
+// DecodeHeader reads the header at the front of b, which holds at least
+// HeaderSize bytes.
+func DecodeHeader(b []byte) Header {
 	le := binary.LittleEndian
 	return Header{
 		Size:      le.Uint32(b[0:4]),
@@ -184,7 +186,7 @@ func Decode(b []byte) (Msg, int, error) {
 	if len(b) < HeaderSize {
 		return Msg{}, 0, ErrShort
 	}
-	h := decodeHeader(b)
+	h := DecodeHeader(b)
 	if h.Size < HeaderSize || h.Size > MaxMsgSize {
 		return Msg{}, 0, fmt.Errorf("%w: %d", ErrBadSize, h.Size)
 	}

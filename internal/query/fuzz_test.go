@@ -1,9 +1,11 @@
 package query
 
 import (
+	"errors"
 	"maps"
 	"testing"
 
+	"dpm/internal/obs"
 	"dpm/internal/trace"
 )
 
@@ -67,8 +69,9 @@ func FuzzCompiledQueryMatch(f *testing.F) {
 		}
 		var enc, dec trace.TypedState
 		var typed trace.View
-		if _, ok := typed.DecodeTyped(v.AppendTyped(nil, &enc), &dec, v.Type, v.Machine, v.CPUTime); !ok {
-			t.Fatalf("standard line %q does not decode", line)
+		c := obs.NewCursor(v.AppendTyped(nil, &enc), errors.New("typed record"))
+		if typed.DecodeTyped(&c, &dec, v.Type, v.Machine, v.CPUTime); c.Err() != nil {
+			t.Fatalf("standard line %q does not decode: %v", line, c.Err())
 		}
 		check(&typed, "typed")
 	})

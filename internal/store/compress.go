@@ -55,6 +55,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -116,17 +117,6 @@ const (
 	opDef     = 2
 	opRefBase = 3
 )
-
-// uvarintAt decodes one uvarint at off, returning the value and the
-// new offset. A plain function (not a closure over off) so the hot
-// decode loop allocates nothing.
-func uvarintAt(raw []byte, off int) (uint64, int, bool) {
-	v, n := binary.Uvarint(raw[off:])
-	if n <= 0 {
-		return 0, off, false
-	}
-	return v, off + n, true
-}
 
 // BlockInfo describes one block of a sealed segment.
 type BlockInfo struct {
@@ -854,123 +844,99 @@ func (d *Decoder) readStream() ([]byte, error) {
 	}
 }
 
+// A block record the decoder cannot read fails with errRecord, and one
+// whose front-coding reaches outside the line before it with
+// errFrontCoding inside that: the scan reports either as ErrCorrupt or
+// ErrTruncated.
+var (
+	errRecord      = errors.New("bad record")
+	errFrontCoding = errors.New("front-coding overrun")
+)
+
 // decodeRecords decodes the records of one block payload, emitting
 // each through fn. It returns the number emitted and the bytes
 // consumed; a malformed record stops the decode at its start.
 func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, int, error) {
-	var prevTime uint32
-	off, emitted := 0, 0
-	var ok bool
-	for off < len(raw) {
-		start := off
-		var machine, dtv, typ, pid uint64
-		if machine, off, ok = uvarintAt(raw, off); !ok || machine > 0xFFFF {
-			return emitted, start, fmt.Errorf("bad machine at payload offset %d", start)
-		}
-		if dtv, off, ok = uvarintAt(raw, off); !ok {
-			return emitted, start, fmt.Errorf("bad time delta at payload offset %d", start)
-		}
-		t := int64(prevTime) + obs.Unzigzag(dtv)
-		if t < 0 || t > 0xFFFFFFFF {
-			return emitted, start, fmt.Errorf("time out of range at payload offset %d", start)
-		}
-		if typ, off, ok = uvarintAt(raw, off); !ok || typ > 0xFFFFFFFF {
-			return emitted, start, fmt.Errorf("bad type at payload offset %d", start)
-		}
-		if pid, off, ok = uvarintAt(raw, off); !ok || pid > 0xFFFFFFFF {
-			return emitted, start, fmt.Errorf("bad pid at payload offset %d", start)
+	c := obs.NewCursor(raw, errRecord)
+	var prevTime int64
+	emitted := 0
+	for c.Remaining() > 0 {
+		start := c.Off()
+		machine, t, typ, pid := c.Uvarint(), prevTime+c.Zigzag(), c.Uvarint(), c.Uvarint()
+		if machine > 0xFFFF || t < 0 || t > 0xFFFFFFFF || typ > 0xFFFFFFFF || pid > 0xFFFFFFFF {
+			c.Fail("record header out of range")
 		}
 		m := Meta{Machine: uint16(machine), Time: uint32(t), Type: uint32(typ), PID: uint32(pid)}
-		prevTime = m.Time
-		// The shape byte: 0 is text, anything else starts a typed record.
-		if off == len(raw) {
-			return emitted, start, fmt.Errorf("no record shape at payload offset %d", start)
-		}
-		if raw[off] != 0 {
-			n, ok := d.view.DecodeTyped(raw[off:], &d.typed, meter.Type(typ), int(machine), t)
-			if !ok {
-				return emitted, start, fmt.Errorf("bad typed record at payload offset %d", start)
-			}
-			off += n
-			fn(m, &d.view, nil)
-			emitted++
-			d.nTyped++
-			continue
-		}
-		off++
+		prevTime = t
 		slot := int(typ) % nameSlots
-		n, err := d.decodeText(raw[off:], slot)
-		if err != nil {
+		// The shape byte: 0 is text, anything else starts a typed record.
+		typed := c.Remaining() > 0 && raw[c.Off()] != 0
+		switch {
+		case c.Err() != nil:
+		case typed:
+			d.view.DecodeTyped(&c, &d.typed, meter.Type(typ), int(machine), t)
+		default:
+			c.U8()
+			d.decodeText(&c, slot)
+		}
+		if err := c.Err(); err != nil {
 			return emitted, start, fmt.Errorf("%v at payload offset %d", err, start)
 		}
-		off += n
-		fn(m, nil, d.prev[slot])
+		if typed {
+			fn(m, &d.view, nil)
+			d.nTyped++
+		} else {
+			fn(m, nil, d.prev[slot])
+		}
 		emitted++
 	}
 	return emitted, len(raw), nil
 }
 
-// decodeText decodes the text shape at the head of raw — a line
-// front-coded against the last of its slot — into d.prev[slot], and
-// returns the bytes it took.
-func (d *Decoder) decodeText(raw []byte, slot int) (int, error) {
-	var p, s uint64
-	off, ok := 0, false
-	if p, off, ok = uvarintAt(raw, off); !ok {
-		return 0, fmt.Errorf("bad prefix length")
-	}
-	if s, off, ok = uvarintAt(raw, off); !ok {
-		return 0, fmt.Errorf("bad suffix length")
-	}
-	prev := d.prev[slot]
-	// p and s are bounded individually before summing so p+s cannot
-	// wrap uint64 and slip past the range checks.
-	if p > MaxFrameSize || s > MaxFrameSize || p+s > uint64(len(prev)) || p+s > MaxFrameSize {
-		return 0, fmt.Errorf("front-coding overrun")
-	}
-	line := d.line[:0]
-	line = append(line, prev[:p]...)
-	for {
-		var op uint64
-		if op, off, ok = uvarintAt(raw, off); !ok {
-			return 0, fmt.Errorf("bad opcode")
-		}
-		if op == opEnd {
-			break
-		}
-		switch {
+// decodeText reads the text shape at c — a line front-coded against the
+// last of its slot — into d.prev[slot].
+func (d *Decoder) decodeText(c *obs.Cursor, slot int) {
+	prev := obs.NewCursor(d.prev[slot], errFrontCoding)
+	line := append(d.line[:0], prev.Take(int(c.Uvarint()))...)
+	suffix := int(c.Uvarint())
+	// A failed cursor reads opEnd, which ends the loop.
+	for op := c.Uvarint(); op != opEnd; op = c.Uvarint() {
+		var b []byte
+		switch id := op - opRefBase; { // unsigned: an opcode past int's range must not wrap below zero
 		case op == opLit || op == opDef:
-			var l uint64
-			if l, off, ok = uvarintAt(raw, off); !ok || off+int(l) > len(raw) || l > MaxFrameSize {
-				return 0, fmt.Errorf("bad literal")
-			}
-			b := raw[off : off+int(l)]
-			off += int(l)
-			line = append(line, b...)
-			if op == opDef {
-				if d.growDict {
-					if len(d.dict) >= maxDictEntries || l < minDictToken || l > maxDictToken {
-						return 0, fmt.Errorf("bad dictionary definition")
-					}
-					d.dict = append(d.dict, append([]byte(nil), b...))
+			b = c.Take(int(c.Uvarint()))
+			// With a preloaded (footer) dictionary the entry is already
+			// present; the definition just emits.
+			if op == opDef && d.growDict {
+				if len(d.dict) >= maxDictEntries || len(b) < minDictToken || len(b) > maxDictToken {
+					c.Fail("bad dictionary definition")
+					return
 				}
-				// With a preloaded (footer) dictionary the entry is
-				// already present; the definition just emits.
+				d.dict = append(d.dict, append([]byte(nil), b...))
 			}
+		case id < uint64(len(d.dict)):
+			b = d.dict[id]
 		default:
-			id := op - opRefBase // unsigned: an opcode past int's range must not wrap below zero
-			if id >= uint64(len(d.dict)) {
-				return 0, fmt.Errorf("dictionary reference %d out of range", id)
-			}
-			line = append(line, d.dict[id]...)
+			c.Fail("dictionary reference %d out of range", id)
+			return
 		}
-		if len(line) > MaxFrameSize {
-			return 0, fmt.Errorf("line overruns frame limit")
+		if len(b) > MaxFrameSize-len(line) {
+			c.Fail("line overruns frame limit")
+			return
 		}
+		line = append(line, b...)
 	}
-	line = append(line, prev[uint64(len(prev))-s:]...)
-	d.prev[slot], d.line = line, prev
-	return off, nil
+	// What is left of the last line past its middle is the suffix.
+	prev.Take(prev.Remaining() - suffix)
+	b := prev.Take(suffix)
+	if err := prev.Err(); err != nil {
+		c.Fail("%v", err)
+	} else if len(b) > MaxFrameSize-len(line) {
+		c.Fail("line overruns frame limit")
+	}
+	if c.Err() == nil {
+		d.prev[slot], d.line = append(line, b...), d.prev[slot]
+	}
 }
 
 // ScanStats reports what one segment scan did.

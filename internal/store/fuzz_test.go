@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"dpm/internal/meter"
 	"dpm/internal/obs"
 )
 
@@ -70,21 +71,64 @@ func fuzzSeedV2() []byte {
 // to zero, which an unchecked p+s bounds test would admit before
 // prev[:p] panicked. The parser must reject it as a torn record.
 func fuzzSeedOverflow() []byte {
-	var payload []byte
-	payload = binary.AppendUvarint(payload, 1)               // machine
-	payload = binary.AppendUvarint(payload, obs.Zigzag(100)) // time delta
-	payload = binary.AppendUvarint(payload, 1)               // type
-	payload = binary.AppendUvarint(payload, 1)               // pid
-	payload = append(payload, 0)                             // shape: text
-	payload = binary.AppendUvarint(payload, math.MaxUint64)  // prefix length
-	payload = binary.AppendUvarint(payload, 1)               // suffix length
-	payload = append(payload, opEnd)
+	return unsealedOf(textRecord(math.MaxUint64, 1, nil))
+}
+
+// unsealedOf returns an unsealed segment of one block whose payload is
+// payload.
+func unsealedOf(payload []byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(segHeader)
 	fw, _ := flate.NewWriter(&buf, flate.NoCompression)
 	fw.Write(payload)
 	fw.Close()
 	return buf.Bytes()
+}
+
+// recordMeta appends the Meta every crafted record carries, of type typ.
+func recordMeta(b []byte, typ meter.Type) []byte {
+	b = binary.AppendUvarint(b, 1)               // machine
+	b = binary.AppendUvarint(b, obs.Zigzag(100)) // time delta
+	b = binary.AppendUvarint(b, uint64(typ))     // type
+	return binary.AppendUvarint(b, 1)            // pid
+}
+
+// textRecord is a text record of type 1 with front-coding lengths p and
+// s and, when lit is not nil, one literal.
+func textRecord(p, s uint64, lit []byte) []byte {
+	b := append(recordMeta(nil, 1), 0) // shape: text
+	b = binary.AppendUvarint(binary.AppendUvarint(b, p), s)
+	if lit != nil {
+		b = append(binary.AppendUvarint(append(b, opLit), uint64(len(lit))), lit...)
+	}
+	return append(b, opEnd)
+}
+
+// crafted is a block payload, named, what its refusal says, and how
+// many valid records stand before the refused one.
+type crafted struct {
+	name, err string
+	payload   []byte
+	kept      int
+}
+
+// craftedPayloads are block payloads holding, behind one valid text
+// record and where bytes can follow with another behind it, a length
+// that an offset-plus-length check admits by wrapping: front-coding
+// lengths whose sum passes 2^64, a literal of 2^63 bytes, and a typed
+// number whose varint runs off the block.
+func craftedPayloads() []crafted {
+	first, after := textRecord(0, 0, []byte("SEND a")), textRecord(0, 0, []byte("SEND b"))
+	huge := append(recordMeta(nil, 1), 0, 0, 0, opLit)
+	huge = append(binary.AppendUvarint(huge, 1<<63), "SEND c"...)
+	// Flags typedShape|typedPresence, SEND's pid present and changed, and
+	// the first byte of its delta.
+	cut := append(recordMeta(nil, meter.EvSend), 3, 1, 1, 0x80)
+	return []crafted{
+		{"prefix plus suffix past 2^64", "front-coding overrun", slices.Concat(first, textRecord(1, math.MaxUint64, nil), after), 1},
+		{"literal of 2^63 bytes", "truncated", slices.Concat(first, append(huge, opEnd), after), 1},
+		{"typed varint off the block", "bad varint", slices.Concat(first, cut), 1},
+	}
 }
 
 // TestFrontCodingLengthOverflow pins the crafted-overflow segment:
@@ -99,6 +143,26 @@ func TestFrontCodingLengthOverflow(t *testing.T) {
 	}
 	if len(seg.Recs) != 0 {
 		t.Fatalf("salvaged %d records from a malformed segment", len(seg.Recs))
+	}
+}
+
+// TestCraftedLengthsRefused: each of craftedPayloads is refused where
+// it stands, as a torn tail — no panic, the records before it salvaged
+// and nothing after it.
+func TestCraftedLengthsRefused(t *testing.T) {
+	// And a line whose middle and suffix are each within MaxFrameSize
+	// but together are not: too large for a fuzz seed.
+	long := textRecord(0, 0, make([]byte, MaxFrameSize))
+	wide := crafted{"middle plus suffix past MaxFrameSize", "line overruns frame limit",
+		slices.Concat(textRecord(0, 0, []byte("SEND a")), long, textRecord(0, MaxFrameSize, make([]byte, MaxFrameSize))), 2}
+	for _, c := range append(craftedPayloads(), wide) {
+		seg, err := ParseSegment(unsealedOf(c.payload))
+		if !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: err = %v, want ErrTruncated saying %q", c.name, err, c.err)
+		}
+		if len(seg.Recs) != c.kept || seg.Recs[0].Line != "SEND a" {
+			t.Errorf("%s: salvaged %d records, want the %d before it", c.name, len(seg.Recs), c.kept)
+		}
 	}
 }
 
@@ -203,8 +267,12 @@ func FuzzParseSegment(f *testing.F) {
 	// and torn.
 	f.Add(withPayloadVersion(v2, 0))
 	f.Add(withPayloadVersion(v2, 0)[:len(v2)/2])
-	// Front-coding lengths whose uint64 sum wraps past the bounds check.
+	// Front-coding lengths whose uint64 sum wraps past the bounds check,
+	// and the lengths of craftedPayloads.
 	f.Add(fuzzSeedOverflow())
+	for _, c := range craftedPayloads() {
+		f.Add(unsealedOf(c.payload))
+	}
 	// Block-table extents whose int sum wraps past the region check.
 	f.Add(fuzzSeedBlockExtentOverflow())
 	// And v1, sealed and never sealed; a payload version from the future;

@@ -408,6 +408,9 @@ func FuzzTypedPayload(f *testing.F) {
 	// reference the decoder once took for a negative index.
 	f.Add([]byte{1, 2, 1, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{1, 2, 1, 1, 3, 0x20, 0x20, 2, 0, 0, 80, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0})
+	for _, c := range craftedPayloads() {
+		f.Add(c.payload)
+	}
 	// payloadDecoder borrows a decoder set to read a bare block payload
 	// that defines its dictionary as it goes.
 	payloadDecoder := func() *Decoder {

@@ -226,54 +226,41 @@ func (v *View) AppendTyped(dst []byte, st *TypedState) []byte {
 	return dst
 }
 
-// DecodeTyped reads the typed record at the head of raw, whose Meta gave
-// typ, machine and cpuTime, into st and points the view at it there:
-// valid until the next DecodeTyped on st. It returns the bytes the
-// record took; false says raw does not start with a whole, valid typed
-// record. No text is built, nothing parsed and no slot filled.
-func (v *View) DecodeTyped(raw []byte, st *TypedState, typ meter.Type, machine int, cpuTime int64) (int, bool) {
-	if typ < 1 || int(typ) >= len(viewTypes) || len(raw) < 2 || raw[0]&typedShape == 0 || raw[0] >= typedProcTime<<1 {
-		return 0, false
+// DecodeTyped reads the typed record at c, whose Meta gave typ, machine
+// and cpuTime, into st and points the view at it there: valid until the
+// next DecodeTyped on st. Bytes that are not a whole, valid typed record
+// fail c and leave the view as it was. No text is built, nothing parsed
+// and no slot filled.
+func (v *View) DecodeTyped(c *obs.Cursor, st *TypedState, typ meter.Type, machine int, cpuTime int64) {
+	flags := c.U8()
+	if typ < 1 || int(typ) >= len(viewTypes) || flags&typedShape == 0 || flags >= typedProcTime<<1 {
+		c.Fail("typed record of type %d with flags %#x", typ, flags)
+		return
 	}
 	s, lay := &st[typ], &typedLayouts[typ]
-	off := 1
-	if raw[0]&typedPresence != 0 {
-		s.present, off = raw[1], 2
+	if flags&typedPresence != 0 {
+		s.present = c.U8()
 	}
-	if off == len(raw) || int(s.present)>>len(viewTypes[typ].order) != 0 || raw[off]&^s.present != 0 {
-		return 0, false
+	changed := c.U8()
+	if int(s.present)>>len(viewTypes[typ].order) != 0 || changed&^s.present != 0 {
+		c.Fail("typed record fields %#x of %#x present", changed, s.present)
 	}
-	changed := raw[off]
-	off++
-	if raw[0]&typedProcTime != 0 {
-		d, n := binary.Uvarint(raw[off:])
-		s.procTime += obs.Unzigzag(d)
-		if n <= 0 || s.procTime < 0 {
-			return 0, false
+	if flags&typedProcTime != 0 {
+		if s.procTime += c.Zigzag(); s.procTime < 0 {
+			c.Fail("typed record procTime below zero")
 		}
-		off += n
 	}
 	for p := changed; p != 0; p &= p - 1 {
 		k := bits.TrailingZeros8(p)
 		if lay.names>>k&1 == 0 {
-			d, n := binary.Uvarint(raw[off:])
-			if n <= 0 {
-				return 0, false
-			}
-			s.val[k] += uint64(obs.Unzigzag(d))
-			off += n
-			continue
-		}
-		if len(raw)-off < meter.NameSize {
-			return 0, false
-		}
-		off += copy(s.name[k][:], raw[off:])
-		if !standardName(s.name[k]) {
-			return 0, false
+			s.val[k] += uint64(c.Zigzag())
+		} else if copy(s.name[k][:], c.Take(meter.NameSize)); !standardName(s.name[k]) {
+			c.Fail("typed record name no standard line spells")
 		}
 	}
-	v.PointAt(s, typ, machine, cpuTime)
-	return off, true
+	if c.Err() == nil {
+		v.PointAt(s, typ, machine, cpuTime)
+	}
 }
 
 // PointAt points the view at s, a record of event type typ whose Meta

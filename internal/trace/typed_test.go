@@ -2,12 +2,25 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 )
+
+// errTypedTest is what a cursor decodeTyped reads through fails with.
+var errTypedTest = errors.New("typed record")
+
+// decodeTyped runs DecodeTyped over raw and returns the bytes it took
+// and whether it read a record.
+func decodeTyped(v *View, raw []byte, st *TypedState, typ meter.Type, machine int, cpuTime int64) (int, bool) {
+	c := obs.NewCursor(raw, errTypedTest)
+	v.DecodeTyped(&c, st, typ, machine, cpuTime)
+	return c.Off(), c.Err() == nil
+}
 
 // checkTypedRoundTrip encodes a standard line against enc and decodes
 // it against dec — two states that must have seen the same records —
@@ -27,7 +40,7 @@ func checkTypedRoundTrip(t *testing.T, enc, dec *TypedState, line []byte) int {
 	if !r.ParseStandard([]byte("ACCEPT machine=9 cpuTime=9 procTime=9 pid=9 sockName=inet:9:9 peerName=unix:x")) {
 		t.Fatal("warm-up line is not standard")
 	}
-	n, ok := r.DecodeTyped(append(raw[:len(raw):len(raw)], 0xFF, 0xFF), dec, w.Type, w.Machine, w.CPUTime)
+	n, ok := decodeTyped(&r, append(raw[:len(raw):len(raw)], 0xFF, 0xFF), dec, w.Type, w.Machine, w.CPUTime)
 	if !ok || n != len(raw) {
 		t.Fatalf("line %q: DecodeTyped took %d of %d bytes, ok=%v", line, n, len(raw), ok)
 	}
@@ -54,7 +67,7 @@ func checkTypedRoundTrip(t *testing.T, enc, dec *TypedState, line []byte) int {
 	// Every proper prefix is a torn record, not a shorter one.
 	for cut := 0; cut < len(raw); cut++ {
 		st := *dec
-		if n, ok := r.DecodeTyped(raw[:cut], &st, w.Type, w.Machine, w.CPUTime); ok {
+		if n, ok := decodeTyped(&r, raw[:cut], &st, w.Type, w.Machine, w.CPUTime); ok {
 			t.Fatalf("line %q: the first %d of %d bytes decode as a record of %d", line, cut, len(raw), n)
 		}
 	}
@@ -218,7 +231,7 @@ func TestDecodeTypedRefuses(t *testing.T) {
 	} {
 		var v View
 		var st TypedState
-		if n, ok := v.DecodeTyped([]byte(c.raw), &st, c.typ, 1, 2); ok {
+		if n, ok := decodeTyped(&v, []byte(c.raw), &st, c.typ, 1, 2); ok {
 			t.Errorf("%s: decoded %d bytes as %q", c.what, n, v.AppendLine(nil, nil))
 		} else if v.slot != nil {
 			t.Errorf("%s: refused, but left to a later fill", c.what)
@@ -242,7 +255,7 @@ func TestTypedZeroAllocs(t *testing.T) {
 				t.Fatalf("line %q is not standard", line)
 			}
 			buf = w.AppendTyped(buf[:0], &enc)
-			if _, ok := r.DecodeTyped(buf, &dec, w.Type, w.Machine, w.CPUTime); !ok {
+			if _, ok := decodeTyped(&r, buf, &dec, w.Type, w.Machine, w.CPUTime); !ok {
 				t.Fatalf("line %q does not decode", line)
 			}
 			out = r.AppendLine(out[:0], nil)

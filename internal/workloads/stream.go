@@ -10,11 +10,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"dpm/internal/core"
 	"dpm/internal/kernel"
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 )
 
 // ErrConnectTimeout marks a connectRetry that exhausted its budget.
@@ -66,8 +68,21 @@ func connectRetry(p *kernel.Process, host string, port uint16) (int, error) {
 	}
 }
 
+// maxMsg bounds one length-prefixed message. The largest any workload
+// sends is the TSP distance matrix, at most five bytes a distance: 64
+// KiB holds one of 100 cities, far past what the branch and bound
+// solves.
+const maxMsg = 64 << 10
+
+// errMsgSize is what a message larger than maxMsg fails with, on either
+// end of the stream.
+var errMsgSize = errors.New("workloads: message too large")
+
 // writeMsg sends one length-prefixed message on a stream socket.
 func writeMsg(p *kernel.Process, fd int, payload []byte) error {
+	if len(payload) > maxMsg {
+		return fmt.Errorf("%w: %d bytes", errMsgSize, len(payload))
+	}
 	hdr := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 	if _, err := p.Send(fd, append(hdr, payload...)); err != nil {
 		return err
@@ -88,14 +103,18 @@ func newMsgReader(p *kernel.Process, fd int) *msgReader {
 	return &msgReader{p: p, fd: fd}
 }
 
-// read returns the next complete message.
+// read returns the next complete message. A length word past maxMsg
+// fails it as soon as its four bytes are in.
 func (r *msgReader) read() ([]byte, error) {
 	for {
-		if len(r.buf) >= 4 {
-			need := int(binary.LittleEndian.Uint32(r.buf[:4]))
-			if len(r.buf) >= 4+need {
-				msg := append([]byte(nil), r.buf[4:4+need]...)
-				r.buf = r.buf[4+need:]
+		if c := obs.NewCursor(r.buf, errMsgSize); c.Remaining() >= 4 {
+			n := int(c.U32())
+			if n > maxMsg {
+				return nil, fmt.Errorf("%w: %d bytes", errMsgSize, n)
+			}
+			if n <= c.Remaining() {
+				msg := slices.Clone(c.Take(n))
+				r.buf = r.buf[c.Off():]
 				return msg, nil
 			}
 		}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -88,5 +89,45 @@ func TestConnectRetryEventualSuccess(t *testing.T) {
 	}
 	if fd < 0 {
 		t.Fatalf("fd = %d", fd)
+	}
+}
+
+// TestMsgSizeBound: a message of maxMsg bytes goes through, writeMsg
+// refuses a larger one, and a length word past maxMsg fails the read as
+// soon as its four bytes are in instead of receiving for a message no
+// workload sends.
+func TestMsgSizeBound(t *testing.T) {
+	s, err := core.NewSystem(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Shutdown)
+	m, err := s.Machine("red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.SpawnDetached(s.UID, "pair")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd1, fd2, err := p.SocketPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newMsgReader(p, fd2)
+	if err := writeMsg(p, fd1, make([]byte, maxMsg)); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := r.read(); err != nil || len(msg) != maxMsg {
+		t.Fatalf("read %d bytes, err %v; want %d", len(msg), err, maxMsg)
+	}
+	if err := writeMsg(p, fd1, make([]byte, maxMsg+1)); !errors.Is(err, errMsgSize) {
+		t.Fatalf("writeMsg of %d bytes: err %v, want errMsgSize", maxMsg+1, err)
+	}
+	if _, err := p.Send(fd1, binary.LittleEndian.AppendUint32(nil, maxMsg+1)); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := r.read(); !errors.Is(err, errMsgSize) {
+		t.Fatalf("read behind length word %d = %d bytes, err %v; want errMsgSize", maxMsg+1, len(msg), err)
 	}
 }
