@@ -114,3 +114,10 @@ func (c *Controller) broadcastTargets(targets []target) []hostResult {
 	}
 	return out
 }
+
+// release gives back every slot's reply (daemon.Reply.Release).
+func release(res []hostResult) {
+	for _, r := range res {
+		r.Rep.Release()
+	}
+}

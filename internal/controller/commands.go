@@ -615,6 +615,7 @@ func (c *Controller) cmdStatus() {
 	res := c.broadcast(remote, func(string) *daemon.WireMsg {
 		return (&daemon.ProcReq{Type: daemon.TListReq, UID: c.uid}).Wire()
 	})
+	release(res) // only the errors are read
 	byHost := make(map[string]hostResult, len(res))
 	for _, r := range res {
 		byHost[r.Host] = r
@@ -692,6 +693,7 @@ func (c *Controller) cmdStats(args []string) {
 			fmt.Fprintf(&buf, "WARNING: conservation: %s is off by %d\n", r.Name, r.Value)
 		}
 	}
+	release(res) // the snapshots were read in place from the replies
 	c.statsLen.Store(int64(buf.Len()))
 	c.write(buf.Bytes())
 }
@@ -745,6 +747,7 @@ func (c *Controller) cmdPs(args []string) {
 		c.printf("ps: %v\n", err)
 		return
 	}
+	defer rep.Release()
 	if !rep.OK() {
 		c.printf("ps: %s\n", rep.Status)
 		return
@@ -839,10 +842,11 @@ func (c *Controller) cmdGetLog(args []string) {
 		}
 		if !rep.OK() {
 			c.printf("getlog: %s\n", rep.Status)
+			rep.Release()
 			return
 		}
 		total := rep.PID // daemon echoes the full file size here
-		data := []byte(rep.Data)
+		data := rep.DataBytes()
 		switch {
 		case off > 0 && total >= off+len(data) && rep.Aux == strconv.FormatUint(uint64(prefixCRC), 10):
 			// The splice verifies: what the daemon skipped is what the
@@ -854,6 +858,7 @@ func (c *Controller) cmdGetLog(args []string) {
 			// The daemon honoured an offset whose prefix is no longer
 			// ours: refetch from the top — once; a log rewritten faster
 			// than it can be copied is not worth chasing.
+			rep.Release()
 			if restarted {
 				c.printf("getlog: %s changed while it was being copied; try again\n", req.Path)
 				return
@@ -867,12 +872,13 @@ func (c *Controller) cmdGetLog(args []string) {
 			err = c.machine.FS().Create(dest, c.uid, fsys.PrivateMode, data)
 			off, prefixCRC = 0, 0
 		}
+		off += len(data)
+		prefixCRC = crc32.Update(prefixCRC, crc32.IEEETable, data)
+		rep.Release() // the file copied data, and the CRC is taken
 		if err != nil {
 			c.printf("getlog: %v\n", err)
 			return
 		}
-		off += len(data)
-		prefixCRC = crc32.Update(prefixCRC, crc32.IEEETable, data)
 		c.mu.Lock()
 		f.LogDest, f.LogOffset, f.LogCRC = dest, off, prefixCRC
 		c.jobsView.Store(nil)
@@ -933,6 +939,7 @@ func (c *Controller) cmdQuery(args []string) {
 		c.printf("query: %v\n", err)
 		return
 	}
+	defer rep.Release()
 	if !rep.OK() {
 		c.printf("query: %s\n", rep.Status)
 		return
@@ -993,7 +1000,7 @@ func (c *Controller) cmdQueryAgg(args []string, specAt int) {
 			missing = append(missing, r.Host)
 			continue
 		}
-		p, perr := agg.ParsePartial([]byte(r.Rep.Data))
+		p, perr := agg.ParsePartial(r.Rep.DataBytes())
 		if perr != nil {
 			missing = append(missing, r.Host)
 			continue
@@ -1004,6 +1011,7 @@ func (c *Controller) cmdQueryAgg(args []string, specAt int) {
 		}
 		reporting = append(reporting, r.Host)
 	}
+	release(res) // a partial copies what it keeps
 	c.printf("agg '%s': %d/%d filters reporting (%s)\n",
 		spec.String(), len(reporting), len(targets), strings.Join(reporting, " "))
 	if len(missing) > 0 {

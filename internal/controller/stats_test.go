@@ -96,19 +96,21 @@ func TestStatsUnderPartition(t *testing.T) {
 // sections out of the collector's encoding buffer and encodes the
 // snapshot straight into the reply frame, whose array the frame free
 // list lends; the reply is sent once into the receiver's socket buffer
-// and received into another lent array; the session decodes Data out
-// of it (TestSessionCallNoAllocBeyondReply's one payload, in
-// internal/daemon); the controller parses the sections in place in Data
-// and renders the report into one buffer. Rendering reads the
+// and received into another lent array, which the session lends on to
+// the controller with the reply read in place from it
+// (TestSessionCallNoAllocBeyondReply, in internal/daemon); the
+// controller parses the sections in place in Data, renders the report
+// into one buffer and gives the array back. Rendering reads the
 // parallelism rows into the sweep's start and end arrays, 16 bytes a
-// process, about 1.2 more. That is about 3.3, gated at 5. The copies this path made before it wrote a reply once and read
-// it once came to about 7.4: the snapshot marshalled into a string,
-// the frame received into a buffer of its own, Data copied to bytes to
-// parse; with version 1's rows the same command allocated 7.65 of its
-// 1.5 MB wire sizes, and before the stats path was made linear over 16:
-// buffers grown by reallocation, the message encoded and then framed,
-// the sections copied out of a copy, every process row decoded to be
-// counted.
+// process, about 1.2 more. That is about 2.3, gated at 2.5. Before the
+// session lent its frames, Data was decoded as a copy: 3.3. The copies
+// this path made before it wrote a reply once and read it once came to
+// about 7.4: the snapshot marshalled into a string, the frame received
+// into a buffer of its own, Data copied to bytes to parse; with version
+// 1's rows the same command allocated 7.65 of its 1.5 MB wire sizes,
+// and before the stats path was made linear over 16: buffers grown by
+// reallocation, the message encoded and then framed, the sections
+// copied out of a copy, every process row decoded to be counted.
 func TestStatsRoundTripNoAllocBeyondCopies(t *testing.T) {
 	c, ctl, _ := newSystem(t)
 	red, _ := c.Machine("red")
@@ -128,6 +130,10 @@ func TestStatsRoundTripNoAllocBeyondCopies(t *testing.T) {
 	tap.TapFlush()
 
 	ctl.Exec("stats red") // the session comes up; the collector's cells are put in order
+	// Two replies lent at once leave the frame free list the two arrays
+	// a stats takes when its send and its receipt overlap; otherwise the
+	// first overlap inside the runs allocates a third (2.6 wire sizes).
+	release(ctl.broadcast([]string{"red", "red"}, func(string) *daemon.WireMsg { return (&daemon.StatsReq{UID: ctl.uid}).Wire() }))
 	replyBytes := red.Obs().Counter("daemon.stats_reply_bytes")
 	const calls = 4
 	var before, after runtime.MemStats
@@ -161,8 +167,8 @@ func TestStatsRoundTripNoAllocBeyondCopies(t *testing.T) {
 	}
 	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
 	t.Logf("%.2f wire sizes (of %.0f bytes) allocated per stats", perCall/wire, wire)
-	if perCall > 5*wire {
-		t.Errorf("one stats allocates %.2f times its %.0f-byte snapshot, want at most 5", perCall/wire, wire)
+	if perCall > 2.5*wire {
+		t.Errorf("one stats allocates %.2f times its %.0f-byte snapshot, want at most 2.5", perCall/wire, wire)
 	}
 }
 

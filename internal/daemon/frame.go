@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"testing"
 
 	"dpm/internal/obs"
 )
@@ -177,8 +178,15 @@ func takeFrameBuf(n int) []byte {
 
 // freeFrameBuf gives back a buffer takeFrameBuf returned, or one grown
 // from it; one the free list has no room for goes to the collector.
-// Nothing may use b after.
+// Nothing may use b after: in a test binary it is overwritten, so a
+// string still read from it reads garbage.
 func freeFrameBuf(b []byte) {
+	if poisonFreed {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xa5
+		}
+	}
 	if cap(b) == frameBuf {
 		smallFrames.Put((*[frameBuf]byte)(b[:frameBuf]))
 		return
@@ -191,12 +199,15 @@ func freeFrameBuf(b []byte) {
 	}
 }
 
+// poisonFreed turns on freeFrameBuf's overwrite: in test binaries only.
+var poisonFreed = testing.Testing()
+
 // frameReader takes frames off a connection's byte stream. It receives
 // into one small buffer and hands a frame that fits on as a slice of
 // it; a larger frame it receives alone into an array from frameFree,
-// which it gives back at the next call of next, or of release. Either
-// way a frame's payload is valid until then: every caller decodes a
-// frame before it reads another.
+// which it gives back at the next call of next, or of release, unless
+// detach hands it on. Either way a frame's payload is valid until then:
+// every caller decodes a frame before it reads another.
 type frameReader struct {
 	buf   []byte // buf[off:] is not yet handed on
 	off   int
@@ -238,10 +249,22 @@ func (r *frameReader) next(recv func([]byte) (int, error)) (Frame, error) {
 // on, returning the reader to its own buffer. A reader that is done
 // with a connection calls it once it has decoded the last frame.
 func (r *frameReader) release() {
-	if r.large != nil && r.off == len(r.buf) {
-		freeFrameBuf(r.large)
-		r.buf, r.off, r.own, r.large = r.own[:0], 0, nil, nil
+	if b := r.detach(); b != nil {
+		freeFrameBuf(b)
 	}
+}
+
+// detach hands the array of the large frame next last returned to the
+// caller, who gives it to freeFrameBuf once done with the frame, and
+// returns the reader to its own buffer. It returns nil when that frame
+// lies in the reader's own buffer.
+func (r *frameReader) detach() []byte {
+	if r.large == nil || r.off != len(r.buf) {
+		return nil
+	}
+	b := r.large
+	r.buf, r.off, r.own, r.large = r.own[:0], 0, nil, nil
+	return b
 }
 
 // fill moves the bytes not yet handed on to the front of the buffer and

@@ -249,43 +249,98 @@ func spawnCannedDaemon(t *testing.T, m *kernel.Machine, port uint16, rep *Reply)
 // reply — the shape of a getlog chunk or a cluster-wide stats section.
 // The sender allocates nothing per call: its Send copies the frame into
 // a socket array the receiving side's receives recycle. The session
-// receives the frame into an array of the frame free list, which it
-// gives back once the frame is decoded, so what a call allocates is the
-// reply's Data string decoded from it: one payload, gated at 1.25 per
-// call. An exact-size payload buffer per frame made it two; receiving
-// 8 KiB at a time into a buffer grown by reallocation, then copying
-// the frame out of it, about 8.
+// receives the frame into an array of the frame free list and lends it
+// to the caller, the reply's fields read in place from it. A caller
+// that releases each reply gets the same array back for the next one,
+// so a call allocates the message, its fields and the Reply: gated at
+// 0.1 payloads, and it reads 0.00. One that does not leaves the array
+// to the collector, so the next frame is received into a new one, an
+// eighth larger than the frame: about one payload, gated at 1.25 as
+// when the frame was given back and Data decoded from it as a copy. An
+// exact-size payload buffer per frame made it two; receiving 8 KiB at
+// a time into a buffer grown by reallocation, then copying the frame
+// out of it, about 8.
 func TestSessionCallNoAllocBeyondReply(t *testing.T) {
 	const payload = getFileChunk
 	r := newRig(t)
 	const port = Port + 1
-	spawnCannedDaemon(t, r.red, port, &Reply{Type: TGetFileRep, PID: payload, Status: "ok", Data: string(bytes.Repeat([]byte{'x'}, payload))})
+	want := string(bytes.Repeat([]byte{'x'}, payload))
+	spawnCannedDaemon(t, r.red, port, &Reply{Type: TGetFileRep, PID: payload, Status: "ok", Data: want})
 	cfg := fastSession()
 	cfg.Port = port
 	s := DialSession(r.ctl, "red", cfg)
 	defer s.Close()
-	call := func() {
+	call := func(release bool) {
 		t.Helper()
 		rep, err := s.Call((&ProcReq{Type: TGetFileReq, UID: testUID, Path: "/x"}).Wire(), 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep.Data) != payload {
-			t.Fatalf("reply carries %d bytes, want %d", len(rep.Data), payload)
+		if rep.Data != want {
+			t.Fatalf("reply carries %d bytes, not the %d sent", len(rep.Data), payload)
+		}
+		if release {
+			rep.Release()
 		}
 	}
-	call() // connect, handshake
-	const calls = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		call()
+	call(true) // connect, handshake
+	for _, c := range []struct {
+		release bool
+		gate    float64
+	}{{true, 0.1}, {false, 1.25}} {
+		const calls = 8
+		lent := LentFrames()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			call(c.release)
+		}
+		runtime.ReadMemStats(&after)
+		perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls / payload
+		t.Logf("released %v: %.2f payloads allocated per call", c.release, perCall)
+		if perCall > c.gate {
+			t.Errorf("released %v: a call with a %d-byte reply allocates %.2f times its size, want at most %.2f", c.release, payload, perCall, c.gate)
+		}
+		held, want := LentFrames()-lent, int64(calls)
+		if c.release {
+			want = 0
+		}
+		if held != want {
+			t.Errorf("released %v: %d frames still lent after %d calls, want %d", c.release, held, calls, want)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls / payload
-	t.Logf("%.2f payloads allocated per call", perCall)
-	if perCall > 1.25 {
-		t.Errorf("a call with a %d-byte reply allocates %.2f times its size, want at most 1.25", payload, perCall)
+}
+
+// TestReleasedReplyOverwritten: in a test binary freeFrameBuf
+// overwrites what it is given back, so that a string still read from a
+// released reply reads garbage and the test reading it fails. Release
+// empties the reply itself, and a second Release does nothing.
+func TestReleasedReplyOverwritten(t *testing.T) {
+	if !poisonFreed {
+		t.Fatal("freeFrameBuf does not overwrite in a test binary")
+	}
+	r := newRig(t)
+	const port = Port + 3
+	spawnCannedDaemon(t, r.red, port, &Reply{Type: TGetFileRep, Status: "ok", Data: string(bytes.Repeat([]byte{'x'}, 2*frameBuf))})
+	cfg := fastSession()
+	cfg.Port = port
+	s := DialSession(r.ctl, "red", cfg)
+	defer s.Close()
+	rep, err := s.Call((&ProcReq{Type: TGetFileReq, UID: testUID, Path: "/x"}).Wire(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.lent == nil {
+		t.Fatal("a reply larger than the connection buffer was not lent")
+	}
+	data := rep.Data
+	rep.Release()
+	rep.Release()
+	if rep.OK() || rep.Data != "" || rep.lent != nil {
+		t.Fatalf("a released reply still reads %q with %d bytes", rep.Status, len(rep.Data))
+	}
+	if data[0] != 0xa5 || data[len(data)-1] != 0xa5 {
+		t.Fatalf("a released frame reads %q...%q, not the overwrite", data[0], data[len(data)-1])
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dpm/internal/kernel"
 	"dpm/internal/obs"
@@ -439,7 +441,7 @@ func (s *Session) readLoop(rc *receiver, fr *frameReader) error {
 		idle = time.Now()
 		switch f.Kind {
 		case FrameRep:
-			s.deliver(f)
+			s.deliver(f, fr)
 		case FramePong:
 			if pingOut && f.ID == pingID {
 				pingOut = false
@@ -451,10 +453,13 @@ func (s *Session) readLoop(rc *receiver, fr *frameReader) error {
 	}
 }
 
-// deliver resolves a reply frame against the in-flight table. Replies
-// with no matching call — a duplicate after re-issue, or one whose
-// caller gave up — are dropped.
-func (s *Session) deliver(f Frame) {
+// deliver resolves a reply frame, which fr last read, against the
+// in-flight table. Replies with no matching call — a duplicate after
+// re-issue, or one whose caller gave up — are dropped. A frame too large
+// for fr's own buffer is lent to the caller: its fields are read in
+// place from the frameFree array fr received it into, which the
+// caller's Release gives back.
+func (s *Session) deliver(f Frame, fr *frameReader) {
 	s.mu.Lock()
 	c := s.inflight[f.ID]
 	delete(s.inflight, f.ID)
@@ -462,12 +467,50 @@ func (s *Session) deliver(f Frame) {
 	if c == nil {
 		return
 	}
-	w, err := DecodeWire(f.Payload)
+	lent := fr.detach()
+	w, err := decodeWire(f.Payload, lent != nil)
 	if err != nil {
+		if lent != nil {
+			freeFrameBuf(lent)
+		}
 		c.done <- callResult{err: err}
 		return
 	}
-	c.done <- callResult{rep: ParseReply(w)}
+	rep := ParseReply(w)
+	if lent != nil {
+		rep.lent = lent
+		framesLent.Add(1)
+	}
+	c.done <- callResult{rep: rep}
+}
+
+// framesLent counts the frames lent to callers and not yet released.
+var framesLent atomic.Int64
+
+// LentFrames reports how many reply frames sessions have lent to their
+// callers that have not been released yet.
+func LentFrames() int64 { return framesLent.Load() }
+
+// Release gives back the frame a large reply was read from, so that the
+// next large reply is received into it, not into a new array. Once it
+// returns, the reply's strings, and every string or slice taken from
+// them, must not be read. Releasing a reply no session lent a frame to,
+// a nil reply or one already released does nothing; an unreleased reply
+// stays valid, and its frame goes to the collector with it.
+func (r *Reply) Release() {
+	if r == nil || r.lent == nil {
+		return
+	}
+	lent := r.lent
+	r.Status, r.Data, r.Aux, r.lent = "", "", "", nil
+	framesLent.Add(-1)
+	freeFrameBuf(lent)
+}
+
+// DataBytes returns the bytes of the reply's Data without copying them.
+// They must not be written to, nor read once the reply is released.
+func (r *Reply) DataBytes() []byte {
+	return unsafe.Slice(unsafe.StringData(r.Data), len(r.Data))
 }
 
 func (s *Session) forget(id uint64) {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"dpm/internal/obs"
 )
@@ -166,7 +167,12 @@ func (w *WireMsg) appendTo(b []byte) []byte {
 // DecodeWire decodes one whole message: payload must be exactly its
 // bytes, as a frame delivers them. The message keeps none of payload:
 // its fields are substrings of one copy of their bytes.
-func DecodeWire(payload []byte) (*WireMsg, error) {
+func DecodeWire(payload []byte) (*WireMsg, error) { return decodeWire(payload, false) }
+
+// decodeWire is DecodeWire, and with inPlace the fields are strings
+// over payload itself, copied nowhere: payload must then not change
+// while any of them is in use (a lent reply frame, Reply.Release).
+func decodeWire(payload []byte, inPlace bool) (*WireMsg, error) {
 	c := obs.NewCursor(payload, ErrWireCorrupt)
 	size := c.U32()
 	w := &WireMsg{Type: MsgType(c.U32())}
@@ -192,10 +198,17 @@ func DecodeWire(payload []byte) (*WireMsg, error) {
 	}
 	// Grown once, the builder's strings all share its one array.
 	var b strings.Builder
-	b.Grow(n)
+	if !inPlace {
+		b.Grow(n)
+	}
 	for i := range w.Fields {
+		f := fields.Take(int(fields.U32()))
+		if inPlace {
+			w.Fields[i] = unsafe.String(unsafe.SliceData(f), len(f))
+			continue
+		}
 		at := b.Len()
-		b.Write(fields.Take(int(fields.U32())))
+		b.Write(f)
 		w.Fields[i] = b.String()[at:]
 	}
 	return w, nil
@@ -301,6 +314,10 @@ type Reply struct {
 	// first.
 	appendData func([]byte) []byte
 	dataSize   int
+
+	// lent is the frame a large reply's fields are read in place from,
+	// lent by the session until Release gives it back.
+	lent []byte
 }
 
 // OK reports whether the reply indicates success.

@@ -236,6 +236,32 @@ func TestReadReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestCreateAppendCopy: Create and Append copy the bytes they are given
+// and keep no alias of them, in the first extent and past it, so a
+// caller may hand them bytes it gives back for reuse the moment they
+// return — a reply frame a daemon session lent.
+func TestCreateAppendCopy(t *testing.T) {
+	for _, n := range []int{5, ExtentSize - 1, ExtentSize + 10, 2*ExtentSize + 3} {
+		fs := New()
+		first, second := bytes.Repeat([]byte("a"), n), bytes.Repeat([]byte("b"), n/2+1)
+		if err := fs.Create("/f", alice, DefaultMode, first); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Append("/f", alice, second); err != nil {
+			t.Fatal(err)
+		}
+		want := append(bytes.Clone(first), second...)
+		for _, b := range [][]byte{first, second} {
+			for i := range b {
+				b[i] = 0xa5
+			}
+		}
+		if got, _ := fs.Read("/f", alice); !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes: the file changed with the bytes it was given", n)
+		}
+	}
+}
+
 func TestCreateReadRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
 		fs := New()
