@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -40,31 +41,44 @@ func main() {
 		os.Exit(2)
 	}
 
-	snaps := make([]*obs.Snapshot, flag.NArg())
-	for i, path := range flag.Args() {
+	if *diff {
+		oldS, err := load(flag.Arg(0))
+		if err != nil {
+			log.Fatalf("dpstat: %s: %v", flag.Arg(0), err)
+		}
+		newS, err := load(flag.Arg(1))
+		if err != nil {
+			log.Fatalf("dpstat: %s: %v", flag.Arg(1), err)
+		}
+		printDiff(oldS, newS)
+		return
+	}
+	if err := run(os.Stdout, *asJSON, flag.Args()); err != nil {
+		log.Fatalf("dpstat: %v", err)
+	}
+}
+
+// run writes the report, or with asJSON the JSON form, of the merge of
+// the snapshot files at paths to w.
+func run(w io.Writer, asJSON bool, paths []string) error {
+	snaps := make([]*obs.Snapshot, len(paths))
+	for i, path := range paths {
 		s, err := load(path)
 		if err != nil {
-			log.Fatalf("dpstat: %s: %v", path, err)
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		snaps[i] = s
-	}
-
-	if *diff {
-		printDiff(snaps[0], snaps[1])
-		return
 	}
 	merged := snaps[0]
 	if len(snaps) > 1 {
 		merged = new(obs.Snapshot)
 		merged.MergeOf(snaps)
 	}
-	if *asJSON {
-		if err := cli.WriteJSON(os.Stdout, merged); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if asJSON {
+		return cli.WriteJSON(w, merged)
 	}
-	merged.Render(os.Stdout)
+	merged.Render(w)
+	return nil
 }
 
 // load reads one snapshot, accepting both formats: the binary wire

@@ -659,6 +659,20 @@ func (c *Controller) cmdStats(args []string) {
 	res := c.broadcast(targets, func(string) *daemon.WireMsg {
 		return (&daemon.StatsReq{UID: c.uid}).Wire()
 	})
+	var buf bytes.Buffer
+	last := int(c.statsLen.Load())
+	buf.Grow(last + last/8)
+	statsReport(&buf, targets, res)
+	release(res) // the snapshots were read in place from the replies
+	c.statsLen.Store(int64(buf.Len()))
+	c.write(buf.Bytes())
+}
+
+// statsReport writes the stats report of the replies res to the
+// targets into buf: the reporting and missing machines, the merged
+// snapshot rendered, and a warning row for each conservation law the
+// merged counters break.
+func statsReport(buf *bytes.Buffer, targets []string, res []hostResult) {
 	var snaps []*obs.Snapshot
 	var reporting, missing []string
 	for _, r := range res {
@@ -674,13 +688,10 @@ func (c *Controller) cmdStats(args []string) {
 		reporting = append(reporting, r.Host)
 		snaps = append(snaps, s)
 	}
-	var buf bytes.Buffer
-	last := int(c.statsLen.Load())
-	buf.Grow(last + last/8)
-	fmt.Fprintf(&buf, "stats: %d/%d machines reporting (%s)\n",
+	fmt.Fprintf(buf, "stats: %d/%d machines reporting (%s)\n",
 		len(reporting), len(targets), strings.Join(reporting, " "))
 	if len(missing) > 0 {
-		fmt.Fprintf(&buf, "stats: degraded, missing %s\n", strings.Join(missing, " "))
+		fmt.Fprintf(buf, "stats: degraded, missing %s\n", strings.Join(missing, " "))
 	}
 	if len(snaps) > 0 {
 		merged := snaps[0]
@@ -688,14 +699,11 @@ func (c *Controller) cmdStats(args []string) {
 			merged = new(obs.Snapshot)
 			merged.MergeOf(snaps)
 		}
-		merged.Render(&buf)
+		merged.Render(buf)
 		for _, r := range merged.Residuals() {
-			fmt.Fprintf(&buf, "WARNING: conservation: %s is off by %d\n", r.Name, r.Value)
+			fmt.Fprintf(buf, "WARNING: conservation: %s is off by %d\n", r.Name, r.Value)
 		}
 	}
-	release(res) // the snapshots were read in place from the replies
-	c.statsLen.Store(int64(buf.Len()))
-	c.write(buf.Bytes())
 }
 
 // statsTargets resolves the stats command's optional argument to the
