@@ -171,9 +171,6 @@ type Collector struct {
 	procCache [16]*analysis.Proc
 	lastPairK uint32
 	lastPair  *pairCell
-	// scratch is the buffer the last section capture encoded into,
-	// reused by the next (keep).
-	scratch []byte
 	// Global communication totals and matrix.
 	totals analysis.Totals
 	pairs  map[uint32]*pairCell
@@ -262,9 +259,9 @@ func NewCollector(cfg Config) *Collector {
 	c.pendingG = reg.Gauge("live.match.pending")
 	c.reg = reg
 	if cfg.Obs != nil {
-		cfg.Obs.RegisterSection(SectionComm, SectionVersion, c.captureComm)
-		cfg.Obs.RegisterSection(SectionPar, SectionVersion, c.capturePar)
-		cfg.Obs.RegisterSection(SectionMatch, SectionVersion, c.captureMatch)
+		cfg.Obs.RegisterSection(SectionComm, SectionVersion, c.appendComm)
+		cfg.Obs.RegisterSection(SectionPar, SectionVersion, c.appendPar)
+		cfg.Obs.RegisterSection(SectionMatch, SectionVersion, c.appendMatchTo)
 	}
 	return c
 }

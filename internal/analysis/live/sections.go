@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
@@ -340,7 +339,15 @@ func appendMachinePar(b []byte, m *MachinePar) []byte {
 
 // readMachinePar reads the row appendMachinePar wrote.
 func readMachinePar(r *obs.Cursor) MachinePar {
-	m := MachinePar{Machine: r.U16(), Procs: r.Zigzag(), CPU: r.Zigzag(), First: r.Zigzag()}
+	machine := r.U16()
+	m := readMachineParBody(r)
+	m.Machine = machine
+	return m
+}
+
+// readMachineParBody reads a live.par machine row after its machine.
+func readMachineParBody(r *obs.Cursor) MachinePar {
+	m := MachinePar{Procs: r.Zigzag(), CPU: r.Zigzag(), First: r.Zigzag()}
 	m.Last = m.First + r.Zigzag()
 	return m
 }
@@ -490,18 +497,34 @@ func readSizes(r *obs.Cursor, sizes *[analysis.NumSizeBuckets]int64) {
 	}
 }
 
+// readPairRow reads a live.comm pair row after its src and dst.
+func readPairRow(r *obs.Cursor, p *PairState) {
+	p.SendMsgs, p.SendBytes = r.I64(), r.I64()
+	p.RecvMsgs, p.RecvBytes = r.I64(), r.I64()
+	readSizes(r, &p.Sizes)
+}
+
+// ascending fails r when row i of a table, whose key is key, does not
+// come after the row before it, whose key is prev: every table is in
+// strictly ascending key order, so that payloads merge as sorted runs.
+func ascending(r *obs.Cursor, i int, key, prev uint64) {
+	if i > 0 && key <= prev {
+		r.Fail("row %d: key %d after %d", i, key, prev)
+	}
+}
+
 func appendCommHead(b []byte, t *analysis.Totals) []byte {
 	return appendSizes(appendI64s(b, t.Events, t.Sends, t.Recvs, t.BytesSent, t.BytesRecvd), &t.SizeHist)
 }
 
-// appendProcTable appends live.comm's process table of n rows, which
-// rows appends, behind the count and the byte length.
-func appendProcTable(b []byte, n int, rows func([]byte) []byte) []byte {
+// appendProcTable appends live.comm's process table, the rows rows
+// appends and counts, behind the count and the byte length.
+func appendProcTable(b []byte, rows func([]byte) ([]byte, int)) []byte {
 	le := binary.LittleEndian
-	b = le.AppendUint32(b, uint32(n))
 	at := len(b)
-	b = rows(le.AppendUint32(b, 0))
-	le.PutUint32(b[at:], uint32(len(b)-at-4))
+	b, n := rows(le.AppendUint32(le.AppendUint32(b, 0), 0))
+	le.PutUint32(b[at:], uint32(n))
+	le.PutUint32(b[at+4:], uint32(len(b)-at-8))
 	return b
 }
 
@@ -511,29 +534,20 @@ func appendPairRow(b []byte, src, dst uint16, sendMsgs, sendBytes, recvMsgs, rec
 	return appendSizes(appendI64s(b, sendMsgs, sendBytes, recvMsgs, recvBytes), sizes)
 }
 
-// keep makes b the scratch buffer the next capture encodes into and
-// returns a copy of it at its encoded length. A capture is encoded in
-// one pass over cells that lie all over the heap, and copied in one
-// move. The caller holds c.mu.
-func (c *Collector) keep(b []byte) []byte {
-	c.scratch = b
-	return append(make([]byte, 0, len(b)), b...)
-}
-
-// captureComm encodes the collector's live.comm payload.
-func (c *Collector) captureComm() []byte {
+// appendComm appends the collector's live.comm payload to b.
+func (c *Collector) appendComm(b []byte) []byte {
 	c.sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cells := c.orderCells()
-	b := appendCommHead(c.scratch[:0], &c.totals)
-	b = appendProcTable(b, len(cells), func(b []byte) []byte {
+	b = appendCommHead(b, &c.totals)
+	b = appendProcTable(b, func(b []byte) ([]byte, int) {
 		var prev analysis.ProcComm
 		for _, pc := range cells {
 			b = appendCommRow(b, &prev, &pc.ProcComm)
 			prev = pc.ProcComm
 		}
-		return b
+		return b, len(cells)
 	})
 	b = appendTable(b, len(c.retired), func(b []byte, i int) []byte { return appendMachineComm(b, &c.retired[i].comm) })
 	keys := make([]uint32, 0, len(c.pairs))
@@ -541,55 +555,29 @@ func (c *Collector) captureComm() []byte {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	b = appendTable(b, len(keys), func(b []byte, i int) []byte {
+	return appendTable(b, len(keys), func(b []byte, i int) []byte {
 		p := c.pairs[keys[i]]
 		return appendPairRow(b, p.src, p.dst, p.sendMsgs, p.sendBytes, p.recvMsgs, p.recvBytes, &p.sizes)
 	})
-	return c.keep(b)
-}
-
-// encodeCommState encodes a decoded (merged) state, putting its rows
-// in order first.
-func encodeCommState(st *CommState) []byte {
-	b := make([]byte, 0, 64+minCommRowSize*len(st.Procs)+32*len(st.Machines)+80*len(st.Pairs))
-	b = appendCommHead(b, &st.Totals)
-	slices.SortStableFunc(st.Procs, func(x, y analysis.ProcComm) int {
-		return cmp.Compare(procKey(x.Machine, x.PID), procKey(y.Machine, y.PID))
-	})
-	b = appendProcTable(b, len(st.Procs), func(b []byte) []byte {
-		var prev analysis.ProcComm
-		for i := range st.Procs {
-			b = appendCommRow(b, &prev, &st.Procs[i])
-			prev = st.Procs[i]
-		}
-		return b
-	})
-	slices.SortStableFunc(st.Machines, func(x, y MachineComm) int { return cmp.Compare(x.Machine, y.Machine) })
-	b = appendTable(b, len(st.Machines), func(b []byte, i int) []byte { return appendMachineComm(b, &st.Machines[i]) })
-	slices.SortStableFunc(st.Pairs, cmpPairKey)
-	return appendTable(b, len(st.Pairs), func(b []byte, i int) []byte {
-		p := &st.Pairs[i]
-		return appendPairRow(b, p.Src, p.Dst, p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes, &p.Sizes)
-	})
-}
-
-func cmpPairKey(x, y PairState) int {
-	return cmp.Compare(pairKey(x.Src, x.Dst), pairKey(y.Src, y.Dst))
 }
 
 // DecodeComm parses a live.comm payload.
 func DecodeComm(data []byte) (*CommState, error) {
-	st, _, err := decodeComm(data, true)
-	return st, err
+	st, _, err := decodeComm(data, true, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &st, nil
 }
 
 // decodeComm parses a live.comm payload and reports how many processes
 // it counts: its open rows and the processes its machine rows sum. With
 // procs false the open rows — most of a large payload — are stepped
-// over by their byte length, not read (renderComm counts them).
-func decodeComm(data []byte, procs bool) (*CommState, int, error) {
+// over by their byte length, not read (renderComm counts them). With
+// pair set, each pair row goes to it instead of into the state.
+func decodeComm(data []byte, procs bool, pair func(p PairState)) (CommState, int, error) {
 	r := obs.NewCursor(data, ErrBadSection)
-	st := &CommState{}
+	var st CommState
 	t := &st.Totals
 	t.Events, t.Sends, t.Recvs, t.BytesSent, t.BytesRecvd = r.I64(), r.I64(), r.I64(), r.I64(), r.I64()
 	readSizes(&r, &t.SizeHist)
@@ -603,14 +591,15 @@ func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 		st.Procs = make([]analysis.ProcComm, 0, np)
 		var prev analysis.ProcComm
 		for i := 0; i < np && pr.Err() == nil; i++ {
-			prev = readCommRow(&pr, &prev)
-			st.Procs = append(st.Procs, prev)
+			p := readCommRow(&pr, &prev)
+			ascending(&pr, i, procKey(p.Machine, p.PID), procKey(prev.Machine, prev.PID))
+			st.Procs, prev = append(st.Procs, p), p
 		}
 		if pr.Err() == nil && pr.Remaining() != 0 {
 			pr.Fail("%d bytes after the process rows", pr.Remaining())
 		}
 		if pr.Err() != nil {
-			return nil, 0, pr.Err()
+			return st, 0, pr.Err()
 		}
 	}
 	st.Machines = readMachines(&r, minMachCommSize, readMachineComm, func(m *MachineComm) uint16 { return m.Machine })
@@ -618,24 +607,27 @@ func decodeComm(data []byte, procs bool) (*CommState, int, error) {
 		np += int(st.Machines[i].Procs)
 	}
 	npairs := int(count(&r))
-	st.Pairs = make([]PairState, 0, min(npairs, r.Remaining()/minPairRowSize))
+	var pairs []PairState
+	if pair == nil {
+		pairs = make([]PairState, 0, min(npairs, r.Remaining()/minPairRowSize))
+		pair = func(p PairState) { pairs = append(pairs, p) }
+	}
+	var p PairState
+	var prev uint32
 	for i := 0; i < npairs && r.Err() == nil; i++ {
-		p := PairState{Src: r.U16(), Dst: r.U16()}
-		p.SendMsgs, p.SendBytes = r.I64(), r.I64()
-		p.RecvMsgs, p.RecvBytes = r.I64(), r.I64()
-		readSizes(&r, &p.Sizes)
-		if r.Err() == nil {
-			st.Pairs = append(st.Pairs, p)
+		p = PairState{Src: r.U16(), Dst: r.U16()}
+		readPairRow(&r, &p)
+		ascending(&r, i, uint64(pairKey(p.Src, p.Dst)), uint64(prev))
+		if prev = pairKey(p.Src, p.Dst); r.Err() == nil {
+			pair(p)
 		}
 	}
-	if r.Err() != nil {
-		return nil, 0, r.Err()
-	}
-	return st, np, nil
+	st.Pairs = pairs
+	return st, np, r.Err()
 }
 
-// capturePar encodes the collector's live.par payload.
-func (c *Collector) capturePar() []byte {
+// appendPar appends the collector's live.par payload to b.
+func (c *Collector) appendPar(b []byte) []byte {
 	c.sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -644,7 +636,7 @@ func (c *Collector) capturePar() []byte {
 	if c.horizon != math.MinInt64 {
 		sw = &Swept{Horizon: c.horizon, Hist: c.hist}
 	}
-	b := appendSwept(c.scratch[:0], sw)
+	b = appendSwept(b, sw)
 	b = appendTable(b, len(c.retired), func(b []byte, i int) []byte { return appendMachinePar(b, &c.retired[i].par) })
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(cells)))
 	var prev ProcInterval
@@ -653,7 +645,7 @@ func (c *Collector) capturePar() []byte {
 		b = appendParRow(b, &prev, &iv)
 		prev = iv
 	}
-	return c.keep(b)
+	return b
 }
 
 // readPar reads a live.par payload: the swept curve and the machine
@@ -668,7 +660,8 @@ func readPar(data []byte, st *ParState, size func(n int), row func(iv ProcInterv
 	size(min(n, r.Remaining()/minParRowSize))
 	var prev ProcInterval
 	for i := 0; i < n && r.Err() == nil; i++ {
-		if iv := readParRow(&r, &prev); r.Err() == nil {
+		iv := readParRow(&r, &prev)
+		if ascending(&r, i, procKey(iv.Machine, iv.PID), procKey(prev.Machine, prev.PID)); r.Err() == nil {
 			row(iv)
 			prev = iv
 		}
@@ -690,54 +683,131 @@ func DecodePar(data []byte) (*ParState, error) {
 // appendMatch writes the live.match payload:
 //
 //	i64 conns, streamMatched, dgramMatched, agedOut, pending.
-func appendMatch(conns, stream, dgram, aged, pending int64) []byte {
-	return appendI64s(make([]byte, 0, 40), conns, stream, dgram, aged, pending)
+func appendMatch(b []byte, st *MatchState) []byte {
+	return appendI64s(b, st.Conns, st.StreamMatched, st.DgramMatched, st.AgedOut, st.Pending)
 }
 
-// captureMatch encodes the collector's live.match payload.
-func (c *Collector) captureMatch() []byte {
+// appendMatchTo appends the collector's live.match payload to b.
+func (c *Collector) appendMatchTo(b []byte) []byte {
 	c.sync()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := &c.match.MatchCounts
-	return appendMatch(m.Conns, m.Stream, m.Dgram, m.Aged, m.Pending)
+	return appendMatch(b, &MatchState{Conns: m.Conns, StreamMatched: m.Stream, DgramMatched: m.Dgram, AgedOut: m.Aged, Pending: m.Pending})
 }
 
 // DecodeMatch parses a live.match payload.
 func DecodeMatch(data []byte) (*MatchState, error) {
+	st, err := readMatch(data)
+	if err != nil {
+		return nil, err
+	}
+	return &st, nil
+}
+
+func readMatch(data []byte) (MatchState, error) {
 	r := obs.NewCursor(data, ErrBadSection)
-	st := &MatchState{
-		Conns:         r.I64(),
-		StreamMatched: r.I64(),
-		DgramMatched:  r.I64(),
-		AgedOut:       r.I64(),
-		Pending:       r.I64(),
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	return st, nil
+	st := MatchState{Conns: r.I64(), StreamMatched: r.I64(), DgramMatched: r.I64(), AgedOut: r.I64(), Pending: r.I64()}
+	return st, r.Err()
 }
 
 // ---- merging ----
+//
+// Every table of a payload is in strictly ascending key order, so k
+// payloads merge the way sorted runs do: one walk over all of them side
+// by side, a row of the output for each key, folded from the rows of
+// that key, encoded as it is made. Nothing is decoded into a table and
+// nothing is encoded twice, whatever k is; each merger is associative
+// and commutative, and fails only on a payload it cannot read, the
+// contract obs.SectionMerger asks for.
 
-// foldRows folds b's rows into a's by key — a row whose key a already
-// holds is combined into it, the others are appended — which is how
-// every keyed table of a section merges.
-func foldRows[T any](a, b []T, key func(*T) uint64, combine func(dst, src *T)) []T {
-	byKey := make(map[uint64]*T, len(a)+len(b))
-	for i := range a {
-		byKey[key(&a[i])] = &a[i]
+// run is one payload being merged, and its position in the table
+// being merged.
+type run struct {
+	c     obs.Cursor
+	left  int    // rows not yet read
+	has   bool   // key and flag hold the current row's
+	key   uint64 // the current row's key
+	flag  bool   // the current live.par row's terminated bit
+	first int64  // the previous live.par row's first record
+	end   int    // where live.comm's process rows end
+}
+
+// newRuns returns a run at the start of each payload.
+func newRuns(payloads [][]byte) []run {
+	runs := make([]run, len(payloads))
+	for i, data := range payloads {
+		runs[i].c = obs.NewCursor(data, ErrBadSection)
 	}
-	var extra []T
-	for i := range b {
-		if dst, ok := byKey[key(&b[i])]; ok {
-			combine(dst, &b[i])
-		} else {
-			extra = append(extra, b[i])
+	return runs
+}
+
+// mergeRuns merges one table of each run, in step. key reads the rest
+// of a row's key given the previous row's (u.key), and body reads the
+// rest of the row into the merged row (first for the first row of its
+// key). emit takes each merged row, in ascending key order. A run whose
+// keys do not ascend strictly fails its cursor.
+func mergeRuns(runs []run, key func(u *run) uint64, body func(u *run, first bool), emit func(key uint64)) {
+	next := func(u *run, i int) {
+		if u.has = u.left > 0 && u.c.Err() == nil; u.has {
+			u.left--
+			k := key(u)
+			ascending(&u.c, i, k, u.key)
+			u.key, u.has = k, u.c.Err() == nil
 		}
 	}
-	return append(a, extra...)
+	for i := range runs {
+		next(&runs[i], 0)
+	}
+	for {
+		least, ok := uint64(0), false
+		for i := range runs {
+			if runs[i].has && (!ok || runs[i].key < least) {
+				least, ok = runs[i].key, true
+			}
+		}
+		if !ok {
+			return
+		}
+		first := true
+		for i := range runs {
+			if u := &runs[i]; u.has && u.key == least {
+				body(u, first)
+				first = false
+				next(u, 1)
+			}
+		}
+		emit(least)
+	}
+}
+
+// mergeTable appends the merge of the table each run is at, behind the
+// merged table's row count: it reads each run's row count, failing a
+// run whose bytes cannot hold that many rows of size, and row appends
+// the merged row of a key.
+func mergeTable(b []byte, runs []run, size int, key func(u *run) uint64, body func(u *run, first bool), row func(b []byte, key uint64) []byte) []byte {
+	for i := range runs {
+		u := &runs[i]
+		u.left, u.key, u.first = int(count(&u.c)), 0, 0
+		if u.left > u.c.Remaining()/size {
+			u.c.Fail("%d rows in %d bytes", u.left, u.c.Remaining())
+		}
+	}
+	at, n := len(b), 0
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	mergeRuns(runs, key, body, func(key uint64) { b, n = row(b, key), n+1 })
+	binary.LittleEndian.PutUint32(b[at:], uint32(n))
+	return b
+}
+
+// failed returns the first failure of the runs, if any.
+func failed(runs []run) error {
+	for i := range runs {
+		if err := runs[i].c.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // addSizes adds the src histogram into dst.
@@ -747,99 +817,193 @@ func addSizes(dst, src *[analysis.NumSizeBuckets]int64) {
 	}
 }
 
-func mergeCommPayload(a, b []byte) ([]byte, error) {
-	sa, err := DecodeComm(a)
-	if err != nil {
+// outSize is room for what merging payloads makes: at most their sum.
+func outSize(payloads [][]byte) int {
+	n := 0
+	for _, p := range payloads {
+		n += len(p)
+	}
+	return n
+}
+
+// mergeCommPayload merges live.comm payloads: the totals summed, and
+// each table's rows merged by key with their counts summed.
+func mergeCommPayload(payloads ...[]byte) ([]byte, error) {
+	runs := newRuns(payloads)
+	var t analysis.Totals
+	for i := range runs {
+		u := &runs[i]
+		t.Events += u.c.I64()
+		t.Sends += u.c.I64()
+		t.Recvs += u.c.I64()
+		t.BytesSent += u.c.I64()
+		t.BytesRecvd += u.c.I64()
+		var sizes [analysis.NumSizeBuckets]int64
+		readSizes(&u.c, &sizes)
+		addSizes(&t.SizeHist, &sizes)
+		u.left = int(count(&u.c))
+		size := int(u.c.U32())
+		if u.left > size/minCommRowSize || size > u.c.Remaining() {
+			u.c.Fail("%d process rows in %d bytes", u.left, size)
+		}
+		u.end = u.c.Off() + size
+	}
+	if err := failed(runs); err != nil {
 		return nil, err
 	}
-	sb, err := DecodeComm(b)
-	if err != nil {
+	b := appendCommHead(make([]byte, 0, outSize(payloads)), &t)
+	var acc, row, prev analysis.ProcComm
+	b = appendProcTable(b, func(b []byte) ([]byte, int) {
+		n := 0
+		mergeRuns(runs, func(u *run) uint64 {
+			m, pid := readKey(&u.c, u.key, u.c.Uvarint())
+			return procKey(m, pid)
+		}, func(u *run, first bool) {
+			readCounts(&u.c, &row)
+			if first {
+				acc = row
+			} else {
+				addComm(&acc, &row)
+			}
+		}, func(key uint64) {
+			acc.Machine, acc.PID = uint16(key>>32), uint32(key)
+			b, prev, n = appendCommRow(b, &prev, &acc), acc, n+1
+		})
+		return b, n
+	})
+	for i := range runs {
+		if u := &runs[i]; u.c.Err() == nil && u.c.Off() != u.end {
+			u.c.Fail("process rows end at byte %d, not %d", u.c.Off(), u.end)
+		}
+	}
+	var mach MachineComm
+	b = mergeTable(b, runs, minMachCommSize, func(u *run) uint64 { return uint64(u.c.U16()) },
+		func(u *run, first bool) {
+			m := MachineComm{Procs: u.c.Zigzag()}
+			readCounts(&u.c, &m.ProcComm)
+			if first {
+				mach = m
+			} else {
+				addComm(&mach.ProcComm, &m.ProcComm)
+				mach.Procs += m.Procs
+			}
+		}, func(b []byte, key uint64) []byte {
+			mach.Machine = uint16(key)
+			return appendMachineComm(b, &mach)
+		})
+	var pair, p PairState
+	b = mergeTable(b, runs, minPairRowSize, func(u *run) uint64 { return uint64(pairKey(u.c.U16(), u.c.U16())) },
+		func(u *run, first bool) {
+			p.Sizes = [analysis.NumSizeBuckets]int64{}
+			readPairRow(&u.c, &p)
+			if first {
+				pair = p
+				return
+			}
+			pair.SendMsgs += p.SendMsgs
+			pair.SendBytes += p.SendBytes
+			pair.RecvMsgs += p.RecvMsgs
+			pair.RecvBytes += p.RecvBytes
+			addSizes(&pair.Sizes, &p.Sizes)
+		}, func(b []byte, key uint64) []byte {
+			return appendPairRow(b, uint16(key>>16), uint16(key), pair.SendMsgs, pair.SendBytes, pair.RecvMsgs, pair.RecvBytes, &pair.Sizes)
+		})
+	if err := failed(runs); err != nil {
 		return nil, err
 	}
-	sa.Events += sb.Events
-	sa.Sends += sb.Sends
-	sa.Recvs += sb.Recvs
-	sa.BytesSent += sb.BytesSent
-	sa.BytesRecvd += sb.BytesRecvd
-	addSizes(&sa.SizeHist, &sb.SizeHist)
-	sa.Procs = foldRows(sa.Procs, sb.Procs,
-		func(p *analysis.ProcComm) uint64 { return procKey(p.Machine, p.PID) }, addComm)
-	sa.Machines = foldRows(sa.Machines, sb.Machines,
-		func(m *MachineComm) uint64 { return uint64(m.Machine) },
-		func(dst, m *MachineComm) {
-			addComm(&dst.ProcComm, &m.ProcComm)
-			dst.Procs += m.Procs
-		})
-	sa.Pairs = foldRows(sa.Pairs, sb.Pairs,
-		func(p *PairState) uint64 { return uint64(pairKey(p.Src, p.Dst)) },
-		func(dst, p *PairState) {
-			dst.SendMsgs += p.SendMsgs
-			dst.SendBytes += p.SendBytes
-			dst.RecvMsgs += p.RecvMsgs
-			dst.RecvBytes += p.RecvBytes
-			addSizes(&dst.Sizes, &p.Sizes)
-		})
-	return encodeCommState(sa), nil
+	return b, nil
 }
 
 // mergeParPayload unions the open rows by key and adds the machine
-// rows and the two curves: the merged section is swept to the end of
-// time, and its histogram is each collector's own curve, summed.
-func mergeParPayload(a, b []byte) ([]byte, error) {
-	sa, err := DecodePar(a)
-	if err != nil {
+// rows and the curves: the merged section is swept to the end of time,
+// and its histogram is each payload's own curve, summed.
+func mergeParPayload(payloads ...[]byte) ([]byte, error) {
+	runs := newRuns(payloads)
+	hist := map[int]int64{}
+	var starts, ends []int64
+	for i := range runs {
+		st := ParState{Swept: readSwept(&runs[i].c)}
+		// The payload's own curve: a first read of the machine and open
+		// rows, which the merge below reads again.
+		r := runs[i].c
+		n := int(count(&r))
+		for j := 0; j < n && r.Err() == nil; j++ {
+			readMachinePar(&r)
+		}
+		n = int(count(&r))
+		starts, ends = starts[:0], ends[:0]
+		var prev ProcInterval
+		for j := 0; j < n && r.Err() == nil; j++ {
+			prev = readParRow(&r, &prev)
+			starts, ends = append(starts, prev.First), append(ends, prev.Last)
+		}
+		if r.Err() != nil {
+			return nil, r.Err()
+		}
+		for k, ms := range st.curve(starts, ends, 0).Histogram {
+			hist[k] += ms
+		}
+	}
+	if err := failed(runs); err != nil {
 		return nil, err
 	}
-	sb, err := DecodePar(b)
-	if err != nil {
-		return nil, err
-	}
-	hist := sa.Curve().Histogram
-	for k, ms := range sb.Curve().Histogram {
-		hist[k] += ms
-	}
-	sa.Swept = &Swept{Horizon: math.MaxInt64, Hist: hist}
-	sa.Machines = foldRows(sa.Machines, sb.Machines, func(m *MachinePar) uint64 { return uint64(m.Machine) }, addMachinePar)
-	sa.Procs = foldRows(sa.Procs, sb.Procs,
-		func(p *ProcInterval) uint64 { return procKey(p.Machine, p.PID) },
-		func(dst, p *ProcInterval) {
-			dst.First = min(dst.First, p.First)
-			dst.Last = max(dst.Last, p.Last)
-			dst.MaxCPU = max(dst.MaxCPU, p.MaxCPU)
-			dst.Terminated = dst.Terminated || p.Terminated
+	b := appendSwept(make([]byte, 0, outSize(payloads)+16*len(hist)), &Swept{Horizon: math.MaxInt64, Hist: hist})
+	var mp MachinePar
+	b = mergeTable(b, runs, minMachParSize, func(u *run) uint64 { return uint64(u.c.U16()) },
+		func(u *run, first bool) {
+			m := readMachineParBody(&u.c)
+			if first {
+				mp = m
+			} else {
+				addMachinePar(&mp, &m)
+			}
+		}, func(b []byte, key uint64) []byte {
+			mp.Machine = uint16(key)
+			return appendMachinePar(b, &mp)
 		})
-	return encodeParState(sa), nil
-}
-
-// encodeParState encodes a decoded (merged) state, putting its rows in
-// order first.
-func encodeParState(st *ParState) []byte {
-	slices.SortStableFunc(st.Machines, func(x, y MachinePar) int { return cmp.Compare(x.Machine, y.Machine) })
-	slices.SortStableFunc(st.Procs, func(x, y ProcInterval) int {
-		return cmp.Compare(procKey(x.Machine, x.PID), procKey(y.Machine, y.PID))
+	var iv, prev ProcInterval
+	b = mergeTable(b, runs, minParRowSize, func(u *run) uint64 {
+		d := u.c.Uvarint()
+		u.flag = d&1 != 0
+		m, pid := readKey(&u.c, u.key, d>>1)
+		return procKey(m, pid)
+	}, func(u *run, first bool) {
+		start := u.first + u.c.Zigzag()
+		end := start + u.c.Zigzag()
+		cpu := u.c.Zigzag()
+		u.first = start
+		if first {
+			iv = ProcInterval{Terminated: u.flag, First: start, Last: end, MaxCPU: cpu}
+			return
+		}
+		iv.First, iv.Last = min(iv.First, start), max(iv.Last, end)
+		iv.MaxCPU, iv.Terminated = max(iv.MaxCPU, cpu), iv.Terminated || u.flag
+	}, func(b []byte, key uint64) []byte {
+		iv.Machine, iv.PID = uint16(key>>32), uint32(key)
+		b, prev = appendParRow(b, &prev, &iv), iv
+		return b
 	})
-	b := appendSwept(make([]byte, 0, 64+32*len(st.Machines)+2*minParRowSize*len(st.Procs)), st.Swept)
-	b = appendTable(b, len(st.Machines), func(b []byte, i int) []byte { return appendMachinePar(b, &st.Machines[i]) })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Procs)))
-	var prev ProcInterval
-	for i := range st.Procs {
-		b = appendParRow(b, &prev, &st.Procs[i])
-		prev = st.Procs[i]
+	if err := failed(runs); err != nil {
+		return nil, err
 	}
-	return b
+	return b, nil
 }
 
-func mergeMatchPayload(a, b []byte) ([]byte, error) {
-	sa, err := DecodeMatch(a)
-	if err != nil {
-		return nil, err
+// mergeMatchPayload adds live.match payloads' counters.
+func mergeMatchPayload(payloads ...[]byte) ([]byte, error) {
+	var sum MatchState
+	for _, data := range payloads {
+		st, err := readMatch(data)
+		if err != nil {
+			return nil, err
+		}
+		sum.Conns += st.Conns
+		sum.StreamMatched += st.StreamMatched
+		sum.DgramMatched += st.DgramMatched
+		sum.AgedOut += st.AgedOut
+		sum.Pending += st.Pending
 	}
-	sb, err := DecodeMatch(b)
-	if err != nil {
-		return nil, err
-	}
-	return appendMatch(sa.Conns+sb.Conns, sa.StreamMatched+sb.StreamMatched, sa.DgramMatched+sb.DgramMatched,
-		sa.AgedOut+sb.AgedOut, sa.Pending+sb.Pending), nil
+	return appendMatch(make([]byte, 0, 40), &sum), nil
 }
 
 // ---- rendering ----
@@ -855,60 +1019,58 @@ func machLabel(m uint16) string {
 	return fmt.Sprintf("m%d", m)
 }
 
-func renderComm(w io.Writer, s *obs.Section) {
+func renderComm(b []byte, s obs.Section) []byte {
 	if s.Version != SectionVersion {
-		fmt.Fprintf(w, "live communication: unsupported payload v%d (%d bytes)\n", s.Version, len(s.Data))
-		return
+		return fmt.Appendf(b, "live communication: unsupported payload v%d (%d bytes)\n", s.Version, len(s.Data))
 	}
-	st, nprocs, err := decodeComm(s.Data, false)
+	// A matrix row is all the report prints of a pair.
+	type cell struct {
+		src, dst                                 uint16
+		sendMsgs, sendBytes, recvMsgs, recvBytes int64
+	}
+	var pairs []cell
+	st, nprocs, err := decodeComm(s.Data, false, func(p PairState) {
+		pairs = append(pairs, cell{p.Src, p.Dst, p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes})
+	})
 	if err != nil {
-		fmt.Fprintf(w, "live communication: %v\n", err)
-		return
+		return fmt.Appendf(b, "live communication: %v\n", err)
 	}
-	fmt.Fprintf(w, "live communication: %d events, %d procs, sends %d (%d B), recvs %d (%d B)\n",
+	b = fmt.Appendf(b, "live communication: %d events, %d procs, sends %d (%d B), recvs %d (%d B)\n",
 		st.Events, nprocs, st.Sends, st.BytesSent, st.Recvs, st.BytesRecvd)
 	if st.SizeHist != ([analysis.NumSizeBuckets]int64{}) {
-		fmt.Fprintf(w, "  send sizes:")
+		b = append(b, "  send sizes:"...)
 		for k, n := range st.SizeHist {
 			if n != 0 {
-				fmt.Fprintf(w, " <=2^%d:%d", k, n)
+				b = fmt.Appendf(b, " <=2^%d:%d", k, n)
 			}
 		}
-		fmt.Fprintf(w, "\n")
+		b = append(b, '\n')
 	}
-	if len(st.Pairs) == 0 {
-		return
+	if len(pairs) == 0 {
+		return b
 	}
-	pairs := st.Pairs
-	slices.SortFunc(pairs, func(x, y PairState) int {
-		if x.SendBytes != y.SendBytes {
-			return cmp.Compare(y.SendBytes, x.SendBytes)
-		}
-		return cmpPairKey(x, y)
+	slices.SortFunc(pairs, func(x, y cell) int {
+		return cmp.Or(cmp.Compare(y.sendBytes, x.sendBytes), cmp.Compare(pairKey(x.src, x.dst), pairKey(y.src, y.dst)))
 	})
-	fmt.Fprintf(w, "  matrix %-12s %22s %22s\n", "(src->dst)", "sent msgs/bytes", "recvd msgs/bytes")
-	shown := pairs
-	if len(shown) > renderMaxPairs {
-		shown = shown[:renderMaxPairs]
-	}
-	for i := range shown {
-		p := &shown[i]
-		fmt.Fprintf(w, "  %-19s %15d/%-10d %11d/%-10d\n",
-			machLabel(p.Src)+"->"+machLabel(p.Dst), p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes)
+	b = fmt.Appendf(b, "  matrix %-12s %22s %22s\n", "(src->dst)", "sent msgs/bytes", "recvd msgs/bytes")
+	shown := pairs[:min(len(pairs), renderMaxPairs)]
+	for _, p := range shown {
+		b = fmt.Appendf(b, "  %-19s %15d/%-10d %11d/%-10d\n",
+			machLabel(p.src)+"->"+machLabel(p.dst), p.sendMsgs, p.sendBytes, p.recvMsgs, p.recvBytes)
 	}
 	if n := len(pairs) - len(shown); n > 0 {
-		fmt.Fprintf(w, "  ... and %d more pairs\n", n)
+		b = fmt.Appendf(b, "  ... and %d more pairs\n", n)
 	}
+	return b
 }
 
 // renderPar reads the rows straight into analysis.Sweep's start and end
 // arrays; no interval table is built. Past one collector, each level's
 // time is the collectors' own times at that level, summed (see
 // mergeParPayload).
-func renderPar(w io.Writer, s *obs.Section) {
+func renderPar(b []byte, s obs.Section) []byte {
 	if s.Version != SectionVersion {
-		fmt.Fprintf(w, "live parallelism: unsupported payload v%d (%d bytes)\n", s.Version, len(s.Data))
-		return
+		return fmt.Appendf(b, "live parallelism: unsupported payload v%d (%d bytes)\n", s.Version, len(s.Data))
 	}
 	var st ParState
 	var starts, ends []int64
@@ -925,11 +1087,10 @@ func renderPar(w io.Writer, s *obs.Section) {
 		}
 	})
 	if err != nil {
-		fmt.Fprintf(w, "live parallelism: %v\n", err)
-		return
+		return fmt.Appendf(b, "live parallelism: %v\n", err)
 	}
 	curve := st.curve(starts, ends, cpu)
-	fmt.Fprintf(w, "live parallelism: %d procs (%d running), cpu %d ms over %d ms, speedup %.2f\n",
+	b = fmt.Appendf(b, "live parallelism: %d procs (%d running), cpu %d ms over %d ms, speedup %.2f\n",
 		curve.Processes, running, curve.TotalCPUMillis, curve.MakespanMillis, curve.Speedup)
 	if len(curve.Histogram) > 0 {
 		ks := make([]int, 0, len(curve.Histogram))
@@ -937,24 +1098,23 @@ func renderPar(w io.Writer, s *obs.Section) {
 			ks = append(ks, k)
 		}
 		slices.Sort(ks)
-		fmt.Fprintf(w, "  concurrency:")
+		b = append(b, "  concurrency:"...)
 		for _, k := range ks {
-			fmt.Fprintf(w, " %dx:%dms", k, curve.Histogram[k])
+			b = fmt.Appendf(b, " %dx:%dms", k, curve.Histogram[k])
 		}
-		fmt.Fprintf(w, "\n")
+		b = append(b, '\n')
 	}
+	return b
 }
 
-func renderMatch(w io.Writer, s *obs.Section) {
+func renderMatch(b []byte, s obs.Section) []byte {
 	if s.Version != SectionVersion {
-		fmt.Fprintf(w, "live matching: unsupported payload v%d (%d bytes)\n", s.Version, len(s.Data))
-		return
+		return fmt.Appendf(b, "live matching: unsupported payload v%d (%d bytes)\n", s.Version, len(s.Data))
 	}
-	st, err := DecodeMatch(s.Data)
+	st, err := readMatch(s.Data)
 	if err != nil {
-		fmt.Fprintf(w, "live matching: %v\n", err)
-		return
+		return fmt.Appendf(b, "live matching: %v\n", err)
 	}
-	fmt.Fprintf(w, "live matching: %d conns, stream %d, dgram %d, aged out %d, pending %d\n",
+	return fmt.Appendf(b, "live matching: %d conns, stream %d, dgram %d, aged out %d, pending %d\n",
 		st.Conns, st.StreamMatched, st.DgramMatched, st.AgedOut, st.Pending)
 }

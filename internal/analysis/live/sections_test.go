@@ -32,8 +32,8 @@ func sampleCollector(seed uint16) *Collector {
 }
 
 // TestSectionMergeCommutativeAssociative checks the obs.SectionMerger
-// contract for all three payloads: merging in any order or grouping
-// yields the same decoded state.
+// contract for all three payloads: merging in any order or grouping,
+// pair by pair or all in one call, yields the same bytes.
 func TestSectionMergeCommutativeAssociative(t *testing.T) {
 	captures := map[string][]func() []byte{}
 	for _, seed := range []uint16{0, 5, 9} {
@@ -42,7 +42,7 @@ func TestSectionMergeCommutativeAssociative(t *testing.T) {
 		captures[SectionPar] = append(captures[SectionPar], c.capturePar)
 		captures[SectionMatch] = append(captures[SectionMatch], c.captureMatch)
 	}
-	mergers := map[string]func(a, b []byte) ([]byte, error){
+	mergers := map[string]obs.SectionMerger{
 		SectionComm:  mergeCommPayload,
 		SectionPar:   mergeParPayload,
 		SectionMatch: mergeMatchPayload,
@@ -75,6 +75,9 @@ func TestSectionMergeCommutativeAssociative(t *testing.T) {
 		}
 		if !bytes.Equal(abc1, abc2) {
 			t.Fatalf("%s: merge not associative", name)
+		}
+		if abc, err := merge(c, a, b); err != nil || !bytes.Equal(abc, abc1) {
+			t.Fatalf("%s: one merge of three differs from two of two (%v)", name, err)
 		}
 	}
 }
@@ -248,9 +251,9 @@ func TestRenderSections(t *testing.T) {
 	}
 }
 
-// TestSectionRoundTrip re-encodes decoded state through the mergers
-// with an empty counterpart and checks nothing changes — the encode
-// and decode are exact inverses on canonical payloads.
+// TestSectionRoundTrip re-encodes a payload through its merger, alone,
+// and checks nothing changes — the encode and decode are exact
+// inverses on canonical payloads.
 func TestSectionRoundTrip(t *testing.T) {
 	c := sampleCollector(3)
 	comm := c.captureComm()
@@ -258,7 +261,10 @@ func TestSectionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again := encodeCommState(st)
+	again, err := mergeCommPayload(comm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(comm, again) {
 		t.Fatalf("comm payload not canonical:\n%x\n%x", comm, again)
 	}

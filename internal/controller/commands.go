@@ -663,46 +663,40 @@ func (c *Controller) cmdStats(args []string) {
 	last := int(c.statsLen.Load())
 	buf.Grow(last + last/8)
 	statsReport(&buf, targets, res)
-	release(res) // the snapshots were read in place from the replies
+	release(res) // the report was rendered from the replies in place
 	c.statsLen.Store(int64(buf.Len()))
 	c.write(buf.Bytes())
 }
 
 // statsReport writes the stats report of the replies res to the
-// targets into buf: the reporting and missing machines, the merged
-// snapshot rendered, and a warning row for each conservation law the
-// merged counters break.
+// targets into buf: the reporting and missing machines, then the
+// snapshots merged and rendered in one walk over the replies' bytes,
+// where they landed (obs.AppendReport), and a warning row for each
+// conservation law the merged counters break. A reply that is not a
+// snapshot counts its machine missing.
 func statsReport(buf *bytes.Buffer, targets []string, res []hostResult) {
-	var snaps []*obs.Snapshot
+	snaps := make([][]byte, 0, len(res))
 	var reporting, missing []string
 	for _, r := range res {
-		if r.Err != nil || !r.Rep.OK() {
-			missing = append(missing, r.Host)
-			continue
-		}
-		s, perr := obs.ParseSnapshotString(r.Rep.Data)
-		if perr != nil {
+		if r.Err != nil || !r.Rep.OK() || obs.CheckSnapshot(r.Rep.DataBytes()) != nil {
 			missing = append(missing, r.Host)
 			continue
 		}
 		reporting = append(reporting, r.Host)
-		snaps = append(snaps, s)
+		snaps = append(snaps, r.Rep.DataBytes())
 	}
 	fmt.Fprintf(buf, "stats: %d/%d machines reporting (%s)\n",
 		len(reporting), len(targets), strings.Join(reporting, " "))
 	if len(missing) > 0 {
 		fmt.Fprintf(buf, "stats: degraded, missing %s\n", strings.Join(missing, " "))
 	}
-	if len(snaps) > 0 {
-		merged := snaps[0]
-		if len(snaps) > 1 {
-			merged = new(obs.Snapshot)
-			merged.MergeOf(snaps)
-		}
-		merged.Render(buf)
-		for _, r := range merged.Residuals() {
-			fmt.Fprintf(buf, "WARNING: conservation: %s is off by %d\n", r.Name, r.Value)
-		}
+	if len(snaps) == 0 {
+		return
+	}
+	b, residuals, _ := obs.AppendReport(buf.AvailableBuffer(), snaps...)
+	buf.Write(b)
+	for _, r := range residuals {
+		fmt.Fprintf(buf, "WARNING: conservation: %s is off by %d\n", r.Name, r.Value)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpm/internal/agg"
@@ -171,6 +172,10 @@ type daemonState struct {
 
 	// getfile prefix-CRC checkpoints by path (prefixCRC), guarded by mu.
 	fileSums map[string]prefixSum
+
+	// The length of the last stats reply's snapshot: the next one's
+	// frame is taken that large.
+	statsSize atomic.Int64
 
 	// Each store's last snapshot by UID and directory, guarded by mu:
 	// the next query of the store reopens it (store.Reopen).
@@ -681,27 +686,28 @@ func (d *daemonState) handleAgg(req *AggReq) *Reply {
 	return &Reply{Type: TAggRep, Status: "ok", Data: string(data), Aux: stats.String()}
 }
 
-// handleStats snapshots this machine's metrics registry and ships it
-// in the versioned binary snapshot format, encoded straight into the
-// reply frame. Everything running on the machine — kernel meter
-// buffers, filters, stores, queries, and this daemon's own request
-// counters — shares the registry, so one reply describes the whole
-// node. The daemon never interprets the metrics; merging and rendering
-// are the controller's business. What the snapshot costs — capture
-// plus encoding, and the bytes shipped — goes into the same registry,
-// its handles resolved before the capture so that the report lists
-// them, as of the report before.
+// handleStats encodes this machine's metrics registry straight into the
+// reply frame, in the versioned binary snapshot format, each live
+// section captured into it where it belongs. Everything running on the
+// machine — kernel meter buffers, filters, stores, queries, and this
+// daemon's own request counters — shares the registry, so one reply
+// describes the whole node. The daemon never interprets the metrics;
+// merging and rendering are the controller's business. The frame is
+// sized by the last reply. What the snapshot costs — capture plus
+// encoding, and the bytes shipped — goes into the same registry, its
+// handles resolved before the capture so that the report lists them,
+// as of the report before.
 func (d *daemonState) handleStats() *Reply {
 	reg := d.p.Machine().Obs()
 	span := obs.StartSpan(reg.Histogram("daemon.stats_snapshot_ns"))
 	replyBytes := reg.Counter("daemon.stats_reply_bytes")
-	s := reg.Snapshot()
-	s.Machine = d.p.Machine().Name()
-	n := s.BinarySize()
-	return &Reply{Type: TStatsRep, Status: "ok", dataSize: n, appendData: func(b []byte) []byte {
-		b = s.AppendBinary(b)
+	name := d.p.Machine().Name()
+	return &Reply{Type: TStatsRep, Status: "ok", dataSize: int(d.statsSize.Load()), appendData: func(b []byte) []byte {
+		at := len(b)
+		b = reg.AppendBinary(b, name)
 		span.End()
-		replyBytes.Add(int64(n))
+		d.statsSize.Store(int64(len(b) - at))
+		replyBytes.Add(int64(len(b) - at))
 		return b
 	}}
 }

@@ -157,3 +157,75 @@ func TestFeedFromRecycledChunksRace(t *testing.T) {
 		t.Fatalf("recycled chunks logged %d lines that differ from the %d of fresh slices", len(got), len(want))
 	}
 }
+
+// TestFeedFromBlockedSourcesNoAlloc runs 64 sources through Drain, each
+// blocked in a receive with nothing to read: they hold no chunk, so the
+// blocked sources allocate none. Each then delivers one record, and its
+// chunk is back on the list before the next delivers: the 64 records
+// are read into at most QueueDepth × Workers distinct chunks, not one a
+// source.
+func TestFeedFromBlockedSourcesNoAlloc(t *testing.T) {
+	const (
+		sources = 64
+		workers = 2
+		depth   = 2
+	)
+	proto, err := NewEngine([]byte(StandardDescriptions), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := NewPipeline(proto, PipelineConfig{Workers: workers, QueueDepth: depth}, Sinks{}, nil)
+	defer pipe.Close()
+	received := pipe.Obs().Counter("filter.received")
+	var mu sync.Mutex
+	chunks := map[*byte]bool{}
+	ready := make([]chan bool, sources)
+	var blocked, done sync.WaitGroup
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range ready {
+		ready[i] = make(chan bool)
+		msg := meter.Msg{Header: meter.Header{Machine: 1}, Body: &meter.TermProc{PID: uint32(i)}}
+		record := msg.Encode()
+		src := pipe.NewSource()
+		blocked.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			recvs := 0
+			// A receive in the shape of kernel.Process.RecvLazy: it
+			// blocks until its connection has a record, or has ended.
+			src.Drain(func(max int, get func() []byte) ([]byte, int, error) {
+				if recvs++; recvs == 1 {
+					blocked.Done()
+				}
+				if !<-ready[i] {
+					return nil, 0, io.EOF
+				}
+				b := get()
+				mu.Lock()
+				chunks[unsafe.SliceData(b)] = true
+				mu.Unlock()
+				return b, copy(b[:max], record), nil
+			})
+		}()
+	}
+	blocked.Wait()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= chunkSize {
+		t.Errorf("%d sources blocked with nothing to read allocated %d bytes, a chunk is %d", sources, grew, chunkSize)
+	}
+	for i := range ready {
+		want := received.Load() + 1
+		ready[i] <- true
+		for received.Load() < want {
+			runtime.Gosched()
+		}
+		close(ready[i])
+	}
+	done.Wait()
+	if len(chunks) > depth*workers {
+		t.Fatalf("%d sources of one record each read into %d distinct chunks, want at most %d", sources, len(chunks), depth*workers)
+	}
+}

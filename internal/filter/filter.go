@@ -352,9 +352,7 @@ func Main(p *kernel.Process) int {
 			defer func() { _ = p.Close(fd) }()
 			// Until EOF or an error, when the metered process (and
 			// every holder of its meter socket) is gone.
-			recv := func(b []byte) (int, error) { return p.RecvInto(fd, b, nil) }
-			for src.FeedFrom(recv) {
-			}
+			src.Drain(func(max int, get func() []byte) ([]byte, int, error) { return p.RecvLazy(fd, max, get) })
 		})
 	}
 }

@@ -250,20 +250,44 @@ func (s *Source) Feed(data []byte) bool {
 // with the buffer back on the list, once read fails (EOF included) or
 // the pipeline refuses the chunk.
 func (s *Source) FeedFrom(read func([]byte) (int, error)) bool {
-	pl := s.pl
-	var c []byte
-	select {
-	case c = <-pl.free:
-	default:
-		c = make([]byte, chunkSize)
-	}
+	c := s.pl.takeChunk()
 	n, err := read(c)
 	if err == nil && n > 0 && s.feed(pipeItem{src: s, data: c[:n], pooled: true}) {
 		return true
 	}
 	// Not fed: a failed read (EOF included), an empty one or a refusal.
-	pl.putChunk(c)
+	s.pl.putChunk(c)
 	return err == nil && n == 0
+}
+
+// Drain feeds the source its connection's bytes until the connection
+// ends. recv is a receive that asks for its buffer, of at least max
+// bytes, only once there is something to receive, and fails without
+// asking when the connection ends (kernel.Process.RecvLazy): the chunk is
+// taken from the free list then, so a source whose connection is quiet
+// holds none.
+func (s *Source) Drain(recv func(max int, get func() []byte) ([]byte, int, error)) {
+	get := s.pl.takeChunk
+	for {
+		c, n, err := recv(chunkSize, get)
+		if err != nil {
+			return
+		}
+		if !s.feed(pipeItem{src: s, data: c[:n], pooled: true}) {
+			s.pl.putChunk(c)
+			return
+		}
+	}
+}
+
+// takeChunk returns a read buffer from the free list, or a new one.
+func (pl *Pipeline) takeChunk() []byte {
+	select {
+	case c := <-pl.free:
+		return c
+	default:
+		return make([]byte, chunkSize)
+	}
 }
 
 // putChunk returns a read buffer to the free list, or to the garbage

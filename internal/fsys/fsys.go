@@ -519,6 +519,25 @@ func (fs *FS) Entries(prefix string, uid int) []Entry {
 	return out
 }
 
+// EntriesUnchanged reports whether Entries(prefix, uid) would list
+// exactly listing, each file with a non-zero ID — the same bytes, by
+// the immutability rule — without making the listing.
+func (fs *FS) EntriesUnchanged(prefix string, uid int, listing []Entry) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	run := fs.run(prefix)
+	if len(run) != len(listing) {
+		return false
+	}
+	for i, e := range run {
+		l := &listing[i]
+		if l.ID == 0 || l.ID != e.f.id || l.Size != e.f.size || l.Name != e.path[len(prefix):] || !e.f.mode.readableBy(uid, e.f.owner) {
+			return false
+		}
+	}
+	return true
+}
+
 // Copy copies a file between (possibly different) file systems — the
 // stand-in for the rcp utility the controller used when an executable
 // or input file was not present on the target machine (section 3.5.3).

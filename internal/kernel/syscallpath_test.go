@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"errors"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -503,4 +504,59 @@ func msgPC(t *testing.T, msg meter.Msg) (uint32, meter.Type) {
 	}
 	t.Fatalf("%v record has no pc field", msg.Header.TraceType)
 	return 0, 0
+}
+
+// TestRecvLazyNoAlloc: RecvLazy blocked on a quiet connection asks for
+// no buffer; once bytes arrive it asks for one, receives into it and
+// allocates nothing; once the peer has closed it fails with io.EOF
+// without asking.
+func TestRecvLazyNoAlloc(t *testing.T) {
+	_, red, _ := newTestCluster(t)
+	p := detached(t, red)
+	f1, f2, err := p.SocketPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8)
+	var asked atomic.Int64
+	get := func() []byte { asked.Add(1); return buf }
+	type result struct {
+		b   []byte
+		n   int
+		err error
+	}
+	woke := make(chan result)
+	go func() { b, n, err := p.RecvLazy(f2, len(buf), get); woke <- result{b, n, err} }()
+	select {
+	case r := <-woke:
+		t.Fatalf("RecvLazy on a quiet connection returned %+v", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if asked.Load() != 0 {
+		t.Fatal("RecvLazy asked for a buffer with nothing to receive")
+	}
+	if _, err := p.Send(f1, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-woke; r.err != nil || string(r.b[:r.n]) != "abc" || asked.Load() != 1 {
+		t.Fatalf("RecvLazy once bytes arrived: %q, %v, %d buffers asked for", r.b[:r.n], r.err, asked.Load())
+	}
+	abc := []byte("abc")
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := p.Send(f1, abc); err != nil {
+			t.Fatal(err)
+		}
+		if _, n, err := p.RecvLazy(f2, len(buf), get); err != nil || n != 3 {
+			t.Fatalf("RecvLazy: %d bytes, %v", n, err)
+		}
+	}); got != 0 {
+		t.Errorf("unmetered stream send and RecvLazy: %v allocs, want 0", got)
+	}
+	if err := p.Close(f1); err != nil {
+		t.Fatal(err)
+	}
+	before := asked.Load()
+	if b, _, err := p.RecvLazy(f2, len(buf), get); !errors.Is(err, io.EOF) || b != nil || asked.Load() != before {
+		t.Fatalf("RecvLazy after the peer closed: %v, want io.EOF and no buffer asked for", err)
+	}
 }

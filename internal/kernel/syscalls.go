@@ -465,6 +465,16 @@ func (p *Process) RecvInto(fd int, buf []byte, timeout <-chan time.Time) (int, e
 	return n, err
 }
 
+// RecvLazy is RecvInto into the buffer get returns, of at least max
+// bytes, which it asks for only once there is something to receive: a
+// reader blocked on a quiet connection holds no buffer. It returns the
+// buffer with the n bytes received at its front, or nil when the
+// receive failed first.
+func (p *Process) RecvLazy(fd, max int, get func() []byte) ([]byte, int, error) {
+	data, n, _, err := p.recvFrom(fd, recvDst{get: get, max: max}, nil, false)
+	return data, n, err
+}
+
 // RecvFrom is Recv plus the source's name, meaningful for datagrams.
 func (p *Process) RecvFrom(fd, max int) ([]byte, meter.Name, error) {
 	data, _, src, err := p.recvFrom(fd, recvDst{max: max}, nil, false)
@@ -480,10 +490,13 @@ func (p *Process) TryRecvFrom(fd, max int) ([]byte, meter.Name, error) {
 }
 
 // recvDst is where a receive puts at most max bytes: the caller's
-// buffers in order (RecvInto, Readv) or, with none, a slice of its own
+// buffers in order (RecvInto, Readv), the one get returns once there is
+// something to receive (RecvLazy), or, with neither, a slice of its own
 // (Recv and its variants).
 type recvDst struct {
 	bufs [][]byte
+	get  func() []byte
+	lazy []byte // what get returned, asked for outside the socket's lock
 	max  int
 }
 
@@ -492,6 +505,12 @@ type recvDst struct {
 // marks b as the receiver's already (a queued datagram), so a Recv
 // returns it without a copy.
 func (d recvDst) fill(b []byte, owned bool) ([]byte, int) {
+	if d.get != nil {
+		if d.lazy == nil {
+			d.lazy = d.get()
+		}
+		return d.lazy, copy(d.lazy, b)
+	}
 	if d.bufs == nil {
 		if !owned {
 			b = append([]byte(nil), b...)
@@ -548,6 +567,11 @@ func (p *Process) recvFrom(fd int, dst recvDst, timeout <-chan time.Time, nonblo
 			return nil, 0, meter.Name{}, ErrBadFD
 		}
 		if s.typ == SockDgram {
+			if len(s.dgrams) > 0 && dst.get != nil && dst.lazy == nil {
+				s.mu.Unlock()
+				dst.lazy = dst.get()
+				continue
+			}
 			if len(s.dgrams) > 0 {
 				dg := s.dgrams[s.dgramOff]
 				s.dgrams[s.dgramOff] = dgram{}
@@ -566,6 +590,11 @@ func (p *Process) recvFrom(fd int, dst recvDst, timeout <-chan time.Time, nonblo
 			if !s.connected {
 				s.mu.Unlock()
 				return nil, 0, meter.Name{}, ErrNotConn
+			}
+			if len(s.recvBuf) > 0 && dst.get != nil && dst.lazy == nil {
+				s.mu.Unlock()
+				dst.lazy = dst.get()
+				continue
 			}
 			if len(s.recvBuf) > 0 {
 				data, n := dst.fill(s.recvBuf[s.recvOff:min(len(s.recvBuf), s.recvOff+max)], false)

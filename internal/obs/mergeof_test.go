@@ -35,9 +35,9 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 		}
 		for i := 0; i < rng.Intn(4); i++ {
 			data := bytes.Repeat([]byte{byte(i)}, rng.Intn(300))
-			r.RegisterSection(fmt.Sprintf("test.s%d", rng.Intn(8)), uint16(1+rng.Intn(3)), func() []byte { return data })
+			r.RegisterSection(fmt.Sprintf("test.s%d", rng.Intn(8)), uint16(1+rng.Intn(3)), func(b []byte) []byte { return append(b, data...) })
 		}
-		r.RegisterSection("test.none", 1, func() []byte { return nil })
+		r.RegisterSection("test.none", 1, func([]byte) []byte { return nil })
 		s := r.Snapshot()
 		if !slices.IsSortedFunc(s.Counters, cmpValueName) || !slices.IsSortedFunc(s.Gauges, cmpValueName) ||
 			!slices.IsSortedFunc(s.Hists, cmpHistName) ||

@@ -23,6 +23,8 @@
 package obs
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"slices"
 	"strings"
@@ -156,7 +158,7 @@ type named[T any] struct {
 
 type sectionSource struct {
 	version uint16
-	capture func() []byte
+	capture func(b []byte) []byte
 }
 
 // lookup returns the entry of list named name, creating it in its place
@@ -201,51 +203,91 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return lookup(&r.hists, name)
 }
 
-// RegisterSection installs a section provider: capture is called at
-// every Snapshot and its bytes become the section's payload (a nil
-// return skips the section for that snapshot). Registering the same
-// name again replaces the provider — a restarted filter re-registers
-// its live-analysis sections without leaking the dead collector's.
-func (r *Registry) RegisterSection(name string, version uint16, capture func() []byte) {
+// RegisterSection installs a section provider: at every snapshot,
+// capture appends the section's payload to b, the snapshot being
+// encoded, and returns the result, or returns nil to skip the section
+// for that snapshot — so a payload is written once, where the
+// snapshot's bytes go. Registering the same name again replaces the
+// provider — a restarted filter re-registers its live-analysis
+// sections without leaking the dead collector's.
+func (r *Registry) RegisterSection(name string, version uint16, capture func(b []byte) []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	*lookup(&r.sections, name) = sectionSource{version: version, capture: capture}
 }
 
 // Snapshot captures every metric's current value, with names sorted,
-// as the wire- and file-portable form of the registry.
+// as the wire- and file-portable form of the registry: AppendBinary,
+// decoded.
 func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{TakenUnixNano: time.Now().UnixNano()}
-	// Sections capture first, and outside the lock: a section source
-	// may flush buffered state into its registry metrics as part of
-	// capturing (the live collector publishes its gauges then, and
-	// registers a counter on first use), and the counter and gauge
-	// passes below should see the result, not last flush's values.
-	r.mu.Lock()
-	capture := make([]func() []byte, 0, len(r.sections))
-	for _, e := range r.sections {
-		s.Sections = append(s.Sections, Section{Name: e.name, Version: e.m.version})
-		capture = append(capture, e.m.capture)
+	s, err := ParseSnapshot(r.AppendBinary(nil, ""))
+	if err != nil {
+		panic(fmt.Sprintf("obs: a registry's own snapshot: %v", err))
 	}
+	return s
+}
+
+// AppendBinary appends the registry's snapshot, labelled machine, to b
+// in the binary form (Snapshot.AppendBinary) — what a daemon writes
+// straight into a stats reply's frame. Sections capture first, and
+// outside the lock: a section source may flush buffered state into its
+// registry metrics as part of capturing (the live collector publishes
+// its gauges then, and registers a counter on first use), and the
+// metrics written after should show the result, not the last flush's
+// values. So the sections go behind room left for the metrics as they
+// are before the capture, which the metrics then fill, or, when they
+// no longer fit it, take the place of.
+func (r *Registry) AppendBinary(b []byte, machine string) []byte {
+	taken := time.Now().UnixNano()
+	start := len(b)
+	r.mu.Lock()
+	var buf [4]named[sectionSource]
+	sources := append(buf[:0], r.sections...)
+	b = r.appendHead(b, machine, taken)
 	r.mu.Unlock()
-	kept := s.Sections[:0]
-	for i, sec := range s.Sections {
-		if sec.Data = capture[i](); sec.Data != nil {
-			kept = append(kept, sec)
+	room := len(b) - start
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, 0)
+	n := 0
+	for _, e := range sources {
+		at := len(b)
+		b = le.AppendUint32(le.AppendUint16(appendString(b, e.name), e.m.version), 0)
+		out := e.m.capture(b)
+		if out == nil {
+			b = b[:at]
+			continue
 		}
+		le.PutUint32(out[at+2+len(e.name)+2:], uint32(len(out)-at-2-len(e.name)-2-4))
+		b, n = out, n+1
 	}
-	s.Sections = kept
+	le.PutUint32(b[start+room:], uint32(n))
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.Counters = listOf[NamedValue](len(r.counters))
+	head := r.appendHead(b[start:start:start+room], machine, taken)
+	r.mu.Unlock()
+	if len(head) != room || &head[0] != &b[start] {
+		// A capture registered a metric, or filled a histogram's bucket.
+		b = slices.Insert(slices.Delete(b, start, start+room), start, head...)
+	}
+	return b
+}
+
+// appendHead appends the snapshot's binary form up to its sections:
+// the magic, version, machine and time, then the counters, gauges and
+// histograms, each list in name order. The caller holds the lock.
+func (r *Registry) appendHead(b []byte, machine string, taken int64) []byte {
+	le := binary.LittleEndian
+	b = append(b, snapshotMagic[:]...)
+	b = le.AppendUint16(b, SnapshotVersion)
+	b = le.AppendUint64(appendString(b, machine), uint64(taken))
+	b = le.AppendUint32(b, uint32(len(r.counters)))
 	for _, e := range r.counters {
-		s.Counters = append(s.Counters, NamedValue{Name: e.name, Value: e.m.Load()})
+		b = le.AppendUint64(appendString(b, e.name), uint64(e.m.Load()))
 	}
-	s.Gauges = listOf[NamedValue](len(r.gauges))
+	b = le.AppendUint32(b, uint32(len(r.gauges)))
 	for _, e := range r.gauges {
-		s.Gauges = append(s.Gauges, NamedValue{Name: e.name, Value: e.m.Load()})
+		b = le.AppendUint64(appendString(b, e.name), uint64(e.m.Load()))
 	}
-	s.Hists = listOf[HistValue](len(r.hists))
+	b = le.AppendUint32(b, uint32(len(r.hists)))
 	for _, e := range r.hists {
 		var counts [NumBuckets]int64
 		filled := 0
@@ -254,22 +296,15 @@ func (r *Registry) Snapshot() *Snapshot {
 				filled++
 			}
 		}
-		hv := HistValue{Name: e.name, Count: e.m.count.Load(), Sum: e.m.sum.Load(), Buckets: listOf[BucketCount](filled)}
+		b = appendString(b, e.name)
+		b = le.AppendUint64(b, uint64(e.m.count.Load()))
+		b = le.AppendUint64(b, uint64(e.m.sum.Load()))
+		b = le.AppendUint16(b, uint16(filled))
 		for i, n := range counts {
 			if n != 0 {
-				hv.Buckets = append(hv.Buckets, BucketCount{Bucket: uint8(i), Count: n})
+				b = le.AppendUint64(append(b, uint8(i)), uint64(n))
 			}
 		}
-		s.Hists = append(s.Hists, hv)
 	}
-	return s
-}
-
-// listOf returns an empty list with room for n entries, or nil for none:
-// what appending n entries to nil leaves, without the regrowth.
-func listOf[T any](n int) []T {
-	if n <= 0 {
-		return nil
-	}
-	return make([]T, 0, n)
+	return b
 }

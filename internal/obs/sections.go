@@ -2,11 +2,9 @@ package obs
 
 import (
 	"bytes"
-	"cmp"
+	"errors"
 	"fmt"
-	"io"
 	"slices"
-	"strings"
 	"sync"
 )
 
@@ -26,17 +24,21 @@ type Section struct {
 	Data    []byte `json:"data"` // base64 in the JSON form
 }
 
-// SectionMerger combines two payloads of the same section name and
-// version into one. It must be associative and commutative on payload
-// multisets — the same contract Snapshot.Merge gives counters — so
-// per-machine snapshots fold in any order. A merger that cannot make
-// sense of a payload returns an error; the merge then keeps both
-// inputs verbatim rather than corrupting or dropping state.
-type SectionMerger func(a, b []byte) ([]byte, error)
+// SectionMerger folds payloads of one section name and version, any
+// number of them, sorted, into one, in one call: a merge of k machines
+// decodes each payload once and encodes the result once. It must be
+// associative and commutative on payload multisets — the same contract
+// Snapshot.Merge gives counters — and fail only on a payload it cannot
+// read, so that merging in one call is merging in any grouping. On
+// failure the merge falls back to folding the payloads pairwise, as
+// Merge adds one snapshot at a time, keeping verbatim the payloads of
+// a pair that fails rather than corrupting or dropping state.
+type SectionMerger func(payloads ...[]byte) ([]byte, error)
 
-// SectionRenderer writes a human-readable report of one section to w
-// (used by Snapshot.Render, which serves controller stats and dpmon).
-type SectionRenderer func(w io.Writer, s *Section)
+// SectionRenderer appends a human-readable report of one section to b
+// (used by Snapshot.Render and AppendReport, which serve controller
+// stats and dpmon).
+type SectionRenderer func(b []byte, s Section) []byte
 
 // sectionKey names a section's format: its name and payload version.
 type sectionKey struct {
@@ -50,14 +52,34 @@ var (
 	sectionRenderers = map[string]SectionRenderer{}
 )
 
+// errNotPair is what a merger registered as a pair function returns
+// for other than two payloads: the merge then folds them pairwise.
+var errNotPair = errors.New("obs: a pairwise merger merges two payloads")
+
 // RegisterSectionMerger installs the merger for one version of a
 // section, replacing any previous one; payloads of other versions are
-// never handed to it. Typically called from the owning package's init
-// so every binary that links it can merge its sections.
-func RegisterSectionMerger(name string, version uint16, fn SectionMerger) {
+// never handed to it. fn is a SectionMerger, or a function that merges
+// exactly two payloads, which a merge of more calls pair by pair.
+// Typically called from the owning package's init so every binary that
+// links it can merge its sections.
+func RegisterSectionMerger[F SectionMerger | func(...[]byte) ([]byte, error) | func(a, b []byte) ([]byte, error)](name string, version uint16, fn F) {
+	var m SectionMerger
+	switch fn := any(fn).(type) {
+	case SectionMerger:
+		m = fn
+	case func(...[]byte) ([]byte, error):
+		m = fn
+	case func(a, b []byte) ([]byte, error):
+		m = func(payloads ...[]byte) ([]byte, error) {
+			if len(payloads) != 2 {
+				return nil, errNotPair
+			}
+			return fn(payloads[0], payloads[1])
+		}
+	}
 	sectionMu.Lock()
 	defer sectionMu.Unlock()
-	sectionMergers[sectionKey{name, version}] = fn
+	sectionMergers[sectionKey{name, version}] = m
 }
 
 // RegisterSectionRenderer installs the renderer for a section name,
@@ -91,90 +113,79 @@ func (s *Snapshot) Section(name string) *Section {
 	return nil
 }
 
-// mergeSections returns the sections of snaps merged as Merge folds
-// them one snapshot at a time. Payloads group by (name, version): a
-// group holds the first snapshot's as they are, and at each later
-// snapshot that brings it payloads — or at the second, for a group the
-// first brought several — they are sorted and folded, left to right,
-// by the merger registered for that version. A group
-// with no merger, or whose merger fails, keeps every payload verbatim
-// (multiset union), which is still associative and commutative, so a
-// controller older than a section's producer degrades to relaying
-// instead of breaking the whole merge. The sort makes the fold
-// deterministic even for a merger that is not perfectly commutative.
-// The result is sorted by name, version, then payload; nil when no
-// snapshot has a section.
-func mergeSections(snaps []*Snapshot) []Section {
-	type group struct {
-		key      sectionKey
-		payloads [][]byte
-		dirty    bool // payloads joined since the last fold
-	}
-	var groups []group
-	index := map[sectionKey]int{}
-	for i, o := range snaps {
-		for _, sec := range o.Sections {
-			k := sectionKey{sec.Name, sec.Version}
-			g, ok := index[k]
-			if !ok {
-				g = len(groups)
-				index[k] = g
-				groups = append(groups, group{key: k})
-			}
-			groups[g].payloads = append(groups[g].payloads, sec.Data)
-			groups[g].dirty = true
-		}
-		for j := range groups {
-			if g := &groups[j]; i > 0 && g.dirty {
-				g.payloads, g.dirty = foldSection(g.key, g.payloads), false
-			}
-		}
-	}
-	if len(groups) == 0 {
-		return nil
-	}
-	var out []Section
-	for _, g := range groups {
-		for _, p := range g.payloads {
-			out = append(out, Section{Name: g.key.name, Version: g.key.version, Data: p})
-		}
-	}
-	slices.SortFunc(out, func(a, b Section) int {
-		return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Version, b.Version), bytes.Compare(a.Data, b.Data))
-	})
-	return out
+// payload is one section payload of a merge and the index of the
+// snapshot it came from.
+type payload struct {
+	data []byte
+	from int
 }
 
-// foldSection sorts one group's payloads and folds them through the
-// merger registered for k into one, or returns them all, sorted, when
-// there is no merger or it fails.
-func foldSection(k sectionKey, payloads [][]byte) [][]byte {
-	slices.SortFunc(payloads, bytes.Compare)
-	fn := sectionMerger(k)
-	if fn == nil || len(payloads) < 2 {
-		return payloads
+// foldGroup returns one group's payloads — every payload of one name
+// and version, in snapshot order — merged as Merge folds them one
+// snapshot at a time: at the second snapshot, and at every later one
+// that brings payloads, the payloads so far are sorted and folded left
+// to right through fn. A fold that fails, or a group with no merger,
+// keeps every payload verbatim (multiset union), which is still
+// associative and commutative, so a controller older than a section's
+// producer degrades to relaying instead of breaking the whole merge.
+// The sort makes the fold deterministic even for a merger that is not
+// perfectly commutative. One call of fn over all payloads makes the
+// same whenever it succeeds; only when it fails is the fold replayed
+// snapshot by snapshot. args is scratch for the call. The result is
+// sorted.
+func foldGroup(fn SectionMerger, ps []payload, args [][]byte) [][]byte {
+	args = args[:0]
+	for _, p := range ps {
+		args = append(args, p.data)
 	}
-	merged := payloads[0]
-	for _, p := range payloads[1:] {
-		m, err := fn(merged, p)
-		if err != nil {
-			return payloads
+	slices.SortFunc(args, bytes.Compare)
+	if fn == nil || len(args) < 2 {
+		return args
+	}
+	if m, err := fn(args...); err == nil {
+		return append(args[:0], m)
+	}
+	list, stepped := args[:0], false
+	fold := func() {
+		slices.SortFunc(list, bytes.Compare)
+		stepped = true
+		if len(list) < 2 {
+			return
 		}
-		merged = m
+		merged := list[0]
+		for _, p := range list[1:] {
+			m, err := fn(merged, p)
+			if err != nil {
+				return
+			}
+			merged = m
+		}
+		list = append(list[:0], merged)
 	}
-	return append(payloads[:0], merged)
+	for i := 0; i < len(ps); {
+		from := ps[i].from
+		if from > 1 && !stepped {
+			fold()
+		}
+		for ; i < len(ps) && ps[i].from == from; i++ {
+			list = append(list, ps[i].data)
+		}
+		if from > 0 {
+			fold()
+		}
+	}
+	if !stepped {
+		fold()
+	}
+	return list
 }
 
-// renderSections writes each section through its registered renderer,
-// falling back to a one-line size note for unknown names so a report
-// never hides that state arrived.
-func renderSections(w io.Writer, sections []Section) {
-	for i := range sections {
-		s := &sections[i]
-		if fn := sectionRenderer(s.Name); fn != nil {
-			fn(w, s)
-			continue
-		}
-		fmt.Fprintf(w, "section %s v%d: %d bytes (no renderer linked)\n", s.Name, s.Version, len(s.Data))
+// appendSection appends s through the renderer registered for its name,
+// or a one-line size note for an unknown name, so a report never hides
+// that state arrived.
+func appendSection(b []byte, s Section) []byte {
+	if fn := sectionRenderer(s.Name); fn != nil {
+		return fn(b, s)
 	}
+	return fmt.Appendf(b, "section %s v%d: %d bytes (no renderer linked)\n", s.Name, s.Version, len(s.Data))
 }

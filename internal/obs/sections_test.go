@@ -3,9 +3,8 @@ package obs
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,13 +111,13 @@ func TestSectionRenderFallback(t *testing.T) {
 func TestRegistrySectionCapture(t *testing.T) {
 	r := NewRegistry()
 	n := 0
-	r.RegisterSection("test.live", 1, func() []byte { n++; return []byte{byte(n)} })
-	r.RegisterSection("test.dead", 1, func() []byte { return nil })
+	r.RegisterSection("test.live", 1, func(b []byte) []byte { n++; return append(b, byte(n)) })
+	r.RegisterSection("test.dead", 1, func([]byte) []byte { return nil })
 	s := r.Snapshot()
 	if len(s.Sections) != 1 || s.Sections[0].Name != "test.live" || !bytes.Equal(s.Sections[0].Data, []byte{1}) {
 		t.Fatalf("snapshot sections: %+v", s.Sections)
 	}
-	r.RegisterSection("test.live", 2, func() []byte { return []byte{99} })
+	r.RegisterSection("test.live", 2, func(b []byte) []byte { return append(b, 99) })
 	s = r.Snapshot()
 	if len(s.Sections) != 1 || s.Sections[0].Version != 2 || !bytes.Equal(s.Sections[0].Data, []byte{99}) {
 		t.Fatalf("replaced section: %+v", s.Sections)
@@ -133,9 +132,9 @@ func TestRegistrySectionCapture(t *testing.T) {
 func TestSectionCaptureRegistersMetric(t *testing.T) {
 	r := NewRegistry()
 	var calls atomic.Int64
-	r.RegisterSection("test.late", 1, func() []byte {
+	r.RegisterSection("test.late", 1, func(b []byte) []byte {
 		r.Counter("test.late.records").Add(1)
-		return []byte{byte(calls.Add(1))}
+		return append(b, byte(calls.Add(1)))
 	})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -199,24 +198,76 @@ func fuzzSeedSnapshots() [][]byte {
 	return seeds
 }
 
-// FuzzParseSnapshot hammers the binary parser: arbitrary bytes must
-// never panic, and anything that parses must survive a
-// marshal/re-parse/merge/render cycle unchanged in metric content.
+// fuzzSum is the merger FuzzParseSnapshot registers for its own
+// section: one-byte payloads, summed; any other payload fails it.
+func fuzzSum(payloads ...[]byte) ([]byte, error) {
+	var sum byte
+	for _, p := range payloads {
+		if len(p) != 1 {
+			return nil, errors.New("fuzz.sum: not one byte")
+		}
+		sum += p[0]
+	}
+	return []byte{sum}, nil
+}
+
+// FuzzParseSnapshot hammers the binary parser and the stats path.
+// Arbitrary bytes must never panic. What parses re-encodes to its own
+// bytes (up to any trailing bytes, for a version-2 snapshot) and
+// decodes again to the same encoding. And the input cut at each "DPOB"
+// magic into up to three snapshots renders through AppendReport exactly
+// as the reference renders it — parse, the struct merge, fmt — with the
+// same conservation residuals, sections with a merger (fuzz.sum v1) and
+// without one included.
 func FuzzParseSnapshot(f *testing.F) {
 	for _, seed := range fuzzSeedSnapshots() {
 		f.Add(seed)
 	}
+	RegisterSectionMerger("fuzz.sum", 1, fuzzSum)
+	sum := func(b byte, others ...Section) *Snapshot {
+		return &Snapshot{Machine: "m", TakenUnixNano: 1 << 60, Counters: []NamedValue{{"query.records", int64(b)}, {"z", 1}},
+			Hists:    []HistValue{{Name: "h", Count: 3, Sum: 9, Buckets: []BucketCount{{2, 2}, {1, 1}}}},
+			Sections: append([]Section{{Name: "fuzz.sum", Version: 1, Data: []byte{b}}}, others...)}
+	}
+	f.Add(slices.Concat(sum(1).MarshalBinary(), sum(2, Section{Name: "fuzz.sum", Version: 1, Data: []byte{3, 4}}).MarshalBinary(),
+		sum(5, Section{Name: "opaque", Version: 2}).MarshalBinary()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSnapshot(data)
-		if err != nil {
-			return
+		if err == nil {
+			re := s.MarshalBinary()
+			again, err := ParseSnapshot(re)
+			if err != nil {
+				t.Fatalf("re-parse of marshalled snapshot: %v", err)
+			}
+			if !bytes.Equal(again.MarshalBinary(), re) {
+				t.Fatal("decode, encode, decode, encode moved bytes")
+			}
+			if data[4] == SnapshotVersion && data[5] == 0 && !bytes.Equal(re, data[:len(re)]) {
+				t.Fatalf("a version-2 snapshot re-encodes to other bytes:\n%x\n%x", data, re)
+			}
 		}
-		re, err := ParseSnapshot(s.MarshalBinary())
-		if err != nil {
-			t.Fatalf("re-parse of marshalled snapshot: %v", err)
+		var wire [][]byte
+		var snaps []*Snapshot
+		for _, piece := range bytes.Split(data, snapshotMagic[:])[1:] {
+			if len(wire) == 3 {
+				break
+			}
+			b := append(slices.Clip(snapshotMagic[:]), piece...)
+			s, err := ParseSnapshot(b)
+			if (err == nil) != (CheckSnapshot(b) == nil) {
+				t.Fatalf("ParseSnapshot says %v, CheckSnapshot disagrees", err)
+			}
+			if err == nil {
+				wire, snaps = append(wire, b), append(snaps, s)
+			}
 		}
-		s.Render(io.Discard)
-		re.Merge(s)
-		fmt.Fprint(io.Discard, len(re.Sections))
+		got, residuals, err := AppendReport(nil, wire...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantResiduals := referenceReport(snaps)
+		if string(got) != want || !slices.Equal(residuals, wantResiduals) {
+			t.Fatalf("%d snapshots report\n%s%v\nnot, as the reference,\n%s%v", len(wire), got, residuals, want, wantResiduals)
+		}
 	})
 }

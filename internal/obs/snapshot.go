@@ -9,8 +9,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"time"
-	"unsafe"
 )
 
 // Snapshot is a point-in-time capture of one registry — the portable
@@ -63,24 +61,11 @@ func (h *HistValue) Quantile(q float64) int64 {
 	if h.Count <= 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q * float64(h.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.Count {
-		rank = h.Count
-	}
+	rank := min(max(int64(math.Ceil(q*float64(h.Count))), 1), h.Count)
 	var cum int64
 	for _, b := range h.Buckets {
-		cum += b.Count
-		if cum >= rank {
-			if b.Bucket == 0 {
-				return 0
-			}
-			if int(b.Bucket) >= NumBuckets-1 {
-				return int64(^uint64(0) >> 1)
-			}
-			return (int64(1) << b.Bucket) - 1
+		if cum += b.Count; cum >= rank {
+			return bucketTop(b.Bucket)
 		}
 	}
 	return 0
@@ -109,128 +94,28 @@ func (s *Snapshot) Merge(other *Snapshot) {
 }
 
 // MergeOf makes s the merge of snaps — what folding each into the
-// first with Merge makes it — in one pass over their name-sorted
-// counter, gauge and histogram lists, with no map per pair. s is none
-// of snaps. A registry writes every list sorted
-// by name; a snapshot read from elsewhere whose lists are not is merged
-// from a sorted copy. The machine label is the first snapshot's if all
-// share it, else empty; the time is the latest. A section folds in the
-// order Merge folds it: the first snapshot's payloads as they are, then
-// with each later snapshot's, sorted, through the merger registered
-// for its name and version (mergeSections).
+// first with Merge makes it — in one walk over their binary forms side
+// by side, the walk AppendReport renders. s is none of snaps. A
+// snapshot whose lists are not in name order — in a JSON file written
+// by hand, say — is merged from a sorted copy; none of snaps is
+// changed. The machine label is the first snapshot's if all share it,
+// else empty; the time is the latest. Each section group folds in one
+// call of the merger registered for its name and version.
 func (s *Snapshot) MergeOf(snaps []*Snapshot) {
-	snaps = inNameOrder(snaps)
-	s.Machine, s.TakenUnixNano = "", 0
-	if len(snaps) > 0 {
-		s.Machine, s.TakenUnixNano = snaps[0].Machine, snaps[0].TakenUnixNano
-	}
-	for _, o := range snaps {
-		s.TakenUnixNano = max(s.TakenUnixNano, o.TakenUnixNano)
-		if o.Machine != s.Machine {
-			s.Machine = ""
-		}
-	}
-	at := make([]int, len(snaps))
-	valueName := func(v *NamedValue) string { return v.Name }
-	addValue := func(acc, v *NamedValue, first bool) {
-		if first {
-			*acc = *v
-		} else {
-			acc.Value += v.Value
-		}
-	}
-	s.Counters = mergeByName(snaps, at, func(o *Snapshot) []NamedValue { return o.Counters }, valueName, addValue)
-	s.Gauges = mergeByName(snaps, at, func(o *Snapshot) []NamedValue { return o.Gauges }, valueName, addValue)
-	s.Hists = mergeByName(snaps, at, func(o *Snapshot) []HistValue { return o.Hists },
-		func(h *HistValue) string { return h.Name },
-		func(acc, h *HistValue, first bool) {
-			if first {
-				*acc = HistValue{Name: h.Name}
-			}
-			acc.Count += h.Count
-			acc.Sum += h.Sum
-			acc.Buckets = append(acc.Buckets, h.Buckets...)
-		})
-	// Each histogram holds every bucket of its name; add them up.
-	var counts [256]int64
-	var seen [256]bool
-	for i := range s.Hists {
-		h := &s.Hists[i]
-		for _, bc := range h.Buckets {
-			counts[bc.Bucket] += bc.Count
-			seen[bc.Bucket] = true
-		}
-		h.Buckets = h.Buckets[:0]
-		for b := range seen {
-			if seen[b] {
-				h.Buckets = append(h.Buckets, BucketCount{Bucket: uint8(b), Count: counts[b]})
-				counts[b], seen[b] = 0, false
-			}
-		}
-	}
-	s.Sections = mergeSections(snaps)
-}
-
-// inNameOrder returns snaps, or, when a snapshot's counter, gauge or
-// histogram list is out of name order — in a JSON file written by
-// hand, say — a copy of it that holds in that snapshot's place a copy
-// with those lists sorted. No snapshot of snaps is changed.
-func inNameOrder(snaps []*Snapshot) []*Snapshot {
-	out, copied := snaps, false
+	wire := make([][]byte, len(snaps))
 	for i, o := range snaps {
-		if slices.IsSortedFunc(o.Counters, cmpValueName) && slices.IsSortedFunc(o.Gauges, cmpValueName) &&
-			slices.IsSortedFunc(o.Hists, cmpHistName) {
-			continue
-		}
-		if !copied {
-			out, copied = slices.Clone(snaps), true
-		}
-		c := *o
-		c.Counters, c.Gauges, c.Hists = slices.Clone(o.Counters), slices.Clone(o.Gauges), slices.Clone(o.Hists)
-		slices.SortStableFunc(c.Counters, cmpValueName)
-		slices.SortStableFunc(c.Gauges, cmpValueName)
-		slices.SortStableFunc(c.Hists, cmpHistName)
-		out[i] = &c
+		wire[i] = o.MarshalBinary()
 	}
-	return out
+	*s = Snapshot{Counters: []NamedValue{}, Gauges: []NamedValue{}, Hists: []HistValue{}}
+	w := walker{snap: s}
+	if err := w.walk(wire, true); err != nil {
+		// ParseSnapshotJSON refuses what the binary form cannot carry.
+		panic(fmt.Sprintf("obs: merging snapshots: %v", err))
+	}
 }
 
 func cmpValueName(a, b NamedValue) int { return strings.Compare(a.Name, b.Name) }
 func cmpHistName(a, b HistValue) int   { return strings.Compare(a.Name, b.Name) }
-
-// mergeByName merges the lists list takes from snaps: one entry for
-// each name, in name order, which fold opens with the first entry of
-// that name (first set) and then folds every other into, in snapshot
-// order. at holds one cursor per snapshot. The result is never nil.
-func mergeByName[T any](snaps []*Snapshot, at []int, list func(*Snapshot) []T,
-	name func(*T) string, fold func(acc, v *T, first bool)) []T {
-	clear(at)
-	longest := 0
-	for _, o := range snaps {
-		longest = max(longest, len(list(o)))
-	}
-	out := make([]T, 0, longest)
-	for {
-		least, ok := "", false
-		for i, o := range snaps {
-			if l := list(o); at[i] < len(l) && (!ok || name(&l[at[i]]) < least) {
-				least, ok = name(&l[at[i]]), true
-			}
-		}
-		if !ok {
-			return out
-		}
-		var zero T
-		out = append(out, zero)
-		acc, first := &out[len(out)-1], true
-		for i, o := range snaps {
-			for l := list(o); at[i] < len(l) && name(&l[at[i]]) == least; at[i]++ {
-				fold(acc, &l[at[i]], first)
-				first = false
-			}
-		}
-	}
-}
 
 // Binary snapshot format, version 2. Little-endian throughout:
 //
@@ -327,97 +212,12 @@ func appendString(b []byte, s string) []byte {
 // known sections are ignored, and versions newer than SnapshotVersion
 // are accepted by their version-1 prefix, so old readers keep working
 // against extended writers. Nothing in the result aliases data.
-func ParseSnapshot(data []byte) (*Snapshot, error) { return parseSnapshot(data, "") }
-
-// ParseSnapshotString is ParseSnapshot over bytes held in a string — a
-// reply's Data — read in place: names are substrings of data, and
-// section payloads are slices of its bytes, which must not be written
-// to. Nothing is copied.
-func ParseSnapshotString(data string) (*Snapshot, error) {
-	return parseSnapshot(unsafe.Slice(unsafe.StringData(data), len(data)), data)
-}
-
-// parseSnapshot decodes data. When src is not empty, data is its bytes
-// and the snapshot is read in place.
-func parseSnapshot(data []byte, src string) (*Snapshot, error) {
-	r := NewCursor(data, ErrSnapshotCorrupt)
-	magic := r.Take(4)
-	if r.Err() != nil {
-		return nil, r.Err()
+func ParseSnapshot(data []byte) (*Snapshot, error) {
+	w := walker{snap: &Snapshot{}}
+	if err := w.walk([][]byte{data}, false); err != nil {
+		return nil, err
 	}
-	if [4]byte(magic) != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
-	}
-	version := r.U16()
-	if version < 1 {
-		return nil, fmt.Errorf("%w: version %d", ErrSnapshotCorrupt, version)
-	}
-	str := func() string {
-		n := int(r.U16())
-		at := r.off
-		if b := r.Take(n); b == nil || src == "" {
-			return string(b)
-		}
-		return src[at : at+n]
-	}
-	s := &Snapshot{}
-	s.Machine = str()
-	s.TakenUnixNano = r.I64()
-	nc := r.U32()
-	if nc > maxSnapshotEntries {
-		return nil, fmt.Errorf("%w: %d counters", ErrSnapshotCorrupt, nc)
-	}
-	// Each list is sized from its count, clipped to the entries the
-	// bytes left can hold.
-	s.Counters = listOf[NamedValue](min(int(nc), r.Remaining()/10))
-	for i := uint32(0); i < nc && r.Err() == nil; i++ {
-		s.Counters = append(s.Counters, NamedValue{Name: str(), Value: r.I64()})
-	}
-	ng := r.U32()
-	if ng > maxSnapshotEntries {
-		return nil, fmt.Errorf("%w: %d gauges", ErrSnapshotCorrupt, ng)
-	}
-	s.Gauges = listOf[NamedValue](min(int(ng), r.Remaining()/10))
-	for i := uint32(0); i < ng && r.Err() == nil; i++ {
-		s.Gauges = append(s.Gauges, NamedValue{Name: str(), Value: r.I64()})
-	}
-	nh := r.U32()
-	if nh > maxSnapshotEntries {
-		return nil, fmt.Errorf("%w: %d histograms", ErrSnapshotCorrupt, nh)
-	}
-	s.Hists = listOf[HistValue](min(int(nh), r.Remaining()/20))
-	for i := uint32(0); i < nh && r.Err() == nil; i++ {
-		h := HistValue{Name: str(), Count: r.I64(), Sum: r.I64()}
-		np := int(r.U16())
-		h.Buckets = listOf[BucketCount](min(np, r.Remaining()/9))
-		for j := 0; j < np && r.Err() == nil; j++ {
-			h.Buckets = append(h.Buckets, BucketCount{Bucket: r.U8(), Count: r.I64()})
-		}
-		s.Hists = append(s.Hists, h)
-	}
-	if version >= 2 {
-		ns := r.U32()
-		if r.Err() == nil && ns > maxSnapshotEntries {
-			return nil, fmt.Errorf("%w: %d sections", ErrSnapshotCorrupt, ns)
-		}
-		for i := uint32(0); i < ns && r.Err() == nil; i++ {
-			sec := Section{Name: str(), Version: r.U16()}
-			n := int(r.U32())
-			if body := r.Take(n); body != nil {
-				sec.Data = body[:n:n]
-				if src == "" {
-					sec.Data = append([]byte(nil), body...)
-				}
-			}
-			if r.Err() == nil {
-				s.Sections = append(s.Sections, sec)
-			}
-		}
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	return s, nil
+	return w.snap, nil
 }
 
 // MarshalJSON output is the forensic-file form (cmd/dpstat reads it);
@@ -434,50 +234,40 @@ func (s *Snapshot) EncodeJSON() []byte {
 	return append(b, '\n')
 }
 
-// ParseSnapshotJSON decodes the forensic-file form.
+// ParseSnapshotJSON decodes the forensic-file form. A snapshot the
+// binary form cannot carry — a name past 64 KiB, a list past
+// maxSnapshotEntries, a histogram of more than 64 Ki buckets — is
+// refused as corrupt: a merge and a report read snapshots in that form.
 func ParseSnapshotJSON(data []byte) (*Snapshot, error) {
 	s := &Snapshot{}
 	if err := json.Unmarshal(data, s); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	fits := len(s.Machine) <= math.MaxUint16 && len(s.Counters) <= maxSnapshotEntries && len(s.Gauges) <= maxSnapshotEntries &&
+		len(s.Hists) <= maxSnapshotEntries && len(s.Sections) <= maxSnapshotEntries
+	for _, v := range slices.Concat(s.Counters, s.Gauges) {
+		fits = fits && len(v.Name) <= math.MaxUint16
+	}
+	for _, h := range s.Hists {
+		fits = fits && len(h.Name) <= math.MaxUint16 && len(h.Buckets) <= math.MaxUint16
+	}
+	for _, sec := range s.Sections {
+		fits = fits && len(sec.Name) <= math.MaxUint16 && len(sec.Data) <= math.MaxUint32
+	}
+	if !fits {
+		return nil, fmt.Errorf("%w: too large for the binary form", ErrSnapshotCorrupt)
 	}
 	return s, nil
 }
 
 // Render writes the snapshot as a readable report: counters and gauges
 // one per line, histograms with count, mean and p50/p95/p99 rendered
-// as durations (histograms hold nanoseconds by convention).
+// as durations (histograms hold nanoseconds by convention), then each
+// section through its renderer. It is AppendReport of the snapshot's
+// binary form.
 func (s *Snapshot) Render(w io.Writer) {
-	if s.Machine != "" {
-		fmt.Fprintf(w, "machine %s\n", s.Machine)
-	}
-	if s.TakenUnixNano != 0 {
-		fmt.Fprintf(w, "taken %s\n", time.Unix(0, s.TakenUnixNano).UTC().Format(time.RFC3339))
-	}
-	if len(s.Counters) > 0 {
-		fmt.Fprintf(w, "counters:\n")
-		for _, v := range s.Counters {
-			fmt.Fprintf(w, "  %-40s %12d\n", v.Name, v.Value)
-		}
-	}
-	if len(s.Gauges) > 0 {
-		fmt.Fprintf(w, "gauges:\n")
-		for _, v := range s.Gauges {
-			fmt.Fprintf(w, "  %-40s %12d\n", v.Name, v.Value)
-		}
-	}
-	if len(s.Hists) > 0 {
-		fmt.Fprintf(w, "histograms:%31s %12s %10s %10s %10s %10s\n", "", "count", "mean", "p50", "p95", "p99")
-		for i := range s.Hists {
-			h := &s.Hists[i]
-			fmt.Fprintf(w, "  %-40s %12d %10v %10v %10v %10v\n",
-				h.Name, h.Count,
-				time.Duration(h.Mean()).Round(time.Microsecond),
-				time.Duration(h.Quantile(0.50)).Round(time.Microsecond),
-				time.Duration(h.Quantile(0.95)).Round(time.Microsecond),
-				time.Duration(h.Quantile(0.99)).Round(time.Microsecond))
-		}
-	}
-	renderSections(w, s.Sections)
+	b, _, _ := AppendReport(nil, s.MarshalBinary())
+	_, _ = w.Write(b)
 }
 
 // Get returns the named counter or gauge value and whether it exists —

@@ -2,11 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
-	"unsafe"
 )
 
 // randomSnapshot builds a snapshot from a shared small name pool so
@@ -166,30 +166,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 			got.Machine != s.Machine || got.TakenUnixNano != s.TakenUnixNano {
 			t.Fatalf("trial %d: round trip changed snapshot:\nin  %+v\nout %+v", trial, s, got)
 		}
-		// The string parse reads the same snapshot in place: every name
-		// and section payload lies in the string's own bytes.
-		str := string(wire)
-		inPlace, err := ParseSnapshotString(str)
-		if err != nil || !reflect.DeepEqual(inPlace, got) {
-			t.Fatalf("trial %d: string parse: %v\nin place %+v\ncopied %+v", trial, err, inPlace, got)
-		}
-		within := func(p *byte) bool {
-			at := uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(unsafe.StringData(str)))
-			return at < uintptr(len(str))
-		}
-		for _, v := range inPlace.Counters {
-			if !within(unsafe.StringData(v.Name)) {
-				t.Fatalf("trial %d: counter %s copied out of the string", trial, v.Name)
-			}
-		}
-		for _, sec := range inPlace.Sections {
-			if len(sec.Data) > 0 && !within(&sec.Data[0]) {
-				t.Fatalf("trial %d: ParseSnapshotString copied section %s out", trial, sec.Name)
-			}
-			if cap(sec.Data) != len(sec.Data) {
-				t.Fatalf("trial %d: section %s can be appended into the string", trial, sec.Name)
-			}
-		}
 		for i := range wire {
 			wire[i] ^= 0xff
 		}
@@ -288,5 +264,19 @@ func TestQuantileEdgeCases(t *testing.T) {
 	top := &HistValue{Count: 1, Buckets: []BucketCount{{Bucket: NumBuckets - 1, Count: 1}}}
 	if q := top.Quantile(0.5); q != int64(^uint64(0)>>1) {
 		t.Fatalf("top-bucket quantile = %d, want MaxInt64", q)
+	}
+}
+
+// TestParseSnapshotJSONRefusesUnencodable: a JSON snapshot the binary
+// form cannot carry, which a merge and a report read snapshots in, is
+// refused as corrupt rather than merged wrong.
+func TestParseSnapshotJSONRefusesUnencodable(t *testing.T) {
+	long := &Snapshot{Counters: []NamedValue{{Name: string(bytes.Repeat([]byte{'x'}, 1<<16)), Value: 1}}}
+	if _, err := ParseSnapshotJSON(long.EncodeJSON()); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("a 64 KiB counter name: %v, want ErrSnapshotCorrupt", err)
+	}
+	ok := &Snapshot{Counters: []NamedValue{{Name: string(bytes.Repeat([]byte{'x'}, 1<<16-1)), Value: 1}}}
+	if _, err := ParseSnapshotJSON(ok.EncodeJSON()); err != nil {
+		t.Fatalf("a counter name one byte shorter: %v", err)
 	}
 }

@@ -41,6 +41,13 @@ type Backend interface {
 	List() ([]Entry, error)
 }
 
+// unchangedLister is a Backend that can tell, without making a listing,
+// that List would return a listing it returned before, every file in it
+// with a non-zero ID: Reopen then keeps the reader it has.
+type unchangedLister interface {
+	Unchanged(listing []Entry) bool
+}
+
 // Entry is one file of a backend's listing: its name, the number the
 // backend gave the file when it was created — never another file's —
 // and its size.
@@ -86,6 +93,11 @@ func (b *FsysBackend) Remove(name string) error {
 // file ids the backend's uid may read.
 func (b *FsysBackend) List() ([]Entry, error) {
 	return b.fs.Entries(b.prefix, b.uid), nil
+}
+
+// Unchanged reports whether List would return listing again.
+func (b *FsysBackend) Unchanged(listing []Entry) bool {
+	return b.fs.EntriesUnchanged(b.prefix, b.uid, listing)
 }
 
 // DirBackend stores segments as files in a host directory — the form a

@@ -584,3 +584,38 @@ func TestOpenSalvagesTornHeader(t *testing.T) {
 		}
 	}
 }
+
+// TestReopenUnchangedNoAlloc: reopening a store nothing was written to
+// since returns the reader it was given and allocates nothing; a write
+// that lands in between is seen.
+func TestReopenUnchangedNoAlloc(t *testing.T) {
+	be := NewFsysBackend(fsys.New(), fsys.Superuser, "/usr/tmp/f.store")
+	st, err := Open(be, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(i int) {
+		line := fmt.Sprintf("SEND machine=%d cpuTime=%d procTime=0 pid=100 sock=3 msgLength=64", i%2, i)
+		if err := st.Append(Meta{Machine: uint16(i % 2), Time: uint32(i), Type: 1, PID: 100}, line); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		add(i)
+	}
+	rd, err := Reopen(nil, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again *Reader
+	if allocs := testing.AllocsPerRun(100, func() { again, err = Reopen(rd, be) }); allocs != 0 || err != nil || again != rd {
+		t.Fatalf("reopening an unchanged store: %v allocs, err %v, same reader %v", allocs, err, again == rd)
+	}
+	add(40)
+	if again, err = Reopen(rd, be); err != nil || again == rd || again.NumSegments() < rd.NumSegments() {
+		t.Fatalf("a store appended to reopened as the reader before it (err %v)", err)
+	}
+}

@@ -954,8 +954,9 @@ func (rs *ReaderSegment) DiskBytes() int { return len(rs.data) }
 // Sealed segments expose their footer index so callers can prune them
 // without decoding any block.
 type Reader struct {
-	shards [][]*ReaderSegment
-	listed []*ReaderSegment // every segment listed, in name order, for Reopen
+	shards  [][]*ReaderSegment
+	listed  []*ReaderSegment // every segment listed, in name order, for Reopen
+	listing []Entry          // the listing it was opened from
 }
 
 // openReaderAttempts bounds how often OpenReader re-lists a backend
@@ -984,10 +985,16 @@ func OpenReader(be Backend) (*Reader, error) { return Reopen(nil, be) }
 // the same Size as when prev's segment read it. Such a file holds
 // exactly what that segment holds (Backend.List), so it is neither read
 // nor its footer checked again. A backend that lists ID 0 — DirBackend —
-// never matches, and its segments are read every time.
+// never matches, and its segments are read every time. When nothing
+// changed — a backend that can tell so without a listing says every
+// file of prev's listing is still listed as it was, and nothing else is
+// — Reopen returns prev itself and allocates nothing.
 func Reopen(prev *Reader, be Backend) (*Reader, error) {
 	var old []*ReaderSegment
 	if prev != nil {
+		if u, ok := be.(unchangedLister); ok && u.Unchanged(prev.listing) {
+			return prev, nil
+		}
 		old = prev.listed
 	}
 	for attempt := 1; ; attempt++ {
@@ -1006,7 +1013,7 @@ func openReader(old []*ReaderSegment, be Backend) (r *Reader, stale bool, err er
 	if err != nil {
 		return nil, false, err
 	}
-	r = &Reader{listed: make([]*ReaderSegment, 0, len(listed))}
+	r = &Reader{listed: make([]*ReaderSegment, 0, len(listed)), listing: listed}
 	for _, e := range listed {
 		for len(old) > 0 && old[0].Name < e.Name {
 			old = old[1:]
