@@ -59,32 +59,26 @@ func main() {
 }
 
 // run writes the report, or with asJSON the JSON form, of the merge of
-// the snapshot files at paths to w: the report rendered in one walk
-// over the snapshots' binary forms, as the controller's stats command
-// renders its replies (obs.AppendReport).
+// the snapshot files at paths to w.
 func run(w io.Writer, asJSON bool, paths []string) error {
 	snaps := make([]*obs.Snapshot, len(paths))
-	wire := make([][]byte, len(paths))
 	for i, path := range paths {
 		s, err := load(path)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		snaps[i], wire[i] = s, s.MarshalBinary()
-	}
-	if !asJSON {
-		b, _, err := obs.AppendReport(nil, wire...)
-		if err == nil {
-			_, err = w.Write(b)
-		}
-		return err
+		snaps[i] = s
 	}
 	merged := snaps[0]
 	if len(snaps) > 1 {
 		merged = new(obs.Snapshot)
 		merged.MergeOf(snaps)
 	}
-	return cli.WriteJSON(w, merged)
+	if asJSON {
+		return cli.WriteJSON(w, merged)
+	}
+	merged.Render(w)
+	return nil
 }
 
 // load reads one snapshot, accepting both formats: the binary wire

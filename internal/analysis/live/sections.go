@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"dpm/internal/analysis"
 	"dpm/internal/filter"
@@ -361,23 +362,15 @@ func appendTable(b []byte, n int, row func(b []byte, i int) []byte) []byte {
 	return b
 }
 
-// readMachines reads a table of machine rows, each at least size bytes,
-// in strictly ascending machine order.
-func readMachines[T any](r *obs.Cursor, size int, row func(*obs.Cursor) T, machine func(*T) uint16) []T {
+// rowCount reads a table's row count, failing r when its bytes cannot hold
+// that many rows of at least size bytes.
+func rowCount(r *obs.Cursor, size int) int {
 	n := int(count(r))
 	if n > r.Remaining()/size {
-		r.Fail("%d machine rows in %d bytes", n, r.Remaining())
-		return nil
+		r.Fail("%d rows in %d bytes", n, r.Remaining())
+		return 0
 	}
-	out := make([]T, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		m := row(r)
-		if i > 0 && machine(&m) <= machine(&out[i-1]) {
-			r.Fail("machine %d after %d", machine(&m), machine(&out[i-1]))
-		}
-		out = append(out, m)
-	}
-	return out
+	return n
 }
 
 // appendSwept appends the swept part of the curve, levels ascending.
@@ -561,6 +554,19 @@ func (c *Collector) appendComm(b []byte) []byte {
 	})
 }
 
+// readCommHead reads a live.comm payload's totals into t, and the
+// count and the bytes of its process rows.
+func readCommHead(r *obs.Cursor, t *analysis.Totals) (int, []byte) {
+	t.Events, t.Sends, t.Recvs, t.BytesSent, t.BytesRecvd = r.I64(), r.I64(), r.I64(), r.I64(), r.I64()
+	readSizes(r, &t.SizeHist)
+	np := int(count(r))
+	rows := r.Take(int(r.U32()))
+	if np > len(rows)/minCommRowSize {
+		r.Fail("%d process rows in %d bytes", np, len(rows))
+	}
+	return np, rows
+}
+
 // DecodeComm parses a live.comm payload.
 func DecodeComm(data []byte) (*CommState, error) {
 	st, _, err := decodeComm(data, true, nil)
@@ -578,14 +584,7 @@ func DecodeComm(data []byte) (*CommState, error) {
 func decodeComm(data []byte, procs bool, pair func(p PairState)) (CommState, int, error) {
 	r := obs.NewCursor(data, ErrBadSection)
 	var st CommState
-	t := &st.Totals
-	t.Events, t.Sends, t.Recvs, t.BytesSent, t.BytesRecvd = r.I64(), r.I64(), r.I64(), r.I64(), r.I64()
-	readSizes(&r, &t.SizeHist)
-	np := int(count(&r))
-	rows := r.Take(int(r.U32()))
-	if np > len(rows)/minCommRowSize {
-		r.Fail("%d process rows in %d bytes", np, len(rows))
-	}
+	np, rows := readCommHead(&r, &st.Totals)
 	if procs && r.Err() == nil {
 		pr := obs.NewCursor(rows, ErrBadSection)
 		st.Procs = make([]analysis.ProcComm, 0, np)
@@ -602,8 +601,10 @@ func decodeComm(data []byte, procs bool, pair func(p PairState)) (CommState, int
 			return st, 0, pr.Err()
 		}
 	}
-	st.Machines = readMachines(&r, minMachCommSize, readMachineComm, func(m *MachineComm) uint16 { return m.Machine })
+	st.Machines = make([]MachineComm, rowCount(&r, minMachCommSize))
 	for i := range st.Machines {
+		st.Machines[i] = readMachineComm(&r)
+		ascending(&r, i, uint64(st.Machines[i].Machine), uint64(st.Machines[max(i-1, 0)].Machine))
 		np += int(st.Machines[i].Procs)
 	}
 	npairs := int(count(&r))
@@ -655,7 +656,11 @@ func (c *Collector) appendPar(b []byte) []byte {
 func readPar(data []byte, st *ParState, size func(n int), row func(iv ProcInterval)) error {
 	r := obs.NewCursor(data, ErrBadSection)
 	st.Swept = readSwept(&r)
-	st.Machines = readMachines(&r, minMachParSize, readMachinePar, func(m *MachinePar) uint16 { return m.Machine })
+	st.Machines = make([]MachinePar, rowCount(&r, minMachParSize))
+	for i := range st.Machines {
+		st.Machines[i] = readMachinePar(&r)
+		ascending(&r, i, uint64(st.Machines[i].Machine), uint64(st.Machines[max(i-1, 0)].Machine))
+	}
 	n := int(count(&r))
 	size(min(n, r.Remaining()/minParRowSize))
 	var prev ProcInterval
@@ -733,13 +738,18 @@ type run struct {
 	end   int    // where live.comm's process rows end
 }
 
-// newRuns returns a run at the start of each payload.
-func newRuns(payloads [][]byte) []run {
-	runs := make([]run, len(payloads))
-	for i, data := range payloads {
-		runs[i].c = obs.NewCursor(data, ErrBadSection)
+// runsFree keeps the runs of finished merges for the next.
+var runsFree = sync.Pool{New: func() any { return new([]run) }}
+
+// newRuns returns a run at the start of each payload, in a slice the
+// merger gives back to runsFree.
+func newRuns(payloads [][]byte) *[]run {
+	rs := runsFree.Get().(*[]run)
+	*rs = (*rs)[:0]
+	for _, data := range payloads {
+		*rs = append(*rs, run{c: obs.NewCursor(data, ErrBadSection)})
 	}
-	return runs
+	return rs
 }
 
 // mergeRuns merges one table of each run, in step. key reads the rest
@@ -781,17 +791,13 @@ func mergeRuns(runs []run, key func(u *run) uint64, body func(u *run, first bool
 	}
 }
 
-// mergeTable appends the merge of the table each run is at, behind the
-// merged table's row count: it reads each run's row count, failing a
-// run whose bytes cannot hold that many rows of size, and row appends
+// mergeTable appends the merge of the table each run is at, rows of at
+// least size bytes, behind the merged table's row count; row appends
 // the merged row of a key.
 func mergeTable(b []byte, runs []run, size int, key func(u *run) uint64, body func(u *run, first bool), row func(b []byte, key uint64) []byte) []byte {
 	for i := range runs {
 		u := &runs[i]
-		u.left, u.key, u.first = int(count(&u.c)), 0, 0
-		if u.left > u.c.Remaining()/size {
-			u.c.Fail("%d rows in %d bytes", u.left, u.c.Remaining())
-		}
+		u.left, u.key, u.first = rowCount(&u.c, size), 0, 0
 	}
 	at, n := len(b), 0
 	b = binary.LittleEndian.AppendUint32(b, 0)
@@ -829,27 +835,23 @@ func outSize(payloads [][]byte) int {
 // mergeCommPayload merges live.comm payloads: the totals summed, and
 // each table's rows merged by key with their counts summed.
 func mergeCommPayload(payloads ...[]byte) ([]byte, error) {
-	runs := newRuns(payloads)
+	rs := newRuns(payloads)
+	defer runsFree.Put(rs)
+	runs := *rs
 	var t analysis.Totals
 	for i := range runs {
+		// The process rows merge from a cursor of their own, the rest
+		// from where they end.
 		u := &runs[i]
-		t.Events += u.c.I64()
-		t.Sends += u.c.I64()
-		t.Recvs += u.c.I64()
-		t.BytesSent += u.c.I64()
-		t.BytesRecvd += u.c.I64()
-		var sizes [analysis.NumSizeBuckets]int64
-		readSizes(&u.c, &sizes)
-		addSizes(&t.SizeHist, &sizes)
-		u.left = int(count(&u.c))
-		size := int(u.c.U32())
-		if u.left > size/minCommRowSize || size > u.c.Remaining() {
-			u.c.Fail("%d process rows in %d bytes", u.left, size)
+		var h analysis.Totals
+		n, rows := readCommHead(&u.c, &h)
+		t.Events, t.Sends, t.Recvs = t.Events+h.Events, t.Sends+h.Sends, t.Recvs+h.Recvs
+		t.BytesSent, t.BytesRecvd = t.BytesSent+h.BytesSent, t.BytesRecvd+h.BytesRecvd
+		addSizes(&t.SizeHist, &h.SizeHist)
+		if err := u.c.Err(); err != nil {
+			return nil, err
 		}
-		u.end = u.c.Off() + size
-	}
-	if err := failed(runs); err != nil {
-		return nil, err
+		u.end, u.c, u.left = u.c.Off(), obs.NewCursor(rows, ErrBadSection), n
 	}
 	b := appendCommHead(make([]byte, 0, outSize(payloads)), &t)
 	var acc, row, prev analysis.ProcComm
@@ -872,9 +874,15 @@ func mergeCommPayload(payloads ...[]byte) ([]byte, error) {
 		return b, n
 	})
 	for i := range runs {
-		if u := &runs[i]; u.c.Err() == nil && u.c.Off() != u.end {
-			u.c.Fail("process rows end at byte %d, not %d", u.c.Off(), u.end)
+		if u := &runs[i]; u.c.Err() == nil && u.c.Remaining() != 0 {
+			u.c.Fail("%d bytes after the process rows", u.c.Remaining())
 		}
+	}
+	if err := failed(runs); err != nil {
+		return nil, err
+	}
+	for i := range runs {
+		runs[i].c = obs.NewCursor(payloads[i][runs[i].end:], ErrBadSection)
 	}
 	var mach MachineComm
 	b = mergeTable(b, runs, minMachCommSize, func(u *run) uint64 { return uint64(u.c.U16()) },
@@ -918,34 +926,29 @@ func mergeCommPayload(payloads ...[]byte) ([]byte, error) {
 // rows and the curves: the merged section is swept to the end of time,
 // and its histogram is each payload's own curve, summed.
 func mergeParPayload(payloads ...[]byte) ([]byte, error) {
-	runs := newRuns(payloads)
+	rs := newRuns(payloads)
+	defer runsFree.Put(rs)
+	runs := *rs
 	hist := map[int]int64{}
 	var starts, ends []int64
-	for i := range runs {
-		st := ParState{Swept: readSwept(&runs[i].c)}
-		// The payload's own curve: a first read of the machine and open
-		// rows, which the merge below reads again.
-		r := runs[i].c
-		n := int(count(&r))
-		for j := 0; j < n && r.Err() == nil; j++ {
-			readMachinePar(&r)
-		}
-		n = int(count(&r))
+	for i, data := range payloads {
+		// The payload's own curve: a first read, which the merge below
+		// reads again from the machine rows on.
+		var st ParState
 		starts, ends = starts[:0], ends[:0]
-		var prev ProcInterval
-		for j := 0; j < n && r.Err() == nil; j++ {
-			prev = readParRow(&r, &prev)
-			starts, ends = append(starts, prev.First), append(ends, prev.Last)
-		}
-		if r.Err() != nil {
-			return nil, r.Err()
+		if err := readPar(data, &st, func(n int) {
+			if cap(starts) < n {
+				starts, ends = make([]int64, 0, n), make([]int64, 0, n)
+			}
+		}, func(iv ProcInterval) {
+			starts, ends = append(starts, iv.First), append(ends, iv.Last)
+		}); err != nil {
+			return nil, err
 		}
 		for k, ms := range st.curve(starts, ends, 0).Histogram {
 			hist[k] += ms
 		}
-	}
-	if err := failed(runs); err != nil {
-		return nil, err
+		readSwept(&runs[i].c)
 	}
 	b := appendSwept(make([]byte, 0, outSize(payloads)+16*len(hist)), &Swept{Horizon: math.MaxInt64, Hist: hist})
 	var mp MachinePar
@@ -1028,7 +1031,8 @@ func renderComm(b []byte, s obs.Section) []byte {
 		src, dst                                 uint16
 		sendMsgs, sendBytes, recvMsgs, recvBytes int64
 	}
-	var pairs []cell
+	var cells [renderMaxPairs]cell // a large matrix spills to the heap
+	pairs := cells[:0]
 	st, nprocs, err := decodeComm(s.Data, false, func(p PairState) {
 		pairs = append(pairs, cell{p.Src, p.Dst, p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes})
 	})

@@ -661,7 +661,7 @@ func (c *Controller) cmdStats(args []string) {
 	})
 	var buf bytes.Buffer
 	last := int(c.statsLen.Load())
-	buf.Grow(last + last/8)
+	buf.Grow(last + last/16)
 	statsReport(&buf, targets, res)
 	release(res) // the report was rendered from the replies in place
 	c.statsLen.Store(int64(buf.Len()))
@@ -675,8 +675,11 @@ func (c *Controller) cmdStats(args []string) {
 // conservation law the merged counters break. A reply that is not a
 // snapshot counts its machine missing.
 func statsReport(buf *bytes.Buffer, targets []string, res []hostResult) {
-	snaps := make([][]byte, 0, len(res))
-	var reporting, missing []string
+	// A cluster's worth of replies and names are listed on the stack.
+	var snapsArr [16][]byte
+	var reportingArr [16]string
+	snaps, reporting := snapsArr[:0], reportingArr[:0]
+	var missing []string
 	for _, r := range res {
 		if r.Err != nil || !r.Rep.OK() || obs.CheckSnapshot(r.Rep.DataBytes()) != nil {
 			missing = append(missing, r.Host)

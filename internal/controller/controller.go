@@ -109,7 +109,7 @@ type Controller struct {
 	closed   bool
 
 	// statsLen is the length of the last stats report. The next one's
-	// buffer is sized an eighth over it, since the same report of a
+	// buffer is sized a sixteenth over it, since the same report of a
 	// moment later differs by a few digits.
 	statsLen atomic.Int64
 }
@@ -465,9 +465,6 @@ func (c *Controller) Closed() bool {
 	defer c.mu.Unlock()
 	return c.closed
 }
-
-// NotifyPort exposes the state-change socket's port, for tests.
-func (c *Controller) NotifyPort() uint16 { return c.notifyPort }
 
 // Jobs returns a snapshot of the job table, for tests and embedding
 // programs: copies of every job, process and filter record, taken under

@@ -229,3 +229,20 @@ func TestFeedFromBlockedSourcesNoAlloc(t *testing.T) {
 		t.Fatalf("%d sources of one record each read into %d distinct chunks, want at most %d", sources, len(chunks), depth*workers)
 	}
 }
+
+// FeedFrom reads the source's next chunk with read, in the shape of
+// read(2), into a buffer from the pipeline's free list, and feeds what
+// it read; the buffer returns to the list once processed. It returns
+// false, with the buffer back on the list, once read fails (EOF
+// included) or the pipeline refuses the chunk. It drives a source the
+// way Drain does, taking the chunk before the read.
+func (s *Source) FeedFrom(read func([]byte) (int, error)) bool {
+	c := s.pl.takeChunk()
+	n, err := read(c)
+	if err == nil && n > 0 && s.feed(pipeItem{src: s, data: c[:n], pooled: true}) {
+		return true
+	}
+	// Not fed: a failed read (EOF included), an empty one or a refusal.
+	s.pl.putChunk(c)
+	return err == nil && n == 0
+}

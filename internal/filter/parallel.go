@@ -86,7 +86,7 @@ type pipeItem struct {
 	pooled bool
 }
 
-// chunkSize is the size of FeedFrom's read buffers: a large read drains
+// chunkSize is the size of Drain's read buffers: a large read drains
 // whole meter-buffer flushes in one call, giving the engine maximal
 // contiguous frame runs.
 const chunkSize = 64 << 10
@@ -114,7 +114,7 @@ type Pipeline struct {
 	workers []*pipeWorker
 	logQ    chan *Batch
 	quit    chan struct{}
-	// free is the list of FeedFrom's read buffers. It holds at most
+	// free is the list of Drain's read buffers. It holds at most
 	// QueueDepth × Workers of them, as many as the worker queues do.
 	free chan []byte
 
@@ -244,37 +244,20 @@ func (s *Source) Feed(data []byte) bool {
 	return s.feed(pipeItem{src: s, data: data})
 }
 
-// FeedFrom reads the source's next chunk with read, into a 64 KiB
-// buffer from the pipeline's free list, and feeds what it read; the buffer returns to the list once processed. read has the
-// shape of read(2) (kernel.Process.RecvInto). FeedFrom returns false,
-// with the buffer back on the list, once read fails (EOF included) or
-// the pipeline refuses the chunk.
-func (s *Source) FeedFrom(read func([]byte) (int, error)) bool {
-	c := s.pl.takeChunk()
-	n, err := read(c)
-	if err == nil && n > 0 && s.feed(pipeItem{src: s, data: c[:n], pooled: true}) {
-		return true
-	}
-	// Not fed: a failed read (EOF included), an empty one or a refusal.
-	s.pl.putChunk(c)
-	return err == nil && n == 0
-}
-
 // Drain feeds the source its connection's bytes until the connection
 // ends. recv is a receive that asks for its buffer, of at least max
-// bytes, only once there is something to receive, and fails without
-// asking when the connection ends (kernel.Process.RecvLazy): the chunk is
-// taken from the free list then, so a source whose connection is quiet
-// holds none.
+// bytes, only once there is something to receive, and returns the
+// buffer it asked for, if any, also when it fails
+// (kernel.Process.RecvLazy): the chunk is taken from the free list
+// then, so a source whose connection is quiet holds none.
 func (s *Source) Drain(recv func(max int, get func() []byte) ([]byte, int, error)) {
 	get := s.pl.takeChunk
 	for {
 		c, n, err := recv(chunkSize, get)
-		if err != nil {
-			return
-		}
-		if !s.feed(pipeItem{src: s, data: c[:n], pooled: true}) {
-			s.pl.putChunk(c)
+		if err != nil || !s.feed(pipeItem{src: s, data: c[:n], pooled: true}) {
+			if c != nil {
+				s.pl.putChunk(c)
+			}
 			return
 		}
 	}

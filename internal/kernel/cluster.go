@@ -168,16 +168,6 @@ func (c *Cluster) Machine(name string) (*Machine, error) {
 	return m, nil
 }
 
-// MachineByID returns a machine by its meter-header id.
-func (c *Cluster) MachineByID(id uint16) (*Machine, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id == 0 || int(id) > len(c.byID) {
-		return nil, fmt.Errorf("kernel: no machine id %d", id)
-	}
-	return c.byID[id-1], nil
-}
-
 // Machines returns the machines in creation (id) order.
 func (c *Cluster) Machines() []*Machine {
 	c.mu.Lock()

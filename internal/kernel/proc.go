@@ -135,9 +135,6 @@ func (p *Process) WaitExit() (int, string) {
 	return p.exitStatus, p.exitReason
 }
 
-// ExitChan returns a channel closed at process termination.
-func (p *Process) ExitChan() <-chan struct{} { return p.exitCh }
-
 // KillChan returns a channel closed when the process is killed.
 // Auxiliary goroutines (Process.Go) that sleep outside a system call —
 // a session supervisor pacing reconnect backoff, say — select on it so

@@ -182,13 +182,6 @@ func (s *Socket) PeerName() meter.Name {
 	return s.peerName
 }
 
-// Connected reports whether a stream socket is currently connected.
-func (s *Socket) Connected() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.connected && !s.peerClosed
-}
-
 // Dead reports that the socket can never carry data again: it is
 // closed, or it was connected and its peer has gone. A socket that was
 // simply never connected is not dead. The metering machinery uses this

@@ -468,8 +468,8 @@ func (p *Process) RecvInto(fd int, buf []byte, timeout <-chan time.Time) (int, e
 // RecvLazy is RecvInto into the buffer get returns, of at least max
 // bytes, which it asks for only once there is something to receive: a
 // reader blocked on a quiet connection holds no buffer. It returns the
-// buffer with the n bytes received at its front, or nil when the
-// receive failed first.
+// buffer with the n bytes received at its front, failed or not: nil
+// only if it never asked for one.
 func (p *Process) RecvLazy(fd, max int, get func() []byte) ([]byte, int, error) {
 	data, n, _, err := p.recvFrom(fd, recvDst{get: get, max: max}, nil, false)
 	return data, n, err
@@ -559,12 +559,12 @@ func (p *Process) recvFrom(fd int, dst recvDst, timeout <-chan time.Time, nonblo
 	}
 	for {
 		if err := p.checkpoint(); err != nil {
-			return nil, 0, meter.Name{}, err
+			return dst.lazy, 0, meter.Name{}, err
 		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			return nil, 0, meter.Name{}, ErrBadFD
+			return dst.lazy, 0, meter.Name{}, ErrBadFD
 		}
 		if s.typ == SockDgram {
 			if len(s.dgrams) > 0 && dst.get != nil && dst.lazy == nil {
@@ -589,7 +589,7 @@ func (p *Process) recvFrom(fd int, dst recvDst, timeout <-chan time.Time, nonblo
 		} else {
 			if !s.connected {
 				s.mu.Unlock()
-				return nil, 0, meter.Name{}, ErrNotConn
+				return dst.lazy, 0, meter.Name{}, ErrNotConn
 			}
 			if len(s.recvBuf) > 0 && dst.get != nil && dst.lazy == nil {
 				s.mu.Unlock()
@@ -611,12 +611,12 @@ func (p *Process) recvFrom(fd int, dst recvDst, timeout <-chan time.Time, nonblo
 			}
 			if s.peerClosed {
 				s.mu.Unlock()
-				return nil, 0, meter.Name{}, io.EOF
+				return dst.lazy, 0, meter.Name{}, io.EOF
 			}
 		}
 		if nonblock {
 			s.mu.Unlock()
-			return nil, 0, meter.Name{}, ErrWouldBlock
+			return dst.lazy, 0, meter.Name{}, ErrWouldBlock
 		}
 		w := getWaiter()
 		s.waiters.push(w)
@@ -624,7 +624,7 @@ func (p *Process) recvFrom(fd int, dst recvDst, timeout <-chan time.Time, nonblo
 		err := p.await(w.ch, timeout)
 		s.unpark(w)
 		if err != nil {
-			return nil, 0, meter.Name{}, err
+			return dst.lazy, 0, meter.Name{}, err
 		}
 	}
 }

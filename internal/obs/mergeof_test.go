@@ -13,7 +13,7 @@ import (
 
 // TestRegistrySnapshotSorted: a registry whose metrics were created in
 // random order snapshots every list in name order, as MergeOf reads
-// it, and AppendBinary writes BinarySize bytes of it behind what the
+// it, and Registry.AppendBinary writes a snapshot behind what the
 // buffer held.
 func TestRegistrySnapshotSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
@@ -44,8 +44,8 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 			!slices.IsSortedFunc(s.Sections, func(a, b Section) int { return strings.Compare(a.Name, b.Name) }) {
 			t.Fatalf("trial %d: a snapshot lists out of name order: %s", trial, s.EncodeJSON())
 		}
-		if got := s.AppendBinary([]byte("prefix")); string(got) != "prefix"+string(s.MarshalBinary()) || len(got)-6 != s.BinarySize() {
-			t.Fatalf("trial %d: AppendBinary wrote %d bytes, BinarySize says %d", trial, len(got)-6, s.BinarySize())
+		if got := r.AppendBinary([]byte("prefix"), ""); string(got[:6]) != "prefix" || CheckSnapshot(got[6:]) != nil {
+			t.Fatalf("trial %d: AppendBinary did not append a snapshot behind the buffer's bytes", trial)
 		}
 	}
 }
@@ -58,12 +58,12 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 // registered merger that fails on some payloads, and sections no merger
 // knows.
 func TestMergeOfEqualsPairwiseFold(t *testing.T) {
-	RegisterSectionMerger("test.kway", 1, func(a, b []byte) ([]byte, error) {
+	RegisterSectionMerger("test.kway", 1, pair(func(a, b []byte) ([]byte, error) {
 		if len(a) == 0 || len(b) == 0 || a[0] == 7 || b[0] == 7 {
 			return nil, errors.New("unmergeable")
 		}
 		return []byte{a[0] + b[0], byte(len(a) + len(b))}, nil
-	})
+	}))
 	rng := rand.New(rand.NewSource(4404))
 	names := []string{"a", "b.c", "daemon.req", "filter.kept", "q", "store.append_ns", "z"}
 	random := func() *Snapshot {

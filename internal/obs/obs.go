@@ -174,14 +174,6 @@ func lookup[T any](list *[]named[T], name string) *T {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return new(Registry) }
 
-// defaultRegistry is the process-wide registry, for instrumentation
-// with no better home. Simulated-cluster code should prefer the
-// per-machine registries so stats stay attributable.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
-
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -52,34 +51,14 @@ var (
 	sectionRenderers = map[string]SectionRenderer{}
 )
 
-// errNotPair is what a merger registered as a pair function returns
-// for other than two payloads: the merge then folds them pairwise.
-var errNotPair = errors.New("obs: a pairwise merger merges two payloads")
-
 // RegisterSectionMerger installs the merger for one version of a
 // section, replacing any previous one; payloads of other versions are
-// never handed to it. fn is a SectionMerger, or a function that merges
-// exactly two payloads, which a merge of more calls pair by pair.
-// Typically called from the owning package's init so every binary that
-// links it can merge its sections.
-func RegisterSectionMerger[F SectionMerger | func(...[]byte) ([]byte, error) | func(a, b []byte) ([]byte, error)](name string, version uint16, fn F) {
-	var m SectionMerger
-	switch fn := any(fn).(type) {
-	case SectionMerger:
-		m = fn
-	case func(...[]byte) ([]byte, error):
-		m = fn
-	case func(a, b []byte) ([]byte, error):
-		m = func(payloads ...[]byte) ([]byte, error) {
-			if len(payloads) != 2 {
-				return nil, errNotPair
-			}
-			return fn(payloads[0], payloads[1])
-		}
-	}
+// never handed to it. Typically called from the owning package's init
+// so every binary that links it can merge its sections.
+func RegisterSectionMerger(name string, version uint16, fn SectionMerger) {
 	sectionMu.Lock()
 	defer sectionMu.Unlock()
-	sectionMergers[sectionKey{name, version}] = m
+	sectionMergers[sectionKey{name, version}] = fn
 }
 
 // RegisterSectionRenderer installs the renderer for a section name,

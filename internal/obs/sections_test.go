@@ -63,15 +63,27 @@ func TestSectionMergeUnregistered(t *testing.T) {
 	}
 }
 
+// pair makes a merger of exactly two payloads a SectionMerger: handed
+// any other number it fails, and the merge then folds the group
+// pairwise, as it does after any merger fails.
+func pair(fn func(a, b []byte) ([]byte, error)) SectionMerger {
+	return func(payloads ...[]byte) ([]byte, error) {
+		if len(payloads) != 2 {
+			return nil, errors.New("a pairwise merger merges two payloads")
+		}
+		return fn(payloads[0], payloads[1])
+	}
+}
+
 // TestSectionMergeRegistered registers a summing merger and checks
 // same-version payloads fold while other versions stay separate.
 func TestSectionMergeRegistered(t *testing.T) {
-	RegisterSectionMerger("test.sum", 1, func(x, y []byte) ([]byte, error) {
+	RegisterSectionMerger("test.sum", 1, pair(func(x, y []byte) ([]byte, error) {
 		if len(x) != 1 || len(y) != 1 {
 			return nil, errors.New("bad payload")
 		}
 		return []byte{x[0] + y[0]}, nil
-	})
+	}))
 	a := &Snapshot{Sections: []Section{{Name: "test.sum", Version: 1, Data: []byte{3}}}}
 	b := &Snapshot{Sections: []Section{
 		{Name: "test.sum", Version: 1, Data: []byte{4}},

@@ -147,16 +147,11 @@ var ErrSnapshotCorrupt = errors.New("obs: corrupt snapshot")
 // maxSnapshotEntries bounds each section against corrupt counts.
 const maxSnapshotEntries = 1 << 20
 
-// MarshalBinary encodes the snapshot in the versioned binary format.
+// MarshalBinary encodes the snapshot in the versioned binary format,
+// into a buffer of exactly its size.
 func (s *Snapshot) MarshalBinary() []byte {
-	return s.AppendBinary(make([]byte, 0, s.BinarySize()))
-}
-
-// AppendBinary appends the snapshot's binary form to b — BinarySize
-// bytes of it, what a daemon writes straight into a stats reply's frame.
-func (s *Snapshot) AppendBinary(b []byte) []byte {
 	le := binary.LittleEndian
-	b = append(b, snapshotMagic[:]...)
+	b := append(make([]byte, 0, s.BinarySize()), snapshotMagic[:]...)
 	b = le.AppendUint16(b, SnapshotVersion)
 	b = appendString(b, s.Machine)
 	b = le.AppendUint64(b, uint64(s.TakenUnixNano))

@@ -185,7 +185,6 @@ func (w *walker) walk(snaps [][]byte, merge bool) error {
 			w.out = append(time.Unix(0, taken).UTC().AppendFormat(append(w.out, "taken "...), time.RFC3339), '\n')
 		}
 	}
-	w.args = make([][]byte, 0, len(snaps))
 	for list := range numLists {
 		w.walkList(list, rs, es, psArr[:0])
 	}
@@ -255,6 +254,9 @@ func (w *walker) walkList(list int, rs []snapReader, es []entry, ps []payload) {
 		var fn SectionMerger
 		if len(rs) > 1 {
 			fn = sectionMerger(sectionKey{unsafeString(acc.name), acc.version})
+		}
+		if cap(w.args) < len(ps) {
+			w.args = make([][]byte, 0, len(ps))
 		}
 		for _, p := range foldGroup(fn, ps, w.args) {
 			acc.data = p
