@@ -340,15 +340,7 @@ func appendMachinePar(b []byte, m *MachinePar) []byte {
 
 // readMachinePar reads the row appendMachinePar wrote.
 func readMachinePar(r *obs.Cursor) MachinePar {
-	machine := r.U16()
-	m := readMachineParBody(r)
-	m.Machine = machine
-	return m
-}
-
-// readMachineParBody reads a live.par machine row after its machine.
-func readMachineParBody(r *obs.Cursor) MachinePar {
-	m := MachinePar{Procs: r.Zigzag(), CPU: r.Zigzag(), First: r.Zigzag()}
+	m := MachinePar{Machine: r.U16(), Procs: r.Zigzag(), CPU: r.Zigzag(), First: r.Zigzag()}
 	m.Last = m.First + r.Zigzag()
 	return m
 }
@@ -499,7 +491,8 @@ func readPairRow(r *obs.Cursor, p *PairState) {
 
 // ascending fails r when row i of a table, whose key is key, does not
 // come after the row before it, whose key is prev: every table is in
-// strictly ascending key order, so that payloads merge as sorted runs.
+// strictly ascending key order, so that a payload that decodes is the
+// one its state encodes to.
 func ascending(r *obs.Cursor, i int, key, prev uint64) {
 	if i > 0 && key <= prev {
 		r.Fail("row %d: key %d after %d", i, key, prev)
@@ -510,14 +503,14 @@ func appendCommHead(b []byte, t *analysis.Totals) []byte {
 	return appendSizes(appendI64s(b, t.Events, t.Sends, t.Recvs, t.BytesSent, t.BytesRecvd), &t.SizeHist)
 }
 
-// appendProcTable appends live.comm's process table, the rows rows
-// appends and counts, behind the count and the byte length.
-func appendProcTable(b []byte, rows func([]byte) ([]byte, int)) []byte {
+// appendProcTable appends live.comm's process table, the n rows rows
+// appends, behind the count and the byte length.
+func appendProcTable(b []byte, n int, rows func([]byte) []byte) []byte {
 	le := binary.LittleEndian
+	b = le.AppendUint32(le.AppendUint32(b, uint32(n)), 0)
 	at := len(b)
-	b, n := rows(le.AppendUint32(le.AppendUint32(b, 0), 0))
-	le.PutUint32(b[at:], uint32(n))
-	le.PutUint32(b[at+4:], uint32(len(b)-at-8))
+	b = rows(b)
+	le.PutUint32(b[at-4:], uint32(len(b)-at))
 	return b
 }
 
@@ -534,13 +527,12 @@ func (c *Collector) appendComm(b []byte) []byte {
 	defer c.mu.Unlock()
 	cells := c.orderCells()
 	b = appendCommHead(b, &c.totals)
-	b = appendProcTable(b, func(b []byte) ([]byte, int) {
+	b = appendProcTable(b, len(cells), func(b []byte) []byte {
 		var prev analysis.ProcComm
 		for _, pc := range cells {
-			b = appendCommRow(b, &prev, &pc.ProcComm)
-			prev = pc.ProcComm
+			b, prev = appendCommRow(b, &prev, &pc.ProcComm), pc.ProcComm
 		}
-		return b, len(cells)
+		return b
 	})
 	b = appendTable(b, len(c.retired), func(b []byte, i int) []byte { return appendMachineComm(b, &c.retired[i].comm) })
 	keys := make([]uint32, 0, len(c.pairs))
@@ -554,11 +546,14 @@ func (c *Collector) appendComm(b []byte) []byte {
 	})
 }
 
-// readCommHead reads a live.comm payload's totals into t, and the
-// count and the bytes of its process rows.
+// readCommHead adds a live.comm payload's totals into t, and returns
+// the count and the bytes of its process rows.
 func readCommHead(r *obs.Cursor, t *analysis.Totals) (int, []byte) {
-	t.Events, t.Sends, t.Recvs, t.BytesSent, t.BytesRecvd = r.I64(), r.I64(), r.I64(), r.I64(), r.I64()
-	readSizes(r, &t.SizeHist)
+	t.Events, t.Sends, t.Recvs = t.Events+r.I64(), t.Sends+r.I64(), t.Recvs+r.I64()
+	t.BytesSent, t.BytesRecvd = t.BytesSent+r.I64(), t.BytesRecvd+r.I64()
+	var sizes [analysis.NumSizeBuckets]int64
+	readSizes(r, &sizes)
+	addSizes(&t.SizeHist, &sizes)
 	np := int(count(r))
 	rows := r.Take(int(r.U32()))
 	if np > len(rows)/minCommRowSize {
@@ -569,25 +564,25 @@ func readCommHead(r *obs.Cursor, t *analysis.Totals) (int, []byte) {
 
 // DecodeComm parses a live.comm payload.
 func DecodeComm(data []byte) (*CommState, error) {
-	st, _, err := decodeComm(data, true, nil)
-	if err != nil {
+	st := &CommState{}
+	if _, err := decodeComm(data, st, true, nil); err != nil {
 		return nil, err
 	}
-	return &st, nil
+	return st, nil
 }
 
-// decodeComm parses a live.comm payload and reports how many processes
-// it counts: its open rows and the processes its machine rows sum. With
-// procs false the open rows — most of a large payload — are stepped
-// over by their byte length, not read (renderComm counts them). With
-// pair set, each pair row goes to it instead of into the state.
-func decodeComm(data []byte, procs bool, pair func(p PairState)) (CommState, int, error) {
+// decodeComm reads a live.comm payload into st — the totals added, the
+// rows appended — and reports how many processes it counts: its open
+// rows and the processes its machine rows sum. With procs false the
+// open rows — most of a large payload — are stepped over by their byte
+// length, not read (renderComm counts them). With pair set, each pair
+// row goes to it instead of into st.
+func decodeComm(data []byte, st *CommState, procs bool, pair func(p PairState)) (int, error) {
 	r := obs.NewCursor(data, ErrBadSection)
-	var st CommState
 	np, rows := readCommHead(&r, &st.Totals)
 	if procs && r.Err() == nil {
 		pr := obs.NewCursor(rows, ErrBadSection)
-		st.Procs = make([]analysis.ProcComm, 0, np)
+		st.Procs = slices.Grow(st.Procs, np)
 		var prev analysis.ProcComm
 		for i := 0; i < np && pr.Err() == nil; i++ {
 			p := readCommRow(&pr, &prev)
@@ -598,20 +593,19 @@ func decodeComm(data []byte, procs bool, pair func(p PairState)) (CommState, int
 			pr.Fail("%d bytes after the process rows", pr.Remaining())
 		}
 		if pr.Err() != nil {
-			return st, 0, pr.Err()
+			return 0, pr.Err()
 		}
 	}
-	st.Machines = make([]MachineComm, rowCount(&r, minMachCommSize))
-	for i := range st.Machines {
-		st.Machines[i] = readMachineComm(&r)
-		ascending(&r, i, uint64(st.Machines[i].Machine), uint64(st.Machines[max(i-1, 0)].Machine))
-		np += int(st.Machines[i].Procs)
+	var prevMachine uint16
+	for i, n := 0, rowCount(&r, minMachCommSize); i < n && r.Err() == nil; i++ {
+		m := readMachineComm(&r)
+		ascending(&r, i, uint64(m.Machine), uint64(prevMachine))
+		st.Machines, prevMachine, np = append(st.Machines, m), m.Machine, np+int(m.Procs)
 	}
 	npairs := int(count(&r))
-	var pairs []PairState
 	if pair == nil {
-		pairs = make([]PairState, 0, min(npairs, r.Remaining()/minPairRowSize))
-		pair = func(p PairState) { pairs = append(pairs, p) }
+		st.Pairs = slices.Grow(st.Pairs, min(npairs, r.Remaining()/minPairRowSize))
+		pair = func(p PairState) { st.Pairs = append(st.Pairs, p) }
 	}
 	var p PairState
 	var prev uint32
@@ -623,8 +617,7 @@ func decodeComm(data []byte, procs bool, pair func(p PairState)) (CommState, int
 			pair(p)
 		}
 	}
-	st.Pairs = pairs
-	return st, np, r.Err()
+	return np, r.Err()
 }
 
 // appendPar appends the collector's live.par payload to b.
@@ -649,17 +642,31 @@ func (c *Collector) appendPar(b []byte) []byte {
 	return b
 }
 
+// appendParState appends st's live.par payload to b, its rows in the
+// order they are in.
+func appendParState(b []byte, st *ParState) []byte {
+	b = appendSwept(b, st.Swept)
+	b = appendTable(b, len(st.Machines), func(b []byte, i int) []byte { return appendMachinePar(b, &st.Machines[i]) })
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Procs)))
+	var prev ProcInterval
+	for i := range st.Procs {
+		b, prev = appendParRow(b, &prev, &st.Procs[i]), st.Procs[i]
+	}
+	return b
+}
+
 // readPar reads a live.par payload: the swept curve and the machine
-// rows into st, then size is told how many process rows the payload's
+// rows into st (the rows appended), then size is told how many process rows the payload's
 // bytes can hold, and row is handed each in turn. It is the one reader
 // DecodePar and renderPar share, so the two refuse the same payloads.
 func readPar(data []byte, st *ParState, size func(n int), row func(iv ProcInterval)) error {
 	r := obs.NewCursor(data, ErrBadSection)
 	st.Swept = readSwept(&r)
-	st.Machines = make([]MachinePar, rowCount(&r, minMachParSize))
-	for i := range st.Machines {
-		st.Machines[i] = readMachinePar(&r)
-		ascending(&r, i, uint64(st.Machines[i].Machine), uint64(st.Machines[max(i-1, 0)].Machine))
+	var prevMachine uint16
+	for i, n := 0, rowCount(&r, minMachParSize); i < n && r.Err() == nil; i++ {
+		m := readMachinePar(&r)
+		ascending(&r, i, uint64(m.Machine), uint64(prevMachine))
+		st.Machines, prevMachine = append(st.Machines, m), m.Machine
 	}
 	n := int(count(&r))
 	size(min(n, r.Remaining()/minParRowSize))
@@ -718,102 +725,27 @@ func readMatch(data []byte) (MatchState, error) {
 
 // ---- merging ----
 //
-// Every table of a payload is in strictly ascending key order, so k
-// payloads merge the way sorted runs do: one walk over all of them side
-// by side, a row of the output for each key, folded from the rows of
-// that key, encoded as it is made. Nothing is decoded into a table and
-// nothing is encoded twice, whatever k is; each merger is associative
+// A merger reads the rows of its k payloads into one table of each
+// kind, folds the rows of each key into one (fold) and encodes the
+// result: each payload is read once and the merge written once,
+// whatever k is. The tables are kept from one merge to the next, so a
+// merge allocates little beside its result. Each merger is associative
 // and commutative, and fails only on a payload it cannot read, the
 // contract obs.SectionMerger asks for.
 
-// run is one payload being merged, and its position in the table
-// being merged.
-type run struct {
-	c     obs.Cursor
-	left  int    // rows not yet read
-	has   bool   // key and flag hold the current row's
-	key   uint64 // the current row's key
-	flag  bool   // the current live.par row's terminated bit
-	first int64  // the previous live.par row's first record
-	end   int    // where live.comm's process rows end
-}
-
-// runsFree keeps the runs of finished merges for the next.
-var runsFree = sync.Pool{New: func() any { return new([]run) }}
-
-// newRuns returns a run at the start of each payload, in a slice the
-// merger gives back to runsFree.
-func newRuns(payloads [][]byte) *[]run {
-	rs := runsFree.Get().(*[]run)
-	*rs = (*rs)[:0]
-	for _, data := range payloads {
-		*rs = append(*rs, run{c: obs.NewCursor(data, ErrBadSection)})
-	}
-	return rs
-}
-
-// mergeRuns merges one table of each run, in step. key reads the rest
-// of a row's key given the previous row's (u.key), and body reads the
-// rest of the row into the merged row (first for the first row of its
-// key). emit takes each merged row, in ascending key order. A run whose
-// keys do not ascend strictly fails its cursor.
-func mergeRuns(runs []run, key func(u *run) uint64, body func(u *run, first bool), emit func(key uint64)) {
-	next := func(u *run, i int) {
-		if u.has = u.left > 0 && u.c.Err() == nil; u.has {
-			u.left--
-			k := key(u)
-			ascending(&u.c, i, k, u.key)
-			u.key, u.has = k, u.c.Err() == nil
+// fold sorts rows by key, stably, and folds each run of one key into
+// its first row with add.
+func fold[T any](rows []T, key func(T) uint64, add func(dst, src *T)) []T {
+	slices.SortStableFunc(rows, func(a, b T) int { return cmp.Compare(key(a), key(b)) })
+	out := rows[:0]
+	for i := range rows {
+		if n := len(out); n > 0 && key(out[n-1]) == key(rows[i]) {
+			add(&out[n-1], &rows[i])
+		} else {
+			out = append(out, rows[i])
 		}
 	}
-	for i := range runs {
-		next(&runs[i], 0)
-	}
-	for {
-		least, ok := uint64(0), false
-		for i := range runs {
-			if runs[i].has && (!ok || runs[i].key < least) {
-				least, ok = runs[i].key, true
-			}
-		}
-		if !ok {
-			return
-		}
-		first := true
-		for i := range runs {
-			if u := &runs[i]; u.has && u.key == least {
-				body(u, first)
-				first = false
-				next(u, 1)
-			}
-		}
-		emit(least)
-	}
-}
-
-// mergeTable appends the merge of the table each run is at, rows of at
-// least size bytes, behind the merged table's row count; row appends
-// the merged row of a key.
-func mergeTable(b []byte, runs []run, size int, key func(u *run) uint64, body func(u *run, first bool), row func(b []byte, key uint64) []byte) []byte {
-	for i := range runs {
-		u := &runs[i]
-		u.left, u.key, u.first = rowCount(&u.c, size), 0, 0
-	}
-	at, n := len(b), 0
-	b = binary.LittleEndian.AppendUint32(b, 0)
-	mergeRuns(runs, key, body, func(key uint64) { b, n = row(b, key), n+1 })
-	binary.LittleEndian.PutUint32(b[at:], uint32(n))
-	return b
-}
-
-// failed returns the first failure of the runs, if any.
-func failed(runs []run) error {
-	for i := range runs {
-		if err := runs[i].c.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out
 }
 
 // addSizes adds the src histogram into dst.
@@ -832,164 +764,83 @@ func outSize(payloads [][]byte) int {
 	return n
 }
 
+// merging holds a merge's tables, kept in mergeFree between merges.
+type merging struct {
+	comm        CommState
+	par         ParState
+	starts, end []int64
+}
+
+var mergeFree = sync.Pool{New: func() any { return new(merging) }}
+
 // mergeCommPayload merges live.comm payloads: the totals summed, and
-// each table's rows merged by key with their counts summed.
+// each table's rows folded by key with their counts summed.
 func mergeCommPayload(payloads ...[]byte) ([]byte, error) {
-	rs := newRuns(payloads)
-	defer runsFree.Put(rs)
-	runs := *rs
-	var t analysis.Totals
-	for i := range runs {
-		// The process rows merge from a cursor of their own, the rest
-		// from where they end.
-		u := &runs[i]
-		var h analysis.Totals
-		n, rows := readCommHead(&u.c, &h)
-		t.Events, t.Sends, t.Recvs = t.Events+h.Events, t.Sends+h.Sends, t.Recvs+h.Recvs
-		t.BytesSent, t.BytesRecvd = t.BytesSent+h.BytesSent, t.BytesRecvd+h.BytesRecvd
-		addSizes(&t.SizeHist, &h.SizeHist)
-		if err := u.c.Err(); err != nil {
+	m := mergeFree.Get().(*merging)
+	defer mergeFree.Put(m)
+	st := &m.comm
+	*st = CommState{CommStats: analysis.CommStats{Procs: st.Procs[:0]}, Machines: st.Machines[:0], Pairs: st.Pairs[:0]}
+	for _, data := range payloads {
+		if _, err := decodeComm(data, st, true, nil); err != nil {
 			return nil, err
 		}
-		u.end, u.c, u.left = u.c.Off(), obs.NewCursor(rows, ErrBadSection), n
 	}
-	b := appendCommHead(make([]byte, 0, outSize(payloads)), &t)
-	var acc, row, prev analysis.ProcComm
-	b = appendProcTable(b, func(b []byte) ([]byte, int) {
-		n := 0
-		mergeRuns(runs, func(u *run) uint64 {
-			m, pid := readKey(&u.c, u.key, u.c.Uvarint())
-			return procKey(m, pid)
-		}, func(u *run, first bool) {
-			readCounts(&u.c, &row)
-			if first {
-				acc = row
-			} else {
-				addComm(&acc, &row)
-			}
-		}, func(key uint64) {
-			acc.Machine, acc.PID = uint16(key>>32), uint32(key)
-			b, prev, n = appendCommRow(b, &prev, &acc), acc, n+1
-		})
-		return b, n
+	st.Procs = fold(st.Procs, func(p analysis.ProcComm) uint64 { return procKey(p.Machine, p.PID) }, addComm)
+	st.Machines = fold(st.Machines, func(m MachineComm) uint64 { return uint64(m.Machine) }, func(dst, m *MachineComm) {
+		addComm(&dst.ProcComm, &m.ProcComm)
+		dst.Procs += m.Procs
 	})
-	for i := range runs {
-		if u := &runs[i]; u.c.Err() == nil && u.c.Remaining() != 0 {
-			u.c.Fail("%d bytes after the process rows", u.c.Remaining())
+	st.Pairs = fold(st.Pairs, func(p PairState) uint64 { return uint64(pairKey(p.Src, p.Dst)) }, func(dst, p *PairState) {
+		dst.SendMsgs += p.SendMsgs
+		dst.SendBytes += p.SendBytes
+		dst.RecvMsgs += p.RecvMsgs
+		dst.RecvBytes += p.RecvBytes
+		addSizes(&dst.Sizes, &p.Sizes)
+	})
+	b := appendCommHead(make([]byte, 0, outSize(payloads)), &st.Totals)
+	b = appendProcTable(b, len(st.Procs), func(b []byte) []byte {
+		var prev analysis.ProcComm
+		for i := range st.Procs {
+			b, prev = appendCommRow(b, &prev, &st.Procs[i]), st.Procs[i]
 		}
-	}
-	if err := failed(runs); err != nil {
-		return nil, err
-	}
-	for i := range runs {
-		runs[i].c = obs.NewCursor(payloads[i][runs[i].end:], ErrBadSection)
-	}
-	var mach MachineComm
-	b = mergeTable(b, runs, minMachCommSize, func(u *run) uint64 { return uint64(u.c.U16()) },
-		func(u *run, first bool) {
-			m := MachineComm{Procs: u.c.Zigzag()}
-			readCounts(&u.c, &m.ProcComm)
-			if first {
-				mach = m
-			} else {
-				addComm(&mach.ProcComm, &m.ProcComm)
-				mach.Procs += m.Procs
-			}
-		}, func(b []byte, key uint64) []byte {
-			mach.Machine = uint16(key)
-			return appendMachineComm(b, &mach)
-		})
-	var pair, p PairState
-	b = mergeTable(b, runs, minPairRowSize, func(u *run) uint64 { return uint64(pairKey(u.c.U16(), u.c.U16())) },
-		func(u *run, first bool) {
-			p.Sizes = [analysis.NumSizeBuckets]int64{}
-			readPairRow(&u.c, &p)
-			if first {
-				pair = p
-				return
-			}
-			pair.SendMsgs += p.SendMsgs
-			pair.SendBytes += p.SendBytes
-			pair.RecvMsgs += p.RecvMsgs
-			pair.RecvBytes += p.RecvBytes
-			addSizes(&pair.Sizes, &p.Sizes)
-		}, func(b []byte, key uint64) []byte {
-			return appendPairRow(b, uint16(key>>16), uint16(key), pair.SendMsgs, pair.SendBytes, pair.RecvMsgs, pair.RecvBytes, &pair.Sizes)
-		})
-	if err := failed(runs); err != nil {
-		return nil, err
-	}
-	return b, nil
+		return b
+	})
+	b = appendTable(b, len(st.Machines), func(b []byte, i int) []byte { return appendMachineComm(b, &st.Machines[i]) })
+	return appendTable(b, len(st.Pairs), func(b []byte, i int) []byte {
+		p := &st.Pairs[i]
+		return appendPairRow(b, p.Src, p.Dst, p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes, &p.Sizes)
+	}), nil
 }
 
 // mergeParPayload unions the open rows by key and adds the machine
 // rows and the curves: the merged section is swept to the end of time,
 // and its histogram is each payload's own curve, summed.
 func mergeParPayload(payloads ...[]byte) ([]byte, error) {
-	rs := newRuns(payloads)
-	defer runsFree.Put(rs)
-	runs := *rs
+	m := mergeFree.Get().(*merging)
+	defer mergeFree.Put(m)
+	st := &m.par
+	*st = ParState{Machines: st.Machines[:0], Procs: st.Procs[:0]}
 	hist := map[int]int64{}
-	var starts, ends []int64
-	for i, data := range payloads {
-		// The payload's own curve: a first read, which the merge below
-		// reads again from the machine rows on.
-		var st ParState
-		starts, ends = starts[:0], ends[:0]
-		if err := readPar(data, &st, func(n int) {
-			if cap(starts) < n {
-				starts, ends = make([]int64, 0, n), make([]int64, 0, n)
-			}
-		}, func(iv ProcInterval) {
-			starts, ends = append(starts, iv.First), append(ends, iv.Last)
+	for _, data := range payloads {
+		machines, procs := len(st.Machines), len(st.Procs)
+		m.starts, m.end = m.starts[:0], m.end[:0]
+		if err := readPar(data, st, func(int) {}, func(iv ProcInterval) {
+			st.Procs, m.starts, m.end = append(st.Procs, iv), append(m.starts, iv.First), append(m.end, iv.Last)
 		}); err != nil {
 			return nil, err
 		}
-		for k, ms := range st.curve(starts, ends, 0).Histogram {
+		own := ParState{Machines: st.Machines[machines:], Swept: st.Swept, Procs: st.Procs[procs:]}
+		for k, ms := range own.curve(m.starts, m.end, 0).Histogram {
 			hist[k] += ms
 		}
-		readSwept(&runs[i].c)
 	}
-	b := appendSwept(make([]byte, 0, outSize(payloads)+16*len(hist)), &Swept{Horizon: math.MaxInt64, Hist: hist})
-	var mp MachinePar
-	b = mergeTable(b, runs, minMachParSize, func(u *run) uint64 { return uint64(u.c.U16()) },
-		func(u *run, first bool) {
-			m := readMachineParBody(&u.c)
-			if first {
-				mp = m
-			} else {
-				addMachinePar(&mp, &m)
-			}
-		}, func(b []byte, key uint64) []byte {
-			mp.Machine = uint16(key)
-			return appendMachinePar(b, &mp)
-		})
-	var iv, prev ProcInterval
-	b = mergeTable(b, runs, minParRowSize, func(u *run) uint64 {
-		d := u.c.Uvarint()
-		u.flag = d&1 != 0
-		m, pid := readKey(&u.c, u.key, d>>1)
-		return procKey(m, pid)
-	}, func(u *run, first bool) {
-		start := u.first + u.c.Zigzag()
-		end := start + u.c.Zigzag()
-		cpu := u.c.Zigzag()
-		u.first = start
-		if first {
-			iv = ProcInterval{Terminated: u.flag, First: start, Last: end, MaxCPU: cpu}
-			return
-		}
-		iv.First, iv.Last = min(iv.First, start), max(iv.Last, end)
-		iv.MaxCPU, iv.Terminated = max(iv.MaxCPU, cpu), iv.Terminated || u.flag
-	}, func(b []byte, key uint64) []byte {
-		iv.Machine, iv.PID = uint16(key>>32), uint32(key)
-		b, prev = appendParRow(b, &prev, &iv), iv
-		return b
+	st.Swept = &Swept{Horizon: math.MaxInt64, Hist: hist}
+	st.Machines = fold(st.Machines, func(m MachinePar) uint64 { return uint64(m.Machine) }, addMachinePar)
+	st.Procs = fold(st.Procs, func(p ProcInterval) uint64 { return procKey(p.Machine, p.PID) }, func(dst, p *ProcInterval) {
+		dst.First, dst.Last = min(dst.First, p.First), max(dst.Last, p.Last)
+		dst.MaxCPU, dst.Terminated = max(dst.MaxCPU, p.MaxCPU), dst.Terminated || p.Terminated
 	})
-	if err := failed(runs); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return appendParState(make([]byte, 0, outSize(payloads)+16*len(hist)), st), nil
 }
 
 // mergeMatchPayload adds live.match payloads' counters.
@@ -1033,7 +884,8 @@ func renderComm(b []byte, s obs.Section) []byte {
 	}
 	var cells [renderMaxPairs]cell // a large matrix spills to the heap
 	pairs := cells[:0]
-	st, nprocs, err := decodeComm(s.Data, false, func(p PairState) {
+	var st CommState
+	nprocs, err := decodeComm(s.Data, &st, false, func(p PairState) {
 		pairs = append(pairs, cell{p.Src, p.Dst, p.SendMsgs, p.SendBytes, p.RecvMsgs, p.RecvBytes})
 	})
 	if err != nil {
