@@ -295,11 +295,10 @@ func feedLive(t *testing.T, m *kernel.Machine, i int) {
 // where they landed, into the report's buffer — allocates at most twice
 // the report: the buffer is one length, and no snapshot is built of any
 // reply. The whole command, the round trips to twelve daemons included,
-// allocates at most twelve times the report (31 times before the report
+// allocates at most eleven times the report (31 times before the report
 // was rendered from the replies' bytes), not twice: each round trip
-// costs its request, its reply's message, a copy of a reply that fits
-// the connection's buffer and the daemon's handler, about 1.6 kB a
-// machine whatever the report holds.
+// costs its request, its reply's message and the daemon's handler,
+// about 1.3 kB a machine whatever the report holds.
 func TestStatsClusterNoAllocBeyondReport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocations")
@@ -349,8 +348,8 @@ func TestStatsClusterNoAllocBeyondReport(t *testing.T) {
 	if path > 2*report {
 		t.Errorf("merging and rendering twelve replies allocates %.0f bytes, %.2f times the %.0f-byte report; want at most 2", path, path/report, report)
 	}
-	if command > 12*report {
-		t.Errorf("one cluster stats allocates %.0f bytes, %.2f times its %.0f-byte report; want at most 12", command, command/report, report)
+	if command > 11*report {
+		t.Errorf("one cluster stats allocates %.0f bytes, %.2f times its %.0f-byte report; want at most 11", command, command/report, report)
 	}
 }
 

@@ -267,6 +267,19 @@ func (r *frameReader) detach() []byte {
 	return b
 }
 
+// lend is detach for a reply: a frame in the reader's own buffer that
+// ends its bytes and fills at least half of it is handed on in that
+// buffer, the reader going on in another from smallFrames, since a
+// copy of it would cost about as much.
+func (r *frameReader) lend(f Frame) []byte {
+	if r.large == nil && r.off == len(r.buf) && frameHeader+len(f.Payload) >= frameBuf/2 {
+		b := r.buf
+		r.buf, r.off = takeFrameBuf(frameBuf), 0
+		return b
+	}
+	return r.detach()
+}
+
 // fill moves the bytes not yet handed on to the front of the buffer and
 // receives once into the space behind them.
 func (r *frameReader) fill(recv func([]byte) (int, error)) error {

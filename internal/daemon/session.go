@@ -467,7 +467,7 @@ func (s *Session) deliver(f Frame, fr *frameReader) {
 	if c == nil {
 		return
 	}
-	lent := fr.detach()
+	lent := fr.lend(f)
 	w, err := decodeWire(f.Payload, lent != nil)
 	if err != nil {
 		if lent != nil {
