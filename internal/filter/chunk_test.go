@@ -230,6 +230,26 @@ func TestFeedFromBlockedSourcesNoAlloc(t *testing.T) {
 	}
 }
 
+// TestDrainReturnsChunkOfFailedRecv: a receive that took its chunk and
+// then failed, its connection ending in between, hands the chunk back,
+// and Drain puts it on the free list rather than drop it.
+func TestDrainReturnsChunkOfFailedRecv(t *testing.T) {
+	proto, err := NewEngine([]byte(StandardDescriptions), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := NewPipeline(proto, PipelineConfig{Workers: 1, QueueDepth: 1}, Sinks{}, nil)
+	defer pipe.Close()
+	var taken []byte
+	pipe.NewSource().Drain(func(max int, get func() []byte) ([]byte, int, error) {
+		taken = get()
+		return taken, 0, io.EOF
+	})
+	if c := pipe.takeChunk(); unsafe.SliceData(c) != unsafe.SliceData(taken) {
+		t.Fatal("the chunk of a receive that failed is not back on the free list")
+	}
+}
+
 // FeedFrom reads the source's next chunk with read, in the shape of
 // read(2), into a buffer from the pipeline's free list, and feeds what
 // it read; the buffer returns to the list once processed. It returns
