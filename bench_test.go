@@ -322,12 +322,12 @@ func BenchmarkDaemonExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkDaemonExchangeFaultFree is BenchmarkDaemonExchange through
-// the hardened path: ExchangeRetry with the default retry policy on a
-// healthy fabric. Comparing the two shows what the per-request
-// deadline, backoff machinery, and idempotency plumbing cost when
-// nothing goes wrong — the answer should be "nothing measurable",
-// since the fault-free path takes no retries and arms one timer.
+// BenchmarkDaemonExchangeFaultFree is BenchmarkDaemonExchange's RPC
+// through the hardened path the controller takes: SessionExchange with
+// the default retry policy over one persistent session, on a healthy
+// fabric. Comparing the two shows what a connection per exchange costs
+// beside a call with a deadline, backoff machinery and idempotency
+// plumbing that takes no retries when nothing goes wrong.
 func BenchmarkDaemonExchangeFaultFree(b *testing.B) {
 	c := kernel.NewCluster(kernel.Config{})
 	c.AddNetwork("ether0")
@@ -355,9 +355,11 @@ func BenchmarkDaemonExchangeFaultFree(b *testing.B) {
 	}
 	req := (&daemon.ProcReq{Type: daemon.TSetFlagsReq, PID: target.PID(), UID: benchUID, Flags: uint32(meter.MSend)}).Wire()
 	rp := daemon.DefaultRetryPolicy()
+	s := daemon.DialSession(ctl, "red", daemon.SessionConfig{})
+	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := daemon.ExchangeRetry(ctl, "red", req, rp)
+		rep, err := daemon.SessionExchange(s, req, rp)
 		if err != nil || !rep.OK() {
 			b.Fatalf("exchange: %v %+v", err, rep)
 		}

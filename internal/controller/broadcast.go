@@ -74,18 +74,18 @@ type hostResult struct {
 type target struct {
 	Label string
 	Host  string
-	Req   *daemon.WireMsg
+	Req   daemon.Message
 }
 
-// broadcast fans one request per host out concurrently and gathers
-// the replies into per-host slots, returned in hosts order so report
+// broadcast fans req out to every host concurrently and gathers the
+// replies into per-host slots, returned in hosts order so report
 // output stays deterministic. Each slot is bounded by the exchange
 // retry policy, so the gather always completes; a broadcast with any
 // failed slot counts under broadcast.degraded.
-func (c *Controller) broadcast(hosts []string, mk func(host string) *daemon.WireMsg) []hostResult {
+func (c *Controller) broadcast(hosts []string, req daemon.Message) []hostResult {
 	ts := make([]target, len(hosts))
 	for i, h := range hosts {
-		ts[i] = target{Label: h, Host: h, Req: mk(h)}
+		ts[i] = target{Label: h, Host: h, Req: req}
 	}
 	return c.broadcastTargets(ts)
 }
@@ -97,13 +97,13 @@ func (c *Controller) broadcast(hosts []string, mk func(host string) *daemon.Wire
 func (c *Controller) broadcastTargets(targets []target) []hostResult {
 	out := make([]hostResult, len(targets))
 	var wg sync.WaitGroup
-	for i, t := range targets {
+	for i := range targets {
 		wg.Add(1)
-		go func(i int, t target) {
+		go func() {
 			defer wg.Done()
-			rep, err := c.exchange(t.Host, t.Req)
-			out[i] = hostResult{Host: t.Label, Rep: rep, Err: err}
-		}(i, t)
+			rep, err := c.exchange(targets[i].Host, targets[i].Req)
+			out[i] = hostResult{Host: targets[i].Label, Rep: rep, Err: err}
+		}()
 	}
 	wg.Wait()
 	for _, r := range out {

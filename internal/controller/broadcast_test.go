@@ -53,9 +53,7 @@ func TestBroadcastDegradedSlots(t *testing.T) {
 
 	hosts := []string{"red", "green", "blue"}
 	start := time.Now()
-	res := ctl.broadcast(hosts, func(string) *daemon.WireMsg {
-		return (&daemon.ProcReq{Type: daemon.TListReq, UID: testUID}).Wire()
-	})
+	res := ctl.broadcast(hosts, &daemon.ProcReq{Type: daemon.TListReq, UID: testUID})
 	elapsed := time.Since(start)
 
 	// Bounded by the retry policy, not by any machine's silence. The
@@ -200,25 +198,23 @@ func benchSystem(b *testing.B, n int) (*kernel.Cluster, *Controller, []string) {
 // baseline it replaced. The concurrent sweep should cost about one
 // round trip; the sequential loop, sixteen.
 func BenchmarkBroadcast16(b *testing.B) {
-	mk := func(string) *daemon.WireMsg {
-		return (&daemon.ProcReq{Type: daemon.TListReq, UID: testUID}).Wire()
-	}
+	req := &daemon.ProcReq{Type: daemon.TListReq, UID: testUID}
 	b.Run("one-rtt", func(b *testing.B) {
 		_, ctl, hosts := benchSystem(b, 16)
-		ctl.broadcast(hosts, mk) // warm sessions
+		ctl.broadcast(hosts, req) // warm sessions
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ctl.exchange(hosts[0], mk(hosts[0])); err != nil {
+			if _, err := ctl.exchange(hosts[0], req); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("scatter-gather", func(b *testing.B) {
 		_, ctl, hosts := benchSystem(b, 16)
-		ctl.broadcast(hosts, mk) // warm sessions
+		ctl.broadcast(hosts, req) // warm sessions
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res := ctl.broadcast(hosts, mk)
+			res := ctl.broadcast(hosts, req)
 			for _, r := range res {
 				if r.Err != nil {
 					b.Fatal(r.Err)
@@ -228,11 +224,11 @@ func BenchmarkBroadcast16(b *testing.B) {
 	})
 	b.Run("sequential", func(b *testing.B) {
 		_, ctl, hosts := benchSystem(b, 16)
-		ctl.broadcast(hosts, mk) // warm sessions
+		ctl.broadcast(hosts, req) // warm sessions
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, h := range hosts {
-				if _, err := ctl.exchange(h, mk(h)); err != nil {
+				if _, err := ctl.exchange(h, req); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -102,7 +102,7 @@ func (c *Controller) cmdFilter(args []string) {
 		UID:         c.uid,
 		Token:       c.newToken(),
 	}
-	rep, err := c.exchange(machineName, req.Wire())
+	rep, err := c.exchange(machineName, req)
 	if err != nil {
 		c.printf("filter '%s' not created: %v\n", name, err)
 		return
@@ -112,8 +112,7 @@ func (c *Controller) cmdFilter(args []string) {
 		return
 	}
 	// Processes are created suspended; a filter should run at once.
-	start := &daemon.ProcReq{Type: daemon.TStartReq, PID: rep.PID, UID: c.uid}
-	if srep, err := c.exchange(machineName, start.Wire()); err != nil || !srep.OK() {
+	if srep, err := c.exchange(machineName, &daemon.ProcReq{Type: daemon.TStartReq, PID: rep.PID, UID: c.uid}); err != nil || !srep.OK() {
 		c.printf("filter '%s' not started\n", name)
 		return
 	}
@@ -207,7 +206,7 @@ func (c *Controller) cmdAddProcess(args []string) {
 		UID:         c.uid,
 		Token:       c.newToken(),
 	}
-	rep, err := c.exchange(machineName, req.Wire())
+	rep, err := c.exchange(machineName, req)
 	if err != nil {
 		c.printf("process '%s' not created: %v\n", args[2], err)
 		return
@@ -257,7 +256,7 @@ func (c *Controller) cmdAcquire(args []string) {
 		Type: daemon.TAcquireReq, PID: pid, UID: c.uid,
 		Flags: flags, FilterPort: fi.Port, FilterHost: fi.Machine,
 	}
-	rep, err := c.exchange(machineName, req.Wire())
+	rep, err := c.exchange(machineName, req)
 	if err != nil {
 		c.printf("process %d not acquired: %v\n", pid, err)
 		return
@@ -317,8 +316,7 @@ func (c *Controller) cmdSetFlags(args []string) {
 	// report in table order.
 	targets := make([]target, len(procs))
 	for i, p := range procs {
-		req := &daemon.ProcReq{Type: daemon.TSetFlagsReq, PID: p.PID, UID: c.uid, Flags: uint32(flags)}
-		targets[i] = target{Label: p.Name, Host: p.Machine, Req: req.Wire()}
+		targets[i] = target{Label: p.Name, Host: p.Machine, Req: &daemon.ProcReq{Type: daemon.TSetFlagsReq, PID: p.PID, UID: c.uid, Flags: uint32(flags)}}
 	}
 	for i, r := range c.broadcastTargets(targets) {
 		switch p := procs[i]; {
@@ -362,8 +360,7 @@ func (c *Controller) signalJob(jobName string, to State, reqType daemon.MsgType,
 		from[i] = p.State
 		c.mu.Unlock()
 		if CanTransition(from[i], to) {
-			req := &daemon.ProcReq{Type: reqType, PID: p.PID, UID: c.uid}
-			targets = append(targets, target{Label: p.Name, Host: p.Machine, Req: req.Wire()})
+			targets = append(targets, target{Label: p.Name, Host: p.Machine, Req: &daemon.ProcReq{Type: reqType, PID: p.PID, UID: c.uid}})
 		}
 	}
 	res := c.broadcastTargets(targets)
@@ -422,8 +419,7 @@ func (c *Controller) removeProc(p *JobProc) bool {
 	case StateKilled:
 		return true
 	case StateStopped, StateLost:
-		req := &daemon.ProcReq{Type: daemon.TKillReq, PID: p.PID, UID: c.uid}
-		rep, err := c.exchange(p.Machine, req.Wire())
+		rep, err := c.exchange(p.Machine, &daemon.ProcReq{Type: daemon.TKillReq, PID: p.PID, UID: c.uid})
 		if err != nil || !rep.OK() {
 			return false
 		}
@@ -433,8 +429,7 @@ func (c *Controller) removeProc(p *JobProc) bool {
 		c.mu.Unlock()
 		return true
 	case StateAcquired:
-		req := &daemon.ProcReq{Type: daemon.TReleaseReq, PID: p.PID, UID: c.uid}
-		rep, err := c.exchange(p.Machine, req.Wire())
+		rep, err := c.exchange(p.Machine, &daemon.ProcReq{Type: daemon.TReleaseReq, PID: p.PID, UID: c.uid})
 		return err == nil && rep.OK()
 	default:
 		return false
@@ -612,9 +607,7 @@ func (c *Controller) cmdStatus() {
 			remote = append(remote, m.Name())
 		}
 	}
-	res := c.broadcast(remote, func(string) *daemon.WireMsg {
-		return (&daemon.ProcReq{Type: daemon.TListReq, UID: c.uid}).Wire()
-	})
+	res := c.broadcast(remote, &daemon.ProcReq{Type: daemon.TListReq, UID: c.uid})
 	release(res) // only the errors are read
 	byHost := make(map[string]hostResult, len(res))
 	for _, r := range res {
@@ -656,9 +649,7 @@ func (c *Controller) cmdStats(args []string) {
 	// One broadcast instead of a machine-by-machine poll: the fan-out
 	// takes roughly one round trip, and the merge below walks the
 	// gathered slots in target order so the report is deterministic.
-	res := c.broadcast(targets, func(string) *daemon.WireMsg {
-		return (&daemon.StatsReq{UID: c.uid}).Wire()
-	})
+	res := c.broadcast(targets, &daemon.StatsReq{UID: c.uid})
 	var buf bytes.Buffer
 	last := int(c.statsLen.Load())
 	buf.Grow(last + last/16)
@@ -747,7 +738,7 @@ func (c *Controller) cmdPs(args []string) {
 		c.printf("usage: ps machine\n")
 		return
 	}
-	rep, err := c.exchange(args[0], (&daemon.ProcReq{Type: daemon.TListReq, UID: c.uid}).Wire())
+	rep, err := c.exchange(args[0], &daemon.ProcReq{Type: daemon.TListReq, UID: c.uid})
 	if err != nil {
 		c.printf("ps: %v\n", err)
 		return
@@ -790,8 +781,7 @@ func (c *Controller) cmdStdin(args []string) {
 		return
 	}
 	text := strings.Join(args[3:], " ") + "\n"
-	req := &daemon.ProcReq{Type: daemon.TStdinReq, PID: pid, UID: c.uid, Path: text}
-	rep, err := c.exchange(machineName, req.Wire())
+	rep, err := c.exchange(machineName, &daemon.ProcReq{Type: daemon.TStdinReq, PID: pid, UID: c.uid, Path: text})
 	switch {
 	case err != nil:
 		c.printf("stdin: %v\n", err)
@@ -840,7 +830,7 @@ func (c *Controller) cmdGetLog(args []string) {
 	restarted := false
 	for {
 		req.Offset = off
-		rep, err := c.exchange(f.Machine, req.Wire())
+		rep, err := c.exchange(f.Machine, req)
 		if err != nil {
 			c.printf("getlog: %v\n", err)
 			return
@@ -939,7 +929,7 @@ func (c *Controller) cmdQuery(args []string) {
 		Rules: strings.Join(args[2:], "\n"),
 		UID:   c.uid,
 	}
-	rep, err := c.exchange(f.Machine, req.Wire())
+	rep, err := c.exchange(f.Machine, req)
 	if err != nil {
 		c.printf("query: %v\n", err)
 		return
@@ -994,8 +984,8 @@ func (c *Controller) cmdQueryAgg(args []string, specAt int) {
 	}
 	targets := make([]target, len(filters))
 	for i, f := range filters {
-		req := &daemon.AggReq{Dir: filter.StorePath(f.Name), Rules: rules, Spec: spec.String(), UID: c.uid}
-		targets[i] = target{Label: f.Name + "@" + f.Machine, Host: f.Machine, Req: req.Wire()}
+		targets[i] = target{Label: f.Name + "@" + f.Machine, Host: f.Machine,
+			Req: &daemon.AggReq{Dir: filter.StorePath(f.Name), Rules: rules, Spec: spec.String(), UID: c.uid}}
 	}
 	res := c.broadcastTargets(targets)
 	merged := agg.NewPartial(spec)
@@ -1151,8 +1141,7 @@ func (c *Controller) cmdDie() bool {
 		c.mu.Lock()
 		f := c.filters[n]
 		c.mu.Unlock()
-		req := &daemon.ProcReq{Type: daemon.TKillReq, PID: f.PID, UID: c.uid}
-		_, _ = c.exchange(f.Machine, req.Wire())
+		_, _ = c.exchange(f.Machine, &daemon.ProcReq{Type: daemon.TKillReq, PID: f.PID, UID: c.uid})
 	}
 	// Retire the persistent sessions before the command process exits;
 	// a session supervisor outliving its process would hold cluster

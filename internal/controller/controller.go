@@ -185,23 +185,17 @@ func (c *Controller) notifyLoop(nfd int) {
 // connection until the peer closes it.
 func (c *Controller) drainNotify(conn int) {
 	defer func() { _ = c.notify.Close(conn) }()
-	daemon.ReadNotices(c.notify, conn, func(msg *daemon.WireMsg) {
-		switch msg.Type {
-		case daemon.TStateChange:
-			c.applyStateChange(daemon.ParseStateChange(msg))
-		case daemon.TIOData:
-			iod := daemon.ParseIOData(msg)
-			c.mu.Lock()
-			fmt.Fprintf(c.sink, "%s", iod.Data)
-			c.mu.Unlock()
-		}
+	daemon.ReadNotices(c.notify, conn, c.applyStateChange, func(iod daemon.IOData) {
+		c.mu.Lock()
+		fmt.Fprintf(c.sink, "%s", iod.Data)
+		c.mu.Unlock()
 	})
 }
 
 // applyStateChange moves a terminated process to the killed state and
 // informs the user ("The controller informs the user of the new state
 // of his computation upon being notified of a termination").
-func (c *Controller) applyStateChange(sc *daemon.StateChange) {
+func (c *Controller) applyStateChange(sc daemon.StateChange) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, jn := range c.jobOrder {
@@ -383,7 +377,7 @@ func (c *Controller) write(b []byte) {
 // daemon. A machine whose exchange exhausts every retry is marked
 // unreachable and its processes become lost; a later successful
 // exchange marks it reachable again.
-func (c *Controller) exchange(host string, req *daemon.WireMsg) (*daemon.Reply, error) {
+func (c *Controller) exchange(host string, req daemon.Message) (*daemon.Reply, error) {
 	c.mu.Lock()
 	rp := c.retry
 	c.mu.Unlock()

@@ -68,11 +68,11 @@ func TestHandleAggMemoConcurrent(t *testing.T) {
 	plain := &daemonState{p: p}
 	want := make([]string, len(reqs))
 	for i, req := range reqs {
-		rep := plain.handleAgg(req)
+		rep := plain.handleAgg(*req)
 		if rep.Status != "ok" {
 			t.Fatalf("%+v: %s", req, rep.Status)
 		}
-		want[i] = wireOf(rep)
+		want[i] = replyWire(rep)
 	}
 	d := &daemonState{p: p, aggMemo: agg.NewMemo(200, m.Obs())}
 	var wg sync.WaitGroup
@@ -83,7 +83,7 @@ func TestHandleAggMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
 				k := (g + i) % len(reqs)
-				if got := d.handleAgg(reqs[k]); wireOf(got) != want[k] {
+				if got := d.handleAgg(*reqs[k]); replyWire(got) != want[k] {
 					errs <- fmt.Errorf("request %d, round %d: reply %q %q differs", k, i, got.Status, got.Aux)
 					return
 				}
@@ -121,11 +121,11 @@ func TestReaderSharedAcrossRequests(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		fresh := func() *daemonState { return &daemonState{p: p} }
 		var want []string
-		for i, rep := range []*Reply{fresh().handleQuery(queries[0]), fresh().handleQuery(queries[1]), fresh().handleAgg(aggs[0]), fresh().handleAgg(aggs[1])} {
+		for i, rep := range []Reply{fresh().handleQuery(*queries[0]), fresh().handleQuery(*queries[1]), fresh().handleAgg(*aggs[0]), fresh().handleAgg(*aggs[1])} {
 			if rep.Status != "ok" {
 				t.Fatalf("request %d: %s", i, rep.Status)
 			}
-			want = append(want, wireOf(rep))
+			want = append(want, replyWire(rep))
 		}
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
@@ -135,13 +135,13 @@ func TestReaderSharedAcrossRequests(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 8; i++ {
 					k := (g + i) % len(want)
-					var got *Reply
+					var got Reply
 					if k < len(queries) {
-						got = d.handleQuery(queries[k])
+						got = d.handleQuery(*queries[k])
 					} else {
-						got = d.handleAgg(aggs[k-len(queries)])
+						got = d.handleAgg(*aggs[k-len(queries)])
 					}
-					if wireOf(got) != want[k] {
+					if replyWire(got) != want[k] {
 						errs <- fmt.Errorf("round %d, request %d: reply %q %q differs", round, k, got.Status, got.Aux)
 						return
 					}
@@ -175,9 +175,9 @@ func TestReaderPermission(t *testing.T) {
 	d := &daemonState{p: p}
 	denied := func(when string) {
 		t.Helper()
-		for _, rep := range []*Reply{
-			d.handleQuery(&QueryReq{Dir: dir, UID: other}),
-			d.handleAgg(&AggReq{Dir: dir, UID: other, Spec: "agg count by machine"}),
+		for _, rep := range []Reply{
+			d.handleQuery(QueryReq{Dir: dir, UID: other}),
+			d.handleAgg(AggReq{Dir: dir, UID: other, Spec: "agg count by machine"}),
 		} {
 			if !strings.Contains(rep.Status, "EACCES") {
 				t.Fatalf("%s: uid %d's request of uid %d's private store: %q, want EACCES", when, other, testUID, rep.Status)
@@ -187,8 +187,8 @@ func TestReaderPermission(t *testing.T) {
 	owner := func(when string) {
 		t.Helper()
 		req := &QueryReq{Dir: dir, UID: testUID, Rules: "machine=2"}
-		got, want := d.handleQuery(req), (&daemonState{p: p}).handleQuery(req)
-		if gw, ww := wireOf(got), wireOf(want); got.Status != "ok" || gw != ww {
+		got, want := d.handleQuery(*req), (&daemonState{p: p}).handleQuery(*req)
+		if gw, ww := replyWire(got), replyWire(want); got.Status != "ok" || gw != ww {
 			t.Fatalf("%s: the owner's query says %q, %d bytes; a fresh daemon %q, %d bytes", when, got.Status, len(gw), want.Status, len(ww))
 		}
 	}
@@ -209,7 +209,7 @@ func TestReopenTimingNoAlloc(t *testing.T) {
 	d := &daemonState{p: p}
 	h := m.Obs().Histogram("daemon.reopen_ns")
 	for i := 1; i <= 3; i++ {
-		if rep := d.handleQuery(&QueryReq{Dir: dir, UID: testUID}); rep.Status != "ok" {
+		if rep := d.handleQuery(QueryReq{Dir: dir, UID: testUID}); rep.Status != "ok" {
 			t.Fatal(rep.Status)
 		}
 		if h.Count() != int64(i) {
@@ -223,8 +223,10 @@ func TestReopenTimingNoAlloc(t *testing.T) {
 	}
 }
 
-// wireOf is the frame a daemon sends for rep, where alone the Data of a
+// replyWire is the frame a daemon sends for rep, where alone the Data of a
 // reply written straight into its frame is: two replies carry the same
 // when their frames are equal. It writes rep's Data, which only one
 // call may do.
-func wireOf(rep *Reply) string { return string(appendReply(nil, 0, rep.Wire(), rep.appendData)) }
+func replyWire(rep Reply) string {
+	return string(endFrame(rep.appendWire(beginFrame(nil, FrameRep, 0)), 0))
+}

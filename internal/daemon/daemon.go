@@ -60,16 +60,17 @@ func Install(c *kernel.Cluster, m *kernel.Machine) (*kernel.Process, error) {
 
 // childInfo is the daemon's record of one process it created.
 type childInfo struct {
-	pid         int
-	uid         int
-	controlHost string
-	controlPort uint16
-	stdioPort   uint16 // the child's end of the I/O gateway
+	pid       int
+	uid       int
+	control   controlAddr // where its state changes and output go
+	stdioPort uint16      // the child's end of the I/O gateway
 }
 
-// exitNotePrefix marks kernel-injected child exit notes on the gateway
-// socket (the simulation's SIGCHLD).
-const exitNotePrefix = "X "
+// controlAddr is a controller's notification socket.
+type controlAddr struct {
+	host string
+	port uint16
+}
 
 // Main is the meterdaemon program. It accepts controller connections
 // and serves each on an auxiliary goroutine, whether it carries one
@@ -82,10 +83,10 @@ func Main(p *kernel.Process) int {
 		p:            p,
 		children:     make(map[int]*childInfo),
 		byStdio:      make(map[uint16]*childInfo),
-		creates:      make(map[string]*Reply),
+		creates:      make(map[string]Reply),
 		fileSums:     make(map[string]prefixSum),
 		aggMemo:      agg.NewMemo(agg.MemoCost, p.Machine().Obs()),
-		notifyFDs:    make(map[string]int),
+		notifyFDs:    make(map[controlAddr]int),
 		notifyFailed: p.Machine().Obs().Counter("daemon.notify_failed"),
 	}
 	lfd, err := p.Socket(meter.AFInet, kernel.SockStream)
@@ -167,7 +168,7 @@ type daemonState struct {
 	// session connection while the original is still executing cannot
 	// slip past the ledger check and create a second process.
 	createMu   sync.Mutex
-	creates    map[string]*Reply
+	creates    map[string]Reply
 	tokenOrder []string // FIFO for bounding the ledger
 
 	// getfile prefix-CRC checkpoints by path (prefixCRC), guarded by mu.
@@ -189,7 +190,7 @@ type daemonState struct {
 	// per state change; keeping it open makes the common notification
 	// one send, and a failure is retried once on a fresh connection
 	// before being counted under daemon.notify_failed.
-	notifyFDs    map[string]int
+	notifyFDs    map[controlAddr]int
 	notifyFailed *obs.Counter
 }
 
@@ -198,7 +199,7 @@ type daemonState struct {
 const maxCreateTokens = 1024
 
 // rememberCreate records a successful create under its token.
-func (d *daemonState) rememberCreate(token string, rep *Reply) {
+func (d *daemonState) rememberCreate(token string, rep Reply) {
 	if token == "" {
 		return
 	}
@@ -213,60 +214,54 @@ func (d *daemonState) rememberCreate(token string, rep *Reply) {
 }
 
 // lookupCreate consults the idempotency ledger.
-func (d *daemonState) lookupCreate(token string) (*Reply, bool) {
+func (d *daemonState) lookupCreate(token string) (Reply, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	rep, ok := d.creates[token]
 	return rep, ok
 }
 
-func (d *daemonState) handle(w *WireMsg) *Reply {
-	d.p.Machine().Obs().Counter(reqCounterName(w.Type)).Inc()
-	switch w.Type {
+// handle serves one request, from a payload serveConn has checked and
+// copied: the strings its handler keeps are read in place from it.
+func (d *daemonState) handle(payload []byte) Reply {
+	t, f, _ := openWire(payload, false)
+	d.p.Machine().Obs().Counter(reqCounterName(t)).Inc()
+	switch t {
 	case TCreateReq:
-		req, err := ParseCreateReq(w)
+		req, err := readCreateReq(&f)
 		if err != nil {
-			return &Reply{Type: TCreateRep, Status: err.Error()}
+			return Reply{Type: TCreateRep, Status: err.Error()}
 		}
-		return d.handleCreate(req)
-	case TSetFlagsReq:
-		return d.handleSetFlags(ParseProcReq(w))
-	case TStartReq:
-		return d.handleSignal(ParseProcReq(w), kernel.SIGCONT, TStartRep)
-	case TStopReq:
-		return d.handleSignal(ParseProcReq(w), kernel.SIGSTOP, TStopRep)
-	case TKillReq:
-		return d.handleSignal(ParseProcReq(w), kernel.SIGKILL, TKillRep)
-	case TAcquireReq:
-		return d.handleAcquire(ParseProcReq(w))
-	case TGetFileReq:
-		return d.handleGetFile(ParseProcReq(w))
-	case TReleaseReq:
-		return d.handleRelease(ParseProcReq(w))
+		return d.handleCreate(&req)
+	case TQueryReq:
+		return d.handleQuery(readQueryReq(&f))
+	case TAggReq:
+		return d.handleAgg(readAggReq(&f))
+	case TStatsReq:
+		return d.handleStats()
 	case TListReq:
 		return d.handleList()
-	case TStdinReq:
-		return d.handleStdin(ParseProcReq(w))
-	case TQueryReq:
-		req, err := ParseQueryReq(w)
-		if err != nil {
-			return &Reply{Type: TQueryRep, Status: err.Error()}
-		}
-		return d.handleQuery(req)
-	case TAggReq:
-		req, err := ParseAggReq(w)
-		if err != nil {
-			return &Reply{Type: TAggRep, Status: err.Error()}
-		}
-		return d.handleAgg(req)
-	case TStatsReq:
-		if _, err := ParseStatsReq(w); err != nil {
-			return &Reply{Type: TStatsRep, Status: err.Error()}
-		}
-		return d.handleStats()
-	default:
-		return &Reply{Type: TCreateRep, Status: fmt.Sprintf("unknown request %v", w.Type)}
 	}
+	req := readProcReq(t, &f)
+	switch t {
+	case TSetFlagsReq:
+		return d.handleSetFlags(&req)
+	case TStartReq:
+		return d.handleSignal(&req, kernel.SIGCONT, TStartRep)
+	case TStopReq:
+		return d.handleSignal(&req, kernel.SIGSTOP, TStopRep)
+	case TKillReq:
+		return d.handleSignal(&req, kernel.SIGKILL, TKillRep)
+	case TAcquireReq:
+		return d.handleAcquire(&req)
+	case TGetFileReq:
+		return d.handleGetFile(&req)
+	case TReleaseReq:
+		return d.handleRelease(&req)
+	case TStdinReq:
+		return d.handleStdin(&req)
+	}
+	return Reply{Type: TCreateRep, Status: fmt.Sprintf("unknown request %v", t)}
 }
 
 // connectMeterSocket creates a stream socket connected to a filter,
@@ -299,7 +294,7 @@ func dial(p *kernel.Process, host string, port uint16) (int, error) {
 	return fd, nil
 }
 
-func (d *daemonState) handleCreate(req *CreateReq) *Reply {
+func (d *daemonState) handleCreate(req *CreateReq) Reply {
 	// One create at a time: the token check and the spawn must be
 	// atomic against a transparently re-issued duplicate of the same
 	// request arriving on another connection.
@@ -310,10 +305,10 @@ func (d *daemonState) handleCreate(req *CreateReq) *Reply {
 	}
 	m := d.p.Machine()
 	if !m.HasAccount(req.UID) {
-		return &Reply{Type: TCreateRep, Status: fmt.Sprintf("uid %d has no account on %s", req.UID, m.Name())}
+		return Reply{Type: TCreateRep, Status: fmt.Sprintf("uid %d has no account on %s", req.UID, m.Name())}
 	}
 	if _, err := m.FS().Executable(req.Filename, req.UID); err != nil {
-		return &Reply{Type: TCreateRep, Status: err.Error()}
+		return Reply{Type: TCreateRep, Status: err.Error()}
 	}
 
 	// The per-process I/O gateway socket (section 3.5.2): a datagram
@@ -324,20 +319,20 @@ func (d *daemonState) handleCreate(req *CreateReq) *Reply {
 	// port live exactly as long as the child.
 	sfd, err := d.p.Socket(meter.AFInet, kernel.SockDgram)
 	if err != nil {
-		return &Reply{Type: TCreateRep, Status: err.Error()}
+		return Reply{Type: TCreateRep, Status: err.Error()}
 	}
 	defer func() { _ = d.p.Close(sfd) }()
 	if err := d.p.BindPort(sfd, 0); err != nil {
-		return &Reply{Type: TCreateRep, Status: err.Error()}
+		return Reply{Type: TCreateRep, Status: err.Error()}
 	}
 	if err := d.p.Connect(sfd, d.gatewayName); err != nil {
-		return &Reply{Type: TCreateRep, Status: err.Error()}
+		return Reply{Type: TCreateRep, Status: err.Error()}
 	}
 	stdioName, _ := d.p.SocketName(sfd)
 	_, stdioPort := stdioName.Inet()
 	stdio, err := d.p.SocketOf(sfd)
 	if err != nil {
-		return &Reply{Type: TCreateRep, Status: err.Error()}
+		return Reply{Type: TCreateRep, Status: err.Error()}
 	}
 
 	// Standard input redirected from a file, if requested: the file
@@ -347,7 +342,7 @@ func (d *daemonState) handleCreate(req *CreateReq) *Reply {
 	if req.StdinFile != "" {
 		data, err := m.FS().Read(req.StdinFile, req.UID)
 		if err != nil {
-			return &Reply{Type: TCreateRep, Status: err.Error()}
+			return Reply{Type: TCreateRep, Status: err.Error()}
 		}
 		stdin = bytes.NewReader(data)
 	}
@@ -363,7 +358,7 @@ func (d *daemonState) handleCreate(req *CreateReq) *Reply {
 		PPID:      d.p.PID(),
 	})
 	if err != nil {
-		return &Reply{Type: TCreateRep, Status: err.Error()}
+		return Reply{Type: TCreateRep, Status: err.Error()}
 	}
 
 	// Wire up the meter connection before the process can run its
@@ -374,73 +369,80 @@ func (d *daemonState) handleCreate(req *CreateReq) *Reply {
 		msfd, err := d.connectMeterSocket(req.FilterHost, req.FilterPort)
 		if err != nil {
 			_ = m.Signal(child.PID(), kernel.SIGKILL)
-			return &Reply{Type: TCreateRep, Status: fmt.Sprintf("meter connection: %v", err)}
+			return Reply{Type: TCreateRep, Status: fmt.Sprintf("meter connection: %v", err)}
 		}
 		if err := d.p.Setmeter(child.PID(), int(req.MeterFlags), msfd); err != nil {
 			_ = m.Signal(child.PID(), kernel.SIGKILL)
-			return &Reply{Type: TCreateRep, Status: err.Error()}
+			return Reply{Type: TCreateRep, Status: err.Error()}
 		}
 		if err := d.p.Close(msfd); err != nil {
-			return &Reply{Type: TCreateRep, Status: err.Error()}
+			return Reply{Type: TCreateRep, Status: err.Error()}
 		}
 	}
 
 	info := &childInfo{
-		pid:         child.PID(),
-		uid:         req.UID,
-		controlHost: req.ControlHost,
-		controlPort: req.ControlPort,
-		stdioPort:   stdioPort,
+		pid:       child.PID(),
+		uid:       req.UID,
+		control:   controlAddr{req.ControlHost, req.ControlPort},
+		stdioPort: stdioPort,
 	}
 	d.mu.Lock()
 	d.children[info.pid] = info
 	d.byStdio[info.stdioPort] = info
 	d.mu.Unlock()
 
-	// The simulation's SIGCHLD: the kernel pokes the daemon's gateway
-	// when the child terminates; the daemon then connects to the
-	// controller and reports the state change (section 3.5.1).
+	// The simulation's SIGCHLD: when the child terminates the kernel
+	// pokes the daemon's gateway with the state change message, which
+	// the daemon forwards to the controller (section 3.5.1).
 	gatewayPort := d.gatewayPort
 	child.OnExit(func(cp *kernel.Process, status int, reason string) {
-		note := fmt.Sprintf("%s%d %d %s", exitNotePrefix, cp.PID(), status, reason)
-		m.InjectDgram(gatewayPort, []byte(note), meter.Name{})
+		sc := StateChange{Machine: m.Name(), PID: cp.PID(), Reason: reason, Status: status}
+		m.InjectDgram(gatewayPort, sc.appendWire(nil), meter.Name{})
 	})
 
-	rep := &Reply{Type: TCreateRep, PID: child.PID(), Status: "ok"}
+	rep := Reply{Type: TCreateRep, PID: child.PID(), Status: "ok"}
 	d.rememberCreate(req.Token, rep)
 	return rep
 }
 
+// errPermission refuses a request about another user's process.
+var errPermission = errors.New("permission denied")
+
 // checkTarget verifies the request's uid may control the target pid.
-func (d *daemonState) checkTarget(req *ProcReq, repType MsgType) (*kernel.Process, *Reply) {
+func (d *daemonState) checkTarget(req *ProcReq) error {
 	target, err := d.p.Machine().Proc(req.PID)
 	if err != nil {
-		return nil, &Reply{Type: repType, PID: req.PID, Status: err.Error()}
+		return err
 	}
 	if req.UID != 0 && target.UID() != req.UID {
-		return nil, &Reply{Type: repType, PID: req.PID, Status: "permission denied"}
+		return errPermission
 	}
-	return target, nil
+	return nil
 }
 
-func (d *daemonState) handleSetFlags(req *ProcReq) *Reply {
-	if _, rep := d.checkTarget(req, TSetFlagsRep); rep != nil {
-		return rep
+// procReply is the reply of type t about process pid: "ok", or the
+// text of what failed.
+func procReply(t MsgType, pid int, err error) Reply {
+	if err != nil {
+		return Reply{Type: t, PID: pid, Status: err.Error()}
 	}
-	if err := d.p.Setmeter(req.PID, int(req.Flags), kernel.NoChange); err != nil {
-		return &Reply{Type: TSetFlagsRep, PID: req.PID, Status: err.Error()}
-	}
-	return &Reply{Type: TSetFlagsRep, PID: req.PID, Status: "ok"}
+	return Reply{Type: t, PID: pid, Status: "ok"}
 }
 
-func (d *daemonState) handleSignal(req *ProcReq, sig kernel.Signal, repType MsgType) *Reply {
-	if _, rep := d.checkTarget(req, repType); rep != nil {
-		return rep
+func (d *daemonState) handleSetFlags(req *ProcReq) Reply {
+	err := d.checkTarget(req)
+	if err == nil {
+		err = d.p.Setmeter(req.PID, int(req.Flags), kernel.NoChange)
 	}
-	if err := d.p.Machine().Signal(req.PID, sig); err != nil {
-		return &Reply{Type: repType, PID: req.PID, Status: err.Error()}
+	return procReply(TSetFlagsRep, req.PID, err)
+}
+
+func (d *daemonState) handleSignal(req *ProcReq, sig kernel.Signal, repType MsgType) Reply {
+	err := d.checkTarget(req)
+	if err == nil {
+		err = d.p.Machine().Signal(req.PID, sig)
 	}
-	return &Reply{Type: repType, PID: req.PID, Status: "ok"}
+	return procReply(repType, req.PID, err)
 }
 
 // handleAcquire meters an already-executing process: its meter
@@ -448,37 +450,32 @@ func (d *daemonState) handleSignal(req *ProcReq, sig kernel.Signal, repType MsgT
 // never touched (section 3.5.2: "no changes are made to the handling
 // of the processes' I/O ... the user is not allowed to modify the
 // processes' execution state").
-func (d *daemonState) handleAcquire(req *ProcReq) *Reply {
-	if _, rep := d.checkTarget(req, TAcquireRep); rep != nil {
-		return rep
+func (d *daemonState) handleAcquire(req *ProcReq) Reply {
+	if err := d.checkTarget(req); err != nil {
+		return procReply(TAcquireRep, req.PID, err)
 	}
 	if req.FilterHost == "" {
-		return &Reply{Type: TAcquireRep, PID: req.PID, Status: "no filter specified"}
+		return Reply{Type: TAcquireRep, PID: req.PID, Status: "no filter specified"}
 	}
 	msfd, err := d.connectMeterSocket(req.FilterHost, req.FilterPort)
 	if err != nil {
-		return &Reply{Type: TAcquireRep, PID: req.PID, Status: err.Error()}
+		return procReply(TAcquireRep, req.PID, err)
 	}
 	if err := d.p.Setmeter(req.PID, int(req.Flags), msfd); err != nil {
 		_ = d.p.Close(msfd)
-		return &Reply{Type: TAcquireRep, PID: req.PID, Status: err.Error()}
+		return procReply(TAcquireRep, req.PID, err)
 	}
-	if err := d.p.Close(msfd); err != nil {
-		return &Reply{Type: TAcquireRep, PID: req.PID, Status: err.Error()}
-	}
-	return &Reply{Type: TAcquireRep, PID: req.PID, Status: "ok"}
+	return procReply(TAcquireRep, req.PID, d.p.Close(msfd))
 }
 
 // handleRelease stops metering a process: all flags off and the meter
 // connection closed. The process itself continues to execute.
-func (d *daemonState) handleRelease(req *ProcReq) *Reply {
-	if _, rep := d.checkTarget(req, TReleaseRep); rep != nil {
-		return rep
+func (d *daemonState) handleRelease(req *ProcReq) Reply {
+	err := d.checkTarget(req)
+	if err == nil {
+		err = d.p.Setmeter(req.PID, kernel.FlagsNone, kernel.SockNone)
 	}
-	if err := d.p.Setmeter(req.PID, kernel.FlagsNone, kernel.SockNone); err != nil {
-		return &Reply{Type: TReleaseRep, PID: req.PID, Status: err.Error()}
-	}
-	return &Reply{Type: TReleaseRep, PID: req.PID, Status: "ok"}
+	return procReply(TReleaseRep, req.PID, err)
 }
 
 // handleStdin forwards user input to a child's standard descriptors:
@@ -487,33 +484,31 @@ func (d *daemonState) handleRelease(req *ProcReq) *Reply {
 // Only processes this daemon created (and whose stdio is the gateway)
 // can receive input this way. The text travels in the request's Path
 // field.
-func (d *daemonState) handleStdin(req *ProcReq) *Reply {
-	if _, rep := d.checkTarget(req, TStdinRep); rep != nil {
-		return rep
+func (d *daemonState) handleStdin(req *ProcReq) Reply {
+	if err := d.checkTarget(req); err != nil {
+		return procReply(TStdinRep, req.PID, err)
 	}
 	d.mu.Lock()
 	info := d.children[req.PID]
 	d.mu.Unlock()
 	if info == nil {
-		return &Reply{Type: TStdinRep, PID: req.PID, Status: "process was not created by this meterdaemon"}
+		return Reply{Type: TStdinRep, PID: req.PID, Status: "process was not created by this meterdaemon"}
 	}
 	dest := meter.InetName(d.p.Machine().PrimaryHostID(), info.stdioPort)
-	if _, err := d.p.SendTo(d.gfd, []byte(req.Path), dest); err != nil {
-		return &Reply{Type: TStdinRep, PID: req.PID, Status: err.Error()}
-	}
-	return &Reply{Type: TStdinRep, PID: req.PID, Status: "ok"}
+	_, err := d.p.SendTo(d.gfd, []byte(req.Path), dest)
+	return procReply(TStdinRep, req.PID, err)
 }
 
 // handleList reports the machine's live processes, one per line:
 // "pid uid name", sorted by pid.
-func (d *daemonState) handleList() *Reply {
+func (d *daemonState) handleList() Reply {
 	procs := d.p.Machine().Procs()
 	sort.Slice(procs, func(i, j int) bool { return procs[i].PID() < procs[j].PID() })
 	var b strings.Builder
 	for _, proc := range procs {
 		fmt.Fprintf(&b, "%d %d %s\n", proc.PID(), proc.UID(), proc.Name())
 	}
-	return &Reply{Type: TListRep, Status: "ok", Data: b.String()}
+	return Reply{Type: TListRep, Status: "ok", Data: b.String()}
 }
 
 // getFileChunk is the most file bytes one getfile reply carries: well
@@ -531,10 +526,10 @@ const getFileChunk = 4 << 20
 // shipped: one snapshot of the file serves the read and the checksum,
 // the reply's Data is the one copy made of the bytes, and the checksum
 // resumes from the path's checkpoint.
-func (d *daemonState) handleGetFile(req *ProcReq) *Reply {
+func (d *daemonState) handleGetFile(req *ProcReq) Reply {
 	snap, err := d.p.Machine().FS().Open(req.Path, req.UID)
 	if err != nil {
-		return &Reply{Type: TGetFileRep, Status: err.Error()}
+		return Reply{Type: TGetFileRep, Status: err.Error()}
 	}
 	off := req.Offset
 	if off < 0 || off > snap.Size() {
@@ -546,7 +541,7 @@ func (d *daemonState) handleGetFile(req *ProcReq) *Reply {
 		data.Write(ext)
 	}
 	d.p.Machine().Obs().Counter("daemon.getfile_bytes").Add(int64(data.Len()))
-	return &Reply{
+	return Reply{
 		Type: TGetFileRep, PID: snap.Size(), Status: "ok",
 		Data: data.String(),
 		Aux:  strconv.FormatUint(uint64(d.prefixCRC(req.Path, snap, off, data.Len())), 10),
@@ -639,23 +634,23 @@ func (d *daemonState) reader(uid int, dir string) (*store.Reader, error) {
 // where the data lives, so only matching records travel back. The
 // reply Data is one statistics line followed by the matching records,
 // written from the query's buffers straight into the reply frame.
-func (d *daemonState) handleQuery(req *QueryReq) *Reply {
+func (d *daemonState) handleQuery(req QueryReq) Reply {
 	q, err := query.Compile(req.Rules)
 	if err != nil {
-		return &Reply{Type: TQueryRep, Status: err.Error()}
+		return Reply{Type: TQueryRep, Status: err.Error()}
 	}
 	q.NoPrune = req.NoPrune
 	q.Obs = d.p.Machine().Obs()
 	rd, err := d.reader(req.UID, req.Dir)
 	if err != nil {
-		return &Reply{Type: TQueryRep, Status: err.Error()}
+		return Reply{Type: TQueryRep, Status: err.Error()}
 	}
 	a, err := query.Exec(rd, q)
 	if err != nil {
-		return &Reply{Type: TQueryRep, Status: err.Error()}
+		return Reply{Type: TQueryRep, Status: err.Error()}
 	}
 	head := a.Stats.String()
-	return &Reply{Type: TQueryRep, Status: "ok", dataSize: len(head) + 1 + a.Len(), appendData: func(b []byte) []byte {
+	return Reply{Type: TQueryRep, Status: "ok", dataSize: len(head) + 1 + a.Len(), appendData: func(b []byte) []byte {
 		return a.AppendLines(append(append(b, head...), '\n'))
 	}}
 }
@@ -666,24 +661,24 @@ func (d *daemonState) handleQuery(req *QueryReq) *Reply {
 // into kilobytes per machine. Reply Data is the binary partial, Aux
 // the scan-statistics line. The daemon's memo spares a repeated
 // aggregate the sealed segments it has already folded.
-func (d *daemonState) handleAgg(req *AggReq) *Reply {
+func (d *daemonState) handleAgg(req AggReq) Reply {
 	aq, err := agg.Compile(req.Rules + "\n" + req.Spec)
 	if err != nil {
-		return &Reply{Type: TAggRep, Status: err.Error()}
+		return Reply{Type: TAggRep, Status: err.Error()}
 	}
 	aq.Sel.NoPrune = req.NoPrune
 	rd, err := d.reader(req.UID, req.Dir)
 	if err != nil {
-		return &Reply{Type: TAggRep, Status: err.Error()}
+		return Reply{Type: TAggRep, Status: err.Error()}
 	}
 	reg := d.p.Machine().Obs()
 	p, stats, err := agg.Eval(rd, aq, agg.Options{Obs: reg, Memo: d.aggMemo, Store: strconv.Itoa(req.UID) + ":" + req.Dir})
 	if err != nil {
-		return &Reply{Type: TAggRep, Status: err.Error()}
+		return Reply{Type: TAggRep, Status: err.Error()}
 	}
 	data := p.MarshalBinary()
 	reg.Counter("agg.partial_bytes").Add(int64(len(data)))
-	return &Reply{Type: TAggRep, Status: "ok", Data: string(data), Aux: stats.String()}
+	return Reply{Type: TAggRep, Status: "ok", Data: string(data), Aux: stats.String()}
 }
 
 // handleStats encodes this machine's metrics registry straight into the
@@ -697,14 +692,13 @@ func (d *daemonState) handleAgg(req *AggReq) *Reply {
 // encoding, and the bytes shipped — goes into the same registry, its
 // handles resolved before the capture so that the report lists them,
 // as of the report before.
-func (d *daemonState) handleStats() *Reply {
+func (d *daemonState) handleStats() Reply {
 	reg := d.p.Machine().Obs()
 	span := obs.StartSpan(reg.Histogram("daemon.stats_snapshot_ns"))
 	replyBytes := reg.Counter("daemon.stats_reply_bytes")
-	name := d.p.Machine().Name()
-	return &Reply{Type: TStatsRep, Status: "ok", dataSize: int(d.statsSize.Load()), appendData: func(b []byte) []byte {
+	return Reply{Type: TStatsRep, Status: "ok", dataSize: int(d.statsSize.Load()), appendData: func(b []byte) []byte {
 		at := len(b)
-		b = reg.AppendBinary(b, name)
+		b = d.p.Machine().Obs().AppendBinary(b, d.p.Machine().Name())
 		span.End()
 		d.statsSize.Store(int64(len(b) - at))
 		replyBytes.Add(int64(len(b) - at))
@@ -713,16 +707,15 @@ func (d *daemonState) handleStats() *Reply {
 }
 
 // handleGateway dispatches datagrams arriving on the gateway socket:
-// kernel-injected child exit notes, or child standard output to be
-// forwarded to the controller.
+// the state changes the kernel injects as children exit, or child
+// standard output, each forwarded to the child's controller.
 func (d *daemonState) handleGateway(data []byte, src meter.Name) {
-	if src.IsZero() && strings.HasPrefix(string(data), exitNotePrefix) {
-		parts := strings.Fields(string(data[len(exitNotePrefix):]))
-		if len(parts) != 3 {
+	if src.IsZero() {
+		t, f, err := openWire(data, false)
+		if err != nil || t != TStateChange {
 			return
 		}
-		pid, _ := strconv.Atoi(parts[0])
-		status, _ := strconv.Atoi(parts[1])
+		pid := readStateChange(&f).PID
 		d.mu.Lock()
 		info := d.children[pid]
 		if info != nil {
@@ -730,11 +723,10 @@ func (d *daemonState) handleGateway(data []byte, src meter.Name) {
 			delete(d.byStdio, info.stdioPort)
 		}
 		d.mu.Unlock()
-		if info == nil || info.controlHost == "" {
+		if info == nil || info.control.host == "" {
 			return
 		}
-		sc := &StateChange{Machine: d.p.Machine().Name(), PID: pid, Reason: parts[2], Status: status}
-		_ = d.notifyController(info, sc.Wire())
+		_ = d.notifyController(info, AppendFrame(takeFrameBuf(frameHeader+len(data)), FrameReq, 0, data))
 		return
 	}
 	if src.Family() == meter.AFInet {
@@ -742,41 +734,43 @@ func (d *daemonState) handleGateway(data []byte, src meter.Name) {
 		d.mu.Lock()
 		info := d.byStdio[port]
 		d.mu.Unlock()
-		if info == nil || info.controlHost == "" {
+		if info == nil || info.control.host == "" {
 			return
 		}
-		iod := &IOData{Machine: d.p.Machine().Name(), PID: info.pid, Data: string(data)}
-		_ = d.notifyController(info, iod.Wire())
+		iod := IOData{Machine: d.p.Machine().Name(), PID: info.pid, Data: string(data)}
+		b := takeFrameBuf(frameHeader + frameBuf/2 + len(data))
+		_ = d.notifyController(info, endFrame(iod.appendWire(beginFrame(b, FrameReq, 0)), 0))
 	}
 }
 
 // notifyController delivers one daemon-initiated message (state change
-// or forwarded output) to a controller's notification socket. The
-// connection persists across notifications; a send that fails — the
-// controller restarted, or the old connection was severed by a
-// partition — is retried once on a fresh connection, and only then is
-// the notification counted lost under daemon.notify_failed. (The
-// paper's daemon opened a temporary connection each time and an error
-// dropped the notification silently.)
-func (d *daemonState) notifyController(info *childInfo, msg *WireMsg) error {
-	key := fmt.Sprintf("%s:%d", info.controlHost, info.controlPort)
+// or forwarded output), framed in b from takeFrameBuf, to a controller's
+// notification socket, and gives b back. The connection persists
+// across notifications; a send that fails — the controller restarted,
+// or the old connection was severed by a partition — is retried once on
+// a fresh connection, and only then is the notification counted lost
+// under daemon.notify_failed. (The paper's daemon opened a temporary
+// connection each time and an error dropped the notification silently.)
+func (d *daemonState) notifyController(info *childInfo, b []byte) error {
+	defer freeFrameBuf(b)
+	key := info.control
 	d.mu.Lock()
 	fd, cached := d.notifyFDs[key]
 	d.mu.Unlock()
 	if cached {
-		if err := sendFrame(d.p, fd, FrameReq, 0, msg); err == nil {
+		if _, err := d.p.Send(fd, b); err == nil {
 			return nil
 		}
 		// Stale connection: drop it and fall through to a fresh dial.
 		d.dropNotifyFD(key, fd)
 	}
 
-	fd, err := dial(d.p, info.controlHost, info.controlPort)
+	fd, err := dial(d.p, key.host, key.port)
 	if err == nil {
 		d.mu.Lock()
 		d.notifyFDs[key] = fd
 		d.mu.Unlock()
-		if err = sendFrame(d.p, fd, FrameReq, 0, msg); err != nil {
+		if _, err = d.p.Send(fd, b); err != nil {
 			d.dropNotifyFD(key, fd)
 		}
 	}
@@ -788,7 +782,7 @@ func (d *daemonState) notifyController(info *childInfo, msg *WireMsg) error {
 
 // dropNotifyFD closes a dead notification connection and forgets it if
 // it is still the cached one.
-func (d *daemonState) dropNotifyFD(key string, fd int) {
+func (d *daemonState) dropNotifyFD(key controlAddr, fd int) {
 	d.mu.Lock()
 	if d.notifyFDs[key] == fd {
 		delete(d.notifyFDs, key)
@@ -799,8 +793,9 @@ func (d *daemonState) dropNotifyFD(key string, fd int) {
 
 // ReadNotices applies each notification a daemon sends on conn — a
 // state change or forwarded output, one request frame each — until the
-// connection ends or carries a corrupt frame.
-func ReadNotices(p *kernel.Process, conn int, apply func(*WireMsg)) {
+// connection ends or carries a corrupt frame. The strings of each are
+// one copy of its message.
+func ReadNotices(p *kernel.Process, conn int, state func(StateChange), output func(IOData)) {
 	var fr frameReader
 	defer fr.release()
 	rc := receiver{p: p, fd: conn}
@@ -812,11 +807,16 @@ func ReadNotices(p *kernel.Process, conn int, apply func(*WireMsg)) {
 		if f.Kind != FrameReq {
 			continue // unknown kinds are skipped, as on every stream
 		}
-		w, err := DecodeWire(f.Payload)
+		t, m, err := openWire(f.Payload, true)
 		if err != nil {
 			return
 		}
-		apply(w)
+		switch t {
+		case TStateChange:
+			state(readStateChange(&m))
+		case TIOData:
+			output(readIOData(&m))
+		}
 	}
 }
 
@@ -824,25 +824,14 @@ func ReadNotices(p *kernel.Process, conn int, apply func(*WireMsg)) {
 // host, send the request, read the reply, and close the connection
 // ("The stream connection between the controller and a meterdaemon
 // exists for the duration of a single exchange of messages", section
-// 3.5.1). It makes a single attempt with no deadline; ExchangeRetry
-// adds both.
-func Exchange(p *kernel.Process, host string, req *WireMsg) (*Reply, error) {
-	return exchange(p, host, req, 0)
-}
-
-// exchange is one framed call on a connection of its own: the magic,
-// the hello and the request go out in one send, and the daemon's hello
-// and reply come back through one frameReader. A positive timeout
-// bounds the whole wait; zero waits forever. A successful round trip
+// 3.5.1). It makes a single attempt with no deadline. The magic, the
+// hello and the request go out in one send, and the daemon's hello and
+// reply come back through one frameReader. A successful round trip
 // lands its latency in the calling machine's daemon.rtt.<type>
 // histogram.
-func exchange(p *kernel.Process, host string, req *WireMsg, timeout time.Duration) (*Reply, error) {
+func Exchange(p *kernel.Process, host string, req Message) (*Reply, error) {
 	start := time.Now()
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = start.Add(timeout)
-	}
-	rc, fr, err := dialFramed(p, host, Port, req, deadline)
+	rc, fr, err := dialFramed(p, host, Port, req, time.Time{})
 	if err != nil {
 		return nil, err
 	}
@@ -856,12 +845,11 @@ func exchange(p *kernel.Process, host string, req *WireMsg, timeout time.Duratio
 		if f.Kind != FrameRep {
 			continue
 		}
-		w, err := DecodeWire(f.Payload)
-		if err != nil {
-			return nil, err
+		rep, err := readReply(f.Payload, true)
+		if err == nil {
+			p.Machine().Obs().Histogram(rttHistName(msgType(req))).Since(start)
 		}
-		p.Machine().Obs().Histogram(rttHistName(req.Type)).Since(start)
-		return ParseReply(w), nil
+		return rep, err
 	}
 }
 
@@ -872,7 +860,7 @@ func exchange(p *kernel.Process, host string, req *WireMsg, timeout time.Duratio
 // came after. A non-zero deadline bounds the wait. A peer that closes
 // instead, or answers with anything but a hello, fails with
 // errHandshake.
-func dialFramed(p *kernel.Process, host string, port uint16, req *WireMsg, deadline time.Time) (*receiver, *frameReader, error) {
+func dialFramed(p *kernel.Process, host string, port uint16, req Message, deadline time.Time) (*receiver, *frameReader, error) {
 	fd, err := dial(p, host, port)
 	if err != nil {
 		return nil, nil, fmt.Errorf("daemon on %s: %w", host, err)
@@ -883,7 +871,7 @@ func dialFramed(p *kernel.Process, host string, port uint16, req *WireMsg, deadl
 	}
 	out := appendHello(nil)
 	if req != nil {
-		out = req.appendTo(appendFrameHeader(out, FrameReq, 1, req.size()))
+		out = appendMsgFrame(out, FrameReq, 1, req)
 	}
 	if _, err := p.Send(fd, out); err != nil {
 		return fail(err)
@@ -947,16 +935,10 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// sendFrame sends w as one frame on fd.
-func sendFrame(p *kernel.Process, fd int, kind uint32, id uint64, w *WireMsg) error {
-	n := w.size()
-	return sendFree(p, fd, w.appendTo(appendFrameHeader(takeFrameBuf(frameHeader+n), kind, id, n)))
-}
-
 // sendReply sends rep as the frame of reply id on fd.
 func sendReply(p *kernel.Process, fd int, id uint64, rep *Reply) error {
-	w := rep.Wire()
-	return sendFree(p, fd, appendReply(takeFrameBuf(frameHeader+w.size()+rep.dataSize), id, w, rep.appendData))
+	b := takeFrameBuf(frameHeader + 48 + len(rep.Status) + len(rep.Data) + len(rep.Aux) + rep.dataSize)
+	return sendFree(p, fd, endFrame(rep.appendWire(beginFrame(b, FrameRep, id)), 0))
 }
 
 // sendFree sends the frame in b, which takeFrameBuf gave, and gives b

@@ -24,7 +24,7 @@ type testRig struct {
 	ctl        *kernel.Process // issues Exchange calls (on machine "yellow")
 	yellow     *kernel.Machine
 	notifyPort uint16
-	notifyCh   chan *WireMsg
+	notifyCh   chan any
 }
 
 func newRig(t *testing.T) *testRig {
@@ -85,7 +85,7 @@ func newRig(t *testing.T) *testRig {
 	// Daemons hold their notification connection open and send many
 	// messages on it, so each accepted connection is drained until EOF
 	// on its own goroutine.
-	ch := make(chan *WireMsg, 64)
+	ch := make(chan any, 64)
 	go func() {
 		for {
 			conn, _, err := notify.Accept(nfd)
@@ -94,7 +94,7 @@ func newRig(t *testing.T) *testRig {
 			}
 			notify.Go(func() {
 				defer func() { _ = notify.Close(conn) }()
-				ReadNotices(notify, conn, func(msg *WireMsg) { ch <- msg })
+				ReadNotices(notify, conn, func(sc StateChange) { ch <- sc }, func(d IOData) { ch <- d })
 			})
 		}
 	}()
@@ -212,7 +212,7 @@ func TestRemoteCreateStartTerminate(t *testing.T) {
 	// Termination must be reported by a daemon-initiated connection.
 	select {
 	case m := <-r.notifyCh:
-		sc := ParseStateChange(m)
+		sc, _ := m.(StateChange)
 		if sc.Machine != "red" || sc.PID != rep.PID || sc.Reason != "normal" || sc.Status != 0 {
 			t.Fatalf("state change = %+v", sc)
 		}
@@ -322,7 +322,7 @@ func TestStopAndStartViaDaemon(t *testing.T) {
 	}
 	select {
 	case m := <-r.notifyCh:
-		sc := ParseStateChange(m)
+		sc, _ := m.(StateChange)
 		if sc.PID != pid || sc.Reason != "killed" {
 			t.Fatalf("state change = %+v", sc)
 		}
@@ -477,8 +477,7 @@ func TestStdoutForwardedToController(t *testing.T) {
 	for !sawOutput {
 		select {
 		case m := <-r.notifyCh:
-			if m.Type == TIOData {
-				iod := ParseIOData(m)
+			if iod, ok := m.(IOData); ok {
 				if iod.Data == "hello from talker" && iod.PID == rep.PID {
 					sawOutput = true
 				}

@@ -8,7 +8,7 @@ package daemon
 //	size     uint32 LE   total frame length, including this word
 //	kind     uint32 LE   frame kind (hello, request, reply, ping, pong)
 //	request  uint64 LE   request id, matching replies to requests
-//	payload  bytes       request/reply: one encoded WireMsg; hello: version
+//	payload  bytes       request/reply: one Figure 3.6 message; hello: version
 //
 // A connection to a daemon opens with a 4-byte magic, "DPMX", and a
 // hello frame in each direction. The daemon closes a connection that
@@ -40,10 +40,10 @@ const (
 	// FrameHello opens a session in each direction; the payload is the
 	// speaker's protocol version.
 	FrameHello uint32 = 1
-	// FrameReq carries one encoded request WireMsg; the reply returns
-	// under the same request id.
+	// FrameReq carries one request message; the reply returns under the
+	// same request id.
 	FrameReq uint32 = 2
-	// FrameRep carries one encoded reply WireMsg.
+	// FrameRep carries one reply message.
 	FrameRep uint32 = 3
 	// FramePing and FramePong are the heartbeat: a ping sent on an idle
 	// session must come back as a pong with the same id before the
@@ -74,46 +74,30 @@ type Frame struct {
 	Payload []byte
 }
 
-// appendFrameHeader appends the header of a frame with n payload bytes.
-func appendFrameHeader(buf []byte, kind uint32, id uint64, n int) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameHeader+n))
+// beginFrame appends the header of a frame whose payload the caller
+// appends next; endFrame fills in its size word once it has, at being
+// where the frame begins.
+func beginFrame(buf []byte, kind uint32, id uint64) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
 	buf = binary.LittleEndian.AppendUint32(buf, kind)
 	return binary.LittleEndian.AppendUint64(buf, id)
+}
+
+func endFrame(buf []byte, at int) []byte {
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at))
+	return buf
 }
 
 // AppendFrame appends one encoded frame to buf and returns the
 // extended slice.
 func AppendFrame(buf []byte, kind uint32, id uint64, payload []byte) []byte {
-	return append(appendFrameHeader(buf, kind, id, len(payload)), payload...)
+	return endFrame(append(beginFrame(buf, kind, id), payload...), len(buf))
 }
 
-// wireFrame encodes a frame whose payload is the message, written once,
-// straight behind the frame header — AppendFrame over w.Encode()
-// without the copy in between.
-func wireFrame(kind uint32, id uint64, w *WireMsg) []byte {
-	n := w.size()
-	return w.appendTo(appendFrameHeader(make([]byte, 0, frameHeader+n), kind, id, n))
-}
-
-// appendReply appends the frame of reply id whose message is w, the
-// Wire of a reply, and whose Data, when data is set, is what data
-// writes: straight behind Data's length word, which with the two size
-// words in front of it is filled in once Data is in, and Aux behind it.
-func appendReply(b []byte, id uint64, w *WireMsg, data func([]byte) []byte) []byte {
-	start := len(b)
-	b = w.appendTo(appendFrameHeader(b, FrameRep, id, w.size()))
-	if data == nil {
-		return b
-	}
-	le := binary.LittleEndian
-	aux := w.Fields[3]
-	at := len(b) - 4 - len(aux)
-	b = data(b[:at])
-	le.PutUint32(b[at-4:], uint32(len(b)-at))
-	b = append(le.AppendUint32(b, uint32(len(aux))), aux...)
-	le.PutUint32(b[start:], uint32(len(b)-start))
-	le.PutUint32(b[start+frameHeader:], uint32(len(b)-start-frameHeader))
-	return b
+// appendMsgFrame appends the frame whose payload is m, written once,
+// straight behind the frame header.
+func appendMsgFrame(buf []byte, kind uint32, id uint64, m Message) []byte {
+	return endFrame(m.appendWire(beginFrame(buf, kind, id)), len(buf))
 }
 
 // frameSizeOK reports whether a frame's leading size word can begin a

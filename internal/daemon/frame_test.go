@@ -86,34 +86,27 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireFrameIsFrameOfEncode: the single-copy encoder writes the
-// bytes AppendFrame writes around Encode, into a buffer of exactly
-// their length; and a reply frame is that frame of the reply's Wire,
-// whether its Data is a string or written in place by appendData.
-func TestWireFrameIsFrameOfEncode(t *testing.T) {
-	for _, w := range []*WireMsg{
-		{Type: TStatsReq},
-		(&CreateReq{Filename: "/bin/x", Params: []string{"a", ""}, UID: 1, Token: "t"}).Wire(),
-		(&Reply{Type: TGetFileRep, PID: 1 << 20, Status: "ok", Data: string(make([]byte, 70000)), Aux: "7"}).Wire(),
+// TestMsgFrameIsFrameOfEncode: a message written straight behind its
+// frame header is the frame AppendFrame writes around its encoding,
+// wherever in the buffer it begins; and a reply whose Data appendData
+// writes in place is the frame of the same reply with Data a string.
+func TestMsgFrameIsFrameOfEncode(t *testing.T) {
+	for _, m := range []Message{
+		&WireMsg{Type: TStatsReq},
+		&CreateReq{Filename: "/bin/x", Params: []string{"a", ""}, UID: 1, Token: "t"},
+		&Reply{Type: TGetFileRep, PID: 1 << 20, Status: "ok", Data: string(make([]byte, 70000)), Aux: "7"},
 	} {
-		got, want := wireFrame(FrameRep, 1<<40+3, w), AppendFrame(nil, FrameRep, 1<<40+3, w.Encode())
+		got, want := appendMsgFrame([]byte("x"), FrameRep, 1<<40+3, m), AppendFrame([]byte("x"), FrameRep, 1<<40+3, m.appendWire(nil))
 		if string(got) != string(want) {
-			t.Fatalf("%v: wireFrame differs from AppendFrame(Encode)", w.Type)
-		}
-		if cap(got) != len(got) {
-			t.Fatalf("%v: %d-byte frame in a %d-byte buffer", w.Type, len(got), cap(got))
+			t.Fatalf("%v: the frame written in place differs from AppendFrame's", msgType(m))
 		}
 	}
 	for _, data := range []string{"", "segments=1 scanned=1 pruned=0 records=0 matched=0\n", string(bytes.Repeat([]byte("line\n"), 30000))} {
-		plain := &Reply{Type: TQueryRep, PID: -12, Status: "ok", Data: data, Aux: "aux"}
-		inPlace := &Reply{Type: TQueryRep, PID: -12, Status: "ok", Aux: "aux", dataSize: len(data) / 2,
+		plain := Reply{Type: TQueryRep, PID: -12, Status: "ok", Data: data, Aux: "aux"}
+		inPlace := Reply{Type: TQueryRep, PID: -12, Status: "ok", Aux: "aux", dataSize: len(data) / 2,
 			appendData: func(b []byte) []byte { return append(b, data...) }}
-		want := wireFrame(FrameRep, 9, plain.Wire())
-		if got := appendReply([]byte("x"), 9, plain.Wire(), nil); string(got) != "x"+string(want) {
-			t.Fatalf("%d bytes of Data: the reply frame differs from wireFrame", len(data))
-		}
-		if got := appendReply([]byte("x"), 9, inPlace.Wire(), inPlace.appendData); string(got) != "x"+string(want) {
-			t.Fatalf("%d bytes of Data written in place: the reply frame differs from wireFrame", len(data))
+		if replyWire(inPlace) != replyWire(plain) {
+			t.Fatalf("%d bytes of Data written in place: the reply frame differs", len(data))
 		}
 	}
 }

@@ -346,14 +346,14 @@ func TestReleasedReplyOverwritten(t *testing.T) {
 
 // TestSessionRoundTripNoAllocBeyondReply gates a steady-state small
 // call — the shape of a start, a setflags or a kill — against the
-// canned daemon. What a call keeps is its request frame and the reply:
-// the message, its field list, the one string every field is a
-// substring of, and the Reply. Its in-flight record, reply channel and
-// reply timer are reused, and neither end allocates a receive: each
-// reads frames into its connection's one buffer, under a timer it
-// resets per receive. That is 5 allocations and about 250 bytes a call,
-// gated at 5 and 320; a fresh in-flight record and channel per call
-// made it 8 and 400, and a timer per receive and per call, a slice per
+// canned daemon. What a call keeps is its Reply: the request is written
+// into the frame array its reused in-flight record kept from the call
+// before, the reply is read out of the connection's buffer with its
+// "ok" the constant, and its in-flight record, reply channel and reply
+// timer are reused. That is 1 allocation and 112 bytes a call, gated at
+// 1 and 160; a message and field list between each request or reply
+// and its frame made it 5 and 280, a fresh in-flight record and channel
+// per call 8 and 400, and a timer per receive and per call, a slice per
 // header and per payload, and a string per field 21 and 1250.
 func TestSessionRoundTripNoAllocBeyondReply(t *testing.T) {
 	if raceEnabled {
@@ -384,7 +384,7 @@ func TestSessionRoundTripNoAllocBeyondReply(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 	t.Logf("%.2f allocations, %.0f bytes per call", allocs, bytes)
-	if allocs > 5 || bytes > 320 {
-		t.Errorf("a small call allocates %.2f times, %.0f bytes; want at most 5 and 320", allocs, bytes)
+	if allocs > 1 || bytes > 160 {
+		t.Errorf("a small call allocates %.2f times, %.0f bytes; want at most 1 and 160", allocs, bytes)
 	}
 }

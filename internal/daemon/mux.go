@@ -6,7 +6,10 @@ package daemon
 // half lives in session.go (and Exchange in daemon.go); the frame
 // format in frame.go.
 
-import "sync"
+import (
+	"bytes"
+	"sync"
+)
 
 // serveConn serves one accepted connection. A connection that does not
 // open with the session magic is closed without a reply. Each request
@@ -51,18 +54,18 @@ func (d *daemonState) serveConn(conn int) {
 				return
 			}
 		case FrameReq:
-			w, err := DecodeWire(f.Payload)
-			if err != nil {
+			if _, _, err := openWire(f.Payload, false); err != nil {
 				return // corrupt payload: tear the connection down
 			}
-			id := f.ID
+			// The handler's own copy: the reader reuses its buffer.
+			payload, id := bytes.Clone(f.Payload), f.ID
 			handlers.Add(1)
 			d.p.Go(func() {
 				defer handlers.Done()
-				rep := d.handle(w)
+				rep := d.handle(payload)
 				// One Send per frame: kernel sends are atomic, so
 				// concurrent repliers cannot interleave frame bytes.
-				_ = sendReply(d.p, conn, id, rep)
+				_ = sendReply(d.p, conn, id, &rep)
 			})
 		default:
 			// Unknown frame kinds are skipped for forward compatibility,

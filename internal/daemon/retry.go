@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dpm/internal/kernel"
-	"dpm/internal/obs"
 )
 
 // RetryPolicy bounds a hardened controller↔daemon exchange. The
@@ -93,34 +92,26 @@ func transientExchangeErr(err error) bool {
 		errors.Is(err, io.EOF)
 }
 
-// ExchangeRetry is Exchange hardened for a faulty fabric: each attempt
-// runs under the policy's reply deadline, transient failures back off
-// exponentially with jitter, and the final error wraps the last
-// failure. Requests must be idempotent under retry — the daemon's
-// non-create requests naturally are, and creates carry an idempotency
-// token (CreateReq.Token) for exactly this reason.
-func ExchangeRetry(p *kernel.Process, host string, req *WireMsg, rp RetryPolicy) (*Reply, error) {
-	return rp.retry(p.Machine().Obs(), host, req, func(timeout time.Duration) (*Reply, error) {
-		return exchange(p, host, req, timeout)
-	})
-}
-
-// retry makes attempt, each under the policy's reply deadline, until it
-// succeeds, fails for good, or the policy runs out; reg counts the
-// retries and an exhaustion.
-func (rp RetryPolicy) retry(reg *obs.Registry, host string, req *WireMsg, attempt func(timeout time.Duration) (*Reply, error)) (*Reply, error) {
+// SessionExchange is Call hardened for a faulty fabric: each attempt
+// runs under the policy's reply deadline, transient failures — a
+// session down, a timed-out reply — back off exponentially with jitter,
+// and the final error wraps the last failure. Requests must be
+// idempotent under retry: the daemon's non-create requests naturally
+// are, and creates carry an idempotency token (CreateReq.Token) for
+// exactly this reason.
+func SessionExchange(s *Session, req Message, rp RetryPolicy) (*Reply, error) {
 	rp = rp.withDefaults()
 	delay := rp.BaseDelay
 	var lastErr error
 	for i := 0; i < rp.MaxAttempts; i++ {
 		if i > 0 {
-			reg.Counter("daemon.retries").Inc()
+			s.reg.Counter("daemon.retries").Inc()
 			time.Sleep(delay + rp.jitter(delay))
 			if delay *= 2; delay > rp.MaxDelay {
 				delay = rp.MaxDelay
 			}
 		}
-		rep, err := attempt(rp.ReplyTimeout)
+		rep, err := s.Call(req, rp.ReplyTimeout)
 		if err == nil {
 			return rep, nil
 		}
@@ -129,7 +120,7 @@ func (rp RetryPolicy) retry(reg *obs.Registry, host string, req *WireMsg, attemp
 			return nil, err
 		}
 	}
-	reg.Counter("daemon.exhausted").Inc()
+	s.reg.Counter("daemon.exhausted").Inc()
 	return nil, fmt.Errorf("%w: %v to %s failed after %d attempts: %w",
-		ErrExhausted, req.Type, host, rp.MaxAttempts, lastErr)
+		ErrExhausted, msgType(req), s.host, rp.MaxAttempts, lastErr)
 }

@@ -39,9 +39,11 @@ func TestExchangeRetrySurvivesPartition(t *testing.T) {
 	}
 	n.Partition(r.yellow.PrimaryHostID(), r.red.PrimaryHostID())
 
+	s := DialSession(r.ctl, "red", fastSession())
+	defer s.Close()
 	done := make(chan error, 1)
 	go func() {
-		rep, err := ExchangeRetry(r.ctl, "red", (&WireMsg{Type: TListReq}), RetryPolicy{
+		rep, err := SessionExchange(s, &WireMsg{Type: TListReq}, RetryPolicy{
 			MaxAttempts: 50, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond,
 		})
 		if err == nil && !rep.OK() {
@@ -70,7 +72,9 @@ func TestExchangeRetryExhaustsWithWrappedError(t *testing.T) {
 	}
 	n.Partition(r.yellow.PrimaryHostID(), r.red.PrimaryHostID())
 
-	_, err = ExchangeRetry(r.ctl, "red", (&WireMsg{Type: TListReq}), RetryPolicy{
+	s := DialSession(r.ctl, "red", fastSession())
+	defer s.Close()
+	_, err = SessionExchange(s, &WireMsg{Type: TListReq}, RetryPolicy{
 		MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
 	})
 	if !errors.Is(err, kernel.ErrHostUnreach) {
@@ -81,14 +85,18 @@ func TestExchangeRetryExhaustsWithWrappedError(t *testing.T) {
 	}
 }
 
+// TestExchangeRetryPermanentErrorNotRetried: a call that cannot
+// succeed on any attempt, one on a closed session, fails at once.
 func TestExchangeRetryPermanentErrorNotRetried(t *testing.T) {
 	r := newRig(t)
+	s := DialSession(r.ctl, "red", fastSession())
+	s.Close()
 	start := time.Now()
-	_, err := ExchangeRetry(r.ctl, "no-such-machine", (&WireMsg{Type: TListReq}), RetryPolicy{
+	_, err := SessionExchange(s, &WireMsg{Type: TListReq}, RetryPolicy{
 		MaxAttempts: 10, BaseDelay: 200 * time.Millisecond,
 	})
-	if err == nil {
-		t.Fatal("exchange with unknown machine succeeded")
+	if !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("exchange on a closed session: %v, want ErrSessionClosed", err)
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Fatalf("unknown machine took %v — it was retried", elapsed)
@@ -122,9 +130,11 @@ func TestRetryJitterSeedable(t *testing.T) {
 	}
 	n.Partition(r.yellow.PrimaryHostID(), r.red.PrimaryHostID())
 
+	s := DialSession(r.ctl, "red", fastSession())
+	defer s.Close()
 	run := func(seed int64) *recordingJitter {
 		j := &recordingJitter{r: rand.New(rand.NewSource(seed))}
-		_, err := ExchangeRetry(r.ctl, "red", (&WireMsg{Type: TListReq}), RetryPolicy{
+		_, err := SessionExchange(s, &WireMsg{Type: TListReq}, RetryPolicy{
 			MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Rand: j,
 		})
 		if !errors.Is(err, ErrExhausted) {
@@ -197,7 +207,9 @@ func TestCreateTokenPreventsDoubleCreate(t *testing.T) {
 	waitFor(t, 2*time.Second, "the create whose reply was lost", func() bool { return pingCount(r.red) == 1 })
 
 	// Retry with the same token: the daemon must recognize it.
-	rep, err := ExchangeRetry(r.ctl, "red", req.Wire(), RetryPolicy{})
+	s := DialSession(r.ctl, "red", fastSession())
+	defer s.Close()
+	rep, err := SessionExchange(s, req, RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +224,7 @@ func TestCreateTokenPreventsDoubleCreate(t *testing.T) {
 	}
 
 	// A third identical create is still the same process.
-	rep2, err := Exchange(r.ctl, "red", req.Wire())
+	rep2, err := Exchange(r.ctl, "red", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +237,7 @@ func TestCreateTokenPreventsDoubleCreate(t *testing.T) {
 
 	// Distinct tokens still create distinct processes.
 	req2 := &CreateReq{Filename: "/bin/ping", UID: testUID, Token: "job1-red-1"}
-	rep3, err := Exchange(r.ctl, "red", req2.Wire())
+	rep3, err := Exchange(r.ctl, "red", req2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +271,7 @@ func TestUnframedCreateRefused(t *testing.T) {
 		t.Fatalf("%d ping processes after an unframed create, want 0", got)
 	}
 
-	rep, err := Exchange(r.ctl, "red", req.Wire())
+	rep, err := Exchange(r.ctl, "red", req)
 	if err != nil || !rep.OK() {
 		t.Fatalf("framed create: %v %+v", err, rep)
 	}
@@ -269,7 +281,7 @@ func TestUnframedCreateRefused(t *testing.T) {
 }
 
 // TestCreateRetryAcrossPartition drives a tokened create through
-// ExchangeRetry while the controller↔daemon link is cut, heals the
+// SessionExchange while the controller↔daemon link is cut, heals the
 // link mid-retry, and checks exactly one process results.
 func TestCreateRetryAcrossPartition(t *testing.T) {
 	r := newRig(t)
@@ -281,9 +293,11 @@ func TestCreateRetryAcrossPartition(t *testing.T) {
 	n.Partition(r.yellow.PrimaryHostID(), r.green.PrimaryHostID())
 
 	req := &CreateReq{Filename: "/bin/ping", UID: testUID, Token: "job2-green-0"}
+	s := DialSession(r.ctl, "green", fastSession())
+	defer s.Close()
 	done := make(chan *Reply, 1)
 	go func() {
-		rep, err := ExchangeRetry(r.ctl, "green", req.Wire(), RetryPolicy{
+		rep, err := SessionExchange(s, req, RetryPolicy{
 			MaxAttempts: 50, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond,
 		})
 		if err != nil {

@@ -185,8 +185,7 @@ func TestStdinViaDaemon(t *testing.T) {
 	for {
 		select {
 		case m := <-r.notifyCh:
-			if m.Type == TIOData {
-				iod := ParseIOData(m)
+			if iod, ok := m.(IOData); ok {
 				if iod.Data == "got:typed line" && iod.PID == pid {
 					return
 				}

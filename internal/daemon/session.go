@@ -96,7 +96,7 @@ func (c SessionConfig) withDefaults() SessionConfig {
 var (
 	// ErrSessionDown fails a call fast while the circuit breaker holds
 	// the session off, and fails held in-flights when the session goes
-	// down. It is transient: ExchangeRetry/SessionExchange retry it.
+	// down. It is transient: SessionExchange retries it.
 	ErrSessionDown = errors.New("daemon: session down")
 	// ErrSessionClosed fails calls on a session after Close.
 	ErrSessionClosed = errors.New("daemon: session closed")
@@ -115,9 +115,10 @@ type callResult struct {
 
 // call is one in-flight request: its encoded frame (kept for re-issue
 // on reconnect), the channel its reply lands on and the timer that
-// bounds the wait for it. Calls are reused (calls): one goes back only
-// once its reply or failure has been taken off done, since a call
-// abandoned at its deadline or at a kill may still be sent one.
+// bounds the wait for it. Calls are reused (calls), the next request
+// written into the frame array of the last: one goes back only once its
+// reply or failure has been taken off done, since a call abandoned at
+// its deadline or at a kill may still be sent one.
 type call struct {
 	frame []byte
 	done  chan callResult // buffered 1; sender removes the call from inflight first
@@ -229,7 +230,7 @@ func (s *Session) Close() {
 // the dial fails at once and the call gets the retryable
 // ErrSessionDown, so callers never wait out the deadline just to
 // learn the machine is gone.
-func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
+func (s *Session) Call(req Message, timeout time.Duration) (*Reply, error) {
 	if timeout <= 0 {
 		timeout = DefaultRetryPolicy().ReplyTimeout
 	}
@@ -242,7 +243,7 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 	s.nextID++
 	id := s.nextID
 	c := calls.Get().(*call)
-	c.frame = wireFrame(FrameReq, id, req)
+	c.frame = appendMsgFrame(c.frame[:0], FrameReq, id, req)
 	s.inflight[id] = c
 	s.inflightHW.SetMax(int64(len(s.inflight)))
 	fd := -1
@@ -269,9 +270,9 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 	case res := <-c.done:
 		stopTimer(c.timer)
 		if res.err == nil {
-			s.reg.Histogram(rttHistName(req.Type)).Since(start)
+			t, _, _ := openWire(c.frame[frameHeader:], false)
+			s.reg.Histogram(rttHistName(t)).Since(start)
 		}
-		c.frame = nil
 		calls.Put(c)
 		return res.rep, res.err
 	case <-c.timer.C:
@@ -287,15 +288,6 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 		s.forget(id)
 		return nil, kernel.ErrKilled
 	}
-}
-
-// SessionExchange is ExchangeRetry over a session: each attempt runs
-// under the policy's reply deadline and transient failures — a
-// session down, a timed-out reply — back off and retry.
-func SessionExchange(s *Session, req *WireMsg, rp RetryPolicy) (*Reply, error) {
-	return rp.retry(s.reg, s.host, req, func(timeout time.Duration) (*Reply, error) {
-		return s.Call(req, timeout)
-	})
 }
 
 // --- supervisor ---
@@ -326,11 +318,11 @@ func (s *Session) run() {
 			}
 			fails++
 			if fails >= s.cfg.DownAfter {
-				s.transitionDown()
+				s.transitionDown(err)
 			}
 			var wait time.Duration
 			if fails >= s.cfg.CircuitAfter {
-				s.openCircuit()
+				s.openCircuit(err)
 				wait = s.cfg.CircuitHold
 			} else {
 				wait = s.backoff(fails)
@@ -367,19 +359,18 @@ func (s *Session) attach(fd int) bool {
 	s.fd = fd
 	wasUp := s.everUp
 	s.everUp = true
-	frames := make([][]byte, 0, len(s.inflight))
+	// Copied: a call that fails once the lock is let go reuses its frame.
+	var frames []byte
 	for _, c := range s.inflight {
-		frames = append(frames, c.frame)
+		frames = append(frames, c.frame...)
 	}
 	s.setStateLocked(StateUp)
 	s.mu.Unlock()
 	if wasUp {
 		s.reconnects.Inc()
 	}
-	for _, fr := range frames {
-		if _, err := s.p.Send(fd, fr); err != nil {
-			break // the read loop will notice and reconnect again
-		}
+	if len(frames) > 0 {
+		_, _ = s.p.Send(fd, frames) // a failure: the read loop notices and reconnects again
 	}
 	return true
 }
@@ -468,7 +459,7 @@ func (s *Session) deliver(f Frame, fr *frameReader) {
 		return
 	}
 	lent := fr.lend(f)
-	w, err := decodeWire(f.Payload, lent != nil)
+	rep, err := readReply(f.Payload, lent == nil)
 	if err != nil {
 		if lent != nil {
 			freeFrameBuf(lent)
@@ -476,7 +467,6 @@ func (s *Session) deliver(f Frame, fr *frameReader) {
 		c.done <- callResult{err: err}
 		return
 	}
-	rep := ParseReply(w)
 	if lent != nil {
 		rep.lent = lent
 		framesLent.Add(1)
@@ -534,11 +524,11 @@ func (s *Session) failPending(err error) {
 }
 
 // transitionDown marks the session down and fails held in-flights
-// with the retryable ErrSessionDown — callers stop waiting for a
-// reconnect that is not coming soon.
-func (s *Session) transitionDown() {
+// with the retryable ErrSessionDown, wrapping the failure of the last
+// dial — callers stop waiting for a reconnect that is not coming soon.
+func (s *Session) transitionDown(dialErr error) {
 	s.setState(StateDown)
-	s.failPending(fmt.Errorf("session to %s: %w", s.host, ErrSessionDown))
+	s.failPending(fmt.Errorf("session to %s: %w: %w", s.host, ErrSessionDown, dialErr))
 }
 
 // openCircuit starts a breaker hold-off: background redialing slows
@@ -546,8 +536,8 @@ func (s *Session) transitionDown() {
 // still queued is shed. Demand probes (Call's poke) cut the hold
 // short, so a machine that comes back is noticed as soon as someone
 // wants it.
-func (s *Session) openCircuit() {
-	s.failPending(fmt.Errorf("session to %s: %w", s.host, ErrSessionDown))
+func (s *Session) openCircuit(dialErr error) {
+	s.failPending(fmt.Errorf("session to %s: %w: %w", s.host, ErrSessionDown, dialErr))
 }
 
 func (s *Session) setState(st SessionState) {

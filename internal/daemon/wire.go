@@ -8,11 +8,14 @@
 // killing processes, acquiring already-running processes for metering,
 // and reporting state changes back to the controller. Exchanges are
 // structured as remote procedure calls over a temporary stream
-// connection per request (section 3.5.1), whose messages are the
-// WireMsg of this file. Every connection frames them (frame.go): an
-// Exchange is one framed request on its own connection, and a Session
-// carries many over one supervised connection per machine, with
-// heartbeats and reconnect (session.go, docs/controlplane.md).
+// connection per request (section 3.5.1), whose messages are those of
+// this file: each typed request, reply and notice writes its Figure 3.6
+// body straight into the frame it travels in and is read straight out
+// of one, and WireMsg is the same bytes as a generic field list. Every
+// connection frames them (frame.go): an Exchange is one framed request
+// on its own connection, and a Session carries many over one supervised
+// connection per machine, with heartbeats and reconnect (session.go,
+// docs/controlplane.md).
 package daemon
 
 import (
@@ -20,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"unsafe"
 
 	"dpm/internal/obs"
@@ -123,10 +125,17 @@ func (t MsgType) String() string {
 // WireMsg is one protocol message: a type and a variable-format body,
 // carried as a list of fields (Figure 3.6: "The remainder of the
 // message, the body, is variable format and depends on the message
-// type").
+// type"). It is the generic form of every message; the typed requests,
+// replies and notices below write and read the same bytes without it.
 type WireMsg struct {
 	Type   MsgType
 	Fields []string
+}
+
+// Message is a control message that writes its own body into the frame
+// it travels in: a WireMsg, or a typed message of this file.
+type Message interface {
+	appendWire(b []byte) []byte
 }
 
 // ErrWireCorrupt is a message or frame no writer produces.
@@ -136,96 +145,164 @@ var ErrWireCorrupt = errors.New("daemon: corrupt wire message")
 // file).
 const maxWireSize = 16 << 20
 
-// Encode serializes the message: total size, type, field count, then
-// length-prefixed fields. A frame carries it as its payload.
-func (w *WireMsg) Encode() []byte {
-	return w.appendTo(make([]byte, 0, w.size()))
-}
-
-// size is the encoded length of the message.
-func (w *WireMsg) size() int {
-	size := 12
+func (w *WireMsg) appendWire(b []byte) []byte {
+	m := beginWire(b, w.Type)
 	for _, f := range w.Fields {
-		size += 4 + len(f)
+		m.str(f)
 	}
-	return size
-}
-
-// appendTo appends the encoded message to b.
-func (w *WireMsg) appendTo(b []byte) []byte {
-	le := binary.LittleEndian
-	b = le.AppendUint32(b, uint32(w.size()))
-	b = le.AppendUint32(b, uint32(w.Type))
-	b = le.AppendUint32(b, uint32(len(w.Fields)))
-	for _, f := range w.Fields {
-		b = le.AppendUint32(b, uint32(len(f)))
-		b = append(b, f...)
-	}
-	return b
+	return m.end()
 }
 
 // DecodeWire decodes one whole message: payload must be exactly its
 // bytes, as a frame delivers them. The message keeps none of payload:
-// its fields are substrings of one copy of their bytes.
-func DecodeWire(payload []byte) (*WireMsg, error) { return decodeWire(payload, false) }
+// its fields are substrings of one copy of it.
+func DecodeWire(payload []byte) (*WireMsg, error) {
+	t, f, err := openWire(payload, true)
+	if err != nil {
+		return nil, err
+	}
+	w := &WireMsg{Type: t, Fields: make([]string, f.left)}
+	for i := range w.Fields {
+		w.Fields[i] = f.str()
+	}
+	return w, nil
+}
 
-// decodeWire is DecodeWire, and with inPlace the fields are strings
-// over payload itself, copied nowhere: payload must then not change
-// while any of them is in use (a lent reply frame, Reply.Release).
-func decodeWire(payload []byte, inPlace bool) (*WireMsg, error) {
+// wireOf is m as a WireMsg, for the Wire methods.
+func wireOf(m Message) *WireMsg {
+	w, _ := DecodeWire(m.appendWire(nil))
+	return w
+}
+
+// msgType is the type of the message m writes.
+func msgType(m Message) MsgType {
+	t, _, _ := openWire(m.appendWire(nil), false)
+	return t
+}
+
+// wireWriter writes one message into b: beginWire appends its header,
+// each field method appends a length-prefixed field, and end fills in
+// the size and count words.
+type wireWriter struct {
+	b     []byte
+	start int    // where the message begins in b
+	n     uint32 // fields written
+}
+
+func beginWire(b []byte, t MsgType) wireWriter {
+	le := binary.LittleEndian
+	return wireWriter{b: le.AppendUint32(le.AppendUint32(le.AppendUint32(b, 0), uint32(t)), 0), start: len(b)}
+}
+
+// field appends the length word of a field whose bytes the caller
+// appends to w.b next, and returns where they begin for done, which
+// fills the word in.
+func (w *wireWriter) field() int {
+	w.b = append(w.b, 0, 0, 0, 0)
+	w.n++
+	return len(w.b)
+}
+
+func (w *wireWriter) done(at int) {
+	binary.LittleEndian.PutUint32(w.b[at-4:], uint32(len(w.b)-at))
+}
+
+func (w *wireWriter) str(s string) {
+	at := w.field()
+	w.b = append(w.b, s...)
+	w.done(at)
+}
+
+func (w *wireWriter) num(v int) {
+	at := w.field()
+	w.b = strconv.AppendInt(w.b, int64(v), 10)
+	w.done(at)
+}
+
+func (w *wireWriter) end() []byte {
+	binary.LittleEndian.PutUint32(w.b[w.start:], uint32(len(w.b)-w.start))
+	binary.LittleEndian.PutUint32(w.b[w.start+8:], w.n)
+	return w.b
+}
+
+// openWire checks that payload is one whole message — its size word, a
+// field count its bytes can hold, every field inside them and nothing
+// after the last — and returns its type and a reader at its first
+// field, which copies the strings it reads when own is set.
+func openWire(payload []byte, own bool) (MsgType, fieldReader, error) {
 	c := obs.NewCursor(payload, ErrWireCorrupt)
-	size := c.U32()
-	w := &WireMsg{Type: MsgType(c.U32())}
-	count := c.U32()
+	size, t, count := c.U32(), MsgType(c.U32()), c.U32()
+	f := fieldReader{c: c, left: count, payload: payload, own: own}
 	switch {
 	case c.Err() != nil:
 	case int64(size) != int64(len(payload)):
 		c.Fail("size %d of a %d-byte payload", size, len(payload))
 	case count > 1<<16 || int64(count) > int64(c.Remaining()/4):
 		c.Fail("field count %d", count)
-	case count > 0:
-		w.Fields = make([]string, count)
 	}
-	fields, n := c, 0 // n: the bytes of every field
-	for range w.Fields {
-		n += len(c.Take(int(c.U32())))
+	for i := uint32(0); i < count && c.Err() == nil; i++ {
+		c.Take(int(c.U32()))
 	}
 	if c.Err() == nil && c.Remaining() > 0 {
 		c.Fail("%d trailing bytes", c.Remaining())
 	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	// Grown once, the builder's strings all share its one array.
-	var b strings.Builder
-	if !inPlace {
-		b.Grow(n)
-	}
-	for i := range w.Fields {
-		f := fields.Take(int(fields.U32()))
-		if inPlace {
-			w.Fields[i] = unsafe.String(unsafe.SliceData(f), len(f))
-			continue
-		}
-		at := b.Len()
-		b.Write(f)
-		w.Fields[i] = b.String()[at:]
-	}
-	return w, nil
+	return t, f, c.Err()
 }
 
-// field accessors with bounds checking.
-
-func (w *WireMsg) str(i int) string {
-	if i < len(w.Fields) {
-		return w.Fields[i]
-	}
-	return ""
+// fieldReader reads the fields of a message openWire checked, in order.
+// A field past the last reads as empty, so a body a peer of another
+// version sends shorter reads as zeros, and one it sends longer has the
+// rest ignored.
+type fieldReader struct {
+	c       obs.Cursor
+	left    uint32 // fields not yet read
+	payload []byte
+	// With own, str cuts its strings from keep, one copy of payload
+	// from the first string that needs it, at from, to the end; without,
+	// it reads them in place, and payload must not change while any is
+	// in use.
+	own  bool
+	keep string
+	from int
 }
 
-func (w *WireMsg) num(i int) int {
-	v, _ := strconv.Atoi(w.str(i))
+func (f *fieldReader) next() []byte {
+	if f.left == 0 {
+		return nil
+	}
+	f.left--
+	return f.c.Take(int(f.c.U32()))
+}
+
+// num reads a decimal field as strconv.Atoi does, one that is no number
+// as 0.
+func (f *fieldReader) num() int {
+	v, _ := strconv.Atoi(string(f.next()))
 	return v
+}
+
+func (f *fieldReader) flags() uint32 {
+	v, _ := strconv.ParseUint(string(f.next()), 10, 32)
+	return uint32(v)
+}
+
+// str reads a string field. A reply's "ok", the one string most
+// messages carry, is the constant.
+func (f *fieldReader) str() string {
+	b := f.next()
+	switch {
+	case len(b) == 0:
+		return ""
+	case string(b) == "ok":
+		return "ok"
+	case !f.own:
+		return unsafe.String(&b[0], len(b))
+	case f.keep == "":
+		f.from = f.c.Off() - len(b)
+		f.keep = string(f.payload[f.from:])
+	}
+	at := f.c.Off() - len(b) - f.from
+	return f.keep[at : at+len(b)]
 }
 
 // CreateReq mirrors Figure 3.6's create request body: filename,
@@ -250,47 +327,45 @@ type CreateReq struct {
 	Token string
 }
 
-// Wire encodes the request.
-func (r *CreateReq) Wire() *WireMsg {
-	fields := []string{
-		r.Filename,
-		strconv.Itoa(len(r.Params)),
+func (r *CreateReq) appendWire(b []byte) []byte {
+	w := beginWire(b, TCreateReq)
+	w.str(r.Filename)
+	w.num(len(r.Params))
+	for _, p := range r.Params {
+		w.str(p)
 	}
-	fields = append(fields, r.Params...)
-	fields = append(fields,
-		strconv.Itoa(int(r.FilterPort)),
-		r.FilterHost,
-		strconv.FormatUint(uint64(r.MeterFlags), 10),
-		strconv.Itoa(int(r.ControlPort)),
-		r.ControlHost,
-		strconv.Itoa(r.UID),
-		r.StdinFile,
-		r.Token,
-	)
-	return &WireMsg{Type: TCreateReq, Fields: fields}
+	w.num(int(r.FilterPort))
+	w.str(r.FilterHost)
+	w.num(int(r.MeterFlags))
+	w.num(int(r.ControlPort))
+	w.str(r.ControlHost)
+	w.num(r.UID)
+	w.str(r.StdinFile)
+	w.str(r.Token)
+	return w.end()
 }
 
-// ParseCreateReq decodes a create request body.
-func ParseCreateReq(w *WireMsg) (*CreateReq, error) {
-	if w.Type != TCreateReq {
-		return nil, fmt.Errorf("%w: not a create request", ErrWireCorrupt)
+// readCreateReq reads a create request body.
+func readCreateReq(f *fieldReader) (CreateReq, error) {
+	r := CreateReq{Filename: f.str()}
+	n := f.num()
+	if n < 0 || n > int(f.left)-7 {
+		return r, fmt.Errorf("%w: bad parameter count", ErrWireCorrupt)
 	}
-	n := w.num(1)
-	if n < 0 || 2+n+7 > len(w.Fields) {
-		return nil, fmt.Errorf("%w: bad parameter count", ErrWireCorrupt)
+	if n > 0 {
+		r.Params = make([]string, n)
 	}
-	r := &CreateReq{Filename: w.str(0)}
-	r.Params = append(r.Params, w.Fields[2:2+n]...)
-	base := 2 + n
-	r.FilterPort = uint16(w.num(base))
-	r.FilterHost = w.str(base + 1)
-	flags, _ := strconv.ParseUint(w.str(base+2), 10, 32)
-	r.MeterFlags = uint32(flags)
-	r.ControlPort = uint16(w.num(base + 3))
-	r.ControlHost = w.str(base + 4)
-	r.UID = w.num(base + 5)
-	r.StdinFile = w.str(base + 6)
-	r.Token = w.str(base + 7)
+	for i := range r.Params {
+		r.Params[i] = f.str()
+	}
+	r.FilterPort = uint16(f.num())
+	r.FilterHost = f.str()
+	r.MeterFlags = f.flags()
+	r.ControlPort = uint16(f.num())
+	r.ControlHost = f.str()
+	r.UID = f.num()
+	r.StdinFile = f.str()
+	r.Token = f.str()
 	return r, nil
 }
 
@@ -309,9 +384,8 @@ type Reply struct {
 	Aux string
 
 	// appendData, when set, writes Data in Data's place straight into
-	// the reply's frame (appendReply), about dataSize bytes of it: a
-	// query's lines and a stats snapshot are not built as a string
-	// first.
+	// the reply's frame, about dataSize bytes of it: a query's lines
+	// and a stats snapshot are not built as a string first.
 	appendData func([]byte) []byte
 	dataSize   int
 
@@ -323,14 +397,30 @@ type Reply struct {
 // OK reports whether the reply indicates success.
 func (r *Reply) OK() bool { return r.Status == "ok" }
 
-// Wire encodes the reply.
-func (r *Reply) Wire() *WireMsg {
-	return &WireMsg{Type: r.Type, Fields: []string{strconv.Itoa(r.PID), r.Status, r.Data, r.Aux}}
+func (r *Reply) appendWire(b []byte) []byte {
+	w := beginWire(b, r.Type)
+	w.num(r.PID)
+	w.str(r.Status)
+	if r.appendData != nil {
+		at := w.field()
+		w.b = r.appendData(w.b)
+		w.done(at)
+	} else {
+		w.str(r.Data)
+	}
+	w.str(r.Aux)
+	return w.end()
 }
 
-// ParseReply decodes any reply-shaped message.
-func ParseReply(w *WireMsg) *Reply {
-	return &Reply{Type: w.Type, PID: w.num(0), Status: w.str(1), Data: w.str(2), Aux: w.str(3)}
+// readReply reads any reply-shaped message out of payload: with own,
+// its strings are cut from one copy of payload, and without, read in
+// place.
+func readReply(payload []byte, own bool) (*Reply, error) {
+	t, f, err := openWire(payload, own)
+	if err != nil {
+		return nil, err
+	}
+	return &Reply{Type: t, PID: f.num(), Status: f.str(), Data: f.str(), Aux: f.str()}, nil
 }
 
 // ProcReq is the common request shape for setflags, start, stop, kill,
@@ -351,32 +441,25 @@ type ProcReq struct {
 	Offset int
 }
 
-// Wire encodes the request.
-func (r *ProcReq) Wire() *WireMsg {
-	return &WireMsg{Type: r.Type, Fields: []string{
-		strconv.Itoa(r.PID),
-		strconv.Itoa(r.UID),
-		strconv.FormatUint(uint64(r.Flags), 10),
-		strconv.Itoa(int(r.FilterPort)),
-		r.FilterHost,
-		r.Path,
-		strconv.Itoa(r.Offset),
-	}}
+// Wire returns the request as a WireMsg.
+func (r *ProcReq) Wire() *WireMsg { return wireOf(r) }
+
+func (r *ProcReq) appendWire(b []byte) []byte {
+	w := beginWire(b, r.Type)
+	w.num(r.PID)
+	w.num(r.UID)
+	w.num(int(r.Flags))
+	w.num(int(r.FilterPort))
+	w.str(r.FilterHost)
+	w.str(r.Path)
+	w.num(r.Offset)
+	return w.end()
 }
 
-// ParseProcReq decodes a process-targeted request.
-func ParseProcReq(w *WireMsg) *ProcReq {
-	flags, _ := strconv.ParseUint(w.str(2), 10, 32)
-	return &ProcReq{
-		Type:       w.Type,
-		PID:        w.num(0),
-		UID:        w.num(1),
-		Flags:      uint32(flags),
-		FilterPort: uint16(w.num(3)),
-		FilterHost: w.str(4),
-		Path:       w.str(5),
-		Offset:     w.num(6),
-	}
+// readProcReq reads a process-targeted request of type t.
+func readProcReq(t MsgType, f *fieldReader) ProcReq {
+	return ProcReq{Type: t, PID: f.num(), UID: f.num(), Flags: f.flags(), FilterPort: uint16(f.num()),
+		FilterHost: f.str(), Path: f.str(), Offset: f.num()}
 }
 
 // QueryReq asks a daemon to run a selection-rule query against an
@@ -391,30 +474,21 @@ type QueryReq struct {
 	NoPrune bool // diagnostic: scan every segment
 }
 
-// Wire encodes the request.
-func (r *QueryReq) Wire() *WireMsg {
-	noPrune := "0"
-	if r.NoPrune {
-		noPrune = "1"
-	}
-	return &WireMsg{Type: TQueryReq, Fields: []string{
-		r.Dir, r.Rules, strconv.Itoa(r.UID), noPrune,
-	}}
+// Wire returns the request as a WireMsg.
+func (r *QueryReq) Wire() *WireMsg { return wireOf(r) }
+
+func (r *QueryReq) appendWire(b []byte) []byte {
+	w := beginWire(b, TQueryReq)
+	w.str(r.Dir)
+	w.str(r.Rules)
+	w.num(r.UID)
+	w.str(boolField[r.NoPrune])
+	return w.end()
 }
 
-// ParseQueryReq decodes a query request body. Fields beyond the ones
-// named here are ignored, so a request from a peer of another version
-// that sends more still parses.
-func ParseQueryReq(w *WireMsg) (*QueryReq, error) {
-	if w.Type != TQueryReq {
-		return nil, fmt.Errorf("%w: not a query request", ErrWireCorrupt)
-	}
-	return &QueryReq{
-		Dir:     w.str(0),
-		Rules:   w.str(1),
-		UID:     w.num(2),
-		NoPrune: w.str(3) == "1",
-	}, nil
+// readQueryReq reads a query request body.
+func readQueryReq(f *fieldReader) QueryReq {
+	return QueryReq{Dir: f.str(), Rules: f.str(), UID: f.num(), NoPrune: string(f.next()) == "1"}
 }
 
 // AggReq asks a daemon to run an aggregate query against an event
@@ -430,31 +504,26 @@ type AggReq struct {
 	NoPrune bool // diagnostic: scan every segment
 }
 
-// Wire encodes the request.
-func (r *AggReq) Wire() *WireMsg {
-	noPrune := "0"
-	if r.NoPrune {
-		noPrune = "1"
-	}
-	return &WireMsg{Type: TAggReq, Fields: []string{
-		r.Dir, r.Rules, r.Spec, strconv.Itoa(r.UID), noPrune,
-	}}
+// Wire returns the request as a WireMsg.
+func (r *AggReq) Wire() *WireMsg { return wireOf(r) }
+
+func (r *AggReq) appendWire(b []byte) []byte {
+	w := beginWire(b, TAggReq)
+	w.str(r.Dir)
+	w.str(r.Rules)
+	w.str(r.Spec)
+	w.num(r.UID)
+	w.str(boolField[r.NoPrune])
+	return w.end()
 }
 
-// ParseAggReq decodes an aggregate query request body, ignoring
-// trailing fields as ParseQueryReq does.
-func ParseAggReq(w *WireMsg) (*AggReq, error) {
-	if w.Type != TAggReq {
-		return nil, fmt.Errorf("%w: not an agg request", ErrWireCorrupt)
-	}
-	return &AggReq{
-		Dir:     w.str(0),
-		Rules:   w.str(1),
-		Spec:    w.str(2),
-		UID:     w.num(3),
-		NoPrune: w.str(4) == "1",
-	}, nil
+// readAggReq reads an aggregate query request body.
+func readAggReq(f *fieldReader) AggReq {
+	return AggReq{Dir: f.str(), Rules: f.str(), Spec: f.str(), UID: f.num(), NoPrune: string(f.next()) == "1"}
 }
+
+// boolField is how a flag travels.
+var boolField = map[bool]string{false: "0", true: "1"}
 
 // StatsReq asks a daemon for a snapshot of its machine's metrics
 // registry. The reply's Data carries the obs binary snapshot format,
@@ -464,19 +533,13 @@ type StatsReq struct {
 	UID int
 }
 
-// Wire encodes the request.
-func (r *StatsReq) Wire() *WireMsg {
-	return &WireMsg{Type: TStatsReq, Fields: []string{strconv.Itoa(r.UID)}}
-}
+// Wire returns the request as a WireMsg.
+func (r *StatsReq) Wire() *WireMsg { return wireOf(r) }
 
-// ParseStatsReq decodes a stats request body. Extra trailing fields —
-// what a future controller might append, in the QueryReq-field-5
-// discipline — are ignored.
-func ParseStatsReq(w *WireMsg) (*StatsReq, error) {
-	if w.Type != TStatsReq {
-		return nil, fmt.Errorf("%w: not a stats request", ErrWireCorrupt)
-	}
-	return &StatsReq{UID: w.num(0)}, nil
+func (r *StatsReq) appendWire(b []byte) []byte {
+	w := beginWire(b, TStatsReq)
+	w.num(r.UID)
+	return w.end()
 }
 
 // StateChange is the daemon-initiated notification that a process has
@@ -488,16 +551,17 @@ type StateChange struct {
 	Status  int
 }
 
-// Wire encodes the notification.
-func (s *StateChange) Wire() *WireMsg {
-	return &WireMsg{Type: TStateChange, Fields: []string{
-		s.Machine, strconv.Itoa(s.PID), s.Reason, strconv.Itoa(s.Status),
-	}}
+func (s *StateChange) appendWire(b []byte) []byte {
+	w := beginWire(b, TStateChange)
+	w.str(s.Machine)
+	w.num(s.PID)
+	w.str(s.Reason)
+	w.num(s.Status)
+	return w.end()
 }
 
-// ParseStateChange decodes a state change notification.
-func ParseStateChange(w *WireMsg) *StateChange {
-	return &StateChange{Machine: w.str(0), PID: w.num(1), Reason: w.str(2), Status: w.num(3)}
+func readStateChange(f *fieldReader) StateChange {
+	return StateChange{Machine: f.str(), PID: f.num(), Reason: f.str(), Status: f.num()}
 }
 
 // IOData is a chunk of a process's standard output forwarded to the
@@ -508,12 +572,14 @@ type IOData struct {
 	Data    string
 }
 
-// Wire encodes the chunk.
-func (d *IOData) Wire() *WireMsg {
-	return &WireMsg{Type: TIOData, Fields: []string{d.Machine, strconv.Itoa(d.PID), d.Data}}
+func (d *IOData) appendWire(b []byte) []byte {
+	w := beginWire(b, TIOData)
+	w.str(d.Machine)
+	w.num(d.PID)
+	w.str(d.Data)
+	return w.end()
 }
 
-// ParseIOData decodes a forwarded output chunk.
-func ParseIOData(w *WireMsg) *IOData {
-	return &IOData{Machine: w.str(0), PID: w.num(1), Data: w.str(2)}
+func readIOData(f *fieldReader) IOData {
+	return IOData{Machine: f.str(), PID: f.num(), Data: f.str()}
 }

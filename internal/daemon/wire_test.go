@@ -76,6 +76,16 @@ func TestWireRoundTripProperty(t *testing.T) {
 	}
 }
 
+// reader opens m's encoding for the typed readers.
+func reader(t *testing.T, m Message) (MsgType, *fieldReader) {
+	t.Helper()
+	typ, f, err := openWire(m.appendWire(nil), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return typ, &f
+}
+
 func TestCreateReqRoundTrip(t *testing.T) {
 	req := &CreateReq{
 		Filename:    "/bin/worker",
@@ -88,18 +98,19 @@ func TestCreateReqRoundTrip(t *testing.T) {
 		UID:         100,
 		StdinFile:   "/tmp/in",
 	}
-	got, err := ParseCreateReq(req.Wire())
+	_, f := reader(t, req)
+	got, err := readCreateReq(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, req) {
+	if !reflect.DeepEqual(&got, req) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, req)
 	}
 }
 
 func TestCreateReqNoParams(t *testing.T) {
-	req := &CreateReq{Filename: "/bin/x", UID: 1}
-	got, err := ParseCreateReq(req.Wire())
+	_, f := reader(t, &CreateReq{Filename: "/bin/x", UID: 1})
+	got, err := readCreateReq(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,49 +119,51 @@ func TestCreateReqNoParams(t *testing.T) {
 	}
 }
 
+// TestParseCreateReqWrongType: a daemon reads a body as the type its
+// type word names, so a create's fields under the start type are a
+// start of pid 0, which fails, and create nothing.
 func TestParseCreateReqWrongType(t *testing.T) {
-	if _, err := ParseCreateReq(&WireMsg{Type: TStartReq}); err == nil {
-		t.Fatal("wrong type accepted")
+	r := newRig(t)
+	r.pingOn(r.red)
+	create := (&CreateReq{Filename: "/bin/ping", UID: testUID}).Wire()
+	rep, err := Exchange(r.ctl, "red", &WireMsg{Type: TStartReq, Fields: create.Fields})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Type != TStartRep || rep.OK() || pingCount(r.red) != 0 {
+		t.Fatalf("a create under the start type: %+v, %d processes", rep, pingCount(r.red))
 	}
 }
 
 func TestParseCreateReqTruncated(t *testing.T) {
-	w := &WireMsg{Type: TCreateReq, Fields: []string{"/bin/x", "5", "only-one-param"}}
-	if _, err := ParseCreateReq(w); err == nil {
-		t.Fatal("truncated parameter list accepted")
+	for _, count := range []string{"5", "9223372036854775807", "99999999999999999999", "-1"} {
+		_, f := reader(t, &WireMsg{Type: TCreateReq, Fields: []string{"/bin/x", count, "only-one-param"}})
+		if _, err := readCreateReq(f); !errors.Is(err, ErrWireCorrupt) {
+			t.Fatalf("parameter count %s: %v, want ErrWireCorrupt", count, err)
+		}
 	}
 }
 
 func TestProcReqRoundTrip(t *testing.T) {
 	req := &ProcReq{Type: TAcquireReq, PID: 42, UID: 7, Flags: 0x1ff, FilterPort: 900, FilterHost: "blue", Path: "/usr/tmp/f1.log"}
-	got := ParseProcReq(req.Wire())
-	if !reflect.DeepEqual(got, req) {
+	got := readProcReq(reader(t, req))
+	if !reflect.DeepEqual(&got, req) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, req)
 	}
 }
 
 func TestQueryReqRoundTrip(t *testing.T) {
 	req := &QueryReq{Dir: "/usr/tmp/f1.store", Rules: "machine=2,cpuTime>=100\n", UID: 7, NoPrune: true}
-	got, err := ParseQueryReq(req.Wire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, req) {
+	_, f := reader(t, req)
+	if got := readQueryReq(f); !reflect.DeepEqual(&got, req) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, req)
 	}
 	// A peer of another version may send a trailing field this one does
 	// not know (older ones sent a worker count); it must be ignored.
 	extra := req.Wire()
 	extra.Fields = append(extra.Fields, "8")
-	decoded, err := DecodeWire(extra.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = ParseQueryReq(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, req) {
+	_, f = reader(t, extra)
+	if got := readQueryReq(f); !reflect.DeepEqual(&got, req) {
 		t.Fatalf("extra trailing field:\n got %+v\nwant %+v", got, req)
 	}
 }
@@ -161,70 +174,38 @@ func TestAggReqRoundTrip(t *testing.T) {
 		Spec: "agg sum(msgLength) by machine window 1s",
 		UID:  7, NoPrune: true,
 	}
-	got, err := ParseAggReq(req.Wire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, req) {
+	_, f := reader(t, req)
+	if got := readAggReq(f); !reflect.DeepEqual(&got, req) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, req)
 	}
 	// An unknown trailing field is ignored — the QueryReq discipline.
 	extra := req.Wire()
 	extra.Fields = append(extra.Fields, "8")
-	decoded, err := DecodeWire(extra.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = ParseAggReq(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, req) {
+	_, f = reader(t, extra)
+	if got := readAggReq(f); !reflect.DeepEqual(&got, req) {
 		t.Fatalf("extra trailing field:\n got %+v\nwant %+v", got, req)
-	}
-	if _, err := ParseAggReq(&WireMsg{Type: TQueryReq}); err == nil {
-		t.Fatal("wrong type accepted")
 	}
 }
 
+// TestStatsReqRoundTrip: a stats request carries the requester's uid,
+// and a daemon answers one whatever its body holds: trailing fields
+// from a newer peer, in the QueryReq discipline, and a malformed uid.
 func TestStatsReqRoundTrip(t *testing.T) {
-	req := &StatsReq{UID: 42}
-	got, err := ParseStatsReq(req.Wire())
-	if err != nil {
-		t.Fatal(err)
+	if got := (&StatsReq{UID: 42}).Wire(); got.Type != TStatsReq || !reflect.DeepEqual(got.Fields, []string{"42"}) {
+		t.Fatalf("stats request: %+v", got)
 	}
-	if !reflect.DeepEqual(got, req) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, req)
-	}
-	// A request from a newer peer may carry trailing fields this version
-	// does not know; they must be ignored, not rejected — the same
-	// discipline QueryReq and AggReq follow.
-	future := req.Wire()
-	future.Fields = append(future.Fields, "some-future-field")
-	got, err = ParseStatsReq(future)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.UID != 42 {
-		t.Fatalf("future parse: %+v", got)
-	}
-	// The wrong message type is rejected; a malformed numeric field
-	// degrades to zero, the same lenient convention every other parser
-	// in this file follows.
-	if _, err := ParseStatsReq(&WireMsg{Type: TListReq, Fields: []string{"1"}}); err == nil {
-		t.Fatal("wrong type accepted")
-	}
-	got, err = ParseStatsReq(&WireMsg{Type: TStatsReq, Fields: []string{"bogus"}})
-	if err != nil || got.UID != 0 {
-		t.Fatalf("malformed uid: got %+v, err %v", got, err)
+	r := newRig(t)
+	rep, err := Exchange(r.ctl, "red", &WireMsg{Type: TStatsReq, Fields: []string{"bogus", "some-future-field"}})
+	if err != nil || !rep.OK() || len(rep.Data) == 0 {
+		t.Fatalf("stats with a malformed uid and a trailing field: %v %+v", err, rep)
 	}
 }
 
 func TestReplyRoundTrip(t *testing.T) {
 	rep := &Reply{Type: TGetFileRep, PID: 9, Status: "ok", Data: "file contents\nline 2"}
-	got := ParseReply(rep.Wire())
-	if !reflect.DeepEqual(got, rep) {
-		t.Fatalf("round trip: %+v != %+v", got, rep)
+	got, err := readReply(rep.appendWire(nil), true)
+	if err != nil || !reflect.DeepEqual(got, rep) {
+		t.Fatalf("round trip: %+v != %+v (%v)", got, rep, err)
 	}
 	if !rep.OK() {
 		t.Fatal("OK() = false for ok reply")
@@ -236,16 +217,16 @@ func TestReplyRoundTrip(t *testing.T) {
 
 func TestStateChangeRoundTrip(t *testing.T) {
 	sc := &StateChange{Machine: "red", PID: 2120, Reason: "normal", Status: 0}
-	got := ParseStateChange(sc.Wire())
-	if !reflect.DeepEqual(got, sc) {
+	_, f := reader(t, sc)
+	if got := readStateChange(f); !reflect.DeepEqual(&got, sc) {
 		t.Fatalf("round trip: %+v != %+v", got, sc)
 	}
 }
 
 func TestIODataRoundTrip(t *testing.T) {
 	d := &IOData{Machine: "green", PID: 5, Data: "output line\n"}
-	got := ParseIOData(d.Wire())
-	if !reflect.DeepEqual(got, d) {
+	_, f := reader(t, d)
+	if got := readIOData(f); !reflect.DeepEqual(&got, d) {
 		t.Fatalf("round trip: %+v != %+v", got, d)
 	}
 }
