@@ -202,7 +202,7 @@ func TestSetFlagsNoAllocBeyondReplies(t *testing.T) {
 	out.buf.Grow(1 << 20)
 	out.mu.Unlock()
 	var before, after runtime.MemStats
-	runtime.GC() // no collection inside the runs to empty the pools
+	runtime.GC() // now, so that none falls inside the runs and empties the pools
 	runtime.ReadMemStats(&before)
 	for i := 0; i < calls; i++ {
 		ctl.Exec(flags[i%2])

@@ -86,11 +86,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMsgFrameIsFrameOfEncode: a message written straight behind its
+// TestWireFrameIsFrameOfEncode: a message written straight behind its
 // frame header is the frame AppendFrame writes around its encoding,
 // wherever in the buffer it begins; and a reply whose Data appendData
 // writes in place is the frame of the same reply with Data a string.
-func TestMsgFrameIsFrameOfEncode(t *testing.T) {
+func TestWireFrameIsFrameOfEncode(t *testing.T) {
 	for _, m := range []Message{
 		&WireMsg{Type: TStatsReq},
 		&CreateReq{Filename: "/bin/x", Params: []string{"a", ""}, UID: 1, Token: "t"},

@@ -274,8 +274,9 @@ func (f *fieldReader) next() []byte {
 	return f.c.Take(int(f.c.U32()))
 }
 
-// num reads a decimal field as strconv.Atoi does, one that is no number
-// as 0.
+// num reads a decimal field as strconv.Atoi does: one that is no
+// number reads as 0, one out of range as the nearest int. flags reads
+// a meter flag set the same way, in 32 bits.
 func (f *fieldReader) num() int {
 	v, _ := strconv.Atoi(string(f.next()))
 	return v
