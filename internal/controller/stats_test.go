@@ -3,6 +3,7 @@ package controller
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -335,16 +336,23 @@ func TestStatsClusterNoAllocBeyondReport(t *testing.T) {
 	}
 	command := float64(after.TotalAlloc-before.TotalAlloc) / calls
 
+	// The report path is the least of five windows: MemStats counts
+	// what every goroutine allocates, and the cluster's heartbeats and
+	// live collectors only ever add to a window, most to one that a
+	// loaded host stretches.
 	res := ctl.broadcast(targets, &daemon.StatsReq{UID: ctl.uid})
 	defer release(res)
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		var buf bytes.Buffer
-		buf.Grow(int(report) + int(report)/16) // as cmdStats sizes it
-		statsReport(&buf, targets, res)
+	path := math.Inf(1)
+	for w := 0; w < 5; w++ {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			var buf bytes.Buffer
+			buf.Grow(int(report) + int(report)/16) // as cmdStats sizes it
+			statsReport(&buf, targets, res)
+		}
+		runtime.ReadMemStats(&after)
+		path = min(path, float64(after.TotalAlloc-before.TotalAlloc)/calls)
 	}
-	runtime.ReadMemStats(&after)
-	path := float64(after.TotalAlloc-before.TotalAlloc) / calls
 	t.Logf("a %.0f-byte report: the command allocates %.0f bytes (%.2f times), the report path %.0f (%.2f times)",
 		report, command, command/report, path, path/report)
 	if path > 2*report {

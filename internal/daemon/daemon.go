@@ -88,6 +88,7 @@ func Main(p *kernel.Process) int {
 		aggMemo:      agg.NewMemo(agg.MemoCost, p.Machine().Obs()),
 		notifyFDs:    make(map[controlAddr]int),
 		notifyFailed: p.Machine().Obs().Counter("daemon.notify_failed"),
+		frames:       frameFree.Stats(p.Machine().Obs()),
 	}
 	lfd, err := p.Socket(meter.AFInet, kernel.SockStream)
 	if err != nil {
@@ -192,6 +193,7 @@ type daemonState struct {
 	// before being counted under daemon.notify_failed.
 	notifyFDs    map[controlAddr]int
 	notifyFailed *obs.Counter
+	frames       *obs.FreeStats // the daemon's traffic with frameFree
 }
 
 // maxCreateTokens bounds the idempotency ledger; the oldest entries
@@ -726,7 +728,7 @@ func (d *daemonState) handleGateway(data []byte, src meter.Name) {
 		if info == nil || info.control.host == "" {
 			return
 		}
-		_ = d.notifyController(info, AppendFrame(takeFrameBuf(frameHeader+len(data)), FrameReq, 0, data))
+		_ = d.notifyController(info, AppendFrame(takeFrameBuf(frameHeader+len(data), d.frames), FrameReq, 0, data))
 		return
 	}
 	if src.Family() == meter.AFInet {
@@ -738,7 +740,7 @@ func (d *daemonState) handleGateway(data []byte, src meter.Name) {
 			return
 		}
 		iod := IOData{Machine: d.p.Machine().Name(), PID: info.pid, Data: string(data)}
-		b := takeFrameBuf(frameHeader + frameBuf/2 + len(data))
+		b := takeFrameBuf(frameHeader+frameBuf/2+len(data), d.frames)
 		_ = d.notifyController(info, endFrame(iod.appendWire(beginFrame(b, FrameReq, 0)), 0))
 	}
 }
@@ -752,7 +754,7 @@ func (d *daemonState) handleGateway(data []byte, src meter.Name) {
 // under daemon.notify_failed. (The paper's daemon opened a temporary
 // connection each time and an error dropped the notification silently.)
 func (d *daemonState) notifyController(info *childInfo, b []byte) error {
-	defer freeFrameBuf(b)
+	defer freeFrameBuf(b, d.frames)
 	key := info.control
 	d.mu.Lock()
 	fd, cached := d.notifyFDs[key]
@@ -796,7 +798,7 @@ func (d *daemonState) dropNotifyFD(key controlAddr, fd int) {
 // connection ends or carries a corrupt frame. The strings of each are
 // one copy of its message.
 func ReadNotices(p *kernel.Process, conn int, state func(StateChange), output func(IOData)) {
-	var fr frameReader
+	fr := frameReader{mem: frameFree.Stats(p.Machine().Obs())}
 	defer fr.release()
 	rc := receiver{p: p, fd: conn}
 	for {
@@ -877,7 +879,7 @@ func dialFramed(p *kernel.Process, host string, port uint16, req Message, deadli
 		return fail(err)
 	}
 	rc := &receiver{p: p, fd: fd, deadline: deadline}
-	fr := new(frameReader)
+	fr := &frameReader{mem: frameFree.Stats(p.Machine().Obs())}
 	if err := fr.open(rc.recv); err != nil {
 		return fail(fmt.Errorf("%w: %w", errHandshake, err))
 	}
@@ -935,16 +937,12 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// sendReply sends rep as the frame of reply id on fd.
-func sendReply(p *kernel.Process, fd int, id uint64, rep *Reply) error {
-	b := takeFrameBuf(frameHeader + 48 + len(rep.Status) + len(rep.Data) + len(rep.Aux) + rep.dataSize)
-	return sendFree(p, fd, endFrame(rep.appendWire(beginFrame(b, FrameRep, id)), 0))
-}
-
-// sendFree sends the frame in b, which takeFrameBuf gave, and gives b
-// back: a Send copies the frame into the peer's stream.
-func sendFree(p *kernel.Process, fd int, b []byte) error {
-	_, err := p.Send(fd, b)
-	freeFrameBuf(b)
+// sendReply sends rep as the frame of reply id on fd, from a buffer it
+// gives back once the Send has copied the frame into the peer's stream.
+func (d *daemonState) sendReply(fd int, id uint64, rep *Reply) error {
+	b := takeFrameBuf(frameHeader+48+len(rep.Status)+len(rep.Data)+len(rep.Aux)+rep.dataSize, d.frames)
+	b = endFrame(rep.appendWire(beginFrame(b, FrameRep, id)), 0)
+	_, err := d.p.Send(fd, b)
+	freeFrameBuf(b, d.frames)
 	return err
 }

@@ -28,9 +28,7 @@ package daemon
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync"
-	"testing"
 
 	"dpm/internal/obs"
 )
@@ -115,76 +113,35 @@ const frameBuf = 1024
 var smallFrames = sync.Pool{New: func() any { return new([frameBuf]byte) }}
 
 // frameFree holds the arrays larger frames are sent from and received
-// into between uses, on both ends of every connection. It keeps at most
-// frameFreeCount arrays and frameFreeBytes in all, whatever the number
-// of connections, and unlike a sync.Pool it keeps them across garbage
-// collections, as the kernel's recvFree keeps socket arrays. The
-// workloads have one or two large frames in flight at once: a 4 MiB
-// getlog chunk, or query and stats replies of 2 KiB to 128 KiB.
-var frameFree struct {
-	mu    sync.Mutex
-	bufs  [][]byte
-	bytes int // the capacity of bufs, summed
-}
-
-const (
-	frameFreeCount = 64
-	frameFreeBytes = 16 << 20
-)
+// into between uses, on both ends of every connection, whatever the
+// number of connections. The workloads have one or two large frames in
+// flight at once: a 4 MiB getlog chunk, or query and stats replies of
+// 2 KiB to 128 KiB. Its eighth-larger slack on a miss took one `stats`
+// of a 16 384-process machine from 3.8 to 4.1 wire sizes to 3.3
+// (TestStatsRoundTripNoAllocBeyondCopies).
+var frameFree = obs.NewByteList("frames", 64, 16<<20)
 
 // takeFrameBuf returns an empty buffer that holds a frame of n bytes:
-// for a small frame one from smallFrames, for a larger one the smallest
-// free array that holds it, or a new one an eighth larger. The slack is
-// for the next reply of the same kind, a few bytes longer as its
-// counters grow digits: without it one `stats` of a 16 384-process
-// machine allocated 3.8 to 4.1 wire sizes, with it 3.3
-// (TestStatsRoundTripNoAllocBeyondCopies).
-func takeFrameBuf(n int) []byte {
+// for a small frame one from smallFrames, for a larger one from
+// frameFree, counted in st.
+func takeFrameBuf(n int, st *obs.FreeStats) []byte {
 	if n <= frameBuf {
 		return smallFrames.Get().(*[frameBuf]byte)[:0]
 	}
-	frameFree.mu.Lock()
-	defer frameFree.mu.Unlock()
-	best := -1
-	for i, b := range frameFree.bufs {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(frameFree.bufs[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return make([]byte, 0, n+n/8)
-	}
-	b := frameFree.bufs[best]
-	frameFree.bufs = slices.Delete(frameFree.bufs, best, best+1)
-	frameFree.bytes -= cap(b)
-	return b
+	return frameFree.Take(n, st)[:0]
 }
 
 // freeFrameBuf gives back a buffer takeFrameBuf returned, or one grown
-// from it; one the free list has no room for goes to the collector.
-// Nothing may use b after: in a test binary it is overwritten, so a
-// string still read from it reads garbage.
-func freeFrameBuf(b []byte) {
-	if poisonFreed {
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = 0xa5
-		}
-	}
-	if cap(b) == frameBuf {
-		smallFrames.Put((*[frameBuf]byte)(b[:frameBuf]))
+// from it. Nothing may use b after: in a test binary it is overwritten,
+// so a string still read from it reads garbage.
+func freeFrameBuf(b []byte, st *obs.FreeStats) {
+	if cap(b) != frameBuf {
+		frameFree.Put(b, st)
 		return
 	}
-	frameFree.mu.Lock()
-	defer frameFree.mu.Unlock()
-	if cap(b) > frameBuf && len(frameFree.bufs) < frameFreeCount && frameFree.bytes+cap(b) <= frameFreeBytes {
-		frameFree.bufs = append(frameFree.bufs, b[:0])
-		frameFree.bytes += cap(b)
-	}
+	obs.PoisonBytes(b)
+	smallFrames.Put((*[frameBuf]byte)(b[:frameBuf]))
 }
-
-// poisonFreed turns on freeFrameBuf's overwrite: in test binaries only.
-var poisonFreed = testing.Testing()
 
 // frameReader takes frames off a connection's byte stream. It receives
 // into one small buffer and hands a frame that fits on as a slice of
@@ -195,8 +152,9 @@ var poisonFreed = testing.Testing()
 type frameReader struct {
 	buf   []byte // buf[off:] is not yet handed on
 	off   int
-	own   []byte // the connection's small buffer, while buf is a large frame's
-	large []byte // the frameFree array buf is a large frame in
+	own   []byte         // the connection's small buffer, while buf is a large frame's
+	large []byte         // the frameFree array buf is a large frame in
+	mem   *obs.FreeStats // counts the reader's traffic with frameFree
 }
 
 // next returns the connection's next frame, calling recv (read(2) into
@@ -219,7 +177,7 @@ func (r *frameReader) next(recv func([]byte) (int, error)) (Frame, error) {
 			}
 			if int(size) > cap(r.buf) {
 				// Received alone: the array ends where the frame does.
-				r.own, r.large = r.buf, takeFrameBuf(int(size))
+				r.own, r.large = r.buf, takeFrameBuf(int(size), r.mem)
 				r.buf, r.off = append(r.large[:0:size], r.buf[r.off:]...), 0
 			}
 		}
@@ -234,7 +192,7 @@ func (r *frameReader) next(recv func([]byte) (int, error)) (Frame, error) {
 // with a connection calls it once it has decoded the last frame.
 func (r *frameReader) release() {
 	if b := r.detach(); b != nil {
-		freeFrameBuf(b)
+		freeFrameBuf(b, r.mem)
 	}
 }
 
@@ -258,7 +216,7 @@ func (r *frameReader) detach() []byte {
 func (r *frameReader) lend(f Frame) []byte {
 	if r.large == nil && r.off == len(r.buf) && frameHeader+len(f.Payload) >= frameBuf/2 {
 		b := r.buf
-		r.buf, r.off = takeFrameBuf(frameBuf), 0
+		r.buf, r.off = takeFrameBuf(frameBuf, nil), 0
 		return b
 	}
 	return r.detach()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"dpm/internal/fsys"
 	"dpm/internal/kernel"
+	"dpm/internal/obs"
 )
 
 // byteStream is a connection's byte stream as a peer's sends deliver
@@ -257,7 +259,7 @@ func TestLargeFrameKept(t *testing.T) {
 	data = AppendFrame(data, FramePong, 2, nil)
 	data = AppendFrame(data, FrameRep, 3, []byte("small"))
 	for _, cut := range []int{1, 15, 16, 17, frameBuf - 1, frameBuf, frameBuf + 20, len(large), len(large) + 16, len(large) + 17} {
-		resetFrameFree()
+		emptyFrameFree()
 		s := &byteStream{data: data, cuts: []int{cut, cut + 5}, stalls: []int{cut}}
 		var fr frameReader
 		var got []Frame
@@ -283,7 +285,7 @@ func TestLargeFrameKept(t *testing.T) {
 				if fr.large != nil || cap(fr.buf) != frameBuf {
 					t.Fatalf("cut at %d: the reader kept the large frame's array", cut)
 				}
-				if !slices.ContainsFunc(frameFree.bufs, func(b []byte) bool { return unsafe.SliceData(b) == lent }) {
+				if held, _ := frameFree.Held(); !slices.ContainsFunc(held, func(b []byte) bool { return unsafe.SliceData(b) == lent }) {
 					t.Fatalf("cut at %d: the large frame's array did not go back to the free list", cut)
 				}
 			}
@@ -295,30 +297,59 @@ func TestLargeFrameKept(t *testing.T) {
 	}
 }
 
-// resetFrameFree empties the frame free list.
-func resetFrameFree() {
-	frameFree.mu.Lock()
-	frameFree.bufs, frameFree.bytes = nil, 0
-	frameFree.mu.Unlock()
+// emptyFrameFree takes every array out of frameFree.
+func emptyFrameFree() {
+	for held, _ := frameFree.Held(); len(held) > 0; held, _ = frameFree.Held() {
+		frameFree.Take(0, nil)
+	}
 }
 
-// TestFrameFreeBounded: the free list keeps at most frameFreeCount
-// arrays and frameFreeBytes in all — while many sessions take large
+// poisonFreed reports that freeFrameBuf overwrites what it is given
+// back, as obs.PoisonBytes does in a test binary.
+var poisonFreed = func() bool {
+	b := make([]byte, 1)
+	obs.PoisonBytes(b)
+	return b[0] == 0xa5
+}()
+
+// TestFrameFreeKeptAcrossGCNoAlloc: a large frame's array given back
+// survives two collections, and the next large frame's take is a hit
+// that allocates nothing.
+func TestFrameFreeKeptAcrossGCNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocations")
+	}
+	reg := obs.NewRegistry()
+	st := frameFree.Stats(reg)
+	freeFrameBuf(takeFrameBuf(8<<10, st), st)
+	runtime.GC()
+	runtime.GC()
+	hits := reg.Counter("mem.frames.hits")
+	before := hits.Load()
+	if n := testing.AllocsPerRun(10, func() { freeFrameBuf(takeFrameBuf(8<<10, st), st) }); n != 0 {
+		t.Fatalf("a large frame's take and give back allocate %v times", n)
+	}
+	if hits := hits.Load() - before; hits != 11 {
+		t.Fatalf("%d of 11 takes after the collections hit", hits)
+	}
+}
+
+// TestFrameFreeBounded: the free list keeps at most frameFree.Count
+// arrays and frameFree.Bytes in all — while many sessions take large
 // replies from one daemon at once, 24 getfile replies of 768 KiB with
 // 18 MiB in flight, every one arriving whole, and while more arrays are
 // offered than it has room for, which go to the collector. A frame
 // takes the smallest array that holds it, or a new one an eighth larger.
 func TestFrameFreeBounded(t *testing.T) {
-	resetFrameFree()
+	emptyFrameFree()
 	check := func() error {
-		frameFree.mu.Lock()
-		defer frameFree.mu.Unlock()
+		held, bytes := frameFree.Held()
 		sum := 0
-		for _, b := range frameFree.bufs {
+		for _, b := range held {
 			sum += cap(b)
 		}
-		if len(frameFree.bufs) > frameFreeCount || sum > frameFreeBytes || sum != frameFree.bytes {
-			return fmt.Errorf("free list holds %d arrays, %d bytes (counted %d)", len(frameFree.bufs), sum, frameFree.bytes)
+		if len(held) > frameFree.Count || sum > frameFree.Bytes || sum != bytes {
+			return fmt.Errorf("free list holds %d arrays, %d bytes (counted %d)", len(held), sum, bytes)
 		}
 		return nil
 	}
@@ -356,19 +387,20 @@ func TestFrameFreeBounded(t *testing.T) {
 	}
 
 	for n := 256 << 10; n < 4<<20; n += 64 << 10 {
-		freeFrameBuf(make([]byte, 0, n))
+		freeFrameBuf(make([]byte, 0, n), nil)
 		if err := check(); err != nil {
 			t.Fatalf("after an array of %d bytes: %v", n, err)
 		}
 	}
-	resetFrameFree()
+	emptyFrameFree()
 	for _, n := range []int{8 << 10, 2 << 10, 4 << 10} {
-		freeFrameBuf(make([]byte, 0, n))
+		freeFrameBuf(make([]byte, 0, n), nil)
 	}
-	if b := takeFrameBuf(3 << 10); cap(b) != 4<<10 {
+	if b := takeFrameBuf(3<<10, nil); cap(b) != 4<<10 {
 		t.Fatalf("a 3 KiB frame took an array of %d bytes, not the 4 KiB one", cap(b))
 	}
-	if b := takeFrameBuf(16 << 10); cap(b) != 18<<10 || len(frameFree.bufs) != 2 {
-		t.Fatalf("a 16 KiB frame that no free array holds took one of %d bytes, not a new one of 18 KiB, leaving %d", cap(b), len(frameFree.bufs))
+	b := takeFrameBuf(16<<10, nil)
+	if held, _ := frameFree.Held(); cap(b) != 18<<10 || len(held) != 2 {
+		t.Fatalf("a 16 KiB frame that no free array holds took one of %d bytes, not a new one of 18 KiB, leaving %d", cap(b), len(held))
 	}
 }

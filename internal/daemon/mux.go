@@ -22,7 +22,7 @@ func (d *daemonState) serveConn(conn int) {
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	rc := receiver{p: d.p, fd: conn}
-	var fr frameReader
+	fr := frameReader{mem: d.frames}
 	defer fr.release()
 	if fr.open(rc.recv) != nil {
 		return
@@ -65,7 +65,7 @@ func (d *daemonState) serveConn(conn int) {
 				rep := d.handle(payload)
 				// One Send per frame: kernel sends are atomic, so
 				// concurrent repliers cannot interleave frame bytes.
-				_ = sendReply(d.p, conn, id, &rep)
+				_ = d.sendReply(conn, id, &rep)
 			})
 		default:
 			// Unknown frame kinds are skipped for forward compatibility,

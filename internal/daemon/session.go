@@ -203,8 +203,11 @@ func (s *Session) History() []SessionState {
 	return out
 }
 
-// Close shuts the session down: the connection is closed, the
-// supervisor exits, and pending calls fail with ErrSessionClosed.
+// Close shuts the session down: the connection is shut down, the
+// supervisor closes it and exits, and pending calls fail with
+// ErrSessionClosed. Close does not close the descriptor itself: the
+// supervisor's read loop may be about to receive on it again, and
+// another session's connection could have taken its number by then.
 func (s *Session) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -213,11 +216,10 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	fd := s.fd
-	s.fd = -1
 	close(s.stopCh)
 	s.mu.Unlock()
 	if fd >= 0 {
-		_ = s.p.Close(fd)
+		_ = s.p.Shutdown(fd)
 	}
 	s.failPending(ErrSessionClosed)
 }
@@ -462,13 +464,13 @@ func (s *Session) deliver(f Frame, fr *frameReader) {
 	rep, err := readReply(f.Payload, lent == nil)
 	if err != nil {
 		if lent != nil {
-			freeFrameBuf(lent)
+			freeFrameBuf(lent, fr.mem)
 		}
 		c.done <- callResult{err: err}
 		return
 	}
 	if lent != nil {
-		rep.lent = lent
+		rep.lent, rep.lentMem = lent, fr.mem
 		framesLent.Add(1)
 	}
 	c.done <- callResult{rep: rep}
@@ -494,7 +496,7 @@ func (r *Reply) Release() {
 	lent := r.lent
 	r.Status, r.Data, r.Aux, r.lent = "", "", "", nil
 	framesLent.Add(-1)
-	freeFrameBuf(lent)
+	freeFrameBuf(lent, r.lentMem)
 }
 
 // DataBytes returns the bytes of the reply's Data without copying them.

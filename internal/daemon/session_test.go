@@ -73,11 +73,20 @@ func TestSessionBasicCall(t *testing.T) {
 		t.Fatalf("stats over session: %s", rep.Status)
 	}
 
+	s.mu.Lock()
+	fd := s.fd
+	s.mu.Unlock()
 	s.Close()
 	if _, err := s.Call(&WireMsg{Type: TListReq}, time.Second); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("call after close: %v, want ErrSessionClosed", err)
 	}
 	s.Close() // idempotent
+	// Close shuts the connection down; the supervisor's read loop, which
+	// may still receive on the descriptor, is the one that closes it.
+	waitFor(t, 2*time.Second, "the supervisor to close the descriptor", func() bool {
+		_, err := r.ctl.SocketOf(fd)
+		return err != nil
+	})
 }
 
 // TestSessionPipelinedCreates runs many concurrent creates over one

@@ -392,7 +392,8 @@ type Reply struct {
 
 	// lent is the frame a large reply's fields are read in place from,
 	// lent by the session until Release gives it back.
-	lent []byte
+	lent    []byte
+	lentMem *obs.FreeStats // counts the give-back with frameFree
 }
 
 // OK reports whether the reply indicates success.

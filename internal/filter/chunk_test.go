@@ -250,6 +250,36 @@ func TestDrainReturnsChunkOfFailedRecv(t *testing.T) {
 	}
 }
 
+// TestChunkAndBatchFreeKeptAcrossGCNoAlloc: a read chunk and a batch
+// given back survive two collections, and the next take of each is a
+// hit that allocates nothing.
+func TestChunkAndBatchFreeKeptAcrossGCNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocations")
+	}
+	proto, err := NewEngine([]byte(StandardDescriptions), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := NewPipeline(proto, PipelineConfig{Workers: 1, QueueDepth: 1}, Sinks{}, nil)
+	defer pipe.Close()
+	cycle := func() {
+		pipe.putChunk(pipe.takeChunk())
+		pipe.putBatch(batchFree.Take(0, pipe.batchMem))
+	}
+	cycle()
+	runtime.GC()
+	runtime.GC()
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Fatalf("a chunk's and a batch's take and give back allocate %v times", n)
+	}
+	for _, name := range []string{"mem.chunks.hits", "mem.batches.hits"} {
+		if hits := pipe.Obs().Counter(name).Load(); hits < 11 {
+			t.Fatalf("%s = %d, want the 11 takes after the collections", name, hits)
+		}
+	}
+}
+
 // FeedFrom reads the source's next chunk with read, in the shape of
 // read(2), into a buffer from the pipeline's free list, and feeds what
 // it read; the buffer returns to the list once processed. It returns

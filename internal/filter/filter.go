@@ -3,6 +3,7 @@ package filter
 import (
 	"fmt"
 	"strconv"
+	"unsafe"
 
 	"dpm/internal/fsys"
 	"dpm/internal/kernel"
@@ -111,12 +112,21 @@ type Batch struct {
 	recs  []store.BatchRec
 }
 
-// Reset empties the batch, retaining capacity.
+// Reset empties the batch, retaining capacity, and lets go of the
+// engine's slots.
 func (b *Batch) Reset() {
 	b.Lines = b.Lines[:0]
 	b.metas = b.metas[:0]
 	b.ends = b.ends[:0]
 	b.typed = b.typed[:0]
+	b.slots = nil
+}
+
+// size is the bytes the batch's own arrays hold; the slots are the
+// engine's.
+func (b *Batch) size() int {
+	return cap(b.Lines) + cap(b.ends)*8 + cap(b.typed) + cap(b.metas)*int(unsafe.Sizeof(store.Meta{})) +
+		cap(b.recs)*int(unsafe.Sizeof(store.BatchRec{}))
 }
 
 // Len returns the number of records in the batch.

@@ -1,6 +1,8 @@
 package filter
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"dpm/internal/meter"
@@ -56,21 +58,48 @@ func FuzzParseDescriptions(f *testing.F) {
 }
 
 // FuzzEngineProcess drives the whole filter engine on arbitrary meter
-// streams.
+// streams, seeded with Appendix A messages of every body type. A batch
+// recycled as batchFree recycles them — filled from another stream,
+// reset and overwritten — comes out of ProcessBatch byte for byte as a
+// fresh one does: the same lines, line ends and store records.
 func FuzzEngineProcess(f *testing.F) {
 	f.Add([]byte{})
+	msgs := corpusMessages()
+	for _, m := range msgs {
+		f.Add(m)
+	}
+	f.Add(bytes.Join(msgs, nil))
+	dirty := typingStream()
+	proto, err := NewEngine([]byte(StandardDescriptions), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		eng, err := NewEngine([]byte(StandardDescriptions), nil)
-		if err != nil {
+		recycled := new(Batch)
+		if _, err := proto.Clone().ProcessBatch(dirty, recycled); err != nil {
 			t.Fatal(err)
 		}
-		lines, rest, err := processLines(eng, stream)
-		if err != nil {
-			return
+		recycled.StoreRecs()
+		recycled.Reset()
+		batchFree.Poison(recycled)
+		var fresh Batch
+		rest, err := proto.Clone().ProcessBatch(stream, &fresh)
+		rest2, err2 := proto.Clone().ProcessBatch(stream, recycled)
+		if len(rest) > len(stream) || (err == nil) != (err2 == nil) || !bytes.Equal(rest, rest2) {
+			t.Fatalf("fresh batch: rest %d, %v; recycled: rest %d, %v", len(rest), err, len(rest2), err2)
 		}
-		_ = lines
-		if len(rest) > len(stream) {
-			t.Fatal("rest grew")
+		if !bytes.Equal(fresh.Lines, recycled.Lines) || !slices.Equal(fresh.ends, recycled.ends) {
+			t.Fatalf("a recycled batch's lines differ from a fresh one's:\n%q\n%q", recycled.Lines, fresh.Lines)
+		}
+		want, got := fresh.StoreRecs(), recycled.StoreRecs()
+		if len(want) != len(got) {
+			t.Fatalf("%d store records from a recycled batch, %d from a fresh one", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Meta != want[i].Meta || !bytes.Equal(got[i].Line, want[i].Line) ||
+				(got[i].Slots == nil) != (want[i].Slots == nil) || got[i].Slots != nil && *got[i].Slots != *want[i].Slots {
+				t.Fatalf("store record %d of a recycled batch differs from a fresh one's", i)
+			}
 		}
 	})
 }

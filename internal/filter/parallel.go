@@ -78,8 +78,8 @@ type Sinks struct {
 }
 
 // pipeItem is one unit of worker input: a chunk of meter-stream bytes
-// from one source. pooled marks a chunk from the pipeline's free list,
-// which goes back to it once processed.
+// from one source. pooled marks a chunk from chunkFree, which goes back
+// to it once processed.
 type pipeItem struct {
 	src    *Source
 	data   []byte
@@ -90,6 +90,17 @@ type pipeItem struct {
 // whole meter-buffer flushes in one call, giving the engine maximal
 // contiguous frame runs.
 const chunkSize = 64 << 10
+
+// chunkFree holds Drain's read buffers, and batchFree whole batches
+// with the arrays they grew, between chunks, for every pipeline of the
+// process. A pipeline has at most QueueDepth × Workers chunks queued
+// and Workers + QueueDepth + 1 batches in use: 32 and 19 at the default
+// depth on two cores, which the caps hold.
+var (
+	chunkFree = obs.NewByteList("chunks", 64, 5<<20)
+	batchFree = &obs.FreeList[*Batch]{Name: "batches", Count: 32, Bytes: 16 << 20, Size: (*Batch).size,
+		New: func(int) *Batch { return new(Batch) }, Poison: func(b *Batch) { obs.PoisonBytes(b.Lines) }}
+)
 
 // pipeWorker is one processing goroutine's state. Its per-worker
 // counters (filter.worker<i>.*) expose skew between workers — a hot
@@ -114,15 +125,11 @@ type Pipeline struct {
 	workers []*pipeWorker
 	logQ    chan *Batch
 	quit    chan struct{}
-	// free is the list of Drain's read buffers. It holds at most
-	// QueueDepth × Workers of them, as many as the worker queues do.
-	free chan []byte
 
 	wg    sync.WaitGroup // workers
 	logWg sync.WaitGroup // log writer
 
 	closeOnce sync.Once
-	batchPool sync.Pool
 
 	nextWorker atomic.Int64
 	logDead    atomic.Bool
@@ -145,6 +152,8 @@ type Pipeline struct {
 	queueDepth   *obs.Gauge
 	highWater    *obs.Gauge
 	flushNS      *obs.Histogram
+	chunkMem     *obs.FreeStats
+	batchMem     *obs.FreeStats
 }
 
 // NewPipeline builds a pipeline around an engine prototype: each
@@ -167,7 +176,6 @@ func NewPipeline(proto *Engine, cfg PipelineConfig, sinks Sinks, spawn func(func
 		sinks: sinks,
 		logQ:  make(chan *Batch, cfg.QueueDepth),
 		quit:  make(chan struct{}),
-		free:  make(chan []byte, cfg.QueueDepth*cfg.Workers),
 
 		obs:          reg,
 		sources:      reg.Counter("filter.sources"),
@@ -184,8 +192,9 @@ func NewPipeline(proto *Engine, cfg PipelineConfig, sinks Sinks, spawn func(func
 		queueDepth:   reg.Gauge("filter.queue_depth"),
 		highWater:    reg.Gauge("filter.queue_high_water"),
 		flushNS:      reg.Histogram("filter.flush_ns"),
+		chunkMem:     chunkFree.Stats(reg),
+		batchMem:     batchFree.Stats(reg),
 	}
-	pl.batchPool.New = func() any { return new(Batch) }
 	for i := 0; i < cfg.Workers; i++ {
 		prefix := "filter.worker" + strconv.Itoa(i)
 		w := &pipeWorker{
@@ -263,24 +272,11 @@ func (s *Source) Drain(recv func(max int, get func() []byte) ([]byte, int, error
 	}
 }
 
-// takeChunk returns a read buffer from the free list, or a new one.
-func (pl *Pipeline) takeChunk() []byte {
-	select {
-	case c := <-pl.free:
-		return c
-	default:
-		return make([]byte, chunkSize)
-	}
-}
+// takeChunk and putChunk take a read buffer from chunkFree and give it
+// back.
+func (pl *Pipeline) takeChunk() []byte { return chunkFree.Take(chunkSize, pl.chunkMem)[:chunkSize] }
 
-// putChunk returns a read buffer to the free list, or to the garbage
-// collector when the list is full.
-func (pl *Pipeline) putChunk(c []byte) {
-	select {
-	case pl.free <- c[:cap(c)]:
-	default:
-	}
-}
+func (pl *Pipeline) putChunk(c []byte) { chunkFree.Put(c, pl.chunkMem) }
 
 func (s *Source) feed(it pipeItem) bool {
 	pl := s.pl
@@ -351,8 +347,7 @@ func (pl *Pipeline) process(w *pipeWorker, it pipeItem) {
 		s.carry = append(s.carry, it.data...)
 		buf = s.carry
 	}
-	b := pl.batchPool.Get().(*Batch)
-	b.Reset()
+	b := batchFree.Take(0, pl.batchMem)
 	recvBefore, keptBefore, discBefore := w.eng.Received, w.eng.Kept, w.eng.Discarded
 	rest, err := w.eng.ProcessBatch(buf, b)
 	recv := int64(w.eng.Received - recvBefore)
@@ -442,7 +437,7 @@ func (pl *Pipeline) writeLog(b *Batch) {
 
 func (pl *Pipeline) putBatch(b *Batch) {
 	b.Reset()
-	pl.batchPool.Put(b)
+	batchFree.Put(b, pl.batchMem)
 }
 
 // Close shuts the pipeline down: new feeds are refused, queued chunks

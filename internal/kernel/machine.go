@@ -91,10 +91,11 @@ func newMachineFaults(r *obs.Registry) machineFaults {
 // water mark, so a simulation of thousands of machines has a bounded,
 // measurable per-machine footprint (docs/perf.md, simulation density).
 type machineMem struct {
-	sockets      *obs.Gauge   // live sockets on the machine
-	buffered     *obs.Gauge   // bytes queued in socket receive buffers
-	bufferedPeak *obs.Gauge   // high water of buffered
-	shedDgrams   *obs.Counter // datagrams shed by the per-socket queue budget
+	sockets      *obs.Gauge     // live sockets on the machine
+	buffered     *obs.Gauge     // bytes queued in socket receive buffers
+	bufferedPeak *obs.Gauge     // high water of buffered
+	shedDgrams   *obs.Counter   // datagrams shed by the per-socket queue budget
+	recv         *obs.FreeStats // the machine's traffic with recvFree
 }
 
 func newMachineMem(r *obs.Registry) machineMem {
@@ -103,6 +104,7 @@ func newMachineMem(r *obs.Registry) machineMem {
 		buffered:     r.Gauge("mem.buffered_bytes"),
 		bufferedPeak: r.Gauge("mem.buffered_peak"),
 		shedDgrams:   r.Counter("mem.shed_dgrams"),
+		recv:         recvFree.Stats(r),
 	}
 }
 

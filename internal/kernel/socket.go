@@ -1,12 +1,12 @@
 package kernel
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 )
 
 // Socket types, with the 4.2BSD values.
@@ -90,52 +90,17 @@ func compact[T any](q []T, off, n int) ([]T, int) {
 	return q, off
 }
 
-// recvFree holds closed stream sockets' receive arrays, so that a new
-// connection need not grow one from empty: a meter connection takes one
-// at its first growth, any other socket only to grow past
-// pooledRecvBuf. It keeps the arrays of meter connections and those of
-// at least pooledRecvBuf bytes, up to recvFreeCount arrays of at most
-// recvFreeMax bytes each (32 MiB in all), and unlike a sync.Pool it
-// keeps them across garbage collections. A meter connection whose
-// filter lags grows its array past a megabyte.
-var recvFree struct {
-	mu   sync.Mutex
-	bufs [][]byte
-}
+// recvFree holds stream sockets' receive arrays between connections, so
+// that a new one need not grow an array from empty: a meter connection
+// takes one at its first growth, any other socket only to grow past
+// pooledRecvBuf. A socket gives back the array it closes with, if it is
+// a meter connection's or holds pooledRecvBuf; an array it outgrows
+// goes to the collector, since given back, the small arrays of every
+// connection's climb crowded the large ones out of the list. A meter
+// connection whose filter lags grows its array past a megabyte.
+var recvFree = obs.NewByteList("recv", 8, 32<<20)
 
-const (
-	pooledRecvBuf = 64 << 10
-	recvFreeCount = 8
-	recvFreeMax   = 4 << 20
-)
-
-// takeRecvBuf removes and returns the largest free array if it holds n
-// bytes, or nil.
-func takeRecvBuf(n int) []byte {
-	recvFree.mu.Lock()
-	defer recvFree.mu.Unlock()
-	i := -1
-	for j, b := range recvFree.bufs {
-		if cap(b) >= n && (i < 0 || cap(b) > cap(recvFree.bufs[i])) {
-			i = j
-		}
-	}
-	if i < 0 {
-		return nil
-	}
-	b := recvFree.bufs[i]
-	recvFree.bufs = slices.Delete(recvFree.bufs, i, i+1)
-	return b
-}
-
-// freeRecvBuf offers a closed socket's receive array to recvFree.
-func freeRecvBuf(b []byte) {
-	recvFree.mu.Lock()
-	if cap(b) <= recvFreeMax && len(recvFree.bufs) < recvFreeCount {
-		recvFree.bufs = append(recvFree.bufs, b[:0])
-	}
-	recvFree.mu.Unlock()
-}
+const pooledRecvBuf = 64 << 10
 
 // broadcastLocked wakes every waiter on the socket. Callers hold s.mu.
 func (s *Socket) broadcastLocked() {
@@ -213,8 +178,8 @@ func (s *Socket) unref() {
 	if s.buffered > 0 {
 		s.releaseLocked(s.buffered)
 	}
-	if s.meterConn || cap(s.recvBuf) >= pooledRecvBuf {
-		freeRecvBuf(s.recvBuf)
+	if cap(s.recvBuf) >= pooledRecvBuf || s.meterConn && cap(s.recvBuf) > 0 {
+		recvFree.Put(s.recvBuf, s.machine.mem.recv)
 	}
 	s.recvBuf, s.recvOff = nil, 0
 	s.broadcastLocked()
@@ -321,12 +286,12 @@ func (s *Socket) deliverStream(data []byte, sentAt time.Duration, meterConn bool
 		s.recvBuf, s.recvOff = compact(s.recvBuf, s.recvOff, len(data))
 		if unread := s.recvBuf[s.recvOff:]; len(s.recvBuf)+len(data) > cap(s.recvBuf) {
 			// Growing: a meter connection's first array, and any past
-			// pooledRecvBuf, starts from a closed socket's array.
+			// pooledRecvBuf, comes from recvFree, twice what is needed
+			// so that a growing array is not replaced at every delivery.
 			need := len(unread) + len(data)
 			if need > pooledRecvBuf || s.meterConn && cap(s.recvBuf) == 0 {
-				if b := takeRecvBuf(need); b != nil {
-					unread = append(b, unread...)
-				}
+				b := recvFree.Take(2*need, s.machine.mem.recv)
+				unread = append(b[:0], unread...)
 			}
 			s.recvBuf, s.recvOff = unread, 0
 		}

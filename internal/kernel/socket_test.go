@@ -668,3 +668,43 @@ func TestCrossMachineDgramThroughFabric(t *testing.T) {
 		t.Fatalf("local dgram = %q", d)
 	}
 }
+
+// TestShutdownKeepsDescriptor: a connection shut down reads what was
+// delivered and then EOF on both ends and refuses sends, and its
+// descriptor stays taken until Close, so no new socket gets its number
+// while another thread of the process may still receive on it.
+func TestShutdownKeepsDescriptor(t *testing.T) {
+	_, red, _ := newTestCluster(t)
+	p := detached(t, red)
+	f1, f2, err := p.SocketPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Send(f2, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Shutdown(f1); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := p.Recv(f1, 8); err != nil || string(data) != "x" {
+		t.Fatalf("the shut-down end read %q, %v, want what was delivered", data, err)
+	}
+	for _, fd := range []int{f1, f2} {
+		if _, err := p.Recv(fd, 8); err != io.EOF {
+			t.Fatalf("a receive on a shut-down connection: %v, want EOF", err)
+		}
+	}
+	if _, err := p.Send(f1, []byte("y")); !errors.Is(err, ErrPipe) {
+		t.Fatalf("a send on a shut-down connection: %v, want ErrPipe", err)
+	}
+	g, err := p.Socket(meter.AFInet, SockStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g == f1 {
+		t.Fatal("a new socket took the number of a descriptor shut down but not closed")
+	}
+	if err := p.Close(f1); err != nil {
+		t.Fatalf("closing a shut-down descriptor: %v", err)
+	}
+}

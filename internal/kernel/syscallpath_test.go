@@ -201,13 +201,18 @@ func TestMeterBodiesNoAlloc(t *testing.T) {
 	}
 }
 
+// emptyRecvFree takes every array out of recvFree.
+func emptyRecvFree() {
+	for held, _ := recvFree.Held(); len(held) > 0; held, _ = recvFree.Held() {
+		recvFree.Take(0, nil)
+	}
+}
+
 // TestMeterConnReusesRecvArray closes a meter connection and collects
 // garbage twice, which empties a sync.Pool: a new meter connection
 // still starts from the closed one's receive array.
 func TestMeterConnReusesRecvArray(t *testing.T) {
-	recvFree.mu.Lock()
-	recvFree.bufs = nil
-	recvFree.mu.Unlock()
+	emptyRecvFree()
 	_, red, green := newTestCluster(t)
 	array := func(tap *meterTap) *byte {
 		s, err := tap.filter.sockFD(tap.connFD)
@@ -246,6 +251,50 @@ func TestMeterConnReusesRecvArray(t *testing.T) {
 		t.Fatal("the new meter connection grew a receive array instead of reusing the closed one's")
 	}
 	tap.collect(1)
+}
+
+// TestRecvFreeKeptAcrossGCNoAlloc closes a connection whose receive
+// array grew past pooledRecvBuf and collects garbage twice: the next
+// connection's growth takes that array, a hit, and allocates nothing.
+func TestRecvFreeKeptAcrossGCNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocations")
+	}
+	emptyRecvFree()
+	_, red, _ := newTestCluster(t)
+	p := detached(t, red)
+	data, into := make([]byte, 2*pooledRecvBuf), make([]byte, 2*pooledRecvBuf)
+	pair := func() (int, int) {
+		f1, f2, err := p.SocketPair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f1, f2
+	}
+	f1, f2 := pair()
+	if _, err := p.Send(f1, data); err != nil {
+		t.Fatal(err)
+	}
+	p.Close(f1)
+	p.Close(f2)
+	runtime.GC()
+	runtime.GC()
+	g1, g2 := pair()
+	hits, misses := red.Obs().Counter("mem.recv.hits"), red.Obs().Counter("mem.recv.misses")
+	h0, m0 := hits.Load(), misses.Load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := p.Send(g1, data)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= pooledRecvBuf || hits.Load() != h0+1 || misses.Load() != m0 {
+		t.Fatalf("a send that grows the receive array allocated %d bytes, with %d hits and %d misses", grew, hits.Load()-h0, misses.Load()-m0)
+	}
+	if n, err := p.RecvInto(g2, into, nil); err != nil || n != len(data) {
+		t.Fatalf("received %d bytes, %v", n, err)
+	}
 }
 
 // TestStreamReadOffset interleaves deliveries with reads that take

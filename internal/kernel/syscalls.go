@@ -754,6 +754,22 @@ func (p *Process) SocketPair() (int, int, error) {
 	return fd1, fd2, nil
 }
 
+// Shutdown ends a stream connection in both directions, as shutdown(2)
+// does: readers on either end drain what was delivered and then see
+// EOF, writers see EPIPE. The descriptor stays open until Close, so no
+// new socket takes its number while another thread may still use it.
+func (p *Process) Shutdown(fd int) error {
+	if err := p.enter(); err != nil {
+		return err
+	}
+	s, err := p.sockFD(fd)
+	if err != nil {
+		return err
+	}
+	s.sever()
+	return nil
+}
+
 // Dup duplicates a descriptor.
 func (p *Process) Dup(fd int) (int, error) {
 	if err := p.enter(); err != nil {

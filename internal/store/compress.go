@@ -275,17 +275,20 @@ func newCompWriter(target int) *compWriter {
 	return w
 }
 
-// archiveEncoders pools the cold tier's encoders, which DEFLATE at
+// archiveEncoders holds the cold tier's encoders, which DEFLATE at
 // archiveLevel; the run being archived sets the block target. A
 // flate.Writer above level 1 is about a megabyte of hash chains and
 // window that Reset reuses whole, once per block (flushStaged), and
 // shards of every store in the process archive at the same level, so a
-// warm encoder serves a run without allocating.
-var archiveEncoders = sync.Pool{New: func() any {
-	w := newCompWriter(0)
-	w.fw, _ = flate.NewWriter(&w.sink, archiveLevel) // the level is a valid constant
-	return w
-}}
+// warm encoder serves a run without allocating. Each is weighed at that
+// megabyte and its buffers.
+var archiveEncoders = &obs.FreeList[*compWriter]{Name: "encoders", Count: 8, Bytes: 16 << 20,
+	Size: func(w *compWriter) int { return 1<<20 + cap(w.sink.buf) + cap(w.enc) },
+	New: func(int) *compWriter {
+		w := newCompWriter(0)
+		w.fw, _ = flate.NewWriter(&w.sink, archiveLevel) // the level is a valid constant
+		return w
+	}}
 
 // openSegment resets the writer for a fresh segment and stages the
 // file header.

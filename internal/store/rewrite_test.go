@@ -44,12 +44,34 @@ func oracleReadRun(t *testing.T, be Backend, names []string) (runs [][]Rec, recs
 	return runs, recs, x, rawBytes
 }
 
+// TestArchiveEncodersKeptAcrossGCNoAlloc: an archive encoder given back
+// survives two collections, and the next archive's take is a hit that
+// allocates nothing: not the megabyte of a new flate.Writer.
+func TestArchiveEncodersKeptAcrossGCNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocations")
+	}
+	reg := obs.NewRegistry()
+	st := archiveEncoders.Stats(reg)
+	archiveEncoders.Put(archiveEncoders.Take(0, st), st)
+	runtime.GC()
+	runtime.GC()
+	hits := reg.Counter("mem.encoders.hits")
+	before := hits.Load()
+	if n := testing.AllocsPerRun(10, func() { archiveEncoders.Put(archiveEncoders.Take(0, st), st) }); n != 0 {
+		t.Fatalf("an archive encoder's take and give back allocate %v times", n)
+	}
+	if hits := hits.Load() - before; hits != 11 {
+		t.Fatalf("%d of 11 takes after the collections hit", hits)
+	}
+}
+
 // tierWriter is the encoder a rewrite into the tier uses.
 func tierWriter(tier, blockTarget int) *compWriter {
 	if tier == 0 {
 		return newCompWriter(blockTarget)
 	}
-	w := archiveEncoders.New().(*compWriter)
+	w := archiveEncoders.New(0)
 	w.target = 4 * blockTarget
 	return w
 }

@@ -252,6 +252,7 @@ type Store struct {
 	rotateNS       *obs.Histogram
 	compactNS      *obs.Histogram
 	archiveNS      *obs.Histogram
+	encMem         *obs.FreeStats
 }
 
 type shard struct {
@@ -312,6 +313,7 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		rotateNS:       reg.Histogram("store.rotate_ns"),
 		compactNS:      reg.Histogram("store.compact_ns"),
 		archiveNS:      reg.Histogram("store.archive_ns"),
+		encMem:         archiveEncoders.Stats(reg),
 	}
 	byShard := make(map[int][]*SegmentInfo)
 	maxShard := cfg.Shards - 1
@@ -641,8 +643,8 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	}
 	var w *compWriter
 	if tier > 0 {
-		w = archiveEncoders.Get().(*compWriter)
-		defer archiveEncoders.Put(w)
+		w = archiveEncoders.Take(0, s.encMem)
+		defer archiveEncoders.Put(w, s.encMem)
 		w.target = 4 * s.cfg.BlockTarget
 	} else {
 		w = newCompWriter(s.cfg.BlockTarget)
