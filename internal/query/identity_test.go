@@ -78,9 +78,9 @@ var identityLayouts = []struct {
 }{
 	{"v1", "cap1k", store.Config{Shards: 3, SegmentCap: 1024}, false},
 	{"v1+tail", "cap1k+tail", store.Config{Shards: 3, SegmentCap: 1024}, true},
-	{"v2", "cap2k", store.Config{Shards: 3, SegmentCap: 2048, BlockTarget: 512}, false},
-	{"v2+tail", "cap2k+tail", store.Config{Shards: 3, SegmentCap: 2048, BlockTarget: 512}, true},
-	{"v2+archives", "cap2k+archives", store.Config{Shards: 2, SegmentCap: 2048, BlockTarget: 512, ArchiveAfter: 1500}, true},
+	{"v2", "cap2k", store.Config{Shards: 3, SegmentCap: 2048}, false},
+	{"v2+tail", "cap2k+tail", store.Config{Shards: 3, SegmentCap: 2048}, true},
+	{"v2+archives", "cap2k+archives", store.Config{Shards: 2, SegmentCap: 2048, ArchiveAfter: 1500}, true},
 }
 
 // identityStore fills a store with a seeded population whose clock
@@ -191,8 +191,8 @@ func identityStore(t *testing.T, seed int64, cfg store.Config, tail bool) store.
 // is fixed only where nothing is skipped before the parse: with
 // pruning off.
 func digestStats(w *strings.Builder, st query.Stats, noPrune bool) {
-	fmt.Fprintf(w, "segments=%d scanned=%d pruned=%d blocks=%d blocksPruned=%d records=%d matched=%d",
-		st.Segments, st.Scanned, st.Pruned, st.Blocks, st.BlocksPruned, st.Records, st.Matched)
+	fmt.Fprintf(w, "segments=%d scanned=%d pruned=%d records=%d matched=%d",
+		st.Segments, st.Scanned, st.Pruned, st.Records, st.Matched)
 	if noPrune {
 		fmt.Fprintf(w, " badLines=%d", st.BadLines)
 	}
