@@ -714,13 +714,13 @@ func BenchmarkAnalyses(b *testing.B) {
 // S1: event-store ingest throughput — the cost a filter pays to write
 // a record through the store (parse, typed encoding, a flush per
 // record, index update, rotation) rather than appending a line to the
-// flat log.
+// flat log: AppendBatch with a batch of one.
 func BenchmarkStoreIngest(b *testing.B) {
 	events := syntheticTrace(64)
-	lines := make([]string, len(events))
+	lines := make([][]byte, len(events))
 	var bytes int64
 	for i := range events {
-		lines[i] = events[i].Format()
+		lines[i] = []byte(events[i].Format())
 		bytes += int64(len(lines[i]))
 	}
 	st, err := store.Open(store.NewMemBackend(), store.Config{})
@@ -730,14 +730,15 @@ func BenchmarkStoreIngest(b *testing.B) {
 	b.SetBytes(bytes / int64(len(lines)))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var one [1]store.BatchRec
 	for i := 0; i < b.N; i++ {
 		e := &events[i%len(events)]
 		pid := e.Fields["pid"]
-		m := store.Meta{
+		one[0] = store.BatchRec{Line: lines[i%len(lines)], Meta: store.Meta{
 			Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
 			Type: uint32(e.Type), PID: uint32(pid),
-		}
-		if err := st.Append(m, lines[i%len(lines)]); err != nil {
+		}}
+		if err := st.AppendBatch(one[:]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1035,7 +1036,7 @@ func BenchmarkQuerySegmentPruning(b *testing.B) {
 			Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
 			Type: uint32(e.Type), PID: uint32(e.Fields["pid"]),
 		}
-		if err := st.Append(m, e.Format()); err != nil {
+		if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format())}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1070,72 +1071,6 @@ func BenchmarkQuerySegmentPruning(b *testing.B) {
 			}
 			b.ReportMetric(float64(st.Segments), "segments")
 			b.ReportMetric(float64(st.Scanned), "segments-scanned")
-		})
-	}
-}
-
-// S2 block: zone-map pruning inside compressed segments. The same
-// selective query as BenchmarkQuerySegmentPruning runs against the
-// same 4000 events stored two ways: many small one-block segments
-// (pruned per segment by footer index — the old granularity) and a few
-// large segments with small blocks (pruned per block by zone map). Block pruning must match segment pruning's cost while
-// reading several-x fewer bytes from disk.
-func BenchmarkQueryBlockPruned(b *testing.B) {
-	events := syntheticTrace(4000)
-	build := func(cfg store.Config) *store.Reader {
-		be := store.NewMemBackend()
-		st, err := store.Open(be, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range events {
-			e := &events[i]
-			m := store.Meta{
-				Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
-				Type: uint32(e.Type), PID: uint32(e.Fields["pid"]),
-			}
-			if err := st.Append(m, e.Format()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := st.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		rd, err := store.OpenReader(be)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rd
-	}
-	const rules = "machine=2,cpuTime>=1000,cpuTime<1200,type=1"
-	for _, mode := range []struct {
-		name string
-		rd   *store.Reader
-	}{
-		{"segment-pruned", build(store.Config{SegmentCap: 2048})},
-		{"block-pruned", build(store.Config{
-			SegmentCap: 16384, BlockTarget: 2048,
-		})},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var st query.Stats
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q, err := query.Compile(rules)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := query.Run(mode.rd, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Stats.Matched == 0 {
-					b.Fatal("selective query matched nothing")
-				}
-				st = res.Stats
-			}
-			b.ReportMetric(float64(st.Scanned), "segments-scanned")
-			b.ReportMetric(float64(st.BlocksPruned), "blocks-pruned")
 		})
 	}
 }
@@ -1207,7 +1142,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 			Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
 			Type: uint32(e.Type), PID: uint32(e.Fields["pid"]),
 		}
-		if err := st.Append(m, e.Format()); err != nil {
+		if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format())}}); err != nil {
 			b.Fatal(err)
 		}
 	}

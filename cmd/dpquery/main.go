@@ -48,11 +48,9 @@ import (
 // listSegments prints the physical layout of the store: one line per
 // segment (tier, format — v3, the one a store reads, where each record
 // is typed or text —, record count, the share of its records stored
-// typed, which a scan does not parse, on-disk compression ratio) and, for block-compressed
-// segments, one line per block with its zone map — the ranges the
-// pruning decisions in query/agg are made from. The typed share costs a
-// decode of the segment; one that does not decode to its end is listed
-// with what did.
+// typed, which a scan does not parse, on-disk compression ratio). The
+// typed share costs a decode of the segment; one that does not decode to
+// its end is listed with what did.
 func listSegments(w io.Writer, rd *store.Reader) {
 	d := store.AcquireDecoder()
 	defer store.ReleaseDecoder(d)
@@ -67,19 +65,9 @@ func listSegments(w io.Writer, rd *store.Reader) {
 			if disk > 0 {
 				ratio = float64(raw) / float64(disk)
 			}
-			st, _ := rs.ScanViews(d, nil, func(store.Meta, *trace.View, []byte) {})
-			fmt.Fprintf(w, "shard %d  %s  %s tier=%d v3  records=%d typed=%d%%  raw=%d disk=%d ratio=%.2fx",
+			st, _ := rs.ScanViews(d, func(store.Meta, *trace.View, []byte) {})
+			fmt.Fprintf(w, "shard %d  %s  %s tier=%d v3  records=%d typed=%d%%  raw=%d disk=%d ratio=%.2fx\n",
 				sh, rs.Name, state, rs.Tier, st.Records, 100*st.Typed/max(st.Records, 1), raw, disk, ratio)
-			blocks := rs.Blocks()
-			if len(blocks) > 0 {
-				fmt.Fprintf(w, "  blocks=%d", len(blocks))
-			}
-			fmt.Fprintln(w)
-			for i, b := range blocks {
-				fmt.Fprintf(w, "  block %d  records=%d raw=%d comp=%d  cpuTime=[%d..%d]  machines=%016x types=%08x\n",
-					i, b.Index.Count, b.RawLen, b.CompLen, b.Index.MinTime, b.Index.MaxTime,
-					b.Index.Machines, b.Index.Types)
-			}
 		}
 	}
 }
@@ -89,7 +77,7 @@ func main() {
 	noPrune := flag.Bool("no-prune", false, "scan every segment, ignoring footer indexes")
 	stats := flag.Bool("stats", false, "print scan statistics to standard error")
 	report := flag.Bool("report", false, "print the analysis report instead of the records")
-	segments := flag.Bool("segments", false, "list segments (tier, compression, blocks, zone maps) and exit")
+	segments := flag.Bool("segments", false, "list segments (tier, records, compression) and exit")
 	aggregate := flag.Bool("agg", false, "aggregate mode: one argument is an 'agg ...' or 'top ...' line")
 	asJSON := flag.Bool("json", false, "machine-readable JSON output")
 	flag.Parse()

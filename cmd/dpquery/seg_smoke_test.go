@@ -8,13 +8,14 @@ import (
 	"dpm/internal/store"
 )
 
-// TestSegmentsSmoke: -segments lists every segment with its payload
-// version and the share of its records stored typed — two in three
-// here, the third line of three being one the filter would not write.
+// TestSegmentsSmoke: -segments lists every segment, one line each, with
+// its payload version and the share of its records stored typed — two
+// in three here, the third line of three being one the filter would not
+// write.
 func TestSegmentsSmoke(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(store.NewDirBackend(dir), store.Config{
-		Shards: 2, SegmentCap: 2048, BlockTarget: 512,
+		Shards: 2, SegmentCap: 2048,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +26,7 @@ func TestSegmentsSmoke(t *testing.T) {
 		if i%3 == 2 {
 			line = fmt.Sprintf("%d %d %d %d send msgLength=%d t=%d", m.Time, m.Machine, m.PID, m.Type, 100+i%5, i)
 		}
-		if err := st.Append(m, line); err != nil {
+		if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(line)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +56,7 @@ func TestSegmentsSmoke(t *testing.T) {
 			t.Errorf("segment line %q: want a sealed v3 segment about two thirds typed", line)
 		}
 	}
-	if segments != rd.NumSegments() || records != 300 || len(lines) <= segments {
+	if segments != rd.NumSegments() || records != 300 || len(lines) != segments {
 		t.Fatalf("%d segment lines of %d lines for %d segments, %d records of 300:\n%s", segments, len(lines), rd.NumSegments(), records, out.String())
 	}
 }

@@ -40,7 +40,7 @@ func buildStore(t testing.TB, n int, cfg store.Config) store.Backend {
 			Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
 			Type: uint32(e.Type), PID: uint32(e.Fields["pid"]),
 		}
-		if err := st.Append(m, e.Format()); err != nil {
+		if err := appendLine(st, m, e.Format()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,4 +363,10 @@ func TestScanSegmentZeroAllocs(t *testing.T) {
 	if folded != 1000 {
 		t.Fatalf("scan folded %d records into groups, want the 1000 SEND records", folded)
 	}
+}
+
+// appendLine appends one record given as its line: AppendBatch of a
+// batch of one.
+func appendLine(st *store.Store, m store.Meta, line string) error {
+	return st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(line)}})
 }

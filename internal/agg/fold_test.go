@@ -109,7 +109,7 @@ func foldStore(t *testing.T, seed int64, n int) store.Backend {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	be := store.NewMemBackend()
-	st, err := store.Open(be, store.Config{Shards: 3, SegmentCap: 1536, BlockTarget: 512})
+	st, err := store.Open(be, store.Config{Shards: 3, SegmentCap: 1536})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func foldStore(t *testing.T, seed int64, n int) store.Backend {
 			line = "NOT A TRACE LINE"
 		}
 		m := store.Meta{Machine: uint16(machine), Time: uint32(cpu), Type: uint32(typ), PID: uint32(pid)}
-		if err := st.Append(m, line); err != nil {
+		if err := appendLine(st, m, line); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,7 +42,7 @@ type Memo struct {
 type memoKey struct {
 	scope string // the store and the canonical query
 	name  string
-	tail  [store.FooterV2Size]byte
+	tail  [store.TailSize]byte
 }
 
 // memoTable is a kept table — read-only, without an index, never back
@@ -71,7 +71,7 @@ func (m *Memo) scanner(aq *Query, storeID string) func(*store.ReaderSegment) (*s
 		if tail == nil {
 			return aq.scanSegment(rs)
 		}
-		k := memoKey{scope: scope, name: rs.Name, tail: [store.FooterV2Size]byte(tail)}
+		k := memoKey{scope: scope, name: rs.Name, tail: [store.TailSize]byte(tail)}
 		m.mu.Lock()
 		t, ok := m.tables[k]
 		m.mu.Unlock()

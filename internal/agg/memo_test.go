@@ -136,22 +136,23 @@ func memoCheck(t *testing.T, memo *Memo, be store.Backend, storeID, when string)
 	}
 }
 
-// memoRecord is the i-th record of the stores TestMemoNeverStale grows:
-// four machines, three pids, a message length, cpuTime 10 ms apart from
-// base on.
-func memoRecord(i, base int) (store.Meta, string) {
+// memoRecord is, as a batch of one, the i-th record of the stores
+// TestMemoNeverStale grows: four machines, three pids, a message length,
+// cpuTime 10 ms apart from base on.
+func memoRecord(i, base int) []store.BatchRec {
 	e := trace.Event{
 		Type: meter.EvSend, Event: meter.EvSend.String(), Machine: i%4 + 1, CPUTime: int64(base + 10*i),
 		Fields: map[string]uint64{"pid": uint64(100 + i%3), "sock": 3, "msgLength": uint64(i * 37 % 1000)},
 		Names:  map[string]meter.Name{},
 	}
-	return store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: uint32(e.Type), PID: uint32(e.Fields["pid"])}, e.Format()
+	m := store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: uint32(e.Type), PID: uint32(e.Fields["pid"])}
+	return []store.BatchRec{{Meta: m, Line: []byte(e.Format())}}
 }
 
 // TestMemoNeverStale: whatever happens to a store between two Evals —
-// compaction, archival, retention expiry, the recovery of an unsealed
-// tail into a sealed segment of the same name, the directory removed and
-// rebuilt with the same names over other records — the Eval through a
+// compaction, archival, the recovery of an unsealed tail into a sealed
+// segment of the same name, the directory removed and rebuilt with the
+// same names over other records — the Eval through a
 // memo that saw the store before is the Eval without one. And a segment
 // whose scan fails is never kept: every Eval of it fails.
 func TestMemoNeverStale(t *testing.T) {
@@ -166,7 +167,7 @@ func TestMemoNeverStale(t *testing.T) {
 		memo := NewMemo(MemoCost, obs.NewRegistry())
 		for r, i := 0, 0; r < rounds; r++ {
 			for end := i + 30; i < end; i++ {
-				if err := st.Append(memoRecord(i, 0)); err != nil {
+				if err := st.AppendBatch(memoRecord(i, 0)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -190,9 +191,6 @@ func TestMemoNeverStale(t *testing.T) {
 	t.Run("archival", func(t *testing.T) {
 		grow(t, store.Config{Shards: 2, SegmentCap: 1024, ArchiveAfter: 300}, 12, "store.archive_runs")
 	})
-	t.Run("expiry", func(t *testing.T) {
-		grow(t, store.Config{Shards: 2, SegmentCap: 1024, RetainFor: 500}, 12, "store.expired_segments")
-	})
 
 	t.Run("recovery", func(t *testing.T) {
 		be := store.NewMemBackend()
@@ -207,7 +205,7 @@ func TestMemoNeverStale(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := st.Append(memoRecord(i, 0)); err != nil {
+			if err := st.AppendBatch(memoRecord(i, 0)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -249,7 +247,7 @@ func TestMemoNeverStale(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 300; i++ {
-				if err := st.Append(memoRecord(i+base, base)); err != nil {
+				if err := st.AppendBatch(memoRecord(i+base, base)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -293,7 +291,7 @@ func TestMemoNeverStale(t *testing.T) {
 			t.Fatal(err)
 		}
 		flipped := bytes.Clone(data)
-		flipped[12] ^= 0x40 // inside the first block: its CRC fails, the tail still verifies
+		flipped[12] ^= 0x40 // inside the stream: its CRC fails, the tail still verifies
 		if err := be.Remove(victim); err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +312,7 @@ func TestMemoNeverStale(t *testing.T) {
 		memo := NewMemo(MemoCost, obs.NewRegistry())
 		for pass := 0; pass < 3; pass++ {
 			if _, _, err := Eval(openReader(t, be), aq, Options{Memo: memo, Store: "dir"}); err == nil {
-				t.Fatalf("pass %d: an Eval over a damaged block succeeded", pass)
+				t.Fatalf("pass %d: an Eval over a damaged stream succeeded", pass)
 			}
 			for k := range memo.tables {
 				if k.name == victim {
@@ -419,7 +417,7 @@ func TestMemoWarmEvalNoAlloc(t *testing.T) {
 		}
 		for s := 0; s < segments; s++ {
 			for i := 0; i < 40; i++ {
-				if err := st.Append(memoRecord(40*s+i, 0)); err != nil {
+				if err := st.AppendBatch(memoRecord(40*s+i, 0)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -211,7 +211,7 @@ func storeEvent(t *testing.T, st *store.Store, machine int, cpuTime int64, typ m
 		Names:  map[string]meter.Name{},
 	}
 	m := store.Meta{Machine: uint16(machine), Time: uint32(cpuTime), Type: uint32(typ), PID: uint32(pid)}
-	if err := st.Append(m, e.Format()); err != nil {
+	if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format())}}); err != nil {
 		t.Fatal(err)
 	}
 }

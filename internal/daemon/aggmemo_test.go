@@ -43,7 +43,8 @@ func storeMachine(t *testing.T, dir string, n int) (p *kernel.Process, m *kernel
 				Fields: map[string]uint64{"pid": uint64(100 + i%3), "sock": 3, "msgLength": uint64(i * 37 % 1000)},
 				Names:  map[string]meter.Name{},
 			}
-			if err := st.Append(store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: 1, PID: uint32(e.Fields["pid"])}, e.Format()); err != nil {
+			m := store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: 1, PID: uint32(e.Fields["pid"])}
+			if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format())}}); err != nil {
 				t.Error(err)
 			}
 		}

@@ -232,8 +232,8 @@ func (e *Engine) slot(b *Batch) *trace.Slots {
 // with, its counters on reg — exported so a benchmark of "the filter's
 // store" measures this and not a literal of its own. Segments a cpuTime
 // half-minute colder than the newest record roll into the archival
-// tier; records are never expired (RetainFor stays 0 — the flat log and
-// the store must answer identically).
+// tier; like the flat log, the store keeps every record, so the two
+// answer identically.
 func StoreConfig(reg *obs.Registry) store.Config {
 	return store.Config{Obs: reg, ArchiveAfter: 30_000}
 }

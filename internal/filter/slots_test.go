@@ -297,7 +297,7 @@ func TestStoreBytesWithAndWithoutSlots(t *testing.T) {
 	}
 	run := func(eng *Engine) (*store.MemBackend, map[string]int64) {
 		be, reg := store.NewMemBackend(), obs.NewRegistry()
-		st, err := store.Open(be, store.Config{Shards: 3, SegmentCap: 4 << 10, BlockTarget: 2 << 10, ArchiveAfter: 2000, Obs: reg})
+		st, err := store.Open(be, store.Config{Shards: 3, SegmentCap: 4 << 10, ArchiveAfter: 2000, Obs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}

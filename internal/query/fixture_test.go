@@ -55,3 +55,10 @@ func run(rd *store.Reader, q *Query, workers int) (*Result, error) {
 	}
 	return a.result(), nil
 }
+
+// AppendLine appends one record given as its line: AppendBatch of a
+// batch of one, for tests that write record by record. Exported for the
+// external tests of this directory.
+func AppendLine(st *store.Store, m store.Meta, line string) error {
+	return st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(line)}})
+}

@@ -166,7 +166,7 @@ func identityStore(t *testing.T, seed int64, cfg store.Config, tail bool) store.
 		case 11:
 			line = strings.ToLower(line)
 		}
-		if err := st.Append(m, line); err != nil {
+		if err := query.AppendLine(st, m, line); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -353,7 +353,7 @@ func shardRecs(t *testing.T, be store.Backend) (recs [][]store.Rec, unsealed int
 			if !rs.Sealed {
 				unsealed++
 			}
-			_, err := rs.ScanViews(d, nil, func(m store.Meta, v *trace.View, line []byte) {
+			_, err := rs.ScanViews(d, func(m store.Meta, v *trace.View, line []byte) {
 				if v != nil {
 					line = v.AppendLine(nil, nil)
 				}
@@ -380,7 +380,7 @@ func TestFixturesRecoverAndRewrite(t *testing.T) {
 		t.Fatalf("fixture: %d shards, %d segments unsealed; want 3 shards with an unsealed tail each", len(want), unsealed)
 	}
 	reg := obs.NewRegistry()
-	st, err := store.Open(be, store.Config{Shards: 3, SegmentCap: 1024, BlockTarget: 512, ArchiveAfter: 1500, Obs: reg})
+	st, err := store.Open(be, store.Config{Shards: 3, SegmentCap: 1024, ArchiveAfter: 1500, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,9 +444,7 @@ func TestFixturesRecoverAndRewrite(t *testing.T) {
 // TestFixturesRebuildByteIdentical pins the hot writer's bytes: each
 // layout of the checked-in v3 stores, rebuilt by identityStore with its
 // seed and configuration, is the layout's files (LoadFixture holds them
-// to the MANIFEST), name for name and byte for byte. cap2k+archives
-// holds too: its archives merge inputs rotated at SegmentCap, which is
-// the archive's block target, so a block ends where an input does.
+// to the MANIFEST), name for name and byte for byte, archives included.
 func TestFixturesRebuildByteIdentical(t *testing.T) {
 	files := func(be store.Backend) map[string]string {
 		listed, err := be.List()

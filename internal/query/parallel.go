@@ -30,11 +30,10 @@ import (
 // waits.
 
 // ScanSegment runs the record-selection tier over one segment: stored
-// lines are decoded through a pooled decoder (compressed segments
-// decompress only the blocks the query's envelope admits), parsed in
-// place into the worker's one trace.View, and matched against the full
-// rule semantics on it. A record whose own Meta — compared with each
-// rule's envelope as segment and block pruning compare an Index — falls
+// lines are decoded through a pooled decoder, parsed in place into the
+// worker's one trace.View, and matched against the full rule semantics
+// on it. A record whose own Meta — compared with each rule's envelope as
+// segment pruning compares an Index — falls
 // outside every one cannot match and is skipped before the parse. fn sees
 // the view of each matching record with its rule's shared discard set;
 // the view is only valid during the call, and a caller that ships the
@@ -43,15 +42,11 @@ import (
 // returned Stats is this segment's contribution (Scanned is 1).
 func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, discards map[string]bool)) (Stats, error) {
 	st := Stats{Scanned: 1}
-	admit := q.Admits
-	if q.NoPrune {
-		admit = nil
-	}
 	// One rule with an open envelope admits every record: no check then.
-	envelope := admit != nil && len(q.bounds) > 0 && !slices.Contains(q.bounds, openBounds)
+	envelope := !q.NoPrune && len(q.bounds) > 0 && !slices.Contains(q.bounds, openBounds)
 	d := store.AcquireDecoder()
 	v := viewPool.Get().(*trace.View)
-	ss, err := rs.ScanViews(d, admit, func(m store.Meta, rec *trace.View, line []byte) {
+	ss, err := rs.ScanViews(d, func(m store.Meta, rec *trace.View, line []byte) {
 		if envelope && !q.admitsMeta(m) {
 			st.Skipped++
 			return
@@ -77,7 +72,7 @@ func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, disc
 	v.Reset()
 	viewPool.Put(v)
 	store.ReleaseDecoder(d)
-	st.Records, st.Blocks, st.BlocksPruned = ss.Records, ss.Blocks, ss.BlocksPruned
+	st.Records, st.Blocks = ss.Records, ss.Streams
 	if err != nil && !errors.Is(err, store.ErrTruncated) {
 		return st, err
 	}

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sort"
 	"strings"
@@ -55,7 +57,7 @@ func buildRandomStore(t *testing.T, rng *rand.Rand, n int, cfg store.Config, uns
 			Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
 			Type: uint32(e.Type), PID: uint32(e.Fields["pid"]),
 		}
-		if err := st.Append(m, e.Format()); err != nil {
+		if err := AppendLine(st, m, e.Format()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,19 +257,21 @@ func TestParallelRunDeterminism(t *testing.T) {
 	}
 }
 
-// corruptBlock flips a byte inside one block of a sealed v2 segment, so
-// the footer still verifies and the damage surfaces only when the block
-// is decoded.
-func corruptBlock(t *testing.T, be store.Backend, rs *store.ReaderSegment, block int) {
+// corruptSegment damages a sealed segment so that its tail still
+// verifies and the damage surfaces only when the stream is decoded:
+// edit changes a copy of the file's bytes, tail the tail's bytes before
+// its CRC, which is then made to match them again.
+func corruptSegment(t *testing.T, be store.Backend, rs *store.ReaderSegment, edit func(data, tail []byte)) {
 	t.Helper()
 	data, err := be.Read(rs.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const headerV2Size = 8 // docs/formats.md: magic + version + flags
 	// Read lends the file's bytes: copy before writing.
 	data = append([]byte(nil), data...)
-	data[headerV2Size+rs.Blocks()[block].Off+1] ^= 0xff
+	tail := data[len(data)-store.TailSize:]
+	edit(data, tail[:len(tail)-4])
+	binary.LittleEndian.PutUint32(tail[len(tail)-4:], crc32.ChecksumIEEE(tail[:len(tail)-4]))
 	if err := be.Create(rs.Name, data); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +284,7 @@ func corruptBlock(t *testing.T, be store.Backend, rs *store.ReaderSegment, block
 // worker count and however the pool is scheduled.
 func TestRunCorruptSealedSegment(t *testing.T) {
 	be := buildRandomStore(t, rand.New(rand.NewSource(3)), 600, store.Config{
-		Shards: 2, SegmentCap: 4096, BlockTarget: 512}, false)
+		Shards: 2, SegmentCap: 4096}, false)
 	rd, err := store.OpenReader(be)
 	if err != nil {
 		t.Fatal(err)
@@ -291,13 +295,18 @@ func TestRunCorruptSealedSegment(t *testing.T) {
 	}
 	segs, _ := Admitted(rd, q)
 	first, last := segs[0], segs[len(segs)-1]
-	if len(segs) < 4 || len(first.Blocks()) < 2 {
-		t.Fatalf("fixture too small: %d segments, %d blocks in the first", len(segs), len(first.Blocks()))
+	if len(segs) < 4 {
+		t.Fatalf("fixture too small: %d segments", len(segs))
 	}
-	// The later segment breaks in block 0, the earlier one in block 1:
-	// the block number in the error says which segment was reported.
-	corruptBlock(t, be, last, 0)
-	corruptBlock(t, be, first, 1)
+	// The later segment's tail declares a payload a byte short, the
+	// earlier one's stream has a byte flipped: the error says which
+	// segment was reported. The declared payload length is the tail's
+	// second u32 after the magic, the version and the 40-byte index.
+	corruptSegment(t, be, last, func(_, tail []byte) {
+		n := binary.LittleEndian.Uint32(tail[52:])
+		binary.LittleEndian.PutUint32(tail[52:], n-1)
+	})
+	corruptSegment(t, be, first, func(data, _ []byte) { data[len(data)/2] ^= 0xff })
 	if rd, err = store.OpenReader(be); err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +316,8 @@ func TestRunCorruptSealedSegment(t *testing.T) {
 			if !errors.Is(err, store.ErrCorrupt) || res != nil {
 				t.Fatalf("workers=%d: res=%v err=%v, want nil result and ErrCorrupt", workers, res, err)
 			}
-			if !strings.Contains(err.Error(), "block 1") {
-				t.Fatalf("workers=%d rep=%d: reported %q, want the earliest segment's error (block 1)", workers, rep, err)
+			if !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("workers=%d rep=%d: reported %q, want the earliest segment's error (checksum mismatch)", workers, rep, err)
 			}
 		}
 	}

@@ -10,10 +10,9 @@
 // that any matching record must fall inside, and evaluation narrows by
 // it before it pays for the full rule:
 //
-//   - Segment, block, record. A sealed segment whose footer index meets
-//     no rule's envelope is skipped without a frame parsed; so is a
-//     compressed block by its zone map, undecoded; so is a record by its
-//     own Meta, its line unparsed.
+//   - Segment, record. A sealed segment whose tail's index meets no
+//     rule's envelope is skipped without a byte of its stream inflated;
+//     so is a record by its own Meta, its line unparsed.
 //   - Record selection. What remains is matched by the rules compiled to
 //     trace.FieldRefs, and each selected record's line is written from
 //     its view with the rule's '#' discards left out; the per-shard
@@ -278,8 +277,8 @@ type Stats struct {
 	Segments     int // segments in the store snapshot
 	Scanned      int // segments whose frames were parsed
 	Pruned       int // segments skipped on footer evidence alone
-	Blocks       int // blocks (or streams/frame runs) visited in scanned segments
-	BlocksPruned int // compressed blocks skipped on zone-map evidence
+	Blocks       int // DEFLATE streams inflated in scanned segments: a segment is one stream
+	BlocksPruned int // always 0: a segment has no blocks to prune; kept because bench/layers.go reads it
 	Records      int // records the decoder emitted in scanned segments
 	Skipped      int // records rejected on their Meta, before the parse
 	Parsed       int // records whose line was parsed: the ones not stored typed

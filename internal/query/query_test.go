@@ -40,7 +40,7 @@ func buildStore(t *testing.T, n int, cfg store.Config) (store.Backend, []trace.E
 			Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
 			Type: uint32(e.Type), PID: uint32(e.Fields["pid"]),
 		}
-		if err := st.Append(m, e.Format()); err != nil {
+		if err := AppendLine(st, m, e.Format()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +215,7 @@ func TestQueryUnsealedSegmentScanned(t *testing.T) {
 			Names:  map[string]meter.Name{},
 		}
 		m := store.Meta{Machine: 1, Time: uint32(i), Type: uint32(meter.EvSend), PID: 7}
-		if err := st.Append(m, e.Format()); err != nil {
+		if err := AppendLine(st, m, e.Format()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,7 +255,7 @@ func TestQueryBadLinesSkipped(t *testing.T) {
 		"  SEND machine=1\tcpuTime=9 procTime=0 odd=inet:3:2junk pid=2 ", // blanks, Sscanf's trailing junk
 		"SEND machine=1 cpuTime=10 procTime=0 pid=notanumber",
 	} {
-		if err := st.Append(store.Meta{Machine: 1, Time: uint32(5 + i), Type: 1, PID: 7}, line); err != nil {
+		if err := AppendLine(st, store.Meta{Machine: 1, Time: uint32(5 + i), Type: 1, PID: 7}, line); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +310,7 @@ func TestScanSkipsOnMeta(t *testing.T) {
 		cfg    store.Config
 		sealed bool
 	}{
-		{"v2", store.Config{Shards: 1, SegmentCap: 1 << 20, BlockTarget: 1 << 20}, true},
+		{"v2", store.Config{Shards: 1, SegmentCap: 1 << 20}, true},
 		{"v2-unsealed", store.Config{Shards: 1, SegmentCap: 1 << 20}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -329,7 +329,7 @@ func TestScanSkipsOnMeta(t *testing.T) {
 				if i%3 != 0 {
 					m.Machine, line = 2, "\x00 not a record \xff"
 				}
-				if err := st.Append(m, line); err != nil {
+				if err := AppendLine(st, m, line); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -449,7 +449,7 @@ func TestPooledViewPinsNothing(t *testing.T) {
 	}
 	// The last line is one only ParseOne reads, so the view ends on both.
 	for i, line := range []string{"SEND machine=1 cpuTime=1 procTime=0 pid=7", "SEND machine=1 cpuTime=2 procTime=0 pid=0x7"} {
-		if err := st.Append(store.Meta{Machine: 1, Time: uint32(1 + i), Type: 1, PID: 7}, line); err != nil {
+		if err := AppendLine(st, store.Meta{Machine: 1, Time: uint32(1 + i), Type: 1, PID: 7}, line); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := seq.Append(r.Meta, string(r.Line)); err != nil {
+		if err := seq.AppendLine(r.Meta, string(r.Line)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestAppendsCountWhatFlushesMadeDurable(t *testing.T) {
 		durable := 0
 		for _, segs := range rd.Shards() {
 			for _, rs := range segs {
-				got, err := rs.ScanViews(d, nil, func(Meta, *trace.View, []byte) {})
+				got, err := rs.ScanViews(d, func(Meta, *trace.View, []byte) {})
 				if err != nil {
 					t.Fatalf("allow %d: %s: %v", allow, rs.Name, err)
 				}
@@ -214,7 +214,7 @@ func TestAppendBatchOvershootsByOneRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := seq.Append(r.Meta, string(r.Line)); err != nil {
+		if err := seq.AppendLine(r.Meta, string(r.Line)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,46 +4,38 @@
 // segments compress far better than CRC-framed text if the encoder
 // exploits that structure before the byte-level compressor sees it:
 //
-//   - Records are grouped into *blocks* of ~BlockTarget (v1-equivalent)
-//     bytes. Each block is one independent DEFLATE stream, so a reader
-//     can decompress exactly the blocks a query admits.
-//   - Within a block, each record is its Meta — machine,
-//     zigzag(cpuTime delta), type, pid as varints — and then one of two
-//     shapes. A standard line (trace.View.ParseStandard) whose header
-//     is that Meta is stored *typed*: its fields as deltas against the
-//     last typed record of its event type (internal/trace/typed.go), so
-//     that a scan fills a view from them without building or parsing
-//     text. Any other line is stored as *text*, front-coded against the
-//     previous text line of the same type slot (shared prefix and suffix
-//     lengths plus a middle section). Either way the record decodes to
-//     exactly the bytes it was given: the typed shape is taken only
-//     when regenerating the line from the view reproduces it, or when
-//     the caller handed the record typed (BatchRec.Slots).
+//   - A segment's records are one DEFLATE stream.
+//   - Each record is its Meta — machine, zigzag(cpuTime delta), type,
+//     pid as varints — and then one of two shapes. A standard line
+//     (trace.View.ParseStandard) whose header is that Meta is stored
+//     *typed*: its fields as deltas against the last typed record of its
+//     event type (internal/trace/typed.go), so that a scan fills a view
+//     from them without building or parsing text. Any other line is
+//     stored as *text*, front-coded against the previous text line of
+//     the same type slot (shared prefix and suffix lengths plus a middle
+//     section). Either way the record decodes to exactly the bytes it was
+//     given: the typed shape is taken only when regenerating the line
+//     from the view reproduces it, or when the caller handed the record
+//     typed (BatchRec.Slots).
 //   - Middle sections encode through a per-segment shared-name
 //     dictionary: tokens (words, key= prefixes) that recur across
 //     records become one- or two-byte references. Definitions are
-//     carried in-stream (so an unsealed segment is self-describing for
-//     salvage) and repeated in the footer (so a sealed reader can
-//     decode any block without replaying the ones before it).
-//   - The sealed footer carries a per-block table — offset, compressed
-//     and raw lengths, a CRC over the compressed bytes, and a zone map
-//     (the same Index the tail carries for the segment, per block) — so
-//     internal/query prunes at block granularity, not just whole
-//     segments.
+//     carried in the stream where a token is first used, so a reader
+//     grows the dictionary as it decodes, sealed or not.
+//   - A sealed segment ends in a fixed-size tail: the segment's Index,
+//     which internal/query prunes whole segments by, the stream's
+//     lengths and a CRC over its bytes.
 //
 // Durability is per flush: every flush ends with a DEFLATE sync
 // marker, so everything a backend Append carried is decodable even if
-// the writer dies before sealing; the block boundaries of a torn
-// segment are recovered by walking the concatenated streams (a
-// bytes.Reader hands DEFLATE exactly the bytes it needs, so stream
-// ends land on stream starts).
+// the writer dies before sealing, and a torn segment salvages the
+// records its stream yields before the tear.
 //
 // File layout:
 //
-//	[8B header: "DPMZ" + payload version u32 1 (segHeader)]
-//	[block 0: one DEFLATE stream][block 1] ... [block n-1]
-//	[footer body: dictionary entries + block table, varint encoded]
-//	[72B footer tail: "DPMS" + version u32 2, segment index, lengths, CRCs]
+//	[8B header: "DPMZ" + payload version u32 2 (segHeader)]
+//	[one DEFLATE stream]
+//	[68B tail: "DPMS" + version u32 3, segment index, lengths, CRCs]
 //
 // A file whose first 8 bytes are any other is not read, salvaged or
 // rewritten: Open, OpenReader and ScanViews refuse it with ErrFormat
@@ -76,22 +68,18 @@ const CompressBlocks CompressMode = 1
 
 const (
 	// segHeader opens every segment file: the magic and, little-endian,
-	// the payload version 1 — each record of a block says whether it is
-	// typed or text. The V2 of the names below is the container's, which
-	// came with the second format.
-	segHeader    = "DPMZ\x01\x00\x00\x00"
-	headerV2Size = len(segHeader)
+	// the payload version 2 — one stream, each record typed or text.
+	// Version 1 split a segment into blocks; its files are refused.
+	segHeader  = "DPMZ\x02\x00\x00\x00"
+	headerSize = len(segHeader)
 
-	footerMagic     = "DPMS"
-	footerVersionV2 = 2
+	tailMagic   = "DPMS"
+	tailVersion = 3
 
-	// FooterV2Size is the fixed tail of a sealed segment; the
-	// variable-length footer body (dictionary + block table) precedes it.
-	FooterV2Size = 72
-
-	// DefaultBlockTarget is the v1-equivalent byte size at which a block
-	// closes and the next DEFLATE stream starts.
-	DefaultBlockTarget = 64 << 10
+	// TailSize is the fixed tail that ends a sealed segment: the magic,
+	// the version, the Index, then the data length, the payload length,
+	// the raw total, the stream's CRC and the tail's own, a u32 each.
+	TailSize = 68
 
 	// nameSlots is the number of previous-line slots used for
 	// front-coding, keyed by Type%nameSlots: consecutive records of the
@@ -104,9 +92,14 @@ const (
 	minDictToken   = 2
 	maxDictToken   = 48
 
-	// maxBlockRaw bounds a block's declared decoded size; larger values
-	// in a footer are corruption, not data.
-	maxBlockRaw = 1 << 26
+	// maxStreamRaw bounds a segment's decoded payload: a stream that
+	// inflates past it, or a tail that declares more, is corruption, not
+	// data. maxSegmentBytes, the v1-equivalent size no rotation or merge
+	// takes a segment past by more than one record, keeps what a store
+	// writes well inside it: a record's payload is about its FrameSize or
+	// smaller.
+	maxStreamRaw    = 1 << 26
+	maxSegmentBytes = 1 << 24
 )
 
 // Middle-section opcodes. Values >= opRefBase are dictionary
@@ -118,44 +111,25 @@ const (
 	opRefBase = 3
 )
 
-// BlockInfo describes one block of a sealed segment.
-type BlockInfo struct {
-	// Off is the block's byte offset from the end of the file header;
-	// CompLen its compressed length; RawLen its decoded payload length.
-	Off, CompLen, RawLen int
-	// CRC is the IEEE CRC over the compressed bytes.
-	CRC uint32
-	// Index is the block's zone map: the same conservative summary the
-	// footer tail carries for the whole segment, scoped to this block.
-	Index Index
-}
-
-// footerV2 is a sealed segment's footer. parseFooterV2 fills the
-// fixed tail's fields, which are all that admitting or pruning the
-// segment needs; Dict and Blocks are the variable-length body, decoded
-// by decodeBody when the segment is actually scanned.
-type footerV2 struct {
+// tail is a sealed segment's fixed-size tail, parsed.
+type tail struct {
 	Index    Index
-	DataLen  int // header + block bytes; the footer body starts here
-	RawTotal int // v1-equivalent bytes of the whole segment
-
-	bodyLen    int
-	blockCount int
-
-	Dict   [][]byte
-	Blocks []BlockInfo
+	DataLen  int    // header + stream bytes; the tail starts here
+	RawLen   int    // the stream's decoded payload bytes
+	RawTotal int    // v1-equivalent bytes of the whole segment
+	CRC      uint32 // IEEE CRC over the stream's bytes
 }
 
 // compSink accumulates the writer's DEFLATE output pending a backend
-// append, with the CRC of the current block's bytes: summed when asked
-// for, over everything written since — a flate.Writer hands its output
-// over in pieces of a few bytes, and a checksum of those costs several
-// times one of the whole.
+// append, with the CRC of the stream's bytes: summed when asked for, over
+// everything written since — a flate.Writer hands its output over in
+// pieces of a few bytes, and a checksum of those costs several times one
+// of the whole.
 type compSink struct {
 	buf   []byte
 	crc   uint32
 	crcAt int // buf[crcAt:] is not in crc yet
-	total int // block-region bytes emitted so far (header excluded)
+	total int // stream bytes emitted so far (header excluded)
 }
 
 func (cs *compSink) Write(p []byte) (int, error) {
@@ -164,7 +138,7 @@ func (cs *compSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// sum brings the block CRC up to date and returns it.
+// sum brings the stream CRC up to date and returns it.
 func (cs *compSink) sum() uint32 {
 	cs.crc = crc32.Update(cs.crc, crc32.IEEETable, cs.buf[cs.crcAt:])
 	cs.crcAt = len(cs.buf)
@@ -215,8 +189,6 @@ func (sw storedWriter) Reset(io.Writer) {}
 // DEFLATE stream at flush time, so compression cost is paid
 // incrementally on the ingest path instead of as a seal-time rewrite.
 type compWriter struct {
-	target int
-
 	sink compSink
 	fw   deflater
 
@@ -227,35 +199,19 @@ type compWriter struct {
 	stagedV1 int
 	stagedN  int
 
-	// Current block accumulation (flushed records only).
-	curIdx Index
-	curOff int
-	curRaw int // decoded payload bytes written this block
-	curV1  int // v1-equivalent bytes written this block
+	rawLen int // decoded payload bytes written to the stream
 
-	blocks []blockMeta
-
-	dictIDs     map[string]int
-	dictEntries [][]byte
+	dictIDs map[string]int // the segment's dictionary: token to id
 
 	prev     [nameSlots][]byte
 	prevTime uint32
 
 	// The typed shape: the view every staged line is parsed into, or
 	// pointed at a caller's slots, the state typed records are deltas
-	// against (reset with prev), and how many records of the segment took
-	// each shape.
+	// against, and how many records of the segment took each shape.
 	view          trace.View
 	typed         trace.TypedState
 	nTyped, nText int
-
-	lineBuf []byte // string→[]byte staging for the single-record path
-}
-
-type blockMeta struct {
-	off, compLen, rawLen int
-	crc                  uint32
-	idx                  Index
 }
 
 // newCompWriter builds the hot tier's encoder, which writes stored
@@ -266,50 +222,40 @@ type blockMeta struct {
 // costs ~3x the whole ingest path. Stored blocks (storedWriter) keep
 // the sync-marker durability contract for free; the archival tier
 // re-encodes cold segments at archiveLevel.
-func newCompWriter(target int) *compWriter {
-	if target <= 0 {
-		target = DefaultBlockTarget
-	}
-	w := &compWriter{target: target}
+func newCompWriter() *compWriter {
+	w := &compWriter{}
 	w.fw = storedWriter{&w.sink}
 	return w
 }
 
 // archiveEncoders holds the cold tier's encoders, which DEFLATE at
-// archiveLevel; the run being archived sets the block target. A
-// flate.Writer above level 1 is about a megabyte of hash chains and
-// window that Reset reuses whole, once per block (flushStaged), and
-// shards of every store in the process archive at the same level, so a
-// warm encoder serves a run without allocating. Each is weighed at that
-// megabyte and its buffers.
+// archiveLevel. A flate.Writer above level 1 is about a megabyte of hash
+// chains and window that Reset reuses whole, once per segment
+// (openSegment), and shards of every store in the process archive at the
+// same level, so a warm encoder serves a run without allocating. Each is
+// weighed at that megabyte and its buffers.
 var archiveEncoders = &obs.FreeList[*compWriter]{Name: "encoders", Count: 8, Bytes: 16 << 20,
 	Size: func(w *compWriter) int { return 1<<20 + cap(w.sink.buf) + cap(w.enc) },
 	New: func(int) *compWriter {
-		w := newCompWriter(0)
+		w := newCompWriter()
 		w.fw, _ = flate.NewWriter(&w.sink, archiveLevel) // the level is a valid constant
 		return w
 	}}
 
-// openSegment resets the writer for a fresh segment and stages the
-// file header.
+// openSegment resets the writer for a fresh segment, stages the file
+// header and starts the segment's DEFLATE stream.
 func (w *compWriter) openSegment() {
 	w.sink.buf = append(w.sink.buf[:0], segHeader...)
 	w.sink.crc, w.sink.crcAt, w.sink.total = 0, len(w.sink.buf), 0
+	w.fw.Reset(&w.sink)
 	w.nTyped, w.nText = 0, 0
 	w.enc = w.enc[:0]
-	w.stagedV1, w.stagedN = 0, 0
-	w.curIdx, w.curOff, w.curRaw, w.curV1 = Index{}, 0, 0, 0
-	w.blocks = w.blocks[:0]
+	w.stagedV1, w.stagedN, w.rawLen = 0, 0, 0
 	if w.dictIDs == nil {
 		w.dictIDs = make(map[string]int)
 	} else {
 		clear(w.dictIDs)
 	}
-	w.dictEntries = w.dictEntries[:0]
-	w.resetBlockCoding()
-}
-
-func (w *compWriter) resetBlockCoding() {
 	for i := range w.prev {
 		w.prev[i] = w.prev[i][:0]
 	}
@@ -317,35 +263,11 @@ func (w *compWriter) resetBlockCoding() {
 	w.typed = trace.TypedState{}
 }
 
-// closeBlock finishes the current DEFLATE stream and records the
-// block's table entry. No-op on an empty block.
-func (w *compWriter) closeBlock() error {
-	if w.curRaw == 0 {
-		return nil
-	}
-	if err := w.fw.Close(); err != nil {
-		return err
-	}
-	w.blocks = append(w.blocks, blockMeta{
-		off: w.curOff, compLen: w.sink.total - w.curOff,
-		rawLen: w.curRaw, crc: w.sink.sum(), idx: w.curIdx,
-	})
-	w.curOff = w.sink.total
-	w.curRaw, w.curV1 = 0, 0
-	w.curIdx = Index{}
-	w.sink.crc = 0
-	w.resetBlockCoding()
-	return nil
-}
-
 // stage encodes one record into the staging buffer, as shape picks it,
 // and accounts it at its line's v1-equivalent size.
-func (w *compWriter) stage(m Meta, line []byte, s *trace.Slots) error {
-	if err := w.stageAs(m, w.shape(m, line, s), line); err != nil {
-		return err
-	}
+func (w *compWriter) stage(m Meta, line []byte, s *trace.Slots) {
+	w.stageAs(m, w.shape(m, line, s), line)
 	w.stagedV1 += FrameSize(len(line))
-	return nil
 }
 
 // shape settles how a record is staged: typed from s (BatchRec.Slots),
@@ -366,14 +288,8 @@ func (w *compWriter) shape(m Meta, line []byte, s *trace.Slots) *trace.View {
 // stageAs stages a record whose shape is settled: its Meta, then typed
 // from v — shape's view, or one a decoder read from a typed record, with
 // nothing to prove again — or, with no view, the line as text. It
-// accounts no size; its callers do. The block boundary is checked only
-// when nothing is staged, so both ends agree where coding state resets.
-func (w *compWriter) stageAs(m Meta, v *trace.View, line []byte) error {
-	if w.stagedN == 0 && w.curV1 >= w.target {
-		if err := w.closeBlock(); err != nil {
-			return err
-		}
-	}
+// accounts no size; its callers do.
+func (w *compWriter) stageAs(m Meta, v *trace.View, line []byte) {
 	e := w.enc
 	e = binary.AppendUvarint(e, uint64(m.Machine))
 	e = binary.AppendUvarint(e, obs.Zigzag(int64(m.Time)-int64(w.prevTime)))
@@ -389,7 +305,6 @@ func (w *compWriter) stageAs(m Meta, v *trace.View, line []byte) error {
 	}
 	w.enc = e
 	w.stagedN++
-	return nil
 }
 
 // appendText appends the text shape of a line: front-coded against the
@@ -460,16 +375,14 @@ func (w *compWriter) encodeTokens(e []byte, mid []byte) []byte {
 			lit = end
 			return
 		}
-		if len(w.dictEntries) >= maxDictEntries {
+		if len(w.dictIDs) >= maxDictEntries {
 			return
 		}
-		cp := append([]byte(nil), tok...)
-		w.dictIDs[string(cp)] = len(w.dictEntries)
-		w.dictEntries = append(w.dictEntries, cp)
+		w.dictIDs[string(tok)] = len(w.dictIDs)
 		flushLit(start)
 		e = append(e, opDef)
-		e = binary.AppendUvarint(e, uint64(len(cp)))
-		e = append(e, cp...)
+		e = binary.AppendUvarint(e, uint64(len(tok)))
+		e = append(e, tok...)
 		lit = end
 	}
 	i := 0
@@ -495,19 +408,13 @@ func (w *compWriter) encodeTokens(e []byte, mid []byte) []byte {
 	return e
 }
 
-// flushStaged pushes the staged payload through the DEFLATE stream,
-// which a block's first bytes start (its one Reset); with sync it ends
-// on a sync marker so the bytes now in the sink form a decodable prefix.
-// The caller owns writing sink.buf to the backend and folding the
-// pending metadata into the block/segment indexes.
+// flushStaged pushes the staged payload through the DEFLATE stream; with
+// sync it ends on a sync marker so the bytes now in the sink form a
+// decodable prefix. The caller owns writing sink.buf to the backend and
+// folding the pending metadata into the segment's index.
 func (w *compWriter) flushStaged(sync bool) error {
-	if len(w.enc) > 0 {
-		if w.curRaw == 0 {
-			w.fw.Reset(&w.sink)
-		}
-		if _, err := w.fw.Write(w.enc); err != nil {
-			return err
-		}
+	if _, err := w.fw.Write(w.enc); err != nil {
+		return err
 	}
 	if sync {
 		if err := w.fw.Flush(); err != nil {
@@ -515,185 +422,92 @@ func (w *compWriter) flushStaged(sync bool) error {
 		}
 	}
 	w.sink.sum()
-	w.curRaw += len(w.enc)
-	w.curV1 += w.stagedV1
+	w.rawLen += len(w.enc)
 	w.enc = w.enc[:0]
 	w.stagedV1, w.stagedN = 0, 0
 	return nil
 }
 
-// foldMeta folds one flushed record's metadata into the current
-// block's zone map.
-func (w *compWriter) foldMeta(m Meta) { w.curIdx.Add(m) }
-
 // add is the per-record step of every offline encode — recovery,
 // compaction, archival — where nothing need be decodable before the
 // seal: the record, as a scan hands it over, is staged — one that was
 // stored typed as its view, unfilled, with no line built, parsed or
-// measured — and folded into its block's zone map. It accounts no size:
-// endInput accounts the whole input at once.
-func (w *compWriter) add(m Meta, v *trace.View, line []byte) error {
+// measured. It accounts no size: a rewrite sizes each input whole.
+func (w *compWriter) add(m Meta, v *trace.View, line []byte) {
 	if v == nil {
 		v = w.shape(m, line, nil)
 	}
-	if err := w.stageAs(m, v, line); err != nil {
-		return err
-	}
-	w.foldMeta(m)
-	return nil
+	w.stageAs(m, v, line)
 }
 
-// endInput accounts the records added since the last call — one input of
-// a rewrite, scanned whole — at n v1-equivalent bytes, the size the
-// input was recorded at, and sends a block's worth of staged payload
-// through DEFLATE in one write. The block then closes as the next input's
-// first record is staged (stageAs): blocks break only between inputs.
-func (w *compWriter) endInput(n int) error {
-	w.stagedV1 += n
-	if w.curV1+w.stagedV1 >= w.target {
-		return w.flushStaged(false)
-	}
-	return nil
-}
-
-// seal pushes anything still staged, closes the open block and returns
-// the remaining unwritten bytes of the segment — pending block output
-// plus the footer — and the total on-disk size of the sealed file. The
-// bytes are the writer's own buffer, reused by the next segment: the
-// caller hands them to the backend (which copies) and keeps nothing.
+// seal pushes anything still staged, ends the stream and returns the
+// remaining unwritten bytes of the segment — pending stream output plus
+// the tail — and the total on-disk size of the sealed file. The bytes
+// are the writer's own buffer, reused by the next segment: the caller
+// hands them to the backend (which copies) and keeps nothing.
 func (w *compWriter) seal(x Index, rawTotal int) ([]byte, int, error) {
 	if err := w.flushStaged(false); err != nil {
 		return nil, 0, err
 	}
-	if err := w.closeBlock(); err != nil {
+	if err := w.fw.Close(); err != nil {
 		return nil, 0, err
 	}
-	dataLen, pending := headerV2Size+w.sink.total, len(w.sink.buf)
-	out := appendFooterV2(w.sink.buf, x, uint32(dataLen), uint32(rawTotal), w.dictEntries, w.blocks)
+	dataLen, pending := headerSize+w.sink.total, len(w.sink.buf)
+	out := appendTail(w.sink.buf, tail{Index: x, DataLen: dataLen, RawLen: w.rawLen, RawTotal: rawTotal, CRC: w.sink.sum()})
 	w.sink.buf = out
 	w.sink.drained()
 	w.view.Reset() // it aliases the last line staged
 	return out, dataLen + len(out) - pending, nil
 }
 
-// appendFooterV2 appends the footer body (dictionary + block table)
-// and the fixed tail.
-func appendFooterV2(dst []byte, x Index, dataLen, rawTotal uint32, dict [][]byte, blocks []blockMeta) []byte {
+// appendTail appends a sealed segment's tail, whose last field is the CRC
+// of the others.
+func appendTail(dst []byte, t tail) []byte {
 	le := binary.LittleEndian
-	bodyStart := len(dst)
-	dst = binary.AppendUvarint(dst, uint64(len(dict)))
-	for _, e := range dict {
-		dst = binary.AppendUvarint(dst, uint64(len(e)))
-		dst = append(dst, e...)
-	}
-	for _, b := range blocks {
-		dst = binary.AppendUvarint(dst, uint64(b.off))
-		dst = binary.AppendUvarint(dst, uint64(b.compLen))
-		dst = binary.AppendUvarint(dst, uint64(b.rawLen))
-		dst = le.AppendUint32(dst, b.crc)
-		dst = binary.AppendUvarint(dst, uint64(b.idx.Count))
-		dst = binary.AppendUvarint(dst, b.idx.MinTime)
-		dst = binary.AppendUvarint(dst, b.idx.MaxTime)
-		dst = le.AppendUint64(dst, b.idx.Machines)
-		dst = le.AppendUint64(dst, b.idx.PIDs)
-		dst = le.AppendUint32(dst, b.idx.Types)
-	}
-	tail, bodyCRC := len(dst), crc32.ChecksumIEEE(dst[bodyStart:])
-	dst = le.AppendUint32(append(dst, footerMagic...), footerVersionV2)
-	dst = appendIndex(dst, x)
-	for _, v := range [...]uint32{dataLen, uint32(tail - bodyStart), uint32(len(blocks)), rawTotal, bodyCRC} {
+	start := len(dst)
+	dst = le.AppendUint32(append(dst, tailMagic...), tailVersion)
+	dst = appendIndex(dst, t.Index)
+	for _, v := range [...]uint32{uint32(t.DataLen), uint32(t.RawLen), uint32(t.RawTotal), t.CRC} {
 		dst = le.AppendUint32(dst, v)
 	}
-	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[tail:]))
+	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
-// parseFooterV2 examines a segment file for a valid footer tail: the
-// tail's own CRC, the length equation that places header, blocks, body
-// and tail in the file, and the CRC of the body. It reads nothing
-// before the body and decodes none of it. ok=false means "not a sealed
-// segment" — unsealed, or a mangled footer, which degrades to stream
-// salvage.
-func parseFooterV2(data []byte) (f footerV2, ok bool) {
-	if len(data) < headerV2Size+FooterV2Size || string(data[:headerV2Size]) != segHeader {
-		return footerV2{}, false
+// parseTail examines a segment file for a valid tail: its own CRC, the
+// data length that places it at the end of the file, and a declared
+// payload within maxStreamRaw. It reads nothing before the tail.
+// ok=false means "not a sealed segment" — unsealed, or a mangled tail,
+// which degrades to stream salvage.
+func parseTail(data []byte) (t tail, ok bool) {
+	if len(data) < headerSize+TailSize || string(data[:headerSize]) != segHeader {
+		return tail{}, false
 	}
-	t := data[len(data)-FooterV2Size:]
-	c := obs.NewCursor(t, ErrCorrupt)
-	if string(c.Take(4)) != footerMagic || c.U32() != footerVersionV2 {
-		return footerV2{}, false
+	b := data[len(data)-TailSize:]
+	c := obs.NewCursor(b, ErrCorrupt)
+	if string(c.Take(4)) != tailMagic || c.U32() != tailVersion {
+		return tail{}, false
 	}
-	f.Index = readIndex(&c)
-	f.DataLen, f.bodyLen, f.blockCount, f.RawTotal = int(c.U32()), int(c.U32()), int(c.U32()), int(c.U32())
-	bodyCRC, tailCRC := c.U32(), c.U32()
-	if tailCRC != crc32.ChecksumIEEE(t[:FooterV2Size-4]) ||
-		f.DataLen < headerV2Size || f.DataLen+f.bodyLen+FooterV2Size != len(data) ||
-		crc32.ChecksumIEEE(data[f.DataLen:f.DataLen+f.bodyLen]) != bodyCRC {
-		return footerV2{}, false
+	t.Index = readIndex(&c)
+	t.DataLen, t.RawLen, t.RawTotal, t.CRC = int(c.U32()), int(c.U32()), int(c.U32()), c.U32()
+	if c.U32() != crc32.ChecksumIEEE(b[:TailSize-4]) || t.DataLen != len(data)-TailSize || t.RawLen > maxStreamRaw {
+		return tail{}, false
 	}
-	return f, true
+	return t, true
 }
 
-// decodeBody decodes the footer body of data, the file parseFooterV2
-// took f from, into f.Dict (aliasing data) and f.Blocks. Any
-// malformation fails the decode rather than risking a bad table: the
-// body's CRC lives in the file, so a crafted body passes it, and the
-// caller degrades the segment to stream salvage.
-func (f *footerV2) decodeBody(data []byte) bool {
-	c := obs.NewCursor(data[f.DataLen:f.DataLen+f.bodyLen], ErrCorrupt)
-	nd := c.Uvarint()
-	if nd > maxDictEntries {
-		return false
-	}
-	dict := make([][]byte, 0, nd)
-	for range nd {
-		l := c.Uvarint()
-		if l > maxDictToken {
-			return false
-		}
-		dict = append(dict, c.Take(int(l)))
-	}
-	// A table entry takes at least 30 bytes, so a count beyond the bytes
-	// left fails here, before it sizes an allocation.
-	if f.blockCount < 0 || f.blockCount > c.Remaining() {
-		return false
-	}
-	region := f.DataLen - headerV2Size
-	blocks := make([]BlockInfo, f.blockCount)
-	for i := range blocks {
-		b := &blocks[i]
-		b.Off, b.CompLen, b.RawLen, b.CRC = int(c.Uvarint()), int(c.Uvarint()), int(c.Uvarint()), c.U32()
-		b.Index = Index{Count: uint32(c.Uvarint()), MinTime: c.Uvarint(), MaxTime: c.Uvarint(), Machines: c.U64(), PIDs: c.U64(), Types: c.U32()}
-		// Off is bounded before the subtraction so the block-extent test
-		// is overflow-free — a crafted table passes the footer CRCs (they
-		// live in the file), so a wrapped Off+CompLen sum would otherwise
-		// reach the region slicing in ScanViews. A varint of 2^63 or more
-		// is a negative int here.
-		if b.Off < 0 || b.CompLen < 0 || b.Off > region || b.CompLen > region-b.Off ||
-			b.RawLen <= 0 || b.RawLen > maxBlockRaw {
-			return false
-		}
-	}
-	if c.Err() != nil || c.Remaining() != 0 {
-		return false
-	}
-	f.Dict, f.Blocks = dict, blocks
-	return true
-}
-
-// Decoder decompresses and decodes blocks through reused buffers: a
-// warmed decoder allocates nothing per block. Decoders are not safe
+// Decoder decompresses and decodes segments through reused buffers: a
+// warmed decoder allocates nothing per segment. Decoders are not safe
 // for concurrent use; Acquire one per goroutine.
 type Decoder struct {
-	br       bytes.Reader
-	zr       io.ReadCloser
-	zres     flate.Resetter
-	raw      []byte
-	line     []byte
-	one      [1]byte // over-read probe; a field so it never escapes
-	prev     [nameSlots][]byte
-	dict     [][]byte
-	dictBuf  [][]byte // decoder-owned grow-mode backing array; see decodeStreams
-	growDict bool
+	br   bytes.Reader
+	zr   io.ReadCloser
+	zres flate.Resetter
+	raw  []byte
+	line []byte
+	prev [nameSlots][]byte
+	// dict is the dictionary the stream has defined so far, its entries
+	// aliasing raw.
+	dict [][]byte
 
 	// A typed record is decoded into view, against typed, and nTyped
 	// counts them.
@@ -736,95 +550,17 @@ func newDecoder() *Decoder {
 	return d
 }
 
-func (d *Decoder) resetBlockCoding() {
-	for i := range d.prev {
-		d.prev[i] = d.prev[i][:0]
-	}
-	d.typed = trace.TypedState{}
-}
-
-// decodeBlock decompresses one sealed block (checking its CRC and
-// declared raw length) and emits its records. What fn is passed is
-// reused; callers must copy what they keep.
-func (d *Decoder) decodeBlock(comp []byte, rawLen int, crc uint32, dict [][]byte, fn scanFn) (int, error) {
-	if crc32.ChecksumIEEE(comp) != crc {
-		return 0, fmt.Errorf("block checksum mismatch")
-	}
-	if rawLen <= 0 || rawLen > maxBlockRaw {
-		return 0, fmt.Errorf("bad block raw length %d", rawLen)
-	}
-	d.br.Reset(comp)
+// inflate decompresses a segment's one DEFLATE stream into the reused
+// raw buffer and returns what it yields. The error is io.ErrUnexpectedEOF
+// when the stream stops without its final block — a segment never sealed,
+// or torn — and non-nil too when it is malformed, inflates past
+// maxStreamRaw or is followed by more bytes; the bytes returned are still
+// the stream's decodable prefix.
+func (d *Decoder) inflate(stream []byte) ([]byte, error) {
+	d.br.Reset(stream)
 	if err := d.zres.Reset(&d.br, nil); err != nil {
-		return 0, err
+		return nil, err
 	}
-	if cap(d.raw) < rawLen {
-		d.raw = make([]byte, rawLen)
-	}
-	raw := d.raw[:rawLen]
-	if _, err := io.ReadFull(d.zr, raw); err != nil {
-		return 0, fmt.Errorf("block decompress: %v", err)
-	}
-	if n, err := d.zr.Read(d.one[:]); n != 0 || (err != nil && err != io.EOF) {
-		return 0, fmt.Errorf("block longer than declared")
-	}
-	d.dict, d.growDict = dict, false
-	d.resetBlockCoding()
-	n, consumed, err := d.decodeRecords(raw, fn)
-	if err == nil && consumed != len(raw) {
-		err = fmt.Errorf("%d trailing bytes in block payload", len(raw)-consumed)
-	}
-	return n, err
-}
-
-// decodeStreams walks the concatenated DEFLATE streams of an unsealed
-// segment (everything after the file header), growing the
-// dictionary from in-stream definitions, and emits every cleanly
-// decodable record. A torn tail — a stream or record cut mid-write —
-// returns the count emitted so far with a non-nil error describing the
-// tear; the records already emitted are the recoverable prefix.
-func (d *Decoder) decodeStreams(data []byte, fn scanFn) (int, int, error) {
-	d.br.Reset(data)
-	// Grow into the decoder-OWNED backing array, never into whatever
-	// d.dict last aliased: after a sealed-block decode it points at a
-	// segment's shared footer dictionary, and appending through it
-	// would overwrite entries that concurrent scans of that segment
-	// are still reading.
-	d.dict = d.dictBuf[:0]
-	d.growDict = true
-	total, streams := 0, 0
-	for d.br.Len() > 0 {
-		if err := d.zres.Reset(&d.br, nil); err != nil {
-			return total, streams, err
-		}
-		raw, rerr := d.readStream()
-		streams++
-		d.resetBlockCoding()
-		n, consumed, derr := d.decodeRecords(raw, fn)
-		d.dictBuf = d.dict[:0] // retain capacity grown inside decodeRecords
-		total += n
-		if derr != nil {
-			return total, streams, derr
-		}
-		if consumed != len(raw) {
-			return total, streams, fmt.Errorf("%d trailing bytes in stream %d", len(raw)-consumed, streams-1)
-		}
-		if rerr != nil {
-			// The stream itself tore (no terminator): everything it
-			// yielded decoded cleanly, but nothing can follow it.
-			if d.br.Len() > 0 {
-				return total, streams, rerr
-			}
-			return total, streams, nil
-		}
-	}
-	return total, streams, nil
-}
-
-// readStream drains the current DEFLATE stream into the reused raw
-// buffer. err is non-nil when the stream ends without a terminator (a
-// torn tail); the returned bytes are still the stream's decodable
-// prefix.
-func (d *Decoder) readStream() ([]byte, error) {
 	raw := d.raw[:0]
 	for {
 		if len(raw) == cap(raw) {
@@ -832,22 +568,21 @@ func (d *Decoder) readStream() ([]byte, error) {
 		}
 		n, err := d.zr.Read(raw[len(raw):cap(raw)])
 		raw = raw[:len(raw)+n]
-		if err == io.EOF {
-			d.raw = raw
+		d.raw = raw
+		switch {
+		case len(raw) > maxStreamRaw:
+			return raw, fmt.Errorf("stream exceeds %d decoded bytes", maxStreamRaw)
+		case err == io.EOF && d.br.Len() > 0:
+			return raw, fmt.Errorf("%d bytes after the stream", d.br.Len())
+		case err == io.EOF:
 			return raw, nil
-		}
-		if err != nil {
-			d.raw = raw
+		case err != nil:
 			return raw, err
-		}
-		if len(raw) > maxBlockRaw {
-			d.raw = raw
-			return raw, fmt.Errorf("stream exceeds %d decoded bytes", maxBlockRaw)
 		}
 	}
 }
 
-// A block record the decoder cannot read fails with errRecord, and one
+// A record the decoder cannot read fails with errRecord, and one
 // whose front-coding reaches outside the line before it with
 // errFrontCoding inside that: the scan reports either as ErrCorrupt or
 // ErrTruncated.
@@ -856,10 +591,15 @@ var (
 	errFrontCoding = errors.New("front-coding overrun")
 )
 
-// decodeRecords decodes the records of one block payload, emitting
-// each through fn. It returns the number emitted and the bytes
-// consumed; a malformed record stops the decode at its start.
-func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, int, error) {
+// decodeRecords decodes the records of a segment's payload, emitting
+// each through fn, and returns the number emitted; a malformed record
+// stops the decode at its start.
+func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, error) {
+	for i := range d.prev {
+		d.prev[i] = d.prev[i][:0]
+	}
+	d.typed = trace.TypedState{}
+	d.dict = d.dict[:0]
 	c := obs.NewCursor(raw, errRecord)
 	var prevTime int64
 	emitted := 0
@@ -883,7 +623,7 @@ func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, int, error) {
 			d.decodeText(&c, slot)
 		}
 		if err := c.Err(); err != nil {
-			return emitted, start, fmt.Errorf("%v at payload offset %d", err, start)
+			return emitted, fmt.Errorf("%v at payload offset %d", err, start)
 		}
 		if typed {
 			fn(m, &d.view, nil)
@@ -893,7 +633,7 @@ func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, int, error) {
 		}
 		emitted++
 	}
-	return emitted, len(raw), nil
+	return emitted, nil
 }
 
 // decodeText reads the text shape at c — a line front-coded against the
@@ -908,14 +648,12 @@ func (d *Decoder) decodeText(c *obs.Cursor, slot int) {
 		switch id := op - opRefBase; { // unsigned: an opcode past int's range must not wrap below zero
 		case op == opLit || op == opDef:
 			b = c.Take(int(c.Uvarint()))
-			// With a preloaded (footer) dictionary the entry is already
-			// present; the definition just emits.
-			if op == opDef && d.growDict {
+			if op == opDef {
 				if len(d.dict) >= maxDictEntries || len(b) < minDictToken || len(b) > maxDictToken {
 					c.Fail("bad dictionary definition")
 					return
 				}
-				d.dict = append(d.dict, append([]byte(nil), b...))
+				d.dict = append(d.dict, b)
 			}
 		case id < uint64(len(d.dict)):
 			b = d.dict[id]
@@ -944,85 +682,65 @@ func (d *Decoder) decodeText(c *obs.Cursor, slot int) {
 
 // ScanStats reports what one segment scan did.
 type ScanStats struct {
-	Blocks       int // blocks (or, unsealed, streams) visited
-	BlocksPruned int // blocks skipped on zone-map evidence
-	Records      int // records emitted
-	Typed        int // of those, the ones stored in the typed shape
+	Streams int // DEFLATE streams inflated: 1, or 0 for a file torn in its header
+	Records int // records emitted
+	Typed   int // of those, the ones stored in the typed shape
 }
 
-// ScanViews streams a segment's records through fn: a sealed segment
-// decompresses only the blocks admit accepts (nil admit scans
-// everything), and an unsealed one salvages its valid prefix before
-// reporting ErrTruncated. Corruption of a sealed segment returns
-// ErrCorrupt after emitting the blocks preceding the damage, and a file
-// of another format ErrFormat before emitting anything. It is the
-// store's one decoder of segment bytes into records: queries, Load,
-// Open's check and recovery, compaction and archival all read through it.
-func (rs *ReaderSegment) ScanViews(d *Decoder, admit func(Index) bool, fn scanFn) (ScanStats, error) {
+// ScanViews streams a segment's records through fn. A sealed segment's
+// stream must match its tail — CRC, decoded length, the stream ending
+// where the tail begins — or the scan returns ErrCorrupt before
+// emitting anything; one that matches and holds a record that does not
+// decode returns ErrCorrupt after the records before it. An unsealed
+// segment salvages what its stream yields and reports a tear as
+// ErrTruncated; a stream that merely stops after its last flush is no
+// tear. A file of another format returns ErrFormat before emitting
+// anything. It is the store's one decoder of segment bytes into records:
+// queries, Load, Open's check and recovery, compaction and archival all
+// read through it.
+func (rs *ReaderSegment) ScanViews(d *Decoder, fn scanFn) (ScanStats, error) {
 	var st ScanStats
 	d.nTyped = 0
 	if err := formatErr(rs.Name, rs.data); err != nil {
 		return st, err
 	}
-	if f := rs.footer(); f != nil {
-		region := rs.data[headerV2Size:f.DataLen]
-		for i := range f.Blocks {
-			b := &f.Blocks[i]
-			st.Blocks++
-			if admit != nil && !admit(b.Index) {
-				st.BlocksPruned++
-				continue
-			}
-			n, err := d.decodeBlock(region[b.Off:b.Off+b.CompLen], b.RawLen, b.CRC, f.Dict, fn)
-			st.Records, st.Typed = st.Records+n, d.nTyped
-			if err != nil {
-				return st, fmt.Errorf("%w: block %d: %v", ErrCorrupt, i, err)
-			}
-		}
-		return st, nil
-	}
-	// Unsealed — or sealed by its tail over a footer body that does not
-	// decode, which scans as the unsealed file it would have been taken
-	// for had the whole footer been parsed up front.
-	if len(rs.data) < headerV2Size {
+	if len(rs.data) < headerSize {
 		return st, fmt.Errorf("%w: torn after %d header bytes", ErrTruncated, len(rs.data))
 	}
-	n, streams, err := d.decodeStreams(rs.data[headerV2Size:], fn)
-	st.Records, st.Blocks, st.Typed = n, streams, d.nTyped
+	stream, fail := rs.data[headerSize:], ErrTruncated
+	if rs.Sealed {
+		stream, fail = rs.data[headerSize:rs.tail.DataLen], ErrCorrupt
+		if crc32.ChecksumIEEE(stream) != rs.tail.CRC {
+			return st, fmt.Errorf("%w: stream checksum mismatch", ErrCorrupt)
+		}
+	}
+	st.Streams = 1
+	raw, err := d.inflate(stream)
+	switch {
+	case !rs.Sealed && err == io.ErrUnexpectedEOF:
+		err = nil // the stream ends where the last flush did
+	case rs.Sealed && err == nil && len(raw) != rs.tail.RawLen:
+		err = fmt.Errorf("stream decodes to %d bytes, the tail says %d", len(raw), rs.tail.RawLen)
+	}
+	if rs.Sealed && err != nil {
+		return st, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	n, derr := d.decodeRecords(raw, fn)
+	st.Records, st.Typed = n, d.nTyped
+	if derr != nil {
+		err = derr
+	}
 	if err != nil {
-		return st, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return st, fmt.Errorf("%w: %v", fail, err)
 	}
 	return st, nil
-}
-
-// footer returns a sealed segment's footer with its body decoded, on
-// first use — nil for an unsealed segment, and for one whose body does
-// not decode.
-func (rs *ReaderSegment) footer() *footerV2 {
-	if rs.v2.DataLen == 0 {
-		return nil
-	}
-	rs.v2body.Do(func() { rs.v2ok = rs.v2.decodeBody(rs.data) })
-	if !rs.v2ok {
-		return nil
-	}
-	return &rs.v2
-}
-
-// Blocks returns a sealed segment's block table (nil for an unsealed
-// one). Callers must not modify the entries.
-func (rs *ReaderSegment) Blocks() []BlockInfo {
-	if f := rs.footer(); f != nil {
-		return f.Blocks
-	}
-	return nil
 }
 
 // formatErr returns nil for a segment file that begins with segHeader,
 // or is shorter than it and begins it — a write torn inside the header —
 // and for any other an error wrapping ErrFormat that names the file.
 func formatErr(name string, data []byte) error {
-	if n := min(len(data), headerV2Size); string(data[:n]) != segHeader[:n] {
+	if n := min(len(data), headerSize); string(data[:n]) != segHeader[:n] {
 		return fmt.Errorf("%w: %s begins %q", ErrFormat, name, data[:n])
 	}
 	return nil

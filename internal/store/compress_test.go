@@ -43,7 +43,7 @@ func fillComp(t *testing.T, st *Store, n int) map[string]Meta {
 	want := make(map[string]Meta, n)
 	for i := 0; i < n; i++ {
 		m, line := compRec(i)
-		if err := st.Append(m, line); err != nil {
+		if err := st.AppendLine(m, line); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 		want[line] = m
@@ -87,9 +87,6 @@ func TestCompressedRoundTrip(t *testing.T) {
 		for _, rs := range segs {
 			if !rs.Sealed {
 				t.Fatalf("segment %s not sealed", rs.Name)
-			}
-			if rs.Blocks() == nil {
-				t.Fatalf("segment %s is not v2", rs.Name)
 			}
 			if rs.RawBytes() <= rs.DiskBytes() {
 				t.Fatalf("segment %s: raw %d <= disk %d, no compression",
@@ -187,12 +184,13 @@ func TestCompressedUnsealedSalvage(t *testing.T) {
 	}
 }
 
-// Damage inside one sealed block is isolated: blocks before it decode,
-// the parse reports ErrCorrupt, and the block CRC catches flips that
-// DEFLATE would happily decompress.
+// A byte flipped inside a DEFLATE block of a sealed segment fails the
+// scan with ErrCorrupt before any record is emitted: the stream's CRC
+// catches flips that DEFLATE would happily decompress, and which of the
+// records it would have garbled no reader can tell.
 func TestCompressedCorruptBlock(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, BlockTarget: 1024})
+	st, err := Open(be, Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,86 +203,18 @@ func TestCompressedCorruptBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := rd.Shards()[0][0]
-	blocks := rs.Blocks()
-	if len(blocks) < 3 {
-		t.Fatalf("got %d blocks, want several", len(blocks))
-	}
 	data, err := be.Read(rs.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := blocks[len(blocks)-1]
 	data = bytes.Clone(data)
-	data[headerV2Size+last.Off+last.CompLen/2] ^= 0x40
+	data[(len(data)-TailSize)*3/4] ^= 0x40
 	seg, err := ParseSegment(data)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt parse error = %v, want ErrCorrupt", err)
+	if !errors.Is(err, ErrCorrupt) || !seg.Sealed {
+		t.Fatalf("corrupt parse: sealed=%v, error %v; want sealed, ErrCorrupt", seg.Sealed, err)
 	}
-	wantPrefix := 0
-	for _, b := range blocks[:len(blocks)-1] {
-		wantPrefix += int(b.Index.Count)
-	}
-	if len(seg.Recs) != wantPrefix {
-		t.Fatalf("corrupt parse recovered %d records, want the %d before the damage", len(seg.Recs), wantPrefix)
-	}
-}
-
-func TestBlockZoneMapPruning(t *testing.T) {
-	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, BlockTarget: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillComp(t, st, 300)
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := OpenReader(be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := rd.Shards()[0][0]
-	blocks := rs.Blocks()
-	if len(blocks) < 3 {
-		t.Fatalf("got %d blocks, want several", len(blocks))
-	}
-	// Zone maps must tile the segment index.
-	var total uint32
-	for _, b := range blocks {
-		total += b.Index.Count
-		if b.Index.MinTime < rs.Index.MinTime || b.Index.MaxTime > rs.Index.MaxTime {
-			t.Fatalf("block zone map [%d,%d] outside segment [%d,%d]",
-				b.Index.MinTime, b.Index.MaxTime, rs.Index.MinTime, rs.Index.MaxTime)
-		}
-	}
-	if total != rs.Index.Count {
-		t.Fatalf("block counts sum to %d, segment has %d", total, rs.Index.Count)
-	}
-
-	// A one-timestamp admit must visit exactly the blocks whose zone
-	// maps cover it and still surface the record.
-	target := blocks[len(blocks)-1].Index.MinTime
-	d := AcquireDecoder()
-	defer ReleaseDecoder(d)
-	found := false
-	st2, err := rs.Scan(d, func(x Index) bool {
-		return x.MinTime <= target && target <= x.MaxTime
-	}, func(m Meta, line []byte) {
-		if uint64(m.Time) == target {
-			found = true
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatalf("pruned scan missed the record at time %d", target)
-	}
-	if st2.BlocksPruned == 0 {
-		t.Fatal("selective scan pruned no blocks")
-	}
-	if st2.Blocks != len(blocks) {
-		t.Fatalf("scan visited %d blocks, segment has %d", st2.Blocks, len(blocks))
+	if len(seg.Recs) != 0 {
+		t.Fatalf("corrupt parse emitted %d records, want none", len(seg.Recs))
 	}
 }
 
@@ -300,9 +230,9 @@ func TestScanMatchesLoad(t *testing.T) {
 			name := fmt.Sprintf("offline=%v/sealed=%v", offline, seal)
 			be := NewMemBackend()
 			if offline {
-				data, err := newCompWriter(1024).encodeSealed(want)
+				data, err := newCompWriter().encodeSealed(want)
 				if !seal {
-					data = encodeUnsealed(want, 1024, false)
+					data = encodeUnsealed(want, false)
 				}
 				if err == nil {
 					err = be.Create(segName(0, 1, 1, 0), data)
@@ -311,7 +241,7 @@ func TestScanMatchesLoad(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				st, err := Open(be, Config{Shards: 1, BlockTarget: 1024})
+				st, err := Open(be, Config{Shards: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -333,7 +263,7 @@ func TestScanMatchesLoad(t *testing.T) {
 			}
 			d := AcquireDecoder()
 			var got []Rec
-			_, err = rs.Scan(d, nil, func(m Meta, line []byte) {
+			_, err = rs.Scan(d, func(m Meta, line []byte) {
 				got = append(got, Rec{Meta: m, Line: string(line)})
 			})
 			ReleaseDecoder(d)
@@ -347,15 +277,16 @@ func TestScanMatchesLoad(t *testing.T) {
 	}
 }
 
-// The warmed block-decode path must be allocation-free: pooled
-// decoder, reused raw/line buffers, no per-record or per-block
-// garbage. This is the scan path queries sit in for hours.
+// The warmed decode path must be allocation-free: pooled decoder,
+// reused raw/line buffers, a dictionary that aliases the decoded
+// payload, no per-record or per-segment garbage. This is the scan path
+// queries sit in for hours.
 func TestBlockDecodeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, BlockTarget: 2048})
+	st, err := Open(be, Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,16 +304,16 @@ func TestBlockDecodeZeroAllocs(t *testing.T) {
 	n := 0
 	fn := func(m Meta, line []byte) { n += len(line) }
 	// Warm the decoder's buffers once, then demand zero steady-state.
-	if _, err := rs.Scan(d, nil, fn); err != nil {
+	if _, err := rs.Scan(d, fn); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := rs.Scan(d, nil, fn); err != nil {
+		if _, err := rs.Scan(d, fn); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warmed block-decode scan allocates %.1f/op, want 0", allocs)
+		t.Fatalf("warmed decode scan allocates %.1f/op, want 0", allocs)
 	}
 }
 

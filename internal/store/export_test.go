@@ -1,10 +1,7 @@
 package store
 
-// BodyDecoded reports whether a sealed v2 segment's footer body —
-// dictionary and block table — has been decoded yet, for the tests that
-// pin that a pruned segment never pays for it.
-func (rs *ReaderSegment) BodyDecoded() bool { return rs.v2.Dict != nil || rs.v2.Blocks != nil }
-
-// UndecodableBody exposes the crafted-footer fixture to the external
-// tests that drive it through internal/query and internal/agg.
-var UndecodableBody = undecodableBody
+// AppendLine appends one record given as its line: AppendBatch of a
+// batch of one, for tests that write record by record.
+func (s *Store) AppendLine(m Meta, line string) error {
+	return s.AppendBatch([]BatchRec{{Meta: m, Line: []byte(line)}})
+}

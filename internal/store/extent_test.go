@@ -49,7 +49,7 @@ func TestFilterStoreFilesSingleExtent(t *testing.T) {
 			Names:  map[string]meter.Name{},
 		}
 		m := store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: uint32(e.Type), PID: uint32(e.Fields["pid"])}
-		if err := st.Append(m, e.Format()); err != nil {
+		if err := st.AppendLine(m, e.Format()); err != nil {
 			t.Fatal(err)
 		}
 		if i%997 == 0 {

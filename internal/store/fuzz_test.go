@@ -5,9 +5,10 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
-	"reflect"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -29,37 +30,37 @@ func fuzzSeedRecs() []Rec {
 
 // fuzzSeedSegment builds a small sealed segment for the fuzz corpus.
 func fuzzSeedSegment() []byte {
-	out, err := newCompWriter(1).encodeSealed(fuzzSeedRecs())
+	out, err := newCompWriter().encodeSealed(fuzzSeedRecs())
 	if err != nil {
 		panic(err)
 	}
 	return out
 }
 
-// fuzzSeedV3 builds a small sealed segment of several blocks whose
-// records are typed, but for the few that are not standard.
+// fuzzSeedV3 builds a small sealed segment whose records are typed, but
+// for the few that are not standard.
 func fuzzSeedV3() []byte {
 	var recs []Rec
 	for _, r := range shapeRecs(rand.New(rand.NewSource(3)), 60) {
 		recs = append(recs, r.Rec)
 	}
-	out, err := newCompWriter(512).encodeSealed(recs)
+	out, err := newCompWriter().encodeSealed(recs)
 	if err != nil {
 		panic(err)
 	}
 	return out
 }
 
-// fuzzSeedV2 builds a small sealed block-compressed segment with
-// several blocks and a shared dictionary worth corrupting: every line's
-// header differs from its Meta, so all of them take the text shape.
+// fuzzSeedV2 builds a small sealed segment with a shared dictionary
+// worth corrupting: every line's header differs from its Meta, so all of
+// them take the text shape.
 func fuzzSeedV2() []byte {
 	var recs []Rec
 	for i := 0; i < 40; i++ {
 		m := Meta{Machine: uint16(i % 3), Time: uint32(i * 100), Type: uint32(i%4 + 1), PID: uint32(50 + i%5)}
 		recs = append(recs, Rec{Meta: m, Line: "SEND machine=1 cpuTime=1 procTime=0 pid=1 msgLength=240"})
 	}
-	out, err := newCompWriter(256).encodeSealed(recs)
+	out, err := newCompWriter().encodeSealed(recs)
 	if err != nil {
 		panic(err)
 	}
@@ -74,8 +75,8 @@ func fuzzSeedOverflow() []byte {
 	return unsealedOf(textRecord(math.MaxUint64, 1, nil))
 }
 
-// unsealedOf returns an unsealed segment of one block whose payload is
-// payload.
+// unsealedOf returns an unsealed segment, its stream ended but no tail
+// written, whose payload is payload.
 func unsealedOf(payload []byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(segHeader)
@@ -104,7 +105,7 @@ func textRecord(p, s uint64, lit []byte) []byte {
 	return append(b, opEnd)
 }
 
-// crafted is a block payload, named, what its refusal says, and how
+// crafted is a segment payload, named, what its refusal says, and how
 // many valid records stand before the refused one.
 type crafted struct {
 	name, err string
@@ -112,11 +113,11 @@ type crafted struct {
 	kept      int
 }
 
-// craftedPayloads are block payloads holding, behind one valid text
+// craftedPayloads are segment payloads holding, behind one valid text
 // record and where bytes can follow with another behind it, a length
 // that an offset-plus-length check admits by wrapping: front-coding
 // lengths whose sum passes 2^64, a literal of 2^63 bytes, and a typed
-// number whose varint runs off the block.
+// number whose varint runs off the payload.
 func craftedPayloads() []crafted {
 	first, after := textRecord(0, 0, []byte("SEND a")), textRecord(0, 0, []byte("SEND b"))
 	huge := append(recordMeta(nil, 1), 0, 0, 0, opLit)
@@ -127,7 +128,7 @@ func craftedPayloads() []crafted {
 	return []crafted{
 		{"prefix plus suffix past 2^64", "front-coding overrun", slices.Concat(first, textRecord(1, math.MaxUint64, nil), after), 1},
 		{"literal of 2^63 bytes", "truncated", slices.Concat(first, append(huge, opEnd), after), 1},
-		{"typed varint off the block", "bad varint", slices.Concat(first, cut), 1},
+		{"typed varint off the payload", "bad varint", slices.Concat(first, cut), 1},
 	}
 }
 
@@ -166,38 +167,25 @@ func TestCraftedLengthsRefused(t *testing.T) {
 	}
 }
 
-// fuzzSeedBlockExtentOverflow builds a sealed segment whose block
-// table declares Off and CompLen near 2^62: the int sum wraps
-// negative, which an unchecked Off+CompLen extent test would admit
-// before the region slicing panicked. The footer CRCs verify — they
-// are computed over the crafted table — so only the extent check
-// stands between the table and the slice.
-func fuzzSeedBlockExtentOverflow() []byte {
-	data := []byte(segHeader)
-	data = append(data, "not a real block"...)
-	blocks := []blockMeta{{off: 1 << 62, compLen: 1 << 62, rawLen: 64, idx: Index{Count: 1}}}
-	return appendFooterV2(data, Index{Count: 1}, uint32(len(data)), 64, nil, blocks)
+// withTail is a copy of a sealed segment whose tail is edit's, its CRC
+// made to verify again.
+func withTail(data []byte, edit func(*tail)) []byte {
+	tl, ok := parseTail(data)
+	if !ok {
+		panic("not a sealed segment")
+	}
+	edit(&tl)
+	return appendTail(bytes.Clone(data[:len(data)-TailSize]), tl)
 }
 
-// TestBlockTableExtentOverflow pins the crafted block table: the
-// footer must be rejected (degrading the file to unsealed salvage),
-// never accepted as sealed and sliced. Its tail verifies, so the extent
-// check is what rejects it.
-func TestBlockTableExtentOverflow(t *testing.T) {
-	data := fuzzSeedBlockExtentOverflow()
-	if _, ok := parseFooterV2(data); !ok {
-		t.Fatal("the crafted footer tail does not verify")
+// oldLayout is a segment the store wrote while a segment was a table of
+// blocks (header payload version 1): sealed, 19 records in 4 blocks.
+func oldLayout(tb testing.TB) []byte {
+	data, err := os.ReadFile("testdata/blocks.seg")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	seg, err := ParseSegment(data)
-	if seg.Sealed {
-		t.Fatal("crafted footer with wrapping block extent accepted as sealed")
-	}
-	if len(seg.Recs) != 0 {
-		t.Fatalf("salvaged %d records from a malformed segment", len(seg.Recs))
-	}
-	if err != nil && !errors.Is(err, ErrTruncated) {
-		t.Fatalf("err = %v, want nil or ErrTruncated", err)
-	}
+	return data
 }
 
 // FuzzParseSegment holds the recovery a store runs to its promise on
@@ -213,68 +201,56 @@ func FuzzParseSegment(f *testing.F) {
 	sealed := fuzzSeedSegment()
 	f.Add([]byte{})
 	f.Add(sealed)
-	// Corrupt footer: the tail CRC no longer matches, demoting the segment
+	// Corrupt tail: the tail CRC no longer matches, demoting the segment
 	// to an unsealed scan.
-	corruptFooter := append([]byte(nil), sealed...)
-	corruptFooter[len(corruptFooter)-FooterV2Size+9] ^= 0xff
-	f.Add(corruptFooter)
+	corruptTail := append([]byte(nil), sealed...)
+	corruptTail[len(corruptTail)-TailSize+9] ^= 0xff
+	f.Add(corruptTail)
 	// Truncated final segment: a writer died mid-append.
-	f.Add(encodeUnsealed(fuzzSeedRecs(), 1, true))
-	// Payload checksum mismatch inside a sealed segment.
+	f.Add(encodeUnsealed(fuzzSeedRecs(), true))
+	// A stream byte flipped under a verifying tail: the stream CRC must
+	// surface ErrCorrupt before any record is emitted.
 	flipped := append([]byte(nil), sealed...)
-	flipped[headerV2Size+8] ^= 0xff
+	flipped[headerSize+8] ^= 0xff
 	f.Add(flipped)
 	// Garbage.
 	f.Add([]byte("not a segment at all, just text pretending"))
 	// Text-only seeds.
 	v2 := fuzzSeedV2()
 	f.Add(v2)
-	// Truncated inside the first block's DEFLATE stream — the footer is
-	// gone, so the parser must fall back to the unsealed stream walk and
-	// salvage the decodable prefix.
-	f.Add(v2[:headerV2Size+3])
-	// Unsealed: header plus data region only, no footer at all.
-	if fv2, ok := parseFooterV2(v2); ok {
-		f.Add(v2[:fv2.DataLen])
-		// Corrupt dictionary: flip a byte in the footer body (dictionary +
-		// block table). The body CRC no longer matches, demoting the
-		// segment to the unsealed salvage walk over its blocks.
-		corruptDict := append([]byte(nil), v2...)
-		corruptDict[fv2.DataLen+1] ^= 0xff
-		f.Add(corruptDict)
-	}
-	// A tail that verifies — body CRC included — over a footer body that
-	// does not decode: unsealed salvage over intact block streams.
-	f.Add(undecodableBody(f, v2))
-	// CRC flip inside a compressed block of a sealed segment: the footer
-	// still verifies, the damaged block must surface ErrCorrupt after the
-	// blocks before it were emitted.
-	blockFlip := append([]byte(nil), v2...)
-	blockFlip[headerV2Size+5] ^= 0xff
-	f.Add(blockFlip)
+	// Torn inside the stream's first bytes: the tail is gone, so the
+	// parser salvages the decodable prefix.
+	f.Add(v2[:headerSize+3])
+	// Unsealed: header plus the whole stream, no tail at all.
+	f.Add(v2[:len(v2)-TailSize])
+	// Tails that verify over lengths that do not: a data length past the
+	// file, a payload past maxStreamRaw (each demoting the segment to
+	// stream salvage), and a payload one byte short of the stream's
+	// (ErrCorrupt).
+	f.Add(withTail(v2, func(tl *tail) { tl.DataLen += 1 << 20 }))
+	f.Add(withTail(v2, func(tl *tail) { tl.RawLen = maxStreamRaw + 1 }))
+	f.Add(withTail(v2, func(tl *tail) { tl.RawLen-- }))
 	// Typed records: sealed, unsealed, cut inside a typed record, and with
-	// a byte of the first block's payload changed under its CRC.
+	// a byte of the payload changed where no tail checks it.
 	v3 := fuzzSeedV3()
 	f.Add(v3)
-	if fv3, ok := parseFooterV2(v3); ok {
-		f.Add(v3[:fv3.DataLen])
-		f.Add(v3[:headerV2Size+40])
-		typedFlip := append([]byte(nil), v3[:fv3.DataLen]...)
-		typedFlip[headerV2Size+12] ^= 0x04
-		f.Add(typedFlip)
-	}
-	// Files of formats no store reads any more: payload version 0, sealed
-	// and torn.
+	f.Add(v3[:len(v3)-TailSize])
+	f.Add(v3[:headerSize+40])
+	typedFlip := append([]byte(nil), v3[:len(v3)-TailSize]...)
+	typedFlip[headerSize+12] ^= 0x04
+	f.Add(typedFlip)
+	// Files of layouts no store reads any more: the block table (payload
+	// version 1), sealed and torn, and payload version 0.
+	old := oldLayout(f)
+	f.Add(old)
+	f.Add(old[:len(old)/2])
 	f.Add(withPayloadVersion(v2, 0))
-	f.Add(withPayloadVersion(v2, 0)[:len(v2)/2])
 	// Front-coding lengths whose uint64 sum wraps past the bounds check,
 	// and the lengths of craftedPayloads.
 	f.Add(fuzzSeedOverflow())
 	for _, c := range craftedPayloads() {
 		f.Add(unsealedOf(c.payload))
 	}
-	// Block-table extents whose int sum wraps past the region check.
-	f.Add(fuzzSeedBlockExtentOverflow())
 	// And v1, sealed and never sealed; a payload version from the future;
 	// a write torn inside the header.
 	f.Add(v1File(fuzzSeedRecs(), true))
@@ -289,7 +265,7 @@ func FuzzParseSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		st, err := Open(be, Config{Shards: 1, BlockTarget: 512, Obs: reg})
+		st, err := Open(be, Config{Shards: 1, Obs: reg})
 		if errors.Is(loadErr, ErrFormat) {
 			if !errors.Is(err, ErrFormat) {
 				t.Fatalf("Open over a file Load refuses (%v): %v", loadErr, err)
@@ -321,49 +297,33 @@ func FuzzParseSegment(f *testing.F) {
 	})
 }
 
-// FuzzFooterBody drives the footer-body decoder directly: arbitrary body
-// bytes behind a data region of arbitrary size, under an arbitrary block
-// count. It must not panic, and a table it accepts holds no more than
-// maxDictEntries tokens of at most maxDictToken bytes and exactly the
-// blocks counted, each inside the region with a raw length a decoder
-// may allocate — and, encoded again (appendFooterV2), decodes to itself.
-func FuzzFooterBody(f *testing.F) {
-	for _, seg := range [][]byte{fuzzSeedV2(), fuzzSeedV3(), fuzzSeedBlockExtentOverflow()} {
-		fv, ok := parseFooterV2(seg)
-		if !ok {
-			f.Fatal("seed has no footer tail")
+// FuzzFooterTail round-trips the fixed tail: whatever parseTail accepts
+// appendTail writes back byte for byte, and what it accepts places the
+// tail at the end of the file behind a header, over a payload a decoder
+// may allocate. With fix set, the last four bytes are made the CRC of the
+// tail's others, so that the fuzzer reaches past the CRC check.
+func FuzzFooterTail(f *testing.F) {
+	v2 := fuzzSeedV2()
+	f.Add(v2, false)
+	f.Add(fuzzSeedV3(), false)
+	f.Add(withTail(v2, func(tl *tail) { tl.DataLen += 1 << 20 }), false)
+	f.Add(withTail(v2, func(tl *tail) { tl.RawLen = maxStreamRaw + 1 }), false)
+	f.Add(oldLayout(f), true)
+	f.Add(append([]byte(segHeader), make([]byte, TailSize)...), true)
+	f.Fuzz(func(t *testing.T, data []byte, fix bool) {
+		if fix && len(data) >= TailSize {
+			data = bytes.Clone(data)
+			binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[len(data)-TailSize:len(data)-4]))
 		}
-		f.Add(seg[fv.DataLen:fv.DataLen+fv.bodyLen], uint32(fv.blockCount), uint32(fv.DataLen-headerV2Size))
-	}
-	// Dictionary lengths of 2^63: a token count, then a token's length.
-	f.Add(binary.AppendUvarint(nil, 1<<63), uint32(0), uint32(16))
-	f.Add(binary.AppendUvarint([]byte{1}, 1<<63), uint32(0), uint32(16))
-	f.Fuzz(func(t *testing.T, body []byte, blockCount, region uint32) {
-		region %= 1 << 16
-		data := append([]byte(segHeader), make([]byte, region)...)
-		fv := footerV2{DataLen: len(data), bodyLen: len(body), blockCount: int(blockCount)}
-		if !fv.decodeBody(append(data, body...)) {
+		tl, ok := parseTail(data)
+		if !ok {
 			return
 		}
-		if len(fv.Dict) > maxDictEntries || len(fv.Blocks) != int(blockCount) {
-			t.Fatalf("%d tokens, %d blocks of %d counted", len(fv.Dict), len(fv.Blocks), blockCount)
+		if string(data[:headerSize]) != segHeader || tl.DataLen != len(data)-TailSize || tl.RawLen < 0 || tl.RawLen > maxStreamRaw {
+			t.Fatalf("tail %+v accepted over a file of %d bytes", tl, len(data))
 		}
-		for _, tok := range fv.Dict {
-			if len(tok) > maxDictToken {
-				t.Fatalf("token of %d bytes", len(tok))
-			}
-		}
-		var table []blockMeta
-		for _, b := range fv.Blocks {
-			if b.Off < 0 || b.CompLen < 0 || b.Off+b.CompLen > int(region) || b.RawLen <= 0 || b.RawLen > maxBlockRaw {
-				t.Fatalf("block %+v accepted over a region of %d bytes", b, region)
-			}
-			table = append(table, blockMeta{b.Off, b.CompLen, b.RawLen, b.CRC, b.Index})
-		}
-		enc := appendFooterV2(data, Index{}, uint32(len(data)), 0, fv.Dict, table)
-		again, ok := parseFooterV2(enc)
-		if !ok || !again.decodeBody(enc) || !reflect.DeepEqual(again.Dict, fv.Dict) || !reflect.DeepEqual(again.Blocks, fv.Blocks) {
-			t.Fatalf("the table, encoded again, decodes to %+v %+v (ok=%v), not %+v %+v", again.Dict, again.Blocks, ok, fv.Dict, fv.Blocks)
+		if again := appendTail(bytes.Clone(data[:tl.DataLen]), tl); !bytes.Equal(again, data) {
+			t.Fatalf("tail %+v appended again is not the bytes it was parsed from", tl)
 		}
 	})
 }

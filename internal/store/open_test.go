@@ -2,10 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"reflect"
 	"runtime"
 	"strings"
@@ -89,13 +87,13 @@ func TestMemBackendReadBorrowed(t *testing.T) {
 	}
 }
 
-// sealedV2Store builds a store of segments sealed v2 segments (4 shards,
+// sealedV2Store builds a store of segments sealed segments (4 shards,
 // no compaction), each holding perSegment records.
 func sealedV2Store(t *testing.T, segments, perSegment int) *MemBackend {
 	t.Helper()
 	const shards = 4
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: shards, SegmentCap: 1 << 30, CompactMin: 1 << 30, BlockTarget: 1024})
+	st, err := Open(be, Config{Shards: shards, SegmentCap: 1 << 30, CompactMin: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,7 @@ func sealedV2Store(t *testing.T, segments, perSegment int) *MemBackend {
 				seq++
 				m := Meta{Machine: uint16(sh), Time: uint32(round*1000 + i), Type: uint32(1 + i%3), PID: uint32(100 + i%7)}
 				line := fmt.Sprintf("SEND machine=%d cpuTime=%d procTime=0 pid=%d sock=3 msgLength=%d", sh, m.Time, m.PID, 64+seq%512)
-				if err := st.Append(m, line); err != nil {
+				if err := st.AppendLine(m, line); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -121,8 +119,7 @@ func sealedV2Store(t *testing.T, segments, perSegment int) *MemBackend {
 // TestOpenReaderNoAllocBodies gates what opening a store costs: per
 // sealed segment a fixed handful of bytes — the ReaderSegment and its
 // share of the listing — whatever the segment holds. No body is copied
-// or decoded: four times the records per segment allocate the same, and
-// no footer body is decoded until a scan asks.
+// or decoded: four times the records per segment allocate the same.
 func TestOpenReaderNoAllocBodies(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation sizes")
@@ -172,17 +169,7 @@ func TestOpenReaderNoAllocBodies(t *testing.T) {
 			if !rs.Sealed || rs.Index.Count != 200 {
 				t.Fatalf("%s: sealed=%v count=%d, want a sealed segment of 200", rs.Name, rs.Sealed, rs.Index.Count)
 			}
-			if rs.BodyDecoded() {
-				t.Fatalf("%s: OpenReader decoded the footer body", rs.Name)
-			}
 		}
-	}
-	first := rd.Shards()[0][0]
-	if len(first.Blocks()) < 2 || !first.BodyDecoded() {
-		t.Fatalf("%s: Blocks() = %d blocks, decoded=%v", first.Name, len(first.Blocks()), first.BodyDecoded())
-	}
-	if rd.Shards()[0][1].BodyDecoded() {
-		t.Fatal("decoding one segment's footer body decoded another's")
 	}
 }
 
@@ -337,88 +324,8 @@ func TestStrayShardNameIgnored(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
 		t.Fatalf("opening %d mostly idle shards allocated %d MB", len(st.shards), grew>>20)
 	}
-	if err := st.Append(Meta{Machine: 5, Time: 1, Type: 1, PID: 1}, "SEND machine=5 cpuTime=1 procTime=0 pid=1"); err != nil {
+	if err := st.AppendLine(Meta{Machine: 5, Time: 1, Type: 1, PID: 1}, "SEND machine=5 cpuTime=1 procTime=0 pid=1"); err != nil {
 		t.Fatalf("append to a lazily equipped shard: %v", err)
-	}
-}
-
-// resealV2 recomputes, in place, the body CRC and the tail CRC of a v2
-// segment whose footer body was edited without changing its length.
-func resealV2(seg []byte) {
-	le := binary.LittleEndian
-	t := seg[len(seg)-FooterV2Size:]
-	dataLen, bodyLen := int(le.Uint32(t[48:52])), int(le.Uint32(t[52:56]))
-	le.PutUint32(t[64:68], crc32.ChecksumIEEE(seg[dataLen:dataLen+bodyLen]))
-	le.PutUint32(t[68:72], crc32.ChecksumIEEE(t[:68]))
-}
-
-// undecodableBody rewrites a sealed v2 segment so that its tail still
-// verifies — own CRC, length equation, body CRC — over a footer body
-// that does not decode (a dictionary count beyond the limit). No writer
-// produces this; a crafted or bit-rotted-and-rechecksummed file can.
-func undecodableBody(t testing.TB, seg []byte) []byte {
-	t.Helper()
-	f, ok := parseFooterV2(seg)
-	if !ok || f.bodyLen < 3 {
-		t.Fatalf("fixture is not a sealed v2 segment with a body (ok=%v bodyLen=%d)", ok, f.bodyLen)
-	}
-	out := bytes.Clone(seg)
-	copy(out[f.DataLen:], []byte{0xff, 0xff, 0x7f}) // uvarint 2097151 dictionary entries
-	resealV2(out)
-	return out
-}
-
-// TestUndecodableBodyDegradesAtScan: the tail alone seals the segment
-// for OpenReader — index and all — and the first scan finds the body
-// undecodable and salvages the block streams, exactly as a reader that
-// had parsed the whole footer up front (and so never believed the seal)
-// would have: same records, same ScanStats, ErrTruncated.
-func TestUndecodableBodyDegradesAtScan(t *testing.T) {
-	good := fuzzSeedV2()
-	bad := undecodableBody(t, good)
-	// The reference: the same file with the tail's CRC broken, which no
-	// reader ever took for sealed.
-	unsealed := bytes.Clone(bad)
-	unsealed[len(unsealed)-1] ^= 0xff
-
-	scan := func(data []byte) (lines []string, st ScanStats, sealed bool, err error) {
-		be := NewMemBackend()
-		if err := be.Create(segName(0, 1, 1, 0), data); err != nil {
-			t.Fatal(err)
-		}
-		rd, err := OpenReader(be)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs := rd.Shards()[0][0]
-		d := AcquireDecoder()
-		defer ReleaseDecoder(d)
-		st, err = rs.Scan(d, func(Index) bool { return true }, func(_ Meta, line []byte) { lines = append(lines, string(line)) })
-		if rs.Blocks() != nil {
-			t.Fatalf("Blocks() of a segment without a decodable table = %v", rs.Blocks())
-		}
-		return lines, st, rs.Sealed, err
-	}
-	wantLines, wantStats, sealed, wantErr := scan(unsealed)
-	if sealed || len(wantLines) != 40 || !errors.Is(wantErr, ErrTruncated) {
-		t.Fatalf("reference scan: sealed=%v %d records err=%v, want an unsealed salvage of 40 ending in ErrTruncated", sealed, len(wantLines), wantErr)
-	}
-	lines, st, sealed, err := scan(bad)
-	if !sealed {
-		t.Fatal("a verifying tail did not seal the segment for OpenReader")
-	}
-	if !errors.Is(err, ErrTruncated) || errors.Is(err, ErrCorrupt) {
-		t.Fatalf("scan over an undecodable body: err = %v, want ErrTruncated", err)
-	}
-	if st != wantStats || strings.Join(lines, "\n") != strings.Join(wantLines, "\n") {
-		t.Fatalf("scan over an undecodable body: %d records %+v, want %d records %+v", len(lines), st, len(wantLines), wantStats)
-	}
-
-	// Load, the same scan collected, and so Open's recovery, treat it the
-	// same.
-	seg, err := ParseSegment(bad)
-	if seg.Sealed || len(seg.Recs) != 40 || !errors.Is(err, ErrTruncated) {
-		t.Fatalf("Load: sealed=%v %d records err=%v, want an unsealed salvage of 40", seg.Sealed, len(seg.Recs), err)
 	}
 }
 
@@ -459,7 +366,7 @@ func TestReopenNoAllocPerSegment(t *testing.T) {
 		}
 		add := func(machine uint16, i int) {
 			line := fmt.Sprintf("SEND machine=%d cpuTime=%d procTime=0 pid=100 sock=3 msgLength=%d", machine, i, 64+i%512)
-			if err := st.Append(Meta{Machine: machine, Time: uint32(i), Type: 1, PID: 100}, line); err != nil {
+			if err := st.AppendLine(Meta{Machine: machine, Time: uint32(i), Type: 1, PID: 100}, line); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -516,49 +423,64 @@ func TestReopenNoAllocPerSegment(t *testing.T) {
 // would have been recovered too.
 func TestOpenRefusesOtherFormats(t *testing.T) {
 	recs := []Rec{{Meta{Machine: 1, Time: 5, Type: 1, PID: 7}, "SEND machine=1 cpuTime=5 procTime=0 pid=7"}}
-	sealed, err := newCompWriter(0).encodeSealed(recs)
+	sealed, err := newCompWriter().encodeSealed(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		data []byte
-	}{
-		{"payload 7", withPayloadVersion(sealed, 7)},
-		{"payload 0", withPayloadVersion(sealed, 0)},
-		{"v1", v1File(recs, true)},
-		{"v1 unsealed", v1File(recs, false)},
-	} {
-		be := NewMemBackend()
-		bad, torn := segName(0, 1, 1, 0), segName(1, 1, 1, 0)
-		if err := be.Create(torn, encodeUnsealed(compRecs(0, 20), 1, true)); err != nil {
-			t.Fatal(err)
+	checkRefused(t, "payload 7", withPayloadVersion(sealed, 7))
+	checkRefused(t, "payload 0", withPayloadVersion(sealed, 0))
+	checkRefused(t, "v1", v1File(recs, true))
+	checkRefused(t, "v1 unsealed", v1File(recs, false))
+}
+
+// TestOldLayoutRefused: a segment of the layout before this one — a
+// table of blocks, each its own DEFLATE stream, behind header payload
+// version 1 (testdata/blocks.seg, written by that store) — is refused as
+// TestOpenRefusesOtherFormats refuses any other format, sealed or cut
+// short, and never taken for a torn segment of this one.
+func TestOldLayoutRefused(t *testing.T) {
+	old := oldLayout(t)
+	checkRefused(t, "block table", old)
+	checkRefused(t, "block table unsealed", old[:len(old)/2])
+	if _, ok := parseTail(old); ok {
+		t.Error("the old layout's footer parses as a tail")
+	}
+}
+
+// checkRefused holds a file of another format, placed in a store beside
+// a torn segment of this one, to ErrFormat from Open, OpenReader, Reopen
+// and Load, each naming it, with no file of the store changed.
+func checkRefused(t *testing.T, what string, data []byte) {
+	t.Helper()
+	be := NewMemBackend()
+	bad, torn := segName(0, 1, 1, 0), segName(1, 1, 1, 0)
+	if err := be.Create(torn, encodeUnsealed(compRecs(0, 20), true)); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := be.Create(bad, data); err != nil {
+		t.Fatal(err)
+	}
+	before := backendFiles(t, be)
+	refused := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), bad) {
+			t.Errorf("%s: %s: err = %v, want ErrFormat naming %s", what, op, err, bad)
 		}
-		prev, err := OpenReader(be)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := be.Create(bad, c.data); err != nil {
-			t.Fatal(err)
-		}
-		before := backendFiles(t, be)
-		refused := func(op string, err error) {
-			t.Helper()
-			if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), bad) {
-				t.Errorf("%s: %s: err = %v, want ErrFormat naming %s", c.name, op, err, bad)
-			}
-		}
-		_, err = Open(be, Config{Shards: 2})
-		refused("Open", err)
-		_, err = OpenReader(be)
-		refused("OpenReader", err)
-		_, err = Reopen(prev, be)
-		refused("Reopen", err)
-		_, err = newReaderSegment(bad, 0, 1, 1, 0, c.data).Load()
-		refused("Load", err)
-		if after := backendFiles(t, be); !reflect.DeepEqual(after, before) {
-			t.Errorf("%s: the store's files changed under a refused Open", c.name)
-		}
+	}
+	_, err = Open(be, Config{Shards: 2})
+	refused("Open", err)
+	_, err = OpenReader(be)
+	refused("OpenReader", err)
+	_, err = Reopen(prev, be)
+	refused("Reopen", err)
+	_, err = newReaderSegment(bad, 0, 1, 1, 0, data).Load()
+	refused("Load", err)
+	if after := backendFiles(t, be); !reflect.DeepEqual(after, before) {
+		t.Errorf("%s: the store's files changed under a refused Open", what)
 	}
 }
 
@@ -596,7 +518,7 @@ func TestReopenUnchangedNoAlloc(t *testing.T) {
 	}
 	add := func(i int) {
 		line := fmt.Sprintf("SEND machine=%d cpuTime=%d procTime=0 pid=100 sock=3 msgLength=64", i%2, i)
-		if err := st.Append(Meta{Machine: uint16(i % 2), Time: uint32(i), Type: 1, PID: 100}, line); err != nil {
+		if err := st.AppendLine(Meta{Machine: uint16(i % 2), Time: uint32(i), Type: 1, PID: 100}, line); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Flush(); err != nil {

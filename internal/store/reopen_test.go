@@ -40,8 +40,8 @@ func snapshotAnswer(t *testing.T, rd *store.Reader) string {
 
 // TestReopenNeverStale: a reader reopened from the last one answers as
 // a fresh OpenReader does through every way a store's files change —
-// appends to an unsealed segment, rotation, compaction, archival,
-// expiry, the recovery of a torn tail under the same name, and the
+// appends to an unsealed segment, rotation, compaction, archival, the
+// recovery of a torn tail under the same name, and the
 // directory removed and rebuilt with colliding names and equal lengths
 // — on a backend that lends a file's bytes from memory and on the
 // simulated file system's. It also takes unchanged segments as they were.
@@ -56,7 +56,7 @@ func TestReopenNeverStale(t *testing.T) {
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
 			be, reg := bk.new(), obs.NewRegistry()
-			cfg := store.Config{Shards: 2, SegmentCap: 2048, BlockTarget: 512, CompactMin: 3, ArchiveAfter: 6000, RetainFor: 19000, Obs: reg}
+			cfg := store.Config{Shards: 2, SegmentCap: 2048, CompactMin: 3, ArchiveAfter: 6000, Obs: reg}
 			var prev *store.Reader
 			reused := 0
 			check := func(step string) {
@@ -96,7 +96,7 @@ func TestReopenNeverStale(t *testing.T) {
 				machine := uint16(1 + i%2)
 				line := fmt.Sprintf("SEND machine=%d cpuTime=%d procTime=0 pid=%d sock=3 msgLength=%d",
 					machine, when, 100+round, 100+(i*7+round)%900)
-				if err := st.Append(store.Meta{Machine: machine, Time: when, Type: 1, PID: uint32(100 + round)}, line); err != nil {
+				if err := st.AppendLine(store.Meta{Machine: machine, Time: when, Type: 1, PID: uint32(100 + round)}, line); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -159,13 +159,13 @@ func TestReopenNeverStale(t *testing.T) {
 				}
 				check(fmt.Sprintf("flush %d", k))
 			}
-			for i := 0; i < 200; i++ { // far ahead: the first records expire, the rest go cold
+			for i := 0; i < 200; i++ { // far ahead: the first records go cold
 				add(st, 0, i, uint32(30000+i*10))
 			}
 			if err := st.Maintain(); err != nil {
 				t.Fatal(err)
 			}
-			check("archival and expiry")
+			check("archival")
 
 			// A torn tail: the active segment loses its last bytes under the
 			// same name, and the next Open recovers it, again under that name.
@@ -195,7 +195,7 @@ func TestReopenNeverStale(t *testing.T) {
 			}
 			check("recovery")
 
-			for _, c := range []string{"store.compactions", "store.archive_runs", "store.expired_segments", "store.recovered"} {
+			for _, c := range []string{"store.compactions", "store.archive_runs", "store.recovered"} {
 				if reg.Counter(c).Load() == 0 {
 					t.Errorf("%s = 0: the store was not put through it", c)
 				}

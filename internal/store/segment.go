@@ -9,16 +9,16 @@
 // stays flat (DCM). This package brings both ideas to the monitor:
 //
 //   - Records are appended to fixed-size *segments*, written and read in
-//     one format: checksummed blocks of typed records (compress.go). A
+//     one format: one checksummed stream of typed records (compress.go). A
 //     file that does not start with that format's header is refused
 //     (ErrFormat), never rewritten. This file holds what the format's
 //     reader and writer share — Meta, Index, the errors — and FrameSize,
 //     the unit segments are measured in. One function turns a file's
 //     bytes into records: ReaderSegment.ScanViews.
-//   - A sealed segment ends in a footer carrying an index — record
-//     count, min/max timestamp, and bitmap summaries of the machines,
-//     pids, and event types present — so a query can prune the whole
-//     segment without decoding a single record.
+//   - A sealed segment ends in a fixed-size tail carrying an index —
+//     record count, min/max timestamp, and bitmap summaries of the
+//     machines, pids, and event types present — so a query can prune the
+//     whole segment without decoding a single record.
 //   - Segments are distributed over *shards* by originating machine, so
 //     concurrent writers do not contend and queries merge per-shard
 //     streams by timestamp.
@@ -35,7 +35,7 @@ import (
 )
 
 // Meta is the fixed per-record metadata stored with every record — the
-// fields the footer index summarizes, lifted out of the record line so
+// fields the tail's index summarizes, lifted out of the record line so
 // the store never has to parse its own payloads.
 type Meta struct {
 	Machine uint16 // originating machine (header field)
@@ -54,8 +54,7 @@ type Rec struct {
 // The size a record is measured in is its v1 frame's — [length u32]
 // [crc32 u32][meta 14 bytes][line bytes], the CRC-framed format segments
 // were first written in — whatever the bytes it takes on disk:
-// SegmentCap, BlockTarget and a footer's raw total count these
-// "v1-equivalent bytes".
+// SegmentCap and a tail's raw total count these "v1-equivalent bytes".
 const (
 	frameHeadSize = 8
 	metaSize      = 14
@@ -70,7 +69,7 @@ const (
 // split between tolerable tears and fatal corruption: ErrTruncated
 // accompanies the valid record prefix of an unsealed segment whose
 // tail does not parse (a writer died mid-append); ErrCorrupt marks a
-// sealed segment whose blocks contradict its footer — the data was
+// sealed segment whose stream contradicts its tail — the data was
 // damaged after the seal, which no crash explains. ErrFormat marks a
 // file that is not a segment of this format at all (formatErr): no
 // reader decodes it and no recovery rewrites it.
@@ -80,7 +79,7 @@ var (
 	ErrFormat    = errors.New("store: not a segment of this format")
 )
 
-// Index is the per-segment summary a footer carries. The bitmaps are
+// Index is the per-segment summary a sealed segment's tail carries. The bitmaps are
 // conservative (bloom-style): each machine, pid, and type sets one bit
 // of a fixed-width mask, so a collision can only cause an unnecessary
 // scan, never a wrong pruning decision.
@@ -126,7 +125,7 @@ func (x *Index) Add(m Meta) {
 // of the given length.
 func FrameSize(lineLen int) int { return frameHeadSize + metaSize + lineLen }
 
-// readIndex reads the Index a footer tail carries: count, min and max
+// readIndex reads the Index a tail carries: count, min and max
 // time, and the machine, pid and type bitmaps.
 func readIndex(c *obs.Cursor) Index {
 	return Index{Count: c.U32(), MinTime: c.U64(), MaxTime: c.U64(), Machines: c.U64(), PIDs: c.U64(), Types: c.U32()}

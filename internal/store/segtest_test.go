@@ -13,8 +13,8 @@ import (
 // record stored typed is regenerated from its view, any other is the
 // stored bytes. Everything else is ScanViews'. The line passed to fn is
 // only valid during the call. Only tests want a segment as text.
-func (rs *ReaderSegment) Scan(d *Decoder, admit func(Index) bool, fn func(Meta, []byte)) (ScanStats, error) {
-	return rs.ScanViews(d, admit, d.lines(fn))
+func (rs *ReaderSegment) Scan(d *Decoder, fn func(Meta, []byte)) (ScanStats, error) {
+	return rs.ScanViews(d, d.lines(fn))
 }
 
 func indexOf(recs []Rec) Index {
@@ -30,58 +30,45 @@ func ParseSegment(data []byte) (*Segment, error) {
 	return newReaderSegment("", 0, 0, 0, 0, data).Load()
 }
 
-// encodeSealed encodes records in memory as one sealed segment, every
-// record handed over as its line — what the recovery rewrite wrote
-// before it became a scan — and each sized as an input of its own
-// (encodeRuns), so that a block breaks after the record that brings it
-// to the target.
+// encodeSealed encodes records in memory as one sealed segment, as a
+// rewrite of one input writes it (encodeRuns).
 func (w *compWriter) encodeSealed(recs []Rec) ([]byte, error) {
-	runs := make([][]Rec, len(recs))
-	for i := range recs {
-		runs[i] = recs[i : i+1]
-	}
-	return w.encodeRuns(runs...)
+	return w.encodeRuns(recs)
 }
 
 // encodeRuns encodes runs of records in memory as one sealed segment, as
 // a rewrite of one input per run writes it: every record handed over as
-// its line, each run sized whole by its records' FrameSize, so blocks
-// break only between runs.
+// its line, each run's payload pushed through DEFLATE in one write.
 func (w *compWriter) encodeRuns(runs ...[]Rec) ([]byte, error) {
 	w.openSegment()
 	var x Index
 	raw := 0
 	for _, run := range runs {
-		n := 0
 		for _, r := range run {
-			if err := w.add(r.Meta, nil, []byte(r.Line)); err != nil {
-				return nil, err
-			}
+			w.add(r.Meta, nil, []byte(r.Line))
 			x.Add(r.Meta)
-			n += FrameSize(len(r.Line))
+			raw += FrameSize(len(r.Line))
 		}
-		if err := w.endInput(n); err != nil {
+		if err := w.flushStaged(false); err != nil {
 			return nil, err
 		}
-		raw += n
 	}
 	out, _, err := w.seal(x, raw)
 	return out, err
 }
 
-// encodeUnsealed is encodeSealed's file, in blocks of blockTarget, cut
-// where a writer that died before the seal leaves it: after its last
-// block, or with torn inside it.
-func encodeUnsealed(recs []Rec, blockTarget int, torn bool) []byte {
-	data, err := newCompWriter(blockTarget).encodeSealed(recs)
+// encodeUnsealed is encodeSealed's file cut where a writer that died
+// before the seal leaves it: without its tail, or torn inside its last
+// record — before the stream's last two payload bytes and its final
+// stored block (five bytes).
+func encodeUnsealed(recs []Rec, torn bool) []byte {
+	data, err := newCompWriter().encodeSealed(recs)
 	if err != nil {
 		panic(err)
 	}
-	rs := newReaderSegment("", 0, 0, 0, 0, data)
-	end := rs.v2.DataLen
-	if blocks := rs.Blocks(); torn {
-		last := blocks[len(blocks)-1]
-		end = headerV2Size + last.Off + last.CompLen/2
+	end := len(data) - TailSize
+	if torn {
+		end -= 5 + 2
 	}
 	return data[:end]
 }
@@ -107,7 +94,7 @@ func v1File(recs []Rec, sealed bool) []byte {
 		data = append(le.AppendUint32(le.AppendUint32(data, uint32(len(body))), crc32.ChecksumIEEE(body)), body...)
 	}
 	if sealed {
-		footer := le.AppendUint32(appendIndex(le.AppendUint32([]byte(footerMagic), 1), indexOf(recs)), uint32(len(data)))
+		footer := le.AppendUint32(appendIndex(le.AppendUint32([]byte(tailMagic), 1), indexOf(recs)), uint32(len(data)))
 		data = le.AppendUint32(append(data, footer...), crc32.ChecksumIEEE(footer))
 	}
 	return data

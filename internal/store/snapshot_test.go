@@ -48,7 +48,7 @@ func tinySegments(t *testing.T, be Backend, n int) []string {
 	var lines []string
 	for i := 0; i < n; i++ {
 		line := fmt.Sprintf("RECEIVE pid=100 seq=%d", i)
-		if err := st.Append(Meta{Machine: 0, Time: uint32(1000 + i), Type: 3, PID: 100}, line); err != nil {
+		if err := st.AppendLine(Meta{Machine: 0, Time: uint32(1000 + i), Type: 3, PID: 100}, line); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Flush(); err != nil {
@@ -100,7 +100,7 @@ var merges = []struct {
 			return nil, err
 		}
 		// One hot record far in the future makes the existing run cold.
-		return st, st.Append(Meta{Machine: 0, Time: 100_000, Type: 3, PID: 100}, "RECEIVE pid=100 seq=hot")
+		return st, st.AppendLine(Meta{Machine: 0, Time: 100_000, Type: 3, PID: 100}, "RECEIVE pid=100 seq=hot")
 	}},
 }
 

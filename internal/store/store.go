@@ -14,20 +14,21 @@ import (
 )
 
 // Config tunes a store. The zero value selects the defaults: four
-// shards, 32 KiB segments of 64 KiB blocks, compaction of four small
-// segments, no archival and no retention. Whatever it says, a store
-// writes and reads one format — block-compressed segments of typed
-// records (v3, see compress.go), stored blocks online and DEFLATE at
-// archiveLevel in the archival tier — and refuses a file of any other
-// (ErrFormat).
+// shards, 32 KiB segments, compaction of four small segments and no
+// archival. Whatever it says, a store writes and reads one format —
+// segments of typed records, each one DEFLATE stream (see compress.go),
+// stored blocks online and DEFLATE at archiveLevel in the archival tier
+// — and refuses a file of any other (ErrFormat). A store keeps every
+// record it is given: no segment expires.
 type Config struct {
 	// Shards is the number of concurrent shard writers; records route
 	// to shard machine%Shards, so one machine's records stay ordered
 	// within one shard.
 	Shards int
 	// SegmentCap is the frame-data size that triggers rotation: when an
-	// active segment reaches it, the segment is sealed (footer written)
-	// and the next append starts a fresh one.
+	// active segment reaches it, the segment is sealed (tail written)
+	// and the next append starts a fresh one. It is at most
+	// maxSegmentBytes (16 MiB).
 	SegmentCap int
 	// CompactMin is the number of adjacent small sealed segments (under
 	// half of SegmentCap) that triggers compaction into one.
@@ -37,21 +38,12 @@ type Config struct {
 	// remain only because bench/layers.go names them, and go when that
 	// file builds its store from filter.StoreConfig.
 	Compress CompressMode
-	// BlockTarget is the v1-equivalent byte size of one compressed
-	// block — the granularity of zone-map pruning. 0 selects
-	// DefaultBlockTarget.
-	BlockTarget int
 	// ArchiveAfter, when non-zero, is the cpuTime age (ms behind the
 	// newest record the store has seen) past which cold sealed segments
 	// roll into the archival tier: up to archiveRunMax segments merged
-	// per archive file, 4x BlockTarget blocks DEFLATEd at archiveLevel by
-	// the appending goroutine. Archival preserves every record and shape.
+	// per archive file, DEFLATEd at archiveLevel by the appending
+	// goroutine. Archival preserves every record and shape.
 	ArchiveAfter uint64
-	// RetainFor, when non-zero, is the retention horizon (cpuTime ms):
-	// a sealed segment whose MaxTime has fallen more than RetainFor
-	// behind the newest record is expired — removed, records and all —
-	// on the next maintenance pass.
-	RetainFor uint64
 	// Obs is the registry the store's counters and latency histograms
 	// live in (store.*); nil gets a private registry.
 	Obs *obs.Registry
@@ -82,11 +74,9 @@ func (c Config) withDefaults() Config {
 	if c.SegmentCap <= 0 {
 		c.SegmentCap = DefaultSegmentCap
 	}
+	c.SegmentCap = min(c.SegmentCap, maxSegmentBytes)
 	if c.CompactMin <= 0 {
 		c.CompactMin = DefaultCompactMin
-	}
-	if c.BlockTarget <= 0 {
-		c.BlockTarget = DefaultBlockTarget
 	}
 	return c
 }
@@ -223,7 +213,7 @@ type Store struct {
 	shards []*shard
 
 	// maxSeen is the newest cpuTime any append has carried — the "now"
-	// that retention and archival ages are measured against.
+	// that archival ages are measured against.
 	maxSeen atomic.Uint64
 
 	// obs handles, resolved once in Open: the store's write-side
@@ -239,9 +229,6 @@ type Store struct {
 	obsArchiveIn   *obs.Counter
 	obsArchiveOut  *obs.Counter
 	obsMaintainErr *obs.Counter
-	obsExpiredSegs *obs.Counter
-	obsExpiredRecs *obs.Counter
-	obsBlocks      *obs.Counter
 	obsRawBytes    *obs.Counter
 	obsCompBytes   *obs.Counter
 	obsTyped       *obs.Counter
@@ -271,7 +258,7 @@ type shard struct {
 }
 
 // Open opens (or creates) the store behind a backend. Each segment file
-// is checked by a scan that keeps nothing — its footer, every block CRC,
+// is checked by a scan that keeps nothing — its tail, the stream's CRC,
 // the record count — and a sealed one that passes is adopted as it is.
 // An unsealed or damaged segment — what a crashed writer leaves behind —
 // is recovered by rewriting its valid record prefix as a sealed segment,
@@ -300,9 +287,6 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		obsArchiveIn:   reg.Counter("store.archive_in_bytes"),
 		obsArchiveOut:  reg.Counter("store.archive_out_bytes"),
 		obsMaintainErr: reg.Counter("store.maintain_errors"),
-		obsExpiredSegs: reg.Counter("store.expired_segments"),
-		obsExpiredRecs: reg.Counter("store.expired_records"),
-		obsBlocks:      reg.Counter("store.blocks"),
 		obsRawBytes:    reg.Counter("store.raw_bytes"),
 		obsCompBytes:   reg.Counter("store.compressed_bytes"),
 		obsTyped:       reg.Counter("store.records_typed"),
@@ -362,7 +346,7 @@ func Open(be Backend, cfg Config) (*Store, error) {
 			} else {
 				// Rewritten under its own name, whatever its tier, by a hot-tier encoder.
 				torn := *info
-				if _, err := s.rewrite(newCompWriter(cfg.BlockTarget), []*SegmentInfo{&torn}, info, true); err != nil {
+				if _, err := s.rewrite(newCompWriter(), []*SegmentInfo{&torn}, info, true); err != nil {
 					return nil, err
 				}
 				s.obsRecovered.Inc()
@@ -390,7 +374,7 @@ func (s *Store) openLocked(sh *shard) {
 		sh.nextSeq++
 		sh.active = &SegmentInfo{Name: segName(sh.id, seq, seq, 0), Shard: sh.id, Start: seq, End: seq}
 		if sh.cw == nil {
-			sh.cw = newCompWriter(s.cfg.BlockTarget)
+			sh.cw = newCompWriter()
 		}
 		sh.cw.openSegment()
 	}
@@ -409,10 +393,10 @@ func (s *Store) noteTime(t uint64) {
 
 // flushLocked writes the shard's staged records to the active segment,
 // folds the pending metadata into its index, and — when the segment
-// has reached the cap — seals, compacts, and runs retention
-// maintenance: the staged payload goes through the shard's DEFLATE
-// stream (ending on a sync marker, so what lands in the file is a
-// decodable prefix) and the compressed bytes are appended. The records
+// has reached the cap — seals, compacts, and archives: the staged
+// payload goes through the shard's DEFLATE stream (ending on a sync
+// marker, so what lands in the file is a decodable prefix) and the
+// compressed bytes are appended. The records
 // are counted (store.appends) here, once the backend holds them, so a
 // batch that fails part-way still counts what it made durable. A backend
 // error abandons the whole active segment — the encoder's dictionary
@@ -420,7 +404,7 @@ func (s *Store) noteTime(t uint64) {
 // durable prefix the next Open salvages. Caller holds sh.mu.
 func (s *Store) flushLocked(sh *shard) error {
 	w := sh.cw
-	if w.stagedN == 0 {
+	if w == nil || w.stagedN == 0 { // nil: a shard visited with no record of the batch
 		return nil
 	}
 	stagedV1 := w.stagedV1
@@ -442,7 +426,6 @@ func (s *Store) flushLocked(sh *shard) error {
 	var tmax uint64
 	for _, m := range sh.pending {
 		sh.active.Index.Add(m)
-		w.foldMeta(m)
 		tmax = max(tmax, uint64(m.Time))
 	}
 	sh.pending = sh.pending[:0]
@@ -451,7 +434,7 @@ func (s *Store) flushLocked(sh *shard) error {
 }
 
 // rotateLocked seals the active segment once it has reached the cap,
-// then compacts and runs retention maintenance. Caller holds sh.mu.
+// then compacts and archives. Caller holds sh.mu.
 func (s *Store) rotateLocked(sh *shard) error {
 	if sh.active.Bytes < s.cfg.SegmentCap {
 		return nil
@@ -479,26 +462,6 @@ func (s *Store) abandonLocked(sh *shard) {
 	s.obsAbandoned.Inc()
 }
 
-// Append routes one record to its shard and appends it; when the
-// shard's active segment reaches SegmentCap it is sealed and, if
-// enough small sealed segments have piled up, compacted.
-func (s *Store) Append(m Meta, line string) error {
-	// Counted but not span-timed: a per-record clock pair would cost
-	// ~25% of this path. store.append_ns is observed per batch in
-	// AppendBatch, the path the filter actually flushes through.
-	sh := s.shards[int(m.Machine)%len(s.shards)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.openLocked(sh)
-	sh.cw.lineBuf = append(sh.cw.lineBuf[:0], line...)
-	if err := sh.cw.stage(m, sh.cw.lineBuf, nil); err != nil {
-		s.abandonLocked(sh)
-		return err
-	}
-	sh.pending = append(sh.pending[:0], m)
-	return s.flushLocked(sh)
-}
-
 // BatchRec is one record of an AppendBatch call. Line and Slots alias
 // caller-owned memory, are only read, and are fully consumed before
 // AppendBatch returns, so callers can reuse the backing buffers. Slots,
@@ -506,7 +469,7 @@ func (s *Store) Append(m Meta, line string) error {
 // must be what Line parses to (ParseStandard accepts Line, with Meta as
 // its header and the slots as its fields). Nothing checks that per
 // record; internal/filter's tests prove it of what the filter hands over.
-// With Slots nil the store parses Line to choose the shape, as Append does.
+// With Slots nil the store parses Line to choose the shape.
 type BatchRec struct {
 	Meta  Meta
 	Line  []byte
@@ -517,12 +480,12 @@ type BatchRec struct {
 // all of a shard's records are staged in its encoder and written under
 // one lock acquisition, with a backend write per segment-cap boundary
 // instead of per record. The filter's dual-sink flush calls this once
-// per Recv. Equivalent to appending the records one at a time, except
-// that a shard's records between two rotations reach the backend in one
-// write: a segment still rotates after the record that brings it to
-// SegmentCap, so it overshoots the cap by less than that record's
-// FrameSize. On an error the records flushed before it stay appended
-// and counted; the failing shard's staged ones are dropped.
+// per Recv. Equivalent to one call per record, except that a shard's
+// records between two rotations reach the backend in one write: a
+// segment still rotates after the record that brings it to SegmentCap,
+// so it overshoots the cap by less than that record's FrameSize. On an
+// error the records flushed before it stay appended and counted; the
+// failing shard's staged ones are dropped.
 func (s *Store) AppendBatch(recs []BatchRec) error {
 	if len(recs) == 0 {
 		return nil
@@ -552,11 +515,7 @@ func (s *Store) AppendBatch(recs []BatchRec) error {
 				continue
 			}
 			s.openLocked(sh)
-			if err := sh.cw.stage(recs[i].Meta, recs[i].Line, recs[i].Slots); err != nil {
-				s.abandonLocked(sh)
-				sh.mu.Unlock()
-				return err
-			}
+			sh.cw.stage(recs[i].Meta, recs[i].Line, recs[i].Slots)
 			sh.pending = append(sh.pending, recs[i].Meta)
 			if sh.active.Bytes+sh.cw.stagedV1 >= s.cfg.SegmentCap {
 				if err := s.flushLocked(sh); err != nil {
@@ -575,7 +534,7 @@ func (s *Store) AppendBatch(recs []BatchRec) error {
 	return nil
 }
 
-// sealLocked writes the active segment's footer and retires it to the
+// sealLocked writes the active segment's tail and retires it to the
 // sealed list. Caller holds sh.mu.
 func (s *Store) sealLocked(sh *shard) error {
 	a := sh.active
@@ -592,7 +551,6 @@ func (s *Store) sealLocked(sh *shard) error {
 		return err
 	}
 	a.DiskBytes = disk
-	s.obsBlocks.Add(int64(len(sh.cw.blocks)))
 	s.obsRawBytes.Add(int64(a.Bytes))
 	s.obsCompBytes.Add(int64(disk))
 	a.Sealed = true
@@ -605,12 +563,14 @@ func (s *Store) sealLocked(sh *shard) error {
 // compactLocked merges the trailing run of small sealed segments into
 // one when the run reaches CompactMin — the store's answer to a slow
 // writer being sealed repeatedly by Flush, so segment count stays
-// proportional to data volume. Caller holds sh.mu.
+// proportional to data volume. The run stops short of maxSegmentBytes.
+// Caller holds sh.mu.
 func (s *Store) compactLocked(sh *shard) error {
 	small := func(in *SegmentInfo) bool { return in.Tier == 0 && in.Bytes*2 < s.cfg.SegmentCap }
-	i := len(sh.sealed)
-	for i > 0 && small(sh.sealed[i-1]) {
+	i, size := len(sh.sealed), 0
+	for i > 0 && small(sh.sealed[i-1]) && size+sh.sealed[i-1].Bytes <= maxSegmentBytes {
 		i--
+		size += sh.sealed[i].Bytes
 	}
 	run := sh.sealed[i:]
 	if len(run) < s.cfg.CompactMin {
@@ -626,8 +586,8 @@ func (s *Store) compactLocked(sh *shard) error {
 }
 
 // rewriteLocked replaces the sealed run sh.sealed[i:j] by one merged
-// segment of the given tier (rewrite): at archiveLevel with 4x blocks
-// from the encoder pool for tier 1, stored blocks for tier 0. On any
+// segment of the given tier (rewrite): at archiveLevel by an encoder
+// from the pool for tier 1, in stored blocks for tier 0. On any
 // failure no file has been touched, the run stands, and
 // store.maintain_errors counts it. Caller holds sh.mu.
 func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
@@ -645,9 +605,8 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 	if tier > 0 {
 		w = archiveEncoders.Take(0, s.encMem)
 		defer archiveEncoders.Put(w, s.encMem)
-		w.target = 4 * s.cfg.BlockTarget
 	} else {
-		w = newCompWriter(s.cfg.BlockTarget)
+		w = newCompWriter()
 	}
 	in, err := s.rewrite(w, run, merged, false)
 	if err != nil {
@@ -679,24 +638,20 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 // it decodes to, no line built, parsed or measured, a text record as its
 // line (compWriter.add). Nothing is sized per record: each input counts
 // whole, at the v1-equivalent bytes it was recorded at (its Bytes, its
-// footer's raw total), so out's Bytes are its inputs' sum and a block
-// closes only between inputs (compWriter.endInput). Without salvage every
-// input must be whole — the footer it was sealed or adopted with, a body
-// that decodes (a scan degraded to stream salvage would skip the block
-// CRCs), every CRC, the records its footer counts — or nothing is
-// written. With salvage, Open's recovery, an input gives the records
-// before its first failure and counts at its size on disk, which is what
-// RawBytes reports for an unsealed segment.
+// tail's raw total), so out's Bytes are its inputs' sum, and its staged
+// payload goes through DEFLATE in one write. Without salvage every input
+// must be whole — the tail it was sealed or adopted with, the stream's
+// CRC and length, the records its tail counts — or nothing is written.
+// With salvage, Open's recovery, an input gives the records before its
+// first failure and counts at its size on disk, which is what RawBytes
+// reports for an unsealed segment.
 func (s *Store) rewrite(w *compWriter, ins []*SegmentInfo, out *SegmentInfo, salvage bool) (in int, err error) {
 	w.openSegment()
 	d := AcquireDecoder()
 	defer ReleaseDecoder(d)
-	var encErr error
 	scan := func(m Meta, v *trace.View, line []byte) {
 		out.Index.Add(m)
-		if encErr == nil {
-			encErr = w.add(m, v, line)
-		}
+		w.add(m, v, line)
 	}
 	raw := 0
 	for _, info := range ins {
@@ -706,21 +661,18 @@ func (s *Store) rewrite(w *compWriter, ins []*SegmentInfo, out *SegmentInfo, sal
 		}
 		in += len(data)
 		rs := newReaderSegment(info.Name, info.Shard, info.Start, info.End, info.Tier, data)
-		if !salvage && (rs.Index != info.Index || !rs.sealedWhole()) {
-			return in, fmt.Errorf("%w: %s: footer is not the one it was sealed with", ErrCorrupt, info.Name)
+		if !salvage && (rs.Index != info.Index || !rs.Sealed) {
+			return in, fmt.Errorf("%w: %s: tail is not the one it was sealed with", ErrCorrupt, info.Name)
 		}
-		st, err := rs.ScanViews(d, nil, scan)
+		st, err := rs.ScanViews(d, scan)
 		size := info.Bytes
 		if salvage {
 			err, size = nil, len(data)
 		} else if err == nil && st.Records != int(info.Index.Count) {
-			err = fmt.Errorf("%w: footer count %d but %d records", ErrCorrupt, info.Index.Count, st.Records)
+			err = fmt.Errorf("%w: tail count %d but %d records", ErrCorrupt, info.Index.Count, st.Records)
 		}
 		if err == nil {
-			err = encErr
-		}
-		if err == nil {
-			err = w.endInput(size)
+			err = w.flushStaged(false)
 		}
 		if err != nil {
 			return in, fmt.Errorf("%s: %w", info.Name, err)
@@ -735,49 +687,27 @@ func (s *Store) rewrite(w *compWriter, ins []*SegmentInfo, out *SegmentInfo, sal
 	return in, s.be.Create(out.Name, data)
 }
 
-// maintainLocked runs the shard's retention pass: expire sealed
-// segments beyond the retention horizon, then roll the oldest run of
-// cold hot-tier segments into one archival-tier segment (re-encoded at
-// archiveLevel with larger blocks — cold data trades decode cost for
-// space). Ages are cpuTime distances from the newest record the
-// store has seen, so retention advances with the workload's clock, not
-// the host's. Caller holds sh.mu.
+// maintainLocked runs the shard's archival pass: it rolls the oldest run
+// of cold hot-tier segments into one archival-tier segment, re-encoded
+// at archiveLevel — cold data trades decode cost for space. Ages are
+// cpuTime distances from the newest record the store has seen, so
+// archival advances with the workload's clock, not the host's. Caller
+// holds sh.mu.
 func (s *Store) maintainLocked(sh *shard) error {
-	if s.cfg.RetainFor == 0 && s.cfg.ArchiveAfter == 0 {
-		return nil
-	}
-	maxSeen := s.maxSeen.Load()
-	if s.cfg.RetainFor > 0 {
-		kept := sh.sealed[:0]
-		expired, expiredRecs := 0, 0
-		for _, info := range sh.sealed {
-			if info.Index.MaxTime+s.cfg.RetainFor < maxSeen {
-				if err := s.be.Remove(info.Name); err == nil {
-					expired++
-					expiredRecs += int(info.Index.Count)
-					continue
-				}
-			}
-			kept = append(kept, info)
-		}
-		sh.sealed = kept
-		if expired > 0 {
-			s.obsExpiredSegs.Add(int64(expired))
-			s.obsExpiredRecs.Add(int64(expiredRecs))
-		}
-	}
 	if s.cfg.ArchiveAfter == 0 {
 		return nil
 	}
+	maxSeen := s.maxSeen.Load()
 	// The oldest contiguous run of cold hot-tier segments; archives
 	// already at the front of the list are skipped, never re-archived.
 	i := 0
 	for i < len(sh.sealed) && sh.sealed[i].Tier != 0 {
 		i++
 	}
-	j := i
-	for j < len(sh.sealed) && j-i < archiveRunMax &&
+	j, size := i, 0
+	for j < len(sh.sealed) && j-i < archiveRunMax && (j == i || size+sh.sealed[j].Bytes <= maxSegmentBytes) &&
 		sh.sealed[j].Tier == 0 && sh.sealed[j].Index.MaxTime+s.cfg.ArchiveAfter < maxSeen {
+		size += sh.sealed[j].Bytes
 		j++
 	}
 	if j == i {
@@ -802,8 +732,8 @@ func (s *Store) maintainLocked(sh *shard) error {
 	return nil
 }
 
-// Maintain runs the retention pass (expiry + archival) on every shard
-// now, instead of waiting for the next rotation to trigger it.
+// Maintain runs the archival pass on every shard now, instead of waiting
+// for the next rotation to trigger it.
 func (s *Store) Maintain() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -817,7 +747,7 @@ func (s *Store) Maintain() error {
 }
 
 // Flush seals every non-empty active segment, making all appended
-// records visible behind footers (an unsealed segment is still
+// records visible behind tails (an unsealed segment is still
 // readable, but must be scanned).
 func (s *Store) Flush() error {
 	for _, sh := range s.shards {
@@ -854,9 +784,9 @@ func (s *Store) Segments() []SegmentInfo {
 	return out
 }
 
-// ReaderSegment is one segment as seen by a Reader: its footer index
+// ReaderSegment is one segment as seen by a Reader: its tail's index
 // when sealed (usable for pruning without touching anything before the
-// footer), and its raw bytes — borrowed from the backend, never written
+// tail), and its raw bytes — borrowed from the backend, never written
 // — for when it must actually be scanned.
 type ReaderSegment struct {
 	Name   string
@@ -868,72 +798,60 @@ type ReaderSegment struct {
 	end    int    // last sequence the file's name claims
 	id     uint64 // the file's Entry.ID when it was listed and read
 	data   []byte
-	// A sealed segment (v2.DataLen != 0) carries the footer tail's
-	// fields, and the footer body — dictionary and block table — once
-	// footer() has decoded it for the first scan.
-	v2     footerV2
-	v2body sync.Once
-	v2ok   bool
+	tail   tail // a sealed segment's, parsed
 }
 
 // newReaderSegment wraps a segment file's borrowed bytes, checking its
-// fixed-size footer tail and nothing before it.
+// fixed-size tail and nothing before it.
 func newReaderSegment(name string, shard, start, end, tier int, data []byte) *ReaderSegment {
 	rs := &ReaderSegment{Name: name, Shard: shard, Start: start, Tier: tier, end: end, data: data}
-	if f, ok := parseFooterV2(data); ok {
-		rs.Index, rs.v2, rs.Sealed = f.Index, f, true
+	if t, ok := parseTail(data); ok {
+		rs.Index, rs.tail, rs.Sealed = t.Index, t, true
 	}
 	return rs
 }
 
-// sealedWhole reports whether the seal holds all the way down: a tail
-// over a body that decodes. A tail over a body that does not seals the
-// segment for pruning, and it scans as unsealed.
-func (rs *ReaderSegment) sealedWhole() bool { return rs.footer() != nil }
-
-// Tail returns the FooterV2Size-byte footer tail of a segment sealed all
-// the way down. Its body CRC covers the dictionary and every block's
-// CRC, so within one store a name and a tail stand for the segment's
-// records. It is nil for every other segment: an unsealed file or a body
-// that does not decode has no tail that covers what a scan reads.
+// Tail returns the TailSize-byte tail of a sealed segment, nil for an
+// unsealed one. Its CRC covers every byte of the stream a scan decodes,
+// so within one store a name and a tail stand for the segment's records.
 func (rs *ReaderSegment) Tail() []byte {
-	if rs.footer() == nil {
+	if !rs.Sealed {
 		return nil
 	}
-	return rs.data[len(rs.data)-FooterV2Size:]
+	return rs.data[len(rs.data)-TailSize:]
 }
 
 // verify reports whether a scan of the whole segment, which keeps
-// nothing, finds what its footer says: sealed all the way down, every
-// block intact, and as many records as the footer counts.
+// nothing, finds what its tail says: sealed, the stream intact, and as
+// many records as the tail counts.
 func (rs *ReaderSegment) verify(d *Decoder) bool {
-	if !rs.sealedWhole() {
+	if !rs.Sealed {
 		return false
 	}
-	st, err := rs.ScanViews(d, nil, func(Meta, *trace.View, []byte) {})
+	st, err := rs.ScanViews(d, func(Meta, *trace.View, []byte) {})
 	return err == nil && st.Records == int(rs.Index.Count)
 }
 
 // Load decodes the segment's records as text: ScanViews, collected. A
-// sealed segment keeps its footer's index and must hold the records the
-// footer counts, or its records come back with ErrCorrupt; an unsealed
+// sealed segment keeps its tail's index and must hold the records the
+// tail counts, or its records come back with ErrCorrupt; an unsealed
 // one is indexed from its records, and a torn tail yields its valid
 // prefix and ErrTruncated.
 func (rs *ReaderSegment) Load() (*Segment, error) {
-	s := &Segment{Sealed: rs.sealedWhole()}
+	s := &Segment{Sealed: rs.Sealed}
 	if s.Sealed {
 		s.Index = rs.Index
 	}
 	d := AcquireDecoder()
 	defer ReleaseDecoder(d)
-	st, err := rs.ScanViews(d, nil, d.lines(func(m Meta, line []byte) {
+	st, err := rs.ScanViews(d, d.lines(func(m Meta, line []byte) {
 		s.Recs = append(s.Recs, Rec{Meta: m, Line: string(line)})
 		if !s.Sealed {
 			s.Index.Add(m)
 		}
 	}))
 	if err == nil && s.Sealed && st.Records != int(rs.Index.Count) {
-		err = fmt.Errorf("%w: footer count %d but %d records", ErrCorrupt, rs.Index.Count, st.Records)
+		err = fmt.Errorf("%w: tail count %d but %d records", ErrCorrupt, rs.Index.Count, st.Records)
 	}
 	return s, err
 }
@@ -943,7 +861,7 @@ func (rs *ReaderSegment) Load() (*Segment, error) {
 // one's size on disk.
 func (rs *ReaderSegment) RawBytes() int {
 	if rs.Sealed {
-		return rs.v2.RawTotal
+		return rs.tail.RawTotal
 	}
 	return len(rs.data)
 }
@@ -953,8 +871,8 @@ func (rs *ReaderSegment) DiskBytes() int { return len(rs.data) }
 
 // Reader is a point-in-time read-only view of a store: the segment
 // files present at OpenReader, grouped by shard in rotation order.
-// Sealed segments expose their footer index so callers can prune them
-// without decoding any block.
+// Sealed segments expose their tail's index so callers can prune them
+// without decoding any record.
 type Reader struct {
 	shards  [][]*ReaderSegment
 	listed  []*ReaderSegment // every segment listed, in name order, for Reopen
@@ -968,10 +886,9 @@ const openReaderAttempts = 3
 // OpenReader snapshots the store behind a backend. It costs one
 // listing and, per segment, a name parse, a borrowed view of the file
 // (Backend.Read), the check of its header (a file of another format
-// fails the snapshot with ErrFormat) and of its fixed-size footer tail —
-// which carries the Index pruning needs. No block is touched, and the
-// footer's body (dictionary and block table) is checksummed but not
-// decoded, until the ScanViews, Blocks or Load of a segment a query admits.
+// fails the snapshot with ErrFormat) and of its fixed-size tail — which
+// carries the Index pruning needs. No stream byte is touched until the
+// ScanViews or Load of a segment a query admits.
 //
 // The backend may belong to a live store that is compacting, archiving
 // or expiring segments meanwhile. The snapshot holds every record once
@@ -986,7 +903,7 @@ func OpenReader(be Backend) (*Reader, error) { return Reopen(nil, be) }
 // is unchanged: listed under the same name with the same non-zero ID and
 // the same Size as when prev's segment read it. Such a file holds
 // exactly what that segment holds (Backend.List), so it is neither read
-// nor its footer checked again. A backend that lists ID 0 — DirBackend —
+// nor its tail checked again. A backend that lists ID 0 — DirBackend —
 // never matches, and its segments are read every time. When nothing
 // changed — a backend that can tell so without a listing says every
 // file of prev's listing is still listed as it was, and nothing else is

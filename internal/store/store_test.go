@@ -19,7 +19,7 @@ func fill(t *testing.T, st *Store, n int) {
 	for i := 0; i < n; i++ {
 		m, line := rec(uint16(i%4), uint32(i*10), uint32(i%8+1), uint32(100+i%4),
 			fmt.Sprintf("line %d payload padding to some reasonable width", i))
-		if err := st.Append(m, line); err != nil {
+		if err := st.AppendLine(m, line); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestStoreCompaction(t *testing.T) {
 	// trailing run of small segments should collapse.
 	for i := 0; i < 9; i++ {
 		m, line := rec(0, uint32(i), 1, 100, fmt.Sprintf("tiny %d", i))
-		if err := st.Append(m, line); err != nil {
+		if err := st.AppendLine(m, line); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Flush(); err != nil {
@@ -150,8 +150,8 @@ func TestStoreCompaction(t *testing.T) {
 	}
 }
 
-// A writer "crashed" without Flush: its active segment has no footer
-// and its last record, alone in the last block, is torn. (What a crash
+// A writer "crashed" without Flush: its active segment has no tail and
+// its last record is torn. (What a crash
 // leaves of a segment the online writer writes:
 // TestCompressedUnsealedSalvage, TestTornTypedTailSalvage.)
 func TestStoreRecovery(t *testing.T) {
@@ -160,7 +160,7 @@ func TestStoreRecovery(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		recs = append(recs, Rec{Meta{Machine: 0, Time: uint32(i * 10), Type: 1, PID: 100}, fmt.Sprintf("line %d of a crashed writer", i)})
 	}
-	if err := be.Create(segName(0, 1, 1, 0), encodeUnsealed(recs, 1, true)); err != nil {
+	if err := be.Create(segName(0, 1, 1, 0), encodeUnsealed(recs, true)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -186,7 +186,7 @@ func TestStoreRecovery(t *testing.T) {
 	}
 	// And the recovered store keeps accepting appends past the salvage.
 	m, line := rec(0, 999, 1, 100, "after recovery")
-	if err := st2.Append(m, line); err != nil {
+	if err := st2.AppendLine(m, line); err != nil {
 		t.Fatal(err)
 	}
 	if err := st2.Flush(); err != nil {
@@ -202,8 +202,7 @@ func TestParseSegmentSealedCorruption(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		recs = append(recs, Rec{Meta{Machine: 1, Time: uint32(i), Type: 1, PID: 7}, fmt.Sprintf("line %d", i)})
 	}
-	// One record a block.
-	sealed, err := newCompWriter(1).encodeSealed(recs)
+	sealed, err := newCompWriter().encodeSealed(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,18 +212,17 @@ func TestParseSegmentSealedCorruption(t *testing.T) {
 		t.Fatalf("clean sealed parse: %v sealed=%v recs=%d", err, seg.Sealed, len(seg.Recs))
 	}
 
-	// Flip a payload byte inside a sealed segment's second block: the
-	// block CRC fails and the damage is corruption (it cannot be a torn
-	// append — the footer was written after the blocks).
+	// Flip a payload byte inside a sealed segment's stream: the stream
+	// CRC fails and the damage is corruption (it cannot be a torn append
+	// — the tail was written after the stream), so no record is trusted.
 	bad := append([]byte(nil), sealed...)
-	second := newReaderSegment("", 0, 0, 0, 0, sealed).Blocks()[1]
-	bad[headerV2Size+second.Off+second.CompLen/2] ^= 0xff
+	bad[(len(bad)-TailSize)/2] ^= 0xff
 	seg, err = ParseSegment(bad)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("sealed corruption: got %v, want ErrCorrupt", err)
 	}
-	if len(seg.Recs) != 1 {
-		t.Fatalf("corrupt sealed prefix = %d records, want 1", len(seg.Recs))
+	if len(seg.Recs) != 0 {
+		t.Fatalf("corrupt sealed segment gave %d records, want none", len(seg.Recs))
 	}
 }
 
@@ -234,7 +232,7 @@ func TestParseSegmentUnsealedTruncation(t *testing.T) {
 		recs = append(recs, Rec{Meta{Machine: 1, Time: uint32(i)}, fmt.Sprintf("line %d", i)})
 	}
 	// Clean unsealed scan: an active segment.
-	seg, err := ParseSegment(encodeUnsealed(recs, 1, false))
+	seg, err := ParseSegment(encodeUnsealed(recs, false))
 	if err != nil || seg.Sealed || len(seg.Recs) != 5 {
 		t.Fatalf("clean unsealed parse: %v sealed=%v recs=%d", err, seg.Sealed, len(seg.Recs))
 	}
@@ -242,7 +240,7 @@ func TestParseSegmentUnsealedTruncation(t *testing.T) {
 		t.Fatalf("unsealed scan index count = %d, want 5", seg.Index.Count)
 	}
 	// A torn tail: the valid prefix survives with ErrTruncated.
-	seg, err = ParseSegment(encodeUnsealed(recs, 1, true))
+	seg, err = ParseSegment(encodeUnsealed(recs, true))
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("torn tail: got %v, want ErrTruncated", err)
 	}

@@ -1,9 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -124,11 +124,11 @@ func scanAll(t *testing.T, be Backend) ([]Rec, ScanStats) {
 	d := AcquireDecoder()
 	defer ReleaseDecoder(d)
 	for _, rs := range rd.Shards()[0] {
-		st, err := rs.Scan(d, nil, func(m Meta, line []byte) { got = append(got, Rec{m, string(line)}) })
+		st, err := rs.Scan(d, func(m Meta, line []byte) { got = append(got, Rec{m, string(line)}) })
 		if err != nil && !errors.Is(err, ErrTruncated) {
 			t.Fatalf("%s: %v", rs.Name, err)
 		}
-		sum.Blocks, sum.Records, sum.Typed = sum.Blocks+st.Blocks, sum.Records+st.Records, sum.Typed+st.Typed
+		sum.Streams, sum.Records, sum.Typed = sum.Streams+st.Streams, sum.Records+st.Records, sum.Typed+st.Typed
 	}
 	return got, sum
 }
@@ -144,7 +144,7 @@ func TestShapesReturnEveryLine(t *testing.T) {
 		recs := shapeRecs(rng, 1500)
 		reg := obs.NewRegistry()
 		be := NewMemBackend()
-		st, err := Open(be, Config{Shards: 1, SegmentCap: 8 << 10, BlockTarget: 1 << 10, ArchiveAfter: 4000, Obs: reg})
+		st, err := Open(be, Config{Shards: 1, SegmentCap: 8 << 10, ArchiveAfter: 4000, Obs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,10 +161,10 @@ func TestShapesReturnEveryLine(t *testing.T) {
 			if r.typed {
 				wantTyped++
 			}
-			// Singly (a flush, and a sync marker, in mid-block after every
-			// record) and in batches of odd sizes.
+			// Singly (a flush, and a sync marker, after every record) and in
+			// batches of odd sizes.
 			if i%400 < 40 && len(batch) == 0 {
-				if err := st.Append(m, r.Line); err != nil {
+				if err := st.AppendLine(m, r.Line); err != nil {
 					t.Fatal(err)
 				}
 			} else if batch = append(batch, BatchRec{Meta: m, Line: []byte(r.Line)}); len(batch) >= 1+i%7 {
@@ -195,8 +195,8 @@ func TestShapesReturnEveryLine(t *testing.T) {
 			t.Fatalf("seed %d: %d standard records; scans saw %d typed, the writer counted %d typed and %d text of %d",
 				seed, wantTyped, sum.Typed, typed, text, len(recs))
 		}
-		if sum.Blocks < 30 {
-			t.Fatalf("seed %d: %d blocks; the run is meant to cross many block boundaries", seed, sum.Blocks)
+		if sum.Streams < 10 {
+			t.Fatalf("seed %d: %d segments; the run is meant to cross many segment boundaries", seed, sum.Streams)
 		}
 		// Sealed, with the cold segments archived: rewritten through text,
 		// the same lines in the same shapes.
@@ -222,12 +222,13 @@ func TestShapesReturnEveryLine(t *testing.T) {
 	}
 }
 
-// TestTypedBlocksDecodeAlone: typed records are deltas against the last
-// record of their type in the same block and no further — any block of
-// a sealed segment decodes with every other pruned, in any order — and
-// the text lines sharing a type slot with them, or with each other
-// across types, disturb nothing.
-func TestTypedBlocksDecodeAlone(t *testing.T) {
+// TestTypedSegmentsDecodeAlone: typed records are deltas against the
+// last record of their type in the same segment and no further, and the
+// dictionary is the segment's own — segments one pooled writer encodes
+// in a row decode with one reused decoder, each alone, in any order —
+// and the text lines sharing a type slot with typed records, or with
+// each other across types, disturb nothing.
+func TestTypedSegmentsDecodeAlone(t *testing.T) {
 	var recs []Rec
 	for i := 0; i < 600; i++ {
 		m := Meta{Machine: 1, Time: uint32(i), Type: uint32(meter.EvSend), PID: uint32(100 + i%3)}
@@ -243,33 +244,29 @@ func TestTypedBlocksDecodeAlone(t *testing.T) {
 		}
 		recs = append(recs, Rec{m, line})
 	}
-	data, err := newCompWriter(2048).encodeSealed(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := newReaderSegment("s0-000001-000001.seg", 0, 1, 1, 0, data)
-	blocks := rs.Blocks()
-	if len(blocks) < 10 {
-		t.Fatalf("%d blocks", len(blocks))
+	const per = 60
+	w := newCompWriter()
+	var segs []*ReaderSegment
+	for at := 0; at < len(recs); at += per {
+		data, err := w.encodeSealed(recs[at : at+per])
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, newReaderSegment("s0-000001-000001.seg", 0, 1, 1, 0, bytes.Clone(data)))
 	}
 	d := AcquireDecoder()
 	defer ReleaseDecoder(d)
-	at := make([]int, len(blocks)+1)
-	for i, b := range blocks {
-		at[i+1] = at[i] + int(b.Index.Count)
-	}
 	typed := 0
-	for _, k := range rand.New(rand.NewSource(1)).Perm(len(blocks)) {
-		i := at[k]
-		nth := -1
-		st, err := rs.Scan(d, func(Index) bool { nth++; return nth == k }, func(m Meta, line []byte) {
+	for _, k := range rand.New(rand.NewSource(1)).Perm(len(segs)) {
+		i := k * per
+		st, err := segs[k].Scan(d, func(m Meta, line []byte) {
 			if (Rec{m, string(line)}) != recs[i] {
-				t.Fatalf("block %d alone: record %d is %+v %q, want %+v", k, i, m, line, recs[i])
+				t.Fatalf("segment %d alone: record %d is %+v %q, want %+v", k, i, m, line, recs[i])
 			}
 			i++
 		})
-		if err != nil || i != at[k+1] || st.BlocksPruned != len(blocks)-1 {
-			t.Fatalf("block %d alone: %v, records %d..%d of %d..%d, stats %+v", k, err, at[k], i, at[k], at[k+1], st)
+		if err != nil || i != (k+1)*per {
+			t.Fatalf("segment %d alone: %v, records %d..%d of %d..%d, stats %+v", k, err, k*per, i, k*per, (k+1)*per, st)
 		}
 		typed += st.Typed
 	}
@@ -284,7 +281,7 @@ func TestTypedBlocksDecodeAlone(t *testing.T) {
 // prefix only grows with the cut.
 func TestTornTypedTailSalvage(t *testing.T) {
 	be := NewMemBackend()
-	st, err := Open(be, Config{Shards: 1, BlockTarget: 512})
+	st, err := Open(be, Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,18 +384,16 @@ func checkLazyView(t *testing.T, lazy *trace.View) {
 }
 
 // FuzzTypedPayload feeds arbitrary bytes to the record decoder as a v3
-// block payload. It must not panic; no record it emits is larger than a
+// segment payload. It must not panic; no record it emits is larger than a
 // frame may be; every view it fills regenerates a line the trace parser
 // reads back as the same record; and the records it emits, transcoded
 // as the cold rewrite moves them — a typed one as its view, any other
 // as its line — decode again to the same Metas and lines.
 func FuzzTypedPayload(f *testing.F) {
-	w := newCompWriter(1 << 20)
+	w := newCompWriter()
 	w.openSegment()
 	for _, r := range shapeRecs(rand.New(rand.NewSource(5)), 80) {
-		if err := w.stage(r.Meta, []byte(r.Line), nil); err != nil {
-			f.Fatal(err)
-		}
+		w.stage(r.Meta, []byte(r.Line), nil)
 		if w.stagedN%20 == 0 {
 			f.Add(append([]byte(nil), w.enc...))
 		}
@@ -411,22 +406,14 @@ func FuzzTypedPayload(f *testing.F) {
 	for _, c := range craftedPayloads() {
 		f.Add(c.payload)
 	}
-	// payloadDecoder borrows a decoder set to read a bare block payload
-	// that defines its dictionary as it goes.
-	payloadDecoder := func() *Decoder {
-		d := AcquireDecoder()
-		d.growDict, d.dict = true, d.dictBuf[:0]
-		d.resetBlockCoding()
-		return d
-	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		d := payloadDecoder()
+		d := AcquireDecoder()
 		defer ReleaseDecoder(d)
 		emitted := 0
 		var first []Rec
-		w := newCompWriter(math.MaxInt)
+		w := newCompWriter()
 		w.openSegment()
-		n, consumed, err := d.decodeRecords(raw, func(m Meta, v *trace.View, line []byte) {
+		n, err := d.decodeRecords(raw, func(m Meta, v *trace.View, line []byte) {
 			emitted++
 			if v != nil {
 				checkLazyView(t, v)
@@ -434,9 +421,7 @@ func FuzzTypedPayload(f *testing.F) {
 			} else {
 				first = append(first, Rec{m, string(line)})
 			}
-			if err := w.add(m, v, line); err != nil {
-				t.Fatal(err)
-			}
+			w.add(m, v, line)
 			if v == nil {
 				if len(line) > MaxFrameSize {
 					t.Fatalf("text record of %d bytes", len(line))
@@ -456,16 +441,16 @@ func FuzzTypedPayload(f *testing.F) {
 				t.Fatalf("typed record regenerates %q, which is not standard or not the view's record", out)
 			}
 		})
-		if n != emitted || consumed > len(raw) || (err == nil && consumed != len(raw)) {
-			t.Fatalf("decodeRecords = %d, %d, %v over %d bytes with %d emitted", n, consumed, err, len(raw), emitted)
+		if n != emitted {
+			t.Fatalf("decodeRecords = %d, %v over %d bytes with %d emitted", n, err, len(raw), emitted)
 		}
-		d2 := payloadDecoder()
+		d2 := AcquireDecoder()
 		defer ReleaseDecoder(d2)
 		var again []Rec
-		if n, consumed, err := d2.decodeRecords(w.enc, d2.lines(func(m Meta, line []byte) {
+		if n, err := d2.decodeRecords(w.enc, d2.lines(func(m Meta, line []byte) {
 			again = append(again, Rec{m, string(line)})
-		})); err != nil || n != emitted || consumed != len(w.enc) {
-			t.Fatalf("transcoded payload: decodeRecords = %d, %d, %v over %d bytes, want the %d records", n, consumed, err, len(w.enc), emitted)
+		})); err != nil || n != emitted {
+			t.Fatalf("transcoded payload: decodeRecords = %d, %v over %d bytes, want the %d records", n, err, len(w.enc), emitted)
 		}
 		if !slices.Equal(again, first) {
 			t.Fatalf("transcoded payload decodes to\n%+v\nthe payload itself to\n%+v", again, first)
@@ -482,32 +467,33 @@ func TestTypedShapeZeroAllocs(t *testing.T) {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	recs := shapeRecs(rand.New(rand.NewSource(2)), 400)
-	w := newCompWriter(1 << 20)
+	w := newCompWriter()
 	typed := recs[:0:0]
 	for _, r := range recs {
 		if r.typed {
 			typed = append(typed, r)
 		}
 	}
+	lines := make([][]byte, len(typed))
+	for i, r := range typed {
+		lines[i] = []byte(r.Line)
+	}
 	stageTyped := func() {
 		w.openSegment()
-		for _, r := range typed {
-			w.lineBuf = append(w.lineBuf[:0], r.Line...)
-			if err := w.stage(r.Meta, w.lineBuf, nil); err != nil {
-				t.Fatal(err)
-			}
+		for i, r := range typed {
+			w.stage(r.Meta, lines[i], nil)
 		}
 	}
 	stageTyped()
-	if allocs := testing.AllocsPerRun(10, stageTyped); allocs != 0 || w.nTyped != len(typed) || len(w.dictEntries) != 0 {
-		t.Fatalf("staging %d standard records: %.0f allocations, %d typed, %d dictionary entries; want 0, all, 0", len(typed), allocs, w.nTyped, len(w.dictEntries))
+	if allocs := testing.AllocsPerRun(10, stageTyped); allocs != 0 || w.nTyped != len(typed) || len(w.dictIDs) != 0 {
+		t.Fatalf("staging %d standard records: %.0f allocations, %d typed, %d dictionary entries; want 0, all, 0", len(typed), allocs, w.nTyped, len(w.dictIDs))
 	}
 
 	var all []Rec
 	for _, r := range recs {
 		all = append(all, r.Rec)
 	}
-	data, err := newCompWriter(4096).encodeSealed(all)
+	data, err := newCompWriter().encodeSealed(all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,10 +503,10 @@ func TestTypedShapeZeroAllocs(t *testing.T) {
 	var st ScanStats
 	n := 0
 	scan := func() {
-		if st, err = rs.ScanViews(d, nil, func(_ Meta, v *trace.View, line []byte) { n += len(line) }); err != nil {
+		if st, err = rs.ScanViews(d, func(_ Meta, v *trace.View, line []byte) { n += len(line) }); err != nil {
 			t.Fatal(err)
 		}
-		if _, err = rs.Scan(d, nil, func(_ Meta, line []byte) { n += len(line) }); err != nil {
+		if _, err = rs.Scan(d, func(_ Meta, line []byte) { n += len(line) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -33,14 +33,8 @@ failed=0
 go test -run '^$' -bench 'BenchmarkFilterEngine$' -benchmem -benchtime=200000x . >"$tmp"
 go test -run '^$' -bench 'BenchmarkStoreIngest$' -benchmem -benchtime=1600000x . >>"$tmp"
 # Batched ingest (16 records a batch, the same 1.6 M records as the
-# per-record run above), plus the block-pruned query against its
-# segment-pruned baseline. The compression ratio and pruning gates
-# below read these lines. The pruned queries take ~60 us each since the
-# scan stopped building an event per record, so they run 2000 times: at
-# the old 50 the pair was 3 ms of work and its ratio was noise. Three
-# runs each; the gate compares the best of each side (one run of five
-# read 276 us for a 60 us query while the host stalled). The batched
-# ingest runs three times as well, for the archiving gate.
+# per-record run above), three runs: the compression and archiving gates
+# below read these lines.
 go test -run '^$' -bench 'BenchmarkStoreIngestCompressed$' -benchmem -benchtime=100000x -count=3 . >>"$tmp"
 # The store as the filter opens it (filter.StoreConfig: archival on) and
 # record time advancing, so cold runs are rewritten into tier 1 on the
@@ -51,7 +45,6 @@ go test -run '^$' -bench 'BenchmarkStoreIngestArchiving$' -benchmem -benchtime=1
 # The same batches as the filter hands them over, typed: three runs, the
 # slots gate below takes the best x-text.
 go test -run '^$' -bench 'BenchmarkStoreIngestSlots$' -benchmem -benchtime=100000x -count=3 . >>"$tmp"
-go test -run '^$' -bench 'BenchmarkQueryBlockPruned' -benchmem -benchtime=2000x -count=3 . >>"$tmp"
 # Scaling benchmarks: the parallel ingest pipeline at 1/2/4/8 workers
 # and the read executor at GOMAXPROCS 1/2/4 (it sizes its pool from
 # GOMAXPROCS, so -cpu is the sweep and the -N row suffix records it; the
@@ -166,34 +159,19 @@ END {
     }
 }' "$tmp"; then failed=1; fi
 
-# Compression gates. The stored-segment format must actually earn its
+# Compression gate. The stored-segment format must actually earn its
 # complexity: at least 3x smaller on disk than the v1-equivalent bytes.
 # (It was also held to 1.25x the ns/op of the same batches through the
 # v1 writer, BenchmarkStoreIngestBatch; that writer is gone and with it
 # the baseline. Last archived reading 5365 vs 4406 ns/op, 1.22x; it had
-# read 1.31x once in six runs.) Block pruning must not cost
-# grossly more than the segment-pruned baseline it refines. The pair is
-# two 0.12 s measurements (a ~60us query run 2000 times) taken one after
-# the other on a host that changes speed in between: twenty recorded
-# runs, ten at 32bff1d and ten at the commit after, read 0.87-1.45x
-# (medians 1.20x and 1.08x) and failed the old 1.10x line eleven times.
-# 1.5x is above every recorded run. Whether zone maps earn their keep at
-# all is ROADMAP item 1's question, not this gate's.
+# read 1.31x once in six runs.)
 if ! awk '
 $1 ~ /^BenchmarkStoreIngestCompressed(-[0-9]+)?$/ {
     for (i = 3; i < NF; i++) if ($(i+1) == "compression-x") cx = $i
 }
-$1 ~ /^BenchmarkQueryBlockPruned\/segment-pruned(-[0-9]+)?$/ { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op" && (segp == 0 || $i < segp)) segp = $i }
-$1 ~ /^BenchmarkQueryBlockPruned\/block-pruned(-[0-9]+)?$/   { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op" && (blkp == 0 || $i < blkp)) blkp = $i }
 END {
-    fail = 0
-    if (cx + 0 <= 0) { print "bench_filter.sh: missing compression-x metric" > "/dev/stderr"; fail = 1 }
-    else if (cx + 0 < 3) { printf "bench_filter.sh: compression ratio %.2fx below the 3x gate\n", cx > "/dev/stderr"; fail = 1 }
-    if (segp + 0 <= 0 || blkp + 0 <= 0) { print "bench_filter.sh: missing block-pruned query results" > "/dev/stderr"; fail = 1 }
-    else if (blkp / segp > 1.5) {
-        printf "bench_filter.sh: block-pruned query %.0f ns/op vs %.0f segment-pruned (%.2fx), gate is 1.5x\n", blkp, segp, blkp / segp > "/dev/stderr"; fail = 1
-    }
-    exit fail
+    if (cx + 0 <= 0) { print "bench_filter.sh: missing compression-x metric" > "/dev/stderr"; exit 1 }
+    if (cx + 0 < 3) { printf "bench_filter.sh: compression ratio %.2fx below the 3x gate\n", cx > "/dev/stderr"; exit 1 }
 }' "$tmp"; then failed=1; fi
 
 # Archiving gates: the cold rewrite runs on the ingest worker, so what it
