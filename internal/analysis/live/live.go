@@ -63,6 +63,8 @@ import (
 	"dpm/internal/filter"
 	"dpm/internal/meter"
 	"dpm/internal/obs"
+	"dpm/internal/store"
+	"dpm/internal/trace"
 )
 
 // Config tunes a Collector. The zero value selects the defaults.
@@ -279,36 +281,53 @@ type Tap struct {
 	buf []tapEntry
 }
 
-// TapRecord copies the fields the operators need out of the pooled
-// record. No allocation, no lock; the switch touches only the indices
-// the event type carries.
-func (t *Tap) TapRecord(info *filter.TapInfo, rec *filter.Record) {
+// tapPlaces gives, per event type, the places in its stored order
+// (trace.SlotKeys) of the fields a tap entry takes besides the pid, -1
+// for none: the acting descriptor, the auxiliary number (msgLength,
+// newSock, newPid or status) and the primary and peer socket names.
+var tapPlaces = func() (t [meter.EvTermProc + 1]struct{ sock, aux, name1, name2 int }) {
+	for typ := range t {
+		keys, _ := trace.SlotKeys(meter.Type(typ), meter.Type(typ).String())
+		first := func(names ...string) int {
+			for _, name := range names {
+				if k := slices.Index(keys, name); k >= 0 {
+					return k
+				}
+			}
+			return -1
+		}
+		t[typ].sock, t[typ].aux = first("sock"), first("msgLength", "newSock", "newPid", "status")
+		t[typ].name1, t[typ].name2 = first("destName", "sourceName", "sockName"), first("peerName")
+	}
+	return t
+}()
+
+// TapRecord copies the fields the operators need out of the engine's
+// slots. No allocation, no lock; the places are the event type's,
+// resolved once.
+func (t *Tap) TapRecord(m *store.Meta, s *trace.Slots) {
 	if len(t.buf) == cap(t.buf) {
 		t.flush()
 	}
 	t.buf = t.buf[:len(t.buf)+1]
 	e := &t.buf[len(t.buf)-1]
-	*e = tapEntry{Machine: rec.Machine, CPU: int64(rec.CPUTime), Proc: int64(rec.ProcTime)}
-	if ty := info.Type; ty < 256 {
-		e.Kind = uint8(ty)
+	*e = tapEntry{Machine: m.Machine, CPU: int64(m.Time), Proc: s.ProcTime(), PID: m.PID}
+	if m.Type >= uint32(len(tapPlaces)) {
+		return
 	}
-	f := rec.Fields
-	if i := info.PIDIdx; i >= 0 {
-		e.PID = uint32(f[i].Value)
+	e.Kind = uint8(m.Type)
+	at := &tapPlaces[m.Type]
+	if at.sock >= 0 {
+		e.Sock = uint32(s.Val(at.sock))
 	}
-	if i := info.SockIdx; i >= 0 {
-		e.Sock = uint32(f[i].Value)
+	if at.aux >= 0 {
+		e.Aux = uint32(s.Val(at.aux))
 	}
-	if i := info.LenIdx; i >= 0 {
-		e.Aux = uint32(f[i].Value)
-	} else if i := info.AuxIdx; i >= 0 {
-		e.Aux = uint32(f[i].Value)
+	if at.name1 >= 0 {
+		e.Name1 = s.Name(at.name1)
 	}
-	if i := info.Name1Idx; i >= 0 {
-		e.Name1 = f[i].Addr
-	}
-	if i := info.Name2Idx; i >= 0 {
-		e.Name2 = f[i].Addr
+	if at.name2 >= 0 {
+		e.Name2 = s.Name(at.name2)
 	}
 }
 

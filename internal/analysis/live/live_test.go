@@ -10,6 +10,7 @@ import (
 	"dpm/internal/filter"
 	"dpm/internal/meter"
 	"dpm/internal/obs"
+	"dpm/internal/store"
 	"dpm/internal/trace"
 )
 
@@ -261,14 +262,16 @@ func TestTapPathZeroAllocs(t *testing.T) {
 	}
 	c := NewCollector(Config{})
 	tap := c.NewTap().(*Tap)
-	info := &filter.TapInfo{Type: meter.EvSend, PIDIdx: 0, SockIdx: 2, LenIdx: 3, AuxIdx: -1, Name1Idx: -1, Name2Idx: -1}
-	rec := &filter.Record{
-		Machine: 1, CPUTime: 100, ProcTime: 10,
-		Fields: []filter.RecordField{{Value: 42}, {Value: 0x400}, {Value: 3}, {Value: 64}},
-	}
+	m := &store.Meta{Machine: 1, Time: 100, Type: uint32(meter.EvSend), PID: 42}
+	rec := new(trace.Slots)
+	rec.Reset(10)
+	rec.SetVal(0, 42)
+	rec.SetVal(1, 0x400)
+	rec.SetVal(2, 3)
+	rec.SetVal(3, 64)
 	round := func() {
 		for i := 0; i < 256; i++ {
-			tap.TapRecord(info, rec)
+			tap.TapRecord(m, rec)
 		}
 		tap.TapFlush()
 	}

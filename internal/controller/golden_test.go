@@ -10,9 +10,10 @@ import (
 
 	"dpm/internal/analysis/live"
 	"dpm/internal/daemon"
-	"dpm/internal/filter"
 	"dpm/internal/meter"
 	"dpm/internal/obs"
+	"dpm/internal/store"
+	"dpm/internal/trace"
 )
 
 var updateStatsGolden = flag.Bool("update-stats-golden", false, "rewrite testdata/stats.golden from this build's reports")
@@ -39,25 +40,32 @@ func goldenSnapshot(t *testing.T, i int, name string, withLive bool) []byte {
 		coll := live.NewCollector(live.Config{Obs: reg})
 		defer coll.Close()
 		tap := coll.NewTap()
-		rec := &filter.Record{Fields: make([]filter.RecordField, 4)}
-		send := &filter.TapInfo{Type: meter.EvSend, PIDIdx: 0, SockIdx: 1, LenIdx: 2, AuxIdx: -1, Name1Idx: 3, Name2Idx: -1}
-		recv := &filter.TapInfo{Type: meter.EvRecv, PIDIdx: 0, SockIdx: 1, LenIdx: 2, AuxIdx: -1, Name1Idx: 3, Name2Idx: -1}
-		term := &filter.TapInfo{Type: meter.EvTermProc, PIDIdx: 0, SockIdx: -1, LenIdx: -1, AuxIdx: -1, Name1Idx: -1, Name2Idx: -1}
+		// SEND and RECEIVE share the places of pid, sock, msgLength
+		// and their name in the stored order: 0, 2, 3 and 5.
+		var (
+			m   store.Meta
+			rec trace.Slots
+		)
 		for p := 0; p < 4+i; p++ {
-			rec.Machine = uint16(i % 5)
-			rec.Fields[0].Value = uint64(10 + 7*p)
-			rec.Fields[1].Value = 3
-			rec.Fields[3].Addr = meter.Name{2, 0, byte(p), byte(i)}
+			m.Machine, m.PID = uint16(i%5), uint32(10+7*p)
 			for k := 0; k < 1+p%3; k++ {
-				rec.CPUTime, rec.ProcTime = uint32(100+40*i+10*p+3*k), uint32(k*5)
-				rec.Fields[2].Value = uint64(16 << (p % 4))
-				tap.TapRecord(send, rec)
-				rec.CPUTime++
-				tap.TapRecord(recv, rec)
+				m.Time = uint32(100 + 40*i + 10*p + 3*k)
+				rec.Reset(int64(k * 5))
+				rec.SetVal(0, uint64(m.PID))
+				rec.SetVal(2, 3)
+				rec.SetVal(3, uint64(16<<(p%4)))
+				rec.SetName(5, meter.Name{2, 0, byte(p), byte(i)})
+				m.Type = uint32(meter.EvSend)
+				tap.TapRecord(&m, &rec)
+				m.Time++
+				m.Type = uint32(meter.EvRecv)
+				tap.TapRecord(&m, &rec)
 			}
 			if p%2 == 0 {
-				rec.CPUTime += 20
-				tap.TapRecord(term, rec)
+				m.Time += 20
+				m.Type = uint32(meter.EvTermProc)
+				rec.Reset(rec.ProcTime())
+				tap.TapRecord(&m, &rec)
 			}
 		}
 		tap.TapFlush()

@@ -11,10 +11,11 @@ import (
 
 	"dpm/internal/analysis/live"
 	"dpm/internal/daemon"
-	"dpm/internal/filter"
 	"dpm/internal/kernel"
 	"dpm/internal/meter"
 	"dpm/internal/obs"
+	"dpm/internal/store"
+	"dpm/internal/trace"
 )
 
 // TestStatsCommand: the stats command polls every machine's
@@ -123,14 +124,14 @@ func TestStatsRoundTripNoAllocBeyondCopies(t *testing.T) {
 	defer coll.Close()
 	const procs = 16384
 	tap := coll.NewTap()
-	info := &filter.TapInfo{Type: meter.EvTermProc, PIDIdx: 0, SockIdx: -1, LenIdx: -1, AuxIdx: -1, Name1Idx: -1, Name2Idx: -1}
-	rec := &filter.Record{Fields: make([]filter.RecordField, 1)}
+	m := &store.Meta{Type: uint32(meter.EvTermProc)}
+	var rec trace.Slots
 	// Every record lies within one reordering window, so no process
 	// retires and the reply carries all of them.
 	for i := 0; i < procs; i++ {
-		rec.Machine, rec.CPUTime, rec.ProcTime = uint16(i%6), uint32(100+(i*7919)%1500), uint32(i%90)
-		rec.Fields[0].Value = uint64(1 + (i*7919)%procs)
-		tap.TapRecord(info, rec)
+		m.Machine, m.Time, m.PID = uint16(i%6), uint32(100+(i*7919)%1500), uint32(1+(i*7919)%procs)
+		rec.Reset(int64(i % 90))
+		tap.TapRecord(m, &rec)
 	}
 	tap.TapFlush()
 
@@ -190,17 +191,21 @@ func TestStatsNoAllocGrowthWithAge(t *testing.T) {
 	coll := live.NewCollector(live.Config{Obs: red.Obs()})
 	defer coll.Close()
 	tap := coll.NewTap()
-	rec := &filter.Record{Fields: make([]filter.RecordField, 1)}
+	var (
+		m   store.Meta
+		rec trace.Slots
+	)
 	var fed int
 	feed := func(to int) {
 		for ; fed < to; fed++ {
-			rec.Machine, rec.ProcTime, rec.Fields[0].Value = uint16(fed%6), uint32(fed%90), uint64(100+fed)
+			m.Machine, m.PID = uint16(fed%6), uint32(100+fed)
+			rec.Reset(int64(fed % 90))
 			for _, ev := range []struct {
 				ty meter.Type
 				at int
 			}{{meter.EvRecvCall, 100}, {meter.EvTermProc, 130}} {
-				rec.CPUTime = uint32(ev.at + 5*fed)
-				tap.TapRecord(&filter.TapInfo{Type: ev.ty, PIDIdx: 0, SockIdx: -1, LenIdx: -1, AuxIdx: -1, Name1Idx: -1, Name2Idx: -1}, rec)
+				m.Time, m.Type = uint32(ev.at+5*fed), uint32(ev.ty)
+				tap.TapRecord(&m, &rec)
 			}
 			tap.TapFlush()
 		}
@@ -277,13 +282,18 @@ func feedLive(t *testing.T, m *kernel.Machine, i int) {
 	coll := live.NewCollector(live.Config{Obs: m.Obs()})
 	t.Cleanup(coll.Close)
 	tap := coll.NewTap()
-	rec := &filter.Record{Fields: make([]filter.RecordField, 4)}
-	send := &filter.TapInfo{Type: meter.EvSend, PIDIdx: 0, SockIdx: 1, LenIdx: 2, AuxIdx: -1, Name1Idx: 3, Name2Idx: -1}
+	// pid, sock, msgLength and destName at their places in SEND's
+	// stored order.
+	send := &store.Meta{Type: uint32(meter.EvSend)}
+	var rec trace.Slots
 	for p := 0; p < 6; p++ {
-		rec.Machine, rec.CPUTime = uint16(i%4), uint32(100+10*p)
-		rec.Fields[0].Value, rec.Fields[1].Value, rec.Fields[2].Value = uint64(10+p), 3, 64
-		rec.Fields[3].Addr = meter.Name{2, 0, byte(p), byte(i)}
-		tap.TapRecord(send, rec)
+		send.Machine, send.Time, send.PID = uint16(i%4), uint32(100+10*p), uint32(10+p)
+		rec.Reset(0)
+		rec.SetVal(0, uint64(10+p))
+		rec.SetVal(2, 3)
+		rec.SetVal(3, 64)
+		rec.SetName(5, meter.Name{2, 0, byte(p), byte(i)})
+		tap.TapRecord(send, &rec)
 	}
 	tap.TapFlush()
 }

@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"dpm/internal/meter"
+	"dpm/internal/trace"
 )
 
 // These tests lock in the zero-allocation guarantee of the filter hot
-// path: extraction, selection, and formatting of a record must not
+// path: decoding, selection, and formatting of a record must not
 // touch the heap once buffers are warm. They are regression gates — CI
 // fails if an allocation creeps back in.
 
@@ -24,6 +25,9 @@ func allocStream(n int) []byte {
 	return stream
 }
 
+// TestExtractSelectFormatZeroAllocs gates each step of a record through
+// the compiled program on its own: decoding into the slots, selection,
+// and formatting the line from them.
 func TestExtractSelectFormatZeroAllocs(t *testing.T) {
 	d, err := ParseDescriptions([]byte(StandardDescriptions))
 	if err != nil {
@@ -33,36 +37,42 @@ func TestExtractSelectFormatZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := CompileProgram(d, rs)
+	prog, err := CompileProgram(d, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw := allocStream(1)
-	rec := &Record{}
-	pl, err := prog.ExtractInto(rec, raw)
+	var (
+		h meter.Header
+		s trace.Slots
+	)
+	pl, _, err := prog.decode(raw, &h, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 0, 1024)
 
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := prog.ExtractInto(rec, raw); err != nil {
+		if _, _, err := prog.decode(raw, &h, &s); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("ExtractInto allocates %v per record, want 0", n)
+		t.Fatalf("decode allocates %v per record, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		pl.selectRec(rec)
+		pl.selectRec(&h, &s, raw[meter.HeaderSize:])
 	}); n != 0 {
 		t.Fatalf("selectRec allocates %v per record, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		dst = rec.AppendFormat(dst[:0], 1)
+		dst = s.AppendLine(dst[:0], h.TraceType, int(h.Machine), int64(h.CPUTime))
 	}); n != 0 {
-		t.Fatalf("AppendFormat allocates %v per record, want 0", n)
+		t.Fatalf("AppendLine allocates %v per record, want 0", n)
 	}
 }
 
 // TestProcessBatchZeroAllocs gates the path every pipeline worker runs —
-// extract, select, format, type, and the batch's store records — at zero
+// decode, select, format, and the batch's store records — at zero
 // heap allocations once the batch's and the engine's buffers are warm,
 // with every record of the flush handed over typed.
 func TestProcessBatchZeroAllocs(t *testing.T) {

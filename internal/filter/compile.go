@@ -8,69 +8,28 @@ import (
 	"dpm/internal/trace"
 )
 
-// This file compiles Descriptions + Rules into an index-based program,
-// the filter's steady-state hot path. The interpreter in interp_test.go
-// resolves every field by string name per record and allocates a
-// discard map per match; the compiled form resolves each condition's
-// field references to integer slots once, at filter start, and
-// represents discard sets as per-rule bitmasks. Selection then runs
-// against the extracted record with no map, no string comparison, and
-// no allocation. The interpreter remains the semantic reference: the
-// equivalence tests in compile_test.go prove the two agree
-// byte-for-byte across the Figure 3.3–3.4 operator matrix.
+// This file compiles Descriptions + Rules into a program, the filter's
+// steady-state hot path. Each description becomes a field plan: where
+// each field lies in the message body, its width, and the key of the
+// event type's stored order (trace.SlotKeys) it fills, so a message is
+// decoded once, straight into the trace.Slots the store keeps. Each
+// rule's field references resolve to a header field or a key, and its
+// discards to a mask of keys, once, at filter start. Selection then runs
+// on the slots with no map, no string comparison and no allocation. The
+// interpreter in interp_test.go, over the Record it extracts, remains
+// the semantic reference: the equivalence tests in compile_test.go and
+// slots_test.go hold the two to the same lines across the Figure 3.3–3.4
+// operator matrix.
 
-// Field slots. The five header fields get fixed slots; an event's body
-// fields follow in description order.
-const (
-	slotSize = iota
-	slotMachine
-	slotCPUTime
-	slotProcTime
-	slotType
-	numHeaderSlots
-)
+// headerNames are the header fields rules may name; they shadow body
+// fields of the same name, and traceType is type.
+var headerNames = []string{"size", "machine", "cpuTime", "procTime", "type", "traceType"}
 
-// slotVal reads a slot's numeric value from an extracted record.
-// Body-field slots index Fields directly; name fields yield their
-// numeric Value, exactly as Record.Field does.
-func (r *Record) slotVal(slot int32) uint64 {
-	switch slot {
-	case slotSize:
-		return uint64(r.Size)
-	case slotMachine:
-		return uint64(r.Machine)
-	case slotCPUTime:
-		return uint64(r.CPUTime)
-	case slotProcTime:
-		return uint64(r.ProcTime)
-	case slotType:
-		return uint64(r.Type)
-	}
-	return r.Fields[slot-numHeaderSlots].Value
-}
-
-// slotOf resolves a field name against an event description: header
-// names first (they shadow body fields, as in Record.Field), then body
-// fields in order. isName reports a 16-byte socket-name field.
-func slotOf(ev *EventDesc, name string) (slot int32, isName, ok bool) {
-	switch name {
-	case "size":
-		return slotSize, false, true
-	case "machine":
-		return slotMachine, false, true
-	case "cpuTime":
-		return slotCPUTime, false, true
-	case "procTime":
-		return slotProcTime, false, true
-	case "type", "traceType":
-		return slotType, false, true
-	}
-	for i := range ev.Fields {
-		if ev.Fields[i].Name == name {
-			return int32(numHeaderSlots + i), ev.Fields[i].Length == meter.NameSize, true
-		}
-	}
-	return 0, false, false
+// fieldPlan is one described field as the program reads it: offset and
+// width in the message body — 2 or 4 bytes for a number, 16 for a socket
+// name — and the key k of the stored order it fills.
+type fieldPlan struct {
+	off, width, k int
 }
 
 // condKind discriminates the compiled condition forms. Wildcards on
@@ -79,19 +38,21 @@ func slotOf(ev *EventDesc, name string) (slot int32, isName, ok bool) {
 type condKind uint8
 
 const (
-	condNum    condKind = iota // slot op literal value
-	condNumRef                 // slot op refSlot (numeric values)
-	condNameEQ                 // Fields[slot] and Fields[refSlot] 16-byte equal
-	condNameNE                 // ... not equal
+	condNum    condKind = iota // a op literal value
+	condNumRef                 // a op b (numeric values)
+	condNameEQ                 // the 16 body bytes at offsets a and b equal
+	condNameNE                 // ... differ
 )
 
-// progCond is one compiled condition.
+// progCond is one compiled condition. a and b are places — key k of the
+// stored order (k >= 0) or header field -1-p in headerNames' order — or,
+// for the name compares, body offsets: those see the bytes as sent, and
+// the slots hold a name as a line spells it.
 type progCond struct {
-	kind    condKind
-	op      Op
-	slot    int32 // left-hand slot (body-field index for name compares)
-	refSlot int32
-	value   uint64
+	kind  condKind
+	op    Op
+	a, b  int
+	value uint64
 }
 
 // progRule is one rule compiled against one event type.
@@ -100,218 +61,141 @@ type progRule struct {
 	// references a field the type does not carry.
 	never bool
 	conds []progCond
-	// mask is the rule's discard set over the event's body fields (bit
-	// i drops Fields[i]); header-field discards are no-ops in Format
-	// and are dropped here too.
-	mask uint64
-	// discards carries the interpreter-form discard set for the rare
-	// wide event type (>64 body fields) the mask cannot represent.
-	discards map[string]bool
-	// typed is how a record the rule keeps goes to the store typed.
-	typed typedPlan
-}
-
-// typedPlan is ParseStandard's judgement of the lines one rule keeps, made
-// at compile time for what only the description decides: the record goes
-// to the store typed (trace.Slots) when trace knows its type by the
-// event's name and every kept field is a key of the type's stored order,
-// at increasing places, a 16-byte field exactly when its key ends in
-// "Name", and not hex. fill decides the rest: the names.
-type typedPlan struct {
-	ok     bool
-	fields []slotField
-}
-
-// slotField puts Fields[idx] into slot k, as a socket name or a number.
-type slotField struct {
-	idx, k int
-	name   bool
-}
-
-// planTyped plans a record of ev without the fields discarded drops.
-func planTyped(ev *EventDesc, discarded func(i int) bool) typedPlan {
-	keys, names := trace.SlotKeys(ev.Type, ev.Name)
-	if keys == nil {
-		return typedPlan{}
-	}
-	tp := typedPlan{ok: true}
-	next := 0 // the first key a field may still take
-	for i := range ev.Fields {
-		if discarded(i) {
-			continue
-		}
-		fd := &ev.Fields[i]
-		k := slices.Index(keys[next:], fd.Name)
-		isName := fd.Length == meter.NameSize
-		if k < 0 || isName != (names>>(next+k)&1 != 0) || !isName && fd.Base == 16 {
-			return typedPlan{}
-		}
-		next += k + 1
-		tp.fields = append(tp.fields, slotField{i, next - 1, isName})
-	}
-	return tp
-}
-
-// fill puts rec's fields into s and reports whether rec goes to the store
-// typed: whether the plan says so and every name is one a standard line
-// spells.
-func (tp *typedPlan) fill(s *trace.Slots, rec *Record) bool {
-	if !tp.ok {
-		return false
-	}
-	s.Reset(int64(rec.ProcTime))
-	for _, f := range tp.fields {
-		if rf := &rec.Fields[f.idx]; !f.name {
-			s.SetVal(f.k, rf.Value)
-		} else if !s.SetName(f.k, rf.Addr) {
-			return false
-		}
-	}
-	return true
+	// drop is the rule's discard set: the keys a kept record loses.
+	// Header fields are never dropped.
+	drop uint8
 }
 
 // eventPlan is the compiled program for one event type.
 type eventPlan struct {
-	ev *EventDesc
-	// wide marks an event description with more than 64 body fields;
-	// formatting then falls back to the interpreter's map-based
-	// discards (selection still runs compiled).
-	wide bool
-	// pidIdx is the body-field index of "pid" (-1 when the type does
-	// not carry one), resolved once so the store metadata extraction
-	// needs no name lookup.
-	pidIdx int
-	// tapInfo is the precomputed index table record taps read through
-	// (tap.go), resolved here for the same no-lookup-on-hot-path reason
-	// as pidIdx.
-	tapInfo TapInfo
-	rules   []progRule
+	ev     *EventDesc
+	keys   []string // the type's stored order
+	names  uint8    // the keys holding socket names
+	fields []fieldPlan
+	need   int // the body bytes the fields reach
+	rules  []progRule
 	// keepAll is what a record is kept under when there are no rules:
 	// nothing discarded.
 	keepAll progRule
 }
 
 // Program is a rule set compiled against a description set: one
-// eventPlan per described event type.
+// eventPlan per described event type, by type number.
 type Program struct {
-	desc  *Descriptions
-	rules Rules
-	// plans is dense, indexed by event type, when types are small;
-	// planMap is the fallback for outlandish type numbers.
-	plans   []*eventPlan
-	planMap map[meter.Type]*eventPlan
+	plans [meter.EvTermProc + 1]*eventPlan
+	// textOnly hands the store every record as text, for it to parse:
+	// the path the typed hand-off is held to, set by tests only.
+	textOnly bool
 }
 
-// maxDensePlanType bounds the dense plan table; standard types are
-// 1..10, so this is generous while keeping a hostile descriptions file
-// from inflating the table.
-const maxDensePlanType = 4096
-
-// CompileProgram compiles rules against descriptions. Compilation
-// cannot fail: a rule referencing a field an event type lacks simply
-// never matches that type, exactly as in the interpreter.
-func CompileProgram(d *Descriptions, rs Rules) *Program {
-	p := &Program{desc: d, rules: rs}
-	maxType := meter.Type(0)
-	dense := true
-	for t := range d.events {
-		if t > maxType {
-			maxType = t
-		}
-		if t >= maxDensePlanType {
-			dense = false
-		}
+// CompileProgram compiles rules against descriptions. It refuses a
+// description no field plan expresses, naming its line: an event name
+// and type trace does not know, a field that is no key of the type's
+// stored order or stands out of that order, a field at a negative
+// offset, a socket name not 16 bytes wide, a number not 2 or 4 bytes
+// wide or shown in base 16. A rule referencing a field an event type
+// lacks simply never matches that type, exactly as in the interpreter.
+func CompileProgram(d *Descriptions, rs Rules) (*Program, error) {
+	var evs []*EventDesc
+	for _, ev := range d.events {
+		evs = append(evs, ev)
 	}
-	if dense {
-		p.plans = make([]*eventPlan, maxType+1)
-	} else {
-		p.planMap = make(map[meter.Type]*eventPlan, len(d.events))
-	}
-	for t, ev := range d.events {
-		pl := compilePlan(ev, rs)
-		if dense {
-			p.plans[t] = pl
-		} else {
-			p.planMap[t] = pl
+	// In file order, so that of several refused lines the first is named.
+	slices.SortFunc(evs, func(a, b *EventDesc) int { return a.line - b.line })
+	p := &Program{}
+	for _, ev := range evs {
+		pl, err := compilePlan(ev)
+		if err != nil {
+			return nil, fmt.Errorf("filter: descriptions line %d: %s %d: %w", ev.line, ev.Name, ev.Type, err)
 		}
+		for _, r := range rs {
+			pl.rules = append(pl.rules, pl.compileRule(r))
+		}
+		p.plans[ev.Type] = pl
 	}
-	return p
+	return p, nil
 }
 
-func compilePlan(ev *EventDesc, rs Rules) *eventPlan {
-	pl := &eventPlan{ev: ev, wide: len(ev.Fields) > 64, pidIdx: -1, tapInfo: buildTapInfo(ev)}
-	for i := range ev.Fields {
-		if ev.Fields[i].Name == "pid" {
-			pl.pidIdx = i
-			break
+func compilePlan(ev *EventDesc) (*eventPlan, error) {
+	keys, names := trace.SlotKeys(ev.Type, ev.Name)
+	if keys == nil {
+		return nil, fmt.Errorf("no event type of that name and number")
+	}
+	pl := &eventPlan{ev: ev, keys: keys, names: names}
+	next := 0 // the first key a field may still take
+	for _, fd := range ev.Fields {
+		k := slices.Index(keys, fd.Name)
+		isName := k >= 0 && names>>k&1 != 0
+		switch {
+		case k < 0:
+			return nil, fmt.Errorf("field %s is no key of %v", fd.Name, keys)
+		case k < next:
+			return nil, fmt.Errorf("field %s repeats or stands out of the order %v", fd.Name, keys)
+		case fd.Offset < 0:
+			return nil, fmt.Errorf("field %s at offset %d", fd.Name, fd.Offset)
+		case isName && fd.Length != meter.NameSize:
+			return nil, fmt.Errorf("socket name %s is %d bytes wide, not %d", fd.Name, fd.Length, meter.NameSize)
+		case !isName && fd.Length != 2 && fd.Length != 4:
+			return nil, fmt.Errorf("number %s is %d bytes wide, not 2 or 4", fd.Name, fd.Length)
+		case !isName && fd.Base == 16:
+			return nil, fmt.Errorf("number %s is shown in base 16", fd.Name)
 		}
+		next = k + 1
+		pl.fields = append(pl.fields, fieldPlan{fd.Offset, fd.Length, k})
+		pl.need = max(pl.need, fd.Offset+fd.Length)
 	}
-	for _, r := range rs {
-		pl.rules = append(pl.rules, compileRule(ev, r, pl.wide))
-	}
-	pl.keepAll.typed = planTyped(ev, func(int) bool { return false })
-	return pl
+	return pl, nil
 }
 
-func compileRule(ev *EventDesc, r Rule, wide bool) progRule {
+// placeOf resolves a field name: header names first (they shadow body
+// fields, as in Record.Field), then the described keys. field is the
+// described field, nil for a header one.
+func (pl *eventPlan) placeOf(name string) (p int, field *fieldPlan, ok bool) {
+	if h := slices.Index(headerNames, name); h >= 0 {
+		return -1 - min(h, 4), nil, true
+	}
+	for i := range pl.fields {
+		if f := &pl.fields[i]; pl.keys[f.k] == name {
+			return f.k, f, true
+		}
+	}
+	return 0, nil, false
+}
+
+func (pl *eventPlan) compileRule(r Rule) progRule {
 	pr := progRule{}
 	for _, c := range r {
-		slot, leftName, leftOK := slotOf(ev, c.Field)
+		left, lf, leftOK := pl.placeOf(c.Field)
+		leftName := lf != nil && lf.width == meter.NameSize
 		if c.Discard {
-			if wide {
-				if pr.discards == nil {
-					pr.discards = make(map[string]bool)
-				}
-				pr.discards[c.Field] = true
-			} else {
-				// Format drops every body field bearing the discarded
-				// name (header shadowing does not protect a body field
-				// from a same-named discard), so the mask covers them
-				// all, not just the slot the name resolves to.
-				for i := range ev.Fields {
-					if ev.Fields[i].Name == c.Field {
-						pr.mask |= 1 << uint(i)
-					}
-				}
+			// A discard drops the body field of that name even where a
+			// header field shadows it.
+			if k := slices.Index(pl.keys, c.Field); k >= 0 {
+				pr.drop |= 1 << k
 			}
 		}
 		switch {
 		case c.Wildcard:
 			// '*' matches any value, but the field must exist.
-			if !leftOK {
-				pr.never = true
+			pr.never = !leftOK
+		case c.FieldRef != "" && leftName:
+			// Name-to-name comparison: the peer must also be a name
+			// field. Only = and != constrain; the interpreter lets other
+			// operators pass.
+			_, rf, _ := pl.placeOf(c.FieldRef)
+			switch pr.never = rf == nil || rf.width != meter.NameSize; {
+			case !pr.never && c.Op == OpEQ:
+				pr.conds = append(pr.conds, progCond{kind: condNameEQ, a: lf.off, b: rf.off})
+			case !pr.never && c.Op == OpNE:
+				pr.conds = append(pr.conds, progCond{kind: condNameNE, a: lf.off, b: rf.off})
 			}
 		case c.FieldRef != "":
-			refSlot, refName, refOK := slotOf(ev, c.FieldRef)
-			if leftOK && leftName {
-				// Name-to-name comparison: the peer must also be a
-				// name field. Only = and != constrain; the
-				// interpreter lets other operators pass.
-				if !refOK || !refName {
-					pr.never = true
-					break
-				}
-				switch c.Op {
-				case OpEQ:
-					pr.conds = append(pr.conds, progCond{kind: condNameEQ,
-						slot: slot - numHeaderSlots, refSlot: refSlot - numHeaderSlots})
-				case OpNE:
-					pr.conds = append(pr.conds, progCond{kind: condNameNE,
-						slot: slot - numHeaderSlots, refSlot: refSlot - numHeaderSlots})
-				}
-				break
-			}
-			if !leftOK || !refOK {
-				pr.never = true
-				break
-			}
-			pr.conds = append(pr.conds, progCond{kind: condNumRef, op: c.Op, slot: slot, refSlot: refSlot})
+			ref, _, refOK := pl.placeOf(c.FieldRef)
+			pr.never = !leftOK || !refOK
+			pr.conds = append(pr.conds, progCond{kind: condNumRef, op: c.Op, a: left, b: ref})
 		default:
-			if !leftOK {
-				pr.never = true
-				break
-			}
-			pr.conds = append(pr.conds, progCond{kind: condNum, op: c.Op, slot: slot, value: c.Value})
+			pr.never = !leftOK
+			pr.conds = append(pr.conds, progCond{kind: condNum, op: c.Op, a: left, value: c.Value})
 		}
 		if pr.never {
 			// The rule can never match this event type; no point
@@ -320,97 +204,67 @@ func compileRule(ev *EventDesc, r Rule, wide bool) progRule {
 			return pr
 		}
 	}
-	pr.typed = planTyped(ev, func(i int) bool {
-		return i < 64 && pr.mask>>i&1 != 0 || pr.discards[ev.Fields[i].Name]
-	})
 	return pr
 }
 
-// match evaluates a compiled rule against a record. Zero allocations.
-func (pr *progRule) match(r *Record) bool {
+// value reads place p of a record: a header field, a number, or a
+// socket name as its Internet host — 0 for another family — as
+// Record.Field gives it.
+func (pl *eventPlan) value(h *meter.Header, s *trace.Slots, p int) uint64 {
+	switch {
+	case p >= 0 && pl.names>>p&1 == 0:
+		return s.Val(p)
+	case p >= 0:
+		if n := s.Name(p); n.Family() == meter.AFInet {
+			host, _ := n.Inet()
+			return uint64(host)
+		}
+		return 0
+	case p == -1:
+		return uint64(h.Size)
+	case p == -2:
+		return uint64(h.Machine)
+	case p == -3:
+		return uint64(h.CPUTime)
+	case p == -4:
+		return uint64(h.ProcTime)
+	}
+	return uint64(h.TraceType)
+}
+
+// match evaluates a compiled rule against a decoded record and its
+// message body. Zero allocations.
+func (pl *eventPlan) match(pr *progRule, h *meter.Header, s *trace.Slots, body []byte) bool {
 	for i := range pr.conds {
 		c := &pr.conds[i]
+		var ok bool
 		switch c.kind {
 		case condNum:
-			if !c.op.Eval(r.slotVal(c.slot), c.value) {
-				return false
-			}
+			ok = c.op.Eval(pl.value(h, s, c.a), c.value)
 		case condNumRef:
-			if !c.op.Eval(r.slotVal(c.slot), r.slotVal(c.refSlot)) {
-				return false
-			}
-		case condNameEQ:
-			if r.Fields[c.slot].Addr != r.Fields[c.refSlot].Addr {
-				return false
-			}
-		case condNameNE:
-			if r.Fields[c.slot].Addr == r.Fields[c.refSlot].Addr {
-				return false
-			}
+			ok = c.op.Eval(pl.value(h, s, c.a), pl.value(h, s, c.b))
+		default:
+			eq := [meter.NameSize]byte(body[c.a:]) == [meter.NameSize]byte(body[c.b:])
+			ok = eq == (c.kind == condNameEQ)
+		}
+		if !ok {
+			return false
 		}
 	}
 	return true
 }
 
 // selectRec decides whether a record is kept and, if so, under which
-// rule's discard mask — the compiled counterpart of Rules.Select. With
-// no rules at all every record is kept unedited.
-func (pl *eventPlan) selectRec(r *Record) (keep bool, rule int) {
+// rule — the compiled counterpart of Rules.Select, its discards the
+// rule's drop. With no rules at all every record is kept unedited.
+func (pl *eventPlan) selectRec(h *meter.Header, s *trace.Slots, body []byte) (keep bool, rule int) {
 	if len(pl.rules) == 0 {
 		return true, -1
 	}
 	for i := range pl.rules {
-		pr := &pl.rules[i]
-		if pr.never {
-			continue
-		}
-		if pr.match(r) {
+		if pr := &pl.rules[i]; !pr.never && pl.match(pr, h, s, body) {
 			return true, i
 		}
 	}
 	return false, -1
-}
-
-// plan returns the compiled plan for an event type, or nil when the
-// descriptions do not cover it.
-func (p *Program) plan(t meter.Type) *eventPlan {
-	if p.plans != nil {
-		if int(t) < len(p.plans) {
-			return p.plans[t]
-		}
-		return nil
-	}
-	return p.planMap[t]
-}
-
-// ExtractInto interprets one encoded meter message using the
-// descriptions, into a caller-owned record whose field slice it reuses,
-// and returns the event's compiled plan. The header is Appendix A's
-// fixed one, read by meter.DecodeHeader; the body is read through the
-// descriptions alone, not the meter package's body decoder: the filter
-// trusts the description file, exactly as the paper's filter does.
-func (p *Program) ExtractInto(rec *Record, raw []byte) (*eventPlan, error) {
-	if len(raw) < meter.HeaderSize {
-		return nil, fmt.Errorf("filter: message shorter than header (%d bytes)", len(raw))
-	}
-	h := meter.DecodeHeader(raw)
-	rec.Size, rec.Machine, rec.CPUTime, rec.ProcTime, rec.Type = h.Size, h.Machine, h.CPUTime, h.ProcTime, h.TraceType
-	rec.Fields = rec.Fields[:0]
-	pl := p.plan(rec.Type)
-	if pl == nil {
-		return nil, fmt.Errorf("filter: no description for type %d", rec.Type)
-	}
-	if err := extractBody(rec, pl.ev, raw[meter.HeaderSize:]); err != nil {
-		return nil, err
-	}
-	return pl, nil
-}
-
-// pid returns the record's pid field value under this plan (0 when the
-// event type carries none), for store metadata.
-func (pl *eventPlan) pid(r *Record) uint32 {
-	if pl.pidIdx < 0 {
-		return 0
-	}
-	return uint32(r.Fields[pl.pidIdx].Value)
 }

@@ -7,11 +7,13 @@ import (
 	"testing"
 
 	"dpm/internal/meter"
+	"dpm/internal/trace"
 )
 
 // The compiled program (compile.go) must select, discard, and format
-// byte-identically to the interpreter (interp_test.go + Record.Format) — the
-// interpreter is the semantic reference, the program is the hot path.
+// byte-identically to the interpreter (interp_test.go: Descriptions.Extract,
+// Rules.Select and Record.Format) — the interpreter is the semantic
+// reference, the program is the hot path.
 // These tests sweep the Figure 3.3–3.4 operator matrix over a message
 // corpus covering every standard event type and compare the two
 // pipelines record by record — and hold what the program hands the
@@ -117,6 +119,38 @@ func interpretStream(t *testing.T, d *Descriptions, rs Rules, msgs [][]byte) []s
 	return lines
 }
 
+// compiledLine runs one message through the program as ProcessBatch
+// does: decoded into slots, selected, the rule's discards dropped and the
+// line written from what is left.
+func compiledLine(t *testing.T, prog *Program, raw []byte) (keep bool, rule int, line string) {
+	t.Helper()
+	var (
+		h meter.Header
+		s trace.Slots
+	)
+	pl, _, err := prog.decode(raw, &h, &s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keep, rule = pl.selectRec(&h, &s, raw[meter.HeaderSize:]); !keep {
+		return false, rule, ""
+	}
+	if rule >= 0 {
+		s.Drop(pl.rules[rule].drop)
+	}
+	return true, rule, string(s.AppendLine(nil, h.TraceType, int(h.Machine), int64(h.CPUTime)))
+}
+
+// mustCompile compiles rules against descriptions that must be accepted.
+func mustCompile(t testing.TB, d *Descriptions, rs Rules) *Program {
+	t.Helper()
+	prog, err := CompileProgram(d, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 func TestCompiledProgramEquivalence(t *testing.T) {
 	d, err := ParseDescriptions([]byte(StandardDescriptions))
 	if err != nil {
@@ -129,35 +163,29 @@ func TestCompiledProgramEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rules %q: %v", text, err)
 		}
-		prog := CompileProgram(d, rs)
+		prog := mustCompile(t, d, rs)
 		// What the program hands the store typed is what the store made
 		// of the line (slots_test.go), over the corpus and the odd names.
-		ty, tx := slotsMatchParse(t, &Engine{desc: d, rules: rs, prog: prog}, typing, nil)
+		ty, tx := slotsMatchParse(t, &Engine{prog: prog}, typing, nil)
 		typed, untyped = typed+ty, untyped+tx
 		want := interpretStream(t, d, rs, msgs)
 
 		// Compiled path, record by record.
 		var got []string
-		rec := &Record{}
 		for i, raw := range msgs {
-			pl, err := prog.ExtractInto(rec, raw)
+			rec, err := d.Extract(raw)
 			if err != nil {
-				t.Fatalf("rules %q msg %d: %v", text, i, err)
+				t.Fatal(err)
 			}
 			ikeep, irule := rs.SelectSource(rec)
-			keep, rule := pl.selectRec(rec)
+			keep, rule, line := compiledLine(t, prog, raw)
 			if keep != ikeep || rule != irule {
 				t.Fatalf("rules %q msg %d: compiled (%v,%d) vs interpreter (%v,%d)",
 					text, i, keep, rule, ikeep, irule)
 			}
-			if !keep {
-				continue
+			if keep {
+				got = append(got, line)
 			}
-			var mask uint64
-			if rule >= 0 {
-				mask = pl.rules[rule].mask
-			}
-			got = append(got, string(rec.AppendFormat(nil, mask)))
 		}
 		if len(got) != len(want) {
 			t.Fatalf("rules %q: compiled kept %d records, interpreter %d", text, len(got), len(want))
@@ -193,7 +221,11 @@ func TestProcessBatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rules %q: %v", text, err)
 		}
-		want := interpretStream(t, d, eng.rules, msgs)
+		rs, err := ParseRules([]byte(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := interpretStream(t, d, rs, msgs)
 		wantLog := ""
 		if len(want) > 0 {
 			wantLog = strings.Join(want, "\n") + "\n"
@@ -227,7 +259,7 @@ func TestProcessBatchEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keep, _ := eng.rules.Select(rec)
+			keep, _ := rs.Select(rec)
 			if !keep {
 				continue
 			}
@@ -242,6 +274,38 @@ func TestProcessBatchEquivalence(t *testing.T) {
 	}
 }
 
+// randomRules draws a rule set of one to three rules over header and
+// body fields, names included, and one no type carries: every operator
+// against literals, wildcards and other fields, some of them discards.
+func randomRules(rng *rand.Rand) string {
+	fields := []string{"machine", "cpuTime", "procTime", "type", "size", "pid", "pc", "sock",
+		"newSock", "msgLength", "destName", "sourceName", "sockName", "peerName", "nosuch"}
+	ops := []string{"=", "!=", ">", "<", ">=", "<="}
+	var lines []string
+	for r := 0; r < rng.Intn(3)+1; r++ {
+		var parts []string
+		for c := 0; c < rng.Intn(3)+1; c++ {
+			f := fields[rng.Intn(len(fields))]
+			op := ops[rng.Intn(len(ops))]
+			var rhs string
+			switch rng.Intn(4) {
+			case 0:
+				rhs = "*"
+			case 1:
+				rhs = fields[rng.Intn(len(fields))]
+			default:
+				rhs = fmt.Sprintf("%d", rng.Intn(1024))
+			}
+			if rng.Intn(4) == 0 {
+				rhs = "#" + rhs
+			}
+			parts = append(parts, f+op+rhs)
+		}
+		lines = append(lines, strings.Join(parts, ", "))
+	}
+	return strings.Join(lines, "\n") + "\n"
+}
+
 // TestCompiledProgramEquivalenceRandom cross-checks compiled selection
 // against the interpreter over randomly generated rule sets, a wider
 // net than the curated matrix.
@@ -252,47 +316,21 @@ func TestCompiledProgramEquivalenceRandom(t *testing.T) {
 	}
 	msgs, typing := corpusMessages(), typingStream()
 	rng := rand.New(rand.NewSource(7))
-	fields := []string{"machine", "cpuTime", "procTime", "type", "pid", "pc", "sock",
-		"newSock", "msgLength", "destName", "sockName", "peerName", "nosuch"}
-	ops := []string{"=", "!=", ">", "<", ">=", "<="}
-	rec := &Record{}
 	for trial := 0; trial < 200; trial++ {
-		var lines []string
-		for r := 0; r < rng.Intn(3)+1; r++ {
-			var parts []string
-			for c := 0; c < rng.Intn(3)+1; c++ {
-				f := fields[rng.Intn(len(fields))]
-				op := ops[rng.Intn(len(ops))]
-				var rhs string
-				switch rng.Intn(4) {
-				case 0:
-					rhs = "*"
-				case 1:
-					rhs = fields[rng.Intn(len(fields))]
-				default:
-					rhs = fmt.Sprintf("%d", rng.Intn(1024))
-				}
-				if rng.Intn(4) == 0 {
-					rhs = "#" + rhs
-				}
-				parts = append(parts, f+op+rhs)
-			}
-			lines = append(lines, strings.Join(parts, ", "))
-		}
-		text := strings.Join(lines, "\n") + "\n"
+		text := randomRules(rng)
 		rs, err := ParseRules([]byte(text))
 		if err != nil {
 			t.Fatalf("trial %d: %q: %v", trial, text, err)
 		}
-		prog := CompileProgram(d, rs)
-		slotsMatchParse(t, &Engine{desc: d, rules: rs, prog: prog}, typing, nil)
+		prog := mustCompile(t, d, rs)
+		slotsMatchParse(t, &Engine{prog: prog}, typing, nil)
 		for i, raw := range msgs {
-			pl, err := prog.ExtractInto(rec, raw)
+			rec, err := d.Extract(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ikeep, irule := rs.SelectSource(rec)
-			keep, rule := pl.selectRec(rec)
+			keep, rule, got := compiledLine(t, prog, raw)
 			if keep != ikeep || rule != irule {
 				t.Fatalf("trial %d rules %q msg %d: compiled (%v,%d) vs interpreter (%v,%d)",
 					trial, text, i, keep, rule, ikeep, irule)
@@ -300,9 +338,7 @@ func TestCompiledProgramEquivalenceRandom(t *testing.T) {
 			if !keep || rule < 0 {
 				continue
 			}
-			want := rec.Format(rs[rule].DiscardSet())
-			got := string(rec.AppendFormat(nil, pl.rules[rule].mask))
-			if got != want {
+			if want := rec.Format(rs[rule].DiscardSet()); got != want {
 				t.Fatalf("trial %d rules %q msg %d:\ncompiled    %q\ninterpreter %q",
 					trial, text, i, got, want)
 			}

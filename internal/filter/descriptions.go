@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"dpm/internal/meter"
+	"dpm/internal/trace"
 )
 
 // FieldDesc is one field of an event record description: its name,
@@ -35,6 +36,7 @@ type EventDesc struct {
 	Name   string
 	Type   meter.Type
 	Fields []FieldDesc
+	line   int // the descriptions file line it was read from
 }
 
 // Descriptions is a parsed event record descriptions file. "Since the
@@ -94,7 +96,7 @@ func ParseDescriptions(data []byte) (*Descriptions, error) {
 		if err != nil {
 			return nil, fmt.Errorf("filter: descriptions line %d: bad type %q", lineNo+1, typeTok)
 		}
-		ev := &EventDesc{Name: toks[0], Type: meter.Type(typ)}
+		ev := &EventDesc{Name: toks[0], Type: meter.Type(typ), line: lineNo + 1}
 		for _, ft := range toks[2:] {
 			parts := strings.Split(ft, ",")
 			if len(parts) != 4 {
@@ -124,120 +126,44 @@ func ParseDescriptions(data []byte) (*Descriptions, error) {
 	return d, nil
 }
 
-// RecordField is one extracted field of an event record.
-type RecordField struct {
-	Name string
-	// Value is the numeric value of scalar fields; for socket-name
-	// fields it is the name's Internet host number (so rules like
-	// "destName=228320140" compare against the host address).
-	Value uint64
-	// IsName marks socket-name fields; Addr holds the decoded name.
-	IsName bool
-	Addr   meter.Name
-	Base   int
-}
-
-// Record is one event record after extraction: the header fields plus
-// the body fields named by the description.
-type Record struct {
-	Event    string
-	Type     meter.Type
-	Size     uint32
-	Machine  uint16
-	CPUTime  uint32
-	ProcTime uint32
-	Fields   []RecordField
-}
-
-// extractBody fills rec.Fields from the message body per the event
-// description. rec's header fields and truncated field slice are
-// already in place.
-func extractBody(rec *Record, ev *EventDesc, body []byte) error {
-	le := binary.LittleEndian
-	rec.Event = ev.Name
-	for _, fd := range ev.Fields {
-		if fd.Offset < 0 || fd.Length < 0 || fd.Offset > len(body)-fd.Length {
-			return fmt.Errorf("filter: field %s of %s overruns body (%d bytes)", fd.Name, ev.Name, len(body))
-		}
-		rf := RecordField{Name: fd.Name, Base: fd.Base}
-		chunk := body[fd.Offset : fd.Offset+fd.Length]
-		switch fd.Length {
-		case 4:
-			rf.Value = uint64(le.Uint32(chunk))
-		case 2:
-			rf.Value = uint64(le.Uint16(chunk))
-		case meter.NameSize:
-			rf.IsName = true
-			copy(rf.Addr[:], chunk)
-			if rf.Addr.Family() == meter.AFInet {
-				host, _ := rf.Addr.Inet()
-				rf.Value = uint64(host)
+// decode reads one encoded meter message: Appendix A's fixed header,
+// by meter.DecodeHeader, into h, and the body, through the plan of the
+// header's event type alone, into s. The filter trusts the description
+// file, exactly as the paper's filter does: the meter package's body
+// decoder is not consulted. odd has bit k set for each name no standard
+// line spells (trace.Slots.SetName).
+func (p *Program) decode(raw []byte, h *meter.Header, s *trace.Slots) (pl *eventPlan, odd uint8, err error) {
+	if len(raw) < meter.HeaderSize {
+		return nil, 0, fmt.Errorf("filter: message shorter than header (%d bytes)", len(raw))
+	}
+	*h = meter.DecodeHeader(raw)
+	if int(h.TraceType) < len(p.plans) {
+		pl = p.plans[h.TraceType]
+	}
+	if pl == nil {
+		return nil, 0, fmt.Errorf("filter: no description for type %d", h.TraceType)
+	}
+	body := raw[meter.HeaderSize:]
+	if len(body) < pl.need {
+		for _, fd := range pl.ev.Fields {
+			if fd.Offset > len(body)-fd.Length {
+				return nil, 0, fmt.Errorf("filter: field %s of %s overruns body (%d bytes)", fd.Name, pl.ev.Name, len(body))
 			}
-		default:
-			return fmt.Errorf("filter: unsupported field length %d for %s", fd.Length, fd.Name)
-		}
-		rec.Fields = append(rec.Fields, rf)
-	}
-	return nil
-}
-
-// Format renders a record as one log line: the event name followed by
-// header and body fields as name=value pairs. Fields named in discard
-// are omitted ("If an event record is accepted by the filter, any
-// fields with this value prefix will be discarded", section 3.4).
-func (r *Record) Format(discard map[string]bool) string {
-	var b strings.Builder
-	b.WriteString(r.Event)
-	fmt.Fprintf(&b, " machine=%d cpuTime=%d procTime=%d", r.Machine, r.CPUTime, r.ProcTime)
-	for _, f := range r.Fields {
-		if discard[f.Name] {
-			continue
-		}
-		b.WriteByte(' ')
-		b.WriteString(f.Name)
-		b.WriteByte('=')
-		switch {
-		case f.IsName:
-			b.WriteString(f.Addr.String())
-		case f.Base == 16:
-			fmt.Fprintf(&b, "%#x", f.Value)
-		default:
-			b.WriteString(strconv.FormatUint(f.Value, 10))
 		}
 	}
-	return b.String()
-}
-
-// AppendFormat appends the record's log line to dst and returns the
-// extended slice — byte-identical to Format, with the discard set
-// given as a bitmask over the record's body fields (bit i drops
-// Fields[i]) instead of a name map. Header fields are never dropped,
-// as in Format. With dst at capacity the call allocates nothing.
-func (r *Record) AppendFormat(dst []byte, discardMask uint64) []byte {
-	dst = append(dst, r.Event...)
-	dst = append(dst, " machine="...)
-	dst = strconv.AppendUint(dst, uint64(r.Machine), 10)
-	dst = append(dst, " cpuTime="...)
-	dst = strconv.AppendUint(dst, uint64(r.CPUTime), 10)
-	dst = append(dst, " procTime="...)
-	dst = strconv.AppendUint(dst, uint64(r.ProcTime), 10)
-	for i := range r.Fields {
-		if i < 64 && discardMask>>uint(i)&1 != 0 {
-			continue
-		}
-		f := &r.Fields[i]
-		dst = append(dst, ' ')
-		dst = append(dst, f.Name...)
-		dst = append(dst, '=')
-		switch {
-		case f.IsName:
-			dst = f.Addr.AppendText(dst)
-		case f.Base == 16:
-			dst = append(dst, "0x"...)
-			dst = strconv.AppendUint(dst, f.Value, 16)
+	le := binary.LittleEndian
+	s.Reset(int64(h.ProcTime))
+	for _, f := range pl.fields {
+		switch f.width {
+		case 2:
+			s.SetVal(f.k, uint64(le.Uint16(body[f.off:])))
+		case 4:
+			s.SetVal(f.k, uint64(le.Uint32(body[f.off:])))
 		default:
-			dst = strconv.AppendUint(dst, f.Value, 10)
+			if !s.SetName(f.k, meter.Name(body[f.off:f.off+meter.NameSize])) {
+				odd |= 1 << f.k
+			}
 		}
 	}
-	return dst
+	return pl, odd, nil
 }

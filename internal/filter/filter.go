@@ -37,27 +37,23 @@ const (
 )
 
 // Engine is the reusable selection/reduction core of a filter: framing
-// of the meter byte stream, record extraction via descriptions, and
+// of the meter byte stream, record decoding via descriptions, and
 // rule evaluation. The standard filter drives it from a socket loop;
 // custom filters (section 3.4 allows them, "given a few basic
 // constraints") can drive it from anything that yields meter bytes.
 //
-// At construction the descriptions and rules are compiled into an
-// index-based program (compile.go); the steady-state batch path
-// extracts, selects, formats and types records with zero heap
-// allocations per record.
+// At construction the descriptions and rules are compiled into a
+// program of field plans (compile.go); the steady-state batch path
+// decodes, selects and formats records with zero heap allocations per
+// record.
 type Engine struct {
-	desc  *Descriptions
-	rules Rules
-	prog  *Program
+	prog *Program
 
-	// rec is the record every message is extracted into, and slots the
-	// typed form of the records ProcessBatch is filling a batch with,
-	// slots[i] for the batch's record i. Both are the engine's — one per
-	// pipeline worker — and not a pool's or the batch's: batches are
-	// pooled, a pool empties at every GC, and each new batch would grow
-	// its slots again.
-	rec   Record
+	// slots holds the records ProcessBatch is filling a batch with,
+	// slots[i] for the batch's record i, each decoded straight into its
+	// slot. They are the engine's — one per pipeline worker — and not a
+	// pool's or the batch's: batches are pooled, a pool empties at every
+	// GC, and each new batch would grow its slots again.
 	slots []trace.Slots
 
 	// tap, when non-nil, observes every kept record (tap.go). Not
@@ -81,16 +77,20 @@ func NewEngine(descData, tmplData []byte) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{desc: d, rules: r, prog: CompileProgram(d, r)}, nil
+	prog, err := CompileProgram(d, r)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{prog: prog}, nil
 }
 
-// Clone returns an engine sharing this engine's descriptions, rules,
-// and compiled program — all immutable after construction — but with
-// independent statistics and buffers. The parallel ingest
+// Clone returns an engine sharing this engine's compiled program —
+// immutable after construction — but with independent statistics and
+// buffers. The parallel ingest
 // pipeline gives each worker a clone so selection runs without any
 // cross-worker state.
 func (e *Engine) Clone() *Engine {
-	return &Engine{desc: e.desc, rules: e.rules, prog: e.prog}
+	return &Engine{prog: e.prog}
 }
 
 // Batch accumulates one flush's worth of surviving records: the
@@ -173,48 +173,45 @@ func frameSize(buf []byte) (int, error) {
 // ProcessBatch consumes raw meter-stream bytes and appends every
 // surviving record's formatted line, store metadata and, where the line
 // is standard, typed form to the batch, returning the unconsumed tail.
+// Each message is decoded once, into the slot of the batch's next
+// record; selection, the tap, the line and the store read that slot.
 // This is the filter's hot path: with the batch's and the engine's
 // buffers at capacity it performs zero heap allocations per record.
 func (e *Engine) ProcessBatch(buf []byte, b *Batch) (rest []byte, err error) {
-	rec := &e.rec
+	var h meter.Header
 	for {
 		size, err := frameSize(buf)
 		if err != nil || size == 0 {
 			return buf, err
 		}
-		pl, err := e.prog.ExtractInto(rec, buf[:size])
+		s := e.slot(b)
+		pl, odd, err := e.prog.decode(buf[:size], &h, s)
 		if err != nil {
 			return buf, err
 		}
+		body := buf[meter.HeaderSize:size]
 		buf = buf[size:]
 		e.Received++
-		keep, rule := pl.selectRec(rec)
+		keep, rule := pl.selectRec(&h, s, body)
 		if !keep {
 			e.Discarded++
 			continue
 		}
 		e.Kept++
+		// pid leads every stored order.
+		b.metas = append(b.metas, store.Meta{Machine: h.Machine, Time: h.CPUTime, Type: uint32(h.TraceType), PID: uint32(s.Val(0))})
 		if e.tap != nil {
-			e.tap.TapRecord(&pl.tapInfo, rec)
+			e.tap.TapRecord(&b.metas[len(b.metas)-1], s)
 		}
 		pr := &pl.keepAll
 		if rule >= 0 {
 			pr = &pl.rules[rule]
 		}
-		if pl.wide {
-			// More than 64 body fields: the discard set is past the mask,
-			// and formatting takes the interpreter's map-based path.
-			b.Lines = append(b.Lines, rec.Format(pr.discards)...)
-		} else {
-			b.Lines = rec.AppendFormat(b.Lines, pr.mask)
-		}
+		s.Drop(pr.drop)
+		b.Lines = s.AppendLine(b.Lines, h.TraceType, int(h.Machine), int64(h.CPUTime))
 		b.ends = append(b.ends, len(b.Lines))
 		b.Lines = append(b.Lines, '\n')
-		b.metas = append(b.metas, store.Meta{
-			Machine: rec.Machine, Time: rec.CPUTime,
-			Type: uint32(rec.Type), PID: pl.pid(rec),
-		})
-		b.typed = append(b.typed, pr.typed.fill(e.slot(b), rec))
+		b.typed = append(b.typed, odd&^pr.drop == 0 && !e.prog.textOnly)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dpm/internal/meter"
+	"dpm/internal/trace"
 )
 
 // FuzzParseRules checks the selection-rule parser never panics and
@@ -39,11 +40,13 @@ func FuzzParseRules(f *testing.F) {
 }
 
 // FuzzParseDescriptions checks the descriptions parser on arbitrary
-// input, and that accepted descriptions extract from arbitrary bytes
-// without panicking.
+// input, that the program refuses every description with a field at a
+// negative offset or of negative width, and that what it accepts decodes
+// arbitrary bytes without panicking.
 func FuzzParseDescriptions(f *testing.F) {
 	f.Add(StandardDescriptions, []byte{})
-	// A field before the body, or of negative length: once a panic.
+	// A field before the body, or of negative length: once a panic, now
+	// refused at compile time.
 	fork := make([]byte, 40)
 	fork[0], fork[20] = 40, 9
 	f.Add("HEADER size\nFORK 9, pid,-4,4,10\n", fork)
@@ -53,7 +56,22 @@ func FuzzParseDescriptions(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, _ = d.Extract(raw)
+		prog, err := CompileProgram(d, nil)
+		for _, ev := range d.events {
+			for _, fd := range ev.Fields {
+				if err == nil && (fd.Offset < 0 || fd.Length < 0) {
+					t.Fatalf("field %+v of %s compiled", fd, ev.Name)
+				}
+			}
+		}
+		if err != nil {
+			return
+		}
+		var (
+			h meter.Header
+			s trace.Slots
+		)
+		_, _, _ = prog.decode(raw, &h, &s)
 	})
 }
 

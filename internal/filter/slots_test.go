@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,94 +132,166 @@ func sendDescription(line string) string {
 }
 
 // TestSlotsMatchParseDescriptions holds the typed hand-off to the parse
-// under description files that break each rule a plan decides at
-// compile time, with the breaking field kept and, where a rule can
-// discard it, discarded: whether the SEND records go typed follows.
+// under description files other than the standard one that a field plan
+// still expresses — fields dropped, narrowed to two bytes, or moved to
+// other offsets — kept whole and under every rule set of the matrix:
+// every SEND record with an ordinary name goes typed.
 func TestSlotsMatchParseDescriptions(t *testing.T) {
-	const stdSend = "pid,0,4,10 pc,4,4,10 sock,8,4,10 msgLength,12,4,10 destNameLen,16,4,10 destName,20,16,16"
-	wide := "SEND 1, " + stdSend + strings.Repeat(" x,0,4,10", 60)
-	for _, c := range []struct {
-		name, send, rules string
-		typed             bool
-	}{
-		{"standard", "SEND 1, " + stdSend, "", true},
-		{"renamed event", "SENDTO 1, " + stdSend, "", false},
-		{"another type's name", "RECEIVE 1, " + stdSend, "", false},
-		{"reordered fields", "SEND 1, pc,4,4,10 pid,0,4,10 sock,8,4,10 msgLength,12,4,10 destNameLen,16,4,10 destName,20,16,16", "", false},
-		{"reordered, one discarded", "SEND 1, pc,4,4,10 pid,0,4,10 sock,8,4,10 msgLength,12,4,10 destNameLen,16,4,10 destName,20,16,16", "pc=#*", true},
-		{"subset order", "SEND 1, pid,0,4,10 msgLength,12,4,10 destName,20,16,16", "", true},
-		{"a key out of the stored order, kept", "SEND 1, " + stdSend + " hop,12,4,10", "", false},
-		{"a key out of the stored order, discarded", "SEND 1, " + stdSend + " hop,12,4,10", "hop=#*", true},
-		{"a repeated key", "SEND 1, " + stdSend + " pid,0,4,10", "", false},
-		{"a hex field, kept", "SEND 1, pid,0,4,10 pc,4,4,16 sock,8,4,10 msgLength,12,4,10 destNameLen,16,4,10 destName,20,16,16", "", false},
-		{"a hex field, discarded", "SEND 1, pid,0,4,10 pc,4,4,16 sock,8,4,10 msgLength,12,4,10 destNameLen,16,4,10 destName,20,16,16", "pc=#*", true},
-		{"a two-byte field", "SEND 1, pid,0,2,10 pc,4,4,10 sock,8,4,10 msgLength,12,4,10 destNameLen,16,4,10 destName,20,16,16", "", true},
-		{"a 16-byte field under a key not ending in Name", "SEND 1, pid,0,4,10 pc,4,4,10 sock,20,16,16", "", false},
-		{"a number under a key ending in Name", "SEND 1, pid,0,4,10 destName,8,4,10", "", false},
-		{"a body field named cpuTime, kept", "SEND 1, pid,0,4,10 cpuTime,4,4,10 sock,8,4,10", "", false},
-		{"a body field named cpuTime, discarded", "SEND 1, pid,0,4,10 cpuTime,4,4,10 sock,8,4,10", "cpuTime=#*", true},
-		{"a body field named machine, kept", "SEND 1, machine,0,4,10 pc,4,4,10", "", false},
-		{"a key with an equals sign", "SEND 1, pid,0,4,10 sock=1,8,4,10", "", false},
-		{"a wide plan", wide, "", false},
-		{"a wide plan, its extra keys discarded", wide, "x=#*", true},
+	for _, c := range []struct{ name, send string }{
+		{"standard", "SEND 1, " + stdSend},
+		{"subset order", "SEND 1, pid,0,4,10 msgLength,12,4,10 destName,20,16,16"},
+		{"a two-byte field", "SEND 1, pid,0,2,10 pc,4,4,10 sock,8,4,10 msgLength,12,4,10 destNameLen,16,4,10 destName,20,16,16"},
+		{"moved and overlapping", "SEND 1, pid,16,4,10 sock,0,2,10 msgLength,1,4,8 destName,20,16,16"},
 	} {
-		eng, err := NewEngine([]byte(sendDescription(c.send)), []byte(c.rules))
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
 		stream := typingStream()
-		slotsMatchParse(t, eng, stream, nil)
-		// Whether the SEND records with an ordinary name go typed: the
-		// first of the corpus has an Internet destination.
-		var b Batch
-		if _, err := eng.ProcessBatch(stream, &b); err != nil {
-			t.Fatal(err)
-		}
-		recs := b.StoreRecs()
-		if recs[0].Meta.Type != uint32(meter.EvSend) || (recs[0].Slots != nil) != c.typed {
-			t.Fatalf("%s: first record %+v %q typed %v, want %v", c.name, recs[0].Meta, recs[0].Line, recs[0].Slots != nil, c.typed)
-		}
 		for _, rules := range equivalenceRuleSets {
 			eng, err := NewEngine([]byte(sendDescription(c.send)), []byte(rules))
 			if err != nil {
 				t.Fatalf("%s, rules %q: %v", c.name, rules, err)
 			}
 			slotsMatchParse(t, eng, stream, nil)
+			if rules != "" {
+				continue
+			}
+			// The first record of the corpus is a SEND to an Internet name.
+			var b Batch
+			if _, err := eng.ProcessBatch(stream, &b); err != nil {
+				t.Fatal(err)
+			}
+			if recs := b.StoreRecs(); recs[0].Meta.Type != uint32(meter.EvSend) || recs[0].Slots == nil {
+				t.Fatalf("%s: first record %+v %q typed %v, want a SEND, typed", c.name, recs[0].Meta, recs[0].Line, recs[0].Slots != nil)
+			}
 		}
 	}
 }
 
-// FuzzSlotsMatchParse holds the typed hand-off to the parse over random
+// stdSend is the body of StandardDescriptions' SEND line.
+const stdSend = "pid,0,4,10 pc,4,4,10 sock,8,4,10 msgLength,12,4,10 destNameLen,16,4,10 destName,20,16,16"
+
+// TestNewEngineRefusals: a description no field plan expresses stops the
+// filter at start, with an error naming its line — each SEND line here
+// is line 2 of its file, and what a rule would discard does not matter.
+func TestNewEngineRefusals(t *testing.T) {
+	for _, c := range []struct{ name, send string }{
+		{"renamed event", "SENDTO 1, " + stdSend},
+		{"another type's name", "RECEIVE 1, " + stdSend},
+		{"a type trace does not know", "SEND 11, " + stdSend},
+		{"a key out of the stored order", "SEND 1, " + stdSend + " hop,12,4,10"},
+		{"a body field named after a header field", "SEND 1, pid,0,4,10 cpuTime,4,4,10 sock,8,4,10"},
+		{"a key with an equals sign", "SEND 1, pid,0,4,10 sock=1,8,4,10"},
+		{"fields out of order", "SEND 1, pc,4,4,10 pid,0,4,10 sock,8,4,10"},
+		{"a repeated key", "SEND 1, " + stdSend + " pid,0,4,10"},
+		{"a negative offset", "SEND 1, pid,-4,4,10"},
+		{"a negative width", "SEND 1, pid,8,-4,10"},
+		{"an eight-byte number", "SEND 1, pid,0,8,10"},
+		{"a 16-byte number", "SEND 1, pid,0,4,10 pc,4,4,10 sock,20,16,16"},
+		{"a four-byte name", "SEND 1, pid,0,4,10 destName,8,4,10"},
+		{"a number in base 16", "SEND 1, pid,0,4,10 pc,4,4,16"},
+		{"sixty more fields", "SEND 1, " + stdSend + strings.Repeat(" x,0,4,10", 60)},
+	} {
+		for _, rules := range []string{"", "pc=#*\nhop=#*\nx=#*\ncpuTime=#*"} {
+			_, err := NewEngine([]byte(sendDescription(c.send)), []byte(rules))
+			if err == nil || !strings.Contains(err.Error(), "descriptions line 2:") {
+				t.Errorf("%s, rules %q: NewEngine error %v, want a refusal of descriptions line 2", c.name, rules, err)
+			}
+		}
+	}
+}
+
+// randomDescriptions draws a descriptions file a field plan expresses:
+// each standard event type, or most of them, with a subset of its stored
+// order in that order, at offsets that may overlap, numbers two or four
+// bytes wide in base 10 or 8.
+func randomDescriptions(rng *rand.Rand) *Descriptions {
+	text := "HEADER size machine cpuTime procTime traceType\n"
+	for typ := meter.EvSend; typ <= meter.EvTermProc; typ++ {
+		if rng.Intn(8) == 0 {
+			continue
+		}
+		keys, names := trace.SlotKeys(typ, typ.String())
+		fields := ""
+		for k, key := range keys {
+			switch {
+			case rng.Intn(4) == 0:
+			case names>>k&1 != 0:
+				fields += fmt.Sprintf(" %s,%d,16,16", key, rng.Intn(40))
+			default:
+				fields += fmt.Sprintf(" %s,%d,%d,%d", key, rng.Intn(40), 2+2*rng.Intn(2), 8+2*rng.Intn(2))
+			}
+		}
+		if fields != "" { // a line names one field at least
+			text += fmt.Sprintf("%s %d,%s\n", typ, typ, fields)
+		}
+	}
+	d, err := ParseDescriptions([]byte(text))
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// recordingTap keeps what the engine taps: each kept record's Meta and
+// the line its slots spell before the rule's discards.
+type recordingTap struct {
+	metas []store.Meta
+	lines []string
+}
+
+func (r *recordingTap) TapRecord(m *store.Meta, s *trace.Slots) {
+	r.metas = append(r.metas, *m)
+	r.lines = append(r.lines, string(s.AppendLine(nil, meter.Type(m.Type), int(m.Machine), int64(m.Time))))
+}
+
+func (r *recordingTap) TapFlush() {}
+
+// FuzzSlotsMatchParse holds the engine to the reference — Extract,
+// Rules.Select, Record.Format (interp_test.go) — over random accepted
 // description files, rule sets and meter messages: messages of the types
 // the file describes, random bytes with socket names of every kind laid
-// over the 16-byte fields. A line that spells another record than its
-// own — a blank in a name, an '=' in a field name — may be standard and
-// go as text: its record is not what the line says.
+// over the 16-byte fields, the last one at times cut short. A file the
+// engine refuses is replaced by one drawn from the seed, and the rules
+// get a few drawn from it too. Record for record, the engine keeps what
+// the reference keeps, writes its line, gives its Meta, taps it whole,
+// and hands the store the slots the reference's kept fields fill, typed
+// exactly when every kept name is one a standard line spells; and, as
+// slotsMatchParse checks, what goes typed is what the store makes of the
+// line. A line that spells another record than its own — a blank in a
+// name — may be standard and go as text: its record is not what the line
+// says.
 func FuzzSlotsMatchParse(f *testing.F) {
 	f.Add(StandardDescriptions, "", int64(1))
 	f.Add(StandardDescriptions, "machine=5, cpuTime<10000, msgLength=#*\ntype=8, sockName=peerName\n", int64(2))
-	f.Add(sendDescription("SEND 1, pc,4,4,10 pid,0,4,10 sock,20,16,16 hop,8,4,16"), "hop=#*\npc=#*", int64(3))
-	f.Add("HEADER size\nCONNECT 7, pid,0,4,10 sockName,4,16,16 peerName,20,16,16 x,0,2,10\n", "x=#*", int64(4))
+	f.Add(sendDescription("SEND 1, pid,16,4,10 sock,0,2,10 msgLength,1,4,8 destName,20,16,16"), "pid=#*\nsock=#*", int64(3))
+	f.Add("HEADER size\nCONNECT 7, pid,0,4,10 sockName,4,16,16 peerName,20,16,16\n", "sockName!=peerName, pid=#*\nsockName=peerName", int64(4))
 	f.Add("HEADER size\nCONNECT 7, pid,0,4,10 sockName=unix:a,4,16,16\n", "", int64(5))
-	names := append([]meter.Name{{}, meter.InetName(7, 80), meter.UnixName("/srv"), meter.UnixName("/a peerName=-")}, oddNames...)
+	// Beside the odd names, names that differ from two of them only past
+	// the host or past a NUL: a name compare sees all sixteen bytes.
+	names := append([]meter.Name{{}, meter.InetName(7, 80), meter.UnixName("/srv"), meter.UnixName("/a peerName=-"),
+		oddName(meter.AFInet, "\x00\x50\x01\x02\x03\x04"), oddName(meter.AFUnix, "/ab")}, oddNames...)
 	f.Fuzz(func(t *testing.T, desc, rules string, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
 		d, err := ParseDescriptions([]byte(desc))
-		if err != nil {
-			return
+		if err == nil {
+			_, err = CompileProgram(d, nil)
 		}
-		for _, ev := range d.events {
-			for _, fd := range ev.Fields {
-				if fd.Offset < 0 || fd.Length < 0 || fd.Offset+fd.Length > 512 {
-					return // messages that large are not what this is about
+		if err == nil {
+			for _, ev := range d.events {
+				for _, fd := range ev.Fields {
+					if fd.Offset+fd.Length > 512 {
+						err = fmt.Errorf("messages that large are not what this is about")
+					}
 				}
 			}
 		}
-		rs, err := ParseRules([]byte(rules))
+		if err != nil {
+			d = randomDescriptions(rng)
+		}
+		rs, err := ParseRules([]byte(rules + "\n" + randomRules(rng)))
 		if err != nil {
 			return
 		}
 		var described []*EventDesc
-		for typ := meter.Type(0); typ < 16; typ++ {
+		for typ := meter.EvSend; typ <= meter.EvTermProc; typ++ {
 			if ev, ok := d.Event(typ); ok {
 				described = append(described, ev)
 			}
@@ -226,12 +299,11 @@ func FuzzSlotsMatchParse(f *testing.F) {
 		if len(described) == 0 {
 			return
 		}
-		prog := CompileProgram(d, rs)
-		rng := rand.New(rand.NewSource(seed))
 		var stream []byte
 		var kept []*Record
 		var discards []map[string]bool
-		for i := 0; i < 64; i++ {
+		var refErr error
+		for i := 0; i < 64 && refErr == nil; i++ {
 			ev := described[rng.Intn(len(described))]
 			size := 0
 			for _, fd := range ev.Fields {
@@ -245,6 +317,9 @@ func FuzzSlotsMatchParse(f *testing.F) {
 					copy(body[fd.Offset:], n[:])
 				}
 			}
+			if size > 0 && rng.Intn(32) == 0 {
+				body = body[:rng.Intn(size)]
+			}
 			raw := make([]byte, meter.HeaderSize, meter.HeaderSize+len(body))
 			binary.LittleEndian.PutUint32(raw[0:], uint32(meter.HeaderSize+len(body)))
 			binary.LittleEndian.PutUint16(raw[4:], uint16(rng.Intn(4)))
@@ -252,19 +327,64 @@ func FuzzSlotsMatchParse(f *testing.F) {
 			binary.LittleEndian.PutUint32(raw[16:], uint32(rng.Intn(100)))
 			binary.LittleEndian.PutUint32(raw[20:], uint32(ev.Type))
 			raw = append(raw, body...)
-			rec := new(Record)
-			if _, err := prog.ExtractInto(rec, raw); err != nil {
+			stream = append(stream, raw...)
+			rec, err := d.Extract(raw)
+			if refErr = err; err != nil {
 				break
 			}
-			stream = append(stream, raw...)
 			if keep, ds := rs.Select(rec); keep {
 				kept, discards = append(kept, rec), append(discards, ds)
 			}
 		}
-		slotsMatchParse(t, &Engine{desc: d, rules: rs, prog: prog}, stream, func(i int) bool {
+
+		eng := &Engine{prog: mustCompile(t, d, rs)}
+		tap := new(recordingTap)
+		eng.SetTap(tap)
+		var b Batch
+		_, err = eng.ProcessBatch(stream, &b)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("engine error %v, reference %v", err, refErr)
+		}
+		if b.Len() != len(kept) || len(tap.metas) != len(kept) {
+			t.Fatalf("engine kept %d records and tapped %d, reference %d", b.Len(), len(tap.metas), len(kept))
+		}
+		for i, r := range b.StoreRecs() {
+			rec := kept[i]
+			pid, _ := rec.Field("pid")
+			meta := store.Meta{Machine: rec.Machine, Time: rec.CPUTime, Type: uint32(rec.Type), PID: uint32(pid)}
+			if line := rec.Format(discards[i]); string(r.Line) != line || r.Meta != meta {
+				t.Fatalf("record %d: engine %+v %q, reference %+v %q", i, r.Meta, r.Line, meta, line)
+			}
+			if line := rec.Format(nil); tap.lines[i] != line || tap.metas[i] != meta {
+				t.Fatalf("record %d: tapped %+v %q, reference %+v %q", i, tap.metas[i], tap.lines[i], meta, line)
+			}
+			var want trace.Slots
+			want.Reset(int64(rec.ProcTime))
+			typed := true
+			keys, _ := trace.SlotKeys(rec.Type, rec.Event)
+			for _, rf := range rec.Fields {
+				if k := slices.Index(keys, rf.Name); discards[i][rf.Name] {
+					continue
+				} else if !rf.IsName {
+					want.SetVal(k, rf.Value)
+				} else if !want.SetName(k, rf.Addr) {
+					typed = false
+				}
+			}
+			var got, ref trace.View
+			got.PointAt(&b.slots[i], rec.Type, int(rec.Machine), int64(rec.CPUTime))
+			ref.PointAt(&want, rec.Type, int(rec.Machine), int64(rec.CPUTime))
+			gotTyped, refTyped := got.AppendTyped(nil, new(trace.TypedState)), ref.AppendTyped(nil, new(trace.TypedState))
+			if !bytes.Equal(gotTyped, refTyped) || (r.Slots != nil) != typed {
+				t.Fatalf("record %d %q: slots %x typed %v, reference %x typed %v", i, r.Line, gotTyped, r.Slots != nil, refTyped, typed)
+			}
+		}
+		if refErr != nil {
+			return
+		}
+		slotsMatchParse(t, eng, stream, func(i int) bool {
 			for _, fd := range kept[i].Fields {
-				if !discards[i][fd.Name] && (strings.Contains(fd.Name, "=") ||
-					fd.IsName && bytes.IndexByte(fd.Addr.AppendText(nil), ' ') >= 0) {
+				if !discards[i][fd.Name] && fd.IsName && bytes.IndexByte(fd.Addr.AppendText(nil), ' ') >= 0 {
 					return true
 				}
 			}
@@ -365,16 +485,8 @@ func mustEngine(t *testing.T, rules string) *Engine {
 	return eng
 }
 
-// untyped makes eng type nothing: every plan's typed plan is emptied, so
-// its batches hand the store text only.
+// untyped makes eng type nothing: its batches hand the store text only.
 func untyped(eng *Engine) *Engine {
-	for _, pl := range eng.prog.plans {
-		if pl != nil {
-			pl.keepAll.typed = typedPlan{}
-			for i := range pl.rules {
-				pl.rules[i].typed = typedPlan{}
-			}
-		}
-	}
+	eng.prog.textOnly = true
 	return eng
 }

@@ -3,20 +3,21 @@ package filter
 import (
 	"sync/atomic"
 
-	"dpm/internal/meter"
 	"dpm/internal/obs"
+	"dpm/internal/store"
+	"dpm/internal/trace"
 )
 
 // The record tap is the hook live streaming analysis hangs on: an
 // observer that sees every record surviving selection, on the hot path,
 // cheap enough to leave on. The engine never interprets what a tap
 // does; it only promises two things. First, TapRecord is called with
-// the record still in its extracted (pre-discard-mask) form plus the
-// plan's TapInfo, so a tap reads fields by precomputed index — no
+// the record's store metadata and its slots before the rule's discards
+// are taken out: a tap reads a field at its key's place in the event
+// type's stored order (trace.SlotKeys), a place it resolves once — no
 // string comparison, no map lookup, no allocation on the engine side.
-// Second, the record and its fields are only valid for the duration of
-// the call (they alias the engine's extraction record), so a tap must
-// copy what it keeps.
+// Second, the metadata and slots are only valid for the duration of the
+// call (they are the engine's), so a tap must copy what it keeps.
 //
 // Taps are per-engine and engines are per-worker in the parallel
 // pipeline, so TapRecord needs no internal locking for the per-record
@@ -24,63 +25,13 @@ import (
 // pipeline calls once per processed chunk — the natural batch boundary
 // to amortize a lock over.
 
-// TapInfo is the per-event-type index table a tap reads records
-// through, computed once at compile time. Each index is the position
-// in Record.Fields of the named field, -1 when the event type does not
-// carry it. The indices cover the standard-description vocabulary;
-// custom descriptions using the same field names get tapped the same
-// way, and fields under other names simply stay -1.
-type TapInfo struct {
-	// Type is the event type this plan describes.
-	Type meter.Type
-	// PIDIdx is "pid" — the acting process.
-	PIDIdx int16
-	// SockIdx is "sock" — the acting descriptor.
-	SockIdx int16
-	// LenIdx is "msgLength" (SEND/RECEIVE).
-	LenIdx int16
-	// AuxIdx is the type's auxiliary numeric: "newSock" (DUP/ACCEPT),
-	// "newPid" (FORK), or "status" (TERMPROC).
-	AuxIdx int16
-	// Name1Idx is the type's primary socket name: "destName" (SEND),
-	// "sourceName" (RECEIVE), or "sockName" (CONNECT/ACCEPT).
-	Name1Idx int16
-	// Name2Idx is "peerName" (CONNECT/ACCEPT).
-	Name2Idx int16
-}
-
-// tapIndexOf resolves one body-field name to its index, -1 when absent.
-func tapIndexOf(ev *EventDesc, names ...string) int16 {
-	for _, name := range names {
-		for i := range ev.Fields {
-			if ev.Fields[i].Name == name {
-				return int16(i)
-			}
-		}
-	}
-	return -1
-}
-
-// buildTapInfo computes a plan's tap index table from its description.
-func buildTapInfo(ev *EventDesc) TapInfo {
-	return TapInfo{
-		Type:     ev.Type,
-		PIDIdx:   tapIndexOf(ev, "pid"),
-		SockIdx:  tapIndexOf(ev, "sock"),
-		LenIdx:   tapIndexOf(ev, "msgLength"),
-		AuxIdx:   tapIndexOf(ev, "newSock", "newPid", "status"),
-		Name1Idx: tapIndexOf(ev, "destName", "sourceName", "sockName"),
-		Name2Idx: tapIndexOf(ev, "peerName"),
-	}
-}
-
 // RecordTap observes records that survive selection. Implementations
 // live in internal/analysis/live; the engine only calls through this
 // interface.
 type RecordTap interface {
-	// TapRecord sees one kept record. info and rec are valid only for
-	// the duration of the call.
-	TapRecord(info *TapInfo, rec *Record)
+	// TapRecord sees one kept record. m and s are valid only for the
+	// duration of the call.
+	TapRecord(m *store.Meta, s *trace.Slots)
 	// TapFlush marks a batch boundary: the pipeline calls it after each
 	// processed chunk, and Close-time drains end with one. A tap
 	// buffering records locally publishes them here.
@@ -124,8 +75,8 @@ type TapFactory func(reg *obs.Registry, filterName string) TapSource
 // tapFactory, when set, supplies the tap source for every standard
 // filter started by Main — the seam through which internal/core wires
 // live analysis into filters without this package importing it (the
-// live operators import filter for Record and TapInfo, so the
-// dependency cannot point the other way). Atomic because clusters are
+// live operators import filter for RecordTap, so the dependency cannot
+// point the other way). Atomic because clusters are
 // constructed while other clusters' filters may be running.
 var tapFactory atomic.Pointer[TapFactory]
 

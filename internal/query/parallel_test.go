@@ -316,8 +316,8 @@ func TestRunCorruptSealedSegment(t *testing.T) {
 			if !errors.Is(err, store.ErrCorrupt) || res != nil {
 				t.Fatalf("workers=%d: res=%v err=%v, want nil result and ErrCorrupt", workers, res, err)
 			}
-			if !strings.Contains(err.Error(), "checksum mismatch") {
-				t.Fatalf("workers=%d rep=%d: reported %q, want the earliest segment's error (checksum mismatch)", workers, rep, err)
+			if !strings.Contains(err.Error(), "checksum mismatch") || !strings.Contains(err.Error(), first.Name) {
+				t.Fatalf("workers=%d rep=%d: reported %q, want the earliest segment's error (checksum mismatch) naming %s", workers, rep, err, first.Name)
 			}
 		}
 	}

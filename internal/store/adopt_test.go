@@ -282,6 +282,32 @@ func TestOpenAdoptsUnchanged(t *testing.T) {
 	}
 }
 
+// TestOpenCountsSalvageLoss: a sealed segment with one stream byte
+// flipped salvages nothing, and Open counts every record its tail
+// counted as lost (store.salvage_lost_records); the torn segment beside
+// it, which has no tail, adds nothing.
+func TestOpenCountsSalvageLoss(t *testing.T) {
+	be := tornAndFlipped(t)
+	data, err := be.Read(segName(0, 1, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := newReaderSegment(segName(0, 1, 1, 0), 0, 1, 1, 0, data)
+	if !flipped.Sealed || flipped.Index.Count == 0 {
+		t.Fatalf("fixture: flipped segment sealed %v with %d records, want a sealed tail counting some", flipped.Sealed, flipped.Index.Count)
+	}
+	reg := obs.NewRegistry()
+	if _, err := Open(be, Config{Shards: 1, CompactMin: 1 << 20, Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Counter("store.salvage_lost_records").Load(), int64(flipped.Index.Count); got != want {
+		t.Fatalf("store.salvage_lost_records = %d, want the flipped segment's tail count %d", got, want)
+	}
+	if got := reg.Counter("store.recovered").Load(); got != 2 {
+		t.Fatalf("store.recovered = %d, want both segments", got)
+	}
+}
+
 // TestOpenCountsFailedRemove: a superseded generation Open cannot remove
 // is counted (store.maintain_errors), as a rewrite counts an input that
 // will not go, and not dropped; Open succeeds, and every record reads

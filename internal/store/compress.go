@@ -695,9 +695,9 @@ type ScanStats struct {
 // segment salvages what its stream yields and reports a tear as
 // ErrTruncated; a stream that merely stops after its last flush is no
 // tear. A file of another format returns ErrFormat before emitting
-// anything. It is the store's one decoder of segment bytes into records:
-// queries, Load, Open's check and recovery, compaction and archival all
-// read through it.
+// anything. Every error names the segment's file. It is the store's one
+// decoder of segment bytes into records: queries, Load, Open's check and
+// recovery, compaction and archival all read through it.
 func (rs *ReaderSegment) ScanViews(d *Decoder, fn scanFn) (ScanStats, error) {
 	var st ScanStats
 	d.nTyped = 0
@@ -705,13 +705,13 @@ func (rs *ReaderSegment) ScanViews(d *Decoder, fn scanFn) (ScanStats, error) {
 		return st, err
 	}
 	if len(rs.data) < headerSize {
-		return st, fmt.Errorf("%w: torn after %d header bytes", ErrTruncated, len(rs.data))
+		return st, fmt.Errorf("%w: %s: torn after %d header bytes", ErrTruncated, rs.Name, len(rs.data))
 	}
 	stream, fail := rs.data[headerSize:], ErrTruncated
 	if rs.Sealed {
 		stream, fail = rs.data[headerSize:rs.tail.DataLen], ErrCorrupt
 		if crc32.ChecksumIEEE(stream) != rs.tail.CRC {
-			return st, fmt.Errorf("%w: stream checksum mismatch", ErrCorrupt)
+			return st, fmt.Errorf("%w: %s: stream checksum mismatch", ErrCorrupt, rs.Name)
 		}
 	}
 	st.Streams = 1
@@ -723,7 +723,7 @@ func (rs *ReaderSegment) ScanViews(d *Decoder, fn scanFn) (ScanStats, error) {
 		err = fmt.Errorf("stream decodes to %d bytes, the tail says %d", len(raw), rs.tail.RawLen)
 	}
 	if rs.Sealed && err != nil {
-		return st, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return st, fmt.Errorf("%w: %s: %v", ErrCorrupt, rs.Name, err)
 	}
 	n, derr := d.decodeRecords(raw, fn)
 	st.Records, st.Typed = n, d.nTyped
@@ -731,7 +731,7 @@ func (rs *ReaderSegment) ScanViews(d *Decoder, fn scanFn) (ScanStats, error) {
 		err = derr
 	}
 	if err != nil {
-		return st, fmt.Errorf("%w: %v", fail, err)
+		return st, fmt.Errorf("%w: %s: %v", fail, rs.Name, err)
 	}
 	return st, nil
 }

@@ -223,6 +223,7 @@ type Store struct {
 	obsRotations   *obs.Counter
 	obsCompactions *obs.Counter
 	obsRecovered   *obs.Counter
+	obsSalvageLost *obs.Counter
 	obsAbandoned   *obs.Counter
 	obsArchived    *obs.Counter
 	obsArchiveRuns *obs.Counter
@@ -281,6 +282,7 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		obsRotations:   reg.Counter("store.rotations"),
 		obsCompactions: reg.Counter("store.compactions"),
 		obsRecovered:   reg.Counter("store.recovered"),
+		obsSalvageLost: reg.Counter("store.salvage_lost_records"),
 		obsAbandoned:   reg.Counter("store.abandoned"),
 		obsArchived:    reg.Counter("store.archived_segments"),
 		obsArchiveRuns: reg.Counter("store.archive_runs"),
@@ -350,6 +352,9 @@ func Open(be Backend, cfg Config) (*Store, error) {
 					return nil, err
 				}
 				s.obsRecovered.Inc()
+				if rs.Sealed { // the tail parsed: it counts what the file held
+					s.obsSalvageLost.Add(max(0, int64(rs.Index.Count)-int64(info.Index.Count)))
+				}
 			}
 			if info.Index.Count > 0 && info.Index.MaxTime > s.maxSeen.Load() {
 				s.maxSeen.Store(info.Index.MaxTime)
@@ -669,13 +674,13 @@ func (s *Store) rewrite(w *compWriter, ins []*SegmentInfo, out *SegmentInfo, sal
 		if salvage {
 			err, size = nil, len(data)
 		} else if err == nil && st.Records != int(info.Index.Count) {
-			err = fmt.Errorf("%w: tail count %d but %d records", ErrCorrupt, info.Index.Count, st.Records)
+			err = fmt.Errorf("%w: %s: tail count %d but %d records", ErrCorrupt, info.Name, info.Index.Count, st.Records)
 		}
 		if err == nil {
 			err = w.flushStaged(false)
 		}
 		if err != nil {
-			return in, fmt.Errorf("%s: %w", info.Name, err)
+			return in, err
 		}
 		raw += size
 	}

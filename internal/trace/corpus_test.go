@@ -10,14 +10,9 @@ import (
 )
 
 // TestCanonicalLinesAreTheFilters: the corpus the view tests parse is,
-// line for line, what the filter writes for one message of every event
-// type — meter message → Program.ExtractInto → Record.AppendFormat,
-// whole and with fields 0 and 2 discarded.
+// line for line, what the filter engine writes for one message of every
+// event type, whole and with fields 0 and 2 discarded.
 func TestCanonicalLinesAreTheFilters(t *testing.T) {
-	desc, err := filter.ParseDescriptions([]byte(filter.StandardDescriptions))
-	if err != nil {
-		t.Fatal(err)
-	}
 	in, un, pair := meter.InetName(228320140, 3000), meter.UnixName("/tmp/srv"), meter.PairName(3)
 	bodies := []meter.Body{
 		&meter.Send{PID: 2120, PC: 0x40a0, Sock: 4, MsgLength: 512, DestNameLen: 16, DestName: in},
@@ -32,17 +27,30 @@ func TestCanonicalLinesAreTheFilters(t *testing.T) {
 		&meter.Fork{PID: 2120, PC: 0x4120, NewPID: 2121},
 		&meter.TermProc{PID: 2121, PC: 0x4130, Status: ^uint32(0)},
 	}
+	// Field 2 is sock, or FORK's newPid, or TERMPROC's status.
+	whole, cut := engine(t, ""), engine(t, "pid=#*, sock=#*\npid=#*, newPid=#*\npid=#*, status=#*")
 	var lines []string
-	prog := filter.CompileProgram(desc, nil)
 	for _, b := range bodies {
 		m := meter.Msg{Header: meter.Header{Machine: 5, CPUTime: 9500, ProcTime: 120}, Body: b}
-		rec := new(filter.Record)
-		if _, err := prog.ExtractInto(rec, m.Encode()); err != nil {
-			t.Fatal(err)
+		for _, eng := range []*filter.Engine{whole, cut} {
+			var batch filter.Batch
+			if _, err := eng.ProcessBatch(m.Encode(), &batch); err != nil || batch.Len() != 1 {
+				t.Fatalf("%v: %d records, %v", b.EventType(), batch.Len(), err)
+			}
+			lines = append(lines, string(batch.Line(0)))
 		}
-		lines = append(lines, string(rec.AppendFormat(nil, 0)), string(rec.AppendFormat(nil, 0b101)))
 	}
 	if !slices.Equal(lines, trace.CanonicalLines) {
 		t.Errorf("the filter writes\n%q\nthe corpus holds\n%q", lines, trace.CanonicalLines)
 	}
+}
+
+// engine builds a filter engine over the standard descriptions.
+func engine(t *testing.T, rules string) *filter.Engine {
+	t.Helper()
+	eng, err := filter.NewEngine([]byte(filter.StandardDescriptions), []byte(rules))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }

@@ -77,6 +77,47 @@ func (s *Slots) SetName(k int, n meter.Name) bool {
 	return standardName(n)
 }
 
+// Drop takes the keys in mask out of the record, as a '#' discard takes
+// them off its line.
+func (s *Slots) Drop(mask uint8) { s.present &^= mask }
+
+// ProcTime returns the record's procTime.
+func (s *Slots) ProcTime() int64 { return s.procTime }
+
+// Val returns key k's number, 0 when the record does not carry key k.
+func (s *Slots) Val(k int) uint64 {
+	if s.present>>k&1 == 0 {
+		return 0
+	}
+	return s.val[k]
+}
+
+// Name returns key k's socket name as SetName stored it, unset when the
+// record does not carry key k.
+func (s *Slots) Name(k int) meter.Name {
+	if s.present>>k&1 == 0 {
+		return meter.Name{}
+	}
+	return s.name[k]
+}
+
+// AppendLine appends the record's log line, its event type typ and its
+// Meta's machine and cpuTime as the header: what View.AppendLine writes
+// for a view PointAt pointed at s, without filling the view.
+func (s *Slots) AppendLine(dst []byte, typ meter.Type, machine int, cpuTime int64) []byte {
+	lay := &typedLayouts[typ]
+	dst = appendHead(dst, typ, machine, cpuTime, s.procTime)
+	for p := s.present; p != 0; p &= p - 1 {
+		k := bits.TrailingZeros8(p)
+		if dst = append(dst, lay.sep[k]...); lay.names>>k&1 != 0 {
+			dst = s.name[k].AppendText(dst)
+		} else {
+			dst = appendDecimal(dst, s.val[k])
+		}
+	}
+	return dst
+}
+
 // SlotKeys returns the stored order of event type typ, whose places are
 // Slots' keys, and the bit mask of those holding socket names — when trace
 // knows typ by the name event. Otherwise keys is nil: no line of that name
@@ -145,14 +186,15 @@ func (v *View) ParseStandard(line []byte) bool {
 // and standard line — is written from the view, for a standard line and
 // nothing dropped the line itself; any other goes through its Event.
 func (v *View) AppendLine(dst []byte, drop map[string]bool) []byte {
+	if v.slot != nil && drop == nil {
+		return v.slot.AppendLine(dst, v.Type, v.Machine, v.CPUTime)
+	}
 	if v.fill(); v.n < 0 || slices.ContainsFunc(v.fields[:v.n], func(f viewField) bool { return f.ord < 0 }) {
 		ev := v.Event()
 		return ev.appendFormat(dst, drop)
 	}
 	lay, order := &typedLayouts[v.Type], viewTypes[v.Type].order
-	dst = appendDecimal(append(dst, lay.head...), uint64(v.Machine))
-	dst = appendDecimal(append(dst, " cpuTime="...), uint64(v.CPUTime))
-	dst = appendDecimal(append(dst, " procTime="...), uint64(v.ProcTime))
+	dst = appendHead(dst, v.Type, v.Machine, v.CPUTime, v.ProcTime)
 	for i := 0; i < v.n; i++ {
 		if f := &v.fields[i]; !drop[order[f.ord]] {
 			dst = append(dst, lay.sep[f.ord]...)
@@ -164,6 +206,14 @@ func (v *View) AppendLine(dst []byte, drop map[string]bool) []byte {
 		}
 	}
 	return dst
+}
+
+// appendHead appends how a line of event type typ starts: its name and
+// header fields.
+func appendHead(dst []byte, typ meter.Type, machine int, cpuTime, procTime int64) []byte {
+	dst = appendDecimal(append(dst, typedLayouts[typ].head...), uint64(machine))
+	dst = appendDecimal(append(dst, " cpuTime="...), uint64(cpuTime))
+	return appendDecimal(append(dst, " procTime="...), uint64(procTime))
 }
 
 // appendDecimal is strconv.AppendUint in base ten, without its setup: a
