@@ -317,12 +317,9 @@ func (t *Tap) TapRecord(m *store.Meta, s *trace.Slots) {
 	}
 	e.Kind = uint8(m.Type)
 	at := &tapPlaces[m.Type]
-	if at.sock >= 0 {
-		e.Sock = uint32(s.Val(at.sock))
-	}
-	if at.aux >= 0 {
-		e.Aux = uint32(s.Val(at.aux))
-	}
+	sock, _ := s.Field(meter.Type(m.Type), at.sock)
+	aux, _ := s.Field(meter.Type(m.Type), at.aux)
+	e.Sock, e.Aux = uint32(sock), uint32(aux)
 	if at.name1 >= 0 {
 		e.Name1 = s.Name(at.name1)
 	}

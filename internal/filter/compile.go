@@ -21,6 +21,9 @@ import (
 // slots_test.go hold the two to the same lines across the Figure 3.3–3.4
 // operator matrix.
 
+// maxBody is the largest message body: no field of a plan lies past it.
+const maxBody = meter.MaxMsgSize - meter.HeaderSize
+
 // headerNames are the header fields rules may name; they shadow body
 // fields of the same name, and traceType is type.
 var headerNames = []string{"size", "machine", "cpuTime", "procTime", "type", "traceType"}
@@ -70,7 +73,6 @@ type progRule struct {
 type eventPlan struct {
 	ev     *EventDesc
 	keys   []string // the type's stored order
-	names  uint8    // the keys holding socket names
 	fields []fieldPlan
 	need   int // the body bytes the fields reach
 	rules  []progRule
@@ -91,9 +93,9 @@ type Program struct {
 // CompileProgram compiles rules against descriptions. It refuses a
 // description no field plan expresses, naming its line: an event name
 // and type trace does not know, a field that is no key of the type's
-// stored order or stands out of that order, a field at a negative
-// offset, a socket name not 16 bytes wide, a number not 2 or 4 bytes
-// wide or shown in base 16. A rule referencing a field an event type
+// stored order or stands out of that order, a socket name not 16 bytes
+// wide, a number not 2 or 4 bytes wide or shown in base 16, a field at
+// a negative offset or reaching past the largest message body. A rule referencing a field an event type
 // lacks simply never matches that type, exactly as in the interpreter.
 func CompileProgram(d *Descriptions, rs Rules) (*Program, error) {
 	var evs []*EventDesc
@@ -121,7 +123,7 @@ func compilePlan(ev *EventDesc) (*eventPlan, error) {
 	if keys == nil {
 		return nil, fmt.Errorf("no event type of that name and number")
 	}
-	pl := &eventPlan{ev: ev, keys: keys, names: names}
+	pl := &eventPlan{ev: ev, keys: keys}
 	next := 0 // the first key a field may still take
 	for _, fd := range ev.Fields {
 		k := slices.Index(keys, fd.Name)
@@ -131,14 +133,14 @@ func compilePlan(ev *EventDesc) (*eventPlan, error) {
 			return nil, fmt.Errorf("field %s is no key of %v", fd.Name, keys)
 		case k < next:
 			return nil, fmt.Errorf("field %s repeats or stands out of the order %v", fd.Name, keys)
-		case fd.Offset < 0:
-			return nil, fmt.Errorf("field %s at offset %d", fd.Name, fd.Offset)
 		case isName && fd.Length != meter.NameSize:
 			return nil, fmt.Errorf("socket name %s is %d bytes wide, not %d", fd.Name, fd.Length, meter.NameSize)
 		case !isName && fd.Length != 2 && fd.Length != 4:
 			return nil, fmt.Errorf("number %s is %d bytes wide, not 2 or 4", fd.Name, fd.Length)
 		case !isName && fd.Base == 16:
 			return nil, fmt.Errorf("number %s is shown in base 16", fd.Name)
+		case fd.Offset < 0 || fd.Offset > maxBody-fd.Length:
+			return nil, fmt.Errorf("field %s at offset %d, outside the largest body (%d bytes)", fd.Name, fd.Offset, maxBody)
 		}
 		next = k + 1
 		pl.fields = append(pl.fields, fieldPlan{fd.Offset, fd.Length, k})
@@ -207,19 +209,13 @@ func (pl *eventPlan) compileRule(r Rule) progRule {
 	return pr
 }
 
-// value reads place p of a record: a header field, a number, or a
-// socket name as its Internet host — 0 for another family — as
-// Record.Field gives it.
+// value reads place p of a record: a header field, or a key as
+// trace.Slots.Field gives it — as Record.Field gives it.
 func (pl *eventPlan) value(h *meter.Header, s *trace.Slots, p int) uint64 {
 	switch {
-	case p >= 0 && pl.names>>p&1 == 0:
-		return s.Val(p)
 	case p >= 0:
-		if n := s.Name(p); n.Family() == meter.AFInet {
-			host, _ := n.Inet()
-			return uint64(host)
-		}
-		return 0
+		v, _ := s.Field(pl.ev.Type, p)
+		return v
 	case p == -1:
 		return uint64(h.Size)
 	case p == -2:

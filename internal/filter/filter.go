@@ -199,7 +199,8 @@ func (e *Engine) ProcessBatch(buf []byte, b *Batch) (rest []byte, err error) {
 		}
 		e.Kept++
 		// pid leads every stored order.
-		b.metas = append(b.metas, store.Meta{Machine: h.Machine, Time: h.CPUTime, Type: uint32(h.TraceType), PID: uint32(s.Val(0))})
+		pid, _ := s.Field(h.TraceType, 0)
+		b.metas = append(b.metas, store.Meta{Machine: h.Machine, Time: h.CPUTime, Type: uint32(h.TraceType), PID: uint32(pid)})
 		if e.tap != nil {
 			e.tap.TapRecord(&b.metas[len(b.metas)-1], s)
 		}

@@ -40,9 +40,10 @@ func FuzzParseRules(f *testing.F) {
 }
 
 // FuzzParseDescriptions checks the descriptions parser on arbitrary
-// input, that the program refuses every description with a field at a
-// negative offset or of negative width, and that what it accepts decodes
-// arbitrary bytes without panicking.
+// input, that the program refuses every description with a field of a
+// width other than 2, 4 or 16 or not wholly inside the largest message
+// body, and that what it accepts decodes arbitrary bytes without
+// panicking.
 func FuzzParseDescriptions(f *testing.F) {
 	f.Add(StandardDescriptions, []byte{})
 	// A field before the body, or of negative length: once a panic, now
@@ -51,6 +52,12 @@ func FuzzParseDescriptions(f *testing.F) {
 	fork[0], fork[20] = 40, 9
 	f.Add("HEADER size\nFORK 9, pid,-4,4,10\n", fork)
 	f.Add("HEADER size\nFORK 9, pid,8,-4,10\n", fork)
+	// An offset whose reach wraps below zero: once a panic on every
+	// message of the type, now refused at compile time.
+	send := make([]byte, 64)
+	send[0], send[20] = 64, 1
+	f.Add("HEADER size\nSEND 1, pid,9223372036854775807,4,10\n", send)
+	f.Add("HEADER size\nSEND 1, pid,0,4,10 destName,9223372036854775800,16,16\n", send)
 	f.Fuzz(func(t *testing.T, text string, raw []byte) {
 		d, err := ParseDescriptions([]byte(text))
 		if err != nil {
@@ -59,7 +66,8 @@ func FuzzParseDescriptions(f *testing.F) {
 		prog, err := CompileProgram(d, nil)
 		for _, ev := range d.events {
 			for _, fd := range ev.Fields {
-				if err == nil && (fd.Offset < 0 || fd.Length < 0) {
+				inBody := fd.Offset >= 0 && fd.Offset <= maxBody-fd.Length
+				if err == nil && (fd.Length != 2 && fd.Length != 4 && fd.Length != meter.NameSize || !inBody) {
 					t.Fatalf("field %+v of %s compiled", fd, ev.Name)
 				}
 			}

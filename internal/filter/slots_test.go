@@ -182,6 +182,9 @@ func TestNewEngineRefusals(t *testing.T) {
 		{"fields out of order", "SEND 1, pc,4,4,10 pid,0,4,10 sock,8,4,10"},
 		{"a repeated key", "SEND 1, " + stdSend + " pid,0,4,10"},
 		{"a negative offset", "SEND 1, pid,-4,4,10"},
+		{"an offset past the largest body", "SEND 1, pid,229,4,10"},
+		{"an offset that wraps the reach", "SEND 1, pid,9223372036854775807,4,10"},
+		{"a name offset that wraps the reach", "SEND 1, pid,0,4,10 destName,9223372036854775800,16,16"},
 		{"a negative width", "SEND 1, pid,8,-4,10"},
 		{"an eight-byte number", "SEND 1, pid,0,8,10"},
 		{"a 16-byte number", "SEND 1, pid,0,4,10 pc,4,4,10 sock,20,16,16"},
@@ -273,15 +276,6 @@ func FuzzSlotsMatchParse(f *testing.F) {
 		d, err := ParseDescriptions([]byte(desc))
 		if err == nil {
 			_, err = CompileProgram(d, nil)
-		}
-		if err == nil {
-			for _, ev := range d.events {
-				for _, fd := range ev.Fields {
-					if fd.Offset+fd.Length > 512 {
-						err = fmt.Errorf("messages that large are not what this is about")
-					}
-				}
-			}
 		}
 		if err != nil {
 			d = randomDescriptions(rng)

@@ -84,14 +84,6 @@ func (s *Slots) Drop(mask uint8) { s.present &^= mask }
 // ProcTime returns the record's procTime.
 func (s *Slots) ProcTime() int64 { return s.procTime }
 
-// Val returns key k's number, 0 when the record does not carry key k.
-func (s *Slots) Val(k int) uint64 {
-	if s.present>>k&1 == 0 {
-		return 0
-	}
-	return s.val[k]
-}
-
 // Name returns key k's socket name as SetName stored it, unset when the
 // record does not carry key k.
 func (s *Slots) Name(k int) meter.Name {
@@ -322,9 +314,9 @@ func (v *View) PointAt(s *Slots, typ meter.Type, machine int, cpuTime int64) {
 	v.line, v.n, v.slot = typedLayouts[typ].line, 0, s
 }
 
-// field answers field k of typ's stored order, -1 for none, as Field
+// Field answers key k of typ's stored order, -1 for none, as View.Field
 // does: a number, an Internet name's host, no value for another name.
-func (s *Slots) field(typ meter.Type, k int) (uint64, bool) {
+func (s *Slots) Field(typ meter.Type, k int) (uint64, bool) {
 	switch {
 	case k < 0 || s.present>>k&1 == 0:
 		return 0, false
@@ -351,7 +343,7 @@ func (v *View) fill() {
 		f := &v.fields[v.n]
 		v.n++
 		f.key0, f.key1, f.ord, f.isName, f.name = lay.key0[k], lay.key1[k], int8(k), lay.names>>k&1 != 0, s.name[k]
-		f.val, f.hasVal = s.field(v.Type, k)
+		f.val, f.hasVal = s.Field(v.Type, k)
 	}
 }
 

@@ -321,7 +321,7 @@ func (v *View) FieldOf(r *FieldRef) (uint64, bool) {
 	case k < -1:
 		return [...]uint64{uint64(v.Machine), uint64(v.CPUTime), uint64(v.ProcTime), uint64(v.Type)}[-2-k], true
 	case v.slot != nil:
-		return v.slot.field(v.Type, int(k))
+		return v.slot.Field(v.Type, int(k))
 	case v.n < 0:
 		val, ok := v.parsed.Fields[r.name]
 		return val, ok
