@@ -512,12 +512,17 @@ func BenchmarkFilterEngine(b *testing.B) {
 	}
 }
 
-// C4: cost of deducing the global event ordering from a trace.
+// C4: cost of deducing the global event ordering from a trace: one
+// 4-process ring, and 64 independent rings, whose clocks are each one
+// ring wide.
 func BenchmarkOrdering(b *testing.B) {
-	for _, n := range []int{100, 400, 1600} {
-		b.Run(fmt.Sprintf("events=%d", n), func(b *testing.B) {
-			events := syntheticTrace(n)
+	for _, c := range []struct{ n, jobs int }{
+		{100, 1}, {400, 1}, {1600, 1}, {6400, 1}, {25600, 1}, {102400, 1}, {25600, 64},
+	} {
+		b.Run(fmt.Sprintf("jobs=%d/events=%d", c.jobs, c.n), func(b *testing.B) {
+			events := syntheticJobs(c.n, c.jobs)
 			matches := analysis.MatchMessages(events, nil)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				o, err := analysis.HappenedBefore(events, matches)
@@ -531,7 +536,12 @@ func BenchmarkOrdering(b *testing.B) {
 }
 
 // syntheticTrace builds a ring of 4 processes passing datagrams.
-func syntheticTrace(n int) []trace.Event {
+func syntheticTrace(n int) []trace.Event { return syntheticJobs(n, 1) }
+
+// syntheticJobs builds jobs independent rings of 4 processes passing
+// datagrams, taking turns; job j's processes run on machines 4j+1 to
+// 4j+4.
+func syntheticJobs(n, jobs int) []trace.Event {
 	var events []trace.Event
 	add := func(typ meter.Type, machine, pid int, fields map[string]uint64, names map[string]meter.Name) {
 		e := trace.Event{
@@ -548,8 +558,9 @@ func syntheticTrace(n int) []trace.Event {
 	}
 	const procs = 4
 	for len(events)+2 <= n {
-		i := (len(events) / 2) % procs
-		from, to := i+1, (i+1)%procs+1
+		pair := len(events) / 2
+		base, i := pair%jobs*procs, pair/jobs%procs
+		from, to := base+i+1, base+(i+1)%procs+1
 		add(meter.EvSend, from, from*10, map[string]uint64{"sock": 3, "msgLength": 32},
 			map[string]meter.Name{"destName": meter.InetName(uint32(to), 5000)})
 		add(meter.EvRecv, to, to*10, map[string]uint64{"sock": 9, "msgLength": 32},

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -124,8 +125,9 @@ func TestGoldenTSPTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frac := order.OrderedFraction(); frac < 0.6 {
-		t.Fatalf("ordered fraction = %v", frac)
+	// 73 events: 2303 of the 2628 pairs are ordered.
+	if got, want := order.OrderedFraction(), 2303.0/2628; got != want {
+		t.Fatalf("ordered fraction = %v, want %v", got, want)
 	}
 	// Three terminations, all final per process.
 	term := 0
@@ -140,5 +142,38 @@ func TestGoldenTSPTrace(t *testing.T) {
 	par := MeasureParallelism(events)
 	if par.Processes != 3 || par.TotalCPUMillis == 0 {
 		t.Fatalf("parallelism = %+v", par)
+	}
+}
+
+// TestGoldenReports pins the whole report with its consistency check,
+// as `analyze -validate` prints them, over both checked-in traces.
+func TestGoldenReports(t *testing.T) {
+	for _, name := range []string{"session", "tsp"} {
+		data, err := os.ReadFile("testdata/" + name + ".trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := trace.ParseLog(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := Report(events, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		b.WriteString(report)
+		diags := Validate(events, nil)
+		fmt.Fprintf(&b, "\nconsistency check: %d finding(s)\n", len(diags))
+		for _, d := range diags {
+			fmt.Fprintf(&b, "  %s\n", d)
+		}
+		want, err := os.ReadFile("testdata/" + name + ".report.golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Errorf("%s report drifted; got:\n%s\nwant:\n%s", name, b.String(), want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"errors"
-	"math/bits"
 
 	"dpm/internal/meter"
 	"dpm/internal/trace"
@@ -15,14 +14,24 @@ import (
 // times of sending and receiving a message can always be ordered
 // relative to one another. Given these constraints, much of the
 // global ordering can be deduced."
+//
+// Each event carries a vector clock (Fidge, Mattern 88) over the
+// processes of its connected component, those joined to its own by a
+// chain of evidence, so an event of one of many independent jobs costs
+// one job's width. Memory is n × the widest component: a star of one
+// server and many clients is one wide component.
 type Order struct {
 	n    int
 	succ [][]int
 	// Lamport[i] is a logical timestamp consistent with the partial
 	// order (Lamport 78).
 	Lamport []int
-	// reach[i] is the bitset of events reachable from i.
-	reach [][]uint64
+	// Event i is the pos[i]-th event (from 1) of process proc[i].
+	proc, pos []int
+	// A process's component and its slot in that component's clocks.
+	comp, slot []int
+	// clock[i][s] counts slot s's process's events at or before event i.
+	clock [][]int
 }
 
 // ErrCycle reports an inconsistent trace whose deduced order is
@@ -36,24 +45,36 @@ var ErrCycle = errors.New("analysis: trace implies a cyclic event order")
 // (the fork event precedes every event of the child).
 func HappenedBefore(events []trace.Event, matches []Match) (*Order, error) {
 	n := len(events)
-	o := &Order{n: n, succ: make([][]int, n)}
+	o := &Order{n: n, succ: make([][]int, n), proc: make([]int, n), pos: make([]int, n)}
+	var parent []int // union-find over processes: an edge joins its two
+	find := func(p int) int {
+		for parent[p] != p {
+			parent[p] = parent[parent[p]]
+			p = parent[p]
+		}
+		return p
+	}
 	addEdge := func(from, to int) {
 		if from >= 0 && to >= 0 && from < n && to < n && from != to {
 			o.succ[from] = append(o.succ[from], to)
+			parent[find(o.proc[from])] = find(o.proc[to])
 		}
 	}
 
-	// Program order per process.
-	last := make(map[ProcKey]int)
-	firstOf := make(map[ProcKey]int)
+	// Program order per process; a new process's last event is itself.
+	procOf := make(map[ProcKey]int)
+	var first, last []int
 	for i := range events {
 		k := keyOf(&events[i])
-		if prev, ok := last[k]; ok {
-			addEdge(prev, i)
-		} else {
-			firstOf[k] = i
+		p, ok := procOf[k]
+		if !ok {
+			p = len(parent)
+			procOf[k] = p
+			parent, first, last = append(parent, p), append(first, i), append(last, i)
 		}
-		last[k] = i
+		o.proc[i], o.pos[i] = p, o.pos[last[p]]+1
+		addEdge(last[p], i)
+		last[p] = i
 	}
 
 	// Message edges.
@@ -73,20 +94,33 @@ func HappenedBefore(events []trace.Event, matches []Match) (*Order, error) {
 			continue
 		}
 		child := ProcKey{Machine: e.Machine, PID: int(e.Fields["newPid"])}
-		if f, ok := firstOf[child]; ok {
-			addEdge(i, f)
+		if p, ok := procOf[child]; ok {
+			addEdge(i, first[p])
 		}
+	}
+
+	// Each event's clock has a slot for each process of its component.
+	width := make([]int, len(parent))
+	o.comp, o.slot = make([]int, len(parent)), make([]int, len(parent))
+	for p := range parent {
+		c := find(p)
+		o.comp[p], o.slot[p] = c, width[c]
+		width[c]++
+	}
+	o.clock = make([][]int, n)
+	for i, p := range o.proc {
+		o.clock[i] = make([]int, width[o.comp[p]])
 	}
 
 	if err := o.computeLamport(); err != nil {
 		return nil, err
 	}
-	o.computeReach()
 	return o, nil
 }
 
-// computeLamport assigns logical clocks via a Kahn topological sweep;
-// it also detects cycles.
+// computeLamport assigns logical and vector clocks via a Kahn
+// topological sweep, in which an event ticks its own entries once its
+// predecessors have merged theirs in; it also detects cycles.
 func (o *Order) computeLamport() error {
 	indeg := make([]int, o.n)
 	for _, succs := range o.succ {
@@ -95,21 +129,22 @@ func (o *Order) computeLamport() error {
 		}
 	}
 	o.Lamport = make([]int, o.n)
-	var queue []int
+	queue := make([]int, 0, o.n)
 	for i := 0; i < o.n; i++ {
 		if indeg[i] == 0 {
 			queue = append(queue, i)
-			o.Lamport[i] = 1
 		}
 	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		seen++
+	for k := 0; k < len(queue); k++ {
+		v := queue[k]
+		o.Lamport[v]++
+		cv := o.clock[v]
+		cv[o.slot[o.proc[v]]] = o.pos[v]
 		for _, t := range o.succ[v] {
-			if o.Lamport[v]+1 > o.Lamport[t] {
-				o.Lamport[t] = o.Lamport[v] + 1
+			o.Lamport[t] = max(o.Lamport[t], o.Lamport[v])
+			ct := o.clock[t]
+			for s, c := range cv {
+				ct[s] = max(ct[s], c)
 			}
 			indeg[t]--
 			if indeg[t] == 0 {
@@ -117,55 +152,18 @@ func (o *Order) computeLamport() error {
 			}
 		}
 	}
-	if seen != o.n {
+	if len(queue) != o.n {
 		return ErrCycle
 	}
 	return nil
 }
 
-// computeReach builds per-event reachability bitsets in reverse
-// topological order (events are processed by decreasing Lamport time).
-func (o *Order) computeReach() {
-	words := (o.n + 63) / 64
-	o.reach = make([][]uint64, o.n)
-	for i := range o.reach {
-		o.reach[i] = make([]uint64, words)
-	}
-	// Order events by decreasing Lamport timestamp so successors are
-	// complete before predecessors.
-	byLamport := make([]int, o.n)
-	for i := range byLamport {
-		byLamport[i] = i
-	}
-	// Counting sort on Lamport values.
-	maxL := 0
-	for _, l := range o.Lamport {
-		if l > maxL {
-			maxL = l
-		}
-	}
-	buckets := make([][]int, maxL+1)
-	for i, l := range o.Lamport {
-		buckets[l] = append(buckets[l], i)
-	}
-	for l := maxL; l >= 1; l-- {
-		for _, v := range buckets[l] {
-			for _, t := range o.succ[v] {
-				o.reach[v][t/64] |= 1 << (t % 64)
-				for w := range o.reach[v] {
-					o.reach[v][w] |= o.reach[t][w]
-				}
-			}
-		}
-	}
-}
-
 // Ordered reports whether event a happened before event b (by Seq).
 func (o *Order) Ordered(a, b int) bool {
-	if a < 0 || b < 0 || a >= o.n || b >= o.n {
+	if a < 0 || b < 0 || a >= o.n || b >= o.n || a == b {
 		return false
 	}
-	return o.reach[a][b/64]&(1<<(b%64)) != 0
+	return o.comp[o.proc[a]] == o.comp[o.proc[b]] && o.clock[b][o.slot[o.proc[a]]] >= o.pos[a]
 }
 
 // Concurrent reports whether neither event precedes the other — the
@@ -176,15 +174,16 @@ func (o *Order) Concurrent(a, b int) bool {
 
 // OrderedFraction returns the fraction of distinct event pairs that
 // the deduced partial order resolves — how much of the global ordering
-// "can be deduced" from the trace.
+// "can be deduced" from the trace. An event's clock entries sum to the
+// events at or before it, itself included.
 func (o *Order) OrderedFraction() float64 {
 	if o.n < 2 {
 		return 1
 	}
-	var ordered int64
-	for i := 0; i < o.n; i++ {
-		for _, w := range o.reach[i] {
-			ordered += int64(bits.OnesCount64(w))
+	ordered := -int64(o.n)
+	for _, c := range o.clock {
+		for _, k := range c {
+			ordered += int64(k)
 		}
 	}
 	total := int64(o.n) * int64(o.n-1) / 2
