@@ -723,36 +723,41 @@ func BenchmarkAnalyses(b *testing.B) {
 }
 
 // S1: event-store ingest throughput — the cost a filter pays to write
-// a record through the store (parse, typed encoding, a flush per
-// record, index update, rotation) rather than appending a line to the
-// flat log: AppendBatch with a batch of one.
+// a record through the store (typed encoding, a flush per record, index
+// update, rotation) rather than appending a line to the flat log:
+// AppendBatch with a batch of one.
 func BenchmarkStoreIngest(b *testing.B) {
-	events := syntheticTrace(64)
-	lines := make([][]byte, len(events))
-	var bytes int64
-	for i := range events {
-		lines[i] = []byte(events[i].Format())
-		bytes += int64(len(lines[i]))
-	}
+	recs, bytes := storeBatchRecs()
 	st, err := store.Open(store.NewMemBackend(), store.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(bytes / int64(len(lines)))
+	b.SetBytes(bytes / int64(len(recs)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	var one [1]store.BatchRec
 	for i := 0; i < b.N; i++ {
-		e := &events[i%len(events)]
-		pid := e.Fields["pid"]
-		one[0] = store.BatchRec{Line: lines[i%len(lines)], Meta: store.Meta{
-			Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
-			Type: uint32(e.Type), PID: uint32(pid),
-		}}
-		if err := st.AppendBatch(one[:]); err != nil {
+		if err := st.AppendBatch(recs[i%len(recs) : i%len(recs)+1]); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// eventRec is an event as the filter hands it to AppendBatch: its Meta,
+// its line, and its slots — each key of its type's stored order it
+// carries, with a value of the key's kind.
+func eventRec(e *trace.Event) store.BatchRec {
+	s := new(trace.Slots)
+	s.Reset(e.ProcTime)
+	keys, names := trace.SlotKeys(e.Type, e.Event)
+	for k, key := range keys {
+		if n, ok := e.Names[key]; ok && names>>k&1 != 0 {
+			s.SetName(k, n)
+		} else if v, ok := e.Fields[key]; ok && names>>k&1 == 0 {
+			s.SetVal(k, v)
+		}
+	}
+	m := store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: uint32(e.Type), PID: uint32(e.Fields["pid"])}
+	return store.BatchRec{Meta: m, Line: s.AppendLine(nil, e.Type, e.Machine, e.CPUTime), Slots: s}
 }
 
 // storeBatchRecs is the record set the batched store benchmarks cycle
@@ -762,14 +767,7 @@ func storeBatchRecs() (recs []store.BatchRec, lineBytes int64) {
 	events := syntheticTrace(64)
 	recs = make([]store.BatchRec, len(events))
 	for i := range events {
-		e := &events[i]
-		recs[i] = store.BatchRec{
-			Meta: store.Meta{
-				Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
-				Type: uint32(e.Type), PID: uint32(e.Fields["pid"]),
-			},
-			Line: []byte(e.Format()),
-		}
+		recs[i] = eventRec(&events[i])
 		lineBytes += int64(len(recs[i].Line))
 	}
 	return recs, lineBytes
@@ -845,47 +843,25 @@ func storeSlotRecs(b *testing.B) []store.BatchRec {
 }
 
 // BenchmarkStoreIngestSlots is BenchmarkStoreIngestCompressed's batches
-// as the filter hands them over: typed (BatchRec.Slots), so that the
-// store encodes each record without parsing its line. ns/op is per
-// 16-record batch; ns/record is that over 16; x-text is how many times
-// faster than the same batches with the slots stripped — every line
-// parsed and regenerated by the store, as before the hand-off — both
-// sides at their best of ten alternating passes in this process (the
-// host runs at two speeds, see BenchmarkViewParse).
-// scripts/bench_filter.sh gates x-text.
+// as the filter's engine hands them over (storeSlotRecs). ns/op is per
+// 16-record batch; ns/record is that over 16. scripts/bench_filter.sh
+// gates its allocations.
 func BenchmarkStoreIngestSlots(b *testing.B) {
 	const batchSize = 16
 	recs := storeSlotRecs(b)
-	text := make([]store.BatchRec, len(recs))
-	for i, r := range recs {
-		text[i] = store.BatchRec{Meta: r.Meta, Line: r.Line}
-	}
-	ingest := func(recs []store.BatchRec, batches int) {
-		st, err := store.Open(store.NewMemBackend(), store.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < batches; i++ {
-			off := i * batchSize % len(recs)
-			if err := st.AppendBatch(recs[off : off+batchSize]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	pass := func(recs []store.BatchRec) time.Duration {
-		start := time.Now()
-		ingest(recs, 4000)
-		return time.Since(start)
-	}
-	slow, fast := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for i := 0; i < 10; i++ {
-		slow, fast = min(slow, pass(text)), min(fast, pass(recs))
+	st, err := store.Open(store.NewMemBackend(), store.Config{})
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	ingest(recs, b.N)
+	for i := 0; i < b.N; i++ {
+		off := i * batchSize % len(recs)
+		if err := st.AppendBatch(recs[off : off+batchSize]); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/record")
-	b.ReportMetric(float64(slow)/float64(fast), "x-text")
 }
 
 // S1 archiving: the store exactly as the filter opens it
@@ -912,7 +888,8 @@ func BenchmarkStoreIngestArchiving(b *testing.B) {
 }
 
 // floodRecs is n records as ingest_flood's filter hands them to the
-// store, as lines, and the cpuTime step after each: sends from two
+// store, with copies of their lines and slots, and the cpuTime step
+// after each: sends from two
 // machines in runs of a few dozen, as meter buffers arrive, from
 // processes replaced every 2 048 records (a new job), their pc advancing
 // 4 a send and their procTime 0-3 ms, with seeded payload lengths of
@@ -957,7 +934,8 @@ func floodRecs(b *testing.B, n int) ([]store.BatchRec, []uint32) {
 		b.Fatalf("%d records kept of %d", len(recs), n)
 	}
 	for i, r := range recs {
-		recs[i] = store.BatchRec{Meta: r.Meta, Line: append([]byte(nil), r.Line...)}
+		s := *r.Slots
+		recs[i] = store.BatchRec{Meta: r.Meta, Line: append([]byte(nil), r.Line...), Slots: &s}
 	}
 	return recs, steps
 }
@@ -979,9 +957,9 @@ func benchArchiving(b *testing.B, recs []store.BatchRec, steps []uint32) {
 	b.SetBytes(lineBytes / int64(len(recs)) * batchSize)
 	b.ReportAllocs()
 	// A record's line says the cpuTime its Meta says, as every line the
-	// filter hands the store does — that is what lets the store keep it
-	// typed — so the line is respelled with the clock: everything before
-	// the number, the number, everything after.
+	// filter hands the store does — the line is the record's size — so
+	// the line is respelled with the clock: everything before the number,
+	// the number, everything after.
 	type spelling struct{ head, tail []byte }
 	spell := make([]spelling, len(recs))
 	for i, r := range recs {
@@ -1270,15 +1248,12 @@ func BenchmarkTraceParse(b *testing.B) {
 	}
 }
 
-// scanFixture is the store BenchmarkScanTyped and BenchmarkScanText
-// scan: 16 384 SEND records of the shape bench/'s query_mix preloads —
-// eight senders on four machines, each walking msgLength through
-// 16..2015 in a stride of its own — as the filter writes them, so they
-// are stored typed; or, with foreign set, the same lines with one key
-// the SEND description does not have, so they are stored as text. The
-// rule reads msgLength and selects nothing: no zone map can prune it,
+// scanFixture is the store BenchmarkScanTyped scans: 16 384 SEND
+// records of the shape bench/'s query_mix preloads — eight senders on
+// four machines, each walking msgLength through 16..2015 in a stride of
+// its own — as the filter hands them over. The rule reads msgLength and selects nothing: no zone map can prune it,
 // every record is decoded, admitted and matched, none is shipped.
-func scanFixture(b *testing.B, foreign bool) (segs []*store.ReaderSegment, q *query.Query, records int) {
+func scanFixture(b *testing.B) (segs []*store.ReaderSegment, q *query.Query, records int) {
 	b.Helper()
 	const n = 16384
 	be := store.NewMemBackend()
@@ -1301,10 +1276,11 @@ func scanFixture(b *testing.B, foreign bool) (segs []*store.ReaderSegment, q *qu
 		m := store.Meta{Machine: uint16(1 + s/2), Time: uint32(1000 + i/4), Type: uint32(meter.EvSend), PID: uint32(2 + s)}
 		line = fmt.Appendf(line[:0], "SEND machine=%d cpuTime=%d procTime=%d pid=%d pc=%d sock=3 msgLength=%d destNameLen=16 destName=inet:%d:6100",
 			m.Machine, m.Time, i/64*10, m.PID, 16384+rng.Intn(4)*12, 16+at[s], 167772161+rng.Intn(2))
-		if foreign {
-			line = append(line, " hop=1"...)
+		ev, err := trace.ParseOne(line)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if batch = append(batch, store.BatchRec{Meta: m, Line: append([]byte(nil), line...)}); len(batch) == 64 {
+		if batch = append(batch, eventRec(&ev)); len(batch) == 64 {
 			if err := st.AppendBatch(batch); err != nil {
 				b.Fatal(err)
 			}
@@ -1328,57 +1304,27 @@ func scanFixture(b *testing.B, foreign bool) (segs []*store.ReaderSegment, q *qu
 // the summed statistics.
 func scanAll(b *testing.B, segs []*store.ReaderSegment, q *query.Query) (sum query.Stats) {
 	for _, rs := range segs {
-		st, err := q.ScanSegment(rs, func(*trace.View, map[string]bool) { b.Fatal("a record matched") })
+		st, err := q.ScanSegment(rs, func(*trace.View, uint8) { b.Fatal("a record matched") })
 		if err != nil {
 			b.Fatal(err)
 		}
-		sum.Records, sum.Parsed = sum.Records+st.Records, sum.Parsed+st.Parsed
+		sum.Records, sum.Typed = sum.Records+st.Records, sum.Typed+st.Typed
 	}
 	return sum
 }
 
 // BenchmarkScanTyped is what the one read executor pays per scanned
-// record when the store holds it typed: ns/record, and x-text — how
-// many times faster than the same scan over the same records stored as
-// text, both timed in this process in alternating passes, each side at
-// its best pass (the host runs at two speeds, see BenchmarkViewParse).
-// scripts/bench_filter.sh gates x-text.
+// record: ns/record, archived; scripts/bench_filter.sh gates its
+// allocations.
 func BenchmarkScanTyped(b *testing.B) {
-	typed, q, n := scanFixture(b, false)
-	text, _, _ := scanFixture(b, true)
-	if st := scanAll(b, typed, q); st.Records != n || st.Parsed != 0 {
-		b.Fatalf("typed fixture: %d records scanned, %d parsed; want %d, 0", st.Records, st.Parsed, n)
+	segs, q, n := scanFixture(b)
+	if st := scanAll(b, segs, q); st.Records != n || st.Typed != n {
+		b.Fatalf("fixture: %d records scanned, %d read; want %d", st.Records, st.Typed, n)
 	}
-	if st := scanAll(b, text, q); st.Records != n || st.Parsed != n {
-		b.Fatalf("text fixture: %d records scanned, %d parsed; want %d, %d", st.Records, st.Parsed, n, n)
-	}
-	pass := func(segs []*store.ReaderSegment) time.Duration {
-		start := time.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		scanAll(b, segs, q)
-		return time.Since(start)
-	}
-	slow, fast := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for i := 0; i < 20; i++ {
-		slow, fast = min(slow, pass(text)), min(fast, pass(typed))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scanAll(b, typed, q)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
-	b.ReportMetric(float64(slow)/float64(fast), "x-text")
-}
-
-// BenchmarkScanText is BenchmarkScanTyped's other side on its own: the
-// scan of a store whose lines all fell back to the text shape — what a
-// custom description file costs on the read side.
-func BenchmarkScanText(b *testing.B) {
-	text, q, n := scanFixture(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scanAll(b, text, q)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
 }
@@ -1394,9 +1340,8 @@ const statsYardstickBytes = 1529285
 // snapshot marshalled, parsed back and rendered — 16 384 processes on
 // six machines, all 36 machine pairs in the matrix, ~0.23 MB on the
 // wire. Their records span 1.5 s of cpuTime, inside one reordering
-// window, so none of them retires. ns/op and B/op are archived; the gate is x-sha256, for the
-// reason BenchmarkViewParse gates x-ParseOne: the host runs at two
-// speeds, so the round trip is held against a yardstick timed in this
+// window, so none of them retires. ns/op and B/op are archived; the gate is x-sha256, as
+// the host runs at two speeds, so the round trip is held against a yardstick timed in this
 // process in alternating chunks, each side at its best chunk. The
 // yardstick is a SHA-256 over a fixed statsYardstickBytes — work a
 // change to the stats path leaves alone. It is not the wire itself:

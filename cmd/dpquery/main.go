@@ -46,11 +46,9 @@ import (
 )
 
 // listSegments prints the physical layout of the store: one line per
-// segment (tier, format — v3, the one a store reads, where each record
-// is typed or text —, record count, the share of its records stored
-// typed, which a scan does not parse, on-disk compression ratio). The
-// typed share costs a decode of the segment; one that does not decode to
-// its end is listed with what did.
+// segment (tier, format — v3, the one a store reads —, record count,
+// on-disk compression ratio). The record count costs a decode of the
+// segment; one that does not decode to its end is listed with what did.
 func listSegments(w io.Writer, rd *store.Reader) {
 	d := store.AcquireDecoder()
 	defer store.ReleaseDecoder(d)
@@ -65,9 +63,9 @@ func listSegments(w io.Writer, rd *store.Reader) {
 			if disk > 0 {
 				ratio = float64(raw) / float64(disk)
 			}
-			st, _ := rs.ScanViews(d, func(store.Meta, *trace.View, []byte) {})
-			fmt.Fprintf(w, "shard %d  %s  %s tier=%d v3  records=%d typed=%d%%  raw=%d disk=%d ratio=%.2fx\n",
-				sh, rs.Name, state, rs.Tier, st.Records, 100*st.Typed/max(st.Records, 1), raw, disk, ratio)
+			st, _ := rs.ScanViews(d, func(store.Meta, *trace.View) {})
+			fmt.Fprintf(w, "shard %d  %s  %s tier=%d v3  records=%d  raw=%d disk=%d ratio=%.2fx\n",
+				sh, rs.Name, state, rs.Tier, st.Records, raw, disk, ratio)
 		}
 	}
 }

@@ -366,7 +366,25 @@ func TestScanSegmentZeroAllocs(t *testing.T) {
 }
 
 // appendLine appends one record given as its line: AppendBatch of a
-// batch of one.
+// batch of one, typed from what trace.ParseOne reads on the line.
 func appendLine(st *store.Store, m store.Meta, line string) error {
-	return st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(line)}})
+	ev, _ := trace.ParseOne([]byte(line))
+	ev.Type, ev.Event = meter.Type(m.Type), meter.Type(m.Type).String()
+	return st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(line), Slots: slotsOf(&ev)}})
+}
+
+// slotsOf types an event as the filter hands it to the store: each key
+// of its type's stored order it carries, with a value of the key's kind.
+func slotsOf(e *trace.Event) *trace.Slots {
+	s := new(trace.Slots)
+	s.Reset(e.ProcTime)
+	keys, names := trace.SlotKeys(e.Type, e.Event)
+	for k, key := range keys {
+		if n, ok := e.Names[key]; ok && names>>k&1 != 0 {
+			s.SetName(k, n)
+		} else if v, ok := e.Fields[key]; ok && names>>k&1 == 0 {
+			s.SetVal(k, v)
+		}
+	}
+	return s
 }

@@ -155,7 +155,7 @@ func (aq *Query) scanSegment(rs *store.ReaderSegment) (*segment, query.Stats, er
 	clear(seg.index)
 	*seg = segment{minTime: ^uint64(0), groups: seg.groups[:0], index: seg.index}
 	sketch, needsField := aq.Spec.Fn.NeedsSketch(), aq.Spec.Fn.NeedsField()
-	st, err := aq.Sel.ScanSegment(rs, func(v *trace.View, _ map[string]bool) {
+	st, err := aq.Sel.ScanSegment(rs, func(v *trace.View, _ uint8) {
 		seg.records++
 		seg.minTime = min(seg.minTime, uint64(v.CPUTime))
 		seg.maxTime = max(seg.maxTime, uint64(v.CPUTime))

@@ -54,7 +54,7 @@ func recordEval(rd *store.Reader, aq *Query) (*Partial, query.Stats, error) {
 	stats, err := query.ScanOrdered(rd, aq.Sel,
 		func(rs *store.ReaderSegment) (*segItems, query.Stats, error) {
 			seg := &segItems{minTime: ^uint64(0)}
-			st, err := aq.Sel.ScanSegment(rs, func(v *trace.View, _ map[string]bool) {
+			st, err := aq.Sel.ScanSegment(rs, func(v *trace.View, _ uint8) {
 				seg.records++
 				seg.minTime = min(seg.minTime, uint64(v.CPUTime))
 				seg.maxTime = max(seg.maxTime, uint64(v.CPUTime))

@@ -146,7 +146,7 @@ func memoRecord(i, base int) []store.BatchRec {
 		Names:  map[string]meter.Name{},
 	}
 	m := store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: uint32(e.Type), PID: uint32(e.Fields["pid"])}
-	return []store.BatchRec{{Meta: m, Line: []byte(e.Format())}}
+	return []store.BatchRec{{Meta: m, Line: []byte(e.Format()), Slots: slotsOf(&e)}}
 }
 
 // TestMemoNeverStale: whatever happens to a store between two Evals —

@@ -211,7 +211,7 @@ func storeEvent(t *testing.T, st *store.Store, machine int, cpuTime int64, typ m
 		Names:  map[string]meter.Name{},
 	}
 	m := store.Meta{Machine: uint16(machine), Time: uint32(cpuTime), Type: uint32(typ), PID: uint32(pid)}
-	if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format())}}); err != nil {
+	if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format()), Slots: slotsOf(&e)}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -297,4 +297,20 @@ func TestQueryCommand(t *testing.T) {
 	if runs, _ := strconv.Atoi(m[1]); runs < 1 {
 		t.Fatalf("query.runs = %d after three queries, want >= 1", runs)
 	}
+}
+
+// slotsOf types an event as the filter hands it to the store: each key
+// of its type's stored order it carries, with a value of the key's kind.
+func slotsOf(e *trace.Event) *trace.Slots {
+	s := new(trace.Slots)
+	s.Reset(e.ProcTime)
+	keys, names := trace.SlotKeys(e.Type, e.Event)
+	for k, key := range keys {
+		if n, ok := e.Names[key]; ok && names>>k&1 != 0 {
+			s.SetName(k, n)
+		} else if v, ok := e.Fields[key]; ok && names>>k&1 == 0 {
+			s.SetVal(k, v)
+		}
+	}
+	return s
 }

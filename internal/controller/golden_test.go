@@ -118,7 +118,6 @@ func statsGoldenCases(t *testing.T) []struct {
 		reg := obs.NewRegistry()
 		reg.Counter("query.records").Add(int64(100 + i))
 		reg.Counter("query.records_skipped").Add(40)
-		reg.Counter("query.records_parsed").Add(int64(20 * i))
 		reg.Counter("store.appends").Add(7)
 		reg.Counter("store.records_typed").Add(int64(5 + i))
 		s := reg.Snapshot()

@@ -44,7 +44,7 @@ func storeMachine(t *testing.T, dir string, n int) (p *kernel.Process, m *kernel
 				Names:  map[string]meter.Name{},
 			}
 			m := store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: 1, PID: uint32(e.Fields["pid"])}
-			if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format())}}); err != nil {
+			if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format()), Slots: slotsOf(&e)}}); err != nil {
 				t.Error(err)
 			}
 		}
@@ -230,4 +230,20 @@ func TestReopenTimingNoAlloc(t *testing.T) {
 // call may do.
 func replyWire(rep Reply) string {
 	return string(endFrame(rep.appendWire(beginFrame(nil, FrameRep, 0)), 0))
+}
+
+// slotsOf types an event as the filter hands it to the store: each key
+// of its type's stored order it carries, with a value of the key's kind.
+func slotsOf(e *trace.Event) *trace.Slots {
+	s := new(trace.Slots)
+	s.Reset(e.ProcTime)
+	keys, names := trace.SlotKeys(e.Type, e.Event)
+	for k, key := range keys {
+		if n, ok := e.Names[key]; ok && names>>k&1 != 0 {
+			s.SetName(k, n)
+		} else if v, ok := e.Fields[key]; ok && names>>k&1 == 0 {
+			s.SetVal(k, v)
+		}
+	}
+	return s
 }

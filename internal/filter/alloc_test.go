@@ -46,14 +46,14 @@ func TestExtractSelectFormatZeroAllocs(t *testing.T) {
 		h meter.Header
 		s trace.Slots
 	)
-	pl, _, err := prog.decode(raw, &h, &s)
+	pl, err := prog.decode(raw, &h, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 0, 1024)
 
 	if n := testing.AllocsPerRun(200, func() {
-		if _, _, err := prog.decode(raw, &h, &s); err != nil {
+		if _, err := prog.decode(raw, &h, &s); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

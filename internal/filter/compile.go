@@ -85,9 +85,6 @@ type eventPlan struct {
 // eventPlan per described event type, by type number.
 type Program struct {
 	plans [meter.EvTermProc + 1]*eventPlan
-	// textOnly hands the store every record as text, for it to parse:
-	// the path the typed hand-off is held to, set by tests only.
-	textOnly bool
 }
 
 // CompileProgram compiles rules against descriptions. It refuses a

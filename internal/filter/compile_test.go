@@ -128,7 +128,7 @@ func compiledLine(t *testing.T, prog *Program, raw []byte) (keep bool, rule int,
 		h meter.Header
 		s trace.Slots
 	)
-	pl, _, err := prog.decode(raw, &h, &s)
+	pl, err := prog.decode(raw, &h, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,17 +157,17 @@ func TestCompiledProgramEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	msgs, typing := corpusMessages(), typingStream()
-	var typed, untyped int
+	var plain, odd int
 	for _, text := range equivalenceRuleSets {
 		rs, err := ParseRules([]byte(text))
 		if err != nil {
 			t.Fatalf("rules %q: %v", text, err)
 		}
 		prog := mustCompile(t, d, rs)
-		// What the program hands the store typed is what the store made
-		// of the line (slots_test.go), over the corpus and the odd names.
-		ty, tx := slotsMatchParse(t, &Engine{prog: prog}, typing, nil)
-		typed, untyped = typed+ty, untyped+tx
+		// What the program hands the store is what its line says
+		// (slots_test.go), over the corpus and the odd names.
+		p, o := slotsMatchParse(t, &Engine{prog: prog}, typing)
+		plain, odd = plain+p, odd+o
 		want := interpretStream(t, d, rs, msgs)
 
 		// Compiled path, record by record.
@@ -196,10 +196,9 @@ func TestCompiledProgramEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// The odd names no line spells go as text; everything else the
-	// standard descriptions write goes typed.
-	if typed == 0 || untyped == 0 {
-		t.Fatalf("%d records typed, %d text: the corpus is meant to have both", typed, untyped)
+	// Records with names no line spells go typed as the rest do.
+	if plain == 0 || odd == 0 {
+		t.Fatalf("%d records with names a line spells, %d with others: the corpus is meant to have both", plain, odd)
 	}
 }
 
@@ -323,7 +322,7 @@ func TestCompiledProgramEquivalenceRandom(t *testing.T) {
 			t.Fatalf("trial %d: %q: %v", trial, text, err)
 		}
 		prog := mustCompile(t, d, rs)
-		slotsMatchParse(t, &Engine{prog: prog}, typing, nil)
+		slotsMatchParse(t, &Engine{prog: prog}, typing)
 		for i, raw := range msgs {
 			rec, err := d.Extract(raw)
 			if err != nil {

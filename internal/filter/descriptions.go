@@ -130,24 +130,23 @@ func ParseDescriptions(data []byte) (*Descriptions, error) {
 // by meter.DecodeHeader, into h, and the body, through the plan of the
 // header's event type alone, into s. The filter trusts the description
 // file, exactly as the paper's filter does: the meter package's body
-// decoder is not consulted. odd has bit k set for each name no standard
-// line spells (trace.Slots.SetName).
-func (p *Program) decode(raw []byte, h *meter.Header, s *trace.Slots) (pl *eventPlan, odd uint8, err error) {
+// decoder is not consulted.
+func (p *Program) decode(raw []byte, h *meter.Header, s *trace.Slots) (pl *eventPlan, err error) {
 	if len(raw) < meter.HeaderSize {
-		return nil, 0, fmt.Errorf("filter: message shorter than header (%d bytes)", len(raw))
+		return nil, fmt.Errorf("filter: message shorter than header (%d bytes)", len(raw))
 	}
 	*h = meter.DecodeHeader(raw)
 	if int(h.TraceType) < len(p.plans) {
 		pl = p.plans[h.TraceType]
 	}
 	if pl == nil {
-		return nil, 0, fmt.Errorf("filter: no description for type %d", h.TraceType)
+		return nil, fmt.Errorf("filter: no description for type %d", h.TraceType)
 	}
 	body := raw[meter.HeaderSize:]
 	if len(body) < pl.need {
 		for _, fd := range pl.ev.Fields {
 			if fd.Offset > len(body)-fd.Length {
-				return nil, 0, fmt.Errorf("filter: field %s of %s overruns body (%d bytes)", fd.Name, pl.ev.Name, len(body))
+				return nil, fmt.Errorf("filter: field %s of %s overruns body (%d bytes)", fd.Name, pl.ev.Name, len(body))
 			}
 		}
 	}
@@ -160,10 +159,8 @@ func (p *Program) decode(raw []byte, h *meter.Header, s *trace.Slots) (pl *event
 		case 4:
 			s.SetVal(f.k, uint64(le.Uint32(body[f.off:])))
 		default:
-			if !s.SetName(f.k, meter.Name(body[f.off:f.off+meter.NameSize])) {
-				odd |= 1 << f.k
-			}
+			s.SetName(f.k, meter.Name(body[f.off:f.off+meter.NameSize]))
 		}
 	}
-	return pl, odd, nil
+	return pl, nil
 }

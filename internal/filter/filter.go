@@ -95,19 +95,17 @@ func (e *Engine) Clone() *Engine {
 
 // Batch accumulates one flush's worth of surviving records: the
 // concatenated '\n'-terminated log lines (the flat-log image, written
-// with a single file append), the per-record store metadata and, for
-// every record whose line is standard, its typed form. A Batch is
-// reused across flushes via Reset, so the steady state allocates
-// nothing. One engine fills a batch between Resets, and the typed forms
-// are that engine's (Engine.slots): StoreRecs hands them to the store
-// until the engine's next ProcessBatch into another batch.
+// with a single file append), the per-record store metadata and typed
+// form. A Batch is reused across flushes via Reset, so the steady state
+// allocates nothing. One engine fills a batch between Resets, and the
+// typed forms are that engine's (Engine.slots): StoreRecs hands them to
+// the store until the engine's next ProcessBatch into another batch.
 type Batch struct {
 	// Lines is the flat-log image: each record's formatted line
 	// followed by '\n'.
 	Lines []byte
 	metas []store.Meta
-	ends  []int  // end offset of each record's line in Lines, excluding '\n'
-	typed []bool // whether slots[i] is record i's typed form
+	ends  []int // end offset of each record's line in Lines, excluding '\n'
 	slots []trace.Slots
 	recs  []store.BatchRec
 }
@@ -118,14 +116,13 @@ func (b *Batch) Reset() {
 	b.Lines = b.Lines[:0]
 	b.metas = b.metas[:0]
 	b.ends = b.ends[:0]
-	b.typed = b.typed[:0]
 	b.slots = nil
 }
 
 // size is the bytes the batch's own arrays hold; the slots are the
 // engine's.
 func (b *Batch) size() int {
-	return cap(b.Lines) + cap(b.ends)*8 + cap(b.typed) + cap(b.metas)*int(unsafe.Sizeof(store.Meta{})) +
+	return cap(b.Lines) + cap(b.ends)*8 + cap(b.metas)*int(unsafe.Sizeof(store.Meta{})) +
 		cap(b.recs)*int(unsafe.Sizeof(store.BatchRec{}))
 }
 
@@ -142,19 +139,14 @@ func (b *Batch) Line(i int) []byte {
 	return b.Lines[start:b.ends[i]]
 }
 
-// StoreRecs materializes the batch as store append records, typed where
-// the line is standard. The returned slice, its lines and its slots
+// StoreRecs materializes the batch as store append records. The returned slice, its lines and its slots
 // alias the batch and its engine; hand it straight to Store.AppendBatch
 // before the next Reset.
 func (b *Batch) StoreRecs() []store.BatchRec {
 	b.recs = b.recs[:0]
 	start := 0
 	for i, end := range b.ends {
-		r := store.BatchRec{Meta: b.metas[i], Line: b.Lines[start:end]}
-		if b.typed[i] {
-			r.Slots = &b.slots[i]
-		}
-		b.recs = append(b.recs, r)
+		b.recs = append(b.recs, store.BatchRec{Meta: b.metas[i], Line: b.Lines[start:end], Slots: &b.slots[i]})
 		start = end + 1
 	}
 	return b.recs
@@ -171,8 +163,8 @@ func frameSize(buf []byte) (int, error) {
 }
 
 // ProcessBatch consumes raw meter-stream bytes and appends every
-// surviving record's formatted line, store metadata and, where the line
-// is standard, typed form to the batch, returning the unconsumed tail.
+// surviving record's formatted line, store metadata and typed form to
+// the batch, returning the unconsumed tail.
 // Each message is decoded once, into the slot of the batch's next
 // record; selection, the tap, the line and the store read that slot.
 // This is the filter's hot path: with the batch's and the engine's
@@ -185,7 +177,7 @@ func (e *Engine) ProcessBatch(buf []byte, b *Batch) (rest []byte, err error) {
 			return buf, err
 		}
 		s := e.slot(b)
-		pl, odd, err := e.prog.decode(buf[:size], &h, s)
+		pl, err := e.prog.decode(buf[:size], &h, s)
 		if err != nil {
 			return buf, err
 		}
@@ -212,13 +204,12 @@ func (e *Engine) ProcessBatch(buf []byte, b *Batch) (rest []byte, err error) {
 		b.Lines = s.AppendLine(b.Lines, h.TraceType, int(h.Machine), int64(h.CPUTime))
 		b.ends = append(b.ends, len(b.Lines))
 		b.Lines = append(b.Lines, '\n')
-		b.typed = append(b.typed, odd&^pr.drop == 0 && !e.prog.textOnly)
 	}
 }
 
 // slot returns the engine's typed record for the batch's next record.
 func (e *Engine) slot(b *Batch) *trace.Slots {
-	i := len(b.typed)
+	i := len(b.ends)
 	for len(e.slots) <= i {
 		e.slots = append(e.slots, trace.Slots{})
 	}

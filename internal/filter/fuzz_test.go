@@ -79,7 +79,7 @@ func FuzzParseDescriptions(f *testing.F) {
 			h meter.Header
 			s trace.Slots
 		)
-		_, _, _ = prog.decode(raw, &h, &s)
+		_, _ = prog.decode(raw, &h, &s)
 	})
 }
 

@@ -264,3 +264,19 @@ func (r *Record) NameField(name string) (meter.Name, bool) {
 	}
 	return meter.Name{}, false
 }
+
+// DiscardSet returns the set of fields the rule's '#' markers drop,
+// or nil when it has none: the interpreter's discards (the compiled
+// program uses bitmasks instead).
+func (r Rule) DiscardSet() map[string]bool {
+	var discards map[string]bool
+	for _, c := range r {
+		if c.Discard {
+			if discards == nil {
+				discards = make(map[string]bool)
+			}
+			discards[c.Field] = true
+		}
+	}
+	return discards
+}

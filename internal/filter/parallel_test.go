@@ -67,14 +67,12 @@ func feedChunks(s *Source, stream []byte, chunk int) bool {
 // reg — the pipeline closed, the store flushed — to the laws of the
 // filter-to-store hand-off: every record the filter kept was appended or
 // lost to a sink error (lost of them), and every appended record was
-// stored in exactly one shape.
+// stored typed.
 func checkConservation(t *testing.T, reg *obs.Registry, lost int64) {
 	t.Helper()
 	kept, appends := reg.Counter("filter.kept").Load(), reg.Counter("store.appends").Load()
-	typed, text := reg.Counter("store.records_typed").Load(), reg.Counter("store.records_text").Load()
-	if kept != appends+lost || typed+text != appends {
-		t.Fatalf("filter.kept %d, store.appends %d, %d lost to sink errors; store.records_typed %d + records_text %d",
-			kept, appends, lost, typed, text)
+	if typed := reg.Counter("store.records_typed").Load(); kept != appends+lost || typed != appends {
+		t.Fatalf("filter.kept %d, store.appends %d, %d lost to sink errors; store.records_typed %d", kept, appends, lost, typed)
 	}
 }
 

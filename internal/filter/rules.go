@@ -149,20 +149,3 @@ func isFieldName(s string) bool {
 	}
 	return true
 }
-
-// DiscardSet returns the set of fields the rule's '#' markers drop,
-// or nil when it has none. The map is freshly built on each call;
-// callers on a hot path should build it once per rule (the compiled
-// program uses bitmasks instead).
-func (r Rule) DiscardSet() map[string]bool {
-	var discards map[string]bool
-	for _, c := range r {
-		if c.Discard {
-			if discards == nil {
-				discards = make(map[string]bool)
-			}
-			discards[c.Field] = true
-		}
-	}
-	return discards
-}

@@ -8,59 +8,75 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode"
 
 	"dpm/internal/meter"
-	"dpm/internal/obs"
 	"dpm/internal/store"
 	"dpm/internal/trace"
 )
 
-// The filter hands the store a kept record typed (BatchRec.Slots) instead
-// of letting the store parse its line back, so the exactness the store
-// used to prove per record at stage is proved here: a record goes typed
-// exactly when trace.View.ParseStandard accepts its line with the
-// record's Meta as the header, and its typed form is byte for byte what
-// the store made of the parse.
+// The filter hands the store every kept record typed (BatchRec.Slots),
+// and the line it writes is only the rendering of those slots, so what
+// the store gives back is what the flat log got. Here every kept record
+// is held to its line: the slots spell it byte for byte, and where every
+// name is one a line spells, the trace parser reads the line back as the
+// record the slots hold.
+
+// spelled reports whether a line spells the name: what AppendText writes
+// for it, one blank-free token, parses back to all sixteen bytes.
+func spelled(n meter.Name) bool {
+	text := string(n.AppendText(nil))
+	p, err := meter.ParseName(text)
+	return err == nil && p == n && !strings.ContainsFunc(text, unicode.IsSpace)
+}
 
 // slotsMatchParse runs eng over stream into one batch and holds every
-// kept record to the parse of its line, with AppendTyped run against one
-// state per side that moves on record by record, as a block's does. A
-// record for which ambiguous says its line spells another record (a blank
-// in a name, an '=' in a field name) may go as text when its line is
-// standard. It returns how many records went each way.
-func slotsMatchParse(t testing.TB, eng *Engine, stream []byte, ambiguous func(i int) bool) (typed, text int) {
+// kept record to its line. It returns how many records hold only names a
+// line spells, and how many do not.
+func slotsMatchParse(t testing.TB, eng *Engine, stream []byte) (plain, odd int) {
 	t.Helper()
 	var b Batch
 	if _, err := eng.ProcessBatch(stream, &b); err != nil {
 		t.Fatal(err)
 	}
-	var fromSlots, fromParse trace.TypedState
 	for i, r := range b.StoreRecs() {
-		var parsed, slotted trace.View
 		m := r.Meta
-		std := parsed.ParseStandard(r.Line) &&
-			parsed.Machine == int(m.Machine) && parsed.CPUTime == int64(m.Time) && uint32(parsed.Type) == m.Type
 		if r.Slots == nil {
-			if std && (ambiguous == nil || !ambiguous(i)) {
-				t.Fatalf("record %d %+v: line %q is standard, the record went as text", i, m, r.Line)
-			}
-			text++
-			continue
+			t.Fatalf("record %d %+v %q went without its slots", i, m, r.Line)
 		}
-		if !std {
-			t.Fatalf("record %d %+v: typed, but line %q is not standard", i, m, r.Line)
-		}
-		typed++
-		slotted.PointAt(r.Slots, meter.Type(m.Type), int(m.Machine), int64(m.Time))
-		got, want := slotted.AppendTyped(nil, &fromSlots), parsed.AppendTyped(nil, &fromParse)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("record %d %q: typed form %x from the slots, %x from the parse", i, r.Line, got, want)
-		}
-		if got := slotted.AppendLine(nil, nil); !bytes.Equal(got, r.Line) {
+		var v trace.View
+		v.PointAt(r.Slots, meter.Type(m.Type), int(m.Machine), int64(m.Time))
+		if got := v.AppendLine(nil, 0); !bytes.Equal(got, r.Line) {
 			t.Fatalf("record %d: the slots spell %q, the line is %q", i, got, r.Line)
 		}
+		keys, names := trace.SlotKeys(v.Type, v.Type.String())
+		ok := true
+		for k, key := range keys {
+			ref := trace.NewFieldRef(key)
+			if n, has := v.NameOf(&ref); has && names>>k&1 != 0 {
+				ok = ok && spelled(n)
+			}
+		}
+		if !ok {
+			odd++
+			continue
+		}
+		plain++
+		ev, err := trace.ParseOne(r.Line)
+		if err != nil || ev.Type != v.Type || ev.Machine != v.Machine || ev.CPUTime != v.CPUTime || ev.ProcTime != v.ProcTime {
+			t.Fatalf("record %d: line %q reads %+v, %v", i, r.Line, ev, err)
+		}
+		for _, key := range keys {
+			ref := trace.NewFieldRef(key)
+			gn, gnok := v.NameOf(&ref)
+			wn, wnok := ev.Names[key]
+			gv, gok := r.Slots.Field(v.Type, slices.Index(keys, key))
+			if wv, wok := ev.Fields[key]; gv != wv || gok != wok || gn != wn || gnok != wnok {
+				t.Fatalf("record %d: line %q reads %s as %d, %v, %v, %v; the slots hold %d, %v, %v, %v", i, r.Line, key, wv, wok, wn, wnok, gv, gok, gn, gnok)
+			}
+		}
 	}
-	return typed, text
+	return plain, odd
 }
 
 // oddName builds a name from its family and the 14 bytes after it.
@@ -134,8 +150,7 @@ func sendDescription(line string) string {
 // TestSlotsMatchParseDescriptions holds the typed hand-off to the parse
 // under description files other than the standard one that a field plan
 // still expresses — fields dropped, narrowed to two bytes, or moved to
-// other offsets — kept whole and under every rule set of the matrix:
-// every SEND record with an ordinary name goes typed.
+// other offsets — kept whole and under every rule set of the matrix.
 func TestSlotsMatchParseDescriptions(t *testing.T) {
 	for _, c := range []struct{ name, send string }{
 		{"standard", "SEND 1, " + stdSend},
@@ -149,7 +164,7 @@ func TestSlotsMatchParseDescriptions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, rules %q: %v", c.name, rules, err)
 			}
-			slotsMatchParse(t, eng, stream, nil)
+			slotsMatchParse(t, eng, stream)
 			if rules != "" {
 				continue
 			}
@@ -255,12 +270,8 @@ func (r *recordingTap) TapFlush() {}
 // engine refuses is replaced by one drawn from the seed, and the rules
 // get a few drawn from it too. Record for record, the engine keeps what
 // the reference keeps, writes its line, gives its Meta, taps it whole,
-// and hands the store the slots the reference's kept fields fill, typed
-// exactly when every kept name is one a standard line spells; and, as
-// slotsMatchParse checks, what goes typed is what the store makes of the
-// line. A line that spells another record than its own — a blank in a
-// name — may be standard and go as text: its record is not what the line
-// says.
+// and hands the store the slots the reference's kept fields fill; and,
+// as slotsMatchParse checks, the line is what those slots spell.
 func FuzzSlotsMatchParse(f *testing.F) {
 	f.Add(StandardDescriptions, "", int64(1))
 	f.Add(StandardDescriptions, "machine=5, cpuTime<10000, msgLength=#*\ntype=8, sockName=peerName\n", int64(2))
@@ -354,133 +365,27 @@ func FuzzSlotsMatchParse(f *testing.F) {
 			}
 			var want trace.Slots
 			want.Reset(int64(rec.ProcTime))
-			typed := true
 			keys, _ := trace.SlotKeys(rec.Type, rec.Event)
 			for _, rf := range rec.Fields {
 				if k := slices.Index(keys, rf.Name); discards[i][rf.Name] {
 					continue
 				} else if !rf.IsName {
 					want.SetVal(k, rf.Value)
-				} else if !want.SetName(k, rf.Addr) {
-					typed = false
+				} else {
+					want.SetName(k, rf.Addr)
 				}
 			}
 			var got, ref trace.View
 			got.PointAt(&b.slots[i], rec.Type, int(rec.Machine), int64(rec.CPUTime))
 			ref.PointAt(&want, rec.Type, int(rec.Machine), int64(rec.CPUTime))
 			gotTyped, refTyped := got.AppendTyped(nil, new(trace.TypedState)), ref.AppendTyped(nil, new(trace.TypedState))
-			if !bytes.Equal(gotTyped, refTyped) || (r.Slots != nil) != typed {
-				t.Fatalf("record %d %q: slots %x typed %v, reference %x typed %v", i, r.Line, gotTyped, r.Slots != nil, refTyped, typed)
+			if !bytes.Equal(gotTyped, refTyped) || r.Slots == nil {
+				t.Fatalf("record %d %q: slots %x, reference %x", i, r.Line, gotTyped, refTyped)
 			}
 		}
 		if refErr != nil {
 			return
 		}
-		slotsMatchParse(t, eng, stream, func(i int) bool {
-			for _, fd := range kept[i].Fields {
-				if !discards[i][fd.Name] && fd.IsName && bytes.IndexByte(fd.Addr.AppendText(nil), ' ') >= 0 {
-					return true
-				}
-			}
-			return false
-		})
+		slotsMatchParse(t, eng, stream)
 	})
-}
-
-// TestStoreBytesWithAndWithoutSlots: one generated meter stream through
-// a Pipeline into two stores, the second fed by an engine whose plans
-// type nothing — every record crossing as text, for the store to parse,
-// which is the path before the hand-off. Every segment file is the same
-// bytes, sealed, compacted and archived, and so are the shape counters;
-// and each side's counters balance (checkConservation).
-func TestStoreBytesWithAndWithoutSlots(t *testing.T) {
-	var streams [2][]byte // one per source
-	rng := rand.New(rand.NewSource(26))
-	corpus, odd := corpusMessages(), oddNameMessages()
-	for i := 0; i < 3000; i++ {
-		raw := corpus[rng.Intn(len(corpus))]
-		if rng.Intn(20) == 0 {
-			raw = odd[rng.Intn(len(odd))]
-		}
-		// A random machine and a clock that advances, so that records
-		// spread over the shards and segments go cold.
-		raw = append([]byte(nil), raw...)
-		binary.LittleEndian.PutUint16(raw[4:], uint16(rng.Intn(6)))
-		binary.LittleEndian.PutUint32(raw[8:], uint32(i*7))
-		streams[i%2] = append(streams[i%2], raw...)
-	}
-	run := func(eng *Engine) (*store.MemBackend, map[string]int64) {
-		be, reg := store.NewMemBackend(), obs.NewRegistry()
-		st, err := store.Open(be, store.Config{Shards: 3, SegmentCap: 4 << 10, ArchiveAfter: 2000, Obs: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe := NewPipeline(eng, PipelineConfig{Workers: 1, Obs: reg}, Sinks{Store: st}, nil)
-		// Chunks that split frames, the sources taking turns from one
-		// goroutine: the one worker sees the same chunks in the same order
-		// on both runs.
-		srcs := []*Source{pipe.NewSource(), pipe.NewSource()}
-		var offs [2]int
-		for n := 0; offs[0] < len(streams[0]) || offs[1] < len(streams[1]); n++ {
-			s := n % 2
-			end := min(offs[s]+97+n%300, len(streams[s]))
-			if !srcs[s].Feed(append([]byte(nil), streams[s][offs[s]:end]...)) {
-				t.Fatal("pipeline refused feed")
-			}
-			offs[s] = end
-		}
-		pipe.Close()
-		if err := st.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		checkConservation(t, reg, 0)
-		counters := map[string]int64{}
-		for _, name := range []string{"store.records_typed", "store.records_text", "store.archive_runs", "store.compactions"} {
-			counters[name] = reg.Counter(name).Load()
-		}
-		return be, counters
-	}
-	typedBE, typedCounts := run(mustEngine(t, "machine>=3, pid=#*\npc>0\n"))
-	textBE, textCounts := run(untyped(mustEngine(t, "machine>=3, pid=#*\npc>0\n")))
-	if fmt.Sprint(typedCounts) != fmt.Sprint(textCounts) {
-		t.Fatalf("counters with slots %v, without %v", typedCounts, textCounts)
-	}
-	if typedCounts["store.records_typed"] == 0 || typedCounts["store.records_text"] == 0 || typedCounts["store.archive_runs"] == 0 {
-		t.Fatalf("counters %v: the stream is meant to store both shapes and archive", typedCounts)
-	}
-	var names, textNames []string
-	typedList, _ := typedBE.List()
-	textList, _ := textBE.List()
-	for _, e := range typedList {
-		names = append(names, e.Name)
-	}
-	for _, e := range textList {
-		textNames = append(textNames, e.Name)
-	}
-	if fmt.Sprint(names) != fmt.Sprint(textNames) {
-		t.Fatalf("segments with slots %v, without %v", names, textNames)
-	}
-	for _, name := range names {
-		a, _ := typedBE.Read(name)
-		b, _ := textBE.Read(name)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("segment %s: %d bytes with slots, %d without, and they differ", name, len(a), len(b))
-		}
-	}
-}
-
-// mustEngine builds an engine over the standard descriptions.
-func mustEngine(t *testing.T, rules string) *Engine {
-	t.Helper()
-	eng, err := NewEngine([]byte(StandardDescriptions), []byte(rules))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
-// untyped makes eng type nothing: its batches hand the store text only.
-func untyped(eng *Engine) *Engine {
-	eng.prog.textOnly = true
-	return eng
 }

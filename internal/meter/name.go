@@ -52,7 +52,7 @@ func UnixName(path string) Name { return pathName(AFUnix, path) }
 // socketpair endpoint.
 func PairName(id uint32) Name { return pathName(AFPair, fmt.Sprintf("pair#%d", id)) }
 
-func pathName[T string | []byte](family uint16, path T) Name {
+func pathName(family uint16, path string) Name {
 	// sockaddr paths are NUL-terminated: anything from the first NUL
 	// on is unrepresentable and dropped, keeping names canonical.
 	var n Name
@@ -150,13 +150,11 @@ func ParseName(s string) (Name, error) {
 	return Name{}, fmt.Errorf("meter: unrecognized name %q", s)
 }
 
-// ParseNameBytes is ParseName for the spellings AppendText writes —
-// "-", "inet:H:P" in strict decimal, "unix:path", "pair:path" — over
-// bytes and without fmt or allocation. ok is false for anything else,
-// including names ParseName would still accept.
-func ParseNameBytes(b []byte) (Name, bool) { return parseCanonical(b) }
-
-func parseCanonical[T string | []byte](s T) (Name, bool) {
+// parseCanonical is ParseName for the spellings AppendText writes —
+// "-", "inet:H:P" in strict decimal, "unix:path", "pair:path" — without
+// fmt. ok is false for anything else, including names ParseName would
+// still accept.
+func parseCanonical(s string) (Name, bool) {
 	if len(s) == 1 && s[0] == '-' {
 		return Name{}, true
 	}
@@ -185,7 +183,7 @@ func parseCanonical[T string | []byte](s T) (Name, bool) {
 // decimalAt reads the run of decimal digits at s[i:], returning the
 // value and the index after it. ok is false for an empty run, a leading
 // zero on a longer run, or a value above max.
-func decimalAt[T string | []byte](s T, i int, max uint64) (v uint64, end int, ok bool) {
+func decimalAt(s string, i int, max uint64) (v uint64, end int, ok bool) {
 	start := i
 	for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
 		if v = v*10 + uint64(s[i]-'0'); v > max {

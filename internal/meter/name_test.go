@@ -141,7 +141,7 @@ func parseNameSscanf(s string) (Name, error) {
 
 // checkParseNameAgrees asserts that ParseName accepts exactly what the
 // Sscanf parser accepts, with the same name and the same error text,
-// and that ParseNameBytes never accepts or decodes anything differently.
+// and that parseCanonical never accepts or decodes anything differently.
 func checkParseNameAgrees(t *testing.T, s string) {
 	t.Helper()
 	want, werr := parseNameSscanf(s)
@@ -152,8 +152,8 @@ func checkParseNameAgrees(t *testing.T, s string) {
 	if werr != nil && werr.Error() != gerr.Error() {
 		t.Fatalf("ParseName(%q) error %q, Sscanf parser's %q", s, gerr, werr)
 	}
-	if fast, ok := ParseNameBytes([]byte(s)); ok && (werr != nil || fast != want) {
-		t.Fatalf("ParseNameBytes(%q) = %v, true; Sscanf parser gives %v, %v", s, fast, want, werr)
+	if fast, ok := parseCanonical(s); ok && (werr != nil || fast != want) {
+		t.Fatalf("parseCanonical(%q) = %v, true; Sscanf parser gives %v, %v", s, fast, want, werr)
 	}
 }
 
@@ -174,8 +174,8 @@ func TestParseNameMatchesSscanfParser(t *testing.T) {
 		checkParseNameAgrees(t, s)
 	}
 	for _, s := range []string{"-", "inet:99:7", "unix:/tmp/x", "pair:pair#3", "unix:"} {
-		if _, ok := ParseNameBytes([]byte(s)); !ok {
-			t.Errorf("ParseNameBytes(%q) declined a canonical spelling", s)
+		if _, ok := parseCanonical(s); !ok {
+			t.Errorf("parseCanonical(%q) declined a canonical spelling", s)
 		}
 	}
 }

@@ -4,14 +4,15 @@ import "strings"
 
 // conservation is the conservation table, over the counters of every
 // machine merged. In each law the counters left of "=" count the same
-// items as those right of it — every record a query's scan reads is
-// skipped on its Meta, parsed, or evaluated as stored typed; every
-// record a store appends is stored typed or as text — so that the sums
-// agree in any snapshot where nothing is in flight. A residual that
-// stays non-zero is an item counted twice or never.
+// items as those right of it — every record a query's scan decodes is
+// skipped on its Meta or read typed by the rules, each counted where the
+// scan decides; every record a store stages typed is appended, counted
+// once the backend holds it — so that the sums agree in any snapshot
+// where nothing is in flight. A residual that stays non-zero is an item
+// counted twice or never.
 var conservation = []string{
-	"query.records = query.records_skipped + query.records_parsed + query.records_typed",
-	"store.records_typed + store.records_text = store.appends",
+	"query.records = query.records_skipped + query.records_typed",
+	"store.records_typed = store.appends",
 }
 
 // lawTerms are the table's terms in table order: each one's law, name,

@@ -89,7 +89,7 @@ func TestScanSegmentZeroAllocs(t *testing.T) {
 	q.NoPrune = true
 	var st Stats
 	scan := func() {
-		st, err = q.ScanSegment(rs, func(*trace.View, map[string]bool) { t.Error("no record should match") })
+		st, err = q.ScanSegment(rs, func(*trace.View, uint8) { t.Error("no record should match") })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,8 +98,8 @@ func TestScanSegmentZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
 		t.Fatalf("ScanSegment allocates %.0f times per %d-record segment, want 0", allocs, st.Records)
 	}
-	if st.Records != 2000 || st.Matched != 0 || st.BadLines != 0 {
-		t.Fatalf("scan stats %+v, want 2000 records, none matched or bad", st)
+	if st.Records != 2000 || st.Matched != 0 || st.Typed != 2000 {
+		t.Fatalf("scan stats %+v, want 2000 records, all typed, none matched", st)
 	}
 }
 

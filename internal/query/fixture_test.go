@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"dpm/internal/meter"
 	"dpm/internal/store"
+	"dpm/internal/trace"
 )
 
 // Fixtures holds the backends identityStore (identity_test.go) built for
@@ -57,8 +59,26 @@ func run(rd *store.Reader, q *Query, workers int) (*Result, error) {
 }
 
 // AppendLine appends one record given as its line: AppendBatch of a
-// batch of one, for tests that write record by record. Exported for the
-// external tests of this directory.
+// batch of one (LineRec), for tests that write record by record.
+// Exported for the external tests of this directory.
 func AppendLine(st *store.Store, m store.Meta, line string) error {
-	return st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(line)}})
+	return st.AppendBatch([]store.BatchRec{LineRec(m, line)})
+}
+
+// LineRec types a record given as its log line, as the filter hands it
+// over: each key of m's event type that trace.ParseOne reads on the
+// line, with a value of the key's kind, goes into its Slots.
+func LineRec(m store.Meta, line string) store.BatchRec {
+	ev, _ := trace.ParseOne([]byte(line))
+	s := new(trace.Slots)
+	s.Reset(ev.ProcTime)
+	keys, names := trace.SlotKeys(meter.Type(m.Type), meter.Type(m.Type).String())
+	for k, key := range keys {
+		if n, ok := ev.Names[key]; ok && names>>k&1 != 0 {
+			s.SetName(k, n)
+		} else if v, ok := ev.Fields[key]; ok && names>>k&1 == 0 {
+			s.SetVal(k, v)
+		}
+	}
+	return store.BatchRec{Meta: m, Line: []byte(line), Slots: s}
 }

@@ -2,19 +2,20 @@ package query
 
 import (
 	"errors"
-	"maps"
+	"slices"
 	"testing"
 
 	"dpm/internal/obs"
+	"dpm/internal/store"
 	"dpm/internal/trace"
 )
 
 // FuzzCompiledQueryMatch holds the compiled conditions to the reference
-// interpreter: for any rules and any record line, the view the line
-// parses into and, for a standard line, the view decoded from its typed
-// form are selected by the compiled rules as by the interpreter over the
-// view's Event — by the same rule, with the same discards, or by
-// neither. The seeds cover wildcards, numeric and name field-to-field
+// interpreter: for any rules and any record line the trace parser reads
+// — typed as the filter types a record (LineRec), encoded and decoded as
+// the store keeps it — the compiled rules select the view as the
+// interpreter selects the record's event, by the same rule, and drop the
+// same keys. The seeds cover wildcards, numeric and name field-to-field
 // comparisons, a body field called type under the header name that
 // shadows it, and fields no record has.
 func FuzzCompiledQueryMatch(f *testing.F) {
@@ -47,32 +48,36 @@ func FuzzCompiledQueryMatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		check := func(v *trace.View, what string) {
-			got, discards := q.match(v)
-			ev := v.Event()
-			keep, rule := selectSource(q.Rules, (*eventSource)(&ev))
-			var want map[string]bool
-			if keep && rule >= 0 {
-				want = q.Rules[rule].DiscardSet()
-			}
-			if got != keep || !maps.Equal(discards, want) {
-				t.Fatalf("rules %q, %s line %q: compiled %v %v, interpreted %v %v", rules, what, line, got, discards, keep, want)
-			}
-		}
-		var v trace.View
-		if v.Parse(line) != nil {
+		ev, err := trace.ParseOne(line)
+		if err != nil || ev.Machine < 0 || ev.Machine > 0xffff || ev.CPUTime < 0 || ev.CPUTime > 0xffffffff {
 			return
 		}
-		check(&v, "parsed")
-		if !v.ParseStandard(line) {
-			return
-		}
+		r := LineRec(store.Meta{Machine: uint16(ev.Machine), Time: uint32(ev.CPUTime), Type: uint32(ev.Type)}, string(line))
+		var v, typed trace.View
 		var enc, dec trace.TypedState
-		var typed trace.View
+		v.PointAt(r.Slots, ev.Type, ev.Machine, ev.CPUTime)
 		c := obs.NewCursor(v.AppendTyped(nil, &enc), errors.New("typed record"))
 		if typed.DecodeTyped(&c, &dec, v.Type, v.Machine, v.CPUTime); c.Err() != nil {
-			t.Fatalf("standard line %q does not decode: %v", line, c.Err())
+			t.Fatalf("line %q does not decode: %v", line, c.Err())
 		}
-		check(&typed, "typed")
+		// The record the store keeps, as the trace parser reads its line.
+		kept, err := trace.ParseOne(typed.AppendLine(nil, 0))
+		if err != nil {
+			return // a name no line spells
+		}
+		got, drop := q.match(&typed)
+		keep, rule := selectSource(q.Rules, (*eventSource)(&kept))
+		var want uint8
+		if keep && rule >= 0 {
+			keys, _ := trace.SlotKeys(kept.Type, kept.Event)
+			for key := range discardSet(q.Rules[rule]) {
+				if k := slices.Index(keys, key); k >= 0 {
+					want |= 1 << k
+				}
+			}
+		}
+		if got != keep || drop != want {
+			t.Fatalf("rules %q, line %q: compiled %v %#x, interpreted %v %#x", rules, line, got, drop, keep, want)
+		}
 	})
 }

@@ -313,11 +313,8 @@ func shardRecs(t *testing.T, be store.Backend) (recs [][]store.Rec, unsealed int
 			if !rs.Sealed {
 				unsealed++
 			}
-			_, err := rs.ScanViews(d, func(m store.Meta, v *trace.View, line []byte) {
-				if v != nil {
-					line = v.AppendLine(nil, nil)
-				}
-				out = append(out, store.Rec{Meta: m, Line: string(line)})
+			_, err := rs.ScanViews(d, func(m store.Meta, v *trace.View) {
+				out = append(out, store.Rec{Meta: m, Line: string(v.AppendLine(nil, 0))})
 			})
 			if err != nil {
 				t.Fatalf("scan %s: %v", rs.Name, err)
@@ -359,7 +356,7 @@ func TestFixturesRecoverAndRewrite(t *testing.T) {
 		line := e.Format()
 		m := store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: uint32(e.Type), PID: 100}
 		want[e.Machine%3] = append(want[e.Machine%3], store.Rec{Meta: m, Line: line})
-		return store.BatchRec{Meta: m, Line: []byte(line)}
+		return query.LineRec(m, line)
 	}
 	n := 0
 	for ; n < 240; n += 12 {

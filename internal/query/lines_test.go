@@ -13,9 +13,10 @@ import (
 
 // TestLinesMatchEvents holds what a record query ships to what it
 // shipped when it built an Event per record: each matching record's line
-// is Event.AppendFormat of the record's Event with the rule's '#' fields
-// projected out, and the result is those lines stably sorted by cpuTime
-// in Admitted order. It runs over every identity layout — the
+// is Event.AppendFormat of the record's Event — what the trace parser
+// reads on its whole line — with the rule's '#' fields projected out,
+// and the result is those lines stably sorted by cpuTime in Admitted
+// order. It runs over every identity layout — the
 // checked-in fixture and this build's store — every identity rule set,
 // '#' discards included, pruned and not, at GOMAXPROCS 1, 2 and 8.
 func TestLinesMatchEvents(t *testing.T) {
@@ -49,10 +50,19 @@ func TestLinesMatchEvents(t *testing.T) {
 				var recs []rec
 				segs, _ := query.Admitted(rd, q)
 				for _, rs := range segs {
-					_, err := q.ScanSegment(rs, func(v *trace.View, discards map[string]bool) {
-						ev := query.Project(v.Event(), discards)
+					_, err := q.ScanSegment(rs, func(v *trace.View, drop uint8) {
+						whole, err := trace.ParseOne(v.AppendLine(nil, 0))
+						if err != nil {
+							t.Fatal(err)
+						}
+						discards := map[string]bool{}
+						keys, _ := trace.SlotKeys(v.Type, v.Type.String())
+						for k, key := range keys {
+							discards[key] = drop>>k&1 != 0
+						}
+						ev := query.Project(whole, discards)
 						want := ev.AppendFormat(nil)
-						if got := v.AppendLine(nil, discards); !bytes.Equal(got, want) {
+						if got := v.AppendLine(nil, drop); !bytes.Equal(got, want) {
 							t.Fatalf("%s rules=%d: the view writes %q, its Event %q", lay.name, ri, got, want)
 						}
 						recs = append(recs, rec{v.CPUTime, append(want, '\n')})

@@ -15,8 +15,8 @@ import (
 // This file is the read executor: the one segment scan and the one
 // worker pool that both record queries (Run) and aggregate push-down
 // (agg.Eval) execute on. Admitted segments are numbered in shard-major
-// rotation order; workers scan them concurrently — decode, parse,
-// evaluate rules, write lines — and the caller's fold receives each
+// rotation order; workers scan them concurrently — decode, evaluate
+// rules, write lines — and the caller's fold receives each
 // segment's result strictly in that order, on the calling goroutine. Anything
 // order-sensitive (the per-shard record order of Run, which groups an
 // aggregate's MaxGroups cap admits) therefore sees records in the
@@ -29,48 +29,35 @@ import (
 // configuration of slow segments can deadlock the pool or grow what
 // waits.
 
-// ScanSegment runs the record-selection tier over one segment: stored
-// lines are decoded through a pooled decoder, parsed in place into the
-// worker's one trace.View, and matched against the full rule semantics
-// on it. A record whose own Meta — compared with each rule's envelope as
-// segment pruning compares an Index — falls
-// outside every one cannot match and is skipped before the parse. fn sees
-// the view of each matching record with its rule's shared discard set;
-// the view is only valid during the call, and a caller that ships the
-// record writes view.AppendLine. A torn unsealed tail is tolerated, as
-// with trace logs; corruption of a sealed segment is an error. The
-// returned Stats is this segment's contribution (Scanned is 1).
-func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, discards map[string]bool)) (Stats, error) {
+// ScanSegment runs the record-selection tier over one segment: records
+// are decoded through a pooled decoder into its trace.View and matched
+// against the full rule semantics on it. A record whose own Meta —
+// compared with each rule's envelope as segment pruning compares an
+// Index — falls outside every one cannot match and is skipped before its
+// body is read. fn sees the view of each matching record with its rule's
+// discards, a mask of the record type's stored order; the view is only
+// valid during the call, and a caller that ships the record writes
+// view.AppendLine. A torn unsealed tail is tolerated, as with trace
+// logs; corruption of a sealed segment is an error. The returned Stats
+// is this segment's contribution (Scanned is 1).
+func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, drop uint8)) (Stats, error) {
 	st := Stats{Scanned: 1}
 	// One rule with an open envelope admits every record: no check then.
 	envelope := !q.NoPrune && len(q.bounds) > 0 && !slices.Contains(q.bounds, openBounds)
 	d := store.AcquireDecoder()
-	v := viewPool.Get().(*trace.View)
-	ss, err := rs.ScanViews(d, func(m store.Meta, rec *trace.View, line []byte) {
+	ss, err := rs.ScanViews(d, func(m store.Meta, v *trace.View) {
 		if envelope && !q.admitsMeta(m) {
 			st.Skipped++
 			return
 		}
-		if rec == nil { // not stored typed: parse its line
-			st.Parsed++
-			if v.Parse(line) != nil {
-				st.BadLines++
-				return
-			}
-			rec = v
-		} else {
-			st.Typed++
-		}
-		ok, discards := q.match(rec)
+		st.Typed++
+		ok, drop := q.match(v)
 		if !ok {
 			return
 		}
 		st.Matched++
-		fn(rec, discards)
+		fn(v, drop)
 	})
-	// The view aliases a line the backend may have lent: pool it empty.
-	v.Reset()
-	viewPool.Put(v)
 	store.ReleaseDecoder(d)
 	st.Records, st.Blocks = ss.Records, ss.Streams
 	if err != nil && !errors.Is(err, store.ErrTruncated) {
@@ -78,11 +65,6 @@ func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, disc
 	}
 	return st, nil
 }
-
-// viewPool holds the record views scans parse into, one per running
-// ScanSegment: a view handed to the caller's fn escapes, so a fresh one
-// per segment would be a kilobyte allocation per segment.
-var viewPool = sync.Pool{New: func() any { return new(trace.View) }}
 
 // ScanOrdered scans every segment the query admits on a pool of
 // min(GOMAXPROCS, admitted segments) workers. scan runs on a worker,
@@ -254,9 +236,9 @@ func exec(rd *store.Reader, q *Query, workers int) (*Answer, error) {
 	stats, err := scanOrdered(rd, q, workers,
 		func(rs *store.ReaderSegment) (*lines, Stats, error) {
 			seg := getLines(&segLines)
-			st, err := q.ScanSegment(rs, func(v *trace.View, discards map[string]bool) {
+			st, err := q.ScanSegment(rs, func(v *trace.View, drop uint8) {
 				off := len(seg.data)
-				seg.data = append(v.AppendLine(seg.data, discards), '\n')
+				seg.data = append(v.AppendLine(seg.data, drop), '\n')
 				seg.recs = append(seg.recs, lineRec{v.CPUTime, off, len(seg.data)})
 			})
 			return seg, st, err

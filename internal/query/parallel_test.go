@@ -3,7 +3,6 @@ package query
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"sort"
@@ -94,7 +93,7 @@ func setName(e *trace.Event, key string, n meter.Name) {
 func format(res *Result) string {
 	var b strings.Builder
 	b.WriteString(res.Stats.String())
-	fmt.Fprintf(&b, " badLines=%d\n", res.Stats.BadLines)
+	b.WriteByte('\n')
 	b.Write(res.Lines)
 	return b.String()
 }
@@ -122,7 +121,7 @@ func oracle(t *testing.T, rd *store.Reader, q *Query) string {
 				if keep, rule := selectSource(q.Rules, (*eventSource)(&ev)); keep {
 					var discards map[string]bool
 					if rule >= 0 {
-						discards = q.Rules[rule].DiscardSet()
+						discards = discardSet(q.Rules[rule])
 					}
 					out = append(out, Project(ev, discards))
 				}

@@ -12,7 +12,7 @@
 //
 //   - Segment, record. A sealed segment whose tail's index meets no
 //     rule's envelope is skipped without a byte of its stream inflated;
-//     so is a record by its own Meta, its line unparsed.
+//     so is a record by its own Meta, its body unread.
 //   - Record selection. What remains is matched by the rules compiled to
 //     trace.FieldRefs, and each selected record's line is written from
 //     its view with the rule's '#' discards left out; the per-shard
@@ -23,8 +23,10 @@ package query
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"dpm/internal/filter"
+	"dpm/internal/meter"
 	"dpm/internal/obs"
 	"dpm/internal/store"
 	"dpm/internal/trace"
@@ -32,8 +34,8 @@ import (
 
 // Query is a compiled query: the parsed rules, the pruning envelope of
 // each, each rule's conditions with their fields resolved, and each
-// rule's precomputed discard set (so matching allocates no map per
-// record).
+// rule's '#' discards as a mask of each event type's stored order, the
+// mask the filter drops with (trace.Slots.Drop).
 type Query struct {
 	Rules filter.Rules
 	// NoPrune disables footer pruning, scanning every segment — the
@@ -44,9 +46,9 @@ type Query struct {
 	// machine's registry.
 	Obs *obs.Registry
 
-	bounds   []bounds
-	conds    [][]cond
-	discards []map[string]bool
+	bounds []bounds
+	conds  [][]cond
+	drops  [][meter.EvTermProc + 1]uint8
 }
 
 // cond is a condition with its field, and the field it compares with,
@@ -67,12 +69,21 @@ func Compile(text string) (*Query, error) {
 	q := &Query{Rules: rules}
 	for _, r := range rules {
 		q.bounds = append(q.bounds, boundsOf(r))
-		q.discards = append(q.discards, r.DiscardSet())
+		var drop [meter.EvTermProc + 1]uint8
 		conds := make([]cond, len(r))
 		for i, c := range r {
 			conds[i] = cond{c, trace.NewFieldRef(c.Field), trace.NewFieldRef(c.FieldRef)}
+			// A discard drops the body field of that name even where a
+			// header field shadows it, as the filter's does.
+			for typ := range drop {
+				keys, _ := trace.SlotKeys(meter.Type(typ), meter.Type(typ).String())
+				if k := slices.Index(keys, c.Field); c.Discard && k >= 0 {
+					drop[typ] |= 1 << k
+				}
+			}
 		}
 		q.conds = append(q.conds, conds)
+		q.drops = append(q.drops, drop)
 	}
 	return q, nil
 }
@@ -223,19 +234,18 @@ func (q *Query) admitsMeta(m store.Meta) bool {
 }
 
 // match evaluates the query against one record view. With no rules
-// every record matches; otherwise the first matching rule's discards
-// apply. The returned discard set is precomputed per rule and shared
-// across calls: callers must not mutate it.
-func (q *Query) match(v *trace.View) (bool, map[string]bool) {
+// every record matches; otherwise the first matching rule's discards of
+// the record's type apply.
+func (q *Query) match(v *trace.View) (bool, uint8) {
 	if len(q.conds) == 0 {
-		return true, nil
+		return true, 0
 	}
 	for i, conds := range q.conds {
 		if holds(conds, v) {
-			return true, q.discards[i]
+			return true, q.drops[i][v.Type]
 		}
 	}
-	return false, nil
+	return false, 0
 }
 
 // holds reports whether every condition of a rule holds of the record.
@@ -280,11 +290,9 @@ type Stats struct {
 	Blocks       int // DEFLATE streams inflated in scanned segments: a segment is one stream
 	BlocksPruned int // always 0: a segment has no blocks to prune; kept because bench/layers.go reads it
 	Records      int // records the decoder emitted in scanned segments
-	Skipped      int // records rejected on their Meta, before the parse
-	Parsed       int // records whose line was parsed: the ones not stored typed
-	Typed        int // records matched as stored typed, with no parse
+	Skipped      int // records rejected on their Meta, before their body is read
+	Typed        int // records whose typed body the rules were evaluated on
 	Matched      int // records selected
-	BadLines     int // lines the trace parser rejected, among the records that were parsed
 }
 
 // add sums another Stats into s; every field is a count, so per-segment
@@ -297,10 +305,8 @@ func (s *Stats) add(o Stats) {
 	s.BlocksPruned += o.BlocksPruned
 	s.Records += o.Records
 	s.Skipped += o.Skipped
-	s.Parsed += o.Parsed
 	s.Typed += o.Typed
 	s.Matched += o.Matched
-	s.BadLines += o.BadLines
 }
 
 // String renders the stats in the form the controller prints.
@@ -369,9 +375,7 @@ func Exec(rd *store.Reader, q *Query) (*Answer, error) {
 	q.Obs.Counter("query.pruned").Add(int64(a.Stats.Pruned))
 	q.Obs.Counter("query.records").Add(int64(a.Stats.Records))
 	q.Obs.Counter("query.records_skipped").Add(int64(a.Stats.Skipped))
-	q.Obs.Counter("query.records_parsed").Add(int64(a.Stats.Parsed))
 	q.Obs.Counter("query.records_typed").Add(int64(a.Stats.Typed))
 	q.Obs.Counter("query.matched").Add(int64(a.Stats.Matched))
-	q.Obs.Counter("query.bad_lines").Add(int64(a.Stats.BadLines))
 	return a, nil
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -232,55 +231,6 @@ func TestQueryUnsealedSegmentScanned(t *testing.T) {
 	}
 }
 
-// TestQueryBadLinesSkipped: the scan parses stored lines in place when
-// they are in the filter's canonical form and through trace.ParseOne
-// when they are not, and the two must be one parser to the caller. A
-// line only ParseOne can read is matched and shipped like any other; a
-// line neither can read is counted in BadLines and skipped.
-func TestQueryBadLinesSkipped(t *testing.T) {
-	be := store.NewMemBackend()
-	st, err := store.Open(be, store.Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := trace.Event{
-		Type: meter.EvSend, Event: meter.EvSend.String(), Machine: 1, CPUTime: 5,
-		Fields: map[string]uint64{"pid": 7}, Names: map[string]meter.Name{},
-	}
-	for i, line := range []string{
-		good.Format(),
-		"NOT A TRACE LINE",
-		"SEND machine=1 cpuTime=7 procTime=0 pid=0x10",                   // hex: pid 16
-		"SEND machine=1 cpuTime=8 procTime=0 pid=7 pid=9",                // repeated key: the last wins
-		"  SEND machine=1\tcpuTime=9 procTime=0 odd=inet:3:2junk pid=2 ", // blanks, Sscanf's trailing junk
-		"SEND machine=1 cpuTime=10 procTime=0 pid=notanumber",
-	} {
-		if err := AppendLine(st, store.Meta{Machine: 1, Time: uint32(5 + i), Type: 1, PID: 7}, line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		rules   string
-		matched int
-	}{
-		{"", 4}, {"pid=7", 1}, {"pid=16", 1}, {"pid=9", 1}, {"odd=3,pid=#*", 1}, {"pid>=2,pid<=16", 4}, {"pid=0", 0},
-	} {
-		// Unpruned: the frame metadata above is not the lines' own.
-		res := mustRun(t, be, c.rules, true)
-		if len(eventsOf(t, res)) != c.matched || res.Stats.Matched != c.matched || res.Stats.BadLines != 2 || res.Stats.Records != 6 {
-			t.Fatalf("rules %q: %d events, stats %+v; want %d matched, 2 bad lines of 6 records",
-				c.rules, len(eventsOf(t, res)), res.Stats, c.matched)
-		}
-	}
-	res := mustRun(t, be, "odd=3,pid=#*", true)
-	if got, want := eventsOf(t, res)[0].Format(), "SEND machine=1 cpuTime=9 procTime=0 odd=inet:3:2"; got != want {
-		t.Fatalf("shipped %q, want %q", got, want)
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	s := Stats{Segments: 5, Scanned: 2, Pruned: 3, Records: 40, Matched: 7}
 	want := "segments=5 scanned=2 pruned=3 records=40 matched=7"
@@ -299,11 +249,9 @@ func TestCompileRejectsBadRules(t *testing.T) {
 }
 
 // TestScanSkipsOnMeta: a record whose own Meta lies outside every
-// rule's envelope is rejected before its line is looked at — so a line
-// nothing can read is skipped, not counted bad — and the answer is the
-// unpruned one. Sealed and unsealed segments alike, of the format a
-// store writes and of v1, which it only reads; a rule set the envelope
-// cannot help is parsed in full.
+// rule's envelope is rejected before its body is read, and the answer is
+// the unpruned one. Sealed and unsealed segments alike, of the format a
+// store writes; a rule set the envelope cannot help reads every body.
 func TestScanSkipsOnMeta(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -319,7 +267,7 @@ func TestScanSkipsOnMeta(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const n, garbage = 60, 40 // i%3 != 0 is machine 2, and unreadable
+			const n, garbage = 60, 40 // i%3 != 0 is machine 2
 			for i := 0; i < n; i++ {
 				e := trace.Event{
 					Type: meter.EvSend, Event: meter.EvSend.String(), Machine: 1, CPUTime: int64(i),
@@ -327,7 +275,7 @@ func TestScanSkipsOnMeta(t *testing.T) {
 				}
 				m, line := store.Meta{Machine: 1, Time: uint32(i), Type: 1, PID: 7}, e.Format()
 				if i%3 != 0 {
-					m.Machine, line = 2, "\x00 not a record \xff"
+					m.Machine, line = 2, strings.Replace(line, "machine=1", "machine=2", 1)
 				}
 				if err := AppendLine(st, m, line); err != nil {
 					t.Fatal(err)
@@ -340,11 +288,11 @@ func TestScanSkipsOnMeta(t *testing.T) {
 			}
 			for _, rules := range []string{"machine=1", "machine=1,msgLength>=30\nmachine=1,cpuTime<9", "machine=3\npid=7,machine=1"} {
 				got, want := mustRun(t, be, rules, false), mustRun(t, be, rules, true)
-				if got.Stats.Skipped != garbage || got.Stats.BadLines != 0 || got.Stats.Records != n {
-					t.Errorf("rules %q: stats %+v, want %d of %d records skipped and no bad line", rules, got.Stats, garbage, n)
+				if got.Stats.Skipped != garbage || got.Stats.Typed != n-garbage || got.Stats.Records != n {
+					t.Errorf("rules %q: stats %+v, want %d of %d records skipped and the rest read", rules, got.Stats, garbage, n)
 				}
-				if want.Stats.Skipped != 0 || want.Stats.BadLines != garbage {
-					t.Errorf("rules %q unpruned: stats %+v, want nothing skipped and %d bad lines", rules, want.Stats, garbage)
+				if want.Stats.Skipped != 0 || want.Stats.Typed != n {
+					t.Errorf("rules %q unpruned: stats %+v, want nothing skipped and %d read", rules, want.Stats, n)
 				}
 				if formatEvents(got) != formatEvents(want) || got.Stats.Matched != want.Stats.Matched || got.Stats.Matched == 0 {
 					t.Errorf("rules %q: %d events pruned, %d unpruned:\n%s---\n%s", rules, got.Stats.Matched, want.Stats.Matched, formatEvents(got), formatEvents(want))
@@ -352,8 +300,8 @@ func TestScanSkipsOnMeta(t *testing.T) {
 			}
 			// One rule with an open envelope admits every Meta: no check.
 			for _, rules := range []string{"", "msgLength>=30", "machine=1\nmsgLength>=30", "machine>=1"} {
-				if got := mustRun(t, be, rules, false); got.Stats.Skipped != 0 || got.Stats.BadLines != garbage {
-					t.Errorf("rules %q: stats %+v, want nothing skipped and %d bad lines", rules, got.Stats, garbage)
+				if got := mustRun(t, be, rules, false); got.Stats.Skipped != 0 || got.Stats.Typed != n {
+					t.Errorf("rules %q: stats %+v, want nothing skipped and %d read", rules, got.Stats, n)
 				}
 			}
 		})
@@ -430,51 +378,5 @@ func TestAdmitsMetaIsOneRecordIndex(t *testing.T) {
 	}
 	if admitted == 0 || admitted == checked {
 		t.Fatalf("%d of %d metas admitted: the cases do not tell the checks apart", admitted, checked)
-	}
-}
-
-// TestPooledViewPinsNothing: the view a scan returns to the pool holds
-// neither the last line it parsed — for a v1 or unsealed segment the
-// backend's own file bytes, which outlive a removed segment for as long
-// as anything points into them — nor the event ParseOne built for it.
-func TestPooledViewPinsNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; the scan's view may not come back")
-	}
-	be := store.NewMemBackend()
-	st, err := store.Open(be, store.Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The last line is one only ParseOne reads, so the view ends on both.
-	for i, line := range []string{"SEND machine=1 cpuTime=1 procTime=0 pid=7", "SEND machine=1 cpuTime=2 procTime=0 pid=0x7"} {
-		if err := AppendLine(st, store.Meta{Machine: 1, Time: uint32(1 + i), Type: 1, PID: 7}, line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rd, err := store.OpenReader(be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := Compile("pid=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen *trace.View
-	stats, err := q.ScanSegment(rd.Shards()[0][0], func(v *trace.View, _ map[string]bool) { seen = v })
-	if err != nil || stats.Matched != 2 {
-		t.Fatalf("scan: %+v, %v; want 2 matches", stats, err)
-	}
-	v := viewPool.Get().(*trace.View)
-	defer viewPool.Put(v)
-	if v != seen {
-		t.Skip("the pool handed back another view")
-	}
-	rv := reflect.ValueOf(v).Elem()
-	if line := rv.FieldByName("line"); !line.IsNil() {
-		t.Errorf("pooled view still aliases %d line bytes", line.Len())
-	}
-	if parsed := rv.FieldByName("parsed"); !parsed.IsZero() {
-		t.Errorf("pooled view still holds a parsed event")
 	}
 }

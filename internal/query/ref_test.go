@@ -87,6 +87,21 @@ func selectSource(rs filter.Rules, src *eventSource) (keep bool, rule int) {
 	return false, -1
 }
 
+// discardSet is the set of fields the rule's '#' markers drop, or nil
+// when it has none.
+func discardSet(r filter.Rule) map[string]bool {
+	var discards map[string]bool
+	for _, c := range r {
+		if c.Discard {
+			if discards == nil {
+				discards = make(map[string]bool)
+			}
+			discards[c.Field] = true
+		}
+	}
+	return discards
+}
+
 // Project applies a matched rule's '#' discards to the event: the
 // record a query ships, in the event model its lines are held to. Header
 // fields are never dropped, mirroring the filter's record formatting,

@@ -244,8 +244,8 @@ var openedSegments = map[string][]SegmentInfo{
 		{"s1-000013-000013.seg", 1, 13, 13, 178, 196, 0, Index{6, 5850, 5950, 0x2a, 0x1b000000000, 0x288}, true},
 	},
 	"torn+flipped": {
-		{"s0-000001-000001.seg", 0, 1, 1, 9265, 81, 0, Index{0, 0, 0, 0x0, 0x0, 0x0}, true},
-		{"s0-000002-000002.seg", 0, 2, 2, 2882, 2335, 0, Index{59, 2400, 2806, 0x3f, 0x1f000000000, 0x1e}, true},
+		{"s0-000001-000001.seg", 0, 1, 1, 3855, 81, 0, Index{0, 0, 0, 0x0, 0x0, 0x0}, true},
+		{"s0-000002-000002.seg", 0, 2, 2, 1147, 626, 0, Index{59, 2400, 2806, 0x3f, 0x1f000000000, 0x1e}, true},
 	},
 }
 

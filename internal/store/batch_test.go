@@ -14,9 +14,8 @@ import (
 func batchRecs(n int) []BatchRec {
 	recs := make([]BatchRec, 0, n)
 	for i := 0; i < n; i++ {
-		m, line := rec(uint16(i%4), uint32(i*10), uint32(i%8+1), uint32(100+i%4),
-			fmt.Sprintf("line %d payload padding to some reasonable width", i))
-		recs = append(recs, BatchRec{Meta: m, Line: []byte(line)})
+		m, line := rec(uint16(i%4), uint32(i*10), uint32(i%8+1), uint32(100+i%4), i)
+		recs = append(recs, lineRec(m, line))
 	}
 	return recs
 }
@@ -133,7 +132,7 @@ func TestAppendsCountWhatFlushesMadeDurable(t *testing.T) {
 		durable := 0
 		for _, segs := range rd.Shards() {
 			for _, rs := range segs {
-				got, err := rs.ScanViews(d, func(Meta, *trace.View, []byte) {})
+				got, err := rs.ScanViews(d, func(Meta, *trace.View) {})
 				if err != nil {
 					t.Fatalf("allow %d: %s: %v", allow, rs.Name, err)
 				}
@@ -173,25 +172,52 @@ func TestAppendBatchRotation(t *testing.T) {
 }
 
 // TestAppendBatchReusesCallerBuffer checks AppendBatch does not retain
-// the caller's line memory: mutating the buffer afterwards must not
-// corrupt the store.
+// the caller's line or slots: changing them afterwards must not corrupt
+// the store.
 func TestAppendBatchReusesCallerBuffer(t *testing.T) {
 	be := NewMemBackend()
 	st, err := Open(be, Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	line := []byte("first line contents")
-	if err := st.AppendBatch([]BatchRec{{Meta: Meta{Machine: 1, Time: 5}, Line: line}}); err != nil {
+	m, line := rec(1, 5, 1, 7, 11)
+	r := lineRec(m, line)
+	if err := st.AppendBatch([]BatchRec{r}); err != nil {
 		t.Fatal(err)
 	}
-	copy(line, "CLOBBERED!!")
+	copy(r.Line, "CLOBBERED!!")
+	r.Slots.Reset(99)
+	r.Slots.SetVal(0, 99)
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	got := allRecs(t, be)
-	if len(got) != 1 || got[0].Line != "first line contents" {
+	if len(got) != 1 || got[0].Line != line {
 		t.Fatalf("read back %+v, want the original line", got)
+	}
+}
+
+// TestAppendBatchRefusesUntyped: a batch with a record that has no
+// Slots, or whose Meta names no event type, is refused whole: nothing
+// of it is stored or counted.
+func TestAppendBatchRefusesUntyped(t *testing.T) {
+	be := NewMemBackend()
+	reg := obs.NewRegistry()
+	st, err := Open(be, Config{Shards: 1, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, line := rec(1, 5, 1, 7, 11)
+	for _, bad := range []BatchRec{{Meta: m, Line: []byte(line)}, lineRec(Meta{Machine: 1, Time: 6}, line), lineRec(Meta{Machine: 1, Time: 6, Type: 11}, line)} {
+		if err := st.AppendBatch([]BatchRec{lineRec(m, line), bad}); err == nil {
+			t.Fatalf("batch with %+v appended", bad.Meta)
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := allRecs(t, be); len(got) != 0 || reg.Counter("store.appends").Load() != 0 {
+		t.Fatalf("refused batches left %d records, %d appends", len(got), reg.Counter("store.appends").Load())
 	}
 }
 
@@ -203,9 +229,8 @@ func TestAppendBatchOvershootsByOneRecord(t *testing.T) {
 	const segCap = 1024
 	var recs []BatchRec
 	for i := 0; i < 240; i++ {
-		m, line := compRec(i)
-		line += strings.Repeat(" pad", i%23) // records of many sizes
-		recs = append(recs, BatchRec{Meta: m, Line: []byte(line)})
+		m, _ := compRec(i)
+		recs = append(recs, lineRec(m, recLine(m, 1<<(i%23*2), 3))) // records of many sizes
 	}
 	cfg := Config{Shards: 2, SegmentCap: segCap, CompactMin: 1 << 20}
 	seqBE, batBE := NewMemBackend(), NewMemBackend()

@@ -1,27 +1,13 @@
 // Compressed segments: the one format every segment is written and read
-// in. Meter records are highly repetitive — a handful of event names,
-// monotone cpuTime clocks, near-identical lines per event type — so
-// segments compress far better than CRC-framed text if the encoder
-// exploits that structure before the byte-level compressor sees it:
+// in. A record is kept as the fixed fields of its meter message, and its
+// log line is only a rendering of them, so a segment holds no text:
 //
 //   - A segment's records are one DEFLATE stream.
 //   - Each record is its Meta — machine, zigzag(cpuTime delta), type,
-//     pid as varints — and then one of two shapes. A standard line
-//     (trace.View.ParseStandard) whose header is that Meta is stored
-//     *typed*: its fields as deltas against the last typed record of its
-//     event type (internal/trace/typed.go), so that a scan fills a view
-//     from them without building or parsing text. Any other line is
-//     stored as *text*, front-coded against the previous text line of
-//     the same type slot (shared prefix and suffix lengths plus a middle
-//     section). Either way the record decodes to exactly the bytes it was
-//     given: the typed shape is taken only when regenerating the line
-//     from the view reproduces it, or when the caller handed the record
-//     typed (BatchRec.Slots).
-//   - Middle sections encode through a per-segment shared-name
-//     dictionary: tokens (words, key= prefixes) that recur across
-//     records become one- or two-byte references. Definitions are
-//     carried in the stream where a token is first used, so a reader
-//     grows the dictionary as it decodes, sealed or not.
+//     pid as varints — and then its body *typed*: the fields as deltas
+//     against the last record of its event type (internal/trace/typed.go),
+//     so that a scan reads a view from them without building or parsing
+//     text, and renders a line only for a record it ships.
 //   - A sealed segment ends in a fixed-size tail: the segment's Index,
 //     which internal/query prunes whole segments by, the stream's
 //     lengths and a CRC over its bytes.
@@ -33,7 +19,7 @@
 //
 // File layout:
 //
-//	[8B header: "DPMZ" + payload version u32 2 (segHeader)]
+//	[8B header: "DPMZ" + payload version u32 3 (segHeader)]
 //	[one DEFLATE stream]
 //	[68B tail: "DPMS" + version u32 3, segment index, lengths, CRCs]
 //
@@ -68,9 +54,10 @@ const CompressBlocks CompressMode = 1
 
 const (
 	// segHeader opens every segment file: the magic and, little-endian,
-	// the payload version 2 — one stream, each record typed or text.
-	// Version 1 split a segment into blocks; its files are refused.
-	segHeader  = "DPMZ\x02\x00\x00\x00"
+	// the payload version 3 — one stream, every record typed. Version 2
+	// also held records as front-coded text, version 1 split a segment
+	// into blocks; the files of both are refused.
+	segHeader  = "DPMZ\x03\x00\x00\x00"
 	headerSize = len(segHeader)
 
 	tailMagic   = "DPMS"
@@ -81,17 +68,6 @@ const (
 	// the raw total, the stream's CRC and the tail's own, a u32 each.
 	TailSize = 68
 
-	// nameSlots is the number of previous-line slots used for
-	// front-coding, keyed by Type%nameSlots: consecutive records of the
-	// same event type are near-identical even when types interleave.
-	nameSlots = 16
-
-	// Dictionary limits: at most maxDictEntries tokens of
-	// [minDictToken, maxDictToken] bytes each per segment.
-	maxDictEntries = 512
-	minDictToken   = 2
-	maxDictToken   = 48
-
 	// maxStreamRaw bounds a segment's decoded payload: a stream that
 	// inflates past it, or a tail that declares more, is corruption, not
 	// data. maxSegmentBytes, the v1-equivalent size no rotation or merge
@@ -100,15 +76,6 @@ const (
 	// smaller.
 	maxStreamRaw    = 1 << 26
 	maxSegmentBytes = 1 << 24
-)
-
-// Middle-section opcodes. Values >= opRefBase are dictionary
-// references (id = op - opRefBase).
-const (
-	opEnd     = 0
-	opLit     = 1
-	opDef     = 2
-	opRefBase = 3
 )
 
 // tail is a sealed segment's fixed-size tail, parsed.
@@ -184,10 +151,10 @@ func (sw storedWriter) Close() error    { sw.block(1, nil); return nil }
 func (sw storedWriter) Reset(io.Writer) {}
 
 // compWriter is the per-shard compressed-segment encoder. All state is
-// guarded by the owning shard's mutex. Records are staged (typed, or
-// front-coded text) into enc as they arrive and pushed through the
-// DEFLATE stream at flush time, so compression cost is paid
-// incrementally on the ingest path instead of as a seal-time rewrite.
+// guarded by the owning shard's mutex. Records are staged typed into enc
+// as they arrive and pushed through the DEFLATE stream at flush time, so
+// compression cost is paid incrementally on the ingest path instead of
+// as a seal-time rewrite.
 type compWriter struct {
 	sink compSink
 	fw   deflater
@@ -201,25 +168,20 @@ type compWriter struct {
 
 	rawLen int // decoded payload bytes written to the stream
 
-	dictIDs map[string]int // the segment's dictionary: token to id
-
-	prev     [nameSlots][]byte
 	prevTime uint32
 
-	// The typed shape: the view every staged line is parsed into, or
-	// pointed at a caller's slots, the state typed records are deltas
-	// against, and how many records of the segment took each shape.
-	view          trace.View
-	typed         trace.TypedState
-	nTyped, nText int
+	// The view pointed at each caller's slots, the state records are
+	// deltas against, and how many records were staged.
+	view   trace.View
+	typed  trace.TypedState
+	nTyped int
 }
 
 // newCompWriter builds the hot tier's encoder, which writes stored
 // blocks (flate.NoCompression): the structural encoding — typed fields
-// as deltas, or front-coding and the shared dictionary — has already
-// squeezed the records ~12x, and DEFLATE entropy coding over that dense
-// payload buys little while a dynamic-Huffman build per sync flush
-// costs ~3x the whole ingest path. Stored blocks (storedWriter) keep
+// as deltas — has already squeezed the records ~12x, and DEFLATE entropy
+// coding over that dense payload buys little while a dynamic-Huffman
+// build per sync flush costs ~3x the whole ingest path. Stored blocks (storedWriter) keep
 // the sync-marker durability contract for free; the archival tier
 // re-encodes cold segments at archiveLevel.
 func newCompWriter() *compWriter {
@@ -248,164 +210,19 @@ func (w *compWriter) openSegment() {
 	w.sink.buf = append(w.sink.buf[:0], segHeader...)
 	w.sink.crc, w.sink.crcAt, w.sink.total = 0, len(w.sink.buf), 0
 	w.fw.Reset(&w.sink)
-	w.nTyped, w.nText = 0, 0
+	w.nTyped = 0
 	w.enc = w.enc[:0]
 	w.stagedV1, w.stagedN, w.rawLen = 0, 0, 0
-	if w.dictIDs == nil {
-		w.dictIDs = make(map[string]int)
-	} else {
-		clear(w.dictIDs)
-	}
-	for i := range w.prev {
-		w.prev[i] = w.prev[i][:0]
-	}
 	w.prevTime = 0
 	w.typed = trace.TypedState{}
 }
 
-// stage encodes one record into the staging buffer, as shape picks it,
-// and accounts it at its line's v1-equivalent size.
+// stage encodes one record, typed from s, into the staging buffer, and
+// accounts it at its line's v1-equivalent size.
 func (w *compWriter) stage(m Meta, line []byte, s *trace.Slots) {
-	w.stageAs(m, w.shape(m, line, s), line)
+	w.view.PointAt(s, meter.Type(m.Type), int(m.Machine), int64(m.Time))
+	w.add(m, &w.view)
 	w.stagedV1 += FrameSize(len(line))
-}
-
-// shape settles how a record is staged: typed from s (BatchRec.Slots),
-// or else from a standard line whose header is m, or else — nil — the
-// line as text, front-coded. Either way the record decodes to exactly
-// the bytes given: a line shape types itself is proved by regenerating
-// it, and s is what the line parses to.
-func (w *compWriter) shape(m Meta, line []byte, s *trace.Slots) *trace.View {
-	v := &w.view
-	if s != nil {
-		v.PointAt(s, meter.Type(m.Type), int(m.Machine), int64(m.Time))
-	} else if !v.ParseStandard(line) || v.Machine != int(m.Machine) || v.CPUTime != int64(m.Time) || uint32(v.Type) != m.Type {
-		return nil
-	}
-	return v
-}
-
-// stageAs stages a record whose shape is settled: its Meta, then typed
-// from v — shape's view, or one a decoder read from a typed record, with
-// nothing to prove again — or, with no view, the line as text. It
-// accounts no size; its callers do.
-func (w *compWriter) stageAs(m Meta, v *trace.View, line []byte) {
-	e := w.enc
-	e = binary.AppendUvarint(e, uint64(m.Machine))
-	e = binary.AppendUvarint(e, obs.Zigzag(int64(m.Time)-int64(w.prevTime)))
-	w.prevTime = m.Time
-	e = binary.AppendUvarint(e, uint64(m.Type))
-	e = binary.AppendUvarint(e, uint64(m.PID))
-	if v != nil {
-		e = v.AppendTyped(e, &w.typed)
-		w.nTyped++
-	} else {
-		e = w.appendText(append(e, 0), int(m.Type)%nameSlots, line)
-		w.nText++
-	}
-	w.enc = e
-	w.stagedN++
-}
-
-// appendText appends the text shape of a line: front-coded against the
-// last text line of its type slot, the middle through the dictionary.
-func (w *compWriter) appendText(e []byte, slot int, line []byte) []byte {
-	prev := w.prev[slot]
-	p := commonPrefix(prev, line)
-	s := commonSuffix(prev[p:], line[p:])
-	mid := line[p : len(line)-s]
-	e = binary.AppendUvarint(e, uint64(p))
-	e = binary.AppendUvarint(e, uint64(s))
-	if len(mid)*2 > len(line) {
-		// Front-coding bought little (a first record, or a reordered
-		// line): tokenize the middle through the shared dictionary.
-		e = w.encodeTokens(e, mid)
-	} else if len(mid) > 0 {
-		e = append(e, opLit)
-		e = binary.AppendUvarint(e, uint64(len(mid)))
-		e = append(e, mid...)
-	}
-	w.prev[slot] = append(w.prev[slot][:0], line...)
-	return append(e, opEnd)
-}
-
-func commonPrefix(a, b []byte) int {
-	n := min(len(a), len(b))
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
-}
-
-func commonSuffix(a, b []byte) int {
-	n := min(len(a), len(b))
-	i := 0
-	for i < n && a[len(a)-1-i] == b[len(b)-1-i] {
-		i++
-	}
-	return i
-}
-
-// encodeTokens emits mid as a sequence of literal runs and dictionary
-// references/definitions. Tokens are space-run + word units; a token
-// containing '=' splits into a key (through the '=', a strong
-// dictionary candidate: field names recur on every record) and a
-// value.
-func (w *compWriter) encodeTokens(e []byte, mid []byte) []byte {
-	lit := 0 // start of the pending literal run
-	flushLit := func(end int) {
-		if end > lit {
-			e = append(e, opLit)
-			e = binary.AppendUvarint(e, uint64(end-lit))
-			e = append(e, mid[lit:end]...)
-		}
-	}
-	// tryTok emits mid[start:end] as a dictionary ref (defining it on
-	// first sight when it qualifies); false leaves it in the pending
-	// literal run.
-	tryTok := func(start, end int) {
-		tok := mid[start:end]
-		if len(tok) < minDictToken || len(tok) > maxDictToken {
-			return
-		}
-		if id, ok := w.dictIDs[string(tok)]; ok {
-			flushLit(start)
-			e = binary.AppendUvarint(e, uint64(opRefBase+id))
-			lit = end
-			return
-		}
-		if len(w.dictIDs) >= maxDictEntries {
-			return
-		}
-		w.dictIDs[string(tok)] = len(w.dictIDs)
-		flushLit(start)
-		e = append(e, opDef)
-		e = binary.AppendUvarint(e, uint64(len(tok)))
-		e = append(e, tok...)
-		lit = end
-	}
-	i := 0
-	for i < len(mid) {
-		j := i
-		for j < len(mid) && mid[j] == ' ' {
-			j++
-		}
-		for j < len(mid) && mid[j] != ' ' {
-			j++
-		}
-		if k := bytes.IndexByte(mid[i:j], '='); k >= 0 {
-			tryTok(i, i+k+1) // key, leading spaces and '=' included
-			if j-(i+k+1) >= 4 {
-				tryTok(i+k+1, j) // value, when long enough to pay
-			}
-		} else {
-			tryTok(i, j)
-		}
-		i = j
-	}
-	flushLit(len(mid))
-	return e
 }
 
 // flushStaged pushes the staged payload through the DEFLATE stream; with
@@ -428,16 +245,21 @@ func (w *compWriter) flushStaged(sync bool) error {
 	return nil
 }
 
-// add is the per-record step of every offline encode — recovery,
-// compaction, archival — where nothing need be decodable before the
-// seal: the record, as a scan hands it over, is staged — one that was
-// stored typed as its view, unfilled, with no line built, parsed or
-// measured. It accounts no size: a rewrite sizes each input whole.
-func (w *compWriter) add(m Meta, v *trace.View, line []byte) {
-	if v == nil {
-		v = w.shape(m, line, nil)
-	}
-	w.stageAs(m, v, line)
+// add stages a record: its Meta, then typed from v. It is the whole
+// per-record step of every offline encode — recovery, compaction,
+// archival — where a scan hands over the view it decoded, with no line
+// built, parsed or measured. It accounts no size: its callers do, and a
+// rewrite sizes each input whole.
+func (w *compWriter) add(m Meta, v *trace.View) {
+	e := w.enc
+	e = binary.AppendUvarint(e, uint64(m.Machine))
+	e = binary.AppendUvarint(e, obs.Zigzag(int64(m.Time)-int64(w.prevTime)))
+	w.prevTime = m.Time
+	e = binary.AppendUvarint(e, uint64(m.Type))
+	e = binary.AppendUvarint(e, uint64(m.PID))
+	w.enc = v.AppendTyped(e, &w.typed)
+	w.nTyped++
+	w.stagedN++
 }
 
 // seal pushes anything still staged, ends the stream and returns the
@@ -456,7 +278,6 @@ func (w *compWriter) seal(x Index, rawTotal int) ([]byte, int, error) {
 	out := appendTail(w.sink.buf, tail{Index: x, DataLen: dataLen, RawLen: w.rawLen, RawTotal: rawTotal, CRC: w.sink.sum()})
 	w.sink.buf = out
 	w.sink.drained()
-	w.view.Reset() // it aliases the last line staged
 	return out, dataLen + len(out) - pending, nil
 }
 
@@ -504,32 +325,22 @@ type Decoder struct {
 	zres flate.Resetter
 	raw  []byte
 	line []byte
-	prev [nameSlots][]byte
-	// dict is the dictionary the stream has defined so far, its entries
-	// aliasing raw.
-	dict [][]byte
 
-	// A typed record is decoded into view, against typed, and nTyped
-	// counts them.
-	view   trace.View
-	typed  trace.TypedState
-	nTyped int
+	// A record is decoded into view, against typed.
+	view  trace.View
+	typed trace.TypedState
 }
 
-// scanFn receives one decoded record: a record stored typed as the
-// decoder's view (line is nil); any other as its stored line (the view
-// is nil). Both are only valid during the call.
-type scanFn = func(m Meta, v *trace.View, line []byte)
+// scanFn receives one decoded record as the decoder's view, valid only
+// during the call.
+type scanFn = func(m Meta, v *trace.View)
 
-// lines adapts a callback that wants every record as text: the line of
-// a typed record is regenerated from its view.
+// lines adapts a callback that wants every record as text: its line is
+// rendered from its view.
 func (d *Decoder) lines(fn func(Meta, []byte)) scanFn {
-	return func(m Meta, v *trace.View, line []byte) {
-		if v != nil {
-			d.line = v.AppendLine(d.line[:0], nil)
-			line = d.line
-		}
-		fn(m, line)
+	return func(m Meta, v *trace.View) {
+		d.line = v.AppendLine(d.line[:0], 0)
+		fn(m, d.line)
 	}
 }
 
@@ -582,24 +393,15 @@ func (d *Decoder) inflate(stream []byte) ([]byte, error) {
 	}
 }
 
-// A record the decoder cannot read fails with errRecord, and one
-// whose front-coding reaches outside the line before it with
-// errFrontCoding inside that: the scan reports either as ErrCorrupt or
-// ErrTruncated.
-var (
-	errRecord      = errors.New("bad record")
-	errFrontCoding = errors.New("front-coding overrun")
-)
+// A record the decoder cannot read fails with errRecord: the scan
+// reports it as ErrCorrupt or ErrTruncated.
+var errRecord = errors.New("bad record")
 
 // decodeRecords decodes the records of a segment's payload, emitting
 // each through fn, and returns the number emitted; a malformed record
 // stops the decode at its start.
 func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, error) {
-	for i := range d.prev {
-		d.prev[i] = d.prev[i][:0]
-	}
 	d.typed = trace.TypedState{}
-	d.dict = d.dict[:0]
 	c := obs.NewCursor(raw, errRecord)
 	var prevTime int64
 	emitted := 0
@@ -611,80 +413,22 @@ func (d *Decoder) decodeRecords(raw []byte, fn scanFn) (int, error) {
 		}
 		m := Meta{Machine: uint16(machine), Time: uint32(t), Type: uint32(typ), PID: uint32(pid)}
 		prevTime = t
-		slot := int(typ) % nameSlots
-		// The shape byte: 0 is text, anything else starts a typed record.
-		typed := c.Remaining() > 0 && raw[c.Off()] != 0
-		switch {
-		case c.Err() != nil:
-		case typed:
+		if c.Err() == nil {
 			d.view.DecodeTyped(&c, &d.typed, meter.Type(typ), int(machine), t)
-		default:
-			c.U8()
-			d.decodeText(&c, slot)
 		}
 		if err := c.Err(); err != nil {
 			return emitted, fmt.Errorf("%v at payload offset %d", err, start)
 		}
-		if typed {
-			fn(m, &d.view, nil)
-			d.nTyped++
-		} else {
-			fn(m, nil, d.prev[slot])
-		}
+		fn(m, &d.view)
 		emitted++
 	}
 	return emitted, nil
-}
-
-// decodeText reads the text shape at c — a line front-coded against the
-// last of its slot — into d.prev[slot].
-func (d *Decoder) decodeText(c *obs.Cursor, slot int) {
-	prev := obs.NewCursor(d.prev[slot], errFrontCoding)
-	line := append(d.line[:0], prev.Take(int(c.Uvarint()))...)
-	suffix := int(c.Uvarint())
-	// A failed cursor reads opEnd, which ends the loop.
-	for op := c.Uvarint(); op != opEnd; op = c.Uvarint() {
-		var b []byte
-		switch id := op - opRefBase; { // unsigned: an opcode past int's range must not wrap below zero
-		case op == opLit || op == opDef:
-			b = c.Take(int(c.Uvarint()))
-			if op == opDef {
-				if len(d.dict) >= maxDictEntries || len(b) < minDictToken || len(b) > maxDictToken {
-					c.Fail("bad dictionary definition")
-					return
-				}
-				d.dict = append(d.dict, b)
-			}
-		case id < uint64(len(d.dict)):
-			b = d.dict[id]
-		default:
-			c.Fail("dictionary reference %d out of range", id)
-			return
-		}
-		if len(b) > MaxFrameSize-len(line) {
-			c.Fail("line overruns frame limit")
-			return
-		}
-		line = append(line, b...)
-	}
-	// What is left of the last line past its middle is the suffix.
-	prev.Take(prev.Remaining() - suffix)
-	b := prev.Take(suffix)
-	if err := prev.Err(); err != nil {
-		c.Fail("%v", err)
-	} else if len(b) > MaxFrameSize-len(line) {
-		c.Fail("line overruns frame limit")
-	}
-	if c.Err() == nil {
-		d.prev[slot], d.line = append(line, b...), d.prev[slot]
-	}
 }
 
 // ScanStats reports what one segment scan did.
 type ScanStats struct {
 	Streams int // DEFLATE streams inflated: 1, or 0 for a file torn in its header
 	Records int // records emitted
-	Typed   int // of those, the ones stored in the typed shape
 }
 
 // ScanViews streams a segment's records through fn. A sealed segment's
@@ -700,7 +444,6 @@ type ScanStats struct {
 // recovery, compaction and archival all read through it.
 func (rs *ReaderSegment) ScanViews(d *Decoder, fn scanFn) (ScanStats, error) {
 	var st ScanStats
-	d.nTyped = 0
 	if err := formatErr(rs.Name, rs.data); err != nil {
 		return st, err
 	}
@@ -726,7 +469,7 @@ func (rs *ReaderSegment) ScanViews(d *Decoder, fn scanFn) (ScanStats, error) {
 		return st, fmt.Errorf("%w: %s: %v", ErrCorrupt, rs.Name, err)
 	}
 	n, derr := d.decodeRecords(raw, fn)
-	st.Records, st.Typed = n, d.nTyped
+	st.Records = n
 	if derr != nil {
 		err = derr
 	}

@@ -17,16 +17,13 @@ import (
 // shapes with recurring names and monotone timestamps — the structure
 // the v2 encoder exists to exploit.
 func compRec(i int) (Meta, string) {
-	kinds := []string{"SEND", "RECEIVE", "SYSCALL read", "SCHED switch"}
 	m := Meta{
 		Machine: uint16(i % 6),
 		Time:    uint32(1000 + i*7),
 		Type:    uint32(i%4 + 1),
 		PID:     uint32(100 + i%5),
 	}
-	line := fmt.Sprintf("%s machine=%d pid=%d sock=%d peer=m%d.monitor.lab bytes=%d t=%d",
-		kinds[i%4], m.Machine, m.PID, 3+i%4, i%6, 64+i%32, m.Time)
-	return m, line
+	return m, recLine(m, uint64(16384+i%6), uint64(3+i%4), uint64(64+i%32))
 }
 
 // compRecs is compRec(from) .. compRec(from+n-1).

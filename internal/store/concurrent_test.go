@@ -1,8 +1,6 @@
 package store
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -48,10 +46,8 @@ func TestAppendBatchConcurrent(t *testing.T) {
 					// so every batch overlaps shards with every other
 					// writer's batches.
 					machine := uint16((w + seq) % 7)
-					recs[i] = BatchRec{
-						Meta: Meta{Machine: machine, Time: uint32(seq), Type: 1, PID: uint32(w)},
-						Line: []byte(fmt.Sprintf("w=%d seq=%d padding padding padding", w, seq)),
-					}
+					m := Meta{Machine: machine, Time: uint32(seq), Type: 1, PID: uint32(w)}
+					recs[i] = lineRec(m, recLine(m, uint64(seq), 3, 64))
 				}
 				if err := st.AppendBatch(recs); err != nil {
 					t.Errorf("writer %d batch %d: %v", w, b, err)
@@ -88,9 +84,8 @@ func TestAppendBatchConcurrent(t *testing.T) {
 				if int(r.Meta.Machine)%shards != shardID {
 					t.Fatalf("machine %d record on shard %d", r.Meta.Machine, shardID)
 				}
-				var w, seq int
-				if _, err := fmt.Sscanf(r.Line, "w=%d seq=%d", &w, &seq); err != nil ||
-					!strings.HasSuffix(r.Line, "padding") {
+				w, seq := int(r.Meta.PID), int(r.Meta.Time)
+				if r.Line != recLine(r.Meta, uint64(seq), 3, 64) {
 					t.Fatalf("torn or mangled record %q", r.Line)
 				}
 				if last, ok := lastSeq[w]; ok && seq <= last {

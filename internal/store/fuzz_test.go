@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -17,13 +16,12 @@ import (
 	"dpm/internal/obs"
 )
 
-// fuzzSeedRecs are the records of the smallest seeds: three stored as
-// text, each line's header not being its record's Meta.
+// fuzzSeedRecs are the records of the smallest seeds.
 func fuzzSeedRecs() []Rec {
 	var recs []Rec
 	for i := 0; i < 3; i++ {
 		m := Meta{Machine: uint16(i), Time: uint32(i * 100), Type: uint32(i + 1), PID: uint32(50 + i)}
-		recs = append(recs, Rec{m, "SEND machine=1 cpuTime=1 procTime=0 pid=1"})
+		recs = append(recs, Rec{m, recLine(m, 16384, 3, 240)})
 	}
 	return recs
 }
@@ -37,42 +35,14 @@ func fuzzSeedSegment() []byte {
 	return out
 }
 
-// fuzzSeedV3 builds a small sealed segment whose records are typed, but
-// for the few that are not standard.
+// fuzzSeedV3 builds a sealed segment of every kind of record the shape
+// tests make.
 func fuzzSeedV3() []byte {
-	var recs []Rec
-	for _, r := range shapeRecs(rand.New(rand.NewSource(3)), 60) {
-		recs = append(recs, r.Rec)
-	}
-	out, err := newCompWriter().encodeSealed(recs)
+	out, err := newCompWriter().encodeRuns(shapeBatch(shapeRecs(rand.New(rand.NewSource(3)), 60)))
 	if err != nil {
 		panic(err)
 	}
 	return out
-}
-
-// fuzzSeedV2 builds a small sealed segment with a shared dictionary
-// worth corrupting: every line's header differs from its Meta, so all of
-// them take the text shape.
-func fuzzSeedV2() []byte {
-	var recs []Rec
-	for i := 0; i < 40; i++ {
-		m := Meta{Machine: uint16(i % 3), Time: uint32(i * 100), Type: uint32(i%4 + 1), PID: uint32(50 + i%5)}
-		recs = append(recs, Rec{Meta: m, Line: "SEND machine=1 cpuTime=1 procTime=0 pid=1 msgLength=240"})
-	}
-	out, err := newCompWriter().encodeSealed(recs)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// fuzzSeedOverflow builds an unsealed segment whose single text record
-// declares front-coding lengths p=MaxUint64, s=1: the uint64 sum wraps
-// to zero, which an unchecked p+s bounds test would admit before
-// prev[:p] panicked. The parser must reject it as a torn record.
-func fuzzSeedOverflow() []byte {
-	return unsealedOf(textRecord(math.MaxUint64, 1, nil))
 }
 
 // unsealedOf returns an unsealed segment, its stream ended but no tail
@@ -94,16 +64,9 @@ func recordMeta(b []byte, typ meter.Type) []byte {
 	return binary.AppendUvarint(b, 1)            // pid
 }
 
-// textRecord is a text record of type 1 with front-coding lengths p and
-// s and, when lit is not nil, one literal.
-func textRecord(p, s uint64, lit []byte) []byte {
-	b := append(recordMeta(nil, 1), 0) // shape: text
-	b = binary.AppendUvarint(binary.AppendUvarint(b, p), s)
-	if lit != nil {
-		b = append(binary.AppendUvarint(append(b, opLit), uint64(len(lit))), lit...)
-	}
-	return append(b, opEnd)
-}
+// sendRecord is a typed SEND record of pid 1: flags typedShape and
+// typedPresence, pid present and changed, its delta.
+func sendRecord() []byte { return append(recordMeta(nil, meter.EvSend), 3, 1, 1, 2) }
 
 // crafted is a segment payload, named, what its refusal says, and how
 // many valid records stand before the refused one.
@@ -113,37 +76,15 @@ type crafted struct {
 	kept      int
 }
 
-// craftedPayloads are segment payloads holding, behind one valid text
-// record and where bytes can follow with another behind it, a length
-// that an offset-plus-length check admits by wrapping: front-coding
-// lengths whose sum passes 2^64, a literal of 2^63 bytes, and a typed
-// number whose varint runs off the payload.
+// craftedPayloads are segment payloads holding, behind one valid
+// record, a length an offset-plus-length check could admit by wrapping:
+// a typed number whose varint runs off the payload.
 func craftedPayloads() []crafted {
-	first, after := textRecord(0, 0, []byte("SEND a")), textRecord(0, 0, []byte("SEND b"))
-	huge := append(recordMeta(nil, 1), 0, 0, 0, opLit)
-	huge = append(binary.AppendUvarint(huge, 1<<63), "SEND c"...)
 	// Flags typedShape|typedPresence, SEND's pid present and changed, and
 	// the first byte of its delta.
 	cut := append(recordMeta(nil, meter.EvSend), 3, 1, 1, 0x80)
 	return []crafted{
-		{"prefix plus suffix past 2^64", "front-coding overrun", slices.Concat(first, textRecord(1, math.MaxUint64, nil), after), 1},
-		{"literal of 2^63 bytes", "truncated", slices.Concat(first, append(huge, opEnd), after), 1},
-		{"typed varint off the payload", "bad varint", slices.Concat(first, cut), 1},
-	}
-}
-
-// TestFrontCodingLengthOverflow pins the crafted-overflow segment:
-// ParseSegment must degrade to ErrTruncated with nothing salvaged, not
-// panic — Store.Open parses every unsealed segment, so a panic here
-// crash-loops reopen on one corrupt file. The error is the front-coding
-// check's: the file is one the reader reads, not one it refuses.
-func TestFrontCodingLengthOverflow(t *testing.T) {
-	seg, err := ParseSegment(fuzzSeedOverflow())
-	if !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "front-coding overrun") {
-		t.Fatalf("err = %v, want ErrTruncated from the front-coding check", err)
-	}
-	if len(seg.Recs) != 0 {
-		t.Fatalf("salvaged %d records from a malformed segment", len(seg.Recs))
+		{"typed varint off the payload", "bad varint", slices.Concat(sendRecord(), cut), 1},
 	}
 }
 
@@ -151,17 +92,12 @@ func TestFrontCodingLengthOverflow(t *testing.T) {
 // it stands, as a torn tail — no panic, the records before it salvaged
 // and nothing after it.
 func TestCraftedLengthsRefused(t *testing.T) {
-	// And a line whose middle and suffix are each within MaxFrameSize
-	// but together are not: too large for a fuzz seed.
-	long := textRecord(0, 0, make([]byte, MaxFrameSize))
-	wide := crafted{"middle plus suffix past MaxFrameSize", "line overruns frame limit",
-		slices.Concat(textRecord(0, 0, []byte("SEND a")), long, textRecord(0, MaxFrameSize, make([]byte, MaxFrameSize))), 2}
-	for _, c := range append(craftedPayloads(), wide) {
+	for _, c := range craftedPayloads() {
 		seg, err := ParseSegment(unsealedOf(c.payload))
 		if !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("%s: err = %v, want ErrTruncated saying %q", c.name, err, c.err)
 		}
-		if len(seg.Recs) != c.kept || seg.Recs[0].Line != "SEND a" {
+		if len(seg.Recs) != c.kept || seg.Recs[0].Line != "SEND machine=1 cpuTime=100 procTime=0 pid=1" {
 			t.Errorf("%s: salvaged %d records, want the %d before it", c.name, len(seg.Recs), c.kept)
 		}
 	}
@@ -188,6 +124,17 @@ func oldLayout(tb testing.TB) []byte {
 	return data
 }
 
+// textLayout is a segment the store wrote while a record could be kept
+// as front-coded text (header payload version 2): sealed, 10 records, 3
+// of them text.
+func textLayout(tb testing.TB) []byte {
+	data, err := os.ReadFile("testdata/text.seg")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 // FuzzParseSegment holds the recovery a store runs to its promise on
 // arbitrary bytes. Placed in a store as its one segment file, the bytes
 // never panic Open. A file Load refuses as of another format (ErrFormat)
@@ -195,8 +142,7 @@ func oldLayout(tb testing.TB) []byte {
 // rest, a file Load finds sealed and whole is adopted as it is, and
 // anything else is recovered: store.recovered is 1 for it and 0
 // otherwise. And a full OpenReader scan of the store returns, byte for
-// byte, the (Meta, line) prefix Load salvaged from the file — typed or
-// text.
+// byte, the (Meta, line) prefix Load salvaged from the file.
 func FuzzParseSegment(f *testing.F) {
 	sealed := fuzzSeedSegment()
 	f.Add([]byte{})
@@ -215,24 +161,19 @@ func FuzzParseSegment(f *testing.F) {
 	f.Add(flipped)
 	// Garbage.
 	f.Add([]byte("not a segment at all, just text pretending"))
-	// Text-only seeds.
-	v2 := fuzzSeedV2()
-	f.Add(v2)
 	// Torn inside the stream's first bytes: the tail is gone, so the
 	// parser salvages the decodable prefix.
-	f.Add(v2[:headerSize+3])
-	// Unsealed: header plus the whole stream, no tail at all.
-	f.Add(v2[:len(v2)-TailSize])
+	v3 := fuzzSeedV3()
+	f.Add(v3[:headerSize+3])
 	// Tails that verify over lengths that do not: a data length past the
 	// file, a payload past maxStreamRaw (each demoting the segment to
 	// stream salvage), and a payload one byte short of the stream's
 	// (ErrCorrupt).
-	f.Add(withTail(v2, func(tl *tail) { tl.DataLen += 1 << 20 }))
-	f.Add(withTail(v2, func(tl *tail) { tl.RawLen = maxStreamRaw + 1 }))
-	f.Add(withTail(v2, func(tl *tail) { tl.RawLen-- }))
-	// Typed records: sealed, unsealed, cut inside a typed record, and with
-	// a byte of the payload changed where no tail checks it.
-	v3 := fuzzSeedV3()
+	f.Add(withTail(v3, func(tl *tail) { tl.DataLen += 1 << 20 }))
+	f.Add(withTail(v3, func(tl *tail) { tl.RawLen = maxStreamRaw + 1 }))
+	f.Add(withTail(v3, func(tl *tail) { tl.RawLen-- }))
+	// Sealed, unsealed, cut inside a record, and with a byte of the
+	// payload changed where no tail checks it.
 	f.Add(v3)
 	f.Add(v3[:len(v3)-TailSize])
 	f.Add(v3[:headerSize+40])
@@ -240,14 +181,20 @@ func FuzzParseSegment(f *testing.F) {
 	typedFlip[headerSize+12] ^= 0x04
 	f.Add(typedFlip)
 	// Files of layouts no store reads any more: the block table (payload
-	// version 1), sealed and torn, and payload version 0.
+	// version 1), sealed and torn, records as text (version 2), and
+	// payload version 0.
 	old := oldLayout(f)
 	f.Add(old)
 	f.Add(old[:len(old)/2])
-	f.Add(withPayloadVersion(v2, 0))
-	// Front-coding lengths whose uint64 sum wraps past the bounds check,
-	// and the lengths of craftedPayloads.
-	f.Add(fuzzSeedOverflow())
+	text := textLayout(f)
+	f.Add(text)
+	f.Add(text[:len(text)-TailSize])
+	f.Add(text[:len(text)/2])
+	f.Add(withPayloadVersion(sealed, 2))
+	// This version's header over a record of the text shape.
+	f.Add(unsealedOf(append(sendRecord(), append(recordMeta(nil, meter.EvSend), 0, 0, 0, 0)...)))
+	f.Add(withPayloadVersion(sealed, 0))
+	// The lengths of craftedPayloads.
 	for _, c := range craftedPayloads() {
 		f.Add(unsealedOf(c.payload))
 	}
@@ -303,11 +250,11 @@ func FuzzParseSegment(f *testing.F) {
 // may allocate. With fix set, the last four bytes are made the CRC of the
 // tail's others, so that the fuzzer reaches past the CRC check.
 func FuzzFooterTail(f *testing.F) {
-	v2 := fuzzSeedV2()
-	f.Add(v2, false)
-	f.Add(fuzzSeedV3(), false)
-	f.Add(withTail(v2, func(tl *tail) { tl.DataLen += 1 << 20 }), false)
-	f.Add(withTail(v2, func(tl *tail) { tl.RawLen = maxStreamRaw + 1 }), false)
+	v3 := fuzzSeedV3()
+	f.Add(fuzzSeedSegment(), false)
+	f.Add(v3, false)
+	f.Add(withTail(v3, func(tl *tail) { tl.DataLen += 1 << 20 }), false)
+	f.Add(withTail(v3, func(tl *tail) { tl.RawLen = maxStreamRaw + 1 }), false)
 	f.Add(oldLayout(f), true)
 	f.Add(append([]byte(segHeader), make([]byte, TailSize)...), true)
 	f.Fuzz(func(t *testing.T, data []byte, fix bool) {

@@ -12,6 +12,7 @@ import (
 
 	"dpm/internal/fsys"
 	"dpm/internal/obs"
+	"dpm/internal/trace"
 )
 
 // TestMemBackendReadBorrowed is fsys.TestViewBorrowed for MemBackend:
@@ -447,9 +448,20 @@ func TestOldLayoutRefused(t *testing.T) {
 	}
 }
 
+// TestTextLayoutRefused: a segment of the layout before this one, whose
+// records could be front-coded text behind header payload version 2
+// (testdata/text.seg, written by that store, three of its ten records
+// text), is refused as any other format, sealed or cut short — never
+// read as corrupt, which Open would salvage and rewrite.
+func TestTextLayoutRefused(t *testing.T) {
+	old := textLayout(t)
+	checkRefused(t, "text shape", old)
+	checkRefused(t, "text shape unsealed", old[:len(old)-TailSize])
+}
+
 // checkRefused holds a file of another format, placed in a store beside
-// a torn segment of this one, to ErrFormat from Open, OpenReader, Reopen
-// and Load, each naming it, with no file of the store changed.
+// a torn segment of this one, to ErrFormat from Open, OpenReader, Reopen,
+// ScanViews and Load, each naming it, with no file of the store changed.
 func checkRefused(t *testing.T, what string, data []byte) {
 	t.Helper()
 	be := NewMemBackend()
@@ -477,6 +489,10 @@ func checkRefused(t *testing.T, what string, data []byte) {
 	refused("OpenReader", err)
 	_, err = Reopen(prev, be)
 	refused("Reopen", err)
+	d := AcquireDecoder()
+	_, err = newReaderSegment(bad, 0, 1, 1, 0, data).ScanViews(d, func(Meta, *trace.View) { t.Errorf("%s: ScanViews emitted a record", what) })
+	ReleaseDecoder(d)
+	refused("ScanViews", err)
 	_, err = newReaderSegment(bad, 0, 1, 1, 0, data).Load()
 	refused("Load", err)
 	if after := backendFiles(t, be); !reflect.DeepEqual(after, before) {

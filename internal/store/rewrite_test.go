@@ -72,7 +72,7 @@ func tierWriter(tier int) *compWriter {
 	return archiveEncoders.New(0)
 }
 
-func oracleEncode(t *testing.T, runs [][]Rec, tier int) []byte {
+func oracleEncode(t *testing.T, runs [][]BatchRec, tier int) []byte {
 	t.Helper()
 	w := tierWriter(tier)
 	w.openSegment()
@@ -80,7 +80,7 @@ func oracleEncode(t *testing.T, runs [][]Rec, tier int) []byte {
 	rawTotal := 0
 	for _, run := range runs {
 		for _, r := range run {
-			w.add(r.Meta, nil, []byte(r.Line))
+			w.stage(r.Meta, r.Line, r.Slots)
 			if err := w.flushStaged(false); err != nil {
 				t.Fatal(err)
 			}
@@ -113,9 +113,9 @@ func appendSealed(t *testing.T, st *Store, from, n int) {
 // createEncoded writes the records as shard 0's sealed segment number
 // seq, encoded offline (encodeSealed) in one DEFLATE write, where the
 // store writes each batch it is handed.
-func createEncoded(t *testing.T, be Backend, seq int, recs []Rec) {
+func createEncoded(t *testing.T, be Backend, seq int, recs []BatchRec) {
 	t.Helper()
-	data, err := newCompWriter().encodeSealed(recs)
+	data, err := newCompWriter().encodeRuns(recs)
 	if err == nil {
 		err = be.Create(segName(0, seq, seq, 0), data)
 	}
@@ -168,7 +168,7 @@ func TestStreamedRewriteMatchesOracle(t *testing.T) {
 			be := NewMemBackend()
 			for n, v1 := range tc.v1 {
 				if v1 {
-					createEncoded(t, be, n+1, compRecs(n*40, 40))
+					createEncoded(t, be, n+1, lineRecs(compRecs(n*40, 40)))
 					continue
 				}
 				st, err := Open(be, base)
@@ -182,7 +182,11 @@ func TestStreamedRewriteMatchesOracle(t *testing.T) {
 				t.Fatalf("built %v, want %d segments", names, len(tc.v1))
 			}
 			runs, recs, x, raw := oracleReadRun(t, be, names)
-			want := oracleEncode(t, runs, tc.tier)
+			var typedRuns [][]BatchRec
+			for _, run := range runs {
+				typedRuns = append(typedRuns, lineRecs(run))
+			}
+			want := oracleEncode(t, typedRuns, tc.tier)
 
 			cfg := base
 			cfg.Obs = obs.NewRegistry()
@@ -197,7 +201,7 @@ func TestStreamedRewriteMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.tier == 1 {
-				if err := st.AppendLine(Meta{Time: coldNow}, "now"); err != nil {
+				if err := st.AppendLine(Meta{Time: coldNow, Type: 1}, "now"); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -248,40 +252,16 @@ func TestStreamedRewriteMatchesOracle(t *testing.T) {
 }
 
 // TestRewriteTranscodesTyped: a rewrite moves the records its inputs
-// hold typed as views and the rest as lines, and the file it writes is,
-// byte for byte, the one the all-text rewrite wrote from the same
-// records — every kind of line a store is handed, typed and text records
-// meeting at the boundaries of the input segments, archived and
-// compacted, with and without inputs encoded offline in one DEFLATE
-// write ("v1" in a case's name, where files of the v1 format once stood).
+// hold as the views they decode to, and the file it writes is, byte for
+// byte, the one encoding the same records afresh writes — every kind of
+// record the filter hands over, names no line spells among them,
+// archived and compacted, with and without inputs encoded offline in one
+// DEFLATE write ("v1" in a case's name, where files of the v1 format
+// once stood).
 func TestRewriteTranscodesTyped(t *testing.T) {
 	base := Config{Shards: 1, CompactMin: 1 << 20, SegmentCap: 1 << 30}
 	const v1, v3 = true, false
 	all := shapeRecs(rand.New(rand.NewSource(2)), 1600)
-	kinds := map[string]bool{}
-	wantTyped := 0
-	for _, r := range all {
-		kinds[r.kind] = true
-		if r.typed {
-			wantTyped++
-		}
-	}
-	if len(kinds) != 12 {
-		t.Fatalf("%d kinds of line generated, want 12", len(kinds))
-	}
-	// boundaries counts, at the given record indexes, where a typed record
-	// is followed by a text one and where a text one by a typed.
-	boundaries := func(at []int) (typedText, textTyped int) {
-		for _, i := range at {
-			switch {
-			case all[i-1].typed && !all[i].typed:
-				typedText++
-			case !all[i-1].typed && all[i].typed:
-				textTyped++
-			}
-		}
-		return
-	}
 	for _, tc := range []struct {
 		name string
 		v1   []bool // one sealed input segment per entry: encoded offline?
@@ -295,17 +275,11 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			be := NewMemBackend()
 			per := len(all) / len(tc.v1)
-			var segStarts []int
+			var runs [][]BatchRec
 			for n, v1 := range tc.v1 {
-				if n > 0 {
-					segStarts = append(segStarts, n*per)
-				}
+				runs = append(runs, shapeBatch(all[n*per:(n+1)*per]))
 				if v1 {
-					var in []Rec
-					for _, r := range all[n*per : (n+1)*per] {
-						in = append(in, r.Rec)
-					}
-					createEncoded(t, be, n+1, in)
+					createEncoded(t, be, n+1, runs[n])
 					continue
 				}
 				st, err := Open(be, base)
@@ -314,8 +288,8 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 				}
 				// Small batches: the online writer flushes only between them.
 				var batch []BatchRec
-				for i, r := range all[n*per : (n+1)*per] {
-					if batch = append(batch, BatchRec{Meta: r.Meta, Line: []byte(r.Line)}); len(batch) >= 1+i%5 {
+				for i, r := range runs[n] {
+					if batch = append(batch, r); len(batch) >= 1+i%5 {
 						if err := st.AppendBatch(batch); err != nil {
 							t.Fatal(err)
 						}
@@ -329,9 +303,6 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if a, b := boundaries(segStarts); a == 0 || b == 0 {
-				t.Fatalf("input segments meet typed-to-text %d times and text-to-typed %d; want both", a, b)
-			}
 			recs, in := scanAll(t, be)
 			if len(recs) != len(all) || in.Streams != len(tc.v1) {
 				t.Fatalf("inputs hold %d of %d records in %d streams", len(recs), len(all), in.Streams)
@@ -341,9 +312,6 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 					t.Fatalf("input record %d (%s) is %+v, stored %+v", i, r.kind, recs[i], r.Rec)
 				}
 			}
-			if in.Typed != wantTyped {
-				t.Fatalf("the inputs hold %d typed records, %d are standard", in.Typed, wantTyped)
-			}
 
 			cfg := base
 			cfg.Obs = obs.NewRegistry()
@@ -352,24 +320,20 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 			} else {
 				cfg.CompactMin = len(tc.v1)
 			}
-			// What the rewrite wrote when every record crossed it as a line.
-			var runs [][]Rec
-			for n := range tc.v1 {
-				runs = append(runs, recs[n*per:(n+1)*per])
-			}
+			// What encoding the same records afresh writes.
 			want, err := tierWriter(tc.tier).encodeRuns(runs...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tc.tier == 1 && !bytes.Equal(want, oracleEncode(t, runs, tc.tier)) {
-				t.Fatal("the all-text encoder and the oracle disagree on the archive's bytes")
+				t.Fatal("the encoder and the oracle disagree on the archive's bytes")
 			}
 			st, err := Open(be, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tc.tier == 1 {
-				if err := st.AppendLine(Meta{Time: coldNow}, "now"); err != nil {
+				if err := st.AppendLine(Meta{Time: coldNow, Type: 1}, "now"); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -382,7 +346,7 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 				t.Fatalf("no merged segment: %v (have %v)", err, segmentNames(t, be))
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("the rewrite wrote %d bytes that are not the %d the all-text rewrite writes", len(got), len(want))
+				t.Fatalf("the rewrite wrote %d bytes that are not the %d a fresh encode writes", len(got), len(want))
 			}
 
 			rs := newReaderSegment(merged, 0, 1, len(tc.v1), tc.tier, got)
@@ -395,13 +359,12 @@ func TestRewriteTranscodesTyped(t *testing.T) {
 				}
 				i++
 			})
-			if err != nil || out.Records != len(recs) || out.Typed != wantTyped {
-				t.Fatalf("output scan: %v, %+v; want %d records, %d typed", err, out, len(recs), wantTyped)
+			if err != nil || out.Records != len(recs) {
+				t.Fatalf("output scan: %v, %+v; want %d records", err, out, len(recs))
 			}
 			reg := cfg.Obs
-			typed, text := reg.Counter("store.rewrite_records_typed").Load(), reg.Counter("store.rewrite_records_text").Load()
-			if typed != int64(out.Typed) || text != int64(out.Records-out.Typed) {
-				t.Fatalf("store.rewrite_records_typed/_text = %d/%d, the reader counts %d/%d", typed, text, out.Typed, out.Records-out.Typed)
+			if typed := reg.Counter("store.rewrite_records_typed").Load(); typed != int64(out.Records) {
+				t.Fatalf("store.rewrite_records_typed = %d, the reader counts %d", typed, out.Records)
 			}
 			if n := reg.Counter("store.maintain_errors").Load(); n != 0 {
 				t.Fatalf("store.maintain_errors = %d", n)
@@ -431,7 +394,7 @@ func TestRewriteSizesByInputs(t *testing.T) {
 		}
 		for n := 0; n < inputs; n++ {
 			for _, r := range all[n*60 : (n+1)*60] {
-				if err := st.AppendLine(r.Meta, r.Line); err != nil {
+				if err := st.AppendBatch([]BatchRec{r.batchRec()}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -453,7 +416,7 @@ func TestRewriteSizesByInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tier == 1 {
-			if err := st.AppendLine(Meta{Time: coldNow}, "now"); err != nil {
+			if err := st.AppendLine(Meta{Time: coldNow, Type: 1}, "now"); err != nil {
 				t.Fatal(err)
 			}
 			err = st.Maintain()
@@ -551,10 +514,11 @@ func TestRewriteCountsFailedRemove(t *testing.T) {
 		m, line := compRec(i)
 		want[line] = m
 	}
-	if err := st.AppendLine(Meta{Time: coldNow}, "now"); err != nil {
+	now := Meta{Time: coldNow, Type: 1}
+	if err := st.AppendLine(now, recLine(now)); err != nil {
 		t.Fatal(err)
 	}
-	want["now"] = Meta{Time: coldNow}
+	want[recLine(now)] = now
 	be.refuse = 1
 	if err := st.Flush(); err != nil {
 		t.Fatalf("Flush with one input stuck = %v, want the rewrite to stand", err)
@@ -641,7 +605,7 @@ func TestRewriteCorruptInputTouchesNothing(t *testing.T) {
 	for n := 0; n < 3; n++ {
 		appendSealed(t, st, n*40, 40)
 	}
-	if err := st.AppendLine(Meta{Time: coldNow}, "now"); err != nil {
+	if err := st.AppendLine(Meta{Time: coldNow, Type: 1}, "now"); err != nil {
 		t.Fatal(err)
 	}
 	be.bad = true
@@ -709,7 +673,7 @@ func TestAppendOutlivesFailedMaintenance(t *testing.T) {
 		recs := make([]BatchRec, per)
 		for i := range recs {
 			m, line := compRec(b*per + i) // machines 0..5: both shards in every batch
-			recs[i] = BatchRec{Meta: m, Line: []byte(line)}
+			recs[i] = lineRec(m, line)
 			want[line] = m
 		}
 		if err := st.AppendBatch(recs); err != nil {
@@ -765,9 +729,8 @@ func TestAppendOutlivesFailedMaintenance(t *testing.T) {
 
 // archiveAllocs builds a store holding eight cold sealed segments of
 // perSegment records and one hot record, and returns the heap
-// allocations of the one Maintain call that archives them, beside the
-// number of tokens the archive's dictionary defines.
-func archiveAllocs(t *testing.T, perSegment int) (allocs uint64, dictTokens int) {
+// allocations of the one Maintain call that archives them.
+func archiveAllocs(t *testing.T, perSegment int) uint64 {
 	t.Helper()
 	reg := obs.NewRegistry()
 	be := NewMemBackend()
@@ -781,7 +744,7 @@ func archiveAllocs(t *testing.T, perSegment int) (allocs uint64, dictTokens int)
 	for n := 0; n < archiveRunMax; n++ {
 		appendSealed(t, st, n*perSegment, perSegment)
 	}
-	if err := st.AppendLine(Meta{Time: coldNow}, "now"); err != nil {
+	if err := st.AppendLine(Meta{Time: coldNow, Type: 1}, "now"); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -800,18 +763,16 @@ func archiveAllocs(t *testing.T, perSegment int) (allocs uint64, dictTokens int)
 	}
 	d := AcquireDecoder()
 	defer ReleaseDecoder(d)
-	if _, err := newReaderSegment("", 0, 0, 0, 0, data).ScanViews(d, func(Meta, *trace.View, []byte) {}); err != nil {
+	if _, err := newReaderSegment("", 0, 0, 0, 0, data).ScanViews(d, func(Meta, *trace.View) {}); err != nil {
 		t.Fatal(err)
 	}
-	return after.Mallocs - before.Mallocs, len(d.dict)
+	return after.Mallocs - before.Mallocs
 }
 
 // With the encoder and decoder pools warm, an archive run allocates per
-// input file, per output file and per token the output's dictionary
-// defines (one each, its key in the encoder's map; at most
-// maxDictEntries tokens a file, as on the ingest path), never per record: no flate.Writer
-// is built, no line becomes a string. Eight times the records must cost
-// the same few allocations.
+// input file and per output file, never per record: no flate.Writer is
+// built, no line becomes a string. Eight times the records must cost the
+// same few allocations.
 func TestArchiveRewriteNoAllocPerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
@@ -823,11 +784,10 @@ func TestArchiveRewriteNoAllocPerRecord(t *testing.T) {
 	archiveAllocs(t, 400) // warm the pools and their buffers
 	const perRun = 64     // measured 12: one per input, the output's copy, its name and info
 	for _, perSegment := range []int{50, 400} {
-		allocs, tokens := archiveAllocs(t, perSegment)
-		rest := int(allocs) - tokens
-		t.Logf("archive run of %d records: %d allocations, %d dictionary tokens, %d besides", archiveRunMax*perSegment, allocs, tokens, rest)
-		if rest > perRun {
-			t.Errorf("archive run of %d records allocates %d besides its dictionary, want <= %d whatever the count", archiveRunMax*perSegment, rest, perRun)
+		allocs := archiveAllocs(t, perSegment)
+		t.Logf("archive run of %d records: %d allocations", archiveRunMax*perSegment, allocs)
+		if allocs > perRun {
+			t.Errorf("archive run of %d records allocates %d, want <= %d whatever the count", archiveRunMax*perSegment, allocs, perRun)
 		}
 	}
 }

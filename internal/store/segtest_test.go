@@ -9,10 +9,9 @@ import (
 // view of a segment; ParseSegment and encodeSealed are the whole-file
 // decode and encode of records in memory.
 
-// Scan streams a segment's records through fn as text: the line of a
-// record stored typed is regenerated from its view, any other is the
-// stored bytes. Everything else is ScanViews'. The line passed to fn is
-// only valid during the call. Only tests want a segment as text.
+// Scan streams a segment's records through fn as text: each line is
+// rendered from its view. Everything else is ScanViews'. The line passed
+// to fn is only valid during the call. Only tests want a segment as text.
 func (rs *ReaderSegment) Scan(d *Decoder, fn func(Meta, []byte)) (ScanStats, error) {
 	return rs.ScanViews(d, d.lines(fn))
 }
@@ -30,22 +29,32 @@ func ParseSegment(data []byte) (*Segment, error) {
 	return newReaderSegment("", 0, 0, 0, 0, data).Load()
 }
 
-// encodeSealed encodes records in memory as one sealed segment, as a
-// rewrite of one input writes it (encodeRuns).
+// encodeSealed encodes records given as their lines (lineRecs) in memory
+// as one sealed segment, as a rewrite of one input writes it
+// (encodeRuns).
 func (w *compWriter) encodeSealed(recs []Rec) ([]byte, error) {
-	return w.encodeRuns(recs)
+	return w.encodeRuns(lineRecs(recs))
+}
+
+// lineRecs types records given as their lines (lineRec).
+func lineRecs(recs []Rec) []BatchRec {
+	out := make([]BatchRec, len(recs))
+	for i, r := range recs {
+		out[i] = lineRec(r.Meta, r.Line)
+	}
+	return out
 }
 
 // encodeRuns encodes runs of records in memory as one sealed segment, as
-// a rewrite of one input per run writes it: every record handed over as
-// its line, each run's payload pushed through DEFLATE in one write.
-func (w *compWriter) encodeRuns(runs ...[]Rec) ([]byte, error) {
+// a rewrite of one input per run writes it: every record staged from its
+// Slots, each run's payload pushed through DEFLATE in one write.
+func (w *compWriter) encodeRuns(runs ...[]BatchRec) ([]byte, error) {
 	w.openSegment()
 	var x Index
 	raw := 0
 	for _, run := range runs {
 		for _, r := range run {
-			w.add(r.Meta, nil, []byte(r.Line))
+			w.stage(r.Meta, r.Line, r.Slots)
 			x.Add(r.Meta)
 			raw += FrameSize(len(r.Line))
 		}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -47,8 +46,9 @@ func tinySegments(t *testing.T, be Backend, n int) []string {
 	}
 	var lines []string
 	for i := 0; i < n; i++ {
-		line := fmt.Sprintf("RECEIVE pid=100 seq=%d", i)
-		if err := st.AppendLine(Meta{Machine: 0, Time: uint32(1000 + i), Type: 3, PID: 100}, line); err != nil {
+		m := Meta{Machine: 0, Time: uint32(1000 + i), Type: 3, PID: 100}
+		line := recLine(m, uint64(i))
+		if err := st.AppendLine(m, line); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Flush(); err != nil {
@@ -84,6 +84,9 @@ func segmentNames(t *testing.T, be Backend) []string {
 	return names
 }
 
+// hot is the record archival's store takes first.
+var hot = Meta{Machine: 0, Time: 100_000, Type: 3, PID: 100}
+
 // merges are the two maintenance passes that replace a run of segments
 // with one: each returns a store over be whose Flush performs the
 // merge.
@@ -100,7 +103,7 @@ var merges = []struct {
 			return nil, err
 		}
 		// One hot record far in the future makes the existing run cold.
-		return st, st.AppendLine(Meta{Machine: 0, Time: 100_000, Type: 3, PID: 100}, "RECEIVE pid=100 seq=hot")
+		return st, st.AppendLine(hot, recLine(hot))
 	}},
 }
 
@@ -131,7 +134,7 @@ func TestOpenReaderMergeBetweenListAndRead(t *testing.T) {
 				t.Fatalf("reader listed %d times: it never saw the stale listing", be.lists)
 			}
 			if m.name == "archival" {
-				want = append(want, "RECEIVE pid=100 seq=hot")
+				want = append(want, recLine(hot))
 			}
 			sort.Strings(want)
 			if !reflect.DeepEqual(got, want) {
@@ -159,7 +162,7 @@ func TestSnapshotBothGenerationsListed(t *testing.T) {
 				t.Fatal(err)
 			}
 			if m.name == "archival" {
-				want = append(want, "RECEIVE pid=100 seq=hot")
+				want = append(want, recLine(hot))
 			}
 			sort.Strings(want)
 			both := segmentNames(t, mem)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dpm/internal/meter"
 	"dpm/internal/obs"
 	"dpm/internal/trace"
 )
@@ -233,9 +234,7 @@ type Store struct {
 	obsRawBytes    *obs.Counter
 	obsCompBytes   *obs.Counter
 	obsTyped       *obs.Counter
-	obsText        *obs.Counter
 	obsRewTyped    *obs.Counter
-	obsRewText     *obs.Counter
 	appendNS       *obs.Histogram
 	rotateNS       *obs.Histogram
 	compactNS      *obs.Histogram
@@ -292,9 +291,7 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		obsRawBytes:    reg.Counter("store.raw_bytes"),
 		obsCompBytes:   reg.Counter("store.compressed_bytes"),
 		obsTyped:       reg.Counter("store.records_typed"),
-		obsText:        reg.Counter("store.records_text"),
 		obsRewTyped:    reg.Counter("store.rewrite_records_typed"),
-		obsRewText:     reg.Counter("store.rewrite_records_text"),
 		appendNS:       reg.Histogram("store.append_ns"),
 		rotateNS:       reg.Histogram("store.rotate_ns"),
 		compactNS:      reg.Histogram("store.compact_ns"),
@@ -404,9 +401,9 @@ func (s *Store) noteTime(t uint64) {
 // compressed bytes are appended. The records
 // are counted (store.appends) here, once the backend holds them, so a
 // batch that fails part-way still counts what it made durable. A backend
-// error abandons the whole active segment — the encoder's dictionary
-// and delta state can no longer be reconciled with the file, whose
-// durable prefix the next Open salvages. Caller holds sh.mu.
+// error abandons the whole active segment — the encoder's delta state
+// can no longer be reconciled with the file, whose durable prefix the
+// next Open salvages. Caller holds sh.mu.
 func (s *Store) flushLocked(sh *shard) error {
 	w := sh.cw
 	if w == nil || w.stagedN == 0 { // nil: a shard visited with no record of the batch
@@ -426,8 +423,7 @@ func (s *Store) flushLocked(sh *shard) error {
 	sh.active.Bytes += stagedV1
 	s.obsAppends.Add(int64(len(sh.pending)))
 	s.obsTyped.Add(int64(w.nTyped))
-	s.obsText.Add(int64(w.nText))
-	w.nTyped, w.nText = 0, 0
+	w.nTyped = 0
 	var tmax uint64
 	for _, m := range sh.pending {
 		sh.active.Index.Add(m)
@@ -467,14 +463,12 @@ func (s *Store) abandonLocked(sh *shard) {
 	s.obsAbandoned.Inc()
 }
 
-// BatchRec is one record of an AppendBatch call. Line and Slots alias
+// BatchRec is one record of an AppendBatch call: Meta, which gives its
+// machine, cpuTime and event type, and Slots, the body it is stored as.
+// Line is the record's log line, Slots.AppendLine of the Meta; the store
+// reads only its length, the record's size. Line and Slots alias
 // caller-owned memory, are only read, and are fully consumed before
-// AppendBatch returns, so callers can reuse the backing buffers. Slots,
-// when set, is the record typed, and is encoded without parsing Line: it
-// must be what Line parses to (ParseStandard accepts Line, with Meta as
-// its header and the slots as its fields). Nothing checks that per
-// record; internal/filter's tests prove it of what the filter hands over.
-// With Slots nil the store parses Line to choose the shape.
+// AppendBatch returns, so callers can reuse the backing buffers.
 type BatchRec struct {
 	Meta  Meta
 	Line  []byte
@@ -490,10 +484,17 @@ type BatchRec struct {
 // segment still rotates after the record that brings it to SegmentCap,
 // so it overshoots the cap by less than that record's FrameSize. On an
 // error the records flushed before it stay appended and counted; the
-// failing shard's staged ones are dropped.
+// failing shard's staged ones are dropped. A batch holding a record
+// without Slots, or of an event type trace does not know, is refused
+// whole, before anything is staged.
 func (s *Store) AppendBatch(recs []BatchRec) error {
 	if len(recs) == 0 {
 		return nil
+	}
+	for i := range recs {
+		if recs[i].Slots == nil || recs[i].Meta.Type-1 >= uint32(meter.EvTermProc) {
+			return fmt.Errorf("store: batch record %d of type %d has no typed body", i, recs[i].Meta.Type)
+		}
 	}
 	span := obs.StartSpan(s.appendNS)
 	nshards := len(s.shards)
@@ -631,7 +632,6 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 		s.obsArchiveOut.Add(int64(merged.DiskBytes))
 	}
 	s.obsRewTyped.Add(int64(w.nTyped))
-	s.obsRewText.Add(int64(w.nText))
 	return nil
 }
 
@@ -639,9 +639,8 @@ func (s *Store) rewriteLocked(sh *shard, i, j, tier int) (err error) {
 // one sealed segment out names, through w, and fills in out's index and
 // sizes; it returns the bytes it read. No record is materialized: each
 // input is borrowed from the backend and scanned through a pooled
-// decoder straight into the encoder, a record stored typed as the view
-// it decodes to, no line built, parsed or measured, a text record as its
-// line (compWriter.add). Nothing is sized per record: each input counts
+// decoder straight into the encoder as the view it decodes to, no line
+// built, parsed or measured (compWriter.add). Nothing is sized per record: each input counts
 // whole, at the v1-equivalent bytes it was recorded at (its Bytes, its
 // tail's raw total), so out's Bytes are its inputs' sum, and its staged
 // payload goes through DEFLATE in one write. Without salvage every input
@@ -654,9 +653,9 @@ func (s *Store) rewrite(w *compWriter, ins []*SegmentInfo, out *SegmentInfo, sal
 	w.openSegment()
 	d := AcquireDecoder()
 	defer ReleaseDecoder(d)
-	scan := func(m Meta, v *trace.View, line []byte) {
+	scan := func(m Meta, v *trace.View) {
 		out.Index.Add(m)
-		w.add(m, v, line)
+		w.add(m, v)
 	}
 	raw := 0
 	for _, info := range ins {
@@ -833,7 +832,7 @@ func (rs *ReaderSegment) verify(d *Decoder) bool {
 	if !rs.Sealed {
 		return false
 	}
-	st, err := rs.ScanViews(d, func(Meta, *trace.View, []byte) {})
+	st, err := rs.ScanViews(d, func(Meta, *trace.View) {})
 	return err == nil && st.Records == int(rs.Index.Count)
 }
 

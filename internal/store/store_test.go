@@ -2,23 +2,22 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"dpm/internal/obs"
 )
 
-func rec(machine uint16, t, typ, pid uint32, line string) (Meta, string) {
-	return Meta{Machine: machine, Time: t, Type: typ, PID: pid}, line
+// rec is a record of the given Meta whose pc is n, and its line.
+func rec(machine uint16, t, typ, pid uint32, n int) (Meta, string) {
+	m := Meta{Machine: machine, Time: t, Type: typ, PID: pid}
+	return m, recLine(m, uint64(n))
 }
 
 func fill(t *testing.T, st *Store, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		m, line := rec(uint16(i%4), uint32(i*10), uint32(i%8+1), uint32(100+i%4),
-			fmt.Sprintf("line %d payload padding to some reasonable width", i))
+		m, line := rec(uint16(i%4), uint32(i*10), uint32(i%8+1), uint32(100+i%4), i)
 		if err := st.AppendLine(m, line); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -66,8 +65,8 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Fatalf("duplicate record %q", r.Line)
 		}
 		seen[r.Line] = true
-		if !strings.HasPrefix(r.Line, "line ") {
-			t.Fatalf("mangled line %q", r.Line)
+		if want := recLine(r.Meta, uint64(r.Meta.Time/10)); r.Line != want {
+			t.Fatalf("mangled line %q, want %q", r.Line, want)
 		}
 	}
 }
@@ -119,8 +118,10 @@ func TestStoreCompaction(t *testing.T) {
 	}
 	// Seal lots of tiny segments by flushing after every append; the
 	// trailing run of small segments should collapse.
+	var lines []string
 	for i := 0; i < 9; i++ {
-		m, line := rec(0, uint32(i), 1, 100, fmt.Sprintf("tiny %d", i))
+		m, line := rec(0, uint32(i), 1, 100, i)
+		lines = append(lines, line)
 		if err := st.AppendLine(m, line); err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestStoreCompaction(t *testing.T) {
 	}
 	// Compaction must preserve append order within the shard.
 	for i, r := range recs {
-		if want := fmt.Sprintf("tiny %d", i); r.Line != want {
+		if want := lines[i]; r.Line != want {
 			t.Fatalf("record %d = %q, want %q", i, r.Line, want)
 		}
 	}
@@ -158,7 +159,8 @@ func TestStoreRecovery(t *testing.T) {
 	be := NewMemBackend()
 	var recs []Rec
 	for i := 0; i < 10; i++ {
-		recs = append(recs, Rec{Meta{Machine: 0, Time: uint32(i * 10), Type: 1, PID: 100}, fmt.Sprintf("line %d of a crashed writer", i)})
+		m := Meta{Machine: 0, Time: uint32(i * 10), Type: 1, PID: 100}
+		recs = append(recs, Rec{m, recLine(m, uint64(i))})
 	}
 	if err := be.Create(segName(0, 1, 1, 0), encodeUnsealed(recs, true)); err != nil {
 		t.Fatal(err)
@@ -185,7 +187,7 @@ func TestStoreRecovery(t *testing.T) {
 		}
 	}
 	// And the recovered store keeps accepting appends past the salvage.
-	m, line := rec(0, 999, 1, 100, "after recovery")
+	m, line := rec(0, 999, 1, 100, 999)
 	if err := st2.AppendLine(m, line); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,8 @@ func TestStoreRecovery(t *testing.T) {
 func TestParseSegmentSealedCorruption(t *testing.T) {
 	var recs []Rec
 	for i := 0; i < 5; i++ {
-		recs = append(recs, Rec{Meta{Machine: 1, Time: uint32(i), Type: 1, PID: 7}, fmt.Sprintf("line %d", i)})
+		m := Meta{Machine: 1, Time: uint32(i), Type: 1, PID: 7}
+		recs = append(recs, Rec{m, recLine(m, uint64(i))})
 	}
 	sealed, err := newCompWriter().encodeSealed(recs)
 	if err != nil {
@@ -229,7 +232,8 @@ func TestParseSegmentSealedCorruption(t *testing.T) {
 func TestParseSegmentUnsealedTruncation(t *testing.T) {
 	var recs []Rec
 	for i := 0; i < 5; i++ {
-		recs = append(recs, Rec{Meta{Machine: 1, Time: uint32(i)}, fmt.Sprintf("line %d", i)})
+		m := Meta{Machine: 1, Time: uint32(i), Type: 1}
+		recs = append(recs, Rec{m, recLine(m, uint64(i))})
 	}
 	// Clean unsealed scan: an active segment.
 	seg, err := ParseSegment(encodeUnsealed(recs, false))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"dpm/internal/meter"
@@ -14,98 +13,61 @@ import (
 	"dpm/internal/trace"
 )
 
-// shapeRec is one record of the shape tests: what is stored, and the
-// shape the writer must give it.
+// shapeRec is one record of the shape tests as the filter hands it
+// over — its Meta, its Slots, and the line a read gives back — and what
+// kind of record it is.
 type shapeRec struct {
 	Rec
 	kind  string
-	typed bool
+	slots *trace.Slots
 }
 
-// storedOrder is the order the standard descriptions store each event
-// type's body fields in (trace's canonicalOrder, spelled out).
-var storedOrder = map[meter.Type][]string{
-	meter.EvSend:       {"pid", "pc", "sock", "msgLength", "destNameLen", "destName"},
-	meter.EvRecvCall:   {"pid", "pc", "sock"},
-	meter.EvRecv:       {"pid", "pc", "sock", "msgLength", "sourceNameLen", "sourceName"},
-	meter.EvSocket:     {"pid", "pc", "sock", "domain", "type", "protocol"},
-	meter.EvDup:        {"pid", "pc", "sock", "newSock"},
-	meter.EvDestSocket: {"pid", "pc", "sock"},
-	meter.EvConnect:    {"pid", "pc", "sock", "sockNameLen", "peerNameLen", "sockName", "peerName"},
-	meter.EvAccept:     {"pid", "pc", "sock", "newSock", "sockNameLen", "peerNameLen", "sockName", "peerName"},
-	meter.EvFork:       {"pid", "pc", "newPid"},
-	meter.EvTermProc:   {"pid", "pc", "status"},
+// batchRec is the record as AppendBatch takes it.
+func (r shapeRec) batchRec() BatchRec {
+	return BatchRec{Meta: r.Meta, Line: []byte(r.Line), Slots: r.slots}
 }
 
-// shapeRecs makes n seeded records of every kind of line a store is
-// handed: what the standard filter writes, whole and with fields
-// discarded (typed), and everything else (text) — wide, foreign-keyed,
-// hex, octal, a repeated key, a number no uint64 holds, unreadable, a
-// header that is not the Meta, a Meta type of another type slot. The
-// clock advances with ties; the Meta is the line's own unless the kind
-// says otherwise.
+// shapeBatch is the records as AppendBatch takes them.
+func shapeBatch(recs []shapeRec) []BatchRec {
+	out := make([]BatchRec, len(recs))
+	for i, r := range recs {
+		out[i] = r.batchRec()
+	}
+	return out
+}
+
+// shapeRecs makes n seeded records of every kind the filter hands a
+// store: whole, with fields discarded, and with a socket name no line
+// spells — a path with a blank, an unset name with bytes set, a family
+// written in hex. The clock advances with ties.
 func shapeRecs(rng *rand.Rand, n int) []shapeRec {
-	names := []meter.Name{{}, meter.InetName(7, 80), meter.InetName(1<<31, 65535), meter.UnixName("/tmp/srv"), meter.PairName(3)}
+	names := []meter.Name{{}, meter.InetName(7, 80), meter.InetName(1<<31, 65535), meter.UnixName("/tmp/srv"), meter.PairName(3),
+		meter.UnixName("/tmp/a b"), {0, 0, 1, 2, 3}, {9, 0, 0xff}}
 	out := make([]shapeRec, 0, n)
 	for i := 0; i < n; i++ {
 		typ := meter.Type(1 + rng.Intn(10))
 		m := Meta{Machine: uint16(rng.Intn(4)), Time: uint32(i/3*40 + rng.Intn(2)*5), Type: uint32(typ), PID: uint32(100 + rng.Intn(4))}
-		var body []string
-		for _, key := range storedOrder[typ] {
-			val := fmt.Sprint(rng.Intn(3) * rng.Intn(1<<uint(1+rng.Intn(31))))
+		r := shapeRec{kind: "whole", slots: new(trace.Slots)}
+		r.slots.Reset(int64(rng.Intn(4) * 10))
+		keys, nameKeys := trace.SlotKeys(typ, typ.String())
+		for k := range keys {
 			switch {
-			case key == "pid":
-				val = fmt.Sprint(m.PID)
-			case strings.HasSuffix(key, "Name"):
-				val = names[rng.Intn(len(names))].String()
+			case k == 0:
+				r.slots.SetVal(0, uint64(m.PID))
+			case nameKeys>>k&1 != 0:
+				j := rng.Intn(len(names))
+				if r.slots.SetName(k, names[j]); j >= 5 {
+					r.kind = "odd name"
+				}
+			default:
+				r.slots.SetVal(k, uint64(rng.Intn(3)*rng.Intn(1<<uint(1+rng.Intn(31)))))
 			}
-			body = append(body, key+"="+val)
 		}
-		head := fmt.Sprintf("%v machine=%d cpuTime=%d procTime=%d", typ, m.Machine, m.Time, rng.Intn(4)*10)
-		r := shapeRec{kind: "standard", typed: true}
-		switch k := rng.Intn(24); {
-		case k < 10:
-		case k < 14:
+		if rng.Intn(4) == 0 {
 			r.kind = "discard"
-			kept := body[:0]
-			for _, f := range body {
-				if rng.Intn(3) > 0 {
-					kept = append(kept, f)
-				}
-			}
-			body = kept
-		default:
-			r.typed = false
-			switch k {
-			case 14:
-				r.kind = "wide"
-				for j := 0; j < 17; j++ {
-					body = append(body, fmt.Sprintf("extra%d=%d", j, j))
-				}
-			case 15:
-				r.kind, body = "foreign key", append(body, "where=unix:/x")
-			case 16:
-				r.kind, body[0] = "hex", fmt.Sprintf("pid=%#x", m.PID)
-			case 17:
-				r.kind, body[1] = "octal", "pc=017"
-			case 18:
-				r.kind, body = "repeated key", append(body, "pid=104")
-				m.PID = 104
-			case 19:
-				r.kind, body[1] = "20 digits", "pc=99999999999999999999"
-			case 20:
-				r.kind, head, body = "unreadable", "NOT A TRACE LINE", nil
-			case 21:
-				r.kind = "header is not the Meta"
-				m.Time++
-			case 22:
-				r.kind = "type of another slot"
-				m.Type += nameSlots
-			case 23:
-				r.kind, body = "out of order", append(body[1:], body[0])
-			}
+			r.slots.Drop(uint8(rng.Intn(256)))
 		}
-		r.Rec = Rec{Meta: m, Line: strings.Join(append([]string{head}, body...), " ")}
+		r.Rec = Rec{m, string(r.slots.AppendLine(nil, typ, int(m.Machine), int64(m.Time)))}
 		out = append(out, r)
 	}
 	return out
@@ -128,16 +90,14 @@ func scanAll(t *testing.T, be Backend) ([]Rec, ScanStats) {
 		if err != nil && !errors.Is(err, ErrTruncated) {
 			t.Fatalf("%s: %v", rs.Name, err)
 		}
-		sum.Streams, sum.Records, sum.Typed = sum.Streams+st.Streams, sum.Records+st.Records, sum.Typed+st.Typed
+		sum.Streams, sum.Records = sum.Streams+st.Streams, sum.Records+st.Records
 	}
 	return got, sum
 }
 
-// TestShapesReturnEveryLine: whatever it is handed, the store hands
-// back byte for byte, in order, sealed, archived or from an unsealed
-// tail; and the typed shape is taken exactly for the standard lines
-// whose header is the record's Meta — by the writer's count, by the
-// reader's, and by the view's own word.
+// TestShapesReturnEveryLine: every record the store is handed it hands
+// back as its line, in order, sealed, archived or from an unsealed tail,
+// each counted typed by the writer once.
 func TestShapesReturnEveryLine(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -148,26 +108,16 @@ func TestShapesReturnEveryLine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTyped := 0
 		kinds := map[string]int{}
 		var batch []BatchRec
 		for i, r := range recs {
-			var v trace.View
-			m := r.Meta
-			oracle := v.ParseStandard([]byte(r.Line)) && v.Machine == int(m.Machine) && v.CPUTime == int64(m.Time) && uint32(v.Type) == m.Type
-			if oracle != r.typed {
-				t.Fatalf("seed %d: %s line %q with %+v: standard with its Meta in the header = %v", seed, r.kind, r.Line, m, oracle)
-			}
-			if r.typed {
-				wantTyped++
-			}
 			// Singly (a flush, and a sync marker, after every record) and in
 			// batches of odd sizes.
 			if i%400 < 40 && len(batch) == 0 {
-				if err := st.AppendLine(m, r.Line); err != nil {
+				if err := st.AppendBatch([]BatchRec{r.batchRec()}); err != nil {
 					t.Fatal(err)
 				}
-			} else if batch = append(batch, BatchRec{Meta: m, Line: []byte(r.Line)}); len(batch) >= 1+i%7 {
+			} else if batch = append(batch, r.batchRec()); len(batch) >= 1+i%7 {
 				if err := st.AppendBatch(batch); err != nil {
 					t.Fatal(err)
 				}
@@ -178,8 +128,8 @@ func TestShapesReturnEveryLine(t *testing.T) {
 		if err := st.AppendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-		if len(kinds) != 12 {
-			t.Fatalf("seed %d: %d kinds of line generated, want 12: %v", seed, len(kinds), kinds)
+		if len(kinds) != 3 {
+			t.Fatalf("seed %d: %d kinds of record generated, want 3: %v", seed, len(kinds), kinds)
 		}
 		got, sum := scanAll(t, be)
 		if len(got) != len(recs) {
@@ -190,16 +140,14 @@ func TestShapesReturnEveryLine(t *testing.T) {
 				t.Fatalf("seed %d record %d (%s):\n got %+v\nwant %+v", seed, i, r.kind, got[i], r.Rec)
 			}
 		}
-		typed, text := reg.Counter("store.records_typed").Load(), reg.Counter("store.records_text").Load()
-		if sum.Typed != wantTyped || typed != int64(wantTyped) || text != int64(len(recs)-wantTyped) {
-			t.Fatalf("seed %d: %d standard records; scans saw %d typed, the writer counted %d typed and %d text of %d",
-				seed, wantTyped, sum.Typed, typed, text, len(recs))
+		if typed := reg.Counter("store.records_typed").Load(); typed != int64(len(recs)) || sum.Records != len(recs) {
+			t.Fatalf("seed %d: the writer counted %d typed, the scans %d records, of %d", seed, typed, sum.Records, len(recs))
 		}
 		if sum.Streams < 10 {
 			t.Fatalf("seed %d: %d segments; the run is meant to cross many segment boundaries", seed, sum.Streams)
 		}
-		// Sealed, with the cold segments archived: rewritten through text,
-		// the same lines in the same shapes.
+		// Sealed, with the cold segments archived: rewritten as views, the
+		// same lines.
 		if err := st.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -210,9 +158,9 @@ func TestShapesReturnEveryLine(t *testing.T) {
 		if archived == 0 {
 			t.Fatalf("seed %d: nothing archived", seed)
 		}
-		again, sum2 := scanAll(t, be)
-		if len(again) != len(got) || sum2.Typed != wantTyped {
-			t.Fatalf("seed %d: after sealing and archiving %d records, %d typed; before %d, %d", seed, len(again), sum2.Typed, len(got), wantTyped)
+		again, _ := scanAll(t, be)
+		if len(again) != len(got) {
+			t.Fatalf("seed %d: after sealing and archiving %d records; before %d", seed, len(again), len(got))
 		}
 		for i := range got {
 			if again[i] != got[i] {
@@ -222,23 +170,16 @@ func TestShapesReturnEveryLine(t *testing.T) {
 	}
 }
 
-// TestTypedSegmentsDecodeAlone: typed records are deltas against the
-// last record of their type in the same segment and no further, and the
-// dictionary is the segment's own — segments one pooled writer encodes
-// in a row decode with one reused decoder, each alone, in any order —
-// and the text lines sharing a type slot with typed records, or with
-// each other across types, disturb nothing.
+// TestTypedSegmentsDecodeAlone: records are deltas against the last
+// record of their type in the same segment and no further — segments
+// one pooled writer encodes in a row decode with one reused decoder,
+// each alone, in any order.
 func TestTypedSegmentsDecodeAlone(t *testing.T) {
 	var recs []Rec
 	for i := 0; i < 600; i++ {
 		m := Meta{Machine: 1, Time: uint32(i), Type: uint32(meter.EvSend), PID: uint32(100 + i%3)}
 		line := fmt.Sprintf("SEND machine=1 cpuTime=%d procTime=%d pid=%d pc=%d sock=3 msgLength=%d destNameLen=16 destName=inet:%d:80", i, i/7*10, m.PID, 16384+i%5, 16+i*37%2000, i%2)
-		switch i % 5 {
-		case 1: // text, in the slot of the typed SENDs
-			line += " note=1"
-		case 2: // text under a type that shares SEND's slot
-			m.Type += nameSlots
-		case 3: // typed, of another type
+		if i%5 == 3 {
 			m.Type = uint32(meter.EvFork)
 			line = fmt.Sprintf("FORK machine=1 cpuTime=%d procTime=0 pid=%d pc=7 newPid=%d", i, m.PID, 200+i)
 		}
@@ -256,7 +197,6 @@ func TestTypedSegmentsDecodeAlone(t *testing.T) {
 	}
 	d := AcquireDecoder()
 	defer ReleaseDecoder(d)
-	typed := 0
 	for _, k := range rand.New(rand.NewSource(1)).Perm(len(segs)) {
 		i := k * per
 		st, err := segs[k].Scan(d, func(m Meta, line []byte) {
@@ -268,10 +208,6 @@ func TestTypedSegmentsDecodeAlone(t *testing.T) {
 		if err != nil || i != (k+1)*per {
 			t.Fatalf("segment %d alone: %v, records %d..%d of %d..%d, stats %+v", k, err, k*per, i, k*per, (k+1)*per, st)
 		}
-		typed += st.Typed
-	}
-	if typed != len(recs)*3/5 {
-		t.Fatalf("%d of %d records typed, want three in five", typed, len(recs))
 	}
 }
 
@@ -290,7 +226,7 @@ func TestTornTypedTailSalvage(t *testing.T) {
 	for _, r := range shapeRecs(rand.New(rand.NewSource(9)), 60) {
 		want = append(want, r.Rec)
 		// A sync marker after one record, then after three, and so on.
-		if batch = append(batch, BatchRec{Meta: r.Meta, Line: []byte(r.Line)}); len(batch) == 1+len(want)/2%2*2 {
+		if batch = append(batch, r.batchRec()); len(batch) == 1+len(want)/2%2*2 {
 			if err := st.AppendBatch(batch); err != nil {
 				t.Fatal(err)
 			}
@@ -332,9 +268,9 @@ func TestTornTypedTailSalvage(t *testing.T) {
 	if _, err := Open(be, Config{Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
-	got, sum := scanAll(t, be)
-	if len(got) == 0 || len(got) >= len(want) || sum.Typed == 0 {
-		t.Fatalf("recovered %d of %d records, %d typed", len(got), len(want), sum.Typed)
+	got, _ := scanAll(t, be)
+	if len(got) == 0 || len(got) >= len(want) {
+		t.Fatalf("recovered %d of %d records", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
@@ -343,102 +279,108 @@ func TestTornTypedTailSalvage(t *testing.T) {
 	}
 }
 
-// checkLazyView holds a view a decoder read typed, before anything has
-// filled it, to a copy forced to fill (by AppendLine): Field, FieldOf and
-// NameField answer the same for every key of every type, the header
-// names, traceType, a foreign key and ""; Event, AppendLine and
-// AppendTyped, each the first thing asked of a fresh copy, give the
-// same bytes.
-func checkLazyView(t *testing.T, lazy *trace.View) {
-	t.Helper()
-	filled := *lazy
-	filled.AppendLine(nil, nil)
-	keys := []string{"machine", "cpuTime", "procTime", "type", "traceType", "noSuchKey", ""}
-	for _, order := range storedOrder {
-		keys = append(keys, order...)
+// standardName reports whether a line can spell the name, so that what
+// AppendText writes for it parses back to all sixteen bytes: unset,
+// Internet with nothing past the host, or a UNIX-domain or socketpair
+// path of printable bytes, NUL-padded.
+func standardName(n meter.Name) bool {
+	switch n.Family() {
+	case meter.AFUnspec:
+		return n.IsZero()
+	case meter.AFInet:
+		return [8]byte(n[8:]) == [8]byte{}
+	case meter.AFUnix, meter.AFPair:
+		path := bytes.TrimRight(n[2:], "\x00")
+		return !bytes.ContainsFunc(path, func(r rune) bool { return r <= ' ' || r >= 0x7f })
 	}
-	for _, k := range keys {
-		ref := trace.NewFieldRef(k)
-		lv, lok := lazy.Field(k)
-		rv, rok := lazy.FieldOf(&ref)
-		fv, fok := filled.Field(k)
-		ln, lnok := lazy.NameOf(&ref)
-		fn, fnok := filled.NameOf(&ref)
-		if lv != fv || lok != fok || rv != fv || rok != fok || ln != fn || lnok != fnok {
-			t.Fatalf("%q: key %q lazy %d, %v / %d, %v / %v, %v; filled %d, %v / %v, %v",
-				filled.AppendLine(nil, nil), k, lv, lok, rv, rok, ln, lnok, fv, fok, fn, fnok)
-		}
-	}
-	var enc1, enc2 trace.TypedState
-	for what, same := range map[string]func(c *trace.View) bool{
-		"Event":      func(c *trace.View) bool { return fmt.Sprint(c.Event()) == fmt.Sprint(filled.Event()) },
-		"AppendLine": func(c *trace.View) bool { return string(c.AppendLine(nil, nil)) == string(filled.AppendLine(nil, nil)) },
-		"AppendTyped": func(c *trace.View) bool {
-			return string(c.AppendTyped(nil, &enc1)) == string(filled.AppendTyped(nil, &enc2))
-		},
-	} {
-		if c := *lazy; !same(&c) {
-			t.Fatalf("%q: %s differs between the lazy view and the filled one", filled.AppendLine(nil, nil), what)
-		}
-	}
+	return false
+}
+
+// typedOf is the typed form of v's record against an empty state: two
+// records have the same one exactly when they hold the same slots.
+func typedOf(v *trace.View) string {
+	var st trace.TypedState
+	return string(v.AppendTyped(nil, &st))
 }
 
 // FuzzTypedPayload feeds arbitrary bytes to the record decoder as a v3
-// segment payload. It must not panic; no record it emits is larger than a
-// frame may be; every view it fills regenerates a line the trace parser
-// reads back as the same record; and the records it emits, transcoded
-// as the cold rewrite moves them — a typed one as its view, any other
-// as its line — decode again to the same Metas and lines.
+// segment payload. It must not panic; no line it renders is larger than
+// a frame may be; every view it decodes, encoded again (AppendTyped) and
+// decoded, holds the same slots; a view whose names are all ones a line
+// spells renders a line the trace parser reads back as the same record;
+// and the records it emits, transcoded as the cold rewrite moves them,
+// decode again to the same Metas, lines and slots.
 func FuzzTypedPayload(f *testing.F) {
 	w := newCompWriter()
 	w.openSegment()
 	for _, r := range shapeRecs(rand.New(rand.NewSource(5)), 80) {
-		w.stage(r.Meta, []byte(r.Line), nil)
+		w.stage(r.Meta, []byte(r.Line), r.slots)
 		if w.stagedN%20 == 0 {
 			f.Add(append([]byte(nil), w.enc...))
 		}
 	}
 	f.Add([]byte{1, 2, 1, 1, 1, 0})
-	// A text record whose opcode is past int's range: a dictionary
-	// reference the decoder once took for a negative index.
-	f.Add([]byte{1, 2, 1, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{1, 2, 1, 1, 3, 0x20, 0x20, 2, 0, 0, 80, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0})
 	for _, c := range craftedPayloads() {
 		f.Add(c.payload)
 	}
+	// What payload version 2 also held: a record of the text shape (shape
+	// byte 0, front-coding lengths, a literal), after a typed one; and an
+	// opcode past int's range where that shape's dictionary references
+	// stood.
+	f.Add(append(sendRecord(), append(recordMeta(nil, meter.EvSend), 0, 0, 0, 1, 6, 'S', 'E', 'N', 'D', ' ', 'a', 0)...))
+	f.Add([]byte{1, 2, 1, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// A name no line spells: a path with a blank.
+	path := meter.UnixName("/a b")
+	f.Add(append(append(recordMeta(nil, meter.EvSend), 3, 0x20, 0x20), path[:]...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		d := AcquireDecoder()
 		defer ReleaseDecoder(d)
 		emitted := 0
 		var first []Rec
+		var firstTyped []string
 		w := newCompWriter()
 		w.openSegment()
-		n, err := d.decodeRecords(raw, func(m Meta, v *trace.View, line []byte) {
+		n, err := d.decodeRecords(raw, func(m Meta, v *trace.View) {
 			emitted++
-			if v != nil {
-				checkLazyView(t, v)
-				first = append(first, Rec{m, string(v.AppendLine(nil, nil))})
-			} else {
-				first = append(first, Rec{m, string(line)})
+			if v.Machine != int(m.Machine) || v.CPUTime != int64(m.Time) || uint32(v.Type) != m.Type {
+				t.Fatalf("record %+v with view of %v %d %d", m, v.Type, v.Machine, v.CPUTime)
 			}
-			w.add(m, v, line)
-			if v == nil {
-				if len(line) > MaxFrameSize {
-					t.Fatalf("text record of %d bytes", len(line))
-				}
-				return
+			out := v.AppendLine(nil, 0)
+			if len(out) > MaxFrameSize {
+				t.Fatalf("record renders %d bytes", len(out))
 			}
-			if line != nil || v.Machine != int(m.Machine) || v.CPUTime != int64(m.Time) || uint32(v.Type) != m.Type {
-				t.Fatalf("typed record %+v with view %q and line %q", m, v.AppendLine(nil, nil), line)
-			}
-			out := v.AppendLine(nil, nil)
-			ev, err := trace.ParseOne(out)
-			if err != nil || len(out) > MaxFrameSize {
-				t.Fatalf("typed record regenerates %q (%d bytes): %v", out, len(out), err)
-			}
+			first, firstTyped = append(first, Rec{m, string(out)}), append(firstTyped, typedOf(v))
+			w.add(m, v)
 			var again trace.View
-			if !again.ParseStandard(out) || fmt.Sprint(again.Event()) != fmt.Sprint(ev) || fmt.Sprint(v.Event()) != fmt.Sprint(ev) {
-				t.Fatalf("typed record regenerates %q, which is not standard or not the view's record", out)
+			var st trace.TypedState
+			c := obs.NewCursor([]byte(typedOf(v)), errRecord)
+			if again.DecodeTyped(&c, &st, v.Type, v.Machine, v.CPUTime); c.Err() != nil || c.Remaining() != 0 || typedOf(&again) != typedOf(v) {
+				t.Fatalf("record %q encoded again decodes to other slots: %v", out, c.Err())
+			}
+			keys, _ := trace.SlotKeys(v.Type, v.Type.String())
+			for _, key := range keys {
+				ref := trace.NewFieldRef(key)
+				if n, ok := v.NameOf(&ref); ok && !standardName(n) {
+					return
+				}
+			}
+			ev, err := trace.ParseOne(out)
+			if err != nil || ev.Type != v.Type || ev.Machine != v.Machine || ev.CPUTime != v.CPUTime || ev.ProcTime != v.ProcTime {
+				t.Fatalf("record renders %q, which reads %+v: %v", out, ev, err)
+			}
+			for _, key := range keys {
+				ref := trace.NewFieldRef(key)
+				gv, gok := v.Field(key)
+				gn, gnok := v.NameOf(&ref)
+				wn, wnok := ev.Names[key]
+				wv, wok := ev.Fields[key]
+				if key == "type" { // the header's, as Field answers it
+					wv, wok = uint64(ev.Type), true
+				}
+				if gv != wv || gok != wok || gn != wn || gnok != wnok {
+					t.Fatalf("record renders %q: %s is %d, %v, %v, %v; the line reads %d, %v, %v, %v", out, key, gv, gok, gn, gnok, wv, wok, wn, wnok)
+				}
 			}
 		})
 		if n != emitted {
@@ -447,53 +389,43 @@ func FuzzTypedPayload(f *testing.F) {
 		d2 := AcquireDecoder()
 		defer ReleaseDecoder(d2)
 		var again []Rec
-		if n, err := d2.decodeRecords(w.enc, d2.lines(func(m Meta, line []byte) {
-			again = append(again, Rec{m, string(line)})
-		})); err != nil || n != emitted {
+		var againTyped []string
+		if n, err := d2.decodeRecords(w.enc, func(m Meta, v *trace.View) {
+			again, againTyped = append(again, Rec{m, string(v.AppendLine(nil, 0))}), append(againTyped, typedOf(v))
+		}); err != nil || n != emitted {
 			t.Fatalf("transcoded payload: decodeRecords = %d, %v over %d bytes, want the %d records", n, err, len(w.enc), emitted)
 		}
-		if !slices.Equal(again, first) {
+		if !slices.Equal(again, first) || !slices.Equal(againTyped, firstTyped) {
 			t.Fatalf("transcoded payload decodes to\n%+v\nthe payload itself to\n%+v", again, first)
 		}
 	})
 }
 
-// TestTypedShapeZeroAllocs: with its buffers warm, staging a standard
-// record — the parse, the regenerate check, the typed form — allocates
-// nothing and touches no dictionary, and neither does decoding a record
-// of either shape back, as a view or as a line.
+// TestTypedShapeZeroAllocs: with its buffers warm, staging a record
+// allocates nothing, and neither does decoding it back, as a view or as
+// a line.
 func TestTypedShapeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	recs := shapeRecs(rand.New(rand.NewSource(2)), 400)
 	w := newCompWriter()
-	typed := recs[:0:0]
-	for _, r := range recs {
-		if r.typed {
-			typed = append(typed, r)
-		}
-	}
-	lines := make([][]byte, len(typed))
-	for i, r := range typed {
+	lines := make([][]byte, len(recs))
+	for i, r := range recs {
 		lines[i] = []byte(r.Line)
 	}
-	stageTyped := func() {
+	stage := func() {
 		w.openSegment()
-		for i, r := range typed {
-			w.stage(r.Meta, lines[i], nil)
+		for i, r := range recs {
+			w.stage(r.Meta, lines[i], r.slots)
 		}
 	}
-	stageTyped()
-	if allocs := testing.AllocsPerRun(10, stageTyped); allocs != 0 || w.nTyped != len(typed) || len(w.dictIDs) != 0 {
-		t.Fatalf("staging %d standard records: %.0f allocations, %d typed, %d dictionary entries; want 0, all, 0", len(typed), allocs, w.nTyped, len(w.dictIDs))
+	stage()
+	if allocs := testing.AllocsPerRun(10, stage); allocs != 0 || w.nTyped != len(recs) {
+		t.Fatalf("staging %d records: %.0f allocations, %d typed; want 0, all", len(recs), allocs, w.nTyped)
 	}
 
-	var all []Rec
-	for _, r := range recs {
-		all = append(all, r.Rec)
-	}
-	data, err := newCompWriter().encodeSealed(all)
+	data, err := newCompWriter().encodeRuns(shapeBatch(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +435,7 @@ func TestTypedShapeZeroAllocs(t *testing.T) {
 	var st ScanStats
 	n := 0
 	scan := func() {
-		if st, err = rs.ScanViews(d, func(_ Meta, v *trace.View, line []byte) { n += len(line) }); err != nil {
+		if st, err = rs.ScanViews(d, func(_ Meta, v *trace.View) { n += int(v.Type) }); err != nil {
 			t.Fatal(err)
 		}
 		if _, err = rs.Scan(d, func(_ Meta, line []byte) { n += len(line) }); err != nil {
@@ -511,7 +443,7 @@ func TestTypedShapeZeroAllocs(t *testing.T) {
 		}
 	}
 	scan()
-	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 || st.Typed != len(typed) || st.Records != len(recs) {
-		t.Fatalf("scanning %d records, %d typed: %.0f allocations, want 0 (%d, %d typed expected)", st.Records, st.Typed, allocs, len(recs), len(typed))
+	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 || st.Records != len(recs) {
+		t.Fatalf("scanning %d records: %.0f allocations, want 0 (%d expected)", st.Records, allocs, len(recs))
 	}
 }

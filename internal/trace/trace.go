@@ -222,12 +222,7 @@ func (e *Event) Format() string { return string(e.AppendFormat(nil)) }
 // canonical order, then any other numeric fields and any other names,
 // each group in key order. A name with a numeric value (an Internet
 // host) sits in both maps and prints once, as a name.
-func (e *Event) AppendFormat(dst []byte) []byte { return e.appendFormat(dst, nil) }
-
-// appendFormat is AppendFormat of the event with the keys in drop taken
-// out of its Fields and Names: passed over in the type's order, and again
-// among the other keys.
-func (e *Event) appendFormat(dst []byte, drop map[string]bool) []byte {
+func (e *Event) AppendFormat(dst []byte) []byte {
 	dst = append(dst, e.Event...)
 	dst = strconv.AppendInt(append(dst, " machine="...), int64(e.Machine), 10)
 	dst = strconv.AppendInt(append(dst, " cpuTime="...), e.CPUTime, 10)
@@ -236,7 +231,7 @@ func (e *Event) appendFormat(dst []byte, drop map[string]bool) []byte {
 	emit := func(key string) {
 		n, isName := e.Names[key]
 		v, isField := e.Fields[key]
-		if !isName && !isField || drop[key] {
+		if !isName && !isField {
 			return
 		}
 		dst = append(append(append(dst, ' '), key...), '=')

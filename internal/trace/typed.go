@@ -4,21 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"dpm/internal/meter"
 	"dpm/internal/obs"
 )
 
-// The typed form of a record: what the store's compressed blocks hold
-// for a standard line instead of its text (docs/formats.md, "v3 block
-// payload"). A line is standard when the view parses it in place, every
-// body key is one of its event type's in stored order (a subset is what
-// a '#' discard leaves) carrying that key's kind of value — a socket
-// name under a key ending in "Name", a number elsewhere — and
-// AppendLine gives the line back byte for byte. Its typed form, after
-// the record's Meta, which carries machine, cpuTime and type:
+// The typed form of a record: how the store's segments hold every
+// record (docs/formats.md, "v3 payload"), the body keys of its event
+// type it carries, in stored order (a subset is what a '#' discard
+// leaves), each a number or, under a key ending in "Name", a socket
+// name. The log line is only its rendering (AppendLine). The typed form,
+// after the record's Meta, which carries machine, cpuTime and type:
 //
 //	flags    1 byte  typedShape | typedPresence | typedProcTime
 //	present  1 byte  bit k: field k of the stored order is on the line;
@@ -32,7 +29,7 @@ import (
 // Every delta is against the TypedState, which starts a block at zero.
 
 const (
-	typedShape    = 1 << iota // always set: the text shape's first byte is 0
+	typedShape    = 1 << iota // always set
 	typedPresence             // the present byte follows
 	typedProcTime             // a procTime delta follows
 )
@@ -59,12 +56,10 @@ func (s *Slots) Reset(procTime int64) { s.present, s.procTime = 0, procTime }
 // SetVal sets key k of the stored order to a number.
 func (s *Slots) SetVal(k int, val uint64) { s.present, s.val[k] = s.present|1<<k, val }
 
-// SetName sets key k of the stored order to a socket name as a standard
-// line spells it and parses it back: an Internet name without the bytes
-// past its host, a path cut at its first NUL. false says no standard line
-// spells it — an unset name that is not all zero, a family AppendText
-// writes in hex, a path byte that is blank or not printable ASCII.
-func (s *Slots) SetName(k int, n meter.Name) bool {
+// SetName sets key k of the stored order to a socket name as a line
+// spells it and parses it back: an Internet name without the bytes past
+// its host, a path cut at its first NUL. Any other name is kept whole.
+func (s *Slots) SetName(k int, n meter.Name) {
 	switch n.Family() {
 	case meter.AFInet:
 		n = meter.InetName(n.Inet())
@@ -74,7 +69,6 @@ func (s *Slots) SetName(k int, n meter.Name) bool {
 		}
 	}
 	s.present, s.name[k] = s.present|1<<k, n
-	return standardName(n)
 }
 
 // Drop takes the keys in mask out of the record, as a '#' discard takes
@@ -94,12 +88,18 @@ func (s *Slots) Name(k int) meter.Name {
 }
 
 // AppendLine appends the record's log line, its event type typ and its
-// Meta's machine and cpuTime as the header: what View.AppendLine writes
-// for a view PointAt pointed at s, without filling the view.
+// Meta's machine and cpuTime as the header: what Event.AppendFormat
+// writes for the Event ParseOne reads back from the line, when every
+// name is one such a line spells.
 func (s *Slots) AppendLine(dst []byte, typ meter.Type, machine int, cpuTime int64) []byte {
+	return s.appendLine(dst, typ, machine, cpuTime, s.present)
+}
+
+// appendLine is AppendLine of the keys in present.
+func (s *Slots) appendLine(dst []byte, typ meter.Type, machine int, cpuTime int64, present uint8) []byte {
 	lay := &typedLayouts[typ]
 	dst = appendHead(dst, typ, machine, cpuTime, s.procTime)
-	for p := s.present; p != 0; p &= p - 1 {
+	for p := present; p != 0; p &= p - 1 {
 		k := bits.TrailingZeros8(p)
 		if dst = append(dst, lay.sep[k]...); lay.names>>k&1 != 0 {
 			dst = s.name[k].AppendText(dst)
@@ -112,8 +112,8 @@ func (s *Slots) AppendLine(dst []byte, typ meter.Type, machine int, cpuTime int6
 
 // SlotKeys returns the stored order of event type typ, whose places are
 // Slots' keys, and the bit mask of those holding socket names — when trace
-// knows typ by the name event. Otherwise keys is nil: no line of that name
-// and type is standard.
+// knows typ by the name event. Otherwise keys is nil: no record of that
+// name and type can be kept.
 func SlotKeys(typ meter.Type, event string) (keys []string, names uint8) {
 	if typ < 1 || int(typ) >= len(viewTypes) || viewTypes[typ].name != event {
 		return nil, 0
@@ -126,25 +126,17 @@ func SlotKeys(typ meter.Type, event string) (keys []string, names uint8) {
 // each keep one and reset it where the block ends.
 type TypedState [len(viewTypes)]Slots
 
-// typedLayouts gives, per event type, the line a decoded view's keys
-// point into (the stored order, blank-separated), where each key lies
-// in it, and which keys carry socket names.
+// typedLayouts gives, per event type, which keys carry socket names and
+// how AppendLine writes a line of the type.
 var typedLayouts = func() (t [len(viewTypes)]struct {
-	line       []byte
-	key0, key1 [typedFields]int32
-	names      uint8
-	head       string              // how a line of the type starts, up to the machine number
-	sep        [typedFields]string // " key=" of each key, as AppendLine writes it
+	names uint8
+	head  string              // how a line of the type starts, up to the machine number
+	sep   [typedFields]string // " key=" of each key
 }) {
 	for typ := range t {
-		order := viewTypes[typ].order
-		t[typ].line = []byte(strings.Join(order, " "))
 		t[typ].head = viewTypes[typ].name + " machine="
-		at := 0
-		for k, key := range order {
-			t[typ].key0[k], t[typ].key1[k], t[typ].sep[k] = int32(at), int32(at+len(key)), " "+key+"="
-			at += len(key) + 1
-			if strings.HasSuffix(key, "Name") {
+		for k, key := range viewTypes[typ].order {
+			if t[typ].sep[k] = " " + key + "="; strings.HasSuffix(key, "Name") {
 				t[typ].names |= 1 << k
 			}
 		}
@@ -152,52 +144,10 @@ var typedLayouts = func() (t [len(viewTypes)]struct {
 	return t
 }()
 
-// ParseStandard fills the view from line and reports whether the line
-// is standard, the condition for AppendTyped. It never falls back to
-// ParseOne: a line it refuses may still be one Parse reads.
-func (v *View) ParseStandard(line []byte) bool {
-	if !v.parseCanonical(line) {
-		return false
-	}
-	names := typedLayouts[v.Type].names
-	for i := 0; i < v.n; i++ {
-		if f := &v.fields[i]; f.ord < 0 || f.isName != (names>>f.ord&1 != 0) {
-			return false
-		}
-	}
-	// The check that makes the typed form exact by construction: header
-	// keys out of place, a name spelled another way or cut to fit its
-	// sixteen bytes, all end here.
-	var buf [256]byte
-	return bytes.Equal(v.AppendLine(buf[:0], nil), line)
-}
-
-// AppendLine appends the record as a log line: what Event.AppendFormat
-// writes for the view's Event with the keys in drop taken out of it. A
-// record whose keys are all of its type's stored order — every typed one
-// and standard line — is written from the view, for a standard line and
-// nothing dropped the line itself; any other goes through its Event.
-func (v *View) AppendLine(dst []byte, drop map[string]bool) []byte {
-	if v.slot != nil && drop == nil {
-		return v.slot.AppendLine(dst, v.Type, v.Machine, v.CPUTime)
-	}
-	if v.fill(); v.n < 0 || slices.ContainsFunc(v.fields[:v.n], func(f viewField) bool { return f.ord < 0 }) {
-		ev := v.Event()
-		return ev.appendFormat(dst, drop)
-	}
-	lay, order := &typedLayouts[v.Type], viewTypes[v.Type].order
-	dst = appendHead(dst, v.Type, v.Machine, v.CPUTime, v.ProcTime)
-	for i := 0; i < v.n; i++ {
-		if f := &v.fields[i]; !drop[order[f.ord]] {
-			dst = append(dst, lay.sep[f.ord]...)
-			if f.isName {
-				dst = f.name.AppendText(dst)
-			} else {
-				dst = appendDecimal(dst, f.val)
-			}
-		}
-	}
-	return dst
+// AppendLine appends the record as a log line with the keys in drop, a
+// mask of the type's stored order, taken out: what a '#' discard leaves.
+func (v *View) AppendLine(dst []byte, drop uint8) []byte {
+	return v.slot.appendLine(dst, v.Type, v.Machine, v.CPUTime, v.slot.present&^drop)
 }
 
 // appendHead appends how a line of event type typ starts: its name and
@@ -222,20 +172,11 @@ func appendDecimal(dst []byte, u uint64) []byte {
 	return append(dst, a[i:]...)
 }
 
-// AppendTyped appends the typed form of the view's record — a line
-// ParseStandard accepted, or the Slots DecodeTyped or PointAt pointed the
-// view at, read where they are — and moves st on to it.
+// AppendTyped appends the typed form of the view's record — the Slots
+// DecodeTyped or PointAt pointed the view at, read where they are — and
+// moves st on to it.
 func (v *View) AppendTyped(dst []byte, st *TypedState) []byte {
 	s := v.slot
-	if s == nil {
-		parsed := Slots{procTime: v.ProcTime}
-		for i := 0; i < v.n; i++ {
-			f := &v.fields[i]
-			parsed.present |= 1 << f.ord
-			parsed.val[f.ord], parsed.name[f.ord] = f.val, f.name
-		}
-		s = &parsed
-	}
 	last, names := &st[v.Type], typedLayouts[v.Type].names
 	flags := len(dst)
 	dst = append(dst, typedShape)
@@ -271,8 +212,7 @@ func (v *View) AppendTyped(dst []byte, st *TypedState) []byte {
 // DecodeTyped reads the typed record at c, whose Meta gave typ, machine
 // and cpuTime, into st and points the view at it there: valid until the
 // next DecodeTyped on st. Bytes that are not a whole, valid typed record
-// fail c and leave the view as it was. No text is built, nothing parsed
-// and no slot filled.
+// fail c and leave the view as it was. No text is built.
 func (v *View) DecodeTyped(c *obs.Cursor, st *TypedState, typ meter.Type, machine int, cpuTime int64) {
 	flags := c.U8()
 	if typ < 1 || int(typ) >= len(viewTypes) || flags&typedShape == 0 || flags >= typedProcTime<<1 {
@@ -296,8 +236,8 @@ func (v *View) DecodeTyped(c *obs.Cursor, st *TypedState, typ meter.Type, machin
 		k := bits.TrailingZeros8(p)
 		if lay.names>>k&1 == 0 {
 			s.val[k] += uint64(c.Zigzag())
-		} else if copy(s.name[k][:], c.Take(meter.NameSize)); !standardName(s.name[k]) {
-			c.Fail("typed record name no standard line spells")
+		} else {
+			copy(s.name[k][:], c.Take(meter.NameSize))
 		}
 	}
 	if c.Err() == nil {
@@ -308,10 +248,9 @@ func (v *View) DecodeTyped(c *obs.Cursor, st *TypedState, typ meter.Type, machin
 // PointAt points the view at s, a record of event type typ whose Meta
 // gave machine and cpuTime, as DecodeTyped points it at its state: the
 // view reads s, never writes it, and is valid while s is unchanged. s
-// holds only keys of typ's stored order, and names SetName accepted.
+// holds only keys of typ's stored order.
 func (v *View) PointAt(s *Slots, typ meter.Type, machine int, cpuTime int64) {
-	v.Type, v.Machine, v.CPUTime, v.ProcTime = typ, machine, cpuTime, s.procTime
-	v.line, v.n, v.slot = typedLayouts[typ].line, 0, s
+	v.Type, v.Machine, v.CPUTime, v.ProcTime, v.slot = typ, machine, cpuTime, s.procTime, s
 }
 
 // Field answers key k of typ's stored order, -1 for none, as View.Field
@@ -327,39 +266,4 @@ func (s *Slots) Field(typ meter.Type, k int) (uint64, bool) {
 		return uint64(host), true
 	}
 	return 0, false
-}
-
-// fill puts the record DecodeTyped read into the view's slots, as the
-// parse of its line would have, once: what a line, its
-// typed form and its Event are built from.
-func (v *View) fill() {
-	s, lay := v.slot, &typedLayouts[v.Type]
-	if s == nil {
-		return
-	}
-	v.slot, v.n = nil, 0
-	for p := s.present; p != 0; p &= p - 1 {
-		k := bits.TrailingZeros8(p)
-		f := &v.fields[v.n]
-		v.n++
-		f.key0, f.key1, f.ord, f.isName, f.name = lay.key0[k], lay.key1[k], int8(k), lay.names>>k&1 != 0, s.name[k]
-		f.val, f.hasVal = s.Field(v.Type, k)
-	}
-}
-
-// standardName reports whether a standard line can spell the name, so
-// that what AppendText writes for it parses back to all sixteen bytes:
-// unset, Internet with nothing past the host, or a UNIX-domain or
-// socketpair path of printable bytes, NUL-padded.
-func standardName(n meter.Name) bool {
-	switch n.Family() {
-	case meter.AFUnspec:
-		return n.IsZero()
-	case meter.AFInet:
-		return [8]byte(n[8:]) == [8]byte{}
-	case meter.AFUnix, meter.AFPair:
-		path := bytes.TrimRight(n[2:], "\x00")
-		return !bytes.ContainsFunc(path, func(r rune) bool { return r <= ' ' || r >= 0x7f })
-	}
-	return false
 }

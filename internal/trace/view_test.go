@@ -2,12 +2,11 @@ package trace
 
 import (
 	"fmt"
-	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
-	"time"
+
+	"dpm/internal/meter"
 )
 
 // canonicalLines is one stored line of every event type, whole and
@@ -61,147 +60,154 @@ func eventField(e *Event, name string) (uint64, bool) {
 	return v, ok
 }
 
-// checkViewAgrees asserts the view's one contract: whatever the line,
-// Parse accepts it exactly when ParseOne does, every field either side
-// could know resolves identically, and Event() is ParseOne's event.
-// It reports whether the line took the in-place path.
-func checkViewAgrees(t *testing.T, line []byte) (canonical bool) {
-	t.Helper()
-	var v View
-	// A dirty view must not leak its last record into this one.
-	if err := v.Parse([]byte("ACCEPT machine=9 cpuTime=9 procTime=9 pid=9 stale=9 sockName=inet:9:9")); err != nil {
-		t.Fatal(err)
+// slotsOf types an event as the filter hands it over: each key of its
+// type's stored order it carries, with a value of the key's kind.
+func slotsOf(e *Event) *Slots {
+	s := new(Slots)
+	s.Reset(e.ProcTime)
+	keys, names := SlotKeys(e.Type, e.Event)
+	for k, key := range keys {
+		if n, ok := e.Names[key]; ok && names>>k&1 != 0 {
+			s.SetName(k, n)
+		} else if v, ok := e.Fields[key]; ok && names>>k&1 == 0 {
+			s.SetVal(k, v)
+		}
 	}
-	return checkViewAgreesOn(t, &v, line)
+	return s
 }
 
-// checkViewAgreesOn is checkViewAgrees on a view in whatever state its
-// last lines left it: what it remembers of them (the last name token)
-// must not show in this one.
-func checkViewAgreesOn(t *testing.T, v *View, line []byte) (canonical bool) {
-	t.Helper()
-	want, werr := ParseOne(line)
-	gerr := v.Parse(line)
-	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("line %q: ParseOne err %v, View.Parse err %v", line, werr, gerr)
+// viewOf is the view of the record a line ParseOne reads, pointed at
+// the record's slots (slotsOf).
+func viewOf(tb testing.TB, line []byte) *View {
+	tb.Helper()
+	ev, err := ParseOne(line)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if werr != nil {
-		if werr.Error() != gerr.Error() {
-			t.Fatalf("line %q: ParseOne err %q, View.Parse err %q", line, werr, gerr)
-		}
-		return false
-	}
-	keys := []string{"machine", "cpuTime", "procTime", "type", "traceType", "size", "absent", "stale", ""}
-	for k := range want.Fields {
-		keys = append(keys, k)
-	}
-	for k := range want.Names {
-		keys = append(keys, k)
-	}
-	for i := 0; i < v.n; i++ {
-		keys = append(keys, string(v.key(i)))
-	}
-	for _, k := range keys {
-		wv, wok := eventField(&want, k)
-		if gv, gok := v.Field(k); gv != wv || gok != wok {
-			t.Fatalf("line %q: Field(%q) = %d, %v; event has %d, %v", line, k, gv, gok, wv, wok)
-		}
-		wn, wok := want.Names[k]
-		if gn, gok := v.NameField(k); gn != wn || gok != wok {
-			t.Fatalf("line %q: NameField(%q) = %v, %v; event has %v, %v", line, k, gn, gok, wn, wok)
-		}
-	}
-	if got := v.Event(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("line %q:\nEvent()  = %+v\nParseOne = %+v", line, got, want)
-	}
-	return v.n >= 0
+	v := new(View)
+	v.PointAt(slotsOf(&ev), ev.Type, ev.Machine, ev.CPUTime)
+	return v
 }
 
+// TestViewCanonicalLines: the view of every line the filter writes
+// answers every field — header, each key of every stored order, an
+// absent one — as ParseOne's event does, and writes the line back byte
+// for byte.
 func TestViewCanonicalLines(t *testing.T) {
+	keys := []string{"machine", "cpuTime", "procTime", "type", "traceType", "size", "absent", ""}
+	for _, vt := range viewTypes {
+		keys = append(keys, vt.order...)
+	}
 	for _, line := range append(canonicalCorpus(t), strings.Split(strings.TrimSpace(sampleLog), "\n")...) {
-		if !checkViewAgrees(t, []byte(line)) {
-			t.Errorf("canonical line %q was not parsed in place", line)
+		v := viewOf(t, []byte(line))
+		want, _ := ParseOne([]byte(line))
+		for _, k := range keys {
+			wv, wok := eventField(&want, k)
+			if gv, gok := v.Field(k); gv != wv || gok != wok {
+				t.Fatalf("line %q: Field(%q) = %d, %v; event has %d, %v", line, k, gv, gok, wv, wok)
+			}
+			wn, wok := want.Names[k]
+			if gn, gok := v.NameField(k); gn != wn || gok != wok {
+				t.Fatalf("line %q: NameField(%q) = %v, %v; event has %v, %v", line, k, gn, gok, wn, wok)
+			}
+		}
+		if got := v.AppendLine(nil, 0); string(got) != line {
+			t.Errorf("line %q written back as %q", line, got)
 		}
 	}
 }
 
-// lineVariants derives from one canonical line the lines on which the
-// parse's fast steps — header and body keys taken by compare against
-// the type's order, the remembered name token — could part ways with
-// the generic step, each with the path that must serve it.
-func lineVariants(line string) []struct {
-	line      string
-	canonical bool
-} {
-	toks := strings.Split(line, " ")
-	typ, header, body := toks[0], toks[1:4], toks[4:]
-	join := func(parts ...[]string) string {
-		out := []string{typ}
-		for _, p := range parts {
-			out = append(out, p...)
+// checkViewAgrees holds the view of the record a line ParseOne reads —
+// typed as the filter types a record (slotsOf) — to ParseOne's event:
+// each header field as the event has it; each key of the type's stored
+// order as the event has it, where the event carries it with the key's
+// kind of value, and absent where not; every other key absent. A line
+// ParseOne refuses has no record to view.
+func checkViewAgrees(t *testing.T, line []byte) {
+	t.Helper()
+	ev, err := ParseOne(line)
+	if err != nil {
+		return
+	}
+	var v View
+	v.PointAt(slotsOf(&ev), ev.Type, ev.Machine, ev.CPUTime)
+	order, names := SlotKeys(ev.Type, ev.Event)
+	keys := []string{"machine", "cpuTime", "procTime", "type", "traceType", "size", "absent", ""}
+	for _, vt := range viewTypes {
+		keys = append(keys, vt.order...)
+	}
+	for k := range ev.Fields {
+		keys = append(keys, k)
+	}
+	for k := range ev.Names {
+		keys = append(keys, k)
+	}
+	for _, key := range keys {
+		var wv uint64
+		var wn meter.Name
+		var wok, wnok bool
+		switch k := slices.Index(order, key); {
+		case slices.Contains([]string{"machine", "cpuTime", "procTime", "type", "traceType"}, key):
+			wv, wok = eventField(&ev, key)
+		case k >= 0 && names>>k&1 != 0:
+			// An Internet name's value is its host.
+			if wn, wnok = ev.Names[key]; wnok && wn.Family() == meter.AFInet {
+				host, _ := wn.Inet()
+				wv, wok = uint64(host), true
+			}
+		case k >= 0:
+			wv, wok = ev.Fields[key]
 		}
-		return strings.Join(out, " ")
-	}
-	reversed := func(in []string) []string {
-		out := slices.Clone(in)
-		slices.Reverse(out)
-		return out
-	}
-	name := "-"
-	for _, tok := range body {
-		if _, val, _ := strings.Cut(tok, "="); looksLikeName(val) {
-			name = val
+		if gv, gok := v.Field(key); gv != wv || gok != wok {
+			t.Fatalf("line %q: Field(%q) = %d, %v; want %d, %v", line, key, gv, gok, wv, wok)
 		}
-	}
-	last, _, _ := strings.Cut(body[len(body)-1], "=")
-	long := "unix:" + strings.Repeat("p", len(View{}.memo[0].text))
-	return []struct {
-		line      string
-		canonical bool
-	}{
-		{join(reversed(header), body), true},                                         // header reordered
-		{join(body, header), true},                                                   // ... and after the body
-		{join(header[:1], body[:1], header[1:], body[1:]), true},                     // ... and among it
-		{join(header, reversed(body)), true},                                         // body keys out of type order
-		{join(header, body[1:], body[:1]), true},                                     // ... only the first
-		{join(header, body[:1], []string{"between=1"}, body[1:]), true},              // a foreign key between schema keys
-		{join(header, body[:1], []string{"pidX=1", "p=2", "pi=3"}, body[1:]), true},  // ... that starts like one
-		{join(header, []string{last + "=1"}, body), false},                           // a schema key before its hit
-		{join(header, body, body[:1]), false},                                        // ... and after it
-		{join(header, body, []string{"pid=1"}), !strings.HasPrefix(body[0], "pid=")}, // ... in the last bytes of the line
-		{join(header, body, header[2:]), false},                                      // a header key again
-		{join(header, body, []string{"again=" + name}), true},                        // the name token under another key
-		{join(header, body, []string{"again=" + name, "and=" + name + "0"}), name != "-"},
-		{join(header, body, []string{"n1=inet:7:90", "n2=inet:7:91", "n3=inet:7:9", "n4=inet:7:91"}), true}, // differing in the last byte
-		{join(header, body, []string{"l1=" + long, "l2=" + long, "l3=" + long + "q", "s1=unix:p", "s2=unix:p"}), true},
+		if gn, gok := v.NameField(key); gn != wn || gok != wnok {
+			t.Fatalf("line %q: NameField(%q) = %v, %v; want %v, %v", line, key, gn, gok, wn, wnok)
+		}
 	}
 }
 
+// TestViewLineVariants: the view agrees with ParseOne over the
+// spellings of every line the filter writes that ParseOne reads too.
 func TestViewLineVariants(t *testing.T) {
-	var shared View // every line also on one view, after every other
 	for _, line := range canonicalCorpus(t) {
-		if strings.Count(line, " ") < 4 {
-			continue // both discards on: no body to vary
-		}
-		for _, q := range lineVariants(line) {
-			if got := checkViewAgrees(t, []byte(q.line)); got != q.canonical {
-				t.Errorf("line %q: parsed in place = %v, want %v", q.line, got, q.canonical)
-			}
-			if got := checkViewAgreesOn(t, &shared, []byte(q.line)); got != q.canonical {
-				t.Errorf("line %q on a used view: parsed in place = %v, want %v", q.line, got, q.canonical)
-			}
+		for _, v := range lineSpellings(line) {
+			checkViewAgrees(t, []byte(v))
 		}
 	}
+}
+
+// TestViewQuirks: the view agrees with ParseOne over lines on which a
+// parser could part ways with it.
+func TestViewQuirks(t *testing.T) {
+	for _, line := range quirkLines {
+		checkViewAgrees(t, []byte(line))
+	}
+}
+
+// FuzzViewParse holds the view of a parsed record to ParseOne on
+// arbitrary bytes (checkViewAgrees).
+func FuzzViewParse(f *testing.F) {
+	for _, line := range canonicalCorpus(f) {
+		f.Add([]byte(line))
+	}
+	for _, line := range quirkLines {
+		f.Add([]byte(line))
+	}
+	for _, line := range canonicalCorpus(f)[:2] {
+		for _, v := range lineSpellings(line) {
+			f.Add([]byte(v))
+		}
+	}
+	f.Fuzz(func(t *testing.T, line []byte) { checkViewAgrees(t, line) })
 }
 
 // TestViewTypeTable: the scan's table is the parser's two maps, and no
-// body field of a type is a header key (a cursor hit past the header is
-// never checked for being one).
+// body field of a type is a header key.
 func TestViewTypeTable(t *testing.T) {
 	for name, typ := range typeByName {
-		e := viewTypes[typ]
-		if e.name != name || len(e.keys) != len(headerKeys)+len(canonicalOrder[typ]) {
-			t.Errorf("type %v: table has %q with %d keys, maps have %q with %d", typ, e.name, len(e.keys), name, len(headerKeys)+len(canonicalOrder[typ]))
+		if e := viewTypes[typ]; e.name != name || !slices.Equal(e.order, canonicalOrder[typ]) {
+			t.Errorf("type %v: table has %q with %v, maps have %q with %v", typ, e.name, e.order, name, canonicalOrder[typ])
 		}
 		for _, key := range canonicalOrder[typ] {
 			if key == "machine" || key == "cpuTime" || key == "procTime" {
@@ -209,147 +215,6 @@ func TestViewTypeTable(t *testing.T) {
 			}
 		}
 	}
-}
-
-// viewQuirks are lines on which an in-place parser and ParseOne could
-// part ways; canonical says which path must serve them. Some ParseOne
-// rejects — then both must.
-var viewQuirks = []struct {
-	line      string
-	canonical bool
-}{
-	{"SEND", true},
-	{"SEND pid=0", true},
-	{"SEND pid=18446744073709551615", true},
-	{"SEND machine=9223372036854775807 cpuTime=9223372036854775807", true},
-	{"SOCKET machine=1 type=2 traceType=9 pid=3", true}, // header type shadows the body's
-	{"SEND destName=inet:7:9 pid=1", true},              // inet name: host is the value
-	{"SEND destName=- a=unix: b=pair:x c=unix:a=b", true},
-	{"SEND a=1 b=2 c=3 d=4 e=5 f=6 g=7 h=8 i=9 j=10 k=11 l=12 m=13 n=14 o=15 p=16", true},
-	{"SEND a=1 b=2 c=3 d=4 e=5 f=6 g=7 h=8 i=9 j=10 k=11 l=12 m=13 n=14 o=15 p=16 q=17", false},
-	{"SEND pid=18446744073709551616", false},
-	{"SEND pid=99999999999999999999", false},
-	{"SEND machine=9223372036854775808", false},
-	{"SEND cpuTime=-5 procTime=+5 machine=007", false},
-	{"SEND pid=1 pid=2", false},
-	{"SEND x=5 x=inet:1:2", false},
-	{"SEND x=inet:1:2 x=5", false},
-	{"SEND x=inet:1:2 x=-", false},
-	{"SEND machine=1 machine=2", false},
-	{"SEND pid=0x10 pc=010 sock=0b11 n=1_000", false},
-	{"SEND destName=inet:1:2junk", false},
-	{"SEND destName=inet:+1:2 peer=inet:01:2", false},
-	{"SEND destName=inet:4294967296:1", false},
-	{"SEND destName=unspec:00", false},
-	{"SEND destName=unix:a\x00b", false},
-	{"SEND destName=unix:caf\u00e9", false},
-	{" SEND pid=1", false},
-	{"SEND pid=1 ", false},
-	{"SEND  pid=1", false},
-	{"SEND\tpid=1", false},
-	{"SEND\u00a0pid=1", false},
-	{"SEND\u2003pid=1 sock=2", false},
-	{"SEND pid=1\u0085sock=2", false},
-	{"SEND pid=1\r", false},
-	{"SEND pid", false},
-	{"SEND =1", false},
-	{"SEND pid=", false},
-	{"SEND pid==1", false},
-	{"SEND machine=- pid=1", false},
-	{"SEND machine=inet:1:2", false},
-	{"send pid=1", false},
-	{"SENDX pid=1", false},
-	{"", false},
-	{" ", false},
-	// Keys taken by compare against the type's order, and keys that only
-	// look like it.
-	{"SEND machine=1 cpuTime=2 procTime=3 pid=4 pc=5 sock=6", true},
-	{"SEND procTime=1 machine=2 cpuTime=3 pid=4", true},
-	{"SEND sock=1 pid=2 pc=3", true},
-	{"SEND sock=1 pid=2 sock=3", false},
-	{"SEND msgLength=1 msgLength=2 x=3333333", false},
-	{"SEND msgLengthX=1 msgLength=2 destNameLen=33", true},
-	{"SEND destNameLe=1 destNameLen=2 destName=- destNam=3", true},
-	{"SEND machine=1 cpuTime=2 machine=3 pid=44444444", false},
-	{"SEND machine=1 pid=2 machine=3", false},
-	{"SEND machine=18446744073709551615 pid=11111111", false},
-	{"SEND machine= cpuTime=2", false},
-	{"SEND machine=1x cpuTime=2", false},
-	{"SEND machine=1  cpuTime=2", false},
-	{"SEND pid=0 pc=0 sock=00000000", false},
-	{"SEND pid=0 pc=0 sock=0", true},
-	{"SEND pid=18446744073709551615 pc=18446744073709551615 sock=9999999999999999999", true},
-	{"SEND pid=28446744073709551615 pc=1", false},
-	{"SEND pid=184467440737095516150 pc=1", false},
-	{"SEND pid=08446744073709551615 pc=1", false},
-	{"SEND msgLength=12345678901234567890123 pc=1", false},
-	// The remembered name token.
-	{"SEND a=inet:1:2 b=inet:1:2 c=inet:1:3 d=inet:1:2", true},
-	{"SEND a=inet:1:2 b=inet:1:2x", false},
-	{"SEND a=inet:1:2 b=inet:1:", false},
-	{"SEND a=inet:9:9 b=inet:9:90", true}, // the token checkViewAgrees leaves behind, and one more byte
-	{"SEND a=- b=- c=-x", false},
-	{"SEND a=unix: b=unix: c=unix:unix:", true},
-	{"SEND a=unix:ppppppppppppppppppppppppppp b=unix:ppppppppppppppppppppppppppp c=unix:p", true},
-}
-
-func TestViewQuirks(t *testing.T) {
-	for _, q := range viewQuirks {
-		if got := checkViewAgrees(t, []byte(q.line)); got != q.canonical {
-			t.Errorf("line %q: parsed in place = %v, want %v", q.line, got, q.canonical)
-		}
-	}
-}
-
-// FuzzViewParse holds the view to ParseOne on arbitrary bytes.
-func FuzzViewParse(f *testing.F) {
-	for _, line := range canonicalCorpus(f) {
-		f.Add([]byte(line))
-	}
-	for _, q := range viewQuirks {
-		f.Add([]byte(q.line))
-	}
-	for _, line := range canonicalCorpus(f)[:2] {
-		for _, q := range lineVariants(line) {
-			f.Add([]byte(q.line))
-		}
-	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		canonical := checkViewAgrees(t, line)
-		// Again on a view that has just parsed this very line, so that it
-		// remembers the line's own last name token.
-		var v View
-		v.Parse(line)
-		if again := checkViewAgreesOn(t, &v, line); again != canonical {
-			t.Fatalf("line %q: parsed in place = %v, on a view that knows it %v", line, canonical, again)
-		}
-	})
-}
-
-// TestViewParseZeroAllocs: parsing a canonical line and reading its
-// fields allocates nothing — the property the scan paths are built on.
-func TestViewParseZeroAllocs(t *testing.T) {
-	var lines [][]byte
-	for _, l := range canonicalCorpus(t) {
-		lines = append(lines, []byte(l))
-	}
-	var v View
-	var sink uint64
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, line := range lines {
-			if err := v.Parse(line); err != nil {
-				t.Fatal(err)
-			}
-			a, _ := v.Field("msgLength")
-			b, _ := v.Field("destName")
-			n, _ := v.NameField("peerName")
-			sink += a + b + uint64(n[2])
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("View.Parse + Field allocates %.0f times per %d lines, want 0", allocs, len(lines))
-	}
-	_ = sink
 }
 
 // formatFprintf is Event.Format as it was before AppendFormat: one
@@ -437,50 +302,4 @@ func TestAppendFormatZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("AppendFormat allocates %.0f times per %d events, want 0", allocs, len(events))
 	}
-}
-
-// BenchmarkViewParse is the cost of the record tier's parse: one
-// canonical line of every event type, all fields kept, per iteration;
-// ns/record and 0 allocs. The host this repository is measured on runs
-// at two speeds 1.75x apart for minutes at a time, so ns/record cannot
-// be held against a row archived on another day; x-ParseOne can: how
-// many times faster than ParseOne — the oracle, which a change to the
-// view leaves alone — the view read the same lines, both timed in this
-// process just before, in alternating chunks, each side at its best
-// chunk. scripts/bench_filter.sh gates it.
-func BenchmarkViewParse(b *testing.B) {
-	var lines [][]byte
-	for i, l := range canonicalCorpus(b) {
-		if i%2 == 0 {
-			lines = append(lines, []byte(l))
-		}
-	}
-	var v View
-	best := func(iters int, parse func(line []byte) error) time.Duration {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			for _, line := range lines {
-				if err := parse(line); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		return time.Since(start) / time.Duration(iters)
-	}
-	one, view := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for chunk := 0; chunk < 20; chunk++ {
-		one = min(one, best(200, func(line []byte) error { _, err := ParseOne(line); return err }))
-		view = min(view, best(2000, v.Parse))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, line := range lines {
-			if err := v.Parse(line); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/record")
-	b.ReportMetric(float64(one)/float64(view), "x-ParseOne")
 }
