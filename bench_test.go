@@ -521,11 +521,11 @@ func BenchmarkOrdering(b *testing.B) {
 	} {
 		b.Run(fmt.Sprintf("jobs=%d/events=%d", c.jobs, c.n), func(b *testing.B) {
 			events := syntheticJobs(c.n, c.jobs)
-			matches := analysis.MatchMessages(events, nil)
+			mt := analysis.MatchTrace(events, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				o, err := analysis.HappenedBefore(events, matches)
+				o, err := analysis.HappenedBefore(events, mt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -692,7 +692,7 @@ func BenchmarkAnalyses(b *testing.B) {
 	})
 	b.Run("match", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			analysis.MatchMessages(events, nil)
+			analysis.MatchTrace(events, nil)
 		}
 	})
 	b.Run("parallelism", func(b *testing.B) {
@@ -712,7 +712,7 @@ func BenchmarkAnalyses(b *testing.B) {
 	})
 	b.Run("structure", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			analysis.Structure(events, nil)
+			analysis.Structure(events, analysis.MatchTrace(events, nil))
 		}
 	})
 	b.Run("timeline", func(b *testing.B) {

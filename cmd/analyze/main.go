@@ -88,7 +88,7 @@ func main() {
 	}
 
 	if *dot {
-		fmt.Print(analysis.Structure(events, nil).Dot())
+		fmt.Print(analysis.Structure(events, analysis.MatchTrace(events, nil)).Dot())
 		return
 	}
 	if *asJSON {

@@ -127,7 +127,7 @@ func run(count int, loss float64) error {
 	// send, and a trace holds no payloads to check a pair by: after the
 	// first loss every later pairing is shifted, so this counts receives
 	// paired, not pairs that are right.
-	matches := analysis.MatchMessages(events, sys.MatchOptions())
+	matches := analysis.MatchTrace(events, sys.MatchOptions()).Matches
 	fmt.Printf("FIFO pairings:      %d of %d receives (unverified: a loss shifts every later pair)\n", len(matches), st.Recvs)
 
 	ctl.Exec("die")

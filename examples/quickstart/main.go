@@ -78,15 +78,15 @@ func run() error {
 		}
 	}
 
-	fmt.Printf("\nstructure:\n%s", analysis.Structure(events, sys.MatchOptions()).Render())
+	mt := analysis.MatchTrace(events, sys.MatchOptions())
+	fmt.Printf("\nstructure:\n%s", analysis.Structure(events, mt).Render())
 
-	matches := analysis.MatchMessages(events, sys.MatchOptions())
-	order, err := analysis.HappenedBefore(events, matches)
+	order, err := analysis.HappenedBefore(events, mt)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nevent ordering: %d matched messages, %.0f%% of event pairs ordered\n",
-		len(matches), order.OrderedFraction()*100)
+		len(mt.Matches), order.OrderedFraction()*100)
 
 	par := analysis.MeasureParallelism(events)
 	fmt.Printf("parallelism: %d processes, %d ms CPU over %d ms makespan (speedup %.2f)\n",

@@ -95,7 +95,8 @@ func run(cities, workers int, seed int64) error {
 	}
 	fmt.Println()
 
-	fmt.Printf("\nstructure:\n%s", analysis.Structure(events, sys.MatchOptions()).Render())
+	mt := analysis.MatchTrace(events, sys.MatchOptions())
+	fmt.Printf("\nstructure:\n%s", analysis.Structure(events, mt).Render())
 
 	par := analysis.MeasureParallelism(events)
 	fmt.Printf("\nparallelism: %d processes, %d ms CPU over %d ms makespan (speedup %.2f)\n",
@@ -106,13 +107,12 @@ func run(cities, workers int, seed int64) error {
 	}
 	fmt.Printf("concurrency profile (level:duration):%s\n", levels)
 
-	matches := analysis.MatchMessages(events, sys.MatchOptions())
-	order, err := analysis.HappenedBefore(events, matches)
+	order, err := analysis.HappenedBefore(events, mt)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("ordering: %d matched messages, %s of event pairs ordered\n",
-		len(matches), strconv.FormatFloat(order.OrderedFraction()*100, 'f', 1, 64)+"%")
+		len(mt.Matches), strconv.FormatFloat(order.OrderedFraction()*100, 'f', 1, 64)+"%")
 
 	ctl.Exec("die")
 	return nil

@@ -202,11 +202,11 @@ type Connection struct {
 // other end of the connection. "By examining the sockets that were
 // paired when the connection was created, the recipient information
 // can be recovered. This is one of the tasks of the analysis
-// programs" (section 4.1). The result maps event Seq to the peer
-// process.
-func RecoverRecipients(events []trace.Event) map[int]ProcKey {
+// programs" (section 4.1). conns are the trace's connections
+// (MatchTrace); the result maps event Seq to the peer process.
+func RecoverRecipients(events []trace.Event, conns []Connection) map[int]ProcKey {
 	peerOf := make(map[endpoint]ProcKey)
-	for _, c := range Connections(events) {
+	for _, c := range conns {
 		peerOf[endpoint{uint16(c.Client.Machine), uint32(c.Client.PID), c.ClientSock}] = c.Server
 		peerOf[endpoint{uint16(c.Server.Machine), uint32(c.Server.PID), c.ServerSock}] = c.Client
 	}

@@ -106,7 +106,7 @@ func TestSizeHistogram(t *testing.T) {
 
 func TestConnections(t *testing.T) {
 	b := connScenario()
-	conns := Connections(b.events)
+	conns := MatchTrace(b.events, nil).Conns
 	if len(conns) != 1 {
 		t.Fatalf("found %d connections", len(conns))
 	}
@@ -134,7 +134,7 @@ func TestConnectionsDisambiguateByClientName(t *testing.T) {
 	// Accepts arrive in reverse order.
 	b.accept(3, 30, 1, 7, 9, srv, c2)  // 2
 	b.accept(3, 30, 2, 7, 10, srv, c1) // 3
-	conns := Connections(b.events)
+	conns := MatchTrace(b.events, nil).Conns
 	if len(conns) != 2 {
 		t.Fatalf("found %d connections", len(conns))
 	}
@@ -156,7 +156,7 @@ func TestConnectionsDisambiguateByClientName(t *testing.T) {
 
 func TestRecoverRecipients(t *testing.T) {
 	b := connScenario()
-	rec := RecoverRecipients(b.events)
+	rec := RecoverRecipients(b.events, MatchTrace(b.events, nil).Conns)
 	if got := rec[2]; got != (ProcKey{2, 20}) {
 		t.Fatalf("send recipient = %v", got)
 	}
@@ -173,7 +173,7 @@ func TestRecoverRecipientsBidirectional(t *testing.T) {
 	b := connScenario()
 	// Server replies over the same connection.
 	reply := b.send(2, 20, 11, 8, 3, meter.Name{})
-	got := RecoverRecipients(b.events)
+	got := RecoverRecipients(b.events, MatchTrace(b.events, nil).Conns)
 	if got[reply] != (ProcKey{1, 10}) {
 		t.Fatalf("reply recipient = %v", got[reply])
 	}

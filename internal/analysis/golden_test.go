@@ -25,7 +25,8 @@ func TestGoldenSessionTrace(t *testing.T) {
 		t.Fatalf("events = %d", len(events))
 	}
 
-	conns := Connections(events)
+	mt := MatchTrace(events, nil)
+	conns := mt.Conns
 	if len(conns) != 1 {
 		t.Fatalf("connections = %+v", conns)
 	}
@@ -34,17 +35,16 @@ func TestGoldenSessionTrace(t *testing.T) {
 		t.Fatalf("connection = %+v", c)
 	}
 
-	matches := MatchMessages(events, nil)
-	if len(matches) != 2 {
-		t.Fatalf("matches = %+v", matches)
+	if len(mt.Matches) != 2 {
+		t.Fatalf("matches = %+v", mt.Matches)
 	}
 
-	rec := RecoverRecipients(events)
+	rec := RecoverRecipients(events, mt.Conns)
 	if len(rec) != 4 {
 		t.Fatalf("recovered = %v", rec)
 	}
 
-	order, err := HappenedBefore(events, matches)
+	order, err := HappenedBefore(events, mt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestGoldenTSPTrace(t *testing.T) {
 	}
 
 	// Three processes: the master accepts two worker connections.
-	conns := Connections(events)
+	conns := MatchTrace(events, nil).Conns
 	if len(conns) != 2 {
 		t.Fatalf("connections = %d", len(conns))
 	}
@@ -99,7 +99,7 @@ func TestGoldenTSPTrace(t *testing.T) {
 		}
 	}
 
-	g := Structure(events, nil)
+	g := Structure(events, MatchTrace(events, nil))
 	if len(g.Procs) != 3 {
 		t.Fatalf("procs = %v", g.Procs)
 	}
@@ -120,8 +120,7 @@ func TestGoldenTSPTrace(t *testing.T) {
 	if diags := Validate(events, nil); countSeverity(diags, Error) != 0 {
 		t.Fatalf("trace has errors: %v", diags)
 	}
-	matches := MatchMessages(events, nil)
-	order, err := HappenedBefore(events, matches)
+	order, err := HappenedBefore(events, MatchTrace(events, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -691,19 +691,33 @@ func matchTrace(events []trace.Event, opts *MatchOptions, onMatch func(Match)) *
 	return m
 }
 
-// MatchMessages pairs sends with receives over a finished trace: the
-// live matcher run over every record, then flushed. Stream traffic
-// matches by byte position along each reconstructed connection — exact,
-// because streams are reliable and ordered. Datagrams match by machine
-// pair, length and flow in FIFO order; loss and reordering make this a
-// best effort, as it was for the paper's analyses. Matches come in
-// receive order.
-func MatchMessages(events []trace.Event, opts *MatchOptions) []Match {
-	var out []Match
-	matchTrace(events, opts, func(x Match) { out = append(out, x) }).Flush()
-	slices.SortFunc(out, func(a, b Match) int {
+// Matching is what the matcher finds in a finished trace: the messages
+// it pairs, in receive order, and the connections whose handshakes it
+// pairs, each with the bytes sent and received on both directions.
+type Matching struct {
+	Matches []Match
+	Conns   []Connection
+}
+
+// MatchTrace runs the live matcher once over every record of a finished
+// trace, then flushes it. Stream traffic matches by byte position along
+// each reconstructed connection — exact, because streams are reliable
+// and ordered. Datagrams match by machine pair, length and flow in FIFO
+// order; loss and reordering make this a best effort, as it was for the
+// paper's analyses. No connection depends on opts.
+func MatchTrace(events []trace.Event, opts *MatchOptions) *Matching {
+	out := new(Matching)
+	m := matchTrace(events, opts, func(x Match) { out.Matches = append(out.Matches, x) })
+	m.Flush()
+	slices.SortFunc(out.Matches, func(a, b Match) int {
 		return cmp.Or(cmp.Compare(a.RecvSeq, b.RecvSeq), cmp.Compare(a.SendSeq, b.SendSeq))
 	})
+	for i, c := range m.connOf {
+		for dir := range c.dirs {
+			m.conns[i].Sent[dir], m.conns[i].Recvd[dir] = c.dirs[dir].sent, c.dirs[dir].recvd
+		}
+	}
+	out.Conns = m.conns
 	return out
 }
 
@@ -713,18 +727,4 @@ func MatchMessages(events []trace.Event, opts *MatchOptions) []Match {
 // aged out.
 func CountMatches(events []trace.Event, opts *MatchOptions) MatchCounts {
 	return matchTrace(events, opts, nil).MatchCounts
-}
-
-// Connections reconstructs the stream connections of a finished trace:
-// the handshakes the matcher pairs, in the order they paired, each with
-// the bytes sent and received on both directions.
-func Connections(events []trace.Event) []Connection {
-	m := matchTrace(events, nil, nil)
-	m.Flush()
-	for i, c := range m.connOf {
-		for dir := range c.dirs {
-			m.conns[i].Sent[dir], m.conns[i].Recvd[dir] = c.dirs[dir].sent, c.dirs[dir].recvd
-		}
-	}
-	return m.conns
 }

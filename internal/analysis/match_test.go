@@ -9,7 +9,7 @@ import (
 
 func TestMatchStreamSimple(t *testing.T) {
 	b := connScenario()
-	matches := MatchMessages(b.events, nil)
+	matches := MatchTrace(b.events, nil).Matches
 	if len(matches) != 1 {
 		t.Fatalf("matches = %+v", matches)
 	}
@@ -29,7 +29,7 @@ func TestMatchStreamPartialReads(t *testing.T) {
 	send := b.send(1, 10, 2, 5, 6, meter.Name{})
 	r1 := b.recv(2, 20, 3, 8, 2, meter.Name{})
 	r2 := b.recv(2, 20, 4, 8, 4, meter.Name{})
-	matches := MatchMessages(b.events, nil)
+	matches := MatchTrace(b.events, nil).Matches
 	if len(matches) != 2 {
 		t.Fatalf("matches = %+v", matches)
 	}
@@ -51,7 +51,7 @@ func TestMatchStreamCoalescedReads(t *testing.T) {
 	s1 := b.send(1, 10, 2, 5, 3, meter.Name{})
 	s2 := b.send(1, 10, 3, 5, 3, meter.Name{})
 	r := b.recv(2, 20, 4, 8, 6, meter.Name{})
-	matches := MatchMessages(b.events, nil)
+	matches := MatchTrace(b.events, nil).Matches
 	if len(matches) != 2 {
 		t.Fatalf("matches = %+v", matches)
 	}
@@ -69,7 +69,7 @@ func TestMatchStreamBothDirections(t *testing.T) {
 	b := connScenario()
 	reply := b.send(2, 20, 11, 8, 3, meter.Name{})
 	got := b.recv(1, 10, 12, 5, 3, meter.Name{})
-	matches := MatchMessages(b.events, nil)
+	matches := MatchTrace(b.events, nil).Matches
 	if len(matches) != 2 {
 		t.Fatalf("matches = %+v", matches)
 	}
@@ -92,7 +92,7 @@ func TestMatchDatagrams(t *testing.T) {
 	s2 := b.send(1, 10, 1, 3, 9, recvName)
 	r1 := b.recv(2, 20, 2, 9, 4, sendName)
 	r2 := b.recv(2, 20, 3, 9, 9, sendName)
-	matches := MatchMessages(b.events, nil)
+	matches := MatchTrace(b.events, nil).Matches
 	if len(matches) != 2 {
 		t.Fatalf("matches = %+v", matches)
 	}
@@ -115,7 +115,7 @@ func TestMatchDatagramsWithLoss(t *testing.T) {
 	b.send(1, 10, 2, 3, 4, recvName)
 	b.recv(2, 20, 3, 9, 4, sendName)
 	b.recv(2, 20, 4, 9, 4, sendName)
-	matches := MatchMessages(b.events, nil)
+	matches := MatchTrace(b.events, nil).Matches
 	if len(matches) != 2 {
 		t.Fatalf("matches = %+v", matches)
 	}
@@ -128,7 +128,7 @@ func TestMatchDatagramsWrongMachineRejected(t *testing.T) {
 	recvName := meter.InetName(2, 5000)
 	b.send(1, 10, 0, 3, 4, recvName)
 	b.recv(2, 20, 1, 9, 4, meter.InetName(7, 1024)) // source host 7: no machine 7 sender
-	matches := MatchMessages(b.events, nil)
+	matches := MatchTrace(b.events, nil).Matches
 	if len(matches) != 0 {
 		t.Fatalf("matches = %+v", matches)
 	}
@@ -143,7 +143,7 @@ func TestMatchDatagramsHostMap(t *testing.T) {
 	b.send(1, 10, 0, 3, 4, recvName)
 	b.recv(2, 20, 1, 9, 4, sendName)
 	opts := &MatchOptions{HostToMachine: map[uint32]int{11: 1, 12: 2}}
-	matches := MatchMessages(b.events, opts)
+	matches := MatchTrace(b.events, opts).Matches
 	if len(matches) != 1 {
 		t.Fatalf("matches = %+v", matches)
 	}
@@ -157,14 +157,14 @@ func TestMatchTruncatedDatagram(t *testing.T) {
 	sendName := meter.InetName(1, 1024)
 	b.send(1, 10, 0, 3, 10, recvName)
 	b.recv(2, 20, 1, 9, 4, sendName)
-	if matches := MatchMessages(b.events, nil); len(matches) != 1 {
+	if matches := MatchTrace(b.events, nil).Matches; len(matches) != 1 {
 		t.Fatalf("truncated recv unmatched: %+v", matches)
 	}
 
 	b2 := &tb{}
 	b2.send(1, 10, 0, 3, 4, recvName)
 	b2.recv(2, 20, 1, 9, 10, sendName)
-	if matches := MatchMessages(b2.events, nil); len(matches) != 0 {
+	if matches := MatchTrace(b2.events, nil).Matches; len(matches) != 0 {
 		t.Fatalf("grown recv matched: %+v", matches)
 	}
 }
@@ -181,7 +181,7 @@ func TestMatchFallbackHandshake(t *testing.T) {
 	if c := CountMatches(b.events, nil); c.Conns != 0 || c.Pending != 4 {
 		t.Fatalf("before the end of the trace: %+v", c)
 	}
-	if matches := MatchMessages(b.events, nil); len(matches) != 1 || matches[0] != (Match{SendSeq: s, RecvSeq: r, Bytes: 7}) {
+	if matches := MatchTrace(b.events, nil).Matches; len(matches) != 1 || matches[0] != (Match{SendSeq: s, RecvSeq: r, Bytes: 7}) {
 		t.Fatalf("matches = %+v", matches)
 	}
 }
@@ -200,7 +200,7 @@ func TestMatchDatagramFlowAffinity(t *testing.T) {
 	ra2 := b.recv(2, 20, 4, 9, 8, fromA)
 	rb1 := b.recv(2, 21, 5, 7, 8, fromB)
 	want := []Match{{sa1, ra1, 8}, {sa2, ra2, 8}, {sb1, rb1, 8}}
-	if matches := MatchMessages(b.events, nil); !slices.Equal(matches, want) {
+	if matches := MatchTrace(b.events, nil).Matches; !slices.Equal(matches, want) {
 		t.Fatalf("matches = %+v, want %+v", matches, want)
 	}
 }

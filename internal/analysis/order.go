@@ -40,10 +40,10 @@ var ErrCycle = errors.New("analysis: trace implies a cyclic event order")
 
 // HappenedBefore builds the partial order from three kinds of
 // evidence: program order within each process, send-before-receive
-// edges from matched messages, and the synchronization edges of
+// edges from the matched messages, and the synchronization edges of
 // connection establishment (connect before accept returns) and fork
 // (the fork event precedes every event of the child).
-func HappenedBefore(events []trace.Event, matches []Match) (*Order, error) {
+func HappenedBefore(events []trace.Event, m *Matching) (*Order, error) {
 	n := len(events)
 	o := &Order{n: n, succ: make([][]int, n), proc: make([]int, n), pos: make([]int, n)}
 	var parent []int // union-find over processes: an edge joins its two
@@ -78,12 +78,12 @@ func HappenedBefore(events []trace.Event, matches []Match) (*Order, error) {
 	}
 
 	// Message edges.
-	for _, m := range matches {
-		addEdge(m.SendSeq, m.RecvSeq)
+	for _, x := range m.Matches {
+		addEdge(x.SendSeq, x.RecvSeq)
 	}
 
 	// Connection establishment synchronizes the two processes.
-	for _, c := range Connections(events) {
+	for _, c := range m.Conns {
 		addEdge(c.ConnectSeq, c.AcceptSeq)
 	}
 

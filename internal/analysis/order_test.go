@@ -10,7 +10,7 @@ import (
 
 func mustOrder(t *testing.T, b *tb) *Order {
 	t.Helper()
-	o, err := HappenedBefore(b.events, MatchMessages(b.events, nil))
+	o, err := HappenedBefore(b.events, MatchTrace(b.events, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +106,13 @@ func TestCycleDetected(t *testing.T) {
 	b.send(1, 10, 1, 3, 4, recvName)
 	// Force the pathological match directly.
 	matches := []Match{{SendSeq: 1, RecvSeq: 0, Bytes: 4}}
-	if _, err := HappenedBefore(b.events, matches); !errors.Is(err, ErrCycle) {
+	if _, err := HappenedBefore(b.events, &Matching{Matches: matches}); !errors.Is(err, ErrCycle) {
 		t.Fatalf("err = %v, want ErrCycle", err)
 	}
 }
 
 func TestOrderedFractionEmptyAndSingle(t *testing.T) {
-	o, err := HappenedBefore(nil, nil)
+	o, err := HappenedBefore(nil, &Matching{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func refReach(events []trace.Event, matches []Match) ([][]uint64, error) {
 	for _, m := range matches {
 		addEdge(m.SendSeq, m.RecvSeq)
 	}
-	for _, c := range Connections(events) {
+	for _, c := range MatchTrace(events, nil).Conns {
 		addEdge(c.ConnectSeq, c.AcceptSeq)
 	}
 	for i := range events {
@@ -349,8 +349,9 @@ func FuzzHappenedBefore(f *testing.F) {
 	f.Add([]byte{0, 0, 0xff, 0, 0x10, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := fuzzTrace(data)
-		matches := MatchMessages(events, nil)
-		o, err := HappenedBefore(events, matches)
+		mt := MatchTrace(events, nil)
+		matches := mt.Matches
+		o, err := HappenedBefore(events, mt)
 		reach, rerr := refReach(events, matches)
 		if !errors.Is(err, rerr) {
 			t.Fatalf("HappenedBefore: %v, reference: %v", err, rerr)

@@ -73,7 +73,7 @@ func TestStructureRolesAndEdges(t *testing.T) {
 	b := connScenario()
 	b.send(2, 20, 11, 8, 3, meter.Name{})
 	b.recv(1, 10, 12, 5, 3, meter.Name{})
-	g := Structure(b.events, nil)
+	g := Structure(b.events, MatchTrace(b.events, nil))
 	if len(g.Procs) != 2 {
 		t.Fatalf("procs = %v", g.Procs)
 	}
@@ -105,7 +105,7 @@ func TestStructureRolesAndEdges(t *testing.T) {
 
 func TestStructureRender(t *testing.T) {
 	b := connScenario()
-	out := Structure(b.events, nil).Render()
+	out := Structure(b.events, MatchTrace(b.events, nil)).Render()
 	for _, want := range []string{"m1/p10 (client)", "m2/p20 (server)", "traffic:", "connections:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render lacks %q:\n%s", want, out)
@@ -115,7 +115,7 @@ func TestStructureRender(t *testing.T) {
 
 func TestStructureDot(t *testing.T) {
 	b := connScenario()
-	dot := Structure(b.events, nil).Dot()
+	dot := Structure(b.events, MatchTrace(b.events, nil)).Dot()
 	for _, want := range []string{
 		"digraph computation",
 		`"m1/p10" [shape=ellipse`,
@@ -133,7 +133,7 @@ func TestStructurePeerRoleForDatagramOnly(t *testing.T) {
 	b := &tb{}
 	b.send(1, 10, 0, 3, 4, meter.InetName(2, 5000))
 	b.recv(2, 20, 1, 9, 4, meter.InetName(1, 1024))
-	g := Structure(b.events, nil)
+	g := Structure(b.events, MatchTrace(b.events, nil))
 	if g.Roles[ProcKey{1, 10}] != RolePeer || g.Roles[ProcKey{2, 20}] != RolePeer {
 		t.Fatalf("roles = %v", g.Roles)
 	}

@@ -35,7 +35,8 @@ func Report(events []trace.Event, opts *MatchOptions) (string, error) {
 		b.WriteByte('\n')
 	}
 
-	fmt.Fprintf(&b, "\nstructure\n%s", Structure(events, opts).Render())
+	mt := MatchTrace(events, opts)
+	fmt.Fprintf(&b, "\nstructure\n%s", Structure(events, mt).Render())
 
 	par := MeasureParallelism(events)
 	fmt.Fprintf(&b, "\nparallelism\n")
@@ -73,14 +74,13 @@ func Report(events []trace.Event, opts *MatchOptions) (string, error) {
 		}
 	}
 
-	matches := MatchMessages(events, opts)
-	order, err := HappenedBefore(events, matches)
+	order, err := HappenedBefore(events, mt)
 	if err != nil {
 		return "", err
 	}
-	rec := RecoverRecipients(events)
+	rec := RecoverRecipients(events, mt.Conns)
 	fmt.Fprintf(&b, "\nevent ordering\n")
-	fmt.Fprintf(&b, "  matched messages:      %d\n", len(matches))
+	fmt.Fprintf(&b, "  matched messages:      %d\n", len(mt.Matches))
 	fmt.Fprintf(&b, "  recovered recipients:  %d\n", len(rec))
 	fmt.Fprintf(&b, "  ordered event pairs:   %.1f%%\n", order.OrderedFraction()*100)
 	return b.String(), nil

@@ -45,17 +45,16 @@ type Graph struct {
 }
 
 // Structure reconstructs the communication graph of a computation
-// from matched messages, recovered recipients, and connections.
-func Structure(events []trace.Event, opts *MatchOptions) *Graph {
+// from its matched messages and connections.
+func Structure(events []trace.Event, mt *Matching) *Graph {
 	g := &Graph{Roles: make(map[ProcKey]Role), Conns: make(map[[2]ProcKey]int)}
 	procSet := make(map[ProcKey]bool)
 	for i := range events {
 		procSet[keyOf(&events[i])] = true
 	}
 
-	conns := Connections(events)
 	connected := make(map[ProcKey]struct{ initiated, accepted bool })
-	for _, c := range conns {
+	for _, c := range mt.Conns {
 		g.Conns[[2]ProcKey{c.Client, c.Server}]++
 		ci := connected[c.Client]
 		ci.initiated = true
@@ -77,7 +76,7 @@ func Structure(events []trace.Event, opts *MatchOptions) *Graph {
 
 	// Traffic edges from matched messages.
 	edgeMap := make(map[[2]ProcKey]*Edge)
-	for _, m := range MatchMessages(events, opts) {
+	for _, m := range mt.Matches {
 		from := keyOf(&events[m.SendSeq])
 		to := keyOf(&events[m.RecvSeq])
 		key := [2]ProcKey{from, to}

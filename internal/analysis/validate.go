@@ -70,8 +70,9 @@ func Validate(events []trace.Event, opts *MatchOptions) []Diagnostic {
 
 	// Stream conservation: on each connection direction, the receiver
 	// cannot consume more bytes than the sender wrote.
+	mt := MatchTrace(events, opts)
 	matchedAccepts := make(map[int]bool)
-	for _, c := range Connections(events) {
+	for _, c := range mt.Conns {
 		matchedAccepts[c.AcceptSeq] = true
 		for dir := range c.Sent {
 			if c.Recvd[dir] > c.Sent[dir] {
@@ -91,8 +92,7 @@ func Validate(events []trace.Event, opts *MatchOptions) []Diagnostic {
 
 	// A cyclic deduced order means the trace is inconsistent with
 	// message causality.
-	matches := MatchMessages(events, opts)
-	if _, err := HappenedBefore(events, matches); err != nil {
+	if _, err := HappenedBefore(events, mt); err != nil {
 		if errors.Is(err, ErrCycle) {
 			add(Error, -1, "the trace implies a cyclic event order: send/receive records are inconsistent")
 		} else {

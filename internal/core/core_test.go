@@ -218,26 +218,26 @@ func TestPipelineStages(t *testing.T) {
 	if st.Sends < 2 || st.Recvs < 2 {
 		t.Fatalf("comm stats = %+v", st)
 	}
-	conns := analysis.Connections(events)
+	conns := analysis.MatchTrace(events, nil).Conns
 	if len(conns) != 1 {
 		t.Fatalf("connections = %+v", conns)
 	}
-	matches := analysis.MatchMessages(events, s.MatchOptions())
+	matches := analysis.MatchTrace(events, s.MatchOptions()).Matches
 	if len(matches) < 2 {
 		t.Fatalf("matches = %+v", matches)
 	}
-	order, err := analysis.HappenedBefore(events, matches)
+	order, err := analysis.HappenedBefore(events, &analysis.Matching{Matches: matches, Conns: conns})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if frac := order.OrderedFraction(); frac < 0.5 {
 		t.Fatalf("ordered fraction = %v", frac)
 	}
-	rec := analysis.RecoverRecipients(events)
+	rec := analysis.RecoverRecipients(events, analysis.MatchTrace(events, nil).Conns)
 	if len(rec) < 2 {
 		t.Fatalf("recovered recipients = %v", rec)
 	}
-	g := analysis.Structure(events, s.MatchOptions())
+	g := analysis.Structure(events, analysis.MatchTrace(events, s.MatchOptions()))
 	if len(g.Procs) != 2 || len(g.Edges) < 2 {
 		t.Fatalf("structure = %+v", g)
 	}
@@ -458,8 +458,8 @@ func TestMultiNetworkMeteringEndToEnd(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The analysis host map handles the gateway's primary address.
-	if len(analysis.Connections(events)) != 1 {
-		t.Fatalf("connections = %+v", analysis.Connections(events))
+	if len(analysis.MatchTrace(events, nil).Conns) != 1 {
+		t.Fatalf("connections = %+v", analysis.MatchTrace(events, nil).Conns)
 	}
 }
 

@@ -61,8 +61,7 @@ func TestForkFanMetered(t *testing.T) {
 	}
 
 	// Happened-before: every fork precedes its child's send.
-	matches := analysis.MatchMessages(events, s.MatchOptions())
-	order, err := analysis.HappenedBefore(events, matches)
+	order, err := analysis.HappenedBefore(events, analysis.MatchTrace(events, s.MatchOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}

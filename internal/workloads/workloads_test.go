@@ -158,8 +158,8 @@ func TestTSPDistributedMatchesSequential(t *testing.T) {
 				if par.Processes != 3 {
 					t.Fatalf("parallelism saw %d processes", par.Processes)
 				}
-				if len(analysis.Connections(events)) != 2 {
-					t.Fatalf("expected 2 connections, got %d", len(analysis.Connections(events)))
+				if len(analysis.MatchTrace(events, nil).Conns) != 2 {
+					t.Fatalf("expected 2 connections, got %d", len(analysis.MatchTrace(events, nil).Conns))
 				}
 				return
 			}
