@@ -139,9 +139,9 @@ func (b *Batch) Line(i int) []byte {
 	return b.Lines[start:b.ends[i]]
 }
 
-// StoreRecs materializes the batch as store append records. The returned slice, its lines and its slots
-// alias the batch and its engine; hand it straight to Store.AppendBatch
-// before the next Reset.
+// StoreRecs materializes the batch as store append records. The
+// returned slice, its lines and its slots alias the batch and its
+// engine; hand it straight to Store.AppendBatch before the next Reset.
 func (b *Batch) StoreRecs() []store.BatchRec {
 	b.recs = b.recs[:0]
 	start := 0
