@@ -1020,12 +1020,7 @@ func BenchmarkQuerySegmentPruning(b *testing.B) {
 	}
 	events := syntheticTrace(4000)
 	for i := range events {
-		e := &events[i]
-		m := store.Meta{
-			Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
-			Type: uint32(e.Type), PID: uint32(e.Fields["pid"]),
-		}
-		if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format())}}); err != nil {
+		if err := st.AppendBatch([]store.BatchRec{eventRec(&events[i])}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1126,12 +1121,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 	}
 	events := syntheticTrace(4000)
 	for i := range events {
-		e := &events[i]
-		m := store.Meta{
-			Machine: uint16(e.Machine), Time: uint32(e.CPUTime),
-			Type: uint32(e.Type), PID: uint32(e.Fields["pid"]),
-		}
-		if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format())}}); err != nil {
+		if err := st.AppendBatch([]store.BatchRec{eventRec(&events[i])}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -178,13 +178,21 @@ END {
 # record and DEFLATE at archiveLevel 4 (the paired sweep that chose it
 # is in docs/store.md). Two record sets, best of three runs a side:
 # - "repeating" is StoreIngestCompressed's batches, archived. They repeat
-#   so well (archive-x ~340) that every level reads alike on them. Its
-#   ns/op read 1.65-1.92x compressed ingest's over four runs at level 4
-#   and 1.78-2.33x at level 6, and is held to 2.2x.
+#   so well (archive-x ~430) that every level reads alike on them. Its
+#   ns/op read 2.30-3.32x compressed ingest's over six runs on the 2-core
+#   host, and is held to 3.8x.
 # - "varied" records vary as ingest_flood's do, and DEFLATE works on them
-#   as it does there. Its ns/record read 2.51-3.00x compressed ingest's
-#   (ns/op over 16) over four runs at level 4, 2.65x at level 5 and
-#   4.50x at level 6, and is held to 3.5x.
+#   as it does there. Its ns/record read 4.31-7.16x compressed ingest's
+#   (ns/op over 16) over the same six runs, and is held to 8.2x.
+# The ratios were 1.65-1.92x and 2.51-3.00x (held to 2.2x and 3.5x)
+# while the store took these batches as lines and parsed each one, which
+# the compressed ingest paid and the archiving runs, whose rewrite does
+# not parse, diluted. Handed over typed, the same batches cost less on
+# both sides, the ingest most: on one host in consecutive runs, best of
+# three, compressed ingest 6946 -> 2424 ns/op, archiving 9018 -> 5719
+# ns/op (repeating) and 1117 -> 654 ns/record (varied). The ingest's
+# best of three now moves between 1511 and 2705 ns/op from run to run,
+# which is most of the ratios' spread.
 # Tier-1 bytes follow from the records and the level alone. Each set's
 # are held to 1.02x its level-4 reading: 521072 repeating (517245 at
 # levels 5 and 6), 5013603 varied (4589124 at level 5, 4624127 at 6). A
@@ -203,8 +211,8 @@ function gate(what, got, want, unit) {
 END {
     fail = 0
     if (comp + 0 <= 0 || rep + 0 <= 0 || var + 0 <= 0 || repb + 0 <= 0 || varb + 0 <= 0) { print "bench_filter.sh: missing archiving ingest results" > "/dev/stderr"; exit 1 }
-    gate("archiving ingest (repeating), ns/op", rep, 2.2 * comp, "= 2.2x compressed")
-    gate("archiving ingest (varied), ns/record", var, 3.5 * comp / 16, "= 3.5x compressed")
+    gate("archiving ingest (repeating), ns/op", rep, 3.8 * comp, "= 3.8x compressed")
+    gate("archiving ingest (varied), ns/record", var, 8.2 * comp / 16, "= 8.2x compressed")
     gate("tier-1 bytes (repeating)", repb, 1.02 * 521072, "= 1.02x the level-4 reading")
     gate("tier-1 bytes (varied)", varb, 1.02 * 5013603, "= 1.02x the level-4 reading")
     exit fail
