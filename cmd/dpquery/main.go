@@ -96,22 +96,9 @@ func main() {
 	}
 
 	if *aggregate {
-		aq, err := agg.Compile(text)
+		st, err := writeAggregate(os.Stdout, rd, text, *noPrune, *asJSON)
 		if err != nil {
 			log.Fatal(err)
-		}
-		aq.Sel.NoPrune = *noPrune
-		p, st, err := agg.Eval(rd, aq, agg.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := agg.NewResult(aq.Spec, p)
-		if *asJSON {
-			if err := cli.WriteJSON(os.Stdout, res); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			res.Render(os.Stdout)
 		}
 		if *stats {
 			fmt.Fprintln(os.Stderr, st.String())
@@ -131,6 +118,26 @@ func main() {
 	if *stats {
 		fmt.Fprintln(os.Stderr, st.String())
 	}
+}
+
+// writeAggregate runs an aggregate query and writes its answer to w:
+// the rendered table, or with asJSON the result rows.
+func writeAggregate(w io.Writer, rd *store.Reader, text string, noPrune, asJSON bool) (query.Stats, error) {
+	aq, err := agg.Compile(text)
+	if err != nil {
+		return query.Stats{}, err
+	}
+	aq.Sel.NoPrune = noPrune
+	p, st, err := agg.Eval(rd, aq, agg.Options{})
+	if err != nil {
+		return st, err
+	}
+	res := agg.NewResult(aq.Spec, p)
+	if asJSON {
+		return st, cli.WriteJSON(w, res)
+	}
+	res.Render(w)
+	return st, nil
 }
 
 // writeRecords runs a record query and writes its answer to w: the
