@@ -132,12 +132,17 @@ func writeAggregate(w io.Writer, rd *store.Reader, text string, noPrune, asJSON 
 	if err != nil {
 		return st, err
 	}
-	res := agg.NewResult(aq.Spec, p)
-	if asJSON {
-		return st, cli.WriteJSON(w, res)
+	if !asJSON {
+		_, err = w.Write(p.AppendTable(nil, aq.Spec))
+		return st, err
 	}
-	res.Render(w)
-	return st, nil
+	return st, cli.WriteJSON(w, struct {
+		Spec    string    `json:"spec"`
+		Rows    []agg.Row `json:"rows"`
+		Records int64     `json:"records"`
+		Skipped int64     `json:"skipped,omitempty"`
+		Dropped int64     `json:"dropped,omitempty"`
+	}{aq.Spec.String(), p.Rows(aq.Spec), p.Records, p.Skipped, p.Dropped})
 }
 
 // writeRecords runs a record query and writes its answer to w: the

@@ -68,6 +68,16 @@ func eval(t testing.TB, be store.Backend, text string) (*Partial, query.Stats) {
 	return p, stats
 }
 
+// groupOf returns p's group of key, nil when it has none.
+func groupOf(p *Partial, key GroupKey) *Group {
+	for i := range p.Groups {
+		if p.Groups[i].Key == key {
+			return &p.Groups[i]
+		}
+	}
+	return nil
+}
+
 func TestEvalCountByMachine(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
 	p, stats := eval(t, be, "agg count by machine")
@@ -77,9 +87,9 @@ func TestEvalCountByMachine(t *testing.T) {
 	if len(p.Groups) != 4 {
 		t.Fatalf("groups = %d, want 4", len(p.Groups))
 	}
-	for key, g := range p.Groups {
+	for _, g := range p.Groups {
 		if g.Count != 25 {
-			t.Errorf("machine %d count = %d, want 25", key.Vals[0], g.Count)
+			t.Errorf("machine %d count = %d, want 25", g.Key.Vals[0], g.Count)
 		}
 	}
 }
@@ -92,7 +102,7 @@ func TestEvalSelectionRulesApply(t *testing.T) {
 	if len(p.Groups) != 1 {
 		t.Fatalf("groups = %d, want 1", len(p.Groups))
 	}
-	g := p.Groups[GroupKey{Vals: [MaxBy]uint64{3}}]
+	g := groupOf(p, GroupKey{Vals: [MaxBy]uint64{3}})
 	if g == nil || g.Count != 25 {
 		t.Fatalf("machine 3 group = %+v, want count 25", g)
 	}
@@ -105,12 +115,12 @@ func TestEvalWindows(t *testing.T) {
 	if len(p.Groups) != 4 {
 		t.Fatalf("windows = %d, want 4", len(p.Groups))
 	}
-	for key, g := range p.Groups {
-		if key.Window%250 != 0 {
-			t.Errorf("window start %d not on a 250ms boundary", key.Window)
+	for _, g := range p.Groups {
+		if g.Key.Window%250 != 0 {
+			t.Errorf("window start %d not on a 250ms boundary", g.Key.Window)
 		}
 		if g.Count != 25 {
-			t.Errorf("window %d count = %d, want 25", key.Window, g.Count)
+			t.Errorf("window %d count = %d, want 25", g.Key.Window, g.Count)
 		}
 	}
 	if p.MinTime != 0 || p.MaxTime != 990 {
@@ -122,7 +132,7 @@ func TestEvalSumMinMax(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
 	// msgLength = 64+i for i=0..99.
 	p, _ := eval(t, be, "agg sum(msgLength)")
-	g := p.Groups[GroupKey{}]
+	g := groupOf(p, GroupKey{})
 	if g == nil {
 		t.Fatal("no group")
 	}
@@ -139,12 +149,12 @@ func TestEvalRate(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
 	p, _ := eval(t, be, "agg rate")
 	s := mustSpec(t, "agg rate")
-	r := NewResult(s, p)
-	if len(r.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(r.Rows))
+	rows := p.Rows(s)
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(rows))
 	}
 	// 100 records over a 991ms span ≈ 100.9/s.
-	got := r.Rows[0].Value
+	got := rows[0].Value
 	if got < 100 || got > 102 {
 		t.Fatalf("rate = %v, want ~100.9", got)
 	}
@@ -154,10 +164,9 @@ func TestEvalPercentileUpperBound(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
 	p, _ := eval(t, be, "agg p95(msgLength)")
 	s := mustSpec(t, "agg p95(msgLength)")
-	r := NewResult(s, p)
 	// The log2 sketch answers with a power-of-two upper bound: the true
 	// p95 is 159, so the bound must be >= 159 and <= 2*163.
-	v := r.Rows[0].Value
+	v := p.Rows(s)[0].Value
 	if v < 159 || v > 326 {
 		t.Fatalf("p95 bound = %v, want within [159, 326]", v)
 	}
@@ -167,17 +176,17 @@ func TestEvalTopK(t *testing.T) {
 	be := buildStore(t, 100, store.Config{SegmentCap: 512})
 	p, _ := eval(t, be, "top 2 machine by sum(msgLength)")
 	s := mustSpec(t, "top 2 machine by sum(msgLength)")
-	r := NewResult(s, p)
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (k cut)", len(r.Rows))
+	rows := p.Rows(s)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2 (k cut)", len(rows))
 	}
 	// Machine 4 sees i%4==3 -> msgLength 67,71,...: the largest sums
 	// belong to machines 4 then 3.
-	if r.Rows[0].Key["machine"] != 4 || r.Rows[1].Key["machine"] != 3 {
+	if rows[0].Key["machine"] != 4 || rows[1].Key["machine"] != 3 {
 		t.Fatalf("top-2 machines = %d,%d, want 4,3",
-			r.Rows[0].Key["machine"], r.Rows[1].Key["machine"])
+			rows[0].Key["machine"], rows[1].Key["machine"])
 	}
-	if r.Rows[0].Value < r.Rows[1].Value {
+	if rows[0].Value < rows[1].Value {
 		t.Fatal("rows not sorted heaviest first")
 	}
 }

@@ -18,6 +18,7 @@ import (
 type Query struct {
 	Sel   *query.Query
 	Spec  *Spec
+	rules string           // the selection rules' text, Sel compiled from
 	by    []trace.FieldRef // Spec.By, resolved once for every event type
 	field trace.FieldRef   // Spec.Field, likewise
 }
@@ -45,11 +46,12 @@ func Compile(text string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel, err := query.Compile(strings.Join(ruleLines, "\n"))
+	rules := strings.Join(ruleLines, "\n")
+	sel, err := query.Compile(rules)
 	if err != nil {
 		return nil, err
 	}
-	aq := &Query{Sel: sel, Spec: spec, field: trace.NewFieldRef(spec.Field)}
+	aq := &Query{Sel: sel, Spec: spec, rules: rules, field: trace.NewFieldRef(spec.Field)}
 	for _, f := range spec.By {
 		aq.by = append(aq.by, trace.NewFieldRef(f))
 	}
@@ -71,11 +73,12 @@ type Options struct {
 // segments (footer pruning applied) are scanned where they live and
 // folded into one bounded partial aggregate — the push-down half of a
 // distributed aggregation. The caller ships the partial, not the
-// records.
+// records, and Releases it once shipped.
 //
 // Each segment is folded into its own group table on the query
 // package's worker pool; this goroutine absorbs the tables in admission
-// order, a table's groups in the order their keys first appeared. The
+// order, a table's groups in the order their keys first appeared, into
+// one pooled table, sorted into canonical key order at the end. The
 // MaxGroups cap admits keys first come, first served and never evicts,
 // so a key's fate is settled by its first record. Absorbing in that
 // order meets the first records as a record-by-record fold would, so
@@ -87,8 +90,10 @@ func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, erro
 		opt.Obs.Counter("agg.runs").Inc()
 		records, foldGroups = opt.Obs.Counter("agg.records"), opt.Obs.Counter("agg.fold_groups")
 	}
-	p := NewPartial(aq.Spec)
-	maxGroups := aq.Spec.maxGroups()
+	p := partialPool.Get().(*Partial).Reset(aq.Spec)
+	all := p.table
+	all.reset()
+	maxGroups, sketch := aq.Spec.maxGroups(), aq.Spec.Fn.NeedsSketch()
 	scan := aq.scanSegment
 	if opt.Memo != nil {
 		scan = opt.Memo.scanner(aq, opt.Store)
@@ -99,7 +104,12 @@ func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, erro
 			p.Skipped += seg.skipped
 			p.widen(seg.minTime, seg.maxTime)
 			for i := range seg.groups {
-				p.absorb(&seg.groups[i], maxGroups)
+				g := &seg.groups[i]
+				if _, ok := all.index[g.Key]; !ok && len(all.groups) >= maxGroups {
+					p.Dropped += g.Count
+					continue
+				}
+				all.group(g.Key, sketch).add(g)
 			}
 			records.Add(seg.records)
 			foldGroups.Add(int64(len(seg.groups)))
@@ -107,9 +117,12 @@ func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, erro
 				segmentPool.Put(seg)
 			}
 		})
+	p.Groups = all.groups
 	if err != nil {
+		p.Release()
 		return nil, stats, err
 	}
+	slices.SortFunc(p.Groups, func(a, b Group) int { return compareKeys(&a.Key, &b.Key) })
 	return p, stats, nil
 }
 
@@ -126,6 +139,16 @@ type segment struct {
 
 // segmentPool recycles group tables across segments and queries.
 var segmentPool = sync.Pool{New: func() any { return &segment{index: make(map[GroupKey]int)} }}
+
+// partialPool recycles Eval's partials, each with the table it folds
+// the segments' tables into, across queries.
+var partialPool = sync.Pool{New: func() any { return &Partial{table: &segment{index: make(map[GroupKey]int)}} }}
+
+// reset empties the table, keeping its storage.
+func (seg *segment) reset() {
+	clear(seg.index)
+	*seg = segment{minTime: ^uint64(0), groups: seg.groups[:0], index: seg.index}
+}
 
 // group returns the segment's group for key, opening one for a new key;
 // a run of records of one key, as a shard mostly is, skips the map.
@@ -152,8 +175,7 @@ func (seg *segment) group(key GroupKey, sketch bool) *Group {
 // table. It runs on a pool worker and touches no shared state.
 func (aq *Query) scanSegment(rs *store.ReaderSegment) (*segment, query.Stats, error) {
 	seg := segmentPool.Get().(*segment)
-	clear(seg.index)
-	*seg = segment{minTime: ^uint64(0), groups: seg.groups[:0], index: seg.index}
+	seg.reset()
 	sketch, needsField := aq.Spec.Fn.NeedsSketch(), aq.Spec.Fn.NeedsField()
 	st, err := aq.Sel.ScanSegment(rs, func(v *trace.View, _ uint8) {
 		seg.records++

@@ -16,26 +16,7 @@ import (
 	"dpm/internal/trace"
 )
 
-// recordFold is the fold Eval did before per-segment group tables, kept
-// as the oracle: one record attributed to its group, false when the
-// table is at maxGroups and the key is new (the caller counts Dropped).
-func (p *Partial) recordFold(key GroupKey, v uint64, sketch bool, maxGroups int) bool {
-	g, ok := p.Groups[key]
-	if !ok {
-		if len(p.Groups) >= maxGroups {
-			return false
-		}
-		g = &Group{Key: key}
-		if sketch {
-			g.hist = make([]int64, obs.NumBuckets)
-		}
-		p.Groups[key] = g
-	}
-	g.observe(v, sketch)
-	return true
-}
-
-// recordEval is that Eval: every matched record's group key — each
+// recordEval is the Eval before per-segment group tables: every matched record's group key — each
 // field asked for by name — and value collected per segment on the
 // pool, then folded one record at a time in admission order on this
 // goroutine.
@@ -50,7 +31,7 @@ func recordEval(rd *store.Reader, aq *Query) (*Partial, query.Stats, error) {
 		items            []item
 	}
 	s := aq.Spec
-	p := NewPartial(s)
+	p := newRefPartial(s)
 	stats, err := query.ScanOrdered(rd, aq.Sel,
 		func(rs *store.ReaderSegment) (*segItems, query.Stats, error) {
 			seg := &segItems{minTime: ^uint64(0)}
@@ -98,7 +79,7 @@ func recordEval(rd *store.Reader, aq *Query) (*Partial, query.Stats, error) {
 	if err != nil {
 		return nil, stats, err
 	}
-	return p, stats, nil
+	return partialOf(p), stats, nil
 }
 
 // foldStore writes n seeded records over six machines into a

@@ -1,8 +1,8 @@
 package agg
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 
 	"dpm/internal/obs"
@@ -20,8 +20,8 @@ const MemoCost = 1 << 15
 // query folds from it: a standing aggregate asked again scans only the
 // segments sealed, compacted or archived since, and takes the rest —
 // table and scan statistics — from here. A table is keyed by the store
-// (Options.Store), the canonical query (compiled rules, Spec.String(),
-// NoPrune), the segment's name and its store.ReaderSegment.Tail;
+// (Options.Store), the query (the rules' text, Spec.String(), NoPrune),
+// the segment's name and its store.ReaderSegment.Tail;
 // segments without a tail and scans that fail are never kept. A memo
 // whose next table would take it past its bound is emptied first, as the
 // daemon's getfile checkpoint table is. Safe for concurrent Evals.
@@ -40,7 +40,7 @@ type Memo struct {
 }
 
 type memoKey struct {
-	scope string // the store and the canonical query
+	scope string // the store and the query
 	name  string
 	tail  [store.TailSize]byte
 }
@@ -65,7 +65,7 @@ func (m *Memo) scanner(aq *Query, storeID string) func(*store.ReaderSegment) (*s
 		m.hits, m.misses, m.clears = m.reg.Counter("agg.memo_hits"), m.reg.Counter("agg.memo_misses"), m.reg.Counter("agg.memo_clears")
 		m.groups = m.reg.Gauge("agg.memo_groups")
 	})
-	scope := fmt.Sprintf("%s\x00%#v\x00%s\x00%t", storeID, aq.Sel.Rules, aq.Spec, aq.Sel.NoPrune)
+	scope := storeID + "\x00" + aq.rules + "\x00" + aq.Spec.String() + "\x00" + strconv.FormatBool(aq.Sel.NoPrune)
 	return func(rs *store.ReaderSegment) (*segment, query.Stats, error) {
 		tail := rs.Tail()
 		if tail == nil {

@@ -490,3 +490,57 @@ func TestMemoKeySeparatesQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestAggEvalNoAllocPerGroup gates the daemon's side of an aggregate:
+// with both segments' tables in the memo, an Eval, the encoding of its
+// partial into a kept buffer and the partial's release allocate as often
+// at 1 000 groups as at 10, within one — no map entry, no *Group and no
+// table grown per group.
+func TestAggEvalNoAllocPerGroup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
+	}
+	aq, err := Compile("agg count by cpuTime")
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(groups int) float64 {
+		be := store.NewMemBackend()
+		st, err := store.Open(be, store.Config{Shards: 1, SegmentCap: 1 << 20, CompactMin: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < groups; i++ { // one cpuTime each
+			if err := st.AppendBatch(memoRecord(i, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if i == groups/2 || i == groups-1 {
+				if err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rd, memo := openReader(t, be), NewMemo(MemoCost, obs.NewRegistry())
+		var buf []byte
+		eval := func() {
+			p, _, err := Eval(rd, aq, Options{Memo: memo, Store: "dir"})
+			if err != nil || len(p.Groups) != groups {
+				t.Fatalf("%v, %d groups, want %d", err, len(p.Groups), groups)
+			}
+			buf = p.AppendBinary(buf[:0])
+			p.Release()
+		}
+		eval()
+		var allocs float64
+		atWorkers(1, func() { allocs = testing.AllocsPerRun(50, eval) })
+		if memo.hits.Load() != 51*2 {
+			t.Fatalf("%d memo hits over 51 Evals of 2 segments", memo.hits.Load())
+		}
+		return allocs
+	}
+	few, many := measure(10), measure(1000)
+	t.Logf("an Eval, its encoding and release: %.0f allocations at 10 groups, %.0f at 1000", few, many)
+	if many > few+1 {
+		t.Fatalf("an Eval of 1000 groups allocates %.0f times, of 10 groups %.0f", many, few)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -20,6 +19,12 @@ type GroupKey struct {
 	Vals   [MaxBy]uint64
 }
 
+// compareKeys orders keys canonically: window first, then the key
+// values.
+func compareKeys(a, b *GroupKey) int {
+	return cmp.Or(cmp.Compare(a.Window, b.Window), slices.Compare(a.Vals[:], b.Vals[:]))
+}
+
 // Group is one group's accumulator. Every operator shares the shape —
 // count, sum, min, max, and (for percentile operators) the log2
 // histogram sketch — so a partial can be rendered under any of the
@@ -30,8 +35,8 @@ type Group struct {
 	Sum   int64
 	Min   int64
 	Max   int64
-	// hist is the dense log2 sketch, allocated only when the spec's
-	// operator needs it: hist[b] counts values v with bits.Len64(v)==b,
+	// hist is the dense log2 sketch, empty unless the spec's operator
+	// needs it: hist[b] counts values v with bits.Len64(v)==b,
 	// the bucket rule of obs.Histogram, so quantile bounds come from
 	// obs.HistValue.
 	hist []int64
@@ -58,17 +63,23 @@ func (g *Group) observe(v uint64, sketch bool) {
 	}
 }
 
-// HistValue adapts the group's sketch to obs.HistValue, whose
-// Quantile carries the nearest-rank upper-bound semantics the obs
-// layer already pins down.
-func (g *Group) HistValue() obs.HistValue {
-	hv := obs.HistValue{Count: g.Count, Sum: g.Sum}
-	for b, n := range g.hist {
-		if n != 0 {
-			hv.Buckets = append(hv.Buckets, obs.BucketCount{Bucket: uint8(b), Count: n})
-		}
+// add merges another accumulator of the same key into g: counts and
+// sums add, min/max narrow, sketch buckets add.
+func (g *Group) add(og *Group) {
+	if og.Count > 0 && (g.Count == 0 || og.Min < g.Min) {
+		g.Min = og.Min
 	}
-	return hv
+	if og.Count > 0 && (g.Count == 0 || og.Max > g.Max) {
+		g.Max = og.Max
+	}
+	g.Count += og.Count
+	g.Sum += og.Sum
+	if len(og.hist) > 0 && len(g.hist) == 0 {
+		g.hist = append(g.hist[:0], make([]int64, obs.NumBuckets)...)
+	}
+	for b, n := range og.hist {
+		g.hist[b] += n
+	}
 }
 
 // Partial is one machine's bounded partial aggregate: the compact
@@ -93,45 +104,37 @@ type Partial struct {
 	Records int64
 	Skipped int64
 	Dropped int64
-	Groups  map[GroupKey]*Group
+	// Groups is one flat table, one group per key in canonical key
+	// order (compareKeys): as Eval leaves it, the encoding writes it, a
+	// decode demands it and Merge reads and writes it.
+	Groups []Group
+
+	nvals int      // key values per group: the spec's group-by fields
+	table *segment // the table Eval folded Groups in, pooled with p
+	// What a merge or rendering reuses: the other table of the merge,
+	// and the rows' values and order.
+	spare []Group
+	vals  []float64
+	order []int32
 }
 
 // NewPartial returns an empty partial for a spec.
-func NewPartial(s *Spec) *Partial {
-	return &Partial{Spec: s.String(), MinTime: ^uint64(0), Groups: make(map[GroupKey]*Group)}
+func NewPartial(s *Spec) *Partial { return new(Partial).Reset(s) }
+
+// Reset empties p for a partial of spec s, keeping its storage, and
+// returns it.
+func (p *Partial) Reset(s *Spec) *Partial {
+	p.Spec, p.nvals, p.MinTime, p.MaxTime = s.String(), len(s.By), ^uint64(0), 0
+	p.Records, p.Skipped, p.Dropped, p.Groups = 0, 0, 0, p.Groups[:0]
+	return p
 }
 
-// absorb merges a group into p: into p's group of its key, else as a
-// new group while p has fewer than maxGroups, else into Dropped.
-func (p *Partial) absorb(sg *Group, maxGroups int) {
-	g, ok := p.Groups[sg.Key]
-	if !ok {
-		if len(p.Groups) >= maxGroups {
-			p.Dropped += sg.Count
-			return
-		}
-		g = &Group{Key: sg.Key, Min: sg.Min, Max: sg.Max}
-		p.Groups[sg.Key] = g
-	}
-	g.add(sg)
-}
-
-// add merges another accumulator of the same key into g: counts and
-// sums add, min/max narrow, sketch buckets add.
-func (g *Group) add(og *Group) {
-	if og.Count > 0 && (g.Count == 0 || og.Min < g.Min) {
-		g.Min = og.Min
-	}
-	if og.Count > 0 && (g.Count == 0 || og.Max > g.Max) {
-		g.Max = og.Max
-	}
-	g.Count += og.Count
-	g.Sum += og.Sum
-	if og.hist != nil && g.hist == nil {
-		g.hist = make([]int64, obs.NumBuckets)
-	}
-	for b, n := range og.hist {
-		g.hist[b] += n
+// Release gives a partial Eval returned back, with the table it was
+// folded in, for the next Eval to reuse; nothing may use p, or still
+// hold its groups, after.
+func (p *Partial) Release() {
+	if p.table != nil {
+		partialPool.Put(p)
 	}
 }
 
@@ -143,28 +146,57 @@ func (p *Partial) widen(lo, hi uint64) { p.MinTime, p.MaxTime = min(p.MinTime, l
 // aggregate specifications.
 var ErrSpecMismatch = errors.New("agg: partials have different specs")
 
-// Merge folds other into p: groups merge key-wise (Group.add), the time
-// range widens, and the record counters add — associative and
+// Merge folds others into p: the time range widens, the record counters
+// add, and the group tables merge in one pass over all of them — the
+// least key at the tables' heads next, the groups of one key added
+// (Group.add) in argument order, p's first. That is associative and
 // commutative, the discipline obs.Snapshot.Merge set, so a
 // scatter-gather can fold per-machine partials in whatever order they
 // arrive. Merge applies no MaxGroups cap and never evicts, so merge
 // order cannot change the result and the merged table can exceed the
 // cap: it combines machines, never pieces of one machine's fold.
-func (p *Partial) Merge(other *Partial) error {
-	if other == nil {
-		return nil
+func (p *Partial) Merge(others ...*Partial) error {
+	for _, o := range others {
+		if o != nil && o.Spec != p.Spec {
+			return fmt.Errorf("%w: %q vs %q", ErrSpecMismatch, p.Spec, o.Spec)
+		}
 	}
-	if p.Spec != other.Spec {
-		return fmt.Errorf("%w: %q vs %q", ErrSpecMismatch, p.Spec, other.Spec)
+	runs := append(make([][]Group, 0, 1+len(others)), p.Groups)
+	for _, o := range others {
+		if o != nil {
+			p.widen(o.MinTime, o.MaxTime)
+			p.Records, p.Skipped, p.Dropped = p.Records+o.Records, p.Skipped+o.Skipped, p.Dropped+o.Dropped
+			runs = append(runs, o.Groups)
+		}
 	}
-	p.widen(other.MinTime, other.MaxTime)
-	p.Records += other.Records
-	p.Skipped += other.Skipped
-	p.Dropped += other.Dropped
-	for _, og := range other.Groups {
-		p.absorb(og, math.MaxInt)
-	}
+	p.Groups, p.spare, p.table = merge(p.spare[:0], runs), p.Groups, nil
 	return nil
+}
+
+// merge appends to dst the groups of runs, each in canonical key order,
+// in one pass: the least key at the runs' heads next, on a tie the
+// earlier run's, and the groups of one key added into one (Group.add)
+// as the map-keyed merge did. dst's places lend their sketches' arrays;
+// no group of a run is written.
+func merge(dst []Group, runs [][]Group) []Group {
+	for {
+		least := -1
+		for i, r := range runs {
+			if len(r) > 0 && (least < 0 || compareKeys(&r[0].Key, &runs[least][0].Key) < 0) {
+				least = i
+			}
+		}
+		if least < 0 {
+			return dst
+		}
+		g := &runs[least][0]
+		runs[least] = runs[least][1:]
+		if n := len(dst); n == 0 || dst[n-1].Key != g.Key {
+			dst = slices.Grow(dst, 1)[:n+1]
+			dst[n] = Group{Key: g.Key, Min: g.Min, Max: g.Max, hist: dst[n].hist[:0]}
+		}
+		dst[len(dst)-1].add(g)
+	}
 }
 
 // Binary partial format, version 1. Little-endian throughout:
@@ -177,9 +209,11 @@ func (p *Partial) Merge(other *Partial) error {
 //	                i64 count, i64 sum, i64 min, i64 max,
 //	                u16 n pairs × (u8 bucket, i64 count)).
 //
-// Strings are u16-length-prefixed. Groups are written in sorted key
-// order, so the encoding of a partial is deterministic — the
-// randomized merge-order tests compare encodings byte for byte. A
+// Strings are u16-length-prefixed. Groups are written in canonical key
+// order, nvals is the spec's number of group-by fields and the pairs
+// are the sketch's nonzero buckets in bucket order, so the encoding of
+// a partial is deterministic — the randomized merge-order tests compare
+// encodings byte for byte — and a decode refuses any other order. A
 // parser ignores trailing bytes and accepts newer versions by their
 // version-1 prefix, the obs snapshot discipline.
 
@@ -196,69 +230,60 @@ var ErrPartialCorrupt = errors.New("agg: corrupt partial")
 // machine count.
 const maxPartialGroups = 1 << 20
 
-// sortedGroups returns the groups in canonical key order: window
-// first, then the key values.
-func (p *Partial) sortedGroups() []*Group {
-	out := make([]*Group, 0, len(p.Groups))
-	for _, g := range p.Groups {
-		out = append(out, g)
-	}
-	slices.SortFunc(out, func(a, b *Group) int {
-		return cmp.Or(cmp.Compare(a.Key.Window, b.Key.Window), slices.Compare(a.Key.Vals[:], b.Key.Vals[:]))
-	})
-	return out
-}
-
-// nvals returns how many key slots the spec's by-list uses; encoded so
-// a reader does not need the spec to frame the key.
+// nvalsOf returns how many key slots a spec's by-list uses, 0 for a spec
+// that does not parse; encoded so a reader does not need the spec to
+// frame the key.
 func nvalsOf(spec string) int {
 	s, err := ParseSpec(spec)
 	if err != nil {
-		return MaxBy
+		return 0
 	}
 	return len(s.By)
 }
 
+// Len returns the length of the partial's encoding.
+func (p *Partial) Len() int {
+	n := 4 + 2 + 2 + len(p.Spec) + 5*8 + 4 + len(p.Groups)*(8+1+8*p.nvals+4*8+2)
+	for i := range p.Groups {
+		for _, c := range p.Groups[i].hist {
+			if c != 0 {
+				n += 1 + 8
+			}
+		}
+	}
+	return n
+}
+
 // MarshalBinary encodes the partial deterministically in the versioned
 // binary format.
-func (p *Partial) MarshalBinary() []byte {
+func (p *Partial) MarshalBinary() []byte { return p.AppendBinary(make([]byte, 0, p.Len())) }
+
+// AppendBinary appends the partial's encoding to b.
+func (p *Partial) AppendBinary(b []byte) []byte {
 	le := binary.LittleEndian
-	b := make([]byte, 0, 64+48*len(p.Groups))
-	b = append(b, partialMagic[:]...)
-	b = le.AppendUint16(b, PartialVersion)
-	b = le.AppendUint16(b, uint16(len(p.Spec)))
-	b = append(b, p.Spec...)
-	b = le.AppendUint64(b, p.MinTime)
-	b = le.AppendUint64(b, p.MaxTime)
-	b = le.AppendUint64(b, uint64(p.Records))
-	b = le.AppendUint64(b, uint64(p.Skipped))
-	b = le.AppendUint64(b, uint64(p.Dropped))
-	nvals := nvalsOf(p.Spec)
-	groups := p.sortedGroups()
-	b = le.AppendUint32(b, uint32(len(groups)))
-	for _, g := range groups {
-		b = le.AppendUint64(b, g.Key.Window)
-		b = append(b, uint8(nvals))
-		for i := 0; i < nvals; i++ {
-			b = le.AppendUint64(b, g.Key.Vals[i])
+	b = le.AppendUint16(append(b, partialMagic[:]...), PartialVersion)
+	b = append(le.AppendUint16(b, uint16(len(p.Spec))), p.Spec...)
+	for _, v := range [...]uint64{p.MinTime, p.MaxTime, uint64(p.Records), uint64(p.Skipped), uint64(p.Dropped)} {
+		b = le.AppendUint64(b, v)
+	}
+	b = le.AppendUint32(b, uint32(len(p.Groups)))
+	for i := range p.Groups {
+		g := &p.Groups[i]
+		b = append(le.AppendUint64(b, g.Key.Window), uint8(p.nvals))
+		for _, v := range g.Key.Vals[:p.nvals] {
+			b = le.AppendUint64(b, v)
 		}
-		b = le.AppendUint64(b, uint64(g.Count))
-		b = le.AppendUint64(b, uint64(g.Sum))
-		b = le.AppendUint64(b, uint64(g.Min))
-		b = le.AppendUint64(b, uint64(g.Max))
-		pairs := 0
-		for _, n := range g.hist {
-			if n != 0 {
-				pairs++
-			}
+		for _, v := range [...]int64{g.Count, g.Sum, g.Min, g.Max} {
+			b = le.AppendUint64(b, uint64(v))
 		}
-		b = le.AppendUint16(b, uint16(pairs))
+		at := len(b)
+		b = append(b, 0, 0)
 		for bucket, n := range g.hist {
 			if n != 0 {
-				b = append(b, uint8(bucket))
-				b = le.AppendUint64(b, uint64(n))
+				b = le.AppendUint64(append(b, uint8(bucket)), uint64(n))
 			}
 		}
+		le.PutUint16(b[at:], uint16((len(b)-at-2)/9))
 	}
 	return b
 }
@@ -267,60 +292,67 @@ func (p *Partial) MarshalBinary() []byte {
 // known sections are ignored, and newer versions are accepted by
 // their version-1 prefix.
 func ParsePartial(data []byte) (*Partial, error) {
-	r := obs.NewCursor(data, ErrPartialCorrupt)
-	magic := r.Take(4)
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if [4]byte(magic) != partialMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrPartialCorrupt)
-	}
-	if v := r.U16(); v < 1 {
-		return nil, fmt.Errorf("%w: version %d", ErrPartialCorrupt, v)
-	}
-	p := &Partial{Groups: make(map[GroupKey]*Group)}
-	p.Spec = r.Str()
-	p.MinTime = r.U64()
-	p.MaxTime = r.U64()
-	p.Records = int64(r.U64())
-	p.Skipped = int64(r.U64())
-	p.Dropped = int64(r.U64())
-	ng := r.U32()
-	if ng > maxPartialGroups {
-		return nil, fmt.Errorf("%w: %d groups", ErrPartialCorrupt, ng)
-	}
-	for i := uint32(0); i < ng && r.Err() == nil; i++ {
-		g := &Group{}
-		g.Key.Window = r.U64()
-		nvals := int(r.U8())
-		if nvals > MaxBy {
-			return nil, fmt.Errorf("%w: group %d has %d key values", ErrPartialCorrupt, i, nvals)
-		}
-		for j := 0; j < nvals; j++ {
-			g.Key.Vals[j] = r.U64()
-		}
-		g.Count = int64(r.U64())
-		g.Sum = int64(r.U64())
-		g.Min = int64(r.U64())
-		g.Max = int64(r.U64())
-		pairs := int(r.U16())
-		for j := 0; j < pairs && r.Err() == nil; j++ {
-			bucket := int(r.U8())
-			n := int64(r.U64())
-			if bucket >= obs.NumBuckets {
-				return nil, fmt.Errorf("%w: bucket %d", ErrPartialCorrupt, bucket)
-			}
-			if g.hist == nil {
-				g.hist = make([]int64, obs.NumBuckets)
-			}
-			g.hist[bucket] = n
-		}
-		if r.Err() == nil {
-			p.Groups[g.Key] = g
-		}
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
+	p := new(Partial)
+	if err := p.UnmarshalBinary(data); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// UnmarshalBinary decodes a binary partial into p, reusing its storage,
+// as ParsePartial does; a spec equal to p's keeps p's key width
+// without parsing it again. Besides bytes that end early, it refuses
+// what no writer makes: a group whose key width is not its spec's, keys
+// repeated or out of canonical order, and sketch pairs of a zero count
+// or out of bucket order. After an error p holds no partial to use.
+func (p *Partial) UnmarshalBinary(data []byte) error {
+	r := obs.NewCursor(data, ErrPartialCorrupt)
+	if magic := r.Take(4); r.Err() != nil {
+		return r.Err()
+	} else if [4]byte(magic) != partialMagic {
+		return fmt.Errorf("%w: bad magic", ErrPartialCorrupt)
+	}
+	if v := r.U16(); v < 1 {
+		return fmt.Errorf("%w: version %d", ErrPartialCorrupt, v)
+	}
+	if spec := r.Take(int(r.U16())); string(spec) != p.Spec {
+		p.Spec = string(spec)
+		p.nvals = nvalsOf(p.Spec)
+	}
+	p.MinTime, p.MaxTime = r.U64(), r.U64()
+	p.Records, p.Skipped, p.Dropped = r.I64(), r.I64(), r.I64()
+	ng := r.U32()
+	if ng > maxPartialGroups {
+		return fmt.Errorf("%w: %d groups", ErrPartialCorrupt, ng)
+	}
+	p.Groups = p.Groups[:0]
+	for i := 0; i < int(ng) && r.Err() == nil; i++ {
+		p.Groups = slices.Grow(p.Groups, 1)[:i+1]
+		g := &p.Groups[i]
+		*g = Group{Key: GroupKey{Window: r.U64()}, hist: g.hist[:0]}
+		if n := int(r.U8()); n != p.nvals && r.Err() == nil {
+			return fmt.Errorf("%w: group %d has %d key values, its spec %d", ErrPartialCorrupt, i, n, p.nvals)
+		}
+		for j := range p.nvals {
+			g.Key.Vals[j] = r.U64()
+		}
+		g.Count, g.Sum, g.Min, g.Max = r.I64(), r.I64(), r.I64(), r.I64()
+		for j, last, pairs := 0, -1, int(r.U16()); j < pairs; j++ {
+			bucket, n := int(r.U8()), r.I64()
+			if r.Err() != nil {
+				break
+			}
+			if bucket >= obs.NumBuckets || bucket <= last || n == 0 {
+				return fmt.Errorf("%w: group %d has bucket %d of count %d after bucket %d", ErrPartialCorrupt, i, bucket, n, last)
+			}
+			if len(g.hist) == 0 {
+				g.hist = append(g.hist, make([]int64, obs.NumBuckets)...)
+			}
+			g.hist[bucket], last = n, bucket
+		}
+		if i > 0 && r.Err() == nil && compareKeys(&p.Groups[i-1].Key, &g.Key) >= 0 {
+			return fmt.Errorf("%w: group %d's key repeats or goes backwards", ErrPartialCorrupt, i)
+		}
+	}
+	return r.Err()
 }

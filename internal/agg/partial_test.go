@@ -17,9 +17,14 @@ func mustSpec(t testing.TB, line string) *Spec {
 	return s
 }
 
-// randPartial folds n pseudo-random records into a fresh partial.
+// randPartial folds n pseudo-random records into a fresh partial,
+// through the reference's record fold.
 func randPartial(s *Spec, rng *rand.Rand, n int) *Partial {
-	p := NewPartial(s)
+	return partialOf(randRefPartial(s, rng, n))
+}
+
+func randRefPartial(s *Spec, rng *rand.Rand, n int) *refPartial {
+	p := newRefPartial(s)
 	sketch := s.Fn.NeedsSketch()
 	for i := 0; i < n; i++ {
 		var key GroupKey
@@ -133,18 +138,18 @@ func TestMergeSpecMismatch(t *testing.T) {
 func TestMergeNeverEvicts(t *testing.T) {
 	s := mustSpec(t, "agg count by machine")
 	s.MaxGroups = 4
-	a := NewPartial(s)
-	b := NewPartial(s)
+	ra, rb := newRefPartial(s), newRefPartial(s)
 	for i := 0; i < 4; i++ {
-		a.recordFold(GroupKey{Vals: [MaxBy]uint64{uint64(i)}}, 1, false, s.maxGroups())
-		b.recordFold(GroupKey{Vals: [MaxBy]uint64{uint64(10 + i)}}, 1, false, s.maxGroups())
+		ra.recordFold(GroupKey{Vals: [MaxBy]uint64{uint64(i)}}, 1, false, s.maxGroups())
+		rb.recordFold(GroupKey{Vals: [MaxBy]uint64{uint64(10 + i)}}, 1, false, s.maxGroups())
 	}
 	// Each side is at its own cap; the merge must keep all 8 groups.
-	if !a.recordFold(GroupKey{Vals: [MaxBy]uint64{99}}, 1, false, s.maxGroups()) {
-		a.Dropped++
+	if !ra.recordFold(GroupKey{Vals: [MaxBy]uint64{99}}, 1, false, s.maxGroups()) {
+		ra.Dropped++
 	} else {
 		t.Fatal("fold past cap succeeded")
 	}
+	a, b := partialOf(ra), partialOf(rb)
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}

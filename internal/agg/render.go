@@ -1,72 +1,25 @@
 package agg
 
 import (
-	"fmt"
-	"io"
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
+
+	"dpm/internal/obs"
 )
 
 // Row is one rendered group: the stable, machine-readable view of a
-// merged partial under its spec (the -json output of dpquery and the
-// table rows of the controller's aggregate query).
+// merged partial under its spec (the rows of dpquery -json).
 type Row struct {
 	// Window is the window start (cpuTime ms); omitted when the spec
 	// has no window.
 	Window uint64 `json:"window,omitempty"`
-	// Key maps each group-by field to its value, in spec order in the
-	// text rendering.
+	// Key maps each group-by field to its value.
 	Key map[string]uint64 `json:"key,omitempty"`
 	// Count is the records in the group; Value the operator's answer
 	// (count, sum, min, max, rate/s, or the percentile bound).
 	Count int64   `json:"count"`
 	Value float64 `json:"value"`
-}
-
-// Result pairs a (merged) partial with its spec for rendering.
-type Result struct {
-	Spec    *Spec    `json:"-"`
-	SpecStr string   `json:"spec"`
-	Partial *Partial `json:"-"`
-	Rows    []Row    `json:"rows"`
-	// Records/Skipped/Dropped restate the partial's counters; Dropped
-	// or TopK nonzero means the answer is approximate (docs/query.md,
-	// accuracy notes).
-	Records int64 `json:"records"`
-	Skipped int64 `json:"skipped,omitempty"`
-	Dropped int64 `json:"dropped,omitempty"`
-}
-
-// NewResult computes the rendered rows of a partial: each group's
-// operator value, sorted — heaviest first with the top-k cut applied
-// for a top spec, canonical key order otherwise.
-func NewResult(s *Spec, p *Partial) *Result {
-	r := &Result{
-		Spec: s, SpecStr: s.String(), Partial: p,
-		Records: p.Records, Skipped: p.Skipped, Dropped: p.Dropped,
-	}
-	groups := p.sortedGroups()
-	rows := make([]Row, 0, len(groups))
-	for _, g := range groups {
-		row := Row{Window: g.Key.Window, Count: g.Count, Value: s.value(g, p)}
-		if len(s.By) > 0 {
-			row.Key = make(map[string]uint64, len(s.By))
-			for i, f := range s.By {
-				row.Key[f] = g.Key.Vals[i]
-			}
-		}
-		rows = append(rows, row)
-	}
-	if s.TopK > 0 {
-		// Heaviest first; the canonical key order of sortedGroups breaks
-		// value ties, so the cut is deterministic.
-		sort.SliceStable(rows, func(i, j int) bool { return rows[i].Value > rows[j].Value })
-		if len(rows) > s.TopK {
-			rows = rows[:s.TopK]
-		}
-	}
-	r.Rows = rows
-	return r
 }
 
 // value computes one group's answer under the spec's operator.
@@ -89,53 +42,90 @@ func (s *Spec) value(g *Group, p *Partial) float64 {
 			ms = int64(p.MaxTime-p.MinTime) + 1
 		}
 		return float64(g.Count) * 1000 / float64(ms)
-	case FnP50, FnP95, FnP99:
-		hv := g.HistValue()
+	case FnP50, FnP95, FnP99: // obs.HistValue's nearest-rank upper bound
+		var buckets [obs.NumBuckets]obs.BucketCount
+		hv := obs.HistValue{Count: g.Count, Sum: g.Sum, Buckets: buckets[:0]}
+		for b, n := range g.hist {
+			if n != 0 {
+				hv.Buckets = append(hv.Buckets, obs.BucketCount{Bucket: uint8(b), Count: n})
+			}
+		}
 		return float64(hv.Quantile(s.Fn.Quantile()))
 	}
 	return 0
 }
 
-// formatValue renders a value in the operator's natural precision:
-// rates keep fractions, everything else is integral.
-func (s *Spec) formatValue(v float64) string {
-	if s.Fn == FnRate {
-		return strconv.FormatFloat(v, 'f', 3, 64)
+// answer computes each group's value under s into p.vals and returns
+// the places of the groups the answer lists, in its order: canonical
+// key order, or for a top spec the k heaviest, heaviest first, with
+// canonical key order breaking value ties so the cut is deterministic.
+func (p *Partial) answer(s *Spec) []int32 {
+	p.vals, p.order = p.vals[:0], p.order[:0]
+	for i := range p.Groups {
+		p.vals = append(p.vals, s.value(&p.Groups[i], p))
+		p.order = append(p.order, int32(i))
 	}
-	return strconv.FormatFloat(v, 'f', -1, 64)
+	if s.TopK > 0 {
+		slices.SortStableFunc(p.order, func(i, j int32) int { return cmp.Compare(p.vals[j], p.vals[i]) })
+		p.order = p.order[:min(len(p.order), s.TopK)]
+	}
+	return p.order
 }
 
-// Render writes the result as a readable table: the spec, one row per
-// group (window and group-by columns first, then the value and the
-// record count), and a summary line carrying the counters that mark a
-// degraded or approximate answer.
-func (r *Result) Render(w io.Writer) {
-	s := r.Spec
-	fmt.Fprintf(w, "%s\n", s.String())
-	fmt.Fprintf(w, "%-12s", "")
+// Rows returns the answer's rows under s, in the answer's order.
+func (p *Partial) Rows(s *Spec) []Row {
+	order := p.answer(s)
+	rows := make([]Row, 0, len(order))
+	for _, i := range order {
+		g := &p.Groups[i]
+		row := Row{Window: g.Key.Window, Key: make(map[string]uint64, len(s.By)), Count: g.Count, Value: p.vals[i]}
+		for k, f := range s.By {
+			row.Key[f] = g.Key.Vals[k]
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// AppendTable appends the answer under s as a readable table: the
+// spec, one row per group (window and group-by columns first, then the
+// value and the record count), and a summary line carrying the counters
+// that mark a degraded or approximate answer. Values keep the
+// operator's natural precision: rates three decimals, everything else
+// integral.
+func (p *Partial) AppendTable(b []byte, s *Spec) []byte {
+	b = obs.AppendRight(append(append(b, s.String()...), '\n'), "", 12)
 	if s.WindowMS > 0 {
-		fmt.Fprintf(w, "%12s ", "window")
+		b = append(obs.AppendRight(b, "window", 12), ' ')
 	}
 	for _, f := range s.By {
-		fmt.Fprintf(w, "%12s ", f)
+		b = append(obs.AppendRight(b, f, 12), ' ')
 	}
-	fmt.Fprintf(w, "%14s %10s\n", s.Fn.String(), "count")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-12s", "")
+	b = append(obs.AppendRight(append(obs.AppendRight(b, s.Fn.String(), 14), ' '), "count", 10), '\n')
+	prec := -1
+	if s.Fn == FnRate {
+		prec = 3
+	}
+	var num [32]byte
+	for _, i := range p.answer(s) {
+		g := &p.Groups[i]
+		b = obs.AppendRight(b, "", 12)
 		if s.WindowMS > 0 {
-			fmt.Fprintf(w, "%12d ", row.Window)
+			b = append(obs.AppendRight(b, strconv.AppendUint(num[:0], g.Key.Window, 10), 12), ' ')
 		}
-		for _, f := range s.By {
-			fmt.Fprintf(w, "%12d ", row.Key[f])
+		for _, v := range g.Key.Vals[:len(s.By)] {
+			b = append(obs.AppendRight(b, strconv.AppendUint(num[:0], v, 10), 12), ' ')
 		}
-		fmt.Fprintf(w, "%14s %10d\n", s.formatValue(row.Value), row.Count)
+		b = append(obs.AppendRight(b, strconv.AppendFloat(num[:0], p.vals[i], 'f', prec, 64), 14), ' ')
+		b = append(obs.AppendRight(b, strconv.AppendInt(num[:0], g.Count, 10), 10), '\n')
 	}
-	fmt.Fprintf(w, "groups=%d records=%d", len(r.Partial.Groups), r.Records)
-	if r.Skipped > 0 {
-		fmt.Fprintf(w, " skipped=%d", r.Skipped)
+	b = strconv.AppendInt(append(b, "groups="...), int64(len(p.Groups)), 10)
+	b = strconv.AppendInt(append(b, " records="...), p.Records, 10)
+	if p.Skipped > 0 {
+		b = strconv.AppendInt(append(b, " skipped="...), p.Skipped, 10)
 	}
-	if r.Dropped > 0 {
-		fmt.Fprintf(w, " dropped=%d (approximate: group cap hit)", r.Dropped)
+	if p.Dropped > 0 {
+		b = append(strconv.AppendInt(append(b, " dropped="...), p.Dropped, 10), " (approximate: group cap hit)"...)
 	}
-	fmt.Fprintf(w, "\n")
+	return append(b, '\n')
 }

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"dpm/internal/filter"
 )
 
 // Fn is an aggregate operator.
@@ -111,6 +113,8 @@ type Spec struct {
 	// MaxGroups caps the per-partial group table; 0 selects
 	// DefaultMaxGroups.
 	MaxGroups int
+
+	canon string // String(), spelled once by ParseSpec
 }
 
 // IsAggLine reports whether a query line is an aggregate specification
@@ -154,7 +158,7 @@ func ParseSpec(line string) (*Spec, error) {
 		if k > MaxTopK {
 			return nil, fmt.Errorf("%w: top-k %d exceeds limit %d", ErrSpec, k, MaxTopK)
 		}
-		if !isIdent(toks[2]) {
+		if !filter.IsFieldName(toks[2]) {
 			return nil, fmt.Errorf("%w: bad top group field %q", ErrSpec, toks[2])
 		}
 		if toks[3] != "by" {
@@ -186,7 +190,7 @@ func ParseSpec(line string) (*Spec, error) {
 				return nil, fmt.Errorf("%w: by needs field names", ErrSpec)
 			}
 			for _, f := range strings.Split(toks[1], ",") {
-				if !isIdent(f) {
+				if !filter.IsFieldName(f) {
 					return nil, fmt.Errorf("%w: bad group field %q", ErrSpec, f)
 				}
 				s.By = append(s.By, f)
@@ -212,6 +216,7 @@ func ParseSpec(line string) (*Spec, error) {
 			return nil, fmt.Errorf("%w: unexpected token %q", ErrSpec, toks[0])
 		}
 	}
+	s.canon = s.spell()
 	return s, nil
 }
 
@@ -240,7 +245,7 @@ func (s *Spec) parseOp(tok string) error {
 	if !fn.NeedsField() {
 		return fmt.Errorf("%w: %s takes no field argument", ErrSpec, fn)
 	}
-	if !isIdent(field) {
+	if !filter.IsFieldName(field) {
 		return fmt.Errorf("%w: bad field %q in %q", ErrSpec, field, tok)
 	}
 	s.Fn = fn
@@ -272,29 +277,13 @@ func parseWindow(tok string) (int64, error) {
 	return v * scale, nil
 }
 
-// isIdent matches field names: letter-initial identifiers, the same
-// alphabet rule the selection-rule parser applies to field references.
-func isIdent(s string) bool {
-	if s == "" {
-		return false
-	}
-	c := s[0]
-	if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z') {
-		return false
-	}
-	for i := 1; i < len(s); i++ {
-		c := s[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the spec canonically; ParseSpec(s.String()) yields an
 // equal spec, and Merge uses the canonical form to refuse mixing
 // partials of different shapes.
-func (s *Spec) String() string {
+func (s *Spec) String() string { return s.canon }
+
+// spell spells the spec out canonically, for String.
+func (s *Spec) spell() string {
 	var b strings.Builder
 	op := s.Fn.String()
 	if s.Fn.NeedsField() {

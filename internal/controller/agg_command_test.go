@@ -2,10 +2,15 @@ package controller
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"dpm/internal/agg"
+	"dpm/internal/daemon"
 	"dpm/internal/filter"
 	"dpm/internal/kernel"
 	"dpm/internal/meter"
@@ -176,4 +181,116 @@ func TestWatchCommand(t *testing.T) {
 	if !strings.Contains(out.String(), "watch does not nest") {
 		t.Fatalf("nested watch accepted: %s", out.String())
 	}
+}
+
+// TestAggCommandNoAllocBeyondAnswer gates what an aggregate's answer
+// costs the controller against the result file it writes. Two filters'
+// replies, over 400 groups of `agg count by cpuTime`, are decoded into
+// the kept tables, merged in one pass and rendered into the kept buffer
+// in at most three times the file's bytes and 2 kB: no map, no *Group
+// and no keyed row per group. The path is the least of five windows, as
+// in TestStatsClusterNoAllocBeyondReport; the whole command, its round
+// trips and the file's copy included, is logged.
+func TestAggCommandNoAllocBeyondAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocations")
+	}
+	c, ctl, _ := newSystem(t)
+	ctl.Exec("filter f1 blue")
+	ctl.Exec("filter f2 green")
+	populateAggStore(t, openFilterStore(t, c, ctl, "f1"), 300, 10)
+	populateAggStore(t, openFilterStore(t, c, ctl, "f2"), 300, 15)
+	const spec, calls = "agg count by cpuTime", 20
+	for i := 0; i < 4; i++ {
+		ctl.Exec("query all aggwarm " + spec) // sessions, memos and tables warm
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ctl.Exec("query all aggwarm " + spec)
+	}
+	runtime.ReadMemStats(&after)
+	command := float64(after.TotalAlloc-before.TotalAlloc) / calls
+
+	s, err := agg.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []target
+	for _, f := range ctl.Filters() {
+		targets = append(targets, target{Label: f.Name, Host: f.Machine,
+			Req: &daemon.AggReq{Dir: filter.StorePath(f.Name), Spec: s.String(), UID: ctl.uid}})
+	}
+	res := ctl.broadcastTargets(targets)
+	defer release(res)
+	m := new(aggMerge)
+	if reporting, _ := m.answer(s, res); len(reporting) != 2 {
+		t.Fatalf("%d filters reporting", len(reporting))
+	}
+	file := float64(len(m.table))
+	if groups := strings.Count(string(m.table), "\n") - 3; groups < 400 {
+		t.Fatalf("%d groups, want 400 or more:\n%s", groups, m.table)
+	}
+	path := math.Inf(1)
+	for w := 0; w < 5; w++ {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			m.answer(s, res)
+		}
+		runtime.ReadMemStats(&after)
+		path = min(path, float64(after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	t.Logf("a %.0f-byte result file: the merge and rendering allocate %.0f bytes (%.2f times), the command %.0f (%.2f times)",
+		file, path, path/file, command, command/file)
+	if path > 3*file+2048 {
+		t.Errorf("merging and rendering two replies allocates %.0f bytes for a %.0f-byte result file; want at most %.0f", path, file, 3*file+2048)
+	}
+}
+
+// TestConcurrentAggAnswers merges and renders aggregate replies from
+// several goroutines at once, each through a pooled aggMerge as
+// cmdQueryAgg takes one: every answer is whole and the same.
+func TestConcurrentAggAnswers(t *testing.T) {
+	c, ctl, _ := newSystem(t)
+	ctl.Exec("filter f1 blue")
+	ctl.Exec("filter f2 green")
+	populateAggStore(t, openFilterStore(t, c, ctl, "f1"), 120, 10)
+	populateAggStore(t, openFilterStore(t, c, ctl, "f2"), 90, 15)
+	var targets []target
+	for _, f := range ctl.Filters() {
+		targets = append(targets, target{Label: f.Name, Host: f.Machine,
+			Req: &daemon.AggReq{Dir: filter.StorePath(f.Name), Spec: "agg sum(msgLength) by machine,pid", UID: ctl.uid}})
+	}
+	s, err := agg.ParseSpec("agg sum(msgLength) by machine,pid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func() string {
+		res := ctl.broadcastTargets(targets)
+		defer release(res)
+		m := aggMerges.Get().(*aggMerge)
+		defer aggMerges.Put(m)
+		if reporting, _ := m.answer(s, res); len(reporting) != 2 {
+			return fmt.Sprintf("%d filters reporting", len(reporting))
+		}
+		return string(m.table)
+	}
+	want := answer()
+	if !strings.Contains(want, "records=210") {
+		t.Fatalf("answer:\n%s", want)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if got := answer(); got != want {
+					t.Errorf("concurrent answer:\n%s\nwant:\n%s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

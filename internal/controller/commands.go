@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dpm/internal/agg"
@@ -968,58 +969,68 @@ func (c *Controller) cmdQueryAgg(args []string, specAt int) {
 		c.printf("query: %v\n", err)
 		return
 	}
+	var targets []target
 	c.mu.Lock()
-	var filters []*FilterInfo
-	if name == "all" {
-		for _, n := range c.filterOrder {
-			filters = append(filters, c.filters[n])
+	for _, n := range c.filterOrder {
+		if f := c.filters[n]; name == "all" || n == name {
+			targets = append(targets, target{Label: f.Name + "@" + f.Machine, Host: f.Machine,
+				Req: &daemon.AggReq{Dir: filter.StorePath(f.Name), Rules: rules, Spec: spec.String(), UID: c.uid}})
 		}
-	} else if f, ok := c.filters[name]; ok {
-		filters = append(filters, f)
 	}
 	c.mu.Unlock()
-	if len(filters) == 0 {
+	if len(targets) == 0 {
 		c.printf("no filter '%s'\n", name)
 		return
 	}
-	targets := make([]target, len(filters))
-	for i, f := range filters {
-		targets[i] = target{Label: f.Name + "@" + f.Machine, Host: f.Machine,
-			Req: &daemon.AggReq{Dir: filter.StorePath(f.Name), Rules: rules, Spec: spec.String(), UID: c.uid}}
-	}
 	res := c.broadcastTargets(targets)
-	merged := agg.NewPartial(spec)
-	var reporting, missing []string
-	for _, r := range res {
-		if r.Err != nil || !r.Rep.OK() {
-			missing = append(missing, r.Host)
-			continue
-		}
-		p, perr := agg.ParsePartial(r.Rep.DataBytes())
-		if perr != nil {
-			missing = append(missing, r.Host)
-			continue
-		}
-		if merr := merged.Merge(p); merr != nil {
-			missing = append(missing, r.Host)
-			continue
-		}
-		reporting = append(reporting, r.Host)
-	}
-	release(res) // a partial copies what it keeps
+	m := aggMerges.Get().(*aggMerge)
+	defer aggMerges.Put(m)
+	reporting, missing := m.answer(spec, res)
+	release(res) // the partials copied what they keep
 	c.printf("agg '%s': %d/%d filters reporting (%s)\n",
 		spec.String(), len(reporting), len(targets), strings.Join(reporting, " "))
 	if len(missing) > 0 {
 		c.printf("agg: degraded, missing %s\n", strings.Join(missing, " "))
 	}
-	var buf strings.Builder
-	agg.NewResult(spec, merged).Render(&buf)
 	if !strings.HasPrefix(dest, "/") {
 		dest = "/usr/" + dest
 	}
-	if err := c.machine.FS().Create(dest, c.uid, fsys.PrivateMode, []byte(buf.String())); err != nil {
+	if err := c.machine.FS().Create(dest, c.uid, fsys.PrivateMode, m.table); err != nil {
 		c.printf("query: %v\n", err)
 	}
+}
+
+// aggMerge is what an aggregate's answer reuses from one command to the
+// next: the replies' decoded partials, their merge, and the result
+// file's bytes.
+type aggMerge struct {
+	parts  []*agg.Partial
+	merged agg.Partial
+	table  []byte
+}
+
+var aggMerges = sync.Pool{New: func() any { return new(aggMerge) }}
+
+// answer decodes the replies res to an aggregate of spec into sorted
+// tables, merges them in one pass and renders the answer into m.table.
+// A reply that is not a partial of spec counts its host missing.
+func (m *aggMerge) answer(spec *agg.Spec, res []hostResult) (reporting, missing []string) {
+	m.merged.Reset(spec)
+	n := 0
+	for _, r := range res {
+		if n == len(m.parts) {
+			m.parts = append(m.parts, new(agg.Partial))
+		}
+		if r.Err != nil || !r.Rep.OK() || m.parts[n].UnmarshalBinary(r.Rep.DataBytes()) != nil || m.parts[n].Spec != m.merged.Spec {
+			missing = append(missing, r.Host)
+			continue
+		}
+		reporting = append(reporting, r.Host)
+		n++
+	}
+	_ = m.merged.Merge(m.parts[:n]...) // every part is of merged's spec
+	m.table = m.merged.AppendTable(m.table[:0], spec)
+	return reporting, missing
 }
 
 // cmdWatch re-runs one command on an interval: "watch rounds

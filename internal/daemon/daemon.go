@@ -660,9 +660,10 @@ func (d *daemonState) handleQuery(req QueryReq) Reply {
 // handleAgg runs an aggregate query against an event store on this
 // machine and ships back the bounded partial aggregate instead of the
 // matching records — the push-down that turns a cluster-wide group-by
-// into kilobytes per machine. Reply Data is the binary partial, Aux
-// the scan-statistics line. The daemon's memo spares a repeated
-// aggregate the sealed segments it has already folded.
+// into kilobytes per machine. Reply Data is the binary partial, encoded
+// straight into the reply frame and then released, Aux the
+// scan-statistics line. The daemon's memo spares a repeated aggregate
+// the sealed segments it has already folded.
 func (d *daemonState) handleAgg(req AggReq) Reply {
 	aq, err := agg.Compile(req.Rules + "\n" + req.Spec)
 	if err != nil {
@@ -678,9 +679,12 @@ func (d *daemonState) handleAgg(req AggReq) Reply {
 	if err != nil {
 		return Reply{Type: TAggRep, Status: err.Error()}
 	}
-	data := p.MarshalBinary()
-	reg.Counter("agg.partial_bytes").Add(int64(len(data)))
-	return Reply{Type: TAggRep, Status: "ok", Data: string(data), Aux: stats.String()}
+	n := p.Len()
+	reg.Counter("agg.partial_bytes").Add(int64(n))
+	return Reply{Type: TAggRep, Status: "ok", Aux: stats.String(), dataSize: n, appendData: func(b []byte) []byte {
+		defer p.Release()
+		return p.AppendBinary(b)
+	}}
 }
 
 // handleStats encodes this machine's metrics registry straight into the

@@ -385,8 +385,9 @@ type Reply struct {
 	Aux string
 
 	// appendData, when set, writes Data in Data's place straight into
-	// the reply's frame, about dataSize bytes of it: a query's lines
-	// and a stats snapshot are not built as a string first.
+	// the reply's frame, about dataSize bytes of it, once: a query's
+	// lines, an aggregate's partial and a stats snapshot are not built
+	// as a string first.
 	appendData func([]byte) []byte
 	dataSize   int
 

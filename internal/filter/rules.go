@@ -120,7 +120,7 @@ func parseCondition(s string) (Condition, error) {
 		default:
 			if v, err := strconv.ParseUint(rhs, 10, 64); err == nil {
 				cond.Value = v
-			} else if isFieldName(rhs) {
+			} else if IsFieldName(rhs) {
 				cond.FieldRef = rhs
 			} else {
 				return Condition{}, fmt.Errorf("bad right-hand side %q", rhs)
@@ -131,9 +131,10 @@ func parseCondition(s string) (Condition, error) {
 	return Condition{}, fmt.Errorf("no operator in condition %q", s)
 }
 
-// isFieldName reports whether a right-hand side is a field reference:
-// a letter-initial identifier.
-func isFieldName(s string) bool {
+// IsFieldName reports whether s can name a field: a letter-initial
+// identifier of letters and digits, as a rule's field reference and an
+// aggregate's fields are.
+func IsFieldName(s string) bool {
 	if s == "" {
 		return false
 	}

@@ -130,9 +130,6 @@ func (c *Cursor) Zigzag() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// Str reads a string behind its uint16 length.
-func (c *Cursor) Str() string { return string(c.Take(int(c.U16()))) }
-
 // Zigzag maps a signed value to an unsigned one that is small when the
 // magnitude is, for varint coding; Cursor.Zigzag reads it back.
 func Zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }

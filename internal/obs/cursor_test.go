@@ -56,13 +56,13 @@ func FuzzCursor(f *testing.F) {
 			case 5:
 				v := c.I64()
 				n, got, zero = fixed, binary.LittleEndian.AppendUint64(nil, uint64(v)), v == 0
-			case 6: // Str: a u16 length, then that many bytes
+			case 6: // a string as the decoders read one: a u16 length, then that many bytes
 				before := c.Remaining()
-				s := c.Str()
+				s := string(c.Take(int(c.U16())))
 				if !failed && before >= 2 {
 					if l := int(binary.LittleEndian.Uint16(data[off:])); l <= before-2 {
 						if s != string(data[off+2:off+2+l]) {
-							t.Fatalf("Str at %d = %q, want %q", off, s, data[off+2:off+2+l])
+							t.Fatalf("string at %d = %q, want %q", off, s, data[off+2:off+2+l])
 						}
 						off += 2 + l
 						continue
@@ -70,7 +70,7 @@ func FuzzCursor(f *testing.F) {
 					off += 2 // the length was read; the body is what failed
 				}
 				if s != "" || c.Err() == nil {
-					t.Fatalf("Str at %d over %d bytes = %q, err %v; want a failure", off, before, s, c.Err())
+					t.Fatalf("string at %d over %d bytes = %q, err %v; want a failure", off, before, s, c.Err())
 				}
 				failed = true
 				continue

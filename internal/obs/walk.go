@@ -322,7 +322,7 @@ func (w *walker) emit(list int, e *entry, merged bool, n int) {
 	b = appendInt(append(appendPadded(append(b, "  "...), e.name, 40), ' '), e.v, 12)
 	if list == listHists {
 		for _, ns := range [4]int64{h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)} {
-			b = appendRight(append(b, ' '), time.Duration(ns).Round(time.Microsecond).String(), 10)
+			b = AppendRight(append(b, ' '), time.Duration(ns).Round(time.Microsecond).String(), 10)
 		}
 	}
 	w.out = append(b, '\n')
@@ -348,9 +348,9 @@ func appendPadded(b, s []byte, width int) []byte {
 	return b
 }
 
-// appendRight appends spaces, then s, to width runes: fmt's %*s.
-func appendRight(b []byte, s string, width int) []byte {
-	for n := utf8.RuneCountInString(s); n < width; n++ {
+// AppendRight appends spaces, then s, to width runes: fmt's %*s.
+func AppendRight[T string | []byte](b []byte, s T, width int) []byte {
+	for n := utf8.RuneCountInString(string(s)); n < width; n++ {
 		b = append(b, ' ')
 	}
 	return append(b, s...)
@@ -359,5 +359,5 @@ func appendRight(b []byte, s string, width int) []byte {
 // appendInt appends v right-aligned to width: fmt's %*d.
 func appendInt(b []byte, v int64, width int) []byte {
 	var digits [20]byte
-	return appendRight(b, unsafeString(strconv.AppendInt(digits[:0], v, 10)), width)
+	return AppendRight(b, strconv.AppendInt(digits[:0], v, 10), width)
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dpm/internal/meter"
 	"dpm/internal/obs"
 	"dpm/internal/trace"
 )
@@ -218,6 +219,37 @@ func TestAppendBatchRefusesUntyped(t *testing.T) {
 	}
 	if got := allRecs(t, be); len(got) != 0 || reg.Counter("store.appends").Load() != 0 {
 		t.Fatalf("refused batches left %d records, %d appends", len(got), reg.Counter("store.appends").Load())
+	}
+}
+
+// TestAppendBatchRefusesKeyPastOrder: a RECEIVECALL record whose slots
+// set key 6 — its type's stored order has three keys, and DecodeTyped
+// refuses such a record — is refused with its whole batch before
+// anything is staged, and the store stays readable: the records appended
+// before and after it, sealed, load back.
+func TestAppendBatchRefusesKeyPastOrder(t *testing.T) {
+	be := NewMemBackend()
+	st, err := Open(be, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, line := rec(1, 5, uint32(meter.EvRecvCall), 7, 11)
+	bad := lineRec(Meta{Machine: 1, Time: 6, Type: uint32(meter.EvRecvCall), PID: 7}, line)
+	bad.Slots.SetVal(6, 1)
+	if err := st.AppendBatch([]BatchRec{lineRec(m, line)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendBatch([]BatchRec{lineRec(m, line), bad}); err == nil {
+		t.Fatal("a batch with a RECEIVECALL record of key 6 appended")
+	}
+	if err := st.AppendBatch([]BatchRec{lineRec(m, line)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := allRecs(t, be); len(got) != 2 {
+		t.Fatalf("%d records back, want the 2 appended around the refused batch", len(got))
 	}
 }
 

@@ -485,15 +485,16 @@ type BatchRec struct {
 // so it overshoots the cap by less than that record's FrameSize. On an
 // error the records flushed before it stay appended and counted; the
 // failing shard's staged ones are dropped. A batch holding a record
-// without Slots, or of an event type trace does not know, is refused
-// whole, before anything is staged.
+// without Slots, of an event type trace does not know, or with a key
+// past its type's stored order (which no segment could be read back
+// with) is refused whole, before anything is staged.
 func (s *Store) AppendBatch(recs []BatchRec) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	for i := range recs {
-		if recs[i].Slots == nil || recs[i].Meta.Type-1 >= uint32(meter.EvTermProc) {
-			return fmt.Errorf("store: batch record %d of type %d has no typed body", i, recs[i].Meta.Type)
+		if recs[i].Slots == nil || recs[i].Meta.Type-1 >= uint32(meter.EvTermProc) || !recs[i].Slots.Fits(meter.Type(recs[i].Meta.Type)) {
+			return fmt.Errorf("store: batch record %d of type %d has no typed body of its type", i, recs[i].Meta.Type)
 		}
 	}
 	span := obs.StartSpan(s.appendNS)

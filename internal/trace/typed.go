@@ -173,7 +173,8 @@ func appendDecimal(dst []byte, u uint64) []byte {
 }
 
 // AppendTyped appends the typed form of the view's record — the Slots
-// DecodeTyped or PointAt pointed the view at, read where they are — and
+// DecodeTyped or PointAt pointed the view at, read where they are, which
+// must Fit its type (store.AppendBatch refuses those that do not) — and
 // moves st on to it.
 func (v *View) AppendTyped(dst []byte, st *TypedState) []byte {
 	s := v.slot
@@ -224,7 +225,7 @@ func (v *View) DecodeTyped(c *obs.Cursor, st *TypedState, typ meter.Type, machin
 		s.present = c.U8()
 	}
 	changed := c.U8()
-	if int(s.present)>>len(viewTypes[typ].order) != 0 || changed&^s.present != 0 {
+	if !s.Fits(typ) || changed&^s.present != 0 {
 		c.Fail("typed record fields %#x of %#x present", changed, s.present)
 	}
 	if flags&typedProcTime != 0 {
@@ -244,6 +245,10 @@ func (v *View) DecodeTyped(c *obs.Cursor, st *TypedState, typ meter.Type, machin
 		v.PointAt(s, typ, machine, cpuTime)
 	}
 }
+
+// Fits reports whether s holds keys of typ's stored order only, as
+// DecodeTyped demands of what it reads back; typ must be a known type.
+func (s *Slots) Fits(typ meter.Type) bool { return int(s.present)>>len(viewTypes[typ].order) == 0 }
 
 // PointAt points the view at s, a record of event type typ whose Meta
 // gave machine and cpuTime, as DecodeTyped points it at its state: the
