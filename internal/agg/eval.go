@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -93,7 +94,7 @@ func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, erro
 	p := partialPool.Get().(*Partial).Reset(aq.Spec)
 	all := p.table
 	all.reset()
-	maxGroups, sketch := aq.Spec.maxGroups(), aq.Spec.Fn.NeedsSketch()
+	maxGroups, sketch := cmp.Or(aq.Spec.MaxGroups, DefaultMaxGroups), aq.Spec.Fn.NeedsSketch()
 	scan := aq.scanSegment
 	if opt.Memo != nil {
 		scan = opt.Memo.scanner(aq, opt.Store)

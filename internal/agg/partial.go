@@ -149,12 +149,14 @@ var ErrSpecMismatch = errors.New("agg: partials have different specs")
 // Merge folds others into p: the time range widens, the record counters
 // add, and the group tables merge in one pass over all of them — the
 // least key at the tables' heads next, the groups of one key added
-// (Group.add) in argument order, p's first. That is associative and
-// commutative, the discipline obs.Snapshot.Merge set, so a
-// scatter-gather can fold per-machine partials in whatever order they
-// arrive. Merge applies no MaxGroups cap and never evicts, so merge
-// order cannot change the result and the merged table can exceed the
-// cap: it combines machines, never pieces of one machine's fold.
+// (Group.add) in argument order, p's first — into p's spare table,
+// whose places lend their sketches' arrays; no group of others is
+// written. That is associative and commutative, the discipline
+// obs.Snapshot.Merge set, so a scatter-gather can fold per-machine
+// partials in whatever order they arrive. Merge applies no MaxGroups cap
+// and never evicts, so merge order cannot change the result and the
+// merged table can exceed the cap: it combines machines, never pieces of
+// one machine's fold.
 func (p *Partial) Merge(others ...*Partial) error {
 	for _, o := range others {
 		if o != nil && o.Spec != p.Spec {
@@ -169,16 +171,7 @@ func (p *Partial) Merge(others ...*Partial) error {
 			runs = append(runs, o.Groups)
 		}
 	}
-	p.Groups, p.spare, p.table = merge(p.spare[:0], runs), p.Groups, nil
-	return nil
-}
-
-// merge appends to dst the groups of runs, each in canonical key order,
-// in one pass: the least key at the runs' heads next, on a tie the
-// earlier run's, and the groups of one key added into one (Group.add)
-// as the map-keyed merge did. dst's places lend their sketches' arrays;
-// no group of a run is written.
-func merge(dst []Group, runs [][]Group) []Group {
+	dst := p.spare[:0]
 	for {
 		least := -1
 		for i, r := range runs {
@@ -187,7 +180,7 @@ func merge(dst []Group, runs [][]Group) []Group {
 			}
 		}
 		if least < 0 {
-			return dst
+			break
 		}
 		g := &runs[least][0]
 		runs[least] = runs[least][1:]
@@ -197,6 +190,8 @@ func merge(dst []Group, runs [][]Group) []Group {
 		}
 		dst[len(dst)-1].add(g)
 	}
+	p.Groups, p.spare, p.table = dst, p.Groups, nil
+	return nil
 }
 
 // Binary partial format, version 1. Little-endian throughout:
@@ -230,33 +225,9 @@ var ErrPartialCorrupt = errors.New("agg: corrupt partial")
 // machine count.
 const maxPartialGroups = 1 << 20
 
-// nvalsOf returns how many key slots a spec's by-list uses, 0 for a spec
-// that does not parse; encoded so a reader does not need the spec to
-// frame the key.
-func nvalsOf(spec string) int {
-	s, err := ParseSpec(spec)
-	if err != nil {
-		return 0
-	}
-	return len(s.By)
-}
-
-// Len returns the length of the partial's encoding.
-func (p *Partial) Len() int {
-	n := 4 + 2 + 2 + len(p.Spec) + 5*8 + 4 + len(p.Groups)*(8+1+8*p.nvals+4*8+2)
-	for i := range p.Groups {
-		for _, c := range p.Groups[i].hist {
-			if c != 0 {
-				n += 1 + 8
-			}
-		}
-	}
-	return n
-}
-
 // MarshalBinary encodes the partial deterministically in the versioned
 // binary format.
-func (p *Partial) MarshalBinary() []byte { return p.AppendBinary(make([]byte, 0, p.Len())) }
+func (p *Partial) MarshalBinary() []byte { return p.AppendBinary(nil) }
 
 // AppendBinary appends the partial's encoding to b.
 func (p *Partial) AppendBinary(b []byte) []byte {
@@ -300,24 +271,24 @@ func ParsePartial(data []byte) (*Partial, error) {
 }
 
 // UnmarshalBinary decodes a binary partial into p, reusing its storage,
-// as ParsePartial does; a spec equal to p's keeps p's key width
-// without parsing it again. Besides bytes that end early, it refuses
-// what no writer makes: a group whose key width is not its spec's, keys
-// repeated or out of canonical order, and sketch pairs of a zero count
-// or out of bucket order. After an error p holds no partial to use.
+// as ParsePartial does; a spec equal to p's is not parsed again.
+// Besides bytes that end early, it refuses what no writer makes: a
+// group whose key width is not its spec's, keys repeated or out of
+// canonical order, and sketch pairs of a zero count or out of bucket
+// order. After an error p holds no partial to use.
 func (p *Partial) UnmarshalBinary(data []byte) error {
 	r := obs.NewCursor(data, ErrPartialCorrupt)
-	if magic := r.Take(4); r.Err() != nil {
-		return r.Err()
-	} else if [4]byte(magic) != partialMagic {
-		return fmt.Errorf("%w: bad magic", ErrPartialCorrupt)
+	if magic := r.Take(4); r.Err() == nil && [4]byte(magic) != partialMagic {
+		r.Fail("bad magic")
 	}
 	if v := r.U16(); v < 1 {
-		return fmt.Errorf("%w: version %d", ErrPartialCorrupt, v)
+		r.Fail("version %d", v)
 	}
 	if spec := r.Take(int(r.U16())); string(spec) != p.Spec {
-		p.Spec = string(spec)
-		p.nvals = nvalsOf(p.Spec)
+		s, err := ParseSpec(string(spec))
+		if p.Spec, p.nvals = string(spec), 0; err == nil {
+			p.nvals = len(s.By)
+		}
 	}
 	p.MinTime, p.MaxTime = r.U64(), r.U64()
 	p.Records, p.Skipped, p.Dropped = r.I64(), r.I64(), r.I64()
@@ -330,8 +301,8 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 		p.Groups = slices.Grow(p.Groups, 1)[:i+1]
 		g := &p.Groups[i]
 		*g = Group{Key: GroupKey{Window: r.U64()}, hist: g.hist[:0]}
-		if n := int(r.U8()); n != p.nvals && r.Err() == nil {
-			return fmt.Errorf("%w: group %d has %d key values, its spec %d", ErrPartialCorrupt, i, n, p.nvals)
+		if n := int(r.U8()); n != p.nvals {
+			r.Fail("group %d has %d key values, its spec %d", i, n, p.nvals)
 		}
 		for j := range p.nvals {
 			g.Key.Vals[j] = r.U64()
@@ -339,19 +310,17 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 		g.Count, g.Sum, g.Min, g.Max = r.I64(), r.I64(), r.I64(), r.I64()
 		for j, last, pairs := 0, -1, int(r.U16()); j < pairs; j++ {
 			bucket, n := int(r.U8()), r.I64()
-			if r.Err() != nil {
-				break
-			}
 			if bucket >= obs.NumBuckets || bucket <= last || n == 0 {
-				return fmt.Errorf("%w: group %d has bucket %d of count %d after bucket %d", ErrPartialCorrupt, i, bucket, n, last)
+				r.Fail("group %d has bucket %d of count %d after bucket %d", i, bucket, n, last)
+				break
 			}
 			if len(g.hist) == 0 {
 				g.hist = append(g.hist, make([]int64, obs.NumBuckets)...)
 			}
 			g.hist[bucket], last = n, bucket
 		}
-		if i > 0 && r.Err() == nil && compareKeys(&p.Groups[i-1].Key, &g.Key) >= 0 {
-			return fmt.Errorf("%w: group %d's key repeats or goes backwards", ErrPartialCorrupt, i)
+		if i > 0 && compareKeys(&p.Groups[i-1].Key, &g.Key) >= 0 {
+			r.Fail("group %d's key repeats or goes backwards", i)
 		}
 	}
 	return r.Err()

@@ -160,3 +160,24 @@ func TestMergeNeverEvicts(t *testing.T) {
 		t.Fatalf("dropped = %d, want 1", a.Dropped)
 	}
 }
+
+// TestHandBuiltSpecRoundTrip checks that a spec built as a literal, not
+// parsed, spells itself as ParseSpec would, so a partial of it decodes
+// and re-encodes to the same bytes.
+func TestHandBuiltSpecRoundTrip(t *testing.T) {
+	s := &Spec{Fn: FnSum, Field: "msgLength", By: []string{"machine", "pid"}, WindowMS: 1000}
+	if want := mustSpec(t, "agg sum(msgLength) by machine,pid window 1s").String(); s.String() != want {
+		t.Fatalf("String() = %q, want %q", s.String(), want)
+	}
+	p := NewPartial(s)
+	p.Records, p.MinTime, p.MaxTime = 1, 1500, 1500
+	p.Groups = append(p.Groups, Group{Key: GroupKey{Window: 1000, Vals: [MaxBy]uint64{2, 7}}, Count: 1, Sum: 5, Min: 5, Max: 5})
+	data := p.MarshalBinary()
+	q, err := ParsePartial(data)
+	if err != nil {
+		t.Fatalf("ParsePartial: %v", err)
+	}
+	if q.Spec != s.String() || !bytes.Equal(q.MarshalBinary(), data) {
+		t.Fatalf("round trip: spec %q, bytes equal %v", q.Spec, bytes.Equal(q.MarshalBinary(), data))
+	}
+}

@@ -350,3 +350,17 @@ func (r *refResult) Render(w io.Writer) {
 	}
 	fmt.Fprintf(w, "\n")
 }
+
+// nvalsOf returns how many key slots a spec's by-list uses, 0 for a spec
+// that does not parse.
+func nvalsOf(spec string) int {
+	s, err := ParseSpec(spec)
+	if err != nil {
+		return 0
+	}
+	return len(s.By)
+}
+
+// maxGroups is the cap Eval folds under: MaxGroups, or DefaultMaxGroups
+// when unset.
+func (s *Spec) maxGroups() int { return cmp.Or(s.MaxGroups, DefaultMaxGroups) }

@@ -43,13 +43,11 @@ func (s *Spec) value(g *Group, p *Partial) float64 {
 		}
 		return float64(g.Count) * 1000 / float64(ms)
 	case FnP50, FnP95, FnP99: // obs.HistValue's nearest-rank upper bound
-		var buckets [obs.NumBuckets]obs.BucketCount
-		hv := obs.HistValue{Count: g.Count, Sum: g.Sum, Buckets: buckets[:0]}
+		var buckets [obs.NumBuckets]obs.BucketCount // an empty bucket moves no rank
 		for b, n := range g.hist {
-			if n != 0 {
-				hv.Buckets = append(hv.Buckets, obs.BucketCount{Bucket: uint8(b), Count: n})
-			}
+			buckets[b] = obs.BucketCount{Bucket: uint8(b), Count: n}
 		}
+		hv := obs.HistValue{Count: g.Count, Buckets: buckets[:len(g.hist)]}
 		return float64(hv.Quantile(s.Fn.Quantile()))
 	}
 	return 0
@@ -75,14 +73,13 @@ func (p *Partial) answer(s *Spec) []int32 {
 // Rows returns the answer's rows under s, in the answer's order.
 func (p *Partial) Rows(s *Spec) []Row {
 	order := p.answer(s)
-	rows := make([]Row, 0, len(order))
-	for _, i := range order {
+	rows := make([]Row, len(order))
+	for j, i := range order {
 		g := &p.Groups[i]
-		row := Row{Window: g.Key.Window, Key: make(map[string]uint64, len(s.By)), Count: g.Count, Value: p.vals[i]}
+		rows[j] = Row{Window: g.Key.Window, Key: make(map[string]uint64, len(s.By)), Count: g.Count, Value: p.vals[i]}
 		for k, f := range s.By {
-			row.Key[f] = g.Key.Vals[k]
+			rows[j].Key[f] = g.Key.Vals[k]
 		}
-		rows = append(rows, row)
 	}
 	return rows
 }

@@ -25,6 +25,7 @@ package agg
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -46,15 +47,8 @@ const (
 	FnP99             // approximate 99th percentile
 )
 
-var fnNames = map[Fn]string{
-	FnCount: "count", FnRate: "rate", FnSum: "sum", FnMin: "min",
-	FnMax: "max", FnP50: "p50", FnP95: "p95", FnP99: "p99",
-}
-
-var fnByName = map[string]Fn{
-	"count": FnCount, "rate": FnRate, "sum": FnSum, "min": FnMin,
-	"max": FnMax, "p50": FnP50, "p95": FnP95, "p99": FnP99,
-}
+// fnNames spells the operators, in Fn order.
+var fnNames = [...]string{"count", "rate", "sum", "min", "max", "p50", "p95", "p99"}
 
 func (f Fn) String() string { return fnNames[f] }
 
@@ -62,22 +56,12 @@ func (f Fn) String() string { return fnNames[f] }
 func (f Fn) NeedsField() bool { return f != FnCount && f != FnRate }
 
 // NeedsSketch reports whether the operator needs the per-group
-// log2-histogram sketch.
-func (f Fn) NeedsSketch() bool { return f == FnP50 || f == FnP95 || f == FnP99 }
+// log2-histogram sketch: whether it is a percentile.
+func (f Fn) NeedsSketch() bool { return f.Quantile() > 0 }
 
 // Quantile returns the quantile a percentile operator estimates, 0 for
 // the others.
-func (f Fn) Quantile() float64 {
-	switch f {
-	case FnP50:
-		return 0.50
-	case FnP95:
-		return 0.95
-	case FnP99:
-		return 0.99
-	}
-	return 0
-}
+func (f Fn) Quantile() float64 { return [...]float64{FnP50: 0.50, FnP95: 0.95, FnP99: 0.99}[f] }
 
 // Limits of the specification language.
 const (
@@ -114,7 +98,7 @@ type Spec struct {
 	// DefaultMaxGroups.
 	MaxGroups int
 
-	canon string // String(), spelled once by ParseSpec
+	canon string // String(), kept by ParseSpec
 }
 
 // IsAggLine reports whether a query line is an aggregate specification
@@ -148,7 +132,7 @@ func ParseSpec(line string) (*Spec, error) {
 		}
 		toks = toks[2:]
 	case "top":
-		if len(toks) < 4 {
+		if len(toks) < 5 {
 			return nil, fmt.Errorf("%w: top needs 'top k field by op'", ErrSpec)
 		}
 		k, err := strconv.Atoi(toks[1])
@@ -164,9 +148,6 @@ func ParseSpec(line string) (*Spec, error) {
 		if toks[3] != "by" {
 			return nil, fmt.Errorf("%w: expected 'by' after top field, got %q", ErrSpec, toks[3])
 		}
-		if len(toks) < 5 {
-			return nil, fmt.Errorf("%w: top needs a ranking operator", ErrSpec)
-		}
 		s.TopK = k
 		s.By = []string{toks[2]}
 		if err := s.parseOp(toks[4]); err != nil {
@@ -180,10 +161,7 @@ func ParseSpec(line string) (*Spec, error) {
 	for len(toks) > 0 {
 		switch toks[0] {
 		case "by":
-			if s.TopK > 0 {
-				return nil, fmt.Errorf("%w: top already names its group field", ErrSpec)
-			}
-			if len(s.By) > 0 {
+			if len(s.By) > 0 { // a second by, or a by after top's field
 				return nil, fmt.Errorf("%w: duplicate by clause", ErrSpec)
 			}
 			if len(toks) < 2 {
@@ -216,40 +194,28 @@ func ParseSpec(line string) (*Spec, error) {
 			return nil, fmt.Errorf("%w: unexpected token %q", ErrSpec, toks[0])
 		}
 	}
-	s.canon = s.spell()
+	s.canon = s.String()
 	return s, nil
 }
 
 // parseOp parses "count", "rate", or "fn(field)".
 func (s *Spec) parseOp(tok string) error {
-	open := strings.IndexByte(tok, '(')
-	if open < 0 {
-		fn, ok := fnByName[tok]
-		if !ok {
-			return fmt.Errorf("%w: unknown operator %q", ErrSpec, tok)
-		}
-		if fn.NeedsField() {
-			return fmt.Errorf("%w: %s needs a field argument, e.g. %s(msgLength)", ErrSpec, tok, tok)
-		}
-		s.Fn = fn
-		return nil
-	}
-	if !strings.HasSuffix(tok, ")") {
+	name, arg, paren := strings.Cut(tok, "(")
+	field, closed := strings.CutSuffix(arg, ")")
+	fn := Fn(slices.Index(fnNames[:], name))
+	switch {
+	case paren && !closed:
 		return fmt.Errorf("%w: unclosed operator argument in %q", ErrSpec, tok)
-	}
-	fn, ok := fnByName[tok[:open]]
-	if !ok {
-		return fmt.Errorf("%w: unknown operator %q", ErrSpec, tok[:open])
-	}
-	field := tok[open+1 : len(tok)-1]
-	if !fn.NeedsField() {
+	case fn < 0:
+		return fmt.Errorf("%w: unknown operator %q", ErrSpec, name)
+	case !paren && fn.NeedsField():
+		return fmt.Errorf("%w: %s needs a field argument, e.g. %s(msgLength)", ErrSpec, tok, tok)
+	case paren && !fn.NeedsField():
 		return fmt.Errorf("%w: %s takes no field argument", ErrSpec, fn)
-	}
-	if !filter.IsFieldName(field) {
+	case paren && !filter.IsFieldName(field):
 		return fmt.Errorf("%w: bad field %q in %q", ErrSpec, field, tok)
 	}
-	s.Fn = fn
-	s.Field = field
+	s.Fn, s.Field = fn, field
 	return nil
 }
 
@@ -279,11 +245,13 @@ func parseWindow(tok string) (int64, error) {
 
 // String renders the spec canonically; ParseSpec(s.String()) yields an
 // equal spec, and Merge uses the canonical form to refuse mixing
-// partials of different shapes.
-func (s *Spec) String() string { return s.canon }
-
-// spell spells the spec out canonically, for String.
-func (s *Spec) spell() string {
+// partials of different shapes. A spec from ParseSpec keeps the
+// spelling it was parsed to, so its spelled fields must not change
+// after; a spec built by hand is spelled out on each call.
+func (s *Spec) String() string {
+	if s.canon != "" {
+		return s.canon
+	}
 	var b strings.Builder
 	op := s.Fn.String()
 	if s.Fn.NeedsField() {
@@ -301,11 +269,4 @@ func (s *Spec) spell() string {
 		fmt.Fprintf(&b, " window %dms", s.WindowMS)
 	}
 	return b.String()
-}
-
-func (s *Spec) maxGroups() int {
-	if s.MaxGroups > 0 {
-		return s.MaxGroups
-	}
-	return DefaultMaxGroups
 }

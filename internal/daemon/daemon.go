@@ -661,9 +661,9 @@ func (d *daemonState) handleQuery(req QueryReq) Reply {
 // machine and ships back the bounded partial aggregate instead of the
 // matching records — the push-down that turns a cluster-wide group-by
 // into kilobytes per machine. Reply Data is the binary partial, encoded
-// straight into the reply frame and then released, Aux the
-// scan-statistics line. The daemon's memo spares a repeated aggregate
-// the sealed segments it has already folded.
+// straight into a frame sized at about 96 bytes a group and then
+// released, Aux the scan-statistics line. The daemon's memo spares a
+// repeated aggregate the sealed segments it has already folded.
 func (d *daemonState) handleAgg(req AggReq) Reply {
 	aq, err := agg.Compile(req.Rules + "\n" + req.Spec)
 	if err != nil {
@@ -679,11 +679,12 @@ func (d *daemonState) handleAgg(req AggReq) Reply {
 	if err != nil {
 		return Reply{Type: TAggRep, Status: err.Error()}
 	}
-	n := p.Len()
-	reg.Counter("agg.partial_bytes").Add(int64(n))
-	return Reply{Type: TAggRep, Status: "ok", Aux: stats.String(), dataSize: n, appendData: func(b []byte) []byte {
-		defer p.Release()
-		return p.AppendBinary(b)
+	return Reply{Type: TAggRep, Status: "ok", Aux: stats.String(), dataSize: 64 + len(p.Spec) + 96*len(p.Groups), appendData: func(b []byte) []byte {
+		n := len(b)
+		b = p.AppendBinary(b)
+		p.Release()
+		reg.Counter("agg.partial_bytes").Add(int64(len(b) - n))
+		return b
 	}}
 }
 
