@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -1062,10 +1063,11 @@ func BenchmarkQuerySegmentPruning(b *testing.B) {
 // A2 parallel: ingest throughput of the filter's pipeline at 1/2/4/8
 // workers. Each op is one 16-message chunk through decode → select →
 // format (the same unit as BenchmarkFilterEngine), spread over
-// 2×workers sources; the log sink is a no-op so the measurement is the
-// execution layer, not a sink bottleneck. Scaling beyond 1 worker
-// requires a multi-core host — on one core the pipeline only adds its
-// (bounded) queueing overhead.
+// 2×workers sources, each fed from its own goroutine as filter.Main's
+// connection goroutines do, so at most `workers` chunks are processed
+// at once; the log sink is a no-op so the measurement is the execution
+// layer, not a sink bottleneck. Scaling beyond 1 worker requires a
+// multi-core host.
 func BenchmarkFilterEngineParallel(b *testing.B) {
 	proto, err := filter.NewEngine([]byte(filter.StandardDescriptions), []byte("machine=1, cpuTime<10000\n"))
 	if err != nil {
@@ -1081,7 +1083,7 @@ func BenchmarkFilterEngineParallel(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pipe := filter.NewPipeline(proto, filter.PipelineConfig{Workers: workers, QueueDepth: 64}, filter.Sinks{
+			pipe := filter.NewPipeline(proto, filter.PipelineConfig{Workers: workers}, filter.Sinks{
 				Log: func([]byte) error { return nil },
 			}, nil)
 			srcs := make([]*filter.Source, 2*workers)
@@ -1091,12 +1093,21 @@ func BenchmarkFilterEngineParallel(b *testing.B) {
 			b.SetBytes(int64(len(stream)))
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !srcs[i%len(srcs)].Feed(stream) {
-					b.Fatal("pipeline refused feed")
-				}
+			var wg sync.WaitGroup
+			for s, src := range srcs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := s; i < b.N; i += len(srcs) {
+						if !src.Feed(stream) {
+							b.Error("pipeline refused feed")
+							return
+						}
+					}
+				}()
 			}
-			pipe.Close() // drain inside the timed region
+			wg.Wait()
+			pipe.Close()
 			b.StopTimer()
 			received := pipe.Obs().Counter("filter.received").Load()
 			if bad := pipe.Obs().Counter("filter.stream_errors").Load(); received != int64(16*b.N) || bad != 0 {
@@ -1191,7 +1202,7 @@ func BenchmarkFilterIngestLive(b *testing.B) {
 	}{{"live=off", false}, {"live=on", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			reg := obs.NewRegistry()
-			cfg := filter.PipelineConfig{Workers: 2, QueueDepth: 64, Obs: reg}
+			cfg := filter.PipelineConfig{Workers: 2, Obs: reg}
 			if mode.live {
 				cfg.Taps = live.NewCollector(live.Config{Obs: reg})
 			}
@@ -1345,7 +1356,7 @@ func BenchmarkStatsRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	pipe := filter.NewPipeline(proto, filter.PipelineConfig{Workers: 1, QueueDepth: 64, Obs: reg,
+	pipe := filter.NewPipeline(proto, filter.PipelineConfig{Workers: 1, Obs: reg,
 		Taps: live.NewCollector(live.Config{Obs: reg})}, filter.Sinks{Log: func([]byte) error { return nil }}, nil)
 	src := pipe.NewSource()
 	rng := rand.New(rand.NewSource(21))

@@ -38,7 +38,7 @@
 // — renders cluster-wide live analysis with no new wire types.
 //
 // The tap path is allocation-conscious and stays off the ingest
-// threads: each pipeline worker's Tap copies kept records into a
+// threads: each pipeline engine's Tap copies kept records into a
 // fixed-size entry buffer (no allocation, no lock), and at each chunk
 // flush the full buffer is swapped against an empty one from a small
 // preallocated pool and queued for the collector's drainer goroutine,
@@ -93,7 +93,7 @@ type Config struct {
 	MaxPairs int
 }
 
-// tapEntries is each worker tap's entry buffer.
+// tapEntries is each engine tap's entry buffer.
 const tapEntries = 512
 
 func (c Config) withDefaults() Config {
@@ -133,14 +133,14 @@ type pairCell struct {
 	sizes     [analysis.NumSizeBuckets]int64 // sent-size histogram
 }
 
-// tapEntry is the compact op-log record a worker tap buffers: just the
+// tapEntry is the compact op-log record an engine's tap buffers: just the
 // fields the operators read, copied out of the pooled extraction
 // record.
 type tapEntry = analysis.Record
 
 // Collector is the per-filter live-analysis state: operators, their
 // obs handles, and the sections they export. One Collector serves all
-// of a pipeline's workers; create taps with NewTap.
+// of a pipeline's engines; create taps with NewTap.
 type Collector struct {
 	cfg Config
 
@@ -268,12 +268,12 @@ func NewCollector(cfg Config) *Collector {
 	return c
 }
 
-// NewTap hands out one worker's tap. Implements filter.TapSource.
+// NewTap hands out one engine's tap. Implements filter.TapSource.
 func (c *Collector) NewTap() filter.RecordTap {
 	return &Tap{c: c, buf: make([]tapEntry, 0, tapEntries)}
 }
 
-// Tap is one pipeline worker's record observer: a fixed-capacity entry
+// Tap is one pipeline engine's record observer: a fixed-capacity entry
 // buffer that drains into the collector when full and at every chunk
 // flush. Single-goroutine, like the engine that owns it.
 type Tap struct {
@@ -342,7 +342,7 @@ func (t *Tap) flush() {
 
 // poolChunks is the number of entry buffers preallocated for the
 // publish/drain exchange; poolSlack pads the queue headers so appends
-// never reallocate even with every worker's own buffer in flight.
+// never reallocate even with every engine's own buffer in flight.
 const (
 	poolChunks = 4
 	poolSlack  = 32
@@ -443,7 +443,7 @@ func (c *Collector) sync() {
 }
 
 // Close stops the drainer after a final drain. The pipeline calls it
-// (via filter.TapCloser) once the last worker has flushed; captures
+// (via filter.TapCloser) once the last feed has flushed; captures
 // keep working on a closed collector — they drain synchronously.
 func (c *Collector) Close() {
 	c.closeOnce.Do(func() { close(c.stop) })

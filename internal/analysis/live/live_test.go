@@ -67,7 +67,7 @@ func runLive(t *testing.T, workers int, streams [][]byte) (*obs.Snapshot, []trac
 	reg := obs.NewRegistry()
 	coll := NewCollector(Config{Obs: reg})
 	var logBuf []byte
-	pipe := filter.NewPipeline(proto, filter.PipelineConfig{Workers: workers, QueueDepth: 4, Obs: reg, Taps: coll},
+	pipe := filter.NewPipeline(proto, filter.PipelineConfig{Workers: workers, Obs: reg, Taps: coll},
 		filter.Sinks{Log: func(b []byte) error { logBuf = append(logBuf, b...); return nil }}, nil)
 	for _, stream := range streams {
 		src := pipe.NewSource()

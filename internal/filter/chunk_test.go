@@ -93,11 +93,11 @@ func TestFeedFromShortSourcesReuseChunks(t *testing.T) {
 	}
 }
 
-// TestFeedFromRecycledChunksRace drives many sources across workers
-// through FeedFrom, in pieces that split frames, and checks the flat log
-// against the same streams fed as fresh slices through Feed. Under the
-// race detector a chunk reused while a worker still reads it is a
-// reported race; without it, it is a mangled line.
+// TestFeedFromRecycledChunksRace drives many sources, each from its own
+// goroutine, through FeedFrom, in pieces that split frames, and checks
+// the flat log against the same streams fed as fresh slices through
+// Feed. Under the race detector a chunk reused while a feed still reads
+// it is a reported race; without it, it is a mangled line.
 func TestFeedFromRecycledChunksRace(t *testing.T) {
 	const (
 		nsources = 24
@@ -114,7 +114,7 @@ func TestFeedFromRecycledChunksRace(t *testing.T) {
 	run := func(recycle bool) []string {
 		var mu sync.Mutex
 		var log []byte
-		pipe := NewPipeline(proto, PipelineConfig{Workers: 4, QueueDepth: 2}, Sinks{
+		pipe := NewPipeline(proto, PipelineConfig{Workers: 4}, Sinks{
 			Log: func(b []byte) error { mu.Lock(); log = append(log, b...); mu.Unlock(); return nil },
 		}, nil)
 		var wg sync.WaitGroup
@@ -159,41 +159,42 @@ func TestFeedFromRecycledChunksRace(t *testing.T) {
 }
 
 // TestFeedFromBlockedSourcesNoAlloc runs 64 sources through Drain, each
-// blocked in a receive with nothing to read: they hold no chunk, so the
-// blocked sources allocate none. Each then delivers one record, and its
-// chunk is back on the list before the next delivers: the 64 records
-// are read into at most QueueDepth × Workers distinct chunks, not one a
-// source.
+// blocked in a receive with nothing to read: they take no chunk, so the
+// blocked sources allocate none. Each then delivers one record and ends,
+// its chunk back on the list before the next delivers: the 64 records
+// are read into at most Workers distinct chunks, not one a source.
 func TestFeedFromBlockedSourcesNoAlloc(t *testing.T) {
 	const (
 		sources = 64
 		workers = 2
-		depth   = 2
 	)
 	proto, err := NewEngine([]byte(StandardDescriptions), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := NewPipeline(proto, PipelineConfig{Workers: workers, QueueDepth: depth}, Sinks{}, nil)
+	pipe := NewPipeline(proto, PipelineConfig{Workers: workers}, Sinks{}, nil)
 	defer pipe.Close()
-	received := pipe.Obs().Counter("filter.received")
+	reg := pipe.Obs()
+	takes := func() int64 { return reg.Counter("mem.chunks.hits").Load() + reg.Counter("mem.chunks.misses").Load() }
 	var mu sync.Mutex
 	chunks := map[*byte]bool{}
 	ready := make([]chan bool, sources)
-	var blocked, done sync.WaitGroup
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	ended := make([]chan struct{}, sources)
+	// The goroutines, their channels and records are made before the
+	// measured window, which holds only the sources' Drains up to their
+	// blocked receives.
+	start := make(chan struct{})
+	var blocked sync.WaitGroup
 	for i := range ready {
-		ready[i] = make(chan bool)
+		ready[i], ended[i] = make(chan bool), make(chan struct{})
 		msg := meter.Msg{Header: meter.Header{Machine: 1}, Body: &meter.TermProc{PID: uint32(i)}}
 		record := msg.Encode()
 		src := pipe.NewSource()
 		blocked.Add(1)
-		done.Add(1)
 		go func() {
-			defer done.Done()
+			defer close(ended[i])
 			recvs := 0
+			<-start
 			// A receive in the shape of kernel.Process.RecvLazy: it
 			// blocks until its connection has a record, or has ended.
 			src.Drain(func(max int, get func() []byte) ([]byte, int, error) {
@@ -211,22 +212,30 @@ func TestFeedFromBlockedSourcesNoAlloc(t *testing.T) {
 			})
 		}()
 	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	took := takes()
+	close(start)
 	blocked.Wait()
+	took = takes() - took
 	runtime.ReadMemStats(&after)
+	if took != 0 {
+		t.Errorf("%d sources blocked with nothing to read took %d chunks", sources, took)
+	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= chunkSize {
-		t.Errorf("%d sources blocked with nothing to read allocated %d bytes, a chunk is %d", sources, grew, chunkSize)
+		t.Errorf("%d sources blocked with nothing to read allocated %d bytes, a chunk is %d; they took %d chunks", sources, grew, chunkSize, took)
 	}
 	for i := range ready {
-		want := received.Load() + 1
 		ready[i] <- true
-		for received.Load() < want {
-			runtime.Gosched()
-		}
 		close(ready[i])
+		<-ended[i]
 	}
-	done.Wait()
-	if len(chunks) > depth*workers {
-		t.Fatalf("%d sources of one record each read into %d distinct chunks, want at most %d", sources, len(chunks), depth*workers)
+	if got := pipe.Obs().Counter("filter.received").Load(); got != sources {
+		t.Fatalf("filter.received = %d, want %d", got, sources)
+	}
+	if len(chunks) > workers {
+		t.Fatalf("%d sources of one record each read into %d distinct chunks, want at most %d", sources, len(chunks), workers)
 	}
 }
 
@@ -238,7 +247,7 @@ func TestDrainReturnsChunkOfFailedRecv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := NewPipeline(proto, PipelineConfig{Workers: 1, QueueDepth: 1}, Sinks{}, nil)
+	pipe := NewPipeline(proto, PipelineConfig{Workers: 1}, Sinks{}, nil)
 	defer pipe.Close()
 	var taken []byte
 	pipe.NewSource().Drain(func(max int, get func() []byte) ([]byte, int, error) {
@@ -261,7 +270,7 @@ func TestChunkAndBatchFreeKeptAcrossGCNoAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := NewPipeline(proto, PipelineConfig{Workers: 1, QueueDepth: 1}, Sinks{}, nil)
+	pipe := NewPipeline(proto, PipelineConfig{Workers: 1}, Sinks{}, nil)
 	defer pipe.Close()
 	cycle := func() {
 		pipe.putChunk(pipe.takeChunk())
@@ -282,17 +291,16 @@ func TestChunkAndBatchFreeKeptAcrossGCNoAlloc(t *testing.T) {
 
 // FeedFrom reads the source's next chunk with read, in the shape of
 // read(2), into a buffer from the pipeline's free list, and feeds what
-// it read; the buffer returns to the list once processed. It returns
-// false, with the buffer back on the list, once read fails (EOF
-// included) or the pipeline refuses the chunk. It drives a source the
-// way Drain does, taking the chunk before the read.
+// it read; the buffer returns to the list once fed. It returns false
+// once read fails (EOF included) or the pipeline refuses the chunk. It
+// drives a source the way Drain does, taking the chunk before the read.
 func (s *Source) FeedFrom(read func([]byte) (int, error)) bool {
 	c := s.pl.takeChunk()
+	defer s.pl.putChunk(c)
 	n, err := read(c)
-	if err == nil && n > 0 && s.feed(pipeItem{src: s, data: c[:n], pooled: true}) {
-		return true
+	if err == nil && n > 0 {
+		return s.Feed(c[:n])
 	}
-	// Not fed: a failed read (EOF included), an empty one or a refusal.
-	s.pl.putChunk(c)
+	// Not fed: a failed read (EOF included) or an empty one.
 	return err == nil && n == 0
 }

@@ -51,13 +51,13 @@ type Engine struct {
 
 	// slots holds the records ProcessBatch is filling a batch with,
 	// slots[i] for the batch's record i, each decoded straight into its
-	// slot. They are the engine's — one per pipeline worker — and not a
-	// pool's or the batch's: batches are pooled, a pool empties at every
-	// GC, and each new batch would grow its slots again.
+	// slot. They are the engine's — one of a pipeline's Workers — and
+	// not a pool's or the batch's: batches are pooled, a pool empties at
+	// every GC, and each new batch would grow its slots again.
 	slots []trace.Slots
 
 	// tap, when non-nil, observes every kept record (tap.go). Not
-	// carried by Clone — pipeline workers each get their own.
+	// carried by Clone — pipeline engines each get their own.
 	tap RecordTap
 
 	// Stats counts the engine's record traffic.
@@ -86,9 +86,8 @@ func NewEngine(descData, tmplData []byte) (*Engine, error) {
 
 // Clone returns an engine sharing this engine's compiled program —
 // immutable after construction — but with independent statistics and
-// buffers. The parallel ingest
-// pipeline gives each worker a clone so selection runs without any
-// cross-worker state.
+// buffers. The ingest pipeline holds Workers clones so concurrent
+// feeds select without any shared state.
 func (e *Engine) Clone() *Engine {
 	return &Engine{prog: e.prog}
 }
@@ -233,22 +232,21 @@ func StoreConfig(reg *obs.Registry) store.Config {
 //	args[1] listen port
 //	args[2] descriptions file path (optional; default standard file)
 //	args[3] templates file path (optional; default standard file)
-//	args[4] ingest workers (optional; default GOMAXPROCS)
 //
 // It binds a stream socket, accepts one meter connection per metered
 // process creation, applies selection, and appends surviving records
-// to its log file. Each connection is drained by its own goroutine
-// into a bounded-parallelism Pipeline: selection and formatting run on
-// the pipeline's workers, store appends land concurrently on the
-// sharded store, and the flat log is written by one serialized writer
-// that preserves per-connection record order. It runs until killed;
+// to its log file. Each connection is drained by its own goroutine,
+// which runs its chunks through a Pipeline in order: selection and
+// formatting with one of GOMAXPROCS engines, the store append on the
+// sharded store, then the log append, which the pipeline serializes
+// across connections. It runs until killed;
 // "The events detected and logged by the filter process are not seen
 // by the user as they occur" (section 3.4) — the user retrieves the
 // log afterwards with getlog.
 func Main(p *kernel.Process) int {
 	args := p.Args()
 	if len(args) < 2 {
-		p.Printf("filter: usage: name port [descriptions [templates [workers]]]\n")
+		p.Printf("filter: usage: name port [descriptions [templates]]\n")
 		return 1
 	}
 	name := args[0]
@@ -263,15 +261,6 @@ func Main(p *kernel.Process) int {
 	}
 	if len(args) > 3 && args[3] != "" {
 		tmplPath = args[3]
-	}
-	workers := 0 // 0: PipelineConfig default (GOMAXPROCS)
-	if len(args) > 4 && args[4] != "" {
-		w, err := strconv.Atoi(args[4])
-		if err != nil || w < 0 {
-			p.Printf("filter: bad worker count %q\n", args[4])
-			return 1
-		}
-		workers = w
 	}
 
 	descData, err := p.ReadFile(descPath)
@@ -326,15 +315,14 @@ func Main(p *kernel.Process) int {
 	}
 
 	logPath := LogPath(name)
-	pipe := NewPipeline(eng, PipelineConfig{Workers: workers, Obs: reg, Taps: taps}, Sinks{
+	pipe := NewPipeline(eng, PipelineConfig{Obs: reg, Taps: taps}, Sinks{
 		Store: st,
 		Log:   func(lines []byte) error { return p.AppendFile(logPath, lines) },
-	}, p.Go)
-	// On kill the Accept below unwinds; draining the pipeline before
-	// the process finishes keeps shutdown orderly (no worker left
-	// blocked on a queue the cluster's shutdown would wait on). The
-	// snapshot export runs after the drain so its counters are final,
-	// and writes through the machine's file system directly — process
+	}, nil)
+	// On kill the Accept below unwinds, and Close waits for the feeds
+	// in progress, which end or unwind at their next system call. The
+	// snapshot export runs after Close so its counters are final, and
+	// writes through the machine's file system directly — process
 	// syscalls are unusable during a kill unwind, and the forensic
 	// record matters most when the filter died by fault injection.
 	defer p.Machine().ExportStats(StatsPath(name), p.UID())

@@ -1,8 +1,11 @@
 package filter
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,7 +100,7 @@ func TestPipelineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logBuf []byte
-	pipe := NewPipeline(proto, PipelineConfig{Workers: 4, QueueDepth: 4, Obs: reg}, Sinks{
+	pipe := NewPipeline(proto, PipelineConfig{Workers: 4, Obs: reg}, Sinks{
 		Store: st,
 		Log:   func(b []byte) error { logBuf = append(logBuf, b...); return nil },
 	}, nil)
@@ -248,75 +251,145 @@ func TestPipelineStreamError(t *testing.T) {
 	}
 }
 
-// TestPipelineBackpressure wedges the log sink and asserts the bounded
-// queues push back — feeds stall rather than buffering without limit —
-// and that every record still lands once the sink recovers.
+// countingTaps hands out recording taps and counts them: one a
+// pipeline engine.
+type countingTaps struct{ n atomic.Int64 }
+
+func (c *countingTaps) NewTap() RecordTap { c.n.Add(1); return &recordingTap{} }
+
+// TestPipelineBackpressure wedges the log sink and asserts what
+// backpressure is: a feed that reaches the log waits in Feed, so
+// nothing is queued behind it or dropped; at most Workers engines exist
+// however many sources feed, and NewPipeline started no goroutine; once
+// the sink recovers, both sinks hold every record in per-source order.
 func TestPipelineBackpressure(t *testing.T) {
+	const (
+		workers  = 2
+		nsources = 5
+		nmsgs    = 20
+	)
 	proto, err := NewEngine([]byte(StandardDescriptions), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	be, reg := store.NewMemBackend(), obs.NewRegistry()
+	st, err := store.Open(be, store.Config{SegmentCap: 1024, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	release := make(chan struct{})
-	var blocked sync.Once
+	var wedge sync.Once
 	var logBuf []byte
-	pipe := NewPipeline(proto, PipelineConfig{Workers: 1, QueueDepth: 1}, Sinks{
+	taps := &countingTaps{}
+	goroutines := runtime.NumGoroutine()
+	pipe := NewPipeline(proto, PipelineConfig{Workers: workers, Obs: reg, Taps: taps}, Sinks{
+		Store: st,
 		Log: func(b []byte) error {
-			blocked.Do(func() { <-release })
+			wedge.Do(func() { <-release })
 			logBuf = append(logBuf, b...)
 			return nil
 		},
 	}, nil)
-
-	const nmsgs = 40
-	stream := sourceStream(0, nmsgs)
-	src := pipe.NewSource()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// One frame per feed: each chunk becomes its own batch, so the
-		// single-slot queues fill as soon as the writer wedges.
-		off := 0
-		for off < len(stream) {
-			size, err := meter.PeekSize(stream[off:])
-			if err != nil || size == 0 {
-				t.Errorf("bad frame at %d: %v", off, err)
-				return
-			}
-			if !src.Feed(append([]byte(nil), stream[off:off+size]...)) {
-				t.Error("pipeline refused feed")
-				return
-			}
-			off += size
-		}
-	}()
-
-	stalls := func() int64 {
-		reg := pipe.Obs()
-		return reg.Counter("filter.feed_stalls").Load() + reg.Counter("filter.log_stalls").Load()
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("NewPipeline started %d goroutines", n-goroutines)
 	}
+
+	// Each source feeds from its own goroutine, one frame per feed, so
+	// every feed has a batch for the log.
+	var fed atomic.Int64
+	var wg sync.WaitGroup
+	streams := make([][]byte, nsources)
+	for s := range streams {
+		streams[s] = sourceStream(s, nmsgs)
+		src, stream := pipe.NewSource(), streams[s]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for off := 0; off < len(stream); {
+				size, err := meter.PeekSize(stream[off:])
+				if err != nil || size == 0 {
+					t.Errorf("bad frame at %d: %v", off, err)
+					return
+				}
+				if !src.Feed(stream[off : off+size]) {
+					t.Error("pipeline refused feed")
+					return
+				}
+				fed.Add(1)
+				off += size
+			}
+		}()
+	}
+
+	counter := func(name string) int64 { return reg.Counter("filter." + name).Load() }
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if stalls() > 0 {
-			break
-		}
+	for counter("batches") < nsources {
 		if time.Now().After(deadline) {
-			t.Fatal("no stalls recorded while the log sink was wedged")
+			t.Fatalf("%d of %d sources reached the sinks while the log was wedged", counter("batches"), nsources)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	time.Sleep(20 * time.Millisecond)
+	if n := fed.Load(); n != 0 {
+		t.Fatalf("%d feeds returned while the log sink was wedged", n)
+	}
+	if chunks, batches, drops := counter("chunks"), counter("batches"), counter("drops"); chunks != nsources || batches != nsources || drops != 0 {
+		t.Fatalf("wedged: %d chunks accepted, %d batches, %d drops; want %d, %d, 0", chunks, batches, drops, nsources, nsources)
+	}
 	close(release)
-	<-done
+	wg.Wait()
 	pipe.Close()
+	if n := taps.n.Load(); n > workers {
+		t.Fatalf("%d sources fed through %d engines, want at most %d", nsources, n, workers)
+	}
 
-	if got, want := strings.Count(string(logBuf), "\n"), nmsgs; got != want {
-		t.Fatalf("log holds %d lines after recovery, want %d", got, want)
+	// The log: each source's lines, in its order.
+	owner := map[string]int{}
+	for s, stream := range streams {
+		for _, ln := range expectLines(t, "", stream) {
+			owner[ln] = s
+		}
 	}
-	if stalls() == 0 {
-		t.Fatal("stall counters empty after wedged sink")
+	got := make([][]string, nsources)
+	for _, ln := range strings.Split(strings.TrimSuffix(string(logBuf), "\n"), "\n") {
+		s, ok := owner[ln]
+		if !ok {
+			t.Fatalf("log line not produced by any source: %q", ln)
+		}
+		got[s] = append(got[s], ln)
 	}
-	if pipe.Obs().Gauge("filter.queue_high_water").Load() == 0 {
-		t.Fatal("queue high-water mark never observed")
+	for s, stream := range streams {
+		if want := expectLines(t, "", stream); !slices.Equal(got[s], want) {
+			t.Fatalf("source %d: log holds %d lines, not its %d in order", s, len(got[s]), len(want))
+		}
 	}
+
+	// The store: every record, each machine's (source's) in time order.
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := store.OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := map[uint16][]uint32{}
+	for _, segs := range rd.Shards() {
+		for _, rs := range segs {
+			seg, err := rs.Load()
+			if err != nil {
+				t.Fatalf("segment %s: %v", rs.Name, err)
+			}
+			for _, r := range seg.Recs {
+				times[r.Meta.Machine] = append(times[r.Meta.Machine], r.Meta.Time)
+			}
+		}
+	}
+	for s := range streams {
+		if ts := times[uint16(s+1)]; len(ts) != nmsgs || !slices.IsSorted(ts) {
+			t.Fatalf("source %d: store holds %d records %v, want %d in time order", s, len(ts), ts, nmsgs)
+		}
+	}
+	checkConservation(t, reg, 0)
 }
 
 // TestPipelineCloseRefusesFeeds verifies shutdown semantics: after

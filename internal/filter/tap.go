@@ -19,11 +19,11 @@ import (
 // Second, the metadata and slots are only valid for the duration of the
 // call (they are the engine's), so a tap must copy what it keeps.
 //
-// Taps are per-engine and engines are per-worker in the parallel
-// pipeline, so TapRecord needs no internal locking for the per-record
-// path; cross-worker aggregation happens in TapFlush, which the
-// pipeline calls once per processed chunk — the natural batch boundary
-// to amortize a lock over.
+// Taps are per-engine, and a pipeline engine serves one feed at a
+// time, so TapRecord needs no internal locking for the per-record path;
+// cross-engine aggregation happens in TapFlush, which the pipeline calls
+// once per processed chunk — the natural batch boundary to amortize a
+// lock over.
 
 // RecordTap observes records that survive selection. Implementations
 // live in internal/analysis/live; the engine only calls through this
@@ -33,12 +33,12 @@ type RecordTap interface {
 	// duration of the call.
 	TapRecord(m *store.Meta, s *trace.Slots)
 	// TapFlush marks a batch boundary: the pipeline calls it after each
-	// processed chunk, and Close-time drains end with one. A tap
-	// buffering records locally publishes them here.
+	// processed chunk. A tap buffering records locally publishes them
+	// here.
 	TapFlush()
 }
 
-// TapSource hands out one RecordTap per pipeline worker, so the
+// TapSource hands out one RecordTap per pipeline engine, so the
 // per-record path stays single-threaded per tap.
 type TapSource interface {
 	NewTap() RecordTap
@@ -46,7 +46,7 @@ type TapSource interface {
 
 // TapCloser is an optional extension of TapSource: a source running
 // background work (the live collector's drainer) implements Close, and
-// the pipeline calls it once after the last worker has drained and
+// the pipeline's Close calls it once the last feed is done and has
 // issued its final TapFlush. A closed source must keep serving
 // captures — only its background activity stops.
 type TapCloser interface {
@@ -54,7 +54,7 @@ type TapCloser interface {
 }
 
 // SetTap attaches a tap to this engine (nil detaches). Clone does not
-// carry the tap: each pipeline worker's engine gets its own via
+// carry the tap: each pipeline engine gets its own via
 // PipelineConfig.Taps.
 func (e *Engine) SetTap(t RecordTap) { e.tap = t }
 
