@@ -198,9 +198,9 @@ func (s *Source) Feed(data []byte) bool {
 		s.carry = append(s.carry, data...)
 		buf = s.carry
 	}
+	e := <-pl.engines
 	b := batchFree.Take(0, pl.batchMem)
 	defer pl.putBatch(b)
-	e := <-pl.engines
 	recv, kept, disc := e.Received, e.Kept, e.Discarded
 	rest, err := e.ProcessBatch(buf, b)
 	pl.received.Add(int64(e.Received - recv))
