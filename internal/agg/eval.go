@@ -19,7 +19,7 @@ import (
 type Query struct {
 	Sel   *query.Query
 	Spec  *Spec
-	rules string           // the selection rules' text, Sel compiled from
+	key   string           // the selection rules' text and Spec.String(), the memo's name of the query
 	by    []trace.FieldRef // Spec.By, resolved once for every event type
 	field trace.FieldRef   // Spec.Field, likewise
 }
@@ -52,7 +52,7 @@ func Compile(text string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	aq := &Query{Sel: sel, Spec: spec, rules: rules, field: trace.NewFieldRef(spec.Field)}
+	aq := &Query{Sel: sel, Spec: spec, key: rules + "\x00" + spec.String(), field: trace.NewFieldRef(spec.Field)}
 	for _, f := range spec.By {
 		aq.by = append(aq.by, trace.NewFieldRef(f))
 	}
@@ -84,7 +84,7 @@ type Options struct {
 // so a key's fate is settled by its first record. Absorbing in that
 // order meets the first records as a record-by-record fold would, so
 // the partial is that fold's at any worker count. A table a Memo serves
-// is the one the scan would fold, absorbed in the same place.
+// is the scan's, taken before any worker starts and absorbed in its place.
 func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, error) {
 	records, foldGroups := new(obs.Counter), new(obs.Counter)
 	if opt.Obs != nil {
@@ -95,11 +95,12 @@ func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, erro
 	all := p.table
 	all.reset()
 	maxGroups, sketch := cmp.Or(aq.Spec.MaxGroups, DefaultMaxGroups), aq.Spec.Fn.NeedsSketch()
+	var hit func(*store.ReaderSegment) (*segment, query.Stats, bool)
 	scan := aq.scanSegment
 	if opt.Memo != nil {
-		scan = opt.Memo.scanner(aq, opt.Store)
+		hit, scan = opt.Memo.scanners(aq, opt.Store)
 	}
-	stats, err := query.ScanOrdered(rd, aq.Sel, scan,
+	stats, err := query.ScanOrdered(rd, aq.Sel, hit, scan,
 		func(_ *store.ReaderSegment, seg *segment) {
 			p.Records += seg.records
 			p.Skipped += seg.skipped

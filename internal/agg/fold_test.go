@@ -32,7 +32,7 @@ func recordEval(rd *store.Reader, aq *Query) (*Partial, query.Stats, error) {
 	}
 	s := aq.Spec
 	p := newRefPartial(s)
-	stats, err := query.ScanOrdered(rd, aq.Sel,
+	stats, err := query.ScanOrdered(rd, aq.Sel, nil,
 		func(rs *store.ReaderSegment) (*segItems, query.Stats, error) {
 			seg := &segItems{minTime: ^uint64(0)}
 			st, err := aq.Sel.ScanSegment(rs, func(v *trace.View, _ uint8) {

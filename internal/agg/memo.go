@@ -2,7 +2,6 @@ package agg
 
 import (
 	"slices"
-	"strconv"
 	"sync"
 
 	"dpm/internal/obs"
@@ -20,7 +19,7 @@ const MemoCost = 1 << 15
 // query folds from it: a standing aggregate asked again scans only the
 // segments sealed, compacted or archived since, and takes the rest —
 // table and scan statistics — from here. A table is keyed by the store
-// (Options.Store), the query (the rules' text, Spec.String(), NoPrune),
+// (Options.Store), the query (Query.key, NoPrune),
 // the segment's name and its store.ReaderSegment.Tail;
 // segments without a tail and scans that fail are never kept. A memo
 // whose next table would take it past its bound is emptied first, as the
@@ -40,9 +39,10 @@ type Memo struct {
 }
 
 type memoKey struct {
-	scope string // the store and the query
-	name  string
-	tail  [store.TailSize]byte
+	store, query string // Options.Store and Query.key
+	noPrune      bool
+	name         string
+	tail         [store.TailSize]byte
 }
 
 // memoTable is a kept table — read-only, without an index, never back
@@ -58,34 +58,43 @@ func NewMemo(limit int, reg *obs.Registry) *Memo {
 	return &Memo{limit: limit, reg: reg, tables: make(map[memoKey]memoTable)}
 }
 
-// scanner returns aq.scanSegment with the memo in front of it for the
-// segments that have a tail.
-func (m *Memo) scanner(aq *Query, storeID string) func(*store.ReaderSegment) (*segment, query.Stats, error) {
+// scanners returns what Eval hands the executor for aq: hit takes a
+// segment's table from the memo, and scan scans a segment and keeps
+// its table. Segments without a tail are neither looked up nor kept.
+func (m *Memo) scanners(aq *Query, storeID string) (
+	hit func(*store.ReaderSegment) (*segment, query.Stats, bool),
+	scan func(*store.ReaderSegment) (*segment, query.Stats, error)) {
 	m.once.Do(func() {
 		m.hits, m.misses, m.clears = m.reg.Counter("agg.memo_hits"), m.reg.Counter("agg.memo_misses"), m.reg.Counter("agg.memo_clears")
 		m.groups = m.reg.Gauge("agg.memo_groups")
 	})
-	scope := storeID + "\x00" + aq.rules + "\x00" + aq.Spec.String() + "\x00" + strconv.FormatBool(aq.Sel.NoPrune)
-	return func(rs *store.ReaderSegment) (*segment, query.Stats, error) {
-		tail := rs.Tail()
-		if tail == nil {
-			return aq.scanSegment(rs)
+	keyOf := func(rs *store.ReaderSegment) (k memoKey, ok bool) {
+		k = memoKey{store: storeID, query: aq.key, noPrune: aq.Sel.NoPrune, name: rs.Name}
+		return k, copy(k.tail[:], rs.Tail()) > 0
+	}
+	hit = func(rs *store.ReaderSegment) (*segment, query.Stats, bool) {
+		k, ok := keyOf(rs)
+		if !ok {
+			return nil, query.Stats{}, false
 		}
-		k := memoKey{scope: scope, name: rs.Name, tail: [store.TailSize]byte(tail)}
 		m.mu.Lock()
 		t, ok := m.tables[k]
 		m.mu.Unlock()
 		if ok {
 			m.hits.Inc()
-			return t.seg, t.st, nil
+		} else {
+			m.misses.Inc()
 		}
-		m.misses.Inc()
-		seg, st, err := aq.scanSegment(rs)
-		if err != nil {
-			return seg, st, err
-		}
-		return m.keep(k, seg, st, aq.Spec.Fn.NeedsSketch()), st, nil
+		return t.seg, t.st, ok
 	}
+	scan = func(rs *store.ReaderSegment) (*segment, query.Stats, error) {
+		seg, st, err := aq.scanSegment(rs)
+		if k, ok := keyOf(rs); ok && err == nil {
+			return m.keep(k, seg, st, aq.Spec.Fn.NeedsSketch()), st, nil
+		}
+		return seg, st, err
+	}
+	return hit, scan
 }
 
 // keep stores a compact copy of a scanned table, puts the scanned one

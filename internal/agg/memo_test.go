@@ -3,7 +3,9 @@ package agg
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -338,7 +340,7 @@ func TestMemoCounters(t *testing.T) {
 	withTail, scanned, groups := 0, 0, 0
 	for pass := 0; pass < 3; pass++ {
 		rd := openReader(t, be)
-		segs, _ := query.Admitted(rd, aq.Sel)
+		segs, _ := query.Admitted(nil, rd, aq.Sel)
 		for _, rs := range segs {
 			if rs.Tail() != nil {
 				withTail++
@@ -400,7 +402,7 @@ func TestMemoBound(t *testing.T) {
 
 // TestMemoWarmEvalNoAlloc gates the hit path: with every table in the
 // memo, an Eval over 64 sealed segments allocates what an Eval over one
-// does — nothing per segment.
+// does — nothing per segment, neither an allocation nor a byte.
 func TestMemoWarmEvalNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
@@ -409,7 +411,7 @@ func TestMemoWarmEvalNoAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(segments int) float64 {
+	measure := func(segments int) (allocs, bytes float64) {
 		be := store.NewMemBackend()
 		st, err := store.Open(be, store.Config{Shards: 1, SegmentCap: 1 << 20, CompactMin: 1 << 20})
 		if err != nil {
@@ -436,15 +438,28 @@ func TestMemoWarmEvalNoAlloc(t *testing.T) {
 			}
 		}
 		eval()
-		var allocs float64
-		atWorkers(1, func() { allocs = testing.AllocsPerRun(50, eval) })
-		if hits := memo.hits.Load(); hits != 51*int64(segments) {
-			t.Fatalf("%d hits over 51 warm Evals of %d segments", hits, segments)
+		atWorkers(1, func() {
+			allocs, bytes = testing.AllocsPerRun(50, eval), math.Inf(1)
+			for w := 0; w < 3; w++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < 50; i++ {
+					eval()
+				}
+				runtime.ReadMemStats(&after)
+				bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/50)
+			}
+		})
+		if hits := memo.hits.Load(); hits != 201*int64(segments) {
+			t.Fatalf("%d hits over 201 warm Evals of %d segments", hits, segments)
 		}
-		return allocs
+		return allocs, bytes
 	}
-	if one, many := measure(1), measure(64); many != one {
-		t.Fatalf("a warm Eval allocates %.1f times over 64 segments, %.1f over one", many, one)
+	oneA, oneB := measure(1)
+	manyA, manyB := measure(64)
+	t.Logf("a warm Eval: %.1f allocations and %.0f bytes over one segment, %.1f and %.0f over 64", oneA, oneB, manyA, manyB)
+	if manyA != oneA || manyB > oneB+32 {
+		t.Fatalf("a warm Eval costs %.1f allocations and %.0f bytes over 64 segments, %.1f and %.0f over one", manyA, manyB, oneA, oneB)
 	}
 }
 

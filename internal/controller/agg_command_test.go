@@ -245,6 +245,29 @@ func TestAggCommandNoAllocBeyondAnswer(t *testing.T) {
 	if path > 3*file+2048 {
 		t.Errorf("merging and rendering two replies allocates %.0f bytes for a %.0f-byte result file; want at most %.0f", path, file, 3*file+2048)
 	}
+
+	// Commands of two specs in turn, as a grouped and a top-k aggregate
+	// alternate, cost what each costs alone: a part decodes a reply of
+	// the spec it was reset to without parsing the spec again.
+	s2, err := agg.ParseSpec("top 3 machine by sum(msgLength)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range targets {
+		targets[i].Req = &daemon.AggReq{Dir: filter.StorePath(ctl.Filters()[i].Name), Spec: s2.String(), UID: ctl.uid}
+	}
+	res2 := ctl.broadcastTargets(targets)
+	defer release(res2)
+	if reporting, _ := m.answer(s2, res2); len(reporting) != 2 {
+		t.Fatalf("%d filters reporting to %s", len(reporting), s2)
+	}
+	first := testing.AllocsPerRun(20, func() { m.answer(s, res) })
+	second := testing.AllocsPerRun(20, func() { m.answer(s2, res2) })
+	turns := testing.AllocsPerRun(20, func() { m.answer(s, res); m.answer(s2, res2) })
+	t.Logf("answers allocate %.0f times for %s, %.0f for %s, %.0f for the two in turn", first, s, second, s2, turns)
+	if turns > first+second {
+		t.Errorf("two specs in turn allocate %.0f times, each alone %.0f and %.0f", turns, first, second)
+	}
 }
 
 // TestConcurrentAggAnswers merges and renders aggregate replies from

@@ -1013,7 +1013,8 @@ var aggMerges = sync.Pool{New: func() any { return new(aggMerge) }}
 
 // answer decodes the replies res to an aggregate of spec into sorted
 // tables, merges them in one pass and renders the answer into m.table.
-// A reply that is not a partial of spec counts its host missing.
+// Each part is reset to spec before it decodes, so that it parses no
+// spec; a reply that is not a partial of spec counts its host missing.
 func (m *aggMerge) answer(spec *agg.Spec, res []hostResult) (reporting, missing []string) {
 	m.merged.Reset(spec)
 	n := 0
@@ -1021,7 +1022,7 @@ func (m *aggMerge) answer(spec *agg.Spec, res []hostResult) (reporting, missing 
 		if n == len(m.parts) {
 			m.parts = append(m.parts, new(agg.Partial))
 		}
-		if r.Err != nil || !r.Rep.OK() || m.parts[n].UnmarshalBinary(r.Rep.DataBytes()) != nil || m.parts[n].Spec != m.merged.Spec {
+		if r.Err != nil || !r.Rep.OK() || m.parts[n].Reset(spec).UnmarshalBinary(r.Rep.DataBytes()) != nil || m.parts[n].Spec != m.merged.Spec {
 			missing = append(missing, r.Host)
 			continue
 		}

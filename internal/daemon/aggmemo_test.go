@@ -2,6 +2,8 @@ package daemon
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +22,16 @@ import (
 // process on it and add, which appends more of the stream.
 func storeMachine(t *testing.T, dir string, n int) (p *kernel.Process, m *kernel.Machine, add func(from, to int)) {
 	t.Helper()
+	p, m, st := machineStore(t, dir, store.Config{Shards: 2, SegmentCap: 2048})
+	add = func(from, to int) { appendSends(t, st, from, to) }
+	add(0, n)
+	return p, m, add
+}
+
+// machineStore starts a machine with a process on it and opens a store
+// at dir on its file system.
+func machineStore(t *testing.T, dir string, cfg store.Config) (*kernel.Process, *kernel.Machine, *store.Store) {
+	t.Helper()
 	c := kernel.NewCluster(kernel.Config{})
 	c.AddNetwork("ether0")
 	m, err := c.AddMachine("red", nil, "ether0")
@@ -28,29 +40,30 @@ func storeMachine(t *testing.T, dir string, n int) (p *kernel.Process, m *kernel
 	}
 	t.Cleanup(c.Shutdown)
 	m.AddAccount(testUID, "user")
-	p, err = m.SpawnDetached(testUID, "aggmemo")
+	p, err := m.SpawnDetached(testUID, "aggmemo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(store.NewFsysBackend(m.FS(), testUID, dir), store.Config{Shards: 2, SegmentCap: 2048})
+	st, err := store.Open(store.NewFsysBackend(m.FS(), testUID, dir), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	add = func(from, to int) {
-		for i := from; i < to; i++ {
-			e := trace.Event{
-				Type: meter.EvSend, Event: meter.EvSend.String(), Machine: i%4 + 1, CPUTime: int64(10 * i),
-				Fields: map[string]uint64{"pid": uint64(100 + i%3), "sock": 3, "msgLength": uint64(i * 37 % 1000)},
-				Names:  map[string]meter.Name{},
-			}
-			m := store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: 1, PID: uint32(e.Fields["pid"])}
-			if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format()), Slots: slotsOf(&e)}}); err != nil {
-				t.Error(err)
-			}
+	return p, m, st
+}
+
+// appendSends appends records from to to-1 of the SEND stream to st.
+func appendSends(t *testing.T, st *store.Store, from, to int) {
+	for i := from; i < to; i++ {
+		e := trace.Event{
+			Type: meter.EvSend, Event: meter.EvSend.String(), Machine: i%4 + 1, CPUTime: int64(10 * i),
+			Fields: map[string]uint64{"pid": uint64(100 + i%3), "sock": 3, "msgLength": uint64(i * 37 % 1000)},
+			Names:  map[string]meter.Name{},
+		}
+		m := store.Meta{Machine: uint16(e.Machine), Time: uint32(e.CPUTime), Type: 1, PID: uint32(e.Fields["pid"])}
+		if err := st.AppendBatch([]store.BatchRec{{Meta: m, Line: []byte(e.Format()), Slots: slotsOf(&e)}}); err != nil {
+			t.Error(err)
 		}
 	}
-	add(0, n)
-	return p, m, add
 }
 
 // TestHandleAggMemoConcurrent: concurrent aggregate requests on one
@@ -99,6 +112,147 @@ func TestHandleAggMemoConcurrent(t *testing.T) {
 	reg := m.Obs()
 	if hits, clears := reg.Counter("agg.memo_hits").Load(), reg.Counter("agg.memo_clears").Load(); hits == 0 || clears == 0 {
 		t.Fatalf("%d memo hits and %d clears: the bound did not make the memo start over", hits, clears)
+	}
+}
+
+// TestCompiledQueriesShared: concurrent record queries and aggregates
+// of one rules text, with pruning on and off, share the daemon's
+// compiled queries, and every reply is byte for byte the reply of a
+// daemon that compiles the request afresh.
+func TestCompiledQueriesShared(t *testing.T) {
+	const dir, rules = "/usr/tmp/compiled", "cpuTime<3000,pid=101\ncpuTime>=12000,type=1"
+	p, m, _ := storeMachine(t, dir, 1500)
+	var reqs []func(*daemonState) Reply
+	for _, noPrune := range []bool{false, true} {
+		q := QueryReq{Dir: dir, UID: testUID, Rules: rules, NoPrune: noPrune}
+		a := AggReq{Dir: dir, UID: testUID, Rules: rules, Spec: "agg sum(msgLength) by pid", NoPrune: noPrune}
+		reqs = append(reqs, func(d *daemonState) Reply { return d.handleQuery(q) },
+			func(d *daemonState) Reply { return d.handleAgg(a) })
+	}
+	want := make([]string, len(reqs))
+	for i, req := range reqs {
+		if want[i] = replyWire(req(&daemonState{p: p})); !strings.Contains(want[i], "ok") {
+			t.Fatalf("request %d: %q", i, want[i])
+		}
+	}
+	if want[0] == want[2] || want[1] == want[3] {
+		t.Fatal("the replies with pruning on and off are equal: the test cannot tell the queries apart")
+	}
+	d := &daemonState{p: p, aggMemo: agg.NewMemo(agg.MemoCost, m.Obs())}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				k := (g + i) % len(reqs)
+				if got := replyWire(reqs[k](d)); got != want[k] {
+					t.Errorf("request %d, round %d: the reply differs from a fresh compile's", k, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	reg := m.Obs()
+	if hits, misses := reg.Counter("daemon.compile_hits").Load(), reg.Counter("daemon.compile_misses").Load(); hits == 0 || misses < int64(len(reqs)) {
+		t.Fatalf("%d compile hits and %d misses over %d texts", hits, misses, len(reqs))
+	}
+}
+
+// sealedStore starts a machine whose store at dir holds the given
+// number of sealed segments, 40 records each over two shards, and two
+// records past them in unsealed tails, one a shard.
+func sealedStore(t *testing.T, dir string, segments int) *daemonState {
+	p, m, st := machineStore(t, dir, store.Config{Shards: 2, SegmentCap: 1 << 20, CompactMin: 1 << 20})
+	for s := 0; s < segments/2; s++ {
+		appendSends(t, st, 80*s, 80*(s+1))
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendSends(t, st, 40*segments, 40*segments+2)
+	d := &daemonState{p: p, aggMemo: agg.NewMemo(agg.MemoCost, m.Obs())}
+	rd, err := d.reader(testUID, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rd.NumSegments(); n != segments+2 {
+		t.Fatalf("%d segments, want %d sealed and 2 unsealed", n, segments)
+	}
+	return d
+}
+
+// warmCost is what one request costs once warm — its allocations and
+// bytes, the cheapest of five windows of 50 — with its reply written
+// into a frame the caller keeps.
+func warmCost(t *testing.T, handle func() Reply) (allocs, bytes float64) {
+	var frame []byte
+	call := func() {
+		rep := handle()
+		if rep.Status != "ok" {
+			t.Fatal(rep.Status)
+		}
+		frame = rep.appendWire(beginFrame(frame[:0], FrameRep, 0))
+	}
+	call()
+	call()
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	for w := 0; w < 5; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 50; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/50)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/50)
+	}
+	return allocs, bytes
+}
+
+// TestWarmAggNoAllocPerSegment gates a standing aggregate on the daemon:
+// with every sealed segment's table in the memo and the query compiled,
+// a request costs as many allocations at 512 sealed segments as at 16,
+// within one, and no more bytes, within 64.
+func TestWarmAggNoAllocPerSegment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
+	}
+	measure := func(segments int) (float64, float64) {
+		const dir = "/usr/tmp/warmagg"
+		d := sealedStore(t, dir, segments)
+		return warmCost(t, func() Reply {
+			return d.handleAgg(AggReq{Dir: dir, UID: testUID, Rules: "type=1", Spec: "agg count by machine"})
+		})
+	}
+	fewA, fewB := measure(16)
+	manyA, manyB := measure(512)
+	t.Logf("a warm aggregate: %.1f allocations and %.0f bytes over 16 sealed segments, %.1f and %.0f over 512", fewA, fewB, manyA, manyB)
+	if manyA > fewA+1 || manyB > fewB+64 {
+		t.Fatalf("a warm aggregate over 512 sealed segments costs %.1f allocations and %.0f bytes, over 16 %.1f and %.0f", manyA, manyB, fewA, fewB)
+	}
+}
+
+// TestWarmPointQueryNoAllocPerSegment: the same for a record query
+// that footer pruning narrows to one sealed segment: the segments it
+// prunes cost nothing.
+func TestWarmPointQueryNoAllocPerSegment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")
+	}
+	measure := func(segments int) (float64, float64) {
+		const dir = "/usr/tmp/warmpoint"
+		d := sealedStore(t, dir, segments)
+		return warmCost(t, func() Reply {
+			return d.handleQuery(QueryReq{Dir: dir, UID: testUID, Rules: "cpuTime>=1000,cpuTime<=1100"})
+		})
+	}
+	fewA, fewB := measure(16)
+	manyA, manyB := measure(512)
+	t.Logf("a warm point query: %.1f allocations and %.0f bytes over 16 sealed segments, %.1f and %.0f over 512", fewA, fewB, manyA, manyB)
+	if manyA > fewA+1 || manyB > fewB+64 {
+		t.Fatalf("a warm point query over 512 sealed segments costs %.1f allocations and %.0f bytes, over 16 %.1f and %.0f", manyA, manyB, fewA, fewB)
 	}
 }
 

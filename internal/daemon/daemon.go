@@ -179,9 +179,11 @@ type daemonState struct {
 	// frame is taken that large.
 	statsSize atomic.Int64
 
-	// Each store's last snapshot by UID and directory, guarded by mu:
-	// the next query of the store reopens it (store.Reopen).
+	// Each store's last snapshot by UID and directory, which the next
+	// query of the store reopens (store.Reopen), and each compiled query
+	// by its texts (compiled); guarded by mu.
 	readers map[string]*store.Reader
+	queries map[queryKey]*agg.Query
 
 	// Sealed segments' aggregate group tables, across handleAgg calls.
 	aggMemo *agg.Memo
@@ -561,9 +563,29 @@ type prefixSum struct {
 	crc  uint32
 }
 
-// maxFileSums bounds the checkpoint table. Checkpoints only save work,
-// so a full table is simply emptied.
-const maxFileSums = 64
+// tableSize bounds each of the daemon's tables of saved work: getfile
+// checkpoints, store readers and compiled queries. An entry only saves
+// work, so a full table is simply emptied (keep).
+const tableSize = 64
+
+// lookup returns the entry of the table *t for k, under d.mu.
+func lookup[K comparable, V any](d *daemonState, t *map[K]V, k K) (V, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	v, ok := (*t)[k]
+	return v, ok
+}
+
+// keep stores v for k in the table *t, under d.mu, emptying a full
+// table first.
+func keep[K comparable, V any](d *daemonState, t *map[K]V, k K, v V) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, ok := (*t)[k]; !ok && len(*t) >= tableSize || *t == nil {
+		*t = make(map[K]V)
+	}
+	(*t)[k] = v
+}
 
 // prefixCRC returns the CRC of snap's bytes [0, off), where the reply
 // is about to ship the n bytes from off. It extends the path's
@@ -577,9 +599,7 @@ const maxFileSums = 64
 // checkpoint that is true in itself, so the last store wins and none
 // can mislead.
 func (d *daemonState) prefixCRC(path string, snap fsys.Snapshot, off, n int) uint32 {
-	d.mu.Lock()
-	ck := d.fileSums[path]
-	d.mu.Unlock()
+	ck, _ := lookup(d, &d.fileSums, path)
 	if ck.file != snap.ID() || ck.off > off {
 		ck = prefixSum{file: snap.ID()}
 	}
@@ -592,18 +612,9 @@ func (d *daemonState) prefixCRC(path string, snap fsys.Snapshot, off, n int) uin
 	sumTo(off)
 	prefix := ck.crc
 	sumTo(off + n)
-	d.mu.Lock()
-	if _, ok := d.fileSums[path]; !ok && len(d.fileSums) >= maxFileSums {
-		clear(d.fileSums)
-	}
-	d.fileSums[path] = ck
-	d.mu.Unlock()
+	keep(d, &d.fileSums, path, ck)
 	return prefix
 }
-
-// maxReaders bounds the reader table. A reader only saves work, so a
-// full table is simply emptied.
-const maxReaders = 64
 
 // reader snapshots a store on this machine, reopening the last snapshot
 // of it, so that the segments unchanged since are taken as they were.
@@ -613,22 +624,47 @@ const maxReaders = 64
 // segment is scanned.
 func (d *daemonState) reader(uid int, dir string) (*store.Reader, error) {
 	id := strconv.Itoa(uid) + ":" + dir
-	d.mu.Lock()
-	prev := d.readers[id]
-	d.mu.Unlock()
+	prev, _ := lookup(d, &d.readers, id)
 	span := obs.StartSpan(d.p.Machine().Obs().Histogram("daemon.reopen_ns"))
 	rd, err := store.Reopen(prev, store.NewFsysBackend(d.p.Machine().FS(), uid, dir))
 	span.End()
 	if err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	if _, ok := d.readers[id]; !ok && len(d.readers) >= maxReaders || d.readers == nil {
-		d.readers = make(map[string]*store.Reader)
-	}
-	d.readers[id] = rd
-	d.mu.Unlock()
+	keep(d, &d.readers, id, rd)
 	return rd, nil
+}
+
+// queryKey names a compiled query by its texts.
+type queryKey struct {
+	rules, spec  string
+	agg, noPrune bool
+}
+
+// compiled returns the aggregate compiled from k's texts, or, when
+// !k.agg, the record query of its rules as an aggregate's Sel alone. A
+// standing query compiles once: the table keeps it shared and never
+// written, NoPrune (a key field) and Obs set. k's texts may lie in the
+// request's payload, so the table keeps copies.
+func (d *daemonState) compiled(k queryKey) (aq *agg.Query, err error) {
+	reg := d.p.Machine().Obs()
+	if aq, ok := lookup(d, &d.queries, k); ok {
+		reg.Counter("daemon.compile_hits").Inc()
+		return aq, nil
+	}
+	reg.Counter("daemon.compile_misses").Inc()
+	if k.agg {
+		aq, err = agg.Compile(k.rules + "\n" + k.spec)
+	} else {
+		aq = new(agg.Query)
+		aq.Sel, err = query.Compile(k.rules)
+	}
+	if err != nil {
+		return nil, err
+	}
+	aq.Sel.NoPrune, aq.Sel.Obs = k.noPrune, reg
+	keep(d, &d.queries, queryKey{strings.Clone(k.rules), strings.Clone(k.spec), k.agg, k.noPrune}, aq)
+	return aq, nil
 }
 
 // handleQuery runs a selection-rule query against an event store on
@@ -637,17 +673,15 @@ func (d *daemonState) reader(uid int, dir string) (*store.Reader, error) {
 // reply Data is one statistics line followed by the matching records,
 // written from the query's buffers straight into the reply frame.
 func (d *daemonState) handleQuery(req QueryReq) Reply {
-	q, err := query.Compile(req.Rules)
+	aq, err := d.compiled(queryKey{rules: req.Rules, noPrune: req.NoPrune})
 	if err != nil {
 		return Reply{Type: TQueryRep, Status: err.Error()}
 	}
-	q.NoPrune = req.NoPrune
-	q.Obs = d.p.Machine().Obs()
 	rd, err := d.reader(req.UID, req.Dir)
 	if err != nil {
 		return Reply{Type: TQueryRep, Status: err.Error()}
 	}
-	a, err := query.Exec(rd, q)
+	a, err := query.Exec(rd, aq.Sel)
 	if err != nil {
 		return Reply{Type: TQueryRep, Status: err.Error()}
 	}
@@ -665,11 +699,10 @@ func (d *daemonState) handleQuery(req QueryReq) Reply {
 // released, Aux the scan-statistics line. The daemon's memo spares a
 // repeated aggregate the sealed segments it has already folded.
 func (d *daemonState) handleAgg(req AggReq) Reply {
-	aq, err := agg.Compile(req.Rules + "\n" + req.Spec)
+	aq, err := d.compiled(queryKey{rules: req.Rules, spec: req.Spec, agg: true, noPrune: req.NoPrune})
 	if err != nil {
 		return Reply{Type: TAggRep, Status: err.Error()}
 	}
-	aq.Sel.NoPrune = req.NoPrune
 	rd, err := d.reader(req.UID, req.Dir)
 	if err != nil {
 		return Reply{Type: TAggRep, Status: err.Error()}

@@ -189,11 +189,11 @@ func TestPrefixCRCCheckpointUse(t *testing.T) {
 		t.Fatalf("prefix CRC %08x: another file's checkpoint was trusted", got)
 	}
 	// The table stays bounded.
-	for i := 0; i < 3*maxFileSums; i++ {
+	for i := 0; i < 3*tableSize; i++ {
 		d.prefixCRC(path+strconv.Itoa(i), snap, 0, 0)
 	}
-	if len(d.fileSums) > maxFileSums {
-		t.Fatalf("%d checkpoints kept, bound is %d", len(d.fileSums), maxFileSums)
+	if len(d.fileSums) > tableSize {
+		t.Fatalf("%d checkpoints kept, bound is %d", len(d.fileSums), tableSize)
 	}
 }
 

@@ -36,7 +36,7 @@ func wireCases() []wireCase {
 		{"create-bare", FrameReq, 2, &CreateReq{Filename: "/bin/x", UID: 1}},
 	}
 	for i, t := range []MsgType{TSetFlagsReq, TStartReq, TStopReq, TKillReq, TAcquireReq, TGetFileReq, TReleaseReq, TListReq, TStdinReq} {
-		cs = append(cs, wireCase{"proc-" + typeSlugs[t], FrameReq, uint64(10 + i), &ProcReq{
+		cs = append(cs, wireCase{"proc-" + strings.TrimSuffix(t.String(), " request"), FrameReq, uint64(10 + i), &ProcReq{
 			Type: t, PID: 2120 + i, UID: 7, Flags: 0x1ff, FilterPort: 900,
 			FilterHost: "green", Path: "/usr/tmp/f1.log", Offset: 1 << 20 * i,
 		}})

@@ -1,47 +1,25 @@
 package daemon
 
-// Per-message-type metric names, precomputed so request accounting
-// performs no string building per request. The daemon side counts
-// arrivals under daemon.req.<slug>; the controller side times round
-// trips under daemon.rtt.<slug>.
-
-var typeSlugs = map[MsgType]string{
-	TCreateReq:   "create",
-	TSetFlagsReq: "setflags",
-	TStartReq:    "start",
-	TStopReq:     "stop",
-	TKillReq:     "kill",
-	TAcquireReq:  "acquire",
-	TGetFileReq:  "getfile",
-	TReleaseReq:  "release",
-	TListReq:     "list",
-	TStdinReq:    "stdin",
-	TQueryReq:    "query",
-	TStatsReq:    "stats",
-}
-
-var (
-	reqCounterNames = make(map[MsgType]string, len(typeSlugs))
-	rttHistNames    = make(map[MsgType]string, len(typeSlugs))
+import (
+	"cmp"
+	"strings"
 )
 
-func init() {
-	for t, slug := range typeSlugs {
-		reqCounterNames[t] = "daemon.req." + slug
-		rttHistNames[t] = "daemon.rtt." + slug
+// reqNames holds, per request type, the counter the daemon counts its
+// arrivals under and the histogram the calling machine times its round
+// trips in: daemon.req.<slug> and daemon.rtt.<slug>, the slug being the
+// type's name (typeNames) without " request". They are built once, so
+// request accounting builds no string.
+var reqNames = func() map[MsgType][2]string {
+	names := make(map[MsgType][2]string)
+	for t, name := range typeNames {
+		if slug, ok := strings.CutSuffix(name, " request"); ok {
+			names[t] = [2]string{"daemon.req." + slug, "daemon.rtt." + slug}
+		}
 	}
-}
+	return names
+}()
 
-func reqCounterName(t MsgType) string {
-	if s, ok := reqCounterNames[t]; ok {
-		return s
-	}
-	return "daemon.req.unknown"
-}
+func reqCounterName(t MsgType) string { return cmp.Or(reqNames[t][0], "daemon.req.unknown") }
 
-func rttHistName(t MsgType) string {
-	if s, ok := rttHistNames[t]; ok {
-		return s
-	}
-	return "daemon.rtt.unknown"
-}
+func rttHistName(t MsgType) string { return cmp.Or(reqNames[t][1], "daemon.rtt.unknown") }

@@ -48,7 +48,7 @@ func TestLinesMatchEvents(t *testing.T) {
 					line []byte
 				}
 				var recs []rec
-				segs, _ := query.Admitted(rd, q)
+				segs, _ := query.Admitted(nil, rd, q)
 				for _, rs := range segs {
 					_, err := q.ScanSegment(rs, func(v *trace.View, drop uint8) {
 						whole, err := trace.ParseOne(v.AppendLine(nil, 0))

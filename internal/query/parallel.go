@@ -23,11 +23,10 @@ import (
 // order a single-threaded walk would, at any worker count, while
 // everything expensive runs on the pool.
 //
-// Results flow through one shared bounded channel, and a worker takes a
-// segment only while few enough results wait for the fold: workers block
-// when the fold falls behind, and the collector always drains, so no
-// configuration of slow segments can deadlock the pool or grow what
-// waits.
+// A worker takes a segment only while few enough results wait for the
+// fold: workers block when the fold falls behind, and the fold always
+// drains, so no configuration of slow segments can deadlock the pool
+// or grow what waits.
 
 // ScanSegment runs the record-selection tier over one segment: records
 // are decoded through a pooled decoder into its trace.View and matched
@@ -66,106 +65,141 @@ func (q *Query) ScanSegment(rs *store.ReaderSegment, fn func(v *trace.View, drop
 	return st, nil
 }
 
-// ScanOrdered scans every segment the query admits on a pool of
-// min(GOMAXPROCS, admitted segments) workers. scan runs on a worker,
-// once per segment (normally a q.ScanSegment call collecting into a
-// T); fold runs on the calling goroutine and receives the results
-// strictly in Admitted order. The first scan error in that order is
+// ScanOrdered folds, on the calling goroutine and strictly in Admitted
+// order, each admitted segment's result: hit's answer, when hit is not
+// nil and answers it there before any worker starts, or else scan's
+// (normally a q.ScanSegment call collecting into a T), run on
+// min(GOMAXPROCS, segments left to scan) workers — on the calling
+// goroutine when that is one. The first scan error in Admitted order is
 // returned and nothing after it is folded. The returned Stats are the
 // admission counts plus the sum of every folded segment's.
 func ScanOrdered[T any](rd *store.Reader, q *Query,
+	hit func(*store.ReaderSegment) (T, Stats, bool),
 	scan func(*store.ReaderSegment) (T, Stats, error),
 	fold func(*store.ReaderSegment, T)) (Stats, error) {
-	return scanOrdered(rd, q, runtime.GOMAXPROCS(0), scan, fold)
+	return scanOrdered(rd, q, runtime.GOMAXPROCS(0), hit, scan, fold)
 }
+
+// call is one ScanOrdered call's state: the admitted segments, each
+// one's outcome, the places in segs of those left to scan, and the
+// workers' channels. A call takes it from calls and gives it back once
+// every worker it started has returned.
+type call struct {
+	segs  []*store.ReaderSegment
+	out   []outcome
+	todo  []int
+	next  atomic.Int64  // the next place in todo a worker takes
+	slots chan struct{} // a worker takes a segment only with a slot
+	// done carries the place in segs of each segment a worker scanned,
+	// and -1 as a worker returns. A worker sends only while it holds a
+	// slot, and it keeps the slot it returns with, so no send waits.
+	done chan int
+}
+
+// outcome is one admitted segment's result. A segment a worker scanned
+// holds a slot until it is folded.
+type outcome struct {
+	val         any
+	stats       Stats
+	err         error
+	ready, slot bool
+}
+
+var calls = sync.Pool{New: func() any { return new(call) }}
 
 // scanOrdered is ScanOrdered with the worker count explicit, for the
 // tests that pin results identical across worker counts.
 func scanOrdered[T any](rd *store.Reader, q *Query, workers int,
+	hit func(*store.ReaderSegment) (T, Stats, bool),
 	scan func(*store.ReaderSegment) (T, Stats, error),
 	fold func(*store.ReaderSegment, T)) (Stats, error) {
-	segs, stats := Admitted(rd, q)
-	if workers > len(segs) {
-		workers = len(segs)
+	c := calls.Get().(*call)
+	var stats Stats
+	c.segs, stats = Admitted(c.segs[:0], rd, q)
+	c.out, c.todo = slices.Grow(c.out[:0], len(c.segs))[:len(c.segs)], c.todo[:0]
+	for i, rs := range c.segs {
+		if c.out[i] = (outcome{}); hit != nil {
+			c.out[i].val, c.out[i].stats, c.out[i].ready = hit(rs)
+		}
+		if !c.out[i].ready {
+			c.todo = append(c.todo, i)
+		}
 	}
-	type result struct {
-		idx   int
-		val   T
-		stats Stats
-		err   error
+	scanAt := func(i int) { c.out[i].val, c.out[i].stats, c.out[i].err = scan(c.segs[i]) }
+	// A worker takes a segment only with one of window slots, given
+	// back as the fold passes it: however long one segment takes, no
+	// more than window results wait behind it. Segments are taken in
+	// order, so the one the fold waits for always holds a slot.
+	window, live := 4*workers, 0
+	if workers = min(workers, len(c.todo)); workers > 1 {
+		if cap(c.slots) != window {
+			c.slots, c.done = make(chan struct{}, window), make(chan int, window)
+		}
+		c.next.Store(0)
+		for ; live < workers; live++ {
+			go c.work(scanAt)
+		}
 	}
-	// A shared atomic cursor hands out segments; the channel carries
-	// results back. A worker takes a segment only with one of window
-	// slots, given back as the fold passes it: however long one segment
-	// takes, no more than window results wait behind it, each holding its
-	// segment's output. Segments are taken in order, so the one the fold
-	// waits for always holds a slot, and sends never block.
-	window := 4 * workers
-	var (
-		next    atomic.Int64
-		slots   = make(chan struct{}, window)
-		results = make(chan result, window)
-		wg      sync.WaitGroup
-	)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				slots <- struct{}{}
-				n := int(next.Add(1)) - 1
-				if n >= len(segs) {
-					<-slots
-					return
-				}
-				r := result{idx: n}
-				r.val, r.stats, r.err = scan(segs[n])
-				results <- r
+	var err error
+	for i, rs := range c.segs {
+		o := &c.out[i]
+		if !o.ready && workers <= 1 {
+			scanAt(i)
+		}
+		for !o.ready && workers > 1 {
+			if j := <-c.done; j < 0 {
+				live--
+			} else {
+				c.out[j].ready, c.out[j].slot = true, true
 			}
-		}()
+		}
+		if err = o.err; err != nil {
+			break
+		}
+		if o.slot {
+			<-c.slots
+		}
+		stats.add(o.stats)
+		fold(rs, o.val.(T))
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
+	c.finish(live)
+	return stats, err
+}
 
-	// In-order fold: park out-of-order arrivals, consume strictly by
-	// segment index. After an error the loop only drains, giving slots
-	// back, so the workers can exit; the cursor jumps to the end so they
-	// stop taking segments. At most window results wait, so the parked
-	// ones are a slice searched whole.
-	parked := make([]result, 0, window)
-	var firstErr error
-	want := 0
-	for r := range results {
-		if firstErr != nil {
-			<-slots
-			continue
+// work is one worker: it scans the segments of todo it takes, in
+// order, until none is left.
+func (c *call) work(scanAt func(int)) {
+	for {
+		c.slots <- struct{}{}
+		k := int(c.next.Add(1)) - 1
+		if k >= len(c.todo) {
+			c.done <- -1
+			return
 		}
-		parked = append(parked, r)
-		for i := 0; i < len(parked); {
-			if parked[i].idx != want {
-				i++
-				continue
+		scanAt(c.todo[k])
+		c.done <- c.todo[k]
+	}
+}
+
+// finish stops the workers taking segments, waits for the live ones to
+// return, taking every slot back meanwhile, and gives the call back.
+func (c *call) finish(live int) {
+	c.next.Store(int64(len(c.todo)))
+	for live > 0 {
+		select {
+		case j := <-c.done:
+			if j < 0 {
+				live--
 			}
-			nr := parked[i]
-			if nr.err != nil {
-				firstErr = nr.err
-				next.Store(int64(len(segs)))
-				for range parked {
-					<-slots
-				}
-				break
-			}
-			parked[i] = parked[len(parked)-1]
-			parked = parked[:len(parked)-1]
-			stats.add(nr.stats)
-			fold(segs[want], nr.val)
-			<-slots
-			want, i = want+1, 0
+		case <-c.slots:
 		}
 	}
-	return stats, firstErr
+	for len(c.slots) > 0 {
+		<-c.slots
+	}
+	clear(c.out) // the pool keeps no result or segment alive
+	clear(c.segs)
+	calls.Put(c)
 }
 
 // lines is what a record query ships, the line of each record it
@@ -233,7 +267,7 @@ func (a *Answer) result() *Result {
 // per-segment counters, which commute.
 func exec(rd *store.Reader, q *Query, workers int) (*Answer, error) {
 	all := getLines(&runLines)
-	stats, err := scanOrdered(rd, q, workers,
+	stats, err := scanOrdered(rd, q, workers, nil,
 		func(rs *store.ReaderSegment) (*lines, Stats, error) {
 			seg := getLines(&segLines)
 			st, err := q.ScanSegment(rs, func(v *trace.View, drop uint8) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -292,7 +293,7 @@ func TestRunCorruptSealedSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := Admitted(rd, q)
+	segs, _ := Admitted(nil, rd, q)
 	first, last := segs[0], segs[len(segs)-1]
 	if len(segs) < 4 {
 		t.Fatalf("fixture too small: %d segments", len(segs))
@@ -322,6 +323,47 @@ func TestRunCorruptSealedSegment(t *testing.T) {
 	}
 	if _, err := Run(rd, q); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("Run err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCallsGivenBackEmpty: a call gives its state back with every slot
+// free and nothing left to receive, whether it folded every segment or
+// stopped at a scan error, so the next call that takes it has its whole
+// window. Collection is off, so the pool keeps the calls to look at.
+func TestCallsGivenBackEmpty(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	be := buildRandomStore(t, rand.New(rand.NewSource(5)), 600, store.Config{
+		Shards: 2, SegmentCap: 4096}, false)
+	rd, err := store.OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Compile("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := Admitted(nil, rd, q)
+	if len(segs) < 8 {
+		t.Fatalf("fixture too small: %d segments", len(segs))
+	}
+	bad := errors.New("bad segment")
+	for rep := 0; rep < 20; rep++ {
+		_, err := scanOrdered(rd, q, 4, nil,
+			func(rs *store.ReaderSegment) (int, Stats, error) {
+				if rep%2 == 1 && rs == segs[2] {
+					return 0, Stats{}, bad
+				}
+				return 1, Stats{}, nil
+			},
+			func(*store.ReaderSegment, int) {})
+		if (err != nil) != (rep%2 == 1) {
+			t.Fatalf("rep %d: err = %v", rep, err)
+		}
+		c := calls.Get().(*call)
+		if len(c.slots) != 0 || len(c.done) != 0 {
+			t.Fatalf("rep %d: a call came back with %d slots taken and %d marks unread", rep, len(c.slots), len(c.done))
+		}
+		calls.Put(c)
 	}
 }
 

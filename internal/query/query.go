@@ -21,9 +21,9 @@
 package query
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
 
 	"dpm/internal/filter"
 	"dpm/internal/meter"
@@ -309,10 +309,15 @@ func (s *Stats) add(o Stats) {
 	s.Matched += o.Matched
 }
 
-// String renders the stats in the form the controller prints.
+// String renders the stats in the form the controller prints, in one
+// allocation whatever the counts.
 func (s Stats) String() string {
-	return fmt.Sprintf("segments=%d scanned=%d pruned=%d records=%d matched=%d",
-		s.Segments, s.Scanned, s.Pruned, s.Records, s.Matched)
+	b := make([]byte, 0, 128)
+	labels := [...]string{"segments=", " scanned=", " pruned=", " records=", " matched="}
+	for i, v := range [...]int{s.Segments, s.Scanned, s.Pruned, s.Records, s.Matched} {
+		b = strconv.AppendInt(append(b, labels[i]...), int64(v), 10)
+	}
+	return string(b)
 }
 
 // Result is a fully-drained query: the line of every selected record,
@@ -322,14 +327,13 @@ type Result struct {
 	Stats Stats
 }
 
-// Admitted returns the segments the query must scan — every segment
-// the footer-pruning envelope cannot rule out — and a Stats with the
-// Segments/Pruned counts of that decision. Order is shard order, then
-// rotation order within a shard. This is the only admission pass:
-// ScanOrdered, and through it Run and agg.Eval, scan exactly these
-// segments in exactly this order.
-func Admitted(rd *store.Reader, q *Query) ([]*store.ReaderSegment, Stats) {
-	segs := make([]*store.ReaderSegment, 0, rd.NumSegments())
+// Admitted appends to segs the segments the query must scan — every
+// segment the footer-pruning envelope cannot rule out — and returns
+// them with a Stats of the Segments/Pruned counts of that decision.
+// Order is shard order, then rotation order within a shard. This is
+// the only admission pass: ScanOrdered, and through it Run and
+// agg.Eval, scan exactly these segments in exactly this order.
+func Admitted(segs []*store.ReaderSegment, rd *store.Reader, q *Query) ([]*store.ReaderSegment, Stats) {
 	var stats Stats
 	for _, shard := range rd.Shards() {
 		for _, rs := range shard {
