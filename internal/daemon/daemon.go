@@ -84,7 +84,6 @@ func Main(p *kernel.Process) int {
 		children:     make(map[int]*childInfo),
 		byStdio:      make(map[uint16]*childInfo),
 		creates:      make(map[string]Reply),
-		fileSums:     make(map[string]prefixSum),
 		aggMemo:      agg.NewMemo(agg.MemoCost, p.Machine().Obs()),
 		notifyFDs:    make(map[controlAddr]int),
 		notifyFailed: p.Machine().Obs().Counter("daemon.notify_failed"),
@@ -173,7 +172,7 @@ type daemonState struct {
 	tokenOrder []string // FIFO for bounding the ledger
 
 	// getfile prefix-CRC checkpoints by path (prefixCRC), guarded by mu.
-	fileSums map[string]prefixSum
+	fileSums table[string, prefixSum]
 
 	// The length of the last stats reply's snapshot: the next one's
 	// frame is taken that large.
@@ -181,9 +180,11 @@ type daemonState struct {
 
 	// Each store's last snapshot by UID and directory, which the next
 	// query of the store reopens (store.Reopen), and each compiled query
-	// by its texts (compiled); guarded by mu.
-	readers map[string]*store.Reader
-	queries map[queryKey]*agg.Query
+	// by its texts (compiled); guarded by mu, as is uses, the clock the
+	// tables' entries are stamped with when used.
+	readers table[storeKey, storeView]
+	queries table[queryKey, *agg.Query]
+	uses    uint64
 
 	// Sealed segments' aggregate group tables, across handleAgg calls.
 	aggMemo *agg.Memo
@@ -565,26 +566,67 @@ type prefixSum struct {
 
 // tableSize bounds each of the daemon's tables of saved work: getfile
 // checkpoints, store readers and compiled queries. An entry only saves
-// work, so a full table is simply emptied (keep).
+// work, so a full table makes room for a new key by evicting its least
+// recently used entry (keep), counted in daemon.table_evictions: a
+// standing query outlives any number of one-off ones.
 const tableSize = 64
 
-// lookup returns the entry of the table *t for k, under d.mu.
-func lookup[K comparable, V any](d *daemonState, t *map[K]V, k K) (V, bool) {
+// table is one of the daemon's tables of saved work: its entries by
+// key, and again in a slice that is scanned for the one to evict.
+type table[K comparable, V any] struct {
+	byKey   map[K]*saved[K, V]
+	entries []*saved[K, V]
+}
+
+// saved is an entry of a table: its key, its value and when it was last
+// used, by d.uses.
+type saved[K comparable, V any] struct {
+	k    K
+	v    V
+	used uint64
+}
+
+// lookup returns the entry of the table t for k, under d.mu, marking it
+// used.
+func lookup[K comparable, V any](d *daemonState, t *table[K, V], k K) (v V, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	v, ok := (*t)[k]
+	if e := t.byKey[k]; e != nil {
+		d.uses++
+		v, ok, e.used = e.v, true, d.uses
+	}
 	return v, ok
 }
 
-// keep stores v for k in the table *t, under d.mu, emptying a full
-// table first.
-func keep[K comparable, V any](d *daemonState, t *map[K]V, k K, v V) {
+// keep stores v for k in the table t, under d.mu. A new key in a full
+// table takes the place of the least recently used entry.
+func keep[K comparable, V any](d *daemonState, t *table[K, V], k K, v V) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := (*t)[k]; !ok && len(*t) >= tableSize || *t == nil {
-		*t = make(map[K]V)
+	e := t.byKey[k]
+	switch {
+	case e != nil:
+	case len(t.entries) < tableSize:
+		if t.byKey == nil {
+			t.byKey = make(map[K]*saved[K, V])
+		}
+		e = &saved[K, V]{k: k}
+		t.entries = append(t.entries, e)
+		t.byKey[k] = e
+	default:
+		e = t.entries[0]
+		for _, old := range t.entries {
+			if old.used < e.used {
+				e = old
+			}
+		}
+		delete(t.byKey, e.k)
+		e.k = k
+		t.byKey[k] = e
+		d.p.Machine().Obs().Counter("daemon.table_evictions").Inc()
 	}
-	(*t)[k] = v
+	d.uses++
+	e.v, e.used = v, d.uses
 }
 
 // prefixCRC returns the CRC of snap's bytes [0, off), where the reply
@@ -616,23 +658,44 @@ func (d *daemonState) prefixCRC(path string, snap fsys.Snapshot, off, n int) uin
 	return prefix
 }
 
+// storeKey names a store on this machine: its directory, as a uid
+// reads it.
+type storeKey struct {
+	uid int
+	dir string
+}
+
+// storeView is a store's entry in the readers table: its last snapshot,
+// the backend it is reopened through, and the id its aggregates' tables
+// are kept under in the memo (agg.Options.Store).
+type storeView struct {
+	rd *store.Reader
+	be *store.FsysBackend
+	id string
+}
+
 // reader snapshots a store on this machine, reopening the last snapshot
-// of it, so that the segments unchanged since are taken as they were.
-// The table pins what its readers were lent until the next snapshot of
-// the same store replaces them. The reopen is timed into
-// daemon.reopen_ns: the part of a query's fixed cost spent before any
-// segment is scanned.
-func (d *daemonState) reader(uid int, dir string) (*store.Reader, error) {
-	id := strconv.Itoa(uid) + ":" + dir
-	prev, _ := lookup(d, &d.readers, id)
+// of it, so that the segments unchanged since are taken as they were,
+// and returns it with the store's memo id. The table pins what its
+// readers were lent until the next snapshot of the same store replaces
+// them. The reopen is timed into daemon.reopen_ns: the part of a
+// query's fixed cost spent before any segment is scanned.
+func (d *daemonState) reader(uid int, dir string) (*store.Reader, string, error) {
+	k := storeKey{uid, dir}
+	v, ok := lookup(d, &d.readers, k)
+	if !ok { // dir may lie in the request's payload: the table keeps a copy
+		k.dir = strings.Clone(dir)
+		v = storeView{be: store.NewFsysBackend(d.p.Machine().FS(), uid, dir), id: strconv.Itoa(uid) + ":" + dir}
+	}
 	span := obs.StartSpan(d.p.Machine().Obs().Histogram("daemon.reopen_ns"))
-	rd, err := store.Reopen(prev, store.NewFsysBackend(d.p.Machine().FS(), uid, dir))
+	rd, err := store.Reopen(v.rd, v.be)
 	span.End()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	keep(d, &d.readers, id, rd)
-	return rd, nil
+	v.rd = rd
+	keep(d, &d.readers, k, v)
+	return rd, v.id, nil
 }
 
 // queryKey names a compiled query by its texts.
@@ -677,7 +740,7 @@ func (d *daemonState) handleQuery(req QueryReq) Reply {
 	if err != nil {
 		return Reply{Type: TQueryRep, Status: err.Error()}
 	}
-	rd, err := d.reader(req.UID, req.Dir)
+	rd, _, err := d.reader(req.UID, req.Dir)
 	if err != nil {
 		return Reply{Type: TQueryRep, Status: err.Error()}
 	}
@@ -703,12 +766,12 @@ func (d *daemonState) handleAgg(req AggReq) Reply {
 	if err != nil {
 		return Reply{Type: TAggRep, Status: err.Error()}
 	}
-	rd, err := d.reader(req.UID, req.Dir)
+	rd, id, err := d.reader(req.UID, req.Dir)
 	if err != nil {
 		return Reply{Type: TAggRep, Status: err.Error()}
 	}
 	reg := d.p.Machine().Obs()
-	p, stats, err := agg.Eval(rd, aq, agg.Options{Obs: reg, Memo: d.aggMemo, Store: strconv.Itoa(req.UID) + ":" + req.Dir})
+	p, stats, err := agg.Eval(rd, aq, agg.Options{Obs: reg, Memo: d.aggMemo, Store: id})
 	if err != nil {
 		return Reply{Type: TAggRep, Status: err.Error()}
 	}

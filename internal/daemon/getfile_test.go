@@ -160,31 +160,32 @@ func TestPrefixCRCCheckpointUse(t *testing.T) {
 		return snap
 	}
 	sum := func(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
-	d := &daemonState{fileSums: make(map[string]prefixSum)}
+	p, _ := machineProcess(t)
+	d := &daemonState{p: p}
 
 	// A request leaves the checkpoint past what it shipped.
 	snap := open()
 	if got := d.prefixCRC(path, snap, 1<<20, 1<<20); got != sum(content[:1<<20]) {
 		t.Fatalf("prefix CRC %08x, want %08x", got, sum(content[:1<<20]))
 	}
-	if ck, want := d.fileSums[path], (prefixSum{snap.ID(), 2 << 20, sum(content[:2<<20])}); ck != want {
+	if ck, want := d.fileSums.byKey[path].v, (prefixSum{snap.ID(), 2 << 20, sum(content[:2<<20])}); ck != want {
 		t.Fatalf("checkpoint %+v after shipping [1 MiB, 2 MiB), want %+v", ck, want)
 	}
 	// The next request in sequence takes its prefix from there: poison it
 	// and the poison comes back, extended over nothing.
-	d.fileSums[path] = prefixSum{snap.ID(), 2 << 20, 0xdeadbeef}
+	d.fileSums.byKey[path].v = prefixSum{snap.ID(), 2 << 20, 0xdeadbeef}
 	if got := d.prefixCRC(path, snap, 2<<20, 0); got != 0xdeadbeef {
 		t.Fatalf("prefix CRC %08x: the checkpoint at the requested offset was not used", got)
 	}
 	// ... but not by a request behind it, nor for a new file at the path.
-	d.fileSums[path] = prefixSum{snap.ID(), 2 << 20, 0xdeadbeef}
+	d.fileSums.byKey[path].v = prefixSum{snap.ID(), 2 << 20, 0xdeadbeef}
 	if got := d.prefixCRC(path, snap, 1<<20, 0); got != sum(content[:1<<20]) {
 		t.Fatalf("prefix CRC %08x: a checkpoint past the offset was trusted", got)
 	}
 	if err := fs.Create(path, 0, fsys.PrivateMode, content); err != nil {
 		t.Fatal(err)
 	}
-	d.fileSums[path] = prefixSum{snap.ID(), 2 << 20, 0xdeadbeef}
+	d.fileSums.byKey[path].v = prefixSum{snap.ID(), 2 << 20, 0xdeadbeef}
 	if got := d.prefixCRC(path, open(), 2<<20, 0); got != sum(content[:2<<20]) {
 		t.Fatalf("prefix CRC %08x: another file's checkpoint was trusted", got)
 	}
@@ -192,8 +193,8 @@ func TestPrefixCRCCheckpointUse(t *testing.T) {
 	for i := 0; i < 3*tableSize; i++ {
 		d.prefixCRC(path+strconv.Itoa(i), snap, 0, 0)
 	}
-	if len(d.fileSums) > tableSize {
-		t.Fatalf("%d checkpoints kept, bound is %d", len(d.fileSums), tableSize)
+	if len(d.fileSums.byKey) > tableSize {
+		t.Fatalf("%d checkpoints kept, bound is %d", len(d.fileSums.byKey), tableSize)
 	}
 }
 

@@ -490,7 +490,7 @@ func (fs *FS) List(prefix string) []string {
 	return out
 }
 
-// Entry is one file of a listing by Entries.
+// Entry is one file of a directory's run, as WalkEntries shows it.
 type Entry struct {
 	Name string // the path with the listed prefix cut off
 	// ID is the file's Snapshot.ID, or 0 when the lister may not read
@@ -499,43 +499,25 @@ type Entry struct {
 	Size int
 }
 
-// Entries lists the files whose paths begin with prefix, in name order,
-// as of one moment: the lock is held for a binary search and a pass over
-// the matching run, whatever else the file system holds. By the
-// immutability rule, two listings that give one name the same non-zero
-// ID and the same Size name the same bytes. A file uid may not read is
-// listed with ID 0; reading it fails with ErrPerm as ever.
-func (fs *FS) Entries(prefix string, uid int) []Entry {
+// WalkEntries shows fn, in name order, each file whose path begins with
+// prefix, until fn returns false, as of one moment: the lock is held
+// for a binary search and a pass over the matching run, whatever else
+// the file system holds, so fn must not call into it. By the
+// immutability rule, two walks that give one name the same non-zero ID
+// and the same Size name the same bytes. A file uid may not read has ID
+// 0; reading it fails with ErrPerm as ever.
+func (fs *FS) WalkEntries(prefix string, uid int, fn func(Entry) bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	run := fs.run(prefix)
-	out := make([]Entry, len(run))
-	for i, e := range run {
-		out[i] = Entry{Name: e.path[len(prefix):], Size: e.f.size}
+	for _, e := range fs.run(prefix) {
+		en := Entry{Name: e.path[len(prefix):], Size: e.f.size}
 		if e.f.mode.readableBy(uid, e.f.owner) {
-			out[i].ID = e.f.id
+			en.ID = e.f.id
+		}
+		if !fn(en) {
+			return
 		}
 	}
-	return out
-}
-
-// EntriesUnchanged reports whether Entries(prefix, uid) would list
-// exactly listing, each file with a non-zero ID — the same bytes, by
-// the immutability rule — without making the listing.
-func (fs *FS) EntriesUnchanged(prefix string, uid int, listing []Entry) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	run := fs.run(prefix)
-	if len(run) != len(listing) {
-		return false
-	}
-	for i, e := range run {
-		l := &listing[i]
-		if l.ID == 0 || l.ID != e.f.id || l.Size != e.f.size || l.Name != e.path[len(prefix):] || !e.f.mode.readableBy(uid, e.f.owner) {
-			return false
-		}
-	}
-	return true
 }
 
 // Copy copies a file between (possibly different) file systems — the

@@ -23,7 +23,7 @@ type indexModel struct {
 // TestIndexAgainstModel drives an FS through a seeded mix of Create,
 // replace, CreateExecutable, Append and Remove over nested directories,
 // with a lister running beside it, and after every step holds List and
-// Entries to a map model's sorted filter — for prefixes that are
+// WalkEntries to a map model's sorted filter — for prefixes that are
 // directories, that are not, and that match nothing — and every listed
 // id and size to what Open reports. An Append keeps a file's id and
 // anything that installs a file gives it a new one. The fixed seeds keep
@@ -68,7 +68,7 @@ func indexAgainstModel(t *testing.T, seed int64) {
 			}
 			p := prefixes[i%len(prefixes)]
 			_ = fs.List(p)
-			_ = fs.Entries(p, uids[i%len(uids)])
+			_ = entries(fs, p, uids[i%len(uids)])
 		}
 	}()
 	defer func() {
@@ -138,9 +138,9 @@ func checkIndex(t *testing.T, op string, fs *FS, model map[string]*indexModel, p
 			t.Fatalf("%s: List(%q) = %q, model %q", op, prefix, got, want)
 		}
 		for _, uid := range uids {
-			got := fs.Entries(prefix, uid)
+			got := entries(fs, prefix, uid)
 			if len(got) != len(want) {
-				t.Fatalf("%s: Entries(%q, %d) lists %d files, model %d", op, prefix, uid, len(got), len(want))
+				t.Fatalf("%s: WalkEntries(%q, %d) lists %d files, model %d", op, prefix, uid, len(got), len(want))
 			}
 			for i, e := range got {
 				p, m := want[i], model[want[i]]
@@ -153,10 +153,20 @@ func checkIndex(t *testing.T, op string, fs *FS, model map[string]*indexModel, p
 					wantID = 0
 				}
 				if e.Name != p[len(prefix):] || e.ID != wantID || e.Size != m.size || s.ID() != m.id || s.Size() != m.size {
-					t.Fatalf("%s: Entries(%q, %d)[%d] = %+v; model %s id %d size %d, Open says id %d size %d",
+					t.Fatalf("%s: WalkEntries(%q, %d)[%d] = %+v; model %s id %d size %d, Open says id %d size %d",
 						op, prefix, uid, i, e, p, wantID, m.size, s.ID(), s.Size())
 				}
 			}
 		}
 	}
+}
+
+// entries collects what WalkEntries(prefix, uid) shows.
+func entries(fs *FS, prefix string, uid int) []Entry {
+	var out []Entry
+	fs.WalkEntries(prefix, uid, func(e Entry) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
 }

@@ -41,13 +41,6 @@ type Backend interface {
 	List() ([]Entry, error)
 }
 
-// unchangedLister is a Backend that can tell, without making a listing,
-// that List would return a listing it returned before, every file in it
-// with a non-zero ID: Reopen then keeps the reader it has.
-type unchangedLister interface {
-	Unchanged(listing []Entry) bool
-}
-
 // Entry is one file of a backend's listing: its name, the number the
 // backend gave the file when it was created — never another file's —
 // and its size.
@@ -92,12 +85,32 @@ func (b *FsysBackend) Remove(name string) error {
 // List implements Backend: the fsys listing of the directory, whose
 // file ids the backend's uid may read.
 func (b *FsysBackend) List() ([]Entry, error) {
-	return b.fs.Entries(b.prefix, b.uid), nil
+	var out []Entry
+	b.fs.WalkEntries(b.prefix, b.uid, func(e Entry) bool {
+		out = append(out, e)
+		return true
+	})
+	return out, nil
 }
 
-// Unchanged reports whether List would return listing again.
-func (b *FsysBackend) Unchanged(listing []Entry) bool {
-	return b.fs.EntriesUnchanged(b.prefix, b.uid, listing)
+// eachEntry shows fn each file be lists, in name order, until fn
+// returns false: on the simulated file system from its index in place
+// (fsys.FS.WalkEntries), elsewhere from a listing.
+func eachEntry(be Backend, fn func(Entry) bool) error {
+	if b, ok := be.(*FsysBackend); ok {
+		b.fs.WalkEntries(b.prefix, b.uid, fn)
+		return nil
+	}
+	listed, err := be.List()
+	if err != nil {
+		return err
+	}
+	for _, e := range listed {
+		if !fn(e) {
+			break
+		}
+	}
+	return nil
 }
 
 // DirBackend stores segments as files in a host directory — the form a

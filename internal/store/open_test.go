@@ -330,50 +330,47 @@ func TestStrayShardNameIgnored(t *testing.T) {
 	}
 }
 
-// readCounter is a Backend that counts its Reads.
-type readCounter struct {
-	Backend
-	reads int
-}
-
-func (b *readCounter) Read(name string) ([]byte, error) {
-	b.reads++
-	return b.Backend.Read(name)
-}
-
 // TestReopenNoAllocPerSegment gates what a query pays to reopen a store
-// it has opened before, with one record appended in between: the one
-// segment that changed is read, no other is, and the allocations are
-// a fixed count and a few bytes per listed segment — the listing's
-// entries and the reader's two arrays of them.
+// it has opened before, with records appended in between: only the
+// segments appended to are read again, and the allocations are a fixed
+// count and one pointer a segment of each shard appended to — nothing
+// for a shard no record reached, which keeps its slice.
 //
-// Measured with this body on an x86-64 Linux host (Go 1.24): 8 allocs
-// and 3 912 B over 66 segments, 8 allocs and 28 616 B (55 B a segment)
-// over 514. Before segments were matched by file id, when every listed
-// segment was read, the same body measured 109 allocs and 10 434 B over
-// 66 segments and 568 allocs and 66 741 B (129 B a segment) over 514.
+// Measured with this body on an x86-64 Linux host (Go 1.24): appending
+// to both shards, 10 allocs and 1 288 B over 66 segments, 10 allocs and
+// 5 320 B over 514 (9 B a segment more: the two slices' size classes
+// round 2 064 B up to 2 304); appending to one shard beside 64 or 512
+// segments in the other, 6 allocs and 456 B either way. When Reopen
+// copied the whole listing, the old single case (one shard appended to
+// of two even ones) measured 8 allocs and 28 616 B (55 B a segment) over
+// 514 segments; before segments were matched by file id, when every
+// listed segment was read, 568 allocs and 66 741 B.
 func TestReopenNoAllocPerSegment(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation sizes")
 	}
-	const bytesPerSegment = 129 / 2 // half of what reading every segment cost
 	type cost struct{ allocs, bytes, listed int }
-	measure := func(segments int) cost {
+	// measure reopens a store of two shards, sealed[s] sealed segments in
+	// shard s, after each of 20 rounds that append a record to each shard
+	// of to.
+	measure := func(sealed [2]int, to ...int) cost {
 		const runs = 20
-		be := &readCounter{Backend: NewFsysBackend(fsys.New(), fsys.Superuser, "/usr/tmp/f.store")}
+		be := NewFsysBackend(fsys.New(), fsys.Superuser, "/usr/tmp/f.store")
 		st, err := Open(be, Config{Shards: 2, CompactMin: 1 << 30})
 		if err != nil {
 			t.Fatal(err)
 		}
-		add := func(machine uint16, i int) {
+		i := 0
+		add := func(machine int) {
+			i++
 			line := fmt.Sprintf("SEND machine=%d cpuTime=%d procTime=0 pid=100 sock=3 msgLength=%d", machine, i, 64+i%512)
-			if err := st.AppendLine(Meta{Machine: machine, Time: uint32(i), Type: 1, PID: 100}, line); err != nil {
+			if err := st.AppendLine(Meta{Machine: uint16(machine), Time: uint32(i), Type: 1, PID: 100}, line); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < segments; i++ {
-			add(uint16(i%2), i)
-			if i%2 == 1 {
+		for sh, n := range sealed {
+			for k := 0; k < n; k++ {
+				add(sh)
 				if err := st.Flush(); err != nil {
 					t.Fatal(err)
 				}
@@ -385,34 +382,64 @@ func TestReopenNoAllocPerSegment(t *testing.T) {
 		}
 		var c cost
 		var before, after runtime.MemStats
-		for i := 0; i < runs; i++ {
-			add(uint16(i%2), segments+i) // a new or grown unsealed segment
-			be.reads = 0
+		for r := 0; r < runs; r++ {
+			for _, sh := range to {
+				add(sh) // a new or grown unsealed segment
+			}
+			prev := rd
 			runtime.ReadMemStats(&before)
-			rd, err = Reopen(rd, be)
+			rd, err = Reopen(prev, be)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if be.reads != 1 {
-				t.Fatalf("%d segments: Reopen read %d files after one append, want the one it changed", segments, be.reads)
+			if read := rd.NumSegments() - sharedSegments(prev, rd); read != len(to) {
+				t.Fatalf("%v segments: Reopen read %d files after appends to %d shards, want the ones appended to", sealed, read, len(to))
 			}
 			c.allocs += int(after.Mallocs - before.Mallocs)
 			c.bytes += int(after.TotalAlloc - before.TotalAlloc)
 		}
 		c.allocs, c.bytes, c.listed = c.allocs/runs, c.bytes/runs, rd.NumSegments()
-		t.Logf("Reopen over %d segments: %d allocs, %d B (%d B per segment)", c.listed, c.allocs, c.bytes, c.bytes/c.listed)
+		t.Logf("Reopen over %v sealed segments, appends to shards %v: %d allocs, %d B (%d B per segment)", sealed, to, c.allocs, c.bytes, c.bytes/c.listed)
 		return c
 	}
-	small, big := measure(64), measure(512)
 	// The same count at both sizes, but for an odd runtime-internal
 	// allocation landing in one measurement.
+	small, big := measure([2]int{32, 32}, 0, 1), measure([2]int{256, 256}, 0, 1)
 	if big.allocs > small.allocs+2 {
-		t.Errorf("Reopen allocates %d times over %d segments and %d over %d: the count grows with the store", big.allocs, big.listed, small.allocs, small.listed)
+		t.Errorf("Reopen after appends to every shard allocates %d times over %d segments and %d over %d: the count grows with the store", big.allocs, big.listed, small.allocs, small.listed)
 	}
-	if perSeg := big.bytes / big.listed; perSeg > bytesPerSegment {
-		t.Errorf("Reopen allocates %d B per listed segment; budget %d", perSeg, bytesPerSegment)
+	// Past what the small store costs, one pointer a segment, in the
+	// allocator's size classes, which round a slice up by at most an
+	// eighth.
+	const bytesPerSegment = 8 * 9 / 8
+	if perSeg := (big.bytes - small.bytes) / (big.listed - small.listed); perSeg > bytesPerSegment {
+		t.Errorf("Reopen after appends to every shard allocates %d B more per listed segment at %d segments than at %d; budget %d", perSeg, big.listed, small.listed, bytesPerSegment)
 	}
+	beside, besideMany := measure([2]int{8, 64}, 0), measure([2]int{8, 512}, 0)
+	if besideMany.allocs > beside.allocs+2 || besideMany.bytes > beside.bytes+64 {
+		t.Errorf("Reopen after an append to a shard of 9 segments allocates %d times and %d B beside %d segments, %d and %d B beside %d: the shard not appended to costs",
+			besideMany.allocs, besideMany.bytes, besideMany.listed-9, beside.allocs, beside.bytes, beside.listed-9)
+	}
+}
+
+// sharedSegments counts the segments of rd that are prev's own.
+func sharedSegments(prev, rd *Reader) int {
+	old := map[*ReaderSegment]bool{}
+	for _, segs := range prev.Shards() {
+		for _, rs := range segs {
+			old[rs] = true
+		}
+	}
+	n := 0
+	for _, segs := range rd.Shards() {
+		for _, rs := range segs {
+			if old[rs] {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestOpenRefusesOtherFormats: a segment file whose 8-byte header is not

@@ -1,8 +1,11 @@
 package store_test
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"dpm/internal/fsys"
@@ -205,5 +208,106 @@ func TestReopenNeverStale(t *testing.T) {
 				t.Fatal("no segment was taken from the last reader")
 			}
 		})
+	}
+}
+
+// TestReopenChainEqualsFresh: a reader chained by Reopen from the one
+// before holds, after every step of a seeded random run over four
+// shards, exactly the segments and records of a fresh OpenReader. The
+// steps append (rotating segments and compacting small ones), flush,
+// archive, and expire — a retention sweep removing a shard's oldest
+// file while the writer is down, which reopens the store after it.
+// Each link is two Reopens from one prev at once, both checked. A uid
+// that may not read the store's files is never handed a segment: a
+// Reopen from the owner's reader through its backend fails with
+// ErrPerm.
+func TestReopenChainEqualsFresh(t *testing.T) {
+	const owner, other, dir = 100, 101, "/usr/tmp/f.store"
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fs := fsys.New()
+		be, denied := store.NewFsysBackend(fs, owner, dir), store.NewFsysBackend(fs, other, dir)
+		cfg := store.Config{Shards: 4, SegmentCap: 1024, CompactMin: 3, ArchiveAfter: 4000, Obs: obs.NewRegistry()}
+		st, err := store.Open(be, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev *store.Reader
+		when, shared := uint32(1000), 0
+		for step := 0; step < 120; step++ {
+			op := ""
+			switch r := rng.Intn(10); {
+			case r < 6:
+				n := 1 + rng.Intn(30)
+				op = fmt.Sprintf("append %d", n)
+				for i := 0; i < n; i++ {
+					when += uint32(1 + rng.Intn(40))
+					machine := uint16(rng.Intn(8))
+					line := fmt.Sprintf("SEND machine=%d cpuTime=%d procTime=0 pid=%d sock=3 msgLength=%d", machine, when, 100+i%3, rng.Intn(1000))
+					if err := st.AppendLine(store.Meta{Machine: machine, Time: when, Type: 1, PID: uint32(100 + i%3)}, line); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case r < 8:
+				op = "flush"
+				err = st.Flush()
+			case r < 9:
+				op = "archival"
+				err = st.Maintain()
+			default:
+				sh := rng.Intn(4)
+				op = fmt.Sprintf("expiry in shard %d", sh)
+				if prev != nil && sh < len(prev.Shards()) && len(prev.Shards()[sh]) > 0 {
+					err = be.Remove(prev.Shards()[sh][0].Name)
+				}
+				if err == nil {
+					st, err = store.Open(be, cfg)
+				}
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d %s: %v", seed, step, op, err)
+			}
+			var links [2]*store.Reader
+			var errs [2]error
+			var wg sync.WaitGroup
+			for g := range links {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					links[g], errs[g] = store.Reopen(prev, be)
+				}()
+			}
+			wg.Wait()
+			fresh, err := store.OpenReader(be)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := snapshotAnswer(t, fresh)
+			for g, rd := range links {
+				if errs[g] != nil {
+					t.Fatalf("seed %d step %d %s: %v", seed, step, op, errs[g])
+				}
+				if got := snapshotAnswer(t, rd); got != want {
+					t.Fatalf("seed %d step %d %s: the chained reader says\n%s\na fresh one\n%s", seed, step, op, got, want)
+				}
+			}
+			if _, err := store.Reopen(links[0], denied); fresh.NumSegments() > 0 && !errors.Is(err, fsys.ErrPerm) {
+				t.Fatalf("seed %d step %d %s: uid %d's reopen of uid %d's reader: %v, want ErrPerm", seed, step, op, other, owner, err)
+			}
+			for sh, segs := range links[0].Shards() {
+				if prev != nil && sh < len(prev.Shards()) && len(segs) > 0 && len(prev.Shards()[sh]) > 0 && &segs[0] == &prev.Shards()[sh][0] {
+					shared++
+				}
+			}
+			prev = links[0]
+		}
+		for _, c := range []string{"store.rotations", "store.compactions", "store.archive_runs"} {
+			if cfg.Obs.Counter(c).Load() == 0 {
+				t.Errorf("seed %d: %s = 0: the store was not put through it", seed, c)
+			}
+		}
+		if shared == 0 {
+			t.Errorf("seed %d: no reader shared a shard's segments with the one before", seed)
+		}
 	}
 }

@@ -877,11 +877,10 @@ func (rs *ReaderSegment) DiskBytes() int { return len(rs.data) }
 // Reader is a point-in-time read-only view of a store: the segment
 // files present at OpenReader, grouped by shard in rotation order.
 // Sealed segments expose their tail's index so callers can prune them
-// without decoding any record.
+// without decoding any record. A segment's name, file id and length are
+// what Reopen matches a later listing against.
 type Reader struct {
-	shards  [][]*ReaderSegment
-	listed  []*ReaderSegment // every segment listed, in name order, for Reopen
-	listing []Entry          // the listing it was opened from
+	shards [][]*ReaderSegment
 }
 
 // openReaderAttempts bounds how often OpenReader re-lists a backend
@@ -909,78 +908,119 @@ func OpenReader(be Backend) (*Reader, error) { return Reopen(nil, be) }
 // the same Size as when prev's segment read it. Such a file holds
 // exactly what that segment holds (Backend.List), so it is neither read
 // nor its tail checked again. A backend that lists ID 0 — DirBackend —
-// never matches, and its segments are read every time. When nothing
-// changed — a backend that can tell so without a listing says every
-// file of prev's listing is still listed as it was, and nothing else is
-// — Reopen returns prev itself and allocates nothing.
+// never matches, and its segments are read every time.
+//
+// A reopen costs what changed, not what the store holds: a shard whose
+// listed segments are all prev's, in prev's order, shares prev's slice
+// (or its front); a shard that changed gets a new one, a pointer a
+// segment. When nothing changed Reopen returns prev itself, and over up
+// to eight shards allocates nothing. The fsys backend is walked, not
+// listed.
 func Reopen(prev *Reader, be Backend) (*Reader, error) {
-	var old []*ReaderSegment
-	if prev != nil {
-		if u, ok := be.(unchangedLister); ok && u.Unchanged(prev.listing) {
-			return prev, nil
-		}
-		old = prev.listed
-	}
 	for attempt := 1; ; attempt++ {
-		r, stale, err := openReader(old, be)
+		r, stale, err := openReader(prev, be)
 		if !stale || attempt == openReaderAttempts {
 			return r, err
 		}
 	}
 }
 
-// openReader takes one snapshot, reusing the segments of old, a listing
-// in name order, that are unchanged. stale reports that it failed because
-// a listed segment is no longer listed.
-func openReader(old []*ReaderSegment, be Backend) (r *Reader, stale bool, err error) {
-	listed, err := be.List()
+// shard returns r's segments of shard sh, none when r is nil.
+func (r *Reader) shard(sh int) []*ReaderSegment {
+	if r == nil || sh >= len(r.shards) {
+		return nil
+	}
+	return r.shards[sh]
+}
+
+// listedAs reports whether e lists rs's file unchanged.
+func (rs *ReaderSegment) listedAs(e Entry) bool {
+	return e.ID != 0 && rs.id == e.ID && len(rs.data) == e.Size && rs.Name == e.Name
+}
+
+// shardWalk is what openReader has found of one shard so far: the
+// front of prev's shard listed unchanged, in order, and, once something
+// else is listed, every segment listed but those still to be read.
+type shardWalk struct {
+	kept int
+	segs []*ReaderSegment
+}
+
+// openReader takes one snapshot, reusing the segments of prev (which
+// may be nil) that are unchanged, or returns prev when nothing changed.
+// stale reports that it failed because a listed segment is no longer
+// listed.
+func openReader(prev *Reader, be Backend) (r *Reader, stale bool, err error) {
+	var few [8]shardWalk // so that finding nothing changed allocates nothing
+	walks := few[:0]
+	var unread []Entry
+	var last *shardWalk          // the walk of the last segment's shard
+	var lastOld []*ReaderSegment // and prev's segments of it
+	err = eachEntry(be, func(e Entry) bool {
+		// As a rule, the next of that shard's segments, unchanged.
+		if last != nil && last.segs == nil && last.kept < len(lastOld) && lastOld[last.kept].listedAs(e) {
+			last.kept++
+			return true
+		}
+		sh, start, _, _, ok := parseSegName(e.Name)
+		if !ok {
+			return true
+		}
+		for len(walks) <= sh {
+			walks = append(walks, shardWalk{})
+		}
+		w, old := &walks[sh], prev.shard(sh) // prev's current segments: one a start
+		last, lastOld = w, old
+		i, found := slices.BinarySearchFunc(old, start, func(rs *ReaderSegment, start int) int { return cmp.Compare(rs.Start, start) })
+		found = found && old[i].listedAs(e)
+		if w.segs == nil && found && i == w.kept {
+			w.kept++
+			return true
+		}
+		if w.segs == nil { // room for a grown tail, or a rotation
+			w.segs = append(make([]*ReaderSegment, 0, len(old)+1), old[:w.kept]...)
+		}
+		if found {
+			w.segs = append(w.segs, old[i])
+		} else {
+			unread = append(unread, e)
+		}
+		return true
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	r = &Reader{listed: make([]*ReaderSegment, 0, len(listed)), listing: listed}
-	for _, e := range listed {
-		for len(old) > 0 && old[0].Name < e.Name {
-			old = old[1:]
-		}
-		var rs *ReaderSegment
-		if len(old) > 0 && old[0].Name == e.Name && e.ID != 0 && old[0].id == e.ID && len(old[0].data) == e.Size {
-			rs = old[0]
-		} else {
-			sh, start, end, tier, ok := parseSegName(e.Name)
-			if !ok {
-				continue
-			}
-			data, err := be.Read(e.Name)
-			if err != nil {
-				return nil, !stillListed(be, e.Name), err
-			}
-			if err := formatErr(e.Name, data); err != nil {
-				return nil, false, err
-			}
-			// A file that grew or was replaced since the listing is read as
-			// it is now under the listed id: the pair then matches no later
-			// listing, or matches the bytes read (ids are never reused).
-			rs = newReaderSegment(e.Name, sh, start, end, tier, data)
-			rs.id = e.ID
-		}
-		r.listed = append(r.listed, rs)
+	kept, departed := 0, false
+	for _, w := range walks {
+		kept, departed = kept+w.kept, departed || w.segs != nil
 	}
-	// One array, by shard, whose runs become the shards' current segments.
-	segs := slices.Clone(r.listed)
-	slices.SortFunc(segs, func(a, b *ReaderSegment) int { return cmp.Compare(a.Shard, b.Shard) })
-	for len(segs) > 0 {
-		n := 1
-		for n < len(segs) && segs[n].Shard == segs[0].Shard {
-			n++
+	if prev != nil && !departed && kept == prev.NumSegments() {
+		return prev, false, nil
+	}
+	for _, e := range unread {
+		data, err := be.Read(e.Name)
+		if err != nil {
+			return nil, !stillListed(be, e.Name), err
 		}
-		for len(r.shards) < segs[0].Shard {
-			r.shards = append(r.shards, nil)
+		if err := formatErr(e.Name, data); err != nil {
+			return nil, false, err
 		}
-		current, _ := currentGeneration(segs[:n:n],
-			func(rs *ReaderSegment) segRange { return segRange{rs.Start, rs.end, rs.Tier} },
-			func(rs *ReaderSegment) bool { return rs.Sealed })
-		r.shards = append(r.shards, current)
-		segs = segs[n:]
+		// A file that grew or was replaced since the listing is read as
+		// it is now under the listed id: the pair then matches no later
+		// listing, or matches the bytes read (ids are never reused).
+		sh, start, end, tier, _ := parseSegName(e.Name)
+		rs := newReaderSegment(e.Name, sh, start, end, tier, data)
+		rs.id = e.ID
+		walks[sh].segs = append(walks[sh].segs, rs)
+	}
+	r = &Reader{shards: make([][]*ReaderSegment, len(walks))}
+	for sh, w := range walks {
+		r.shards[sh] = prev.shard(sh)[:w.kept:w.kept]
+		if w.segs != nil {
+			r.shards[sh], _ = currentGeneration(w.segs,
+				func(rs *ReaderSegment) segRange { return segRange{rs.Start, rs.end, rs.Tier} },
+				func(rs *ReaderSegment) bool { return rs.Sealed })
+		}
 	}
 	return r, false, nil
 }
