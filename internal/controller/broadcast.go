@@ -95,24 +95,41 @@ func (c *Controller) broadcast(hosts []string, req daemon.Message) []hostResult 
 // degraded discipline is broadcast's: every slot resolves within the
 // retry policy's deadline, error slots included.
 func (c *Controller) broadcastTargets(targets []target) []hostResult {
-	out := make([]hostResult, len(targets))
-	var wg sync.WaitGroup
-	for i := range targets {
-		wg.Add(1)
+	g := &gather{c: c, targets: targets, out: make([]hostResult, len(targets))}
+	for i := 1; i < len(targets); i++ {
+		g.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			rep, err := c.exchange(targets[i].Host, targets[i].Req)
-			out[i] = hostResult{Host: targets[i].Label, Rep: rep, Err: err}
+			defer g.wg.Done()
+			g.exchange(i)
 		}()
 	}
-	wg.Wait()
-	for _, r := range out {
+	if len(targets) > 0 {
+		g.exchange(0) // the first on this goroutine, while the rest run
+	}
+	g.wg.Wait()
+	for _, r := range g.out {
 		if r.Err != nil {
 			c.machine.Obs().Counter("broadcast.degraded").Inc()
 			break
 		}
 	}
-	return out
+	return g.out
+}
+
+// gather is one broadcast's state, which each of its goroutines shares
+// through one pointer.
+type gather struct {
+	c       *Controller
+	targets []target
+	out     []hostResult
+	wg      sync.WaitGroup
+}
+
+// exchange fills slot i with target i's reply or error.
+func (g *gather) exchange(i int) {
+	t := &g.targets[i]
+	rep, err := g.c.exchange(t.Host, t.Req)
+	g.out[i] = hostResult{Host: t.Label, Rep: rep, Err: err}
 }
 
 // release gives back every slot's reply (daemon.Reply.Release).

@@ -108,15 +108,19 @@ func (c *Controller) cmdFilter(args []string) {
 		c.printf("filter '%s' not created: %v\n", name, err)
 		return
 	}
+	defer rep.Release()
 	if !rep.OK() {
 		c.printf("filter '%s' not created: %s\n", name, rep.Status)
 		return
 	}
 	// Processes are created suspended; a filter should run at once.
-	if srep, err := c.exchange(machineName, &daemon.ProcReq{Type: daemon.TStartReq, PID: rep.PID, UID: c.uid}); err != nil || !srep.OK() {
+	srep, err := c.exchange(machineName, &daemon.ProcReq{Type: daemon.TStartReq, PID: rep.PID, UID: c.uid})
+	if err != nil || !srep.OK() {
+		srep.Release()
 		c.printf("filter '%s' not started\n", name)
 		return
 	}
+	srep.Release()
 	info := &FilterInfo{Name: name, PID: rep.PID, Machine: machineName, Port: port}
 	c.mu.Lock()
 	c.filters[name] = info
@@ -212,6 +216,7 @@ func (c *Controller) cmdAddProcess(args []string) {
 		c.printf("process '%s' not created: %v\n", args[2], err)
 		return
 	}
+	defer rep.Release()
 	if !rep.OK() {
 		c.printf("process '%s' not created: %s\n", args[2], rep.Status)
 		return
@@ -262,6 +267,7 @@ func (c *Controller) cmdAcquire(args []string) {
 		c.printf("process %d not acquired: %v\n", pid, err)
 		return
 	}
+	defer rep.Release()
 	if !rep.OK() {
 		c.printf("process %d not acquired: %s\n", pid, rep.Status)
 		return
@@ -315,11 +321,14 @@ func (c *Controller) cmdSetFlags(args []string) {
 	c.printf("new job flags = %s\n", strings.Join(flags.FlagNames(), " "))
 	// Scatter the per-process flag updates, gather the per-process
 	// report in table order.
-	targets := make([]target, len(procs))
+	targets, reqs := make([]target, len(procs)), make([]daemon.ProcReq, len(procs))
 	for i, p := range procs {
-		targets[i] = target{Label: p.Name, Host: p.Machine, Req: &daemon.ProcReq{Type: daemon.TSetFlagsReq, PID: p.PID, UID: c.uid, Flags: uint32(flags)}}
+		reqs[i] = daemon.ProcReq{Type: daemon.TSetFlagsReq, PID: p.PID, UID: c.uid, Flags: uint32(flags)}
+		targets[i] = target{Label: p.Name, Host: p.Machine, Req: &reqs[i]}
 	}
-	for i, r := range c.broadcastTargets(targets) {
+	res := c.broadcastTargets(targets)
+	defer release(res)
+	for i, r := range res {
 		switch p := procs[i]; {
 		case r.Err != nil:
 			c.printf("Process '%s' : %v\n", p.Name, r.Err)
@@ -342,8 +351,16 @@ func (c *Controller) signalJob(jobName string, to State, reqType daemon.MsgType,
 	c.mu.Lock()
 	job, ok := c.jobs[jobName]
 	var procs []*JobProc
+	var from []State
+	eligible := 0
 	if ok {
 		procs = append(procs, job.Procs...)
+		from = make([]State, len(procs))
+		for i, p := range procs {
+			if from[i] = p.State; CanTransition(from[i], to) {
+				eligible++
+			}
+		}
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -354,17 +371,15 @@ func (c *Controller) signalJob(jobName string, to State, reqType daemon.MsgType,
 	// dead machine's retries no longer serialize the rest of the job.
 	// Gather: the per-process report still prints in table order (the
 	// Appendix B transcript shape), whatever order the replies land.
-	from := make([]State, len(procs))
-	var targets []target
+	targets, reqs := make([]target, 0, eligible), make([]daemon.ProcReq, 0, eligible)
 	for i, p := range procs {
-		c.mu.Lock()
-		from[i] = p.State
-		c.mu.Unlock()
 		if CanTransition(from[i], to) {
-			targets = append(targets, target{Label: p.Name, Host: p.Machine, Req: &daemon.ProcReq{Type: reqType, PID: p.PID, UID: c.uid}})
+			reqs = append(reqs, daemon.ProcReq{Type: reqType, PID: p.PID, UID: c.uid})
+			targets = append(targets, target{Label: p.Name, Host: p.Machine, Req: &reqs[len(reqs)-1]})
 		}
 	}
 	res := c.broadcastTargets(targets)
+	defer release(res)
 	for i, p := range procs {
 		if !CanTransition(from[i], to) {
 			// "Processes that are running, killed, or acquired cannot
@@ -421,7 +436,9 @@ func (c *Controller) removeProc(p *JobProc) bool {
 		return true
 	case StateStopped, StateLost:
 		rep, err := c.exchange(p.Machine, &daemon.ProcReq{Type: daemon.TKillReq, PID: p.PID, UID: c.uid})
-		if err != nil || !rep.OK() {
+		ok := err == nil && rep.OK()
+		rep.Release()
+		if !ok {
 			return false
 		}
 		c.mu.Lock()
@@ -431,6 +448,7 @@ func (c *Controller) removeProc(p *JobProc) bool {
 		return true
 	case StateAcquired:
 		rep, err := c.exchange(p.Machine, &daemon.ProcReq{Type: daemon.TReleaseReq, PID: p.PID, UID: c.uid})
+		defer rep.Release()
 		return err == nil && rep.OK()
 	default:
 		return false
@@ -783,6 +801,7 @@ func (c *Controller) cmdStdin(args []string) {
 	}
 	text := strings.Join(args[3:], " ") + "\n"
 	rep, err := c.exchange(machineName, &daemon.ProcReq{Type: daemon.TStdinReq, PID: pid, UID: c.uid, Path: text})
+	defer rep.Release()
 	switch {
 	case err != nil:
 		c.printf("stdin: %v\n", err)
@@ -1153,7 +1172,8 @@ func (c *Controller) cmdDie() bool {
 		c.mu.Lock()
 		f := c.filters[n]
 		c.mu.Unlock()
-		_, _ = c.exchange(f.Machine, &daemon.ProcReq{Type: daemon.TKillReq, PID: f.PID, UID: c.uid})
+		rep, _ := c.exchange(f.Machine, &daemon.ProcReq{Type: daemon.TKillReq, PID: f.PID, UID: c.uid})
+		rep.Release()
 	}
 	// Retire the persistent sessions before the command process exits;
 	// a session supervisor outliving its process would hold cluster

@@ -473,16 +473,28 @@ func (c *Controller) Jobs() []*Job {
 	if v := c.jobsView.Load(); v != nil {
 		return *v
 	}
-	out := make([]*Job, 0, len(c.jobOrder))
+	// One backing array each for the jobs, their filters, their
+	// processes and the process lists.
+	nprocs := 0
 	for _, n := range c.jobOrder {
+		nprocs += len(c.jobs[n].Procs)
+	}
+	out := make([]*Job, len(c.jobOrder))
+	jobs, filters := make([]Job, len(out)), make([]FilterInfo, len(out))
+	procs, lists := make([]JobProc, 0, nprocs), make([]*JobProc, 0, nprocs)
+	for i, n := range c.jobOrder {
 		j := c.jobs[n]
-		f := *j.Filter
-		cp := &Job{Name: j.Name, Filter: &f, Flags: j.Flags}
+		filters[i] = *j.Filter
+		from := len(procs)
 		for _, p := range j.Procs {
-			pc := *p
-			cp.Procs = append(cp.Procs, &pc)
+			procs = append(procs, *p)
+			lists = append(lists, &procs[len(procs)-1])
 		}
-		out = append(out, cp)
+		jobs[i] = Job{Name: j.Name, Filter: &filters[i], Flags: j.Flags}
+		if len(j.Procs) > 0 {
+			jobs[i].Procs = lists[from:len(lists):len(lists)]
+		}
+		out[i] = &jobs[i]
 	}
 	c.jobsView.Store(&out)
 	return out

@@ -79,16 +79,7 @@ type controlAddr struct {
 // terminations by connecting to the responsible controller's
 // notification socket.
 func Main(p *kernel.Process) int {
-	d := &daemonState{
-		p:            p,
-		children:     make(map[int]*childInfo),
-		byStdio:      make(map[uint16]*childInfo),
-		creates:      make(map[string]Reply),
-		aggMemo:      agg.NewMemo(agg.MemoCost, p.Machine().Obs()),
-		notifyFDs:    make(map[controlAddr]int),
-		notifyFailed: p.Machine().Obs().Counter("daemon.notify_failed"),
-		frames:       frameFree.Stats(p.Machine().Obs()),
-	}
+	d := newDaemonState(p)
 	lfd, err := p.Socket(meter.AFInet, kernel.SockStream)
 	if err != nil {
 		return 1
@@ -100,20 +91,10 @@ func Main(p *kernel.Process) int {
 	if err := p.Listen(lfd, 32); err != nil {
 		return 1
 	}
-	gfd, err := p.Socket(meter.AFInet, kernel.SockDgram)
-	if err != nil {
+	if d.openGateway() != nil {
 		return 1
 	}
-	if err := p.BindPort(gfd, 0); err != nil {
-		return 1
-	}
-	gname, err := p.SocketName(gfd)
-	if err != nil {
-		return 1
-	}
-	_, d.gatewayPort = gname.Inet()
-	d.gatewayName = gname
-	d.gfd = gfd
+	gfd := d.gfd
 
 	// End-of-run snapshot export: runs whether the Select loop returns
 	// on kill or the process unwinds from a deeper syscall, and writes
@@ -148,6 +129,41 @@ func Main(p *kernel.Process) int {
 	}
 }
 
+// newDaemonState returns the state of a meterdaemon run by p.
+func newDaemonState(p *kernel.Process) *daemonState {
+	reg := p.Machine().Obs()
+	return &daemonState{
+		p:            p,
+		children:     make(map[int]*childInfo),
+		byStdio:      make(map[uint16]*childInfo),
+		creates:      make(map[string]int),
+		aggMemo:      agg.NewMemo(agg.MemoCost, reg),
+		notifyFDs:    make(map[controlAddr]int),
+		notifyFailed: reg.Counter("daemon.notify_failed"),
+		frames:       frameFree.Stats(reg),
+		requests:     requestFree.Stats(reg),
+	}
+}
+
+// openGateway opens the daemon's gateway datagram socket, which its
+// children's standard descriptors are connected to.
+func (d *daemonState) openGateway() error {
+	gfd, err := d.p.Socket(meter.AFInet, kernel.SockDgram)
+	if err != nil {
+		return err
+	}
+	if err := d.p.BindPort(gfd, 0); err != nil {
+		return err
+	}
+	gname, err := d.p.SocketName(gfd)
+	if err != nil {
+		return err
+	}
+	_, d.gatewayPort = gname.Inet()
+	d.gatewayName, d.gfd = gname, gfd
+	return nil
+}
+
 type daemonState struct {
 	p           *kernel.Process
 	gfd         int // the gateway datagram socket
@@ -161,15 +177,18 @@ type daemonState struct {
 	children map[int]*childInfo
 	byStdio  map[uint16]*childInfo
 
-	// Idempotency ledger: token -> the reply of the create that already
+	// Idempotency ledger: token -> the pid of the create that already
 	// ran under it. A create retried after a lost reply finds its
 	// original outcome here instead of creating a second process.
 	// createMu serializes whole creates, so a retry arriving on a new
 	// session connection while the original is still executing cannot
-	// slip past the ledger check and create a second process.
-	createMu   sync.Mutex
-	creates    map[string]Reply
-	tokenOrder []string // FIFO for bounding the ledger
+	// slip past the ledger check and create a second process. tokens is
+	// the ledger's tokens in a ring, the oldest at created (mod its
+	// size), which the next one replaces once the ring is full.
+	createMu sync.Mutex
+	creates  map[string]int
+	tokens   [maxCreateTokens]string
+	created  int
 
 	// getfile prefix-CRC checkpoints by path (prefixCRC), guarded by mu.
 	fileSums table[string, prefixSum]
@@ -197,37 +216,42 @@ type daemonState struct {
 	notifyFDs    map[controlAddr]int
 	notifyFailed *obs.Counter
 	frames       *obs.FreeStats // the daemon's traffic with frameFree
+	requests     *obs.FreeStats // and with requestFree
 }
 
 // maxCreateTokens bounds the idempotency ledger; the oldest entries
 // are evicted first, long after any plausible retry of them.
 const maxCreateTokens = 1024
 
-// rememberCreate records a successful create under its token.
-func (d *daemonState) rememberCreate(token string, rep Reply) {
+// rememberCreate records a successful create under its token, a copy
+// of which the ledger keeps.
+func (d *daemonState) rememberCreate(token string, pid int) {
 	if token == "" {
 		return
 	}
+	token = strings.Clone(token)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.tokenOrder) >= maxCreateTokens {
-		delete(d.creates, d.tokenOrder[0])
-		d.tokenOrder = d.tokenOrder[1:]
+	slot := &d.tokens[d.created%maxCreateTokens]
+	if *slot != "" {
+		delete(d.creates, *slot)
 	}
-	d.creates[token] = rep
-	d.tokenOrder = append(d.tokenOrder, token)
+	*slot = token
+	d.creates[token] = pid
+	d.created++
 }
 
 // lookupCreate consults the idempotency ledger.
-func (d *daemonState) lookupCreate(token string) (Reply, bool) {
+func (d *daemonState) lookupCreate(token string) (pid int, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rep, ok := d.creates[token]
-	return rep, ok
+	pid, ok = d.creates[token]
+	return pid, ok
 }
 
 // handle serves one request, from a payload serveConn has checked and
-// copied: the strings its handler keeps are read in place from it.
+// copied: its strings are read in place, and the payload is reused once
+// the reply is sent, so what a handler keeps beyond the reply it clones.
 func (d *daemonState) handle(payload []byte) Reply {
 	t, f, _ := openWire(payload, false)
 	d.p.Machine().Obs().Counter(reqCounterName(t)).Inc()
@@ -305,8 +329,8 @@ func (d *daemonState) handleCreate(req *CreateReq) Reply {
 	// request arriving on another connection.
 	d.createMu.Lock()
 	defer d.createMu.Unlock()
-	if rep, ok := d.lookupCreate(req.Token); ok && req.Token != "" {
-		return rep
+	if pid, ok := d.lookupCreate(req.Token); ok && req.Token != "" {
+		return Reply{Type: TCreateRep, PID: pid, Status: "ok"}
 	}
 	m := d.p.Machine()
 	if !m.HasAccount(req.UID) {
@@ -352,10 +376,17 @@ func (d *daemonState) handleCreate(req *CreateReq) Reply {
 		stdin = bytes.NewReader(data)
 	}
 
+	// The request's strings go back with its payload: the process keeps
+	// copies of its name and arguments, the child table of the control
+	// host.
+	args := req.Params
+	for i, a := range args {
+		args[i] = strings.Clone(a)
+	}
 	child, err := m.Spawn(kernel.SpawnSpec{
 		UID:       req.UID,
-		Name:      req.Filename,
-		Args:      req.Params,
+		Name:      strings.Clone(req.Filename),
+		Args:      args,
 		Path:      req.Filename,
 		Suspended: true,
 		Stdio:     stdio,
@@ -388,7 +419,7 @@ func (d *daemonState) handleCreate(req *CreateReq) Reply {
 	info := &childInfo{
 		pid:       child.PID(),
 		uid:       req.UID,
-		control:   controlAddr{req.ControlHost, req.ControlPort},
+		control:   controlAddr{strings.Clone(req.ControlHost), req.ControlPort},
 		stdioPort: stdioPort,
 	}
 	d.mu.Lock()
@@ -405,9 +436,8 @@ func (d *daemonState) handleCreate(req *CreateReq) Reply {
 		m.InjectDgram(gatewayPort, sc.appendWire(nil), meter.Name{})
 	})
 
-	rep := Reply{Type: TCreateRep, PID: child.PID(), Status: "ok"}
-	d.rememberCreate(req.Token, rep)
-	return rep
+	d.rememberCreate(req.Token, child.PID())
+	return Reply{Type: TCreateRep, PID: child.PID(), Status: "ok"}
 }
 
 // errPermission refuses a request about another user's process.
@@ -654,7 +684,7 @@ func (d *daemonState) prefixCRC(path string, snap fsys.Snapshot, off, n int) uin
 	sumTo(off)
 	prefix := ck.crc
 	sumTo(off + n)
-	keep(d, &d.fileSums, path, ck)
+	keep(d, &d.fileSums, strings.Clone(path), ck) // path lies in the request
 	return prefix
 }
 
@@ -708,7 +738,8 @@ type queryKey struct {
 // !k.agg, the record query of its rules as an aggregate's Sel alone. A
 // standing query compiles once: the table keeps it shared and never
 // written, NoPrune (a key field) and Obs set. k's texts may lie in the
-// request's payload, so the table keeps copies.
+// request's payload, so the table keeps copies, and the query, which
+// may keep pieces of its texts, is compiled from them.
 func (d *daemonState) compiled(k queryKey) (aq *agg.Query, err error) {
 	reg := d.p.Machine().Obs()
 	if aq, ok := lookup(d, &d.queries, k); ok {
@@ -716,6 +747,7 @@ func (d *daemonState) compiled(k queryKey) (aq *agg.Query, err error) {
 		return aq, nil
 	}
 	reg.Counter("daemon.compile_misses").Inc()
+	k.rules, k.spec = strings.Clone(k.rules), strings.Clone(k.spec)
 	if k.agg {
 		aq, err = agg.Compile(k.rules + "\n" + k.spec)
 	} else {
@@ -726,7 +758,7 @@ func (d *daemonState) compiled(k queryKey) (aq *agg.Query, err error) {
 		return nil, err
 	}
 	aq.Sel.NoPrune, aq.Sel.Obs = k.noPrune, reg
-	keep(d, &d.queries, queryKey{strings.Clone(k.rules), strings.Clone(k.spec), k.agg, k.noPrune}, aq)
+	keep(d, &d.queries, k, aq)
 	return aq, nil
 }
 

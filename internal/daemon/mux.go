@@ -7,8 +7,9 @@ package daemon
 // format in frame.go.
 
 import (
-	"bytes"
 	"sync"
+
+	"dpm/internal/obs"
 )
 
 // serveConn serves one accepted connection. A connection that does not
@@ -58,19 +59,53 @@ func (d *daemonState) serveConn(conn int) {
 				return // corrupt payload: tear the connection down
 			}
 			// The handler's own copy: the reader reuses its buffer.
-			payload, id := bytes.Clone(f.Payload), f.ID
+			r := requestFree.Take(len(f.Payload), d.requests)
+			if r.serve == nil {
+				r.serve = r.run
+			}
+			r.d, r.conn, r.id, r.done = d, conn, f.ID, &handlers
+			r.payload = append(r.payload[:0], f.Payload...)
 			handlers.Add(1)
-			d.p.Go(func() {
-				defer handlers.Done()
-				rep := d.handle(payload)
-				// One Send per frame: kernel sends are atomic, so
-				// concurrent repliers cannot interleave frame bytes.
-				_ = d.sendReply(conn, id, &rep)
-			})
+			d.p.Go(r.serve)
 		default:
 			// Unknown frame kinds are skipped for forward compatibility,
 			// the discipline QueryReq field 5 established for the body
 			// formats.
 		}
 	}
+}
+
+// request is one request frame a connection serves on a goroutine of
+// its own: the connection, the request id and a copy of the payload,
+// whose strings the handler reads in place. Requests are recycled
+// through requestFree with their payload arrays and their serve funcs,
+// so dispatching one allocates only the goroutine's start.
+type request struct {
+	d       *daemonState
+	conn    int
+	id      uint64
+	payload []byte
+	done    *sync.WaitGroup // the connection's outstanding handlers
+	serve   func()          // run, made at the request's first use
+}
+
+// requestFree holds requests between uses, weighed by their payload
+// arrays: a connection's requests are control messages of a few
+// hundred bytes, a query's rules a few kilobytes.
+var requestFree = &obs.FreeList[*request]{Name: "requests", Count: 64, Bytes: 1 << 20,
+	Size:   func(r *request) int { return cap(r.payload) },
+	New:    func(n int) *request { return &request{payload: make([]byte, 0, n)} },
+	Poison: func(r *request) { obs.PoisonBytes(r.payload) }}
+
+// run handles the request and sends its reply, then gives the request
+// back: nothing the handler keeps may point into the payload.
+func (r *request) run() {
+	d, done := r.d, r.done
+	defer done.Done()
+	rep := d.handle(r.payload)
+	// One Send per frame: kernel sends are atomic, so concurrent
+	// repliers cannot interleave frame bytes.
+	_ = d.sendReply(r.conn, r.id, &rep)
+	r.d, r.done = nil, nil
+	requestFree.Put(r, d.requests)
 }

@@ -140,6 +140,7 @@ type Session struct {
 	hbRTT      *obs.Histogram // session.heartbeat_rtt
 	inflightHW *obs.Gauge     // session.inflight (high-water)
 	stateGauge *obs.Gauge     // session.state (current, by value)
+	mem        sessionMem
 
 	mu       sync.Mutex
 	state    SessionState
@@ -171,6 +172,7 @@ func DialSession(p *kernel.Process, host string, cfg SessionConfig) *Session {
 		hbRTT:      reg.Histogram("session.heartbeat_rtt"),
 		inflightHW: reg.Gauge("session.inflight"),
 		stateGauge: reg.Gauge("session.state"),
+		mem:        sessionMem{frames: frameFree.Stats(reg), replies: replyFree.Stats(reg)},
 		state:      StateConnecting,
 		history:    []SessionState{StateConnecting},
 		inflight:   make(map[uint64]*call),
@@ -461,20 +463,36 @@ func (s *Session) deliver(f Frame, fr *frameReader) {
 		return
 	}
 	lent := fr.lend(f)
-	rep, err := readReply(f.Payload, lent == nil)
-	if err != nil {
+	rep := replyFree.Take(replySize, s.mem.replies)
+	if err := rep.read(f.Payload, lent == nil); err != nil {
 		if lent != nil {
 			freeFrameBuf(lent, fr.mem)
 		}
+		replyFree.Put(rep, s.mem.replies)
 		c.done <- callResult{err: err}
 		return
 	}
+	rep.mem = &s.mem
 	if lent != nil {
-		rep.lent, rep.lentMem = lent, fr.mem
+		rep.lent = lent
 		framesLent.Add(1)
 	}
 	c.done <- callResult{rep: rep}
 }
+
+// sessionMem counts a session's traffic with the free lists its replies
+// go back to.
+type sessionMem struct {
+	frames, replies *obs.FreeStats
+}
+
+// replyFree holds the Replies sessions deliver between uses: a call
+// whose caller releases its reply allocates none.
+var replyFree = &obs.FreeList[*Reply]{Name: "replies", Count: 64, Bytes: 64 * replySize,
+	Size: func(*Reply) int { return replySize },
+	New:  func(int) *Reply { return new(Reply) }}
+
+const replySize = int(unsafe.Sizeof(Reply{}))
 
 // framesLent counts the frames lent to callers and not yet released.
 var framesLent atomic.Int64
@@ -483,20 +501,25 @@ var framesLent atomic.Int64
 // callers that have not been released yet.
 func LentFrames() int64 { return framesLent.Load() }
 
-// Release gives back the frame a large reply was read from, so that the
-// next large reply is received into it, not into a new array. Once it
-// returns, the reply's strings, and every string or slice taken from
-// them, must not be read. Releasing a reply no session lent a frame to,
-// a nil reply or one already released does nothing; an unreleased reply
-// stays valid, and its frame goes to the collector with it.
+// Release gives back a reply a session delivered, and the frame a large
+// reply was read from, so that the next reply is read into them, not
+// into new ones. Once it returns, the reply must not be used, nor the
+// strings of a large one, or any string or slice taken from them; a
+// small reply's strings stay valid. Releasing a reply no session
+// delivered, a nil reply or one already released does nothing; an
+// unreleased reply stays valid, and its frame goes to the collector
+// with it.
 func (r *Reply) Release() {
-	if r == nil || r.lent == nil {
+	if r == nil || r.mem == nil {
 		return
 	}
-	lent := r.lent
-	r.Status, r.Data, r.Aux, r.lent = "", "", "", nil
-	framesLent.Add(-1)
-	freeFrameBuf(lent, r.lentMem)
+	mem, lent := r.mem, r.lent
+	*r = Reply{}
+	if lent != nil {
+		framesLent.Add(-1)
+		freeFrameBuf(lent, mem.frames)
+	}
+	replyFree.Put(r, mem.replies)
 }
 
 // DataBytes returns the bytes of the reply's Data without copying them.

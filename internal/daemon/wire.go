@@ -392,9 +392,10 @@ type Reply struct {
 	dataSize   int
 
 	// lent is the frame a large reply's fields are read in place from,
-	// lent by the session until Release gives it back.
-	lent    []byte
-	lentMem *obs.FreeStats // counts the give-back with frameFree
+	// lent by the session until Release gives it back. mem is set on a
+	// reply a session delivered, which Release gives back to replyFree.
+	lent []byte
+	mem  *sessionMem
 }
 
 // OK reports whether the reply indicates success.
@@ -415,15 +416,26 @@ func (r *Reply) appendWire(b []byte) []byte {
 	return w.end()
 }
 
-// readReply reads any reply-shaped message out of payload: with own,
-// its strings are cut from one copy of payload, and without, read in
-// place.
+// readReply reads any reply-shaped message out of payload into a new
+// Reply (read).
 func readReply(payload []byte, own bool) (*Reply, error) {
-	t, f, err := openWire(payload, own)
-	if err != nil {
+	r := new(Reply)
+	if err := r.read(payload, own); err != nil {
 		return nil, err
 	}
-	return &Reply{Type: t, PID: f.num(), Status: f.str(), Data: f.str(), Aux: f.str()}, nil
+	return r, nil
+}
+
+// read reads any reply-shaped message out of payload into r: with own,
+// its strings are cut from one copy of payload, and without, read in
+// place.
+func (r *Reply) read(payload []byte, own bool) error {
+	t, f, err := openWire(payload, own)
+	if err != nil {
+		return err
+	}
+	*r = Reply{Type: t, PID: f.num(), Status: f.str(), Data: f.str(), Aux: f.str()}
+	return nil
 }
 
 // ProcReq is the common request shape for setflags, start, stop, kill,

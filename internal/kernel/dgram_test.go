@@ -310,7 +310,7 @@ func TestDgramQueueReadOffset(t *testing.T) {
 	}
 	s.mu.Lock()
 	for i, d := range s.dgrams[:cap(s.dgrams)] {
-		if (i < s.dgramOff || i >= len(s.dgrams)) && d.data != nil {
+		if (i < s.off || i >= len(s.dgrams)) && d.data != nil {
 			t.Errorf("slot %d outside the unread datagrams still holds %q", i, d.data)
 		}
 	}

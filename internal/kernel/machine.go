@@ -17,7 +17,7 @@ import (
 // portKey indexes the per-machine binding table: stream and datagram
 // ports are independent namespaces, as TCP and UDP ports are.
 type portKey struct {
-	typ  int
+	typ  uint8
 	port uint16
 }
 
@@ -232,9 +232,11 @@ func (m *Machine) Spawn(spec SpawnSpec) (*Process, error) {
 		}
 	}
 
-	p := m.newProcess(spec)
-	m.wg.Add(1)
-	go p.run(prog)
+	m.wg.Add(1) // before the process is visible to a signal that starts it
+	p := m.newProcess(spec, prog)
+	if !spec.Suspended {
+		go p.run(prog)
+	}
 	return p, nil
 }
 
@@ -248,9 +250,8 @@ func (m *Machine) SpawnDetached(uid int, name string) (*Process, error) {
 	if !m.HasAccount(uid) {
 		return nil, fmt.Errorf("%w: uid %d on %s", ErrNoAccount, uid, m.name)
 	}
-	p := m.newProcess(SpawnSpec{UID: uid, Name: name})
+	p := m.newProcess(SpawnSpec{UID: uid, Name: name}, nil)
 	p.detached = true
-	p.signal(SIGCONT)
 	return p, nil
 }
 
@@ -267,25 +268,25 @@ func (m *Machine) SpawnTask(uid int, name string, fn TaskFunc) (*Process, error)
 	if !m.HasAccount(uid) {
 		return nil, fmt.Errorf("%w: uid %d on %s", ErrNoAccount, uid, m.name)
 	}
-	p := m.newProcess(SpawnSpec{UID: uid, Name: name})
+	p := m.newProcess(SpawnSpec{UID: uid, Name: name}, nil)
 	p.detached = true
 	t := &Task{proc: p, fn: fn, sched: m.cluster.sched()}
 	t.wakeFn = t.wake
-	// Queued before the hook is visible: the starting SIGCONT below (and
-	// any signal racing the spawn) must not enqueue a second time ahead
-	// of the explicit enqueue.
+	// Queued before the task is visible: a signal racing the spawn must
+	// not enqueue it a second time ahead of the explicit enqueue.
 	t.state.Store(taskQueued)
 	p.sigMu.Lock()
 	p.task = t
-	p.schedHook = t.wake
 	p.sigMu.Unlock()
-	p.signal(SIGCONT)
 	m.wg.Add(1)
 	t.sched.enqueue(t)
 	return p, nil
 }
 
-func (m *Machine) newProcess(spec SpawnSpec) *Process {
+// newProcess makes the process spec describes and enters it in the
+// process table. One created suspended keeps prog for the signal that
+// starts it; the caller starts any other.
+func (m *Machine) newProcess(spec SpawnSpec, prog Program) *Process {
 	m.mu.Lock()
 	m.nextPID++
 	pid := m.nextPID
@@ -293,38 +294,33 @@ func (m *Machine) newProcess(spec SpawnSpec) *Process {
 
 	p := &Process{
 		machine: m,
-		pid:     pid,
-		ppid:    spec.PPID,
-		uid:     spec.UID,
+		pid:     int32(pid),
+		ppid:    int32(spec.PPID),
+		uid:     int32(spec.UID),
 		name:    spec.Name,
 		args:    append([]string(nil), spec.Args...),
-		startCh: make(chan struct{}),
-		killCh:  make(chan struct{}),
-		exitCh:  make(chan struct{}),
+		fds:     make([]fdEntry, 3, fdTableSize),
 	}
-	p.sigCond = sync.NewCond(&p.sigMu)
+	if spec.Suspended {
+		p.prog = prog
+	}
 	p.meter.Store(unmetered)
 	switch {
 	case spec.Stdio != nil:
 		// The daemon's I/O gateway socket becomes descriptors 0–2; a
 		// separate Stdin (a file the daemon redirects, section 3.5.2)
 		// takes descriptor 0 when given.
-		if spec.Stdin != nil {
-			p.fds = append(p.fds, &fdEntry{r: spec.Stdin})
-		} else {
+		for i := range p.fds {
+			if i == 0 && spec.Stdin != nil {
+				p.fds[i].file = &plainFile{r: spec.Stdin}
+				continue
+			}
 			spec.Stdio.ref()
-			p.fds = append(p.fds, &fdEntry{sock: spec.Stdio})
-		}
-		for i := 0; i < 2; i++ {
-			spec.Stdio.ref()
-			p.fds = append(p.fds, &fdEntry{sock: spec.Stdio})
+			p.fds[i].sock = spec.Stdio
 		}
 	default:
-		p.fds = append(p.fds, &fdEntry{r: spec.Stdin}, &fdEntry{w: spec.Stdout}, &fdEntry{w: spec.Stdout})
-	}
-	if !spec.Suspended {
-		p.started = true
-		close(p.startCh)
+		out := &plainFile{w: spec.Stdout}
+		p.fds[0].file, p.fds[1].file, p.fds[2].file = &plainFile{r: spec.Stdin}, out, out
 	}
 
 	m.mu.Lock()
@@ -382,7 +378,7 @@ func (m *Machine) newSocket(domain uint16, typ int) *Socket {
 		id:      id,
 		machine: m,
 		domain:  domain,
-		typ:     typ,
+		typ:     uint8(typ),
 		refs:    1,
 	}
 }
@@ -397,7 +393,7 @@ func (m *Machine) Footprint() (sockets, bufferedBytes int64) {
 // allocPort hands out an ephemeral port of the given type, or 0 when
 // one full wrap of the port space finds every port bound. The caller
 // holds m.mu.
-func (m *Machine) allocPort(typ int) uint16 {
+func (m *Machine) allocPort(typ uint8) uint16 {
 	for tries := 0; tries <= math.MaxUint16-ephemeralBase; tries++ {
 		m.nextPort++
 		if m.nextPort == 0 {
@@ -453,19 +449,21 @@ func (m *Machine) bind(s *Socket, port uint16, path string, implicit bool) (mete
 	if s.typ == SockDgram {
 		m.dgramPorts.Store(port, s)
 	}
-	s.boundName, s.port = meter.InetName(host, port), port
+	s.boundName = meter.InetName(host, port)
 	s.bound.Store(true)
 	return s.boundName, nil
 }
 
 // unbindSocket removes a destroyed socket from the binding tables.
 func (m *Machine) unbindSocket(s *Socket) {
-	s.mu.Lock()
-	bound, typ, port, path := s.bound.Load(), s.typ, s.port, s.path
-	s.mu.Unlock()
-	if !bound {
+	if !s.bound.Load() {
 		return
 	}
+	var port uint16
+	if s.boundName.Family() == meter.AFInet {
+		_, port = s.boundName.Inet()
+	}
+	typ, path := s.typ, s.path
 	m.mu.Lock()
 	if port != 0 && m.ports[portKey{typ, port}] == s {
 		delete(m.ports, portKey{typ, port})
@@ -517,7 +515,7 @@ func (m *Machine) lookupPort(typ int, port uint16) *Socket {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.ports[portKey{typ, port}]
+	return m.ports[portKey{uint8(typ), port}]
 }
 
 // lookupUnix finds the socket bound to a UNIX path.

@@ -40,30 +40,45 @@ type killedPanic struct{}
 // exitPanic unwinds a process goroutine on Exit or at the end of Exec.
 type exitPanic struct{ status int }
 
-// fdEntry is one slot in a process's descriptor table. A slot holds a
-// socket, or (for the standard descriptors of processes run outside a
-// daemon gateway) a plain reader/writer.
+// fdEntry is one slot in a process's descriptor table. An open slot
+// holds a socket, or (for the standard descriptors of processes run
+// outside a daemon gateway) a plain file; a free one holds neither.
 type fdEntry struct {
 	sock *Socket
-	w    io.Writer
-	r    io.Reader
+	file *plainFile
 }
+
+// plainFile is a descriptor's plain reader or writer; either may be nil,
+// which makes the descriptor one that fails the read or the write.
+type plainFile struct {
+	r io.Reader
+	w io.Writer
+}
+
+func (e fdEntry) open() bool { return e.sock != nil || e.file != nil }
+
+// fdTableSize is the capacity a descriptor table is made with: the three
+// standard descriptors and room for five more before it must grow.
+const fdTableSize = 8
 
 // Process is a simulated 4.2BSD process: an address space (its Go
 // closure state) plus an execution stream (its goroutine). All
 // interaction with other processes and the operating system goes
 // through its system-call methods, which is precisely the surface the
-// paper's meter instruments.
+// paper's meter instruments. Fields are ordered so that the process
+// fits the allocator's 208-byte class (TestProcessSize); its channels
+// are made only when something waits on them.
 type Process struct {
 	machine *Machine
-	pid     int
-	ppid    int
-	uid     int
+	pid     int32
+	ppid    int32
+	uid     int32
+	pc      atomic.Uint32
 	name    string
 	args    []string
 
 	mu  sync.Mutex
-	fds []*fdEntry
+	fds []fdEntry
 
 	// meter is the three fields the paper adds to the process table
 	// entry (section 3.2), published as one immutable snapshot (never
@@ -72,41 +87,48 @@ type Process struct {
 	meter atomic.Pointer[meterState]
 
 	cpu clock.CPUCounter
-	pc  atomic.Uint32
 
-	sigMu   sync.Mutex
-	sigCond *sync.Cond
-	started bool
-	stopped bool
-	killed  bool
+	// The signal state, under sigMu. prog is the body of a process
+	// created suspended until the first SIGCONT or SIGKILL starts its
+	// goroutine (a process killed in the "new" state never executes its
+	// first instruction). cont is open while a stopped process waits in
+	// checkpoint; killCh and exitCh are made by the first to wait on
+	// them (KillChan, WaitExit) and closed at the kill and the exit.
+	sigMu  sync.Mutex
+	prog   Program
+	cont   chan struct{}
+	killCh chan struct{}
+	exitCh chan struct{}
+
+	// task is set for event-driven processes (Machine.SpawnTask); its
+	// wake, delivered on every signal, re-queues the parked task so a
+	// kill or continue is seen without a dedicated goroutine.
+	task *Task
+
+	exitOnce sync.Once
 	// halted mirrors stopped || killed for checkpoint's lock-free fast
 	// path; signal keeps it under sigMu.
 	halted   atomic.Bool
-	startCh  chan struct{} // closed when the process may begin execution
-	killCh   chan struct{} // closed when the process is killed
-	detached bool          // no goroutine: driven by an external caller
+	stopped  bool
+	killed   bool
+	detached bool // no goroutine: driven by an external caller
 
-	// task is set for event-driven processes (Machine.SpawnTask);
-	// schedHook, delivered on every signal, re-queues the parked task
-	// so a kill or continue is seen without a dedicated goroutine.
-	task      *Task
-	schedHook func()
-
-	exitOnce   sync.Once
-	exitCh     chan struct{} // closed when the process has terminated
-	exitStatus int
+	exited     bool
+	exitStatus int32
 	exitReason string
-	onExit     []func(p *Process, status int, reason string)
+	// onExit is the exit watchers, each registered after the one it
+	// calls first.
+	onExit func(p *Process, status int, reason string)
 }
 
 // PID returns the process id.
-func (p *Process) PID() int { return p.pid }
+func (p *Process) PID() int { return int(p.pid) }
 
 // PPID returns the parent process id (0 for top-level processes).
-func (p *Process) PPID() int { return p.ppid }
+func (p *Process) PPID() int { return int(p.ppid) }
 
 // UID returns the owning user id.
-func (p *Process) UID() int { return p.uid }
+func (p *Process) UID() int { return int(p.uid) }
 
 // Name returns the program name the process was created with.
 func (p *Process) Name() string { return p.name }
@@ -120,59 +142,75 @@ func (p *Process) Machine() *Machine { return p.machine }
 // Exited reports whether the process has terminated, and with what
 // status and reason if so.
 func (p *Process) Exited() (bool, int, string) {
-	select {
-	case <-p.exitCh:
-		return true, p.exitStatus, p.exitReason
-	default:
-		return false, 0, ""
-	}
+	p.sigMu.Lock()
+	defer p.sigMu.Unlock()
+	return p.exited, int(p.exitStatus), p.exitReason
 }
 
 // WaitExit blocks until the process terminates and returns its status
 // and reason.
 func (p *Process) WaitExit() (int, string) {
-	<-p.exitCh
-	return p.exitStatus, p.exitReason
+	p.sigMu.Lock()
+	exited := lazyChan(&p.exitCh, p.exited)
+	p.sigMu.Unlock()
+	<-exited // closed after the status is written
+	return int(p.exitStatus), p.exitReason
 }
 
 // KillChan returns a channel closed when the process is killed.
 // Auxiliary goroutines (Process.Go) that sleep outside a system call —
 // a session supervisor pacing reconnect backoff, say — select on it so
 // cluster shutdown is not held up by the remainder of a timer.
-func (p *Process) KillChan() <-chan struct{} { return p.killCh }
+func (p *Process) KillChan() <-chan struct{} {
+	p.sigMu.Lock()
+	defer p.sigMu.Unlock()
+	return lazyChan(&p.killCh, p.killed)
+}
+
+// lazyChan returns *ch, made first if nil, closed already if the event
+// it waits for has happened. The caller holds sigMu.
+func lazyChan(ch *chan struct{}, happened bool) chan struct{} {
+	if *ch == nil {
+		*ch = make(chan struct{})
+		if happened {
+			close(*ch)
+		}
+	}
+	return *ch
+}
+
+// closeChan closes *ch if anyone made it. The caller holds sigMu.
+func closeChan(ch *chan struct{}) {
+	if *ch != nil {
+		close(*ch)
+	}
+}
 
 // OnExit registers a callback invoked (once, on the exiting process's
 // goroutine) after the process terminates — the simulation's SIGCHLD.
 // If the process has already exited the callback runs immediately.
 func (p *Process) OnExit(fn func(p *Process, status int, reason string)) {
 	p.sigMu.Lock()
-	if p.exited() {
+	if p.exited {
 		p.sigMu.Unlock()
-		fn(p, p.exitStatus, p.exitReason)
+		fn(p, int(p.exitStatus), p.exitReason)
 		return
 	}
-	p.onExit = append(p.onExit, fn)
+	if first := p.onExit; first != nil {
+		fn = func(p *Process, status int, reason string) {
+			first(p, status, reason)
+			fn(p, status, reason)
+		}
+	}
+	p.onExit = fn
 	p.sigMu.Unlock()
 }
 
-func (p *Process) exited() bool {
-	select {
-	case <-p.exitCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// run executes the program body with start-gate, kill, and exit
-// handling, then finalizes the process.
+// run executes the program body with kill and exit handling, then
+// finalizes the process. It starts once the process may run: at once,
+// or for a process created suspended at its first SIGCONT or SIGKILL.
 func (p *Process) run(prog Program) {
 	defer p.machine.wg.Done()
-	// A kill also opens the start gate, so waiting on it alone covers
-	// both paths; the killed check below decides whether the body may
-	// run (a process killed in the "new" state never executes its
-	// first instruction).
-	<-p.startCh
 	p.sigMu.Lock()
 	killed := p.killed
 	p.sigMu.Unlock()
@@ -219,21 +257,22 @@ func (p *Process) finish(status int, reason string) {
 			ms.sock.unref()
 		}
 		for _, e := range fds {
-			if e != nil && e.sock != nil {
+			if e.sock != nil {
 				e.sock.unref()
 			}
 		}
-		p.machine.removeProc(p.pid)
+		p.machine.removeProc(int(p.pid))
 
 		p.sigMu.Lock()
-		p.exitStatus = status
+		p.exited = true
+		p.exitStatus = int32(status)
 		p.exitReason = reason
 		watchers := p.onExit
 		p.onExit = nil
+		closeChan(&p.exitCh)
 		p.sigMu.Unlock()
-		close(p.exitCh)
-		for _, fn := range watchers {
-			fn(p, status, reason)
+		if watchers != nil {
+			watchers(p, status, reason)
 		}
 	})
 }
@@ -247,28 +286,32 @@ func (p *Process) signal(sig Signal) {
 		p.stopped = true
 	case SIGCONT:
 		p.stopped = false
-		if !p.started {
-			p.started = true
-			close(p.startCh)
-		}
-		p.sigCond.Broadcast()
+		p.release()
 	case SIGKILL:
 		if !p.killed {
 			p.killed = true
-			close(p.killCh)
+			closeChan(&p.killCh)
 		}
-		if !p.started {
-			p.started = true
-			close(p.startCh)
-		}
-		p.sigCond.Broadcast()
+		p.release()
 	}
 	p.halted.Store(p.stopped || p.killed)
-	hook := p.schedHook
+	t := p.task
 	p.sigMu.Unlock()
-	if hook != nil {
-		hook()
+	if t != nil {
+		t.wake()
 	}
+}
+
+// release lets the process run on: it starts the goroutine of one
+// created suspended and wakes one stopped in checkpoint. The caller
+// holds sigMu.
+func (p *Process) release() {
+	if prog := p.prog; prog != nil {
+		p.prog = nil
+		go p.run(prog)
+	}
+	closeChan(&p.cont)
+	p.cont = nil
 }
 
 // checkpoint is executed at every system-call boundary: it blocks
@@ -283,7 +326,10 @@ func (p *Process) checkpoint() error {
 	}
 	p.sigMu.Lock()
 	for p.stopped && !p.killed && p.task == nil {
-		p.sigCond.Wait()
+		cont := lazyChan(&p.cont, false)
+		p.sigMu.Unlock()
+		<-cont
+		p.sigMu.Lock()
 	}
 	killed := p.killed
 	detached := p.detached
@@ -428,11 +474,11 @@ func (p *Process) disableMetering(ms *meterState) {
 }
 
 // fd returns the entry at descriptor fd.
-func (p *Process) fd(fd int) (*fdEntry, error) {
+func (p *Process) fd(fd int) (fdEntry, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if fd < 0 || fd >= len(p.fds) || p.fds[fd] == nil {
-		return nil, ErrBadFD
+	if fd < 0 || fd >= len(p.fds) || !p.fds[fd].open() {
+		return fdEntry{}, ErrBadFD
 	}
 	return p.fds[fd], nil
 }
@@ -451,11 +497,11 @@ func (p *Process) sockFD(fd int) (*Socket, error) {
 
 // installFD places an entry in the lowest free descriptor slot, as
 // UNIX does, and returns the descriptor.
-func (p *Process) installFD(e *fdEntry) int {
+func (p *Process) installFD(e fdEntry) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, slot := range p.fds {
-		if slot == nil {
+		if !slot.open() {
 			p.fds[i] = e
 			return i
 		}
@@ -473,7 +519,7 @@ func (p *Process) NumFDs() int {
 	defer p.mu.Unlock()
 	n := 0
 	for _, e := range p.fds {
-		if e != nil {
+		if e.open() {
 			n++
 		}
 	}
@@ -486,7 +532,7 @@ func (p *Process) HasSocketFD(id uint32) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, e := range p.fds {
-		if e != nil && e.sock != nil && e.sock.id == id {
+		if e.sock != nil && e.sock.id == id {
 			return true
 		}
 	}

@@ -263,14 +263,14 @@ func (s *scheduler) step(t *Task) {
 	p := t.proc
 
 	p.sigMu.Lock()
-	killed, stopped := p.killed, p.stopped
+	killed, stopped, exited := p.killed, p.stopped, p.exited
 	p.sigMu.Unlock()
-	if killed || p.exited() {
+	if killed || exited {
 		t.retire(-1, ReasonKilled)
 		return
 	}
 	if stopped {
-		// SIGSTOP: park with no watches; SIGCONT's schedHook wakes us.
+		// SIGSTOP: park with no watches; SIGCONT's wake re-queues us.
 		// Re-check after parking so a continue racing the park is not
 		// lost.
 		prev := t.state.Swap(taskParked)

@@ -26,20 +26,30 @@ type dgram struct {
 // disappears when no longer referenced (paper section 3.1). Sockets
 // are identified in meter messages by their ID, the stand-in for
 // "their address within the system descriptor table", unique within a
-// machine (section 4.1).
+// machine (section 4.1). Fields are ordered so that a socket fits the
+// allocator's 192-byte class (TestSocketSize).
 type Socket struct {
-	id      uint32
 	machine *Machine
+	id      uint32
 	domain  uint16 // meter.AFUnix or meter.AFInet (meter.AFPair for socketpair ends)
-	typ     int    // SockStream or SockDgram
-
-	mu      sync.Mutex
-	waiters waitList // blocked readers/acceptors, woken on state change
-	refs    int      // descriptor references across all processes
+	typ     uint8  // SockStream or SockDgram
 	closed  bool
+	refs    int32 // descriptor references across all processes
+
+	// Stream connection state.
+	connected  bool
+	peerClosed bool
+	meterConn  bool // the kernel's meter messages arrive here
+
 	// dead mirrors Dead's condition so the metering path can test it
 	// without the lock; closing and a peer's departure set it.
 	dead atomic.Bool
+	// bound is set once the name fields are written, and they never
+	// change after, so a bound socket's name is read without mu.
+	bound atomic.Bool
+
+	mu      sync.Mutex
+	waiters waitList // blocked readers/acceptors, woken on state change
 
 	// buffered is the byte count this socket has charged against its
 	// machine's memory accounting (queued stream bytes plus queued
@@ -47,35 +57,36 @@ type Socket struct {
 	// dies.
 	buffered int
 
-	// Naming. bound is set once the name fields are written, and they
-	// never change after, so a bound socket's name is read without mu.
-	bound     atomic.Bool
+	// Naming: the bound name, and for a UNIX-domain binding its whole
+	// path (the name holds only its first 14 bytes). An Internet
+	// binding's port is the name's.
 	boundName meter.Name
-	port      uint16 // inet binding
-	path      string // unix binding
+	path      string
 
-	// Stream listener state.
-	listening    bool
-	backlog      int
-	pendingConns []*Socket
+	listener *listener // set by Listen
 
-	// Stream connection state. The unread bytes are recvBuf[recvOff:];
-	// both reset to empty when a read drains them, so the array is
-	// reused rather than regrown.
-	connected  bool
-	peer       *Socket
-	peerName   meter.Name
-	recvBuf    []byte
-	recvOff    int
-	peerClosed bool
-	meterConn  bool // the kernel's meter messages arrive here
+	// peer is a stream's other end. remote is the name of a stream's
+	// peer, or the default destination connect() sets on a datagram
+	// socket.
+	peer   *Socket
+	remote meter.Name
 
-	// Datagram state. The unread datagrams are dgrams[dgramOff:], kept
-	// like recvBuf, with popped slots cleared; route is the last sent-to.
-	dgrams      []dgram
-	dgramOff    int
-	defaultDest meter.Name // set by connect() on a datagram socket
-	route       atomic.Pointer[dgramRoute]
+	// The unread stream bytes are recvBuf[off:], the unread datagrams
+	// dgrams[off:] (a socket has one or the other); both reset to empty
+	// when a read drains them, so the array is reused rather than
+	// regrown, and popped datagram slots are cleared. route is the last
+	// sent-to.
+	recvBuf []byte
+	dgrams  []dgram
+	off     int
+	route   atomic.Pointer[dgramRoute]
+}
+
+// listener is a listening stream socket's queue of connections not yet
+// accepted, and its bound.
+type listener struct {
+	backlog int
+	pending []*Socket
 }
 
 // compact moves the unread q[off:] to the front, clearing the slots it
@@ -125,7 +136,7 @@ func (s *Socket) releaseLocked(n int) {
 func (s *Socket) ID() uint32 { return s.id }
 
 // Type returns SockStream or SockDgram.
-func (s *Socket) Type() int { return s.typ }
+func (s *Socket) Type() int { return int(s.typ) }
 
 // Domain returns the socket's address family.
 func (s *Socket) Domain() uint16 { return s.domain }
@@ -140,11 +151,12 @@ func (s *Socket) BoundName() meter.Name {
 	return s.boundName
 }
 
-// PeerName returns the name of the connected peer, zero if none.
+// PeerName returns the name of the connected peer, or a datagram
+// socket's default destination; zero if none.
 func (s *Socket) PeerName() meter.Name {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.peerName
+	return s.remote
 }
 
 // Dead reports that the socket can never carry data again: it is
@@ -172,8 +184,10 @@ func (s *Socket) unref() {
 	}
 	s.closed = true
 	s.dead.Store(true)
-	pending := s.pendingConns
-	s.pendingConns = nil
+	var pending []*Socket
+	if l := s.listener; l != nil {
+		pending, l.pending = l.pending, nil
+	}
 	peer := s.peer
 	if s.buffered > 0 {
 		s.releaseLocked(s.buffered)
@@ -181,7 +195,7 @@ func (s *Socket) unref() {
 	if cap(s.recvBuf) >= pooledRecvBuf || s.meterConn && cap(s.recvBuf) > 0 {
 		recvFree.Put(s.recvBuf, s.machine.mem.recv)
 	}
-	s.recvBuf, s.recvOff = nil, 0
+	s.recvBuf, s.off = nil, 0
 	s.broadcastLocked()
 	s.mu.Unlock()
 	s.machine.mem.sockets.Add(-1)
@@ -246,8 +260,8 @@ func (s *Socket) readyLocked() bool {
 	if s.closed {
 		return true
 	}
-	if s.listening {
-		return len(s.pendingConns) > 0
+	if s.listener != nil {
+		return len(s.listener.pending) > 0
 	}
 	if s.typ == SockDgram {
 		return len(s.dgrams) > 0
@@ -283,8 +297,8 @@ func (s *Socket) deliverStream(data []byte, sentAt time.Duration, meterConn bool
 	s.mu.Lock()
 	if !s.closed {
 		s.meterConn = s.meterConn || meterConn
-		s.recvBuf, s.recvOff = compact(s.recvBuf, s.recvOff, len(data))
-		if unread := s.recvBuf[s.recvOff:]; len(s.recvBuf)+len(data) > cap(s.recvBuf) {
+		s.recvBuf, s.off = compact(s.recvBuf, s.off, len(data))
+		if unread := s.recvBuf[s.off:]; len(s.recvBuf)+len(data) > cap(s.recvBuf) {
 			// Growing: a meter connection's first array, and any past
 			// pooledRecvBuf, comes from recvFree, twice what is needed
 			// so that a growing array is not replaced at every delivery.
@@ -293,7 +307,7 @@ func (s *Socket) deliverStream(data []byte, sentAt time.Duration, meterConn bool
 				b := recvFree.Take(2*need, s.machine.mem.recv)
 				unread = append(b[:0], unread...)
 			}
-			s.recvBuf, s.recvOff = unread, 0
+			s.recvBuf, s.off = unread, 0
 		}
 		s.recvBuf = append(s.recvBuf, data...)
 		s.chargeLocked(len(data))
@@ -315,12 +329,12 @@ func (s *Socket) deliverDgram(data []byte, src meter.Name, sentAt time.Duration)
 		s.mu.Unlock()
 		return
 	}
-	if budget > 0 && len(s.dgrams)-s.dgramOff >= budget {
+	if budget > 0 && len(s.dgrams)-s.off >= budget {
 		s.mu.Unlock()
 		s.machine.mem.shedDgrams.Inc()
 		return
 	}
-	s.dgrams, s.dgramOff = compact(s.dgrams, s.dgramOff, 1)
+	s.dgrams, s.off = compact(s.dgrams, s.off, 1)
 	s.dgrams = append(s.dgrams, dgram{data: append([]byte(nil), data...), src: src})
 	s.chargeLocked(len(data))
 	s.broadcastLocked()

@@ -52,7 +52,7 @@ func (p *Process) Socket(domain uint16, typ int) (int, error) {
 		return -1, fmt.Errorf("%w: socket type %d", ErrInval, typ)
 	}
 	s := p.machine.newSocket(domain, typ)
-	fd := p.installFD(&fdEntry{sock: s})
+	fd := p.installFD(fdEntry{sock: s})
 	p.emit(&meter.SocketCrt{
 		PID: uint32(p.pid), PC: p.nextPC(), Sock: s.id,
 		Domain: uint32(domain), SockType: uint32(typ),
@@ -123,8 +123,10 @@ func (p *Process) Listen(fd, backlog int) error {
 	if s.connected {
 		return fmt.Errorf("%w: listen on connected socket", ErrInval)
 	}
-	s.listening = true
-	s.backlog = backlog
+	if s.listener == nil {
+		s.listener = &listener{}
+	}
+	s.listener.backlog = backlog
 	s.broadcastLocked()
 	return nil
 }
@@ -165,7 +167,7 @@ func (p *Process) Connect(fd int, name meter.Name) error {
 	}
 	if s.typ == SockDgram {
 		s.mu.Lock()
-		s.defaultDest = name
+		s.remote = name
 		s.mu.Unlock()
 		p.emit(&meter.Connect{
 			PID: uint32(p.pid), PC: p.nextPC(), Sock: s.id,
@@ -180,7 +182,7 @@ func (p *Process) Connect(fd int, name meter.Name) error {
 		s.mu.Unlock()
 		return ErrIsConn
 	}
-	if s.listening {
+	if s.listener != nil {
 		s.mu.Unlock()
 		return ErrOpNotSupp
 	}
@@ -209,20 +211,20 @@ func (p *Process) Connect(fd int, name meter.Name) error {
 	srv := l.machine.newSocket(s.domain, SockStream)
 	srv.connected = true
 	srv.peer = s
-	srv.peerName = s.BoundName()
+	srv.remote = s.BoundName()
 	srv.boundName = l.BoundName()
 
 	l.mu.Lock()
-	if !l.listening || l.closed {
+	if l.listener == nil || l.closed {
 		l.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrConnRefused, name)
 	}
-	if len(l.pendingConns) >= l.backlog {
+	if len(l.listener.pending) >= l.listener.backlog {
 		l.mu.Unlock()
 		return fmt.Errorf("%w: backlog full at %s", ErrConnRefused, name)
 	}
 	lName := l.boundName
-	l.pendingConns = append(l.pendingConns, srv)
+	l.listener.pending = append(l.listener.pending, srv)
 	l.broadcastLocked()
 	l.mu.Unlock()
 	// Connection establishment is communication: gossip the clock to
@@ -233,7 +235,7 @@ func (p *Process) Connect(fd int, name meter.Name) error {
 	s.connected = true
 	s.dead.Store(s.closed || s.peerClosed) // the listener may have dropped srv already
 	s.peer = srv
-	s.peerName = lName
+	s.remote = lName
 	s.broadcastLocked()
 	s.mu.Unlock()
 
@@ -255,7 +257,7 @@ func (p *Process) await(ch <-chan struct{}, timeout <-chan time.Time) error {
 		return nil
 	case <-timeout:
 		return ErrTimedOut
-	case <-p.killCh:
+	case <-p.KillChan():
 		if p.detached {
 			return ErrKilled
 		}
@@ -286,7 +288,7 @@ func (p *Process) accept(fd int, nonblock bool) (int, meter.Name, error) {
 		return -1, meter.Name{}, err
 	}
 	s.mu.Lock()
-	listening := s.listening
+	listening := s.listener != nil
 	s.mu.Unlock()
 	if s.typ != SockStream || !listening {
 		return -1, meter.Name{}, ErrInval
@@ -300,11 +302,11 @@ func (p *Process) accept(fd int, nonblock bool) (int, meter.Name, error) {
 			s.mu.Unlock()
 			return -1, meter.Name{}, ErrBadFD
 		}
-		if len(s.pendingConns) > 0 {
-			srv := s.pendingConns[0]
-			s.pendingConns = s.pendingConns[1:]
+		if l := s.listener; len(l.pending) > 0 {
+			srv := l.pending[0]
+			l.pending = l.pending[1:]
 			s.mu.Unlock()
-			nfd := p.installFD(&fdEntry{sock: srv})
+			nfd := p.installFD(fdEntry{sock: srv})
 			peer := srv.PeerName()
 			p.emit(&meter.Accept{
 				PID: uint32(p.pid), PC: p.nextPC(), Sock: s.id, NewSock: srv.id,
@@ -378,7 +380,7 @@ func (p *Process) sendSock(s *Socket, data []byte, to meter.Name, explicitDest b
 		dest = to
 		if !explicitDest {
 			s.mu.Lock()
-			dest = s.defaultDest
+			dest = s.remote
 			s.mu.Unlock()
 			if dest.IsZero() {
 				return 0, ErrNotConn
@@ -430,7 +432,10 @@ func (p *Process) sendDgram(s *Socket, data []byte, dest meter.Name) error {
 			return ErrMsgSize
 		}
 		dg := netsim.Datagram{Src: r.src, Dst: r.dst, SrcName: src, SentAt: p.machine.clock.Now(), Data: data}
-		dg.Src.Port, dg.Dst.Port = s.port, port
+		if src.Family() == meter.AFInet {
+			_, dg.Src.Port = src.Inet()
+		}
+		dg.Dst.Port = port
 		return r.net.Send(dg)
 	case meter.AFUnix:
 		if rs := p.machine.lookupUnix(dest.Path()); rs != nil && rs.typ == SockDgram {
@@ -539,11 +544,11 @@ func (p *Process) recvFrom(fd int, dst recvDst, timeout <-chan time.Time, nonblo
 	max := dst.max
 	if e.sock == nil {
 		// Plain file/stream descriptor: not IPC, not metered.
-		if e.r == nil {
+		if e.file.r == nil {
 			return nil, 0, meter.Name{}, ErrBadFD
 		}
 		buf := make([]byte, max)
-		n, rerr := e.r.Read(buf)
+		n, rerr := e.file.r.Read(buf)
 		if n > 0 {
 			data, n := dst.fill(buf[:n], true)
 			return data, n, meter.Name{}, nil
@@ -573,10 +578,10 @@ func (p *Process) recvFrom(fd int, dst recvDst, timeout <-chan time.Time, nonblo
 				continue
 			}
 			if len(s.dgrams) > 0 {
-				dg := s.dgrams[s.dgramOff]
-				s.dgrams[s.dgramOff] = dgram{}
-				if s.dgramOff++; s.dgramOff == len(s.dgrams) {
-					s.dgrams, s.dgramOff = s.dgrams[:0], 0
+				dg := s.dgrams[s.off]
+				s.dgrams[s.off] = dgram{}
+				if s.off++; s.off == len(s.dgrams) {
+					s.dgrams, s.off = s.dgrams[:0], 0
 				}
 				s.releaseLocked(len(dg.data))
 				s.mu.Unlock()
@@ -597,9 +602,9 @@ func (p *Process) recvFrom(fd int, dst recvDst, timeout <-chan time.Time, nonblo
 				continue
 			}
 			if len(s.recvBuf) > 0 {
-				data, n := dst.fill(s.recvBuf[s.recvOff:min(len(s.recvBuf), s.recvOff+max)], false)
-				if s.recvOff += n; s.recvOff == len(s.recvBuf) {
-					s.recvBuf, s.recvOff = s.recvBuf[:0], 0
+				data, n := dst.fill(s.recvBuf[s.off:min(len(s.recvBuf), s.off+max)], false)
+				if s.off += n; s.off == len(s.recvBuf) {
+					s.recvBuf, s.off = s.recvBuf[:0], 0
 				}
 				s.releaseLocked(n)
 				s.mu.Unlock()
@@ -699,10 +704,10 @@ func (p *Process) Write(fd int, data []byte) (int, error) {
 	if err := p.enter(); err != nil {
 		return 0, err
 	}
-	if e.w == nil {
+	if e.file.w == nil {
 		return 0, ErrBadFD
 	}
-	return e.w.Write(data)
+	return e.file.w.Write(data)
 }
 
 // Printf formats to the process's standard output.
@@ -733,11 +738,11 @@ func (p *Process) SocketPair() (int, int, error) {
 	a.bound.Store(true)
 	b.bound.Store(true)
 	a.peer, b.peer = b, a
-	a.peerName, b.peerName = bName, aName
+	a.remote, b.remote = bName, aName
 	a.connected, b.connected = true, true
 
-	fd1 := p.installFD(&fdEntry{sock: a})
-	fd2 := p.installFD(&fdEntry{sock: b})
+	fd1 := p.installFD(fdEntry{sock: a})
+	fd2 := p.installFD(fdEntry{sock: b})
 
 	p.emit(&meter.SocketCrt{PID: uint32(p.pid), PC: p.nextPC(), Sock: a.id, Domain: uint32(meter.AFPair), SockType: SockStream})
 	p.emit(&meter.SocketCrt{PID: uint32(p.pid), PC: p.nextPC(), Sock: b.id, Domain: uint32(meter.AFPair), SockType: SockStream})
@@ -779,13 +784,12 @@ func (p *Process) Dup(fd int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	cp := *e
-	if cp.sock != nil {
-		cp.sock.ref()
+	if e.sock != nil {
+		e.sock.ref()
 	}
-	nfd := p.installFD(&cp)
-	if cp.sock != nil {
-		p.emit(&meter.Dup{PID: uint32(p.pid), PC: p.nextPC(), Sock: cp.sock.id, NewSock: cp.sock.id})
+	nfd := p.installFD(e)
+	if e.sock != nil {
+		p.emit(&meter.Dup{PID: uint32(p.pid), PC: p.nextPC(), Sock: e.sock.id, NewSock: e.sock.id})
 	}
 	return nfd, nil
 }
@@ -796,12 +800,12 @@ func (p *Process) Close(fd int) error {
 		return err
 	}
 	p.mu.Lock()
-	if fd < 0 || fd >= len(p.fds) || p.fds[fd] == nil {
+	if fd < 0 || fd >= len(p.fds) || !p.fds[fd].open() {
 		p.mu.Unlock()
 		return ErrBadFD
 	}
 	e := p.fds[fd]
-	p.fds[fd] = nil
+	p.fds[fd] = fdEntry{}
 	p.mu.Unlock()
 	if e.sock != nil {
 		id := e.sock.id
@@ -821,21 +825,16 @@ func (p *Process) Fork(child Program) (int, error) {
 	}
 	m := p.machine
 
-	c := m.newProcess(SpawnSpec{UID: p.uid, Name: p.name, Args: p.args, PPID: p.pid})
+	c := m.newProcess(SpawnSpec{UID: int(p.uid), Name: p.name, Args: p.args, PPID: int(p.pid)}, nil)
 	p.mu.Lock()
 	// Replace the default stdio slots with a copy of the parent's
 	// descriptor table (the default entries hold no sockets, so there
 	// is nothing to release).
-	c.fds = make([]*fdEntry, len(p.fds))
-	for i, e := range p.fds {
-		if e == nil {
-			continue
+	c.fds = append(c.fds[:0], p.fds...)
+	for _, e := range c.fds {
+		if e.sock != nil {
+			e.sock.ref()
 		}
-		cp := *e
-		if cp.sock != nil {
-			cp.sock.ref()
-		}
-		c.fds[i] = &cp
 	}
 	if ms := p.meter.Load(); ms.sock != nil {
 		ms.sock.ref()
@@ -848,7 +847,7 @@ func (p *Process) Fork(child Program) (int, error) {
 	p.emit(&meter.Fork{PID: uint32(p.pid), PC: p.nextPC(), NewPID: uint32(c.pid)})
 	m.wg.Add(1)
 	go c.run(child)
-	return c.pid, nil
+	return int(c.pid), nil
 }
 
 // Exec replaces the process image with the executable at path. On
@@ -858,7 +857,7 @@ func (p *Process) Exec(path string, args ...string) error {
 	if err := p.enter(); err != nil {
 		return err
 	}
-	progName, err := p.machine.fs.Executable(path, p.uid)
+	progName, err := p.machine.fs.Executable(path, int(p.uid))
 	if err != nil {
 		return err
 	}
@@ -978,7 +977,7 @@ func (p *Process) ReadFile(path string) ([]byte, error) {
 	if err := p.enter(); err != nil {
 		return nil, err
 	}
-	return p.machine.fs.Read(path, p.uid)
+	return p.machine.fs.Read(path, int(p.uid))
 }
 
 // AppendFile appends to a file on the local machine.
@@ -986,5 +985,5 @@ func (p *Process) AppendFile(path string, data []byte) error {
 	if err := p.enter(); err != nil {
 		return err
 	}
-	return p.machine.fs.Append(path, p.uid, data)
+	return p.machine.fs.Append(path, int(p.uid), data)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -253,6 +254,34 @@ func TestParseSegNameDifferential(t *testing.T) {
 			t.Errorf("parseSegName(%q) accepted a name segName never writes", name)
 		}
 		checkSegName(t, name)
+	}
+}
+
+// TestParseSegNameMaxIntEdge: a sequence number is refused exactly when
+// it is past math.MaxInt — one under it and it parse, one past does not,
+// in the start field and in the end field.
+func TestParseSegNameMaxIntEdge(t *testing.T) {
+	const under, at, past = "9223372036854775806", "9223372036854775807", "9223372036854775808"
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"s0-000001-" + under + ".seg", true},
+		{"s0-000001-" + at + ".seg", true},
+		{"s0-000001-" + past + ".seg", false},
+		{"s0-" + under + "-" + at + ".seg", true},
+		{"s0-" + at + "-" + at + ".seg", true},
+		{"s0-" + past + "-" + past + ".seg", false},
+		{"a7-" + at + "-" + past + ".seg", false},
+	} {
+		_, start, end, _, ok := parseSegName(c.name)
+		if ok != c.ok {
+			t.Errorf("parseSegName(%q) ok = %v, want %v", c.name, ok, c.ok)
+		}
+		if ok && end != math.MaxInt && end != math.MaxInt-1 || ok && start > end {
+			t.Errorf("parseSegName(%q) = %d-%d", c.name, start, end)
+		}
+		checkSegName(t, c.name)
 	}
 }
 

@@ -146,12 +146,16 @@ func parseSegName(name string) (shard, start, end, tier int, ok bool) {
 
 // cutSegNumber cuts from the front of s a number as fmt's %0<width>d
 // writes a non-negative int — decimal digits only, zero-padded to width
-// and no further — and the separator that must follow it.
+// and no further — and the separator that must follow it. A number past
+// math.MaxInt is refused: n*10+d overflows exactly when n is past
+// maxIntTenth, or at it with d past the last digit of math.MaxInt, two
+// constants, so a digit costs no division.
 func cutSegNumber(s string, width int, sep string) (n int, rest string, ok bool) {
+	const maxIntTenth, maxIntLast = math.MaxInt / 10, math.MaxInt % 10
 	i := 0
 	for ; i < len(s) && s[i]-'0' <= 9; i++ {
 		d := int(s[i] - '0')
-		if n > (math.MaxInt-d)/10 {
+		if n >= maxIntTenth && (n > maxIntTenth || d > maxIntLast) {
 			return 0, "", false
 		}
 		n = n*10 + d
