@@ -110,7 +110,19 @@ func TestJobChurnNoAllocGrowthWithAge(t *testing.T) {
 	// The first job dials the sessions and notification connections
 	// that the later ones reuse; the filter holds no connection between
 	// jobs, so its machine is back where it was once the filter has
-	// closed the first job's meter connections.
+	// closed the first job's meter connections. Where it was is taken
+	// once the filter, which starts after the filter command returns,
+	// has made its listening socket.
+	filters := ctl.Filters()
+	if len(filters) != 1 {
+		t.Fatalf("the controller knows %d filters, want 1:\n%s", len(filters), out.String())
+	}
+	for deadline := time.Now().Add(10 * time.Second); !machines[6].PortBound(kernel.SockStream, filters[0].Port); {
+		if time.Now().After(deadline) {
+			t.Fatalf("filter f never listened on port %d", filters[0].Port)
+		}
+		runtime.Gosched()
+	}
 	filterMachine := footprints()[6]
 	job(0)
 	base := footprints()

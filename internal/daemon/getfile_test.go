@@ -316,7 +316,8 @@ func TestSessionCallNoAllocBeyondReply(t *testing.T) {
 // TestReleasedReplyOverwritten: in a test binary freeFrameBuf
 // overwrites what it is given back, so that a string still read from a
 // released reply reads garbage and the test reading it fails. Release
-// empties the reply itself, and a second Release does nothing.
+// gives the reply itself back to replyFree, which marks it: it reads
+// no reply, and a second Release panics.
 func TestReleasedReplyOverwritten(t *testing.T) {
 	if !poisonFreed {
 		t.Fatal("freeFrameBuf does not overwrite in a test binary")
@@ -337,13 +338,20 @@ func TestReleasedReplyOverwritten(t *testing.T) {
 	}
 	data := rep.Data
 	rep.Release()
-	rep.Release()
-	if rep.OK() || rep.Data != "" || rep.lent != nil {
+	if rep.OK() || rep.Data != releasedReply || rep.lent != nil {
 		t.Fatalf("a released reply still reads %q with %d bytes", rep.Status, len(rep.Data))
 	}
 	if data[0] != 0xa5 || data[len(data)-1] != 0xa5 {
 		t.Fatalf("a released frame reads %q...%q, not the overwrite", data[0], data[len(data)-1])
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second Release of one reply did not panic")
+			}
+		}()
+		rep.Release()
+	}()
 }
 
 // TestSessionRoundTripNoAllocBeyondReply gates a steady-state small

@@ -490,7 +490,17 @@ type sessionMem struct {
 // whose caller releases its reply allocates none.
 var replyFree = &obs.FreeList[*Reply]{Name: "replies", Count: 64, Bytes: 64 * replySize,
 	Size: func(*Reply) int { return replySize },
-	New:  func(int) *Reply { return new(Reply) }}
+	New:  func(int) *Reply { return new(Reply) },
+	Poison: func(r *Reply) {
+		*r = Reply{Status: releasedReply, Data: releasedReply, Aux: releasedReply, mem: &releasedMem}
+	}}
+
+// releasedReply fills, in a test binary, the fields of a reply given
+// back, and releasedMem marks it, so that a use after Release reads no
+// reply and a second Release panics.
+const releasedReply = "reply used after Release"
+
+var releasedMem sessionMem
 
 const replySize = int(unsafe.Sizeof(Reply{}))
 
@@ -505,13 +515,16 @@ func LentFrames() int64 { return framesLent.Load() }
 // reply was read from, so that the next reply is read into them, not
 // into new ones. Once it returns, the reply must not be used, nor the
 // strings of a large one, or any string or slice taken from them; a
-// small reply's strings stay valid. Releasing a reply no session
-// delivered, a nil reply or one already released does nothing; an
-// unreleased reply stays valid, and its frame goes to the collector
-// with it.
+// small reply's strings stay valid. A reply is released at most once:
+// the list may already have handed it to another caller. Releasing a
+// reply no session delivered or a nil reply does nothing; an unreleased
+// reply stays valid, and its frame goes to the collector with it.
 func (r *Reply) Release() {
 	if r == nil || r.mem == nil {
 		return
+	}
+	if r.mem == &releasedMem {
+		panic("daemon: reply released twice")
 	}
 	mem, lent := r.mem, r.lent
 	*r = Reply{}

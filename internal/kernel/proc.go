@@ -188,7 +188,8 @@ func closeChan(ch *chan struct{}) {
 
 // OnExit registers a callback invoked (once, on the exiting process's
 // goroutine) after the process terminates — the simulation's SIGCHLD.
-// If the process has already exited the callback runs immediately.
+// Callbacks run in the order they were registered. If the process has
+// already exited the callback runs immediately.
 func (p *Process) OnExit(fn func(p *Process, status int, reason string)) {
 	p.sigMu.Lock()
 	if p.exited {
@@ -197,9 +198,10 @@ func (p *Process) OnExit(fn func(p *Process, status int, reason string)) {
 		return
 	}
 	if first := p.onExit; first != nil {
+		next := fn
 		fn = func(p *Process, status int, reason string) {
 			first(p, status, reason)
-			fn(p, status, reason)
+			next(p, status, reason)
 		}
 	}
 	p.onExit = fn

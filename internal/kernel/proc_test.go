@@ -182,6 +182,43 @@ func TestOnExitNotification(t *testing.T) {
 	}
 }
 
+// TestOnExitWatchersInOrder: every watcher registered before a process
+// exits runs once, in the order registered, and one registered after
+// runs at once.
+func TestOnExitWatchersInOrder(t *testing.T) {
+	_, red, _ := newTestCluster(t)
+	p, err := red.Spawn(SpawnSpec{UID: testUID, Name: "w", Suspended: true, Program: func(*Process) int { return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan int, 8)
+	for i := range 3 {
+		p.OnExit(func(*Process, int, string) { ran <- i })
+	}
+	if err := red.Signal(p.PID(), SIGCONT); err != nil {
+		t.Fatal(err)
+	}
+	for want := range 3 {
+		select {
+		case got := <-ran:
+			if got != want {
+				t.Fatalf("watcher %d ran in place %d", got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("watcher %d never ran", want)
+		}
+	}
+	p.OnExit(func(*Process, int, string) { ran <- 3 })
+	if got := <-ran; got != 3 {
+		t.Fatalf("watcher %d ran after exit, want 3", got)
+	}
+	select {
+	case got := <-ran:
+		t.Fatalf("watcher %d ran twice", got)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
 func TestProcessExitReleasesSockets(t *testing.T) {
 	_, red, _ := newTestCluster(t)
 	p, err := red.Spawn(SpawnSpec{UID: testUID, Name: "w", Program: func(p *Process) int {

@@ -53,41 +53,14 @@ type FsysBackend struct {
 	fs     *fsys.FS
 	uid    int
 	prefix string // the directory and a slash, e.g. /usr/tmp/f1.store/
-
-	// paths holds the path of each file name the backend was given, so
-	// that the active segment's, appended to at every flush, is built
-	// once. Each key is the tail of its path. A table grown to
-	// pathsKept is emptied, so a reader that meets every file once
-	// keeps no more.
-	mu    sync.Mutex
-	paths map[string]string
 }
-
-// pathsKept bounds a backend's table of paths: a store's active,
-// compacted and recently read segments, many times over.
-const pathsKept = 256
 
 // NewFsysBackend returns a backend rooted at dir on fs, acting as uid.
 func NewFsysBackend(fs *fsys.FS, uid int, dir string) *FsysBackend {
 	return &FsysBackend{fs: fs, uid: uid, prefix: strings.TrimSuffix(dir, "/") + "/"}
 }
 
-// path returns the path of the file name.
-func (b *FsysBackend) path(name string) string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	p, ok := b.paths[name]
-	if !ok {
-		if b.paths == nil {
-			b.paths = make(map[string]string)
-		} else if len(b.paths) >= pathsKept {
-			clear(b.paths)
-		}
-		p = b.prefix + name
-		b.paths[p[len(b.prefix):]] = p
-	}
-	return p
-}
+func (b *FsysBackend) path(name string) string { return b.prefix + name }
 
 // Create implements Backend.
 func (b *FsysBackend) Create(name string, data []byte) error {
@@ -106,11 +79,7 @@ func (b *FsysBackend) Read(name string) ([]byte, error) {
 
 // Remove implements Backend.
 func (b *FsysBackend) Remove(name string) error {
-	err := b.fs.Remove(b.path(name), b.uid)
-	b.mu.Lock()
-	delete(b.paths, name)
-	b.mu.Unlock()
-	return err
+	return b.fs.Remove(b.path(name), b.uid)
 }
 
 // List implements Backend: the fsys listing of the directory, whose

@@ -247,11 +247,12 @@ type Store struct {
 }
 
 type shard struct {
-	mu      sync.Mutex
-	id      int
-	nextSeq int
-	active  *SegmentInfo // nil when no segment is being filled
-	sealed  []*SegmentInfo
+	mu         sync.Mutex
+	id         int
+	nextSeq    int
+	active     *SegmentInfo // nil when no segment is being filled
+	activePath string       // its path on an FsysBackend, built once, not at every flush
+	sealed     []*SegmentInfo
 	// cw is the shard's encoder (nil until the shard's first record):
 	// append paths stage records in it under mu, so the steady state
 	// allocates nothing. pending holds the metadata of the staged records,
@@ -379,11 +380,23 @@ func (s *Store) openLocked(sh *shard) {
 		seq := sh.nextSeq
 		sh.nextSeq++
 		sh.active = &SegmentInfo{Name: segName(sh.id, seq, seq, 0), Shard: sh.id, Start: seq, End: seq}
+		if fb, ok := s.be.(*FsysBackend); ok {
+			sh.activePath = fb.path(sh.active.Name)
+		}
 		if sh.cw == nil {
 			sh.cw = newCompWriter()
 		}
 		sh.cw.openSegment()
 	}
+}
+
+// appendActive appends data to the shard's active segment, on an
+// FsysBackend by the path kept for it. Caller holds sh.mu.
+func (s *Store) appendActive(sh *shard, data []byte) error {
+	if fb, ok := s.be.(*FsysBackend); ok {
+		return fb.fs.Append(sh.activePath, fb.uid, data)
+	}
+	return s.be.Append(sh.active.Name, data)
 }
 
 // noteTime folds one flushed batch's newest cpuTime into the store's
@@ -418,7 +431,7 @@ func (s *Store) flushLocked(sh *shard) error {
 		s.abandonLocked(sh)
 		return err
 	}
-	err := s.be.Append(sh.active.Name, w.sink.buf)
+	err := s.appendActive(sh, w.sink.buf)
 	w.sink.drained()
 	if err != nil {
 		s.abandonLocked(sh)
@@ -555,7 +568,7 @@ func (s *Store) sealLocked(sh *shard) error {
 	span := obs.StartSpan(s.rotateNS)
 	tail, disk, err := sh.cw.seal(a.Index, a.Bytes)
 	if err == nil {
-		err = s.be.Append(a.Name, tail)
+		err = s.appendActive(sh, tail)
 	}
 	if err != nil {
 		s.abandonLocked(sh)
