@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"dpm/internal/fsys"
@@ -360,13 +361,18 @@ func TestFrameFreeBounded(t *testing.T) {
 	if err := r.red.FS().Create(path, testUID, fsys.PrivateMode, content); err != nil {
 		t.Fatal(err)
 	}
+	// The test is of the free list, not of session timing: 24 sessions
+	// dialing one daemon at once under the race detector on two cores
+	// can miss fastSession's 250 ms hello, so they wait as long as a
+	// slow host needs.
+	slow := SessionConfig{HelloTimeout: 10 * time.Second, HeartbeatTimeout: 10 * time.Second}
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions)
 	for i := 0; i < sessions; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := DialSession(r.ctl, "red", fastSession())
+			s := DialSession(r.ctl, "red", slow)
 			defer s.Close()
 			for j := 0; j < rounds; j++ {
 				if err := checkGetFile(s, path, 0, content); err != nil {

@@ -110,17 +110,17 @@ func CountingMain(p *kernel.Process) int {
 				continue
 			}
 			buf := append(conns[fd], data...)
-			msgs, rest, err := meter.DecodeStream(buf)
+			hs, rest, err := meter.DecodeStream(buf)
 			if err != nil {
 				_ = p.Close(fd)
 				delete(conns, fd)
 				continue
 			}
 			conns[fd] = rest
-			for _, m := range msgs {
-				counts[key{m.Header.Machine, m.Header.TraceType}]++
+			for _, h := range hs {
+				counts[key{h.Machine, h.TraceType}]++
 			}
-			if len(msgs) > 0 {
+			if len(hs) > 0 {
 				rewrite()
 			}
 		}

@@ -56,24 +56,24 @@ func (d *Descriptions) Event(t meter.Type) (*EventDesc, bool) {
 }
 
 // StandardDescriptions is the descriptions file shipped with the
-// measurement tool, in the format of Figure 3.2: a HEADER line naming
-// the standard header fields, then one line per event type of the form
+// measurement tool, in the format of Figure 3.2, rendered from meter's
+// layout table: a HEADER line naming the standard header fields, then
+// one line per event type of the form
 //
 //	NAME type, field,offset,length,base field,offset,length,base ...
 //
 // with offsets relative to the start of the message body.
-const StandardDescriptions = `HEADER size machine cpuTime procTime traceType
-SEND 1, pid,0,4,10 pc,4,4,10 sock,8,4,10 msgLength,12,4,10 destNameLen,16,4,10 destName,20,16,16
-RECEIVECALL 2, pid,0,4,10 pc,4,4,10 sock,8,4,10
-RECEIVE 3, pid,0,4,10 pc,4,4,10 sock,8,4,10 msgLength,12,4,10 sourceNameLen,16,4,10 sourceName,20,16,16
-SOCKET 4, pid,0,4,10 pc,4,4,10 sock,8,4,10 domain,12,4,10 type,16,4,10 protocol,20,4,10
-DUP 5, pid,0,4,10 pc,4,4,10 sock,8,4,10 newSock,12,4,10
-DESTSOCKET 6, pid,0,4,10 pc,4,4,10 sock,8,4,10
-CONNECT 7, pid,0,4,10 pc,4,4,10 sock,8,4,10 sockNameLen,12,4,10 peerNameLen,16,4,10 sockName,20,16,16 peerName,36,16,16
-ACCEPT 8, pid,0,4,10 pc,4,4,10 sock,8,4,10 newSock,12,4,10 sockNameLen,16,4,10 peerNameLen,20,4,10 sockName,24,16,16 peerName,40,16,16
-FORK 9, pid,0,4,10 pc,4,4,10 newPid,8,4,10
-TERMPROC 10, pid,0,4,10 pc,4,4,10 status,8,4,10
-`
+var StandardDescriptions = func() string {
+	b := []byte("HEADER size machine cpuTime procTime traceType\n")
+	for _, l := range meter.Layouts() {
+		b = fmt.Appendf(b, "%s %d,", l.Name, l.Type)
+		for _, f := range l.Fields {
+			b = fmt.Appendf(b, " %s,%d,%d,%d", f.Name, f.Offset, f.Width, f.Base)
+		}
+		b = append(b, '\n')
+	}
+	return string(b)
+}()
 
 // ParseDescriptions parses a descriptions file.
 func ParseDescriptions(data []byte) (*Descriptions, error) {
@@ -129,8 +129,8 @@ func ParseDescriptions(data []byte) (*Descriptions, error) {
 // decode reads one encoded meter message: Appendix A's fixed header,
 // by meter.DecodeHeader, into h, and the body, through the plan of the
 // header's event type alone, into s. The filter trusts the description
-// file, exactly as the paper's filter does: the meter package's body
-// decoder is not consulted.
+// file, exactly as the paper's filter does: meter's layout table is not
+// consulted.
 func (p *Program) decode(raw []byte, h *meter.Header, s *trace.Slots) (pl *eventPlan, err error) {
 	if len(raw) < meter.HeaderSize {
 		return nil, fmt.Errorf("filter: message shorter than header (%d bytes)", len(raw))

@@ -1,10 +1,15 @@
 package filter
 
 import (
+	"fmt"
+	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"dpm/internal/meter"
+	"dpm/internal/trace"
 )
 
 func stdDesc(t *testing.T) *Descriptions {
@@ -31,6 +36,59 @@ func TestParseStandardDescriptions(t *testing.T) {
 		if _, ok := d.Event(typ); !ok {
 			t.Errorf("no description for %v", typ)
 		}
+	}
+}
+
+// figure32 is the descriptions file as it shipped before it was rendered
+// from meter's layout table: Figure 3.2's format, every Appendix A body.
+const figure32 = `HEADER size machine cpuTime procTime traceType
+SEND 1, pid,0,4,10 pc,4,4,10 sock,8,4,10 msgLength,12,4,10 destNameLen,16,4,10 destName,20,16,16
+RECEIVECALL 2, pid,0,4,10 pc,4,4,10 sock,8,4,10
+RECEIVE 3, pid,0,4,10 pc,4,4,10 sock,8,4,10 msgLength,12,4,10 sourceNameLen,16,4,10 sourceName,20,16,16
+SOCKET 4, pid,0,4,10 pc,4,4,10 sock,8,4,10 domain,12,4,10 type,16,4,10 protocol,20,4,10
+DUP 5, pid,0,4,10 pc,4,4,10 sock,8,4,10 newSock,12,4,10
+DESTSOCKET 6, pid,0,4,10 pc,4,4,10 sock,8,4,10
+CONNECT 7, pid,0,4,10 pc,4,4,10 sock,8,4,10 sockNameLen,12,4,10 peerNameLen,16,4,10 sockName,20,16,16 peerName,36,16,16
+ACCEPT 8, pid,0,4,10 pc,4,4,10 sock,8,4,10 newSock,12,4,10 sockNameLen,16,4,10 peerNameLen,20,4,10 sockName,24,16,16 peerName,40,16,16
+FORK 9, pid,0,4,10 pc,4,4,10 newPid,8,4,10
+TERMPROC 10, pid,0,4,10 pc,4,4,10 status,8,4,10
+`
+
+// TestStandardDescriptionsText holds the rendered descriptions file
+// byte for byte to the text it replaced: no Appendix A byte moves.
+func TestStandardDescriptionsText(t *testing.T) {
+	if StandardDescriptions != figure32 {
+		t.Fatalf("StandardDescriptions =\n%s\nwant\n%s", StandardDescriptions, figure32)
+	}
+}
+
+// TestFormatsDocAgrees holds docs/formats.md to the layout table: its
+// event table lists each type's fields in table order, "(16)" marking
+// the socket names, and its descriptions block is StandardDescriptions.
+func TestFormatsDocAgrees(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/formats.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile(`(?m)^\| (\d+) \| ([A-Z]+) \| (.*) \|$`).FindAllStringSubmatch(string(doc), -1)
+	if len(rows) != len(meter.Layouts()) {
+		t.Fatalf("docs/formats.md lists %d event types, the table %d", len(rows), len(meter.Layouts()))
+	}
+	for i, lay := range meter.Layouts() {
+		var want []string
+		for _, f := range lay.Fields {
+			if want = append(want, f.Name); f.IsName() {
+				want[len(want)-1] += "(16)"
+			}
+		}
+		fields := strings.TrimSpace(regexp.MustCompile(`\*\(.*\)\*`).ReplaceAllString(rows[i][3], ""))
+		if got := fmt.Sprintf("%s %s %s", rows[i][1], rows[i][2], fields); got != fmt.Sprintf("%d %s %s", lay.Type, lay.Name, strings.Join(want, ", ")) {
+			t.Errorf("docs/formats.md row %q, table %d %s %s", got, lay.Type, lay.Name, strings.Join(want, ", "))
+		}
+	}
+	block := regexp.MustCompile("(?s)\n```\n(HEADER .*?)```\n").FindStringSubmatch(string(doc))
+	if block == nil || block[1] != StandardDescriptions {
+		t.Errorf("docs/formats.md's descriptions block is not StandardDescriptions:\n%v", block)
 	}
 }
 
@@ -61,49 +119,55 @@ func TestSendDescriptionMatchesFigure32(t *testing.T) {
 
 // TestExtractAgreesWithMeterDecoder is the protocol cross-check of
 // section 3.4: the description file and the kernel's encoders must
-// describe the same byte layout. Every event type is encoded by the
-// meter package and re-extracted via the descriptions; every scalar
-// field must agree.
+// describe the same byte layout. Every event type, with a distinct
+// value in each field, is encoded by the meter package and decoded
+// through the descriptions, by Extract and by the compiled program;
+// field i of the description must hold struct field i of the body,
+// walked in declaration order.
 func TestExtractAgreesWithMeterDecoder(t *testing.T) {
 	d := stdDesc(t)
-	sn := meter.InetName(228320140, 3000)
-	pn := meter.UnixName("/tmp/srv")
-	bodies := []meter.Body{
-		&meter.Send{PID: 2120, PC: 0x40a0, Sock: 4, MsgLength: 512, DestNameLen: 16, DestName: sn},
-		&meter.RecvCall{PID: 2120, PC: 1, Sock: 4},
-		&meter.Recv{PID: 2, PC: 3, Sock: 5, MsgLength: 99, SourceNameLen: 16, SourceName: sn},
-		&meter.SocketCrt{PID: 9, PC: 8, Sock: 7, Domain: 2, SockType: 1, Protocol: 0},
-		&meter.Dup{PID: 1, PC: 2, Sock: 3, NewSock: 4},
-		&meter.DestSocket{PID: 5, PC: 6, Sock: 7},
-		&meter.Connect{PID: 1, PC: 2, Sock: 3, SockNameLen: 16, PeerNameLen: 16, SockName: sn, PeerName: pn},
-		&meter.Accept{PID: 1, PC: 2, Sock: 3, NewSock: 4, SockNameLen: 16, PeerNameLen: 16, SockName: pn, PeerName: sn},
-		&meter.Fork{PID: 10, PC: 11, NewPID: 12},
-		&meter.TermProc{PID: 13, PC: 14, Status: 0},
+	prog, err := CompileProgram(d, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	bodies := []meter.Body{&meter.Send{}, &meter.RecvCall{}, &meter.Recv{}, &meter.SocketCrt{}, &meter.Dup{},
+		&meter.DestSocket{}, &meter.Connect{}, &meter.Accept{}, &meter.Fork{}, &meter.TermProc{}}
 	for _, b := range bodies {
-		msg := meter.Msg{Header: meter.Header{Machine: 5, CPUTime: 777, ProcTime: 40}, Body: b}
-		rec, err := d.Extract(msg.Encode())
+		v := reflect.ValueOf(b).Elem()
+		for i := range v.NumField() {
+			seed := 1000*uint32(b.EventType()) + uint32(i)
+			if f := v.Field(i); f.Type() == reflect.TypeOf(meter.Name{}) {
+				f.Set(reflect.ValueOf(meter.InetName(seed, uint16(seed))))
+			} else {
+				f.SetUint(uint64(seed))
+			}
+		}
+		raw := (&meter.Msg{Header: meter.Header{Machine: 5, CPUTime: 777, ProcTime: 40}, Body: b}).Encode()
+		rec, err := d.Extract(raw)
 		if err != nil {
 			t.Fatalf("%v: %v", b.EventType(), err)
 		}
 		if rec.Type != b.EventType() || rec.Machine != 5 || rec.CPUTime != 777 || rec.ProcTime != 40 {
 			t.Fatalf("%v: header mismatch: %+v", b.EventType(), rec)
 		}
-		truth := b.Fields()
-		if len(truth) != len(rec.Fields) {
-			t.Fatalf("%v: %d fields extracted, want %d", b.EventType(), len(rec.Fields), len(truth))
+		var h meter.Header
+		var s trace.Slots
+		if _, err := prog.decode(raw, &h, &s); err != nil {
+			t.Fatalf("%v: %v", b.EventType(), err)
 		}
-		for i, f := range truth {
-			got := rec.Fields[i]
-			if got.Name != f.Name {
-				t.Fatalf("%v field %d: name %q, want %q", b.EventType(), i, got.Name, f.Name)
-			}
-			if f.IsName {
-				if !got.IsName || got.Addr != f.Addr {
-					t.Fatalf("%v field %s: name value %v, want %v", b.EventType(), f.Name, got.Addr, f.Addr)
+		if len(rec.Fields) != v.NumField() {
+			t.Fatalf("%v: %d fields extracted, struct has %d", b.EventType(), len(rec.Fields), v.NumField())
+		}
+		for i, got := range rec.Fields {
+			switch want := v.Field(i).Interface().(type) {
+			case meter.Name:
+				if !got.IsName || got.Addr != want || s.Name(i) != want {
+					t.Errorf("%v field %s: name %v, decoded %v, want %v", b.EventType(), got.Name, got.Addr, s.Name(i), want)
 				}
-			} else if got.Value != uint64(f.Value) {
-				t.Fatalf("%v field %s: %d, want %d", b.EventType(), f.Name, got.Value, f.Value)
+			case uint32:
+				if dec, _ := s.Field(b.EventType(), i); got.Value != uint64(want) || dec != uint64(want) {
+					t.Errorf("%v field %s: %d, decoded %d, want %d", b.EventType(), got.Name, got.Value, dec, want)
+				}
 			}
 		}
 	}

@@ -33,11 +33,15 @@ func (m *Machine) newMeterBuffer(sock *Socket) *meter.Buffer {
 		if sock.kernelSend(batch) {
 			return
 		}
-		if msgs, _, err := meter.DecodeStream(batch); err == nil && len(msgs) > 0 {
-			m.faults.meterDrops.Add(int64(len(msgs)))
-		} else {
-			m.faults.meterDrops.Add(1)
+		n := int64(0)
+		for b := batch; ; n++ {
+			size, err := meter.PeekSize(b)
+			if err != nil || size == 0 {
+				break
+			}
+			b = b[size:]
 		}
+		m.faults.meterDrops.Add(max(n, 1))
 	})
 	b.SetObs(m.obs.Counter("meter.events"), m.obs.Counter("meter.flushes"),
 		m.obs.Counter("meter.flush_bytes"))

@@ -2,11 +2,42 @@ package kernel
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"dpm/internal/meter"
 )
+
+// decodeStream decodes the whole messages at the front of b and returns
+// them with the rest: meter.DecodeStream checks each, and field i of
+// its type's meter.Layout, read at the table's offset, becomes struct
+// field i of its body.
+func decodeStream(b []byte) ([]meter.Msg, []byte, error) {
+	hs, rest, err := meter.DecodeStream(b)
+	msgs := make([]meter.Msg, len(hs))
+	for i, h := range hs {
+		lay, _ := meter.LayoutOf(h.TraceType)
+		var body meter.Body
+		for _, proto := range []meter.Body{&meter.Send{}, &meter.RecvCall{}, &meter.Recv{}, &meter.SocketCrt{}, &meter.Dup{},
+			&meter.DestSocket{}, &meter.Connect{}, &meter.Accept{}, &meter.Fork{}, &meter.TermProc{}} {
+			if proto.EventType() == h.TraceType {
+				body = proto
+			}
+		}
+		v := reflect.ValueOf(body).Elem()
+		for j := range v.NumField() {
+			n, name := lay.Fields[j].Read(b[meter.HeaderSize:h.Size])
+			if lay.Fields[j].IsName() {
+				v.Field(j).Set(reflect.ValueOf(name))
+			} else {
+				v.Field(j).SetUint(uint64(n))
+			}
+		}
+		msgs[i], b = meter.Msg{Header: h, Body: body}, b[h.Size:]
+	}
+	return msgs, rest, err
+}
 
 // meterTap wires a target process to a test "filter": a listening
 // stream socket whose accepted connection carries the meter messages.
@@ -79,7 +110,7 @@ func (mt *meterTap) collect(n int) []meter.Msg {
 			mt.t.Fatalf("meter tap recv after %d/%d messages: %v", len(msgs), n, err)
 		}
 		mt.buf = append(mt.buf, data...)
-		got, rest, err := meter.DecodeStream(mt.buf)
+		got, rest, err := decodeStream(mt.buf)
 		if err != nil {
 			mt.t.Fatalf("meter stream corrupt: %v", err)
 		}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -206,7 +207,7 @@ func TestConcurrentMeteringStress(t *testing.T) {
 	for i, tap := range taps {
 		msgs := tap.collect(40) // 20 sends + 20 recvs
 		for _, m := range msgs {
-			if pid := int(m.Body.Fields()[0].Value); pid != targets[i].PID() {
+			if pid := int(reflect.ValueOf(m.Body).Elem().FieldByName("PID").Uint()); pid != targets[i].PID() {
 				t.Fatalf("tap %d saw pid %d, want %d (streams crossed)", i, pid, targets[i].PID())
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -414,7 +415,7 @@ func TestMeterStateRace(t *testing.T) {
 					return
 				}
 				buf = append(buf, data...)
-				msgs, rest, err := meter.DecodeStream(buf)
+				msgs, rest, err := decodeStream(buf)
 				if err != nil {
 					t.Errorf("meter stream corrupt: %v", err)
 					return
@@ -546,13 +547,11 @@ func TestMeterStateRace(t *testing.T) {
 // msgPC returns a message's pc and type.
 func msgPC(t *testing.T, msg meter.Msg) (uint32, meter.Type) {
 	t.Helper()
-	for _, f := range msg.Body.Fields() {
-		if f.Name == "pc" {
-			return uint32(f.Value), msg.Header.TraceType
-		}
+	pc := reflect.ValueOf(msg.Body).Elem().FieldByName("PC")
+	if !pc.IsValid() {
+		t.Fatalf("%v record has no pc field", msg.Header.TraceType)
 	}
-	t.Fatalf("%v record has no pc field", msg.Header.TraceType)
-	return 0, 0
+	return uint32(pc.Uint()), msg.Header.TraceType
 }
 
 // TestRecvLazyNoAlloc: RecvLazy blocked on a quiet connection asks for

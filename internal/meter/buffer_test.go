@@ -98,10 +98,7 @@ func TestNoEventLoss(t *testing.T) {
 	var total int
 	var pids []uint32
 	for _, batch := range *batches {
-		msgs, rest, err := DecodeStream(batch)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("corrupt batch: %v", err)
-		}
+		msgs := decodeAll(t, batch)
 		total += len(msgs)
 		for _, m := range msgs {
 			pids = append(pids, m.Body.(*Fork).PID)

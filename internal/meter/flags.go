@@ -37,24 +37,11 @@ const (
 	EvTermProc   Type = 10 // process terminates
 )
 
-// typeNames maps each event type to the event name used in description
-// files and analysis output.
-var typeNames = map[Type]string{
-	EvSend:       "SEND",
-	EvRecvCall:   "RECEIVECALL",
-	EvRecv:       "RECEIVE",
-	EvSocket:     "SOCKET",
-	EvDup:        "DUP",
-	EvDestSocket: "DESTSOCKET",
-	EvConnect:    "CONNECT",
-	EvAccept:     "ACCEPT",
-	EvFork:       "FORK",
-	EvTermProc:   "TERMPROC",
-}
-
+// String returns the event name its Layout gives, the name used in
+// description files and analysis output.
 func (t Type) String() string {
-	if s, ok := typeNames[t]; ok {
-		return s
+	if l, ok := LayoutOf(t); ok {
+		return l.Name
 	}
 	return fmt.Sprintf("TYPE(%d)", uint32(t))
 }

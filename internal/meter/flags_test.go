@@ -34,9 +34,9 @@ func TestFlagSelectsOwnType(t *testing.T) {
 }
 
 func TestMAllSelectsEverythingButImmediate(t *testing.T) {
-	for typ := range typeNames {
-		if !MAll.Selects(typ) {
-			t.Errorf("MAll does not select %v", typ)
+	for _, lay := range Layouts() {
+		if !MAll.Selects(lay.Type) {
+			t.Errorf("MAll does not select %v", lay.Type)
 		}
 	}
 	if MAll.Immediate() {

@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzDecode feeds arbitrary bytes to the meter message decoder; it
-// must reject garbage gracefully (never panic, never mis-consume) and
-// re-encode whatever it accepts byte-for-byte.
+// must reject garbage gracefully (never panic, never mis-consume), and
+// whatever it accepts, read field by field at the layout table's
+// offsets into a body (decodeMsg), must re-encode byte for byte.
 func FuzzDecode(f *testing.F) {
 	for _, b := range allBodies() {
 		m := Msg{Header: header(), Body: b}
@@ -16,7 +17,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, n, err := Decode(data)
+		m, n, err := decodeMsg(data)
 		if err != nil {
 			if !errors.Is(err, ErrShort) && !errors.Is(err, ErrBadSize) && !errors.Is(err, ErrBadType) {
 				t.Fatalf("unexpected error type: %v", err)
@@ -56,15 +57,19 @@ func FuzzDecodeStream(f *testing.F) {
 	}
 	f.Add(batch)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msgs, rest, err := DecodeStream(data)
+		hs, rest, err := DecodeStream(data)
 		if err != nil {
 			return
 		}
 		// Everything consumed plus the rest must account for the
-		// input exactly.
+		// input exactly, each message as long as its re-encoding.
 		used := 0
-		for _, m := range msgs {
-			used += len(m.Encode())
+		for range hs {
+			m, n, err := decodeMsg(data[used:])
+			if err != nil || len(m.Encode()) != n {
+				t.Fatalf("message at %d: %d bytes re-encode to %d (%v)", used, n, len(m.Encode()), err)
+			}
+			used += n
 		}
 		if used+len(rest) != len(data) {
 			t.Fatalf("consumed %d + rest %d != %d", used, len(rest), len(data))

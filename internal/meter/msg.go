@@ -64,24 +64,11 @@ func DecodeHeader(b []byte) Header {
 	}
 }
 
-// Field is one decoded field of a meter message body, used by trace
-// dumps, the filter's record editing, and the analysis routines.
-type Field struct {
-	Name string
-	// Value holds the numeric value for scalar fields.
-	Value uint32
-	// IsName marks 16-byte socket-name fields, whose value is in Addr.
-	IsName bool
-	Addr   Name
-}
-
 // Body is the event-specific part of a meter message. The ten body
 // types below are its implementations; encoding any other type panics.
 type Body interface {
 	// EventType returns the traceType this body encodes as.
 	EventType() Type
-	// Fields enumerates the body's fields in declaration order.
-	Fields() []Field
 }
 
 // Msg is a complete meter message. The kernel fills the header's
@@ -178,26 +165,31 @@ type enc []byte
 func (e enc) u32(v uint32) enc { return binary.LittleEndian.AppendUint32(e, v) }
 func (e enc) name(n Name) enc  { return append(e, n[:]...) }
 
-// Decode parses one message from the front of b and returns it along
-// with the number of bytes consumed. If b holds only part of a
-// message, Decode returns ErrShort; callers accumulating a stream
-// retry once more bytes arrive.
-func Decode(b []byte) (Msg, int, error) {
+// Decode checks the message at the front of b and returns its header
+// and its length: a size field in range, a type Appendix A defines, and
+// a body of the size that type's Layout gives. The body's fields are
+// read through that Layout. If b holds only part of a message, Decode
+// returns ErrShort; callers accumulating a stream retry once more bytes
+// arrive.
+func Decode(b []byte) (Header, int, error) {
 	if len(b) < HeaderSize {
-		return Msg{}, 0, ErrShort
+		return Header{}, 0, ErrShort
 	}
 	h := DecodeHeader(b)
 	if h.Size < HeaderSize || h.Size > MaxMsgSize {
-		return Msg{}, 0, fmt.Errorf("%w: %d", ErrBadSize, h.Size)
+		return Header{}, 0, fmt.Errorf("%w: %d", ErrBadSize, h.Size)
 	}
 	if int(h.Size) > len(b) {
-		return Msg{}, 0, ErrShort
+		return Header{}, 0, ErrShort
 	}
-	body, err := decodeBody(h.TraceType, b[HeaderSize:h.Size])
-	if err != nil {
-		return Msg{}, 0, err
+	l, ok := LayoutOf(h.TraceType)
+	if !ok {
+		return Header{}, 0, fmt.Errorf("%w: %d", ErrBadType, uint32(h.TraceType))
 	}
-	return Msg{Header: h, Body: body}, int(h.Size), nil
+	if size := int(h.Size) - HeaderSize; size != l.Size {
+		return Header{}, 0, fmt.Errorf("%w: %v body is %d bytes, want %d", ErrBadSize, h.TraceType, size, l.Size)
+	}
+	return h, int(h.Size), nil
 }
 
 // PeekSize validates the size field of the message at the front of b
@@ -219,27 +211,101 @@ func PeekSize(b []byte) (int, error) {
 	return size, nil
 }
 
-// DecodeStream parses as many complete messages as b contains and
-// returns them with the unconsumed tail. A partial trailing message is
-// left in the tail; corrupt data is reported as an error.
-func DecodeStream(b []byte) ([]Msg, []byte, error) {
-	var msgs []Msg
+// DecodeStream checks, with Decode, as many complete messages as b
+// contains and returns their headers, in order, with the unconsumed
+// tail: message i is the next Size bytes of b. A partial trailing
+// message is left in the tail; corrupt data is reported as an error.
+func DecodeStream(b []byte) ([]Header, []byte, error) {
+	var hs []Header
 	for {
-		m, n, err := Decode(b)
+		h, n, err := Decode(b)
 		if errors.Is(err, ErrShort) {
-			return msgs, b, nil
+			return hs, b, nil
 		}
 		if err != nil {
-			return msgs, b, err
+			return hs, b, err
 		}
-		msgs = append(msgs, m)
+		hs = append(hs, h)
 		b = b[n:]
 	}
 }
 
-// --- Bodies (Appendix A struct definitions) ---
+// Layout is one event type's body as Appendix A lays it out: the type's
+// number, the name description files and log lines give it, its fields
+// in order, and its size in bytes. The table of layouts is their one
+// spelling: Type.String, filter.StandardDescriptions, trace's stored
+// orders and Decode's size check all read it.
+type Layout struct {
+	Type   Type
+	Name   string
+	Fields []BodyField
+	Size   int
+}
 
-func get32(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off : off+4]) }
+// BodyField is one field of a body: its name, its byte offset in the
+// body, its width, and the base a description displays it in. A long
+// is 4 bytes in base 10, a socket name NameSize bytes in base 16.
+type BodyField struct {
+	Name   string
+	Offset int
+	Width  int
+	Base   int
+}
+
+// layouts is Appendix A's bodies by type number. Each field is written
+// as a long or a socket name; offsets and sizes follow from the widths.
+var layouts = func() [EvTermProc + 1]Layout {
+	long := func(name string) BodyField { return BodyField{Name: name, Width: 4, Base: 10} }
+	sockName := func(name string) BodyField { return BodyField{Name: name, Width: NameSize, Base: 16} }
+	pid, pc, sock := long("pid"), long("pc"), long("sock")
+	t := [...]Layout{
+		EvSend:       {Name: "SEND", Fields: []BodyField{pid, pc, sock, long("msgLength"), long("destNameLen"), sockName("destName")}},
+		EvRecvCall:   {Name: "RECEIVECALL", Fields: []BodyField{pid, pc, sock}},
+		EvRecv:       {Name: "RECEIVE", Fields: []BodyField{pid, pc, sock, long("msgLength"), long("sourceNameLen"), sockName("sourceName")}},
+		EvSocket:     {Name: "SOCKET", Fields: []BodyField{pid, pc, sock, long("domain"), long("type"), long("protocol")}},
+		EvDup:        {Name: "DUP", Fields: []BodyField{pid, pc, sock, long("newSock")}},
+		EvDestSocket: {Name: "DESTSOCKET", Fields: []BodyField{pid, pc, sock}},
+		EvConnect:    {Name: "CONNECT", Fields: []BodyField{pid, pc, sock, long("sockNameLen"), long("peerNameLen"), sockName("sockName"), sockName("peerName")}},
+		EvAccept:     {Name: "ACCEPT", Fields: []BodyField{pid, pc, sock, long("newSock"), long("sockNameLen"), long("peerNameLen"), sockName("sockName"), sockName("peerName")}},
+		EvFork:       {Name: "FORK", Fields: []BodyField{pid, pc, long("newPid")}},
+		EvTermProc:   {Name: "TERMPROC", Fields: []BodyField{pid, pc, long("status")}},
+	}
+	for typ := range t {
+		l := &t[typ]
+		l.Type = Type(typ)
+		for i := range l.Fields {
+			l.Fields[i].Offset, l.Size = l.Size, l.Size+l.Fields[i].Width
+		}
+	}
+	return t
+}()
+
+// Layouts returns the layout of every event type, in type order. The
+// caller must not modify them.
+func Layouts() []Layout { return layouts[EvSend:] }
+
+// LayoutOf returns the layout of event type t, or false for a type
+// Appendix A does not define. The caller must not modify it.
+func LayoutOf(t Type) (*Layout, bool) {
+	if t < EvSend || t > EvTermProc {
+		return nil, false
+	}
+	return &layouts[t], true
+}
+
+// IsName reports whether the field holds a socket name, not a long.
+func (f *BodyField) IsName() bool { return f.Width == NameSize }
+
+// Read reads the field from body, a body of its event type: a long, or
+// for a name field the socket name.
+func (f *BodyField) Read(body []byte) (uint32, Name) {
+	if f.IsName() {
+		return 0, Name(body[f.Offset : f.Offset+NameSize])
+	}
+	return binary.LittleEndian.Uint32(body[f.Offset:]), Name{}
+}
+
+// --- Bodies (Appendix A struct definitions) ---
 
 // Send records a send/sendto/sendmsg/write/writev event (struct
 // MeterSendMsg; its field layout is the one documented to the filter by
@@ -256,16 +322,6 @@ type Send struct {
 }
 
 func (*Send) EventType() Type { return EvSend }
-func (s *Send) Fields() []Field {
-	return []Field{
-		{Name: "pid", Value: s.PID},
-		{Name: "pc", Value: s.PC},
-		{Name: "sock", Value: s.Sock},
-		{Name: "msgLength", Value: s.MsgLength},
-		{Name: "destNameLen", Value: s.DestNameLen},
-		{Name: "destName", IsName: true, Addr: s.DestName},
-	}
-}
 
 // RecvCall records a process becoming ready to receive (struct
 // MeterRecvCMsg): the call to read/recv/recvfrom/recvmsg, before any
@@ -278,13 +334,6 @@ type RecvCall struct {
 }
 
 func (*RecvCall) EventType() Type { return EvRecvCall }
-func (r *RecvCall) Fields() []Field {
-	return []Field{
-		{Name: "pid", Value: r.PID},
-		{Name: "pc", Value: r.PC},
-		{Name: "sock", Value: r.Sock},
-	}
-}
 
 // Recv records the receipt of a message (struct MeterRecvMsg).
 type Recv struct {
@@ -297,16 +346,6 @@ type Recv struct {
 }
 
 func (*Recv) EventType() Type { return EvRecv }
-func (r *Recv) Fields() []Field {
-	return []Field{
-		{Name: "pid", Value: r.PID},
-		{Name: "pc", Value: r.PC},
-		{Name: "sock", Value: r.Sock},
-		{Name: "msgLength", Value: r.MsgLength},
-		{Name: "sourceNameLen", Value: r.SourceNameLen},
-		{Name: "sourceName", IsName: true, Addr: r.SourceName},
-	}
-}
 
 // SocketCrt records the creation of a socket (struct MeterSoctCrt).
 type SocketCrt struct {
@@ -319,16 +358,6 @@ type SocketCrt struct {
 }
 
 func (*SocketCrt) EventType() Type { return EvSocket }
-func (s *SocketCrt) Fields() []Field {
-	return []Field{
-		{Name: "pid", Value: s.PID},
-		{Name: "pc", Value: s.PC},
-		{Name: "sock", Value: s.Sock},
-		{Name: "domain", Value: s.Domain},
-		{Name: "type", Value: s.SockType},
-		{Name: "protocol", Value: s.Protocol},
-	}
-}
 
 // Dup records the duplication of a socket or file descriptor (struct
 // MeterDup).
@@ -340,14 +369,6 @@ type Dup struct {
 }
 
 func (*Dup) EventType() Type { return EvDup }
-func (d *Dup) Fields() []Field {
-	return []Field{
-		{Name: "pid", Value: d.PID},
-		{Name: "pc", Value: d.PC},
-		{Name: "sock", Value: d.Sock},
-		{Name: "newSock", Value: d.NewSock},
-	}
-}
 
 // DestSocket records the destruction (close) of a socket. Appendix A's
 // union omits this struct although the METERDESTSOCKET flag exists in
@@ -360,13 +381,6 @@ type DestSocket struct {
 }
 
 func (*DestSocket) EventType() Type { return EvDestSocket }
-func (d *DestSocket) Fields() []Field {
-	return []Field{
-		{Name: "pid", Value: d.PID},
-		{Name: "pc", Value: d.PC},
-		{Name: "sock", Value: d.Sock},
-	}
-}
 
 // Connect records the initiation of a connection (struct MeterConnect).
 // SockName is the name bound to the connecting socket (often empty for
@@ -382,17 +396,6 @@ type Connect struct {
 }
 
 func (*Connect) EventType() Type { return EvConnect }
-func (c *Connect) Fields() []Field {
-	return []Field{
-		{Name: "pid", Value: c.PID},
-		{Name: "pc", Value: c.PC},
-		{Name: "sock", Value: c.Sock},
-		{Name: "sockNameLen", Value: c.SockNameLen},
-		{Name: "peerNameLen", Value: c.PeerNameLen},
-		{Name: "sockName", IsName: true, Addr: c.SockName},
-		{Name: "peerName", IsName: true, Addr: c.PeerName},
-	}
-}
 
 // Accept records the acceptance of a connection (struct MeterAccept,
 // Figure 4.1): the accepting socket, the new connection socket created
@@ -409,18 +412,6 @@ type Accept struct {
 }
 
 func (*Accept) EventType() Type { return EvAccept }
-func (a *Accept) Fields() []Field {
-	return []Field{
-		{Name: "pid", Value: a.PID},
-		{Name: "pc", Value: a.PC},
-		{Name: "sock", Value: a.Sock},
-		{Name: "newSock", Value: a.NewSock},
-		{Name: "sockNameLen", Value: a.SockNameLen},
-		{Name: "peerNameLen", Value: a.PeerNameLen},
-		{Name: "sockName", IsName: true, Addr: a.SockName},
-		{Name: "peerName", IsName: true, Addr: a.PeerName},
-	}
-}
 
 // Fork records a fork (struct MeterFork): the parent's pid and the
 // child's pid. The child inherits the parent's meter flags and meter
@@ -432,13 +423,6 @@ type Fork struct {
 }
 
 func (*Fork) EventType() Type { return EvFork }
-func (f *Fork) Fields() []Field {
-	return []Field{
-		{Name: "pid", Value: f.PID},
-		{Name: "pc", Value: f.PC},
-		{Name: "newPid", Value: f.NewPID},
-	}
-}
 
 // TermProc records process termination. Like DestSocket it is implied
 // by the flag table (METERTERMPROC) but missing from Appendix A's
@@ -450,80 +434,3 @@ type TermProc struct {
 }
 
 func (*TermProc) EventType() Type { return EvTermProc }
-func (t *TermProc) Fields() []Field {
-	return []Field{
-		{Name: "pid", Value: t.PID},
-		{Name: "pc", Value: t.PC},
-		{Name: "status", Value: t.Status},
-	}
-}
-
-func decodeBody(t Type, b []byte) (Body, error) {
-	var body Body
-	size := 12 // pid, pc and one more word
-	switch t {
-	case EvSend:
-		body, size = &Send{}, 20+NameSize
-	case EvRecvCall:
-		body = &RecvCall{}
-	case EvRecv:
-		body, size = &Recv{}, 20+NameSize
-	case EvSocket:
-		body, size = &SocketCrt{}, 24
-	case EvDup:
-		body, size = &Dup{}, 16
-	case EvDestSocket:
-		body = &DestSocket{}
-	case EvConnect:
-		body, size = &Connect{}, 20+2*NameSize
-	case EvAccept:
-		body, size = &Accept{}, maxBodySize
-	case EvFork:
-		body = &Fork{}
-	case EvTermProc:
-		body = &TermProc{}
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadType, uint32(t))
-	}
-	if len(b) != size {
-		return nil, fmt.Errorf("%w: %v body is %d bytes, want %d", ErrBadSize, t, len(b), size)
-	}
-	decodeInto(body, b)
-	return body, nil
-}
-
-func decodeInto(body Body, b []byte) {
-	switch v := body.(type) {
-	case *Send:
-		v.PID, v.PC, v.Sock = get32(b, 0), get32(b, 4), get32(b, 8)
-		v.MsgLength, v.DestNameLen = get32(b, 12), get32(b, 16)
-		copy(v.DestName[:], b[20:])
-	case *RecvCall:
-		v.PID, v.PC, v.Sock = get32(b, 0), get32(b, 4), get32(b, 8)
-	case *Recv:
-		v.PID, v.PC, v.Sock = get32(b, 0), get32(b, 4), get32(b, 8)
-		v.MsgLength, v.SourceNameLen = get32(b, 12), get32(b, 16)
-		copy(v.SourceName[:], b[20:])
-	case *SocketCrt:
-		v.PID, v.PC, v.Sock = get32(b, 0), get32(b, 4), get32(b, 8)
-		v.Domain, v.SockType, v.Protocol = get32(b, 12), get32(b, 16), get32(b, 20)
-	case *Dup:
-		v.PID, v.PC, v.Sock, v.NewSock = get32(b, 0), get32(b, 4), get32(b, 8), get32(b, 12)
-	case *DestSocket:
-		v.PID, v.PC, v.Sock = get32(b, 0), get32(b, 4), get32(b, 8)
-	case *Connect:
-		v.PID, v.PC, v.Sock = get32(b, 0), get32(b, 4), get32(b, 8)
-		v.SockNameLen, v.PeerNameLen = get32(b, 12), get32(b, 16)
-		copy(v.SockName[:], b[20:36])
-		copy(v.PeerName[:], b[36:52])
-	case *Accept:
-		v.PID, v.PC, v.Sock, v.NewSock = get32(b, 0), get32(b, 4), get32(b, 8), get32(b, 12)
-		v.SockNameLen, v.PeerNameLen = get32(b, 16), get32(b, 20)
-		copy(v.SockName[:], b[24:40])
-		copy(v.PeerName[:], b[40:56])
-	case *Fork:
-		v.PID, v.PC, v.NewPID = get32(b, 0), get32(b, 4), get32(b, 8)
-	case *TermProc:
-		v.PID, v.PC, v.Status = get32(b, 0), get32(b, 4), get32(b, 8)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -31,11 +32,127 @@ func header() Header {
 	return Header{Machine: 5, CPUTime: 9500, ProcTime: 120}
 }
 
+// newBody returns a zero body of event type typ.
+func newBody(typ Type) Body {
+	for _, b := range allBodies() {
+		if b.EventType() == typ {
+			return reflect.New(reflect.TypeOf(b).Elem()).Interface().(Body)
+		}
+	}
+	return nil
+}
+
+// structFields returns body's struct fields in declaration order.
+func structFields(body Body) []reflect.Value {
+	v := reflect.ValueOf(body).Elem()
+	fields := make([]reflect.Value, v.NumField())
+	for i := range fields {
+		fields[i] = v.Field(i)
+	}
+	return fields
+}
+
+var nameType = reflect.TypeOf(Name{})
+
+// distinctBody returns a body of event type typ whose struct fields, in
+// declaration order, hold values no two of them share: field i is the
+// long seed+i, or a Name field the Internet name of host seed+i.
+func distinctBody(typ Type, seed uint32) Body {
+	body := newBody(typ)
+	for i, f := range structFields(body) {
+		v := seed + uint32(i)
+		if f.Type() == nameType {
+			f.Set(reflect.ValueOf(InetName(v, uint16(v))))
+		} else {
+			f.SetUint(uint64(v))
+		}
+	}
+	return body
+}
+
+// decodeMsg is the reference decoder the tests hold the encoder to:
+// Decode checks the message at the front of b, and field i of its
+// type's Layout, read at the table's offset, becomes struct field i of
+// a new body.
+func decodeMsg(b []byte) (Msg, int, error) {
+	h, n, err := Decode(b)
+	if err != nil {
+		return Msg{}, 0, err
+	}
+	lay, _ := LayoutOf(h.TraceType)
+	body := newBody(h.TraceType)
+	for i, f := range structFields(body) {
+		v, name := lay.Fields[i].Read(b[HeaderSize:n])
+		if f.Type() == nameType {
+			f.Set(reflect.ValueOf(name))
+		} else {
+			f.SetUint(uint64(v))
+		}
+	}
+	return Msg{Header: h, Body: body}, n, nil
+}
+
+// decodeAll decodes every message of a batch through decodeMsg.
+func decodeAll(t *testing.T, batch []byte) []Msg {
+	t.Helper()
+	var msgs []Msg
+	for len(batch) > 0 {
+		m, n, err := decodeMsg(batch)
+		if err != nil {
+			t.Fatalf("batch not decodable after %d messages: %v", len(msgs), err)
+		}
+		msgs, batch = append(msgs, m), batch[n:]
+	}
+	return msgs
+}
+
+// TestEncoderAgreesWithTable is the gate between the kernel's encoder
+// and the layout table: every body type, with a distinct value in each
+// field, encodes through AppendEncode to a body of the table's size
+// whose bytes at field i's offset hold struct field i, which bears
+// table field i's name, and its type takes the table's number and name.
+func TestEncoderAgreesWithTable(t *testing.T) {
+	largest := 0
+	for _, lay := range Layouts() {
+		body := distinctBody(lay.Type, 1000*uint32(lay.Type))
+		enc := (&Msg{Header: header(), Body: body}).AppendEncode(nil)
+		h := DecodeHeader(enc)
+		if h.TraceType != lay.Type || TypeOf(body) != lay.Type || lay.Type.String() != lay.Name {
+			t.Fatalf("%s: encoded as type %d (TypeOf %d, String %q), table says %d", lay.Name, h.TraceType, TypeOf(body), lay.Type.String(), lay.Type)
+		}
+		if got := len(enc) - HeaderSize; got != lay.Size {
+			t.Fatalf("%s: body is %d bytes, table says %d", lay.Name, got, lay.Size)
+		}
+		fields := structFields(body)
+		if len(fields) != len(lay.Fields) {
+			t.Fatalf("%s: struct has %d fields, table %d", lay.Name, len(fields), len(lay.Fields))
+		}
+		for i, f := range fields {
+			// SockType is the Go name of SOCKET's type field.
+			if sf := reflect.TypeOf(body).Elem().Field(i).Name; !strings.EqualFold(sf, lay.Fields[i].Name) && sf != "SockType" {
+				t.Errorf("%s field %d: struct field %s, table field %s", lay.Name, i, sf, lay.Fields[i].Name)
+			}
+			v, name := lay.Fields[i].Read(enc[HeaderSize:])
+			var got any = v
+			if lay.Fields[i].IsName() {
+				got = name
+			}
+			if want := f.Interface(); got != want {
+				t.Errorf("%s field %d (%s at offset %d): read %v, struct holds %v", lay.Name, i, lay.Fields[i].Name, lay.Fields[i].Offset, got, want)
+			}
+		}
+		largest = max(largest, lay.Size)
+	}
+	if largest != maxBodySize {
+		t.Errorf("largest body %d bytes, maxBodySize %d", largest, maxBodySize)
+	}
+}
+
 func TestRoundTripAllTypes(t *testing.T) {
 	for _, body := range allBodies() {
 		m := Msg{Header: header(), Body: body}
 		enc := m.Encode()
-		got, n, err := Decode(enc)
+		got, n, err := decodeMsg(enc)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", body.EventType(), err)
 		}
@@ -210,19 +327,19 @@ func TestDecodeStreamBatches(t *testing.T) {
 		m := Msg{Header: header(), Body: b}
 		batch = m.AppendEncode(batch)
 	}
-	msgs, rest, err := DecodeStream(batch)
+	hs, rest, err := DecodeStream(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rest) != 0 {
 		t.Fatalf("undcoded tail of %d bytes", len(rest))
 	}
-	if len(msgs) != len(bodies) {
-		t.Fatalf("decoded %d messages, want %d", len(msgs), len(bodies))
+	if len(hs) != len(bodies) {
+		t.Fatalf("decoded %d messages, want %d", len(hs), len(bodies))
 	}
-	for i := range msgs {
-		if msgs[i].Body.EventType() != bodies[i].EventType() {
-			t.Fatalf("message %d type = %v, want %v", i, msgs[i].Body.EventType(), bodies[i].EventType())
+	for i := range hs {
+		if hs[i].TraceType != bodies[i].EventType() {
+			t.Fatalf("message %d type = %v, want %v", i, hs[i].TraceType, bodies[i].EventType())
 		}
 	}
 }
@@ -231,23 +348,34 @@ func TestDecodeStreamPartialTail(t *testing.T) {
 	m := Msg{Header: header(), Body: &Send{PID: 1}}
 	enc := m.Encode()
 	double := append(append([]byte{}, enc...), enc[:10]...)
-	msgs, rest, err := DecodeStream(double)
+	hs, rest, err := DecodeStream(double)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msgs) != 1 || len(rest) != 10 {
-		t.Fatalf("msgs=%d rest=%d, want 1 and 10", len(msgs), len(rest))
+	if len(hs) != 1 || len(rest) != 10 {
+		t.Fatalf("msgs=%d rest=%d, want 1 and 10", len(hs), len(rest))
 	}
 }
 
+// TestFieldsEnumeration: the table lays out every event type, each body
+// starting with pid, pc; a field's width is its struct field's (a long
+// or a Name) and its base is 10 for a long, 16 for a name.
 func TestFieldsEnumeration(t *testing.T) {
-	for _, b := range allBodies() {
-		fields := b.Fields()
-		if len(fields) == 0 {
-			t.Fatalf("%v: no fields", b.EventType())
+	if n := len(Layouts()); n != int(EvTermProc) {
+		t.Fatalf("table holds %d layouts, want %d", n, EvTermProc)
+	}
+	for _, lay := range Layouts() {
+		if len(lay.Fields) < 3 || lay.Fields[0].Name != "pid" || lay.Fields[1].Name != "pc" {
+			t.Fatalf("%s: every body starts with pid, pc; got %+v", lay.Name, lay.Fields)
 		}
-		if fields[0].Name != "pid" || fields[1].Name != "pc" {
-			t.Fatalf("%v: every body starts with pid, pc; got %v, %v", b.EventType(), fields[0].Name, fields[1].Name)
+		for i, f := range structFields(newBody(lay.Type)) {
+			lf, base := lay.Fields[i], 10
+			if f.Type() == nameType {
+				base = 16
+			}
+			if lf.Width != int(f.Type().Size()) || lf.Base != base {
+				t.Errorf("%s field %s: width %d base %d for a %v", lay.Name, lf.Name, lf.Width, lf.Base, f.Type())
+			}
 		}
 	}
 }
@@ -257,7 +385,7 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(pid, pc, sock, length uint32, host uint32, port uint16) bool {
 		s := &Send{PID: pid, PC: pc, Sock: sock, MsgLength: length, DestNameLen: 16, DestName: InetName(host, port)}
 		m := Msg{Header: Header{Machine: 3, CPUTime: pc % 100000, ProcTime: pid % 1000}, Body: s}
-		got, _, err := Decode(m.Encode())
+		got, _, err := decodeMsg(m.Encode())
 		return err == nil && reflect.DeepEqual(got.Body, s) && got.Header == m.Header
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -277,12 +405,12 @@ func TestDecodeStreamRandomBatchesProperty(t *testing.T) {
 			batch = m.AppendEncode(batch)
 			want = append(want, b.EventType())
 		}
-		msgs, rest, err := DecodeStream(batch)
-		if err != nil || len(rest) != 0 || len(msgs) != len(want) {
+		hs, rest, err := DecodeStream(batch)
+		if err != nil || len(rest) != 0 || len(hs) != len(want) {
 			return false
 		}
-		for i := range msgs {
-			if msgs[i].Body.EventType() != want[i] {
+		for i := range hs {
+			if hs[i].TraceType != want[i] {
 				return false
 			}
 		}

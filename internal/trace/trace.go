@@ -55,19 +55,6 @@ func (e *Event) MsgLength() int { return int(e.Fields["msgLength"]) }
 // Name returns a socket-name field.
 func (e *Event) Name(field string) meter.Name { return e.Names[field] }
 
-var typeByName = map[string]meter.Type{
-	"SEND":        meter.EvSend,
-	"RECEIVECALL": meter.EvRecvCall,
-	"RECEIVE":     meter.EvRecv,
-	"SOCKET":      meter.EvSocket,
-	"DUP":         meter.EvDup,
-	"DESTSOCKET":  meter.EvDestSocket,
-	"CONNECT":     meter.EvConnect,
-	"ACCEPT":      meter.EvAccept,
-	"FORK":        meter.EvFork,
-	"TERMPROC":    meter.EvTermProc,
-}
-
 // ParseLog parses a standard-filter text log. A log whose final
 // record fails to parse yields the valid prefix and ErrTruncated; a
 // bad record anywhere else is an error.
@@ -116,11 +103,11 @@ func parseLine(line string) (Event, error) {
 		Fields: make(map[string]uint64),
 		Names:  make(map[string]meter.Name),
 	}
-	typ, ok := typeByName[toks[0]]
-	if !ok {
+	typ := slices.IndexFunc(viewTypes[:], func(t viewType) bool { return t.name == toks[0] })
+	if typ < 0 {
 		return ev, fmt.Errorf("unknown event %q", toks[0])
 	}
-	ev.Type = typ
+	ev.Type = meter.Type(typ)
 	for _, tok := range toks[1:] {
 		eq := strings.IndexByte(tok, '=')
 		if eq <= 0 {
@@ -174,32 +161,38 @@ func looksLikeName(val string) bool {
 		strings.HasPrefix(val, "unix:") || strings.HasPrefix(val, "pair:")
 }
 
-// ParseBinary parses a raw meter byte stream. A stream that ends in
-// the middle of a record (or whose tail fails to decode) yields the
+// ParseBinary parses a raw meter byte stream, reading each body's
+// fields at the offsets of its type's meter.Layout. A stream that ends
+// in the middle of a record (or whose tail fails to decode) yields the
 // valid prefix and ErrTruncated.
 func ParseBinary(data []byte) ([]Event, error) {
-	msgs, rest, err := meter.DecodeStream(data)
-	events := make([]Event, 0, len(msgs))
-	for i, m := range msgs {
+	hs, rest, err := meter.DecodeStream(data)
+	events := make([]Event, 0, len(hs))
+	for i, h := range hs {
+		lay, _ := meter.LayoutOf(h.TraceType) // DecodeStream checked the type
+		body := data[meter.HeaderSize:h.Size]
+		data = data[h.Size:]
 		ev := Event{
 			Seq:      i,
-			Type:     m.Header.TraceType,
-			Event:    m.Header.TraceType.String(),
-			Machine:  int(m.Header.Machine),
-			CPUTime:  int64(m.Header.CPUTime),
-			ProcTime: int64(m.Header.ProcTime),
+			Type:     h.TraceType,
+			Event:    lay.Name,
+			Machine:  int(h.Machine),
+			CPUTime:  int64(h.CPUTime),
+			ProcTime: int64(h.ProcTime),
 			Fields:   make(map[string]uint64),
 			Names:    make(map[string]meter.Name),
 		}
-		for _, f := range m.Body.Fields() {
-			if f.IsName {
-				ev.Names[f.Name] = f.Addr
-				if f.Addr.Family() == meter.AFInet {
-					host, _ := f.Addr.Inet()
-					ev.Fields[f.Name] = uint64(host)
-				}
-			} else {
-				ev.Fields[f.Name] = uint64(f.Value)
+		for j := range lay.Fields {
+			f := &lay.Fields[j]
+			v, n := f.Read(body)
+			if !f.IsName() {
+				ev.Fields[f.Name] = uint64(v)
+				continue
+			}
+			ev.Names[f.Name] = n
+			if n.Family() == meter.AFInet {
+				host, _ := n.Inet()
+				ev.Fields[f.Name] = uint64(host)
 			}
 		}
 		events = append(events, ev)
@@ -245,7 +238,10 @@ func (e *Event) AppendFormat(dst []byte) []byte {
 			fields++
 		}
 	}
-	order := canonicalOrder[e.Type]
+	var order []string
+	if int(e.Type) < len(viewTypes) {
+		order = viewTypes[e.Type].order
+	}
 	for _, key := range order {
 		emit(key)
 	}
@@ -289,17 +285,4 @@ func Merge(traces ...[]Event) []Event {
 		out[i].Seq = i
 	}
 	return out
-}
-
-var canonicalOrder = map[meter.Type][]string{
-	meter.EvSend:       {"pid", "pc", "sock", "msgLength", "destNameLen", "destName"},
-	meter.EvRecvCall:   {"pid", "pc", "sock"},
-	meter.EvRecv:       {"pid", "pc", "sock", "msgLength", "sourceNameLen", "sourceName"},
-	meter.EvSocket:     {"pid", "pc", "sock", "domain", "type", "protocol"},
-	meter.EvDup:        {"pid", "pc", "sock", "newSock"},
-	meter.EvDestSocket: {"pid", "pc", "sock"},
-	meter.EvConnect:    {"pid", "pc", "sock", "sockNameLen", "peerNameLen", "sockName", "peerName"},
-	meter.EvAccept:     {"pid", "pc", "sock", "newSock", "sockNameLen", "peerNameLen", "sockName", "peerName"},
-	meter.EvFork:       {"pid", "pc", "newPid"},
-	meter.EvTermProc:   {"pid", "pc", "status"},
 }

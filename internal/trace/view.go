@@ -22,15 +22,21 @@ type View struct {
 	slot *Slots
 }
 
-// viewTypes is typeByName and canonicalOrder laid out by type number, so
-// that a record costs no hashing: an event type's name and its body keys
-// in stored order, the places of Slots.
-var viewTypes = func() (t [meter.EvTermProc + 1]struct {
+// viewType is an event type's name and its body keys in stored order,
+// the places of Slots: its meter.Layout's name and field names.
+type viewType struct {
 	name  string
 	order []string
-}) {
-	for name, typ := range typeByName {
-		t[typ].name, t[typ].order = name, canonicalOrder[typ]
+}
+
+// viewTypes holds each event type's viewType by type number, so that a
+// record costs no hashing.
+var viewTypes = func() (t [meter.EvTermProc + 1]viewType) {
+	for _, l := range meter.Layouts() {
+		t[l.Type].name = l.Name
+		for _, f := range l.Fields {
+			t[l.Type].order = append(t[l.Type].order, f.Name)
+		}
 	}
 	return t
 }()

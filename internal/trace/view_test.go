@@ -202,16 +202,20 @@ func FuzzViewParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) { checkViewAgrees(t, line) })
 }
 
-// TestViewTypeTable: the scan's table is the parser's two maps, and no
-// body field of a type is a header key.
+// TestViewTypeTable: the scan's table is meter's layout table, names
+// and field orders, and no body field of a type is a header key.
 func TestViewTypeTable(t *testing.T) {
-	for name, typ := range typeByName {
-		if e := viewTypes[typ]; e.name != name || !slices.Equal(e.order, canonicalOrder[typ]) {
-			t.Errorf("type %v: table has %q with %v, maps have %q with %v", typ, e.name, e.order, name, canonicalOrder[typ])
+	for _, lay := range meter.Layouts() {
+		var order []string
+		for _, f := range lay.Fields {
+			order = append(order, f.Name)
 		}
-		for _, key := range canonicalOrder[typ] {
+		if e := viewTypes[lay.Type]; e.name != lay.Name || !slices.Equal(e.order, order) {
+			t.Errorf("type %v: table has %q with %v, meter has %q with %v", lay.Type, e.name, e.order, lay.Name, order)
+		}
+		for _, key := range order {
 			if key == "machine" || key == "cpuTime" || key == "procTime" {
-				t.Errorf("type %v: body field %q is a header key", typ, key)
+				t.Errorf("type %v: body field %q is a header key", lay.Type, key)
 			}
 		}
 	}
@@ -227,7 +231,11 @@ func formatFprintf(e *Event) string {
 	b.WriteString(e.Event)
 	fmt.Fprintf(&b, " machine=%d cpuTime=%d procTime=%d", e.Machine, e.CPUTime, e.ProcTime)
 	emitted := make(map[string]bool)
-	for _, key := range canonicalOrder[e.Type] {
+	var order []string
+	if int(e.Type) < len(viewTypes) {
+		order = viewTypes[e.Type].order
+	}
+	for _, key := range order {
 		if n, ok := e.Names[key]; ok {
 			fmt.Fprintf(&b, " %s=%s", key, n.String())
 			emitted[key] = true
