@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -74,8 +75,11 @@ func main() {
 	} else {
 		events, err = trace.ParseLog(data)
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, trace.ErrTruncated) {
 		log.Fatal(err)
+	} else if err != nil {
+		log.Print(err) // the records before the tear are still printed
+		defer os.Exit(1)
 	}
 
 	var findings []string

@@ -92,6 +92,15 @@ func TestEvalCountByMachine(t *testing.T) {
 			t.Errorf("machine %d count = %d, want 25", g.Key.Vals[0], g.Count)
 		}
 	}
+	// Given back, its groups are poisoned: what still reads them reads
+	// no count.
+	groups := p.Groups
+	p.Release()
+	for _, g := range groups {
+		if g.Count != -1 {
+			t.Fatalf("a released partial's group reads count %d, want the poison -1", g.Count)
+		}
+	}
 }
 
 func TestEvalSelectionRulesApply(t *testing.T) {
@@ -303,18 +312,25 @@ func TestEvalObsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Eval(rd, aq, Options{Obs: reg}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		p, _, err := Eval(rd, aq, Options{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
 	}
 	snap := reg.Snapshot()
-	var runs int64
+	var runs, takes int64
 	for _, c := range snap.Counters {
-		if c.Name == "agg.runs" {
+		switch c.Name {
+		case "agg.runs":
 			runs = c.Value
+		case "mem.partials.hits", "mem.partials.misses":
+			takes += c.Value
 		}
 	}
-	if runs != 1 {
-		t.Fatalf("agg.runs = %d, want 1", runs)
+	if runs != 2 || takes != 2 {
+		t.Fatalf("agg.runs = %d and mem.partials takes %d, want 2 of each", runs, takes)
 	}
 }
 

@@ -109,8 +109,9 @@ type Partial struct {
 	// decode demands it and Merge reads and writes it.
 	Groups []Group
 
-	nvals int      // key values per group: the spec's group-by fields
-	table *segment // the table Eval folded Groups in, pooled with p
+	nvals int            // key values per group: the spec's group-by fields
+	table *segment       // the table Eval folded Groups in, pooled with p
+	mem   *obs.FreeStats // the traffic of Eval's registry with partialFree
 	// What a merge or rendering reuses: the other table of the merge,
 	// and the rows' values and order.
 	spare []Group
@@ -134,7 +135,7 @@ func (p *Partial) Reset(s *Spec) *Partial {
 // hold its groups, after.
 func (p *Partial) Release() {
 	if p.table != nil {
-		partialPool.Put(p)
+		partialFree.Put(p, p.mem)
 	}
 }
 

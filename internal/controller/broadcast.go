@@ -11,9 +11,12 @@ package controller
 
 import (
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dpm/internal/daemon"
+	"dpm/internal/obs"
 )
 
 // errClosed fails an exchange attempted after the controller's exit.
@@ -82,59 +85,109 @@ type target struct {
 // output stays deterministic. Each slot is bounded by the exchange
 // retry policy, so the gather always completes; a broadcast with any
 // failed slot counts under broadcast.degraded.
-func (c *Controller) broadcast(hosts []string, req daemon.Message) []hostResult {
-	ts := make([]target, len(hosts))
-	for i, h := range hosts {
-		ts[i] = target{Label: h, Host: h, Req: req}
+func (s *scratch) broadcast(hosts []string, req daemon.Message) []hostResult {
+	for _, h := range hosts {
+		s.targets = append(s.targets, target{Label: h, Host: h, Req: req})
 	}
-	return c.broadcastTargets(ts)
+	return s.scatter()
 }
 
-// broadcastTargets is the general scatter-gather: each target's request
-// to its host, slots in target order, labels naming the slots. The
+// scatter is the general scatter-gather: each of s.targets' requests to
+// its host, slots in target order, labels naming the slots. The
 // degraded discipline is broadcast's: every slot resolves within the
-// retry policy's deadline, error slots included.
-func (c *Controller) broadcastTargets(targets []target) []hostResult {
-	g := &gather{c: c, targets: targets, out: make([]hostResult, len(targets))}
-	for i := 1; i < len(targets); i++ {
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.exchange(i)
-		}()
+// retry policy's deadline, error slots included. The slots are s's:
+// they, and the replies in them, last until s.release.
+func (s *scratch) scatter() []hostResult {
+	s.out = slices.Grow(s.out[:0], len(s.targets))[:len(s.targets)]
+	if s.run == nil {
+		s.run = func() {
+			defer s.wg.Done()
+			s.exchange(int(s.next.Add(1)))
+		}
 	}
-	if len(targets) > 0 {
-		g.exchange(0) // the first on this goroutine, while the rest run
+	s.next.Store(0)
+	for i := 1; i < len(s.targets); i++ {
+		s.wg.Add(1)
+		go s.run() // each takes the next target
 	}
-	g.wg.Wait()
-	for _, r := range g.out {
+	if len(s.targets) > 0 {
+		s.exchange(0) // the first on this goroutine, while the rest run
+	}
+	s.wg.Wait()
+	for _, r := range s.out {
 		if r.Err != nil {
-			c.machine.Obs().Counter("broadcast.degraded").Inc()
+			s.c.machine.Obs().Counter("broadcast.degraded").Inc()
 			break
 		}
 	}
-	return g.out
-}
-
-// gather is one broadcast's state, which each of its goroutines shares
-// through one pointer.
-type gather struct {
-	c       *Controller
-	targets []target
-	out     []hostResult
-	wg      sync.WaitGroup
+	return s.out
 }
 
 // exchange fills slot i with target i's reply or error.
-func (g *gather) exchange(i int) {
-	t := &g.targets[i]
-	rep, err := g.c.exchange(t.Host, t.Req)
-	g.out[i] = hostResult{Host: t.Label, Rep: rep, Err: err}
+func (s *scratch) exchange(i int) {
+	t := &s.targets[i]
+	rep, err := s.c.exchange(t.Host, t.Req)
+	s.out[i] = hostResult{Host: t.Label, Rep: rep, Err: err}
 }
 
-// release gives back every slot's reply (daemon.Reply.Release).
-func release(res []hostResult) {
-	for _, r := range res {
+// scratch is one command's working storage: the words of its line, the
+// processes it acts on and their states, its requests, and the targets
+// and result slots of its broadcast, with the goroutine body that
+// exchanges them. Commands run concurrently, so each takes its own from
+// scratchFree and gives it back, arrays and all, with release.
+type scratch struct {
+	c       *Controller
+	words   []string
+	procs   []*JobProc
+	from    []State
+	reqs    []daemon.ProcReq
+	create  daemon.CreateReq
+	text    []byte // the create's path and token
+	targets []target
+	out     []hostResult
+	wg      sync.WaitGroup
+	next    atomic.Int64 // the last target a goroutine took
+	run     func()
+}
+
+// scratchFree holds scratches between commands, weighed by their
+// arrays' slots. In a test binary a scratch given back has its slots
+// overwritten, so that a command still reading them reads no reply.
+var scratchFree = &obs.FreeList[*scratch]{Name: "scratch", Count: 16, Bytes: 1 << 20,
+	Size: func(s *scratch) int {
+		return 64 * (cap(s.words) + cap(s.procs) + cap(s.reqs) + cap(s.targets) + cap(s.out))
+	},
+	New: func(int) *scratch { return new(scratch) },
+	Poison: func(s *scratch) {
+		for out, i := s.out[:cap(s.out)], 0; i < len(out); i++ {
+			out[i] = hostResult{Err: errReleased}
+		}
+		obs.PoisonBytes(s.text)
+	}}
+
+var errReleased = errors.New("controller: scratch used after release")
+
+// scratch takes a command's working storage.
+func (c *Controller) scratch() *scratch {
+	s := scratchFree.Take(0, c.scratches)
+	s.c = c
+	return s
+}
+
+// release gives back every slot's reply (daemon.Reply.Release), then s,
+// holding nothing the command pointed at.
+func (s *scratch) release() {
+	for _, r := range s.out {
 		r.Rep.Release()
 	}
+	c := s.c
+	*s = scratch{words: empty(s.words), procs: empty(s.procs), from: s.from[:0], reqs: empty(s.reqs),
+		text: s.text[:0], targets: empty(s.targets), out: empty(s.out), run: s.run}
+	scratchFree.Put(s, c.scratches)
+}
+
+// empty clears v and returns it with length 0.
+func empty[T any](v []T) []T {
+	clear(v)
+	return v[:0]
 }

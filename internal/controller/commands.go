@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"dpm/internal/agg"
 	"dpm/internal/daemon"
@@ -101,7 +103,7 @@ func (c *Controller) cmdFilter(args []string) {
 		ControlPort: c.notifyPort,
 		ControlHost: c.machine.Name(),
 		UID:         c.uid,
-		Token:       c.newToken(),
+		Token:       string(c.appendToken(nil)),
 	}
 	rep, err := c.exchange(machineName, req)
 	if err != nil {
@@ -145,6 +147,7 @@ func (c *Controller) ensureFile(machineName, path string) error {
 	if !c.machine.FS().Exists(path) {
 		return fmt.Errorf("%s not found on %s or locally", path, machineName)
 	}
+	path = strings.Clone(path) // the target keeps it; the caller's may be scratch
 	return c.cluster.Rcp(c.machine.Name(), path, machineName, path, c.uid)
 }
 
@@ -176,13 +179,21 @@ func (c *Controller) cmdNewJob(args []string) {
 	c.jobsView.Store(nil)
 }
 
-func (c *Controller) cmdAddProcess(args []string) {
+func (c *Controller) cmdAddProcess(s *scratch, args []string) {
 	if len(args) < 3 {
 		c.printf("usage: addprocess jobname machine processfile [parms...]\n")
 		return
 	}
-	jobName, machineName, procFile := args[0], args[1], resolvePath(args[2])
-	params := args[3:]
+	jobName, machineName := args[0], args[1]
+	// The path and the token are read from s.text until the exchange
+	// has written them: the daemon and an rcp copy what they keep.
+	if s.text = append(s.text[:0], "/bin/"...); strings.HasPrefix(args[2], "/") {
+		s.text = s.text[:0]
+	}
+	s.text = append(s.text, args[2]...)
+	n := len(s.text)
+	s.text = c.appendToken(s.text)
+	procFile, token := unsafe.String(&s.text[0], n), unsafe.String(&s.text[n], len(s.text)-n)
 	c.mu.Lock()
 	job, ok := c.jobs[jobName]
 	flags := uint32(0)
@@ -200,18 +211,18 @@ func (c *Controller) cmdAddProcess(args []string) {
 		c.printf("process '%s' not created: %v\n", args[2], err)
 		return
 	}
-	req := &daemon.CreateReq{
+	s.create = daemon.CreateReq{
 		Filename:    procFile,
-		Params:      params,
+		Params:      args[3:],
 		FilterPort:  fi.Port,
 		FilterHost:  fi.Machine,
 		MeterFlags:  flags,
 		ControlPort: c.notifyPort,
 		ControlHost: c.machine.Name(),
 		UID:         c.uid,
-		Token:       c.newToken(),
+		Token:       token,
 	}
-	rep, err := c.exchange(machineName, req)
+	rep, err := c.exchange(machineName, &s.create)
 	if err != nil {
 		c.printf("process '%s' not created: %v\n", args[2], err)
 		return
@@ -282,7 +293,7 @@ func (c *Controller) cmdAcquire(args []string) {
 	c.printf("process %d ... acquired\n", pid)
 }
 
-func (c *Controller) cmdSetFlags(args []string) {
+func (c *Controller) cmdSetFlags(s *scratch, args []string) {
 	if len(args) < 2 {
 		c.printf("usage: setflags jobname flag1 [flag2...]\n")
 		return
@@ -316,20 +327,18 @@ func (c *Controller) cmdSetFlags(args []string) {
 	c.mu.Lock()
 	job.Flags = flags
 	c.jobsView.Store(nil)
-	procs := append([]*JobProc(nil), job.Procs...)
+	s.procs = append(s.procs, job.Procs...)
 	c.mu.Unlock()
 	c.printf("new job flags = %s\n", strings.Join(flags.FlagNames(), " "))
 	// Scatter the per-process flag updates, gather the per-process
 	// report in table order.
-	targets, reqs := make([]target, len(procs)), make([]daemon.ProcReq, len(procs))
-	for i, p := range procs {
-		reqs[i] = daemon.ProcReq{Type: daemon.TSetFlagsReq, PID: p.PID, UID: c.uid, Flags: uint32(flags)}
-		targets[i] = target{Label: p.Name, Host: p.Machine, Req: &reqs[i]}
+	s.reqs = slices.Grow(s.reqs, len(s.procs)) // the targets point into it
+	for i, p := range s.procs {
+		s.reqs = append(s.reqs, daemon.ProcReq{Type: daemon.TSetFlagsReq, PID: p.PID, UID: c.uid, Flags: uint32(flags)})
+		s.targets = append(s.targets, target{Label: p.Name, Host: p.Machine, Req: &s.reqs[i]})
 	}
-	res := c.broadcastTargets(targets)
-	defer release(res)
-	for i, r := range res {
-		switch p := procs[i]; {
+	for i, r := range s.scatter() {
+		switch p := s.procs[i]; {
 		case r.Err != nil:
 			c.printf("Process '%s' : %v\n", p.Name, r.Err)
 		case !r.Rep.OK():
@@ -344,22 +353,21 @@ func (c *Controller) cmdSetFlags(args []string) {
 	}
 }
 
-// signalJob implements startjob and stopjob: every process in an
+// signalJob implements startjob and stopjob (cmd): every process in an
 // eligible state is signaled, and the user is informed of each
 // process's status.
-func (c *Controller) signalJob(jobName string, to State, reqType daemon.MsgType, verb string) {
+func (c *Controller) signalJob(s *scratch, cmd string, args []string, to State, reqType daemon.MsgType, verb string) {
+	if len(args) != 1 {
+		c.printf("usage: %s jobname\n", cmd)
+		return
+	}
+	jobName := args[0]
 	c.mu.Lock()
 	job, ok := c.jobs[jobName]
-	var procs []*JobProc
-	var from []State
-	eligible := 0
 	if ok {
-		procs = append(procs, job.Procs...)
-		from = make([]State, len(procs))
-		for i, p := range procs {
-			if from[i] = p.State; CanTransition(from[i], to) {
-				eligible++
-			}
+		s.procs = append(s.procs, job.Procs...)
+		for _, p := range s.procs {
+			s.from = append(s.from, p.State)
 		}
 	}
 	c.mu.Unlock()
@@ -371,15 +379,15 @@ func (c *Controller) signalJob(jobName string, to State, reqType daemon.MsgType,
 	// dead machine's retries no longer serialize the rest of the job.
 	// Gather: the per-process report still prints in table order (the
 	// Appendix B transcript shape), whatever order the replies land.
-	targets, reqs := make([]target, 0, eligible), make([]daemon.ProcReq, 0, eligible)
+	procs, from := s.procs, s.from
+	s.reqs = slices.Grow(s.reqs, len(procs)) // the targets point into it
 	for i, p := range procs {
 		if CanTransition(from[i], to) {
-			reqs = append(reqs, daemon.ProcReq{Type: reqType, PID: p.PID, UID: c.uid})
-			targets = append(targets, target{Label: p.Name, Host: p.Machine, Req: &reqs[len(reqs)-1]})
+			s.reqs = append(s.reqs, daemon.ProcReq{Type: reqType, PID: p.PID, UID: c.uid})
+			s.targets = append(s.targets, target{Label: p.Name, Host: p.Machine, Req: &s.reqs[len(s.reqs)-1]})
 		}
 	}
-	res := c.broadcastTargets(targets)
-	defer release(res)
+	res := s.scatter()
 	for i, p := range procs {
 		if !CanTransition(from[i], to) {
 			// "Processes that are running, killed, or acquired cannot
@@ -406,22 +414,6 @@ func (c *Controller) signalJob(jobName string, to State, reqType daemon.MsgType,
 			c.printf("'%s' %s.\n", p.Name, verb)
 		}
 	}
-}
-
-func (c *Controller) cmdStartJob(args []string) {
-	if len(args) != 1 {
-		c.printf("usage: startjob jobname\n")
-		return
-	}
-	c.signalJob(args[0], StateRunning, daemon.TStartReq, "started")
-}
-
-func (c *Controller) cmdStopJob(args []string) {
-	if len(args) != 1 {
-		c.printf("usage: stopjob jobname\n")
-		return
-	}
-	c.signalJob(args[0], StateStopped, daemon.TStopReq, "stopped")
 }
 
 // removeProc performs the per-process half of removejob: stopped
@@ -455,7 +447,7 @@ func (c *Controller) removeProc(p *JobProc) bool {
 	}
 }
 
-func (c *Controller) cmdRemoveJob(args []string) {
+func (c *Controller) cmdRemoveJob(s *scratch, args []string) {
 	if len(args) != 1 {
 		c.printf("usage: removejob jobname\n")
 		return
@@ -463,10 +455,10 @@ func (c *Controller) cmdRemoveJob(args []string) {
 	jobName := args[0]
 	c.mu.Lock()
 	job, ok := c.jobs[jobName]
-	var procs []*JobProc
 	if ok {
-		procs = append(procs, job.Procs...)
+		s.procs = append(s.procs, job.Procs...)
 	}
+	procs := s.procs
 	c.mu.Unlock()
 	if !ok {
 		c.printf("no job '%s'\n", jobName)
@@ -619,27 +611,24 @@ func (c *Controller) cmdJobs(args []string) {
 // the normal exchange path, so a machine that fails its probe is
 // marked unreachable (and its processes lost), and a machine that
 // answers is marked reachable again.
-func (c *Controller) cmdStatus() {
+func (c *Controller) cmdStatus(s *scratch) {
+	machines := c.cluster.Machines()
 	var remote []string
-	for _, m := range c.cluster.Machines() {
+	for _, m := range machines {
 		if m.Name() != c.machine.Name() {
 			remote = append(remote, m.Name())
 		}
 	}
-	res := c.broadcast(remote, &daemon.ProcReq{Type: daemon.TListReq, UID: c.uid})
-	release(res) // only the errors are read
-	byHost := make(map[string]hostResult, len(res))
-	for _, r := range res {
-		byHost[r.Host] = r
-	}
-	for _, m := range c.cluster.Machines() {
-		name := m.Name()
-		switch {
+	res := s.broadcast(remote, &daemon.ProcReq{Type: daemon.TListReq, UID: c.uid})
+	for _, m := range machines { // res in the same order
+		switch name := m.Name(); {
 		case name == c.machine.Name():
 			c.printf("machine %s: reachable (controller)\n", name)
-		case byHost[name].Err != nil:
+		case res[0].Err != nil:
+			res = res[1:]
 			c.printf("machine %s: unreachable\n", name)
 		default:
+			res = res[1:]
 			c.printf("machine %s: reachable\n", name)
 		}
 	}
@@ -655,7 +644,7 @@ func (c *Controller) cmdStatus() {
 // report — it is listed as missing — rather than hanging the command. A
 // law of obs's conservation table the merged counters break ends the
 // report with a warning row.
-func (c *Controller) cmdStats(args []string) {
+func (c *Controller) cmdStats(s *scratch, args []string) {
 	if len(args) > 1 {
 		c.printf("usage: stats [machine|jobname]\n")
 		return
@@ -668,12 +657,11 @@ func (c *Controller) cmdStats(args []string) {
 	// One broadcast instead of a machine-by-machine poll: the fan-out
 	// takes roughly one round trip, and the merge below walks the
 	// gathered slots in target order so the report is deterministic.
-	res := c.broadcast(targets, &daemon.StatsReq{UID: c.uid})
+	res := s.broadcast(targets, &daemon.StatsReq{UID: c.uid})
 	var buf bytes.Buffer
 	last := int(c.statsLen.Load())
 	buf.Grow(last + last/16)
-	statsReport(&buf, targets, res)
-	release(res) // the report was rendered from the replies in place
+	statsReport(&buf, targets, res) // from the replies in place
 	c.statsLen.Store(int64(buf.Len()))
 	c.write(buf.Bytes())
 }
@@ -926,14 +914,14 @@ var testHookGetLogChunk = func(offset int) {}
 // filter's daemon folds its matching records into a partial aggregate
 // and only the partial crosses the network — cmdQueryAgg. There the
 // filtername may be 'all', fanning the query out over every filter.
-func (c *Controller) cmdQuery(args []string) {
+func (c *Controller) cmdQuery(s *scratch, args []string) {
 	if len(args) < 2 {
 		c.printf("usage: query filtername|all destfile [rule...] [agg ...|top k ...]\n")
 		return
 	}
 	for i := 2; i < len(args); i++ {
 		if args[i] == "agg" || args[i] == "top" {
-			c.cmdQueryAgg(args, i)
+			c.cmdQueryAgg(s, args, i)
 			return
 		}
 	}
@@ -980,7 +968,7 @@ func (c *Controller) cmdQuery(args []string) {
 // deadline and the merged answer is degraded, never hung, the cmdStats
 // discipline. The rendered table lands in destfile; the reporting
 // summary prints to the terminal.
-func (c *Controller) cmdQueryAgg(args []string, specAt int) {
+func (c *Controller) cmdQueryAgg(s *scratch, args []string, specAt int) {
 	name, dest := args[0], args[1]
 	rules := strings.Join(args[2:specAt], "\n")
 	spec, err := agg.ParseSpec(strings.Join(args[specAt:], " "))
@@ -988,26 +976,23 @@ func (c *Controller) cmdQueryAgg(args []string, specAt int) {
 		c.printf("query: %v\n", err)
 		return
 	}
-	var targets []target
 	c.mu.Lock()
 	for _, n := range c.filterOrder {
 		if f := c.filters[n]; name == "all" || n == name {
-			targets = append(targets, target{Label: f.Name + "@" + f.Machine, Host: f.Machine,
+			s.targets = append(s.targets, target{Label: f.Name + "@" + f.Machine, Host: f.Machine,
 				Req: &daemon.AggReq{Dir: filter.StorePath(f.Name), Rules: rules, Spec: spec.String(), UID: c.uid}})
 		}
 	}
 	c.mu.Unlock()
-	if len(targets) == 0 {
+	if len(s.targets) == 0 {
 		c.printf("no filter '%s'\n", name)
 		return
 	}
-	res := c.broadcastTargets(targets)
 	m := aggMerges.Get().(*aggMerge)
 	defer aggMerges.Put(m)
-	reporting, missing := m.answer(spec, res)
-	release(res) // the partials copied what they keep
+	reporting, missing := m.answer(spec, s.scatter())
 	c.printf("agg '%s': %d/%d filters reporting (%s)\n",
-		spec.String(), len(reporting), len(targets), strings.Join(reporting, " "))
+		spec.String(), len(reporting), len(s.targets), strings.Join(reporting, " "))
 	if len(missing) > 0 {
 		c.printf("agg: degraded, missing %s\n", strings.Join(missing, " "))
 	}

@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 
 	"dpm/internal/daemon"
 	"dpm/internal/kernel"
 	"dpm/internal/meter"
+	"dpm/internal/obs"
 )
 
 // MaxSourceDepth is the nesting limit for source scripts ("Source
@@ -108,6 +111,12 @@ type Controller struct {
 	dieArmed bool
 	closed   bool
 
+	// text is the last notice's DONE line, built in place so that a
+	// notice allocates nothing, under mu; scratches counts the
+	// controller's traffic with scratchFree.
+	text      []byte
+	scratches *obs.FreeStats
+
 	// statsLen is the length of the last stats report. The next one's
 	// buffer is sized a sixteenth over it, since the same report of a
 	// moment later differs by a few digits.
@@ -160,6 +169,7 @@ func New(cluster *kernel.Cluster, machineName string, uid int, terminal io.Write
 		nextPort:    9000,
 		unreachable: make(map[string]bool),
 		sessions:    make(map[string]*daemon.Session),
+		scratches:   scratchFree.Stats(m.Obs()),
 	}
 	go c.notifyLoop(nfd)
 	return c, nil
@@ -203,7 +213,9 @@ func (c *Controller) applyStateChange(sc daemon.StateChange) {
 		if p := j.proc(sc.Machine, sc.PID); p != nil {
 			p.State = StateKilled
 			c.jobsView.Store(nil)
-			fmt.Fprintf(c.sink, "DONE: process %s in job '%s' terminated: reason: %s\n", p.Name, j.Name, sc.Reason)
+			b := append(append(append(c.text[:0], "DONE: process "...), p.Name...), " in job '"...)
+			c.text = append(append(append(append(b, j.Name...), "' terminated: reason: "...), sc.Reason...), '\n')
+			_, _ = c.sink.Write(c.text)
 			return
 		}
 	}
@@ -236,15 +248,7 @@ func validToken(tok string) bool {
 // ("sum(msgLength)").
 func validRuleToken(tok string) bool {
 	for _, r := range tok {
-		switch {
-		case r >= '0' && r <= '9':
-		case r >= 'a' && r <= 'z':
-		case r >= 'A' && r <= 'Z':
-		case r == '/' || r == '.' || r == '-':
-		case r == '=' || r == '!' || r == '<' || r == '>':
-		case r == '*' || r == '#' || r == ',':
-		case r == '(' || r == ')':
-		default:
+		if !strings.ContainsRune("=!<>*#,()", r) && !validToken(string(r)) {
 			return false
 		}
 	}
@@ -259,7 +263,16 @@ func (c *Controller) Exec(line string) bool {
 
 func (c *Controller) exec(line string, depth int) bool {
 	line = strings.TrimRight(line, "\r\n")
-	fields := strings.Fields(line)
+	s := c.scratch()
+	defer s.release()
+	for rest := strings.TrimLeftFunc(line, unicode.IsSpace); rest != ""; rest = strings.TrimLeftFunc(rest, unicode.IsSpace) {
+		n := strings.IndexFunc(rest, unicode.IsSpace)
+		if n < 0 {
+			n = len(rest)
+		}
+		s.words, rest = append(s.words, rest[:n]), rest[n:]
+	}
+	fields := s.words
 	if len(fields) == 0 {
 		return true
 	}
@@ -274,14 +287,7 @@ func (c *Controller) exec(line string, depth int) bool {
 		queryAt = 3
 	}
 	for i, tok := range fields {
-		if queryAt >= 0 && i >= queryAt+3 {
-			if !validRuleToken(tok) {
-				c.printf("bad token '%s'\n", tok)
-				return true
-			}
-			continue
-		}
-		if !validToken(tok) {
+		if !validToken(tok) && (queryAt < 0 || i < queryAt+3 || !validRuleToken(tok)) {
 			c.printf("bad token '%s'\n", tok)
 			return true
 		}
@@ -300,25 +306,25 @@ func (c *Controller) exec(line string, depth int) bool {
 	case "newjob":
 		c.cmdNewJob(args)
 	case "addprocess", "add":
-		c.cmdAddProcess(args)
+		c.cmdAddProcess(s, args)
 	case "acquire":
 		c.cmdAcquire(args)
 	case "setflags":
-		c.cmdSetFlags(args)
+		c.cmdSetFlags(s, args)
 	case "startjob":
-		c.cmdStartJob(args)
+		c.signalJob(s, cmd, args, StateRunning, daemon.TStartReq, "started")
 	case "stopjob":
-		c.cmdStopJob(args)
+		c.signalJob(s, cmd, args, StateStopped, daemon.TStopReq, "stopped")
 	case "removejob", "rmjob":
-		c.cmdRemoveJob(args)
+		c.cmdRemoveJob(s, args)
 	case "removeprocess", "rmprocess":
 		c.cmdRemoveProcess(args)
 	case "jobs":
 		c.cmdJobs(args)
 	case "status":
-		c.cmdStatus()
+		c.cmdStatus(s)
 	case "stats":
-		c.cmdStats(args)
+		c.cmdStats(s, args)
 	case "ps":
 		c.cmdPs(args)
 	case "stdin":
@@ -326,7 +332,7 @@ func (c *Controller) exec(line string, depth int) bool {
 	case "getlog":
 		c.cmdGetLog(args)
 	case "query":
-		c.cmdQuery(args)
+		c.cmdQuery(s, args)
 	case "watch":
 		c.cmdWatch(args, depth)
 	case "source":
@@ -444,13 +450,15 @@ func (c *Controller) Unreachable() []string {
 	return out
 }
 
-// newToken issues a create idempotency token, unique per controller
-// instance (the controller's machine and pid disambiguate instances).
-func (c *Controller) newToken() string {
+// appendToken appends a new create idempotency token to b, unique per
+// controller instance (the controller's machine and pid disambiguate
+// instances).
+func (c *Controller) appendToken(b []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextToken++
-	return fmt.Sprintf("%s.%d.%d", c.machine.Name(), c.cmd.PID(), c.nextToken)
+	b = strconv.AppendInt(append(append(b, c.machine.Name()...), '.'), int64(c.cmd.PID()), 10)
+	return strconv.AppendInt(append(b, '.'), int64(c.nextToken), 10)
 }
 
 // Closed reports whether die has completed.

@@ -306,9 +306,10 @@ func TestWarmPointQueryNoAllocPerSegment(t *testing.T) {
 // 512 sealed segments as at 16, within one, and past that one pointer a
 // segment: 8 B, which the allocator's size classes round up by an
 // eighth (store.TestReopenNoAllocPerSegment's bound), and a byte for
-// what else the machine allocates meanwhile. Measured: 17 allocations
-// at both sizes and 8.97–9.15 B a segment more at 512. When the reopen
-// copied the store's whole listing, a segment cost 55 B.
+// what else the machine allocates meanwhile. Measured: 15 allocations
+// at both sizes (17 while each file read again built its path) and
+// 8.97–9.15 B a segment more at 512. When the reopen copied the store's
+// whole listing, a segment cost 55 B.
 func TestLiveQueryNoAllocPerSegment(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; pooled reuse not measurable")

@@ -132,7 +132,7 @@ func Main(p *kernel.Process) int {
 // newDaemonState returns the state of a meterdaemon run by p.
 func newDaemonState(p *kernel.Process) *daemonState {
 	reg := p.Machine().Obs()
-	return &daemonState{
+	d := &daemonState{
 		p:            p,
 		children:     make(map[int]*childInfo),
 		byStdio:      make(map[uint16]*childInfo),
@@ -143,6 +143,17 @@ func newDaemonState(p *kernel.Process) *daemonState {
 		frames:       frameFree.Stats(reg),
 		requests:     requestFree.Stats(reg),
 	}
+	// The simulation's SIGCHLD: when a child terminates the kernel pokes
+	// the daemon's gateway with the state change message, which the
+	// daemon forwards to the controller (section 3.5.1). The message is
+	// written into an array from frameFree, which the kernel copies.
+	d.exited = func(cp *kernel.Process, status int, reason string) {
+		sc := StateChange{Machine: p.Machine().Name(), PID: cp.PID(), Reason: reason, Status: status}
+		b := sc.appendWire(frameFree.Take(256, d.frames)[:0])
+		p.Machine().InjectDgram(d.gatewayPort, b, meter.Name{})
+		frameFree.Put(b, d.frames)
+	}
+	return d
 }
 
 // openGateway opens the daemon's gateway datagram socket, which its
@@ -217,6 +228,8 @@ type daemonState struct {
 	notifyFailed *obs.Counter
 	frames       *obs.FreeStats // the daemon's traffic with frameFree
 	requests     *obs.FreeStats // and with requestFree
+
+	exited func(*kernel.Process, int, string) // every child's exit watcher
 }
 
 // maxCreateTokens bounds the idempotency ledger; the oldest entries
@@ -427,14 +440,7 @@ func (d *daemonState) handleCreate(req *CreateReq) Reply {
 	d.byStdio[info.stdioPort] = info
 	d.mu.Unlock()
 
-	// The simulation's SIGCHLD: when the child terminates the kernel
-	// pokes the daemon's gateway with the state change message, which
-	// the daemon forwards to the controller (section 3.5.1).
-	gatewayPort := d.gatewayPort
-	child.OnExit(func(cp *kernel.Process, status int, reason string) {
-		sc := StateChange{Machine: m.Name(), PID: cp.PID(), Reason: reason, Status: status}
-		m.InjectDgram(gatewayPort, sc.appendWire(nil), meter.Name{})
-	})
+	child.OnExit(d.exited)
 
 	d.rememberCreate(req.Token, child.PID())
 	return Reply{Type: TCreateRep, PID: child.PID(), Status: "ok"}
@@ -928,8 +934,9 @@ func (d *daemonState) dropNotifyFD(key controlAddr, fd int) {
 
 // ReadNotices applies each notification a daemon sends on conn — a
 // state change or forwarded output, one request frame each — until the
-// connection ends or carries a corrupt frame. The strings of each are
-// one copy of its message.
+// connection ends or carries a corrupt frame. A state change's strings
+// are read in place, valid only until state returns; forwarded
+// output's are one copy of its message.
 func ReadNotices(p *kernel.Process, conn int, state func(StateChange), output func(IOData)) {
 	fr := frameReader{mem: frameFree.Stats(p.Machine().Obs())}
 	defer fr.release()
@@ -942,7 +949,7 @@ func ReadNotices(p *kernel.Process, conn int, state func(StateChange), output fu
 		if f.Kind != FrameReq {
 			continue // unknown kinds are skipped, as on every stream
 		}
-		t, m, err := openWire(f.Payload, true)
+		t, m, err := openWire(f.Payload, false)
 		if err != nil {
 			return
 		}
@@ -950,6 +957,7 @@ func ReadNotices(p *kernel.Process, conn int, state func(StateChange), output fu
 		case TStateChange:
 			state(readStateChange(&m))
 		case TIOData:
+			m.own = true
 			output(readIOData(&m))
 		}
 	}

@@ -94,7 +94,11 @@ func newRig(t *testing.T) *testRig {
 			}
 			notify.Go(func() {
 				defer func() { _ = notify.Close(conn) }()
-				ReadNotices(notify, conn, func(sc StateChange) { ch <- sc }, func(d IOData) { ch <- d })
+				ReadNotices(notify, conn, func(sc StateChange) {
+					// Its strings last only until this returns.
+					sc.Machine, sc.Reason = strings.Clone(sc.Machine), strings.Clone(sc.Reason)
+					ch <- sc
+				}, func(d IOData) { ch <- d })
 			})
 		}
 	}()

@@ -493,6 +493,7 @@ func (fs *FS) List(prefix string) []string {
 // Entry is one file of a directory's run, as WalkEntries shows it.
 type Entry struct {
 	Name string // the path with the listed prefix cut off
+	Path string // the whole path, which reading the file by needs no string built
 	// ID is the file's Snapshot.ID, or 0 when the lister may not read
 	// the file: an id vouches for bytes, and only for a reader of them.
 	ID   uint64
@@ -510,7 +511,7 @@ func (fs *FS) WalkEntries(prefix string, uid int, fn func(Entry) bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	for _, e := range fs.run(prefix) {
-		en := Entry{Name: e.path[len(prefix):], Size: e.f.size}
+		en := Entry{Name: e.path[len(prefix):], Path: e.path, Size: e.f.size}
 		if e.f.mode.readableBy(uid, e.f.owner) {
 			en.ID = e.f.id
 		}

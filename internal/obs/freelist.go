@@ -40,10 +40,24 @@ func NewByteList(name string, count, bytes int) *FreeList[[]byte] {
 // that the list had no room for. A nil *FreeStats counts nothing.
 type FreeStats [3]*Counter
 
-// Stats resolves the list's counters in r.
+// Stats resolves the list's counters in r, once a registry, so that a
+// path may resolve them on every call; a nil r counts nothing.
 func (l *FreeList[T]) Stats(r *Registry) *FreeStats {
-	p := "mem." + l.Name + "."
-	return &FreeStats{r.Counter(p + "hits"), r.Counter(p + "misses"), r.Counter(p + "dropped")}
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := r.lists[l.Name]
+	if st == nil {
+		p := "mem." + l.Name + "."
+		st = &FreeStats{lookup(&r.counters, p+"hits"), lookup(&r.counters, p+"misses"), lookup(&r.counters, p+"dropped")}
+		if r.lists == nil {
+			r.lists = make(map[string]*FreeStats)
+		}
+		r.lists[l.Name] = st
+	}
+	return st
 }
 
 func (s *FreeStats) count(i int) {

@@ -148,6 +148,7 @@ type Registry struct {
 	gauges   []named[Gauge]
 	hists    []named[Histogram]
 	sections []named[sectionSource]
+	lists    map[string]*FreeStats // each FreeList's counters, by its name
 }
 
 // named is one entry of a registry's name-ordered list of a kind.

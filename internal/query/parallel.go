@@ -7,7 +7,9 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"dpm/internal/obs"
 	"dpm/internal/store"
 	"dpm/internal/trace"
 )
@@ -85,6 +87,7 @@ func ScanOrdered[T any](rd *store.Reader, q *Query,
 // workers' channels. A call takes it from calls and gives it back once
 // every worker it started has returned.
 type call struct {
+	mem   *obs.FreeStats // the traffic of q.Obs with calls
 	segs  []*store.ReaderSegment
 	out   []outcome
 	todo  []int
@@ -105,7 +108,22 @@ type outcome struct {
 	ready, slot bool
 }
 
-var calls = sync.Pool{New: func() any { return new(call) }}
+// calls holds the calls' state between uses, and loses none to a
+// collection or a P. The benchmark's workloads hold at most two calls
+// at once (a `query all` over two filters), of at most 11 kB; the list
+// keeps 8 and 1 MiB, room for eight filters of a thousand segments. In
+// a test binary a call given back has its outcomes overwritten with
+// errReleased, so that a fold still reading them fails.
+var calls = &obs.FreeList[*call]{Name: "query_calls", Count: 8, Bytes: 1 << 20,
+	Size: func(c *call) int { return 8*cap(c.segs) + int(unsafe.Sizeof(outcome{}))*cap(c.out) + 8*cap(c.todo) },
+	New:  func(int) *call { return new(call) },
+	Poison: func(c *call) {
+		for out, i := c.out[:cap(c.out)], 0; i < len(out); i++ {
+			out[i] = outcome{err: errReleased, ready: true}
+		}
+	}}
+
+var errReleased = errors.New("query: call used after release")
 
 // scanOrdered is ScanOrdered with the worker count explicit, for the
 // tests that pin results identical across worker counts.
@@ -113,7 +131,9 @@ func scanOrdered[T any](rd *store.Reader, q *Query, workers int,
 	hit func(*store.ReaderSegment) (T, Stats, bool),
 	scan func(*store.ReaderSegment) (T, Stats, error),
 	fold func(*store.ReaderSegment, T)) (Stats, error) {
-	c := calls.Get().(*call)
+	mem := calls.Stats(q.Obs)
+	c := calls.Take(0, mem)
+	c.mem = mem
 	var stats Stats
 	c.segs, stats = Admitted(c.segs[:0], rd, q)
 	c.out, c.todo = slices.Grow(c.out[:0], len(c.segs))[:len(c.segs)], c.todo[:0]
@@ -199,7 +219,7 @@ func (c *call) finish(live int) {
 	}
 	clear(c.out) // the pool keeps no result or segment alive
 	clear(c.segs)
-	calls.Put(c)
+	calls.Put(c, c.mem)
 }
 
 // lines is what a record query ships, the line of each record it

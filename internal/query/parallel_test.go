@@ -329,7 +329,9 @@ func TestRunCorruptSealedSegment(t *testing.T) {
 // TestCallsGivenBackEmpty: a call gives its state back with every slot
 // free and nothing left to receive, whether it folded every segment or
 // stopped at a scan error, so the next call that takes it has its whole
-// window. Collection is off, so the pool keeps the calls to look at.
+// window, and every outcome slot poisoned, so that a fold reading one
+// after the call fails. Collection is off, so the pool keeps the calls
+// to look at.
 func TestCallsGivenBackEmpty(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	be := buildRandomStore(t, rand.New(rand.NewSource(5)), 600, store.Config{
@@ -359,11 +361,16 @@ func TestCallsGivenBackEmpty(t *testing.T) {
 		if (err != nil) != (rep%2 == 1) {
 			t.Fatalf("rep %d: err = %v", rep, err)
 		}
-		c := calls.Get().(*call)
+		c := calls.Take(0, nil)
 		if len(c.slots) != 0 || len(c.done) != 0 {
 			t.Fatalf("rep %d: a call came back with %d slots taken and %d marks unread", rep, len(c.slots), len(c.done))
 		}
-		calls.Put(c)
+		for i, o := range c.out[:cap(c.out)] {
+			if o.err != errReleased || o.val != nil {
+				t.Fatalf("rep %d: outcome %d of a call given back is %+v, want errReleased", rep, i, o)
+			}
+		}
+		calls.Put(c, nil)
 	}
 }
 

@@ -77,6 +77,15 @@ func (b *FsysBackend) Read(name string) ([]byte, error) {
 	return b.fs.View(b.path(name), b.uid)
 }
 
+// readEntry reads a file be listed: on the simulated file system by
+// the whole path its listing carries, building none.
+func readEntry(be Backend, e Entry) ([]byte, error) {
+	if b, ok := be.(*FsysBackend); ok && e.Path != "" {
+		return b.fs.View(e.Path, b.uid)
+	}
+	return be.Read(e.Name)
+}
+
 // Remove implements Backend.
 func (b *FsysBackend) Remove(name string) error {
 	return b.fs.Remove(b.path(name), b.uid)

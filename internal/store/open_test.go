@@ -366,10 +366,12 @@ func TestStrayShardNameIgnored(t *testing.T) {
 // for a shard no record reached, which keeps its slice.
 //
 // Measured with this body on an x86-64 Linux host (Go 1.24): appending
-// to both shards, 10 allocs and 1 288 B over 66 segments, 10 allocs and
-// 5 320 B over 514 (9 B a segment more: the two slices' size classes
+// to both shards, 8 allocs and 1 240 B over 66 segments, 8 allocs and
+// 5 272 B over 514 (9 B a segment more: the two slices' size classes
 // round 2 064 B up to 2 304); appending to one shard beside 64 or 512
-// segments in the other, 6 allocs and 456 B either way. When Reopen
+// segments in the other, 5 allocs and 424 B either way. A file read
+// again is read by the path its listing carries: building the path at
+// every read cost one allocation a file read (10 and 6). When Reopen
 // copied the whole listing, the old single case (one shard appended to
 // of two even ones) measured 8 allocs and 28 616 B (55 B a segment) over
 // 514 segments; before segments were matched by file id, when every
@@ -435,6 +437,9 @@ func TestReopenNoAllocPerSegment(t *testing.T) {
 	// The same count at both sizes, but for an odd runtime-internal
 	// allocation landing in one measurement.
 	small, big := measure([2]int{32, 32}, 0, 1), measure([2]int{256, 256}, 0, 1)
+	if small.allocs > 8 {
+		t.Errorf("Reopen after appends to both shards allocates %d times; want at most 8, no path built for a file it reads", small.allocs)
+	}
 	if big.allocs > small.allocs+2 {
 		t.Errorf("Reopen after appends to every shard allocates %d times over %d segments and %d over %d: the count grows with the store", big.allocs, big.listed, small.allocs, small.listed)
 	}

@@ -1015,7 +1015,7 @@ func openReader(prev *Reader, be Backend) (r *Reader, stale bool, err error) {
 		return prev, false, nil
 	}
 	for _, e := range unread {
-		data, err := be.Read(e.Name)
+		data, err := readEntry(be, e)
 		if err != nil {
 			return nil, !stillListed(be, e.Name), err
 		}
