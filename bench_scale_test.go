@@ -1,8 +1,8 @@
 package dpm_test
 
 // Cluster-density benchmarks (EXPERIMENTS.md experiments S3/S4): what
-// it costs to boot a simulated machine under the event-driven
-// scheduler, and what the batched delivery fabric sustains. These back
+// it costs to boot a simulated machine running one process, and what
+// the batched delivery fabric sustains. These back
 // the scale soak's ceilings with trend numbers; scripts/bench_filter.sh
 // runs them into BENCH_scale.json.
 
@@ -19,7 +19,7 @@ import (
 )
 
 // BenchmarkClusterBoot boots N machines, each with an account and one
-// parked sink task, then tears the cluster down. boot_ms is the boot
+// sink process, then tears the cluster down. boot_ms is the boot
 // loop alone (shutdown excluded); alloc_bytes/machine is cumulative
 // allocation across the whole iteration divided out per machine, the
 // cost trend behind the soak's 64 KiB idle-heap budget.
@@ -30,6 +30,7 @@ func BenchmarkClusterBoot(b *testing.B) {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			var bootNS int64
+			sink := workloads.NewTrafficSink(7100, &workloads.TrafficStats{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
@@ -41,7 +42,7 @@ func BenchmarkClusterBoot(b *testing.B) {
 						b.Fatal(err)
 					}
 					m.AddAccount(benchUID, "user")
-					if _, err := m.SpawnTask(benchUID, "sink", workloads.NewSinkTask(7100, nil)); err != nil {
+					if _, err := m.Spawn(kernel.SpawnSpec{UID: benchUID, Name: "sink", Program: sink}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -57,7 +58,7 @@ func BenchmarkClusterBoot(b *testing.B) {
 }
 
 // BenchmarkDatagramFabric pumps datagrams from one machine to a sink
-// task on another and reports the sustained delivery rate. The sync
+// process on another and reports the sustained delivery rate. The sync
 // variant delivers inline (zero configured latency); the latency
 // variant routes every datagram through the timer-wheel fabric, so
 // dgrams/s is the wheel's batched throughput, not one goroutine per
@@ -86,7 +87,7 @@ func BenchmarkDatagramFabric(b *testing.B) {
 			src.AddAccount(benchUID, "user")
 			dst.AddAccount(benchUID, "user")
 			stats := &workloads.TrafficStats{}
-			if _, err := dst.SpawnTask(benchUID, "sink", workloads.NewSinkTask(7100, stats)); err != nil {
+			if _, err := dst.Spawn(kernel.SpawnSpec{UID: benchUID, Name: "sink", Program: workloads.NewTrafficSink(7100, stats)}); err != nil {
 				b.Fatal(err)
 			}
 			pump, err := src.SpawnDetached(benchUID, "pump")
@@ -100,8 +101,8 @@ func BenchmarkDatagramFabric(b *testing.B) {
 			if err := pump.BindPort(fd, 0); err != nil {
 				b.Fatal(err)
 			}
-			// Datagrams to an unbound port drop silently; let the sink's
-			// first step bind before the timed pump starts.
+			// Datagrams to an unbound port drop silently; let the sink
+			// bind before the timed pump starts.
 			for !dst.PortBound(kernel.SockDgram, 7100) {
 				time.Sleep(time.Millisecond)
 			}

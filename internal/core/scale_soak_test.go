@@ -1,10 +1,10 @@
 package core_test
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -20,18 +20,21 @@ import (
 // TestScaleSoak is the cluster-density soak: it boots DPM_SCALE_MACHINES
 // simulated machines (default 1000) — every one metered — drives
 // sustained cross-machine datagram traffic through the delivery fabric
-// and the meter streams through real filter engines, and pins the two
-// resource ceilings the event-driven scheduler and batched fabric
-// exist to provide:
+// and the meter streams through real filter engines, and pins the
+// simulation's resource ceilings:
 //
-//   - goroutines sub-linear in machine count (tasks and detached
-//     processes hold none; only the scheduler pool, the fabric, and
-//     the runtime remain), and
-//   - idle heap at most 64 KiB per machine.
+//   - goroutines: one per live process and none per idle machine, so
+//     growth is at most the processes spawned plus the fabric's ticker
+//     and lanes;
+//   - stack plus heap at most 24 KiB per machine;
+//   - idle heap at most 64 KiB per machine;
+//
+// and conservation: once the sources are killed and the sinks stop
+// receiving, every datagram sent was received or counted as shed.
 //
 // It lives in package core_test so it can borrow the workloads traffic
-// shapes without an import cycle. CI runs it race-off under a hard
-// timeout; see .github/workflows/ci.yml.
+// programs without an import cycle. CI runs it under a hard timeout,
+// with and without the race detector; see .github/workflows/ci.yml.
 func TestScaleSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale soak")
@@ -48,6 +51,9 @@ func TestScaleSoak(t *testing.T) {
 		filterMachines = 4
 		sinkPort       = 7100
 		uid            = 100
+		// fabricGoroutines is the delivery fabric's ticker and lanes,
+		// with room to spare; nothing else may grow with the cluster.
+		fabricGoroutines = 8
 	)
 	leaves := machines - filterMachines
 
@@ -61,12 +67,11 @@ func TestScaleSoak(t *testing.T) {
 	c.AddNetwork("ether0", netsim.WithLatency(2*time.Millisecond, time.Millisecond))
 	defer c.Shutdown()
 
-	// Filter tier: each filter machine runs one event-driven collector
-	// task that accepts meter-stream connections and runs every byte
-	// through a compiled filter engine.
-	var recordsFiltered atomic.Int64
+	// Filter tier: each filter machine runs one collector process that
+	// accepts meter-stream connections and runs every byte through a
+	// compiled filter engine.
+	var col tier
 	filterNames := make([]meter.Name, filterMachines)
-	colReady := make([]*atomic.Bool, filterMachines)
 	for f := 0; f < filterMachines; f++ {
 		fm, err := c.AddMachine(fmt.Sprintf("filter-%d", f), nil, "ether0")
 		if err != nil {
@@ -76,29 +81,21 @@ func TestScaleSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		colReady[f] = new(atomic.Bool)
 		filterNames[f] = meter.InetName(fm.PrimaryHostID(), 7200)
-		if _, err := fm.SpawnTask(0, "collector", newCollectorTask(eng, 7200, colReady[f], &recordsFiltered)); err != nil {
+		streams := (leaves - f + filterMachines - 1) / filterMachines // leaves i with i%filterMachines == f
+		prog := newCollector(eng, 7200, streams, &col)
+		if _, err := fm.Spawn(kernel.SpawnSpec{UID: 0, Name: "collector", Program: prog}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The listener is created by the collector's own first step (Park
-	// watches the task's own descriptors); wait for every tier member
-	// to be accepting before the leaves dial in.
-	for f, ready := range colReady {
-		deadline := time.Now().Add(5 * time.Second)
-		for !ready.Load() {
-			if time.Now().After(deadline) {
-				t.Fatalf("collector %d never started listening", f)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
+	// Wait for every tier member to be accepting before the leaves dial
+	// in.
+	waitFor(t, "collectors listening", func() bool { return col.listening.Load() == filterMachines })
 
 	// Leaf tier: every leaf machine runs a metered traffic source and a
-	// sink, both as tasks. Sources send to the next leaf's sink — a
-	// ring of cross-machine datagrams through the fabric — and their
-	// syscalls are metered to one of the filter machines.
+	// sink. Sources send to the next leaf's sink — a ring of
+	// cross-machine datagrams through the fabric — and their syscalls
+	// are metered to one of the filter machines.
 	stats := &workloads.TrafficStats{}
 	perLeaf := 5000.0 / float64(leaves) // ~5k datagrams/s offered, whatever the scale
 	if perLeaf < 1 {
@@ -113,16 +110,32 @@ func TestScaleSoak(t *testing.T) {
 		m.AddAccount(uid, "user")
 		leafMachines[i] = m
 	}
-	shape := workloads.Steady{PerSec: perLeaf}
-	for i, m := range leafMachines {
-		if _, err := m.SpawnTask(uid, "sink", workloads.NewSinkTask(sinkPort, stats)); err != nil {
+	// Every sink is bound before any source starts: a datagram to an
+	// unbound port is dropped uncounted, and would break conservation.
+	sink := workloads.NewTrafficSink(sinkPort, stats)
+	for _, m := range leafMachines {
+		if _, err := m.Spawn(kernel.SpawnSpec{UID: uid, Name: "sink", Program: sink}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	waitFor(t, "sinks bound", func() bool {
+		for _, m := range leafMachines {
+			if !m.PortBound(kernel.SockDgram, sinkPort) {
+				return false
+			}
+		}
+		return true
+	})
+	gens := make([]*kernel.Process, leaves)
+	for i, m := range leafMachines {
 		dest := meter.InetName(leafMachines[(i+1)%leaves].PrimaryHostID(), sinkPort)
-		gen, err := m.SpawnTask(uid, "gen", workloads.NewTrafficTask(shape, dest, 64, stats))
+		gen, err := m.Spawn(kernel.SpawnSpec{
+			UID: uid, Name: "gen", Program: workloads.NewTrafficSource(perLeaf, dest, 64, stats),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		gens[i] = gen
 		// Meter the source's send/receive traffic to a filter machine,
 		// exactly as setmeter(2) wires a monitored process. Immediate
 		// delivery, not the 8-message kernel buffer: at 10k machines a
@@ -146,10 +159,14 @@ func TestScaleSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	spawned := filterMachines + 2*leaves
+	// Booted once every meter stream is accepted.
+	waitFor(t, "meter streams accepted", func() bool { return col.accepted.Load() == int64(leaves) })
 	bootMS := time.Since(bootStart).Milliseconds()
 
-	// Idle ceiling: everything is booted and parked; the heap bill per
-	// machine must fit the 64 KiB budget.
+	// Idle ceilings: everything is booted and waiting. The heap bill
+	// per machine must fit the 64 KiB budget, and heap plus the
+	// processes' stacks 24 KiB.
 	runtime.GC()
 	var idleMem runtime.MemStats
 	runtime.ReadMemStats(&idleMem)
@@ -157,25 +174,25 @@ func TestScaleSoak(t *testing.T) {
 	if idlePerMachine > 64*1024 {
 		t.Fatalf("idle heap %d bytes/machine, budget is 64 KiB", idlePerMachine)
 	}
+	stackPerMachine := (int64(idleMem.StackInuse) - int64(baseMem.StackInuse)) / int64(machines)
+	if idlePerMachine+stackPerMachine > 24*1024 {
+		t.Fatalf("heap %d + stack %d bytes/machine, budget is 24 KiB", idlePerMachine, stackPerMachine)
+	}
 
-	// Goroutine ceiling: scheduler pool + fabric + runtime, regardless
-	// of machine count.
+	// Goroutine ceiling: one per live process, plus the fabric.
 	grew := runtime.NumGoroutine() - baseGoroutines
-	if grew > 128 || grew > machines/4 {
-		t.Fatalf("%d machines grew goroutines by %d: not sub-linear", machines, grew)
+	if grew > spawned+fabricGoroutines {
+		t.Fatalf("%d machines running %d processes grew goroutines by %d, want <= %d",
+			machines, spawned, grew, spawned+fabricGoroutines)
 	}
 
 	// Soak: sustained traffic through fabric and filters.
 	soak := 3 * time.Second
-	deadline := time.Now().Add(soak)
-	for time.Now().Before(deadline) {
-		time.Sleep(100 * time.Millisecond)
-	}
-	received := stats.Received.Load()
-	sent := stats.Sent.Load()
-	filtered := recordsFiltered.Load()
-	if received < int64(leaves) {
-		t.Fatalf("soak moved %d datagrams end to end (sent %d), want >= %d", received, sent, leaves)
+	time.Sleep(soak)
+	windowReceived := stats.Received.Load()
+	filtered := col.filtered.Load()
+	if windowReceived < int64(leaves) {
+		t.Fatalf("soak moved %d datagrams end to end (sent %d), want >= %d", windowReceived, stats.Sent.Load(), leaves)
 	}
 	if filtered < int64(leaves) {
 		t.Fatalf("filters processed %d meter records, want >= %d", filtered, leaves)
@@ -186,58 +203,106 @@ func TestScaleSoak(t *testing.T) {
 	runtime.ReadMemStats(&soakMem)
 	soakPerMachine := int64(soakMem.HeapAlloc-baseMem.HeapAlloc) / int64(machines)
 
-	t.Logf("machines=%d boot_ms=%d idle_heap_per_machine=%d soak_heap_per_machine=%d goroutines_grew=%d sent=%d received=%d filtered=%d throughput=%.0f/s",
-		machines, bootMS, idlePerMachine, soakPerMachine, grew, sent, received, filtered,
-		float64(received)/soak.Seconds())
+	// Conservation: stop the sources, let the fabric and the sinks'
+	// queues drain until the count stops moving, then account for every
+	// datagram sent.
+	for i, gen := range gens {
+		if err := leafMachines[i].Signal(gen.PID(), kernel.SIGKILL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, gen := range gens {
+		gen.WaitExit()
+	}
+	sent := stats.Sent.Load()
+	shed := func() (n int64) {
+		for _, m := range leafMachines {
+			n += m.Obs().Counter("mem.shed_dgrams").Load()
+		}
+		return n
+	}
+	received := stats.Received.Load()
+	deadline := time.Now().Add(30 * time.Second)
+	for still := 0; still < 10 && received+shed() != sent && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Millisecond)
+		if now := stats.Received.Load(); now == received {
+			still++
+		} else {
+			received, still = now, 0
+		}
+	}
+	shedTotal := shed()
+	if lost := sent - received - shedTotal; lost != 0 {
+		t.Fatalf("sent %d, received %d, shed %d: %d datagrams unaccounted for", sent, received, shedTotal, lost)
+	}
+
+	t.Logf("machines=%d boot_ms=%d idle_heap_per_machine=%d stack_per_machine=%d soak_heap_per_machine=%d goroutines_grew=%d processes=%d sent=%d received_in_window=%d received=%d shed=%d filtered=%d throughput=%.0f/s",
+		machines, bootMS, idlePerMachine, stackPerMachine, soakPerMachine, grew, spawned, sent, windowReceived, received, shedTotal, filtered,
+		float64(windowReceived)/soak.Seconds())
 }
 
-// newCollectorTask builds the filter machine's event-driven ingest: a
-// task that listens for meter-stream connections, accepts every one,
-// and runs the bytes through a filter engine, parking on all of its
-// sockets between arrivals. The listener is created inside the task's
-// first step because Park resolves descriptors through the task's own
-// process. One goroutine-free process stands where the seed spent a
-// drainer goroutine per connection.
-func newCollectorTask(eng *filter.Engine, port uint16, ready *atomic.Bool, processed *atomic.Int64) kernel.TaskFunc {
-	var (
-		lfd     int
-		init    bool
-		conns   []int
-		carries map[int][]byte
-		batch   filter.Batch
-	)
-	carries = make(map[int][]byte)
-	return func(tk *kernel.Task) kernel.Poll {
-		p := tk.Proc()
-		if !init {
-			var err error
-			if lfd, err = p.Socket(meter.AFInet, kernel.SockStream); err != nil {
-				return kernel.PollDone
-			}
-			if err := p.BindPort(lfd, port); err != nil {
-				return kernel.PollDone
-			}
-			if err := p.Listen(lfd, 1024); err != nil {
-				return kernel.PollDone
-			}
-			ready.Store(true)
-			init = true
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		for {
-			conn, _, err := p.TryAccept(lfd)
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// tier is what the filter tier's collectors report to the soak.
+type tier struct {
+	listening atomic.Int64 // collectors accepting connections
+	accepted  atomic.Int64 // meter streams accepted
+	filtered  atomic.Int64 // meter records run through the engines
+}
+
+// newCollector builds a filter machine's ingest: a process that
+// accepts the given number of meter streams, then runs their bytes
+// through a filter engine until every stream has ended. One Select over
+// the connections stands where the seed spent a drainer goroutine per
+// connection; it costs O(connections) a wakeup. Accepting first keeps
+// boot O(connections) too: a listener in the Select set would cost a
+// pass over every connection accepted so far for each new one.
+func newCollector(eng *filter.Engine, port uint16, streams int, col *tier) kernel.Program {
+	return func(p *kernel.Process) int {
+		lfd, err := p.Socket(meter.AFInet, kernel.SockStream)
+		if err != nil {
+			return 1
+		}
+		if err := p.BindPort(lfd, port); err != nil {
+			return 1
+		}
+		if err := p.Listen(lfd, streams); err != nil {
+			return 1
+		}
+		col.listening.Add(1)
+		fds := make([]int, 0, streams)
+		for len(fds) < streams {
+			conn, _, err := p.Accept(lfd)
 			if err != nil {
-				if errors.Is(err, kernel.ErrWouldBlock) {
-					break
-				}
-				return kernel.PollDone
+				return 1
 			}
-			conns = append(conns, conn)
+			fds = append(fds, conn)
+			col.accepted.Add(1)
 		}
-		for _, fd := range conns {
-			for {
-				data, _, err := p.TryRecvFrom(fd, 65536)
-				if err != nil {
-					break // would-block, or the peer machine went away
+		carries := make(map[int][]byte)
+		var batch filter.Batch
+		for len(fds) > 0 {
+			ready, err := p.Select(fds)
+			if err != nil {
+				return 1
+			}
+			for _, fd := range ready {
+				data, _, err := p.RecvFrom(fd, 65536)
+				if err != nil { // end of stream: the metered source exited
+					_ = p.Close(fd) // the descriptor is ours and open
+					fds = slices.DeleteFunc(fds, func(f int) bool { return f == fd })
+					delete(carries, fd)
+					continue
 				}
 				buf := data
 				if carry := carries[fd]; len(carry) > 0 {
@@ -248,12 +313,12 @@ func newCollectorTask(eng *filter.Engine, port uint16, ready *atomic.Bool, proce
 				rest, err := eng.ProcessBatch(buf, &batch)
 				if err != nil {
 					carries[fd] = nil
-					break
+					continue
 				}
-				processed.Add(int64(eng.Received - before))
+				col.filtered.Add(int64(eng.Received - before))
 				carries[fd] = append(carries[fd][:0], rest...)
 			}
 		}
-		return tk.Park(append([]int{lfd}, conns...)...)
+		return 0
 	}
 }

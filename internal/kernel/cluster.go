@@ -54,9 +54,6 @@ type Cluster struct {
 	hostNet  map[uint32]string // host id -> network it is an address on
 	nextHost uint32
 
-	schedMu   sync.Mutex
-	scheduler *scheduler // lazily started by the first SpawnTask
-
 	wg sync.WaitGroup // all process goroutines across all machines
 }
 
@@ -245,21 +242,8 @@ func (c *Cluster) dgramQueueCap() int {
 	return DefaultDgramQueueCap
 }
 
-// sched returns the cluster's task scheduler, starting it on first
-// use so clusters that never SpawnTask cost no goroutines.
-func (c *Cluster) sched() *scheduler {
-	c.schedMu.Lock()
-	defer c.schedMu.Unlock()
-	if c.scheduler == nil {
-		c.scheduler = newScheduler()
-	}
-	return c.scheduler
-}
-
 // Shutdown kills every live process, waits for their goroutines, and
-// closes the networks, so a simulation never leaks goroutines. Task
-// processes are retired by the scheduler's workers (a kill wakes a
-// parked task), after which the worker pool itself is stopped.
+// closes the networks, so a simulation never leaks goroutines.
 func (c *Cluster) Shutdown() {
 	for _, m := range c.Machines() {
 		for _, p := range m.Procs() {
@@ -267,13 +251,6 @@ func (c *Cluster) Shutdown() {
 		}
 	}
 	c.wg.Wait()
-	c.schedMu.Lock()
-	sched := c.scheduler
-	c.scheduler = nil
-	c.schedMu.Unlock()
-	if sched != nil {
-		sched.stop()
-	}
 	c.mu.Lock()
 	nets := make([]*netsim.Network, 0, len(c.networks))
 	for _, n := range c.networks {

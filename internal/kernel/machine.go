@@ -255,34 +255,6 @@ func (m *Machine) SpawnDetached(uid int, name string) (*Process, error) {
 	return p, nil
 }
 
-// SpawnTask creates an event-driven process: a process-table entry
-// with no goroutine, whose step function runs on the cluster's pooled
-// scheduler workers (sched.go). It is the density-scalable alternative
-// to Spawn — 10k parked tasks hold no goroutines, channels, or stacks.
-// The process starts started, is killable and stoppable like any
-// other, and its exit is observable through the usual WaitExit/OnExit.
-func (m *Machine) SpawnTask(uid int, name string, fn TaskFunc) (*Process, error) {
-	if m.Down() {
-		return nil, fmt.Errorf("%w: %s", ErrMachineDown, m.name)
-	}
-	if !m.HasAccount(uid) {
-		return nil, fmt.Errorf("%w: uid %d on %s", ErrNoAccount, uid, m.name)
-	}
-	p := m.newProcess(SpawnSpec{UID: uid, Name: name}, nil)
-	p.detached = true
-	t := &Task{proc: p, fn: fn, sched: m.cluster.sched()}
-	t.wakeFn = t.wake
-	// Queued before the task is visible: a signal racing the spawn must
-	// not enqueue it a second time ahead of the explicit enqueue.
-	t.state.Store(taskQueued)
-	p.sigMu.Lock()
-	p.task = t
-	p.sigMu.Unlock()
-	m.wg.Add(1)
-	t.sched.enqueue(t)
-	return p, nil
-}
-
 // newProcess makes the process spec describes and enters it in the
 // process table. One created suspended keeps prog for the signal that
 // starts it; the caller starts any other.

@@ -100,11 +100,6 @@ type Process struct {
 	killCh chan struct{}
 	exitCh chan struct{}
 
-	// task is set for event-driven processes (Machine.SpawnTask); its
-	// wake, delivered on every signal, re-queues the parked task so a
-	// kill or continue is seen without a dedicated goroutine.
-	task *Task
-
 	exitOnce sync.Once
 	// halted mirrors stopped || killed for checkpoint's lock-free fast
 	// path; signal keeps it under sigMu.
@@ -297,11 +292,7 @@ func (p *Process) signal(sig Signal) {
 		p.release()
 	}
 	p.halted.Store(p.stopped || p.killed)
-	t := p.task
 	p.sigMu.Unlock()
-	if t != nil {
-		t.wake()
-	}
 }
 
 // release lets the process run on: it starts the goroutine of one
@@ -319,15 +310,13 @@ func (p *Process) release() {
 // checkpoint is executed at every system-call boundary: it blocks
 // while the process is stopped and unwinds it if killed. Detached
 // processes (driven by an external caller rather than a goroutine)
-// report kills as an error instead of panicking. Task processes never
-// wait here — a stop would wedge a pooled scheduler worker, so the
-// scheduler parks the task between steps instead (sched.go).
+// report kills as an error instead of panicking.
 func (p *Process) checkpoint() error {
 	if !p.halted.Load() {
 		return nil
 	}
 	p.sigMu.Lock()
-	for p.stopped && !p.killed && p.task == nil {
+	for p.stopped && !p.killed {
 		cont := lazyChan(&p.cont, false)
 		p.sigMu.Unlock()
 		<-cont

@@ -708,3 +708,141 @@ func TestShutdownKeepsDescriptor(t *testing.T) {
 		t.Fatalf("closing a shut-down descriptor: %v", err)
 	}
 }
+
+// TestTryRecvFromWouldBlock: the non-blocking receive path.
+func TestTryRecvFromWouldBlock(t *testing.T) {
+	_, red, _ := newTestCluster(t)
+	p := detached(t, red)
+	fd, err := p.Socket(meter.AFInet, SockDgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.BindPort(fd, 701); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.TryRecvFrom(fd, 4096); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("TryRecvFrom on empty socket: %v, want ErrWouldBlock", err)
+	}
+	if _, err := p.SendTo(fd, []byte("self"), meter.InetName(red.PrimaryHostID(), 701)); err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := p.TryRecvFrom(fd, 4096)
+	if err != nil || string(data) != "self" {
+		t.Fatalf("TryRecvFrom = (%q, %v), want (self, nil)", data, err)
+	}
+}
+
+// TestDgramQueueBudgetSheds: the per-socket datagram budget bounds an
+// unread socket's footprint; overflow is shed and counted.
+func TestDgramQueueBudgetSheds(t *testing.T) {
+	c := NewCluster(Config{DgramQueueCap: 8})
+	c.AddNetwork("ether0")
+	m, err := c.AddMachine("tiny", nil, "ether0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AddAccount(testUID, "user")
+	t.Cleanup(c.Shutdown)
+	p, err := m.SpawnDetached(testUID, "flood")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, err := p.Socket(meter.AFInet, SockDgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.BindPort(fd, 702); err != nil {
+		t.Fatal(err)
+	}
+	dest := meter.InetName(m.PrimaryHostID(), 702)
+	for i := 0; i < 20; i++ {
+		if _, err := p.SendTo(fd, []byte("x"), dest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if _, _, err := p.TryRecvFrom(fd, 16); err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+	}
+	if _, _, err := p.TryRecvFrom(fd, 16); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("recv past budget: %v, want ErrWouldBlock (queue capped at 8)", err)
+	}
+	if shed := m.mem.shedDgrams.Load(); shed != 12 {
+		t.Fatalf("shed datagrams = %d, want 12", shed)
+	}
+}
+
+// TestSelectReadyAllocs gates the wait-list rewrite of Process.Select:
+// with parking pooled, a ready select's only heap traffic is the two
+// result slices (sockets + ready fds). The reflect.Select version it
+// replaced allocated a SelectCase slice, boxed every channel in an
+// interface, and burned a wait channel per wakeup.
+func TestSelectReadyAllocs(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	_, red, _ := newTestCluster(t)
+	p := detached(t, red)
+	fds := make([]int, 0, 8)
+	for i := 0; i < 8; i++ {
+		a, b, err := p.SocketPair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Send(a, []byte("ready")); err != nil {
+			t.Fatal(err)
+		}
+		fds = append(fds, b)
+	}
+	// Warm the parking pool.
+	if _, err := p.Select(fds); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(200, func() {
+		ready, err := p.Select(fds)
+		if err != nil || len(ready) != 8 {
+			t.Fatalf("Select = (%v, %v), want 8 ready", ready, err)
+		}
+	})
+	// socks slice + up to 4 appends growing the ready slice; anything
+	// beyond ~6 means per-wait allocation crept back in.
+	if n > 6 {
+		t.Fatalf("ready Select allocates %v per call, want <= 6", n)
+	}
+}
+
+// TestMachineFootprintAccounting: buffered bytes are charged on
+// delivery and released on consumption and socket death.
+func TestMachineFootprintAccounting(t *testing.T) {
+	_, red, _ := newTestCluster(t)
+	p := detached(t, red)
+	fd1, fd2, err := p.SocketPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Send(fd1, []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	if _, buffered := red.Footprint(); buffered != 10 {
+		t.Fatalf("buffered after send = %d, want 10", buffered)
+	}
+	if _, err := p.Recv(fd2, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, buffered := red.Footprint(); buffered != 6 {
+		t.Fatalf("buffered after partial read = %d, want 6", buffered)
+	}
+	if err := p.Close(fd2); err != nil {
+		t.Fatal(err)
+	}
+	if _, buffered := red.Footprint(); buffered != 0 {
+		t.Fatalf("buffered after close = %d, want 0", buffered)
+	}
+	if err := p.Close(fd1); err != nil {
+		t.Fatal(err)
+	}
+	if socks, _ := red.Footprint(); socks != 0 {
+		t.Fatalf("sockets after closing both ends = %d, want 0", socks)
+	}
+}

@@ -269,17 +269,6 @@ func (p *Process) await(ch <-chan struct{}, timeout <-chan time.Time) error {
 // socket, then returns the descriptor of the new connection socket and
 // the name of the connecting peer.
 func (p *Process) Accept(fd int) (int, meter.Name, error) {
-	return p.accept(fd, false)
-}
-
-// TryAccept is Accept that never blocks: with no pending connection it
-// fails with ErrWouldBlock. Event-driven tasks (Machine.SpawnTask) use
-// it to drain a listener and then park instead of holding a worker.
-func (p *Process) TryAccept(fd int) (int, meter.Name, error) {
-	return p.accept(fd, true)
-}
-
-func (p *Process) accept(fd int, nonblock bool) (int, meter.Name, error) {
 	if err := p.enter(); err != nil {
 		return -1, meter.Name{}, err
 	}
@@ -314,10 +303,6 @@ func (p *Process) accept(fd int, nonblock bool) (int, meter.Name, error) {
 				SockName: s.BoundName(), PeerName: peer,
 			})
 			return nfd, peer, nil
-		}
-		if nonblock {
-			s.mu.Unlock()
-			return -1, meter.Name{}, ErrWouldBlock
 		}
 		w := getWaiter()
 		s.waiters.push(w)
@@ -487,8 +472,8 @@ func (p *Process) RecvFrom(fd, max int) ([]byte, meter.Name, error) {
 }
 
 // TryRecvFrom is RecvFrom that never blocks: with nothing to read it
-// fails with ErrWouldBlock. Event-driven tasks (Machine.SpawnTask) use
-// it to drain a socket and then park instead of holding a worker.
+// fails with ErrWouldBlock, so a caller can drain a socket and turn to
+// other work.
 func (p *Process) TryRecvFrom(fd, max int) ([]byte, meter.Name, error) {
 	data, _, src, err := p.recvFrom(fd, recvDst{max: max}, nil, true)
 	return data, src, err

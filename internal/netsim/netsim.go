@@ -281,7 +281,9 @@ func (n *Network) Reachable(hostA, hostB uint32) bool {
 // for local conditions (unknown destination host, oversize datagram,
 // closed or downed network); silent loss in transit is, as on a real
 // network, not reported to the sender. A datagram crossing a
-// partitioned link is such a silent loss.
+// partitioned link is such a silent loss. Send keeps no reference to
+// dg.Data once it returns: the sender may reuse its buffer, as after
+// sendto(2).
 func (n *Network) Send(dg Datagram) error {
 	if len(dg.Data) > MaxDatagram {
 		return ErrTooBig
@@ -343,6 +345,7 @@ func (n *Network) route(dg *Datagram, out *[2]delivery) (count int, delay time.D
 		n.held = nil
 	} else if n.reorder > 0 && n.rng.Float64() < n.reorder {
 		held := *dg
+		held.Data = append([]byte(nil), dg.Data...)
 		n.held = &held
 		return 0, 0, nil
 	}
@@ -363,6 +366,7 @@ func (n *Network) deliver(d delivery, delay time.Duration) {
 		d.ep.DeliverDatagram(d.dg)
 		return
 	}
+	d.dg.Data = append([]byte(nil), d.dg.Data...) // outlives the sender's buffer
 	n.mu.Lock()
 	if n.closed {
 		// Racing a concurrent Close: the network vanished with the

@@ -235,6 +235,32 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	}
 }
 
+// TestSenderMayReuseBuffer: a datagram that leaves after Send returns,
+// delayed or held back for reordering, carries the bytes sent, not
+// what the sender wrote into its buffer afterwards.
+func TestSenderMayReuseBuffer(t *testing.T) {
+	for name, opt := range map[string]Option{
+		"latency": WithLatency(5*time.Millisecond, 0),
+		"reorder": WithReorder(1),
+	} {
+		n := New("ether0", opt, WithSeed(1))
+		s := &sink{}
+		if err := n.Attach(2, s); err != nil {
+			t.Fatal(err)
+		}
+		d := dg(2, "sent")
+		if err := n.Send(d); err != nil {
+			t.Fatal(err)
+		}
+		copy(d.Data, "over")
+		n.Flush()
+		n.Close()
+		if got := s.payloads(); len(got) != 1 || got[0] != "sent" {
+			t.Fatalf("%s: delivered %q, want [sent]", name, got)
+		}
+	}
+}
+
 func TestCloseWaitsForPendingAndRejectsSends(t *testing.T) {
 	n := New("ether0", WithLatency(10*time.Millisecond, 0))
 	s := &sink{}

@@ -2,8 +2,6 @@ package workloads
 
 import (
 	"encoding/binary"
-	"errors"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -12,60 +10,12 @@ import (
 	"dpm/internal/meter"
 )
 
-// This file is the traffic-shape generator for cluster-scale
-// simulations: shaped datagram sources and sinks built as kernel
-// *tasks* (event-driven, no goroutine per process), plus a small
+// This file is the traffic generator for cluster-scale simulations:
+// a rate-driven datagram source and a counting sink, plus a small
 // fan-out/fan-in microservice call tree registered as ordinary
 // workload programs. The scale soak and the fabric benchmarks drive
-// thousands of these against the monitor's filters; a laptop-sized
-// host only survives that because each source is a struct on the
-// scheduler's wheel, not a goroutine in a sleep loop.
-
-// Shape maps elapsed run time to an offered load in datagrams/second.
-// Implementations must be safe for concurrent use (one Shape is
-// typically shared by every source on a machine class).
-type Shape interface {
-	Rate(elapsed time.Duration) float64
-}
-
-// Steady offers a constant rate.
-type Steady struct {
-	PerSec float64
-}
-
-func (s Steady) Rate(time.Duration) float64 { return s.PerSec }
-
-// Diurnal sweeps sinusoidally between Base and Peak over Period — the
-// compressed day/night load curve of a long-running service.
-type Diurnal struct {
-	Base, Peak float64
-	Period     time.Duration
-}
-
-func (d Diurnal) Rate(elapsed time.Duration) float64 {
-	if d.Period <= 0 {
-		return d.Base
-	}
-	phase := float64(elapsed%d.Period) / float64(d.Period)
-	return d.Base + (d.Peak-d.Base)*0.5*(1-math.Cos(2*math.Pi*phase))
-}
-
-// Bursts offers Base load with storms of BurstRate lasting Length at
-// the start of every Every interval — retry stampedes and cron storms.
-type Bursts struct {
-	Base, BurstRate float64
-	Every, Length   time.Duration
-}
-
-func (b Bursts) Rate(elapsed time.Duration) float64 {
-	if b.Every <= 0 {
-		return b.Base
-	}
-	if elapsed%b.Every < b.Length {
-		return b.BurstRate
-	}
-	return b.Base
-}
+// thousands of sources and sinks against the monitor's filters; each
+// is an ordinary process, one goroutine while it lives.
 
 // TrafficStats is the shared scoreboard a fleet of sources and sinks
 // reports into.
@@ -74,87 +24,59 @@ type TrafficStats struct {
 	Received atomic.Int64
 }
 
-// NewTrafficTask returns a kernel.TaskFunc that sends shaped datagram
-// traffic to dest until its process is killed. Payloads carry a
+// NewTrafficSource returns a program that sends perSec (> 0) datagrams
+// a second to dest until its process is killed. Payloads carry a
 // sequence number so a sink can spot them; sends that fail because the
-// fabric is congested or partitioned are ordinary datagram loss and do
-// not stop the source.
-func NewTrafficTask(shape Shape, dest meter.Name, payload int, stats *TrafficStats) kernel.TaskFunc {
-	if payload < 8 {
-		payload = 8
-	}
-	var (
-		fd    int
-		ready bool
-		start time.Time
-		seq   uint64
-		buf   = make([]byte, payload)
-	)
-	return func(t *kernel.Task) kernel.Poll {
-		p := t.Proc()
-		if !ready {
-			var err error
-			if fd, err = p.Socket(meter.AFInet, kernel.SockDgram); err != nil {
-				return kernel.PollDone
+// destination is unreachable or an interface is down are ordinary
+// datagram loss: the source backs off and goes on.
+func NewTrafficSource(perSec float64, dest meter.Name, payload int, stats *TrafficStats) kernel.Program {
+	gap := time.Duration(float64(time.Second) / perSec)
+	return func(p *kernel.Process) int {
+		fd, err := p.Socket(meter.AFInet, kernel.SockDgram)
+		if err != nil {
+			return 1
+		}
+		if err := p.BindPort(fd, 0); err != nil {
+			return 1
+		}
+		buf := make([]byte, max(payload, 8))
+		killed := p.KillChan()
+		tick := time.NewTimer(0)
+		defer tick.Stop()
+		for seq := uint64(0); ; seq++ {
+			// After a kill the next SendTo unwinds the process.
+			select {
+			case <-tick.C:
+			case <-killed:
 			}
-			if err := p.BindPort(fd, 0); err != nil {
-				return kernel.PollDone
+			binary.BigEndian.PutUint64(buf, seq)
+			next := gap
+			if _, err := p.SendTo(fd, buf, dest); err != nil {
+				next = 50 * time.Millisecond // let the fault heal
+			} else {
+				stats.Sent.Add(1)
 			}
-			start = time.Now()
-			ready = true
+			tick.Reset(next)
 		}
-		rate := shape.Rate(time.Since(start))
-		if rate <= 0 {
-			return t.Sleep(100 * time.Millisecond)
-		}
-		binary.BigEndian.PutUint64(buf, seq)
-		seq++
-		if _, err := p.SendTo(fd, buf, dest); err != nil {
-			if errors.Is(err, kernel.ErrKilled) || errors.Is(err, kernel.ErrExited) {
-				return kernel.PollDone
-			}
-			// Unreachable destination or downed interface: back off and
-			// let the fault heal.
-			return t.Sleep(50 * time.Millisecond)
-		}
-		if stats != nil {
-			stats.Sent.Add(1)
-		}
-		return t.Sleep(time.Duration(float64(time.Second) / rate))
 	}
 }
 
-// NewSinkTask returns a kernel.TaskFunc that binds port and counts
-// every datagram delivered to it, parking between arrivals.
-func NewSinkTask(port uint16, stats *TrafficStats) kernel.TaskFunc {
-	var (
-		fd    int
-		ready bool
-	)
-	return func(t *kernel.Task) kernel.Poll {
-		p := t.Proc()
-		if !ready {
-			var err error
-			if fd, err = p.Socket(meter.AFInet, kernel.SockDgram); err != nil {
-				return kernel.PollDone
-			}
-			if err := p.BindPort(fd, port); err != nil {
-				return kernel.PollDone
-			}
-			ready = true
+// NewTrafficSink returns a program that binds port and counts every
+// datagram delivered to it until its process is killed.
+func NewTrafficSink(port uint16, stats *TrafficStats) kernel.Program {
+	return func(p *kernel.Process) int {
+		fd, err := p.Socket(meter.AFInet, kernel.SockDgram)
+		if err != nil {
+			return 1
+		}
+		if err := p.BindPort(fd, port); err != nil {
+			return 1
 		}
 		for {
-			_, _, err := p.TryRecvFrom(fd, 4096)
-			switch {
-			case err == nil:
-				if stats != nil {
-					stats.Received.Add(1)
-				}
-			case errors.Is(err, kernel.ErrWouldBlock):
-				return t.Park(fd)
-			default:
-				return kernel.PollDone
+			if _, _, err := p.RecvFrom(fd, 4096); err != nil {
+				return 1
 			}
+			stats.Received.Add(1)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -9,36 +8,9 @@ import (
 	"dpm/internal/meter"
 )
 
-func TestShapeRates(t *testing.T) {
-	d := Diurnal{Base: 10, Peak: 110, Period: time.Minute}
-	if r := d.Rate(0); math.Abs(r-10) > 0.01 {
-		t.Fatalf("diurnal trough = %v, want 10", r)
-	}
-	if r := d.Rate(30 * time.Second); math.Abs(r-110) > 0.01 {
-		t.Fatalf("diurnal peak = %v, want 110", r)
-	}
-	if r := d.Rate(15 * time.Second); math.Abs(r-60) > 0.01 {
-		t.Fatalf("diurnal midpoint = %v, want 60", r)
-	}
-	if r := (Diurnal{Base: 5}).Rate(time.Hour); r != 5 {
-		t.Fatalf("zero-period diurnal = %v, want base", r)
-	}
-
-	b := Bursts{Base: 2, BurstRate: 500, Every: 10 * time.Second, Length: time.Second}
-	if r := b.Rate(10*time.Second + 500*time.Millisecond); r != 500 {
-		t.Fatalf("inside burst = %v, want 500", r)
-	}
-	if r := b.Rate(5 * time.Second); r != 2 {
-		t.Fatalf("between bursts = %v, want 2", r)
-	}
-	if r := (Steady{PerSec: 7}).Rate(time.Hour); r != 7 {
-		t.Fatalf("steady = %v, want 7", r)
-	}
-}
-
-// TestTrafficSourceToSink runs a shaped source task on one machine
-// against a sink task on another: cross-machine datagrams, no
-// goroutines per process, counts on both ends.
+// TestTrafficSourceToSink runs a source process on one machine
+// against a sink process on another: cross-machine datagrams, counts
+// on both ends.
 func TestTrafficSourceToSink(t *testing.T) {
 	c := kernel.NewCluster(kernel.Config{})
 	c.AddNetwork("ether0")
@@ -55,16 +27,23 @@ func TestTrafficSourceToSink(t *testing.T) {
 	t.Cleanup(c.Shutdown)
 
 	stats := &TrafficStats{}
-	if _, err := dst.SpawnTask(100, "sink", NewSinkTask(7100, stats)); err != nil {
+	if _, err := dst.Spawn(kernel.SpawnSpec{UID: 100, Name: "sink", Program: NewTrafficSink(7100, stats)}); err != nil {
 		t.Fatal(err)
 	}
+	// Datagrams to an unbound port are dropped uncounted.
+	deadline := time.Now().Add(10 * time.Second)
+	for !dst.PortBound(kernel.SockDgram, 7100) {
+		if time.Now().After(deadline) {
+			t.Fatal("sink never bound its port")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	dest := meter.InetName(dst.PrimaryHostID(), 7100)
-	gen, err := src.SpawnTask(100, "gen", NewTrafficTask(Steady{PerSec: 500}, dest, 64, stats))
+	gen, err := src.Spawn(kernel.SpawnSpec{UID: 100, Name: "gen", Program: NewTrafficSource(500, dest, 64, stats)})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
 	for stats.Received.Load() < 20 {
 		if time.Now().After(deadline) {
 			t.Fatalf("sink received %d datagrams (sent %d), want >= 20",
@@ -74,6 +53,9 @@ func TestTrafficSourceToSink(t *testing.T) {
 	}
 	if err := src.Signal(gen.PID(), kernel.SIGKILL); err != nil {
 		t.Fatal(err)
+	}
+	if _, reason := gen.WaitExit(); reason != kernel.ReasonKilled {
+		t.Fatalf("source exit reason = %s, want killed", reason)
 	}
 	if sent := stats.Sent.Load(); sent < 20 {
 		t.Fatalf("source sent %d, want >= 20", sent)
